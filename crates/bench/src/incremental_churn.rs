@@ -100,11 +100,11 @@ impl IncrementalChurnExperiment {
                 self.host_cores,
                 if self.smoke { " | SMOKE" } else { "" },
             ),
-            "churn | full_advance_us | incr_advance_us | speedup | full_reverified | incr_reverified | incr_skipped | cache_hit(incr)".to_string(),
+            "churn | full_advance_us | incr_advance_us | speedup | full_reverified | incr_reverified | incr_skipped".to_string(),
         ];
         for point in &self.points {
             rows.push(format!(
-                "{:.0}% | {} | {} | {:.2} | {} | {} | {} | {:.2}",
+                "{:.0}% | {} | {} | {:.2} | {} | {} | {}",
                 point.churn_fraction * 100.0,
                 point.full.epoch_advance_avg.as_micros(),
                 point.incremental.epoch_advance_avg.as_micros(),
@@ -112,7 +112,6 @@ impl IncrementalChurnExperiment {
                 point.full.reverified,
                 point.incremental.reverified,
                 point.incremental.skipped,
-                point.incremental.cache_hit_rate,
             ));
         }
         rows.push(format!(
@@ -134,7 +133,7 @@ impl IncrementalChurnExperiment {
                         "{{\"churn_clients\":{},\"churn_fraction\":{:.4},",
                         "\"rule_changes\":{},",
                         "\"full\":{{\"epoch_advance_avg_us\":{},\"reverified\":{},\"skipped\":{},\"model_rebuilds\":{}}},",
-                        "\"incremental\":{{\"epoch_advance_avg_us\":{},\"reverified\":{},\"skipped\":{},\"incremental_applies\":{},\"model_rebuilds\":{},\"cache_hit_rate\":{:.4},\"latency_p50_us\":{},\"latency_p95_us\":{},\"latency_p99_us\":{}}},",
+                        "\"incremental\":{{\"epoch_advance_avg_us\":{},\"reverified\":{},\"skipped\":{},\"incremental_applies\":{},\"model_rebuilds\":{},\"latency_p50_us\":{},\"latency_p95_us\":{},\"latency_p99_us\":{}}},",
                         "\"speedup\":{:.3}}}",
                     ),
                     p.churn_clients,
@@ -149,7 +148,6 @@ impl IncrementalChurnExperiment {
                     p.incremental.skipped,
                     p.incremental.incremental_applies,
                     p.incremental.model_rebuilds,
-                    p.incremental.cache_hit_rate,
                     p.incremental.latency_p50_us,
                     p.incremental.latency_p95_us,
                     p.incremental.latency_p99_us,

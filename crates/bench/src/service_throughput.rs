@@ -136,20 +136,30 @@ fn measure_sync(topology: &Topology) -> (usize, usize, usize, usize) {
     // the removals would no-op and the "churn" would be additions only.
     let baseline_count = (benign_snapshot(topology).rule_count() / 20).max(1);
     churn_round(&mut snapshot, 0, baseline_count, SimTime::from_millis(1));
-    service.publish(&snapshot, SimTime::from_millis(1));
-    let server = SyncServer::new(service.store(), 7);
+    service
+        .try_publish(&snapshot, SimTime::from_millis(1))
+        .expect("epoch publish rejected");
+    let server = SyncServer::new(service.store(), 7, &service.registry());
     let mut session = SyncSession::new();
     session
-        .apply(&server.handle(&service, &session.request(ClientId(1))))
+        .apply(
+            &server
+                .try_handle(&service, &session.request(ClientId(1)))
+                .expect("sync request served"),
+        )
         .expect("initial reset applies");
     let rules = session.digests().len();
 
     // ~10% churn: round 1 adds `baseline_count` digests and removes the
     // round-0 ones, i.e. 2 * count changed entries.
     churn_round(&mut snapshot, 1, baseline_count, SimTime::from_millis(2));
-    service.publish(&snapshot, SimTime::from_millis(2));
+    service
+        .try_publish(&snapshot, SimTime::from_millis(2))
+        .expect("epoch publish rejected");
 
-    let delta = server.handle(&service, &session.request(ClientId(1)));
+    let delta = server
+        .try_handle(&service, &session.request(ClientId(1)))
+        .expect("sync request served");
     let SyncPayload::Delta { added, removed, .. } = &delta.payload else {
         panic!("expected a delta under churn, got {delta:?}");
     };
@@ -158,15 +168,17 @@ fn measure_sync(topology: &Topology) -> (usize, usize, usize, usize) {
         session: delta.session,
         serial: delta.serial,
         payload: SyncPayload::Reset {
-            full: service.store().current().digests.iter().copied().collect(),
+            full: service.store().current().rules.keys().copied().collect(),
         },
         trace: 0,
     };
     let (delta_bytes, full_bytes) = (delta.encoded_len(), full.encoded_len());
     session.apply(&delta).expect("delta applies");
-    assert_eq!(
-        session.digests(),
-        &service.store().current().digests,
+    assert!(
+        session
+            .digests()
+            .iter()
+            .eq(service.store().current().rules.keys()),
         "mirror must converge after the delta"
     );
     (rules, changed, delta_bytes, full_bytes)
@@ -315,11 +327,9 @@ impl ServiceThroughputReport {
             .iter()
             .map(|p| {
                 format!(
-                    "{{\"workers\":{},\"qps\":{:.1},\"p50_us\":{},\"p99_us\":{},\"latency_p50_us\":{},\"latency_p95_us\":{},\"latency_p99_us\":{},\"batches\":{}}}",
+                    "{{\"workers\":{},\"qps\":{:.1},\"latency_p50_us\":{},\"latency_p95_us\":{},\"latency_p99_us\":{},\"batches\":{}}}",
                     p.workers,
                     p.report.queries_per_sec,
-                    p.report.p50_latency.as_micros(),
-                    p.report.p99_latency.as_micros(),
                     p.report.p50_latency.as_micros(),
                     p.report.p95_latency.as_micros(),
                     p.report.p99_latency.as_micros(),

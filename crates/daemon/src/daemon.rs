@@ -29,7 +29,7 @@ use rvaas::{LocationMap, NetworkSnapshot, VerifierConfig};
 use rvaas_client::{read_frame, write_frame, SyncReject};
 use rvaas_controlplane::benign_rules;
 use rvaas_service::{ServiceError, SyncServer, VerificationService};
-use rvaas_telemetry::{Counter, Gauge, Registry};
+use rvaas_telemetry::{Counter, Gauge};
 use rvaas_types::SimTime;
 
 use crate::config::DaemonConfig;
@@ -70,7 +70,14 @@ impl Daemon {
     /// unbindable listen address, and propagates publish failures.
     pub fn start(config: &DaemonConfig) -> Result<Self, ServiceError> {
         let topology = config.build_topology()?;
-        let registry = Registry::shared();
+        let service = Arc::new(VerificationService::new(
+            topology.clone(),
+            config.service.clone().into_config(VerifierConfig {
+                use_history: false,
+                locations: LocationMap::disclosed(&topology),
+            }),
+        ));
+        let registry = service.registry();
         registry
             .gauge_with(
                 "rvaas_build_info",
@@ -78,17 +85,9 @@ impl Daemon {
                 &[("version", env!("CARGO_PKG_VERSION"))],
             )
             .set(1);
-        let service = Arc::new(VerificationService::with_registry(
-            topology.clone(),
-            config.service.clone().into_config(VerifierConfig {
-                use_history: false,
-                locations: LocationMap::disclosed(&topology),
-            }),
-            Arc::clone(&registry),
-        ));
         // Epoch 1: the configured rules file when one is given, the benign
         // shortest-path routing state otherwise (the daemon's stand-in for a
-        // controller feed; `publish` on the service keeps advancing it).
+        // controller feed; `try_publish` on the service keeps advancing it).
         let rules = match &config.rules_file {
             Some(path) => {
                 let text = std::fs::read_to_string(path)
@@ -107,11 +106,7 @@ impl Daemon {
         // Distinct per process start, so reconnecting clients detect a
         // restart and fall back to a reset (session 0 means "none").
         let session_id = (std::process::id() % u32::from(u16::MAX - 1) + 1) as u16;
-        let sync_server = Arc::new(SyncServer::with_registry(
-            service.store(),
-            session_id,
-            &registry,
-        ));
+        let sync_server = Arc::new(SyncServer::new(service.store(), session_id, &registry));
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut daemon = Daemon {

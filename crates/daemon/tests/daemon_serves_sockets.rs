@@ -152,7 +152,8 @@ fn daemon_serves_http_and_concurrent_sync_sessions_over_an_epoch_publish() {
     );
     let serial = daemon
         .service()
-        .publish(&snapshot, SimTime::from_millis(20));
+        .try_publish(&snapshot, SimTime::from_millis(20))
+        .unwrap();
     assert_eq!(serial, 2);
 
     for (conn, session, client) in [

@@ -13,12 +13,12 @@
 
 use rvaas::{LocationMap, VerifierConfig};
 use rvaas_client::{QuerySpec, SyncPayload, SyncSession};
-use rvaas_service::{ServiceSettings, SyncServer, VerificationService};
+use rvaas_service::{ServiceError, ServiceSettings, SyncServer, VerificationService};
 use rvaas_topology::generators;
 use rvaas_types::{ClientId, HostId, SimTime};
 use rvaas_workloads::{benign_snapshot, churn_round, ScenarioBuilder};
 
-fn main() {
+fn main() -> Result<(), ServiceError> {
     // --- 1. A simulated scenario riding the service plane -----------------
     let topo = generators::leaf_spine(2, 4, 2, 1);
     println!(
@@ -60,7 +60,7 @@ fn main() {
         }),
     );
     let mut snapshot = benign_snapshot(&topo);
-    let serial = service.publish(&snapshot, SimTime::from_millis(1));
+    let serial = service.try_publish(&snapshot, SimTime::from_millis(1))?;
     println!(
         "\nservice plane: published epoch {serial} ({} rules)",
         snapshot.rule_count()
@@ -74,8 +74,8 @@ fn main() {
         })
         .collect();
     // Same batch twice: the second pass is answered from the result cache.
-    let _ = service.query_all(&workload);
-    let responses = service.query_all(&workload);
+    let _ = service.try_query_all(&workload)?;
+    let responses = service.try_query_all(&workload)?;
     println!(
         "  {} queries answered at epoch {} (cache hit rate {:.0}%)",
         responses.len() * 2,
@@ -84,9 +84,9 @@ fn main() {
     );
 
     // Delta sync: a client mirrors the state, then churn arrives.
-    let server = SyncServer::new(service.store(), 7);
+    let server = SyncServer::new(service.store(), 7, &service.registry());
     let mut session = SyncSession::new();
-    let reset = server.handle(&service, &session.request(ClientId(1)));
+    let reset = server.try_handle(&service, &session.request(ClientId(1)))?;
     session.apply(&reset).expect("reset applies");
     println!(
         "  sync: client reset to serial {} ({} digests, {} B)",
@@ -95,8 +95,8 @@ fn main() {
         reset.encoded_len()
     );
     churn_round(&mut snapshot, 1, 4, SimTime::from_millis(2));
-    service.publish(&snapshot, SimTime::from_millis(2));
-    let response = server.handle(&service, &session.request(ClientId(1)));
+    service.try_publish(&snapshot, SimTime::from_millis(2))?;
+    let response = server.try_handle(&service, &session.request(ClientId(1)))?;
     let SyncPayload::Delta { added, removed, .. } = &response.payload else {
         panic!("expected a delta after churn");
     };
@@ -154,4 +154,5 @@ fn main() {
     }) {
         println!("  {line}");
     }
+    Ok(())
 }

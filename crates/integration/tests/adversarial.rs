@@ -21,7 +21,7 @@ use rvaas_controlplane::attack::PRIO_ATTACK;
 use rvaas_controlplane::{benign_rules, Attack, ServicePlaneExpectation};
 use rvaas_hsa::reachability_equivalent;
 use rvaas_openflow::{FlowEntry, FlowModCommand, Message};
-use rvaas_service::{EpochStore, ServiceConfig, SyncServer, VerificationService};
+use rvaas_service::{EpochStore, ServiceSettings, SyncServer, VerificationService};
 use rvaas_topology::{generators, Topology};
 use rvaas_types::{ClientId, HostId, SimTime, SwitchId};
 
@@ -72,14 +72,35 @@ fn benign_snapshot(topology: &Topology, at: SimTime) -> NetworkSnapshot {
 }
 
 fn service(topology: &Topology, incremental: bool) -> VerificationService {
-    let config = ServiceConfig::new(VerifierConfig {
+    let config = ServiceSettings {
+        workers: 2,
+        cache: incremental,
+        incremental,
+        ..ServiceSettings::default()
+    }
+    .into_config(VerifierConfig {
         use_history: false,
         locations: LocationMap::disclosed(topology),
-    })
-    .with_workers(2)
-    .with_cache(incremental)
-    .with_incremental(incremental);
+    });
     VerificationService::new(topology.clone(), config)
+}
+
+fn publish(services: &[&VerificationService], snapshot: &NetworkSnapshot, at: SimTime) {
+    for service in services {
+        service.try_publish(snapshot, at).unwrap();
+    }
+}
+
+/// What `server` answers to `session`'s next request as `client`.
+fn serve(
+    server: &SyncServer,
+    service: &VerificationService,
+    session: &SyncSession,
+    client: ClientId,
+) -> SyncResponse {
+    server
+        .try_handle(service, &session.request(client))
+        .unwrap()
 }
 
 fn service_plane_attacks(topology: &Topology) -> Vec<Attack> {
@@ -128,8 +149,8 @@ fn assert_verdicts_match(
     context: &str,
 ) {
     for (client, spec) in queries {
-        let fast = incremental.query(*client, spec.clone());
-        let slow = oracle.query(*client, spec.clone());
+        let fast = incremental.try_query(*client, spec.clone()).unwrap();
+        let slow = oracle.try_query(*client, spec.clone()).unwrap();
         assert_eq!(
             fast.result, slow.result,
             "{context}: incremental and full-rebuild verdicts diverge \
@@ -153,8 +174,7 @@ fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
         let incremental = service(&topology, true);
         let oracle = service(&topology, false);
         let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
-        incremental.publish(&snapshot, SimTime::from_millis(1));
-        oracle.publish(&snapshot, SimTime::from_millis(1));
+        publish(&[&incremental, &oracle], &snapshot, SimTime::from_millis(1));
         assert_verdicts_match(
             &incremental,
             &oracle,
@@ -167,8 +187,11 @@ fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
             &attack.compile(&topology),
             SimTime::from_millis(10),
         );
-        incremental.publish(&snapshot, SimTime::from_millis(10));
-        oracle.publish(&snapshot, SimTime::from_millis(10));
+        publish(
+            &[&incremental, &oracle],
+            &snapshot,
+            SimTime::from_millis(10),
+        );
         assert_verdicts_match(
             &incremental,
             &oracle,
@@ -181,8 +204,11 @@ fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
             &attack.compile_removal(&topology),
             SimTime::from_millis(20),
         );
-        incremental.publish(&snapshot, SimTime::from_millis(20));
-        oracle.publish(&snapshot, SimTime::from_millis(20));
+        publish(
+            &[&incremental, &oracle],
+            &snapshot,
+            SimTime::from_millis(20),
+        );
         assert_verdicts_match(
             &incremental,
             &oracle,
@@ -208,16 +234,16 @@ fn stale_epoch_replay_cannot_roll_back_a_sync_client() {
     );
 
     let verification = service(&topology, true);
-    let sync_server = SyncServer::new(verification.store(), 7);
+    let sync_server = SyncServer::new(verification.store(), 7, &verification.registry());
     let client = ClientId(1);
 
     let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
-    verification.publish(&snapshot, SimTime::from_millis(1));
+    publish(&[&verification], &snapshot, SimTime::from_millis(1));
 
     // The victim client synchronises with the clean epoch; the adversary
     // records the very response it received.
     let mut session = SyncSession::new();
-    let recorded_clean = sync_server.handle(&verification, &session.request(client));
+    let recorded_clean = serve(&sync_server, &verification, &session, client);
     session.apply(&recorded_clean).expect("initial reset");
     assert!(session.is_synchronised());
 
@@ -228,8 +254,8 @@ fn stale_epoch_replay_cannot_roll_back_a_sync_client() {
         &attack.compile(&topology),
         SimTime::from_millis(10),
     );
-    verification.publish(&snapshot, SimTime::from_millis(10));
-    let delta = sync_server.handle(&verification, &session.request(client));
+    publish(&[&verification], &snapshot, SimTime::from_millis(10));
+    let delta = serve(&sync_server, &verification, &session, client);
     session.apply(&delta).expect("delta to the attacked epoch");
     let truth_serial = session.serial();
 
@@ -259,10 +285,10 @@ fn stale_epoch_replay_cannot_roll_back_a_sync_client() {
 
     // ...but a single ordinary round trip reconverges the mirror onto the
     // server's real state, with the usual desync-reset fallback.
-    let catchup = sync_server.handle(&verification, &session.request(client));
+    let catchup = serve(&sync_server, &verification, &session, client);
     if session.apply(&catchup).is_err() {
         session.desynchronise();
-        let reset = sync_server.handle(&verification, &session.request(client));
+        let reset = serve(&sync_server, &verification, &session, client);
         session.apply(&reset).expect("recovery reset");
     }
     assert_eq!(session.serial(), verification.current_serial());
@@ -270,7 +296,7 @@ fn stale_epoch_replay_cannot_roll_back_a_sync_client() {
     // Converged means converged: a fresh observer syncing from scratch holds
     // exactly the same digest set.
     let mut fresh = SyncSession::new();
-    let full = sync_server.handle(&verification, &fresh.request(ClientId(1)));
+    let full = serve(&sync_server, &verification, &fresh, ClientId(1));
     fresh.apply(&full).expect("fresh reset");
     assert_eq!(session.digests(), fresh.digests());
 }
@@ -346,8 +372,7 @@ fn epoch_toggled_rule_cannot_poison_the_result_cache() {
     let spec = QuerySpec::ReachableDestinations;
 
     let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
-    cached.publish(&snapshot, SimTime::from_millis(1));
-    oracle.publish(&snapshot, SimTime::from_millis(1));
+    publish(&[&cached, &oracle], &snapshot, SimTime::from_millis(1));
 
     let mut verdicts = Vec::new();
     for epoch in 0..6u64 {
@@ -358,14 +383,13 @@ fn epoch_toggled_rule_cannot_poison_the_result_cache() {
             attack.compile_removal(&topology)
         };
         apply_messages(&mut snapshot, &messages, at);
-        cached.publish(&snapshot, at);
-        oracle.publish(&snapshot, at);
+        publish(&[&cached, &oracle], &snapshot, at);
 
         // Query twice so the second answer is eligible for the cache, then
         // compare both against the oracle.
-        let first = cached.query(client, spec.clone());
-        let second = cached.query(client, spec.clone());
-        let truth = oracle.query(client, spec.clone());
+        let first = cached.try_query(client, spec.clone()).unwrap();
+        let second = cached.try_query(client, spec.clone()).unwrap();
+        let truth = oracle.try_query(client, spec.clone()).unwrap();
         assert_eq!(first.result, truth.result, "epoch {epoch}: fresh answer");
         assert_eq!(second.result, truth.result, "epoch {epoch}: cached answer");
         assert_eq!(first.epoch_serial, truth.epoch_serial);
@@ -471,14 +495,14 @@ proptest! {
     fn sync_session_converges_after_any_interleaving(ops in proptest::collection::vec(0u8..6u8, 1..24)) {
         let topology = generators::line(3, 1);
         let verification = service(&topology, true);
-        let sync_server = SyncServer::new(verification.store(), 11);
+        let sync_server = SyncServer::new(verification.store(), 11, &verification.registry());
         let client = ClientId(1);
         let attack = Attack::StaleEpochReplay { victim_host: HostId(2) };
 
         let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
-        verification.publish(&snapshot, SimTime::from_millis(1));
+        publish(&[&verification], &snapshot, SimTime::from_millis(1));
         let mut session = SyncSession::new();
-        let recorded = sync_server.handle(&verification, &session.request(client));
+        let recorded = serve(&sync_server, &verification, &session, client);
         session.apply(&recorded).expect("initial reset");
 
         let mut attacked = false;
@@ -494,29 +518,29 @@ proptest! {
                         benign.compile_removal(&topology)
                     };
                     apply_messages(&mut snapshot, &messages, at);
-                    verification.publish(&snapshot, at);
+                    publish(&[&verification], &snapshot, at);
                 }
                 // Attack install / removal epochs.
                 1 => {
                     if !attacked {
                         apply_messages(&mut snapshot, &attack.compile(&topology), at);
-                        verification.publish(&snapshot, at);
+                        publish(&[&verification], &snapshot, at);
                         attacked = true;
                     }
                 }
                 2 => {
                     if attacked {
                         apply_messages(&mut snapshot, &attack.compile_removal(&topology), at);
-                        verification.publish(&snapshot, at);
+                        publish(&[&verification], &snapshot, at);
                         attacked = false;
                     }
                 }
                 // An ordinary sync round trip, with the reset fallback.
                 3 => {
-                    let response = sync_server.handle(&verification, &session.request(client));
+                    let response = serve(&sync_server, &verification, &session, client);
                     if session.apply(&response).is_err() {
                         session.desynchronise();
-                        let reset = sync_server.handle(&verification, &session.request(client));
+                        let reset = serve(&sync_server, &verification, &session, client);
                         session.apply(&reset).expect("recovery reset");
                     }
                 }
@@ -534,15 +558,15 @@ proptest! {
         }
 
         // One ordinary exchange must now converge the mirror exactly.
-        let response = sync_server.handle(&verification, &session.request(client));
+        let response = serve(&sync_server, &verification, &session, client);
         if session.apply(&response).is_err() {
             session.desynchronise();
-            let reset = sync_server.handle(&verification, &session.request(client));
+            let reset = serve(&sync_server, &verification, &session, client);
             session.apply(&reset).expect("final recovery reset");
         }
         prop_assert_eq!(session.serial(), verification.current_serial());
         let mut fresh = SyncSession::new();
-        let full = sync_server.handle(&verification, &fresh.request(client));
+        let full = serve(&sync_server, &verification, &fresh, client);
         fresh.apply(&full).expect("fresh observer reset");
         prop_assert_eq!(session.digests(), fresh.digests());
     }

@@ -161,7 +161,7 @@ proptest! {
         let ips: Vec<u32> = topo.hosts().map(|h| h.ip).collect();
         let mut snapshot = benign_snapshot_of(&topo);
         let store = EpochStore::new(64);
-        store.publish(snapshot.clone(), SimTime::from_millis(1));
+        store.try_publish(snapshot.clone(), SimTime::from_millis(1)).unwrap();
 
         let mut model = rvaas::IncrementalModel::new(topo.clone());
         let mut model_serial = 0u64;
@@ -180,7 +180,7 @@ proptest! {
             } else {
                 continue;
             }
-            store.publish(snapshot.clone(), at);
+            store.try_publish(snapshot.clone(), at).unwrap();
             // Catch the model up every other step so some syncs aggregate
             // more than one epoch's delta.
             if i % 2 == 0 {

@@ -12,7 +12,6 @@ use rvaas_types::{ClientId, SimTime};
 
 use crate::config::ServiceConfig;
 use crate::pool::VerificationService;
-use crate::sync::SyncServer;
 
 /// An [`AnalysisBackend`] backed by a [`VerificationService`].
 #[derive(Debug)]
@@ -60,14 +59,12 @@ impl ServiceBackend {
         &self.service
     }
 
-    /// A sync server sharing this backend's epoch store.
-    #[must_use]
-    pub fn sync_server(&self, session_id: u16) -> SyncServer {
-        SyncServer::new(self.service.store(), session_id)
-    }
-
     fn publish_now(&mut self, snapshot: &NetworkSnapshot, at: SimTime) {
-        self.service.publish(snapshot, at);
+        // The controller-facing trait is infallible, and a simulation cannot
+        // exhaust the u64 serial space.
+        self.service
+            .try_publish(snapshot, at)
+            .expect("epoch publish rejected");
         self.last_published_at = Some(at);
         self.dirty = false;
     }
@@ -99,13 +96,17 @@ impl AnalysisBackend for ServiceBackend {
         {
             self.publish_now(snapshot, snapshot.last_update());
         }
-        self.service.query(client, spec.clone()).result
+        self.service
+            .try_query(client, spec.clone())
+            .expect("the backend owns the pool, so it outlives every query")
+            .result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServiceSettings;
     use rvaas::{InlineBackend, LocationMap, LogicalVerifier, VerifierConfig};
     use rvaas_controlplane::benign_rules;
     use rvaas_topology::generators;
@@ -127,7 +128,11 @@ mod tests {
         ));
         let mut service = ServiceBackend::new(
             topology.clone(),
-            ServiceConfig::new(verifier_config).with_workers(3),
+            ServiceSettings {
+                workers: 3,
+                ..ServiceSettings::default()
+            }
+            .into_config(verifier_config),
         );
         for client in [ClientId(1), ClientId(2)] {
             for spec in [
@@ -157,7 +162,11 @@ mod tests {
         };
         let mut backend = ServiceBackend::new(
             topology.clone(),
-            ServiceConfig::new(verifier_config.clone()).with_workers(1),
+            ServiceSettings {
+                workers: 1,
+                ..ServiceSettings::default()
+            }
+            .into_config(verifier_config.clone()),
         )
         .with_publish_interval(SimTime::from_millis(10));
         // A burst of monitor events within one debounce window publishes

@@ -1,24 +1,17 @@
 //! Declarative service-plane configuration.
 //!
-//! The original `ServiceConfig` grew one `with_*` builder method per knob;
-//! every new knob meant another method and another undiscoverable default.
-//! The `rvaas` daemon made that untenable: a config *file* needs a flat,
-//! declarative surface where every knob has a name, a parseable value and a
-//! single source of truth for its default.
-//!
-//! The redesign splits the config in two:
+//! The config is split in two:
 //!
 //! * [`ServiceSettings`] — the plain-data knobs (worker count, cache,
-//!   incremental engine, delta history, listener addresses). Serde-derivable,
-//!   [`Default`]-constructible, and settable by string key/value pairs
-//!   ([`ServiceSettings::set`]) so the daemon's config-file parser and its
-//!   CLI flag overrides share one validation path.
+//!   incremental engine, delta history, listener addresses, flight-recorder
+//!   shape). [`Default`]-constructible — in-process callers write
+//!   `ServiceSettings { workers: 2, ..Default::default() }` — and settable by
+//!   string key/value pairs ([`ServiceSettings::set`]), so the daemon's
+//!   config-file parser and its CLI flag overrides share one validation
+//!   path and every knob has one name and one default.
 //! * [`ServiceConfig`] — settings plus the [`VerifierConfig`], which cannot
-//!   come from a file (it embeds the topology-derived location map).
-//!
-//! The old builder methods survive on [`ServiceConfig`] as thin
-//! deprecated-style wrappers so existing call sites keep compiling; new code
-//! should construct [`ServiceSettings`] directly.
+//!   come from a file (it embeds the topology-derived location map);
+//!   [`ServiceSettings::into_config`] joins the two.
 
 use serde::{Deserialize, Serialize};
 
@@ -161,38 +154,11 @@ impl ServiceConfig {
     pub fn new(verifier: VerifierConfig) -> Self {
         ServiceSettings::default().into_config(verifier)
     }
-
-    /// Deprecated-style wrapper: prefer setting
-    /// [`ServiceSettings::workers`] and [`ServiceSettings::into_config`].
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.settings.workers = workers.max(1);
-        self
-    }
-
-    /// Deprecated-style wrapper: prefer setting [`ServiceSettings::cache`]
-    /// and [`ServiceSettings::into_config`].
-    #[must_use]
-    pub fn with_cache(mut self, enabled: bool) -> Self {
-        self.settings.cache = enabled;
-        self
-    }
-
-    /// Deprecated-style wrapper: prefer setting
-    /// [`ServiceSettings::incremental`] and [`ServiceSettings::into_config`].
-    /// Disabling reproduces the full-rebuild architecture, which the
-    /// benchmarks use as their baseline.
-    #[must_use]
-    pub fn with_incremental(mut self, enabled: bool) -> Self {
-        self.settings.incremental = enabled;
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvaas::LocationMap;
 
     #[test]
     fn defaults_match_the_documented_values() {
@@ -259,20 +225,5 @@ mod tests {
             err.to_string().contains("workers"),
             "unknown-key error must list the known keys: {err}"
         );
-    }
-
-    #[test]
-    fn builder_wrappers_forward_into_settings() {
-        let topology = rvaas_topology::generators::line(3, 1);
-        let config = ServiceConfig::new(VerifierConfig {
-            use_history: false,
-            locations: LocationMap::disclosed(&topology),
-        })
-        .with_workers(2)
-        .with_cache(false)
-        .with_incremental(false);
-        assert_eq!(config.settings.workers, 2);
-        assert!(!config.settings.cache);
-        assert!(!config.settings.incremental);
     }
 }

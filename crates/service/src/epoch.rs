@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 
 use rvaas::{
     AffectedQueries, ChangedRegion, IncrementalModel, InterestIndex, NetworkSnapshot,
@@ -73,6 +73,12 @@ pub fn digest_snapshot(snapshot: &NetworkSnapshot) -> BTreeSet<FlowDigest> {
         .collect()
 }
 
+/// One installed entry and the switch it sits on.
+type Rule = (SwitchId, FlowEntry);
+
+/// Installed entries keyed by their digest.
+type RuleIndex = BTreeMap<FlowDigest, Rule>;
+
 /// One published, immutable epoch of network state.
 #[derive(Debug)]
 pub struct SnapshotEpoch {
@@ -81,10 +87,10 @@ pub struct SnapshotEpoch {
     pub serial: u64,
     /// The frozen snapshot queries are answered against.
     pub snapshot: NetworkSnapshot,
-    /// Digest of every installed entry, for delta computation.
-    pub digests: BTreeSet<FlowDigest>,
-    /// Digest-indexed entries, so the next publish can resolve removed
-    /// digests back to concrete rules without re-hashing this snapshot.
+    /// Digest-indexed entries: the keys are the epoch's digest set (what
+    /// sync ships and deltas are computed over), the values let the next
+    /// publish resolve removed digests back to concrete rules without
+    /// re-hashing this snapshot.
     pub rules: BTreeMap<FlowDigest, (SwitchId, FlowEntry)>,
     /// When the epoch was published (simulation time of the last update).
     pub published_at: SimTime,
@@ -99,7 +105,7 @@ impl SnapshotEpoch {
     #[must_use]
     pub fn content_digest(&self) -> u64 {
         let mut acc = 0xcbf2_9ce4_8422_2325u64;
-        for d in &self.digests {
+        for d in self.rules.keys() {
             for byte in d.0.to_be_bytes() {
                 acc ^= u64::from(byte);
                 acc = acc.wrapping_mul(0x0000_0100_0000_01b3);
@@ -231,6 +237,34 @@ pub struct Published {
     pub trace: TraceId,
 }
 
+/// The entries of `of` whose digest `other` lacks, in ascending digest
+/// order: one linear merge over the two sorted indexes.
+fn absent_from<'a>(
+    of: &'a RuleIndex,
+    other: &'a RuleIndex,
+) -> impl Iterator<Item = (&'a FlowDigest, &'a Rule)> {
+    let mut theirs = other.keys().peekable();
+    of.iter().filter(move |(d, _)| {
+        while theirs.next_if(|t| t < d).is_some() {}
+        theirs.peek() != Some(d)
+    })
+}
+
+/// The next epoch as a publish front half derives it from the current one:
+/// its content plus the net change against the predecessor.
+struct NextEpoch {
+    snapshot: NetworkSnapshot,
+    rules: RuleIndex,
+    /// Net additions; arrival order per switch, so equal-priority
+    /// tie-breaking downstream matches a full rebuild.
+    added: Vec<(FlowDigest, Rule)>,
+    /// Net removals (order irrelevant).
+    removed: Vec<(FlowDigest, Rule)>,
+    /// The ordered batch the shadow model applies to find the changed
+    /// region: the net change, plus any within-batch flaps.
+    applied: Vec<RuleChange>,
+}
+
 /// The atomically swapped epoch store.
 ///
 /// Readers grab the current `Arc<SnapshotEpoch>` under a briefly held read
@@ -261,13 +295,13 @@ pub struct EpochStore {
 impl EpochStore {
     /// Creates a store holding an empty epoch 0 and retaining up to
     /// `max_deltas` per-epoch deltas for sync.
+    // Takes no topology only because `benchmark/` calls it so; see `attach_interest_topology`.
     #[must_use]
     pub fn new(max_deltas: usize) -> Self {
         EpochStore {
             current: RwLock::new(Arc::new(SnapshotEpoch {
                 serial: 0,
                 snapshot: NetworkSnapshot::default(),
-                digests: BTreeSet::new(),
                 rules: BTreeMap::new(),
                 published_at: SimTime::ZERO,
             })),
@@ -288,14 +322,20 @@ impl EpochStore {
     /// Supplies the trusted deployment knowledge the interest-space index
     /// derives default interests from. Without it every registration is
     /// conservative (affected by any change). Call before registering.
+    // Not a `new` argument only because `benchmark/` calls both; merge at the next re-baseline.
     pub fn attach_interest_topology(&self, topology: Topology) {
         self.interest_lock().set_topology(topology);
     }
 
-    /// Mirrors the interest-space index's activity into `registry` (under
-    /// `rvaas_interest_*`).
-    pub fn attach_interest_telemetry(&self, registry: &rvaas_telemetry::Registry) {
+    /// Mirrors the store's activity into `registry`: the interest-space
+    /// index under `rvaas_interest_*`, the shadow incremental model under
+    /// `rvaas_incremental_*_total`.
+    pub fn attach_telemetry(&self, registry: &rvaas_telemetry::Registry) {
         self.interest_lock().attach_telemetry(registry);
+        self.shadow
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .attach_telemetry(registry);
     }
 
     /// Registers a standing query in the interest-space index (idempotent).
@@ -324,15 +364,6 @@ impl EpochStore {
     #[must_use]
     pub fn registered_interests(&self) -> usize {
         self.interest_lock().len()
-    }
-
-    /// Mirrors the shadow incremental model's activity into `registry`
-    /// (under `rvaas_incremental_*_total`).
-    pub fn attach_shadow_telemetry(&self, registry: &rvaas_telemetry::Registry) {
-        self.shadow
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .attach_telemetry(registry);
     }
 
     fn provenance_lock(&self) -> std::sync::MutexGuard<'_, VecDeque<EpochProvenance>> {
@@ -393,24 +424,30 @@ impl EpochStore {
             .clone()
     }
 
-    /// Freezes `snapshot` as the next epoch and swaps it in, recording the
-    /// delta (digests, rules and affected header region) against the
-    /// previous epoch. Returns the new serial and the affected region.
+    /// Takes the publish lock. It is held across a publish's read–diff–swap
+    /// so concurrent publishers serialise: each epoch gets a unique serial
+    /// and a delta chained to its true predecessor.
+    fn publish_lock(&self) -> RwLockWriteGuard<'_, Arc<SnapshotEpoch>> {
+        self.current
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// [`EpochStore::try_publish`] for callers that treat a rejected publish
+    /// as a bug.
     ///
     /// # Panics
     ///
-    /// Panics if the publish is rejected (see [`EpochStore::try_publish`]);
-    /// the daemon path uses the fallible form.
+    /// Panics if the publish is rejected.
+    // Survives only because `benchmark/` calls it; drop at the next re-baseline.
     pub fn publish(&self, snapshot: NetworkSnapshot, at: SimTime) -> Published {
         self.try_publish(snapshot, at)
             .expect("epoch publish rejected")
     }
 
-    /// Fallible form of [`EpochStore::publish`].
-    ///
-    /// The write lock is held across the read–diff–swap so concurrent
-    /// publishers serialise: each epoch gets a unique serial and a delta
-    /// chained to its true predecessor.
+    /// Freezes `snapshot` as the next epoch and swaps it in, recording the
+    /// delta (digests, rules and affected header region) against the
+    /// previous epoch.
     ///
     /// # Errors
     ///
@@ -421,9 +458,9 @@ impl EpochStore {
         snapshot: NetworkSnapshot,
         at: SimTime,
     ) -> Result<Published, ServiceError> {
-        // One hash pass over the tables, in per-switch arrival order; the
-        // digest index and the (arrival-ordered) added-rule resolution are
-        // both derived from it without re-hashing.
+        // One hash pass over the tables, in per-switch arrival order and
+        // outside the publish lock; the digest index and the
+        // (arrival-ordered) added-rule resolution both derive from it.
         let ordered: Vec<(FlowDigest, SwitchId, &FlowEntry)> = snapshot
             .tables()
             .flat_map(|(switch, entries)| {
@@ -432,65 +469,138 @@ impl EpochStore {
                     .map(move |e| (digest_entry(switch, e), switch, e))
             })
             .collect();
-        let digests: BTreeSet<FlowDigest> = ordered.iter().map(|(d, _, _)| *d).collect();
-        let mut current = self
-            .current
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let previous = Arc::clone(&current);
-        let serial = previous.serial.checked_add(1).ok_or_else(|| {
-            ServiceError::PublishRejected(format!(
-                "epoch serial space exhausted at {}",
-                previous.serial
-            ))
-        })?;
-        let added: Vec<FlowDigest> = digests.difference(&previous.digests).copied().collect();
-        let removed: Vec<FlowDigest> = previous.digests.difference(&digests).copied().collect();
-        let added_set: BTreeSet<FlowDigest> = added.iter().copied().collect();
-        // Resolve adds in arrival order (delta-sized clones) and removals
-        // from the previous epoch's index.
-        let added_rules: Vec<(SwitchId, FlowEntry)> = ordered
+        let current = self.publish_lock();
+        let rules: RuleIndex = ordered
+            .iter()
+            .map(|(d, switch, e)| (*d, (*switch, (*e).clone())))
+            .collect();
+        // Adds resolve in arrival order (delta-sized clones), removals from
+        // the previous epoch's index.
+        let added_set: BTreeSet<FlowDigest> = absent_from(&rules, &current.rules)
+            .map(|(d, _)| *d)
+            .collect();
+        let added: Vec<(FlowDigest, Rule)> = ordered
             .iter()
             .filter(|(d, _, _)| added_set.contains(d))
-            .map(|(_, switch, e)| (*switch, (*e).clone()))
+            .map(|(d, switch, e)| (*d, (*switch, (*e).clone())))
             .collect();
-        let removed_rules: Vec<(SwitchId, FlowEntry)> = removed
+        let removed: Vec<(FlowDigest, Rule)> = absent_from(&current.rules, &rules)
+            .map(|(d, rule)| (*d, rule.clone()))
+            .collect();
+        let applied = removed
             .iter()
-            .filter_map(|d| previous.rules.get(d).cloned())
+            .map(|(_, (switch, e))| RuleChange::removed(*switch, e.clone()))
+            .chain(
+                added
+                    .iter()
+                    .map(|(_, (switch, e))| RuleChange::installed(*switch, e.clone())),
+            )
             .collect();
-        let rules: BTreeMap<FlowDigest, (SwitchId, FlowEntry)> = ordered
-            .into_iter()
-            .map(|(d, switch, e)| (d, (switch, e.clone())))
-            .collect();
-        let change_count = added_rules.len() + removed_rules.len();
+        let next = NextEpoch {
+            snapshot,
+            rules,
+            added,
+            removed,
+            applied,
+        };
+        self.commit(current, next, at)
+    }
+
+    /// Advances the epoch by a rule-level delta instead of a full snapshot:
+    /// the monitor hands [`ConfigMonitor::drain_changes`] output straight
+    /// here, and the store derives the next epoch from the previous one —
+    /// hashing only the delta entries instead of re-digesting every rule.
+    /// (The frozen snapshot itself is still a clone of its predecessor plus
+    /// the delta, so memory stays `O(rules)`; the per-publish *hashing* cost
+    /// drops from `O(rules)` to `O(delta)`.)
+    ///
+    /// Installs already present and removals of absent rules are skipped, so
+    /// the recorded delta always matches the digest diff of the two epochs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServiceError::PublishRejected`] if the serial space is
+    /// exhausted.
+    ///
+    /// [`ConfigMonitor::drain_changes`]: rvaas::ConfigMonitor::drain_changes
+    pub fn try_publish_changes(
+        &self,
+        changes: &[RuleChange],
+        at: SimTime,
+    ) -> Result<Published, ServiceError> {
+        let current = self.publish_lock();
+        let mut next = NextEpoch {
+            snapshot: current.snapshot.clone(),
+            rules: current.rules.clone(),
+            added: Vec::new(),
+            removed: Vec::new(),
+            applied: Vec::new(),
+        };
+        for change in changes {
+            let d = digest_entry(change.switch, &change.entry);
+            if change.installed == next.rules.contains_key(&d) {
+                continue; // installing a present rule / removing an absent one
+            }
+            let rule = (change.switch, change.entry.clone());
+            let (done, undone) = if change.installed {
+                next.snapshot
+                    .record_installed(change.switch, change.entry.clone(), at);
+                next.rules.insert(d, rule.clone());
+                (&mut next.added, &mut next.removed)
+            } else {
+                next.snapshot
+                    .record_removed(change.switch, &change.entry, at);
+                next.rules.remove(&d);
+                (&mut next.removed, &mut next.added)
+            };
+            // A change undoing an earlier one of this batch (a flap) is a
+            // digest-level no-op, like cancellation across epochs...
+            if let Some(pos) = undone.iter().position(|(u, _)| *u == d) {
+                undone.remove(pos);
+            } else {
+                done.push((d, rule));
+            }
+            // ...but the applied batch keeps it on purpose: the changed
+            // region must cover the flap, exactly as `delta_between` keeps
+            // flapped regions across epochs.
+            next.applied.push(change.clone());
+        }
+        self.commit(current, next, at)
+    }
+
+    /// The shared tail of every publish: allocates the serial, runs the
+    /// shadow model over the applied changes, advances the interest index,
+    /// retains the delta, swaps the epoch in and records provenance.
+    /// `current` is the publish lock the caller derived `next` under.
+    fn commit(
+        &self,
+        mut current: RwLockWriteGuard<'_, Arc<SnapshotEpoch>>,
+        next: NextEpoch,
+        at: SimTime,
+    ) -> Result<Published, ServiceError> {
+        let from_serial = current.serial;
+        let serial = from_serial.checked_add(1).ok_or_else(|| {
+            ServiceError::PublishRejected(format!("epoch serial space exhausted at {from_serial}"))
+        })?;
         // Past this size the per-rule exposed-region bookkeeping costs
         // more than it saves (the canonical case is the first, full
         // publish): bulk-rebuild the shadow and report an unbounded
         // region, which conservatively re-verifies everything once.
-        let bulk_rebuild = change_count > (rules.len() / 4).max(64);
+        let bulk_rebuild = next.applied.len() > (next.rules.len() / 4).max(64);
         let changed = {
             let mut shadow = self
                 .shadow
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if bulk_rebuild {
-                shadow.rebuild_from(&snapshot);
+                shadow.rebuild_from(&next.snapshot);
                 ChangedRegion::everything()
             } else {
-                let changes: Vec<RuleChange> = removed_rules
-                    .iter()
-                    .map(|(s, e)| RuleChange::removed(*s, e.clone()))
-                    .chain(
-                        added_rules
-                            .iter()
-                            .map(|(s, e)| RuleChange::installed(*s, e.clone())),
-                    )
-                    .collect();
-                let region = shadow.apply(&changes);
+                let region = shadow.apply(&next.applied);
                 if shadow.is_desynced() {
                     // This publish already reports a conservative region;
                     // resynchronise so future publishes are bounded again.
-                    shadow.rebuild_from(&snapshot);
+                    shadow.rebuild_from(&next.snapshot);
                 }
                 region
             }
@@ -499,6 +609,8 @@ impl EpochStore {
         // epoch becomes visible: a footprint refined against this serial can
         // then never be invalidated by this publish.
         let affected = self.interest_lock().advance(serial, &changed);
+        let (added, added_rules): (Vec<_>, Vec<_>) = next.added.into_iter().unzip();
+        let (removed, removed_rules): (Vec<_>, Vec<_>) = next.removed.into_iter().unzip();
         let (added_count, removed_count) = (added.len(), removed.len());
         {
             let mut deltas = self
@@ -506,7 +618,7 @@ impl EpochStore {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             deltas.push_back(EpochDelta {
-                from_serial: previous.serial,
+                from_serial,
                 to_serial: serial,
                 added,
                 removed,
@@ -521,9 +633,8 @@ impl EpochStore {
         }
         let epoch = Arc::new(SnapshotEpoch {
             serial,
-            snapshot,
-            digests,
-            rules,
+            snapshot: next.snapshot,
+            rules: next.rules,
             published_at: at,
         });
         let digest = epoch.content_digest();
@@ -533,7 +644,7 @@ impl EpochStore {
             digest,
             added_count,
             removed_count,
-            change_count,
+            added_count + removed_count,
             bulk_rebuild,
             at,
             &affected,
@@ -541,7 +652,7 @@ impl EpochStore {
         Ok(Published {
             serial,
             changed,
-            delta_rules: change_count,
+            delta_rules: added_count + removed_count,
             bulk_rebuild,
             affected,
             trace,
@@ -549,7 +660,7 @@ impl EpochStore {
     }
 
     /// Emits the publish event chain into the flight recorder and appends
-    /// the provenance record. Shared by both publish paths.
+    /// the provenance record.
     #[allow(clippy::too_many_arguments)]
     fn trace_publish(
         &self,
@@ -594,164 +705,6 @@ impl EpochStore {
             reverify_sessions: 0,
         });
         trace.id
-    }
-
-    /// Advances the epoch by a rule-level delta instead of a full snapshot:
-    /// the monitor hands [`ConfigMonitor::drain_changes`] output straight
-    /// here, and the store derives the next epoch from the previous one —
-    /// hashing only the delta entries instead of re-digesting every rule.
-    /// (The frozen snapshot itself is still a clone of its predecessor plus
-    /// the delta, so memory stays `O(rules)`; the per-publish *hashing* cost
-    /// drops from `O(rules)` to `O(delta)`.)
-    ///
-    /// Installs already present and removals of absent rules are skipped, so
-    /// the recorded delta always matches the digest diff of the two epochs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the publish is rejected (see
-    /// [`EpochStore::try_publish_changes`]).
-    ///
-    /// [`ConfigMonitor::drain_changes`]: rvaas::ConfigMonitor::drain_changes
-    pub fn publish_changes(&self, changes: &[RuleChange], at: SimTime) -> Published {
-        self.try_publish_changes(changes, at)
-            .expect("epoch delta publish rejected")
-    }
-
-    /// Fallible form of [`EpochStore::publish_changes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::PublishRejected`] if the serial space is
-    /// exhausted.
-    pub fn try_publish_changes(
-        &self,
-        changes: &[RuleChange],
-        at: SimTime,
-    ) -> Result<Published, ServiceError> {
-        let mut current = self
-            .current
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let previous = Arc::clone(&current);
-        let serial = previous.serial.checked_add(1).ok_or_else(|| {
-            ServiceError::PublishRejected(format!(
-                "epoch serial space exhausted at {}",
-                previous.serial
-            ))
-        })?;
-        let mut snapshot = previous.snapshot.clone();
-        let mut digests = previous.digests.clone();
-        let mut rules = previous.rules.clone();
-        let mut added: Vec<FlowDigest> = Vec::new();
-        let mut added_rules: Vec<(SwitchId, FlowEntry)> = Vec::new();
-        let mut removed: Vec<FlowDigest> = Vec::new();
-        let mut removed_rules: Vec<(SwitchId, FlowEntry)> = Vec::new();
-        let mut effective: Vec<RuleChange> = Vec::new();
-        for change in changes {
-            let d = digest_entry(change.switch, &change.entry);
-            if change.installed {
-                if !digests.insert(d) {
-                    continue; // already installed — not a change
-                }
-                snapshot.record_installed(change.switch, change.entry.clone(), at);
-                rules.insert(d, (change.switch, change.entry.clone()));
-                // A re-add cancelling an earlier removal in this batch is a
-                // digest-level no-op, like cancellation across epochs.
-                if let Some(pos) = removed.iter().position(|r| *r == d) {
-                    removed.remove(pos);
-                    removed_rules.remove(pos);
-                } else {
-                    added.push(d);
-                    added_rules.push((change.switch, change.entry.clone()));
-                }
-                effective.push(change.clone());
-            } else {
-                if !digests.remove(&d) {
-                    continue; // not installed — nothing to remove
-                }
-                snapshot.record_removed(change.switch, &change.entry, at);
-                rules.remove(&d);
-                if let Some(pos) = added.iter().position(|a| *a == d) {
-                    added.remove(pos);
-                    added_rules.remove(pos);
-                } else {
-                    removed.push(d);
-                    removed_rules.push((change.switch, change.entry.clone()));
-                }
-                effective.push(change.clone());
-            }
-        }
-        let change_count = effective.len();
-        let bulk_rebuild = change_count > (rules.len() / 4).max(64);
-        let changed = {
-            let mut shadow = self
-                .shadow
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if bulk_rebuild {
-                shadow.rebuild_from(&snapshot);
-                ChangedRegion::everything()
-            } else {
-                // The effective changes include within-batch flaps on
-                // purpose: the region must cover them, exactly as
-                // `delta_between` keeps flapped regions across epochs.
-                let region = shadow.apply(&effective);
-                if shadow.is_desynced() {
-                    shadow.rebuild_from(&snapshot);
-                }
-                region
-            }
-        };
-        let affected = self.interest_lock().advance(serial, &changed);
-        let delta_rules = added_rules.len() + removed_rules.len();
-        let (added_count, removed_count) = (added.len(), removed.len());
-        {
-            let mut deltas = self
-                .deltas
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            deltas.push_back(EpochDelta {
-                from_serial: previous.serial,
-                to_serial: serial,
-                added,
-                removed,
-                added_rules,
-                removed_rules,
-                changed: changed.clone(),
-                affected: affected.clone(),
-            });
-            while deltas.len() > self.max_deltas {
-                deltas.pop_front();
-            }
-        }
-        let epoch = Arc::new(SnapshotEpoch {
-            serial,
-            snapshot,
-            digests,
-            rules,
-            published_at: at,
-        });
-        let digest = epoch.content_digest();
-        *current = epoch;
-        let trace = self.trace_publish(
-            serial,
-            digest,
-            added_count,
-            removed_count,
-            delta_rules,
-            bulk_rebuild,
-            at,
-            &affected,
-        );
-        Ok(Published {
-            serial,
-            changed,
-            delta_rules,
-            bulk_rebuild,
-            affected,
-            trace,
-        })
     }
 
     /// The combined delta from `since_serial` to the current serial, or
@@ -875,10 +828,14 @@ mod tests {
     fn publish_advances_serial_and_records_delta() {
         let store = EpochStore::new(8);
         assert_eq!(store.current().serial, 0);
-        let p1 = store.publish(snapshot_with(&[1, 2]), SimTime::from_millis(1));
+        let p1 = store
+            .try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
+            .unwrap();
         assert_eq!(p1.serial, 1);
         assert!(!p1.changed.is_empty());
-        let p2 = store.publish(snapshot_with(&[2, 3]), SimTime::from_millis(2));
+        let p2 = store
+            .try_publish(snapshot_with(&[2, 3]), SimTime::from_millis(2))
+            .unwrap();
         assert_eq!(p2.serial, 2);
         assert_eq!(store.current().serial, 2);
 
@@ -907,9 +864,15 @@ mod tests {
     #[test]
     fn cancelling_changes_collapse_across_epochs() {
         let store = EpochStore::new(8);
-        store.publish(snapshot_with(&[1]), SimTime::from_millis(1));
-        store.publish(snapshot_with(&[1, 2]), SimTime::from_millis(2));
-        store.publish(snapshot_with(&[1]), SimTime::from_millis(3));
+        store
+            .try_publish(snapshot_with(&[1]), SimTime::from_millis(1))
+            .unwrap();
+        store
+            .try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(2))
+            .unwrap();
+        store
+            .try_publish(snapshot_with(&[1]), SimTime::from_millis(3))
+            .unwrap();
         // dst 2 was added then removed: net delta from serial 1 is empty.
         let delta = store.delta_since(1).expect("retained");
         assert!(delta.added.is_empty());
@@ -925,7 +888,9 @@ mod tests {
         let store = EpochStore::new(8);
         for i in 1..=4u32 {
             let dsts: Vec<u32> = (1..=i).collect();
-            store.publish(snapshot_with(&dsts), SimTime::from_millis(u64::from(i)));
+            store
+                .try_publish(snapshot_with(&dsts), SimTime::from_millis(u64::from(i)))
+                .unwrap();
         }
         let delta = store.delta_between(1, 3).expect("retained window");
         assert_eq!(delta.from_serial, 1);
@@ -941,7 +906,9 @@ mod tests {
     fn evicted_history_forces_reset() {
         let store = EpochStore::new(2);
         for i in 0..5u32 {
-            store.publish(snapshot_with(&[i]), SimTime::from_millis(u64::from(i)));
+            store
+                .try_publish(snapshot_with(&[i]), SimTime::from_millis(u64::from(i)))
+                .unwrap();
         }
         // Only the last two deltas are retained: serial 1 is unanswerable.
         assert!(store.delta_since(1).is_none());
@@ -969,7 +936,9 @@ mod tests {
                     // point of view, and the frozen snapshot must always be
                     // internally consistent with its digest set.
                     assert!(epoch.serial >= last_serial, "serial went backwards");
-                    assert_eq!(digest_snapshot(&epoch.snapshot), epoch.digests);
+                    assert!(digest_snapshot(&epoch.snapshot)
+                        .iter()
+                        .eq(epoch.rules.keys()));
                     last_serial = epoch.serial;
                     observed += 1;
                     if stop.load(Ordering::Relaxed) {
@@ -981,7 +950,9 @@ mod tests {
         }
         for i in 0..200u32 {
             let dsts: Vec<u32> = (0..=i % 7).collect();
-            store.publish(snapshot_with(&dsts), SimTime::from_millis(u64::from(i)));
+            store
+                .try_publish(snapshot_with(&dsts), SimTime::from_millis(u64::from(i)))
+                .unwrap();
         }
         stop.store(true, Ordering::Relaxed);
         for reader in readers {
@@ -997,29 +968,35 @@ mod tests {
         // epochs, digests and deltas must agree.
         let full = EpochStore::new(8);
         let delta = EpochStore::new(8);
-        full.publish(snapshot_with(&[1, 2]), SimTime::from_millis(1));
-        delta.publish_changes(
-            &[
-                RuleChange::installed(SwitchId(1), entry(1)),
-                RuleChange::installed(SwitchId(1), entry(2)),
-            ],
-            SimTime::from_millis(1),
-        );
-        let p_full = full.publish(snapshot_with(&[2, 3]), SimTime::from_millis(2));
-        let p_delta = delta.publish_changes(
-            &[
-                RuleChange::removed(SwitchId(1), entry(1)),
-                RuleChange::installed(SwitchId(1), entry(3)),
-            ],
-            SimTime::from_millis(2),
-        );
+        full.try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
+            .unwrap();
+        delta
+            .try_publish_changes(
+                &[
+                    RuleChange::installed(SwitchId(1), entry(1)),
+                    RuleChange::installed(SwitchId(1), entry(2)),
+                ],
+                SimTime::from_millis(1),
+            )
+            .unwrap();
+        let p_full = full
+            .try_publish(snapshot_with(&[2, 3]), SimTime::from_millis(2))
+            .unwrap();
+        let p_delta = delta
+            .try_publish_changes(
+                &[
+                    RuleChange::removed(SwitchId(1), entry(1)),
+                    RuleChange::installed(SwitchId(1), entry(3)),
+                ],
+                SimTime::from_millis(2),
+            )
+            .unwrap();
         assert_eq!(p_delta.serial, p_full.serial);
         assert_eq!(p_delta.delta_rules, p_full.delta_rules);
-        assert_eq!(delta.current().digests, full.current().digests);
-        assert_eq!(
-            digest_snapshot(&delta.current().snapshot),
-            delta.current().digests
-        );
+        assert!(delta.current().rules.keys().eq(full.current().rules.keys()));
+        assert!(digest_snapshot(&delta.current().snapshot)
+            .iter()
+            .eq(delta.current().rules.keys()));
         let d_full = full.delta_since(1).expect("retained");
         let d_delta = delta.delta_since(1).expect("retained");
         assert_eq!(d_delta.added, d_full.added);
@@ -1030,19 +1007,23 @@ mod tests {
     #[test]
     fn publish_changes_skips_noop_and_collapses_flaps() {
         let store = EpochStore::new(8);
-        store.publish_changes(
-            &[RuleChange::installed(SwitchId(1), entry(1))],
-            SimTime::from_millis(1),
-        );
-        let p = store.publish_changes(
-            &[
-                RuleChange::installed(SwitchId(1), entry(1)), // already there
-                RuleChange::removed(SwitchId(1), entry(9)),   // never there
-                RuleChange::installed(SwitchId(1), entry(2)), // flap up...
-                RuleChange::removed(SwitchId(1), entry(2)),   // ...and down
-            ],
-            SimTime::from_millis(2),
-        );
+        store
+            .try_publish_changes(
+                &[RuleChange::installed(SwitchId(1), entry(1))],
+                SimTime::from_millis(1),
+            )
+            .unwrap();
+        let p = store
+            .try_publish_changes(
+                &[
+                    RuleChange::installed(SwitchId(1), entry(1)), // already there
+                    RuleChange::removed(SwitchId(1), entry(9)),   // never there
+                    RuleChange::installed(SwitchId(1), entry(2)), // flap up...
+                    RuleChange::removed(SwitchId(1), entry(2)),   // ...and down
+                ],
+                SimTime::from_millis(2),
+            )
+            .unwrap();
         assert_eq!(p.delta_rules, 0, "digest-level no-op");
         let d = store.delta_since(1).expect("retained");
         assert!(d.added.is_empty() && d.removed.is_empty());
@@ -1070,7 +1051,9 @@ mod tests {
         // The first publish installs a dst-pinned, src-wild rule: it overlaps
         // both clients' emission interests, so both are selected (exactly —
         // one rule is far below the bulk-rebuild threshold).
-        let p1 = store.publish(snapshot_with(&[1]), SimTime::from_millis(1));
+        let p1 = store
+            .try_publish(snapshot_with(&[1]), SimTime::from_millis(1))
+            .unwrap();
         assert!(!p1.affected.is_everything());
         assert_eq!(p1.affected.len(), 2);
 
@@ -1083,10 +1066,12 @@ mod tests {
             FlowMatch::from_ip(c1_ip).field(rvaas_types::Field::IpDst, u64::from(c2_ip)),
             vec![Action::Output(PortId(1))],
         );
-        let p2 = store.publish_changes(
-            &[RuleChange::installed(SwitchId(2), tenant)],
-            SimTime::from_millis(2),
-        );
+        let p2 = store
+            .try_publish_changes(
+                &[RuleChange::installed(SwitchId(2), tenant)],
+                SimTime::from_millis(2),
+            )
+            .unwrap();
         assert!(!p2.affected.is_everything());
         assert!(p2
             .affected
@@ -1110,8 +1095,12 @@ mod tests {
     #[test]
     fn provenance_records_publishes_and_accumulates_reverification() {
         let store = EpochStore::new(8);
-        store.publish(snapshot_with(&[1, 2]), SimTime::from_millis(1));
-        let p2 = store.publish(snapshot_with(&[2, 3]), SimTime::from_millis(2));
+        store
+            .try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
+            .unwrap();
+        let p2 = store
+            .try_publish(snapshot_with(&[2, 3]), SimTime::from_millis(2))
+            .unwrap();
         assert!(!p2.trace.is_none(), "publishes mint a trace");
 
         let prov = store.provenance(2).expect("recent serial retained");
@@ -1152,35 +1141,43 @@ mod tests {
     fn content_digest_depends_on_content_not_publish_path() {
         let a = EpochStore::new(4);
         let b = EpochStore::new(4);
-        a.publish(snapshot_with(&[1, 2]), SimTime::from_millis(1));
-        b.publish_changes(
+        a.try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
+            .unwrap();
+        b.try_publish_changes(
             &[
                 RuleChange::installed(SwitchId(1), entry(1)),
                 RuleChange::installed(SwitchId(1), entry(2)),
             ],
             SimTime::from_millis(9),
-        );
+        )
+        .unwrap();
         assert_eq!(a.current().content_digest(), b.current().content_digest());
-        a.publish(snapshot_with(&[1, 2, 3]), SimTime::from_millis(2));
+        a.try_publish(snapshot_with(&[1, 2, 3]), SimTime::from_millis(2))
+            .unwrap();
         assert_ne!(a.current().content_digest(), b.current().content_digest());
+    }
+
+    impl EpochStore {
+        /// Rewinds the clock to the end of time: the next publish would
+        /// need serial `u64::MAX + 1`.
+        pub(crate) fn exhaust_serials(&self) {
+            let mut current = self.publish_lock();
+            *current = Arc::new(SnapshotEpoch {
+                serial: u64::MAX,
+                snapshot: current.snapshot.clone(),
+                rules: current.rules.clone(),
+                published_at: current.published_at,
+            });
+        }
     }
 
     #[test]
     fn publish_is_rejected_when_the_serial_space_is_exhausted() {
         let store = EpochStore::new(4);
-        store.publish(snapshot_with(&[1]), SimTime::from_millis(1));
-        // Rewind the clock to the end of time: the next publish would need
-        // serial u64::MAX + 1.
-        {
-            let mut current = store.current.write().unwrap();
-            *current = Arc::new(SnapshotEpoch {
-                serial: u64::MAX,
-                snapshot: current.snapshot.clone(),
-                digests: current.digests.clone(),
-                rules: current.rules.clone(),
-                published_at: current.published_at,
-            });
-        }
+        store
+            .try_publish(snapshot_with(&[1]), SimTime::from_millis(1))
+            .unwrap();
+        store.exhaust_serials();
         let err = store
             .try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(2))
             .unwrap_err();

@@ -23,29 +23,37 @@
 //!   a full reset when the delta history has been evicted.
 //! * [`backend`] — [`backend::ServiceBackend`] plugs the service plane into
 //!   the existing `RvaasController` via [`rvaas::AnalysisBackend`].
-//! * [`config`] — the declarative [`config::ServiceSettings`] surface the
-//!   `rvaas` daemon builds from a config file and CLI overrides, replacing
-//!   the old per-knob builder sprawl.
-//! * [`error`] — the unified [`error::ServiceError`] every fallible
-//!   service-plane operation reports, replacing the old mix of panics,
-//!   `String`s and raw codec errors.
+//! * [`config`] — the declarative [`config::ServiceSettings`] surface: one
+//!   struct with a [`Default`], one `set(key, value)` validation path shared
+//!   by in-process callers, the `rvaas` daemon's config file and its CLI
+//!   overrides.
+//! * [`error`] — the unified [`error::ServiceError`]. Every operation has
+//!   exactly one form and it is fallible: callers propagate with `?` or
+//!   state with `expect` why the failure cannot happen to them.
 //!
 //! ```
 //! use rvaas::{LocationMap, NetworkSnapshot, VerifierConfig};
 //! use rvaas_client::QuerySpec;
-//! use rvaas_service::{ServiceConfig, VerificationService};
+//! use rvaas_service::{ServiceError, ServiceSettings, VerificationService};
 //! use rvaas_topology::generators;
 //! use rvaas_types::{ClientId, SimTime};
 //!
+//! # fn main() -> Result<(), ServiceError> {
 //! let topology = generators::line(4, 2);
-//! let config = ServiceConfig::new(VerifierConfig {
+//! let config = ServiceSettings {
+//!     workers: 2,
+//!     ..ServiceSettings::default()
+//! }
+//! .into_config(VerifierConfig {
 //!     use_history: false,
 //!     locations: LocationMap::disclosed(&topology),
 //! });
 //! let service = VerificationService::new(topology, config);
-//! service.publish(&NetworkSnapshot::default(), SimTime::ZERO);
-//! let response = service.query(ClientId(1), QuerySpec::Isolation);
-//! assert_eq!(response.epoch_serial, 1);
+//! let serial = service.try_publish(&NetworkSnapshot::default(), SimTime::ZERO)?;
+//! let response = service.try_query(ClientId(1), QuerySpec::Isolation)?;
+//! assert_eq!(response.epoch_serial, serial);
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,5 +75,5 @@ pub use epoch::{
     SnapshotEpoch,
 };
 pub use error::ServiceError;
-pub use pool::{QueryResponse, QueryTicket, ServiceStats, VerificationService};
+pub use pool::{QueryResponse, ServiceStats, VerificationService};
 pub use sync::{ReverifyStats, SyncServer};

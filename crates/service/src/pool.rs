@@ -68,31 +68,14 @@ enum WorkerMsg {
 }
 
 /// A pending query's completion handle.
-#[derive(Debug)]
-pub struct QueryTicket {
+struct QueryTicket {
     rx: mpsc::Receiver<QueryResponse>,
 }
 
 impl QueryTicket {
-    /// Blocks until the worker delivers the response.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service was shut down before answering; the served
-    /// network path uses [`QueryTicket::try_wait`] instead.
-    #[must_use]
-    pub fn wait(self) -> QueryResponse {
-        self.try_wait()
-            .expect("verification service dropped the query")
-    }
-
-    /// Blocks until the worker delivers the response.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::QueryDropped`] if the service shut down
-    /// before answering.
-    pub fn try_wait(self) -> Result<QueryResponse, ServiceError> {
+    /// Blocks until the worker delivers the response;
+    /// [`ServiceError::QueryDropped`] if the service shut down first.
+    fn wait(self) -> Result<QueryResponse, ServiceError> {
         self.rx.recv().map_err(|_| ServiceError::QueryDropped)
     }
 }
@@ -236,21 +219,12 @@ impl std::fmt::Debug for VerificationService {
 }
 
 impl VerificationService {
-    /// Starts the service over the trusted `topology`, with a fresh metric
-    /// registry of its own.
+    /// Starts the service over the trusted `topology`. Every layer records
+    /// into the service's own metric registry; whoever serves `/metrics` or
+    /// adds metrics of their own takes it from [`Self::registry`].
     #[must_use]
     pub fn new(topology: Topology, config: ServiceConfig) -> Self {
-        VerificationService::with_registry(topology, config, Registry::shared())
-    }
-
-    /// Starts the service recording into the shared `registry` — the one a
-    /// `/metrics` endpoint should render.
-    #[must_use]
-    pub fn with_registry(
-        topology: Topology,
-        config: ServiceConfig,
-        registry: Arc<Registry>,
-    ) -> Self {
+        let registry = Registry::shared();
         // Shape the process-global flight recorder before the first event;
         // the slow-query threshold additionally applies live.
         rvaas_telemetry::trace::configure(
@@ -258,9 +232,8 @@ impl VerificationService {
             config.settings.slow_query_threshold_us,
         );
         let store = Arc::new(EpochStore::new(config.settings.max_delta_history.max(1)));
-        store.attach_shadow_telemetry(&registry);
         store.attach_interest_topology(topology.clone());
-        store.attach_interest_telemetry(&registry);
+        store.attach_telemetry(&registry);
         let cache = Arc::new(ResultCache::with_registry(config.settings.cache, &registry));
         let metrics = Arc::new(ServiceMetrics::new(&registry));
         // History-mode verification folds recently *removed* rules into the
@@ -352,18 +325,6 @@ impl VerificationService {
     /// delta cannot affect stay valid (when the incremental engine is on);
     /// the rest are invalidated.
     ///
-    /// # Panics
-    ///
-    /// Panics when the epoch store rejects the publish (serial space
-    /// exhausted); the served network path uses
-    /// [`VerificationService::try_publish`] instead.
-    pub fn publish(&self, snapshot: &NetworkSnapshot, at: SimTime) -> u64 {
-        self.try_publish(snapshot, at)
-            .expect("epoch publish failed")
-    }
-
-    /// Fallible form of [`VerificationService::publish`].
-    ///
     /// # Errors
     ///
     /// Returns [`ServiceError::PublishRejected`] when the epoch store cannot
@@ -373,53 +334,40 @@ impl VerificationService {
         snapshot: &NetworkSnapshot,
         at: SimTime,
     ) -> Result<u64, ServiceError> {
-        self.metrics.epochs_published.inc();
-        let published = {
-            let _span = self.metrics.stage_publish.span();
-            self.store.try_publish(snapshot.clone(), at)?
-        };
-        self.finish_publish(&published);
-        Ok(published.serial)
+        self.publish_with(|store| store.try_publish(snapshot.clone(), at))
     }
 
     /// Publishes a rule-level delta as the next epoch — the monitor's
     /// [`drain_changes`] output goes straight here, skipping the full-snapshot
-    /// re-digest of [`VerificationService::publish`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the epoch store rejects the publish; the served network
-    /// path uses [`VerificationService::try_publish_changes`].
-    ///
-    /// [`drain_changes`]: rvaas::ConfigMonitor::drain_changes
-    pub fn publish_changes(&self, changes: &[RuleChange], at: SimTime) -> u64 {
-        self.try_publish_changes(changes, at)
-            .expect("epoch delta publish failed")
-    }
-
-    /// Fallible form of [`VerificationService::publish_changes`].
+    /// re-digest of [`VerificationService::try_publish`].
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::PublishRejected`] when the epoch store cannot
     /// accept another epoch.
+    ///
+    /// [`drain_changes`]: rvaas::ConfigMonitor::drain_changes
     pub fn try_publish_changes(
         &self,
         changes: &[RuleChange],
         at: SimTime,
     ) -> Result<u64, ServiceError> {
-        self.metrics.epochs_published.inc();
-        let published = {
-            let _span = self.metrics.stage_publish.span();
-            self.store.try_publish_changes(changes, at)?
-        };
-        self.finish_publish(&published);
-        Ok(published.serial)
+        self.publish_with(|store| store.try_publish_changes(changes, at))
     }
 
-    /// Post-publish bookkeeping shared by both publish paths: metrics plus
-    /// the cache advance driven by the interest-space index's selection.
-    fn finish_publish(&self, published: &Published) {
+    /// Runs one store publish under the `epoch.publish` stage span and, once
+    /// the store has accepted it, does the bookkeeping both publish paths
+    /// share: metrics plus the cache advance driven by the interest-space
+    /// index's selection.
+    fn publish_with(
+        &self,
+        publish: impl FnOnce(&EpochStore) -> Result<Published, ServiceError>,
+    ) -> Result<u64, ServiceError> {
+        let published = {
+            let _span = self.metrics.stage_publish.span();
+            publish(&self.store)?
+        };
+        self.metrics.epochs_published.inc();
         self.metrics
             .epoch_serial
             .set(i64::try_from(published.serial).unwrap_or(i64::MAX));
@@ -452,43 +400,14 @@ impl VerificationService {
             after.carried.saturating_sub(before.carried),
             after.invalidated.saturating_sub(before.invalidated),
         );
+        Ok(published.serial)
     }
 
-    /// Enqueues a query on its client's worker shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is shutting down; the served network path uses
-    /// [`VerificationService::try_submit`] instead.
-    #[must_use]
-    pub fn submit(&self, client: ClientId, spec: QuerySpec) -> QueryTicket {
-        self.try_submit(client, spec)
-            .expect("verification worker hung up")
-    }
-
-    /// Enqueues a query on its client's worker shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::PoolUnavailable`] if the shard's worker has
-    /// hung up (the service is shutting down or the thread died).
-    pub fn try_submit(
-        &self,
-        client: ClientId,
-        spec: QuerySpec,
-    ) -> Result<QueryTicket, ServiceError> {
-        self.try_submit_traced(client, spec, TraceContext::mint())
-    }
-
-    /// Enqueues a query under an existing trace context — the daemon's
-    /// ingress layers mint the trace (so the ingress event leads the chain)
-    /// and thread it through here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::PoolUnavailable`] if the shard's worker has
-    /// hung up (the service is shutting down or the thread died).
-    pub fn try_submit_traced(
+    /// Enqueues a query on its client's worker shard under `trace` (minted
+    /// by whichever ingress layer leads the event chain).
+    /// [`ServiceError::PoolUnavailable`] if the shard's worker has hung up
+    /// (the service is shutting down or the thread died).
+    fn submit(
         &self,
         client: ClientId,
         spec: QuerySpec,
@@ -516,15 +435,8 @@ impl VerificationService {
         Ok(QueryTicket { rx })
     }
 
-    /// Submits and waits: the synchronous convenience the controller
-    /// adapter uses.
-    #[must_use]
-    pub fn query(&self, client: ClientId, spec: QuerySpec) -> QueryResponse {
-        self.submit(client, spec).wait()
-    }
-
-    /// Submits and waits, reporting shutdown races as errors instead of
-    /// panicking — what the daemon's network handlers call.
+    /// Submits one query under a freshly minted trace and waits for the
+    /// response.
     ///
     /// # Errors
     ///
@@ -535,40 +447,29 @@ impl VerificationService {
         client: ClientId,
         spec: QuerySpec,
     ) -> Result<QueryResponse, ServiceError> {
-        self.try_submit(client, spec)?.try_wait()
+        self.try_query_traced(client, spec, TraceContext::mint())
     }
 
-    /// Submits one query under an existing trace context and waits for the
-    /// response; the fallible equivalent of [`Self::try_query`] for ingress
-    /// layers that already minted the trace.
+    /// [`Self::try_query`] under an existing trace context — the daemon's
+    /// ingress layers mint the trace (so the ingress event leads the chain)
+    /// and thread it through here.
     ///
     /// # Errors
     ///
-    /// Propagates the same failures as [`Self::try_submit`] and
-    /// [`QueryTicket::try_wait`].
+    /// Returns [`ServiceError::PoolUnavailable`] or
+    /// [`ServiceError::QueryDropped`] when the pool cannot answer.
     pub fn try_query_traced(
         &self,
         client: ClientId,
         spec: QuerySpec,
         trace: TraceContext,
     ) -> Result<QueryResponse, ServiceError> {
-        self.try_submit_traced(client, spec, trace)?.try_wait()
+        self.submit(client, spec, trace)?.wait()
     }
 
     /// Submits a whole workload and waits for every response (in submission
-    /// order).
-    #[must_use]
-    pub fn query_all(&self, queries: &[(ClientId, QuerySpec)]) -> Vec<QueryResponse> {
-        let tickets: Vec<QueryTicket> = queries
-            .iter()
-            .map(|(client, spec)| self.submit(*client, spec.clone()))
-            .collect();
-        tickets.into_iter().map(QueryTicket::wait).collect()
-    }
-
-    /// Fallible form of [`VerificationService::query_all`]: submits
-    /// everything before waiting (so one worker answers the whole set as a
-    /// batch), failing as a unit if the pool goes away.
+    /// order). Everything is submitted before waiting, so one worker answers
+    /// the whole set as a batch; fails as a unit if the pool goes away.
     ///
     /// # Errors
     ///
@@ -579,9 +480,9 @@ impl VerificationService {
     ) -> Result<Vec<QueryResponse>, ServiceError> {
         let tickets: Vec<QueryTicket> = queries
             .iter()
-            .map(|(client, spec)| self.try_submit(*client, spec.clone()))
+            .map(|(client, spec)| self.submit(*client, spec.clone(), TraceContext::mint()))
             .collect::<Result<_, _>>()?;
-        tickets.into_iter().map(QueryTicket::try_wait).collect()
+        tickets.into_iter().map(QueryTicket::wait).collect()
     }
 
     /// A point-in-time copy of the activity counters.
@@ -786,9 +687,18 @@ fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, mut ctx: WorkerContext) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServiceSettings;
     use rvaas::{LocationMap, VerifierConfig};
     use rvaas_controlplane::benign_rules;
     use rvaas_topology::generators;
+
+    fn service_with(topology: &Topology, settings: ServiceSettings) -> VerificationService {
+        let config = settings.into_config(VerifierConfig {
+            use_history: false,
+            locations: LocationMap::disclosed(topology),
+        });
+        VerificationService::new(topology.clone(), config)
+    }
 
     fn service_over(
         topology: &Topology,
@@ -799,14 +709,17 @@ mod tests {
         for (switch, entry) in benign_rules(topology) {
             snapshot.record_installed(switch, entry, SimTime::from_millis(1));
         }
-        let config = ServiceConfig::new(VerifierConfig {
-            use_history: false,
-            locations: LocationMap::disclosed(topology),
-        })
-        .with_workers(workers)
-        .with_cache(cache);
-        let service = VerificationService::new(topology.clone(), config);
-        service.publish(&snapshot, SimTime::from_millis(1));
+        let service = service_with(
+            topology,
+            ServiceSettings {
+                workers,
+                cache,
+                ..ServiceSettings::default()
+            },
+        );
+        service
+            .try_publish(&snapshot, SimTime::from_millis(1))
+            .unwrap();
         (service, snapshot)
     }
 
@@ -838,7 +751,7 @@ mod tests {
             .iter()
             .flat_map(|c| all_specs(&topology).into_iter().map(move |s| (*c, s)))
             .collect();
-        let responses = service.query_all(&workload);
+        let responses = service.try_query_all(&workload).unwrap();
         assert_eq!(responses.len(), workload.len());
         for response in &responses {
             let expected = verifier.answer(&snapshot, response.client, &response.spec);
@@ -858,16 +771,19 @@ mod tests {
         let topology = generators::line(6, 3);
         let (incremental_service, mut snapshot) = service_over(&topology, 1, false);
         assert!(incremental_service.incremental_enabled());
-        let full_config = ServiceConfig::new(VerifierConfig {
-            use_history: false,
-            locations: LocationMap::disclosed(&topology),
-        })
-        .with_workers(1)
-        .with_cache(false)
-        .with_incremental(false);
-        let full_service = VerificationService::new(topology.clone(), full_config);
+        let full_service = service_with(
+            &topology,
+            ServiceSettings {
+                workers: 1,
+                cache: false,
+                incremental: false,
+                ..ServiceSettings::default()
+            },
+        );
         assert!(!full_service.incremental_enabled());
-        full_service.publish(&snapshot, SimTime::from_millis(1));
+        full_service
+            .try_publish(&snapshot, SimTime::from_millis(1))
+            .unwrap();
 
         let workload: Vec<(ClientId, QuerySpec)> = (1..=3)
             .flat_map(|c| {
@@ -886,10 +802,14 @@ mod tests {
                 ),
                 SimTime::from_millis(10 + round),
             );
-            incremental_service.publish(&snapshot, SimTime::from_millis(10 + round));
-            full_service.publish(&snapshot, SimTime::from_millis(10 + round));
-            let inc = incremental_service.query_all(&workload);
-            let full = full_service.query_all(&workload);
+            incremental_service
+                .try_publish(&snapshot, SimTime::from_millis(10 + round))
+                .unwrap();
+            full_service
+                .try_publish(&snapshot, SimTime::from_millis(10 + round))
+                .unwrap();
+            let inc = incremental_service.try_query_all(&workload).unwrap();
+            let full = full_service.try_query_all(&workload).unwrap();
             for (a, b) in inc.iter().zip(full.iter()) {
                 assert_eq!(
                     a.result, b.result,
@@ -912,8 +832,12 @@ mod tests {
     fn cache_hits_repeat_queries_and_invalidates_on_epoch_advance() {
         let topology = generators::line(4, 2);
         let (service, mut snapshot) = service_over(&topology, 1, true);
-        let first = service.query(ClientId(1), QuerySpec::Isolation);
-        let again = service.query(ClientId(1), QuerySpec::Isolation);
+        let first = service
+            .try_query(ClientId(1), QuerySpec::Isolation)
+            .unwrap();
+        let again = service
+            .try_query(ClientId(1), QuerySpec::Isolation)
+            .unwrap();
         assert_eq!(first.result, again.result);
         assert_eq!(first.epoch_serial, again.epoch_serial);
         let stats = service.stats();
@@ -930,8 +854,12 @@ mod tests {
             ),
             SimTime::from_millis(5),
         );
-        let serial = service.publish(&snapshot, SimTime::from_millis(5));
-        let after = service.query(ClientId(1), QuerySpec::Isolation);
+        let serial = service
+            .try_publish(&snapshot, SimTime::from_millis(5))
+            .unwrap();
+        let after = service
+            .try_query(ClientId(1), QuerySpec::Isolation)
+            .unwrap();
         assert_eq!(after.epoch_serial, serial);
         let stats = service.stats();
         assert_eq!(stats.cache_hits, 1, "post-publish query must recompute");
@@ -945,7 +873,7 @@ mod tests {
         let (service, mut snapshot) = service_over(&topology, 1, true);
         let h3_ip = topology.hosts().find(|h| h.id.0 == 3).expect("host 3").ip;
         let spec = QuerySpec::PathLength { to_ip: h3_ip };
-        let before = service.query(ClientId(1), spec.clone());
+        let before = service.try_query(ClientId(1), spec.clone()).unwrap();
 
         // Churn pinned to a tenant pair that cannot intersect the path-length
         // query's (src ∈ client 1, dst = h3) interest: src and dst pinned to
@@ -962,8 +890,10 @@ mod tests {
             ),
             SimTime::from_millis(5),
         );
-        let serial = service.publish(&snapshot, SimTime::from_millis(5));
-        let after = service.query(ClientId(1), spec);
+        let serial = service
+            .try_publish(&snapshot, SimTime::from_millis(5))
+            .unwrap();
+        let after = service.try_query(ClientId(1), spec).unwrap();
         assert_eq!(after.epoch_serial, serial);
         assert_eq!(after.result, before.result);
         let stats = service.stats();
@@ -990,12 +920,32 @@ mod tests {
                 ),
                 SimTime::from_millis(round),
             );
-            let serial = service.publish(&snapshot, SimTime::from_millis(round));
-            let response = service.query(ClientId(1 + (round % 2) as u32), QuerySpec::Isolation);
+            let serial = service
+                .try_publish(&snapshot, SimTime::from_millis(round))
+                .unwrap();
+            let response = service
+                .try_query(ClientId(1 + (round % 2) as u32), QuerySpec::Isolation)
+                .unwrap();
             assert!(response.epoch_serial <= serial);
             assert!(response.epoch_serial >= 1);
         }
         assert_eq!(service.stats().queries, 20);
+    }
+
+    #[test]
+    fn rejected_publish_is_not_counted_as_published() {
+        let topology = generators::line(3, 1);
+        let (service, snapshot) = service_over(&topology, 1, false);
+        service.store.exhaust_serials();
+        let at = SimTime::from_millis(2);
+        for rejected in [
+            service.try_publish(&snapshot, at),
+            service.try_publish_changes(&[], at),
+        ] {
+            assert!(matches!(rejected, Err(ServiceError::PublishRejected(_))));
+        }
+        assert_eq!(service.stats().epochs_published, 1);
+        assert_eq!(service.metrics.epoch_serial.get(), 1);
     }
 
     /// Kills the worker pool in place, the way a shutdown race would: every
@@ -1014,14 +964,11 @@ mod tests {
         let topology = generators::line(3, 1);
         let (mut service, _snapshot) = service_over(&topology, 2, false);
         kill_workers(&mut service);
-        let err = service
-            .try_submit(ClientId(1), QuerySpec::Isolation)
-            .unwrap_err();
         assert!(matches!(
-            err,
-            ServiceError::PoolUnavailable {
+            service.submit(ClientId(1), QuerySpec::Isolation, TraceContext::mint()),
+            Err(ServiceError::PoolUnavailable {
                 context: "query submit"
-            }
+            })
         ));
         assert!(matches!(
             service.try_query(ClientId(1), QuerySpec::Isolation),
@@ -1037,7 +984,9 @@ mod tests {
     fn query_responses_carry_a_reconstructable_trace_chain() {
         let topology = generators::line(3, 1);
         let (service, _snapshot) = service_over(&topology, 1, true);
-        let response = service.query(ClientId(1), QuerySpec::Isolation);
+        let response = service
+            .try_query(ClientId(1), QuerySpec::Isolation)
+            .unwrap();
         assert!(!response.trace.is_none(), "default-on tracing mints an id");
         let chain = rvaas_telemetry::trace::recorder().chain(response.trace);
         let stages: Vec<TraceStage> = chain.iter().map(|e| e.stage).collect();
@@ -1061,7 +1010,9 @@ mod tests {
         );
 
         // The repeat is served from cache, on a fresh trace of its own.
-        let again = service.query(ClientId(1), QuerySpec::Isolation);
+        let again = service
+            .try_query(ClientId(1), QuerySpec::Isolation)
+            .unwrap();
         assert_ne!(again.trace, response.trace);
         let chain = rvaas_telemetry::trace::recorder().chain(again.trace);
         assert!(chain.iter().any(|e| e.stage == TraceStage::CacheHit));
@@ -1075,6 +1026,6 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         drop(tx);
         let ticket = QueryTicket { rx };
-        assert!(matches!(ticket.try_wait(), Err(ServiceError::QueryDropped)));
+        assert!(matches!(ticket.wait(), Err(ServiceError::QueryDropped)));
     }
 }

@@ -65,16 +65,10 @@ pub struct SyncServer {
 impl SyncServer {
     /// Creates a server over `store` with the given session id (must be
     /// non-zero: clients use session 0 to mean "no session yet"), counting
-    /// into a private registry.
+    /// into `registry` (typically the owning service's, so one scrape covers
+    /// both).
     #[must_use]
-    pub fn new(store: Arc<EpochStore>, session_id: u16) -> Self {
-        SyncServer::with_registry(store, session_id, &Registry::new())
-    }
-
-    /// Like [`SyncServer::new`], but counting into the shared `registry`
-    /// (typically the owning service's, so one scrape covers both).
-    #[must_use]
-    pub fn with_registry(store: Arc<EpochStore>, session_id: u16, registry: &Registry) -> Self {
+    pub fn new(store: Arc<EpochStore>, session_id: u16, registry: &Registry) -> Self {
         SyncServer {
             store,
             session_id: session_id.max(1),
@@ -121,19 +115,6 @@ impl SyncServer {
             .insert(spec);
     }
 
-    /// Answers one sync request. `service` is consulted to re-verify the
-    /// client's standing queries when a delta is served.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service shuts down mid-reverification; the daemon's
-    /// listener uses [`SyncServer::try_handle`].
-    #[must_use]
-    pub fn handle(&self, service: &VerificationService, request: &SyncRequest) -> SyncResponse {
-        self.try_handle(service, request)
-            .expect("sync reverification dropped")
-    }
-
     /// Answers one raw sync frame, as read off a TCP connection: decodes the
     /// in-band message, dispatches it, and encodes the response.
     ///
@@ -157,7 +138,8 @@ impl SyncServer {
         }
     }
 
-    /// Fallible form of [`SyncServer::handle`].
+    /// Answers one sync request. `service` is consulted to re-verify the
+    /// client's standing queries when a delta is served.
     ///
     /// # Errors
     ///
@@ -191,7 +173,7 @@ impl SyncServer {
                 session: self.session_id,
                 serial: current.serial,
                 payload: SyncPayload::Reset {
-                    full: current.digests.iter().copied().collect(),
+                    full: current.rules.keys().copied().collect(),
                 },
                 trace: trace.id.0,
             },
@@ -281,7 +263,7 @@ impl SyncServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ServiceConfig;
+    use crate::config::ServiceSettings;
     use rvaas::{LocationMap, NetworkSnapshot, VerifierConfig};
     use rvaas_client::{QueryResult, SyncSession};
     use rvaas_controlplane::benign_rules;
@@ -295,15 +277,18 @@ mod tests {
         for (switch, entry) in benign_rules(&topology) {
             snapshot.record_installed(switch, entry, SimTime::from_millis(1));
         }
-        let mut config = ServiceConfig::new(VerifierConfig {
+        let config = ServiceSettings {
+            workers: 2,
+            max_delta_history: max_deltas,
+            ..ServiceSettings::default()
+        }
+        .into_config(VerifierConfig {
             use_history: false,
             locations: LocationMap::disclosed(&topology),
-        })
-        .with_workers(2);
-        config.settings.max_delta_history = max_deltas;
+        });
         let service = VerificationService::new(topology, config);
-        service.publish(&snapshot, SimTime::from_millis(1));
-        let server = SyncServer::new(service.store(), 42);
+        publish(&service, &snapshot, 1);
+        let server = SyncServer::new(service.store(), 42, &service.registry());
         (service, server, snapshot)
     }
 
@@ -315,31 +300,54 @@ mod tests {
         );
     }
 
+    fn publish(service: &VerificationService, snapshot: &NetworkSnapshot, millis: u64) {
+        service
+            .try_publish(snapshot, SimTime::from_millis(millis))
+            .unwrap();
+    }
+
+    /// What `server` answers to `session`'s next request as `client`.
+    fn serve(
+        server: &SyncServer,
+        service: &VerificationService,
+        session: &SyncSession,
+        client: ClientId,
+    ) -> SyncResponse {
+        server
+            .try_handle(service, &session.request(client))
+            .unwrap()
+    }
+
+    fn assert_mirrors(session: &SyncSession, service: &VerificationService) {
+        let epoch = service.store().current();
+        assert!(session.digests().iter().eq(epoch.rules.keys()));
+    }
+
     #[test]
     fn fresh_client_resets_then_rides_deltas() {
         let (service, server, mut snapshot) = setup(16);
         let mut session = SyncSession::new();
         let client = ClientId(1);
 
-        let response = server.handle(&service, &session.request(client));
+        let response = serve(&server, &service, &session, client);
         assert!(matches!(response.payload, SyncPayload::Reset { .. }));
         session.apply(&response).unwrap();
         assert_eq!(session.serial(), service.current_serial());
-        assert_eq!(session.digests(), &service.store().current().digests);
+        assert_mirrors(&session, &service);
 
         // No change: unchanged.
-        let response = server.handle(&service, &session.request(client));
+        let response = serve(&server, &service, &session, client);
         assert_eq!(response.payload, SyncPayload::Unchanged);
         session.apply(&response).unwrap();
 
         // One change: a delta that brings the mirror up to date.
         churn(&mut snapshot, 1);
-        service.publish(&snapshot, SimTime::from_millis(11));
-        let response = server.handle(&service, &session.request(client));
+        publish(&service, &snapshot, 11);
+        let response = serve(&server, &service, &session, client);
         assert!(matches!(response.payload, SyncPayload::Delta { .. }));
         session.apply(&response).unwrap();
         assert_eq!(session.serial(), service.current_serial());
-        assert_eq!(session.digests(), &service.store().current().digests);
+        assert_mirrors(&session, &service);
     }
 
     #[test]
@@ -348,23 +356,23 @@ mod tests {
         let mut session = SyncSession::new();
         let client = ClientId(1);
         session
-            .apply(&server.handle(&service, &session.request(client)))
+            .apply(&serve(&server, &service, &session, client))
             .unwrap();
         let old_serial = session.serial();
 
         // Churn far past the retained delta window.
         for round in 0..6 {
             churn(&mut snapshot, round);
-            service.publish(&snapshot, SimTime::from_millis(u64::from(20 + round)));
+            publish(&service, &snapshot, u64::from(20 + round));
         }
         assert!(service.store().delta_since(old_serial).is_none());
-        let response = server.handle(&service, &session.request(client));
+        let response = serve(&server, &service, &session, client);
         assert!(
             matches!(response.payload, SyncPayload::Reset { .. }),
             "evicted history must force a reset"
         );
         session.apply(&response).unwrap();
-        assert_eq!(session.digests(), &service.store().current().digests);
+        assert_mirrors(&session, &service);
     }
 
     #[test]
@@ -372,11 +380,11 @@ mod tests {
         let (service, server, _snapshot) = setup(16);
         let mut session = SyncSession::new();
         session
-            .apply(&server.handle(&service, &session.request(ClientId(1))))
+            .apply(&serve(&server, &service, &session, ClientId(1)))
             .unwrap();
         // A server restart shows up as a new session id.
-        let restarted = SyncServer::new(service.store(), 43);
-        let response = restarted.handle(&service, &session.request(ClientId(1)));
+        let restarted = SyncServer::new(service.store(), 43, &service.registry());
+        let response = serve(&restarted, &service, &session, ClientId(1));
         assert!(matches!(response.payload, SyncPayload::Reset { .. }));
         assert_eq!(response.session, 43);
     }
@@ -388,12 +396,12 @@ mod tests {
         server.subscribe(client, QuerySpec::Isolation);
         let mut session = SyncSession::new();
         session
-            .apply(&server.handle(&service, &session.request(client)))
+            .apply(&serve(&server, &service, &session, client))
             .unwrap();
 
         churn(&mut snapshot, 1);
-        service.publish(&snapshot, SimTime::from_millis(11));
-        let response = server.handle(&service, &session.request(client));
+        publish(&service, &snapshot, 11);
+        let response = serve(&server, &service, &session, client);
         let SyncPayload::Delta { reverified, .. } = &response.payload else {
             panic!("expected a delta, got {response:?}");
         };
@@ -442,10 +450,10 @@ mod tests {
         let mut session1 = SyncSession::new();
         let mut session2 = SyncSession::new();
         session1
-            .apply(&server.handle(&service, &session1.request(ClientId(1))))
+            .apply(&serve(&server, &service, &session1, ClientId(1)))
             .unwrap();
         session2
-            .apply(&server.handle(&service, &session2.request(ClientId(2))))
+            .apply(&serve(&server, &service, &session2, ClientId(2)))
             .unwrap();
 
         // Churn pinned to client 1's own (src, dst) pair: client 2's
@@ -460,15 +468,15 @@ mod tests {
             ),
             SimTime::from_millis(20),
         );
-        service.publish(&snapshot, SimTime::from_millis(20));
+        publish(&service, &snapshot, 20);
 
-        let response1 = server.handle(&service, &session1.request(ClientId(1)));
+        let response1 = serve(&server, &service, &session1, ClientId(1));
         let SyncPayload::Delta { reverified, .. } = &response1.payload else {
             panic!("expected a delta for client 1, got {response1:?}");
         };
         assert_eq!(reverified.len(), 1, "client 1's own traffic changed");
 
-        let response2 = server.handle(&service, &session2.request(ClientId(2)));
+        let response2 = serve(&server, &service, &session2, ClientId(2));
         let SyncPayload::Delta { reverified, .. } = &response2.payload else {
             panic!("expected a delta for client 2, got {response2:?}");
         };
@@ -487,7 +495,7 @@ mod tests {
         let client = ClientId(1);
         let mut session = SyncSession::new();
         session
-            .apply(&server.handle(&service, &session.request(client)))
+            .apply(&serve(&server, &service, &session, client))
             .unwrap();
         let rule_count = session.digests().len();
 
@@ -496,15 +504,15 @@ mod tests {
         for round in 0..changes {
             churn(&mut snapshot, round);
         }
-        service.publish(&snapshot, SimTime::from_millis(30));
+        publish(&service, &snapshot, 30);
 
-        let delta_response = server.handle(&service, &session.request(client));
+        let delta_response = serve(&server, &service, &session, client);
         assert!(matches!(delta_response.payload, SyncPayload::Delta { .. }));
         let reset_equivalent = SyncResponse {
             session: delta_response.session,
             serial: delta_response.serial,
             payload: SyncPayload::Reset {
-                full: service.store().current().digests.iter().copied().collect(),
+                full: service.store().current().rules.keys().copied().collect(),
             },
             trace: 0,
         };
@@ -515,7 +523,7 @@ mod tests {
             reset_equivalent.encoded_len()
         );
         session.apply(&delta_response).unwrap();
-        assert_eq!(session.digests(), &service.store().current().digests);
+        assert_mirrors(&session, &service);
     }
 
     #[test]

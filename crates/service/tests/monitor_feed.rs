@@ -12,35 +12,92 @@ use rvaas::{ConfigMonitor, LocationMap, MonitorConfig, VerifierConfig};
 use rvaas_client::QuerySpec;
 use rvaas_controlplane::benign_rules;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch, Message};
-use rvaas_service::{ServiceConfig, VerificationService};
+use rvaas_service::{ServiceSettings, VerificationService};
 use rvaas_topology::generators;
 use rvaas_types::{ClientId, SimTime, SwitchId};
 
 fn service_over(topology: &rvaas_topology::Topology) -> VerificationService {
-    let config = ServiceConfig::new(VerifierConfig {
+    let config = ServiceSettings {
+        workers: 1,
+        ..ServiceSettings::default()
+    }
+    .into_config(VerifierConfig {
         use_history: false,
         locations: LocationMap::disclosed(topology),
-    })
-    .with_workers(1);
+    });
     VerificationService::new(topology.clone(), config)
 }
 
-/// Both services must expose the same epoch: serial, digest set and rule
-/// count, and the same verdict for a representative query.
+/// Both services must expose the same epoch — serial, digest set, rule
+/// count, provenance (content digest and the delta sizes `Published`
+/// reported) and a representative verdict — reached by the same rule-level
+/// delta from the previous epoch.
 fn assert_epochs_agree(delta: &VerificationService, full: &VerificationService, round: &str) {
-    let d = delta.store().current();
-    let f = full.store().current();
+    let (d_store, f_store) = (delta.store(), full.store());
+    let (d, f) = (d_store.current(), f_store.current());
     assert_eq!(d.serial, f.serial, "{round}: serials diverged");
-    assert_eq!(d.digests, f.digests, "{round}: digest sets diverged");
+    assert!(
+        d.rules.keys().eq(f.rules.keys()),
+        "{round}: digest sets diverged"
+    );
     assert_eq!(
         d.snapshot.rule_count(),
         f.snapshot.rule_count(),
         "{round}: rule counts diverged"
     );
+    let dp = d_store.provenance(d.serial).expect("fresh epoch");
+    let fp = f_store.provenance(f.serial).expect("fresh epoch");
+    assert_eq!(
+        (dp.digest, dp.added, dp.removed, dp.delta_rules),
+        (fp.digest, fp.added, fp.removed, fp.delta_rules),
+        "{round}: provenance diverged"
+    );
+    // Per-switch arrival order is what incremental appliers depend on; the
+    // interleaving across switches is the publish path's own business.
+    let by_switch = |mut rules: Vec<(SwitchId, FlowEntry)>| {
+        rules.sort_by_key(|(switch, _)| *switch);
+        rules
+    };
+    let dd = d_store.delta_since(d.serial - 1).expect("retained");
+    let fd = f_store.delta_since(f.serial - 1).expect("retained");
+    assert_eq!(
+        by_switch(dd.added_rules),
+        by_switch(fd.added_rules),
+        "{round}: added rules diverged"
+    );
+    assert_eq!(
+        dd.removed_rules, fd.removed_rules,
+        "{round}: removed rules diverged"
+    );
     let spec = QuerySpec::ReachableDestinations;
     let dv = delta.try_query(ClientId(1), spec.clone()).unwrap();
     let fv = full.try_query(ClientId(1), spec).unwrap();
     assert_eq!(dv.result, fv.result, "{round}: verdicts diverged");
+}
+
+fn notify(monitor: &mut ConfigMonitor, switch: SwitchId, entry: &FlowEntry, at: SimTime) {
+    monitor.on_switch_message(
+        switch,
+        &Message::FlowMonitorNotify {
+            switch,
+            entry: entry.clone(),
+            added: true,
+            at,
+        },
+        at,
+    );
+}
+
+fn removed(monitor: &mut ConfigMonitor, switch: SwitchId, entry: &FlowEntry, at: SimTime) {
+    monitor.on_switch_message(
+        switch,
+        &Message::FlowRemoved {
+            switch,
+            entry: entry.clone(),
+            at,
+        },
+        at,
+    );
 }
 
 #[test]
@@ -49,30 +106,22 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
     let delta_service = service_over(&topology);
     let full_service = service_over(&topology);
     let mut monitor = ConfigMonitor::new(MonitorConfig::default());
+    // Drains one monitor window into both services: the rule delta into one,
+    // the full snapshot into the other.
+    let publish_window = |monitor: &mut ConfigMonitor, expected: usize, at, round: &str| {
+        let changes = monitor.drain_changes().expect("no resync in this window");
+        assert_eq!(changes.len(), expected, "{round}");
+        delta_service.try_publish_changes(&changes, at).unwrap();
+        full_service.try_publish(monitor.snapshot(), at).unwrap();
+        assert_epochs_agree(&delta_service, &full_service, round);
+    };
 
     // --- initial table build arrives as passive notifications -----------
     let seed = benign_rules(&topology);
     for (switch, entry) in &seed {
-        monitor.on_switch_message(
-            *switch,
-            &Message::FlowMonitorNotify {
-                switch: *switch,
-                entry: entry.clone(),
-                added: true,
-                at: SimTime::from_millis(1),
-            },
-            SimTime::from_millis(1),
-        );
+        notify(&mut monitor, *switch, entry, SimTime::from_millis(1));
     }
-    let changes = monitor.drain_changes().expect("no resync yet");
-    assert_eq!(changes.len(), seed.len());
-    delta_service
-        .try_publish_changes(&changes, SimTime::from_millis(1))
-        .unwrap();
-    full_service
-        .try_publish(monitor.snapshot(), SimTime::from_millis(1))
-        .unwrap();
-    assert_epochs_agree(&delta_service, &full_service, "seed");
+    publish_window(&mut monitor, seed.len(), SimTime::from_millis(1), "seed");
 
     // --- a quiet window drains empty: nothing to publish -----------------
     assert_eq!(monitor.drain_changes(), Some(Vec::new()));
@@ -85,31 +134,28 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
             FlowMatch::to_ip(0x0a00_0001 + round as u32),
             vec![Action::Drop],
         );
-        monitor.on_switch_message(
-            SwitchId(2),
-            &Message::FlowMonitorNotify {
-                switch: SwitchId(2),
-                entry: filter,
-                added: true,
-                at,
-            },
-            at,
-        );
+        notify(&mut monitor, SwitchId(2), &filter, at);
         let (victim_switch, victim_entry) = &seed[round as usize];
-        monitor.on_switch_message(
-            *victim_switch,
-            &Message::FlowRemoved {
-                switch: *victim_switch,
-                entry: victim_entry.clone(),
-                at,
-            },
-            at,
-        );
-        let changes = monitor.drain_changes().expect("no resync in this window");
-        assert_eq!(changes.len(), 2);
-        delta_service.try_publish_changes(&changes, at).unwrap();
-        full_service.try_publish(monitor.snapshot(), at).unwrap();
-        assert_epochs_agree(&delta_service, &full_service, &format!("churn {round}"));
+        removed(&mut monitor, *victim_switch, victim_entry, at);
+        publish_window(&mut monitor, 2, at, &format!("churn {round}"));
+    }
+
+    // --- a rule that flaps within one window, then a window of changes that
+    // change nothing (install of a present rule, removal of an absent one):
+    // both paths must record an empty delta ---------------------------------
+    let flapper = FlowEntry::new(350, FlowMatch::to_ip(0x0a00_0009), vec![Action::Drop]);
+    let at = SimTime::from_millis(20);
+    notify(&mut monitor, SwitchId(3), &flapper, at);
+    removed(&mut monitor, SwitchId(3), &flapper, at);
+    publish_window(&mut monitor, 2, at, "flap");
+    let at = SimTime::from_millis(21);
+    let (present_switch, present_entry) = &seed[3];
+    notify(&mut monitor, *present_switch, present_entry, at);
+    removed(&mut monitor, SwitchId(3), &flapper, at);
+    publish_window(&mut monitor, 2, at, "no-op");
+    let store = delta_service.store();
+    for serial in [store.current().serial - 1, store.current().serial] {
+        assert_eq!(store.provenance(serial).expect("recent").delta_rules, 0);
     }
 
     // --- a full-table poll reply voids the delta: fall back to the
@@ -133,23 +179,8 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
     assert_epochs_agree(&delta_service, &full_service, "resync");
 
     // The next window is delta-driven again.
-    monitor.on_switch_message(
-        SwitchId(3),
-        &Message::FlowMonitorNotify {
-            switch: SwitchId(3),
-            entry: FlowEntry::new(8, FlowMatch::any(), vec![Action::Drop]),
-            added: true,
-            at: SimTime::from_millis(60),
-        },
-        SimTime::from_millis(60),
-    );
-    let changes = monitor.drain_changes().expect("drained after resync");
-    assert_eq!(changes.len(), 1);
-    delta_service
-        .try_publish_changes(&changes, SimTime::from_millis(60))
-        .unwrap();
-    full_service
-        .try_publish(monitor.snapshot(), SimTime::from_millis(60))
-        .unwrap();
-    assert_epochs_agree(&delta_service, &full_service, "post-resync");
+    let at = SimTime::from_millis(60);
+    let catch_all = FlowEntry::new(8, FlowMatch::any(), vec![Action::Drop]);
+    notify(&mut monitor, SwitchId(3), &catch_all, at);
+    publish_window(&mut monitor, 1, at, "post-resync");
 }

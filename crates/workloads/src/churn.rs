@@ -186,8 +186,6 @@ pub struct IncrementalChurnReport {
     pub incremental_applies: u64,
     /// Worker-model full rebuilds.
     pub model_rebuilds: u64,
-    /// Result-cache hit rate over the run.
-    pub cache_hit_rate: f64,
     /// Epoch serial after the final round.
     pub final_serial: u64,
     /// Median per-query latency in microseconds (from the service's
@@ -197,6 +195,21 @@ pub struct IncrementalChurnReport {
     pub latency_p95_us: u64,
     /// 99th-percentile per-query latency in microseconds.
     pub latency_p99_us: u64,
+}
+
+/// One sync exchange per session, each answer applied: how the churn drivers
+/// bring every client's mirror (and standing verdicts) to the current epoch.
+pub(crate) fn sync_sessions(
+    server: &SyncServer,
+    service: &VerificationService,
+    sessions: &mut [(ClientId, SyncSession)],
+) {
+    for (client, session) in sessions {
+        let response = server
+            .try_handle(service, &session.request(*client))
+            .expect("sync request served");
+        session.apply(&response).expect("sync response applies");
+    }
 }
 
 /// Runs `config.rounds` rounds of tenant churn against a fresh service with
@@ -220,8 +233,10 @@ pub fn run_incremental_churn(
         }),
     );
     let mut snapshot = benign_snapshot(topology);
-    service.publish(&snapshot, SimTime::from_millis(1));
-    let server = SyncServer::new(service.store(), 9);
+    service
+        .try_publish(&snapshot, SimTime::from_millis(1))
+        .expect("epoch publish rejected");
+    let server = SyncServer::new(service.store(), 9, &service.registry());
 
     let clients = clients_of(topology);
     let mix = query_mix(topology);
@@ -232,14 +247,9 @@ pub fn run_incremental_churn(
     }
     let mut sessions: Vec<(ClientId, SyncSession)> = clients
         .iter()
-        .map(|client| {
-            let mut session = SyncSession::new();
-            session
-                .apply(&server.handle(&service, &session.request(*client)))
-                .expect("initial reset applies");
-            (*client, session)
-        })
+        .map(|client| (*client, SyncSession::new()))
         .collect();
+    sync_sessions(&server, &service, &mut sessions);
 
     let mut rule_changes = 0usize;
     let mut epoch_advance_total = Duration::ZERO;
@@ -257,11 +267,10 @@ pub fn run_incremental_churn(
             config.rules_per_client,
             at,
         );
-        service.publish(&snapshot, at);
-        for (client, session) in &mut sessions {
-            let response = server.handle(&service, &session.request(*client));
-            session.apply(&response).expect("sync applies");
-        }
+        service
+            .try_publish(&snapshot, at)
+            .expect("epoch publish rejected");
+        sync_sessions(&server, &service, &mut sessions);
         if round > 1 {
             epoch_advance_total += started.elapsed();
         }
@@ -279,7 +288,6 @@ pub fn run_incremental_churn(
         skipped: reverify.skipped,
         incremental_applies: stats.incremental_applies,
         model_rebuilds: stats.model_rebuilds,
-        cache_hit_rate: stats.cache_hit_rate,
         final_serial: service.current_serial(),
         latency_p50_us: stats.latency_p50_us,
         latency_p95_us: stats.latency_p95_us,

@@ -37,7 +37,7 @@ use rvaas_service::{ServiceSettings, SyncServer, VerificationService};
 use rvaas_topology::Topology;
 use rvaas_types::{ClientId, Field, SimTime, SwitchId};
 
-use crate::churn::tenant_churn_round;
+use crate::churn::{sync_sessions, tenant_churn_round};
 use crate::service_load::{benign_snapshot, clients_of, query_mix};
 
 /// Base of the unroutable destination block the synthetic standing queries
@@ -162,8 +162,10 @@ pub fn run_query_scale(topology: &Topology, config: &QueryScaleConfig) -> QueryS
         }),
     );
     let mut snapshot = benign_snapshot(topology);
-    service.publish(&snapshot, SimTime::from_millis(1));
-    let server = SyncServer::new(service.store(), 9);
+    service
+        .try_publish(&snapshot, SimTime::from_millis(1))
+        .expect("epoch publish rejected");
+    let server = SyncServer::new(service.store(), 9, &service.registry());
 
     for client in &clients {
         for spec in &mix {
@@ -175,14 +177,9 @@ pub fn run_query_scale(topology: &Topology, config: &QueryScaleConfig) -> QueryS
     }
     let mut sessions: Vec<(ClientId, SyncSession)> = clients
         .iter()
-        .map(|client| {
-            let mut session = SyncSession::new();
-            session
-                .apply(&server.handle(&service, &session.request(*client)))
-                .expect("initial reset applies");
-            (*client, session)
-        })
+        .map(|client| (*client, SyncSession::new()))
         .collect();
+    sync_sessions(&server, &service, &mut sessions);
 
     let mut rule_changes = 0usize;
     let mut epoch_advance_total = Duration::ZERO;
@@ -199,11 +196,10 @@ pub fn run_query_scale(topology: &Topology, config: &QueryScaleConfig) -> QueryS
             config.rules_per_client,
             at,
         );
-        service.publish(&snapshot, at);
-        for (client, session) in &mut sessions {
-            let response = server.handle(&service, &session.request(*client));
-            session.apply(&response).expect("sync applies");
-        }
+        service
+            .try_publish(&snapshot, at)
+            .expect("epoch publish rejected");
+        sync_sessions(&server, &service, &mut sessions);
         if round > 1 {
             rule_changes += changes;
             epoch_advance_total += started.elapsed();

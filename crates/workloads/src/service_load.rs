@@ -162,7 +162,9 @@ pub fn run_service_load(topology: &Topology, config: &ServiceLoadConfig) -> Serv
         }),
     );
     let mut snapshot = benign_snapshot(topology);
-    service.publish(&snapshot, SimTime::from_millis(1));
+    service
+        .try_publish(&snapshot, SimTime::from_millis(1))
+        .expect("epoch publish rejected");
 
     let workload = round_robin_workload(topology, config.queries_per_round);
     let mut responses = 0usize;
@@ -176,9 +178,14 @@ pub fn run_service_load(topology: &Topology, config: &ServiceLoadConfig) -> Serv
                 config.churn_rules_per_round,
                 at,
             );
-            service.publish(&snapshot, at);
+            service
+                .try_publish(&snapshot, at)
+                .expect("epoch publish rejected");
         }
-        responses += service.query_all(&workload).len();
+        responses += service
+            .try_query_all(&workload)
+            .expect("pool answers")
+            .len();
     }
     let elapsed = started.elapsed();
     // Percentiles come from the service's own latency histogram
