@@ -100,6 +100,7 @@ impl IncrementalChurnExperiment {
                 self.host_cores,
                 if self.smoke { " | SMOKE" } else { "" },
             ),
+            "(JSON `incremental_applies` / `model_rebuilds` count epochs — how the store's one model took each — not worker syncs)".to_string(),
             "churn | full_advance_us | incr_advance_us | speedup | full_reverified | incr_reverified | incr_skipped".to_string(),
         ];
         for point in &self.points {

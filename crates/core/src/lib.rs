@@ -62,3 +62,7 @@ pub use monitor::{ConfigMonitor, MonitorConfig, MonitorStats, PollStrategy};
 pub use service::{RvaasConfig, RvaasController, RvaasStats};
 pub use snapshot::NetworkSnapshot;
 pub use verify::{LocationMap, LogicalVerifier, QueryEvaluator, VerifierConfig};
+
+// The model type `LogicalVerifier::evaluator_with` and `IncrementalModel` trade in, for
+// crates that hold one without depending on `rvaas-hsa` themselves.
+pub use rvaas_hsa::NetworkFunction;

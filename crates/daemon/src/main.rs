@@ -4,7 +4,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use rvaas_daemon::{json, Daemon, DaemonConfig, MAN_PAGE};
-use rvaas_service::ServiceError;
+use rvaas_service::{QueryResponse, ServiceError};
 use rvaas_types::ClientId;
 
 const USAGE: &str = "usage: rvaas <serve|verify|trace|man> [options]
@@ -193,38 +193,22 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), CliError> {
-    let options = parse_options(args)?;
-    if options.run_secs.is_some() {
-        return Err(CliError::Usage(
-            "--run-secs only applies to `rvaas serve`".to_string(),
-        ));
-    }
-    let mut config = options.config;
-    // One-shot mode never listens.
-    config.service.sync_listen = None;
-    config.service.http_listen = None;
-    let daemon = Daemon::start(&config)?;
-    let specs = match &options.query {
-        Some(name) => vec![json::query_by_name(name, options.to_ip)?],
-        None => vec![
-            rvaas_client::QuerySpec::ReachableDestinations,
-            rvaas_client::QuerySpec::ReachingSources,
-            rvaas_client::QuerySpec::Isolation,
-            rvaas_client::QuerySpec::GeoLocation,
-            rvaas_client::QuerySpec::Neutrality,
-        ],
-    };
-    for spec in specs {
-        let response = daemon.service().try_query(options.client, spec)?;
-        println!("{}", json::render_response(&response));
-    }
-    daemon.shutdown();
-    Ok(())
+    one_shot(args, json::render_response)
 }
 
 /// `rvaas trace`: like `verify`, but prints each query's flight-recorder
 /// event chain instead of just the verdict line.
 fn cmd_trace(args: &[String]) -> Result<(), CliError> {
+    let recorder = rvaas_telemetry::trace::recorder();
+    one_shot(args, |response| {
+        json::render_trace(response.trace.0, &recorder.chain(response.trace))
+    })
+}
+
+/// Starts a daemon without listeners, answers `--query` (or the five
+/// default queries) as `--client`, prints one `render`ed line per response
+/// and shuts down.
+fn one_shot(args: &[String], render: impl Fn(&QueryResponse) -> String) -> Result<(), CliError> {
     let options = parse_options(args)?;
     if options.run_secs.is_some() {
         return Err(CliError::Usage(
@@ -246,11 +230,9 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
             rvaas_client::QuerySpec::Neutrality,
         ],
     };
-    let recorder = rvaas_telemetry::trace::recorder();
     for spec in specs {
         let response = daemon.service().try_query(options.client, spec)?;
-        let chain = recorder.chain(response.trace);
-        println!("{}", json::render_trace(response.trace.0, &chain));
+        println!("{}", render(&response));
     }
     daemon.shutdown();
     Ok(())

@@ -297,8 +297,8 @@ pub fn trace_target(data: &[u8]) {
             };
             recorder.capture(trace, reason);
         } else {
-            let stage = TraceStage::from_code(u64::from(dna.byte() % 15) + 1)
-                .expect("codes 1..=15 are valid stages");
+            let stage = TraceStage::from_code(u64::from(dna.byte() % 14) + 1)
+                .expect("codes 1..=14 are valid stages");
             recorder.append(trace, stage, u64::from(dna.u32()), u64::from(dna.u32()));
         }
     }

@@ -13,6 +13,7 @@
 //!   the reachability engine walks.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -321,15 +322,28 @@ impl FromIterator<RuleTransfer> for SwitchTransfer {
     }
 }
 
-/// The whole-network transfer function: per-switch rules plus internal wiring.
+/// Declared ports and internal links: the part of a [`NetworkFunction`] rule
+/// changes never touch.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct NetworkFunction {
-    switches: BTreeMap<SwitchId, SwitchTransfer>,
+struct Wiring {
     /// Declared ports per switch (both internal and edge).
     ports: BTreeMap<SwitchId, Vec<PortId>>,
     /// Internal links: unidirectional port-to-port adjacency (stored both ways
     /// for a bidirectional link).
     links: BTreeMap<SwitchPort, SwitchPort>,
+}
+
+/// The whole-network transfer function: per-switch rules plus internal wiring.
+///
+/// Clones share structure: every switch's table and the wiring sit behind an
+/// [`Arc`], so cloning copies no rule, and editing a clone copies only the
+/// table of the switch being edited (copy-on-write). That is what lets an
+/// immutable copy of a long-lived, incrementally updated function be frozen
+/// per epoch at `O(switches touched)` cost.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct NetworkFunction {
+    switches: BTreeMap<SwitchId, Arc<SwitchTransfer>>,
+    wiring: Arc<Wiring>,
 }
 
 impl NetworkFunction {
@@ -342,27 +356,40 @@ impl NetworkFunction {
     /// Declares a switch with its set of ports (replacing any previous
     /// declaration).
     pub fn declare_switch(&mut self, switch: SwitchId, ports: impl IntoIterator<Item = PortId>) {
-        self.ports.insert(switch, ports.into_iter().collect());
+        Arc::make_mut(&mut self.wiring)
+            .ports
+            .insert(switch, ports.into_iter().collect());
         self.switches.entry(switch).or_default();
     }
 
     /// Sets (replaces) the transfer function of a switch.
     pub fn set_transfer(&mut self, switch: SwitchId, transfer: SwitchTransfer) {
-        self.switches.insert(switch, transfer);
-        self.ports.entry(switch).or_default();
+        self.ensure_declared(switch);
+        self.switches.insert(switch, Arc::new(transfer));
+    }
+
+    /// Gives an unknown switch an empty port declaration; leaves the shared
+    /// wiring alone otherwise.
+    fn ensure_declared(&mut self, switch: SwitchId) {
+        if !self.wiring.ports.contains_key(&switch) {
+            Arc::make_mut(&mut self.wiring)
+                .ports
+                .insert(switch, Vec::new());
+        }
     }
 
     /// Returns the transfer function of `switch`, if declared.
     #[must_use]
     pub fn transfer(&self, switch: SwitchId) -> Option<&SwitchTransfer> {
-        self.switches.get(&switch)
+        self.switches.get(&switch).map(Arc::as_ref)
     }
 
     /// Mutable access to the transfer function of `switch`, declaring the
-    /// switch (with no ports) if it was unknown.
+    /// switch (with no ports) if it was unknown. Copies the switch's table
+    /// first when a clone of this function still shares it.
     pub fn transfer_mut(&mut self, switch: SwitchId) -> &mut SwitchTransfer {
-        self.ports.entry(switch).or_default();
-        self.switches.entry(switch).or_default()
+        self.ensure_declared(switch);
+        Arc::make_mut(self.switches.entry(switch).or_default())
     }
 
     /// Incrementally inserts one rule on `switch` and returns the affected
@@ -381,23 +408,25 @@ impl NetworkFunction {
     /// now falls through to lower-precedence rules or the table-miss drop).
     /// Returns `None` when no equivalent rule is installed.
     pub fn remove_rule(&mut self, switch: SwitchId, rule: &RuleTransfer) -> Option<HeaderSpace> {
-        let transfer = self.switches.get_mut(&switch)?;
-        let index = transfer.position_of(rule)?;
-        let region = transfer.exposed_region(index);
-        transfer.remove_rule(rule);
+        let shared = self.switches.get_mut(&switch)?;
+        // Look before copying: a miss must not unshare the table.
+        let index = shared.position_of(rule)?;
+        let region = shared.exposed_region(index);
+        Arc::make_mut(shared).rules.remove(index);
         Some(region)
     }
 
     /// Connects two switch ports with a bidirectional internal link.
     pub fn connect(&mut self, a: SwitchPort, b: SwitchPort) {
-        self.links.insert(a, b);
-        self.links.insert(b, a);
+        let links = &mut Arc::make_mut(&mut self.wiring).links;
+        links.insert(a, b);
+        links.insert(b, a);
     }
 
     /// Returns the internal peer of a port, if the port is wired internally.
     #[must_use]
     pub fn link_peer(&self, port: SwitchPort) -> Option<SwitchPort> {
-        self.links.get(&port).copied()
+        self.wiring.links.get(&port).copied()
     }
 
     /// All declared switches.
@@ -414,13 +443,13 @@ impl NetworkFunction {
     /// Total number of rules across all switches.
     #[must_use]
     pub fn rule_count(&self) -> usize {
-        self.switches.values().map(SwitchTransfer::len).sum()
+        self.switches.values().map(|t| t.len()).sum()
     }
 
     /// Declared ports of a switch.
     #[must_use]
     pub fn ports_of(&self, switch: SwitchId) -> &[PortId] {
-        self.ports.get(&switch).map_or(&[], Vec::as_slice)
+        self.wiring.ports.get(&switch).map_or(&[], Vec::as_slice)
     }
 
     /// Edge ports of a switch: declared ports with no internal link. These
@@ -430,7 +459,7 @@ impl NetworkFunction {
         self.ports_of(switch)
             .iter()
             .copied()
-            .filter(|p| !self.links.contains_key(&SwitchPort::new(switch, *p)))
+            .filter(|p| !self.wiring.links.contains_key(&SwitchPort::new(switch, *p)))
             .collect()
     }
 
@@ -689,6 +718,51 @@ mod tests {
         let region = nf.insert_rule(SwitchId(3), rule);
         assert!(!region.is_empty());
         assert_eq!(nf.switch_count(), 2);
+    }
+
+    #[test]
+    fn clones_share_untouched_switches_and_never_see_later_edits() {
+        let rule = |dst| RuleTransfer::new(10, dst_match(dst), RuleAction::forward(PortId(2)));
+        let mut original = NetworkFunction::new();
+        for switch in [SwitchId(1), SwitchId(2), SwitchId(3)] {
+            original.declare_switch(switch, [PortId(1), PortId(2)]);
+            original.insert_rule(switch, rule(1));
+        }
+        original.connect(
+            SwitchPort::new(SwitchId(1), PortId(2)),
+            SwitchPort::new(SwitchId(2), PortId(1)),
+        );
+        let frozen = original.clone();
+        let shared = |a: &NetworkFunction, b: &NetworkFunction, switch| {
+            std::ptr::eq(a.transfer(switch).unwrap(), b.transfer(switch).unwrap())
+        };
+        assert!((1..=3).all(|s| shared(&original, &frozen, SwitchId(s))));
+        assert!(Arc::ptr_eq(&original.wiring, &frozen.wiring));
+
+        // Every way of editing the original leaves the clone as it was and
+        // unshares only the edited switch.
+        original.insert_rule(SwitchId(1), rule(2));
+        assert!(original.remove_rule(SwitchId(2), &rule(1)).is_some());
+        assert!(original.remove_rule(SwitchId(3), &rule(9)).is_none());
+        assert!(!shared(&original, &frozen, SwitchId(1)));
+        assert!(!shared(&original, &frozen, SwitchId(2)));
+        assert!(
+            shared(&original, &frozen, SwitchId(3)),
+            "a removal that misses must not copy the table"
+        );
+        assert!(Arc::ptr_eq(&original.wiring, &frozen.wiring));
+        original.set_transfer(SwitchId(3), SwitchTransfer::new());
+        original.transfer_mut(SwitchId(4)).add_rule(rule(4));
+        assert_eq!(frozen.rule_count(), 3);
+        assert_eq!(frozen.switch_count(), 3);
+        for s in 1..=3 {
+            assert_eq!(frozen.transfer(SwitchId(s)).unwrap().rules(), [rule(1)]);
+        }
+        assert_eq!(original.rule_count(), 3);
+        assert_eq!(
+            frozen.link_peer(SwitchPort::new(SwitchId(2), PortId(1))),
+            Some(SwitchPort::new(SwitchId(1), PortId(2)))
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Every attack in the service-plane catalogue
 //! ([`Attack::service_plane_expectation`]) is compiled to legitimate
 //! OpenFlow/sync traffic and driven through the verification service twice:
-//! once with the incremental engine (delta sync, result cache, shadow
-//! model) and once as a from-scratch full-rebuild oracle. The gates assert
+//! once with the incremental engine (delta sync, result cache, the epoch's
+//! frozen model) and once as a from-scratch full-rebuild oracle. The gates assert
 //! the predicates the attacks probe: replays cannot divert a sync client
 //! for longer than one round trip, phantom removals degrade to conservative
 //! re-verification instead of silent divergence, caches never serve a
@@ -159,9 +159,25 @@ fn assert_verdicts_match(
     }
 }
 
+/// The model the store froze into `service`'s current epoch must be, rule
+/// for rule, what a from-scratch rebuild of `snapshot` yields.
+fn assert_model_matches_rebuild(
+    service: &VerificationService,
+    snapshot: &NetworkSnapshot,
+    context: &str,
+) {
+    // Identical rule lists over identical wiring: stronger than (and far
+    // cheaper to check than) reachability equivalence.
+    assert!(
+        service.store().current().function == snapshot.to_network_function(service.topology()),
+        "{context}: the epoch's frozen model diverges from a rebuild"
+    );
+}
+
 /// The central soundness gate: under every service-plane attack — install,
 /// attacked steady state, removal — the incremental service's verdicts are
-/// byte-for-byte the full-rebuild oracle's.
+/// byte-for-byte the full-rebuild oracle's, and the model it answers from
+/// is equivalent to a rebuild of the epoch's snapshot.
 #[test]
 fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
     let topology = generators::line(4, 2);
@@ -175,12 +191,12 @@ fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
         let oracle = service(&topology, false);
         let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
         publish(&[&incremental, &oracle], &snapshot, SimTime::from_millis(1));
-        assert_verdicts_match(
-            &incremental,
-            &oracle,
-            &queries,
-            &format!("{} pre-attack", attack.label()),
-        );
+        let check = |snapshot: &NetworkSnapshot, phase: &str| {
+            let context = format!("{} {phase}", attack.label());
+            assert_model_matches_rebuild(&incremental, snapshot, &context);
+            assert_verdicts_match(&incremental, &oracle, &queries, &context);
+        };
+        check(&snapshot, "pre-attack");
 
         apply_messages(
             &mut snapshot,
@@ -192,12 +208,15 @@ fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
             &snapshot,
             SimTime::from_millis(10),
         );
-        assert_verdicts_match(
-            &incremental,
-            &oracle,
-            &queries,
-            &format!("{} installed", attack.label()),
+        check(&snapshot, "installed");
+
+        // Attacked steady state: an epoch that changes nothing.
+        publish(
+            &[&incremental, &oracle],
+            &snapshot,
+            SimTime::from_millis(15),
         );
+        check(&snapshot, "steady");
 
         apply_messages(
             &mut snapshot,
@@ -209,12 +228,7 @@ fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
             &snapshot,
             SimTime::from_millis(20),
         );
-        assert_verdicts_match(
-            &incremental,
-            &oracle,
-            &queries,
-            &format!("{} removed", attack.label()),
-        );
+        check(&snapshot, "removed");
     }
 }
 
@@ -355,6 +369,37 @@ fn phantom_removals_degrade_to_conservative_reverification() {
         model.network_function(),
         &snapshot.to_network_function(&topology)
     ));
+
+    // The service's one model sits behind the epoch store, which drops
+    // removals of rules the epoch does not hold before they reach it: the
+    // phantoms are a no-op epoch, not a desync.
+    let verification = service(&topology, true);
+    publish(&[&verification], &snapshot, SimTime::from_millis(1));
+    let store = verification.store();
+    let at = SimTime::from_millis(10);
+    let phantom = store.try_publish_changes(&changes, at).unwrap();
+    assert_eq!(phantom.delta_rules, 0);
+    assert!(phantom.changed.is_empty(), "{:?}", phantom.changed);
+    assert_model_matches_rebuild(&verification, &snapshot, "phantom removals");
+
+    // A removal that does get through unresolved — the model applies a
+    // batch's removals first, so a rule installed and removed within one
+    // batch is one — goes the same way inside the store: desync, a
+    // conservative region for that epoch, and a model rebuilt before it is
+    // frozen, so the next epoch is bounded again.
+    let (switch, flapper) = (changes[0].switch, changes[0].entry.clone());
+    let flap = [
+        RuleChange::installed(switch, flapper.clone()),
+        changes[0].clone(),
+    ];
+    let desynced = store.try_publish_changes(&flap, at).unwrap();
+    assert!(desynced.changed.conservative && desynced.affected.is_everything());
+    assert_model_matches_rebuild(&verification, &snapshot, "flap epoch");
+    let healed = store.try_publish_changes(&flap[..1], at).unwrap();
+    assert!(!healed.changed.conservative, "{:?}", healed.changed);
+    let mut attacked = snapshot.clone();
+    attacked.record_installed(switch, flapper, at);
+    assert_model_matches_rebuild(&verification, &attacked, "after the heal");
 }
 
 /// Cache poisoning: a rule toggled on and off across epochs flips the

@@ -146,25 +146,26 @@ fn benign_snapshot_of(topo: &rvaas_topology::Topology) -> NetworkSnapshot {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Driving an [`rvaas::IncrementalModel`] purely from the service
-    /// plane's epoch deltas — digest diffing, arrival-order rule resolution
-    /// and multi-epoch aggregation included — keeps it
-    /// reachability-equivalent to a from-scratch rebuild of the final
-    /// snapshot.
+    /// After every random op — published as a full snapshot or as a rule
+    /// delta, alternately — the model the store froze into the epoch is
+    /// reachability-equivalent to a from-scratch rebuild of the snapshot,
+    /// and `delta_between` over a window of one or more epochs is exactly
+    /// the digest diff of the window's end points.
     #[test]
     fn incremental_model_tracks_epoch_deltas(
         ops in proptest::collection::vec((0usize..6, 0usize..6, 1u32..5, any::<bool>()), 1..10),
     ) {
+        use rvaas::RuleChange;
         use rvaas_service::EpochStore;
 
         let topo = generators::line(4, 2);
         let ips: Vec<u32> = topo.hosts().map(|h| h.ip).collect();
         let mut snapshot = benign_snapshot_of(&topo);
         let store = EpochStore::new(64);
+        store.attach_interest_topology(topo.clone());
         store.try_publish(snapshot.clone(), SimTime::from_millis(1)).unwrap();
 
-        let mut model = rvaas::IncrementalModel::new(topo.clone());
-        let mut model_serial = 0u64;
+        let mut window_start = store.current();
         for (i, (src, dst, sw, install)) in ops.iter().enumerate() {
             let entry = tenant_entry(ips[src % ips.len()], ips[dst % ips.len()]);
             let switch = rvaas_types::SwitchId(*sw);
@@ -173,39 +174,40 @@ proptest! {
                 .table_of(switch)
                 .iter()
                 .any(|e| e.priority == entry.priority && e.flow_match == entry.flow_match);
-            if *install && !present {
-                snapshot.record_installed(switch, entry, at);
+            let change = if *install && !present {
+                snapshot.record_installed(switch, entry.clone(), at);
+                RuleChange::installed(switch, entry)
             } else if !*install && present {
                 snapshot.record_removed(switch, &entry, at);
+                RuleChange::removed(switch, entry)
             } else {
                 continue;
-            }
-            store.try_publish(snapshot.clone(), at).unwrap();
-            // Catch the model up every other step so some syncs aggregate
-            // more than one epoch's delta.
+            };
             if i % 2 == 0 {
-                let current = store.current();
+                store.try_publish(snapshot.clone(), at).unwrap();
+            } else {
+                store.try_publish_changes(&[change], at).unwrap();
+            }
+            let current = store.current();
+            prop_assert!(
+                rvaas_hsa::reachability_equivalent(
+                    &current.function,
+                    &snapshot.to_network_function(&topo),
+                ),
+                "frozen model diverged from rebuild at op {}", i
+            );
+            // Close the window every third op so some windows aggregate more
+            // than one epoch's delta.
+            if i % 3 == 0 {
                 let delta = store
-                    .delta_between(model_serial, current.serial)
+                    .delta_between(window_start.serial, current.serial)
                     .expect("retained window");
-                model.apply(&delta.rule_changes());
-                model_serial = current.serial;
+                let (from, to) = (&window_start.rules, &current.rules);
+                prop_assert!(delta.added.iter().eq(to.keys().filter(|d| !from.contains_key(d))));
+                prop_assert!(delta.removed.iter().eq(from.keys().filter(|d| !to.contains_key(d))));
+                window_start = current;
             }
         }
-        let current = store.current();
-        if model_serial != current.serial {
-            let delta = store
-                .delta_between(model_serial, current.serial)
-                .expect("retained window");
-            model.apply(&delta.rule_changes());
-        }
-        prop_assert!(
-            rvaas_hsa::reachability_equivalent(
-                model.network_function(),
-                &snapshot.to_network_function(&topo),
-            ),
-            "incremental model diverged from rebuild after {} ops", ops.len()
-        );
     }
 
     /// Soundness of the affected-query computation: any standing query the

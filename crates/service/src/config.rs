@@ -26,10 +26,11 @@ pub struct ServiceSettings {
     pub workers: usize,
     /// Whether the `(serial, client, spec)` result cache is consulted.
     pub cache: bool,
-    /// Whether workers maintain their HSA model incrementally from epoch
-    /// deltas (and the cache invalidates per affected query) instead of
-    /// rebuilding from scratch on every epoch advance. History-mode
-    /// verification always uses the full-rebuild path regardless.
+    /// Whether workers answer from the model the publisher advances
+    /// incrementally and freezes into each epoch (and the cache invalidates
+    /// per affected query) instead of rebuilding it from the snapshot for
+    /// every batch. History-mode verification always uses the full-rebuild
+    /// path regardless.
     pub incremental: bool,
     /// How many per-epoch deltas the store retains for delta sync.
     pub max_delta_history: usize,

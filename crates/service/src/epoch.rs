@@ -2,38 +2,39 @@
 //! monitor's [`NetworkSnapshot`], swapped atomically so query workers never
 //! block the publisher (and vice versa).
 //!
-//! The [`EpochStore`] retains a bounded history of per-epoch deltas. Each
-//! delta carries three views of the same change set:
+//! The [`EpochStore`] owns the one HSA model of the monitored network. Each
+//! publish advances it in place by that epoch's own change batch and
+//! freezes three things:
 //!
-//! * **digest-level** added/removed [`FlowDigest`]s — what the RTR-style
-//!   sync protocol ships to clients;
-//! * **rule-level** added/removed `(switch, entry)` pairs — what the worker
-//!   pool's [`IncrementalModel`]s apply in place instead of rebuilding the
-//!   HSA model from scratch (added rules preserve per-switch arrival order,
-//!   so equal-priority tie-breaking matches a full rebuild);
-//! * the [`ChangedRegion`] — the affected header space computed by a shadow
-//!   incremental model under the publish lock, which the cache and the sync
-//!   server use to re-verify only the standing queries a delta can touch.
+//! * the **digest-level delta** — added/removed [`FlowDigest`]s, retained
+//!   in a bounded history and aggregated over a window by
+//!   [`EpochStore::delta_between`]; it is what the RTR-style sync protocol
+//!   ships to clients;
+//! * the [`ChangedRegion`] — the affected header space the model reported
+//!   for the batch, from which the interest index selects the standing
+//!   queries the cache and the sync server re-verify;
+//! * the **model itself** — a structure-sharing copy of its
+//!   [`NetworkFunction`] rides in the [`SnapshotEpoch`], so every query
+//!   worker evaluates against it directly and no second model exists.
+//!   Freezing copies only the tables of the switches the batch touched.
 //!
-//! When the requested serial has been evicted the store reports `None` and
-//! the consumers fall back to a full reset / rebuild, mirroring RTR
+//! The model applies removals, then installs in arrival order — where a
+//! rebuild's stable sort of the arrival-ordered tables puts them too — and
+//! rebuilds outright when a batch is too large or does not resolve. (Only
+//! an entry a full snapshot modified *in place* lands elsewhere: behind its
+//! equal-priority peers instead of at its old slot.)
+//!
+//! When a requested serial has been evicted from the delta history the
+//! store reports `None` and sync falls back to a full reset, mirroring RTR
 //! cache-reset semantics.
-//!
-//! One deliberate approximation: digest-level cancellation across epochs
-//! (add-then-remove collapses to nothing) means a rule removed and later
-//! re-added is kept at its *original* arrival position by incremental
-//! appliers, while a from-scratch rebuild would see it at the table end.
-//! The two orders can only differ observably for *overlapping
-//! equal-priority rules with different actions*, whose relative order is
-//! implementation-defined on real switches to begin with.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use rvaas::{
-    AffectedQueries, ChangedRegion, IncrementalModel, InterestIndex, NetworkSnapshot,
-    QueryFootprint, RuleChange,
+    AffectedQueries, ChangedRegion, IncrementalModel, InterestIndex, NetworkFunction,
+    NetworkSnapshot, QueryFootprint, RuleChange,
 };
 use rvaas_client::{FlowDigest, QuerySpec};
 use rvaas_openflow::FlowEntry;
@@ -73,11 +74,8 @@ pub fn digest_snapshot(snapshot: &NetworkSnapshot) -> BTreeSet<FlowDigest> {
         .collect()
 }
 
-/// One installed entry and the switch it sits on.
-type Rule = (SwitchId, FlowEntry);
-
 /// Installed entries keyed by their digest.
-type RuleIndex = BTreeMap<FlowDigest, Rule>;
+type RuleIndex = BTreeMap<FlowDigest, (SwitchId, FlowEntry)>;
 
 /// One published, immutable epoch of network state.
 #[derive(Debug)]
@@ -87,6 +85,10 @@ pub struct SnapshotEpoch {
     pub serial: u64,
     /// The frozen snapshot queries are answered against.
     pub snapshot: NetworkSnapshot,
+    /// The HSA model of `snapshot` over the trusted wiring, frozen from the
+    /// store's model; tables of switches an epoch did not touch are shared
+    /// with its predecessor.
+    pub function: NetworkFunction,
     /// Digest-indexed entries: the keys are the epoch's digest set (what
     /// sync ships and deltas are computed over), the values let the next
     /// publish resolve removed digests back to concrete rules without
@@ -129,7 +131,7 @@ pub struct EpochProvenance {
     pub added: usize,
     /// Digest-level removals in the delta.
     pub removed: usize,
-    /// Rule-level delta size (added + removed entries).
+    /// Size of the delta (added + removed entries).
     pub delta_rules: usize,
     /// Standing queries the interest-space index selected, when bounded.
     pub affected_queries: usize,
@@ -137,7 +139,7 @@ pub struct EpochProvenance {
     /// (bulk rebuild / unbounded region); `affected_queries` is then the
     /// registration count at publish time.
     pub affected_everything: bool,
-    /// Whether the shadow model took the bulk-rebuild path.
+    /// Whether the model took the bulk-rebuild path.
     pub bulk_rebuild: bool,
     /// Simulation time the epoch was published.
     pub published_at: SimTime,
@@ -150,7 +152,7 @@ pub struct EpochProvenance {
     pub reverify_sessions: u64,
 }
 
-/// The difference between two epochs, at digest, rule and header-space
+/// The difference between two epochs, at digest and header-space
 /// granularity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochDelta {
@@ -158,14 +160,10 @@ pub struct EpochDelta {
     pub from_serial: u64,
     /// Serial this delta produces.
     pub to_serial: u64,
-    /// Digests present in `to` but not `from`.
+    /// Digests present in `to` but not `from`, ascending.
     pub added: Vec<FlowDigest>,
-    /// Digests present in `from` but not `to`.
+    /// Digests present in `from` but not `to`, ascending.
     pub removed: Vec<FlowDigest>,
-    /// The added entries, in per-switch arrival order.
-    pub added_rules: Vec<(SwitchId, FlowEntry)>,
-    /// The removed entries (order irrelevant).
-    pub removed_rules: Vec<(SwitchId, FlowEntry)>,
     /// Affected header region of the change (union over the covered epochs).
     pub changed: ChangedRegion,
     /// The standing queries the interest-space index selected for this
@@ -178,39 +176,10 @@ pub struct EpochDelta {
 }
 
 impl EpochDelta {
-    fn empty(serial: u64) -> Self {
-        EpochDelta {
-            from_serial: serial,
-            to_serial: serial,
-            added: Vec::new(),
-            removed: Vec::new(),
-            added_rules: Vec::new(),
-            removed_rules: Vec::new(),
-            changed: ChangedRegion::default(),
-            affected: AffectedQueries::default(),
-        }
-    }
-
     /// True when the delta carries no change.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
-    }
-
-    /// The delta as an ordered [`RuleChange`] batch: removals first (so a
-    /// modify repairs priorities correctly), then installs in arrival order.
-    /// This is what [`IncrementalModel::apply`] consumes.
-    #[must_use]
-    pub fn rule_changes(&self) -> Vec<RuleChange> {
-        self.removed_rules
-            .iter()
-            .map(|(switch, entry)| RuleChange::removed(*switch, entry.clone()))
-            .chain(
-                self.added_rules
-                    .iter()
-                    .map(|(switch, entry)| RuleChange::installed(*switch, entry.clone())),
-            )
-            .collect()
     }
 }
 
@@ -222,11 +191,11 @@ pub struct Published {
     pub serial: u64,
     /// The affected header region relative to the previous epoch.
     pub changed: ChangedRegion,
-    /// Rule-level size of the delta (added + removed entries).
+    /// Size of the delta (added + removed entries).
     pub delta_rules: usize,
-    /// Whether the shadow model took the bulk-rebuild path (delta too large
-    /// for per-rule region tracking to pay off), reporting an unbounded
-    /// changed region.
+    /// Whether the model was rebuilt from the snapshot instead of advanced
+    /// in place (delta too large for per-rule region tracking to pay off),
+    /// reporting an unbounded changed region.
     pub bulk_rebuild: bool,
     /// The standing queries the interest-space index selected for this epoch
     /// (computed under the publish lock, before the swap). The cache and the
@@ -242,7 +211,7 @@ pub struct Published {
 fn absent_from<'a>(
     of: &'a RuleIndex,
     other: &'a RuleIndex,
-) -> impl Iterator<Item = (&'a FlowDigest, &'a Rule)> {
+) -> impl Iterator<Item = (&'a FlowDigest, &'a (SwitchId, FlowEntry))> {
     let mut theirs = other.keys().peekable();
     of.iter().filter(move |(d, _)| {
         while theirs.next_if(|t| t < d).is_some() {}
@@ -255,32 +224,35 @@ fn absent_from<'a>(
 struct NextEpoch {
     snapshot: NetworkSnapshot,
     rules: RuleIndex,
-    /// Net additions; arrival order per switch, so equal-priority
-    /// tie-breaking downstream matches a full rebuild.
-    added: Vec<(FlowDigest, Rule)>,
-    /// Net removals (order irrelevant).
-    removed: Vec<(FlowDigest, Rule)>,
-    /// The ordered batch the shadow model applies to find the changed
-    /// region: the net change, plus any within-batch flaps.
+    /// Net digest-level additions.
+    added: BTreeSet<FlowDigest>,
+    /// Net digest-level removals.
+    removed: BTreeSet<FlowDigest>,
+    /// The ordered batch the model applies: the net change, plus any
+    /// within-batch flaps.
     applied: Vec<RuleChange>,
+}
+
+fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The atomically swapped epoch store.
 ///
 /// Readers grab the current `Arc<SnapshotEpoch>` under a briefly held read
-/// lock and then work lock-free on the frozen epoch; the publisher builds
-/// the next epoch off to the side and swaps the `Arc` in one write-lock
-/// acquisition. In-flight queries keep their old epoch alive through the
-/// `Arc` for as long as they need it.
+/// lock and then work lock-free on the frozen epoch; publishers serialise on
+/// the model's mutex, build the next epoch off to the side and take the
+/// write lock for the pointer swap alone. In-flight queries keep their old
+/// epoch alive through the `Arc` for as long as they need it.
 #[derive(Debug)]
 pub struct EpochStore {
     current: RwLock<Arc<SnapshotEpoch>>,
     deltas: Mutex<VecDeque<EpochDelta>>,
-    /// Shadow incremental model mirroring the published state; computes the
-    /// affected header region of each delta in `O(delta)` under the publish
-    /// lock. Wiring-free (an empty topology): exposed-region computation
-    /// only needs the per-switch rule lists.
-    shadow: Mutex<IncrementalModel>,
+    /// The HSA model of the published state, advanced by each epoch's batch
+    /// and frozen into the epoch. Only a publish touches it, so its mutex
+    /// *is* the publish lock: held across the read–diff–swap, it gives each
+    /// epoch a unique serial and a delta chained to its true predecessor.
+    model: Mutex<IncrementalModel>,
     /// The interest-space index over the registered standing queries.
     /// Advanced under the publish lock (widening affected interests before
     /// the new epoch becomes visible); registered/refined concurrently by
@@ -302,50 +274,46 @@ impl EpochStore {
             current: RwLock::new(Arc::new(SnapshotEpoch {
                 serial: 0,
                 snapshot: NetworkSnapshot::default(),
+                function: NetworkFunction::new(),
                 rules: BTreeMap::new(),
                 published_at: SimTime::ZERO,
             })),
             deltas: Mutex::new(VecDeque::new()),
-            shadow: Mutex::new(IncrementalModel::new(Topology::new())),
+            model: Mutex::new(IncrementalModel::new(Topology::new())),
             interest: Mutex::new(InterestIndex::new(Topology::new())),
             provenance: Mutex::new(VecDeque::new()),
             max_deltas,
         }
     }
 
-    fn interest_lock(&self) -> std::sync::MutexGuard<'_, InterestIndex> {
-        self.interest
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Supplies the trusted deployment knowledge the interest-space index
-    /// derives default interests from. Without it every registration is
-    /// conservative (affected by any change). Call before registering.
+    /// Supplies the trusted deployment knowledge: the wiring the model's
+    /// network function is built over and the interest-space index derives
+    /// default interests from. Without it every registration is conservative
+    /// (affected by any change) and the frozen functions are unwired. Call
+    /// first — before attaching telemetry, registering or publishing.
     // Not a `new` argument only because `benchmark/` calls both; merge at the next re-baseline.
     pub fn attach_interest_topology(&self, topology: Topology) {
-        self.interest_lock().set_topology(topology);
+        *locked(&self.model) =
+            IncrementalModel::from_snapshot(topology.clone(), &self.current().snapshot);
+        locked(&self.interest).set_topology(topology);
     }
 
     /// Mirrors the store's activity into `registry`: the interest-space
-    /// index under `rvaas_interest_*`, the shadow incremental model under
+    /// index under `rvaas_interest_*`, the model under
     /// `rvaas_incremental_*_total`.
     pub fn attach_telemetry(&self, registry: &rvaas_telemetry::Registry) {
-        self.interest_lock().attach_telemetry(registry);
-        self.shadow
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .attach_telemetry(registry);
+        locked(&self.interest).attach_telemetry(registry);
+        locked(&self.model).attach_telemetry(registry);
     }
 
     /// Registers a standing query in the interest-space index (idempotent).
     pub fn register_interest(&self, client: ClientId, spec: &QuerySpec) -> bool {
-        self.interest_lock().register(client, spec)
+        locked(&self.interest).register(client, spec)
     }
 
     /// Removes a standing query from the interest-space index.
     pub fn deregister_interest(&self, client: ClientId, spec: &QuerySpec) -> bool {
-        self.interest_lock().deregister(client, spec)
+        locked(&self.interest).deregister(client, spec)
     }
 
     /// Narrows a standing query's interest to the traversal footprint an
@@ -357,34 +325,20 @@ impl EpochStore {
         serial: u64,
         footprint: &QueryFootprint,
     ) {
-        self.interest_lock().refine(client, spec, serial, footprint);
+        locked(&self.interest).refine(client, spec, serial, footprint);
     }
 
     /// Number of standing queries registered in the interest-space index.
     #[must_use]
     pub fn registered_interests(&self) -> usize {
-        self.interest_lock().len()
-    }
-
-    fn provenance_lock(&self) -> std::sync::MutexGuard<'_, VecDeque<EpochProvenance>> {
-        self.provenance
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn record_provenance(&self, record: EpochProvenance) {
-        let mut log = self.provenance_lock();
-        log.push_back(record);
-        while log.len() > PROVENANCE_CAPACITY {
-            log.pop_front();
-        }
+        locked(&self.interest).len()
     }
 
     /// The provenance record of epoch `serial`, if it has not aged out of
     /// the bounded log.
     #[must_use]
     pub fn provenance(&self, serial: u64) -> Option<EpochProvenance> {
-        self.provenance_lock()
+        locked(&self.provenance)
             .iter()
             .rev()
             .find(|p| p.serial == serial)
@@ -394,7 +348,7 @@ impl EpochStore {
     /// The most recent provenance records, newest first, at most `limit`.
     #[must_use]
     pub fn recent_provenance(&self, limit: usize) -> Vec<EpochProvenance> {
-        self.provenance_lock()
+        locked(&self.provenance)
             .iter()
             .rev()
             .take(limit)
@@ -407,30 +361,18 @@ impl EpochStore {
     /// while serving this epoch reports the exact count here. No-op when the
     /// record has aged out.
     pub fn record_reverify(&self, serial: u64, queries: u64) {
-        let mut log = self.provenance_lock();
+        let mut log = locked(&self.provenance);
         if let Some(record) = log.iter_mut().rev().find(|p| p.serial == serial) {
             record.reverified += queries;
             record.reverify_sessions += 1;
         }
     }
 
-    /// The current epoch. Never blocks the publisher for longer than the
-    /// `Arc` clone.
+    /// The current epoch. Blocks only for a publisher's pointer swap.
     #[must_use]
     pub fn current(&self) -> Arc<SnapshotEpoch> {
-        self.current
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Takes the publish lock. It is held across a publish's read–diff–swap
-    /// so concurrent publishers serialise: each epoch gets a unique serial
-    /// and a delta chained to its true predecessor.
-    fn publish_lock(&self) -> RwLockWriteGuard<'_, Arc<SnapshotEpoch>> {
-        self.current
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        let current = self.current.read().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(&current)
     }
 
     /// [`EpochStore::try_publish`] for callers that treat a rejected publish
@@ -446,8 +388,8 @@ impl EpochStore {
     }
 
     /// Freezes `snapshot` as the next epoch and swaps it in, recording the
-    /// delta (digests, rules and affected header region) against the
-    /// previous epoch.
+    /// delta (digests and affected header region) against the previous
+    /// epoch.
     ///
     /// # Errors
     ///
@@ -458,52 +400,41 @@ impl EpochStore {
         snapshot: NetworkSnapshot,
         at: SimTime,
     ) -> Result<Published, ServiceError> {
-        // One hash pass over the tables, in per-switch arrival order and
-        // outside the publish lock; the digest index and the
-        // (arrival-ordered) added-rule resolution both derive from it.
-        let ordered: Vec<(FlowDigest, SwitchId, &FlowEntry)> = snapshot
+        // One hash pass over the tables, outside the publish lock: the
+        // digest index, plus the digests in per-switch arrival order for the
+        // installs to follow.
+        let mut arrival: Vec<FlowDigest> = Vec::new();
+        let rules: RuleIndex = snapshot
             .tables()
             .flat_map(|(switch, entries)| {
                 entries
                     .iter()
-                    .map(move |e| (digest_entry(switch, e), switch, e))
+                    .map(move |e| (digest_entry(switch, e), (switch, e.clone())))
             })
+            .inspect(|(d, _)| arrival.push(*d))
             .collect();
-        let current = self.publish_lock();
-        let rules: RuleIndex = ordered
-            .iter()
-            .map(|(d, switch, e)| (*d, (*switch, (*e).clone())))
-            .collect();
-        // Adds resolve in arrival order (delta-sized clones), removals from
-        // the previous epoch's index.
-        let added_set: BTreeSet<FlowDigest> = absent_from(&rules, &current.rules)
-            .map(|(d, _)| *d)
-            .collect();
-        let added: Vec<(FlowDigest, Rule)> = ordered
-            .iter()
-            .filter(|(d, _, _)| added_set.contains(d))
-            .map(|(d, switch, e)| (*d, (*switch, (*e).clone())))
-            .collect();
-        let removed: Vec<(FlowDigest, Rule)> = absent_from(&current.rules, &rules)
-            .map(|(d, rule)| (*d, rule.clone()))
-            .collect();
-        let applied = removed
-            .iter()
-            .map(|(_, (switch, e))| RuleChange::removed(*switch, e.clone()))
-            .chain(
-                added
-                    .iter()
-                    .map(|(_, (switch, e))| RuleChange::installed(*switch, e.clone())),
-            )
-            .collect();
-        let next = NextEpoch {
-            snapshot,
-            rules,
-            added,
-            removed,
-            applied,
-        };
-        self.commit(current, next, at)
+        self.commit(at, |current| {
+            let added: BTreeSet<FlowDigest> = absent_from(&rules, &current.rules)
+                .map(|(d, _)| *d)
+                .collect();
+            // Removals resolve from the previous epoch's index, installs
+            // from the new one (delta-sized clones).
+            let (removed, mut applied): (BTreeSet<FlowDigest>, Vec<RuleChange>) =
+                absent_from(&current.rules, &rules)
+                    .map(|(d, (switch, e))| (*d, RuleChange::removed(*switch, e.clone())))
+                    .unzip();
+            applied.extend(arrival.iter().filter(|d| added.contains(d)).map(|d| {
+                let (switch, e) = &rules[d];
+                RuleChange::installed(*switch, e.clone())
+            }));
+            NextEpoch {
+                snapshot,
+                rules,
+                added,
+                removed,
+                applied,
+            }
+        })
     }
 
     /// Advances the epoch by a rule-level delta instead of a full snapshot:
@@ -528,79 +459,83 @@ impl EpochStore {
         changes: &[RuleChange],
         at: SimTime,
     ) -> Result<Published, ServiceError> {
-        let current = self.publish_lock();
-        let mut next = NextEpoch {
-            snapshot: current.snapshot.clone(),
-            rules: current.rules.clone(),
-            added: Vec::new(),
-            removed: Vec::new(),
-            applied: Vec::new(),
-        };
-        for change in changes {
-            let d = digest_entry(change.switch, &change.entry);
-            if change.installed == next.rules.contains_key(&d) {
-                continue; // installing a present rule / removing an absent one
-            }
-            let rule = (change.switch, change.entry.clone());
-            let (done, undone) = if change.installed {
-                next.snapshot
-                    .record_installed(change.switch, change.entry.clone(), at);
-                next.rules.insert(d, rule.clone());
-                (&mut next.added, &mut next.removed)
-            } else {
-                next.snapshot
-                    .record_removed(change.switch, &change.entry, at);
-                next.rules.remove(&d);
-                (&mut next.removed, &mut next.added)
+        self.commit(at, |current| {
+            let mut next = NextEpoch {
+                snapshot: current.snapshot.clone(),
+                rules: current.rules.clone(),
+                added: BTreeSet::new(),
+                removed: BTreeSet::new(),
+                applied: Vec::new(),
             };
-            // A change undoing an earlier one of this batch (a flap) is a
-            // digest-level no-op, like cancellation across epochs...
-            if let Some(pos) = undone.iter().position(|(u, _)| *u == d) {
-                undone.remove(pos);
-            } else {
-                done.push((d, rule));
+            for change in changes {
+                let d = digest_entry(change.switch, &change.entry);
+                if change.installed == next.rules.contains_key(&d) {
+                    continue; // installing a present rule / removing an absent one
+                }
+                let (done, undone) = if change.installed {
+                    next.snapshot
+                        .record_installed(change.switch, change.entry.clone(), at);
+                    next.rules.insert(d, (change.switch, change.entry.clone()));
+                    (&mut next.added, &mut next.removed)
+                } else {
+                    next.snapshot
+                        .record_removed(change.switch, &change.entry, at);
+                    next.rules.remove(&d);
+                    (&mut next.removed, &mut next.added)
+                };
+                // A change undoing an earlier one of this batch (a flap) is a
+                // digest-level no-op, like cancellation across epochs...
+                if !undone.remove(&d) {
+                    done.insert(d);
+                }
+                // ...but the applied batch keeps it on purpose: the changed
+                // region must cover the flap, exactly as `delta_between` keeps
+                // flapped regions across epochs.
+                next.applied.push(change.clone());
             }
-            // ...but the applied batch keeps it on purpose: the changed
-            // region must cover the flap, exactly as `delta_between` keeps
-            // flapped regions across epochs.
-            next.applied.push(change.clone());
-        }
-        self.commit(current, next, at)
+            next
+        })
     }
 
-    /// The shared tail of every publish: allocates the serial, runs the
-    /// shadow model over the applied changes, advances the interest index,
-    /// retains the delta, swaps the epoch in and records provenance.
-    /// `current` is the publish lock the caller derived `next` under.
+    /// The one publish pipeline: takes the publish lock, lets `derive` build
+    /// the next epoch from the current one, allocates the serial, advances
+    /// the model over the applied changes and the interest index over the
+    /// region that reports, retains the delta, swaps the epoch in and
+    /// records provenance.
     fn commit(
         &self,
-        mut current: RwLockWriteGuard<'_, Arc<SnapshotEpoch>>,
-        next: NextEpoch,
         at: SimTime,
+        derive: impl FnOnce(&SnapshotEpoch) -> NextEpoch,
     ) -> Result<Published, ServiceError> {
+        let mut model = locked(&self.model);
+        let current = self.current();
         let from_serial = current.serial;
         let serial = from_serial.checked_add(1).ok_or_else(|| {
             ServiceError::PublishRejected(format!("epoch serial space exhausted at {from_serial}"))
         })?;
+        let next = derive(&current);
+        let (added, removed) = (next.added.len(), next.removed.len());
+        let delta_rules = added + removed;
+        let trace = TraceContext::mint();
+        trace.event(TraceStage::EpochPublish, serial, delta_rules as u64);
         // Past this size the per-rule exposed-region bookkeeping costs
         // more than it saves (the canonical case is the first, full
-        // publish): bulk-rebuild the shadow and report an unbounded
-        // region, which conservatively re-verifies everything once.
+        // publish): rebuild the model and report an unbounded region,
+        // which conservatively re-verifies everything once.
         let bulk_rebuild = next.applied.len() > (next.rules.len() / 4).max(64);
         let changed = {
-            let mut shadow = self
-                .shadow
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            // The model's own apply/rebuild events join the publish chain.
+            let _ambient = trace.enter();
             if bulk_rebuild {
-                shadow.rebuild_from(&next.snapshot);
+                model.rebuild_from(&next.snapshot);
                 ChangedRegion::everything()
             } else {
-                let region = shadow.apply(&next.applied);
-                if shadow.is_desynced() {
+                let region = model.apply(&next.applied);
+                if model.is_desynced() {
                     // This publish already reports a conservative region;
-                    // resynchronise so future publishes are bounded again.
-                    shadow.rebuild_from(&next.snapshot);
+                    // rebuild so the frozen function is exact and future
+                    // publishes are bounded again.
+                    model.rebuild_from(&next.snapshot);
                 }
                 region
             }
@@ -608,22 +543,24 @@ impl EpochStore {
         // Select (and widen) the affected standing queries before the new
         // epoch becomes visible: a footprint refined against this serial can
         // then never be invalidated by this publish.
-        let affected = self.interest_lock().advance(serial, &changed);
-        let (added, added_rules): (Vec<_>, Vec<_>) = next.added.into_iter().unzip();
-        let (removed, removed_rules): (Vec<_>, Vec<_>) = next.removed.into_iter().unzip();
-        let (added_count, removed_count) = (added.len(), removed.len());
+        let affected = locked(&self.interest).advance(serial, &changed);
+        let epoch = Arc::new(SnapshotEpoch {
+            serial,
+            snapshot: next.snapshot,
+            function: model.network_function().clone(),
+            rules: next.rules,
+            published_at: at,
+        });
+        let digest = epoch.content_digest();
         {
-            let mut deltas = self
-                .deltas
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            // Delta before swap: a reader never sees a serial whose delta
+            // `delta_between` cannot find yet.
+            let mut deltas = locked(&self.deltas);
             deltas.push_back(EpochDelta {
                 from_serial,
                 to_serial: serial,
-                added,
-                removed,
-                added_rules,
-                removed_rules,
+                added: next.added.into_iter().collect(),
+                removed: next.removed.into_iter().collect(),
                 changed: changed.clone(),
                 affected: affected.clone(),
             });
@@ -631,50 +568,7 @@ impl EpochStore {
                 deltas.pop_front();
             }
         }
-        let epoch = Arc::new(SnapshotEpoch {
-            serial,
-            snapshot: next.snapshot,
-            rules: next.rules,
-            published_at: at,
-        });
-        let digest = epoch.content_digest();
-        *current = epoch;
-        let trace = self.trace_publish(
-            serial,
-            digest,
-            added_count,
-            removed_count,
-            added_count + removed_count,
-            bulk_rebuild,
-            at,
-            &affected,
-        );
-        Ok(Published {
-            serial,
-            changed,
-            delta_rules: added_count + removed_count,
-            bulk_rebuild,
-            affected,
-            trace,
-        })
-    }
-
-    /// Emits the publish event chain into the flight recorder and appends
-    /// the provenance record.
-    #[allow(clippy::too_many_arguments)]
-    fn trace_publish(
-        &self,
-        serial: u64,
-        digest: u64,
-        added: usize,
-        removed: usize,
-        delta_rules: usize,
-        bulk_rebuild: bool,
-        at: SimTime,
-        affected: &AffectedQueries,
-    ) -> TraceId {
-        let trace = TraceContext::mint();
-        trace.event(TraceStage::EpochPublish, serial, delta_rules as u64);
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = epoch;
         let affected_everything = affected.is_everything();
         let affected_queries = if affected_everything {
             self.registered_interests()
@@ -690,7 +584,8 @@ impl EpochStore {
                 affected_queries as u64
             },
         );
-        self.record_provenance(EpochProvenance {
+        let mut log = locked(&self.provenance);
+        log.push_back(EpochProvenance {
             serial,
             digest,
             added,
@@ -704,7 +599,17 @@ impl EpochStore {
             reverified: 0,
             reverify_sessions: 0,
         });
-        trace.id
+        while log.len() > PROVENANCE_CAPACITY {
+            log.pop_front();
+        }
+        Ok(Published {
+            serial,
+            changed,
+            delta_rules,
+            bulk_rebuild,
+            affected,
+            trace: trace.id,
+        })
     }
 
     /// The combined delta from `since_serial` to the current serial, or
@@ -725,22 +630,12 @@ impl EpochStore {
         if from_serial > to_serial || to_serial > self.current().serial {
             return None;
         }
-        if from_serial == to_serial {
-            return Some(EpochDelta::empty(from_serial));
-        }
-        let deltas = self
-            .deltas
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // The retained window must cover every epoch in (from, to].
+        let deltas = locked(&self.deltas);
         let mut added: BTreeSet<FlowDigest> = BTreeSet::new();
         let mut removed: BTreeSet<FlowDigest> = BTreeSet::new();
-        // Rule-level adds keep their arrival order; cancellation filters the
-        // ordered list rather than re-sorting it.
-        let mut added_rules: Vec<(FlowDigest, SwitchId, FlowEntry)> = Vec::new();
-        let mut removed_rules: BTreeMap<FlowDigest, (SwitchId, FlowEntry)> = BTreeMap::new();
         let mut changed = ChangedRegion::default();
         let mut affected = AffectedQueries::default();
+        // The retained window must cover every epoch in (from, to].
         let mut next_expected = from_serial;
         for delta in deltas
             .iter()
@@ -758,23 +653,16 @@ impl EpochStore {
             // verdict: the per-epoch selections union, they are never
             // re-derived from the (since-refined) index.
             affected.merge(&delta.affected);
-            for (switch, entry) in &delta.added_rules {
-                let d = digest_entry(*switch, entry);
-                // An add that cancels an earlier remove is a no-op overall.
-                if removed.remove(&d) {
-                    removed_rules.remove(&d);
-                } else {
-                    added.insert(d);
-                    added_rules.push((d, *switch, entry.clone()));
+            // An add that cancels an earlier remove (or vice versa) is a
+            // no-op overall.
+            for d in &delta.added {
+                if !removed.remove(d) {
+                    added.insert(*d);
                 }
             }
-            for (switch, entry) in &delta.removed_rules {
-                let d = digest_entry(*switch, entry);
-                if added.remove(&d) {
-                    added_rules.retain(|(ad, _, _)| *ad != d);
-                } else {
-                    removed.insert(d);
-                    removed_rules.insert(d, (*switch, entry.clone()));
+            for d in &delta.removed {
+                if !added.remove(d) {
+                    removed.insert(*d);
                 }
             }
         }
@@ -786,8 +674,6 @@ impl EpochStore {
             to_serial,
             added: added.into_iter().collect(),
             removed: removed.into_iter().collect(),
-            added_rules: added_rules.into_iter().map(|(_, s, e)| (s, e)).collect(),
-            removed_rules: removed_rules.into_values().collect(),
             changed,
             affected,
         })
@@ -843,15 +729,15 @@ mod tests {
         assert_eq!(delta.to_serial, 2);
         assert_eq!(delta.added.len(), 1, "rule for dst 3 added");
         assert_eq!(delta.removed.len(), 1, "rule for dst 1 removed");
-        // Rule-level views mirror the digest-level ones.
-        assert_eq!(delta.added_rules.len(), 1);
-        assert_eq!(delta.removed_rules.len(), 1);
-        assert_eq!(delta.added_rules[0].1.flow_match, FlowMatch::to_ip(3));
-        assert_eq!(delta.removed_rules[0].1.flow_match, FlowMatch::to_ip(1));
-        let changes = delta.rule_changes();
-        assert_eq!(changes.len(), 2);
-        assert!(!changes[0].installed, "removals come first");
-        assert!(changes[1].installed);
+        assert_eq!(delta.added, [digest_entry(SwitchId(1), &entry(3))]);
+        assert_eq!(delta.removed, [digest_entry(SwitchId(1), &entry(1))]);
+        // The frozen model holds exactly the epoch's rules.
+        let current = store.current();
+        let frozen = current.function.transfer(SwitchId(1)).expect("modelled");
+        assert_eq!(
+            frozen.rules(),
+            [entry(2).to_rule_transfer(), entry(3).to_rule_transfer()]
+        );
         // The affected region covers both changed destinations.
         assert!(!delta.changed.is_empty());
         assert!(delta.changed.switches.contains(&SwitchId(1)));
@@ -877,8 +763,6 @@ mod tests {
         let delta = store.delta_since(1).expect("retained");
         assert!(delta.added.is_empty());
         assert!(delta.removed.is_empty());
-        assert!(delta.added_rules.is_empty());
-        assert!(delta.removed_rules.is_empty());
         // ...but the affected region still records that the rule flapped.
         assert!(!delta.changed.is_empty());
     }
@@ -1037,6 +921,28 @@ mod tests {
     }
 
     #[test]
+    fn consecutive_epochs_share_the_tables_of_untouched_switches() {
+        let on = |switch, dst| RuleChange::installed(SwitchId(switch), entry(dst));
+        let store = EpochStore::new(8);
+        store
+            .try_publish_changes(&[on(1, 1), on(2, 1)], SimTime::from_millis(1))
+            .unwrap();
+        let before = store.current();
+        store
+            .try_publish_changes(&[on(2, 2)], SimTime::from_millis(2))
+            .unwrap();
+        let after = store.current();
+        let table = |epoch: &SnapshotEpoch, switch| {
+            epoch.function.transfer(SwitchId(switch)).expect("modelled") as *const _
+        };
+        assert_eq!(table(&before, 1), table(&after, 1), "untouched: shared");
+        assert_ne!(table(&before, 2), table(&after, 2), "touched: copied");
+        // The predecessor stays frozen as published.
+        assert_eq!(before.function.rule_count(), 2);
+        assert_eq!(after.function.rule_count(), 3);
+    }
+
+    #[test]
     fn published_affected_tracks_registered_interests() {
         use rvaas_topology::generators;
         use rvaas_types::ClientId;
@@ -1161,10 +1067,11 @@ mod tests {
         /// Rewinds the clock to the end of time: the next publish would
         /// need serial `u64::MAX + 1`.
         pub(crate) fn exhaust_serials(&self) {
-            let mut current = self.publish_lock();
+            let mut current = self.current.write().unwrap();
             *current = Arc::new(SnapshotEpoch {
                 serial: u64::MAX,
                 snapshot: current.snapshot.clone(),
+                function: current.function.clone(),
                 rules: current.rules.clone(),
                 published_at: current.published_at,
             });

@@ -7,15 +7,16 @@
 //! * [`epoch`] — the monitor's [`rvaas::NetworkSnapshot`] is frozen into
 //!   immutable, serially numbered [`epoch::SnapshotEpoch`]s and swapped
 //!   atomically; readers never block the publisher, and monitor churn keeps
-//!   publishing while queries run against the previous epoch. Every delta is
-//!   retained at digest, rule and *changed-header-region* granularity.
+//!   publishing while queries run against the previous epoch. The store
+//!   owns the one [`rvaas::IncrementalModel`], advances it in place per
+//!   epoch (`O(delta)` instead of an `O(network)` rebuild) and freezes its
+//!   network function into the epoch; every delta is retained at digest and
+//!   *changed-header-region* granularity.
 //! * [`pool`] — a [`pool::VerificationService`] shards queries across OS
 //!   worker threads by client and batches co-queued queries through one
-//!   [`rvaas::QueryEvaluator`]. Each worker owns a long-lived
-//!   [`rvaas::IncrementalModel`] advanced by epoch deltas in place
-//!   (`O(delta)` per epoch instead of an `O(network)` rebuild), and the
-//!   `(client, query)` result cache carries entries a delta provably cannot
-//!   affect across epoch advances.
+//!   [`rvaas::QueryEvaluator`] over the epoch's frozen network function —
+//!   workers own no model — and the `(client, query)` result cache carries
+//!   entries a delta provably cannot affect across epoch advances.
 //! * [`sync`] — an RTR-style session/serial delta protocol: clients mirror
 //!   the published digest set and receive only what changed since their
 //!   serial, plus re-verified standing queries — only those whose interest

@@ -6,23 +6,21 @@
 //! and answers the whole batch through **one** [`rvaas::QueryEvaluator`]:
 //! per-host traversals are shared between every query in it.
 //!
-//! Each worker owns a long-lived [`rvaas::IncrementalModel`]: instead of
-//! rebuilding the HSA network function from the snapshot for every batch,
-//! the worker applies the rule-level deltas between the epoch it last
-//! answered at and the epoch the batch runs against — `O(delta)` per epoch
-//! advance — and falls back to a full rebuild only when the delta history
-//! has been evicted (or the incremental engine is disabled /
-//! history-mode verification is on).
+//! Workers own no model: the evaluator borrows the HSA network function
+//! the publisher froze into the epoch (see [`crate::epoch::EpochStore`]),
+//! so an epoch advance costs a worker nothing. Only with the incremental
+//! engine disabled, or history-mode verification on, does a worker rebuild
+//! the function from the snapshot per batch.
 //!
 //! Workers always answer against the epoch that was current when their
 //! batch started; the monitor can keep publishing new epochs concurrently
-//! without blocking them (see [`crate::epoch::EpochStore`]).
+//! without blocking them.
 
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rvaas::{IncrementalModel, LogicalVerifier, NetworkSnapshot, RuleChange};
+use rvaas::{LogicalVerifier, NetworkSnapshot, RuleChange};
 use rvaas_client::{QueryResult, QuerySpec};
 use rvaas_telemetry::{Counter, Gauge, Histogram, Registry, TraceContext, TraceId, TraceStage};
 use rvaas_topology::Topology;
@@ -30,7 +28,7 @@ use rvaas_types::{ClientId, SimTime};
 
 use crate::cache::ResultCache;
 use crate::config::ServiceConfig;
-use crate::epoch::{EpochStore, Published, SnapshotEpoch};
+use crate::epoch::{EpochStore, Published};
 use crate::error::ServiceError;
 
 /// Upper bound on how many queued queries one worker folds into a batch.
@@ -90,14 +88,11 @@ struct ServiceMetrics {
     epochs_published: Arc<Counter>,
     incremental_applies: Arc<Counter>,
     model_rebuilds: Arc<Counter>,
-    delta_rules_applied: Arc<Counter>,
-    shadow_bulk_rebuilds: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     workers: Arc<Gauge>,
     epoch_serial: Arc<Gauge>,
     query_latency: Arc<Histogram>,
     epoch_delta_rules: Arc<Histogram>,
-    stage_model_sync: Arc<Histogram>,
     stage_eval: Arc<Histogram>,
     stage_publish: Arc<Histogram>,
     stage_cache_advance: Arc<Histogram>,
@@ -121,19 +116,11 @@ impl ServiceMetrics {
             ),
             incremental_applies: registry.counter(
                 "rvaas_incremental_applies_total",
-                "Worker-model epoch advances served by applying a delta in place.",
+                "Epochs whose delta the model applied in place.",
             ),
             model_rebuilds: registry.counter(
                 "rvaas_model_rebuilds_total",
-                "Worker-model epoch advances that fell back to a full rebuild.",
-            ),
-            delta_rules_applied: registry.counter(
-                "rvaas_delta_rules_applied_total",
-                "Rule-level changes applied across all incremental advances.",
-            ),
-            shadow_bulk_rebuilds: registry.counter(
-                "rvaas_shadow_bulk_rebuilds_total",
-                "Publishes whose shadow model took the bulk-rebuild path (unbounded changed region).",
+                "Epochs that bulk-rebuilt the model instead (unbounded changed region).",
             ),
             queue_depth: registry.gauge(
                 "rvaas_queue_depth",
@@ -149,7 +136,6 @@ impl ServiceMetrics {
                 "rvaas_epoch_delta_rules",
                 "Rule-level size (added + removed) of each published epoch delta.",
             ),
-            stage_model_sync: registry.stage_histogram("pool.model_sync"),
             stage_eval: registry.stage_histogram("pool.eval"),
             stage_publish: registry.stage_histogram("epoch.publish"),
             stage_cache_advance: registry.stage_histogram("cache.advance"),
@@ -169,12 +155,10 @@ pub struct ServiceStats {
     pub batched_queries: u64,
     /// Epochs published through the service.
     pub epochs_published: u64,
-    /// Worker-model epoch advances served by applying a delta in place.
+    /// Epochs whose delta the model applied in place.
     pub incremental_applies: u64,
-    /// Worker-model epoch advances that fell back to a full rebuild.
+    /// Epochs that bulk-rebuilt the model instead.
     pub model_rebuilds: u64,
-    /// Rule-level changes applied across all incremental advances.
-    pub delta_rules_applied: u64,
     /// Result-cache hits.
     pub cache_hits: u64,
     /// Result-cache misses.
@@ -237,7 +221,7 @@ impl VerificationService {
         let cache = Arc::new(ResultCache::with_registry(config.settings.cache, &registry));
         let metrics = Arc::new(ServiceMetrics::new(&registry));
         // History-mode verification folds recently *removed* rules into the
-        // model; the incremental mirror tracks only installed state, so that
+        // function; the epoch's model tracks only installed state, so that
         // mode keeps the rebuild path.
         let incremental = config.settings.incremental && !config.verifier.use_history;
         let worker_count = config.settings.workers.max(1);
@@ -246,12 +230,8 @@ impl VerificationService {
         let mut workers = Vec::with_capacity(worker_count);
         for index in 0..worker_count {
             let (tx, rx) = mpsc::channel::<WorkerMsg>();
-            let mut model = IncrementalModel::new(topology.clone());
-            model.attach_telemetry(&registry);
             let context = WorkerContext {
                 verifier: LogicalVerifier::new(topology.clone(), config.verifier.clone()),
-                model,
-                model_serial: 0,
                 incremental,
                 store: Arc::clone(&store),
                 cache: Arc::clone(&cache),
@@ -375,7 +355,9 @@ impl VerificationService {
             .epoch_delta_rules
             .record(published.delta_rules as u64);
         if published.bulk_rebuild {
-            self.metrics.shadow_bulk_rebuilds.inc();
+            self.metrics.model_rebuilds.inc();
+        } else {
+            self.metrics.incremental_applies.inc();
         }
         let _span = self
             .metrics
@@ -497,7 +479,6 @@ impl VerificationService {
             epochs_published: self.metrics.epochs_published.get(),
             incremental_applies: self.metrics.incremental_applies.get(),
             model_rebuilds: self.metrics.model_rebuilds.get(),
-            delta_rules_applied: self.metrics.delta_rules_applied.get(),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_carried: cache.carried,
@@ -526,60 +507,13 @@ impl Drop for VerificationService {
 /// Everything one worker thread owns.
 struct WorkerContext {
     verifier: LogicalVerifier,
-    /// The worker's long-lived HSA model, advanced by epoch deltas.
-    model: IncrementalModel,
-    /// Epoch serial the model currently mirrors.
-    model_serial: u64,
     incremental: bool,
     store: Arc<EpochStore>,
     cache: Arc<ResultCache>,
     metrics: Arc<ServiceMetrics>,
 }
 
-impl WorkerContext {
-    /// Brings the worker's model to `epoch`, preferring the delta path and
-    /// falling back to a rebuild when the history no longer covers the gap —
-    /// or when the delta rivals the epoch itself in size (per-rule
-    /// incremental insertion computes an exposed region per rule, which only
-    /// pays off for genuinely small deltas; the first sync from serial 0 is
-    /// the canonical rebuild case).
-    fn sync_model(&mut self, epoch: &SnapshotEpoch) {
-        if self.model_serial == epoch.serial {
-            return;
-        }
-        let delta = if self.model_serial == 0 {
-            None
-        } else {
-            self.store.delta_between(self.model_serial, epoch.serial)
-        };
-        match delta {
-            Some(delta)
-                if delta.added_rules.len() + delta.removed_rules.len()
-                    <= epoch.snapshot.rule_count() / 4 =>
-            {
-                let changes = delta.rule_changes();
-                self.metrics.delta_rules_applied.add(changes.len() as u64);
-                self.model.apply(&changes);
-                self.metrics.incremental_applies.inc();
-                if self.model.is_desynced() {
-                    // A removal did not resolve against the mirror: the
-                    // model can no longer be trusted — self-heal from the
-                    // frozen epoch instead of answering from a wrong model
-                    // forever.
-                    self.model.rebuild_from(&epoch.snapshot);
-                    self.metrics.model_rebuilds.inc();
-                }
-            }
-            _ => {
-                self.model.rebuild_from(&epoch.snapshot);
-                self.metrics.model_rebuilds.inc();
-            }
-        }
-        self.model_serial = epoch.serial;
-    }
-}
-
-fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, mut ctx: WorkerContext) {
+fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, ctx: WorkerContext) {
     loop {
         // Block for the first job, then opportunistically drain the queue so
         // everything waiting shares one evaluator.
@@ -601,22 +535,9 @@ fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, mut ctx: WorkerContext) {
         }
 
         let epoch = ctx.store.current();
-        // The model sync benefits every job in the batch; its events are
-        // attributed to the job that triggered it (the first).
-        let batch_trace = batch[0].trace;
         let mut evaluator = if ctx.incremental {
-            {
-                let sync_hist = Arc::clone(&ctx.metrics.stage_model_sync);
-                let _span = sync_hist.span_traced(batch_trace.id);
-                let _ambient = batch_trace.enter();
-                let from_serial = ctx.model_serial;
-                ctx.sync_model(&epoch);
-                if from_serial != epoch.serial {
-                    batch_trace.event(TraceStage::ModelSync, from_serial, epoch.serial);
-                }
-            }
             ctx.verifier
-                .evaluator_with(&epoch.snapshot, ctx.model.network_function())
+                .evaluator_with(&epoch.snapshot, &epoch.function)
         } else {
             ctx.verifier.evaluator(&epoch.snapshot)
         };
@@ -624,7 +545,9 @@ fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, mut ctx: WorkerContext) {
         if batch.len() > 1 {
             ctx.metrics.batched_queries.add(batch.len() as u64);
         }
-        let _eval_span = ctx.metrics.stage_eval.span_traced(batch_trace.id);
+        // The evaluator's memoised traversals benefit every job in the batch;
+        // the span is attributed to the first.
+        let _eval_span = ctx.metrics.stage_eval.span_traced(batch[0].trace.id);
         for job in batch {
             let _ambient = job.trace.enter();
             let result = match ctx.cache.get(epoch.serial, job.client, &job.spec) {
@@ -818,14 +741,15 @@ mod tests {
                 );
             }
         }
+        // Every epoch advanced the one model exactly once, and each churn
+        // round applied its one-rule delta in place.
         let stats = incremental_service.stats();
-        assert!(
-            stats.incremental_applies >= 1,
-            "expected delta-driven model advances, got {stats:?}"
+        assert_eq!(
+            stats.incremental_applies + stats.model_rebuilds,
+            stats.epochs_published,
+            "got {stats:?}"
         );
-        // The first sync from serial 0 is a bulk rebuild; the later rounds
-        // each apply their one-rule delta in place.
-        assert!(stats.delta_rules_applied >= 4, "got {stats:?}");
+        assert!(stats.incremental_applies >= 6, "got {stats:?}");
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //!
 //! [`drain_changes`]: rvaas::ConfigMonitor::drain_changes
 
-use rvaas::{ConfigMonitor, LocationMap, MonitorConfig, VerifierConfig};
+use rvaas::{ConfigMonitor, LocationMap, MonitorConfig, NetworkFunction, VerifierConfig};
 use rvaas_client::QuerySpec;
 use rvaas_controlplane::benign_rules;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch, Message};
 use rvaas_service::{ServiceSettings, VerificationService};
-use rvaas_topology::generators;
+use rvaas_topology::{generators, Topology};
 use rvaas_types::{ClientId, SimTime, SwitchId};
 
-fn service_over(topology: &rvaas_topology::Topology) -> VerificationService {
+fn service_over(topology: &Topology) -> VerificationService {
     let config = ServiceSettings {
         workers: 1,
         ..ServiceSettings::default()
@@ -30,9 +30,16 @@ fn service_over(topology: &rvaas_topology::Topology) -> VerificationService {
 
 /// Both services must expose the same epoch — serial, digest set, rule
 /// count, provenance (content digest and the delta sizes `Published`
-/// reported) and a representative verdict — reached by the same rule-level
-/// delta from the previous epoch.
-fn assert_epochs_agree(delta: &VerificationService, full: &VerificationService, round: &str) {
+/// reported) and a representative verdict — reached by the same digest-level
+/// delta from the previous epoch, and each store's frozen model must hold,
+/// switch by switch and in order, the rule lists a from-scratch rebuild of
+/// its snapshot holds (equal-priority rules in arrival order).
+fn assert_epochs_agree(
+    delta: &VerificationService,
+    full: &VerificationService,
+    topology: &Topology,
+    round: &str,
+) {
     let (d_store, f_store) = (delta.store(), full.store());
     let (d, f) = (d_store.current(), f_store.current());
     assert_eq!(d.serial, f.serial, "{round}: serials diverged");
@@ -52,23 +59,24 @@ fn assert_epochs_agree(delta: &VerificationService, full: &VerificationService, 
         (fp.digest, fp.added, fp.removed, fp.delta_rules),
         "{round}: provenance diverged"
     );
-    // Per-switch arrival order is what incremental appliers depend on; the
-    // interleaving across switches is the publish path's own business.
-    let by_switch = |mut rules: Vec<(SwitchId, FlowEntry)>| {
-        rules.sort_by_key(|(switch, _)| *switch);
-        rules
-    };
     let dd = d_store.delta_since(d.serial - 1).expect("retained");
     let fd = f_store.delta_since(f.serial - 1).expect("retained");
     assert_eq!(
-        by_switch(dd.added_rules),
-        by_switch(fd.added_rules),
-        "{round}: added rules diverged"
+        (dd.added, dd.removed),
+        (fd.added, fd.removed),
+        "{round}: deltas diverged"
     );
-    assert_eq!(
-        dd.removed_rules, fd.removed_rules,
-        "{round}: removed rules diverged"
-    );
+    for (fed, epoch) in [("delta-fed", &d), ("snapshot-fed", &f)] {
+        let rebuilt = epoch.snapshot.to_network_function(topology);
+        for switch in rebuilt.switches() {
+            let rules = |nf: &NetworkFunction| nf.transfer(switch).map(|t| t.rules().to_vec());
+            assert_eq!(
+                rules(&epoch.function),
+                rules(&rebuilt),
+                "{round}: {fed} model diverged from a rebuild on {switch:?}"
+            );
+        }
+    }
     let spec = QuerySpec::ReachableDestinations;
     let dv = delta.try_query(ClientId(1), spec.clone()).unwrap();
     let fv = full.try_query(ClientId(1), spec).unwrap();
@@ -113,7 +121,7 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
         assert_eq!(changes.len(), expected, "{round}");
         delta_service.try_publish_changes(&changes, at).unwrap();
         full_service.try_publish(monitor.snapshot(), at).unwrap();
-        assert_epochs_agree(&delta_service, &full_service, round);
+        assert_epochs_agree(&delta_service, &full_service, &topology, round);
     };
 
     // --- initial table build arrives as passive notifications -----------
@@ -176,7 +184,7 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
     assert_eq!(monitor.drain_changes(), None, "resync voids the delta");
     delta_service.try_publish(monitor.snapshot(), at).unwrap();
     full_service.try_publish(monitor.snapshot(), at).unwrap();
-    assert_epochs_agree(&delta_service, &full_service, "resync");
+    assert_epochs_agree(&delta_service, &full_service, &topology, "resync");
 
     // The next window is delta-driven again.
     let at = SimTime::from_millis(60);

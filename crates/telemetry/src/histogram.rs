@@ -101,12 +101,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Records the elapsed microseconds since `start`.
-    pub fn record_since(&self, start: Instant) {
-        let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.record(us);
-    }
-
     /// Records one observation and, when it is the worst traced one seen so
     /// far, remembers `trace` as the family's exemplar. The exemplar update
     /// is two relaxed stores on a path taken only for new maxima; a racing
@@ -290,8 +284,8 @@ impl HistogramSnapshot {
 
 /// RAII timer: records elapsed microseconds into its histogram on drop.
 ///
-/// Obtained from [`Histogram::span`]; see also
-/// [`Registry::span`](crate::Registry::span) for the labelled stage variant.
+/// Obtained from [`Histogram::span`]; stages of the query lifecycle time
+/// through [`Registry::stage_histogram`](crate::Registry::stage_histogram).
 #[derive(Debug)]
 pub struct Span<'a> {
     histogram: &'a Histogram,

@@ -12,8 +12,9 @@
 //!   [`record`](Histogram::record), mergeable [`HistogramSnapshot`]s and
 //!   percentile extraction (p50/p90/p99) clamped to the observed min/max.
 //! * [`Span`] — an RAII timer tracing one stage of the query lifecycle
-//!   (`registry.span("pool.eval")` records elapsed microseconds into the
-//!   `rvaas_stage_latency_us{stage="pool.eval"}` histogram on drop).
+//!   (`registry.stage_histogram("pool.eval").span()` records elapsed
+//!   microseconds into the `rvaas_stage_latency_us{stage="pool.eval"}`
+//!   histogram on drop).
 //! * [`Registry::render_text`] — Prometheus text exposition (`# HELP` /
 //!   `# TYPE` / sample lines) ready to be served verbatim from a `/metrics`
 //!   endpoint; [`text::parse_text`] is the matching line-level parser the
@@ -35,10 +36,11 @@
 //! let registry = Registry::new();
 //! let queries = registry.counter("rvaas_queries_total", "Queries answered.");
 //! let latency = registry.histogram("rvaas_query_latency_us", "Query latency (µs).");
+//! let eval = registry.stage_histogram("pool.eval");
 //! queries.inc();
 //! latency.record(250);
 //! {
-//!     let _span = registry.span("pool.eval"); // records on drop
+//!     let _span = eval.span(); // records on drop
 //! }
 //! let text = registry.render_text();
 //! assert!(text.contains("rvaas_queries_total 1"));
@@ -56,7 +58,7 @@ pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot, Span, BUCKETS};
 pub use metric::{Counter, Gauge};
-pub use registry::{Exemplar, MetricKind, Registry, StageSpan};
+pub use registry::{Exemplar, MetricKind, Registry};
 pub use text::{parse_text, render_value, Sample, TextParseError};
 pub use trace::{
     CaptureReason, FlightRecorder, RetainedTrace, TraceContext, TraceEvent, TraceId, TraceStage,

@@ -8,9 +8,8 @@ use crate::trace::TraceId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-/// Histogram family every [`Registry::span`] records into.
+/// Histogram family every [`Registry::stage_histogram`] belongs to.
 pub const STAGE_LATENCY_METRIC: &str = "rvaas_stage_latency_us";
 
 /// What kind of metric a family holds.
@@ -152,29 +151,6 @@ impl Registry {
         )
     }
 
-    /// An RAII timer for one stage of the query lifecycle: records elapsed
-    /// microseconds into `rvaas_stage_latency_us{stage="<stage>"}` on drop.
-    #[must_use]
-    pub fn span(&self, stage: &str) -> StageSpan {
-        StageSpan {
-            histogram: self.stage_histogram(stage),
-            start: Instant::now(),
-            trace: TraceId::NONE,
-        }
-    }
-
-    /// Like [`span`](Registry::span) but attributed to `trace`, so the
-    /// stage family's exemplar can point back at the worst observation's
-    /// flight-recorder chain.
-    #[must_use]
-    pub fn span_traced(&self, stage: &str, trace: TraceId) -> StageSpan {
-        StageSpan {
-            histogram: self.stage_histogram(stage),
-            start: Instant::now(),
-            trace,
-        }
-    }
-
     /// Every histogram instance that currently remembers an exemplar. The
     /// daemon exports these next to the retained slow traces so a latency
     /// spike in a scrape links directly to a reconstructable trace.
@@ -246,39 +222,6 @@ impl Registry {
             Instrument::Gauge(g) => Instrument::Gauge(Arc::clone(g)),
             Instrument::Histogram(h) => Instrument::Histogram(Arc::clone(h)),
         }
-    }
-
-    /// Sum of a counter family across all of its label sets; 0 when the
-    /// family does not exist.
-    #[must_use]
-    pub fn counter_total(&self, name: &str) -> u64 {
-        let families = self.families.lock().unwrap();
-        families.get(name).map_or(0, |family| {
-            family
-                .instances
-                .values()
-                .map(|i| match i {
-                    Instrument::Counter(c) => c.get(),
-                    _ => 0,
-                })
-                .sum()
-        })
-    }
-
-    /// Merged snapshot of a histogram family across all of its label sets;
-    /// empty when the family does not exist.
-    #[must_use]
-    pub fn histogram_snapshot(&self, name: &str) -> HistogramSnapshot {
-        let families = self.families.lock().unwrap();
-        let mut merged = HistogramSnapshot::empty();
-        if let Some(family) = families.get(name) {
-            for instrument in family.instances.values() {
-                if let Instrument::Histogram(h) = instrument {
-                    merged.merge(&h.snapshot());
-                }
-            }
-        }
-        merged
     }
 
     /// Renders every registered family in the Prometheus text exposition
@@ -357,25 +300,6 @@ fn render_histogram(
     );
 }
 
-/// RAII timer over the shared `rvaas_stage_latency_us` histogram; created by
-/// [`Registry::span`], records elapsed microseconds on drop.
-#[derive(Debug)]
-pub struct StageSpan {
-    histogram: Arc<Histogram>,
-    start: Instant,
-    trace: TraceId,
-}
-
-impl Drop for StageSpan {
-    fn drop(&mut self) {
-        if self.trace.is_none() {
-            self.histogram.record_since(self.start);
-        } else {
-            self.histogram.record_since_traced(self.start, self.trace);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,7 +312,6 @@ mod tests {
         a.inc();
         b.inc();
         assert_eq!(a.get(), 2);
-        assert_eq!(registry.counter_total("rvaas_queries_total"), 2);
     }
 
     #[test]
@@ -400,7 +323,6 @@ mod tests {
         misses.add(4);
         assert_eq!(hits.get(), 3);
         assert_eq!(misses.get(), 4);
-        assert_eq!(registry.counter_total("rvaas_ops_total"), 7);
     }
 
     #[test]
@@ -437,22 +359,21 @@ mod tests {
     #[test]
     fn span_records_into_stage_histogram() {
         let registry = Registry::new();
-        {
-            let _span = registry.span("pool.eval");
-        }
-        {
-            let _span = registry.span("pool.eval");
-        }
-        let snap = registry.histogram_snapshot(STAGE_LATENCY_METRIC);
-        assert_eq!(snap.count, 2);
+        // Two fetches of one stage are one instrument.
+        drop(registry.stage_histogram("pool.eval").span());
+        drop(registry.stage_histogram("pool.eval").span());
+        assert_eq!(registry.stage_histogram("pool.eval").snapshot().count, 2);
+        assert_eq!(
+            registry.stage_histogram("epoch.publish").snapshot().count,
+            0
+        );
     }
 
     #[test]
     fn traced_spans_surface_as_family_exemplars() {
         let registry = Registry::new();
-        {
-            let _span = registry.span_traced("pool.eval", TraceId(42));
-        }
+        let stage = registry.stage_histogram("pool.eval");
+        drop(stage.span_traced(TraceId(42)));
         let exemplars = registry.exemplars();
         assert_eq!(exemplars.len(), 1);
         let exemplar = &exemplars[0];
@@ -463,9 +384,7 @@ mod tests {
         );
         assert_eq!(exemplar.trace, TraceId(42));
         // Untraced spans never displace an exemplar's trace link.
-        {
-            let _span = registry.span("pool.eval");
-        }
+        drop(stage.span());
         assert_eq!(registry.exemplars()[0].trace, TraceId(42));
     }
 
@@ -493,21 +412,6 @@ mod tests {
         let plain = Registry::new();
         plain.histogram("h_us", "H.").record(9);
         assert!(!plain.render_text().contains("EXEMPLAR"));
-    }
-
-    #[test]
-    fn histogram_snapshot_merges_across_labels() {
-        let registry = Registry::new();
-        registry
-            .histogram_with("lat_us", "L.", &[("shard", "0")])
-            .record(10);
-        registry
-            .histogram_with("lat_us", "L.", &[("shard", "1")])
-            .record(1000);
-        let snap = registry.histogram_snapshot("lat_us");
-        assert_eq!(snap.count, 2);
-        assert_eq!(snap.min, 10);
-        assert_eq!(snap.max, 1000);
     }
 
     #[test]

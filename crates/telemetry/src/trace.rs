@@ -80,33 +80,32 @@ pub enum TraceStage {
     IngressSync = 2,
     /// Query enqueued to a pool shard. `a` = client id, `b` = shard.
     Dispatch = 3,
-    /// Worker model caught up to the epoch. `a` = from serial, `b` = to.
-    ModelSync = 4,
-    /// Incremental in-place delta application. `a` = rules applied,
-    /// `b` = model rules afterwards.
-    IncrementalApply = 5,
-    /// Full model rebuild (fallback path). `a` = model rules afterwards,
-    /// `b` = switches rebuilt.
-    ModelRebuild = 6,
+    /// The publisher's model applied an epoch's delta in place. `a` = rules
+    /// applied, `b` = model rules afterwards.
+    IncrementalApply = 4,
+    /// The publisher's model was rebuilt from the snapshot (bulk or
+    /// unresolvable delta). `a` = model rules afterwards, `b` = switches
+    /// rebuilt.
+    ModelRebuild = 5,
     /// Query evaluated against the model. `a` = client id, `b` = serial.
-    Eval = 7,
+    Eval = 6,
     /// Result served from cache. `a` = epoch serial, `b` = client id.
-    CacheHit = 8,
+    CacheHit = 7,
     /// Cache lookup missed. `a` = epoch serial, `b` = client id.
-    CacheMiss = 9,
+    CacheMiss = 8,
     /// Epoch advance carried/invalidated entries. `a` = carried, `b` = inv.
-    CacheCarry = 10,
+    CacheCarry = 9,
     /// Verdict produced. `a` = epoch serial, `b` = latency in µs.
-    Verdict = 11,
+    Verdict = 10,
     /// Query failed. `a` = client id, `b` = HTTP-ish status code.
-    QueryError = 12,
+    QueryError = 11,
     /// Epoch published. `a` = serial, `b` = delta rule count.
-    EpochPublish = 13,
+    EpochPublish = 12,
     /// Epoch content digest + interest-index selection. `a` = digest,
     /// `b` = affected standing queries (`u64::MAX` = conservatively all).
-    EpochDigest = 14,
+    EpochDigest = 13,
     /// Sync session re-verified standing queries. `a` = serial, `b` = count.
-    Reverify = 15,
+    Reverify = 14,
 }
 
 impl TraceStage {
@@ -117,7 +116,6 @@ impl TraceStage {
             TraceStage::IngressHttp => "ingress.http",
             TraceStage::IngressSync => "ingress.sync",
             TraceStage::Dispatch => "pool.dispatch",
-            TraceStage::ModelSync => "pool.model_sync",
             TraceStage::IncrementalApply => "model.incremental_apply",
             TraceStage::ModelRebuild => "model.rebuild",
             TraceStage::Eval => "pool.eval",
@@ -139,7 +137,6 @@ impl TraceStage {
             TraceStage::IngressHttp => ("client", "request_bytes"),
             TraceStage::IngressSync => ("client", "have_serial"),
             TraceStage::Dispatch => ("client", "shard"),
-            TraceStage::ModelSync => ("from_serial", "to_serial"),
             TraceStage::IncrementalApply => ("rules_applied", "model_rules"),
             TraceStage::ModelRebuild => ("rule_count", "switches"),
             TraceStage::Eval => ("client", "epoch_serial"),
@@ -160,18 +157,17 @@ impl TraceStage {
             1 => TraceStage::IngressHttp,
             2 => TraceStage::IngressSync,
             3 => TraceStage::Dispatch,
-            4 => TraceStage::ModelSync,
-            5 => TraceStage::IncrementalApply,
-            6 => TraceStage::ModelRebuild,
-            7 => TraceStage::Eval,
-            8 => TraceStage::CacheHit,
-            9 => TraceStage::CacheMiss,
-            10 => TraceStage::CacheCarry,
-            11 => TraceStage::Verdict,
-            12 => TraceStage::QueryError,
-            13 => TraceStage::EpochPublish,
-            14 => TraceStage::EpochDigest,
-            15 => TraceStage::Reverify,
+            4 => TraceStage::IncrementalApply,
+            5 => TraceStage::ModelRebuild,
+            6 => TraceStage::Eval,
+            7 => TraceStage::CacheHit,
+            8 => TraceStage::CacheMiss,
+            9 => TraceStage::CacheCarry,
+            10 => TraceStage::Verdict,
+            11 => TraceStage::QueryError,
+            12 => TraceStage::EpochPublish,
+            13 => TraceStage::EpochDigest,
+            14 => TraceStage::Reverify,
             _ => return None,
         })
     }

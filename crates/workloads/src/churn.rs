@@ -182,9 +182,9 @@ pub struct IncrementalChurnReport {
     pub reverified: u64,
     /// Standing queries skipped as provably unaffected.
     pub skipped: u64,
-    /// Worker-model delta applications.
+    /// Epochs whose delta the store's model applied in place.
     pub incremental_applies: u64,
-    /// Worker-model full rebuilds.
+    /// Epochs that bulk-rebuilt the model instead.
     pub model_rebuilds: u64,
     /// Epoch serial after the final round.
     pub final_serial: u64,
