@@ -168,17 +168,14 @@ fn measure_sync(topology: &Topology) -> (usize, usize, usize, usize) {
         session: delta.session,
         serial: delta.serial,
         payload: SyncPayload::Reset {
-            full: service.store().current().rules.keys().copied().collect(),
+            full: service.store().current().rules.iter().copied().collect(),
         },
         trace: 0,
     };
     let (delta_bytes, full_bytes) = (delta.encoded_len(), full.encoded_len());
     session.apply(&delta).expect("delta applies");
     assert!(
-        session
-            .digests()
-            .iter()
-            .eq(service.store().current().rules.keys()),
+        *session.digests() == service.store().current().rules,
         "mirror must converge after the delta"
     );
     (rules, changed, delta_bytes, full_bytes)

@@ -229,8 +229,7 @@ impl ConfigMonitor {
 
     /// Takes the rule-level deltas applied since the last drain, in arrival
     /// order — the hand-off to the service plane's `try_publish_changes` path,
-    /// which advances the epoch store without re-digesting the whole
-    /// snapshot.
+    /// which advances the epoch store without comparing whole snapshots.
     ///
     /// Returns `None` when a full-table poll reply landed in the window: the
     /// per-rule diff of a resync is unknown, so the caller must fall back to

@@ -7,6 +7,17 @@
 //! so that verification can optionally consider rules that existed in the
 //! recent past — the defence the paper sketches against "short term
 //! reconfiguration attacks" (Section IV-A).
+//!
+//! This module owns **rule identity**: `(priority, match)` keys a table
+//! slot, an install over a present key displaces the entry in that slot, a
+//! removal resolves by key, and two entries are the same rule when priority,
+//! match and actions agree (stats and cookie do not count). Everything
+//! downstream — the service plane's digests, deltas and HSA model — is
+//! derived from the net [`RuleChange`] list a snapshot reports against its
+//! predecessor, by [`NetworkSnapshot::apply_changes`] (a batch applied to
+//! the predecessor) or [`NetworkSnapshot::changes_to`] (two snapshots
+//! compared); nothing else decides whether an install is a no-op, a fresh
+//! install or a displacement.
 
 use std::collections::btree_map::Entry as BTreeEntry;
 use std::collections::BTreeMap;
@@ -15,6 +26,8 @@ use rvaas_hsa::NetworkFunction;
 use rvaas_openflow::{FlowEntry, FlowMatch};
 use rvaas_topology::Topology;
 use rvaas_types::{SimTime, SwitchId};
+
+use crate::incremental::RuleChange;
 
 /// A recently removed flow entry, kept for history-based verification.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,34 +51,37 @@ struct SwitchTable {
 }
 
 impl SwitchTable {
-    /// Adds `entry`, or replaces the entry with the same `(priority, match)`.
-    fn upsert(&mut self, entry: FlowEntry) {
+    /// Adds `entry`, or replaces the entry with the same `(priority, match)`
+    /// in its slot. Returns the displaced entry.
+    fn upsert(&mut self, entry: FlowEntry) -> Option<FlowEntry> {
         match self.index.entry((entry.priority, entry.flow_match.clone())) {
-            BTreeEntry::Occupied(slot) => self.entries[*slot.get()] = entry,
+            BTreeEntry::Occupied(slot) => {
+                Some(std::mem::replace(&mut self.entries[*slot.get()], entry))
+            }
             BTreeEntry::Vacant(slot) => {
                 slot.insert(self.entries.len());
                 self.entries.push(entry);
+                None
             }
         }
     }
 
-    /// Removes the entry with the given `(priority, match)`, preserving the
-    /// arrival order of the survivors. Returns whether an entry was removed.
-    fn remove(&mut self, priority: u16, flow_match: &FlowMatch) -> bool {
-        let Some(pos) = self.index.remove(&(priority, flow_match.clone())) else {
-            return false;
-        };
-        self.entries.remove(pos);
+    /// Removes and returns the entry with the given `(priority, match)`,
+    /// preserving the arrival order of the survivors.
+    fn remove(&mut self, priority: u16, flow_match: &FlowMatch) -> Option<FlowEntry> {
+        let pos = self.index.remove(&(priority, flow_match.clone()))?;
         for slot in self.index.values_mut() {
             if *slot > pos {
                 *slot -= 1;
             }
         }
-        true
+        Some(self.entries.remove(pos))
     }
 
-    fn contains(&self, priority: u16, flow_match: &FlowMatch) -> bool {
-        self.index.contains_key(&(priority, flow_match.clone()))
+    fn get(&self, priority: u16, flow_match: &FlowMatch) -> Option<&FlowEntry> {
+        self.index
+            .get(&(priority, flow_match.clone()))
+            .map(|slot| &self.entries[*slot])
     }
 
     fn from_entries(entries: Vec<FlowEntry>) -> Self {
@@ -138,6 +154,78 @@ impl NetworkSnapshot {
         self.touch(at);
     }
 
+    /// Applies a batch of observed changes and returns the *effective* ones,
+    /// in order: an install of an entry that is already installed and a
+    /// removal of an absent key are dropped, an install over a present key
+    /// with other actions becomes the removal of the displaced entry plus
+    /// the install, and a removal names the entry the table actually held.
+    /// A rule that flaps within the batch stays in the list (both changes
+    /// took effect), so a consumer can tell the region was perturbed.
+    pub fn apply_changes(&mut self, changes: &[RuleChange], at: SimTime) -> Vec<RuleChange> {
+        let mut effective = Vec::with_capacity(changes.len());
+        for change in changes {
+            let (switch, entry) = (change.switch, &change.entry);
+            if change.installed {
+                let table = self.tables.entry(switch).or_default();
+                match table.upsert(entry.clone()) {
+                    Some(old) if old.actions == entry.actions => continue,
+                    Some(old) => effective.push(RuleChange::removed(switch, old)),
+                    None => {}
+                }
+                effective.push(change.clone());
+            } else if let Some(held) = self
+                .tables
+                .get_mut(&switch)
+                .and_then(|table| table.remove(entry.priority, &entry.flow_match))
+            {
+                self.removed.push(RemovedEntry {
+                    switch,
+                    entry: held.clone(),
+                    removed_at: at,
+                });
+                effective.push(RuleChange::removed(switch, held));
+            }
+        }
+        self.touch(at);
+        effective
+    }
+
+    /// The effective changes that turn `self` into `next`: the removals of
+    /// every entry `next` no longer installs, then the installs of every
+    /// entry `self` does not install, in `next`'s per-switch arrival order.
+    /// An entry whose actions differ under the same `(priority, match)` is
+    /// both.
+    #[must_use]
+    pub fn changes_to(&self, next: &NetworkSnapshot) -> Vec<RuleChange> {
+        let removals = self
+            .absent_from(next)
+            .map(|(switch, entry)| RuleChange::removed(switch, entry.clone()));
+        let installs = next
+            .absent_from(self)
+            .map(|(switch, entry)| RuleChange::installed(switch, entry.clone()));
+        removals.chain(installs).collect()
+    }
+
+    /// The entries `self` installs and `other` does not — key absent, or
+    /// held with other actions — per switch in arrival order.
+    fn absent_from<'a>(
+        &'a self,
+        other: &'a NetworkSnapshot,
+    ) -> impl Iterator<Item = (SwitchId, &'a FlowEntry)> {
+        self.tables.iter().flat_map(move |(switch, table)| {
+            let theirs = other.tables.get(switch);
+            table
+                .entries
+                .iter()
+                .filter(move |mine| {
+                    theirs
+                        .and_then(|t| t.get(mine.priority, &mine.flow_match))
+                        .is_none_or(|held| held.actions != mine.actions)
+                })
+                .map(move |entry| (*switch, entry))
+        })
+    }
+
     /// Replaces the entire table of `switch` (the result of an active poll).
     /// Entries that disappear relative to the previous belief are moved to
     /// history.
@@ -145,7 +233,10 @@ impl NetworkSnapshot {
         let new_table = SwitchTable::from_entries(entries);
         if let Some(old) = self.tables.get(&switch) {
             for old_entry in &old.entries {
-                if !new_table.contains(old_entry.priority, &old_entry.flow_match) {
+                if new_table
+                    .get(old_entry.priority, &old_entry.flow_match)
+                    .is_none()
+                {
                     self.removed.push(RemovedEntry {
                         switch,
                         entry: old_entry.clone(),
@@ -229,31 +320,17 @@ impl NetworkSnapshot {
         &self,
         reference: &BTreeMap<SwitchId, Vec<FlowEntry>>,
     ) -> (usize, usize) {
-        let mut missing = 0;
-        let mut stale = 0;
-        let same = |a: &FlowEntry, b: &FlowEntry| {
-            a.priority == b.priority && a.flow_match == b.flow_match && a.actions == b.actions
+        let tables = reference
+            .iter()
+            .map(|(switch, entries)| (*switch, SwitchTable::from_entries(entries.clone())));
+        let truth = NetworkSnapshot {
+            tables: tables.collect(),
+            ..NetworkSnapshot::default()
         };
-        for (switch, ref_table) in reference {
-            let snap_table = self.table_of(*switch);
-            for r in ref_table {
-                if !snap_table.iter().any(|s| same(s, r)) {
-                    missing += 1;
-                }
-            }
-            for s in snap_table {
-                if !ref_table.iter().any(|r| same(s, r)) {
-                    stale += 1;
-                }
-            }
-        }
-        // Tables for switches absent from the reference are entirely stale.
-        for (switch, snap_table) in &self.tables {
-            if !reference.contains_key(switch) {
-                stale += snap_table.entries.len();
-            }
-        }
-        (missing, stale)
+        (
+            truth.absent_from(self).count(),
+            self.absent_from(&truth).count(),
+        )
     }
 }
 
@@ -353,6 +430,45 @@ mod tests {
         // Removing via the index still works after the shift.
         snap.record_removed(SwitchId(1), &entry(8, 1), SimTime::from_millis(5));
         assert_eq!(snap.rule_count(), 7);
+    }
+
+    #[test]
+    fn net_change_lists_drop_no_ops_and_expand_displacements() {
+        let at = SimTime::from_millis(2);
+        let mut before = NetworkSnapshot::new(SimTime::from_secs(1));
+        for dst in [5, 6] {
+            before.record_installed(SwitchId(1), entry(dst, 1), SimTime::from_millis(1));
+        }
+        let on = |dst, port| RuleChange::installed(SwitchId(1), entry(dst, port));
+        let off = |dst, port| RuleChange::removed(SwitchId(1), entry(dst, port));
+
+        let mut after = before.clone();
+        let effective = after.apply_changes(
+            &[
+                on(5, 1),  // already installed (stats and cookie do not count)
+                off(9, 1), // never installed
+                on(6, 2),  // displaces dst 6 in its slot
+                on(7, 1),  // flaps...
+                off(7, 3), // ...and a removal resolves by key, not actions
+                on(8, 1),
+            ],
+            at,
+        );
+        let expected = [off(6, 1), on(6, 2), on(7, 1), off(7, 1), on(8, 1)];
+        assert_eq!(effective, expected);
+        assert_eq!(
+            after.table_of(SwitchId(1)),
+            [entry(5, 1), entry(6, 2), entry(8, 1)]
+        );
+        assert_eq!(after.history_len(), 1, "only what a table held is history");
+
+        // Comparing the two snapshots yields the same list minus the flap:
+        // removals first, installs in arrival order.
+        let net = [off(6, 1), on(6, 2), on(8, 1)];
+        assert_eq!(before.changes_to(&after), net);
+        assert_eq!(after.changes_to(&after), []);
+        let undo = [off(6, 2), off(8, 1), on(6, 1)];
+        assert_eq!(after.changes_to(&before), undo);
     }
 
     #[test]

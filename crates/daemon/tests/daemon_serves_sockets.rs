@@ -180,7 +180,9 @@ fn daemon_serves_http_and_concurrent_sync_sessions_over_an_epoch_publish() {
     assert_eq!(status, 200);
     let epoch = json::parse(&body).unwrap();
     assert_eq!(epoch.get("serial").unwrap().as_int(), Some(2));
-    assert!(epoch.get("rules").unwrap().as_int().unwrap() > 0);
+    let rules = daemon.service().store().current().snapshot.rule_count();
+    assert!(rules > 0);
+    assert_eq!(epoch.get("rules").unwrap().as_int(), Some(rules as u64));
 
     // --- /v1/epoch/2/provenance audits the publish -----------------------
     // The record must carry the exact delta size and the re-verification

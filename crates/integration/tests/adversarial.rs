@@ -20,14 +20,20 @@ use rvaas_client::{QuerySpec, SyncError, SyncPayload, SyncResponse, SyncSession}
 use rvaas_controlplane::attack::PRIO_ATTACK;
 use rvaas_controlplane::{benign_rules, Attack, ServicePlaneExpectation};
 use rvaas_hsa::reachability_equivalent;
-use rvaas_openflow::{FlowEntry, FlowModCommand, Message};
+use rvaas_openflow::{Action, FlowEntry, FlowMatch, FlowModCommand, Message};
 use rvaas_service::{EpochStore, ServiceSettings, SyncServer, VerificationService};
 use rvaas_topology::{generators, Topology};
 use rvaas_types::{ClientId, HostId, SimTime, SwitchId};
 
 /// Applies compiled attack messages to the provider's snapshot, the way the
-/// simulated switches would.
-fn apply_messages(snapshot: &mut NetworkSnapshot, messages: &[(SwitchId, Message)], at: SimTime) {
+/// simulated switches would, and returns the rule changes the switches'
+/// notifications would have a monitor queue.
+fn apply_messages(
+    snapshot: &mut NetworkSnapshot,
+    messages: &[(SwitchId, Message)],
+    at: SimTime,
+) -> Vec<RuleChange> {
+    let mut changes = Vec::new();
     for (switch, message) in messages {
         let Message::FlowMod { command } = message else {
             continue;
@@ -35,6 +41,7 @@ fn apply_messages(snapshot: &mut NetworkSnapshot, messages: &[(SwitchId, Message
         match command {
             FlowModCommand::Add(entry) => {
                 snapshot.record_installed(*switch, entry.clone(), at);
+                changes.push(RuleChange::installed(*switch, entry.clone()));
             }
             FlowModCommand::Delete { flow_match } => {
                 let victims: Vec<FlowEntry> = snapshot
@@ -45,6 +52,7 @@ fn apply_messages(snapshot: &mut NetworkSnapshot, messages: &[(SwitchId, Message
                     .collect();
                 for entry in victims {
                     snapshot.record_removed(*switch, &entry, at);
+                    changes.push(RuleChange::removed(*switch, entry));
                 }
             }
             FlowModCommand::DeleteByCookie { cookie } => {
@@ -56,11 +64,27 @@ fn apply_messages(snapshot: &mut NetworkSnapshot, messages: &[(SwitchId, Message
                     .collect();
                 for entry in victims {
                     snapshot.record_removed(*switch, &entry, at);
+                    changes.push(RuleChange::removed(*switch, entry));
                 }
             }
-            FlowModCommand::ModifyStrict { .. } => {}
+            FlowModCommand::ModifyStrict {
+                priority,
+                flow_match,
+                actions,
+            } => {
+                let held = snapshot
+                    .table_of(*switch)
+                    .iter()
+                    .find(|e| e.priority == *priority && e.flow_match == *flow_match);
+                if let Some(mut entry) = held.cloned() {
+                    entry.actions.clone_from(actions);
+                    snapshot.record_installed(*switch, entry.clone(), at);
+                    changes.push(RuleChange::installed(*switch, entry));
+                }
+            }
         }
     }
+    changes
 }
 
 fn benign_snapshot(topology: &Topology, at: SimTime) -> NetworkSnapshot {
@@ -229,6 +253,45 @@ fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
             SimTime::from_millis(20),
         );
         check(&snapshot, "removed");
+    }
+
+    // The same gate for an in-place action rewrite: a rule goes in, has its
+    // actions replaced under the same priority + match (`ModifyStrict`), and
+    // gets them back. The incremental service is fed the rule changes, the
+    // oracle the full snapshot.
+    let incremental = service(&topology, true);
+    let oracle = service(&topology, false);
+    let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
+    publish(&[&incremental, &oracle], &snapshot, SimTime::from_millis(1));
+    let victim = topology.hosts().find(|h| h.id == HostId(2)).expect("host");
+    let decoy = FlowEntry::new(
+        PRIO_ATTACK,
+        FlowMatch::to_ip(victim.ip),
+        vec![Action::Output(victim.attachment.port)],
+    );
+    let rewrite = |actions: &[Action]| FlowModCommand::ModifyStrict {
+        priority: decoy.priority,
+        flow_match: decoy.flow_match.clone(),
+        actions: actions.to_vec(),
+    };
+    let phases = [
+        ("installed", Some(FlowModCommand::Add(decoy.clone()))),
+        ("rewritten", Some(rewrite(&[Action::Drop]))),
+        ("steady", None),
+        ("restored", Some(rewrite(&decoy.actions))),
+    ];
+    for (i, (phase, command)) in phases.into_iter().enumerate() {
+        let at = SimTime::from_millis(10 + 5 * i as u64);
+        let messages: Vec<(SwitchId, Message)> = command
+            .map(|command| (victim.attachment.switch, Message::FlowMod { command }))
+            .into_iter()
+            .collect();
+        let changes = apply_messages(&mut snapshot, &messages, at);
+        incremental.try_publish_changes(&changes, at).unwrap();
+        oracle.try_publish(&snapshot, at).unwrap();
+        let context = format!("action rewrite {phase}");
+        assert_model_matches_rebuild(&incremental, &snapshot, &context);
+        assert_verdicts_match(&incremental, &oracle, &queries, &context);
     }
 }
 

@@ -146,17 +146,24 @@ fn benign_snapshot_of(topo: &rvaas_topology::Topology) -> NetworkSnapshot {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// After every random op — published as a full snapshot or as a rule
-    /// delta, alternately — the model the store froze into the epoch is
-    /// reachability-equivalent to a from-scratch rebuild of the snapshot,
-    /// and `delta_between` over a window of one or more epochs is exactly
-    /// the digest diff of the window's end points.
+    /// After every random op — an install, an in-place rewrite (an install
+    /// over a present priority + match with other actions) or a removal,
+    /// published as a full snapshot or as a rule delta — the epoch's digest
+    /// set is the digest of the snapshot, the model the store froze into the
+    /// epoch is reachability-equivalent to a from-scratch rebuild of it, and
+    /// `delta_between` over a window of one or more epochs is exactly the
+    /// digest diff of the window's end points.
     #[test]
     fn incremental_model_tracks_epoch_deltas(
-        ops in proptest::collection::vec((0usize..6, 0usize..6, 1u32..5, any::<bool>()), 1..10),
+        // Four keys (source × switch), so ops keep landing on present ones.
+        ops in proptest::collection::vec(
+            (0usize..2, 1u32..3, any::<bool>(), any::<bool>()),
+            4..8,
+        ),
     ) {
         use rvaas::RuleChange;
-        use rvaas_service::EpochStore;
+        use rvaas_openflow::Action;
+        use rvaas_service::{digest_snapshot, EpochStore};
 
         let topo = generators::line(4, 2);
         let ips: Vec<u32> = topo.hosts().map(|h| h.ip).collect();
@@ -166,29 +173,41 @@ proptest! {
         store.try_publish(snapshot.clone(), SimTime::from_millis(1)).unwrap();
 
         let mut window_start = store.current();
-        for (i, (src, dst, sw, install)) in ops.iter().enumerate() {
-            let entry = tenant_entry(ips[src % ips.len()], ips[dst % ips.len()]);
+        for (i, (src, sw, install, full)) in ops.iter().enumerate() {
+            let entry = tenant_entry(ips[*src], ips[2]);
             let switch = rvaas_types::SwitchId(*sw);
             let at = SimTime::from_millis(10 + i as u64);
-            let present = snapshot
+            let held = snapshot
                 .table_of(switch)
                 .iter()
-                .any(|e| e.priority == entry.priority && e.flow_match == entry.flow_match);
-            let change = if *install && !present {
-                snapshot.record_installed(switch, entry.clone(), at);
-                RuleChange::installed(switch, entry)
-            } else if !*install && present {
-                snapshot.record_removed(switch, &entry, at);
-                RuleChange::removed(switch, entry)
-            } else {
-                continue;
+                .find(|e| e.priority == entry.priority && e.flow_match == entry.flow_match);
+            let change = match (install, held) {
+                (true, None) => RuleChange::installed(switch, entry),
+                (true, Some(held)) => {
+                    let mut rewritten = held.clone();
+                    rewritten.actions = if held.actions == [Action::Drop] {
+                        vec![Action::Output(rvaas_types::PortId(1))]
+                    } else {
+                        vec![Action::Drop]
+                    };
+                    RuleChange::installed(switch, rewritten)
+                }
+                // Names the key, not necessarily the actions the table holds.
+                (false, Some(_)) => RuleChange::removed(switch, entry),
+                (false, None) => continue,
             };
-            if i % 2 == 0 {
+            if change.installed {
+                snapshot.record_installed(switch, change.entry.clone(), at);
+            } else {
+                snapshot.record_removed(switch, &change.entry, at);
+            }
+            if *full {
                 store.try_publish(snapshot.clone(), at).unwrap();
             } else {
                 store.try_publish_changes(&[change], at).unwrap();
             }
             let current = store.current();
+            prop_assert_eq!(&current.rules, &digest_snapshot(&snapshot), "digest set at op {}", i);
             prop_assert!(
                 rvaas_hsa::reachability_equivalent(
                     &current.function,
@@ -203,8 +222,8 @@ proptest! {
                     .delta_between(window_start.serial, current.serial)
                     .expect("retained window");
                 let (from, to) = (&window_start.rules, &current.rules);
-                prop_assert!(delta.added.iter().eq(to.keys().filter(|d| !from.contains_key(d))));
-                prop_assert!(delta.removed.iter().eq(from.keys().filter(|d| !to.contains_key(d))));
+                prop_assert!(delta.added.iter().eq(to.difference(from)));
+                prop_assert!(delta.removed.iter().eq(from.difference(to)));
                 window_start = current;
             }
         }

@@ -13,16 +13,17 @@ use rvaas_types::{ClientId, SimTime};
 use crate::config::ServiceConfig;
 use crate::pool::VerificationService;
 
+/// Minimum simulated time between controller-driven epoch publishes.
+/// Publishing an epoch costs a full snapshot clone + diff, so doing it on
+/// *every* monitor event would make churn quadratic again; suppressed
+/// publishes set `dirty` and are caught up lazily at query time, which
+/// keeps answers exact.
+const MIN_PUBLISH_INTERVAL: SimTime = SimTime::from_millis(1);
+
 /// An [`AnalysisBackend`] backed by a [`VerificationService`].
 #[derive(Debug)]
 pub struct ServiceBackend {
     service: VerificationService,
-    /// Minimum simulated time between controller-driven epoch publishes.
-    /// Publishing an epoch costs a full snapshot clone + digest pass, so
-    /// doing it on *every* monitor event would make churn quadratic again;
-    /// suppressed publishes set [`Self::dirty`] and are caught up lazily at
-    /// query time, which keeps answers exact.
-    min_publish_interval: SimTime,
     last_published_at: Option<SimTime>,
     dirty: bool,
 }
@@ -39,18 +40,9 @@ impl ServiceBackend {
     pub fn from_service(service: VerificationService) -> Self {
         ServiceBackend {
             service,
-            min_publish_interval: SimTime::from_millis(1),
             last_published_at: None,
             dirty: false,
         }
-    }
-
-    /// Overrides the epoch publish debounce interval (builder style).
-    /// `SimTime::ZERO` publishes on every monitor event.
-    #[must_use]
-    pub fn with_publish_interval(mut self, interval: SimTime) -> Self {
-        self.min_publish_interval = interval;
-        self
     }
 
     /// The underlying service (stats, sync store, direct queries).
@@ -74,7 +66,7 @@ impl AnalysisBackend for ServiceBackend {
     fn publish(&mut self, snapshot: &NetworkSnapshot, at: SimTime) {
         let due = match self.last_published_at {
             None => true,
-            Some(last) => at >= last + self.min_publish_interval,
+            Some(last) => at >= last + MIN_PUBLISH_INTERVAL,
         };
         if due {
             self.publish_now(snapshot, at);
@@ -167,8 +159,7 @@ mod tests {
                 ..ServiceSettings::default()
             }
             .into_config(verifier_config.clone()),
-        )
-        .with_publish_interval(SimTime::from_millis(10));
+        );
         // A burst of monitor events within one debounce window publishes
         // once, not once per event.
         let mut snapshot = NetworkSnapshot::new(SimTime::from_secs(1));
@@ -187,5 +178,10 @@ mod tests {
             verifier.answer(&snapshot, ClientId(1), &QuerySpec::Isolation),
         );
         assert_eq!(backend.service().stats().epochs_published, 2);
+
+        // Once simulated time has moved past the window, an event publishes
+        // at once again.
+        backend.publish(&snapshot, SimTime::from_millis(2));
+        assert_eq!(backend.service().stats().epochs_published, 3);
     }
 }

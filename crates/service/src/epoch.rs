@@ -2,33 +2,39 @@
 //! monitor's [`NetworkSnapshot`], swapped atomically so query workers never
 //! block the publisher (and vice versa).
 //!
-//! The [`EpochStore`] owns the one HSA model of the monitored network. Each
-//! publish advances it in place by that epoch's own change batch and
-//! freezes three things:
+//! An epoch is its predecessor plus a **net rule-change list**. Rule
+//! identity lives in [`NetworkSnapshot`]: a publish obtains the next
+//! snapshot and the ordered, effective [`RuleChange`]s against the current
+//! one — a full snapshot is diffed ([`NetworkSnapshot::changes_to`]), a rule
+//! delta is applied ([`NetworkSnapshot::apply_changes`]) — and
+//! `EpochStore::commit` derives everything else from that one list, hashing
+//! only its entries:
 //!
-//! * the **digest-level delta** — added/removed [`FlowDigest`]s, retained
-//!   in a bounded history and aggregated over a window by
-//!   [`EpochStore::delta_between`]; it is what the RTR-style sync protocol
-//!   ships to clients;
-//! * the [`ChangedRegion`] — the affected header space the model reported
-//!   for the batch, from which the interest index selects the standing
-//!   queries the cache and the sync server re-verify;
+//! * the **digest set** of the epoch (the predecessor's, plus and minus the
+//!   net delta) and the **digest-level delta** — added/removed
+//!   [`FlowDigest`]s, retained in a bounded history and aggregated over a
+//!   window by [`EpochStore::delta_between`]; it is what the RTR-style sync
+//!   protocol ships to clients;
+//! * the [`ChangedRegion`] — the affected header space the store's one HSA
+//!   model reported for the list, from which the interest index selects the
+//!   standing queries the cache and the sync server re-verify;
 //! * the **model itself** — a structure-sharing copy of its
 //!   [`NetworkFunction`] rides in the [`SnapshotEpoch`], so every query
 //!   worker evaluates against it directly and no second model exists.
-//!   Freezing copies only the tables of the switches the batch touched.
+//!   Freezing copies only the tables of the switches the list touched.
 //!
 //! The model applies removals, then installs in arrival order — where a
 //! rebuild's stable sort of the arrival-ordered tables puts them too — and
-//! rebuilds outright when a batch is too large or does not resolve. (Only
-//! an entry a full snapshot modified *in place* lands elsewhere: behind its
-//! equal-priority peers instead of at its old slot.)
+//! rebuilds outright when a list is too large or does not resolve. (Only an
+//! entry displaced *in place* — same priority and match, new actions, on
+//! either publish path — lands elsewhere: it is re-installed behind its
+//! equal-priority peers, where a rebuild keeps its slot.)
 //!
 //! When a requested serial has been evicted from the delta history the
 //! store reports `None` and sync falls back to a full reset, mirroring RTR
 //! cache-reset semantics.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -74,9 +80,6 @@ pub fn digest_snapshot(snapshot: &NetworkSnapshot) -> BTreeSet<FlowDigest> {
         .collect()
 }
 
-/// Installed entries keyed by their digest.
-type RuleIndex = BTreeMap<FlowDigest, (SwitchId, FlowEntry)>;
-
 /// One published, immutable epoch of network state.
 #[derive(Debug)]
 pub struct SnapshotEpoch {
@@ -89,11 +92,9 @@ pub struct SnapshotEpoch {
     /// store's model; tables of switches an epoch did not touch are shared
     /// with its predecessor.
     pub function: NetworkFunction,
-    /// Digest-indexed entries: the keys are the epoch's digest set (what
-    /// sync ships and deltas are computed over), the values let the next
-    /// publish resolve removed digests back to concrete rules without
-    /// re-hashing this snapshot.
-    pub rules: BTreeMap<FlowDigest, (SwitchId, FlowEntry)>,
+    /// The digest of every rule in `snapshot`: what sync ships and deltas
+    /// are computed over.
+    pub rules: BTreeSet<FlowDigest>,
     /// When the epoch was published (simulation time of the last update).
     pub published_at: SimTime,
 }
@@ -107,7 +108,7 @@ impl SnapshotEpoch {
     #[must_use]
     pub fn content_digest(&self) -> u64 {
         let mut acc = 0xcbf2_9ce4_8422_2325u64;
-        for d in self.rules.keys() {
+        for d in &self.rules {
             for byte in d.0.to_be_bytes() {
                 acc ^= u64::from(byte);
                 acc = acc.wrapping_mul(0x0000_0100_0000_01b3);
@@ -206,33 +207,6 @@ pub struct Published {
     pub trace: TraceId,
 }
 
-/// The entries of `of` whose digest `other` lacks, in ascending digest
-/// order: one linear merge over the two sorted indexes.
-fn absent_from<'a>(
-    of: &'a RuleIndex,
-    other: &'a RuleIndex,
-) -> impl Iterator<Item = (&'a FlowDigest, &'a (SwitchId, FlowEntry))> {
-    let mut theirs = other.keys().peekable();
-    of.iter().filter(move |(d, _)| {
-        while theirs.next_if(|t| t < d).is_some() {}
-        theirs.peek() != Some(d)
-    })
-}
-
-/// The next epoch as a publish front half derives it from the current one:
-/// its content plus the net change against the predecessor.
-struct NextEpoch {
-    snapshot: NetworkSnapshot,
-    rules: RuleIndex,
-    /// Net digest-level additions.
-    added: BTreeSet<FlowDigest>,
-    /// Net digest-level removals.
-    removed: BTreeSet<FlowDigest>,
-    /// The ordered batch the model applies: the net change, plus any
-    /// within-batch flaps.
-    applied: Vec<RuleChange>,
-}
-
 fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -248,7 +222,7 @@ fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct EpochStore {
     current: RwLock<Arc<SnapshotEpoch>>,
     deltas: Mutex<VecDeque<EpochDelta>>,
-    /// The HSA model of the published state, advanced by each epoch's batch
+    /// The HSA model of the published state, advanced by each epoch's changes
     /// and frozen into the epoch. Only a publish touches it, so its mutex
     /// *is* the publish lock: held across the read–diff–swap, it gives each
     /// epoch a unique serial and a delta chained to its true predecessor.
@@ -275,7 +249,7 @@ impl EpochStore {
                 serial: 0,
                 snapshot: NetworkSnapshot::default(),
                 function: NetworkFunction::new(),
-                rules: BTreeMap::new(),
+                rules: BTreeSet::new(),
                 published_at: SimTime::ZERO,
             })),
             deltas: Mutex::new(VecDeque::new()),
@@ -311,11 +285,6 @@ impl EpochStore {
         locked(&self.interest).register(client, spec)
     }
 
-    /// Removes a standing query from the interest-space index.
-    pub fn deregister_interest(&self, client: ClientId, spec: &QuerySpec) -> bool {
-        locked(&self.interest).deregister(client, spec)
-    }
-
     /// Narrows a standing query's interest to the traversal footprint an
     /// evaluation against epoch `serial` recorded (ignored when stale).
     pub fn refine_interest(
@@ -343,17 +312,6 @@ impl EpochStore {
             .rev()
             .find(|p| p.serial == serial)
             .cloned()
-    }
-
-    /// The most recent provenance records, newest first, at most `limit`.
-    #[must_use]
-    pub fn recent_provenance(&self, limit: usize) -> Vec<EpochProvenance> {
-        locked(&self.provenance)
-            .iter()
-            .rev()
-            .take(limit)
-            .cloned()
-            .collect()
     }
 
     /// Accumulates re-verification fan-out into epoch `serial`'s provenance
@@ -400,50 +358,16 @@ impl EpochStore {
         snapshot: NetworkSnapshot,
         at: SimTime,
     ) -> Result<Published, ServiceError> {
-        // One hash pass over the tables, outside the publish lock: the
-        // digest index, plus the digests in per-switch arrival order for the
-        // installs to follow.
-        let mut arrival: Vec<FlowDigest> = Vec::new();
-        let rules: RuleIndex = snapshot
-            .tables()
-            .flat_map(|(switch, entries)| {
-                entries
-                    .iter()
-                    .map(move |e| (digest_entry(switch, e), (switch, e.clone())))
-            })
-            .inspect(|(d, _)| arrival.push(*d))
-            .collect();
         self.commit(at, |current| {
-            let added: BTreeSet<FlowDigest> = absent_from(&rules, &current.rules)
-                .map(|(d, _)| *d)
-                .collect();
-            // Removals resolve from the previous epoch's index, installs
-            // from the new one (delta-sized clones).
-            let (removed, mut applied): (BTreeSet<FlowDigest>, Vec<RuleChange>) =
-                absent_from(&current.rules, &rules)
-                    .map(|(d, (switch, e))| (*d, RuleChange::removed(*switch, e.clone())))
-                    .unzip();
-            applied.extend(arrival.iter().filter(|d| added.contains(d)).map(|d| {
-                let (switch, e) = &rules[d];
-                RuleChange::installed(*switch, e.clone())
-            }));
-            NextEpoch {
-                snapshot,
-                rules,
-                added,
-                removed,
-                applied,
-            }
+            let changes = current.changes_to(&snapshot);
+            (snapshot, changes)
         })
     }
 
     /// Advances the epoch by a rule-level delta instead of a full snapshot:
     /// the monitor hands [`ConfigMonitor::drain_changes`] output straight
-    /// here, and the store derives the next epoch from the previous one —
-    /// hashing only the delta entries instead of re-digesting every rule.
-    /// (The frozen snapshot itself is still a clone of its predecessor plus
-    /// the delta, so memory stays `O(rules)`; the per-publish *hashing* cost
-    /// drops from `O(rules)` to `O(delta)`.)
+    /// here, and the next snapshot is a clone of its predecessor with the
+    /// delta applied (so memory stays `O(rules)`).
     ///
     /// Installs already present and removals of absent rules are skipped, so
     /// the recorded delta always matches the digest diff of the two epochs.
@@ -460,52 +384,22 @@ impl EpochStore {
         at: SimTime,
     ) -> Result<Published, ServiceError> {
         self.commit(at, |current| {
-            let mut next = NextEpoch {
-                snapshot: current.snapshot.clone(),
-                rules: current.rules.clone(),
-                added: BTreeSet::new(),
-                removed: BTreeSet::new(),
-                applied: Vec::new(),
-            };
-            for change in changes {
-                let d = digest_entry(change.switch, &change.entry);
-                if change.installed == next.rules.contains_key(&d) {
-                    continue; // installing a present rule / removing an absent one
-                }
-                let (done, undone) = if change.installed {
-                    next.snapshot
-                        .record_installed(change.switch, change.entry.clone(), at);
-                    next.rules.insert(d, (change.switch, change.entry.clone()));
-                    (&mut next.added, &mut next.removed)
-                } else {
-                    next.snapshot
-                        .record_removed(change.switch, &change.entry, at);
-                    next.rules.remove(&d);
-                    (&mut next.removed, &mut next.added)
-                };
-                // A change undoing an earlier one of this batch (a flap) is a
-                // digest-level no-op, like cancellation across epochs...
-                if !undone.remove(&d) {
-                    done.insert(d);
-                }
-                // ...but the applied batch keeps it on purpose: the changed
-                // region must cover the flap, exactly as `delta_between` keeps
-                // flapped regions across epochs.
-                next.applied.push(change.clone());
-            }
-            next
+            let mut next = current.clone();
+            let changes = next.apply_changes(changes, at);
+            (next, changes)
         })
     }
 
-    /// The one publish pipeline: takes the publish lock, lets `derive` build
-    /// the next epoch from the current one, allocates the serial, advances
-    /// the model over the applied changes and the interest index over the
-    /// region that reports, retains the delta, swaps the epoch in and
-    /// records provenance.
+    /// The one publish pipeline: takes the publish lock, lets `derive` turn
+    /// the current snapshot into the next one plus the effective changes
+    /// between the two, and derives the rest from that list — the net digest
+    /// delta and the epoch's digest set, the model's advance and the region
+    /// it reports, the interest index's selection — then allocates the
+    /// serial, retains the delta, swaps the epoch in and records provenance.
     fn commit(
         &self,
         at: SimTime,
-        derive: impl FnOnce(&SnapshotEpoch) -> NextEpoch,
+        derive: impl FnOnce(&NetworkSnapshot) -> (NetworkSnapshot, Vec<RuleChange>),
     ) -> Result<Published, ServiceError> {
         let mut model = locked(&self.model);
         let current = self.current();
@@ -513,29 +407,51 @@ impl EpochStore {
         let serial = from_serial.checked_add(1).ok_or_else(|| {
             ServiceError::PublishRejected(format!("epoch serial space exhausted at {from_serial}"))
         })?;
-        let next = derive(&current);
-        let (added, removed) = (next.added.len(), next.removed.len());
-        let delta_rules = added + removed;
+        let (snapshot, changes) = derive(&current.snapshot);
+        let mut added: BTreeSet<FlowDigest> = BTreeSet::new();
+        let mut removed: BTreeSet<FlowDigest> = BTreeSet::new();
+        for change in &changes {
+            let d = digest_entry(change.switch, &change.entry);
+            let (done, undone) = if change.installed {
+                (&mut added, &mut removed)
+            } else {
+                (&mut removed, &mut added)
+            };
+            // A change undoing an earlier one of this list (a flap) is a
+            // digest-level no-op, like cancellation across epochs. The model
+            // still gets both: the changed region must cover the flap,
+            // exactly as `delta_between` keeps flapped regions across epochs.
+            if !undone.remove(&d) {
+                done.insert(d);
+            }
+        }
+        let mut rules = current.rules.clone();
+        for d in &removed {
+            rules.remove(d);
+        }
+        rules.extend(&added);
+        let (n_added, n_removed) = (added.len(), removed.len());
+        let delta_rules = n_added + n_removed;
         let trace = TraceContext::mint();
         trace.event(TraceStage::EpochPublish, serial, delta_rules as u64);
         // Past this size the per-rule exposed-region bookkeeping costs
         // more than it saves (the canonical case is the first, full
         // publish): rebuild the model and report an unbounded region,
         // which conservatively re-verifies everything once.
-        let bulk_rebuild = next.applied.len() > (next.rules.len() / 4).max(64);
+        let bulk_rebuild = changes.len() > (rules.len() / 4).max(64);
         let changed = {
             // The model's own apply/rebuild events join the publish chain.
             let _ambient = trace.enter();
             if bulk_rebuild {
-                model.rebuild_from(&next.snapshot);
+                model.rebuild_from(&snapshot);
                 ChangedRegion::everything()
             } else {
-                let region = model.apply(&next.applied);
+                let region = model.apply(&changes);
                 if model.is_desynced() {
                     // This publish already reports a conservative region;
                     // rebuild so the frozen function is exact and future
                     // publishes are bounded again.
-                    model.rebuild_from(&next.snapshot);
+                    model.rebuild_from(&snapshot);
                 }
                 region
             }
@@ -546,9 +462,9 @@ impl EpochStore {
         let affected = locked(&self.interest).advance(serial, &changed);
         let epoch = Arc::new(SnapshotEpoch {
             serial,
-            snapshot: next.snapshot,
+            snapshot,
             function: model.network_function().clone(),
-            rules: next.rules,
+            rules,
             published_at: at,
         });
         let digest = epoch.content_digest();
@@ -559,8 +475,8 @@ impl EpochStore {
             deltas.push_back(EpochDelta {
                 from_serial,
                 to_serial: serial,
-                added: next.added.into_iter().collect(),
-                removed: next.removed.into_iter().collect(),
+                added: added.into_iter().collect(),
+                removed: removed.into_iter().collect(),
                 changed: changed.clone(),
                 affected: affected.clone(),
             });
@@ -588,8 +504,8 @@ impl EpochStore {
         log.push_back(EpochProvenance {
             serial,
             digest,
-            added,
-            removed,
+            added: n_added,
+            removed: n_removed,
             delta_rules,
             affected_queries,
             affected_everything,
@@ -820,9 +736,7 @@ mod tests {
                     // point of view, and the frozen snapshot must always be
                     // internally consistent with its digest set.
                     assert!(epoch.serial >= last_serial, "serial went backwards");
-                    assert!(digest_snapshot(&epoch.snapshot)
-                        .iter()
-                        .eq(epoch.rules.keys()));
+                    assert_eq!(digest_snapshot(&epoch.snapshot), epoch.rules);
                     last_serial = epoch.serial;
                     observed += 1;
                     if stop.load(Ordering::Relaxed) {
@@ -877,10 +791,11 @@ mod tests {
             .unwrap();
         assert_eq!(p_delta.serial, p_full.serial);
         assert_eq!(p_delta.delta_rules, p_full.delta_rules);
-        assert!(delta.current().rules.keys().eq(full.current().rules.keys()));
-        assert!(digest_snapshot(&delta.current().snapshot)
-            .iter()
-            .eq(delta.current().rules.keys()));
+        assert_eq!(delta.current().rules, full.current().rules);
+        assert_eq!(
+            digest_snapshot(&delta.current().snapshot),
+            delta.current().rules
+        );
         let d_full = full.delta_since(1).expect("retained");
         let d_delta = delta.delta_since(1).expect("retained");
         assert_eq!(d_delta.added, d_full.added);
@@ -1028,11 +943,8 @@ mod tests {
         assert_eq!(prov.reverify_sessions, 2);
         assert!(store.provenance(99).is_none());
 
-        // Newest-first listing; both publishes are on record.
-        let recent = store.recent_provenance(8);
-        assert_eq!(recent.len(), 2);
-        assert_eq!(recent[0].serial, 2);
-        assert_eq!(recent[1].serial, 1);
+        // Both publishes are on record.
+        assert_eq!(store.provenance(1).expect("retained").added, 2);
 
         // The publish event chain is in the flight recorder under the
         // provenance trace id.

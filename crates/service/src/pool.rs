@@ -319,7 +319,7 @@ impl VerificationService {
 
     /// Publishes a rule-level delta as the next epoch — the monitor's
     /// [`drain_changes`] output goes straight here, skipping the full-snapshot
-    /// re-digest of [`VerificationService::try_publish`].
+    /// comparison of [`VerificationService::try_publish`].
     ///
     /// # Errors
     ///
@@ -738,6 +738,37 @@ mod tests {
                     a.result, b.result,
                     "round {round}: incremental diverged for {:?}/{:?}",
                     a.client, a.spec
+                );
+            }
+        }
+        // In-place rewrites through the delta path: every benign forwarding
+        // rule turned into a drop, one epoch each. The verdicts must be the
+        // from-scratch ones for the same snapshot.
+        let verifier = LogicalVerifier::new(
+            topology.clone(),
+            VerifierConfig {
+                use_history: false,
+                locations: LocationMap::disclosed(&topology),
+            },
+        );
+        let drop = vec![rvaas_openflow::Action::Drop];
+        let forwarding = benign_rules(&topology)
+            .into_iter()
+            .filter(|(_, entry)| entry.actions != drop);
+        for (round, (switch, mut entry)) in forwarding.enumerate() {
+            let at = SimTime::from_millis(100 + round as u64);
+            entry.actions.clone_from(&drop);
+            snapshot.record_installed(switch, entry.clone(), at);
+            incremental_service
+                .try_publish_changes(&[RuleChange::installed(switch, entry)], at)
+                .unwrap();
+            for response in incremental_service.try_query_all(&workload).unwrap() {
+                assert_eq!(
+                    response.result,
+                    verifier.answer(&snapshot, response.client, &response.spec),
+                    "rewrite {round}: diverged from the verifier for {:?}/{:?}",
+                    response.client,
+                    response.spec
                 );
             }
         }

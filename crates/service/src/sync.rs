@@ -173,7 +173,7 @@ impl SyncServer {
                 session: self.session_id,
                 serial: current.serial,
                 payload: SyncPayload::Reset {
-                    full: current.rules.keys().copied().collect(),
+                    full: current.rules.iter().copied().collect(),
                 },
                 trace: trace.id.0,
             },
@@ -320,7 +320,7 @@ mod tests {
 
     fn assert_mirrors(session: &SyncSession, service: &VerificationService) {
         let epoch = service.store().current();
-        assert!(session.digests().iter().eq(epoch.rules.keys()));
+        assert_eq!(session.digests(), &epoch.rules);
     }
 
     #[test]
@@ -512,7 +512,7 @@ mod tests {
             session: delta_response.session,
             serial: delta_response.serial,
             payload: SyncPayload::Reset {
-                full: service.store().current().rules.keys().copied().collect(),
+                full: service.store().current().rules.iter().copied().collect(),
             },
             trace: 0,
         };

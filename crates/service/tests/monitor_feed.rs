@@ -2,7 +2,7 @@
 //! consumes raw switch messages, its [`drain_changes`] output is handed
 //! straight to [`VerificationService::try_publish_changes`], and the
 //! resulting epochs must be indistinguishable — digest for digest — from a
-//! twin service that re-digests the monitor's full snapshot on every
+//! twin service that is handed the monitor's full snapshot on every
 //! publish. The `None` drain after a full-table poll reply must fall back
 //! to the full-snapshot path.
 //!
@@ -43,10 +43,7 @@ fn assert_epochs_agree(
     let (d_store, f_store) = (delta.store(), full.store());
     let (d, f) = (d_store.current(), f_store.current());
     assert_eq!(d.serial, f.serial, "{round}: serials diverged");
-    assert!(
-        d.rules.keys().eq(f.rules.keys()),
-        "{round}: digest sets diverged"
-    );
+    assert_eq!(d.rules, f.rules, "{round}: digest sets diverged");
     assert_eq!(
         d.snapshot.rule_count(),
         f.snapshot.rule_count(),
@@ -165,6 +162,24 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
     for serial in [store.current().serial - 1, store.current().serial] {
         assert_eq!(store.provenance(serial).expect("recent").delta_rules, 0);
     }
+
+    // --- an in-place rewrite: a switch reports a `ModifyStrict` (or an `Add`
+    // over a present priority + match) as a notification carrying the new
+    // actions, the monitor upserts and queues one install; both paths must
+    // record one rule gone and one arrived. (The last benign rule is the last
+    // of its priority on its switch, so the re-installed entry's slot is the
+    // rebuild's.) ----------------------------------------------------------
+    let at = SimTime::from_millis(30);
+    let (rewritten_switch, original) = seed.last().expect("benign rules");
+    let mut rewritten = original.clone();
+    rewritten.actions = vec![Action::Drop];
+    notify(&mut monitor, *rewritten_switch, &rewritten, at);
+    publish_window(&mut monitor, 1, at, "rewrite");
+    let rewrite = store.provenance(store.current().serial).expect("recent");
+    assert_eq!(
+        (rewrite.added, rewrite.removed, rewrite.delta_rules),
+        (1, 1, 2)
+    );
 
     // --- a full-table poll reply voids the delta: fall back to the
     // full-snapshot publish on both services ------------------------------
