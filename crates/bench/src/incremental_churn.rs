@@ -133,18 +133,20 @@ impl IncrementalChurnExperiment {
                     concat!(
                         "{{\"churn_clients\":{},\"churn_fraction\":{:.4},",
                         "\"rule_changes\":{},",
-                        "\"full\":{{\"epoch_advance_avg_us\":{},\"reverified\":{},\"skipped\":{},\"model_rebuilds\":{}}},",
-                        "\"incremental\":{{\"epoch_advance_avg_us\":{},\"reverified\":{},\"skipped\":{},\"incremental_applies\":{},\"model_rebuilds\":{},\"latency_p50_us\":{},\"latency_p95_us\":{},\"latency_p99_us\":{}}},",
+                        "\"full\":{{\"epoch_advance_avg_us\":{},\"publish_us\":{},\"reverified\":{},\"skipped\":{},\"model_rebuilds\":{}}},",
+                        "\"incremental\":{{\"epoch_advance_avg_us\":{},\"publish_us\":{},\"reverified\":{},\"skipped\":{},\"incremental_applies\":{},\"model_rebuilds\":{},\"latency_p50_us\":{},\"latency_p95_us\":{},\"latency_p99_us\":{}}},",
                         "\"speedup\":{:.3}}}",
                     ),
                     p.churn_clients,
                     p.churn_fraction,
                     p.incremental.rule_changes,
                     p.full.epoch_advance_avg.as_micros(),
+                    publish_us_json(&p.full),
                     p.full.reverified,
                     p.full.skipped,
                     p.full.model_rebuilds,
                     p.incremental.epoch_advance_avg.as_micros(),
+                    publish_us_json(&p.incremental),
                     p.incremental.reverified,
                     p.incremental.skipped,
                     p.incremental.incremental_applies,
@@ -180,6 +182,19 @@ impl IncrementalChurnExperiment {
             self.speedup_at_10pct(),
         )
     }
+}
+
+/// The publish call's own share of a round, per publish path: median and
+/// MAD over the measured rounds (no gate reads it; the README table does).
+fn publish_us_json(report: &IncrementalChurnReport) -> String {
+    let path = |m: rvaas_workloads::MedianMad| {
+        format!("{{\"median\":{:.1},\"mad\":{:.1}}}", m.median_us, m.mad_us)
+    };
+    format!(
+        "{{\"full\":{},\"delta\":{}}}",
+        path(report.publish_full),
+        path(report.publish_delta)
+    )
 }
 
 /// Runs the A/B measurement over `topology` for the given churn rates.

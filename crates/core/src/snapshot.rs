@@ -18,9 +18,21 @@
 //! the predecessor) or [`NetworkSnapshot::changes_to`] (two snapshots
 //! compared); nothing else decides whether an install is a no-op, a fresh
 //! install or a displacement.
+//!
+//! Tables are **shared copy-on-write**: a clone copies no [`FlowEntry`], an
+//! edit copies the one table it changes, and dropping a snapshot frees only
+//! the tables nothing else holds. Two pointer-equal tables are therefore
+//! equal, which is the one thing the diff behind `changes_to` uses the
+//! sharing for — it skips them. Edits look before they write: a removal of
+//! an absent key and an install of an entry `==` to the held one copy
+//! nothing. An install of the same *rule* under another cookie or with
+//! other counters is not such a no-op: the held entry is replaced (so its
+//! table is copied if shared) because `table_of` hands the cookie and the
+//! counters out, while the change list — which is about rules — stays empty.
 
 use std::collections::btree_map::Entry as BTreeEntry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rvaas_hsa::NetworkFunction;
 use rvaas_openflow::{FlowEntry, FlowMatch};
@@ -99,7 +111,9 @@ impl SwitchTable {
 /// RVaaS's view of the network configuration.
 #[derive(Debug, Clone, Default)]
 pub struct NetworkSnapshot {
-    tables: BTreeMap<SwitchId, SwitchTable>,
+    /// Shared copy-on-write with every clone: an edit goes through
+    /// [`Arc::make_mut`] on the one table it changes.
+    tables: BTreeMap<SwitchId, Arc<SwitchTable>>,
     removed: Vec<RemovedEntry>,
     /// Time of the last update applied to the snapshot.
     last_update: SimTime,
@@ -137,15 +151,37 @@ impl NetworkSnapshot {
 
     /// Records that `entry` is installed on `switch` (add or modify).
     pub fn record_installed(&mut self, switch: SwitchId, entry: FlowEntry, at: SimTime) {
-        self.tables.entry(switch).or_default().upsert(entry);
+        self.put(switch, entry);
         self.touch(at);
+    }
+
+    /// Installs `entry` on `switch` and returns the entry it displaced. Looks
+    /// before it writes: an entry `==` to the held one displaces itself and
+    /// copies no shared table.
+    fn put(&mut self, switch: SwitchId, entry: FlowEntry) -> Option<FlowEntry> {
+        let table = self.tables.entry(switch).or_default();
+        if table.get(entry.priority, &entry.flow_match) == Some(&entry) {
+            return Some(entry);
+        }
+        Arc::make_mut(table).upsert(entry)
+    }
+
+    /// Removes and returns the entry `switch` holds under `(priority,
+    /// match)`. Looks before it writes: an absent key copies no shared table.
+    fn take(
+        &mut self,
+        switch: SwitchId,
+        priority: u16,
+        flow_match: &FlowMatch,
+    ) -> Option<FlowEntry> {
+        let table = self.tables.get_mut(&switch)?;
+        table.get(priority, flow_match)?;
+        Arc::make_mut(table).remove(priority, flow_match)
     }
 
     /// Records that `entry` was removed from `switch`.
     pub fn record_removed(&mut self, switch: SwitchId, entry: &FlowEntry, at: SimTime) {
-        if let Some(table) = self.tables.get_mut(&switch) {
-            table.remove(entry.priority, &entry.flow_match);
-        }
+        self.take(switch, entry.priority, &entry.flow_match);
         self.removed.push(RemovedEntry {
             switch,
             entry: entry.clone(),
@@ -166,18 +202,13 @@ impl NetworkSnapshot {
         for change in changes {
             let (switch, entry) = (change.switch, &change.entry);
             if change.installed {
-                let table = self.tables.entry(switch).or_default();
-                match table.upsert(entry.clone()) {
+                match self.put(switch, entry.clone()) {
                     Some(old) if old.actions == entry.actions => continue,
                     Some(old) => effective.push(RuleChange::removed(switch, old)),
                     None => {}
                 }
                 effective.push(change.clone());
-            } else if let Some(held) = self
-                .tables
-                .get_mut(&switch)
-                .and_then(|table| table.remove(entry.priority, &entry.flow_match))
-            {
+            } else if let Some(held) = self.take(switch, entry.priority, &entry.flow_match) {
                 self.removed.push(RemovedEntry {
                     switch,
                     entry: held.clone(),
@@ -207,16 +238,20 @@ impl NetworkSnapshot {
     }
 
     /// The entries `self` installs and `other` does not — key absent, or
-    /// held with other actions — per switch in arrival order.
+    /// held with other actions — per switch in arrival order. A table the
+    /// two snapshots share is skipped: it cannot contribute.
     fn absent_from<'a>(
         &'a self,
         other: &'a NetworkSnapshot,
     ) -> impl Iterator<Item = (SwitchId, &'a FlowEntry)> {
         self.tables.iter().flat_map(move |(switch, table)| {
             let theirs = other.tables.get(switch);
-            table
-                .entries
-                .iter()
+            let mine = if theirs.is_some_and(|t| Arc::ptr_eq(t, table)) {
+                &[]
+            } else {
+                table.entries.as_slice()
+            };
+            mine.iter()
                 .filter(move |mine| {
                     theirs
                         .and_then(|t| t.get(mine.priority, &mine.flow_match))
@@ -245,7 +280,7 @@ impl NetworkSnapshot {
                 }
             }
         }
-        self.tables.insert(switch, new_table);
+        self.tables.insert(switch, Arc::new(new_table));
         self.touch(at);
     }
 
@@ -320,9 +355,10 @@ impl NetworkSnapshot {
         &self,
         reference: &BTreeMap<SwitchId, Vec<FlowEntry>>,
     ) -> (usize, usize) {
-        let tables = reference
-            .iter()
-            .map(|(switch, entries)| (*switch, SwitchTable::from_entries(entries.clone())));
+        let tables = reference.iter().map(|(switch, entries)| {
+            let table = SwitchTable::from_entries(entries.clone());
+            (*switch, Arc::new(table))
+        });
         let truth = NetworkSnapshot {
             tables: tables.collect(),
             ..NetworkSnapshot::default()
@@ -469,6 +505,55 @@ mod tests {
         assert_eq!(after.changes_to(&after), []);
         let undo = [off(6, 2), off(8, 1), on(6, 1)];
         assert_eq!(after.changes_to(&before), undo);
+    }
+
+    #[test]
+    fn edits_unshare_only_the_tables_they_change() {
+        let at = SimTime::from_millis(2);
+        let mut source = NetworkSnapshot::new(SimTime::from_secs(1));
+        for switch in 1..=3 {
+            for dst in [5, 6] {
+                source.record_installed(SwitchId(switch), entry(dst, 1), SimTime::from_millis(1));
+            }
+        }
+        // A shared table is one allocation: its entries sit at one address.
+        let shared = |a: &NetworkSnapshot, b: &NetworkSnapshot| -> Vec<bool> {
+            (1..=3)
+                .map(|s| a.table_of(SwitchId(s)).as_ptr() == b.table_of(SwitchId(s)).as_ptr())
+                .collect()
+        };
+        let frozen: Vec<_> = source.tables().map(|(s, t)| (s, t.to_vec())).collect();
+
+        // A batch that changes nothing copies nothing, on either edit path.
+        let mut clone = source.clone();
+        let no_ops = [
+            RuleChange::installed(SwitchId(1), entry(5, 1)), // == the held entry
+            RuleChange::removed(SwitchId(2), entry(9, 1)),   // absent key
+            RuleChange::removed(SwitchId(7), entry(5, 1)),   // absent switch
+        ];
+        assert_eq!(clone.apply_changes(&no_ops, at), []);
+        clone.record_installed(SwitchId(3), entry(6, 1), at);
+        clone.record_removed(SwitchId(3), &entry(9, 1), at);
+        assert_eq!(shared(&source, &clone), [true, true, true]);
+        assert_eq!(source.changes_to(&clone), []);
+
+        // One rule unshares exactly its switch's table; the source is as it was.
+        let one = [RuleChange::installed(SwitchId(2), entry(7, 1))];
+        assert_eq!(clone.apply_changes(&one, at), one);
+        assert_eq!(shared(&source, &clone), [true, false, true]);
+        assert_eq!(source.changes_to(&clone), one);
+        let now: Vec<_> = source.tables().map(|(s, t)| (s, t.to_vec())).collect();
+        assert_eq!(now, frozen);
+
+        // The same rule under another cookie changes no rule, but `table_of`
+        // reads the cookie, so the held entry is replaced.
+        let mut recoloured = entry(5, 1);
+        recoloured.cookie = rvaas_types::FlowCookie(7);
+        let install = [RuleChange::installed(SwitchId(1), recoloured.clone())];
+        assert_eq!(clone.apply_changes(&install, at), []);
+        assert_eq!(clone.table_of(SwitchId(1))[0], recoloured);
+        assert_eq!(shared(&source, &clone), [false, false, true]);
+        assert_eq!(source.changes_to(&clone), one);
     }
 
     #[test]

@@ -293,3 +293,133 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Snapshots share their tables copy-on-write, so over random chains of
+    /// `clone → edit → clone → edit` through every edit path: (a) editing a
+    /// clone never changes any snapshot it descends from; (b) the diff of a
+    /// sharing pair — which skips pointer-equal tables — is the diff of the
+    /// same pair rebuilt table by table, sharing nothing; (c) publishing the
+    /// clone whole (it shares with the store's current snapshot) and
+    /// publishing the same edits as a rule delta to a second store give one
+    /// digest set, the digest of the snapshot, and one carried-forward
+    /// content digest, the from-scratch fold of that set.
+    #[test]
+    fn shared_tables_never_alias_and_never_change_a_diff(
+        // (edit path, switch, destination, output port)
+        ops in proptest::collection::vec((0u8..4, 1u32..4, 0u32..4, 0u32..3), 3..19),
+    ) {
+        use rvaas::RuleChange;
+        use rvaas_openflow::{Action, FlowEntry, FlowMatch};
+        use rvaas_service::{content_digest_of, digest_snapshot, EpochStore};
+        use rvaas_types::{PortId, SwitchId};
+
+        let entry = |dst: u32, port: u32| {
+            FlowEntry::new(10 + (dst % 2) as u16, FlowMatch::to_ip(dst), vec![Action::Output(PortId(port))])
+        };
+        let deep = |s: &NetworkSnapshot| -> Vec<(SwitchId, Vec<FlowEntry>)> {
+            s.tables().map(|(switch, entries)| (switch, entries.to_vec())).collect()
+        };
+        let rebuilt = |s: &NetworkSnapshot| {
+            let mut fresh = NetworkSnapshot::new(SimTime::from_secs(1));
+            for (switch, entries) in s.tables() {
+                fresh.record_full_table(switch, entries.to_vec(), SimTime::from_millis(1));
+            }
+            fresh
+        };
+
+        let mut a = NetworkSnapshot::new(SimTime::from_secs(1));
+        for switch in 1..4 {
+            for dst in 0..2 {
+                a.record_installed(SwitchId(switch), entry(dst, 1), SimTime::from_millis(1));
+            }
+        }
+        let (whole, by_delta) = (EpochStore::new(64), EpochStore::new(64));
+        whole.try_publish(a.clone(), SimTime::from_millis(1)).unwrap();
+        by_delta.try_publish(rebuilt(&a), SimTime::from_millis(1)).unwrap();
+
+        // Every snapshot of the chain, beside a deep copy taken when it was
+        // last written.
+        let mut ancestors = Vec::new();
+        for (link, edits) in ops.chunks(3).enumerate() {
+            let at = SimTime::from_millis(10 + link as u64);
+            let frozen = deep(&a);
+            let mut b = a.clone();
+            let mut same_edits = Vec::new();
+            for (path, switch, dst, port) in edits {
+                let (switch, next) = (SwitchId(*switch), SwitchId(*switch % 3 + 1));
+                match path {
+                    // Fresh, displacing (another port) or a no-op (the held entry).
+                    0 => {
+                        b.record_installed(switch, entry(*dst, *port), at);
+                        same_edits.push(RuleChange::installed(switch, entry(*dst, *port)));
+                    }
+                    // Of a present key (whatever its actions) or an absent one.
+                    1 => {
+                        b.record_removed(switch, &entry(*dst, *port), at);
+                        same_edits.push(RuleChange::removed(switch, entry(*dst, *port)));
+                    }
+                    // A poll reply that drops one key and, for port > 0, adds
+                    // it back at the end: sometimes the very table it replaces.
+                    2 => {
+                        let key = entry(*dst, *port);
+                        let mut table: Vec<FlowEntry> = b
+                            .table_of(switch)
+                            .iter()
+                            .filter(|e| (e.priority, &e.flow_match) != (key.priority, &key.flow_match))
+                            .cloned()
+                            .collect();
+                        if *port > 0 {
+                            table.push(key);
+                        }
+                        let polled = b.clone();
+                        b.record_full_table(switch, table, at);
+                        same_edits.extend(polled.changes_to(&b));
+                    }
+                    // One batch: an install, a removal, and a flap next door.
+                    _ => {
+                        let batch = [
+                            RuleChange::installed(switch, entry(*dst, *port)),
+                            RuleChange::removed(switch, entry((*dst + 1) % 4, 0)),
+                            RuleChange::installed(next, entry(*dst, *port + 3)),
+                            RuleChange::removed(next, entry(*dst, 0)),
+                        ];
+                        b.apply_changes(&batch, at);
+                        same_edits.extend(batch);
+                    }
+                }
+            }
+            // (b)
+            prop_assert_eq!(
+                a.changes_to(&b), rebuilt(&a).changes_to(&rebuilt(&b)),
+                "link {} of {:?}: sharing changed the forward diff", link, ops
+            );
+            prop_assert_eq!(
+                b.changes_to(&a), rebuilt(&b).changes_to(&rebuilt(&a)),
+                "link {} of {:?}: sharing changed the backward diff", link, ops
+            );
+            // (c)
+            whole.try_publish(b.clone(), at).unwrap();
+            by_delta.try_publish_changes(&same_edits, at).unwrap();
+            let (w, d) = (whole.current(), by_delta.current());
+            let digests = digest_snapshot(&b);
+            prop_assert_eq!(&w.rules, &digests, "link {} of {:?}: whole publish", link, ops);
+            prop_assert_eq!(&d.rules, &digests, "link {} of {:?}: delta publish", link, ops);
+            prop_assert_eq!(&w.rules, &d.rules, "link {} of {:?}", link, ops);
+            let folded = content_digest_of(digests);
+            prop_assert_eq!(w.content_digest(), folded, "link {} of {:?}: whole publish", link, ops);
+            prop_assert_eq!(d.content_digest(), folded, "link {} of {:?}: delta publish", link, ops);
+            prop_assert_eq!(digest_snapshot(&d.snapshot), d.rules.clone(), "link {} of {:?}", link, ops);
+            // (a)
+            ancestors.push((std::mem::replace(&mut a, b), frozen));
+            for (generation, (ancestor, frozen)) in ancestors.iter().enumerate() {
+                prop_assert_eq!(
+                    &deep(ancestor), frozen,
+                    "link {} of {:?}: generation {} changed under a descendant's edit", link, ops, generation
+                );
+            }
+        }
+    }
+}

@@ -2,19 +2,24 @@
 //! monitor's [`NetworkSnapshot`], swapped atomically so query workers never
 //! block the publisher (and vice versa).
 //!
-//! An epoch is its predecessor plus a **net rule-change list**. Rule
-//! identity lives in [`NetworkSnapshot`]: a publish obtains the next
-//! snapshot and the ordered, effective [`RuleChange`]s against the current
-//! one — a full snapshot is diffed ([`NetworkSnapshot::changes_to`]), a rule
-//! delta is applied ([`NetworkSnapshot::apply_changes`]) — and
+//! An epoch is its predecessor plus a **net rule-change list**, and shares
+//! with its predecessor everything the list did not touch: publish time and
+//! the extra memory an epoch holds are `O(touched tables + delta)`, not
+//! `O(network)`. Rule identity lives in [`NetworkSnapshot`]: a publish
+//! obtains the next snapshot and the ordered, effective [`RuleChange`]s
+//! against the current one — a full snapshot is diffed
+//! ([`NetworkSnapshot::changes_to`], which skips the tables the caller's
+//! snapshot still shares with the current epoch's), a rule delta is applied
+//! to a structure-sharing clone ([`NetworkSnapshot::apply_changes`]) — and
 //! `EpochStore::commit` derives everything else from that one list, hashing
 //! only its entries:
 //!
-//! * the **digest set** of the epoch (the predecessor's, plus and minus the
-//!   net delta) and the **digest-level delta** — added/removed
-//!   [`FlowDigest`]s, retained in a bounded history and aggregated over a
-//!   window by [`EpochStore::delta_between`]; it is what the RTR-style sync
-//!   protocol ships to clients;
+//! * the **digest set** of the epoch ([`DigestSet`]: a flat copy of the
+//!   predecessor's, plus and minus the net delta, with its content digest
+//!   carried forward the same way) and the **digest-level delta** —
+//!   added/removed [`FlowDigest`]s, retained in a bounded history and
+//!   aggregated over a window by [`EpochStore::delta_between`]; it is what
+//!   the RTR-style sync protocol ships to clients;
 //! * the [`ChangedRegion`] — the affected header space the store's one HSA
 //!   model reported for the list, from which the interest index selects the
 //!   standing queries the cache and the sync server re-verify;
@@ -80,13 +85,111 @@ pub fn digest_snapshot(snapshot: &NetworkSnapshot) -> BTreeSet<FlowDigest> {
         .collect()
 }
 
+/// The digest set of one epoch: ascending and distinct — the wire form a sync
+/// `Reset` ships — so a successor starts from a flat copy of it, and its
+/// [content digest](DigestSet::content_digest) is kept beside it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DigestSet {
+    digests: Vec<FlowDigest>,
+    content: u64,
+}
+
+/// The content digest of a digest set, from scratch: the wrapping sum of a
+/// per-digest mix. Commutative, so it depends on the set alone (not on the
+/// publish path or order), and invertible, so [`EpochStore`] carries it from
+/// epoch to epoch by subtracting what left and adding what arrived instead of
+/// folding the whole set per publish. (Until PR 15 it was an FNV-1a fold in
+/// ascending order; the numeric values differ, and nothing pins them — they
+/// are only ever compared with each other.)
+#[must_use]
+pub fn content_digest_of(digests: impl IntoIterator<Item = FlowDigest>) -> u64 {
+    digests
+        .into_iter()
+        .fold(0, |acc, d| acc.wrapping_add(mix(d)))
+}
+
+/// The splitmix64 finaliser: spreads a digest over all 64 bits so that sums
+/// of related digests do not cancel.
+fn mix(digest: FlowDigest) -> u64 {
+    let mut z = digest.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+impl DigestSet {
+    /// One `u64` identifying the set: [`content_digest_of`] its digests.
+    #[must_use]
+    pub fn content_digest(&self) -> u64 {
+        self.content
+    }
+
+    /// The digests of `self` that `other` lacks, ascending.
+    pub fn difference<'a>(&'a self, other: &'a DigestSet) -> impl Iterator<Item = &'a FlowDigest> {
+        self.iter().filter(move |d| other.binary_search(d).is_err())
+    }
+
+    /// `self` minus `removed` plus `added`. The runs between change points
+    /// are copied as slices, so the cost is a flat copy plus
+    /// `O(delta · log n)`; the content digest moves only by the digests that
+    /// actually left or arrived, so it stays [`content_digest_of`] the set.
+    fn patched(&self, removed: &BTreeSet<FlowDigest>, added: &BTreeSet<FlowDigest>) -> DigestSet {
+        let mut points: Vec<(FlowDigest, bool)> = removed
+            .iter()
+            .map(|d| (*d, false))
+            .chain(added.iter().map(|d| (*d, true)))
+            .collect();
+        points.sort_unstable();
+        let mut digests = Vec::with_capacity(self.len() + added.len());
+        let mut content = self.content;
+        let mut rest: &[FlowDigest] = self;
+        for (digest, arrives) in points {
+            let (kept, tail) = rest.split_at(rest.partition_point(|held| *held < digest));
+            digests.extend_from_slice(kept);
+            let held = tail.first() == Some(&digest);
+            rest = &tail[usize::from(held)..];
+            if arrives {
+                digests.push(digest);
+            }
+            match (held, arrives) {
+                (true, false) => content = content.wrapping_sub(mix(digest)),
+                (false, true) => content = content.wrapping_add(mix(digest)),
+                _ => {}
+            }
+        }
+        digests.extend_from_slice(rest);
+        DigestSet { digests, content }
+    }
+}
+
+impl std::ops::Deref for DigestSet {
+    type Target = [FlowDigest];
+
+    fn deref(&self) -> &[FlowDigest] {
+        &self.digests
+    }
+}
+
+impl PartialEq<BTreeSet<FlowDigest>> for DigestSet {
+    fn eq(&self, other: &BTreeSet<FlowDigest>) -> bool {
+        self.iter().eq(other)
+    }
+}
+
+impl PartialEq<DigestSet> for BTreeSet<FlowDigest> {
+    fn eq(&self, other: &DigestSet) -> bool {
+        other == self
+    }
+}
+
 /// One published, immutable epoch of network state.
 #[derive(Debug)]
 pub struct SnapshotEpoch {
     /// Monotonically increasing serial (the first published epoch is 1;
     /// serial 0 means "no state", as in the sync protocol).
     pub serial: u64,
-    /// The frozen snapshot queries are answered against.
+    /// The frozen snapshot queries are answered against; tables of switches
+    /// an epoch did not touch are shared with its predecessor.
     pub snapshot: NetworkSnapshot,
     /// The HSA model of `snapshot` over the trusted wiring, frozen from the
     /// store's model; tables of switches an epoch did not touch are shared
@@ -94,27 +197,19 @@ pub struct SnapshotEpoch {
     pub function: NetworkFunction,
     /// The digest of every rule in `snapshot`: what sync ships and deltas
     /// are computed over.
-    pub rules: BTreeSet<FlowDigest>,
+    pub rules: DigestSet,
     /// When the epoch was published (simulation time of the last update).
     pub published_at: SimTime,
 }
 
 impl SnapshotEpoch {
-    /// An order-independent FNV-1a fold over the epoch's digest set: one
-    /// `u64` that identifies the *content* of the epoch (two epochs with the
-    /// same installed rules share it regardless of publish path). The same
-    /// constants as the daemon's `/v1/epoch` body, so provenance records and
-    /// the HTTP surface agree.
+    /// One `u64` that identifies the *content* of the epoch: the
+    /// [content digest](content_digest_of) of its digest set, so two epochs
+    /// with the same installed rules share it regardless of publish path. It
+    /// is what provenance records and the daemon's `/v1/epoch` body carry.
     #[must_use]
     pub fn content_digest(&self) -> u64 {
-        let mut acc = 0xcbf2_9ce4_8422_2325u64;
-        for d in &self.rules {
-            for byte in d.0.to_be_bytes() {
-                acc ^= u64::from(byte);
-                acc = acc.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        acc
+        self.rules.content_digest()
     }
 }
 
@@ -249,7 +344,7 @@ impl EpochStore {
                 serial: 0,
                 snapshot: NetworkSnapshot::default(),
                 function: NetworkFunction::new(),
-                rules: BTreeSet::new(),
+                rules: DigestSet::default(),
                 published_at: SimTime::ZERO,
             })),
             deltas: Mutex::new(VecDeque::new()),
@@ -366,8 +461,9 @@ impl EpochStore {
 
     /// Advances the epoch by a rule-level delta instead of a full snapshot:
     /// the monitor hands [`ConfigMonitor::drain_changes`] output straight
-    /// here, and the next snapshot is a clone of its predecessor with the
-    /// delta applied (so memory stays `O(rules)`).
+    /// here, and the next snapshot is its predecessor with the delta applied,
+    /// sharing every table the delta does not touch (so the publish and the
+    /// memory the new epoch adds are `O(touched tables + delta)`).
     ///
     /// Installs already present and removals of absent rules are skipped, so
     /// the recorded delta always matches the digest diff of the two epochs.
@@ -425,11 +521,7 @@ impl EpochStore {
                 done.insert(d);
             }
         }
-        let mut rules = current.rules.clone();
-        for d in &removed {
-            rules.remove(d);
-        }
-        rules.extend(&added);
+        let rules = current.rules.patched(&removed, &added);
         let (n_added, n_removed) = (added.len(), removed.len());
         let delta_rules = n_added + n_removed;
         let trace = TraceContext::mint();
@@ -624,6 +716,22 @@ mod tests {
         let c = FlowEntry::new(10, FlowMatch::to_ip(5), vec![Action::Drop]);
         assert_ne!(digest_entry(SwitchId(1), &a), digest_entry(SwitchId(1), &c));
         assert_ne!(digest_entry(SwitchId(2), &a), digest_entry(SwitchId(1), &a));
+    }
+
+    #[test]
+    fn patched_digest_set_is_the_set_and_carries_its_content_digest() {
+        let set = |ds: &[u64]| ds.iter().map(|d| FlowDigest(*d)).collect::<BTreeSet<_>>();
+        let base = DigestSet::default().patched(&set(&[]), &set(&[10, 20, 30, 40]));
+        assert_eq!(base, set(&[10, 20, 30, 40]));
+        // Both ends, a run in the middle, a removal of what is not held and
+        // an arrival of what already is.
+        let next = base.patched(&set(&[10, 25, 40]), &set(&[5, 20, 35, 50]));
+        assert_eq!(next, set(&[5, 20, 30, 35, 50]));
+        assert_eq!(next.content_digest(), content_digest_of(next.to_vec()));
+        assert_ne!(next.content_digest(), base.content_digest());
+        // Back again: the content digest is a function of the set alone.
+        let back = next.patched(&set(&[5, 35, 50]), &set(&[10, 40]));
+        assert_eq!(back, base);
     }
 
     #[test]
@@ -852,9 +960,37 @@ mod tests {
         };
         assert_eq!(table(&before, 1), table(&after, 1), "untouched: shared");
         assert_ne!(table(&before, 2), table(&after, 2), "touched: copied");
+        fn entries(epoch: &SnapshotEpoch, switch: u32) -> &[FlowEntry] {
+            epoch.snapshot.table_of(SwitchId(switch))
+        }
+        let shared = |a: &SnapshotEpoch, b: &SnapshotEpoch, switch| {
+            entries(a, switch).as_ptr() == entries(b, switch).as_ptr()
+        };
+        assert!(shared(&before, &after, 1), "untouched: shared");
+        assert!(!shared(&before, &after, 2), "touched: copied");
         // The predecessor stays frozen as published.
         assert_eq!(before.function.rule_count(), 2);
         assert_eq!(after.function.rule_count(), 3);
+        assert_eq!(before.snapshot.rule_count(), 2);
+        assert_eq!(entries(&before, 2), [entry(1)]);
+        assert_eq!(entries(&after, 2), [entry(1), entry(2)]);
+
+        // A caller that keeps its own snapshot, edits one switch and hands
+        // the whole of it over shares the rest just the same, and the diff
+        // finds exactly the edit.
+        let mut mine = after.snapshot.clone();
+        mine.record_removed(SwitchId(1), &entry(1), SimTime::from_millis(3));
+        let p = store.try_publish(mine, SimTime::from_millis(3)).unwrap();
+        let last = store.current();
+        assert!(!shared(&after, &last, 1), "touched: copied");
+        assert!(shared(&after, &last, 2), "untouched: shared");
+        assert_eq!(table(&after, 2), table(&last, 2), "untouched: shared");
+        assert_eq!(p.delta_rules, 1);
+        let delta = store.delta_since(2).expect("retained");
+        assert_eq!(delta.removed, [digest_entry(SwitchId(1), &entry(1))]);
+        assert!(delta.added.is_empty());
+        assert_eq!(last.rules, digest_snapshot(&last.snapshot));
+        assert_eq!(entries(&after, 1), [entry(1)], "the predecessor is intact");
     }
 
     #[test]

@@ -72,8 +72,8 @@ pub use backend::ServiceBackend;
 pub use cache::{CacheStats, ResultCache};
 pub use config::{ServiceConfig, ServiceSettings, SETTING_KEYS};
 pub use epoch::{
-    digest_entry, digest_snapshot, EpochDelta, EpochProvenance, EpochStore, Published,
-    SnapshotEpoch,
+    content_digest_of, digest_entry, digest_snapshot, DigestSet, EpochDelta, EpochProvenance,
+    EpochStore, Published, SnapshotEpoch,
 };
 pub use error::ServiceError;
 pub use pool::{QueryResponse, ServiceStats, VerificationService};

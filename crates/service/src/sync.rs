@@ -173,7 +173,7 @@ impl SyncServer {
                 session: self.session_id,
                 serial: current.serial,
                 payload: SyncPayload::Reset {
-                    full: current.rules.iter().copied().collect(),
+                    full: current.rules.to_vec(),
                 },
                 trace: trace.id.0,
             },

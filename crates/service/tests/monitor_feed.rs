@@ -116,9 +116,24 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
     let publish_window = |monitor: &mut ConfigMonitor, expected: usize, at, round: &str| {
         let changes = monitor.drain_changes().expect("no resync in this window");
         assert_eq!(changes.len(), expected, "{round}");
+        let before = [&delta_service, &full_service].map(|s| s.store().current());
         delta_service.try_publish_changes(&changes, at).unwrap();
         full_service.try_publish(monitor.snapshot(), at).unwrap();
         assert_epochs_agree(&delta_service, &full_service, &topology, round);
+        // On both paths the new epoch shares with its predecessor the table
+        // of every switch the window did not name.
+        for (service, before) in [&delta_service, &full_service].into_iter().zip(before) {
+            let after = service.store().current();
+            for switch in topology.switches().map(|s| s.id) {
+                let (old, new) = (
+                    before.snapshot.table_of(switch),
+                    after.snapshot.table_of(switch),
+                );
+                if !old.is_empty() && changes.iter().all(|c| c.switch != switch) {
+                    assert_eq!(old.as_ptr(), new.as_ptr(), "{round}: {switch:?} copied");
+                }
+            }
+        }
     };
 
     // --- initial table build arrives as passive notifications -----------
@@ -205,5 +220,12 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
     let at = SimTime::from_millis(60);
     let catch_all = FlowEntry::new(8, FlowMatch::any(), vec![Action::Drop]);
     notify(&mut monitor, SwitchId(3), &catch_all, at);
+    let before = full_service.store().current();
     publish_window(&mut monitor, 1, at, "post-resync");
+    // ...and the one switch it touched is the one table it copied.
+    let after = full_service.store().current();
+    let copied: Vec<SwitchId> = (topology.switches().map(|s| s.id))
+        .filter(|s| before.snapshot.table_of(*s).as_ptr() != after.snapshot.table_of(*s).as_ptr())
+        .collect();
+    assert_eq!(copied, [SwitchId(3)]);
 }

@@ -195,6 +195,38 @@ pub struct IncrementalChurnReport {
     pub latency_p95_us: u64,
     /// 99th-percentile per-query latency in microseconds.
     pub latency_p99_us: u64,
+    /// The publish call's own share of a measured round, full-snapshot path
+    /// (`try_publish`, what the rounds above drive): median over the rounds.
+    pub publish_full: MedianMad,
+    /// The same epochs published as rule deltas (`try_publish_changes`) to a
+    /// twin service outside the timed round.
+    pub publish_delta: MedianMad,
+}
+
+/// A median and the median absolute deviation around it, in microseconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct MedianMad {
+    /// The median sample.
+    pub median_us: f64,
+    /// The median distance of a sample from it.
+    pub mad_us: f64,
+}
+
+impl MedianMad {
+    fn of(samples: &[Duration]) -> Self {
+        fn median(mut values: Vec<f64>) -> f64 {
+            values.sort_by(f64::total_cmp);
+            match values.len() {
+                0 => 0.0,
+                n if n % 2 == 1 => values[n / 2],
+                n => (values[n / 2 - 1] + values[n / 2]) / 2.0,
+            }
+        }
+        let micros: Vec<f64> = samples.iter().map(|d| d.as_secs_f64() * 1e6).collect();
+        let median_us = median(micros.clone());
+        let mad_us = median(micros.iter().map(|v| (v - median_us).abs()).collect());
+        MedianMad { median_us, mad_us }
+    }
 }
 
 /// One sync exchange per session, each answer applied: how the churn drivers
@@ -220,22 +252,29 @@ pub fn run_incremental_churn(
     topology: &Topology,
     config: &IncrementalChurnConfig,
 ) -> IncrementalChurnReport {
-    let service = VerificationService::new(
-        topology.clone(),
-        ServiceSettings {
-            workers: config.workers,
-            incremental: config.incremental,
-            ..ServiceSettings::default()
-        }
-        .into_config(VerifierConfig {
-            use_history: false,
-            locations: LocationMap::disclosed(topology),
-        }),
-    );
+    let new_service = || {
+        VerificationService::new(
+            topology.clone(),
+            ServiceSettings {
+                workers: config.workers,
+                incremental: config.incremental,
+                ..ServiceSettings::default()
+            }
+            .into_config(VerifierConfig {
+                use_history: false,
+                locations: LocationMap::disclosed(topology),
+            }),
+        )
+    };
+    // The twin takes every epoch as a rule delta, outside the timed round,
+    // so `publish_delta` is measured over the epochs `publish_full` is.
+    let (service, delta_twin) = (new_service(), new_service());
     let mut snapshot = benign_snapshot(topology);
-    service
-        .try_publish(&snapshot, SimTime::from_millis(1))
-        .expect("epoch publish rejected");
+    for service in [&service, &delta_twin] {
+        service
+            .try_publish(&snapshot, SimTime::from_millis(1))
+            .expect("epoch publish rejected");
+    }
     let server = SyncServer::new(service.store(), 9, &service.registry());
 
     let clients = clients_of(topology);
@@ -243,6 +282,7 @@ pub fn run_incremental_churn(
     for client in &clients {
         for spec in &mix {
             server.subscribe(*client, spec.clone());
+            delta_twin.store().register_interest(*client, spec);
         }
     }
     let mut sessions: Vec<(ClientId, SyncSession)> = clients
@@ -253,11 +293,13 @@ pub fn run_incremental_churn(
 
     let mut rule_changes = 0usize;
     let mut epoch_advance_total = Duration::ZERO;
+    let (mut publish_full, mut publish_delta) = (Vec::new(), Vec::new());
     // Round 1 is an untimed warmup: it pays the one-off cold costs (worker
     // models' first full build, evaluator warm paths) that belong to service
     // start-up, not to steady-state epoch advancing.
     for round in 1..=(config.rounds + 1) as u64 {
         let at = SimTime::from_millis(10 + round);
+        let previous = snapshot.clone();
         let started = Instant::now();
         rule_changes += tenant_churn_round(
             topology,
@@ -267,12 +309,23 @@ pub fn run_incremental_churn(
             config.rules_per_client,
             at,
         );
+        let publishing = Instant::now();
         service
             .try_publish(&snapshot, at)
             .expect("epoch publish rejected");
+        let published = publishing.elapsed();
         sync_sessions(&server, &service, &mut sessions);
         if round > 1 {
             epoch_advance_total += started.elapsed();
+            publish_full.push(published);
+        }
+        let changes = previous.changes_to(&snapshot);
+        let publishing = Instant::now();
+        delta_twin
+            .try_publish_changes(&changes, at)
+            .expect("epoch publish rejected");
+        if round > 1 {
+            publish_delta.push(publishing.elapsed());
         }
     }
 
@@ -292,6 +345,8 @@ pub fn run_incremental_churn(
         latency_p50_us: stats.latency_p50_us,
         latency_p95_us: stats.latency_p95_us,
         latency_p99_us: stats.latency_p99_us,
+        publish_full: MedianMad::of(&publish_full),
+        publish_delta: MedianMad::of(&publish_delta),
     }
 }
 

@@ -32,6 +32,7 @@ pub mod service_load;
 
 pub use churn::{
     run_incremental_churn, tenant_churn_round, IncrementalChurnConfig, IncrementalChurnReport,
+    MedianMad,
 };
 pub use locations::{crowd_sourced_map, inferred_map};
 pub use query_scale::{run_query_scale, synthetic_queries, QueryScaleConfig, QueryScaleReport};
