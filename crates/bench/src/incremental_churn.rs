@@ -1,26 +1,35 @@
-//! Experiment S2 — incremental verification under tenant churn.
+//! Experiment S2 — epoch advance under tenant churn: the service against
+//! the from-scratch verifier.
 //!
-//! Measures the **epoch-advance cost** — model update + standing-query
-//! reverification — of the incremental verification engine against the
-//! full-rebuild baseline, across churn rates:
+//! Measures the **epoch-advance cost** — taking the new configuration in and
+//! bringing every standing query's verdict up to date — across churn rates,
+//! two ways over the same [`rvaas_workloads::tenant_churn_round`] sequence:
 //!
-//! * **full rebuild** (the seed architecture): every epoch advance rebuilds
-//!   the HSA network function from the snapshot, invalidates the whole
-//!   result-cache generation and re-verifies every standing query;
-//! * **incremental**: worker models apply the rule-level epoch delta in
-//!   place, the cache carries provably unaffected entries forward, and only
-//!   standing queries whose interest space intersects the delta's changed
-//!   header region are re-verified.
+//! * **full** (`rvaas_workloads::run_full_rebuild_churn`, the reference
+//!   implementation; no service code): per round and per client,
+//!   [`rvaas::LogicalVerifier`] rebuilds the HSA network function from the
+//!   snapshot and re-verifies all of that client's standing queries.
+//!   Nothing is skipped;
+//! * **incremental** (`rvaas_workloads::run_incremental_churn`, the
+//!   service as deployed): the publish advances the epoch store's one model
+//!   by the epoch's rule delta and freezes its function into the epoch, the
+//!   interest index selects the standing queries whose interest space meets
+//!   the changed header region, sync re-verifies only those — on the frozen
+//!   function, through the worker pool — and the result cache carries the
+//!   rest.
 //!
 //! Writes the machine-readable trajectory to `BENCH_incremental.json`; the
 //! CI bench-smoke gate fails when `speedup_at_10pct` drops below 1.0 (the
 //! acceptance bar for the feature itself is 3x on a quiet machine).
 //!
-//! Smoke mode (`RVAAS_BENCH_SMOKE=1`) shrinks rounds and churn points so CI
-//! finishes in seconds.
+//! Smoke mode (`RVAAS_BENCH_SMOKE=1`) measures two churn points instead of
+//! four (`s1`/`s3` shrink more).
 
 use rvaas_topology::generators;
-use rvaas_workloads::{run_incremental_churn, IncrementalChurnConfig, IncrementalChurnReport};
+use rvaas_workloads::{
+    run_full_rebuild_churn, run_incremental_churn, FullRebuildChurnReport, IncrementalChurnConfig,
+    IncrementalChurnReport,
+};
 
 /// True when the benchmarks should run in reduced "smoke" mode (CI).
 #[must_use]
@@ -35,14 +44,14 @@ pub struct ChurnPoint {
     pub churn_clients: usize,
     /// Fraction of all clients that is.
     pub churn_fraction: f64,
-    /// Full-rebuild baseline measurements.
-    pub full: IncrementalChurnReport,
-    /// Incremental-engine measurements.
+    /// The from-scratch baseline's measurements.
+    pub full: FullRebuildChurnReport,
+    /// The service's measurements.
     pub incremental: IncrementalChurnReport,
 }
 
 impl ChurnPoint {
-    /// Epoch-advance speedup of incremental over full rebuild.
+    /// Epoch-advance speedup of the service over the from-scratch baseline.
     #[must_use]
     pub fn speedup(&self) -> f64 {
         self.full.epoch_advance_total.as_secs_f64()
@@ -90,7 +99,7 @@ impl IncrementalChurnExperiment {
     #[must_use]
     pub fn rows(&self) -> Vec<String> {
         let mut rows = vec![
-            "# S2 — incremental verification under tenant churn (delta → affected header space → targeted re-verify)".to_string(),
+            "# S2 — epoch advance under tenant churn: service (frozen function + affected-only re-verify) vs from-scratch verifier (rebuild + re-verify all)".to_string(),
             format!(
                 "workload: {} | clients={} | standing_queries={} | rounds={} | host_cores={}{}",
                 self.topology,
@@ -133,7 +142,7 @@ impl IncrementalChurnExperiment {
                     concat!(
                         "{{\"churn_clients\":{},\"churn_fraction\":{:.4},",
                         "\"rule_changes\":{},",
-                        "\"full\":{{\"epoch_advance_avg_us\":{},\"publish_us\":{},\"reverified\":{},\"skipped\":{},\"model_rebuilds\":{}}},",
+                        "\"full\":{{\"epoch_advance_avg_us\":{},\"reverified\":{},\"skipped\":0}},",
                         "\"incremental\":{{\"epoch_advance_avg_us\":{},\"publish_us\":{},\"reverified\":{},\"skipped\":{},\"incremental_applies\":{},\"model_rebuilds\":{},\"latency_p50_us\":{},\"latency_p95_us\":{},\"latency_p99_us\":{}}},",
                         "\"speedup\":{:.3}}}",
                     ),
@@ -141,10 +150,7 @@ impl IncrementalChurnExperiment {
                     p.churn_fraction,
                     p.incremental.rule_changes,
                     p.full.epoch_advance_avg.as_micros(),
-                    publish_us_json(&p.full),
                     p.full.reverified,
-                    p.full.skipped,
-                    p.full.model_rebuilds,
                     p.incremental.epoch_advance_avg.as_micros(),
                     publish_us_json(&p.incremental),
                     p.incremental.reverified,
@@ -209,26 +215,17 @@ pub fn measure_incremental_churn(
     let clients = rvaas_workloads::clients_of(topology).len().max(1);
     let mut points = Vec::new();
     for &churn_clients in churn_points {
-        let base = IncrementalChurnConfig {
+        let config = IncrementalChurnConfig {
             workers: 2,
-            incremental: true,
             rounds,
             churn_clients_per_round: churn_clients,
             rules_per_client,
         };
-        let incremental = run_incremental_churn(topology, &base);
-        let full = run_incremental_churn(
-            topology,
-            &IncrementalChurnConfig {
-                incremental: false,
-                ..base
-            },
-        );
         points.push(ChurnPoint {
             churn_clients,
             churn_fraction: churn_clients as f64 / clients as f64,
-            full,
-            incremental,
+            incremental: run_incremental_churn(topology, &config),
+            full: run_full_rebuild_churn(topology, &config),
         });
     }
     IncrementalChurnExperiment {
@@ -246,24 +243,20 @@ pub fn measure_incremental_churn(
 /// `BENCH_incremental.json` next to the working directory.
 pub fn exp_s2_incremental_churn() -> Vec<String> {
     // Big enough that HSA traversal work dominates the (shared) snapshot
-    // digesting cost of a publish; 10 clients, so 1 churned client per
-    // round = 10% churn.
-    let (topology, label, rounds, churn_points): (_, _, usize, Vec<usize>) = if smoke_mode() {
-        (
-            generators::fat_tree(4, 10),
-            "fat_tree(4) x 10 clients",
-            2,
-            vec![1, 5],
-        )
+    // digesting cost of a publish; 20 clients, so 2 churned clients per
+    // round = 10% churn. The whole sweep takes under a second, so smoke mode
+    // only drops churn points: on a smaller fabric the service's fixed
+    // per-exchange costs (thread wake-ups, channel hops) rival the work being
+    // compared and the >= 1.0 gate sits inside the noise.
+    let topology = generators::fat_tree(6, 20);
+    let label = "fat_tree(6) x 20 clients";
+    let rounds = 4;
+    let churn_points: &[usize] = if smoke_mode() {
+        &[2, 10]
     } else {
-        (
-            generators::fat_tree(6, 20),
-            "fat_tree(6) x 20 clients",
-            4,
-            vec![2, 4, 10, 20],
-        )
+        &[2, 4, 10, 20]
     };
-    let report = measure_incremental_churn(&topology, label, rounds, &churn_points, 4);
+    let report = measure_incremental_churn(&topology, label, rounds, churn_points, 4);
     let json = report.to_json();
     let path = "BENCH_incremental.json";
     match std::fs::write(path, &json) {
@@ -284,7 +277,11 @@ mod tests {
         assert_eq!(report.points.len(), 1);
         let point = &report.points[0];
         assert!(point.speedup() > 0.0);
-        assert_eq!(point.full.skipped, 0, "baseline re-verifies everything");
+        assert_eq!(
+            point.full.reverified,
+            point.incremental.reverified + point.incremental.skipped,
+            "baseline re-verifies everything"
+        );
         assert!(
             point.incremental.reverified < point.full.reverified,
             "incremental must re-verify a strict subset: {point:?}"

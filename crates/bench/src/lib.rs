@@ -3,9 +3,7 @@
 //! The experiment harness regenerating every table and figure documented in
 //! `EXPERIMENTS.md`. Each experiment is a pure function returning printable
 //! rows; the `experiments` binary runs one (or all) of them and prints the
-//! table, and the Criterion benches under `benches/` cover the
-//! latency-oriented figures (protocol walk-through, HSA scaling, monitor
-//! churn).
+//! table.
 //!
 //! The RVaaS paper (DSN 2016) contains no quantitative evaluation of its own
 //! — the experiment set here operationalises its qualitative claims; see

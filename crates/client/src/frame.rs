@@ -29,8 +29,9 @@ pub enum FrameError {
         /// The offending length.
         len: usize,
     },
-    /// The stream ended mid-prefix or mid-payload: the peer disconnected
-    /// with a frame in flight.
+    /// The stream ended — or a read timed out — mid-prefix or mid-payload:
+    /// the peer disconnected, or stalled, with a frame in flight. The bytes
+    /// already consumed are gone, so the stream cannot be resynchronised.
     Torn {
         /// How many more bytes the frame still owed.
         missing: usize,
@@ -45,11 +46,15 @@ impl FrameError {
     /// consumed.
     #[must_use]
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            FrameError::Io(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-        )
+        matches!(self, FrameError::Io(e) if is_timeout(e))
     }
+}
+
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 impl std::fmt::Display for FrameError {
@@ -129,8 +134,13 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
     let mut len_buf = [0u8; 4];
     // Distinguish "no frame" (clean EOF / retryable timeout before any byte)
-    // from "torn frame" (EOF after a partial prefix).
-    let first = r.read(&mut len_buf)?;
+    // from "torn frame" (EOF or timeout after a partial prefix).
+    let first = loop {
+        match r.read(&mut len_buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            first => break first?,
+        }
+    };
     if first == 0 {
         return Ok(None);
     }
@@ -144,20 +154,23 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
     Ok(Some(payload))
 }
 
-/// `read_exact` with EOF mapped to [`FrameError::Torn`]: once any byte of a
-/// frame has been consumed, running out of stream is a protocol violation,
-/// not a clean close.
+/// `read_exact` with EOF and read timeouts mapped to [`FrameError::Torn`]:
+/// once any byte of a frame has been consumed, running out of stream is a
+/// protocol violation, not a clean close, and a timeout is not retryable —
+/// a fresh [`read_frame`] would take the middle of this frame for a length
+/// prefix.
 fn read_exactly<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), FrameError> {
+    let len = buf.len();
+    let torn = |filled: usize| FrameError::Torn {
+        missing: len - filled,
+    };
     let mut filled = 0;
-    while filled < buf.len() {
+    while filled < len {
         match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(FrameError::Torn {
-                    missing: buf.len() - filled,
-                })
-            }
+            Ok(0) => return Err(torn(filled)),
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) => return Err(torn(filled)),
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
@@ -238,6 +251,47 @@ mod tests {
                 matches!(err, FrameError::Torn { missing } if missing == 4 - partial),
                 "{partial}-byte header gave {err:?}"
             );
+        }
+    }
+
+    /// A socket with a read timeout, scripted: each `read` hands out the
+    /// next chunk (sized to fit what `read_frame` asks for) or fails.
+    struct Scripted(std::collections::VecDeque<Result<Vec<u8>, io::ErrorKind>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let chunk = self.0.pop_front().expect("script ran out")?;
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    #[test]
+    fn a_stall_inside_a_frame_tears_it_and_only_an_idle_timeout_retries() {
+        use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"hello sync").unwrap();
+        let (prefix, payload) = (wire[..4].to_vec(), wire[4..].to_vec());
+        // Idle: the timeout fires before the first byte. Retry, then read.
+        let script = [
+            Err(WouldBlock),
+            Err(Interrupted),
+            Ok(prefix.clone()),
+            Ok(payload),
+        ];
+        let mut idle = Scripted(script.into());
+        assert!(read_frame(&mut idle).unwrap_err().is_retryable());
+        assert_eq!(read_frame(&mut idle).unwrap().unwrap(), b"hello sync");
+        // Stalled after 2 of the 4 prefix bytes, and after 3 payload bytes:
+        // the consumed bytes are gone, so a retry would read the middle of
+        // the frame as a length. Torn, not retryable.
+        for (script, missing) in [
+            (vec![Ok(wire[..2].to_vec()), Err(WouldBlock)], 2),
+            (vec![Ok(prefix), Ok(wire[4..7].to_vec()), Err(TimedOut)], 7),
+        ] {
+            let err = read_frame(&mut Scripted(script.into())).unwrap_err();
+            assert!(matches!(err, FrameError::Torn { missing: m } if m == missing));
+            assert!(!err.is_retryable(), "{err:?}");
         }
     }
 

@@ -123,8 +123,9 @@ impl LogicalVerifier {
     /// Starts a reusable evaluation session over one snapshot: the HSA
     /// network function is built once and per-host traversals are memoised,
     /// so a batch of queries sharing source hosts costs one traversal per
-    /// host instead of one per query. This is the entry point the service
-    /// plane's worker pool uses.
+    /// host instead of one per query. This is the from-scratch reference
+    /// every service-plane test and benchmark compares against; the worker
+    /// pool itself uses it only under history-mode verification.
     #[must_use]
     pub fn evaluator<'a>(&'a self, snapshot: &'a NetworkSnapshot) -> QueryEvaluator<'a> {
         QueryEvaluator {
@@ -139,13 +140,17 @@ impl LogicalVerifier {
 
     /// Like [`LogicalVerifier::evaluator`], but borrows an externally
     /// maintained network function instead of rebuilding one from the
-    /// snapshot — the entry point for the incremental verification engine,
-    /// where an [`crate::incremental::IncrementalModel`] keeps the function
-    /// up to date by applying epoch deltas in place.
+    /// snapshot — the service plane's worker pool answers every batch this
+    /// way, over the function the epoch store's one
+    /// [`crate::incremental::IncrementalModel`] was advanced to and froze
+    /// into the epoch.
     ///
-    /// The caller is responsible for `nf` actually modelling `snapshot`
-    /// (including the history mode the verifier is configured with);
-    /// divergence between the two silently skews answers.
+    /// The caller is responsible for `nf` actually modelling `snapshot`;
+    /// divergence between the two silently skews answers. A model of the
+    /// installed rules cannot stand in for a history-mode function (rules
+    /// removed inside the snapshot's window leave it by time, not by a rule
+    /// change), so under [`VerifierConfig::use_history`] callers use
+    /// [`LogicalVerifier::evaluator`] instead.
     #[must_use]
     pub fn evaluator_with<'a>(
         &'a self,

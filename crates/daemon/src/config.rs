@@ -223,6 +223,18 @@ http_listen = 127.0.0.1:0
     }
 
     #[test]
+    fn the_retired_incremental_key_is_an_unknown_setting_not_ignored() {
+        let seed = include_str!("../../fuzz/corpus/config/regress-retired-incremental-key.bin");
+        assert!(seed.contains("incremental = on"));
+        let err = DaemonConfig::parse(seed).unwrap_err();
+        assert!(matches!(err, ServiceError::Config(_)));
+        assert!(
+            err.to_string().contains("unknown setting \"incremental\""),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn every_documented_constructor_builds() {
         for spec in [
             "line(4,2)",

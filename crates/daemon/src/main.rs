@@ -10,7 +10,7 @@ use rvaas_types::ClientId;
 const USAGE: &str = "usage: rvaas <serve|verify|trace|man> [options]
   rvaas serve  [-c FILE] [--topology SPEC] [--rules-file FILE] [--workers N]
                [--sync-listen ADDR] [--http-listen ADDR] [--no-cache]
-               [--no-incremental] [--run-secs N]
+               [--run-secs N]
   rvaas verify [-c FILE] [--topology SPEC] [--rules-file FILE] [--workers N]
                [--client N] [--query NAME] [--to-ip N]
   rvaas trace  [-c FILE] [--topology SPEC] [--rules-file FILE] [--workers N]
@@ -113,7 +113,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
             "--sync-listen" => overrides.push(("sync_listen".to_string(), value_for(flag)?)),
             "--http-listen" => overrides.push(("http_listen".to_string(), value_for(flag)?)),
             "--no-cache" => overrides.push(("cache".to_string(), "off".to_string())),
-            "--no-incremental" => overrides.push(("incremental".to_string(), "off".to_string())),
             "--run-secs" => {
                 options.run_secs = Some(parse_u64(flag, &value_for(flag)?)?);
             }

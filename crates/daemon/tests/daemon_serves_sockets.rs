@@ -71,6 +71,16 @@ fn read_response(stream: &mut TcpStream) -> (u16, String) {
     (status, String::from_utf8(body).unwrap())
 }
 
+/// A sync client connection. `TCP_NODELAY` because `write_frame` sends the
+/// prefix and the payload as two writes: with Nagle on, the payload waits
+/// for the daemon's delayed ACK of the prefix, which on a loaded host can
+/// outlast the daemon's 100 ms read timeout and tear the frame.
+fn sync_connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+}
+
 /// Runs one sync exchange on an open connection and applies the response.
 fn sync_roundtrip(stream: &mut TcpStream, session: &mut SyncSession, client: ClientId) {
     let request = session.request(client);
@@ -117,8 +127,8 @@ fn daemon_serves_http_and_concurrent_sync_sessions_over_an_epoch_publish() {
     // --- two concurrent sync sessions + concurrent HTTP queries ---------
     // Both connections stay open across the epoch publish; each issues its
     // baseline reset in its own thread while HTTP queries run alongside.
-    let mut conn1 = TcpStream::connect(sync_addr).unwrap();
-    let mut conn2 = TcpStream::connect(sync_addr).unwrap();
+    let mut conn1 = sync_connect(sync_addr);
+    let mut conn2 = sync_connect(sync_addr);
     let mut session1 = SyncSession::new();
     let mut session2 = SyncSession::new();
     std::thread::scope(|scope| {
@@ -391,7 +401,7 @@ fn rules_file_seeds_the_initial_epoch() {
 #[test]
 fn unsupported_sync_version_is_answered_with_a_reject_frame() {
     let daemon = started_daemon();
-    let mut stream = TcpStream::connect(daemon.sync_addr().unwrap()).unwrap();
+    let mut stream = sync_connect(daemon.sync_addr().unwrap());
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
@@ -408,6 +418,43 @@ fn unsupported_sync_version_is_answered_with_a_reject_frame() {
     assert_eq!(reject.got, 0x20);
     // The server hangs up after rejecting.
     assert!(read_frame(&mut stream).unwrap().is_none());
+    daemon.shutdown();
+}
+
+#[test]
+fn a_sync_peer_that_stalls_mid_frame_is_dropped_while_another_keeps_syncing() {
+    let daemon = started_daemon();
+    let sync_addr = daemon.sync_addr().unwrap();
+    let mut healthy = sync_connect(sync_addr);
+    let mut session = SyncSession::new();
+    sync_roundtrip(&mut healthy, &mut session, ClientId(2));
+
+    // Half a length prefix, a pause past the daemon's 100 ms sync read
+    // timeout, then the rest. The two bytes the daemon consumed are gone, so
+    // it must not start a fresh frame in the middle of this one — that would
+    // read 0x000c6865 as a length and wait for 800 KB that never come.
+    let mut wire = Vec::new();
+    write_frame(&mut wire, b"hello sync!!").unwrap();
+    let (head, tail) = wire.split_at(2);
+    let mut stalled = sync_connect(sync_addr);
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    stalled.write_all(head).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    sync_roundtrip(&mut healthy, &mut session, ClientId(2));
+    // The daemon may already have hung up on us; that is the point.
+    let _ = stalled.write_all(tail);
+    // Closed (EOF, or a reset because `tail` arrived after the close) —
+    // not answered, and not left waiting for the rest of a phantom frame.
+    match stalled.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("the torn connection must be closed, got {other:?}"),
+    }
+
+    sync_roundtrip(&mut healthy, &mut session, ClientId(2));
+    assert_eq!(session.serial(), daemon.service().current_serial());
     daemon.shutdown();
 }
 

@@ -266,7 +266,6 @@ rules_file = "/etc/rvaas/rules.txt"
 [service]
 workers = 3
 cache = off          # trailing comment
-incremental = on
 max_delta_history = 16
 sync_listen = "127.0.0.1:8282"
 http_listen = 127.0.0.1:8080
@@ -308,6 +307,13 @@ http_listen = 127.0.0.1:8080
         "config",
         "regress-prefix-past-32.bin",
         b"1 10 src=10.0.0.1/33 drop\n",
+    );
+    // The `incremental` switch is retired: a config that still sets it is
+    // an unknown-setting error (exit 2), never silently accepted.
+    write_seed(
+        "config",
+        "regress-retired-incremental-key.bin",
+        b"topology = line(4,2)\nworkers = 2\nincremental = on\n",
     );
 }
 

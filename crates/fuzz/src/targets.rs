@@ -213,10 +213,6 @@ fn render_config(config: &DaemonConfig) -> String {
         if service.cache { "on" } else { "off" }
     ));
     out.push_str(&format!(
-        "incremental = {}\n",
-        if service.incremental { "on" } else { "off" }
-    ));
-    out.push_str(&format!(
         "max_delta_history = {}\n",
         service.max_delta_history
     ));

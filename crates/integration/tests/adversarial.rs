@@ -2,19 +2,22 @@
 //!
 //! Every attack in the service-plane catalogue
 //! ([`Attack::service_plane_expectation`]) is compiled to legitimate
-//! OpenFlow/sync traffic and driven through the verification service twice:
-//! once with the incremental engine (delta sync, result cache, the epoch's
-//! frozen model) and once as a from-scratch full-rebuild oracle. The gates assert
-//! the predicates the attacks probe: replays cannot divert a sync client
-//! for longer than one round trip, phantom removals degrade to conservative
-//! re-verification instead of silent divergence, caches never serve a
-//! stale epoch's verdict, and churn floods trip the bulk-rebuild heuristic
-//! — and under *every* attack, incremental verdicts equal the oracle's.
+//! OpenFlow/sync traffic and driven through the verification service
+//! (delta sync, result cache, the epoch's frozen model); the oracle is the
+//! reference implementation, which shares no service code —
+//! [`LogicalVerifier::answer`] from scratch over the snapshot the test
+//! itself maintains. The gates assert the predicates the attacks probe:
+//! replays cannot divert a sync client for longer than one round trip,
+//! phantom removals degrade to conservative re-verification instead of
+//! silent divergence, caches never serve a stale epoch's verdict, and churn
+//! floods trip the bulk-rebuild heuristic — and under *every* attack, the
+//! service's verdicts equal the oracle's.
 
 use proptest::prelude::*;
 
 use rvaas::{
-    query_affected, IncrementalModel, LocationMap, NetworkSnapshot, RuleChange, VerifierConfig,
+    query_affected, IncrementalModel, LocationMap, LogicalVerifier, NetworkSnapshot, RuleChange,
+    VerifierConfig,
 };
 use rvaas_client::{QuerySpec, SyncError, SyncPayload, SyncResponse, SyncSession};
 use rvaas_controlplane::attack::PRIO_ATTACK;
@@ -95,24 +98,29 @@ fn benign_snapshot(topology: &Topology, at: SimTime) -> NetworkSnapshot {
     snapshot
 }
 
-fn service(topology: &Topology, incremental: bool) -> VerificationService {
-    let config = ServiceSettings {
-        workers: 2,
-        cache: incremental,
-        incremental,
-        ..ServiceSettings::default()
-    }
-    .into_config(VerifierConfig {
+fn verifier_config(topology: &Topology) -> VerifierConfig {
+    VerifierConfig {
         use_history: false,
         locations: LocationMap::disclosed(topology),
-    });
+    }
+}
+
+fn service(topology: &Topology) -> VerificationService {
+    let config = ServiceSettings {
+        workers: 2,
+        ..ServiceSettings::default()
+    }
+    .into_config(verifier_config(topology));
     VerificationService::new(topology.clone(), config)
 }
 
-fn publish(services: &[&VerificationService], snapshot: &NetworkSnapshot, at: SimTime) {
-    for service in services {
-        service.try_publish(snapshot, at).unwrap();
-    }
+/// The full-rebuild oracle: the reference verifier, answering from scratch.
+fn oracle(topology: &Topology) -> LogicalVerifier {
+    LogicalVerifier::new(topology.clone(), verifier_config(topology))
+}
+
+fn publish(service: &VerificationService, snapshot: &NetworkSnapshot, at: SimTime) {
+    service.try_publish(snapshot, at).unwrap();
 }
 
 /// What `server` answers to `session`'s next request as `client`.
@@ -166,18 +174,22 @@ fn all_queries(topology: &Topology) -> Vec<(ClientId, QuerySpec)> {
     queries
 }
 
+/// Every verdict `service` serves for its current epoch must be the
+/// oracle's from-scratch answer over `snapshot` (what that epoch holds).
 fn assert_verdicts_match(
-    incremental: &VerificationService,
-    oracle: &VerificationService,
+    service: &VerificationService,
+    oracle: &LogicalVerifier,
+    snapshot: &NetworkSnapshot,
     queries: &[(ClientId, QuerySpec)],
     context: &str,
 ) {
     for (client, spec) in queries {
-        let fast = incremental.try_query(*client, spec.clone()).unwrap();
-        let slow = oracle.try_query(*client, spec.clone()).unwrap();
+        let served = service.try_query(*client, spec.clone()).unwrap();
+        assert_eq!(served.epoch_serial, service.current_serial());
         assert_eq!(
-            fast.result, slow.result,
-            "{context}: incremental and full-rebuild verdicts diverge \
+            served.result,
+            oracle.answer(snapshot, *client, spec),
+            "{context}: service and full-rebuild verdicts diverge \
              for {client:?} {spec:?}"
         );
     }
@@ -199,70 +211,44 @@ fn assert_model_matches_rebuild(
 }
 
 /// The central soundness gate: under every service-plane attack — install,
-/// attacked steady state, removal — the incremental service's verdicts are
-/// byte-for-byte the full-rebuild oracle's, and the model it answers from
-/// is equivalent to a rebuild of the epoch's snapshot.
+/// attacked steady state, removal — the service's verdicts are byte-for-byte
+/// the full-rebuild oracle's, and the model it answers from is a rebuild of
+/// the epoch's snapshot.
 #[test]
 fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
     let topology = generators::line(4, 2);
     let queries = all_queries(&topology);
+    let oracle = oracle(&topology);
     for attack in service_plane_attacks(&topology) {
         assert!(
             attack.service_plane_expectation().is_some(),
             "catalogue invariant: these are service-plane attacks"
         );
-        let incremental = service(&topology, true);
-        let oracle = service(&topology, false);
+        let verification = service(&topology);
         let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
-        publish(&[&incremental, &oracle], &snapshot, SimTime::from_millis(1));
-        let check = |snapshot: &NetworkSnapshot, phase: &str| {
+        // "steady" is the attacked steady state: an epoch that changes nothing.
+        for (phase, millis, messages) in [
+            ("pre-attack", 1, Vec::new()),
+            ("installed", 10, attack.compile(&topology)),
+            ("steady", 15, Vec::new()),
+            ("removed", 20, attack.compile_removal(&topology)),
+        ] {
+            let at = SimTime::from_millis(millis);
+            apply_messages(&mut snapshot, &messages, at);
+            publish(&verification, &snapshot, at);
             let context = format!("{} {phase}", attack.label());
-            assert_model_matches_rebuild(&incremental, snapshot, &context);
-            assert_verdicts_match(&incremental, &oracle, &queries, &context);
-        };
-        check(&snapshot, "pre-attack");
-
-        apply_messages(
-            &mut snapshot,
-            &attack.compile(&topology),
-            SimTime::from_millis(10),
-        );
-        publish(
-            &[&incremental, &oracle],
-            &snapshot,
-            SimTime::from_millis(10),
-        );
-        check(&snapshot, "installed");
-
-        // Attacked steady state: an epoch that changes nothing.
-        publish(
-            &[&incremental, &oracle],
-            &snapshot,
-            SimTime::from_millis(15),
-        );
-        check(&snapshot, "steady");
-
-        apply_messages(
-            &mut snapshot,
-            &attack.compile_removal(&topology),
-            SimTime::from_millis(20),
-        );
-        publish(
-            &[&incremental, &oracle],
-            &snapshot,
-            SimTime::from_millis(20),
-        );
-        check(&snapshot, "removed");
+            assert_model_matches_rebuild(&verification, &snapshot, &context);
+            assert_verdicts_match(&verification, &oracle, &snapshot, &queries, &context);
+        }
     }
 
     // The same gate for an in-place action rewrite: a rule goes in, has its
     // actions replaced under the same priority + match (`ModifyStrict`), and
-    // gets them back. The incremental service is fed the rule changes, the
-    // oracle the full snapshot.
-    let incremental = service(&topology, true);
-    let oracle = service(&topology, false);
+    // gets them back. The service is fed the rule changes only; the oracle
+    // reads the snapshot `apply_messages` edits.
+    let verification = service(&topology);
     let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
-    publish(&[&incremental, &oracle], &snapshot, SimTime::from_millis(1));
+    publish(&verification, &snapshot, SimTime::from_millis(1));
     let victim = topology.hosts().find(|h| h.id == HostId(2)).expect("host");
     let decoy = FlowEntry::new(
         PRIO_ATTACK,
@@ -287,11 +273,10 @@ fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
             .into_iter()
             .collect();
         let changes = apply_messages(&mut snapshot, &messages, at);
-        incremental.try_publish_changes(&changes, at).unwrap();
-        oracle.try_publish(&snapshot, at).unwrap();
+        verification.try_publish_changes(&changes, at).unwrap();
         let context = format!("action rewrite {phase}");
-        assert_model_matches_rebuild(&incremental, &snapshot, &context);
-        assert_verdicts_match(&incremental, &oracle, &queries, &context);
+        assert_model_matches_rebuild(&verification, &snapshot, &context);
+        assert_verdicts_match(&verification, &oracle, &snapshot, &queries, &context);
     }
 }
 
@@ -310,12 +295,12 @@ fn stale_epoch_replay_cannot_roll_back_a_sync_client() {
         Some(ServicePlaneExpectation::ReplayRejected)
     );
 
-    let verification = service(&topology, true);
+    let verification = service(&topology);
     let sync_server = SyncServer::new(verification.store(), 7, &verification.registry());
     let client = ClientId(1);
 
     let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
-    publish(&[&verification], &snapshot, SimTime::from_millis(1));
+    publish(&verification, &snapshot, SimTime::from_millis(1));
 
     // The victim client synchronises with the clean epoch; the adversary
     // records the very response it received.
@@ -331,7 +316,7 @@ fn stale_epoch_replay_cannot_roll_back_a_sync_client() {
         &attack.compile(&topology),
         SimTime::from_millis(10),
     );
-    publish(&[&verification], &snapshot, SimTime::from_millis(10));
+    publish(&verification, &snapshot, SimTime::from_millis(10));
     let delta = serve(&sync_server, &verification, &session, client);
     session.apply(&delta).expect("delta to the attacked epoch");
     let truth_serial = session.serial();
@@ -436,8 +421,8 @@ fn phantom_removals_degrade_to_conservative_reverification() {
     // The service's one model sits behind the epoch store, which drops
     // removals of rules the epoch does not hold before they reach it: the
     // phantoms are a no-op epoch, not a desync.
-    let verification = service(&topology, true);
-    publish(&[&verification], &snapshot, SimTime::from_millis(1));
+    let verification = service(&topology);
+    publish(&verification, &snapshot, SimTime::from_millis(1));
     let store = verification.store();
     let at = SimTime::from_millis(10);
     let phantom = store.try_publish_changes(&changes, at).unwrap();
@@ -467,20 +452,20 @@ fn phantom_removals_degrade_to_conservative_reverification() {
 
 /// Cache poisoning: a rule toggled on and off across epochs flips the
 /// reachability verdict each time, and every answer — cached or not — must
-/// equal the full-rebuild oracle's answer for the *same* epoch.
+/// equal the full-rebuild oracle's answer for the *same* epoch's snapshot.
 #[test]
 fn epoch_toggled_rule_cannot_poison_the_result_cache() {
     let topology = generators::line(3, 1);
     let attack = Attack::CachePoison {
         victim_host: HostId(2),
     };
-    let cached = service(&topology, true);
-    let oracle = service(&topology, false);
+    let cached = service(&topology);
+    let oracle = oracle(&topology);
     let client = ClientId(1);
     let spec = QuerySpec::ReachableDestinations;
 
     let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
-    publish(&[&cached, &oracle], &snapshot, SimTime::from_millis(1));
+    publish(&cached, &snapshot, SimTime::from_millis(1));
 
     let mut verdicts = Vec::new();
     for epoch in 0..6u64 {
@@ -491,16 +476,17 @@ fn epoch_toggled_rule_cannot_poison_the_result_cache() {
             attack.compile_removal(&topology)
         };
         apply_messages(&mut snapshot, &messages, at);
-        publish(&[&cached, &oracle], &snapshot, at);
+        publish(&cached, &snapshot, at);
 
         // Query twice so the second answer is eligible for the cache, then
         // compare both against the oracle.
         let first = cached.try_query(client, spec.clone()).unwrap();
         let second = cached.try_query(client, spec.clone()).unwrap();
-        let truth = oracle.try_query(client, spec.clone()).unwrap();
-        assert_eq!(first.result, truth.result, "epoch {epoch}: fresh answer");
-        assert_eq!(second.result, truth.result, "epoch {epoch}: cached answer");
-        assert_eq!(first.epoch_serial, truth.epoch_serial);
+        let truth = oracle.answer(&snapshot, client, &spec);
+        assert_eq!(first.result, truth, "epoch {epoch}: fresh answer");
+        assert_eq!(second.result, truth, "epoch {epoch}: cached answer");
+        assert_eq!(first.epoch_serial, cached.current_serial());
+        assert_eq!(second.epoch_serial, first.epoch_serial);
         verdicts.push(first.result);
     }
     // Ground truth that the probe works: consecutive epochs disagree.
@@ -602,13 +588,13 @@ proptest! {
     #[test]
     fn sync_session_converges_after_any_interleaving(ops in proptest::collection::vec(0u8..6u8, 1..24)) {
         let topology = generators::line(3, 1);
-        let verification = service(&topology, true);
+        let verification = service(&topology);
         let sync_server = SyncServer::new(verification.store(), 11, &verification.registry());
         let client = ClientId(1);
         let attack = Attack::StaleEpochReplay { victim_host: HostId(2) };
 
         let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
-        publish(&[&verification], &snapshot, SimTime::from_millis(1));
+        publish(&verification, &snapshot, SimTime::from_millis(1));
         let mut session = SyncSession::new();
         let recorded = serve(&sync_server, &verification, &session, client);
         session.apply(&recorded).expect("initial reset");
@@ -626,20 +612,20 @@ proptest! {
                         benign.compile_removal(&topology)
                     };
                     apply_messages(&mut snapshot, &messages, at);
-                    publish(&[&verification], &snapshot, at);
+                    publish(&verification, &snapshot, at);
                 }
                 // Attack install / removal epochs.
                 1 => {
                     if !attacked {
                         apply_messages(&mut snapshot, &attack.compile(&topology), at);
-                        publish(&[&verification], &snapshot, at);
+                        publish(&verification, &snapshot, at);
                         attacked = true;
                     }
                 }
                 2 => {
                     if attacked {
                         apply_messages(&mut snapshot, &attack.compile_removal(&topology), at);
-                        publish(&[&verification], &snapshot, at);
+                        publish(&verification, &snapshot, at);
                         attacked = false;
                     }
                 }

@@ -147,9 +147,9 @@ impl ResultCache {
     /// Advances the cache to `to_serial`. Entries valid at the *direct
     /// predecessor* epoch (`to_serial - 1`) for which `affected` returns
     /// `false` stay valid and are re-stamped to the new serial; everything
-    /// else is dropped. Passing `|_, _| true` reproduces the old
-    /// generation-wide invalidation (used when the incremental engine is
-    /// disabled or the changed region is unbounded).
+    /// else is dropped. A predicate that is always `true` is the
+    /// generation-wide invalidation (history-mode verification, or an
+    /// unbounded changed region).
     ///
     /// Requiring the direct predecessor (rather than whatever the cache was
     /// last advanced to) keeps concurrent publishers sound: `affected` is

@@ -3,8 +3,9 @@
 //! The config is split in two:
 //!
 //! * [`ServiceSettings`] — the plain-data knobs (worker count, cache,
-//!   incremental engine, delta history, listener addresses, flight-recorder
-//!   shape). [`Default`]-constructible — in-process callers write
+//!   delta history, listener addresses, flight-recorder shape); none of
+//!   them selects how a verdict is computed. [`Default`]-constructible —
+//!   in-process callers write
 //!   `ServiceSettings { workers: 2, ..Default::default() }` — and settable by
 //!   string key/value pairs ([`ServiceSettings::set`]), so the daemon's
 //!   config-file parser and its CLI flag overrides share one validation
@@ -26,12 +27,6 @@ pub struct ServiceSettings {
     pub workers: usize,
     /// Whether the `(serial, client, spec)` result cache is consulted.
     pub cache: bool,
-    /// Whether workers answer from the model the publisher advances
-    /// incrementally and freezes into each epoch (and the cache invalidates
-    /// per affected query) instead of rebuilding it from the snapshot for
-    /// every batch. History-mode verification always uses the full-rebuild
-    /// path regardless.
-    pub incremental: bool,
     /// How many per-epoch deltas the store retains for delta sync.
     pub max_delta_history: usize,
     /// `host:port` the daemon's RTR-style TCP sync endpoint binds, if any.
@@ -49,14 +44,13 @@ pub struct ServiceSettings {
 }
 
 impl Default for ServiceSettings {
-    /// Sensible defaults: 4 workers, caching on, incremental updates on,
-    /// 64 retained deltas, no listeners (in-process use), a 4096-slot
-    /// flight-recorder ring and a 10 ms slow-query threshold.
+    /// Sensible defaults: 4 workers, caching on, 64 retained deltas, no
+    /// listeners (in-process use), a 4096-slot flight-recorder ring and a
+    /// 10 ms slow-query threshold.
     fn default() -> Self {
         ServiceSettings {
             workers: 4,
             cache: true,
-            incremental: true,
             max_delta_history: 64,
             sync_listen: None,
             http_listen: None,
@@ -67,10 +61,9 @@ impl Default for ServiceSettings {
 }
 
 /// Every key [`ServiceSettings::set`] understands, in documentation order.
-pub const SETTING_KEYS: [&str; 8] = [
+pub const SETTING_KEYS: [&str; 7] = [
     "workers",
     "cache",
-    "incremental",
     "max_delta_history",
     "sync_listen",
     "http_listen",
@@ -109,7 +102,6 @@ impl ServiceSettings {
         match key {
             "workers" => self.workers = parse_count(key, value)?.max(1),
             "cache" => self.cache = parse_bool(key, value)?,
-            "incremental" => self.incremental = parse_bool(key, value)?,
             "max_delta_history" => self.max_delta_history = parse_count(key, value)?.max(1),
             "sync_listen" => self.sync_listen = Some(value.to_string()),
             "http_listen" => self.http_listen = Some(value.to_string()),
@@ -166,7 +158,6 @@ mod tests {
         let s = ServiceSettings::default();
         assert_eq!(s.workers, 4);
         assert!(s.cache);
-        assert!(s.incremental);
         assert_eq!(s.max_delta_history, 64);
         assert!(s.sync_listen.is_none());
         assert!(s.http_listen.is_none());
@@ -186,7 +177,6 @@ mod tests {
         for (key, value) in [
             ("workers", "8"),
             ("cache", "off"),
-            ("incremental", "false"),
             ("max_delta_history", "16"),
             ("sync_listen", "127.0.0.1:3323"),
             ("http_listen", "127.0.0.1:8323"),
@@ -198,7 +188,6 @@ mod tests {
         }
         assert_eq!(s.workers, 8);
         assert!(!s.cache);
-        assert!(!s.incremental);
         assert_eq!(s.max_delta_history, 16);
         assert_eq!(s.sync_listen.as_deref(), Some("127.0.0.1:3323"));
         assert_eq!(s.http_listen.as_deref(), Some("127.0.0.1:8323"));

@@ -8,9 +8,16 @@
 //!
 //! Workers own no model: the evaluator borrows the HSA network function
 //! the publisher froze into the epoch (see [`crate::epoch::EpochStore`]),
-//! so an epoch advance costs a worker nothing. Only with the incremental
-//! engine disabled, or history-mode verification on, does a worker rebuild
-//! the function from the snapshot per batch.
+//! so an epoch advance costs a worker nothing. There is one evaluation
+//! path — register the query's interest, answer with its footprint, refine
+//! the interest, cache the verdict — and one exception to what it runs on:
+//! under history-mode verification ([`rvaas::VerifierConfig::use_history`])
+//! a verdict also depends on rules *removed* inside the snapshot's history
+//! window, which leave it by the passing of time, not by a rule change. The
+//! frozen function and the per-query cache carry are unsound for that, so a
+//! history-mode worker rebuilds the function from the snapshot per batch,
+//! every epoch advance invalidates the whole cache and sync re-verifies
+//! every subscription.
 //!
 //! Workers always answer against the epoch that was current when their
 //! batch started; the monitor can keep publishing new epochs concurrently
@@ -183,7 +190,11 @@ pub struct ServiceStats {
 /// The standalone verification service: epoch store + worker pool + cache.
 pub struct VerificationService {
     topology: Topology,
-    incremental: bool,
+    /// [`rvaas::VerifierConfig::use_history`]: verdicts also depend on rules
+    /// removed inside the snapshot's history window (see the module docs).
+    /// Read in three places — which function a worker's evaluator gets, the
+    /// cache advance, and [`crate::sync`]'s reverification set.
+    pub(crate) history_mode: bool,
     store: Arc<EpochStore>,
     cache: Arc<ResultCache>,
     registry: Arc<Registry>,
@@ -196,7 +207,6 @@ impl std::fmt::Debug for VerificationService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VerificationService")
             .field("workers", &self.workers.len())
-            .field("incremental", &self.incremental)
             .field("current_serial", &self.store.current().serial)
             .finish()
     }
@@ -220,10 +230,7 @@ impl VerificationService {
         store.attach_telemetry(&registry);
         let cache = Arc::new(ResultCache::with_registry(config.settings.cache, &registry));
         let metrics = Arc::new(ServiceMetrics::new(&registry));
-        // History-mode verification folds recently *removed* rules into the
-        // function; the epoch's model tracks only installed state, so that
-        // mode keeps the rebuild path.
-        let incremental = config.settings.incremental && !config.verifier.use_history;
+        let history_mode = config.verifier.use_history;
         let worker_count = config.settings.workers.max(1);
         metrics.workers.set(worker_count as i64);
         let mut senders = Vec::with_capacity(worker_count);
@@ -232,7 +239,7 @@ impl VerificationService {
             let (tx, rx) = mpsc::channel::<WorkerMsg>();
             let context = WorkerContext {
                 verifier: LogicalVerifier::new(topology.clone(), config.verifier.clone()),
-                incremental,
+                history_mode,
                 store: Arc::clone(&store),
                 cache: Arc::clone(&cache),
                 metrics: Arc::clone(&metrics),
@@ -246,7 +253,7 @@ impl VerificationService {
         }
         VerificationService {
             topology,
-            incremental,
+            history_mode,
             store,
             cache,
             registry,
@@ -275,12 +282,6 @@ impl VerificationService {
         &self.topology
     }
 
-    /// Whether the incremental verification engine is active.
-    #[must_use]
-    pub fn incremental_enabled(&self) -> bool {
-        self.incremental
-    }
-
     /// The current epoch serial.
     #[must_use]
     pub fn current_serial(&self) -> u64 {
@@ -302,8 +303,7 @@ impl VerificationService {
 
     /// Publishes `snapshot` as the next epoch; in-flight queries keep
     /// answering against the epoch they started with. Cached results the
-    /// delta cannot affect stay valid (when the incremental engine is on);
-    /// the rest are invalidated.
+    /// delta cannot affect stay valid; the rest are invalidated.
     ///
     /// # Errors
     ///
@@ -364,18 +364,14 @@ impl VerificationService {
             .stage_cache_advance
             .span_traced(published.trace);
         let before = self.cache.stats();
-        if self.incremental {
-            // Workers register every query in the interest index before
-            // caching it, so the index's selection covers every cached
-            // entry — an O(affected) test instead of the linear
-            // query_affected scan per entry.
-            let affected = &published.affected;
-            self.cache.advance(published.serial, |client, spec| {
-                affected.is_affected(client, spec)
-            });
-        } else {
-            self.cache.advance(published.serial, |_, _| true);
-        }
+        // Workers register every query in the interest index before caching
+        // it, so the index's selection covers every cached entry — an
+        // O(affected) test instead of the linear query_affected scan per
+        // entry.
+        let (history_mode, affected) = (self.history_mode, &published.affected);
+        self.cache.advance(published.serial, |client, spec| {
+            history_mode || affected.is_affected(client, spec)
+        });
         let after = self.cache.stats();
         TraceContext::from_id(published.trace.0).event(
             TraceStage::CacheCarry,
@@ -507,7 +503,7 @@ impl Drop for VerificationService {
 /// Everything one worker thread owns.
 struct WorkerContext {
     verifier: LogicalVerifier,
-    incremental: bool,
+    history_mode: bool,
     store: Arc<EpochStore>,
     cache: Arc<ResultCache>,
     metrics: Arc<ServiceMetrics>,
@@ -535,11 +531,11 @@ fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, ctx: WorkerContext) {
         }
 
         let epoch = ctx.store.current();
-        let mut evaluator = if ctx.incremental {
+        let mut evaluator = if ctx.history_mode {
+            ctx.verifier.evaluator(&epoch.snapshot)
+        } else {
             ctx.verifier
                 .evaluator_with(&epoch.snapshot, &epoch.function)
-        } else {
-            ctx.verifier.evaluator(&epoch.snapshot)
         };
         ctx.metrics.batches.inc();
         if batch.len() > 1 {
@@ -561,24 +557,17 @@ fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, ctx: WorkerContext) {
                         .event(TraceStage::CacheMiss, epoch.serial, u64::from(job.client.0));
                     job.trace
                         .event(TraceStage::Eval, u64::from(job.client.0), epoch.serial);
-                    if ctx.incremental {
-                        // Register BEFORE caching: a publish that lands in
-                        // between then already widens this query, so the
-                        // cache-advance selection covers the entry.
-                        ctx.store.register_interest(job.client, &job.spec);
-                        let (result, footprint) =
-                            evaluator.answer_with_footprint(job.client, &job.spec);
-                        ctx.store
-                            .refine_interest(job.client, &job.spec, epoch.serial, &footprint);
-                        ctx.cache
-                            .put(epoch.serial, job.client, job.spec.clone(), result.clone());
-                        result
-                    } else {
-                        let result = evaluator.answer(job.client, &job.spec);
-                        ctx.cache
-                            .put(epoch.serial, job.client, job.spec.clone(), result.clone());
-                        result
-                    }
+                    // Register BEFORE caching: a publish that lands in
+                    // between then already widens this query, so the
+                    // cache-advance selection covers the entry.
+                    ctx.store.register_interest(job.client, &job.spec);
+                    let (result, footprint) =
+                        evaluator.answer_with_footprint(job.client, &job.spec);
+                    ctx.store
+                        .refine_interest(job.client, &job.spec, epoch.serial, &footprint);
+                    ctx.cache
+                        .put(epoch.serial, job.client, job.spec.clone(), result.clone());
+                    result
                 }
             };
             let latency = job.submitted.elapsed();
@@ -615,11 +604,20 @@ mod tests {
     use rvaas_controlplane::benign_rules;
     use rvaas_topology::generators;
 
-    fn service_with(topology: &Topology, settings: ServiceSettings) -> VerificationService {
-        let config = settings.into_config(VerifierConfig {
-            use_history: false,
+    fn verifier_config(topology: &Topology, use_history: bool) -> VerifierConfig {
+        VerifierConfig {
+            use_history,
             locations: LocationMap::disclosed(topology),
-        });
+        }
+    }
+
+    /// The reference implementation every service verdict is compared with.
+    fn verifier(topology: &Topology) -> LogicalVerifier {
+        LogicalVerifier::new(topology.clone(), verifier_config(topology, false))
+    }
+
+    fn service_with(topology: &Topology, settings: ServiceSettings) -> VerificationService {
+        let config = settings.into_config(verifier_config(topology, false));
         VerificationService::new(topology.clone(), config)
     }
 
@@ -662,13 +660,7 @@ mod tests {
     fn batched_answers_equal_sequential_verifier_answers() {
         let topology = generators::leaf_spine(2, 4, 2, 1);
         let (service, snapshot) = service_over(&topology, 4, false);
-        let verifier = LogicalVerifier::new(
-            topology.clone(),
-            VerifierConfig {
-                use_history: false,
-                locations: LocationMap::disclosed(&topology),
-            },
-        );
+        let verifier = verifier(&topology);
         let clients: Vec<ClientId> = (1..=4).map(ClientId).collect();
         let workload: Vec<(ClientId, QuerySpec)> = clients
             .iter()
@@ -690,24 +682,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_workers_agree_with_full_rebuild_workers_under_churn() {
+    fn workers_agree_with_the_from_scratch_verifier_under_churn() {
         let topology = generators::line(6, 3);
-        let (incremental_service, mut snapshot) = service_over(&topology, 1, false);
-        assert!(incremental_service.incremental_enabled());
-        let full_service = service_with(
-            &topology,
-            ServiceSettings {
-                workers: 1,
-                cache: false,
-                incremental: false,
-                ..ServiceSettings::default()
-            },
-        );
-        assert!(!full_service.incremental_enabled());
-        full_service
-            .try_publish(&snapshot, SimTime::from_millis(1))
-            .unwrap();
-
+        let (service, mut snapshot) = service_over(&topology, 1, false);
+        let verifier = verifier(&topology);
         let workload: Vec<(ClientId, QuerySpec)> = (1..=3)
             .flat_map(|c| {
                 all_specs(&topology)
@@ -715,7 +693,20 @@ mod tests {
                     .map(move |s| (ClientId(c), s))
             })
             .collect();
+        // Every verdict must be the from-scratch one for the same snapshot.
+        let check = |snapshot: &NetworkSnapshot, context: &str| {
+            for response in service.try_query_all(&workload).unwrap() {
+                assert_eq!(
+                    response.result,
+                    verifier.answer(snapshot, response.client, &response.spec),
+                    "{context}: diverged from the verifier for {:?}/{:?}",
+                    response.client,
+                    response.spec
+                );
+            }
+        };
         for round in 0..6u64 {
+            let at = SimTime::from_millis(10 + round);
             snapshot.record_installed(
                 rvaas_types::SwitchId(2),
                 rvaas_openflow::FlowEntry::new(
@@ -723,34 +714,13 @@ mod tests {
                     rvaas_openflow::FlowMatch::to_ip(0x3000 + round as u32),
                     vec![rvaas_openflow::Action::Drop],
                 ),
-                SimTime::from_millis(10 + round),
+                at,
             );
-            incremental_service
-                .try_publish(&snapshot, SimTime::from_millis(10 + round))
-                .unwrap();
-            full_service
-                .try_publish(&snapshot, SimTime::from_millis(10 + round))
-                .unwrap();
-            let inc = incremental_service.try_query_all(&workload).unwrap();
-            let full = full_service.try_query_all(&workload).unwrap();
-            for (a, b) in inc.iter().zip(full.iter()) {
-                assert_eq!(
-                    a.result, b.result,
-                    "round {round}: incremental diverged for {:?}/{:?}",
-                    a.client, a.spec
-                );
-            }
+            service.try_publish(&snapshot, at).unwrap();
+            check(&snapshot, &format!("round {round}"));
         }
         // In-place rewrites through the delta path: every benign forwarding
-        // rule turned into a drop, one epoch each. The verdicts must be the
-        // from-scratch ones for the same snapshot.
-        let verifier = LogicalVerifier::new(
-            topology.clone(),
-            VerifierConfig {
-                use_history: false,
-                locations: LocationMap::disclosed(&topology),
-            },
-        );
+        // rule turned into a drop, one epoch each.
         let drop = vec![rvaas_openflow::Action::Drop];
         let forwarding = benign_rules(&topology)
             .into_iter()
@@ -759,28 +729,118 @@ mod tests {
             let at = SimTime::from_millis(100 + round as u64);
             entry.actions.clone_from(&drop);
             snapshot.record_installed(switch, entry.clone(), at);
-            incremental_service
+            service
                 .try_publish_changes(&[RuleChange::installed(switch, entry)], at)
                 .unwrap();
-            for response in incremental_service.try_query_all(&workload).unwrap() {
-                assert_eq!(
-                    response.result,
-                    verifier.answer(&snapshot, response.client, &response.spec),
-                    "rewrite {round}: diverged from the verifier for {:?}/{:?}",
-                    response.client,
-                    response.spec
-                );
-            }
+            check(&snapshot, &format!("rewrite {round}"));
         }
         // Every epoch advanced the one model exactly once, and each churn
         // round applied its one-rule delta in place.
-        let stats = incremental_service.stats();
+        let stats = service.stats();
         assert_eq!(
             stats.incremental_applies + stats.model_rebuilds,
             stats.epochs_published,
             "got {stats:?}"
         );
         assert!(stats.incremental_applies >= 6, "got {stats:?}");
+    }
+
+    /// History mode is the one case that rebuilds per batch: a verdict then
+    /// also depends on rules removed inside the snapshot's window, which
+    /// expire by time. Fails if `history_mode` is dropped from any of its
+    /// three reads.
+    #[test]
+    fn history_mode_rebuilds_invalidates_and_reverifies_everything() {
+        use rvaas_client::{SyncPayload, SyncSession};
+        use rvaas_openflow::{Action, FlowEntry, FlowMatch};
+        use rvaas_types::{Field, SwitchId};
+
+        let topology = generators::line(4, 2);
+        let history = verifier_config(&topology, true);
+        let settings = ServiceSettings {
+            workers: 1,
+            ..ServiceSettings::default()
+        };
+        let service =
+            VerificationService::new(topology.clone(), settings.into_config(history.clone()));
+        let verifier = LogicalVerifier::new(topology.clone(), history);
+        let (client, specs) = (ClientId(1), all_specs(&topology));
+        let server = crate::sync::SyncServer::new(service.store(), 7, &service.registry());
+        for spec in &specs {
+            server.subscribe(client, spec.clone());
+        }
+        let mut session = SyncSession::new();
+        // One epoch: publish, one sync exchange, then every query again (so
+        // each verdict is cached for the next advance to be tempted by).
+        // Verdicts must be the same-config verifier's on the same snapshot.
+        let mut step = |snapshot: &NetworkSnapshot, millis: u64, context: &str| {
+            service
+                .try_publish(snapshot, SimTime::from_millis(millis))
+                .unwrap();
+            let response = server
+                .try_handle(&service, &session.request(client))
+                .unwrap();
+            session.apply(&response).unwrap();
+            let mut served: Vec<(QuerySpec, QueryResult)> = match response.payload {
+                SyncPayload::Delta { reverified, .. } => {
+                    assert_eq!(reverified.len(), specs.len(), "{context}: all re-verify");
+                    reverified.into_iter().map(|q| (q.spec, q.result)).collect()
+                }
+                other => {
+                    assert!(millis == 1, "{context}: deltas after the reset: {other:?}");
+                    Vec::new()
+                }
+            };
+            for spec in &specs {
+                let response = service.try_query(client, spec.clone()).unwrap();
+                served.push((response.spec, response.result));
+            }
+            for (spec, result) in served {
+                let expected = verifier.answer(snapshot, client, &spec);
+                assert_eq!(result, expected, "{context}: {spec:?}");
+            }
+        };
+
+        // A one-second history window; the clean network.
+        let mut snapshot = NetworkSnapshot::new(SimTime::from_secs(1));
+        for (switch, entry) in benign_rules(&topology) {
+            snapshot.record_installed(switch, entry, SimTime::from_millis(1));
+        }
+        step(&snapshot, 1, "clean");
+        // A blackhole for one of client 1's own hosts flaps on a transit
+        // switch: installed, removed 1 ms later. The installed rules are
+        // clean again; only the window still shows it.
+        let ips = |c| -> Vec<u32> { topology.hosts_of_client(c).iter().map(|h| h.ip).collect() };
+        let flap = FlowEntry::new(400, FlowMatch::to_ip(ips(client)[1]), vec![Action::Drop]);
+        snapshot.record_installed(SwitchId(2), flap.clone(), SimTime::from_millis(2));
+        step(&snapshot, 2, "installed");
+        snapshot.record_removed(SwitchId(2), &flap, SimTime::from_millis(3));
+        step(&snapshot, 3, "removed inside the window");
+        let probe = QuerySpec::ReachableDestinations;
+        let flapped = verifier.answer(&snapshot, client, &probe);
+        let now = LogicalVerifier::new(topology.clone(), VerifierConfig::default());
+        assert_ne!(flapped, now.answer(&snapshot, client, &probe));
+
+        // Two seconds on, an epoch that cannot touch client 1's queries (a
+        // rule pinned to client 2's own address pair) — but the flapped rule
+        // has left the window, so client 1's verdict moves anyway.
+        let c2 = ips(ClientId(2));
+        let pinned = FlowMatch::from_ip(c2[0]).field(Field::IpDst, u64::from(c2[1]));
+        snapshot.record_installed(
+            SwitchId(2),
+            FlowEntry::new(400, pinned, vec![Action::Drop]),
+            SimTime::from_millis(2_000),
+        );
+        let before = service.current_serial();
+        step(&snapshot, 2_000, "unrelated epoch past the window");
+        assert_ne!(flapped, verifier.answer(&snapshot, client, &probe));
+        let delta = service.store().delta_since(before).expect("in history");
+        assert!(
+            !delta.affected.is_affected(client, &probe),
+            "the interest index alone would have skipped (and carried) it"
+        );
+        assert_eq!(service.stats().cache_carried, 0);
+        assert_eq!(server.reverify_stats().skipped, 0);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! window intersected with the client's subscriptions. Using the frozen
 //! per-epoch selections (instead of re-querying the index at serve time)
 //! keeps lagging clients sound: a footprint refined after one of the
-//! window's epochs can never hide a query that epoch had affected. With the
-//! incremental engine disabled the server reverts to re-verifying
-//! everything (the full-recomputation baseline).
+//! window's epochs can never hide a query that epoch had affected. Only
+//! under history-mode verification, where a verdict can change without a
+//! rule change (see [`crate::pool`]), is every subscription re-verified.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -232,7 +232,7 @@ impl SyncServer {
                 return Ok(Vec::new());
             };
             let subs = &session.subscriptions;
-            let workload = if !service.incremental_enabled() || affected.is_everything() {
+            let workload = if service.history_mode || affected.is_everything() {
                 subs.iter().map(|spec| (client, spec.clone())).collect()
             } else {
                 affected
@@ -437,7 +437,6 @@ mod tests {
     #[test]
     fn unaffected_standing_queries_are_skipped() {
         let (service, server, mut snapshot) = setup(16);
-        assert!(service.incremental_enabled());
         // line(4,2): client 1 owns hosts 1 and 3, client 2 owns 2 and 4.
         let c1_ips: Vec<u32> = service
             .topology()

@@ -1,5 +1,5 @@
-//! Tenant-pinned churn: the workload that exercises the incremental
-//! verification engine.
+//! Tenant-pinned churn: the workload where most standing queries provably
+//! keep their verdict across an epoch.
 //!
 //! The generic [`churn_round`](crate::service_load::churn_round) installs
 //! destination-only drop rules, which intersect *every* client's emission
@@ -9,20 +9,21 @@
 //! pinned to one tenant's `(source, destination)` address pair (an
 //! intra-tenant route update) and placed on transit switches. Under this
 //! churn only the reconfigured tenants' standing queries can change, so the
-//! incremental engine re-verifies a small affected subset while the
-//! full-recomputation baseline re-verifies everyone.
+//! service re-verifies a small affected subset where a from-scratch verifier
+//! re-verifies everyone.
 //!
 //! [`run_incremental_churn`] drives a [`VerificationService`] plus
 //! [`SyncServer`] through rounds of tenant churn with every client holding
 //! the full standing-query mix, measuring the **epoch-advance cost**:
 //! snapshot publish (model update) plus standing-query reverification
-//! through the sync protocol. Running it once with the incremental engine
-//! and once with the full-rebuild baseline gives the speedup the `s2`
-//! experiment reports.
+//! through the sync protocol. [`run_full_rebuild_churn`] puts the reference
+//! implementation — [`LogicalVerifier`] from scratch, no service — through
+//! the same rounds; the ratio of the two is the speedup the `s2` experiment
+//! reports.
 
 use std::time::{Duration, Instant};
 
-use rvaas::{LocationMap, NetworkSnapshot, VerifierConfig};
+use rvaas::{LocationMap, LogicalVerifier, NetworkSnapshot, VerifierConfig};
 use rvaas_client::SyncSession;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch};
 use rvaas_service::{ServiceSettings, SyncServer, VerificationService};
@@ -146,15 +147,19 @@ fn churn_window(
     changes
 }
 
-/// Shape of one incremental-churn run.
+/// The verifier configuration both churn drivers run under.
+fn verifier_config(topology: &Topology) -> VerifierConfig {
+    VerifierConfig {
+        use_history: false,
+        locations: LocationMap::disclosed(topology),
+    }
+}
+
+/// Shape of one churn run (service or full-rebuild baseline).
 #[derive(Debug, Clone)]
 pub struct IncrementalChurnConfig {
-    /// Worker threads in the pool.
+    /// Worker threads in the pool (the baseline has none).
     pub workers: usize,
-    /// Whether the incremental engine is on (`false` = full-rebuild
-    /// baseline: rebuild per batch, re-verify every standing query,
-    /// generation-wide cache invalidation).
-    pub incremental: bool,
     /// Churn/publish/sync rounds measured.
     pub rounds: usize,
     /// Clients reconfigured per round (the churn rate, in clients).
@@ -257,13 +262,9 @@ pub fn run_incremental_churn(
             topology.clone(),
             ServiceSettings {
                 workers: config.workers,
-                incremental: config.incremental,
                 ..ServiceSettings::default()
             }
-            .into_config(VerifierConfig {
-                use_history: false,
-                locations: LocationMap::disclosed(topology),
-            }),
+            .into_config(verifier_config(topology)),
         )
     };
     // The twin takes every epoch as a rule delta, outside the timed round,
@@ -294,9 +295,9 @@ pub fn run_incremental_churn(
     let mut rule_changes = 0usize;
     let mut epoch_advance_total = Duration::ZERO;
     let (mut publish_full, mut publish_delta) = (Vec::new(), Vec::new());
-    // Round 1 is an untimed warmup: it pays the one-off cold costs (worker
-    // models' first full build, evaluator warm paths) that belong to service
-    // start-up, not to steady-state epoch advancing.
+    // Round 1 is an untimed warmup: it pays the one-off cold costs (first
+    // footprint refinement of every standing query, evaluator warm paths)
+    // that belong to service start-up, not to steady-state epoch advancing.
     for round in 1..=(config.rounds + 1) as u64 {
         let at = SimTime::from_millis(10 + round);
         let previous = snapshot.clone();
@@ -350,6 +351,65 @@ pub fn run_incremental_churn(
     }
 }
 
+/// What the full-rebuild baseline measured.
+#[derive(Debug, Clone)]
+pub struct FullRebuildChurnReport {
+    /// Total wall-clock epoch-advance cost over the measured rounds: churn +
+    /// one function rebuild per client + every standing query answered.
+    pub epoch_advance_total: Duration,
+    /// Mean epoch-advance cost per round.
+    pub epoch_advance_avg: Duration,
+    /// Standing queries re-verified — all of them, every round (warm-up
+    /// included, as [`IncrementalChurnReport::reverified`] counts it).
+    pub reverified: u64,
+}
+
+/// The baseline [`run_incremental_churn`] is measured against: the same
+/// [`tenant_churn_round`] sequence (and discarded warm-up round) answered by
+/// the reference implementation. Per round and per client, one
+/// [`LogicalVerifier::evaluator`] — the network function rebuilt from the
+/// snapshot — answers that client's standing queries: one rebuild per client
+/// batch, the granularity client sharding and per-session sync give the
+/// service. No service, no threads, no cache, nothing skipped.
+#[must_use]
+pub fn run_full_rebuild_churn(
+    topology: &Topology,
+    config: &IncrementalChurnConfig,
+) -> FullRebuildChurnReport {
+    let verifier = LogicalVerifier::new(topology.clone(), verifier_config(topology));
+    let mut snapshot = benign_snapshot(topology);
+    let clients = clients_of(topology);
+    let mix = query_mix(topology);
+    let mut epoch_advance_total = Duration::ZERO;
+    let mut reverified = 0u64;
+    for round in 1..=(config.rounds + 1) as u64 {
+        let started = Instant::now();
+        tenant_churn_round(
+            topology,
+            &mut snapshot,
+            round,
+            config.churn_clients_per_round,
+            config.rules_per_client,
+            SimTime::from_millis(10 + round),
+        );
+        for client in &clients {
+            let mut evaluator = verifier.evaluator(&snapshot);
+            for spec in &mix {
+                std::hint::black_box(evaluator.answer(*client, spec));
+            }
+            reverified += mix.len() as u64;
+        }
+        if round > 1 {
+            epoch_advance_total += started.elapsed();
+        }
+    }
+    FullRebuildChurnReport {
+        epoch_advance_total,
+        epoch_advance_avg: epoch_advance_total / config.rounds.max(1) as u32,
+        reverified,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,7 +443,6 @@ mod tests {
         let topology = generators::leaf_spine(2, 4, 4, 1);
         let config = IncrementalChurnConfig {
             workers: 1,
-            incremental: true,
             rounds: 3,
             churn_clients_per_round: 1,
             rules_per_client: 2,
@@ -401,15 +460,9 @@ mod tests {
         );
         assert!(report.model_rebuilds <= 1, "delta path must carry the run");
 
-        // The full-rebuild baseline re-verifies everything.
-        let full = run_incremental_churn(
-            &topology,
-            &IncrementalChurnConfig {
-                incremental: false,
-                ..config
-            },
-        );
-        assert_eq!(full.skipped, 0);
-        assert!(full.reverified >= report.reverified);
+        // The full-rebuild baseline re-verifies everything, every round.
+        let full = run_full_rebuild_churn(&topology, &config);
+        assert_eq!(full.reverified, report.reverified + report.skipped);
+        assert!(full.epoch_advance_total > Duration::ZERO);
     }
 }

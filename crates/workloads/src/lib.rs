@@ -16,8 +16,8 @@
 //! The [`service_load`] module drives the `rvaas-service` worker pool with
 //! a many-client query workload under epoch churn — the service-plane
 //! counterpart of the in-band scenario — and the [`churn`] module adds the
-//! tenant-pinned churn workload plus the epoch-advance measurement driver
-//! behind the incremental-verification experiment. The [`query_scale`]
+//! tenant-pinned churn workload plus the two epoch-advance measurement
+//! drivers (service, from-scratch baseline) behind experiment `s2`. The [`query_scale`]
 //! module scales the standing-query population under fixed churn to show
 //! epoch advance is `O(affected)`, not `O(standing queries)`.
 
@@ -31,8 +31,8 @@ pub mod scenario;
 pub mod service_load;
 
 pub use churn::{
-    run_incremental_churn, tenant_churn_round, IncrementalChurnConfig, IncrementalChurnReport,
-    MedianMad,
+    run_full_rebuild_churn, run_incremental_churn, tenant_churn_round, FullRebuildChurnReport,
+    IncrementalChurnConfig, IncrementalChurnReport, MedianMad,
 };
 pub use locations::{crowd_sourced_map, inferred_map};
 pub use query_scale::{run_query_scale, synthetic_queries, QueryScaleConfig, QueryScaleReport};

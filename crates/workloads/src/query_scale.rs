@@ -153,7 +153,6 @@ pub fn run_query_scale(topology: &Topology, config: &QueryScaleConfig) -> QueryS
         topology.clone(),
         ServiceSettings {
             workers: config.workers,
-            incremental: true,
             ..ServiceSettings::default()
         }
         .into_config(VerifierConfig {
