@@ -354,44 +354,6 @@ pub struct SyncClientStats {
     pub reverified_received: u64,
 }
 
-/// Shared-registry counters mirrored by a [`SyncSession`] once
-/// [`SyncSession::attach_telemetry`] has been called.
-#[derive(Debug, Clone)]
-struct SyncTelemetry {
-    bytes: std::sync::Arc<rvaas_telemetry::Counter>,
-    deltas: std::sync::Arc<rvaas_telemetry::Counter>,
-    resets: std::sync::Arc<rvaas_telemetry::Counter>,
-    unchanged: std::sync::Arc<rvaas_telemetry::Counter>,
-    reverified: std::sync::Arc<rvaas_telemetry::Counter>,
-}
-
-impl SyncTelemetry {
-    fn new(registry: &rvaas_telemetry::Registry) -> Self {
-        SyncTelemetry {
-            bytes: registry.counter(
-                "rvaas_sync_bytes_total",
-                "Sync payload bytes received by clients (deltas + resets + unchanged).",
-            ),
-            deltas: registry.counter(
-                "rvaas_sync_deltas_total",
-                "Delta sync payloads successfully applied by clients.",
-            ),
-            resets: registry.counter(
-                "rvaas_sync_resets_total",
-                "Reset (full state) sync payloads applied by clients.",
-            ),
-            unchanged: registry.counter(
-                "rvaas_sync_unchanged_total",
-                "\"Unchanged\" sync answers received by clients.",
-            ),
-            reverified: registry.counter(
-                "rvaas_sync_reverified_total",
-                "Re-verified standing-query results received inside sync deltas.",
-            ),
-        }
-    }
-}
-
 /// Client-side sync state: the digest set and serial the client currently
 /// mirrors, advanced by applying [`SyncResponse`]s.
 #[derive(Debug, Clone, Default)]
@@ -401,7 +363,6 @@ pub struct SyncSession {
     digests: BTreeSet<FlowDigest>,
     synchronised: bool,
     stats: SyncClientStats,
-    telemetry: Option<SyncTelemetry>,
     last_trace: u64,
 }
 
@@ -460,18 +421,6 @@ impl SyncSession {
         self.last_trace
     }
 
-    /// Mirrors the session's counters into `registry` (under
-    /// `rvaas_sync_*_total`), back-filling whatever was counted so far.
-    pub fn attach_telemetry(&mut self, registry: &rvaas_telemetry::Registry) {
-        let t = SyncTelemetry::new(registry);
-        t.bytes.add(self.stats.bytes_received);
-        t.deltas.add(self.stats.deltas_applied);
-        t.resets.add(self.stats.resets_applied);
-        t.unchanged.add(self.stats.unchanged);
-        t.reverified.add(self.stats.reverified_received);
-        self.telemetry = Some(t);
-    }
-
     /// Applies a response, advancing the mirrored state.
     ///
     /// # Errors
@@ -480,13 +429,9 @@ impl SyncSession {
     /// mismatch, removal of an unknown digest, delta before any reset); the
     /// caller should drop its state and re-request from serial 0.
     pub fn apply(&mut self, response: &SyncResponse) -> std::result::Result<(), SyncError> {
-        let bytes = response.encoded_len() as u64;
-        self.stats.bytes_received += bytes;
+        self.stats.bytes_received += response.encoded_len() as u64;
         if response.trace != 0 {
             self.last_trace = response.trace;
-        }
-        if let Some(t) = &self.telemetry {
-            t.bytes.add(bytes);
         }
         match &response.payload {
             SyncPayload::Unchanged => {
@@ -505,9 +450,6 @@ impl SyncSession {
                     self.serial = self.serial.max(response.serial);
                 }
                 self.stats.unchanged += 1;
-                if let Some(t) = &self.telemetry {
-                    t.unchanged.inc();
-                }
                 Ok(())
             }
             SyncPayload::Delta {
@@ -535,10 +477,6 @@ impl SyncSession {
                 self.serial = response.serial;
                 self.stats.deltas_applied += 1;
                 self.stats.reverified_received += reverified.len() as u64;
-                if let Some(t) = &self.telemetry {
-                    t.deltas.inc();
-                    t.reverified.add(reverified.len() as u64);
-                }
                 Ok(())
             }
             SyncPayload::Reset { full } => {
@@ -547,20 +485,16 @@ impl SyncSession {
                 self.digests = full.iter().copied().collect();
                 self.synchronised = true;
                 self.stats.resets_applied += 1;
-                if let Some(t) = &self.telemetry {
-                    t.resets.inc();
-                }
                 Ok(())
             }
         }
     }
 
     /// Drops all mirrored state (after an unrecoverable [`SyncError`]). The
-    /// protocol counters and any attached telemetry survive the reset.
+    /// protocol counters survive the reset.
     pub fn desynchronise(&mut self) {
         *self = SyncSession {
             stats: self.stats,
-            telemetry: self.telemetry.clone(),
             last_trace: self.last_trace,
             ..SyncSession::default()
         };

@@ -149,34 +149,6 @@ fn has_rewrite(action: &RuleAction) -> bool {
     )
 }
 
-/// Shared-registry counters mirrored by an [`IncrementalModel`] once
-/// [`IncrementalModel::attach_telemetry`] has been called.
-#[derive(Debug, Clone)]
-struct IncrementalTelemetry {
-    rule_changes: std::sync::Arc<rvaas_telemetry::Counter>,
-    conservative_regions: std::sync::Arc<rvaas_telemetry::Counter>,
-    desyncs: std::sync::Arc<rvaas_telemetry::Counter>,
-}
-
-impl IncrementalTelemetry {
-    fn new(registry: &rvaas_telemetry::Registry) -> Self {
-        IncrementalTelemetry {
-            rule_changes: registry.counter(
-                "rvaas_incremental_rule_changes_total",
-                "Rule-level changes applied in place by incremental models.",
-            ),
-            conservative_regions: registry.counter(
-                "rvaas_incremental_conservative_regions_total",
-                "Incremental applies whose changed region was conservative (forces full re-verification).",
-            ),
-            desyncs: registry.counter(
-                "rvaas_incremental_desyncs_total",
-                "Removals the incremental mirror could not resolve (model fell back to a rebuild).",
-            ),
-        }
-    }
-}
-
 /// A long-lived, mutable HSA model kept in sync with the published epochs by
 /// applying rule-level deltas in place.
 #[derive(Debug, Clone)]
@@ -195,7 +167,6 @@ pub struct IncrementalModel {
     /// Sticky desync marker: set when a removal could not be resolved (the
     /// mirror no longer matches the publisher); cleared by a rebuild.
     desynced: bool,
-    telemetry: Option<IncrementalTelemetry>,
 }
 
 impl IncrementalModel {
@@ -209,16 +180,9 @@ impl IncrementalModel {
             index: BTreeMap::new(),
             rewrite_rules: 0,
             desynced: false,
-            telemetry: None,
         };
         model.reset();
         model
-    }
-
-    /// Mirrors the model's activity into `registry` (under
-    /// `rvaas_incremental_*_total`) from this point on.
-    pub fn attach_telemetry(&mut self, registry: &rvaas_telemetry::Registry) {
-        self.telemetry = Some(IncrementalTelemetry::new(registry));
     }
 
     /// A model seeded from an existing snapshot.
@@ -250,9 +214,7 @@ impl IncrementalModel {
     /// bulk rebuild).
     pub fn rebuild_from(&mut self, snapshot: &NetworkSnapshot) {
         self.reset();
-        let mut switches = 0u64;
         for (switch, entries) in snapshot.tables() {
-            switches += 1;
             let switch_index = self.index.entry(switch).or_default();
             let mut rewrites = 0usize;
             let rules: Vec<RuleTransfer> = entries
@@ -268,11 +230,6 @@ impl IncrementalModel {
             self.nf
                 .set_transfer(switch, rvaas_hsa::SwitchTransfer::from_rules(rules));
         }
-        rvaas_telemetry::trace::ambient_event(
-            rvaas_telemetry::TraceStage::ModelRebuild,
-            self.rule_count() as u64,
-            switches,
-        );
     }
 
     /// The trusted topology the model reasons over.
@@ -311,9 +268,6 @@ impl IncrementalModel {
     /// interest space mid-path, so no later delta can be bounded either.
     pub fn apply(&mut self, changes: &[RuleChange]) -> ChangedRegion {
         let mut region = ChangedRegion::default();
-        if let Some(t) = &self.telemetry {
-            t.rule_changes.add(changes.len() as u64);
-        }
         for change in changes.iter().filter(|c| !c.installed) {
             let rule = change.entry.to_rule_transfer();
             let indexed = self
@@ -342,9 +296,6 @@ impl IncrementalModel {
                     // remember it until a rebuild.
                     self.desynced = true;
                     region.conservative = true;
-                    if let Some(t) = &self.telemetry {
-                        t.desyncs.inc();
-                    }
                 }
             }
         }
@@ -367,15 +318,7 @@ impl IncrementalModel {
         }
         if region.conservative {
             region.space = HeaderSpace::all();
-            if let Some(t) = &self.telemetry {
-                t.conservative_regions.inc();
-            }
         }
-        rvaas_telemetry::trace::ambient_event(
-            rvaas_telemetry::TraceStage::IncrementalApply,
-            changes.len() as u64,
-            self.rule_count() as u64,
-        );
         region
     }
 }

@@ -245,57 +245,27 @@ impl FromIterator<QueryKey> for AffectedQueries {
 /// cube fixes every bit of the field to `v`, `None` otherwise.
 type BucketKey = (Option<u64>, Option<u64>);
 
-/// Shared-registry instruments mirrored by an [`InterestIndex`] once
-/// [`InterestIndex::attach_telemetry`] has been called.
-#[derive(Debug, Clone)]
-struct InterestTelemetry {
-    lookups: std::sync::Arc<rvaas_telemetry::Counter>,
-    hits: std::sync::Arc<rvaas_telemetry::Counter>,
-    misses: std::sync::Arc<rvaas_telemetry::Counter>,
-    widened: std::sync::Arc<rvaas_telemetry::Counter>,
-    refinements: std::sync::Arc<rvaas_telemetry::Counter>,
-    stale_refinements: std::sync::Arc<rvaas_telemetry::Counter>,
-    registered: std::sync::Arc<rvaas_telemetry::Gauge>,
-    footprint_switches: std::sync::Arc<rvaas_telemetry::Histogram>,
+/// What [`InterestIndex::refine`] did with a footprint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refinement {
+    /// The interest now carries the footprint.
+    Accepted,
+    /// The footprint predates the interest's widen stamp and was dropped.
+    Stale,
+    /// The query is not registered; nothing to refine.
+    Unregistered,
 }
 
-impl InterestTelemetry {
-    fn new(registry: &rvaas_telemetry::Registry) -> Self {
-        InterestTelemetry {
-            lookups: registry.counter(
-                "rvaas_interest_lookups_total",
-                "Changed-region lookups against the interest-space index.",
-            ),
-            hits: registry.counter(
-                "rvaas_interest_hits_total",
-                "Index candidates confirmed affected (space overlap + footprint intersection).",
-            ),
-            misses: registry.counter(
-                "rvaas_interest_misses_total",
-                "Index candidates rejected by the exact affected test.",
-            ),
-            widened: registry.counter(
-                "rvaas_interest_widened_total",
-                "Interests widened back to an unbounded footprint at epoch advance.",
-            ),
-            refinements: registry.counter(
-                "rvaas_interest_refinements_total",
-                "Footprint refinements accepted by the index.",
-            ),
-            stale_refinements: registry.counter(
-                "rvaas_interest_stale_refinements_total",
-                "Footprint refinements dropped because their epoch serial was stale.",
-            ),
-            registered: registry.gauge(
-                "rvaas_interest_registered_queries",
-                "Standing queries currently registered in the interest-space index.",
-            ),
-            footprint_switches: registry.histogram(
-                "rvaas_interest_footprint_switches",
-                "Switch count of accepted per-query traversal footprints.",
-            ),
-        }
-    }
+/// What one [`InterestIndex::advance`] selected and did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Advance {
+    /// The affected queries (all of them confirmed by the exact test).
+    pub affected: AffectedQueries,
+    /// Interests widened back to an unbounded footprint: the selected ones,
+    /// or every registered one under a conservative region.
+    pub widened: usize,
+    /// Bucket candidates the exact test rejected.
+    pub rejected: usize,
 }
 
 /// The interest-space index mapping header-space regions to the standing
@@ -311,7 +281,6 @@ pub struct InterestIndex {
     /// Serial of the last `advance`; fresh registrations are stamped with it
     /// (a footprint captured before registration proves nothing).
     serial: u64,
-    telemetry: Option<InterestTelemetry>,
 }
 
 impl InterestIndex {
@@ -323,16 +292,7 @@ impl InterestIndex {
             interests: BTreeMap::new(),
             buckets: BTreeMap::new(),
             serial: 0,
-            telemetry: None,
         }
-    }
-
-    /// Mirrors the index's activity into `registry` (under
-    /// `rvaas_interest_*`) from this point on.
-    pub fn attach_telemetry(&mut self, registry: &rvaas_telemetry::Registry) {
-        let telemetry = InterestTelemetry::new(registry);
-        telemetry.registered.set(self.interests.len() as i64);
-        self.telemetry = Some(telemetry);
     }
 
     /// Replaces the deployment knowledge the default interests are derived
@@ -401,9 +361,6 @@ impl InterestIndex {
             self.buckets.entry(bucket).or_default().insert(key.clone());
         }
         self.interests.insert(key, interest);
-        if let Some(t) = &self.telemetry {
-            t.registered.set(self.interests.len() as i64);
-        }
         true
     }
 
@@ -422,40 +379,30 @@ impl InterestIndex {
                 }
             }
         }
-        if let Some(t) = &self.telemetry {
-            t.registered.set(self.interests.len() as i64);
-        }
         true
     }
 
     /// Narrows the switch footprint of `(client, spec)` to what an evaluation
     /// against epoch `serial` actually traversed. Ignored when the query is
     /// unregistered or the footprint is stale (`serial` below the interest's
-    /// widen stamp — see the module docs for the race protocol).
+    /// widen stamp — see the module docs for the race protocol); the return
+    /// value says which.
     pub fn refine(
         &mut self,
         client: ClientId,
         spec: &QuerySpec,
         serial: u64,
         footprint: &QueryFootprint,
-    ) {
+    ) -> Refinement {
         let key: QueryKey = (client, spec.clone());
         let Some(interest) = self.interests.get_mut(&key) else {
-            return;
+            return Refinement::Unregistered;
         };
         if serial < interest.min_serial {
-            if let Some(t) = &self.telemetry {
-                t.stale_refinements.inc();
-            }
-            return;
+            return Refinement::Stale;
         }
         interest.switches = footprint.switches.clone();
-        if let Some(t) = &self.telemetry {
-            t.refinements.inc();
-            if let Some(switches) = &footprint.switches {
-                t.footprint_switches.record(switches.len() as u64);
-            }
-        }
+        Refinement::Accepted
     }
 
     /// The exact affected test of one interest against a (non-conservative,
@@ -529,14 +476,17 @@ impl InterestIndex {
     /// the index. Conservative regions select everything.
     #[must_use]
     pub fn affected(&self, region: &ChangedRegion) -> AffectedQueries {
-        if let Some(t) = &self.telemetry {
-            t.lookups.inc();
-        }
+        self.select(region).0
+    }
+
+    /// The selection of [`affected`](Self::affected), plus how many bucket
+    /// candidates the exact test rejected.
+    fn select(&self, region: &ChangedRegion) -> (AffectedQueries, usize) {
         if region.conservative {
-            return AffectedQueries::everything();
+            return (AffectedQueries::everything(), 0);
         }
         if region.is_empty() {
-            return AffectedQueries::default();
+            return (AffectedQueries::default(), 0);
         }
         let mut candidates: BTreeSet<QueryKey> = BTreeSet::new();
         // The wildcard bucket hosts the space-insensitive interests
@@ -561,32 +511,27 @@ impl InterestIndex {
             self.collect_candidates(src, dst, &mut candidates);
         }
         let mut affected = AffectedQueries::default();
-        let (mut hits, mut misses) = (0u64, 0u64);
+        let mut rejected = 0;
         for key in candidates {
             let interest = &self.interests[&key];
             if Self::interest_affected(interest, region) {
-                hits += 1;
                 affected.keys.insert(key);
             } else {
-                misses += 1;
+                rejected += 1;
             }
         }
-        if let Some(t) = &self.telemetry {
-            t.hits.add(hits);
-            t.misses.add(misses);
-        }
-        affected
+        (affected, rejected)
     }
 
     /// The publish-path entry point: selects the affected queries, widens
-    /// each back to an unbounded footprint stamped with `serial`, and records
-    /// `serial` as the index's current epoch. Must run before the new epoch
-    /// becomes visible to evaluators (the service calls it under the publish
-    /// lock) so no refinement captured against the new epoch can be
-    /// invalidated by this widen.
-    pub fn advance(&mut self, serial: u64, region: &ChangedRegion) -> AffectedQueries {
-        let affected = self.affected(region);
-        let mut widened = 0u64;
+    /// each back to an unbounded footprint stamped with `serial`, records
+    /// `serial` as the index's current epoch and says what it did. Must run
+    /// before the new epoch becomes visible to evaluators (the service calls
+    /// it under the publish lock) so no refinement captured against the new
+    /// epoch can be invalidated by this widen.
+    pub fn advance(&mut self, serial: u64, region: &ChangedRegion) -> Advance {
+        let (affected, rejected) = self.select(region);
+        let mut widened = 0;
         if affected.all {
             for interest in self.interests.values_mut() {
                 interest.switches = None;
@@ -603,10 +548,11 @@ impl InterestIndex {
             }
         }
         self.serial = self.serial.max(serial);
-        if let Some(t) = &self.telemetry {
-            t.widened.add(widened);
+        Advance {
+            affected,
+            widened,
+            rejected,
         }
-        affected
     }
 
     /// The linear fallback test for a single (possibly unregistered) query:
@@ -686,14 +632,17 @@ mod tests {
         assert!(!index.register(client, &spec), "idempotent");
         assert!(index.contains(client, &spec));
         assert_eq!(index.len(), 1);
-        index.refine(
-            client,
-            &spec,
-            0,
-            &QueryFootprint::bounded([SwitchId(1)].into_iter().collect()),
+        let footprint = QueryFootprint::bounded([SwitchId(1)].into_iter().collect());
+        assert_eq!(
+            index.refine(client, &spec, 0, &footprint),
+            Refinement::Accepted
         );
         assert!(index.deregister(client, &spec));
         assert!(!index.deregister(client, &spec));
+        assert_eq!(
+            index.refine(client, &spec, 0, &footprint),
+            Refinement::Unregistered
+        );
         assert!(index.is_empty());
         assert!(index.buckets.is_empty(), "buckets fully cleaned");
     }
@@ -787,25 +736,25 @@ mod tests {
         )]);
 
         // Publish of serial 5 widens the affected interest...
-        let affected = index.advance(5, &region);
-        assert!(affected.is_affected(client, &spec));
+        let advance = index.advance(5, &region);
+        assert!(advance.affected.is_affected(client, &spec));
+        assert_eq!((advance.widened, advance.rejected), (1, 0));
         // ...so a footprint captured against serial 4 (before the change) is
         // stale and must not narrow it...
-        index.refine(
-            client,
-            &spec,
-            4,
-            &QueryFootprint::bounded([SwitchId(1)].into_iter().collect()),
+        let elsewhere = QueryFootprint::bounded([SwitchId(1)].into_iter().collect());
+        assert_eq!(
+            index.refine(client, &spec, 4, &elsewhere),
+            Refinement::Stale
         );
         assert!(index.affected(&region).is_affected(client, &spec));
         // ...while one captured against the new epoch is accepted.
-        index.refine(
-            client,
-            &spec,
-            5,
-            &QueryFootprint::bounded([SwitchId(1)].into_iter().collect()),
+        assert_eq!(
+            index.refine(client, &spec, 5, &elsewhere),
+            Refinement::Accepted
         );
         assert!(!index.affected(&region).is_affected(client, &spec));
+        // The narrowed query is still a candidate, now rejected.
+        assert_eq!(index.advance(6, &region).rejected, 1);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod verify;
 pub use attest::{AttestedIdentity, RVAAS_IMAGE};
 pub use backend::{AnalysisBackend, InlineBackend};
 pub use incremental::{query_affected, ChangedRegion, IncrementalModel, RuleChange};
-pub use interest::{AffectedQueries, InterestIndex, QueryFootprint, QueryKey};
+pub use interest::{Advance, AffectedQueries, InterestIndex, QueryFootprint, QueryKey, Refinement};
 pub use monitor::{ConfigMonitor, MonitorConfig, MonitorStats, PollStrategy};
 pub use service::{RvaasConfig, RvaasController, RvaasStats};
 pub use snapshot::NetworkSnapshot;

@@ -13,13 +13,10 @@
 //! of the simulator: the [`RvaasController`](crate::RvaasController) feeds it
 //! messages and asks it which polls to issue.
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rvaas_openflow::Message;
-use rvaas_telemetry::{Counter, Registry};
 use rvaas_types::{SimTime, SwitchId};
 
 use crate::incremental::RuleChange;
@@ -86,47 +83,12 @@ pub struct MonitorStats {
     pub polls_issued: u64,
 }
 
-/// Registry handles mirroring [`MonitorStats`], published under
-/// `rvaas_monitor_*_total` once [`ConfigMonitor::attach_telemetry`] is
-/// called.
-#[derive(Debug, Clone)]
-struct MonitorTelemetry {
-    passive_events: Arc<Counter>,
-    passive_ignored: Arc<Counter>,
-    poll_replies: Arc<Counter>,
-    polls_issued: Arc<Counter>,
-}
-
-impl MonitorTelemetry {
-    fn new(registry: &Registry) -> Self {
-        MonitorTelemetry {
-            passive_events: registry.counter(
-                "rvaas_monitor_passive_events_total",
-                "Passive events (notify/removed) applied to the snapshot.",
-            ),
-            passive_ignored: registry.counter(
-                "rvaas_monitor_passive_ignored_total",
-                "Passive events ignored because passive monitoring is disabled.",
-            ),
-            poll_replies: registry.counter(
-                "rvaas_monitor_poll_replies_total",
-                "Full-table poll replies applied to the snapshot.",
-            ),
-            polls_issued: registry.counter(
-                "rvaas_monitor_polls_issued_total",
-                "Active poll requests issued to switches.",
-            ),
-        }
-    }
-}
-
 /// The configuration monitor.
 #[derive(Debug)]
 pub struct ConfigMonitor {
     config: MonitorConfig,
     snapshot: NetworkSnapshot,
     stats: MonitorStats,
-    telemetry: Option<MonitorTelemetry>,
     rng: StdRng,
     /// Rule-level deltas applied since the last [`drain_changes`] call,
     /// in arrival order — the feed for the service plane's delta-publish
@@ -146,24 +108,11 @@ impl ConfigMonitor {
         ConfigMonitor {
             snapshot: NetworkSnapshot::new(config.history_window),
             stats: MonitorStats::default(),
-            telemetry: None,
             rng: StdRng::seed_from_u64(config.seed),
             config,
             pending_changes: Vec::new(),
             resynced: false,
         }
-    }
-
-    /// Mirrors this monitor's activity counters into `registry` (under
-    /// `rvaas_monitor_*_total`) from this point on. Prior activity is
-    /// back-filled so the registry and [`MonitorStats`] agree.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        let telemetry = MonitorTelemetry::new(registry);
-        telemetry.passive_events.add(self.stats.passive_events);
-        telemetry.passive_ignored.add(self.stats.passive_ignored);
-        telemetry.poll_replies.add(self.stats.poll_replies);
-        telemetry.polls_issued.add(self.stats.polls_issued);
-        self.telemetry = Some(telemetry);
     }
 
     /// The current snapshot.
@@ -190,10 +139,10 @@ impl ConfigMonitor {
         match message {
             Message::FlowMonitorNotify { entry, .. } => {
                 if !self.config.passive_enabled {
-                    self.count_passive_ignored();
+                    self.stats.passive_ignored += 1;
                     return false;
                 }
-                self.count_passive_event();
+                self.stats.passive_events += 1;
                 self.snapshot.record_installed(switch, entry.clone(), now);
                 self.pending_changes
                     .push(RuleChange::installed(switch, entry.clone()));
@@ -201,10 +150,10 @@ impl ConfigMonitor {
             }
             Message::FlowRemoved { entry, .. } => {
                 if !self.config.passive_enabled {
-                    self.count_passive_ignored();
+                    self.stats.passive_ignored += 1;
                     return false;
                 }
-                self.count_passive_event();
+                self.stats.passive_events += 1;
                 self.snapshot.record_removed(switch, entry, now);
                 self.pending_changes
                     .push(RuleChange::removed(switch, entry.clone()));
@@ -212,9 +161,6 @@ impl ConfigMonitor {
             }
             Message::FlowStatsReply { entries, .. } => {
                 self.stats.poll_replies += 1;
-                if let Some(t) = &self.telemetry {
-                    t.poll_replies.inc();
-                }
                 self.snapshot
                     .record_full_table(switch, entries.clone(), now);
                 // A poll reply replaces a whole table; the per-rule diff is
@@ -262,27 +208,10 @@ impl ConfigMonitor {
     /// per switch).
     pub fn poll_requests(&mut self, switches: &[SwitchId]) -> Vec<(SwitchId, Message)> {
         self.stats.polls_issued += switches.len() as u64;
-        if let Some(t) = &self.telemetry {
-            t.polls_issued.add(switches.len() as u64);
-        }
         switches
             .iter()
             .map(|s| (*s, Message::FlowStatsRequest))
             .collect()
-    }
-
-    fn count_passive_event(&mut self) {
-        self.stats.passive_events += 1;
-        if let Some(t) = &self.telemetry {
-            t.passive_events.inc();
-        }
-    }
-
-    fn count_passive_ignored(&mut self) {
-        self.stats.passive_ignored += 1;
-        if let Some(t) = &self.telemetry {
-            t.passive_ignored.inc();
-        }
     }
 }
 

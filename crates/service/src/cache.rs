@@ -157,16 +157,23 @@ impl ResultCache {
     /// exactly that epoch boundary. If a racing publisher advanced the cache
     /// out of order, entries from skipped epochs are dropped instead of
     /// being carried past a delta that was never checked against them.
-    pub fn advance(&self, to_serial: u64, affected: impl Fn(ClientId, &QuerySpec) -> bool) {
+    ///
+    /// Returns the `(carried, invalidated)` entry counts of this call —
+    /// `(0, 0)` when the cache is disabled or `to_serial` is not ahead of it.
+    pub fn advance(
+        &self,
+        to_serial: u64,
+        affected: impl Fn(ClientId, &QuerySpec) -> bool,
+    ) -> (u64, u64) {
         if !self.enabled {
-            return;
+            return (0, 0);
         }
         let mut guard = self
             .state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if to_serial <= guard.serial {
-            return;
+            return (0, 0);
         }
         guard.serial = to_serial;
         let mut carried = 0u64;
@@ -188,6 +195,7 @@ impl ResultCache {
         drop(guard);
         self.carried.add(carried);
         self.invalidated.add(invalidated);
+        (carried, invalidated)
     }
 
     /// A point-in-time copy of the hit/miss counters.
@@ -250,8 +258,9 @@ mod tests {
         cache.advance(1, |_, _| true);
         cache.put(1, ClientId(1), QuerySpec::Isolation, result(3));
         cache.put(1, ClientId(2), QuerySpec::GeoLocation, result(4));
-        // Only client 1 is affected by the (synthetic) delta.
-        cache.advance(2, |client, _| client == ClientId(1));
+        // Only client 1 is affected by the (synthetic) delta. The call
+        // reports what it did: one carried, one invalidated.
+        assert_eq!(cache.advance(2, |client, _| client == ClientId(1)), (1, 1));
         assert!(
             cache.get(2, ClientId(1), &QuerySpec::Isolation).is_none(),
             "affected entry must be recomputed"
@@ -268,6 +277,12 @@ mod tests {
         assert_eq!(cache.stats().carried, 1);
         assert_eq!(cache.stats().invalidated, 1);
         assert_eq!(cache.len(), 1);
+        // A serial the cache is already at, or past, moves nothing and
+        // counts nothing, whatever the predicate says.
+        for serial in [1, 2] {
+            assert_eq!(cache.advance(serial, |_, _| true), (0, 0));
+        }
+        assert_eq!(cache.stats().invalidated, 1);
     }
 
     #[test]
@@ -275,7 +290,7 @@ mod tests {
         let cache = ResultCache::with_registry(true, &Registry::new());
         cache.advance(1, |_, _| true);
         cache.put(1, ClientId(1), QuerySpec::Isolation, result(3));
-        cache.advance(2, |_, _| true);
+        assert_eq!(cache.advance(2, |_, _| true), (0, 1));
         assert!(cache.get(2, ClientId(1), &QuerySpec::Isolation).is_none());
         assert!(cache.is_empty());
         // A straggler result from the evicted epoch is discarded.
@@ -305,6 +320,8 @@ mod tests {
         cache.put(1, ClientId(1), QuerySpec::Isolation, result(3));
         assert!(cache.get(1, ClientId(1), &QuerySpec::Isolation).is_none());
         assert!(cache.is_empty());
-        assert_eq!(cache.stats().hits, 0);
+        assert_eq!(cache.advance(2, |_, _| false), (0, 0));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.carried, stats.invalidated), (0, 0, 0));
     }
 }

@@ -35,6 +35,10 @@
 //! either publish path — lands elsewhere: it is re-installed behind its
 //! equal-priority peers, where a rebuild keeps its slot.)
 //!
+//! The model and the interest index are plain data — `rvaas` core records
+//! nothing. `commit`, which drives both and holds the publish trace, emits
+//! the `model.*` events and counts what the two report (`StoreTelemetry`).
+//!
 //! When a requested serial has been evicted from the delta history the
 //! store reports `None` and sync falls back to a full reset, mirroring RTR
 //! cache-reset semantics.
@@ -45,11 +49,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use rvaas::{
     AffectedQueries, ChangedRegion, IncrementalModel, InterestIndex, NetworkFunction,
-    NetworkSnapshot, QueryFootprint, RuleChange,
+    NetworkSnapshot, QueryFootprint, Refinement, RuleChange,
 };
 use rvaas_client::{FlowDigest, QuerySpec};
 use rvaas_openflow::FlowEntry;
-use rvaas_telemetry::{TraceContext, TraceId, TraceStage};
+use rvaas_telemetry::{Counter, Gauge, Histogram, Registry, TraceContext, TraceId, TraceStage};
 use rvaas_topology::Topology;
 use rvaas_types::{ClientId, SimTime, SwitchId};
 
@@ -233,7 +237,7 @@ pub struct EpochProvenance {
     pub affected_queries: usize,
     /// True when the change conservatively affects every standing query
     /// (bulk rebuild / unbounded region); `affected_queries` is then the
-    /// registration count at publish time.
+    /// number of interests the index held when the publish selected.
     pub affected_everything: bool,
     /// Whether the model took the bulk-rebuild path.
     pub bulk_rebuild: bool,
@@ -306,6 +310,69 @@ fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Registry handles for what the store's model and interest index report.
+/// Both are plain data; the store, which drives them, does the recording.
+#[derive(Debug)]
+struct StoreTelemetry {
+    rule_changes: Arc<Counter>,
+    conservative_regions: Arc<Counter>,
+    desyncs: Arc<Counter>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    widened: Arc<Counter>,
+    refinements: Arc<Counter>,
+    stale_refinements: Arc<Counter>,
+    registered: Arc<Gauge>,
+    footprint_switches: Arc<Histogram>,
+}
+
+impl StoreTelemetry {
+    fn new(registry: &Registry) -> Self {
+        StoreTelemetry {
+            rule_changes: registry.counter(
+                "rvaas_incremental_rule_changes_total",
+                "Rule-level changes applied in place by incremental models.",
+            ),
+            conservative_regions: registry.counter(
+                "rvaas_incremental_conservative_regions_total",
+                "Incremental applies whose changed region was conservative (forces full re-verification).",
+            ),
+            desyncs: registry.counter(
+                "rvaas_incremental_desyncs_total",
+                "Removals the incremental mirror could not resolve (model fell back to a rebuild).",
+            ),
+            hits: registry.counter(
+                "rvaas_interest_hits_total",
+                "Index candidates confirmed affected (space overlap + footprint intersection).",
+            ),
+            misses: registry.counter(
+                "rvaas_interest_misses_total",
+                "Index candidates rejected by the exact affected test.",
+            ),
+            widened: registry.counter(
+                "rvaas_interest_widened_total",
+                "Interests widened back to an unbounded footprint at epoch advance.",
+            ),
+            refinements: registry.counter(
+                "rvaas_interest_refinements_total",
+                "Footprint refinements accepted by the index.",
+            ),
+            stale_refinements: registry.counter(
+                "rvaas_interest_stale_refinements_total",
+                "Footprint refinements dropped because their epoch serial was stale.",
+            ),
+            registered: registry.gauge(
+                "rvaas_interest_registered_queries",
+                "Standing queries currently registered in the interest-space index.",
+            ),
+            footprint_switches: registry.histogram(
+                "rvaas_interest_footprint_switches",
+                "Switch count of accepted per-query traversal footprints.",
+            ),
+        }
+    }
+}
+
 /// The atomically swapped epoch store.
 ///
 /// Readers grab the current `Arc<SnapshotEpoch>` under a briefly held read
@@ -330,6 +397,7 @@ pub struct EpochStore {
     /// Bounded provenance log, newest at the back; queryable by serial for
     /// as long as the record has not aged out.
     provenance: Mutex<VecDeque<EpochProvenance>>,
+    telemetry: StoreTelemetry,
     max_deltas: usize,
 }
 
@@ -351,6 +419,7 @@ impl EpochStore {
             model: Mutex::new(IncrementalModel::new(Topology::new())),
             interest: Mutex::new(InterestIndex::new(Topology::new())),
             provenance: Mutex::new(VecDeque::new()),
+            telemetry: StoreTelemetry::new(&Registry::new()),
             max_deltas,
         }
     }
@@ -359,7 +428,7 @@ impl EpochStore {
     /// network function is built over and the interest-space index derives
     /// default interests from. Without it every registration is conservative
     /// (affected by any change) and the frozen functions are unwired. Call
-    /// first — before attaching telemetry, registering or publishing.
+    /// before registering or publishing.
     // Not a `new` argument only because `benchmark/` calls both; merge at the next re-baseline.
     pub fn attach_interest_topology(&self, topology: Topology) {
         *locked(&self.model) =
@@ -367,17 +436,22 @@ impl EpochStore {
         locked(&self.interest).set_topology(topology);
     }
 
-    /// Mirrors the store's activity into `registry`: the interest-space
-    /// index under `rvaas_interest_*`, the model under
-    /// `rvaas_incremental_*_total`.
-    pub fn attach_telemetry(&self, registry: &rvaas_telemetry::Registry) {
-        locked(&self.interest).attach_telemetry(registry);
-        locked(&self.model).attach_telemetry(registry);
+    /// Records what the model and the interest-space index report — under
+    /// `rvaas_incremental_*_total` and `rvaas_interest_*` — into `registry`
+    /// instead of the private one a fresh store counts into.
+    // Not a `new` argument only because `benchmark/` calls `new`; merge at the next re-baseline.
+    pub fn attach_telemetry(&mut self, registry: &Registry) {
+        self.telemetry = StoreTelemetry::new(registry);
+        self.telemetry
+            .registered
+            .set(self.registered_interests() as i64);
     }
 
     /// Registers a standing query in the interest-space index (idempotent).
     pub fn register_interest(&self, client: ClientId, spec: &QuerySpec) -> bool {
-        locked(&self.interest).register(client, spec)
+        let fresh = locked(&self.interest).register(client, spec);
+        self.telemetry.registered.add(i64::from(fresh));
+        fresh
     }
 
     /// Narrows a standing query's interest to the traversal footprint an
@@ -389,7 +463,18 @@ impl EpochStore {
         serial: u64,
         footprint: &QueryFootprint,
     ) {
-        locked(&self.interest).refine(client, spec, serial, footprint);
+        let refinement = locked(&self.interest).refine(client, spec, serial, footprint);
+        let t = &self.telemetry;
+        match refinement {
+            Refinement::Accepted => {
+                t.refinements.inc();
+                if let Some(switches) = &footprint.switches {
+                    t.footprint_switches.record(switches.len() as u64);
+                }
+            }
+            Refinement::Stale => t.stale_refinements.inc(),
+            Refinement::Unregistered => {}
+        }
     }
 
     /// Number of standing queries registered in the interest-space index.
@@ -531,27 +616,40 @@ impl EpochStore {
         // publish): rebuild the model and report an unbounded region,
         // which conservatively re-verifies everything once.
         let bulk_rebuild = changes.len() > (rules.len() / 4).max(64);
-        let changed = {
-            // The model's own apply/rebuild events join the publish chain.
-            let _ambient = trace.enter();
-            if bulk_rebuild {
-                model.rebuild_from(&snapshot);
-                ChangedRegion::everything()
-            } else {
-                let region = model.apply(&changes);
-                if model.is_desynced() {
-                    // This publish already reports a conservative region;
-                    // rebuild so the frozen function is exact and future
-                    // publishes are bounded again.
-                    model.rebuild_from(&snapshot);
-                }
-                region
-            }
+        let t = &self.telemetry;
+        let changed = if bulk_rebuild {
+            ChangedRegion::everything()
+        } else {
+            let region = model.apply(&changes);
+            trace.event(
+                TraceStage::IncrementalApply,
+                changes.len() as u64,
+                model.rule_count() as u64,
+            );
+            let removals = changes.iter().filter(|c| !c.installed).count();
+            t.rule_changes.add(changes.len() as u64);
+            t.desyncs.add((removals - region.rules_removed) as u64);
+            t.conservative_regions.add(u64::from(region.conservative));
+            region
         };
+        // A desynced apply already reported a conservative region; rebuild so
+        // the frozen function is exact and future publishes are bounded again.
+        if bulk_rebuild || model.is_desynced() {
+            model.rebuild_from(&snapshot);
+            trace.event(
+                TraceStage::ModelRebuild,
+                model.rule_count() as u64,
+                snapshot.tables().count() as u64,
+            );
+        }
         // Select (and widen) the affected standing queries before the new
         // epoch becomes visible: a footprint refined against this serial can
         // then never be invalidated by this publish.
-        let affected = locked(&self.interest).advance(serial, &changed);
+        let advance = locked(&self.interest).advance(serial, &changed);
+        let affected = advance.affected;
+        t.hits.add(affected.len() as u64);
+        t.misses.add(advance.rejected as u64);
+        t.widened.add(advance.widened as u64);
         let epoch = Arc::new(SnapshotEpoch {
             serial,
             snapshot,
@@ -577,12 +675,10 @@ impl EpochStore {
             }
         }
         *self.current.write().unwrap_or_else(PoisonError::into_inner) = epoch;
+        // Every selected interest was widened: under "everything", all the
+        // index held when it selected, however many have registered since.
         let affected_everything = affected.is_everything();
-        let affected_queries = if affected_everything {
-            self.registered_interests()
-        } else {
-            affected.len()
-        };
+        let affected_queries = advance.widened;
         trace.event(
             TraceStage::EpochDigest,
             digest,
@@ -1047,6 +1143,23 @@ mod tests {
         assert!(wide
             .affected
             .is_affected(ClientId(2), &QuerySpec::ReachableDestinations));
+        assert_eq!(store.provenance(2).expect("retained").affected_queries, 1);
+
+        // A rule installed and removed within one list does not resolve in
+        // the model: everything is affected, and the audit record counts the
+        // interests the index held when it selected — not whoever has
+        // registered since.
+        let flap = [
+            RuleChange::installed(SwitchId(3), entry(7)),
+            RuleChange::removed(SwitchId(3), entry(7)),
+        ];
+        let p3 = store
+            .try_publish_changes(&flap, SimTime::from_millis(3))
+            .unwrap();
+        store.register_interest(ClientId(1), &QuerySpec::Isolation);
+        let record = store.provenance(3).expect("retained");
+        assert!(p3.affected.is_everything() && record.affected_everything);
+        assert_eq!(record.affected_queries, 2);
     }
 
     #[test]

@@ -225,9 +225,10 @@ impl VerificationService {
             config.settings.trace_ring_capacity,
             config.settings.slow_query_threshold_us,
         );
-        let store = Arc::new(EpochStore::new(config.settings.max_delta_history.max(1)));
+        let mut store = EpochStore::new(config.settings.max_delta_history.max(1));
         store.attach_interest_topology(topology.clone());
         store.attach_telemetry(&registry);
+        let store = Arc::new(store);
         let cache = Arc::new(ResultCache::with_registry(config.settings.cache, &registry));
         let metrics = Arc::new(ServiceMetrics::new(&registry));
         let history_mode = config.verifier.use_history;
@@ -363,20 +364,18 @@ impl VerificationService {
             .metrics
             .stage_cache_advance
             .span_traced(published.trace);
-        let before = self.cache.stats();
         // Workers register every query in the interest index before caching
         // it, so the index's selection covers every cached entry — an
         // O(affected) test instead of the linear query_affected scan per
         // entry.
         let (history_mode, affected) = (self.history_mode, &published.affected);
-        self.cache.advance(published.serial, |client, spec| {
+        let (carried, invalidated) = self.cache.advance(published.serial, |client, spec| {
             history_mode || affected.is_affected(client, spec)
         });
-        let after = self.cache.stats();
         TraceContext::from_id(published.trace.0).event(
             TraceStage::CacheCarry,
-            after.carried.saturating_sub(before.carried),
-            after.invalidated.saturating_sub(before.invalidated),
+            carried,
+            invalidated,
         );
         Ok(published.serial)
     }
@@ -545,7 +544,6 @@ fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, ctx: WorkerContext) {
         // the span is attributed to the first.
         let _eval_span = ctx.metrics.stage_eval.span_traced(batch[0].trace.id);
         for job in batch {
-            let _ambient = job.trace.enter();
             let result = match ctx.cache.get(epoch.serial, job.client, &job.spec) {
                 Some(result) => {
                     job.trace

@@ -4,7 +4,6 @@
 use crate::histogram::{bucket_bound, bucket_index, Histogram, HistogramSnapshot};
 use crate::metric::{Counter, Gauge};
 use crate::text;
-use crate::trace::TraceId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -31,20 +30,6 @@ impl MetricKind {
             MetricKind::Histogram => "histogram",
         }
     }
-}
-
-/// One histogram instance's remembered worst observation and the trace
-/// that produced it; see [`Registry::exemplars`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Exemplar {
-    /// Metric family name (e.g. `rvaas_stage_latency_us`).
-    pub metric: String,
-    /// The instance's sorted label pairs.
-    pub labels: Vec<(String, String)>,
-    /// The worst recorded value since the exemplar was last displaced.
-    pub value: u64,
-    /// Flight-recorder trace that produced the value.
-    pub trace: TraceId,
 }
 
 enum Instrument {
@@ -149,30 +134,6 @@ impl Registry {
             "Per-stage latency of the query/epoch lifecycle, in microseconds.",
             &[("stage", stage)],
         )
-    }
-
-    /// Every histogram instance that currently remembers an exemplar. The
-    /// daemon exports these next to the retained slow traces so a latency
-    /// spike in a scrape links directly to a reconstructable trace.
-    #[must_use]
-    pub fn exemplars(&self) -> Vec<Exemplar> {
-        let families = self.families.lock().unwrap();
-        let mut out = Vec::new();
-        for (name, family) in families.iter() {
-            for (labels, instrument) in &family.instances {
-                if let Instrument::Histogram(h) = instrument {
-                    if let Some((value, trace)) = h.exemplar() {
-                        out.push(Exemplar {
-                            metric: name.clone(),
-                            labels: labels.clone(),
-                            value,
-                            trace,
-                        });
-                    }
-                }
-            }
-        }
-        out
     }
 
     fn instrument(
@@ -303,6 +264,7 @@ fn render_histogram(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceId;
 
     #[test]
     fn same_name_and_labels_share_one_instrument() {
@@ -370,25 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_spans_surface_as_family_exemplars() {
-        let registry = Registry::new();
-        let stage = registry.stage_histogram("pool.eval");
-        drop(stage.span_traced(TraceId(42)));
-        let exemplars = registry.exemplars();
-        assert_eq!(exemplars.len(), 1);
-        let exemplar = &exemplars[0];
-        assert_eq!(exemplar.metric, STAGE_LATENCY_METRIC);
-        assert_eq!(
-            exemplar.labels,
-            [("stage".to_string(), "pool.eval".to_string())]
-        );
-        assert_eq!(exemplar.trace, TraceId(42));
-        // Untraced spans never displace an exemplar's trace link.
-        drop(stage.span());
-        assert_eq!(registry.exemplars()[0].trace, TraceId(42));
-    }
-
-    #[test]
     fn exemplars_render_as_comments_without_breaking_the_exposition() {
         let registry = Registry::new();
         registry
@@ -408,6 +351,11 @@ mod tests {
         assert!(samples
             .iter()
             .any(|s| s.name == "rvaas_stage_latency_us_count" && s.value == 1.0));
+        // A traced span leaves one too; an untraced one never displaces it.
+        let publish = registry.stage_histogram("epoch.publish");
+        drop(publish.span_traced(TraceId(43)));
+        drop(publish.span());
+        assert!(registry.render_text().contains(" trace=43\n"));
         // Untraced histograms render no exemplar comment.
         let plain = Registry::new();
         plain.histogram("h_us", "H.").record(9);

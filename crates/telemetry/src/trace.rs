@@ -21,13 +21,11 @@
 //! overwrite it — the daemon serves that set at `GET /v1/trace/slow`.
 //!
 //! A process-global recorder ([`recorder`]) keeps instrumentation free of
-//! plumbing: ingress points mint a [`TraceContext`], thread it through the
-//! request path explicitly (e.g. inside a pool job), and interior layers
-//! that cannot carry a context (the incremental engine deep in `rvaas`
-//! core) append to the ambient per-thread context installed with
-//! [`TraceContext::enter`].
+//! plumbing: ingress points mint a [`TraceContext`] and thread it through
+//! the request path explicitly (e.g. inside a pool job). Every emitter holds
+//! the context it appends under; layers that hold none (the `rvaas` core)
+//! report plain data to a caller that does.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -521,14 +519,8 @@ pub fn configure(ring_capacity: usize, slow_threshold_us: u64) -> bool {
     }
 }
 
-thread_local! {
-    static CURRENT: Cell<u64> = const { Cell::new(0) };
-}
-
 /// The trace context threaded through a request path: the id to append
-/// under, carried explicitly across thread handoffs (a thread-local cannot
-/// survive an mpsc hop) and installable as the thread's ambient context for
-/// layers that cannot carry it.
+/// under, carried explicitly across calls and thread handoffs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// The trace all events from this request join.
@@ -536,9 +528,6 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    /// A context that records nothing.
-    pub const NONE: TraceContext = TraceContext { id: TraceId::NONE };
-
     /// Mints a fresh id from the global recorder.
     #[must_use]
     pub fn mint() -> TraceContext {
@@ -556,45 +545,6 @@ impl TraceContext {
     /// Appends one event under this context to the global recorder.
     pub fn event(&self, stage: TraceStage, a: u64, b: u64) {
         recorder().append(self.id, stage, a, b);
-    }
-
-    /// Installs this context as the thread's ambient context until the
-    /// guard drops (restoring whatever was ambient before).
-    #[must_use]
-    pub fn enter(&self) -> AmbientGuard {
-        let previous = CURRENT.with(|c| c.replace(self.id.0));
-        AmbientGuard { previous }
-    }
-
-    /// The thread's ambient context ([`TraceContext::NONE`] outside any
-    /// [`enter`](TraceContext::enter) scope).
-    #[must_use]
-    pub fn current() -> TraceContext {
-        TraceContext {
-            id: TraceId(CURRENT.with(Cell::get)),
-        }
-    }
-}
-
-/// Restores the previously ambient trace context on drop.
-#[derive(Debug)]
-pub struct AmbientGuard {
-    previous: u64,
-}
-
-impl Drop for AmbientGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| c.set(self.previous));
-    }
-}
-
-/// Appends one event under the thread's ambient context — the hook for
-/// layers too deep to thread a [`TraceContext`] through (no-op outside an
-/// [`TraceContext::enter`] scope).
-pub fn ambient_event(stage: TraceStage, a: u64, b: u64) {
-    let current = TraceContext::current();
-    if !current.id.is_none() {
-        current.event(stage, a, b);
     }
 }
 
@@ -706,23 +656,6 @@ mod tests {
         let retained = rec.retained();
         assert_eq!(retained.iter().filter(|r| r.trace == t).count(), 1);
         assert_eq!(retained[0].events.len(), 2);
-    }
-
-    #[test]
-    fn ambient_context_nests_and_restores() {
-        assert!(TraceContext::current().id.is_none());
-        let outer = TraceContext::from_id(11);
-        let inner = TraceContext::from_id(22);
-        {
-            let _g1 = outer.enter();
-            assert_eq!(TraceContext::current().id.0, 11);
-            {
-                let _g2 = inner.enter();
-                assert_eq!(TraceContext::current().id.0, 22);
-            }
-            assert_eq!(TraceContext::current().id.0, 11);
-        }
-        assert!(TraceContext::current().id.is_none());
     }
 
     #[test]
