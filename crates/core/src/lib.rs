@@ -61,7 +61,7 @@ pub use interest::{Advance, AffectedQueries, InterestIndex, QueryFootprint, Quer
 pub use monitor::{ConfigMonitor, MonitorConfig, MonitorStats, PollStrategy};
 pub use service::{RvaasConfig, RvaasController, RvaasStats};
 pub use snapshot::NetworkSnapshot;
-pub use verify::{LocationMap, LogicalVerifier, QueryEvaluator, VerifierConfig};
+pub use verify::{LocationMap, LogicalVerifier, QueryEvaluator, TraversalMemo, VerifierConfig};
 
 // The model type `LogicalVerifier::evaluator_with` and `IncrementalModel` trade in, for
 // crates that hold one without depending on `rvaas-hsa` themselves.

@@ -12,9 +12,10 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use rvaas_client::{EndpointReport, NeutralityViolation, QueryResult, QuerySpec};
-use rvaas_hsa::{Cube, HeaderSpace, NetworkFunction, ReachabilityEngine, ReachabilityResult};
+use rvaas_hsa::{Cube, HeaderSpace, NetworkFunction, ReachabilityEngine};
 use rvaas_openflow::Action;
 use rvaas_topology::Topology;
 use rvaas_types::{ClientId, Field, HostId, Region, SwitchId, SwitchPort};
@@ -121,29 +122,21 @@ impl LogicalVerifier {
     }
 
     /// Starts a reusable evaluation session over one snapshot: the HSA
-    /// network function is built once and per-host traversals are memoised,
-    /// so a batch of queries sharing source hosts costs one traversal per
-    /// host instead of one per query. This is the from-scratch reference
-    /// every service-plane test and benchmark compares against; the worker
-    /// pool itself uses it only under history-mode verification.
+    /// network function is built once and per-host traversals are memoised
+    /// in a memo private to the session, so a batch of queries sharing
+    /// source hosts costs one traversal per host instead of one per query.
+    /// This is the from-scratch reference every service-plane test and
+    /// benchmark compares against; the worker pool itself uses it only under
+    /// history-mode verification.
     #[must_use]
     pub fn evaluator<'a>(&'a self, snapshot: &'a NetworkSnapshot) -> QueryEvaluator<'a> {
-        QueryEvaluator {
-            verifier: self,
-            snapshot,
-            nf: Cow::Owned(self.function_for(snapshot)),
-            emission: BTreeMap::new(),
-            source_reach: BTreeMap::new(),
-            path: BTreeMap::new(),
-        }
+        let nf = Cow::Owned(self.function_for(snapshot));
+        self.session(snapshot, nf, Memo::Private(TraversalMemo::new()))
     }
 
     /// Like [`LogicalVerifier::evaluator`], but borrows an externally
     /// maintained network function instead of rebuilding one from the
-    /// snapshot — the service plane's worker pool answers every batch this
-    /// way, over the function the epoch store's one
-    /// [`crate::incremental::IncrementalModel`] was advanced to and froze
-    /// into the epoch.
+    /// snapshot; the traversal memo is still private to the session.
     ///
     /// The caller is responsible for `nf` actually modelling `snapshot`;
     /// divergence between the two silently skews answers. A model of the
@@ -157,13 +150,44 @@ impl LogicalVerifier {
         snapshot: &'a NetworkSnapshot,
         nf: &'a NetworkFunction,
     ) -> QueryEvaluator<'a> {
+        let memo = Memo::Private(TraversalMemo::new());
+        self.session(snapshot, Cow::Borrowed(nf), memo)
+    }
+
+    /// Like [`LogicalVerifier::evaluator_with`], but reads and writes its
+    /// traversals through a [`TraversalMemo`] that outlives the session —
+    /// the service plane's worker pool answers every batch this way, over
+    /// the function the epoch store's one
+    /// [`crate::incremental::IncrementalModel`] froze into the epoch and the
+    /// memo that epoch carries, so a traversal is walked once per epoch, not
+    /// once per batch.
+    ///
+    /// Beyond the contract of `evaluator_with`, the caller is responsible
+    /// for every session sharing `memo` running over this very `nf` and this
+    /// verifier's topology: the memo holds no notion of validity.
+    #[must_use]
+    pub fn evaluator_sharing<'a>(
+        &'a self,
+        snapshot: &'a NetworkSnapshot,
+        nf: &'a NetworkFunction,
+        memo: &'a TraversalMemo,
+    ) -> QueryEvaluator<'a> {
+        self.session(snapshot, Cow::Borrowed(nf), Memo::Shared(memo))
+    }
+
+    fn session<'a>(
+        &'a self,
+        snapshot: &'a NetworkSnapshot,
+        nf: Cow<'a, NetworkFunction>,
+        memo: Memo<'a>,
+    ) -> QueryEvaluator<'a> {
         QueryEvaluator {
             verifier: self,
             snapshot,
-            nf: Cow::Borrowed(nf),
-            emission: BTreeMap::new(),
-            source_reach: BTreeMap::new(),
-            path: BTreeMap::new(),
+            nf,
+            memo,
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -243,52 +267,152 @@ impl LogicalVerifier {
     }
 }
 
-/// Memoised per-`(source, client)` probe: the verdict plus the traversal
-/// footprint behind it.
-#[derive(Debug, Clone)]
-struct SourceProbe {
-    reaches: bool,
-    visited: Vec<SwitchId>,
-    truncated: bool,
+/// What a memoised traversal is keyed by. All three kinds are pure functions
+/// of the network function and the (static, trusted) topology.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum TraversalKey {
+    /// `reachable_from(host, emission_space(host))`: shared by destination,
+    /// isolation and geo queries of the host's owner.
+    Emission(HostId),
+    /// "This source host can reach some access point of that client": shared
+    /// by isolation and reaching-source queries.
+    Source(HostId, ClientId),
+    /// Path-length bounds from a client's hosts to a destination ip.
+    Path(ClientId, u32),
 }
 
-/// Memoised per-`(client, destination ip)` path-length probe.
-#[derive(Debug, Clone)]
-struct PathProbe {
-    min: u32,
-    max: u32,
-    reachable: bool,
+/// What queries read from a traversal — not the [`ReachabilityResult`] with
+/// its per-endpoint header spaces and paths.
+///
+/// [`ReachabilityResult`]: rvaas_hsa::ReachabilityResult
+#[derive(Debug)]
+enum Outcome {
+    Emission {
+        /// Distinct egress ports reached, ascending.
+        ports: Vec<SwitchPort>,
+        /// Switches on any path, ascending (what geo queries map to regions).
+        traversed: Vec<SwitchId>,
+    },
+    Source {
+        reaches: bool,
+    },
+    Path {
+        min: u32,
+        max: u32,
+        reachable: bool,
+    },
+}
+
+/// One memoised traversal: its outcome and the footprint behind it.
+#[derive(Debug)]
+struct Traversal {
+    /// Every switch the traversal arrived at, ascending: the switches whose
+    /// transfer functions it consulted.
     visited: Vec<SwitchId>,
+    /// The engine's bounds cut a branch: the outcome may depend on anything.
     truncated: bool,
+    outcome: Outcome,
+}
+
+/// The HSA traversals walked over **one** network function, shared by every
+/// evaluation session that is handed the same memo.
+///
+/// An entry is a pure function of that network function and the static,
+/// trusted topology, so the memo has no notion of validity and nothing in
+/// it is ever invalidated: a different function gets a different memo (the
+/// service plane keeps one inside each published epoch, where it lives and
+/// dies with the function it describes).
+///
+/// There is one entry per key, and keys name hosts and clients of the
+/// trusted topology only (a query about an unknown client or address walks
+/// nothing and leaves nothing) — at most hosts + 2 × hosts × clients
+/// entries, whatever the number of distinct queries.
+#[derive(Debug, Default)]
+pub struct TraversalMemo {
+    entries: RwLock<BTreeMap<TraversalKey, Arc<Traversal>>>,
+}
+
+#[allow(clippy::len_without_is_empty)] // `len` exists for tests of the bound.
+impl TraversalMemo {
+    /// An empty memo.
+    #[must_use]
+    pub fn new() -> Self {
+        TraversalMemo::default()
+    }
+
+    /// Number of traversals held (one per key).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        // Poisoning is recovered from, here and below: an insert is one map
+        // operation, so an interrupted writer leaves the memo valid.
+        let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
+        entries.len()
+    }
+
+    fn get(&self, key: TraversalKey) -> Option<Arc<Traversal>> {
+        let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
+        entries.get(&key).cloned()
+    }
+
+    /// Two sessions that raced on a key walked the same function: whichever
+    /// insert lands last replaces an equal entry.
+    fn put(&self, key: TraversalKey, traversal: Arc<Traversal>) {
+        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
+        entries.insert(key, traversal);
+    }
+}
+
+/// The memo a session reads and writes its traversals through.
+#[derive(Debug)]
+enum Memo<'a> {
+    /// The session's own: nothing is shared, nothing outlives it.
+    Private(TraversalMemo),
+    Shared(&'a TraversalMemo),
+}
+
+/// Union of the switches `traversals` visited — the switches a verdict read
+/// from them depends on; unbounded as soon as one was truncated.
+fn footprint_over<'t>(traversals: impl IntoIterator<Item = &'t Arc<Traversal>>) -> QueryFootprint {
+    let mut switches = std::collections::BTreeSet::new();
+    for traversal in traversals {
+        if traversal.truncated {
+            return QueryFootprint::unbounded();
+        }
+        switches.extend(traversal.visited.iter().copied());
+    }
+    QueryFootprint::bounded(switches)
 }
 
 /// A single-snapshot evaluation session.
 ///
-/// Owns the HSA network function built from one snapshot and memoises the
-/// expensive traversals: the emission-space reachability of each source host
-/// (shared by destination, isolation and geo queries), the per-source
-/// "can this host reach that client" verdicts (shared by isolation and
-/// reaching-source queries) and per-destination path probes. Answering `n`
-/// queries that share hosts through one evaluator therefore performs each
-/// traversal once.
+/// Holds the HSA network function of one snapshot and memoises the expensive
+/// traversals in a [`TraversalMemo`]: the emission-space reachability of each
+/// source host (shared by destination, isolation and geo queries), the
+/// per-source "can this host reach that client" verdicts (shared by isolation
+/// and reaching-source queries) and per-destination path probes. A session
+/// from [`LogicalVerifier::evaluator`] or [`LogicalVerifier::evaluator_with`]
+/// owns a fresh memo — answering `n` queries that share hosts through it
+/// performs each traversal once, and nothing is shared with any other
+/// session; one from [`LogicalVerifier::evaluator_sharing`] goes through the
+/// caller's memo, where a traversal may have been left by another session
+/// over the same function. It is the same code either way.
 ///
-/// Every memo keeps the traversal's [`visited`] switch set, so
-/// [`footprint_of`](Self::footprint_of) can report which switches a verdict
-/// depends on — the interest-space index uses this to skip the query on
-/// changes elsewhere.
+/// Every entry keeps the traversal's [`visited`] switch set, so
+/// [`answer_with_footprint`](Self::answer_with_footprint) can report which
+/// switches a verdict depends on — the interest-space index uses this to
+/// skip the query on changes elsewhere.
 ///
-/// [`visited`]: ReachabilityResult::visited
+/// [`visited`]: rvaas_hsa::ReachabilityResult::visited
 #[derive(Debug)]
 pub struct QueryEvaluator<'a> {
     verifier: &'a LogicalVerifier,
     snapshot: &'a NetworkSnapshot,
     nf: Cow<'a, NetworkFunction>,
-    /// Memoised `reachable_from(host, emission_space(host))` per source host.
-    emission: BTreeMap<HostId, ReachabilityResult>,
-    /// Memoised "source host can reach some access point of client".
-    source_reach: BTreeMap<(HostId, ClientId), SourceProbe>,
-    /// Memoised path-length probes per `(client, destination ip)`.
-    path: BTreeMap<(ClientId, u32), PathProbe>,
+    memo: Memo<'a>,
+    /// Traversal lookups the memo served.
+    hits: u64,
+    /// Traversals walked and left in the memo.
+    misses: u64,
 }
 
 impl QueryEvaluator<'_> {
@@ -304,36 +428,83 @@ impl QueryEvaluator<'_> {
         })
     }
 
-    /// The memoised emission-space traversal of one host.
-    fn emission_result(
-        &mut self,
-        host: HostId,
-        attachment: SwitchPort,
-        ip: u32,
-    ) -> &ReachabilityResult {
-        if !self.emission.contains_key(&host) {
-            let engine = ReachabilityEngine::new(&self.nf);
-            let result = engine.reachable_from(attachment, LogicalVerifier::emission_space(ip));
-            self.emission.insert(host, result);
-        }
-        &self.emission[&host]
+    /// Traversal lookups the memo served and traversals this session had to
+    /// walk, as `(hits, misses)` since the session started.
+    #[must_use]
+    pub fn traversal_counts(&self) -> (u64, u64) {
+        (self.hits, self.misses)
     }
 
-    /// Destinations reachable from any of `client`'s access points.
-    #[must_use]
-    pub fn reachable_destinations(&mut self, client: ClientId) -> Vec<EndpointReport> {
+    /// The traversal of `key`: from the memo when it holds one, else walked
+    /// now — under no lock — and left there.
+    fn traversal(
+        &mut self,
+        key: TraversalKey,
+        walk: impl FnOnce(&Self) -> Traversal,
+    ) -> Arc<Traversal> {
+        let memo = match &self.memo {
+            Memo::Private(memo) => memo,
+            Memo::Shared(memo) => *memo,
+        };
+        if let Some(held) = memo.get(key) {
+            self.hits += 1;
+            return held;
+        }
+        let walked = Arc::new(walk(self));
+        // A walk that arrived at no switch injected nothing (an unknown
+        // client, host or address): a constant of the trusted topology, free
+        // to redo. Not keeping it keeps the memo's keys within the topology
+        // whatever ids and addresses clients ask about.
+        if !walked.visited.is_empty() {
+            self.misses += 1;
+            memo.put(key, Arc::clone(&walked));
+        }
+        walked
+    }
+
+    /// The memoised emission-space traversal of each of `client`'s hosts, as
+    /// `(host ip, traversal)` in host order.
+    fn emissions(&mut self, client: ClientId) -> Vec<(u32, Arc<Traversal>)> {
         let hosts: Vec<_> = self
             .topology()
             .hosts_of_client(client)
             .iter()
             .map(|h| (h.id, h.attachment, h.ip))
             .collect();
+        let walk = |session: &Self, attachment: SwitchPort, ip: u32| {
+            let engine = ReachabilityEngine::new(&session.nf);
+            let result = engine.reachable_from(attachment, LogicalVerifier::emission_space(ip));
+            Traversal {
+                outcome: Outcome::Emission {
+                    ports: result.reached_ports(),
+                    traversed: result.traversed_switches(),
+                },
+                truncated: result.truncated_branches > 0,
+                visited: result.visited,
+            }
+        };
+        hosts
+            .into_iter()
+            .map(|(id, attachment, ip)| {
+                let key = TraversalKey::Emission(id);
+                (
+                    ip,
+                    self.traversal(key, |session| walk(session, attachment, ip)),
+                )
+            })
+            .collect()
+    }
+
+    /// The endpoints the hosts behind `emissions` reach, themselves excluded.
+    fn destinations(&self, emissions: &[(u32, Arc<Traversal>)]) -> Vec<EndpointReport> {
         let mut out: Vec<EndpointReport> = Vec::new();
-        for (id, attachment, ip) in hosts {
-            let ports = self.emission_result(id, attachment, ip).reached_ports();
+        for (ip, emission) in emissions {
+            let Outcome::Emission { ports, .. } = &emission.outcome else {
+                unreachable!("keyed by kind");
+            };
             for port in ports {
-                if let Some(report) = self.endpoint_for_port(port) {
-                    if report.ip != ip && !out.iter().any(|e| e.ip == report.ip) {
+                if let Some(report) = self.endpoint_for_port(*port) {
+                    if report.ip != *ip && !out.iter().any(|e| e.ip == report.ip) {
                         out.push(report);
                     }
                 }
@@ -343,87 +514,94 @@ impl QueryEvaluator<'_> {
         out
     }
 
-    /// Whether `source` can currently deliver traffic to any of the ports in
-    /// `ports`, which must be `client`'s access points (memoised per
-    /// `(source, client)`).
-    fn source_reaches(
-        &mut self,
-        source: HostId,
-        client: ClientId,
-        ports: &[SwitchPort],
-        target_ips: &[u32],
-    ) -> bool {
-        if let Some(probe) = self.source_reach.get(&(source, client)) {
-            return probe.reaches;
-        }
-        let host = self
+    /// Destinations reachable from any of `client`'s access points.
+    #[must_use]
+    pub fn reachable_destinations(&mut self, client: ClientId) -> Vec<EndpointReport> {
+        let emissions = self.emissions(client);
+        self.destinations(&emissions)
+    }
+
+    /// The memoised probes of whether each foreign host can currently deliver
+    /// traffic to any of `client`'s access points, as `(source, probe)` in
+    /// host order.
+    fn inbound_probes(&mut self, client: ClientId) -> Vec<(HostId, Arc<Traversal>)> {
+        let ports: Vec<SwitchPort> = self.topology().access_points_of(client);
+        let target_ips: Vec<u32> = self
             .topology()
-            .host(source)
-            .expect("source host exists in the trusted topology");
-        let (attachment, src_ip) = (host.attachment, host.ip);
-        // Traffic the source can emit towards any of the client's hosts.
-        let mut space = HeaderSpace::empty();
-        for ip in target_ips {
-            space = space.union(&HeaderSpace::from(
-                Cube::wildcard()
-                    .with_field(Field::IpSrc, u64::from(src_ip))
-                    .with_field(Field::IpDst, u64::from(*ip)),
-            ));
-        }
-        let engine = ReachabilityEngine::new(&self.nf);
-        let result = engine.reachable_from(attachment, space);
-        let reaches = result.reached_ports().iter().any(|p| ports.contains(p));
-        self.source_reach.insert(
-            (source, client),
-            SourceProbe {
-                reaches,
-                visited: result.visited,
+            .hosts_of_client(client)
+            .iter()
+            .map(|h| h.ip)
+            .collect();
+        let sources: Vec<(HostId, u32, SwitchPort)> = self
+            .topology()
+            .hosts()
+            .filter(|h| h.owner != client)
+            .map(|h| (h.id, h.ip, h.attachment))
+            .collect();
+        let walk = |session: &Self, source_ip: u32, attachment: SwitchPort| {
+            // Traffic the source can emit towards any of the client's hosts.
+            let mut space = HeaderSpace::empty();
+            for ip in &target_ips {
+                space = space.union(&HeaderSpace::from(
+                    Cube::wildcard()
+                        .with_field(Field::IpSrc, u64::from(source_ip))
+                        .with_field(Field::IpDst, u64::from(*ip)),
+                ));
+            }
+            let engine = ReachabilityEngine::new(&session.nf);
+            let result = engine.reachable_from(attachment, space);
+            let reaches = result.reached_ports().iter().any(|p| ports.contains(p));
+            Traversal {
+                outcome: Outcome::Source { reaches },
                 truncated: result.truncated_branches > 0,
-            },
-        );
-        reaches
+                visited: result.visited,
+            }
+        };
+        sources
+            .into_iter()
+            .map(|(source, ip, attachment)| {
+                let key = TraversalKey::Source(source, client);
+                let probe = self.traversal(key, |session| walk(session, ip, attachment));
+                (source, probe)
+            })
+            .collect()
+    }
+
+    /// The sources among `probes` whose traffic reaches the probed client.
+    fn sources(&self, probes: &[(HostId, Arc<Traversal>)]) -> Vec<EndpointReport> {
+        let mut out: Vec<EndpointReport> = probes
+            .iter()
+            .filter(|(_, probe)| matches!(probe.outcome, Outcome::Source { reaches: true }))
+            .filter_map(|(source, _)| self.topology().host(*source))
+            .map(|source| EndpointReport {
+                ip: source.ip,
+                client: source.owner,
+                authenticated: false,
+            })
+            .collect();
+        out.sort_by_key(|e| e.ip);
+        out
     }
 
     /// Sources whose traffic can currently reach any of `client`'s access
     /// points.
     #[must_use]
     pub fn reaching_sources(&mut self, client: ClientId) -> Vec<EndpointReport> {
-        let my_ports: Vec<SwitchPort> = self.topology().access_points_of(client);
-        let my_ips: Vec<u32> = self
-            .topology()
-            .hosts_of_client(client)
-            .iter()
-            .map(|h| h.ip)
-            .collect();
-        let sources: Vec<_> = self
-            .topology()
-            .hosts()
-            .filter(|h| h.owner != client)
-            .map(|h| (h.id, h.ip, h.owner))
-            .collect();
-        let mut out: Vec<EndpointReport> = Vec::new();
-        for (id, ip, owner) in sources {
-            if self.source_reaches(id, client, &my_ports, &my_ips) {
-                out.push(EndpointReport {
-                    ip,
-                    client: owner,
-                    authenticated: false,
-                });
-            }
-        }
-        out.sort_by_key(|e| e.ip);
-        out
+        let probes = self.inbound_probes(client);
+        self.sources(&probes)
     }
 
-    /// The isolation check of paper Section IV-B1.
-    #[must_use]
-    pub fn isolation_check(&mut self, client: ClientId) -> (bool, Vec<EndpointReport>) {
-        let mut foreign: Vec<EndpointReport> = self
-            .reachable_destinations(client)
+    /// The foreign endpoints among what `client` reaches and what reaches it.
+    fn foreign_endpoints(
+        client: ClientId,
+        destinations: Vec<EndpointReport>,
+        sources: Vec<EndpointReport>,
+    ) -> (bool, Vec<EndpointReport>) {
+        let mut foreign: Vec<EndpointReport> = destinations
             .into_iter()
             .filter(|e| e.client != client)
             .collect();
-        for source in self.reaching_sources(client) {
+        for source in sources {
             if source.client != client && !foreign.iter().any(|e| e.ip == source.ip) {
                 foreign.push(source);
             }
@@ -432,22 +610,23 @@ impl QueryEvaluator<'_> {
         (foreign.is_empty(), foreign)
     }
 
-    /// The geo-location check of paper Section IV-B2.
+    /// The isolation check of paper Section IV-B1.
     #[must_use]
-    pub fn geo_regions(&mut self, client: ClientId) -> Vec<String> {
-        let hosts: Vec<_> = self
-            .topology()
-            .hosts_of_client(client)
-            .iter()
-            .map(|h| (h.id, h.attachment, h.ip))
-            .collect();
+    pub fn isolation_check(&mut self, client: ClientId) -> (bool, Vec<EndpointReport>) {
+        let destinations = self.reachable_destinations(client);
+        let sources = self.reaching_sources(client);
+        Self::foreign_endpoints(client, destinations, sources)
+    }
+
+    /// The regions of the switches the hosts behind `emissions` can traverse.
+    fn regions(&self, emissions: &[(u32, Arc<Traversal>)]) -> Vec<String> {
         let mut regions: Vec<String> = Vec::new();
-        for (id, attachment, ip) in hosts {
-            let switches = self
-                .emission_result(id, attachment, ip)
-                .traversed_switches();
-            for switch in switches {
-                let region = self.verifier.config.locations.region_of(switch);
+        for (_, emission) in emissions {
+            let Outcome::Emission { traversed, .. } = &emission.outcome else {
+                unreachable!("keyed by kind");
+            };
+            for switch in traversed {
+                let region = self.verifier.config.locations.region_of(*switch);
                 let label = region.label().to_string();
                 if !regions.contains(&label) {
                     regions.push(label);
@@ -458,25 +637,32 @@ impl QueryEvaluator<'_> {
         regions
     }
 
-    /// The memoised path probe of `(client, to_ip)`.
-    fn path_probe(&mut self, client: ClientId, to_ip: u32) -> &PathProbe {
-        if !self.path.contains_key(&(client, to_ip)) {
-            let probe = self.compute_path_probe(client, to_ip);
-            self.path.insert((client, to_ip), probe);
-        }
-        &self.path[&(client, to_ip)]
+    /// The geo-location check of paper Section IV-B2.
+    #[must_use]
+    pub fn geo_regions(&mut self, client: ClientId) -> Vec<String> {
+        let emissions = self.emissions(client);
+        self.regions(&emissions)
     }
 
-    fn compute_path_probe(&mut self, client: ClientId, to_ip: u32) -> PathProbe {
+    /// The memoised path probe of `(client, to_ip)`.
+    fn path_probe(&mut self, client: ClientId, to_ip: u32) -> Arc<Traversal> {
+        self.traversal(TraversalKey::Path(client, to_ip), |session| {
+            session.walk_path(client, to_ip)
+        })
+    }
+
+    fn walk_path(&self, client: ClientId, to_ip: u32) -> Traversal {
         let engine = ReachabilityEngine::new(&self.nf);
         let Some(destination) = self.topology().host_by_ip(to_ip) else {
             // The destination comes from the trusted, static topology: an
             // unknown ip stays unknown whatever the rules do, so the verdict
             // depends on no switch at all.
-            return PathProbe {
-                min: 0,
-                max: 0,
-                reachable: false,
+            return Traversal {
+                outcome: Outcome::Path {
+                    min: 0,
+                    max: 0,
+                    reachable: false,
+                },
                 visited: Vec::new(),
                 truncated: false,
             };
@@ -508,10 +694,12 @@ impl QueryEvaluator<'_> {
         } else {
             (min as u32, max as u32, true)
         };
-        PathProbe {
-            min,
-            max,
-            reachable,
+        Traversal {
+            outcome: Outcome::Path {
+                min,
+                max,
+                reachable,
+            },
             visited,
             truncated,
         }
@@ -521,8 +709,19 @@ impl QueryEvaluator<'_> {
     /// `to_ip`. Returns `(min, max, reachable)`.
     #[must_use]
     pub fn path_length(&mut self, client: ClientId, to_ip: u32) -> (u32, u32, bool) {
-        let probe = self.path_probe(client, to_ip);
-        (probe.min, probe.max, probe.reachable)
+        Self::path_bounds(&self.path_probe(client, to_ip))
+    }
+
+    fn path_bounds(probe: &Traversal) -> (u32, u32, bool) {
+        let Outcome::Path {
+            min,
+            max,
+            reachable,
+        } = probe.outcome
+        else {
+            unreachable!("keyed by kind");
+        };
+        (min, max, reachable)
     }
 
     /// Network-neutrality check over the evaluator's snapshot.
@@ -565,83 +764,7 @@ impl QueryEvaluator<'_> {
     /// payload (endpoints are not yet authenticated at this stage).
     #[must_use]
     pub fn answer(&mut self, client: ClientId, spec: &QuerySpec) -> QueryResult {
-        match spec {
-            QuerySpec::ReachableDestinations => QueryResult::Endpoints {
-                endpoints: self.reachable_destinations(client),
-            },
-            QuerySpec::ReachingSources => QueryResult::Sources {
-                sources: self.reaching_sources(client),
-            },
-            QuerySpec::Isolation => {
-                let (isolated, foreign_endpoints) = self.isolation_check(client);
-                QueryResult::IsolationStatus {
-                    isolated,
-                    foreign_endpoints,
-                }
-            }
-            QuerySpec::GeoLocation => QueryResult::Regions {
-                regions: self.geo_regions(client),
-            },
-            QuerySpec::PathLength { to_ip } => {
-                let (min_hops, max_hops, reachable) = self.path_length(client, *to_ip);
-                QueryResult::PathLength {
-                    min_hops,
-                    max_hops,
-                    reachable,
-                }
-            }
-            QuerySpec::Neutrality => {
-                let (fair, violations) = self.neutrality_check(client);
-                QueryResult::Neutrality { fair, violations }
-            }
-        }
-    }
-
-    /// Union of the emission-space traversal footprints of `client`'s hosts;
-    /// unbounded as soon as any traversal was truncated.
-    fn emission_footprint(&mut self, client: ClientId) -> QueryFootprint {
-        let hosts: Vec<_> = self
-            .topology()
-            .hosts_of_client(client)
-            .iter()
-            .map(|h| (h.id, h.attachment, h.ip))
-            .collect();
-        let mut switches = std::collections::BTreeSet::new();
-        for (id, attachment, ip) in hosts {
-            let result = self.emission_result(id, attachment, ip);
-            if result.truncated_branches > 0 {
-                return QueryFootprint::unbounded();
-            }
-            switches.extend(result.visited.iter().copied());
-        }
-        QueryFootprint::bounded(switches)
-    }
-
-    /// Union of the foreign-source probe footprints toward `client`.
-    fn inbound_footprint(&mut self, client: ClientId) -> QueryFootprint {
-        let my_ports: Vec<SwitchPort> = self.topology().access_points_of(client);
-        let my_ips: Vec<u32> = self
-            .topology()
-            .hosts_of_client(client)
-            .iter()
-            .map(|h| h.ip)
-            .collect();
-        let sources: Vec<HostId> = self
-            .topology()
-            .hosts()
-            .filter(|h| h.owner != client)
-            .map(|h| h.id)
-            .collect();
-        let mut switches = std::collections::BTreeSet::new();
-        for source in sources {
-            self.source_reaches(source, client, &my_ports, &my_ips);
-            let probe = &self.source_reach[&(source, client)];
-            if probe.truncated {
-                return QueryFootprint::unbounded();
-            }
-            switches.extend(probe.visited.iter().copied());
-        }
-        QueryFootprint::bounded(switches)
+        self.answer_with_footprint(client, spec).0
     }
 
     /// The switch-level traversal footprint of `(client, spec)`: the set of
@@ -651,51 +774,79 @@ impl QueryEvaluator<'_> {
     /// switch outside a bounded footprint cannot change the verdict, because
     /// absent rewrites the injected traffic never arrives there (and rewrites
     /// force conservative regions upstream).
-    ///
-    /// Cheap after [`answer`](Self::answer) for the same `(client, spec)` —
-    /// the footprint is read from the memoised traversals.
     #[must_use]
     pub fn footprint_of(&mut self, client: ClientId, spec: &QuerySpec) -> QueryFootprint {
-        match spec {
-            QuerySpec::ReachableDestinations | QuerySpec::GeoLocation => {
-                self.emission_footprint(client)
-            }
-            QuerySpec::ReachingSources => self.inbound_footprint(client),
-            QuerySpec::Isolation => {
-                let mut footprint = self.emission_footprint(client);
-                footprint.merge(&self.inbound_footprint(client));
-                footprint
-            }
-            QuerySpec::PathLength { to_ip } => {
-                let probe = self.path_probe(client, *to_ip);
-                if probe.truncated {
-                    QueryFootprint::unbounded()
-                } else {
-                    QueryFootprint::bounded(probe.visited.iter().copied().collect())
-                }
-            }
-            // Neutrality reads delivery rules on every access switch, not
-            // header traversals.
-            QuerySpec::Neutrality => QueryFootprint::bounded(
-                self.topology()
-                    .hosts()
-                    .map(|h| h.attachment.switch)
-                    .collect(),
-            ),
-        }
+        self.answer_with_footprint(client, spec).1
     }
 
-    /// [`answer`](Self::answer) plus the traversal footprint behind the
-    /// verdict — the worker-pool entry point feeding the interest-space
-    /// index.
+    /// The verdict of `(client, spec)` plus the traversal footprint behind
+    /// it (see [`footprint_of`](Self::footprint_of)), both read from one
+    /// lookup of each traversal — the worker-pool entry point feeding the
+    /// interest-space index.
     #[must_use]
     pub fn answer_with_footprint(
         &mut self,
         client: ClientId,
         spec: &QuerySpec,
     ) -> (QueryResult, QueryFootprint) {
-        let result = self.answer(client, spec);
-        (result, self.footprint_of(client, spec))
+        match spec {
+            QuerySpec::ReachableDestinations => {
+                let emissions = self.emissions(client);
+                let endpoints = self.destinations(&emissions);
+                let footprint = footprint_over(emissions.iter().map(|(_, t)| t));
+                (QueryResult::Endpoints { endpoints }, footprint)
+            }
+            QuerySpec::ReachingSources => {
+                let probes = self.inbound_probes(client);
+                let sources = self.sources(&probes);
+                let footprint = footprint_over(probes.iter().map(|(_, t)| t));
+                (QueryResult::Sources { sources }, footprint)
+            }
+            QuerySpec::Isolation => {
+                let emissions = self.emissions(client);
+                let probes = self.inbound_probes(client);
+                let (isolated, foreign_endpoints) = Self::foreign_endpoints(
+                    client,
+                    self.destinations(&emissions),
+                    self.sources(&probes),
+                );
+                let read = emissions.iter().map(|(_, t)| t);
+                let footprint = footprint_over(read.chain(probes.iter().map(|(_, t)| t)));
+                let result = QueryResult::IsolationStatus {
+                    isolated,
+                    foreign_endpoints,
+                };
+                (result, footprint)
+            }
+            QuerySpec::GeoLocation => {
+                let emissions = self.emissions(client);
+                let regions = self.regions(&emissions);
+                let footprint = footprint_over(emissions.iter().map(|(_, t)| t));
+                (QueryResult::Regions { regions }, footprint)
+            }
+            QuerySpec::PathLength { to_ip } => {
+                let probe = self.path_probe(client, *to_ip);
+                let (min_hops, max_hops, reachable) = Self::path_bounds(&probe);
+                let result = QueryResult::PathLength {
+                    min_hops,
+                    max_hops,
+                    reachable,
+                };
+                (result, footprint_over([&probe]))
+            }
+            QuerySpec::Neutrality => {
+                let (fair, violations) = self.neutrality_check(client);
+                // Neutrality reads delivery rules on every access switch,
+                // not header traversals.
+                let footprint = QueryFootprint::bounded(
+                    self.topology()
+                        .hosts()
+                        .map(|h| h.attachment.switch)
+                        .collect(),
+                );
+                (QueryResult::Neutrality { fair, violations }, footprint)
+            }
+        }
     }
 }
 
@@ -997,5 +1148,153 @@ mod tests {
             Some(std::collections::BTreeSet::new()),
             "a constant verdict depends on no switch"
         );
+    }
+
+    // --- The traversal memo ------------------------------------------------
+    //
+    // `line(4, 2)`: client 1 owns hosts 1 and 3, client 2 hosts 2 and 4, one
+    // host per switch.
+
+    /// One epoch as the service plane holds it: the snapshot, the function
+    /// frozen from it, and the memo of that function's traversals.
+    struct Epoch {
+        snapshot: NetworkSnapshot,
+        function: NetworkFunction,
+        memo: TraversalMemo,
+    }
+
+    impl Epoch {
+        fn new(topology: &Topology, attacks: &[Attack]) -> Self {
+            let snapshot = snapshot_with(topology, attacks);
+            let function = snapshot.to_network_function(topology);
+            Epoch {
+                snapshot,
+                function,
+                memo: TraversalMemo::new(),
+            }
+        }
+
+        fn session<'a>(&'a self, verifier: &'a LogicalVerifier) -> QueryEvaluator<'a> {
+            verifier.evaluator_sharing(&self.snapshot, &self.function, &self.memo)
+        }
+    }
+
+    #[test]
+    fn sessions_sharing_a_memo_walk_each_traversal_once() {
+        let topo = generators::line(4, 2);
+        let v = verifier(&topo);
+        let epoch = Epoch::new(&topo, &[]);
+        // A fresh session per call, as the worker pool starts one per batch.
+        let destinations = |client: u32| {
+            let mut session = epoch.session(&v);
+            let served = session.reachable_destinations(ClientId(client));
+            let fresh = v.reachable_destinations(&epoch.snapshot, ClientId(client));
+            assert_eq!(served, fresh, "client {client}");
+            session.traversal_counts()
+        };
+        assert_eq!(destinations(1), (0, 2), "one walk per host of client 1");
+        assert_eq!(destinations(2), (0, 2), "hosts are not shared by clients");
+        assert_eq!(destinations(1), (2, 0), "the next session walks nothing");
+        assert_eq!(epoch.memo.len(), 4);
+
+        // Another query kind of the same client reads the same emissions and
+        // adds its two source probes; asking again adds nothing.
+        for counts in [(2, 2), (4, 0)] {
+            let mut session = epoch.session(&v);
+            let served = session.isolation_check(ClientId(1));
+            assert_eq!(served, v.isolation_check(&epoch.snapshot, ClientId(1)));
+            assert_eq!(session.traversal_counts(), counts);
+        }
+        assert_eq!(epoch.memo.len(), 6);
+    }
+
+    #[test]
+    fn a_verdict_and_its_footprint_cost_one_lookup_per_traversal() {
+        let topo = generators::line(4, 2);
+        let v = verifier(&topo);
+        let epoch = Epoch::new(&topo, &[]);
+        let h3_ip = topo.host(HostId(3)).unwrap().ip;
+        let mut fresh = v.evaluator(&epoch.snapshot);
+        let mut ask = |spec: QuerySpec| {
+            let mut session = epoch.session(&v);
+            let served = session.answer_with_footprint(ClientId(1), &spec);
+            assert_eq!(served, fresh.answer_with_footprint(ClientId(1), &spec));
+            session.traversal_counts()
+        };
+        // The emissions of client 1's two hosts and the probes from the two
+        // foreign ones, each looked up once for verdict and footprint both.
+        assert_eq!(ask(QuerySpec::Isolation), (0, 4));
+        assert_eq!(ask(QuerySpec::Isolation), (4, 0));
+        assert_eq!(ask(QuerySpec::ReachableDestinations), (2, 0));
+        assert_eq!(ask(QuerySpec::ReachingSources), (2, 0));
+        assert_eq!(ask(QuerySpec::GeoLocation), (2, 0));
+        assert_eq!(ask(QuerySpec::PathLength { to_ip: h3_ip }), (0, 1));
+        assert_eq!(ask(QuerySpec::Neutrality), (0, 0), "reads tables, no walk");
+    }
+
+    #[test]
+    fn a_truncated_traversal_is_reused_and_keeps_its_unbounded_footprint() {
+        // 66 switches in a line, one client: the walk from host 1 toward
+        // host 66 runs into the engine's 64-hop bound, the walks toward host
+        // 33 do not.
+        let topo = generators::line(66, 1);
+        let v = verifier(&topo);
+        let epoch = Epoch::new(&topo, &[]);
+        let probe = |host| {
+            let mut session = epoch.session(&v);
+            let to_ip = topo.host(host).unwrap().ip;
+            let spec = QuerySpec::PathLength { to_ip };
+            let (served, footprint) = session.answer_with_footprint(ClientId(1), &spec);
+            assert_eq!(served, v.answer(&epoch.snapshot, ClientId(1), &spec));
+            (footprint.switches.is_some(), session.traversal_counts())
+        };
+        assert_eq!(probe(HostId(66)), (false, (0, 1)), "truncated: unbounded");
+        assert_eq!(probe(HostId(33)), (true, (0, 1)));
+        assert_eq!(probe(HostId(66)), (false, (1, 0)), "reused as it is");
+    }
+
+    #[test]
+    fn queries_about_unknown_clients_and_addresses_leave_nothing_in_the_memo() {
+        let topo = generators::line(4, 2);
+        let v = verifier(&topo);
+        let epoch = Epoch::new(&topo, &[]);
+        let mut session = epoch.session(&v);
+        let (stranger, nowhere) = (ClientId(99), 0xdead_beef);
+        let known_ip = topo.host(HostId(3)).unwrap().ip;
+        let asked = [
+            (stranger, QuerySpec::ReachableDestinations),
+            (stranger, QuerySpec::ReachingSources),
+            (stranger, QuerySpec::Isolation),
+            (stranger, QuerySpec::GeoLocation),
+            (stranger, QuerySpec::PathLength { to_ip: known_ip }),
+            (stranger, QuerySpec::Neutrality),
+            (ClientId(1), QuerySpec::PathLength { to_ip: nowhere }),
+        ];
+        for (client, spec) in asked {
+            let (served, footprint) = session.answer_with_footprint(client, &spec);
+            assert_eq!(served, v.answer(&epoch.snapshot, client, &spec), "{spec:?}");
+            assert!(footprint.switches.is_some(), "{spec:?}: bounded");
+        }
+        assert_eq!(session.traversal_counts(), (0, 0), "nothing to walk");
+        assert_eq!(epoch.memo.len(), 0, "keys stay within the topology");
+    }
+
+    #[test]
+    fn sessions_with_a_private_memo_share_nothing() {
+        let topo = generators::line(4, 2);
+        let v = verifier(&topo);
+        let snap = snapshot_with(&topo, &[]);
+        let function = snap.to_network_function(&topo);
+        for _ in 0..2 {
+            let mut rebuilt = v.evaluator(&snap);
+            let mut borrowed = v.evaluator_with(&snap, &function);
+            for session in [&mut rebuilt, &mut borrowed] {
+                let _ = session.isolation_check(ClientId(1));
+                // 2 emission + 2 source walks, whoever asked before.
+                assert_eq!(session.traversal_counts(), (0, 4));
+                let _ = session.reaching_sources(ClientId(1));
+                assert_eq!(session.traversal_counts(), (2, 4), "shared within");
+            }
+        }
     }
 }

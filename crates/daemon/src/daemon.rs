@@ -206,6 +206,10 @@ impl Daemon {
                 "rvaas_http_connections_active",
                 "HTTP connections currently being served.",
             ),
+            sync_active: registry.gauge(
+                "rvaas_sync_sessions_active",
+                "Sync TCP sessions currently open (each holds a connection worker).",
+            ),
             started: self.started,
         };
         let (sender, receiver) = mpsc::channel::<TcpStream>();
@@ -255,6 +259,7 @@ struct ConnectionContext {
     http_requests: Arc<Counter>,
     sync_frames: Arc<Counter>,
     active: Arc<Gauge>,
+    sync_active: Arc<Gauge>,
     started: Instant,
 }
 
@@ -281,32 +286,34 @@ fn serve_sync_connection(context: &ConnectionContext, stream: TcpStream) {
     {
         return;
     }
+    context.sync_active.inc();
     loop {
         if context.shutdown.load(Ordering::SeqCst) {
-            return;
+            break;
         }
         let frame = match read_frame(&mut stream) {
-            Ok(None) => return, // peer closed cleanly
+            Ok(None) => break, // peer closed cleanly
             Ok(Some(frame)) => frame,
             Err(e) if e.is_retryable() => continue,
-            Err(_) => return, // torn, oversized or dead: drop the connection
+            Err(_) => break, // torn, oversized or dead: drop the connection
         };
         match context.sync_server.handle_frame(&context.service, &frame) {
             Ok(response) => {
                 context.sync_frames.inc();
                 if write_frame(&mut stream, &response).is_err() {
-                    return;
+                    break;
                 }
             }
             Err(ServiceError::VersionMismatch { supported, got }) => {
                 // Negotiation: tell the peer what we speak, then hang up.
                 let reject = SyncReject { supported, got }.encode();
                 let _ = write_frame(&mut stream, &reject);
-                return;
+                break;
             }
-            Err(_) => return, // undecodable frame: drop the connection
+            Err(_) => break, // undecodable frame: drop the connection
         }
     }
+    context.sync_active.dec();
 }
 
 /// One HTTP connection: requests served in a keep-alive loop until the

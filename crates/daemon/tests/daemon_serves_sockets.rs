@@ -233,10 +233,31 @@ fn daemon_serves_http_and_concurrent_sync_sessions_over_an_epoch_publish() {
     );
     assert!(value_of("rvaas_sync_sessions_total") >= 2.0);
     assert!(value_of("rvaas_queries_total") >= 1.0);
+    // Both sync sessions are still open, each holding a connection worker.
+    assert_eq!(value_of("rvaas_sync_sessions_active"), 2.0);
 
-    // --- clean shutdown drains everything -------------------------------
+    // Closed, they release their workers — once each worker's next read
+    // notices the EOF.
     drop(conn1);
     drop(conn2);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let still_active = || {
+        let (_, text) = http(http_addr, "GET", "/metrics", "");
+        let samples = rvaas_telemetry::parse_text(&text).unwrap();
+        let active = samples
+            .iter()
+            .find(|s| s.name == "rvaas_sync_sessions_active");
+        active.expect("gauge missing from scrape").value
+    };
+    while still_active() != 0.0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "sessions still counted 10 s after their sockets closed"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // --- clean shutdown drains everything -------------------------------
     daemon.shutdown();
 }
 

@@ -423,3 +423,273 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Traversal memo: a verdict assembled from shared traversals equals a fresh one.
+// ---------------------------------------------------------------------------
+
+/// The rule changes that install (or remove again) what `attack` compiles to.
+fn attack_changes(
+    topo: &rvaas_topology::Topology,
+    attack: &rvaas_controlplane::Attack,
+    install: bool,
+) -> Vec<rvaas::RuleChange> {
+    use rvaas_openflow::{FlowModCommand, Message};
+    attack
+        .compile(topo)
+        .into_iter()
+        .filter_map(|(switch, message)| match message {
+            Message::FlowMod {
+                command: FlowModCommand::Add(entry),
+            } if install => Some(rvaas::RuleChange::installed(switch, entry)),
+            Message::FlowMod {
+                command: FlowModCommand::Add(entry),
+            } => Some(rvaas::RuleChange::removed(switch, entry)),
+            // Meter definitions are not flow rules.
+            _ => None,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The service answers every non-history query through the traversal
+    /// memo of the epoch it answers on: whatever an earlier batch walked on
+    /// that epoch is served, and nothing walked on another epoch ever is.
+    /// Over a random sequence of epochs that *do* flip verdicts — compiled
+    /// attacks installed and later removed, tenant churn on transit switches,
+    /// a benign rule rewritten in place, a flap inside one change list (the
+    /// model desyncs and rebuilds), one list large enough to trip the bulk
+    /// rebuild, over both publish paths — and with the result cache off,
+    /// every verdict of the six-query mix equals the reference verifier's
+    /// from scratch on the test's own snapshot, after every epoch, both when
+    /// it walks and when it is assembled from what the first pass left. (The
+    /// benchmark's churn installs same-direction forwarding rules that flip
+    /// nothing, so its oracle cannot see a memo that outlives its epoch;
+    /// this can.)
+    #[test]
+    fn shared_traversals_equal_fresh_ones_under_verdict_flipping_churn(
+        fat in any::<bool>(),
+        // (kind, a, b, publish as a full snapshot)
+        random in proptest::collection::vec((0u8..7, 0usize..64, 0usize..64, any::<bool>()), 8..13),
+        // Where the rewrite, the flap and the bulk list go, and their victims.
+        specials in proptest::collection::vec((0usize..64, 0usize..64, 0usize..64), 3..4),
+    ) {
+        use rvaas::RuleChange;
+        use rvaas_client::QuerySpec;
+        use rvaas_controlplane::Attack;
+        use rvaas_openflow::Action;
+        use rvaas_service::{ServiceSettings, VerificationService};
+        use rvaas_types::{ClientId, SwitchId};
+
+        // Three tenants either way: 9 hosts on 5 switches, or 16 on 20.
+        let topo = if fat { generators::fat_tree(4, 3) } else { generators::leaf_spine(2, 3, 3, 7) };
+        let hosts: Vec<_> = topo.hosts().cloned().collect();
+        let switches: Vec<SwitchId> = topo.switches().map(|s| s.id).collect();
+        // Spines, or aggregation and core: every path crosses one.
+        let transit: Vec<SwitchId> = switches
+            .iter()
+            .copied()
+            .filter(|id| hosts.iter().all(|h| h.attachment.switch != *id))
+            .collect();
+        let clients = topo.clients();
+        prop_assert!(clients.len() >= 3);
+        let of = |client: ClientId| -> Vec<&rvaas_topology::Host> {
+            hosts.iter().filter(|h| h.owner == client).collect()
+        };
+        let verifier_config = rvaas::VerifierConfig {
+            use_history: false,
+            locations: rvaas::LocationMap::disclosed(&topo),
+        };
+        let settings = ServiceSettings { workers: 2, cache: false, ..ServiceSettings::default() };
+        let service =
+            VerificationService::new(topo.clone(), settings.into_config(verifier_config.clone()));
+        let oracle = rvaas::LogicalVerifier::new(topo.clone(), verifier_config);
+        let mix: Vec<(ClientId, QuerySpec)> = clients
+            .iter()
+            .flat_map(|c| {
+                let to_ip = hosts[c.0 as usize % hosts.len()].ip;
+                [
+                    QuerySpec::ReachableDestinations,
+                    QuerySpec::ReachingSources,
+                    QuerySpec::Isolation,
+                    QuerySpec::GeoLocation,
+                    QuerySpec::PathLength { to_ip },
+                    QuerySpec::Neutrality,
+                ]
+                .map(|spec| (*c, spec))
+            })
+            .collect();
+        let memo_counts = || -> (f64, f64) {
+            let scrape = service.registry().render_text();
+            let read = |name: &str| -> f64 {
+                let sample = scrape.lines().find_map(|line| line.strip_prefix(name)?.strip_prefix(' '));
+                sample.expect(name).parse().expect(name)
+            };
+            (read("rvaas_traversal_memo_hits_total"), read("rvaas_traversal_memo_misses_total"))
+        };
+
+        // The attack an op names. No two of them put different actions on
+        // one (priority, match) key: the three that key a rule on
+        // `to_ip(victim)` take their victims from one tenant each, and the
+        // victim or source host alone determines the collector or the
+        // detour (`a` only picks that host). Otherwise one
+        // attack would displace another's rule in place, which the model
+        // re-installs behind its equal-priority peers while a rebuild keeps
+        // its slot — the documented order caveat of `EpochStore`, observable
+        // with these very attacks and not this property's subject.
+        let attack_of = |kind: u8, a: usize, b: usize| -> Attack {
+            let pick = |client: ClientId, i: usize| { let mine = of(client); mine[i % mine.len()].id };
+            match kind {
+                0 => {
+                    let attacker = &hosts[a % hosts.len()];
+                    let victims: Vec<ClientId> =
+                        clients.iter().copied().filter(|c| *c != attacker.owner).collect();
+                    Attack::Join { attacker_host: attacker.id, victim_client: victims[b % victims.len()] }
+                }
+                1 => {
+                    let victim = a % of(clients[0]).len();
+                    Attack::Exfiltrate {
+                        victim_host: pick(clients[0], victim),
+                        collector_host: pick(clients[1 + victim % 2], victim / 2),
+                    }
+                }
+                2 => Attack::Blackhole { victim_host: pick(clients[1], a) },
+                3 => {
+                    let source = a % hosts.len();
+                    let from = &hosts[source];
+                    let peers: Vec<_> = of(from.owner).into_iter().filter(|h| h.id != from.id).collect();
+                    let via = topo.switches().nth(source * 7 % switches.len()).expect("in range");
+                    Attack::GeoDivert {
+                        from_host: from.id,
+                        to_host: peers[source / 3 % peers.len()].id,
+                        via_region: via.location.region.clone(),
+                    }
+                }
+                _ => Attack::Throttle { victim_client: clients[2], rate_kbps: 64 },
+            }
+        };
+
+        let mut ops: Vec<(u8, usize, usize, bool)> = random;
+        for (kind, (at, a, b)) in (7u8..10).zip(specials) {
+            ops.insert(at % (ops.len() + 1), (kind, a, b, false));
+        }
+
+        let mut snapshot = benign_snapshot_of(&topo);
+        let benign: Vec<(SwitchId, rvaas_openflow::FlowEntry)> = benign_rules(&topo)
+            .into_iter()
+            .filter(|(_, entry)| entry.actions != [Action::Drop])
+            .collect();
+        service.try_publish(&snapshot, SimTime::from_millis(1)).unwrap();
+        let mut installed: Vec<Attack> = Vec::new();
+        let mut churn_round = 0u64;
+        let (mut walked, mut fresh_walks) = (0.0, 0.0);
+        let mut step = 0usize;
+        // The random ops, then whatever is still installed comes out again.
+        while step < ops.len() || !installed.is_empty() {
+            let (kind, a, b, full) = ops.get(step).copied().unwrap_or((6, 0, 0, step.is_multiple_of(2)));
+            step += 1;
+            let at = SimTime::from_millis(10 + step as u64);
+            let toggle = |installed: &mut Vec<Attack>, attack: Attack| {
+                let held = installed.iter().position(|held| *held == attack);
+                let changes = attack_changes(&topo, &attack, held.is_none());
+                match held {
+                    Some(index) => { installed.remove(index); }
+                    None => installed.push(attack),
+                }
+                changes
+            };
+            let changes: Vec<RuleChange> = match kind {
+                0..=4 => toggle(&mut installed, attack_of(kind, a, b)),
+                5 => {
+                    let mut next = snapshot.clone();
+                    rvaas_workloads::tenant_churn_round(&topo, &mut next, churn_round, 2, 2, at);
+                    churn_round += 1;
+                    snapshot.changes_to(&next)
+                }
+                // The oldest attack still installed comes out.
+                6 => match installed.first().cloned() {
+                    Some(attack) => toggle(&mut installed, attack),
+                    None => continue,
+                },
+                // A benign forwarding rule rewritten in place: to a drop, or back.
+                7 => {
+                    let (switch, original) = &benign[a % benign.len()];
+                    let mut entry = original.clone();
+                    if snapshot.table_of(*switch).contains(original) {
+                        entry.actions = vec![Action::Drop];
+                    }
+                    vec![RuleChange::installed(*switch, entry)]
+                }
+                // A flap inside the list (the model cannot resolve it and
+                // rebuilds), beside an attack that does change verdicts.
+                8 => {
+                    let flapper = tenant_entry(hosts[a % hosts.len()].ip, 0xdead_beef);
+                    let switch = switches[b % switches.len()];
+                    let mut list = vec![
+                        RuleChange::installed(switch, flapper.clone()),
+                        RuleChange::removed(switch, flapper),
+                    ];
+                    list.extend(toggle(&mut installed, attack_of(2, a, b)));
+                    list
+                }
+                // A list past the bulk-rebuild threshold, same company. (On a
+                // transit switch: under an edge switch's wildcard drop rules
+                // the flood costs seconds per traversal in a debug build.)
+                _ => {
+                    let rules = (snapshot.rule_count() / 2).max(64) as u32 + 8;
+                    let flood = Attack::ChurnFlood { switch: transit[b % transit.len()], rules };
+                    let mut list = toggle(&mut installed, flood);
+                    list.extend(toggle(&mut installed, attack_of(0, a, b)));
+                    list
+                }
+            };
+            // The test's own snapshot, edited the way a monitor would.
+            for change in &changes {
+                if change.installed {
+                    snapshot.record_installed(change.switch, change.entry.clone(), at);
+                } else {
+                    snapshot.record_removed(change.switch, &change.entry, at);
+                }
+            }
+            let rebuilds = service.stats().model_rebuilds;
+            if full {
+                service.try_publish(&snapshot, at).unwrap();
+            } else {
+                service.try_publish_changes(&changes, at).unwrap();
+            }
+            if kind == 9 {
+                prop_assert_eq!(service.stats().model_rebuilds, rebuilds + 1, "bulk list at step {}", step);
+            }
+
+            // The mix in one call, then again one query — one batch — at a
+            // time: the second pass is assembled from what the first left.
+            let before = memo_counts();
+            let mut served = service.try_query_all(&mix).unwrap();
+            let first_pass = memo_counts();
+            for (client, spec) in &mix {
+                served.push(service.try_query(*client, spec.clone()).unwrap());
+            }
+            let second_pass = memo_counts();
+            let mut fresh = oracle.evaluator(&snapshot);
+            for response in &served {
+                prop_assert_eq!(response.epoch_serial, service.current_serial());
+                prop_assert_eq!(
+                    &response.result,
+                    &fresh.answer(response.client, &response.spec),
+                    "{:?}/{:?} after step {} (kind {}, {} changes, full = {}) of {:?}",
+                    response.client, response.spec, step, kind, changes.len(), full, ops
+                );
+            }
+            // Not vacuous: the second pass walked nothing and was served.
+            prop_assert_eq!(second_pass.1, first_pass.1, "step {}", step);
+            prop_assert!(second_pass.0 > first_pass.0, "step {}", step);
+            walked += first_pass.1 - before.1;
+            fresh_walks += fresh.traversal_counts().1 as f64;
+        }
+        // Every epoch walked exactly what one fresh evaluator walks: nothing
+        // came from an earlier epoch, nothing was walked twice.
+        prop_assert!(walked > 0.0 && walked == fresh_walks, "walked {} of {}", walked, fresh_walks);
+    }
+}

@@ -35,6 +35,12 @@
 //! either publish path — lands elsewhere: it is re-installed behind its
 //! equal-priority peers, where a rebuild keeps its slot.)
 //!
+//! Beside them an epoch carries an empty [`TraversalMemo`] for its frozen
+//! function: the HSA traversals query workers walk on the epoch are shared
+//! through it by every later batch on the same epoch and dropped with it. A
+//! publish creates it and does nothing else for it: nothing is carried
+//! forward, so there is nothing to copy or invalidate.
+//!
 //! The model and the interest index are plain data — `rvaas` core records
 //! nothing. `commit`, which drives both and holds the publish trace, emits
 //! the `model.*` events and counts what the two report (`StoreTelemetry`).
@@ -49,7 +55,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use rvaas::{
     AffectedQueries, ChangedRegion, IncrementalModel, InterestIndex, NetworkFunction,
-    NetworkSnapshot, QueryFootprint, Refinement, RuleChange,
+    NetworkSnapshot, QueryFootprint, Refinement, RuleChange, TraversalMemo,
 };
 use rvaas_client::{FlowDigest, QuerySpec};
 use rvaas_openflow::FlowEntry;
@@ -204,6 +210,11 @@ pub struct SnapshotEpoch {
     pub rules: DigestSet,
     /// When the epoch was published (simulation time of the last update).
     pub published_at: SimTime,
+    /// The HSA traversals query workers have walked over `function`, shared
+    /// by every batch, worker and client answering on this epoch. Empty at
+    /// publish and dropped with the epoch: nothing is carried into the next
+    /// one, so a publish neither copies nor invalidates anything.
+    pub traversals: TraversalMemo,
 }
 
 impl SnapshotEpoch {
@@ -414,6 +425,7 @@ impl EpochStore {
                 function: NetworkFunction::new(),
                 rules: DigestSet::default(),
                 published_at: SimTime::ZERO,
+                traversals: TraversalMemo::new(),
             })),
             deltas: Mutex::new(VecDeque::new()),
             model: Mutex::new(IncrementalModel::new(Topology::new())),
@@ -656,6 +668,7 @@ impl EpochStore {
             function: model.network_function().clone(),
             rules,
             published_at: at,
+            traversals: TraversalMemo::new(),
         });
         let digest = epoch.content_digest();
         {
@@ -1235,6 +1248,7 @@ mod tests {
                 function: current.function.clone(),
                 rules: current.rules.clone(),
                 published_at: current.published_at,
+                traversals: TraversalMemo::new(),
             });
         }
     }

@@ -11,12 +11,14 @@
 //!   owns the one [`rvaas::IncrementalModel`], advances it in place per
 //!   epoch (`O(delta)` instead of an `O(network)` rebuild) and freezes its
 //!   network function into the epoch; every delta is retained at digest and
-//!   *changed-header-region* granularity.
+//!   *changed-header-region* granularity. Each epoch also carries the
+//!   [`rvaas::TraversalMemo`] of its frozen function, empty at publish.
 //! * [`pool`] — a [`pool::VerificationService`] shards queries across OS
 //!   worker threads by client and batches co-queued queries through one
-//!   [`rvaas::QueryEvaluator`] over the epoch's frozen network function —
-//!   workers own no model — and the `(client, query)` result cache carries
-//!   entries a delta provably cannot affect across epoch advances.
+//!   [`rvaas::QueryEvaluator`] over the epoch's frozen network function and
+//!   the epoch's traversal memo — workers own no model and no traversal —
+//!   and the `(client, query)` result cache carries entries a delta provably
+//!   cannot affect across epoch advances.
 //! * [`sync`] — an RTR-style session/serial delta protocol: clients mirror
 //!   the published digest set and receive only what changed since their
 //!   serial, plus re-verified standing queries — only those whose interest

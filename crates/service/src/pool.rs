@@ -2,22 +2,25 @@
 //!
 //! Incoming queries are sharded across `N` OS-thread workers by client, so
 //! one client's standing queries always land on the same worker (maximising
-//! evaluator and cache locality). Each worker drains its queue into a batch
-//! and answers the whole batch through **one** [`rvaas::QueryEvaluator`]:
-//! per-host traversals are shared between every query in it.
+//! cache locality). Each worker drains its queue into a batch and answers
+//! the whole batch through **one** [`rvaas::QueryEvaluator`] on one epoch.
 //!
-//! Workers own no model: the evaluator borrows the HSA network function
-//! the publisher froze into the epoch (see [`crate::epoch::EpochStore`]),
-//! so an epoch advance costs a worker nothing. There is one evaluation
-//! path — register the query's interest, answer with its footprint, refine
-//! the interest, cache the verdict — and one exception to what it runs on:
-//! under history-mode verification ([`rvaas::VerifierConfig::use_history`])
-//! a verdict also depends on rules *removed* inside the snapshot's history
-//! window, which leave it by the passing of time, not by a rule change. The
-//! frozen function and the per-query cache carry are unsound for that, so a
-//! history-mode worker rebuilds the function from the snapshot per batch,
-//! every epoch advance invalidates the whole cache and sync re-verifies
-//! every subscription.
+//! Workers own no model and no traversal: the evaluator borrows the HSA
+//! network function the publisher froze into the epoch and reads and writes
+//! its per-host traversals through the [`rvaas::TraversalMemo`] the epoch
+//! carries (see [`crate::epoch::SnapshotEpoch`]), so a traversal is walked
+//! once per epoch — shared by every batch, worker and client answering on
+//! it — and an epoch advance costs a worker nothing but a cold memo. There
+//! is one evaluation path — register the query's interest, answer with its
+//! footprint, refine the interest, cache the verdict — and one exception to
+//! what it runs on: under history-mode verification
+//! ([`rvaas::VerifierConfig::use_history`]) a verdict also depends on rules
+//! *removed* inside the snapshot's history window, which leave it by the
+//! passing of time, not by a rule change. The frozen function, its memo and
+//! the per-query cache carry are unsound for that, so a history-mode worker
+//! rebuilds the function from the snapshot and walks every traversal afresh
+//! per batch, every epoch advance invalidates the whole cache and sync
+//! re-verifies every subscription.
 //!
 //! Workers always answer against the epoch that was current when their
 //! batch started; the monitor can keep publishing new epochs concurrently
@@ -95,6 +98,8 @@ struct ServiceMetrics {
     epochs_published: Arc<Counter>,
     incremental_applies: Arc<Counter>,
     model_rebuilds: Arc<Counter>,
+    memo_hits: Arc<Counter>,
+    memo_misses: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     workers: Arc<Gauge>,
     epoch_serial: Arc<Gauge>,
@@ -128,6 +133,14 @@ impl ServiceMetrics {
             model_rebuilds: registry.counter(
                 "rvaas_model_rebuilds_total",
                 "Epochs that bulk-rebuilt the model instead (unbounded changed region).",
+            ),
+            memo_hits: registry.counter(
+                "rvaas_traversal_memo_hits_total",
+                "Traversal lookups the epoch's traversal memo served.",
+            ),
+            memo_misses: registry.counter(
+                "rvaas_traversal_memo_misses_total",
+                "HSA traversals walked because the epoch's memo did not hold them yet.",
             ),
             queue_depth: registry.gauge(
                 "rvaas_queue_depth",
@@ -192,8 +205,8 @@ pub struct VerificationService {
     topology: Topology,
     /// [`rvaas::VerifierConfig::use_history`]: verdicts also depend on rules
     /// removed inside the snapshot's history window (see the module docs).
-    /// Read in three places — which function a worker's evaluator gets, the
-    /// cache advance, and [`crate::sync`]'s reverification set.
+    /// Read in three places — which function and memo a worker's evaluator
+    /// gets, the cache advance, and [`crate::sync`]'s reverification set.
     pub(crate) history_mode: bool,
     store: Arc<EpochStore>,
     cache: Arc<ResultCache>,
@@ -534,14 +547,13 @@ fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, ctx: WorkerContext) {
             ctx.verifier.evaluator(&epoch.snapshot)
         } else {
             ctx.verifier
-                .evaluator_with(&epoch.snapshot, &epoch.function)
+                .evaluator_sharing(&epoch.snapshot, &epoch.function, &epoch.traversals)
         };
         ctx.metrics.batches.inc();
         if batch.len() > 1 {
             ctx.metrics.batched_queries.add(batch.len() as u64);
         }
-        // The evaluator's memoised traversals benefit every job in the batch;
-        // the span is attributed to the first.
+        // One span per batch, attributed to its first job.
         let _eval_span = ctx.metrics.stage_eval.span_traced(batch[0].trace.id);
         for job in batch {
             let result = match ctx.cache.get(epoch.serial, job.client, &job.spec) {
@@ -559,8 +571,13 @@ fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, ctx: WorkerContext) {
                     // between then already widens this query, so the
                     // cache-advance selection covers the entry.
                     ctx.store.register_interest(job.client, &job.spec);
+                    let (hits, misses) = evaluator.traversal_counts();
                     let (result, footprint) =
                         evaluator.answer_with_footprint(job.client, &job.spec);
+                    // Counted before the reply: a miss is why this one was slow.
+                    let (hits_now, misses_now) = evaluator.traversal_counts();
+                    ctx.metrics.memo_hits.add(hits_now - hits);
+                    ctx.metrics.memo_misses.add(misses_now - misses);
                     ctx.store
                         .refine_interest(job.client, &job.spec, epoch.serial, &footprint);
                     ctx.cache
@@ -943,6 +960,162 @@ mod tests {
             assert!(response.epoch_serial >= 1);
         }
         assert_eq!(service.stats().queries, 20);
+    }
+
+    /// A memo lives and dies with its epoch: every publish starts an empty
+    /// one, the full mix fills it to one entry per key, a second pass on the
+    /// same epoch — other batches, cache off — walks nothing, and whoever
+    /// still holds a superseded epoch keeps that epoch's traversals.
+    #[test]
+    fn each_epoch_starts_an_empty_memo_and_fills_it_to_one_entry_per_key() {
+        let topology = generators::line(4, 2);
+        let (service, mut snapshot) = service_over(&topology, 2, false);
+        let clients = [ClientId(1), ClientId(2)];
+        let workload: Vec<(ClientId, QuerySpec)> = clients
+            .iter()
+            .flat_map(|c| all_specs(&topology).into_iter().map(move |s| (*c, s)))
+            .collect();
+        // One emission traversal per host, one source probe per (foreign
+        // host, client), one path probe per (client, destination) asked.
+        let hosts = topology.hosts().count();
+        let foreign: usize = clients
+            .iter()
+            .map(|c| hosts - topology.hosts_of_client(*c).len())
+            .sum();
+        let keys = hosts + foreign + clients.len();
+        let counts = || {
+            let scrape = service.registry().render_text();
+            let samples = rvaas_telemetry::parse_text(&scrape).expect("well-formed");
+            let read = |name: &str| {
+                let sample = samples.iter().find(|s| s.name == name);
+                sample.expect("exported").value as usize
+            };
+            (
+                read("rvaas_traversal_memo_hits_total"),
+                read("rvaas_traversal_memo_misses_total"),
+            )
+        };
+        let flapper = rvaas_openflow::FlowEntry::new(
+            400,
+            rvaas_openflow::FlowMatch::to_ip(0x3000),
+            vec![rvaas_openflow::Action::Drop],
+        );
+        let mut superseded = service.store().current();
+        for round in 0..200usize {
+            let at = SimTime::from_millis(10 + round as u64);
+            if round % 2 == 0 {
+                snapshot.record_installed(rvaas_types::SwitchId(2), flapper.clone(), at);
+            } else {
+                snapshot.record_removed(rvaas_types::SwitchId(2), &flapper, at);
+            }
+            service.try_publish(&snapshot, at).unwrap();
+            let epoch = service.store().current();
+            assert_eq!(epoch.traversals.len(), 0, "round {round}: starts empty");
+            service.try_query_all(&workload).unwrap();
+            assert_eq!(epoch.traversals.len(), keys, "round {round}");
+            let (_, walked) = counts();
+            assert_eq!(walked, (round + 1) * keys, "every epoch walks its own");
+            for (client, spec) in &workload {
+                service.try_query(*client, spec.clone()).unwrap();
+            }
+            assert_eq!(counts().1, walked, "round {round}: second pass walks none");
+            assert_eq!(epoch.traversals.len(), keys);
+            assert_eq!(
+                superseded.traversals.len(),
+                if round == 0 { 0 } else { keys }
+            );
+            superseded = epoch;
+        }
+        assert!(counts().0 > 200 * keys, "the second passes were served");
+    }
+
+    /// Nothing is shared between epochs, so whatever a query races with, its
+    /// verdict is the from-scratch one for the epoch it names — on a fabric
+    /// where the flipping rule sits on a switch half the traversals never
+    /// visit (the entries a memo kept across epochs would serve stale).
+    #[test]
+    fn racing_queries_answer_for_the_epoch_they_name_while_a_verdict_flips() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let topology = generators::line(4, 2);
+        let (service, clean) = service_over(&topology, 2, false);
+        // A blackhole for host 1 on its own switch: flips client 1's
+        // verdicts; client 2's traversals never arrive at switch 1.
+        let victim = topology.hosts_of_client(ClientId(1))[0];
+        let switch = victim.attachment.switch;
+        let flip = rvaas_openflow::FlowEntry::new(
+            400,
+            rvaas_openflow::FlowMatch::to_ip(victim.ip),
+            vec![rvaas_openflow::Action::Drop],
+        );
+        let mut attacked = clean.clone();
+        attacked.record_installed(switch, flip.clone(), SimTime::from_millis(2));
+        // The snapshot of every serial: clean at odd ones, attacked at even.
+        let verifier = verifier(&topology);
+        assert_ne!(
+            verifier.answer(&clean, ClientId(1), &QuerySpec::ReachableDestinations),
+            verifier.answer(&attacked, ClientId(1), &QuerySpec::ReachableDestinations),
+        );
+
+        let querying = AtomicUsize::new(2);
+        let responses: Vec<QueryResponse> = std::thread::scope(|scope| {
+            let queriers: Vec<_> = [ClientId(1), ClientId(2)]
+                .into_iter()
+                .map(|client| {
+                    let (service, topology, querying) = (&service, &topology, &querying);
+                    scope.spawn(move || {
+                        // At least 40 rounds, and until it has answered on
+                        // eight epochs (bounded, should the publisher starve).
+                        let mut responses = Vec::new();
+                        let mut serials = std::collections::BTreeSet::new();
+                        for round in 0..5_000 {
+                            for spec in all_specs(topology) {
+                                let response = service.try_query(client, spec).unwrap();
+                                serials.insert(response.epoch_serial);
+                                responses.push(response);
+                            }
+                            if round >= 40 && serials.len() >= 8 {
+                                break;
+                            }
+                        }
+                        querying.fetch_sub(1, Ordering::SeqCst);
+                        responses
+                    })
+                })
+                .collect();
+            // The publisher, at full speed for as long as anyone queries.
+            let mut serial = 1;
+            while querying.load(Ordering::SeqCst) > 0 {
+                serial += 1;
+                let change = if serial % 2 == 0 {
+                    RuleChange::installed(switch, flip.clone())
+                } else {
+                    RuleChange::removed(switch, flip.clone())
+                };
+                let at = SimTime::from_millis(serial);
+                assert_eq!(service.try_publish_changes(&[change], at).unwrap(), serial);
+            }
+            queriers
+                .into_iter()
+                .flat_map(|q| q.join().expect("querier panicked"))
+                .collect()
+        });
+
+        // One from-scratch evaluator per snapshot answers for all its serials.
+        let mut fresh = [&attacked, &clean].map(|snapshot| verifier.evaluator(snapshot));
+        let mut serials = std::collections::BTreeSet::new();
+        for response in &responses {
+            assert_eq!(
+                response.result,
+                fresh[(response.epoch_serial % 2) as usize].answer(response.client, &response.spec),
+                "{:?}/{:?} at serial {}",
+                response.client,
+                response.spec,
+                response.epoch_serial
+            );
+            serials.insert(response.epoch_serial);
+        }
+        assert!(serials.len() >= 8, "queries raced publishes: {serials:?}");
     }
 
     #[test]

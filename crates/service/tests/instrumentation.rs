@@ -1,7 +1,8 @@
 //! Readers for what the epoch store records about its model and interest
 //! index: the chain a publish leaves in the flight recorder, event for
 //! event, and the exact value of every `rvaas_interest_*` /
-//! `rvaas_incremental_*` series after a scripted scenario.
+//! `rvaas_incremental_*` series — and of the two traversal-memo counters the
+//! workers record — after a scripted scenario.
 
 use rvaas::{
     LocationMap, LogicalVerifier, NetworkSnapshot, QueryFootprint, RuleChange, VerifierConfig,
@@ -199,9 +200,14 @@ fn every_store_side_series_reads_its_scripted_value() {
     // `rvaas_epoch_publishes_total`) fails this too.
     let samples = parse_text(&service.registry().render_text()).expect("well-formed");
     let about_the_store = |name: &str| {
-        ["rvaas_interest_", "rvaas_incremental_", "rvaas_model_"]
-            .iter()
-            .any(|family| name.starts_with(family))
+        [
+            "rvaas_interest_",
+            "rvaas_incremental_",
+            "rvaas_model_",
+            "rvaas_traversal_memo_",
+        ]
+        .iter()
+        .any(|family| name.starts_with(family))
             && !name.ends_with("_bucket")
     };
     let exported: Vec<(&str, f64)> = samples
@@ -230,6 +236,13 @@ fn every_store_side_series_reads_its_scripted_value() {
             ("rvaas_interest_widened_total", 7.0),
             // ...and of the bulk first epoch.
             ("rvaas_model_rebuilds_total", 1.0),
+            // The three queries, all at epoch 1 on its cold memo, share no
+            // traversal: each walked its own (4 emissions of client 1's
+            // hosts, 12 foreign source probes toward client 2, 4 emissions
+            // of client 3's) and read verdict and footprint off that one
+            // lookup.
+            ("rvaas_traversal_memo_hits_total", 0.0),
+            ("rvaas_traversal_memo_misses_total", 20.0),
         ]
     );
 }

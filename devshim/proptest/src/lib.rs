@@ -6,7 +6,10 @@
 //! Unlike real proptest there is no shrinking and no persisted failure
 //! corpus: each property runs a fixed number of deterministically generated
 //! cases (seeded from the test name), and failures panic via the standard
-//! `assert!` family, so `cargo test` reports them like any other test.
+//! `assert!` family, so `cargo test` reports them like any other test — with
+//! one extra line naming the failing case:
+//! `proptest: <name> failed at case <i> of <n> (rng state 0x… at case start)`.
+//! Cases are a pure function of the test name, so the index is the seed.
 
 /// Deterministic case generation.
 pub mod test_runner {
@@ -63,6 +66,13 @@ pub mod test_runner {
             z ^ (z >> 31)
         }
 
+        /// The generator's position in its stream, for [`CaseGuard`].
+        #[doc(hidden)]
+        #[must_use]
+        pub fn state(&self) -> u64 {
+            self.state
+        }
+
         /// A uniform value below `bound` (rejection-sampled).
         pub fn below(&mut self, bound: u64) -> u64 {
             debug_assert!(bound > 0);
@@ -72,6 +82,46 @@ pub mod test_runner {
                 if v <= zone {
                     return v % bound;
                 }
+            }
+        }
+    }
+
+    /// Held across one case by the [`proptest!`](crate::proptest) expansion:
+    /// dropped by a panic, it says which case was running.
+    #[doc(hidden)]
+    #[derive(Debug)]
+    pub struct CaseGuard {
+        name: &'static str,
+        case: u64,
+        cases: u64,
+        state: u64,
+    }
+
+    impl CaseGuard {
+        /// A guard for case `case` of `cases` of property `name`, about to
+        /// draw its inputs from `rng`.
+        #[must_use]
+        pub fn new(name: &'static str, case: u64, cases: u64, rng: &TestRng) -> Self {
+            CaseGuard {
+                name,
+                case,
+                cases,
+                state: rng.state(),
+            }
+        }
+
+        pub(crate) fn line(&self) -> String {
+            format!(
+                "proptest: {} failed at case {} of {} (rng state {:#018x} at case start)",
+                self.name, self.case, self.cases, self.state
+            )
+        }
+    }
+
+    impl Drop for CaseGuard {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("{}", self.line());
             }
         }
     }
@@ -293,7 +343,12 @@ macro_rules! __proptest_with_config {
                 $crate::test_runner::TestRng::for_test(stringify!($name));
             let __proptest_cases: u64 = ($config).cases;
             for __proptest_case in 0..__proptest_cases {
-                let _ = __proptest_case;
+                let __proptest_guard = $crate::test_runner::CaseGuard::new(
+                    stringify!($name),
+                    __proptest_case,
+                    __proptest_cases,
+                    &__proptest_rng,
+                );
                 let ($($pat,)+) = (
                     $($crate::strategy::Strategy::sample(&($strat), &mut __proptest_rng),)+
                 );
@@ -355,5 +410,46 @@ mod tests {
             prop_assert_eq!(x % 2, 0);
             prop_assert_ne!(x % 2, 1);
         }
+    }
+
+    thread_local! {
+        static CASES_RUN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(9))]
+
+        // No `#[test]`: run by `a_failing_property_names_its_case` alone.
+        fn fails_on_its_sixth_case(x in any::<u64>()) {
+            let case = CASES_RUN.with(|run| run.replace(run.get() + 1));
+            prop_assert!(case < 5, "deliberate failure on input {x:#x}");
+        }
+    }
+
+    #[test]
+    fn a_failing_property_names_its_case() {
+        use crate::test_runner::{CaseGuard, TestRng};
+
+        assert!(std::panic::catch_unwind(fails_on_its_sixth_case).is_err());
+        assert_eq!(
+            CASES_RUN.with(std::cell::Cell::get),
+            6,
+            "stopped at the failure"
+        );
+        // The guard the expansion held for that case (its panic printed the
+        // line to the harness's stderr): five single-draw cases on from the
+        // name's seed.
+        let mut rng = TestRng::for_test("fails_on_its_sixth_case");
+        for _ in 0..5 {
+            rng.next_u64();
+        }
+        assert_eq!(
+            CaseGuard::new("fails_on_its_sixth_case", 5, 9, &rng).line(),
+            format!(
+                "proptest: fails_on_its_sixth_case failed at case 5 of 9 \
+                 (rng state {:#018x} at case start)",
+                rng.state()
+            )
+        );
     }
 }
