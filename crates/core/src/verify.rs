@@ -540,14 +540,11 @@ impl QueryEvaluator<'_> {
             .collect();
         let walk = |session: &Self, source_ip: u32, attachment: SwitchPort| {
             // Traffic the source can emit towards any of the client's hosts.
-            let mut space = HeaderSpace::empty();
-            for ip in &target_ips {
-                space = space.union(&HeaderSpace::from(
-                    Cube::wildcard()
-                        .with_field(Field::IpSrc, u64::from(source_ip))
-                        .with_field(Field::IpDst, u64::from(*ip)),
-                ));
-            }
+            let space = HeaderSpace::from_cubes(target_ips.iter().map(|ip| {
+                Cube::wildcard()
+                    .with_field(Field::IpSrc, u64::from(source_ip))
+                    .with_field(Field::IpDst, u64::from(*ip))
+            }));
             let engine = ReachabilityEngine::new(&session.nf);
             let result = engine.reachable_from(attachment, space);
             let reaches = result.reached_ports().iter().any(|p| ports.contains(p));

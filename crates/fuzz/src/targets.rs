@@ -400,6 +400,90 @@ impl<'a> Dna<'a> {
         }
         rule
     }
+
+    /// One to ten rules, in arrival order, cookies `1..` in that order.
+    fn table(&mut self) -> Vec<RuleTransfer> {
+        let rule_count = 1 + usize::from(self.byte()) % 10;
+        (0..rule_count).map(|i| self.rule(i)).collect()
+    }
+
+    /// A cube holding `header`: exact but for one or two decoded fields left
+    /// free. Never the VLAN — the one field [`Dna::rule`]'s rewrites set —
+    /// so two members of such a cube never rewrite to one header; and never
+    /// more than two, which bounds what subtracting ten rules' matches from
+    /// it can shatter it into.
+    fn widen(&mut self, header: &Header) -> Cube {
+        const FREED: [Field; 6] = [
+            Field::EthType,
+            Field::IpSrc,
+            Field::IpDst,
+            Field::IpProto,
+            Field::L4Src,
+            Field::L4Dst,
+        ];
+        let mut cube = Cube::exact(header);
+        for _ in 0..1 + self.byte() % 2 {
+            let spec = FREED[usize::from(self.byte()) % FREED.len()].spec();
+            for bit in spec.offset..spec.offset + spec.width {
+                cube.clear_bit(bit);
+            }
+        }
+        cube
+    }
+}
+
+/// [`SwitchTransfer::apply`] against the concrete first-match semantics for
+/// one header `h` of `input`: the first rule in table order that applies to
+/// `port` and contains `h` serves it, so `h` (after that rule's rewrite)
+/// sits in that rule's outputs — exactly its ports, or the controller — and
+/// in the output of no other rule; in none at all when that rule drops or no
+/// rule matches. Rules are told apart by cookie ([`Dna::table`] numbers
+/// them); `input`'s cubes must pin the VLAN (see [`Dna::widen`]).
+fn assert_first_match_serves(
+    table: &SwitchTransfer,
+    port: PortId,
+    input: &HeaderSpace,
+    h: &Header,
+) {
+    let outputs = table.apply(port, input);
+    for out in &outputs {
+        assert!(
+            out.out_port.is_some() != out.to_controller && !out.space.is_empty(),
+            "apply reported traffic that does not leave: {out:?}"
+        );
+    }
+    let first = table
+        .rules()
+        .iter()
+        .find(|r| r.in_port.is_none_or(|p| p == port) && r.match_cube.contains(h));
+    for rule in table.rules() {
+        let served = first.is_some_and(|first| first.cookie == rule.cookie);
+        let mut expected: Vec<(Option<PortId>, bool)> = match &rule.action {
+            RuleAction::Forward { ports, .. } if served => {
+                ports.iter().map(|p| (Some(*p), false)).collect()
+            }
+            RuleAction::ToController if served => vec![(None, true)],
+            _ => Vec::new(),
+        };
+        let rewritten = match &rule.action {
+            RuleAction::Forward {
+                rewrite: Some(rw), ..
+            } => Cube::exact(h).rewrite(rw).sample(),
+            _ => *h,
+        };
+        let mut holding: Vec<(Option<PortId>, bool)> = outputs
+            .iter()
+            .filter(|o| o.cookie == rule.cookie && o.space.contains(&rewritten))
+            .map(|o| (o.out_port, o.to_controller))
+            .collect();
+        expected.sort();
+        holding.sort();
+        assert_eq!(
+            holding, expected,
+            "apply({port}, {input}) and the first match disagree on {h:?} under rule {rule:?} \
+             (first match: {first:?})"
+        );
+    }
 }
 
 /// HSA cube algebra and incremental rule-table maintenance.
@@ -417,13 +501,18 @@ impl<'a> Dna<'a> {
 ///   surviving rules;
 /// * **cube algebra vs. membership** — `intersect` / `overlap_region` /
 ///   `overlaps` agree with each other and with sampled-header membership,
-///   and `subtract` / `complement` results exclude what they must.
+///   and `subtract` / `complement` results exclude what they must;
+/// * **apply vs. concrete first match** — for probe headers pulled into
+///   decoded rules' matches, on every port, [`SwitchTransfer::apply`] of the
+///   probe alone and of a decoded multi-cube space around it puts the probe
+///   on exactly the outputs of the first rule in table order that applies
+///   to the port and contains it (rewritten; flagged `to_controller` iff
+///   that rule punts), and nowhere when that rule drops or none matches.
 pub fn cube_target(data: &[u8]) {
     let mut dna = Dna::new(data);
 
     // --- incremental insert vs. full rebuild -------------------------------
-    let rule_count = 1 + usize::from(dna.byte()) % 10;
-    let rules: Vec<RuleTransfer> = (0..rule_count).map(|i| dna.rule(i)).collect();
+    let rules = dna.table();
     let mut incremental = SwitchTransfer::new();
     for rule in &rules {
         let index = incremental.insert_rule(rule.clone());
@@ -491,11 +580,61 @@ pub fn cube_target(data: &[u8]) {
 
     // Probe headers: membership in both cubes implies a non-empty
     // intersection containing the probe.
-    for _ in 0..4 {
-        let probe = dna.header();
-        if a.contains(&probe) && b.contains(&probe) {
+    let probes: Vec<Header> = (0..4).map(|_| dna.header()).collect();
+    for probe in &probes {
+        if a.contains(probe) && b.contains(probe) {
             let both = intersection.as_ref().expect("common member, no overlap");
-            assert!(both.contains(&probe), "intersection lost a common member");
+            assert!(both.contains(probe), "intersection lost a common member");
+        }
+    }
+
+    // --- apply vs. concrete first match ------------------------------------
+    for probe in &probes {
+        // A raw probe misses every exact match: take the fixed bits of a
+        // decoded rule's match, so it lands where rules compete for it.
+        let anchor = &rebuilt.rules()[usize::from(dna.byte()) % rebuilt.len()];
+        let h = Cube::exact(probe).rewrite(&anchor.match_cube).sample();
+        let cubes = 1 + dna.byte() % 3;
+        let wide = HeaderSpace::from_cubes((0..cubes).map(|_| dna.widen(&h)));
+        for port in (0..4).map(PortId) {
+            assert_first_match_serves(&rebuilt, port, &HeaderSpace::singleton(&h), &h);
+            assert_first_match_serves(&rebuilt, port, &wide, &h);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Corpus;
+
+    /// The two structured cube seeds are hand-encoded DNA; they must keep
+    /// decoding to the table shape their names promise — `(src, dst)`
+    /// admissions pinned to the host port, over that port's wildcard drop,
+    /// over unpinned `dst` transit rules, alone and under a block of inert
+    /// high-priority drops — or a change to [`Dna`] silently turns them into
+    /// two more random inputs.
+    #[test]
+    fn ingress_seeds_decode_to_the_ingress_table() {
+        let corpus = Corpus::load("cube");
+        for (name, flood) in [("seed-ingress.bin", 0), ("seed-ingress-inert-flood.bin", 3)] {
+            let entry = corpus.entries.iter().find(|e| e.name == name);
+            let bytes = &entry.unwrap_or_else(|| panic!("{name} shipped")).bytes;
+            let table = SwitchTransfer::from_rules(Dna::new(bytes).table());
+            let shape: Vec<(u16, Option<PortId>, bool, u32)> = table
+                .rules()
+                .iter()
+                .map(|r| {
+                    let fixed = Cube::wildcard().free_bits() - r.match_cube.free_bits();
+                    (r.priority, r.in_port, r.action == RuleAction::Drop, fixed)
+                })
+                .collect();
+            let host_port = Some(PortId(1));
+            let mut expected = vec![(400, None, true, 32); flood];
+            expected.extend([(300, host_port, false, 64); 3]);
+            expected.push((200, host_port, true, 0));
+            expected.extend([(100, None, false, 32); 3]);
+            assert_eq!(shape, expected, "{name}");
         }
     }
 }

@@ -11,6 +11,13 @@
 //! * **loop reports** for traffic that revisits a switch it has already
 //!   traversed with an overlapping header space.
 //!
+//! Only traffic that **leaves** a switch is ever propagated or built:
+//! [`SwitchTransfer::apply`](crate::SwitchTransfer::apply) reports the
+//! spaces forwarded and punted and nothing for what a switch drops, so a
+//! traversal's cost follows the rules that serve the injected space, not the
+//! rules that merely overlap it — a block of inert drop rules on a visited
+//! switch costs an overlap test each, not a re-partition of the space.
+//!
 //! This is the engine RVaaS uses for its logical verification step: isolation
 //! queries look at which edge ports are reached, geo queries look at the
 //! switches on the paths, and avoidance queries check that a given space
@@ -242,7 +249,8 @@ impl<'a> ReachabilityEngine<'a> {
                     continue;
                 }
                 let Some(out_port) = out.out_port else {
-                    // Dropped traffic: nothing to record for reachability.
+                    // Neither a port nor the controller: `apply` reports no
+                    // such output (dropped traffic is not materialised).
                     continue;
                 };
                 let egress = SwitchPort::new(item.switch, out_port);

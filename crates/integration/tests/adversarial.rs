@@ -578,6 +578,61 @@ fn churn_flood_trips_the_bulk_rebuild_heuristic() {
     assert_eq!(small.delta_rules, 1);
 }
 
+/// An inert flood buys neither a verdict nor verifier CPU. 2000
+/// high-priority drop rules for destinations nobody has, on an edge switch —
+/// every traversal that starts at a host port there walks past all of them,
+/// above the port's admissions and wildcard drop — leave the six-query mix
+/// of a tenant attached there exactly what it was before the flood, from the
+/// service and from the from-scratch oracle alike. There is no wall-clock
+/// assertion. With a transfer function that re-partitions the not-yet-matched
+/// space around every rule overlapping it, one `ReachableDestinations`
+/// verdict here took 1.3 s at 256 flood rules in a release build and grew
+/// cubically with the count: such a build does not fail this test, it does
+/// not finish it.
+#[test]
+fn an_inert_rule_flood_neither_changes_nor_slows_a_verdict() {
+    let topology = generators::leaf_spine(4, 16, 8, 7);
+    let victim = topology.hosts().next().expect("a host").clone();
+    let queries: Vec<(ClientId, QuerySpec)> = [
+        QuerySpec::ReachableDestinations,
+        QuerySpec::ReachingSources,
+        QuerySpec::Isolation,
+        QuerySpec::GeoLocation,
+        QuerySpec::PathLength { to_ip: victim.ip },
+        QuerySpec::Neutrality,
+    ]
+    .map(|spec| (victim.owner, spec))
+    .to_vec();
+    let service = service(&topology);
+    let oracle = oracle(&topology);
+    let answers = |snapshot: &NetworkSnapshot| {
+        let mut fresh = oracle.evaluator(snapshot);
+        let served = service.try_query_all(&queries).unwrap();
+        let results: Vec<_> = served.into_iter().map(|r| r.result).collect();
+        for ((client, spec), result) in queries.iter().zip(&results) {
+            assert_eq!(*result, fresh.answer(*client, spec), "{client:?} {spec:?}");
+        }
+        results
+    };
+
+    let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
+    publish(&service, &snapshot, SimTime::from_millis(1));
+    let before = answers(&snapshot);
+
+    let flood = Attack::ChurnFlood {
+        switch: victim.attachment.switch,
+        rules: 2000,
+    };
+    let installed = apply_messages(
+        &mut snapshot,
+        &flood.compile(&topology),
+        SimTime::from_millis(10),
+    );
+    assert_eq!(installed.len(), 2000);
+    publish(&service, &snapshot, SimTime::from_millis(10));
+    assert_eq!(answers(&snapshot), before, "the flood changed a verdict");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -425,6 +425,145 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// HSA against a concrete packet walk: the oracle that shares no cube algebra.
+// ---------------------------------------------------------------------------
+
+/// Where one concrete packet goes, decided with no header space: at each
+/// switch the highest-priority entry of `NetworkSnapshot::table_of` that
+/// `FlowMatch::matches` it (the earliest in table order among equals) acts —
+/// set-fields applied, one copy per output — copies follow the topology's
+/// links, and a copy leaving through a port with no link has left the
+/// network there. A copy that returns to a switch already on its path is cut,
+/// as the reachability engine cuts (and reports) a loop; `crossed` collects
+/// every switch any copy arrived at.
+fn walk_packet(
+    topo: &rvaas_topology::Topology,
+    snapshot: &NetworkSnapshot,
+    ingress: rvaas_types::SwitchPort,
+    header: Header,
+    crossed: &mut std::collections::BTreeSet<rvaas_types::SwitchId>,
+) -> std::collections::BTreeSet<rvaas_types::SwitchPort> {
+    use rvaas_types::SwitchPort;
+
+    const HOP_BOUND: usize = 64;
+    let mut exits = std::collections::BTreeSet::new();
+    let mut copies = vec![(ingress, header, Vec::new())];
+    while let Some((at, header, mut path)) = copies.pop() {
+        crossed.insert(at.switch);
+        if path.len() >= HOP_BOUND || path.contains(&at.switch) {
+            continue;
+        }
+        path.push(at.switch);
+        let matching = snapshot
+            .table_of(at.switch)
+            .iter()
+            .enumerate()
+            .filter(|(_, entry)| entry.flow_match.matches(at.port, &header))
+            .min_by_key(|(index, entry)| (std::cmp::Reverse(entry.priority), *index));
+        let Some((_, entry)) = matching else {
+            continue; // table miss: dropped
+        };
+        for (port, rewritten) in
+            rvaas_openflow::action::apply_actions(&entry.actions, &header).outputs
+        {
+            let egress = SwitchPort::new(at.switch, port);
+            match topo.link_peer(egress) {
+                Some(peer) => copies.push((peer, rewritten, path.clone())),
+                None => {
+                    exits.insert(egress);
+                }
+            }
+        }
+    }
+    exits
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every other oracle in the repo — `LogicalVerifier::answer` from
+    /// scratch, the benchmark's rebuild — runs the same
+    /// `SwitchTransfer::apply`, so a consistently wrong transfer function
+    /// passes all of them. This one shares nothing with it: with a random
+    /// subset of the data-plane attack catalogue installed (admissions,
+    /// mirrors, drops, detours above the benign layers — overlapping,
+    /// port-pinned and not, equal-priority), for every ordered host pair the
+    /// edge ports a concrete `src → dst` packet leaves through are exactly
+    /// the endpoints whose space holds that header when the source's whole
+    /// emission space is injected, and every switch the packet crossed is in
+    /// the traversal's footprint. (No attack of the catalogue rewrites, so
+    /// the header that leaves is the header injected; the walk applies
+    /// set-fields all the same.)
+    #[test]
+    fn symbolic_traversal_matches_a_concrete_packet_walk_under_attacks(
+        fat in any::<bool>(),
+        // (kind, a, b): which attack, and the hosts it names.
+        attacks in proptest::collection::vec((0u8..5, 0usize..64, 0usize..64), 0..7),
+    ) {
+        use rvaas_controlplane::Attack;
+
+        let topo = if fat { generators::fat_tree(4, 3) } else { generators::leaf_spine(2, 3, 3, 7) };
+        let hosts: Vec<_> = topo.hosts().cloned().collect();
+        let mut snapshot = benign_snapshot_of(&topo);
+        for (kind, a, b) in &attacks {
+            let (x, y) = (&hosts[a % hosts.len()], &hosts[b % hosts.len()]);
+            let attack = match kind {
+                0 => Attack::Join { attacker_host: x.id, victim_client: y.owner },
+                1 => Attack::Exfiltrate { victim_host: x.id, collector_host: y.id },
+                2 => Attack::Blackhole { victim_host: x.id },
+                3 => {
+                    let via = topo.switches().nth(b % topo.switch_count()).expect("in range");
+                    Attack::GeoDivert {
+                        from_host: x.id,
+                        to_host: y.id,
+                        via_region: via.location.region.clone(),
+                    }
+                }
+                _ => Attack::Throttle { victim_client: x.owner, rate_kbps: 64 },
+            };
+            for change in attack_changes(&topo, &attack, true) {
+                snapshot.record_installed(change.switch, change.entry, SimTime::from_millis(2));
+            }
+        }
+        let nf = snapshot.to_network_function(&topo);
+        let engine = ReachabilityEngine::new(&nf);
+
+        let mut delivered = 0usize;
+        for src in &hosts {
+            let emission =
+                HeaderSpace::from(Cube::wildcard().with_field(Field::IpSrc, u64::from(src.ip)));
+            let result = engine.reachable_from(src.attachment, emission);
+            prop_assert_eq!(result.truncated_branches, 0);
+            for dst in hosts.iter().filter(|dst| dst.id != src.id) {
+                let header = Header::builder().ip_src(src.ip).ip_dst(dst.ip).build();
+                let mut crossed = std::collections::BTreeSet::new();
+                let concrete = walk_packet(&topo, &snapshot, src.attachment, header, &mut crossed);
+                let symbolic: std::collections::BTreeSet<_> = result
+                    .endpoints
+                    .iter()
+                    .filter(|e| e.space.contains(&header))
+                    .map(|e| e.egress)
+                    .collect();
+                prop_assert_eq!(
+                    &concrete, &symbolic,
+                    "{} -> {} under {:?}: the packet leaves at {:?}, the traversal says {:?}",
+                    src.id, dst.id, attacks, concrete, symbolic
+                );
+                prop_assert!(
+                    crossed.iter().all(|switch| result.visited.contains(switch)),
+                    "{} -> {} under {:?}: crossed {:?}, footprint {:?}",
+                    src.id, dst.id, attacks, crossed, result.visited
+                );
+                delivered += usize::from(concrete.contains(&dst.attachment));
+            }
+        }
+        // Not vacuous: same-tenant pairs are delivered whatever is installed
+        // (a blackhole takes out one destination at most).
+        prop_assert!(delivered > hosts.len(), "{} deliveries under {:?}", delivered, attacks);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Traversal memo: a verdict assembled from shared traversals equals a fresh one.
 // ---------------------------------------------------------------------------
 
@@ -487,12 +626,6 @@ proptest! {
         let topo = if fat { generators::fat_tree(4, 3) } else { generators::leaf_spine(2, 3, 3, 7) };
         let hosts: Vec<_> = topo.hosts().cloned().collect();
         let switches: Vec<SwitchId> = topo.switches().map(|s| s.id).collect();
-        // Spines, or aggregation and core: every path crosses one.
-        let transit: Vec<SwitchId> = switches
-            .iter()
-            .copied()
-            .filter(|id| hosts.iter().all(|h| h.attachment.switch != *id))
-            .collect();
         let clients = topo.clients();
         prop_assert!(clients.len() >= 3);
         let of = |client: ClientId| -> Vec<&rvaas_topology::Host> {
@@ -634,12 +767,10 @@ proptest! {
                     list.extend(toggle(&mut installed, attack_of(2, a, b)));
                     list
                 }
-                // A list past the bulk-rebuild threshold, same company. (On a
-                // transit switch: under an edge switch's wildcard drop rules
-                // the flood costs seconds per traversal in a debug build.)
+                // A list past the bulk-rebuild threshold, same company.
                 _ => {
                     let rules = (snapshot.rule_count() / 2).max(64) as u32 + 8;
-                    let flood = Attack::ChurnFlood { switch: transit[b % transit.len()], rules };
+                    let flood = Attack::ChurnFlood { switch: switches[b % switches.len()], rules };
                     let mut list = toggle(&mut installed, flood);
                     list.extend(toggle(&mut installed, attack_of(0, a, b)));
                     list
