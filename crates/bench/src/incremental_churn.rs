@@ -15,7 +15,7 @@
 //!   by the epoch's rule delta and freezes its function into the epoch, the
 //!   interest index selects the standing queries whose interest space meets
 //!   the changed header region, sync re-verifies only those — on the frozen
-//!   function, through the worker pool — and the result cache carries the
+//!   function, on the thread that serves the session — and the result cache carries the
 //!   rest.
 //!
 //! Writes the machine-readable trajectory to `BENCH_incremental.json`; the
@@ -216,7 +216,6 @@ pub fn measure_incremental_churn(
     let mut points = Vec::new();
     for &churn_clients in churn_points {
         let config = IncrementalChurnConfig {
-            workers: 2,
             rounds,
             churn_clients_per_round: churn_clients,
             rules_per_client,

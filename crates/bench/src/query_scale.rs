@@ -256,7 +256,6 @@ pub fn measure_query_scale(
             report: run_query_scale(
                 topology,
                 &QueryScaleConfig {
-                    workers: 2,
                     synthetic_queries: population,
                     rounds,
                     churn_clients_per_round,

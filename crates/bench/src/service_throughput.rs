@@ -5,8 +5,10 @@
 //! * **inline baseline** — the seed architecture: every query answered
 //!   sequentially by `LogicalVerifier::answer`, rebuilding the HSA model per
 //!   query;
-//! * **worker scaling** — the pool at 1/2/4 workers with the result cache
-//!   disabled (queries/sec, p50/p99 latency). Thread scaling only shows on
+//! * **caller scaling** — 1/2/4 caller threads answering on the one service
+//!   and its shared traversal memo, result cache disabled (queries/sec,
+//!   p50/p99 latency). The service has no threads of its own; these stand
+//!   for a daemon's connection threads. Thread scaling only shows on
 //!   multi-core hosts, so the report records the core count alongside;
 //! * **cache behaviour** — hit rate as epoch churn increases;
 //! * **delta sync** — bytes on the wire for a delta vs. a full resend under
@@ -27,10 +29,10 @@ use rvaas_workloads::{
     ServiceLoadConfig, ServiceLoadReport,
 };
 
-/// One pooled configuration's measurements.
+/// One caller-thread count's measurements.
 #[derive(Debug, Clone)]
 pub struct PoolPoint {
-    /// Worker threads.
+    /// Caller threads.
     pub workers: usize,
     /// The load report.
     pub report: ServiceLoadReport,
@@ -43,11 +45,11 @@ pub struct ServiceThroughputReport {
     pub topology: String,
     /// Distinct clients in the workload.
     pub clients: usize,
-    /// Queries issued per pooled configuration.
+    /// Queries issued per configuration.
     pub queries: usize,
     /// Sequential seed-architecture baseline, queries/sec.
     pub inline_qps: f64,
-    /// Pooled measurements (cache disabled), by worker count.
+    /// Service measurements (cache disabled), by caller-thread count.
     pub pool: Vec<PoolPoint>,
     /// `(churn rules per round, cache hit rate)` with the cache enabled.
     pub cache_by_churn: Vec<(usize, f64)>,
@@ -81,7 +83,7 @@ fn measure_inline(topology: &Topology, queries: usize) -> f64 {
     let snapshot = benign_snapshot(topology);
     let verifier = LogicalVerifier::new(topology.clone(), verifier_config(topology));
     // The same round-robin workload `run_service_load` answers, so the
-    // inline baseline and the pooled runs are directly comparable.
+    // inline baseline and the service runs are directly comparable.
     let workload = round_robin_workload(topology, queries);
     let started = Instant::now();
     for (client, spec) in &workload {
@@ -91,7 +93,7 @@ fn measure_inline(topology: &Topology, queries: usize) -> f64 {
     workload.len() as f64 / started.elapsed().as_secs_f64().max(1e-9)
 }
 
-/// Measures flight-recorder overhead: the same pooled load with tracing
+/// Measures flight-recorder overhead: the same four-caller load with tracing
 /// on (the shipped default) vs off. The arms are interleaved so host
 /// drift (thermal, cache warmth) lands on both equally; the recorder is
 /// left enabled afterwards — default-on is the configuration we ship, so
@@ -124,11 +126,7 @@ fn measure_recorder_overhead(
 fn measure_sync(topology: &Topology) -> (usize, usize, usize, usize) {
     let service = VerificationService::new(
         topology.clone(),
-        ServiceSettings {
-            workers: 1,
-            ..ServiceSettings::default()
-        }
-        .into_config(verifier_config(topology)),
+        ServiceSettings::default().into_config(verifier_config(topology)),
     );
     let mut snapshot = benign_snapshot(topology);
     // Seed churn round 0 before the client's baseline so the measured round
@@ -258,7 +256,7 @@ impl ServiceThroughputReport {
         self.recorder_on_qps / self.recorder_off_qps.max(1e-9)
     }
 
-    /// Queries/sec of the pooled configuration with `workers` threads.
+    /// Queries/sec with `workers` caller threads.
     #[must_use]
     pub fn pool_qps(&self, workers: usize) -> f64 {
         self.pool
@@ -271,7 +269,7 @@ impl ServiceThroughputReport {
     #[must_use]
     pub fn rows(&self) -> Vec<String> {
         let mut rows = vec![
-            "# S1 — service-plane throughput (epoch store + worker pool + delta sync)".to_string(),
+            "# S1 — service-plane throughput (epoch store + query path + delta sync)".to_string(),
             format!(
                 "workload: {} | clients={} | queries={} | host_cores={}",
                 self.topology, self.clients, self.queries, self.host_cores
@@ -281,7 +279,7 @@ impl ServiceThroughputReport {
         ];
         for point in &self.pool {
             rows.push(format!(
-                "pool({}w) | {:.0} | {} | {} | {} | {:.2}",
+                "callers({}) | {:.0} | {} | {} | {} | {:.2}",
                 point.workers,
                 point.report.queries_per_sec,
                 point.report.p50_latency.as_micros(),
@@ -291,7 +289,7 @@ impl ServiceThroughputReport {
             ));
         }
         rows.push(format!(
-            "speedup pool(4w)/pool(1w) = {:.2} (thread scaling; host has {} core(s))",
+            "speedup callers(4)/callers(1) = {:.2} (thread scaling; host has {} core(s))",
             self.pool_qps(4) / self.pool_qps(1).max(1e-9),
             self.host_cores
         ));

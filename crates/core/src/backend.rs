@@ -6,8 +6,8 @@
 //! queries; the backend decides how to answer them. [`InlineBackend`] keeps
 //! the original single-threaded in-process behaviour; the `rvaas-service`
 //! crate provides a multi-threaded service-plane backend with epoch
-//! snapshots, a sharded worker pool, result caching and delta-based client
-//! sync.
+//! snapshots, an epoch-wide traversal memo, result caching and delta-based
+//! client sync.
 
 use rvaas_client::{QueryResult, QuerySpec};
 use rvaas_types::{ClientId, SimTime};

@@ -59,6 +59,13 @@ pub struct RuleChange {
     pub entry: FlowEntry,
     /// `true` for an installation, `false` for a removal.
     pub installed: bool,
+    /// Set on the removal of an entry that an install displaced **in its
+    /// slot** (same priority and match, other actions): the install is the
+    /// next change of the list and takes the slot over. It is what tells a
+    /// modify apart from a removal followed by a re-install, which lands
+    /// behind its equal-priority peers. Only [`NetworkSnapshot`]'s effective
+    /// change lists set it; as an input it reads as a plain removal.
+    pub displaced: bool,
 }
 
 impl RuleChange {
@@ -69,6 +76,7 @@ impl RuleChange {
             switch,
             entry,
             installed: true,
+            displaced: false,
         }
     }
 
@@ -79,7 +87,29 @@ impl RuleChange {
             switch,
             entry,
             installed: false,
+            displaced: false,
         }
+    }
+
+    /// The removal of an entry displaced in its slot by the install that
+    /// follows it in the list (see [`RuleChange::displaced`]).
+    #[must_use]
+    pub fn displaced(switch: SwitchId, entry: FlowEntry) -> Self {
+        RuleChange {
+            displaced: true,
+            ..RuleChange::removed(switch, entry)
+        }
+    }
+
+    /// True when this is the removal of an entry displaced in its slot and
+    /// `next`, the change after it, is the install that took the slot over.
+    fn displaced_by(&self, next: &RuleChange) -> bool {
+        self.displaced
+            && !self.installed
+            && next.installed
+            && self.switch == next.switch
+            && self.entry.priority == next.entry.priority
+            && self.entry.flow_match == next.entry.flow_match
     }
 }
 
@@ -258,9 +288,13 @@ impl IncrementalModel {
         self.desynced
     }
 
-    /// Applies a batch of rule-level changes in place — removals first, so a
-    /// modify (remove-old + add-new of the same match) repairs priorities
-    /// correctly — and returns the changed header region.
+    /// Applies a batch of rule-level changes in place and returns the
+    /// changed header region. Removals go first, then the installs in list
+    /// order, each behind its equal-priority peers — where a rebuild's stable
+    /// sort of the arrival-ordered tables puts them too. An entry displaced
+    /// in its slot ([`RuleChange::displaced`]) is the exception: its removal
+    /// and the install after it are one replacement that keeps the slot, as
+    /// the switch, the snapshot and a rebuild do.
     ///
     /// The region is conservative ("everything") while *any* rewrite rule is
     /// installed in the model, not just when the batch touches one: a
@@ -268,21 +302,34 @@ impl IncrementalModel {
     /// interest space mid-path, so no later delta can be bounded either.
     pub fn apply(&mut self, changes: &[RuleChange]) -> ChangedRegion {
         let mut region = ChangedRegion::default();
-        for change in changes.iter().filter(|c| !c.installed) {
+        for (i, change) in changes.iter().enumerate().filter(|(_, c)| !c.installed) {
             let rule = change.entry.to_rule_transfer();
-            let indexed = self
+            let held = self
                 .index
                 .get_mut(&change.switch)
-                .and_then(|switch_index| switch_index.get_mut(&rule_key(&rule)));
-            let known = match indexed {
-                Some(count) if *count > 0 => {
-                    *count -= 1;
-                    true
+                .and_then(|switch_index| switch_index.get_mut(&rule_key(&rule)))
+                .filter(|count| **count > 0);
+            let successor = changes.get(i + 1).filter(|next| change.displaced_by(next));
+            let space = match (held, successor) {
+                (None, _) => None,
+                // Same key out and in: the index entry stands.
+                (Some(_), Some(install)) => {
+                    let new = install.entry.to_rule_transfer();
+                    let rewrites = usize::from(has_rewrite(&new.action));
+                    let space = self.nf.replace_rule(change.switch, &rule, new);
+                    if space.is_some() {
+                        self.rewrite_rules += rewrites;
+                        region.rules_added += 1;
+                    }
+                    space
                 }
-                _ => false,
+                (Some(count), None) => {
+                    *count -= 1;
+                    self.nf.remove_rule(change.switch, &rule)
+                }
             };
-            match self.nf.remove_rule(change.switch, &rule) {
-                Some(space) if known => {
+            match space {
+                Some(space) => {
                     self.rewrite_rules = self
                         .rewrite_rules
                         .saturating_sub(usize::from(has_rewrite(&rule.action)));
@@ -290,7 +337,7 @@ impl IncrementalModel {
                     region.switches.insert(change.switch);
                     region.rules_removed += 1;
                 }
-                _ => {
+                None => {
                     // Asked to remove a rule the mirror does not hold: the
                     // model desynchronised from the publisher. Stay safe and
                     // remember it until a rebuild.
@@ -299,7 +346,10 @@ impl IncrementalModel {
                 }
             }
         }
-        for change in changes.iter().filter(|c| c.installed) {
+        for (i, change) in changes.iter().enumerate().filter(|(_, c)| c.installed) {
+            if i > 0 && changes[i - 1].displaced_by(change) {
+                continue; // took its predecessor's slot above
+            }
             let rule = change.entry.to_rule_transfer();
             self.rewrite_rules += usize::from(has_rewrite(&rule.action));
             *self
@@ -396,7 +446,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rvaas_controlplane::benign_rules;
-    use rvaas_hsa::reachability_equivalent;
+    use rvaas_hsa::{reachability_equivalent, SwitchTransfer};
     use rvaas_openflow::{Action, FlowMatch};
     use rvaas_topology::generators;
     use rvaas_types::SimTime;
@@ -604,6 +654,86 @@ mod tests {
                 model.network_function(),
                 &snapshot.to_network_function(&topology)
             ));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Order-exact, on both publish paths: whatever a change list does
+        /// among overlapping equal-priority peers on one switch — fresh
+        /// installs, removals, displacements in place (twice in one list
+        /// too), removals re-installed later in the list, flaps — the model
+        /// holds every switch's rules in the order a rebuild of the next
+        /// snapshot puts them.
+        #[test]
+        fn prop_applied_lists_leave_every_table_in_rebuild_order(
+            ops in proptest::collection::vec((0usize..5, 0u32..4, any::<bool>(), 1usize..5), 1..40)
+        ) {
+            let topology = generators::line(3, 2);
+            let ips: Vec<u32> = topology.hosts().map(|h| h.ip).collect();
+            // Five matches that overlap one another, at one priority.
+            let matches = [
+                FlowMatch::to_ip(ips[0]),
+                FlowMatch::from_ip(ips[1]),
+                FlowMatch::from_ip(ips[1]).field(Field::IpDst, u64::from(ips[0])),
+                FlowMatch::to_ip(ips[2]),
+                FlowMatch::from_ip(ips[2]),
+            ];
+            let switch = SwitchId(2);
+            let mut snapshot = benign_snapshot(&topology);
+            // One model fed the delta path's lists, one the full path's.
+            let mut by_delta = IncrementalModel::from_snapshot(topology.clone(), &snapshot);
+            let mut by_diff = by_delta.clone();
+            let mut ops = ops.as_slice();
+            let mut step = 0u64;
+            while let Some(&(_, _, _, len)) = ops.first() {
+                let (batch, rest) = ops.split_at(len.min(ops.len()));
+                ops = rest;
+                step += 1;
+                let raw: Vec<RuleChange> = batch
+                    .iter()
+                    .map(|&(m, action, install, _)| {
+                        let actions = match action {
+                            0 => vec![Action::Drop],
+                            port => vec![Action::Output(PortId(port))],
+                        };
+                        let entry = FlowEntry::new(400, matches[m].clone(), actions);
+                        if install {
+                            RuleChange::installed(switch, entry)
+                        } else {
+                            RuleChange::removed(switch, entry)
+                        }
+                    })
+                    .collect();
+                let mut next = snapshot.clone();
+                let effective = next.apply_changes(&raw, SimTime::from_millis(10 + step));
+                let rebuilt = IncrementalModel::from_snapshot(topology.clone(), &next);
+
+                by_delta.apply(&effective);
+                if by_delta.is_desynced() {
+                    // A flap inside one list; the store rebuilds here too.
+                    by_delta.rebuild_from(&next);
+                }
+                prop_assert_eq!(
+                    by_delta.network_function().transfer(switch).map(SwitchTransfer::rules),
+                    rebuilt.network_function().transfer(switch).map(SwitchTransfer::rules),
+                    "delta path, list {} = {:?}", step, effective
+                );
+
+                // Comparing the two snapshots instead sees no flap, but it
+                // must see every entry that left its slot.
+                let diff = snapshot.changes_to(&next);
+                by_diff.apply(&diff);
+                prop_assert!(!by_diff.is_desynced(), "full path, list {} = {:?}", step, diff);
+                prop_assert_eq!(
+                    by_diff.network_function().transfer(switch).map(SwitchTransfer::rules),
+                    rebuilt.network_function().transfer(switch).map(SwitchTransfer::rules),
+                    "full path, list {} = {:?} of {:?}", step, diff, raw
+                );
+                prop_assert_eq!(by_delta.network_function(), rebuilt.network_function());
+                snapshot = next;
+            }
         }
     }
 }

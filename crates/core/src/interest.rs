@@ -39,8 +39,8 @@
 //! # The widen-then-refine race protocol
 //!
 //! Footprints are captured against one epoch but refined asynchronously by
-//! worker threads, so a stale footprint must never narrow an interest past a
-//! change it did not see. Two rules close the race:
+//! the threads answering queries, so a stale footprint must never narrow an
+//! interest past a change it did not see. Two rules close the race:
 //!
 //! * [`advance`](InterestIndex::advance) (called under the publish lock,
 //!   before the new epoch becomes visible) *widens* every affected query back

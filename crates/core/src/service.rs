@@ -122,8 +122,7 @@ impl RvaasController {
     }
 
     /// Creates a controller that delegates logical analysis to an explicit
-    /// [`AnalysisBackend`] — e.g. the `rvaas-service` worker-pool service
-    /// plane. The backend receives every snapshot change via
+    /// [`AnalysisBackend`] — e.g. the `rvaas-service` service plane. The backend receives every snapshot change via
     /// [`AnalysisBackend::publish`] and answers queries on demand.
     #[must_use]
     pub fn with_backend(

@@ -90,10 +90,14 @@ impl SwitchTable {
         Some(self.entries.remove(pos))
     }
 
+    /// Where in `entries` the entry with the given `(priority, match)` is.
+    fn slot_of(&self, priority: u16, flow_match: &FlowMatch) -> Option<usize> {
+        self.index.get(&(priority, flow_match.clone())).copied()
+    }
+
     fn get(&self, priority: u16, flow_match: &FlowMatch) -> Option<&FlowEntry> {
-        self.index
-            .get(&(priority, flow_match.clone()))
-            .map(|slot| &self.entries[*slot])
+        self.slot_of(priority, flow_match)
+            .map(|slot| &self.entries[slot])
     }
 
     fn from_entries(entries: Vec<FlowEntry>) -> Self {
@@ -193,8 +197,9 @@ impl NetworkSnapshot {
     /// Applies a batch of observed changes and returns the *effective* ones,
     /// in order: an install of an entry that is already installed and a
     /// removal of an absent key are dropped, an install over a present key
-    /// with other actions becomes the removal of the displaced entry plus
-    /// the install, and a removal names the entry the table actually held.
+    /// with other actions becomes the removal of the displaced entry (marked
+    /// [`RuleChange::displaced`]: it kept its slot) plus the install, and a
+    /// removal names the entry the table actually held.
     /// A rule that flaps within the batch stays in the list (both changes
     /// took effect), so a consumer can tell the region was perturbed.
     pub fn apply_changes(&mut self, changes: &[RuleChange], at: SimTime) -> Vec<RuleChange> {
@@ -204,7 +209,7 @@ impl NetworkSnapshot {
             if change.installed {
                 match self.put(switch, entry.clone()) {
                     Some(old) if old.actions == entry.actions => continue,
-                    Some(old) => effective.push(RuleChange::removed(switch, old)),
+                    Some(old) => effective.push(RuleChange::displaced(switch, old)),
                     None => {}
                 }
                 effective.push(change.clone());
@@ -222,42 +227,86 @@ impl NetworkSnapshot {
     }
 
     /// The effective changes that turn `self` into `next`: the removals of
-    /// every entry `next` no longer installs, then the installs of every
-    /// entry `self` does not install, in `next`'s per-switch arrival order.
-    /// An entry whose actions differ under the same `(priority, match)` is
-    /// both.
+    /// every entry that left its slot, then the installs of every entry
+    /// that did not keep one, in `next`'s per-switch arrival order. An entry
+    /// **kept its slot** when it stands, among `next`'s entries of its
+    /// priority, before any that arrived and behind the ones `self` held
+    /// before it — whatever applies the list removes, then appends behind
+    /// equal-priority peers, so it can leave exactly those where they are.
+    /// One that kept its slot with other actions is reported as
+    /// [`NetworkSnapshot::apply_changes`] reports a displacement: its
+    /// removal, marked [`RuleChange::displaced`], right before the install.
+    /// One that holds its key in both snapshots but not its slot (removed
+    /// and installed again in between) is a removal and an install, even
+    /// with the same actions. A table the two snapshots share is skipped: it
+    /// cannot contribute.
     #[must_use]
     pub fn changes_to(&self, next: &NetworkSnapshot) -> Vec<RuleChange> {
-        let removals = self
-            .absent_from(next)
-            .map(|(switch, entry)| RuleChange::removed(switch, entry.clone()));
-        let installs = next
-            .absent_from(self)
-            .map(|(switch, entry)| RuleChange::installed(switch, entry.clone()));
-        removals.chain(installs).collect()
+        let shared = |a: Option<&Arc<SwitchTable>>, b: &Arc<SwitchTable>| {
+            a.is_some_and(|a| Arc::ptr_eq(a, b))
+        };
+        let mut removals = Vec::new();
+        let mut installs = Vec::new();
+        for (switch, table) in &self.tables {
+            let theirs = next.tables.get(switch);
+            if shared(theirs, table) {
+                continue;
+            }
+            let gone = table.entries.iter().filter(|mine| {
+                theirs.is_none_or(|t| t.get(mine.priority, &mine.flow_match).is_none())
+            });
+            removals.extend(gone.map(|mine| RuleChange::removed(*switch, mine.clone())));
+        }
+        for (switch, table) in &next.tables {
+            let mine = self.tables.get(switch);
+            if shared(mine, table) {
+                continue;
+            }
+            // Per priority: the first slot of `self` a kept entry may still
+            // come from, `None` once an entry of that priority has arrived.
+            let mut open: BTreeMap<u16, Option<usize>> = BTreeMap::new();
+            for entry in &table.entries {
+                let slot = mine.and_then(|t| {
+                    let slot = t.slot_of(entry.priority, &entry.flow_match)?;
+                    Some((slot, &t.entries[slot]))
+                });
+                let from = open.entry(entry.priority).or_insert(Some(0));
+                match slot {
+                    Some((slot, held)) if from.is_some_and(|from| slot >= from) => {
+                        *from = Some(slot + 1);
+                        if held.actions != entry.actions {
+                            installs.push(RuleChange::displaced(*switch, held.clone()));
+                            installs.push(RuleChange::installed(*switch, entry.clone()));
+                        }
+                    }
+                    _ => {
+                        *from = None;
+                        if let Some((_, held)) = slot {
+                            removals.push(RuleChange::removed(*switch, held.clone()));
+                        }
+                        installs.push(RuleChange::installed(*switch, entry.clone()));
+                    }
+                }
+            }
+        }
+        removals.extend(installs);
+        removals
     }
 
     /// The entries `self` installs and `other` does not — key absent, or
-    /// held with other actions — per switch in arrival order. A table the
-    /// two snapshots share is skipped: it cannot contribute.
+    /// held with other actions — per switch in arrival order.
     fn absent_from<'a>(
         &'a self,
         other: &'a NetworkSnapshot,
     ) -> impl Iterator<Item = (SwitchId, &'a FlowEntry)> {
         self.tables.iter().flat_map(move |(switch, table)| {
             let theirs = other.tables.get(switch);
-            let mine = if theirs.is_some_and(|t| Arc::ptr_eq(t, table)) {
-                &[]
-            } else {
-                table.entries.as_slice()
-            };
-            mine.iter()
-                .filter(move |mine| {
-                    theirs
-                        .and_then(|t| t.get(mine.priority, &mine.flow_match))
-                        .is_none_or(|held| held.actions != mine.actions)
-                })
-                .map(move |entry| (*switch, entry))
+            let mine = table.entries.iter().filter(move |mine| {
+                theirs
+                    .and_then(|t| t.get(mine.priority, &mine.flow_match))
+                    .is_none_or(|held| held.actions != mine.actions)
+            });
+            mine.map(move |entry| (*switch, entry))
         })
     }
 
@@ -477,6 +526,7 @@ mod tests {
         }
         let on = |dst, port| RuleChange::installed(SwitchId(1), entry(dst, port));
         let off = |dst, port| RuleChange::removed(SwitchId(1), entry(dst, port));
+        let displaced = |dst, port| RuleChange::displaced(SwitchId(1), entry(dst, port));
 
         let mut after = before.clone();
         let effective = after.apply_changes(
@@ -490,7 +540,7 @@ mod tests {
             ],
             at,
         );
-        let expected = [off(6, 1), on(6, 2), on(7, 1), off(7, 1), on(8, 1)];
+        let expected = [displaced(6, 1), on(6, 2), on(7, 1), off(7, 1), on(8, 1)];
         assert_eq!(effective, expected);
         assert_eq!(
             after.table_of(SwitchId(1)),
@@ -499,12 +549,24 @@ mod tests {
         assert_eq!(after.history_len(), 1, "only what a table held is history");
 
         // Comparing the two snapshots yields the same list minus the flap:
-        // removals first, installs in arrival order.
-        let net = [off(6, 1), on(6, 2), on(8, 1)];
+        // removals first, installs in arrival order, each displaced entry
+        // right before the install that took its slot.
+        let net = [displaced(6, 1), on(6, 2), on(8, 1)];
         assert_eq!(before.changes_to(&after), net);
         assert_eq!(after.changes_to(&after), []);
-        let undo = [off(6, 2), off(8, 1), on(6, 1)];
+        let undo = [off(8, 1), displaced(6, 2), on(6, 1)];
         assert_eq!(after.changes_to(&before), undo);
+
+        // Holding its key in both snapshots is not keeping its slot: dst 5,
+        // removed and installed again, now stands behind its peers.
+        let mut moved = after.clone();
+        moved.record_removed(SwitchId(1), &entry(5, 1), at);
+        moved.record_installed(SwitchId(1), entry(5, 1), at);
+        assert_eq!(after.changes_to(&moved), [off(5, 1), on(5, 1)]);
+        assert_eq!(
+            moved.changes_to(&after),
+            [off(6, 2), off(8, 1), on(6, 2), on(8, 1)]
+        );
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl LogicalVerifier {
     /// in a memo private to the session, so a batch of queries sharing
     /// source hosts costs one traversal per host instead of one per query.
     /// This is the from-scratch reference every service-plane test and
-    /// benchmark compares against; the worker pool itself uses it only under
+    /// benchmark compares against; the service plane itself uses it only under
     /// history-mode verification.
     #[must_use]
     pub fn evaluator<'a>(&'a self, snapshot: &'a NetworkSnapshot) -> QueryEvaluator<'a> {
@@ -156,7 +156,7 @@ impl LogicalVerifier {
 
     /// Like [`LogicalVerifier::evaluator_with`], but reads and writes its
     /// traversals through a [`TraversalMemo`] that outlives the session —
-    /// the service plane's worker pool answers every batch this way, over
+    /// the service plane's query path answers every batch this way, over
     /// the function the epoch store's one
     /// [`crate::incremental::IncrementalModel`] froze into the epoch and the
     /// memo that epoch carries, so a traversal is walked once per epoch, not
@@ -778,7 +778,7 @@ impl QueryEvaluator<'_> {
 
     /// The verdict of `(client, spec)` plus the traversal footprint behind
     /// it (see [`footprint_of`](Self::footprint_of)), both read from one
-    /// lookup of each traversal — the worker-pool entry point feeding the
+    /// lookup of each traversal — the service plane's entry point feeding the
     /// interest-space index.
     #[must_use]
     pub fn answer_with_footprint(
@@ -1181,7 +1181,7 @@ mod tests {
         let topo = generators::line(4, 2);
         let v = verifier(&topo);
         let epoch = Epoch::new(&topo, &[]);
-        // A fresh session per call, as the worker pool starts one per batch.
+        // A fresh session per call, as the service plane starts one per batch.
         let destinations = |client: u32| {
             let mut session = epoch.session(&v);
             let served = session.reachable_destinations(ClientId(client));

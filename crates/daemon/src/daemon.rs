@@ -11,12 +11,15 @@
 //!   Prometheus exposition (see [`crate::http`]) over persistent
 //!   keep-alive connections.
 //!
-//! Each listener hands accepted sockets to a **bounded pool** of
-//! connection workers over a channel — a misbehaving client burns at most
-//! one worker, never an unbounded pile of threads. Shutdown is
-//! cooperative: a shared flag flips, the nonblocking accept loops notice
-//! within one poll interval and exit (dropping the channel sender), the
-//! workers drain and exit on the closed channel, and [`Daemon::shutdown`]
+//! There is **one thread tier**: each listener hands accepted sockets over a
+//! channel to `workers` connection threads, and a connection thread answers
+//! its own requests — parses, verifies (the service runs a query on the
+//! calling thread) and writes the response. A misbehaving client burns at
+//! most one of them; a connection beyond the `workers` being served waits
+//! on the channel until one closes. Shutdown is cooperative: a shared flag
+//! flips, [`Daemon::shutdown`] wakes each blocking accept loop with a
+//! connection of its own, the loops exit (dropping the channel sender), the
+//! connection threads drain and exit on the closed channel, and `shutdown`
 //! joins everything before returning.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -35,17 +38,14 @@ use rvaas_types::SimTime;
 use crate::config::DaemonConfig;
 use crate::http;
 
-/// How often the accept loops poll the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// Pause after a failed `accept`, so a persistent error cannot spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 /// Read timeout on sync connections: bounds both a stuck peer and the
 /// drain latency at shutdown.
 const SYNC_READ_TIMEOUT: Duration = Duration::from_millis(100);
 /// Read timeout on HTTP connections: bounds a stalled request and caps how
-/// long an idle keep-alive connection can pin a pool worker.
+/// long an idle keep-alive connection can pin a connection thread.
 const HTTP_READ_TIMEOUT: Duration = Duration::from_millis(1000);
-/// Connection workers per listener: the bound on concurrently served
-/// connections (excess accepted sockets queue on the channel).
-const CONNECTION_WORKERS: usize = 4;
 
 /// A running `rvaas` daemon.
 #[derive(Debug)]
@@ -167,11 +167,16 @@ impl Daemon {
     }
 
     /// Flips the shutdown flag and joins every listener and connection
-    /// worker: on return no daemon thread is running.
+    /// thread: on return no daemon thread is running.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Each accept loop blocks in `accept` and reads the flag when it
+        // returns: one connection to its own address wakes it.
+        for addr in [self.sync_addr, self.http_addr].into_iter().flatten() {
+            let _ = TcpStream::connect(addr);
+        }
         // Listeners first: each exit drops a channel sender, which releases
-        // that listener's workers once the queue drains.
+        // that listener's connection threads once the queue drains.
         for handle in self.listeners.drain(..) {
             let _ = handle.join();
         }
@@ -180,7 +185,8 @@ impl Daemon {
         }
     }
 
-    /// Spawns one accept loop plus its bounded pool of connection workers.
+    /// Spawns one accept loop plus its `workers` connection threads: the one
+    /// place that setting starts any, and the only threads answering queries.
     fn spawn_listener(
         &mut self,
         listener: TcpListener,
@@ -204,22 +210,22 @@ impl Daemon {
             ),
             active: registry.gauge(
                 "rvaas_http_connections_active",
-                "HTTP connections currently being served.",
+                "HTTP connections currently being served, of at most rvaas_workers.",
             ),
             sync_active: registry.gauge(
                 "rvaas_sync_sessions_active",
-                "Sync TCP sessions currently open (each holds a connection worker).",
+                "Sync TCP sessions currently being served, of at most rvaas_workers.",
             ),
             started: self.started,
         };
         let (sender, receiver) = mpsc::channel::<TcpStream>();
         let receiver = Arc::new(Mutex::new(receiver));
-        for _ in 0..CONNECTION_WORKERS {
+        for _ in 0..self.service.worker_count() {
             let context = context.clone();
             let receiver = Arc::clone(&receiver);
             self.workers.push(thread::spawn(move || loop {
                 // Take the next socket, then drop the lock before serving
-                // so the other workers keep draining the queue.
+                // so the other connection threads keep draining the queue.
                 let stream = receiver
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -230,26 +236,29 @@ impl Daemon {
                 }
             }));
         }
-        self.listeners.push(thread::spawn(move || {
-            while !context.shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        context.accepted.inc();
-                        if sender.send(stream).is_err() {
-                            return; // no workers left
-                        }
+        self.listeners.push(thread::spawn(move || loop {
+            let accepted = listener.accept();
+            // Read after every return: the connection that ended the wait
+            // may be `Daemon::shutdown`'s wake-up.
+            if context.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            match accepted {
+                Ok((stream, _peer)) => {
+                    context.accepted.inc();
+                    if sender.send(stream).is_err() {
+                        return; // no connection threads left
                     }
-                    // WouldBlock is the idle case; other accept errors
-                    // (e.g. a reset mid-handshake) are transient and must
-                    // not kill the listener either.
-                    Err(_) => thread::sleep(ACCEPT_POLL),
                 }
+                // Accept errors (e.g. a reset mid-handshake) are transient
+                // and must not kill the listener.
+                Err(_) => thread::sleep(ACCEPT_BACKOFF),
             }
         }));
     }
 }
 
-/// Everything a connection worker needs, cloned per worker.
+/// Everything a connection thread needs, cloned per thread.
 #[derive(Clone)]
 struct ConnectionContext {
     service: Arc<VerificationService>,
@@ -264,12 +273,7 @@ struct ConnectionContext {
 }
 
 fn bind(addr: &str) -> Result<TcpListener, ServiceError> {
-    let listener = TcpListener::bind(addr)
-        .map_err(|e| ServiceError::Config(format!("cannot bind {addr}: {e}")))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ServiceError::Config(format!("cannot configure listener {addr}: {e}")))?;
-    Ok(listener)
+    TcpListener::bind(addr).map_err(|e| ServiceError::Config(format!("cannot bind {addr}: {e}")))
 }
 
 fn local_addr(listener: &TcpListener) -> Result<SocketAddr, ServiceError> {
@@ -281,9 +285,7 @@ fn local_addr(listener: &TcpListener) -> Result<SocketAddr, ServiceError> {
 /// One sync session: frames in, frames out, until EOF, error or shutdown.
 fn serve_sync_connection(context: &ConnectionContext, stream: TcpStream) {
     let mut stream = stream;
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(SYNC_READ_TIMEOUT)).is_err()
-    {
+    if stream.set_read_timeout(Some(SYNC_READ_TIMEOUT)).is_err() {
         return;
     }
     context.sync_active.inc();
@@ -320,9 +322,7 @@ fn serve_sync_connection(context: &ConnectionContext, stream: TcpStream) {
 /// client asks to close, goes idle, sends garbage or the daemon shuts down.
 fn serve_http_connection(context: &ConnectionContext, stream: TcpStream) {
     let mut stream = stream;
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(HTTP_READ_TIMEOUT)).is_err()
-    {
+    if stream.set_read_timeout(Some(HTTP_READ_TIMEOUT)).is_err() {
         return;
     }
     context.active.inc();

@@ -223,7 +223,6 @@ pub fn status_for(error: &ServiceError) -> u16 {
         | ServiceError::Codec(_)
         | ServiceError::Config(_)
         | ServiceError::VersionMismatch { .. } => 400,
-        ServiceError::PoolUnavailable { .. } | ServiceError::QueryDropped => 503,
         ServiceError::PublishRejected(_) => 500,
     }
 }
@@ -451,11 +450,6 @@ mod tests {
         assert_eq!(
             status_for(&ServiceError::InvalidQuery("x".to_string())),
             400
-        );
-        assert_eq!(status_for(&ServiceError::QueryDropped), 503);
-        assert_eq!(
-            status_for(&ServiceError::PoolUnavailable { context: "submit" }),
-            503
         );
         assert_eq!(
             status_for(&ServiceError::PublishRejected("full".to_string())),

@@ -3,7 +3,7 @@
 //! the Prometheus scrape, protocol-version negotiation and clean shutdown
 //! — all in-process on ephemeral ports.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -233,10 +233,10 @@ fn daemon_serves_http_and_concurrent_sync_sessions_over_an_epoch_publish() {
     );
     assert!(value_of("rvaas_sync_sessions_total") >= 2.0);
     assert!(value_of("rvaas_queries_total") >= 1.0);
-    // Both sync sessions are still open, each holding a connection worker.
+    // Both sync sessions are still open, each holding a connection thread.
     assert_eq!(value_of("rvaas_sync_sessions_active"), 2.0);
 
-    // Closed, they release their workers — once each worker's next read
+    // Closed, they release their threads — once each thread's next read
     // notices the EOF.
     drop(conn1);
     drop(conn2);
@@ -278,8 +278,8 @@ fn http_queries_expose_causal_trace_chains_and_status() {
     assert!(trace > 0, "verdicts echo a trace id");
 
     // Fetch the chain by the echoed id: it must be causal — ingress first,
-    // dispatch then eval in the middle, the verdict after, all under the
-    // same trace id with monotone timestamps.
+    // the cache lookup then eval in the middle, the verdict after, all under
+    // the same trace id with monotone timestamps.
     let (status, body) = http(http_addr, "GET", &format!("/v1/trace/{trace}"), "");
     assert_eq!(status, 200, "{body}");
     let doc = json::parse(&body).unwrap();
@@ -298,8 +298,8 @@ fn http_queries_expose_causal_trace_chains_and_status() {
             .unwrap_or_else(|| panic!("{name} missing from chain {stages:?}"))
     };
     assert_eq!(pos("ingress.http"), 0, "ingress leads the chain");
-    assert!(pos("ingress.http") < pos("pool.dispatch"));
-    assert!(pos("pool.dispatch") < pos("pool.eval"));
+    assert!(pos("ingress.http") < pos("cache.miss"));
+    assert!(pos("cache.miss") < pos("pool.eval"));
     assert!(pos("pool.eval") < pos("verdict"));
     let times: Vec<u64> = events
         .iter()
@@ -476,6 +476,90 @@ fn a_sync_peer_that_stalls_mid_frame_is_dropped_while_another_keeps_syncing() {
 
     sync_roundtrip(&mut healthy, &mut session, ClientId(2));
     assert_eq!(session.serial(), daemon.service().current_serial());
+    daemon.shutdown();
+}
+
+/// The value of an unlabelled series in the daemon's own registry (read in
+/// process: a scrape would need a connection thread of its own).
+fn gauge(daemon: &Daemon, name: &str) -> i64 {
+    let scrape = daemon.service().registry().render_text();
+    let sample = scrape
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '));
+    sample
+        .unwrap_or_else(|| panic!("{name} is not exported"))
+        .parse()
+        .unwrap()
+}
+
+/// Asserts nothing arrives on `stream` for a while (and that it stays open).
+fn assert_unanswered(stream: &mut TcpStream) {
+    stream
+        .set_read_timeout(Some(Duration::from_millis(250)))
+        .unwrap();
+    match stream.read(&mut [0u8; 1]) {
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        other => panic!("expected to be kept waiting, got {other:?}"),
+    }
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+}
+
+/// `workers` sizes the one thread tier there is: each listener serves that
+/// many connections at a time, each on a thread that answers its own
+/// requests. One more is neither refused nor given a thread of its own: it
+/// waits, and is served as soon as one of the others closes.
+#[test]
+fn a_connection_beyond_the_workers_waits_until_one_closes() {
+    let daemon = started_daemon(); // workers = 2
+    let get = "GET /v1/epoch HTTP/1.1\r\nHost: rvaas\r\n\r\n";
+
+    let http_addr = daemon.http_addr().unwrap();
+    let mut served: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(http_addr).unwrap())
+        .collect();
+    let mut third = TcpStream::connect(http_addr).expect("not refused");
+    write!(third, "{get}").unwrap();
+    // Both threads are taken, and stay taken while the third waits (an idle
+    // keep-alive connection is dropped after a second: keep them busy).
+    for stream in &mut served {
+        write!(stream, "{get}").unwrap();
+        assert_eq!(read_response(stream).0, 200);
+    }
+    assert_eq!(gauge(&daemon, "rvaas_http_connections_active"), 2);
+    assert_unanswered(&mut third);
+    assert_eq!(gauge(&daemon, "rvaas_http_connections_active"), 2);
+    assert_eq!(gauge(&daemon, "rvaas_http_connections_total"), 3);
+    drop(served.pop());
+    assert_eq!(
+        read_response(&mut third).0,
+        200,
+        "served by the freed thread"
+    );
+    drop((served, third));
+
+    // The same for sync sessions, which never idle out.
+    let sync_addr = daemon.sync_addr().unwrap();
+    let mut sessions: Vec<(TcpStream, SyncSession)> = (0..2)
+        .map(|_| (sync_connect(sync_addr), SyncSession::new()))
+        .collect();
+    for (stream, session) in &mut sessions {
+        sync_roundtrip(stream, session, ClientId(1));
+    }
+    assert_eq!(gauge(&daemon, "rvaas_sync_sessions_active"), 2);
+    let (mut third, mut session) = (sync_connect(sync_addr), SyncSession::new());
+    write_frame(&mut third, &session.request(ClientId(2)).encode()).unwrap();
+    assert_unanswered(&mut third);
+    assert_eq!(gauge(&daemon, "rvaas_sync_sessions_active"), 2);
+    drop(sessions.pop());
+    let frame = read_frame(&mut third).unwrap().expect("served, not closed");
+    let InbandMessage::SyncResponse(response) = decode_inband(&frame).unwrap() else {
+        panic!("expected a SyncResponse");
+    };
+    session.apply(&response).unwrap();
+    assert_eq!(session.serial(), daemon.service().current_serial());
+    drop((sessions, third));
     daemon.shutdown();
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end tour of the `rvaas-service` verification service plane:
 //!
 //! 1. a full simulated scenario whose RVaaS controller delegates analysis
-//!    to the worker-pool backend (`ScenarioBuilder::service_backend`),
+//!    to the service-plane backend (`ScenarioBuilder::service_backend`),
 //! 2. the service used directly — epoch publishing under churn, batched
 //!    queries, the result cache, and RTR-style delta sync, and
 //! 3. the telemetry registry behind it all, rendered in Prometheus text
@@ -22,12 +22,12 @@ fn main() -> Result<(), ServiceError> {
     // --- 1. A simulated scenario riding the service plane -----------------
     let topo = generators::leaf_spine(2, 4, 2, 1);
     println!(
-        "scenario: leaf-spine fabric, {} switches / {} hosts, RVaaS backed by a 4-worker pool",
+        "scenario: leaf-spine fabric, {} switches / {} hosts, RVaaS backed by the service plane",
         topo.switch_count(),
         topo.host_count()
     );
     let mut scenario = ScenarioBuilder::new(topo.clone())
-        .service_backend(4)
+        .service_backend()
         .query(HostId(1), SimTime::from_millis(5), QuerySpec::Isolation)
         .query(
             HostId(2),
@@ -50,11 +50,7 @@ fn main() -> Result<(), ServiceError> {
     // --- 2. The service plane driven directly ----------------------------
     let service = VerificationService::new(
         topo.clone(),
-        ServiceSettings {
-            workers: 4,
-            ..ServiceSettings::default()
-        }
-        .into_config(VerifierConfig {
+        ServiceSettings::default().into_config(VerifierConfig {
             use_history: false,
             locations: LocationMap::disclosed(&topo),
         }),
@@ -115,7 +111,7 @@ fn main() -> Result<(), ServiceError> {
     );
 
     // --- 3. The metrics registry, scraped -------------------------------
-    // Everything above — queries, cache traffic, epoch publishes, worker
+    // Everything above — queries, cache traffic, epoch publishes, query
     // batches — was recorded into the service's shared registry as it
     // happened; render it exactly as a `/metrics` endpoint would.
     let exposition = service.registry().render_text();

@@ -97,6 +97,13 @@ impl RuleTransfer {
         self
     }
 
+    /// True when `other` may take this rule's place in a table: everything
+    /// that orders and matches a rule is equal, only action and cookie differ.
+    fn same_slot(&self, other: &RuleTransfer) -> bool {
+        (self.priority, self.in_port, self.match_cube)
+            == (other.priority, other.in_port, other.match_cube)
+    }
+
     fn applies_to_port(&self, port: PortId) -> bool {
         self.in_port.is_none_or(|p| p == port)
     }
@@ -181,6 +188,19 @@ impl SwitchTransfer {
     pub fn remove_rule(&mut self, rule: &RuleTransfer) -> Option<RuleTransfer> {
         let pos = self.position_of(rule)?;
         Some(self.rules.remove(pos))
+    }
+
+    /// Replaces the first rule equivalent to `old` (see
+    /// [`SwitchTransfer::position_of`]) with `new` **in its slot**: what a
+    /// switch does when an add arrives for a `(priority, ingress, match)` it
+    /// already holds — the actions change, the entry's place among its
+    /// equal-priority peers does not. Returns the slot, or `None` (and
+    /// changes nothing) when `old` is not installed or `new` differs from it
+    /// in more than action and cookie.
+    pub fn replace_rule(&mut self, old: &RuleTransfer, new: RuleTransfer) -> Option<usize> {
+        let pos = self.position_of(old).filter(|_| old.same_slot(&new))?;
+        self.rules[pos] = new;
+        Some(pos)
     }
 
     /// The *exposed* header region of the rule at `index`: its match cube
@@ -436,6 +456,24 @@ impl NetworkFunction {
         let region = shared.exposed_region(index);
         Arc::make_mut(shared).rules.remove(index);
         Some(region)
+    }
+
+    /// Incrementally replaces the rule equivalent to `old` on `switch` with
+    /// `new` in its slot (see [`SwitchTransfer::replace_rule`]) and returns
+    /// the affected header region: the slot's exposed region, which the old
+    /// rule was serving and the new one serves now. Returns `None`, changing
+    /// nothing, when the replacement does not apply.
+    pub fn replace_rule(
+        &mut self,
+        switch: SwitchId,
+        old: &RuleTransfer,
+        new: RuleTransfer,
+    ) -> Option<HeaderSpace> {
+        let shared = self.switches.get_mut(&switch)?;
+        // Look before copying: a miss must not unshare the table.
+        let index = shared.position_of(old).filter(|_| old.same_slot(&new))?;
+        Arc::make_mut(shared).rules[index] = new;
+        Some(shared.exposed_region(index))
     }
 
     /// Connects two switch ports with a bidirectional internal link.
@@ -870,6 +908,43 @@ mod tests {
         // A different action is a different rule.
         let wrong_action = RuleTransfer::new(10, dst_match(1), RuleAction::Drop);
         assert!(t.remove_rule(&wrong_action).is_none());
+    }
+
+    #[test]
+    fn replace_rule_keeps_the_slot_among_equal_priority_peers() {
+        let peer =
+            |dst, port| RuleTransfer::new(10, dst_match(dst), RuleAction::forward(PortId(port)));
+        let mut t = SwitchTransfer::from_rules([peer(1, 1), peer(2, 2), peer(3, 3)]);
+        assert_eq!(t.replace_rule(&peer(2, 2), peer(2, 9)), Some(1));
+        assert_eq!(t.rules(), [peer(1, 1), peer(2, 9), peer(3, 3)]);
+        // Not installed (any more), or not the same slot: nothing changes.
+        assert_eq!(t.replace_rule(&peer(2, 2), peer(2, 7)), None);
+        assert_eq!(t.replace_rule(&peer(2, 9), peer(4, 9)), None);
+        let other_priority = RuleTransfer::new(20, dst_match(2), RuleAction::Drop);
+        assert_eq!(t.replace_rule(&peer(2, 9), other_priority), None);
+        assert_eq!(t.rules(), [peer(1, 1), peer(2, 9), peer(3, 3)]);
+
+        // Through the network function: the region is the slot's exposed
+        // one, and a clone taken before never sees the edit.
+        let mut nf = NetworkFunction::new();
+        nf.insert_rule(
+            SwitchId(1),
+            RuleTransfer::new(20, dst_match(2), RuleAction::Drop),
+        );
+        nf.insert_rule(
+            SwitchId(1),
+            RuleTransfer::new(10, Cube::wildcard(), RuleAction::Drop),
+        );
+        let frozen = nf.clone();
+        let wide = RuleTransfer::new(10, Cube::wildcard(), RuleAction::forward(PortId(4)));
+        let old = RuleTransfer::new(10, Cube::wildcard(), RuleAction::Drop);
+        let region = nf
+            .replace_rule(SwitchId(1), &old, wide.clone())
+            .expect("held");
+        assert!(region.contains(&header_to(1)) && !region.contains(&header_to(2)));
+        assert_eq!(nf.transfer(SwitchId(1)).unwrap().rules()[1], wide);
+        assert_eq!(frozen.transfer(SwitchId(1)).unwrap().rules()[1], old);
+        assert_eq!(nf.replace_rule(SwitchId(1), &old, wide), None);
     }
 
     #[test]

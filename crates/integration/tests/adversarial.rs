@@ -106,11 +106,7 @@ fn verifier_config(topology: &Topology) -> VerifierConfig {
 }
 
 fn service(topology: &Topology) -> VerificationService {
-    let config = ServiceSettings {
-        workers: 2,
-        ..ServiceSettings::default()
-    }
-    .into_config(verifier_config(topology));
+    let config = ServiceSettings::default().into_config(verifier_config(topology));
     VerificationService::new(topology.clone(), config)
 }
 
@@ -156,11 +152,18 @@ fn service_plane_attacks(topology: &Topology) -> Vec<Attack> {
 }
 
 fn all_queries(topology: &Topology) -> Vec<(ClientId, QuerySpec)> {
+    let clients = [ClientId(1), ClientId(2)];
+    queries_of(
+        clients
+            .into_iter()
+            .filter(|c| !topology.hosts_of_client(*c).is_empty()),
+    )
+}
+
+/// The parameterless query mix, once per client.
+fn queries_of(clients: impl IntoIterator<Item = ClientId>) -> Vec<(ClientId, QuerySpec)> {
     let mut queries = Vec::new();
-    for client in [ClientId(1), ClientId(2)] {
-        if topology.hosts_of_client(client).is_empty() {
-            continue;
-        }
+    for client in clients {
         for spec in [
             QuerySpec::ReachableDestinations,
             QuerySpec::ReachingSources,
@@ -277,6 +280,61 @@ fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
         let context = format!("action rewrite {phase}");
         assert_model_matches_rebuild(&verification, &snapshot, &context);
         assert_verdicts_match(&verification, &oracle, &snapshot, &queries, &context);
+    }
+}
+
+/// In-place displacement: two exfiltrations of one victim toward different
+/// collectors put different actions on one `(priority, match)` key, so the
+/// second displaces the first *in its slot* — in the switch, in the snapshot,
+/// in a rebuild. A join rule installed between the two overlaps it at equal
+/// priority, so where the displaced rule sits decides what is forwarded: a
+/// model that re-installed it behind its peers would answer reachability and
+/// isolation differently from the oracle until its next rebuild.
+#[test]
+fn an_in_place_displacement_keeps_its_slot_among_equal_priority_peers() {
+    let topology = generators::leaf_spine(2, 3, 3, 7);
+    let oracle = oracle(&topology);
+    let hosts: Vec<_> = topology.hosts().cloned().collect();
+    let victim = &hosts[0];
+    let outsiders: Vec<_> = hosts.iter().filter(|h| h.owner != victim.owner).collect();
+    let queries = queries_of(topology.clients());
+    let exfiltrate = |collector: HostId| Attack::Exfiltrate {
+        victim_host: victim.id,
+        collector_host: collector,
+    };
+    for attacker in &outsiders {
+        for k in 0..3 {
+            let (first, second) = (outsiders[k].id, outsiders[(k + 1) % outsiders.len()].id);
+            let verification = service(&topology);
+            let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
+            publish(&verification, &snapshot, SimTime::from_millis(1));
+            let steps = [
+                ("first exfiltration", exfiltrate(first)),
+                (
+                    "join beside it",
+                    Attack::Join {
+                        attacker_host: attacker.id,
+                        victim_client: victim.owner,
+                    },
+                ),
+                ("displacing exfiltration", exfiltrate(second)),
+            ];
+            for (i, (phase, attack)) in steps.into_iter().enumerate() {
+                let at = SimTime::from_millis(10 + 5 * i as u64);
+                let changes = apply_messages(&mut snapshot, &attack.compile(&topology), at);
+                verification.try_publish_changes(&changes, at).unwrap();
+                let context = format!("{phase} ({} joins, {first} then {second})", attacker.id);
+                assert!(
+                    reachability_equivalent(
+                        &verification.store().current().function,
+                        &snapshot.to_network_function(&topology),
+                    ),
+                    "{context}: the frozen model forwards differently from a rebuild"
+                );
+                assert_model_matches_rebuild(&verification, &snapshot, &context);
+                assert_verdicts_match(&verification, &oracle, &snapshot, &queries, &context);
+            }
+        }
     }
 }
 

@@ -635,7 +635,7 @@ proptest! {
             use_history: false,
             locations: rvaas::LocationMap::disclosed(&topo),
         };
-        let settings = ServiceSettings { workers: 2, cache: false, ..ServiceSettings::default() };
+        let settings = ServiceSettings { cache: false, ..ServiceSettings::default() };
         let service =
             VerificationService::new(topo.clone(), settings.into_config(verifier_config.clone()));
         let oracle = rvaas::LogicalVerifier::new(topo.clone(), verifier_config);
@@ -663,17 +663,15 @@ proptest! {
             (read("rvaas_traversal_memo_hits_total"), read("rvaas_traversal_memo_misses_total"))
         };
 
-        // The attack an op names. No two of them put different actions on
-        // one (priority, match) key: the three that key a rule on
-        // `to_ip(victim)` take their victims from one tenant each, and the
-        // victim or source host alone determines the collector or the
-        // detour (`a` only picks that host). Otherwise one
-        // attack would displace another's rule in place, which the model
-        // re-installs behind its equal-priority peers while a rebuild keeps
-        // its slot — the documented order caveat of `EpochStore`, observable
-        // with these very attacks and not this property's subject.
+        // The attack an op names, victims and accomplices drawn freely: two
+        // of them may well put different actions on one (priority, match)
+        // key, and the later one then displaces the earlier in its slot.
         let attack_of = |kind: u8, a: usize, b: usize| -> Attack {
-            let pick = |client: ClientId, i: usize| { let mine = of(client); mine[i % mine.len()].id };
+            let host = |i: usize| &hosts[i % hosts.len()];
+            let outsider = |of: &rvaas_topology::Host, i: usize| {
+                let others: Vec<_> = hosts.iter().filter(|h| h.owner != of.owner).collect();
+                others[i % others.len()].id
+            };
             match kind {
                 0 => {
                     let attacker = &hosts[a % hosts.len()];
@@ -681,22 +679,18 @@ proptest! {
                         clients.iter().copied().filter(|c| *c != attacker.owner).collect();
                     Attack::Join { attacker_host: attacker.id, victim_client: victims[b % victims.len()] }
                 }
-                1 => {
-                    let victim = a % of(clients[0]).len();
-                    Attack::Exfiltrate {
-                        victim_host: pick(clients[0], victim),
-                        collector_host: pick(clients[1 + victim % 2], victim / 2),
-                    }
-                }
-                2 => Attack::Blackhole { victim_host: pick(clients[1], a) },
+                1 => Attack::Exfiltrate {
+                    victim_host: host(a).id,
+                    collector_host: outsider(host(a), b),
+                },
+                2 => Attack::Blackhole { victim_host: host(a).id },
                 3 => {
-                    let source = a % hosts.len();
-                    let from = &hosts[source];
+                    let from = host(a);
                     let peers: Vec<_> = of(from.owner).into_iter().filter(|h| h.id != from.id).collect();
-                    let via = topo.switches().nth(source * 7 % switches.len()).expect("in range");
+                    let via = topo.switches().nth(b % switches.len()).expect("in range");
                     Attack::GeoDivert {
                         from_host: from.id,
-                        to_host: peers[source / 3 % peers.len()].id,
+                        to_host: peers[b / switches.len() % peers.len()].id,
                         via_region: via.location.region.clone(),
                     }
                 }

@@ -1,10 +1,10 @@
 //! The adapter plugging the service plane into the RVaaS controller.
 //!
 //! [`ServiceBackend`] implements [`rvaas::AnalysisBackend`]: the controller
-//! publishes every snapshot change as a new epoch and delegates each query
-//! to the worker pool, so logical analysis runs on the service plane's
-//! threads (with batching and caching) instead of inline in the simulation
-//! event handler.
+//! publishes every snapshot change as a new epoch and answers each query
+//! through the service's one evaluation path — the epoch's frozen function,
+//! its traversal memo and the result cache — instead of rebuilding the model
+//! per query in the simulation event handler.
 
 use rvaas::{AnalysisBackend, NetworkSnapshot};
 use rvaas_client::{QueryResult, QuerySpec};
@@ -90,7 +90,7 @@ impl AnalysisBackend for ServiceBackend {
         }
         self.service
             .try_query(client, spec.clone())
-            .expect("the backend owns the pool, so it outlives every query")
+            .expect("answering on the calling thread cannot fail")
             .result
     }
 }
@@ -120,11 +120,7 @@ mod tests {
         ));
         let mut service = ServiceBackend::new(
             topology.clone(),
-            ServiceSettings {
-                workers: 3,
-                ..ServiceSettings::default()
-            }
-            .into_config(verifier_config),
+            ServiceSettings::default().into_config(verifier_config),
         );
         for client in [ClientId(1), ClientId(2)] {
             for spec in [
@@ -154,11 +150,7 @@ mod tests {
         };
         let mut backend = ServiceBackend::new(
             topology.clone(),
-            ServiceSettings {
-                workers: 1,
-                ..ServiceSettings::default()
-            }
-            .into_config(verifier_config.clone()),
+            ServiceSettings::default().into_config(verifier_config.clone()),
         );
         // A burst of monitor events within one debounce window publishes
         // once, not once per event.

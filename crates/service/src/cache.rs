@@ -122,7 +122,7 @@ impl ResultCache {
     }
 
     /// Stores a result computed at `serial`. Results older than the cache's
-    /// current generation (computed by a worker that raced a publish) are
+    /// current generation (computed by a query that raced a publish) are
     /// discarded rather than clobbering a fresher entry.
     pub fn put(&self, serial: u64, client: ClientId, spec: QuerySpec, result: QueryResult) {
         if !self.enabled {
@@ -180,7 +180,7 @@ impl ResultCache {
         let mut invalidated = 0u64;
         guard.entries.retain(|(client, spec), entry| {
             if entry.0 >= to_serial {
-                // A worker already answered against the new epoch.
+                // A query already answered against the new epoch.
                 return true;
             }
             if entry.0 + 1 == to_serial && !affected(*client, spec) {
@@ -303,7 +303,7 @@ mod tests {
     fn racing_put_at_new_serial_survives_advance() {
         let cache = ResultCache::with_registry(true, &Registry::new());
         cache.advance(1, |_, _| true);
-        // A worker that grabbed epoch 2 before the publisher advanced the
+        // A query that grabbed epoch 2 before the publisher advanced the
         // cache writes first...
         cache.put(2, ClientId(1), QuerySpec::Isolation, result(9));
         cache.advance(2, |_, _| true);

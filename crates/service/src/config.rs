@@ -2,11 +2,11 @@
 //!
 //! The config is split in two:
 //!
-//! * [`ServiceSettings`] — the plain-data knobs (worker count, cache,
+//! * [`ServiceSettings`] — the plain-data knobs (connection threads, cache,
 //!   delta history, listener addresses, flight-recorder shape); none of
 //!   them selects how a verdict is computed. [`Default`]-constructible —
 //!   in-process callers write
-//!   `ServiceSettings { workers: 2, ..Default::default() }` — and settable by
+//!   `ServiceSettings { cache: false, ..Default::default() }` — and settable by
 //!   string key/value pairs ([`ServiceSettings::set`]), so the daemon's
 //!   config-file parser and its CLI flag overrides share one validation
 //!   path and every knob has one name and one default.
@@ -23,7 +23,9 @@ use crate::error::ServiceError;
 /// The declarative, file-constructible knobs of the verification service.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceSettings {
-    /// Number of worker threads (minimum 1).
+    /// Connection threads the daemon runs per listener, each answering its
+    /// own requests (minimum 1). The service itself starts no thread; an
+    /// in-process caller has no use for this.
     pub workers: usize,
     /// Whether the `(serial, client, spec)` result cache is consulted.
     pub cache: bool,
@@ -44,9 +46,9 @@ pub struct ServiceSettings {
 }
 
 impl Default for ServiceSettings {
-    /// Sensible defaults: 4 workers, caching on, 64 retained deltas, no
-    /// listeners (in-process use), a 4096-slot flight-recorder ring and a
-    /// 10 ms slow-query threshold.
+    /// Sensible defaults: 4 connection threads per listener, caching on, 64
+    /// retained deltas, no listeners (in-process use), a 4096-slot
+    /// flight-recorder ring and a 10 ms slow-query threshold.
     fn default() -> Self {
         ServiceSettings {
             workers: 4,
@@ -137,7 +139,7 @@ impl ServiceSettings {
 pub struct ServiceConfig {
     /// The declarative knobs.
     pub settings: ServiceSettings,
-    /// Verifier configuration shared by every worker.
+    /// Verifier configuration every evaluator session is opened with.
     pub verifier: VerifierConfig,
 }
 

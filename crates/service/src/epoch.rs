@@ -1,6 +1,6 @@
 //! Epoch-published snapshots: immutable, serially numbered freezes of the
-//! monitor's [`NetworkSnapshot`], swapped atomically so query workers never
-//! block the publisher (and vice versa).
+//! monitor's [`NetworkSnapshot`], swapped atomically so the threads answering
+//! queries never block the publisher (and vice versa).
 //!
 //! An epoch is its predecessor plus a **net rule-change list**, and shares
 //! with its predecessor everything the list did not touch: publish time and
@@ -24,19 +24,19 @@
 //!   model reported for the list, from which the interest index selects the
 //!   standing queries the cache and the sync server re-verify;
 //! * the **model itself** — a structure-sharing copy of its
-//!   [`NetworkFunction`] rides in the [`SnapshotEpoch`], so every query
-//!   worker evaluates against it directly and no second model exists.
+//!   [`NetworkFunction`] rides in the [`SnapshotEpoch`], so every query is
+//!   evaluated against it directly and no second model exists.
 //!   Freezing copies only the tables of the switches the list touched.
 //!
 //! The model applies removals, then installs in arrival order — where a
-//! rebuild's stable sort of the arrival-ordered tables puts them too — and
-//! rebuilds outright when a list is too large or does not resolve. (Only an
-//! entry displaced *in place* — same priority and match, new actions, on
-//! either publish path — lands elsewhere: it is re-installed behind its
-//! equal-priority peers, where a rebuild keeps its slot.)
+//! rebuild's stable sort of the arrival-ordered tables puts them too; an
+//! entry displaced in its slot (same priority and match, new actions) is
+//! replaced there, on either publish path — so the frozen function is rule
+//! for rule a rebuild's. It rebuilds outright when a list is too large or
+//! does not resolve.
 //!
 //! Beside them an epoch carries an empty [`TraversalMemo`] for its frozen
-//! function: the HSA traversals query workers walk on the epoch are shared
+//! function: the HSA traversals queries walk on the epoch are shared
 //! through it by every later batch on the same epoch and dropped with it. A
 //! publish creates it and does nothing else for it: nothing is carried
 //! forward, so there is nothing to copy or invalidate.
@@ -210,8 +210,8 @@ pub struct SnapshotEpoch {
     pub rules: DigestSet,
     /// When the epoch was published (simulation time of the last update).
     pub published_at: SimTime,
-    /// The HSA traversals query workers have walked over `function`, shared
-    /// by every batch, worker and client answering on this epoch. Empty at
+    /// The HSA traversals queries have walked over `function`, shared by
+    /// every batch, thread and client answering on this epoch. Empty at
     /// publish and dropped with the epoch: nothing is carried into the next
     /// one, so a publish neither copies nor invalidates anything.
     pub traversals: TraversalMemo,
@@ -403,7 +403,7 @@ pub struct EpochStore {
     /// The interest-space index over the registered standing queries.
     /// Advanced under the publish lock (widening affected interests before
     /// the new epoch becomes visible); registered/refined concurrently by
-    /// the worker pool and the sync server.
+    /// the query path and the sync server.
     interest: Mutex<InterestIndex>,
     /// Bounded provenance log, newest at the back; queryable by serial for
     /// as long as the record has not aged out.

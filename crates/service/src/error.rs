@@ -1,27 +1,18 @@
 //! The unified service-plane error type.
 //!
 //! Before this module existed the service plane reported failures three
-//! different ways: `expect`/panic on pool channel breakage, `String`s from
-//! ad-hoc validation, and raw [`rvaas_types::Error`] codec failures bubbling
-//! out of `rvaas-client`. A served network API needs one typed error it can
-//! map onto wire responses, so everything converges on [`ServiceError`]:
-//! the pool's `try_*` methods, epoch publishing, sync-session handling and
-//! the daemon's HTTP status mapping all speak it.
+//! different ways: `expect`/panic, `String`s from ad-hoc validation, and raw
+//! [`rvaas_types::Error`] codec failures bubbling out of `rvaas-client`. A
+//! served network API needs one typed error it can map onto wire responses,
+//! so everything converges on [`ServiceError`]: the service's `try_*`
+//! methods, epoch publishing, sync-session handling and the daemon's HTTP
+//! status mapping all speak it.
 
 use std::fmt;
 
 /// Any failure the verification service plane can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The worker pool cannot accept or answer queries (shutting down, or a
-    /// worker thread died).
-    PoolUnavailable {
-        /// Which operation found the pool gone.
-        context: &'static str,
-    },
-    /// The pool accepted the query but dropped it before answering
-    /// (shutdown raced the in-flight batch).
-    QueryDropped,
     /// An epoch could not be published.
     PublishRejected(String),
     /// A wire message could not be decoded.
@@ -43,12 +34,6 @@ pub enum ServiceError {
 impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServiceError::PoolUnavailable { context } => {
-                write!(f, "verification pool unavailable during {context}")
-            }
-            ServiceError::QueryDropped => {
-                write!(f, "query dropped before completion (service shutting down)")
-            }
             ServiceError::PublishRejected(why) => write!(f, "epoch publish rejected: {why}"),
             ServiceError::Codec(inner) => write!(f, "wire decode failed: {inner}"),
             ServiceError::VersionMismatch { supported, got } => write!(
@@ -99,7 +84,8 @@ mod tests {
         assert_bounds::<ServiceError>();
         let err = ServiceError::Codec(rvaas_types::Error::codec("bad tag"));
         assert!(std::error::Error::source(&err).is_some());
-        assert!(std::error::Error::source(&ServiceError::QueryDropped).is_none());
+        let plain = ServiceError::InvalidQuery("no such host".to_string());
+        assert!(std::error::Error::source(&plain).is_none());
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //!   network function into the epoch; every delta is retained at digest and
 //!   *changed-header-region* granularity. Each epoch also carries the
 //!   [`rvaas::TraversalMemo`] of its frozen function, empty at publish.
-//! * [`pool`] — a [`pool::VerificationService`] shards queries across OS
-//!   worker threads by client and batches co-queued queries through one
+//! * [`pool`] — a [`pool::VerificationService`] answers a query on the
+//!   thread that carries it: the caller's batch goes through one
 //!   [`rvaas::QueryEvaluator`] over the epoch's frozen network function and
-//!   the epoch's traversal memo — workers own no model and no traversal —
-//!   and the `(client, query)` result cache carries entries a delta provably
-//!   cannot affect across epoch advances.
+//!   the epoch's traversal memo — the service owns no thread, no queue, no
+//!   model and no traversal — and the `(client, query)` result cache carries
+//!   entries a delta provably cannot affect across epoch advances.
 //! * [`sync`] — an RTR-style session/serial delta protocol: clients mirror
 //!   the published digest set and receive only what changed since their
 //!   serial, plus re-verified standing queries — only those whose interest
@@ -43,11 +43,7 @@
 //!
 //! # fn main() -> Result<(), ServiceError> {
 //! let topology = generators::line(4, 2);
-//! let config = ServiceSettings {
-//!     workers: 2,
-//!     ..ServiceSettings::default()
-//! }
-//! .into_config(VerifierConfig {
+//! let config = ServiceSettings::default().into_config(VerifierConfig {
 //!     use_history: false,
 //!     locations: LocationMap::disclosed(&topology),
 //! });

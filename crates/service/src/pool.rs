@@ -1,33 +1,37 @@
-//! The query scheduler and sharded worker pool.
+//! The query path: a query is answered on the thread that carries it.
 //!
-//! Incoming queries are sharded across `N` OS-thread workers by client, so
-//! one client's standing queries always land on the same worker (maximising
-//! cache locality). Each worker drains its queue into a batch and answers
-//! the whole batch through **one** [`rvaas::QueryEvaluator`] on one epoch.
+//! [`VerificationService`] owns no threads and no queues. Whoever calls
+//! [`VerificationService::try_query`] — a daemon connection thread, a sync
+//! session re-verifying its standing queries, a simulation's event handler —
+//! takes the current epoch, opens **one** [`rvaas::QueryEvaluator`] session
+//! on it and answers its whole batch there: one sync frame's reverify set,
+//! one warm-up slice, or a lone HTTP query (a batch of one). Concurrency is
+//! the caller's: any number of threads may answer at once, sharing only the
+//! epoch they read, its memo and the result cache.
 //!
-//! Workers own no model and no traversal: the evaluator borrows the HSA
-//! network function the publisher froze into the epoch and reads and writes
-//! its per-host traversals through the [`rvaas::TraversalMemo`] the epoch
-//! carries (see [`crate::epoch::SnapshotEpoch`]), so a traversal is walked
-//! once per epoch — shared by every batch, worker and client answering on
-//! it — and an epoch advance costs a worker nothing but a cold memo. There
-//! is one evaluation path — register the query's interest, answer with its
+//! The service owns no model and no traversal either: the evaluator
+//! borrows the HSA network function the publisher froze into the epoch and
+//! reads and writes its per-host traversals through the
+//! [`rvaas::TraversalMemo`] the epoch carries (see
+//! [`crate::epoch::SnapshotEpoch`]), so a traversal is walked once per
+//! epoch — shared by every batch, thread and client answering on it — and
+//! an epoch advance costs a caller nothing but a cold memo. There is one
+//! evaluation path — register the query's interest, answer with its
 //! footprint, refine the interest, cache the verdict — and one exception to
 //! what it runs on: under history-mode verification
 //! ([`rvaas::VerifierConfig::use_history`]) a verdict also depends on rules
 //! *removed* inside the snapshot's history window, which leave it by the
 //! passing of time, not by a rule change. The frozen function, its memo and
-//! the per-query cache carry are unsound for that, so a history-mode worker
-//! rebuilds the function from the snapshot and walks every traversal afresh
-//! per batch, every epoch advance invalidates the whole cache and sync
+//! the per-query cache carry are unsound for that, so a history-mode batch
+//! rebuilds the function from the snapshot and walks every traversal
+//! afresh, every epoch advance invalidates the whole cache and sync
 //! re-verifies every subscription.
 //!
-//! Workers always answer against the epoch that was current when their
-//! batch started; the monitor can keep publishing new epochs concurrently
-//! without blocking them.
+//! A batch always answers against the epoch that was current when it
+//! started; the monitor can keep publishing new epochs concurrently without
+//! blocking it.
 
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rvaas::{LogicalVerifier, NetworkSnapshot, RuleChange};
@@ -41,10 +45,7 @@ use crate::config::ServiceConfig;
 use crate::epoch::{EpochStore, Published};
 use crate::error::ServiceError;
 
-/// Upper bound on how many queued queries one worker folds into a batch.
-const MAX_BATCH: usize = 64;
-
-/// A completed query, as delivered back to the submitter.
+/// A completed query, as delivered back to the caller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResponse {
     /// The querying client.
@@ -55,52 +56,24 @@ pub struct QueryResponse {
     pub result: QueryResult,
     /// The epoch serial the result was computed against.
     pub epoch_serial: u64,
-    /// Wall-clock time from submission to completion.
+    /// Wall-clock time from submission (the call's entry) to completion.
     pub latency: Duration,
     /// Flight-recorder trace id of this query's event chain (minted at
     /// ingress, echoed back so the submitter can fetch the chain).
     pub trace: TraceId,
 }
 
-struct QueryJob {
-    client: ClientId,
-    spec: QuerySpec,
-    submitted: Instant,
-    trace: TraceContext,
-    reply: mpsc::Sender<QueryResponse>,
-}
-
-enum WorkerMsg {
-    Query(QueryJob),
-    Shutdown,
-}
-
-/// A pending query's completion handle.
-struct QueryTicket {
-    rx: mpsc::Receiver<QueryResponse>,
-}
-
-impl QueryTicket {
-    /// Blocks until the worker delivers the response;
-    /// [`ServiceError::QueryDropped`] if the service shut down first.
-    fn wait(self) -> Result<QueryResponse, ServiceError> {
-        self.rx.recv().map_err(|_| ServiceError::QueryDropped)
-    }
-}
-
 /// Handles into the shared metric [`Registry`], fetched once at service
-/// construction so the hot path (worker loops, submit) records through pure
-/// atomics and never touches the registry's mutex.
+/// construction so the hot path records through pure atomics and never
+/// touches the registry's mutex.
 struct ServiceMetrics {
     queries: Arc<Counter>,
     batches: Arc<Counter>,
-    batched_queries: Arc<Counter>,
     epochs_published: Arc<Counter>,
     incremental_applies: Arc<Counter>,
     model_rebuilds: Arc<Counter>,
     memo_hits: Arc<Counter>,
     memo_misses: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
     workers: Arc<Gauge>,
     epoch_serial: Arc<Gauge>,
     query_latency: Arc<Histogram>,
@@ -117,10 +90,9 @@ impl ServiceMetrics {
                 "rvaas_queries_total",
                 "Queries answered (cached or computed).",
             ),
-            batches: registry.counter("rvaas_batches_total", "Batches executed by workers."),
-            batched_queries: registry.counter(
-                "rvaas_batched_queries_total",
-                "Queries answered as part of a batch of two or more.",
+            batches: registry.counter(
+                "rvaas_batches_total",
+                "Query calls answered: each opens one evaluator session on one epoch.",
             ),
             epochs_published: registry.counter(
                 "rvaas_epoch_publishes_total",
@@ -142,11 +114,10 @@ impl ServiceMetrics {
                 "rvaas_traversal_memo_misses_total",
                 "HSA traversals walked because the epoch's memo did not hold them yet.",
             ),
-            queue_depth: registry.gauge(
-                "rvaas_queue_depth",
-                "Queries submitted but not yet answered.",
+            workers: registry.gauge(
+                "rvaas_workers",
+                "Configured connection threads per listener, each answering its own requests.",
             ),
-            workers: registry.gauge("rvaas_workers", "Worker threads in the pool."),
             epoch_serial: registry.gauge("rvaas_epoch_serial", "Serial of the current epoch."),
             query_latency: registry.histogram(
                 "rvaas_query_latency_us",
@@ -169,10 +140,8 @@ impl ServiceMetrics {
 pub struct ServiceStats {
     /// Queries answered (cached or computed).
     pub queries: u64,
-    /// Batches executed by workers.
+    /// Query calls answered (one evaluator session each).
     pub batches: u64,
-    /// Queries answered as part of a batch of two or more.
-    pub batched_queries: u64,
     /// Epochs published through the service.
     pub epochs_published: u64,
     /// Epochs whose delta the model applied in place.
@@ -190,8 +159,6 @@ pub struct ServiceStats {
     pub cache_invalidated: u64,
     /// Cache hit rate in `[0, 1]`.
     pub cache_hit_rate: f64,
-    /// Number of worker threads.
-    pub workers: usize,
     /// Median query latency in microseconds (0 until a query completes).
     pub latency_p50_us: u64,
     /// 95th-percentile query latency in microseconds.
@@ -200,28 +167,31 @@ pub struct ServiceStats {
     pub latency_p99_us: u64,
 }
 
-/// The standalone verification service: epoch store + worker pool + cache.
+/// The standalone verification service: epoch store + query path + cache.
 pub struct VerificationService {
     topology: Topology,
+    /// The trusted verifier every evaluator session is opened from.
+    verifier: LogicalVerifier,
     /// [`rvaas::VerifierConfig::use_history`]: verdicts also depend on rules
     /// removed inside the snapshot's history window (see the module docs).
-    /// Read in three places — which function and memo a worker's evaluator
+    /// Read in three places — which function and memo a batch's evaluator
     /// gets, the cache advance, and [`crate::sync`]'s reverification set.
     pub(crate) history_mode: bool,
+    /// The `workers` setting, as `rvaas_workers` and `/v1/status` report it.
+    /// It starts no thread here: the daemon sizes its connection threads
+    /// from it.
+    workers: usize,
     store: Arc<EpochStore>,
-    cache: Arc<ResultCache>,
+    cache: ResultCache,
     registry: Arc<Registry>,
-    metrics: Arc<ServiceMetrics>,
-    senders: Vec<mpsc::Sender<WorkerMsg>>,
-    workers: Vec<JoinHandle<()>>,
+    metrics: ServiceMetrics,
 }
 
 impl std::fmt::Debug for VerificationService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VerificationService")
-            .field("workers", &self.workers.len())
             .field("current_serial", &self.store.current().serial)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -241,39 +211,19 @@ impl VerificationService {
         let mut store = EpochStore::new(config.settings.max_delta_history.max(1));
         store.attach_interest_topology(topology.clone());
         store.attach_telemetry(&registry);
-        let store = Arc::new(store);
-        let cache = Arc::new(ResultCache::with_registry(config.settings.cache, &registry));
-        let metrics = Arc::new(ServiceMetrics::new(&registry));
-        let history_mode = config.verifier.use_history;
-        let worker_count = config.settings.workers.max(1);
-        metrics.workers.set(worker_count as i64);
-        let mut senders = Vec::with_capacity(worker_count);
-        let mut workers = Vec::with_capacity(worker_count);
-        for index in 0..worker_count {
-            let (tx, rx) = mpsc::channel::<WorkerMsg>();
-            let context = WorkerContext {
-                verifier: LogicalVerifier::new(topology.clone(), config.verifier.clone()),
-                history_mode,
-                store: Arc::clone(&store),
-                cache: Arc::clone(&cache),
-                metrics: Arc::clone(&metrics),
-            };
-            let handle = std::thread::Builder::new()
-                .name(format!("rvaas-verify-{index}"))
-                .spawn(move || worker_loop(&rx, context))
-                .expect("spawning verification worker");
-            senders.push(tx);
-            workers.push(handle);
-        }
+        let cache = ResultCache::with_registry(config.settings.cache, &registry);
+        let metrics = ServiceMetrics::new(&registry);
+        let workers = config.settings.workers.max(1);
+        metrics.workers.set(workers as i64);
         VerificationService {
+            verifier: LogicalVerifier::new(topology.clone(), config.verifier.clone()),
             topology,
-            history_mode,
-            store,
+            history_mode: config.verifier.use_history,
+            workers,
+            store: Arc::new(store),
             cache,
             registry,
             metrics,
-            senders,
-            workers,
         }
     }
 
@@ -309,10 +259,11 @@ impl VerificationService {
         self.cache.len()
     }
 
-    /// Number of worker threads in the pool.
+    /// The `workers` setting: the connection threads a daemon runs per
+    /// listener over this service. The service itself starts none.
     #[must_use]
     pub fn worker_count(&self) -> usize {
-        self.senders.len()
+        self.workers
     }
 
     /// Publishes `snapshot` as the next epoch; in-flight queries keep
@@ -377,8 +328,8 @@ impl VerificationService {
             .metrics
             .stage_cache_advance
             .span_traced(published.trace);
-        // Workers register every query in the interest index before caching
-        // it, so the index's selection covers every cached entry — an
+        // Every query is registered in the interest index before it is
+        // cached, so the index's selection covers every cached entry — an
         // O(affected) test instead of the linear query_affected scan per
         // entry.
         let (history_mode, affected) = (self.history_mode, &published.affected);
@@ -393,45 +344,13 @@ impl VerificationService {
         Ok(published.serial)
     }
 
-    /// Enqueues a query on its client's worker shard under `trace` (minted
-    /// by whichever ingress layer leads the event chain).
-    /// [`ServiceError::PoolUnavailable`] if the shard's worker has hung up
-    /// (the service is shutting down or the thread died).
-    fn submit(
-        &self,
-        client: ClientId,
-        spec: QuerySpec,
-        trace: TraceContext,
-    ) -> Result<QueryTicket, ServiceError> {
-        let (tx, rx) = mpsc::channel();
-        self.metrics.queue_depth.inc();
-        let shard = client.0 as usize % self.senders.len();
-        trace.event(TraceStage::Dispatch, u64::from(client.0), shard as u64);
-        if self.senders[shard]
-            .send(WorkerMsg::Query(QueryJob {
-                client,
-                spec,
-                submitted: Instant::now(),
-                trace,
-                reply: tx,
-            }))
-            .is_err()
-        {
-            self.metrics.queue_depth.dec();
-            return Err(ServiceError::PoolUnavailable {
-                context: "query submit",
-            });
-        }
-        Ok(QueryTicket { rx })
-    }
-
-    /// Submits one query under a freshly minted trace and waits for the
-    /// response.
+    /// Answers one query on the calling thread under a freshly minted trace.
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::PoolUnavailable`] or
-    /// [`ServiceError::QueryDropped`] when the pool cannot answer.
+    /// None: `try_query`, [`Self::try_query_traced`] and
+    /// [`Self::try_query_all`] keep their fallible signatures only because
+    /// the stand-alone `benchmark/` package compiles against them.
     pub fn try_query(
         &self,
         client: ClientId,
@@ -443,36 +362,97 @@ impl VerificationService {
     /// [`Self::try_query`] under an existing trace context — the daemon's
     /// ingress layers mint the trace (so the ingress event leads the chain)
     /// and thread it through here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::PoolUnavailable`] or
-    /// [`ServiceError::QueryDropped`] when the pool cannot answer.
     pub fn try_query_traced(
         &self,
         client: ClientId,
         spec: QuerySpec,
         trace: TraceContext,
     ) -> Result<QueryResponse, ServiceError> {
-        self.submit(client, spec, trace)?.wait()
+        let mut responses = self.answer([(client, spec, trace)]);
+        Ok(responses.pop().expect("one query in, one response out"))
     }
 
-    /// Submits a whole workload and waits for every response (in submission
-    /// order). Everything is submitted before waiting, so one worker answers
-    /// the whole set as a batch; fails as a unit if the pool goes away.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ServiceError`] hit while submitting or waiting.
+    /// Answers a whole workload as one batch (responses in submission
+    /// order): one epoch, one evaluator session, one trace per query.
     pub fn try_query_all(
         &self,
         queries: &[(ClientId, QuerySpec)],
     ) -> Result<Vec<QueryResponse>, ServiceError> {
-        let tickets: Vec<QueryTicket> = queries
-            .iter()
-            .map(|(client, spec)| self.submit(*client, spec.clone(), TraceContext::mint()))
-            .collect::<Result<_, _>>()?;
-        tickets.into_iter().map(QueryTicket::wait).collect()
+        Ok(self.answer(
+            queries
+                .iter()
+                .map(|(client, spec)| (*client, spec.clone(), TraceContext::mint())),
+        ))
+    }
+
+    /// The one evaluation path, run on the calling thread: the whole batch
+    /// is answered on the epoch current at entry through one evaluator
+    /// session. Latency runs from entry, so a batch keeps "submission →
+    /// completion" for each of its queries.
+    fn answer(
+        &self,
+        batch: impl IntoIterator<Item = (ClientId, QuerySpec, TraceContext)>,
+    ) -> Vec<QueryResponse> {
+        let submitted = Instant::now();
+        let mut batch = batch.into_iter().peekable();
+        // One span per batch, attributed to its first query.
+        let Some(lead) = batch.peek().map(|(_, _, trace)| trace.id) else {
+            return Vec::new();
+        };
+        let epoch = self.store.current();
+        let mut evaluator = if self.history_mode {
+            self.verifier.evaluator(&epoch.snapshot)
+        } else {
+            self.verifier
+                .evaluator_sharing(&epoch.snapshot, &epoch.function, &epoch.traversals)
+        };
+        self.metrics.batches.inc();
+        let _eval_span = self.metrics.stage_eval.span_traced(lead);
+        batch
+            .map(|(client, spec, trace)| {
+                let result = match self.cache.get(epoch.serial, client, &spec) {
+                    Some(result) => {
+                        trace.event(TraceStage::CacheHit, epoch.serial, u64::from(client.0));
+                        result
+                    }
+                    None => {
+                        trace.event(TraceStage::CacheMiss, epoch.serial, u64::from(client.0));
+                        trace.event(TraceStage::Eval, u64::from(client.0), epoch.serial);
+                        // Register BEFORE caching: a publish that lands in
+                        // between then already widens this query, so the
+                        // cache-advance selection covers the entry.
+                        self.store.register_interest(client, &spec);
+                        let (hits, misses) = evaluator.traversal_counts();
+                        let (result, footprint) = evaluator.answer_with_footprint(client, &spec);
+                        // Counted before the reply: a miss is why this one was slow.
+                        let (hits_now, misses_now) = evaluator.traversal_counts();
+                        self.metrics.memo_hits.add(hits_now - hits);
+                        self.metrics.memo_misses.add(misses_now - misses);
+                        self.store
+                            .refine_interest(client, &spec, epoch.serial, &footprint);
+                        self.cache
+                            .put(epoch.serial, client, spec.clone(), result.clone());
+                        result
+                    }
+                };
+                let latency = submitted.elapsed();
+                let latency_us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
+                trace.event(TraceStage::Verdict, epoch.serial, latency_us);
+                self.metrics
+                    .query_latency
+                    .record_traced(latency_us, trace.id);
+                rvaas_telemetry::trace::recorder().capture_if_slow(trace.id, latency_us);
+                self.metrics.queries.inc();
+                QueryResponse {
+                    client,
+                    spec,
+                    result,
+                    epoch_serial: epoch.serial,
+                    latency,
+                    trace: trace.id,
+                }
+            })
+            .collect()
     }
 
     /// A point-in-time copy of the activity counters.
@@ -483,7 +463,6 @@ impl VerificationService {
         ServiceStats {
             queries: self.metrics.queries.get(),
             batches: self.metrics.batches.get(),
-            batched_queries: self.metrics.batched_queries.get(),
             epochs_published: self.metrics.epochs_published.get(),
             incremental_applies: self.metrics.incremental_applies.get(),
             model_rebuilds: self.metrics.model_rebuilds.get(),
@@ -492,121 +471,9 @@ impl VerificationService {
             cache_carried: cache.carried,
             cache_invalidated: cache.invalidated,
             cache_hit_rate: cache.hit_rate(),
-            workers: self.workers.len(),
             latency_p50_us: latency.p50(),
             latency_p95_us: latency.p95(),
             latency_p99_us: latency.p99(),
-        }
-    }
-}
-
-impl Drop for VerificationService {
-    fn drop(&mut self) {
-        for sender in &self.senders {
-            // A worker that already exited has hung up; that is fine.
-            let _ = sender.send(WorkerMsg::Shutdown);
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Everything one worker thread owns.
-struct WorkerContext {
-    verifier: LogicalVerifier,
-    history_mode: bool,
-    store: Arc<EpochStore>,
-    cache: Arc<ResultCache>,
-    metrics: Arc<ServiceMetrics>,
-}
-
-fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, ctx: WorkerContext) {
-    loop {
-        // Block for the first job, then opportunistically drain the queue so
-        // everything waiting shares one evaluator.
-        let first = match rx.recv() {
-            Ok(WorkerMsg::Query(job)) => job,
-            Ok(WorkerMsg::Shutdown) | Err(_) => return,
-        };
-        let mut batch = vec![first];
-        let mut shutdown = false;
-        while batch.len() < MAX_BATCH {
-            match rx.try_recv() {
-                Ok(WorkerMsg::Query(job)) => batch.push(job),
-                Ok(WorkerMsg::Shutdown) => {
-                    shutdown = true;
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-
-        let epoch = ctx.store.current();
-        let mut evaluator = if ctx.history_mode {
-            ctx.verifier.evaluator(&epoch.snapshot)
-        } else {
-            ctx.verifier
-                .evaluator_sharing(&epoch.snapshot, &epoch.function, &epoch.traversals)
-        };
-        ctx.metrics.batches.inc();
-        if batch.len() > 1 {
-            ctx.metrics.batched_queries.add(batch.len() as u64);
-        }
-        // One span per batch, attributed to its first job.
-        let _eval_span = ctx.metrics.stage_eval.span_traced(batch[0].trace.id);
-        for job in batch {
-            let result = match ctx.cache.get(epoch.serial, job.client, &job.spec) {
-                Some(result) => {
-                    job.trace
-                        .event(TraceStage::CacheHit, epoch.serial, u64::from(job.client.0));
-                    result
-                }
-                None => {
-                    job.trace
-                        .event(TraceStage::CacheMiss, epoch.serial, u64::from(job.client.0));
-                    job.trace
-                        .event(TraceStage::Eval, u64::from(job.client.0), epoch.serial);
-                    // Register BEFORE caching: a publish that lands in
-                    // between then already widens this query, so the
-                    // cache-advance selection covers the entry.
-                    ctx.store.register_interest(job.client, &job.spec);
-                    let (hits, misses) = evaluator.traversal_counts();
-                    let (result, footprint) =
-                        evaluator.answer_with_footprint(job.client, &job.spec);
-                    // Counted before the reply: a miss is why this one was slow.
-                    let (hits_now, misses_now) = evaluator.traversal_counts();
-                    ctx.metrics.memo_hits.add(hits_now - hits);
-                    ctx.metrics.memo_misses.add(misses_now - misses);
-                    ctx.store
-                        .refine_interest(job.client, &job.spec, epoch.serial, &footprint);
-                    ctx.cache
-                        .put(epoch.serial, job.client, job.spec.clone(), result.clone());
-                    result
-                }
-            };
-            let latency = job.submitted.elapsed();
-            let latency_us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-            job.trace
-                .event(TraceStage::Verdict, epoch.serial, latency_us);
-            ctx.metrics
-                .query_latency
-                .record_traced(latency_us, job.trace.id);
-            rvaas_telemetry::trace::recorder().capture_if_slow(job.trace.id, latency_us);
-            ctx.metrics.queries.inc();
-            ctx.metrics.queue_depth.dec();
-            // The submitter may have given up waiting; that is not an error.
-            let _ = job.reply.send(QueryResponse {
-                client: job.client,
-                spec: job.spec,
-                result,
-                epoch_serial: epoch.serial,
-                latency,
-                trace: job.trace.id,
-            });
-        }
-        if shutdown {
-            return;
         }
     }
 }
@@ -636,11 +503,7 @@ mod tests {
         VerificationService::new(topology.clone(), config)
     }
 
-    fn service_over(
-        topology: &Topology,
-        workers: usize,
-        cache: bool,
-    ) -> (VerificationService, NetworkSnapshot) {
+    fn service_over(topology: &Topology, cache: bool) -> (VerificationService, NetworkSnapshot) {
         let mut snapshot = NetworkSnapshot::new(SimTime::from_secs(1));
         for (switch, entry) in benign_rules(topology) {
             snapshot.record_installed(switch, entry, SimTime::from_millis(1));
@@ -648,7 +511,6 @@ mod tests {
         let service = service_with(
             topology,
             ServiceSettings {
-                workers,
                 cache,
                 ..ServiceSettings::default()
             },
@@ -674,7 +536,7 @@ mod tests {
     #[test]
     fn batched_answers_equal_sequential_verifier_answers() {
         let topology = generators::leaf_spine(2, 4, 2, 1);
-        let (service, snapshot) = service_over(&topology, 4, false);
+        let (service, snapshot) = service_over(&topology, false);
         let verifier = verifier(&topology);
         let clients: Vec<ClientId> = (1..=4).map(ClientId).collect();
         let workload: Vec<(ClientId, QuerySpec)> = clients
@@ -699,7 +561,7 @@ mod tests {
     #[test]
     fn workers_agree_with_the_from_scratch_verifier_under_churn() {
         let topology = generators::line(6, 3);
-        let (service, mut snapshot) = service_over(&topology, 1, false);
+        let (service, mut snapshot) = service_over(&topology, false);
         let verifier = verifier(&topology);
         let workload: Vec<(ClientId, QuerySpec)> = (1..=3)
             .flat_map(|c| {
@@ -772,12 +634,10 @@ mod tests {
 
         let topology = generators::line(4, 2);
         let history = verifier_config(&topology, true);
-        let settings = ServiceSettings {
-            workers: 1,
-            ..ServiceSettings::default()
-        };
-        let service =
-            VerificationService::new(topology.clone(), settings.into_config(history.clone()));
+        let service = VerificationService::new(
+            topology.clone(),
+            ServiceSettings::default().into_config(history.clone()),
+        );
         let verifier = LogicalVerifier::new(topology.clone(), history);
         let (client, specs) = (ClientId(1), all_specs(&topology));
         let server = crate::sync::SyncServer::new(service.store(), 7, &service.registry());
@@ -861,7 +721,7 @@ mod tests {
     #[test]
     fn cache_hits_repeat_queries_and_invalidates_on_epoch_advance() {
         let topology = generators::line(4, 2);
-        let (service, mut snapshot) = service_over(&topology, 1, true);
+        let (service, mut snapshot) = service_over(&topology, true);
         let first = service
             .try_query(ClientId(1), QuerySpec::Isolation)
             .unwrap();
@@ -900,7 +760,7 @@ mod tests {
     #[test]
     fn unaffected_queries_survive_epoch_advance_in_cache() {
         let topology = generators::line(4, 2);
-        let (service, mut snapshot) = service_over(&topology, 1, true);
+        let (service, mut snapshot) = service_over(&topology, true);
         let h3_ip = topology.hosts().find(|h| h.id.0 == 3).expect("host 3").ip;
         let spec = QuerySpec::PathLength { to_ip: h3_ip };
         let before = service.try_query(ClientId(1), spec.clone()).unwrap();
@@ -937,7 +797,7 @@ mod tests {
     #[test]
     fn queries_answer_against_publish_time_epochs_under_churn() {
         let topology = generators::line(4, 2);
-        let (service, mut snapshot) = service_over(&topology, 2, true);
+        let (service, mut snapshot) = service_over(&topology, true);
         // Interleave publishes and queries; every response must carry a
         // serial that was current at some point and a well-formed result.
         for round in 0..20u64 {
@@ -969,7 +829,7 @@ mod tests {
     #[test]
     fn each_epoch_starts_an_empty_memo_and_fills_it_to_one_entry_per_key() {
         let topology = generators::line(4, 2);
-        let (service, mut snapshot) = service_over(&topology, 2, false);
+        let (service, mut snapshot) = service_over(&topology, false);
         let clients = [ClientId(1), ClientId(2)];
         let workload: Vec<(ClientId, QuerySpec)> = clients
             .iter()
@@ -1038,7 +898,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         let topology = generators::line(4, 2);
-        let (service, clean) = service_over(&topology, 2, false);
+        let (service, clean) = service_over(&topology, false);
         // A blackhole for host 1 on its own switch: flips client 1's
         // verdicts; client 2's traversals never arrive at switch 1.
         let victim = topology.hosts_of_client(ClientId(1))[0];
@@ -1057,11 +917,15 @@ mod tests {
             verifier.answer(&attacked, ClientId(1), &QuerySpec::ReachableDestinations),
         );
 
-        let querying = AtomicUsize::new(2);
+        // Four callers answering on their own threads — two per client, and
+        // one of them a whole mix at a time through `try_query_all`.
+        let callers = [ClientId(1), ClientId(2), ClientId(1), ClientId(2)];
+        let querying = AtomicUsize::new(callers.len());
         let responses: Vec<QueryResponse> = std::thread::scope(|scope| {
-            let queriers: Vec<_> = [ClientId(1), ClientId(2)]
+            let queriers: Vec<_> = callers
                 .into_iter()
-                .map(|client| {
+                .enumerate()
+                .map(|(caller, client)| {
                     let (service, topology, querying) = (&service, &topology, &querying);
                     scope.spawn(move || {
                         // At least 40 rounds, and until it has answered on
@@ -1069,8 +933,21 @@ mod tests {
                         let mut responses = Vec::new();
                         let mut serials = std::collections::BTreeSet::new();
                         for round in 0..5_000 {
-                            for spec in all_specs(topology) {
-                                let response = service.try_query(client, spec).unwrap();
+                            let mix = all_specs(topology).into_iter().map(|spec| (client, spec));
+                            let answered = if caller == 3 {
+                                let batch = service.try_query_all(&mix.collect::<Vec<_>>());
+                                let batch = batch.unwrap();
+                                let serial = batch[0].epoch_serial;
+                                assert!(
+                                    batch.iter().all(|r| r.epoch_serial == serial),
+                                    "a batch answers on one epoch"
+                                );
+                                batch
+                            } else {
+                                mix.map(|(client, spec)| service.try_query(client, spec).unwrap())
+                                    .collect()
+                            };
+                            for response in answered {
                                 serials.insert(response.epoch_serial);
                                 responses.push(response);
                             }
@@ -1121,7 +998,7 @@ mod tests {
     #[test]
     fn rejected_publish_is_not_counted_as_published() {
         let topology = generators::line(3, 1);
-        let (service, snapshot) = service_over(&topology, 1, false);
+        let (service, snapshot) = service_over(&topology, false);
         service.store.exhaust_serials();
         let at = SimTime::from_millis(2);
         for rejected in [
@@ -1134,62 +1011,28 @@ mod tests {
         assert_eq!(service.metrics.epoch_serial.get(), 1);
     }
 
-    /// Kills the worker pool in place, the way a shutdown race would: every
-    /// worker drains its queue and exits, leaving the senders hung up.
-    fn kill_workers(service: &mut VerificationService) {
-        for sender in &service.senders {
-            let _ = sender.send(WorkerMsg::Shutdown);
-        }
-        for worker in service.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-
-    #[test]
-    fn try_submit_and_try_query_report_pool_unavailable_after_shutdown() {
-        let topology = generators::line(3, 1);
-        let (mut service, _snapshot) = service_over(&topology, 2, false);
-        kill_workers(&mut service);
-        assert!(matches!(
-            service.submit(ClientId(1), QuerySpec::Isolation, TraceContext::mint()),
-            Err(ServiceError::PoolUnavailable {
-                context: "query submit"
-            })
-        ));
-        assert!(matches!(
-            service.try_query(ClientId(1), QuerySpec::Isolation),
-            Err(ServiceError::PoolUnavailable { .. })
-        ));
-        assert!(matches!(
-            service.try_query_all(&[(ClientId(1), QuerySpec::Isolation)]),
-            Err(ServiceError::PoolUnavailable { .. })
-        ));
-    }
-
     #[test]
     fn query_responses_carry_a_reconstructable_trace_chain() {
         let topology = generators::line(3, 1);
-        let (service, _snapshot) = service_over(&topology, 1, true);
+        let (service, _snapshot) = service_over(&topology, true);
         let response = service
             .try_query(ClientId(1), QuerySpec::Isolation)
             .unwrap();
         assert!(!response.trace.is_none(), "default-on tracing mints an id");
         let chain = rvaas_telemetry::trace::recorder().chain(response.trace);
         let stages: Vec<TraceStage> = chain.iter().map(|e| e.stage).collect();
-        for expected in [
-            TraceStage::Dispatch,
-            TraceStage::CacheMiss,
-            TraceStage::Eval,
-            TraceStage::Verdict,
-        ] {
+        for expected in [TraceStage::CacheMiss, TraceStage::Eval, TraceStage::Verdict] {
             assert!(
                 stages.contains(&expected),
                 "missing {expected:?}: {stages:?}"
             );
         }
-        let dispatch = stages.iter().position(|s| *s == TraceStage::Dispatch);
-        let verdict = stages.iter().position(|s| *s == TraceStage::Verdict);
-        assert!(dispatch < verdict, "chain out of causal order: {stages:?}");
+        let position = |stage| stages.iter().position(|s| *s == stage);
+        assert!(
+            position(TraceStage::CacheMiss) < position(TraceStage::Eval)
+                && position(TraceStage::Eval) < position(TraceStage::Verdict),
+            "chain out of causal order: {stages:?}"
+        );
         assert!(
             chain.windows(2).all(|w| w[0].at_us <= w[1].at_us),
             "timestamps must be monotone within a chain"
@@ -1203,15 +1046,5 @@ mod tests {
         let chain = rvaas_telemetry::trace::recorder().chain(again.trace);
         assert!(chain.iter().any(|e| e.stage == TraceStage::CacheHit));
         assert!(chain.iter().all(|e| e.trace == again.trace));
-    }
-
-    #[test]
-    fn ticket_abandoned_by_its_worker_reports_query_dropped() {
-        // A worker that exits mid-batch drops the reply sender without
-        // answering; the ticket must surface that as QueryDropped, not hang.
-        let (tx, rx) = mpsc::channel();
-        drop(tx);
-        let ticket = QueryTicket { rx };
-        assert!(matches!(ticket.wait(), Err(ServiceError::QueryDropped)));
     }
 }

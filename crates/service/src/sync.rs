@@ -4,8 +4,9 @@
 //! id (clients detect a restarted server by the id changing and fall back to
 //! a reset). Clients register *standing queries*; when a delta invalidates
 //! the published state, the server re-verifies the affected ones at the new
-//! epoch — through the worker pool and its cache — and ships the refreshed
-//! results inside the delta, so clients do not need a follow-up query round.
+//! epoch — on the session's own thread, as one batch through the service's
+//! query path and its cache — and ships the refreshed results inside the
+//! delta, so clients do not need a follow-up query round.
 //!
 //! "Affected" comes from the interest-space index
 //! ([`rvaas::InterestIndex`]): every subscription is registered in the
@@ -143,9 +144,8 @@ impl SyncServer {
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::PoolUnavailable`] or
-    /// [`ServiceError::QueryDropped`] when the worker pool cannot re-verify
-    /// the client's standing queries.
+    /// Propagates whatever re-verifying the client's standing queries
+    /// reports (nothing today, see [`VerificationService::try_query`]).
     pub fn try_handle(
         &self,
         service: &VerificationService,
@@ -246,9 +246,8 @@ impl SyncServer {
         };
         self.reverified.add(workload.len() as u64);
         self.skipped.add(total - workload.len() as u64);
-        // Submit everything before waiting so the worker answers the whole
-        // subscription set as one batch (shared evaluator), instead of one
-        // blocking round-trip per standing query.
+        // One batch: the whole reverify set shares one epoch and one
+        // evaluator session, on this thread.
         Ok(service
             .try_query_all(&workload)?
             .into_iter()
@@ -278,7 +277,6 @@ mod tests {
             snapshot.record_installed(switch, entry, SimTime::from_millis(1));
         }
         let config = ServiceSettings {
-            workers: 2,
             max_delta_history: max_deltas,
             ..ServiceSettings::default()
         }

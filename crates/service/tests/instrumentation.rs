@@ -2,7 +2,7 @@
 //! index: the chain a publish leaves in the flight recorder, event for
 //! event, and the exact value of every `rvaas_interest_*` /
 //! `rvaas_incremental_*` series — and of the two traversal-memo counters the
-//! workers record — after a scripted scenario.
+//! query path records — after a scripted scenario.
 
 use rvaas::{
     LocationMap, LogicalVerifier, NetworkSnapshot, QueryFootprint, RuleChange, VerifierConfig,
@@ -88,14 +88,15 @@ fn a_publish_leaves_exactly_its_documented_chain() {
         ]
     );
 
-    // A query's chain holds no model stage: workers own no model.
+    // A query's chain holds no model stage (the publisher owns the model)
+    // and no hand-over: it is answered on the thread that asked.
     let response = service
         .try_query(ClientId(1), QuerySpec::ReachableDestinations)
         .unwrap();
     let chain = recorder().chain(response.trace);
     assert_eq!(
         chain.iter().map(|e| e.stage).collect::<Vec<_>>(),
-        [Dispatch, CacheMiss, Eval, Verdict]
+        [CacheMiss, Eval, Verdict]
     );
 
     // A delta publish applies its list in place. The rule sits on client

@@ -17,11 +17,7 @@ use rvaas_topology::{generators, Topology};
 use rvaas_types::{ClientId, SimTime, SwitchId};
 
 fn service_over(topology: &Topology) -> VerificationService {
-    let config = ServiceSettings {
-        workers: 1,
-        ..ServiceSettings::default()
-    }
-    .into_config(VerifierConfig {
+    let config = ServiceSettings::default().into_config(VerifierConfig {
         use_history: false,
         locations: LocationMap::disclosed(topology),
     });

@@ -42,7 +42,7 @@ impl Counter {
     }
 }
 
-/// An instantaneous signed value (queue depth, epoch serial, worker count).
+/// An instantaneous signed value (connections being served, epoch serial, thread count).
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicI64,

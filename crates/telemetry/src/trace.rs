@@ -76,8 +76,8 @@ pub enum TraceStage {
     IngressHttp = 1,
     /// Sync frame accepted and decoded. `a` = client id, `b` = have_serial.
     IngressSync = 2,
-    /// Query enqueued to a pool shard. `a` = client id, `b` = shard.
-    Dispatch = 3,
+    // Code 3 (a query's hand-over to a worker pool) is retired and stays
+    // unassigned: a query is answered on the thread that carries it.
     /// The publisher's model applied an epoch's delta in place. `a` = rules
     /// applied, `b` = model rules afterwards.
     IncrementalApply = 4,
@@ -113,7 +113,6 @@ impl TraceStage {
         match self {
             TraceStage::IngressHttp => "ingress.http",
             TraceStage::IngressSync => "ingress.sync",
-            TraceStage::Dispatch => "pool.dispatch",
             TraceStage::IncrementalApply => "model.incremental_apply",
             TraceStage::ModelRebuild => "model.rebuild",
             TraceStage::Eval => "pool.eval",
@@ -134,7 +133,6 @@ impl TraceStage {
         match self {
             TraceStage::IngressHttp => ("client", "request_bytes"),
             TraceStage::IngressSync => ("client", "have_serial"),
-            TraceStage::Dispatch => ("client", "shard"),
             TraceStage::IncrementalApply => ("rules_applied", "model_rules"),
             TraceStage::ModelRebuild => ("rule_count", "switches"),
             TraceStage::Eval => ("client", "epoch_serial"),
@@ -154,7 +152,6 @@ impl TraceStage {
         Some(match code {
             1 => TraceStage::IngressHttp,
             2 => TraceStage::IngressSync,
-            3 => TraceStage::Dispatch,
             4 => TraceStage::IncrementalApply,
             5 => TraceStage::ModelRebuild,
             6 => TraceStage::Eval,
@@ -569,7 +566,7 @@ mod tests {
         let rec = FlightRecorder::with_capacity(256, 1000);
         let t = rec.mint();
         rec.append(t, TraceStage::IngressHttp, 1, 42);
-        rec.append(t, TraceStage::Dispatch, 1, 0);
+        rec.append(t, TraceStage::CacheMiss, 7, 1);
         rec.append(t, TraceStage::Eval, 1, 7);
         rec.append(t, TraceStage::Verdict, 7, 123);
         let chain = rec.chain(t);
@@ -578,7 +575,7 @@ mod tests {
             stages,
             vec![
                 TraceStage::IngressHttp,
-                TraceStage::Dispatch,
+                TraceStage::CacheMiss,
                 TraceStage::Eval,
                 TraceStage::Verdict
             ]

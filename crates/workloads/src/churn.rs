@@ -158,8 +158,6 @@ fn verifier_config(topology: &Topology) -> VerifierConfig {
 /// Shape of one churn run (service or full-rebuild baseline).
 #[derive(Debug, Clone)]
 pub struct IncrementalChurnConfig {
-    /// Worker threads in the pool (the baseline has none).
-    pub workers: usize,
     /// Churn/publish/sync rounds measured.
     pub rounds: usize,
     /// Clients reconfigured per round (the churn rate, in clients).
@@ -260,11 +258,7 @@ pub fn run_incremental_churn(
     let new_service = || {
         VerificationService::new(
             topology.clone(),
-            ServiceSettings {
-                workers: config.workers,
-                ..ServiceSettings::default()
-            }
-            .into_config(verifier_config(topology)),
+            ServiceSettings::default().into_config(verifier_config(topology)),
         )
     };
     // The twin takes every epoch as a rule delta, outside the timed round,
@@ -442,7 +436,6 @@ mod tests {
         // per round leaves three quarters of the standing queries untouched.
         let topology = generators::leaf_spine(2, 4, 4, 1);
         let config = IncrementalChurnConfig {
-            workers: 1,
             rounds: 3,
             churn_clients_per_round: 1,
             rules_per_client: 2,

@@ -13,7 +13,7 @@
 //! The [`locations`] module builds degraded switch-location maps
 //! (crowd-sourced / inferred) for the geo-location accuracy experiment.
 //!
-//! The [`service_load`] module drives the `rvaas-service` worker pool with
+//! The [`service_load`] module drives the `rvaas-service` query path with
 //! a many-client query workload under epoch churn — the service-plane
 //! counterpart of the in-band scenario — and the [`churn`] module adds the
 //! tenant-pinned churn workload plus the two epoch-advance measurement

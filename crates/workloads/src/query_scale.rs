@@ -64,8 +64,6 @@ pub fn synthetic_queries(clients: &[ClientId], population: usize) -> Vec<(Client
 /// Shape of one query-scale run.
 #[derive(Debug, Clone)]
 pub struct QueryScaleConfig {
-    /// Worker threads in the pool.
-    pub workers: usize,
     /// Synthetic standing queries registered on top of the per-client mix.
     pub synthetic_queries: usize,
     /// Churn/publish/sync rounds measured (plus one untimed warmup).
@@ -151,11 +149,7 @@ pub fn run_query_scale(topology: &Topology, config: &QueryScaleConfig) -> QueryS
 
     let service = VerificationService::new(
         topology.clone(),
-        ServiceSettings {
-            workers: config.workers,
-            ..ServiceSettings::default()
-        }
-        .into_config(VerifierConfig {
+        ServiceSettings::default().into_config(VerifierConfig {
             use_history: false,
             locations: LocationMap::disclosed(topology),
         }),
@@ -267,7 +261,6 @@ mod tests {
     fn reverification_tracks_churn_not_population() {
         let topology = generators::leaf_spine(2, 4, 4, 1);
         let config = QueryScaleConfig {
-            workers: 1,
             synthetic_queries: 200,
             rounds: 3,
             churn_clients_per_round: 1,

@@ -23,7 +23,7 @@ pub struct ScenarioBuilder {
     unresponsive_hosts: Vec<HostId>,
     auth_timeout: SimTime,
     seed: u64,
-    service_workers: Option<usize>,
+    service_backend: bool,
 }
 
 impl ScenarioBuilder {
@@ -40,7 +40,7 @@ impl ScenarioBuilder {
             unresponsive_hosts: Vec::new(),
             auth_timeout: SimTime::from_millis(5),
             seed: 0,
-            service_workers: None,
+            service_backend: false,
         }
     }
 
@@ -101,11 +101,11 @@ impl ScenarioBuilder {
     }
 
     /// Routes the RVaaS controller's logical analysis through the
-    /// `rvaas-service` worker-pool service plane with `workers` threads,
-    /// instead of answering inline in the event handler.
+    /// `rvaas-service` service plane (epoch store, traversal memo, result
+    /// cache) instead of a from-scratch evaluation per query.
     #[must_use]
-    pub fn service_backend(mut self, workers: usize) -> Self {
-        self.service_workers = Some(workers.max(1));
+    pub fn service_backend(mut self) -> Self {
+        self.service_backend = true;
         self
     }
 
@@ -122,19 +122,14 @@ impl ScenarioBuilder {
         rvaas_config.auth_timeout = self.auth_timeout;
 
         let keypair = Keypair::generate(SignatureScheme::HmacOracle, 0x5000 + self.seed);
-        let mut rvaas = match self.service_workers {
-            None => RvaasController::new(rvaas_config, keypair),
-            Some(workers) => {
-                let backend = ServiceBackend::new(
-                    self.topology.clone(),
-                    ServiceSettings {
-                        workers,
-                        ..ServiceSettings::default()
-                    }
-                    .into_config(rvaas_config.verifier.clone()),
-                );
-                RvaasController::with_backend(rvaas_config, keypair, Box::new(backend))
-            }
+        let mut rvaas = if self.service_backend {
+            let backend = ServiceBackend::new(
+                self.topology.clone(),
+                ServiceSettings::default().into_config(rvaas_config.verifier.clone()),
+            );
+            RvaasController::with_backend(rvaas_config, keypair, Box::new(backend))
+        } else {
+            RvaasController::new(rvaas_config, keypair)
         };
         let rvaas_pk = rvaas.public_key();
 
@@ -332,13 +327,13 @@ mod tests {
     #[test]
     fn scenario_with_service_backend_matches_inline_answers() {
         let topo = generators::line(4, 2);
-        let run = |workers: Option<usize>| {
+        let run = |service_backend: bool| {
             let mut builder = ScenarioBuilder::new(topo.clone())
                 .query(HostId(1), SimTime::from_millis(5), QuerySpec::Isolation)
                 .query(HostId(2), SimTime::from_millis(6), QuerySpec::GeoLocation)
                 .seed(4);
-            if let Some(w) = workers {
-                builder = builder.service_backend(w);
+            if service_backend {
+                builder = builder.service_backend();
             }
             let mut scenario = builder.build();
             scenario.run_until(SimTime::from_millis(80));
@@ -348,8 +343,8 @@ mod tests {
                 scenario.rvaas_stats(),
             )
         };
-        let (inline_h1, inline_h2, inline_stats) = run(None);
-        let (svc_h1, svc_h2, svc_stats) = run(Some(3));
+        let (inline_h1, inline_h2, inline_stats) = run(false);
+        let (svc_h1, svc_h2, svc_stats) = run(true);
         assert_eq!(inline_h1.len(), 1);
         assert_eq!(svc_h1.len(), 1);
         assert_eq!(svc_h1[0].result, inline_h1[0].result);

@@ -16,7 +16,8 @@ use rvaas_types::{ClientId, SimTime, SwitchId};
 /// Shape of one service-load run.
 #[derive(Debug, Clone)]
 pub struct ServiceLoadConfig {
-    /// Worker threads in the pool.
+    /// Caller threads answering each round's burst (minimum 1): the service
+    /// has no threads of its own, so concurrency is the callers'.
     pub workers: usize,
     /// Whether the result cache is consulted.
     pub cache_enabled: bool,
@@ -63,7 +64,7 @@ pub struct ServiceLoadReport {
     pub cache_hit_rate: f64,
     /// Epoch serial after the final round.
     pub final_serial: u64,
-    /// Worker batches executed.
+    /// Query batches answered (one evaluator session each).
     pub batches: u64,
 }
 
@@ -152,7 +153,6 @@ pub fn run_service_load(topology: &Topology, config: &ServiceLoadConfig) -> Serv
     let service = VerificationService::new(
         topology.clone(),
         ServiceSettings {
-            workers: config.workers,
             cache: config.cache_enabled,
             ..ServiceSettings::default()
         }
@@ -166,7 +166,13 @@ pub fn run_service_load(topology: &Topology, config: &ServiceLoadConfig) -> Serv
         .try_publish(&snapshot, SimTime::from_millis(1))
         .expect("epoch publish rejected");
 
-    let workload = round_robin_workload(topology, config.queries_per_round);
+    // Each caller thread answers its clients' share of the round as one
+    // batch — what `workers` connection threads of a daemon would do.
+    let callers = config.workers.max(1);
+    let mut shares = vec![Vec::new(); callers];
+    for (client, spec) in round_robin_workload(topology, config.queries_per_round) {
+        shares[client.0 as usize % callers].push((client, spec));
+    }
     let mut responses = 0usize;
     let started = Instant::now();
     for round in 0..config.rounds {
@@ -182,10 +188,16 @@ pub fn run_service_load(topology: &Topology, config: &ServiceLoadConfig) -> Serv
                 .try_publish(&snapshot, at)
                 .expect("epoch publish rejected");
         }
-        responses += service
-            .try_query_all(&workload)
-            .expect("pool answers")
-            .len();
+        responses += std::thread::scope(|scope| {
+            let callers: Vec<_> = shares
+                .iter()
+                .map(|share| scope.spawn(|| service.try_query_all(share).expect("answered").len()))
+                .collect();
+            callers
+                .into_iter()
+                .map(|caller| caller.join().expect("caller thread panicked"))
+                .sum::<usize>()
+        });
     }
     let elapsed = started.elapsed();
     // Percentiles come from the service's own latency histogram
