@@ -27,8 +27,8 @@ use rvaas_types::{ClientId, HostId, ProviderId, Region, SimTime};
 use rvaas_workloads::{crowd_sourced_map, inferred_map, ScenarioBuilder};
 
 /// All experiment identifiers accepted by [`run_experiment`].
-pub const EXPERIMENT_IDS: [&str; 15] = [
-    "f1", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "a1", "a2", "s1", "s2", "s3",
+pub const EXPERIMENT_IDS: [&str; 16] = [
+    "f1", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "a1", "a2", "s1", "s2", "s3", "s4",
 ];
 
 /// Runs one experiment by id (lower-case, e.g. `"t1"`), printing its table.
@@ -50,6 +50,7 @@ pub fn run_experiment(id: &str) -> Vec<String> {
         "s1" => emit(crate::service_throughput::exp_s1_service_throughput()),
         "s2" => emit(crate::incremental_churn::exp_s2_incremental_churn()),
         "s3" => emit(crate::query_scale::exp_s3_query_scale()),
+        "s4" => emit(crate::startup_scale::exp_s4_startup_scale()),
         _ => {
             println!("unknown experiment id: {id}");
             Vec::new()

@@ -16,6 +16,7 @@ pub mod experiments;
 pub mod incremental_churn;
 pub mod query_scale;
 pub mod service_throughput;
+mod startup_scale;
 
 pub use experiments::{run_experiment, EXPERIMENT_IDS};
 pub use incremental_churn::{

@@ -17,9 +17,11 @@
 //! priority ([`rvaas` uses 1000]), so client query packets are punted to the
 //! controller before the edge drop can discard them.
 
+use std::collections::BTreeMap;
+
 use rvaas_openflow::{Action, FlowEntry, FlowMatch};
-use rvaas_topology::Topology;
-use rvaas_types::{FlowCookie, SwitchId};
+use rvaas_topology::{Host, Topology};
+use rvaas_types::{ClientId, FlowCookie, PortId, SwitchId};
 
 /// Cookie tagging rules installed by the benign provider policy.
 pub const BENIGN_COOKIE: FlowCookie = FlowCookie(0x0001);
@@ -38,20 +40,41 @@ pub const PRIO_TRANSIT: u16 = 100;
 
 /// Compiles the benign routing policy for `topology`.
 ///
-/// Returns `(switch, entry)` pairs ready to be sent as Flow-Mod adds.
+/// Returns `(switch, entry)` pairs ready to be sent as Flow-Mod adds: per
+/// host (ascending id) its admission rules toward each same-client peer
+/// (ascending id) and its edge drop, then per switch (ascending id) one
+/// transit rule per host. Every next hop is the one [`next_hop_port`] gives,
+/// but read from one [`Topology::next_hops_to`] BFS per distinct
+/// host-attachment switch instead of one BFS per `(switch, host)` pair, so
+/// the compile costs one BFS per attachment switch plus time linear in the
+/// rules it returns.
 #[must_use]
 pub fn benign_rules(topology: &Topology) -> Vec<(SwitchId, FlowEntry)> {
     let mut rules = Vec::new();
-    let hosts: Vec<_> = topology.hosts().cloned().collect();
+    let mut routes: BTreeMap<SwitchId, BTreeMap<SwitchId, PortId>> = BTreeMap::new();
+    let mut by_owner: BTreeMap<ClientId, Vec<&Host>> = BTreeMap::new();
+    for host in topology.hosts() {
+        let dst = host.attachment.switch;
+        routes
+            .entry(dst)
+            .or_insert_with(|| topology.next_hops_to(dst));
+        by_owner.entry(host.owner).or_default().push(host);
+    }
+    let next_hop = |from: SwitchId, host: &Host| {
+        if host.attachment.switch == from {
+            return Some(host.attachment.port);
+        }
+        routes[&host.attachment.switch].get(&from).copied()
+    };
 
-    for host in &hosts {
+    for host in topology.hosts() {
         let edge_switch = host.attachment.switch;
         // Admission rules: this host may talk to every same-client host.
-        for peer in &hosts {
-            if peer.id == host.id || peer.owner != host.owner {
+        for peer in &by_owner[&host.owner] {
+            if peer.id == host.id {
                 continue;
             }
-            if let Some(out_port) = next_hop_port(topology, edge_switch, peer) {
+            if let Some(out_port) = next_hop(edge_switch, peer) {
                 rules.push((
                     edge_switch,
                     FlowEntry::new(
@@ -79,8 +102,8 @@ pub fn benign_rules(topology: &Topology) -> Vec<(SwitchId, FlowEntry)> {
 
     // Transit rules: every switch forwards toward every host's attachment.
     for switch in topology.switches() {
-        for host in &hosts {
-            if let Some(out_port) = next_hop_port(topology, switch.id, host) {
+        for host in topology.hosts() {
+            if let Some(out_port) = next_hop(switch.id, host) {
                 rules.push((
                     switch.id,
                     FlowEntry::new(
@@ -100,11 +123,7 @@ pub fn benign_rules(topology: &Topology) -> Vec<(SwitchId, FlowEntry)> {
 /// (the host's own port if the host attaches to `from`, otherwise the port
 /// toward the next switch on the shortest path).
 #[must_use]
-pub fn next_hop_port(
-    topology: &Topology,
-    from: SwitchId,
-    host: &rvaas_topology::Host,
-) -> Option<rvaas_types::PortId> {
+pub fn next_hop_port(topology: &Topology, from: SwitchId, host: &Host) -> Option<PortId> {
     if host.attachment.switch == from {
         return Some(host.attachment.port);
     }
@@ -118,7 +137,7 @@ mod tests {
     use super::*;
     use rvaas_hsa::{Cube, HeaderSpace, NetworkFunction, ReachabilityEngine, SwitchTransfer};
     use rvaas_topology::generators;
-    use rvaas_types::{ClientId, Field};
+    use rvaas_types::{Field, GeoPoint, HostId, Region, SimTime, SwitchPort};
 
     /// Installs the benign rules into an HSA network function for analysis.
     fn as_network_function(topology: &Topology) -> NetworkFunction {
@@ -234,6 +253,115 @@ mod tests {
             next_hop_port(&topo, SwitchId(1), h3),
             topo.port_towards(SwitchId(1), SwitchId(2))
         );
+    }
+
+    /// The per-pair compile `benign_rules` replaced: one `next_hop_port`
+    /// (a whole-graph BFS) per `(switch, host)` pair.
+    fn per_pair_reference(topology: &Topology) -> Vec<(SwitchId, FlowEntry)> {
+        let mut rules = Vec::new();
+        let hosts: Vec<_> = topology.hosts().cloned().collect();
+        for host in &hosts {
+            let edge_switch = host.attachment.switch;
+            for peer in &hosts {
+                if peer.id == host.id || peer.owner != host.owner {
+                    continue;
+                }
+                if let Some(out_port) = next_hop_port(topology, edge_switch, peer) {
+                    rules.push((
+                        edge_switch,
+                        FlowEntry::new(
+                            PRIO_ADMISSION,
+                            FlowMatch::from_ip(host.ip)
+                                .field(Field::IpDst, u64::from(peer.ip))
+                                .on_port(host.attachment.port),
+                            vec![Action::Output(out_port)],
+                        )
+                        .with_cookie(BENIGN_COOKIE),
+                    ));
+                }
+            }
+            rules.push((
+                edge_switch,
+                FlowEntry::new(
+                    PRIO_EDGE_DROP,
+                    FlowMatch::any().on_port(host.attachment.port),
+                    vec![Action::Drop],
+                )
+                .with_cookie(BENIGN_COOKIE),
+            ));
+        }
+        for switch in topology.switches() {
+            for host in &hosts {
+                if let Some(out_port) = next_hop_port(topology, switch.id, host) {
+                    rules.push((
+                        switch.id,
+                        FlowEntry::new(
+                            PRIO_TRANSIT,
+                            FlowMatch::to_ip(host.ip),
+                            vec![Action::Output(out_port)],
+                        )
+                        .with_cookie(BENIGN_COOKIE),
+                    ));
+                }
+            }
+        }
+        rules
+    }
+
+    /// `n` switches, the given `[switch, port, switch, port]` links, and
+    /// one host per switch on port 1 owned round-robin by two clients.
+    fn hand_built(n: u32, links: &[[u32; 4]]) -> Topology {
+        let loc = || GeoPoint::new(0.0, 0.0, Region::new("EU"));
+        let sp = |s: u32, p: u32| SwitchPort::new(SwitchId(s), PortId(p));
+        let mut t = Topology::new();
+        for s in 1..=n {
+            t.add_switch(SwitchId(s), 6, loc());
+        }
+        for &[a, pa, b, pb] in links {
+            t.add_link(sp(a, pa), sp(b, pb), SimTime::ZERO).unwrap();
+        }
+        for s in 1..=n {
+            let owner = ClientId(s % 2 + 1);
+            t.add_host(HostId(s), 0x0a00_0000 + s, sp(s, 1), owner, loc())
+                .unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn benign_rules_equal_the_per_pair_compile() {
+        let shapes = [
+            generators::line(5, 2),
+            generators::ring(6, 2),
+            generators::leaf_spine(2, 4, 3, 7),
+            generators::fat_tree(4, 4),
+            generators::waxman_wan(24, 4, &generators::DEFAULT_REGIONS, 0.4, 0.2, 3),
+            generators::fat_tree(6, 20),
+            generators::leaf_spine(4, 16, 8, 7),
+            generators::fat_tree(8, 32),
+            // A diamond (ECMP at s1 and s4) with two parallel s1–s2 links,
+            // the first with its ends swapped, and a switch with no links.
+            hand_built(
+                5,
+                &[
+                    [2, 3, 1, 3],
+                    [1, 4, 3, 3],
+                    [2, 4, 4, 3],
+                    [3, 4, 4, 4],
+                    [1, 5, 2, 5],
+                ],
+            ),
+            // Two components.
+            hand_built(5, &[[1, 3, 2, 3], [3, 3, 4, 3], [4, 4, 5, 3], [5, 4, 3, 4]]),
+        ];
+        for topology in &shapes {
+            let rules = benign_rules(topology);
+            let reference = per_pair_reference(topology);
+            assert_eq!(rules.len(), reference.len());
+            for (i, (got, want)) in rules.iter().zip(&reference).enumerate() {
+                assert_eq!(got, want, "rule {i}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The topology data model: switches, hosts, links and client attachment.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{btree_map::Entry, BTreeMap, BTreeSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
@@ -62,6 +62,11 @@ impl Link {
 }
 
 /// The trusted physical topology: the "wiring plan" of the provider network.
+///
+/// Besides switches, hosts and links it keeps indexes derived from them (so
+/// two topologies with equal switches, hosts and links compare equal): the
+/// port- and switch-level adjacency of `links`, and `hosts` by attachment
+/// and by address.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Topology {
     switches: BTreeMap<SwitchId, Switch>,
@@ -69,6 +74,14 @@ pub struct Topology {
     links: BTreeMap<LinkId, Link>,
     /// Port-level adjacency derived from `links` (both directions).
     adjacency: BTreeMap<SwitchPort, SwitchPort>,
+    /// Switch-level adjacency derived from `links`: per switch, its
+    /// neighbours ascending, each with the port of the lowest-`LinkId` link
+    /// to it.
+    neighbours: BTreeMap<SwitchId, BTreeMap<SwitchId, PortId>>,
+    /// `(attachment, host)` for every host.
+    host_ports: BTreeSet<(SwitchPort, HostId)>,
+    /// `(ip, host)` for every host.
+    host_ips: BTreeSet<(u32, HostId)>,
     next_link_id: u32,
 }
 
@@ -121,7 +134,7 @@ impl Topology {
                 "port {attachment} is wired internally and cannot host {id}"
             )));
         }
-        self.hosts.insert(
+        let replaced = self.hosts.insert(
             id,
             Host {
                 id,
@@ -131,6 +144,12 @@ impl Topology {
                 location,
             },
         );
+        if let Some(old) = replaced {
+            self.host_ports.remove(&(old.attachment, id));
+            self.host_ips.remove(&(old.ip, id));
+        }
+        self.host_ports.insert((attachment, id));
+        self.host_ips.insert((ip, id));
         Ok(())
     }
 
@@ -160,6 +179,15 @@ impl Topology {
         self.links.insert(id, Link { id, a, b, latency });
         self.adjacency.insert(a, b);
         self.adjacency.insert(b, a);
+        // Link ids only grow, so the first link between two switches is the
+        // one whose port the index keeps.
+        for (from, to) in [(a, b), (b, a)] {
+            self.neighbours
+                .entry(from.switch)
+                .or_default()
+                .entry(to.switch)
+                .or_insert(from.port);
+        }
         Ok(id)
     }
 
@@ -175,16 +203,26 @@ impl Topology {
         self.hosts.get(&id)
     }
 
-    /// Returns the host attached at the given access point, if any.
+    /// Returns the host attached at the given access point, if any (the
+    /// lowest `HostId` when several share it).
     #[must_use]
     pub fn host_at(&self, port: SwitchPort) -> Option<&Host> {
-        self.hosts.values().find(|h| h.attachment == port)
+        let (_, id) = self
+            .host_ports
+            .range((port, HostId(0))..=(port, HostId(u32::MAX)))
+            .next()?;
+        self.hosts.get(id)
     }
 
-    /// Returns the host with the given IP address, if any.
+    /// Returns the host with the given IP address, if any (the lowest
+    /// `HostId` when several share it).
     #[must_use]
     pub fn host_by_ip(&self, ip: u32) -> Option<&Host> {
-        self.hosts.values().find(|h| h.ip == ip)
+        let (_, id) = self
+            .host_ips
+            .range((ip, HostId(0))..=(ip, HostId(u32::MAX)))
+            .next()?;
+        self.hosts.get(id)
     }
 
     /// Returns the link with the given id.
@@ -273,40 +311,25 @@ impl Topology {
             .unwrap_or_default()
     }
 
-    /// Switch-level neighbours of `switch`.
+    /// Switch-level neighbours of `switch`, ascending.
     #[must_use]
     pub fn neighbors(&self, switch: SwitchId) -> Vec<SwitchId> {
-        let mut out: Vec<SwitchId> = self
-            .links
-            .values()
-            .filter_map(|l| {
-                if l.a.switch == switch {
-                    Some(l.b.switch)
-                } else if l.b.switch == switch {
-                    Some(l.a.switch)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        out.sort();
-        out.dedup();
-        out
+        self.neighbour_ids(switch).collect()
+    }
+
+    /// The neighbours of `switch` in ascending order, from the index.
+    fn neighbour_ids(&self, switch: SwitchId) -> impl Iterator<Item = SwitchId> + '_ {
+        self.neighbours
+            .get(&switch)
+            .into_iter()
+            .flat_map(|n| n.keys().copied())
     }
 
     /// The port on `from` that leads directly to `to`, if the switches are
-    /// adjacent.
+    /// adjacent: that of the lowest-`LinkId` link between them.
     #[must_use]
     pub fn port_towards(&self, from: SwitchId, to: SwitchId) -> Option<PortId> {
-        self.links.values().find_map(|l| {
-            if l.a.switch == from && l.b.switch == to {
-                Some(l.a.port)
-            } else if l.b.switch == from && l.a.switch == to {
-                Some(l.b.port)
-            } else {
-                None
-            }
-        })
+        self.neighbours.get(&from)?.get(&to).copied()
     }
 
     /// True if the switch graph is connected (single component); trivially
@@ -322,7 +345,7 @@ impl Topology {
             if !seen.insert(s) {
                 continue;
             }
-            for n in self.neighbors(s) {
+            for n in self.neighbour_ids(s) {
                 if !seen.contains(&n) {
                     queue.push_back(n);
                 }
@@ -333,6 +356,12 @@ impl Topology {
 
     /// Shortest switch-level path (BFS, hop count) between two switches,
     /// including both endpoints. `None` if unreachable.
+    ///
+    /// Ties between equal-length paths are broken by the BFS itself: it
+    /// enqueues each switch's neighbours in ascending id order and keeps the
+    /// first parent that discovers a switch. That is a contract, not an
+    /// accident: [`next_hops_to`](Self::next_hops_to) returns exactly the
+    /// first hop of this path, and the benign routing compile relies on it.
     #[must_use]
     pub fn shortest_path(&self, from: SwitchId, to: SwitchId) -> Option<Vec<SwitchId>> {
         if from == to {
@@ -342,7 +371,7 @@ impl Topology {
         let mut seen = BTreeSet::from([from]);
         let mut queue = VecDeque::from([from]);
         while let Some(s) = queue.pop_front() {
-            for n in self.neighbors(s) {
+            for n in self.neighbour_ids(s) {
                 if seen.insert(n) {
                     prev.insert(n, s);
                     if n == to {
@@ -360,6 +389,51 @@ impl Topology {
             }
         }
         None
+    }
+
+    /// For every switch from which `dst` is reachable (other than `dst`
+    /// itself), the port it forwards on toward `dst`: one BFS from `dst`
+    /// for what would otherwise take one [`shortest_path`](Self::shortest_path)
+    /// per switch.
+    ///
+    /// Each switch `s` gets the port toward its smallest-id neighbour one
+    /// hop closer to `dst`, which is exactly
+    /// `port_towards(s, shortest_path(s, dst)?[1])`, ECMP ties included.
+    /// Why: `shortest_path(s, dst)` is a BFS from `s` that enqueues
+    /// neighbours ascending and keeps first parents, so `path[1]` is the
+    /// level-1 ancestor of `dst` in that BFS tree. By induction on the
+    /// level, each level of the queue is sorted by level-1 ancestor (level
+    /// 1 is sorted by id; a level's children are enqueued in their parents'
+    /// order and inherit their ancestor), so a switch's first parent is the
+    /// one with the smallest ancestor, and the level-1 ancestor of any `v`
+    /// is the smallest neighbour `n` of `s` with
+    /// `dist(n, v) = dist(s, v) - 1`. Taking `v = dst` gives the rule above.
+    #[must_use]
+    pub fn next_hops_to(&self, dst: SwitchId) -> BTreeMap<SwitchId, PortId> {
+        let mut dist = BTreeMap::from([(dst, 0usize)]);
+        let mut order = vec![dst];
+        let mut next = 0;
+        while let Some(&s) = order.get(next) {
+            next += 1;
+            let hops = dist[&s] + 1;
+            for n in self.neighbour_ids(s) {
+                if let Entry::Vacant(slot) = dist.entry(n) {
+                    slot.insert(hops);
+                    order.push(n);
+                }
+            }
+        }
+        order[1..]
+            .iter()
+            .map(|&s| {
+                let closer = dist[&s] - 1;
+                let port = self.neighbours[&s]
+                    .iter()
+                    .find_map(|(n, port)| (dist.get(n) == Some(&closer)).then_some(*port))
+                    .expect("a switch the BFS reached has a neighbour one hop closer");
+                (s, port)
+            })
+            .collect()
     }
 
     /// Returns all hosts *not* owned by `client` (potential "other tenants").
@@ -488,5 +562,237 @@ mod tests {
         let id = t.add_link(sp(1, 2), sp(2, 2), SimTime::ZERO).unwrap();
         assert_eq!(id, LinkId(1));
         assert_eq!(t.link(id).unwrap().latency, SimTime::ZERO);
+    }
+
+    /// `neighbors` as a scan over every link: the code the index replaced.
+    fn neighbors_by_scan(t: &Topology, switch: SwitchId) -> Vec<SwitchId> {
+        let mut out: Vec<SwitchId> = t
+            .links()
+            .filter_map(|l| {
+                if l.a.switch == switch {
+                    Some(l.b.switch)
+                } else if l.b.switch == switch {
+                    Some(l.a.switch)
+                } else {
+                    None
+                }
+            })
+            .collect();
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    /// `port_towards` as a scan over every link: the code the index replaced.
+    fn port_towards_by_scan(t: &Topology, from: SwitchId, to: SwitchId) -> Option<PortId> {
+        t.links().find_map(|l| {
+            if l.a.switch == from && l.b.switch == to {
+                Some(l.a.port)
+            } else if l.b.switch == from && l.a.switch == to {
+                Some(l.b.port)
+            } else {
+                None
+            }
+        })
+    }
+
+    fn topo_with_switches(n: u32) -> Topology {
+        let mut t = Topology::new();
+        for s in 1..=n {
+            t.add_switch(SwitchId(s), 6, loc());
+        }
+        t
+    }
+
+    /// A diamond s1 → {s2, s3} → s4 (an ECMP tie at s1 and s4) whose s1–s2
+    /// hop is two parallel links, the second added with its ends swapped,
+    /// plus s5 with no links at all; one host on each switch.
+    fn diamond_with_parallel_links_and_a_lone_switch() -> Topology {
+        let mut t = topo_with_switches(5);
+        for (a, b) in [
+            (sp(2, 3), sp(1, 3)),
+            (sp(1, 4), sp(3, 3)),
+            (sp(2, 4), sp(4, 3)),
+            (sp(3, 4), sp(4, 4)),
+            (sp(1, 5), sp(2, 5)),
+        ] {
+            t.add_link(a, b, SimTime::ZERO).unwrap();
+        }
+        for s in 1..=5 {
+            t.add_host(HostId(s), 0x0a00_0000 + s, sp(s, 1), ClientId(1), loc())
+                .unwrap();
+        }
+        t
+    }
+
+    /// Two components: s1 – s2 and a triangle s3 – s4 – s5.
+    fn two_components() -> Topology {
+        let mut t = topo_with_switches(5);
+        for (a, b) in [
+            (sp(1, 3), sp(2, 3)),
+            (sp(3, 3), sp(4, 3)),
+            (sp(4, 4), sp(5, 3)),
+            (sp(5, 4), sp(3, 4)),
+        ] {
+            t.add_link(a, b, SimTime::ZERO).unwrap();
+        }
+        for s in 1..=5 {
+            t.add_host(
+                HostId(s),
+                0x0a00_0000 + s,
+                sp(s, 1),
+                ClientId(s % 2 + 1),
+                loc(),
+            )
+            .unwrap();
+        }
+        t
+    }
+
+    /// Every generator shape, the three benchmark topologies and the
+    /// hand-built corner cases.
+    fn shapes() -> Vec<(&'static str, Topology)> {
+        use crate::generators::{fat_tree, leaf_spine, line, ring, waxman_wan, DEFAULT_REGIONS};
+        vec![
+            ("line(5,2)", line(5, 2)),
+            ("ring(6,2)", ring(6, 2)),
+            ("leaf_spine(2,4,3)", leaf_spine(2, 4, 3, 7)),
+            ("fat_tree(4,4)", fat_tree(4, 4)),
+            (
+                "waxman(24)",
+                waxman_wan(24, 4, &DEFAULT_REGIONS, 0.4, 0.2, 3),
+            ),
+            ("fat_tree(6,20)", fat_tree(6, 20)),
+            ("leaf_spine(4,16,8,7)", leaf_spine(4, 16, 8, 7)),
+            ("fat_tree(8,32)", fat_tree(8, 32)),
+            ("diamond", diamond_with_parallel_links_and_a_lone_switch()),
+            ("two components", two_components()),
+        ]
+    }
+
+    fn switch_ids(t: &Topology) -> Vec<SwitchId> {
+        // One id that is not a switch, so misses are compared too.
+        t.switches().map(|s| s.id).chain([SwitchId(999)]).collect()
+    }
+
+    #[test]
+    fn indexed_adjacency_equals_a_link_scan() {
+        for (label, t) in shapes() {
+            let ids = switch_ids(&t);
+            for &from in &ids {
+                assert_eq!(
+                    t.neighbors(from),
+                    neighbors_by_scan(&t, from),
+                    "{label}: {from}"
+                );
+                for &to in &ids {
+                    assert_eq!(
+                        t.port_towards(from, to),
+                        port_towards_by_scan(&t, from, to),
+                        "{label}: {from} -> {to}"
+                    );
+                }
+            }
+        }
+        // The lowest `LinkId` wins between parallel links.
+        let t = diamond_with_parallel_links_and_a_lone_switch();
+        assert_eq!(t.port_towards(SwitchId(1), SwitchId(2)), Some(PortId(3)));
+        assert_eq!(t.port_towards(SwitchId(2), SwitchId(1)), Some(PortId(3)));
+        assert_eq!(t.neighbors(SwitchId(5)), Vec::<SwitchId>::new());
+    }
+
+    #[test]
+    fn next_hops_to_is_the_first_hop_of_shortest_path() {
+        for (label, t) in shapes() {
+            let ids = switch_ids(&t);
+            for &dst in &ids {
+                let expected: BTreeMap<SwitchId, PortId> = ids
+                    .iter()
+                    .filter_map(|&from| {
+                        let path = t.shortest_path(from, dst)?;
+                        Some((from, t.port_towards(from, *path.get(1)?)?))
+                    })
+                    .collect();
+                assert_eq!(t.next_hops_to(dst), expected, "{label}: toward {dst}");
+            }
+        }
+        // The ECMP tie at s1 toward s4 goes to the smaller neighbour, s2,
+        // over the lower-id of the two parallel links; s5 reaches nothing.
+        let t = diamond_with_parallel_links_and_a_lone_switch();
+        let hops = t.next_hops_to(SwitchId(4));
+        assert_eq!(hops.get(&SwitchId(1)), Some(&PortId(3)));
+        assert_eq!(hops.get(&SwitchId(5)), None);
+        assert_eq!(hops.get(&SwitchId(4)), None);
+        assert!(t.next_hops_to(SwitchId(5)).is_empty());
+    }
+
+    #[test]
+    fn host_lookups_equal_a_linear_scan() {
+        let mut corner = diamond_with_parallel_links_and_a_lone_switch();
+        // Two hosts on one port and on one address: the higher id first,
+        // so an index that kept insertion order would answer wrong.
+        corner
+            .add_host(HostId(9), 0x0a00_0063, sp(5, 2), ClientId(2), loc())
+            .unwrap();
+        corner
+            .add_host(HostId(7), 0x0a00_0063, sp(5, 2), ClientId(2), loc())
+            .unwrap();
+        assert_eq!(corner.host_at(sp(5, 2)).unwrap().id, HostId(7));
+        assert_eq!(corner.host_by_ip(0x0a00_0063).unwrap().id, HostId(7));
+        // A re-added id leaves its old port and address behind.
+        corner
+            .add_host(HostId(7), 0x0a00_0064, sp(4, 2), ClientId(2), loc())
+            .unwrap();
+        assert_eq!(corner.host_at(sp(5, 2)).unwrap().id, HostId(9));
+        assert_eq!(corner.host_by_ip(0x0a00_0063).unwrap().id, HostId(9));
+        corner
+            .add_host(HostId(1), 0x0a00_0065, sp(1, 2), ClientId(1), loc())
+            .unwrap();
+        assert!(corner.host_at(sp(1, 1)).is_none());
+        assert!(corner.host_by_ip(0x0a00_0001).is_none());
+
+        let mut all = shapes();
+        all.push(("corner hosts", corner));
+        for (label, t) in all {
+            for switch in t.switches() {
+                for &port in &switch.ports {
+                    let at = SwitchPort::new(switch.id, port);
+                    assert_eq!(
+                        t.host_at(at).map(|h| h.id),
+                        t.hosts().find(|h| h.attachment == at).map(|h| h.id),
+                        "{label}: {at}"
+                    );
+                }
+            }
+            for ip in t.hosts().map(|h| h.ip).chain([0, 0x0a00_0000, u32::MAX]) {
+                assert_eq!(
+                    t.host_by_ip(ip).map(|h| h.id),
+                    t.hosts().find(|h| h.ip == ip).map(|h| h.id),
+                    "{label}: {ip:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn equality_is_switches_hosts_and_links_however_hosts_got_there() {
+        let mut moved = small_topo();
+        moved
+            .add_host(HostId(1), 0x0a00_0009, sp(1, 2), ClientId(1), loc())
+            .unwrap();
+        let mut direct = Topology::new();
+        direct.add_switch(SwitchId(1), 3, loc());
+        direct.add_switch(SwitchId(2), 3, loc());
+        direct
+            .add_link(sp(1, 3), sp(2, 3), SimTime::from_micros(10))
+            .unwrap();
+        direct
+            .add_host(HostId(2), 0x0a000002, sp(2, 1), ClientId(2), loc())
+            .unwrap();
+        direct
+            .add_host(HostId(1), 0x0a00_0009, sp(1, 2), ClientId(1), loc())
+            .unwrap();
+        assert_eq!(moved, direct);
+        assert_ne!(moved, small_topo());
     }
 }
