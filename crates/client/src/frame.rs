@@ -101,7 +101,11 @@ impl From<FrameError> for io::Error {
     }
 }
 
-/// Writes one length-prefixed frame and flushes the stream.
+/// Writes one length-prefixed frame, prefix and payload in one write, and
+/// flushes the stream. One write matters on a socket with Nagle's algorithm
+/// on: a separate 4-byte prefix goes out alone and holds the payload back
+/// until the peer acknowledges it, which a delayed ack stretches to tens of
+/// milliseconds per frame.
 ///
 /// # Errors
 ///
@@ -112,8 +116,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError
     if payload.len() > MAX_FRAME_LEN {
         return Err(FrameError::Oversized { len: payload.len() });
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

@@ -82,7 +82,7 @@ pub fn benign_rules(topology: &Topology) -> Vec<(SwitchId, FlowEntry)> {
                         FlowMatch::from_ip(host.ip)
                             .field(rvaas_types::Field::IpDst, u64::from(peer.ip))
                             .on_port(host.attachment.port),
-                        vec![Action::Output(out_port)],
+                        [Action::Output(out_port)],
                     )
                     .with_cookie(BENIGN_COOKIE),
                 ));
@@ -94,7 +94,7 @@ pub fn benign_rules(topology: &Topology) -> Vec<(SwitchId, FlowEntry)> {
             FlowEntry::new(
                 PRIO_EDGE_DROP,
                 FlowMatch::any().on_port(host.attachment.port),
-                vec![Action::Drop],
+                [Action::Drop],
             )
             .with_cookie(BENIGN_COOKIE),
         ));
@@ -109,7 +109,7 @@ pub fn benign_rules(topology: &Topology) -> Vec<(SwitchId, FlowEntry)> {
                     FlowEntry::new(
                         PRIO_TRANSIT,
                         FlowMatch::to_ip(host.ip),
-                        vec![Action::Output(out_port)],
+                        [Action::Output(out_port)],
                     )
                     .with_cookie(BENIGN_COOKIE),
                 ));

@@ -774,7 +774,7 @@ mod tests {
         assert_eq!(rules.len(), 2);
         for rule in &rules {
             assert_eq!(rule.priority, INTERCEPT_PRIORITY);
-            assert_eq!(rule.actions, vec![Action::OutputController]);
+            assert_eq!(*rule.actions, [Action::OutputController]);
         }
         let query_probe = Header::builder()
             .ip_src(1)

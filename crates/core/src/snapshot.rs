@@ -21,7 +21,10 @@
 //!
 //! Tables are **shared copy-on-write**: a clone copies no [`FlowEntry`], an
 //! edit copies the one table it changes, and dropping a snapshot frees only
-//! the tables nothing else holds. Two pointer-equal tables are therefore
+//! the tables nothing else holds. Copying a table copies its entries and its
+//! index but not the entries' action lists, which are shared [`Arc`]s: no
+//! entry costs an allocation of its own, and freeing the copy frees no
+//! action list a predecessor still uses. Two pointer-equal tables are therefore
 //! equal, which is the one thing the diff behind `changes_to` uses the
 //! sharing for — it skips them. Edits look before they write: a removal of
 //! an absent key and an install of an entry `==` to the held one copy
@@ -443,8 +446,8 @@ mod tests {
         snap.record_installed(SwitchId(1), entry(5, 2), SimTime::from_millis(2));
         assert_eq!(snap.rule_count(), 1);
         assert_eq!(
-            snap.table_of(SwitchId(1))[0].actions,
-            vec![Action::Output(PortId(2))]
+            *snap.table_of(SwitchId(1))[0].actions,
+            [Action::Output(PortId(2))]
         );
         // Removal moves the entry to history.
         let removed = entry(5, 2);
@@ -616,6 +619,31 @@ mod tests {
         assert_eq!(clone.table_of(SwitchId(1))[0], recoloured);
         assert_eq!(shared(&source, &clone), [false, false, true]);
         assert_eq!(source.changes_to(&clone), one);
+    }
+
+    #[test]
+    fn a_copied_table_shares_every_untouched_action_list() {
+        let mut source = NetworkSnapshot::new(SimTime::from_secs(1));
+        for dst in 0..8 {
+            source.record_installed(SwitchId(1), entry(dst, 1), SimTime::from_millis(1));
+        }
+        let mut next = source.clone();
+        let changes = [
+            RuleChange::removed(SwitchId(1), entry(2, 1)),
+            RuleChange::installed(SwitchId(1), entry(5, 9)),
+            RuleChange::installed(SwitchId(1), entry(8, 1)),
+        ];
+        next.apply_changes(&changes, SimTime::from_millis(2));
+        let (before, after) = (source.table_of(SwitchId(1)), next.table_of(SwitchId(1)));
+        assert_ne!(before.as_ptr(), after.as_ptr(), "the table was copied");
+        assert_eq!(after.len(), 8);
+        for held in after {
+            let touched = [5, 8].map(FlowMatch::to_ip).contains(&held.flow_match);
+            let shares = before
+                .iter()
+                .any(|old| Arc::ptr_eq(&old.actions, &held.actions));
+            assert_eq!(shares, !touched, "{:?}", held.flow_match);
+        }
     }
 
     #[test]

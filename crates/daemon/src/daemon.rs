@@ -285,7 +285,11 @@ fn local_addr(listener: &TcpListener) -> Result<SocketAddr, ServiceError> {
 /// One sync session: frames in, frames out, until EOF, error or shutdown.
 fn serve_sync_connection(context: &ConnectionContext, stream: TcpStream) {
     let mut stream = stream;
-    if stream.set_read_timeout(Some(SYNC_READ_TIMEOUT)).is_err() {
+    // A response is one frame in one write (`write_frame`): send it at once
+    // rather than wait for the peer to acknowledge the previous one.
+    if stream.set_read_timeout(Some(SYNC_READ_TIMEOUT)).is_err()
+        || stream.set_nodelay(true).is_err()
+    {
         return;
     }
     context.sync_active.inc();

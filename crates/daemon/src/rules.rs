@@ -175,13 +175,13 @@ mod tests {
         assert_eq!(rules[0].1.flow_match, {
             FlowMatch::from_ip(0x0a00_0001).field(Field::IpDst, 0x0a00_0002)
         });
-        assert_eq!(rules[0].1.actions, vec![Action::Output(PortId(2))]);
-        assert_eq!(rules[1].1.actions, vec![Action::Drop]);
+        assert_eq!(*rules[0].1.actions, [Action::Output(PortId(2))]);
+        assert_eq!(*rules[1].1.actions, [Action::Drop]);
         assert_eq!(
             rules[1].1.flow_match,
             FlowMatch::any().field_prefix(Field::IpDst, 0x0a00_0009, 24)
         );
-        assert_eq!(rules[2].1.actions, vec![Action::OutputController]);
+        assert_eq!(*rules[2].1.actions, [Action::OutputController]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rvaas_client::{
     decode_inband, read_frame, write_frame, InbandMessage, SyncPayload, SyncSession,
@@ -71,14 +71,10 @@ fn read_response(stream: &mut TcpStream) -> (u16, String) {
     (status, String::from_utf8(body).unwrap())
 }
 
-/// A sync client connection. `TCP_NODELAY` because `write_frame` sends the
-/// prefix and the payload as two writes: with Nagle on, the payload waits
-/// for the daemon's delayed ACK of the prefix, which on a loaded host can
-/// outlast the daemon's 100 ms read timeout and tear the frame.
+/// A sync client connection with the socket defaults (Nagle on): one frame
+/// is one write, so a request never waits for the ACK of its own prefix.
 fn sync_connect(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
+    TcpStream::connect(addr).unwrap()
 }
 
 /// Runs one sync exchange on an open connection and applies the response.
@@ -475,6 +471,28 @@ fn a_sync_peer_that_stalls_mid_frame_is_dropped_while_another_keeps_syncing() {
     }
 
     sync_roundtrip(&mut healthy, &mut session, ClientId(2));
+    assert_eq!(session.serial(), daemon.service().current_serial());
+    daemon.shutdown();
+}
+
+#[test]
+fn back_to_back_sync_exchanges_are_not_held_back_by_delayed_acks() {
+    // A response written as a 4-byte prefix and then the payload, on a socket
+    // with Nagle on, waits for the client's delayed ACK of the prefix: about
+    // 40 ms per exchange, so these 50 would take two seconds.
+    let daemon = started_daemon();
+    let mut stream = sync_connect(daemon.sync_addr().unwrap());
+    let mut session = SyncSession::new();
+    sync_roundtrip(&mut stream, &mut session, ClientId(1));
+    let started = Instant::now();
+    for _ in 0..50 {
+        sync_roundtrip(&mut stream, &mut session, ClientId(1));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "50 sync exchanges took {elapsed:?}"
+    );
     assert_eq!(session.serial(), daemon.service().current_serial());
     daemon.shutdown();
 }

@@ -385,11 +385,11 @@ impl<'a> Dna<'a> {
             0 => RuleAction::Drop,
             1 => RuleAction::ToController,
             2 => RuleAction::Forward {
-                ports: vec![PortId(u32::from(self.byte() % 4))],
+                ports: [PortId(u32::from(self.byte() % 4))].into(),
                 rewrite: None,
             },
             _ => RuleAction::Forward {
-                ports: vec![PortId(u32::from(self.byte() % 4))],
+                ports: [PortId(u32::from(self.byte() % 4))].into(),
                 rewrite: Some(Cube::wildcard().with_field(Field::Vlan, u64::from(self.byte()))),
             },
         };

@@ -546,7 +546,7 @@ mod tests {
                 10,
                 dst_match(9),
                 RuleAction::Forward {
-                    ports: vec![PortId(2), PortId(3)],
+                    ports: [PortId(2), PortId(3)].into(),
                     rewrite: None,
                 },
             )]),

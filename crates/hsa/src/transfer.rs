@@ -32,8 +32,9 @@ pub enum RuleAction {
     /// Forward to the listed output ports (multicast if more than one),
     /// optionally rewriting header bits first.
     Forward {
-        /// Ports the traffic is sent out of.
-        ports: Vec<PortId>,
+        /// Ports the traffic is sent out of. Shared, so copying a rule (a
+        /// table's copy-on-write) allocates nothing.
+        ports: Arc<[PortId]>,
         /// Optional set-field rewrite applied before forwarding.
         rewrite: Option<Cube>,
     },
@@ -48,7 +49,7 @@ impl RuleAction {
     #[must_use]
     pub fn forward(port: PortId) -> Self {
         RuleAction::Forward {
-            ports: vec![port],
+            ports: Arc::from([port]),
             rewrite: None,
         }
     }
@@ -585,7 +586,7 @@ mod tests {
                         Some(rw) => matched.rewrite(rw),
                         None => matched.clone(),
                     };
-                    for port in ports {
+                    for port in ports.iter() {
                         outputs.push(PortSpace {
                             out_port: Some(*port),
                             to_controller: false,
@@ -680,7 +681,7 @@ mod tests {
             5,
             dst_match(3),
             RuleAction::Forward {
-                ports: vec![PortId(4)],
+                ports: [PortId(4)].into(),
                 rewrite: Some(rewrite),
             },
         )]);
@@ -710,7 +711,7 @@ mod tests {
             10,
             Cube::wildcard(),
             RuleAction::Forward {
-                ports: vec![PortId(1), PortId(2), PortId(3)],
+                ports: [PortId(1), PortId(2), PortId(3)].into(),
                 rewrite: None,
             },
         )]);
@@ -768,11 +769,11 @@ mod tests {
             2 => RuleAction::ToController,
             3 | 4 => RuleAction::forward(PortId(p)),
             5 => RuleAction::Forward {
-                ports: vec![PortId(p), PortId(q)],
+                ports: [PortId(p), PortId(q)].into(),
                 rewrite: None,
             },
             _ => RuleAction::Forward {
-                ports: vec![PortId(p)],
+                ports: [PortId(p)].into(),
                 rewrite: Some(rewrite),
             },
         };
@@ -1044,6 +1045,37 @@ mod tests {
             frozen.link_peer(SwitchPort::new(SwitchId(2), PortId(1))),
             Some(SwitchPort::new(SwitchId(1), PortId(2)))
         );
+    }
+
+    #[test]
+    fn a_copied_table_shares_every_untouched_port_list() {
+        let forward =
+            |dst, port| RuleTransfer::new(10, dst_match(dst), RuleAction::forward(PortId(port)));
+        let ports = |rule: &RuleTransfer| match &rule.action {
+            RuleAction::Forward { ports, .. } => Arc::clone(ports),
+            other => panic!("not a forward: {other:?}"),
+        };
+        let mut original = NetworkFunction::new();
+        for dst in 0..6 {
+            original.insert_rule(SwitchId(1), forward(dst, dst + 1));
+        }
+        let frozen = original.clone();
+        original.insert_rule(SwitchId(1), forward(9, 9));
+        assert!(original.remove_rule(SwitchId(1), &forward(2, 3)).is_some());
+        assert!(original
+            .replace_rule(SwitchId(1), &forward(4, 5), forward(4, 7))
+            .is_some());
+        let before = frozen.transfer(SwitchId(1)).unwrap().rules();
+        let after = original.transfer(SwitchId(1)).unwrap().rules();
+        assert!(!std::ptr::eq(before.as_ptr(), after.as_ptr()), "copied");
+        assert_eq!(after.len(), 6);
+        for rule in after {
+            let dst = rule.match_cube.field_exact(Field::IpDst).unwrap();
+            let shares = before
+                .iter()
+                .any(|old| Arc::ptr_eq(&ports(old), &ports(rule)));
+            assert_eq!(shares, ![4, 9].contains(&dst), "rule to {dst}");
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn apply_messages(
                     .iter()
                     .find(|e| e.priority == *priority && e.flow_match == *flow_match);
                 if let Some(mut entry) = held.cloned() {
-                    entry.actions.clone_from(actions);
+                    entry.actions = actions.as_slice().into();
                     snapshot.record_installed(*switch, entry.clone(), at);
                     changes.push(RuleChange::installed(*switch, entry));
                 }

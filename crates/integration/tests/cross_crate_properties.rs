@@ -185,10 +185,10 @@ proptest! {
                 (true, None) => RuleChange::installed(switch, entry),
                 (true, Some(held)) => {
                     let mut rewritten = held.clone();
-                    rewritten.actions = if held.actions == [Action::Drop] {
-                        vec![Action::Output(rvaas_types::PortId(1))]
+                    rewritten.actions = if *held.actions == [Action::Drop] {
+                        [Action::Output(rvaas_types::PortId(1))].into()
                     } else {
-                        vec![Action::Drop]
+                        [Action::Drop].into()
                     };
                     RuleChange::installed(switch, rewritten)
                 }
@@ -706,7 +706,7 @@ proptest! {
         let mut snapshot = benign_snapshot_of(&topo);
         let benign: Vec<(SwitchId, rvaas_openflow::FlowEntry)> = benign_rules(&topo)
             .into_iter()
-            .filter(|(_, entry)| entry.actions != [Action::Drop])
+            .filter(|(_, entry)| *entry.actions != [Action::Drop])
             .collect();
         service.try_publish(&snapshot, SimTime::from_millis(1)).unwrap();
         let mut installed: Vec<Attack> = Vec::new();
@@ -745,7 +745,7 @@ proptest! {
                     let (switch, original) = &benign[a % benign.len()];
                     let mut entry = original.clone();
                     if snapshot.table_of(*switch).contains(original) {
-                        entry.actions = vec![Action::Drop];
+                        entry.actions = [Action::Drop].into();
                     }
                     vec![RuleChange::installed(*switch, entry)]
                 }

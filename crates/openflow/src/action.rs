@@ -102,7 +102,7 @@ pub fn to_rule_action(actions: &[Action]) -> RuleAction {
         return RuleAction::Drop;
     }
     RuleAction::Forward {
-        ports,
+        ports: ports.into(),
         rewrite: if any_rewrite { Some(rewrite) } else { None },
     }
 }
@@ -173,7 +173,7 @@ mod tests {
         ];
         match to_rule_action(&actions) {
             RuleAction::Forward { ports, rewrite } => {
-                assert_eq!(ports, vec![PortId(1), PortId(2)]);
+                assert_eq!(*ports, [PortId(1), PortId(2)]);
                 assert_eq!(rewrite.unwrap().field_exact(Field::Vlan), Some(9));
             }
             other => panic!("unexpected {other:?}"),
@@ -191,7 +191,7 @@ mod tests {
         assert_eq!(
             to_rule_action(&[Action::Output(PortId(4))]),
             RuleAction::Forward {
-                ports: vec![PortId(4)],
+                ports: [PortId(4)].into(),
                 rewrite: None
             }
         );

@@ -8,6 +8,8 @@
 //! The [`MeterTable`] models simple rate limiters, enough for the fairness /
 //! network-neutrality queries.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use rvaas_hsa::{RuleTransfer, SwitchTransfer};
@@ -32,8 +34,10 @@ pub struct FlowEntry {
     pub priority: u16,
     /// Match expression.
     pub flow_match: FlowMatch,
-    /// Action list applied to matching packets.
-    pub actions: Vec<Action>,
+    /// Action list applied to matching packets. Shared, so copying an entry
+    /// (a table's copy-on-write, a change list, a removal record) allocates
+    /// nothing.
+    pub actions: Arc<[Action]>,
     /// Cookie chosen by the installing controller.
     pub cookie: FlowCookie,
     /// Counters.
@@ -43,11 +47,11 @@ pub struct FlowEntry {
 impl FlowEntry {
     /// Creates an entry with zeroed counters.
     #[must_use]
-    pub fn new(priority: u16, flow_match: FlowMatch, actions: Vec<Action>) -> Self {
+    pub fn new(priority: u16, flow_match: FlowMatch, actions: impl Into<Arc<[Action]>>) -> Self {
         FlowEntry {
             priority,
             flow_match,
-            actions,
+            actions: actions.into(),
             cookie: FlowCookie(0),
             stats: FlowStats::default(),
         }
@@ -148,10 +152,11 @@ impl FlowTable {
         flow_match: &FlowMatch,
         actions: &[Action],
     ) -> usize {
+        let actions: Arc<[Action]> = actions.into();
         let mut changed = 0;
         for e in &mut self.entries {
             if e.priority == priority && &e.flow_match == flow_match {
-                e.actions = actions.to_vec();
+                e.actions = Arc::clone(&actions);
                 changed += 1;
             }
         }
@@ -307,10 +312,10 @@ mod tests {
         )));
         // Port-80 traffic hits the high-priority drop.
         let hit = t.lookup(PortId(1), &hdr(5, 80)).unwrap();
-        assert_eq!(hit.actions, vec![Action::Drop]);
+        assert_eq!(*hit.actions, [Action::Drop]);
         // Other traffic to 5 hits the forward rule.
         let hit = t.lookup(PortId(1), &hdr(5, 443)).unwrap();
-        assert_eq!(hit.actions, vec![Action::Output(PortId(1))]);
+        assert_eq!(*hit.actions, [Action::Output(PortId(1))]);
         // Unrelated traffic misses.
         assert!(t.lookup(PortId(1), &hdr(6, 80)).is_none());
     }
@@ -326,8 +331,8 @@ mod tests {
         ));
         assert_eq!(t.len(), 1);
         assert_eq!(
-            t.lookup(PortId(1), &hdr(5, 1)).unwrap().actions,
-            vec![Action::Output(PortId(9))]
+            *t.lookup(PortId(1), &hdr(5, 1)).unwrap().actions,
+            [Action::Output(PortId(9))]
         );
     }
 
@@ -359,7 +364,7 @@ mod tests {
         t.add(fwd_entry(7, 5, 1));
         let changed = t.modify_strict(7, &FlowMatch::to_ip(5), &[Action::Drop]);
         assert_eq!(changed, 1);
-        assert_eq!(t.entries()[0].actions, vec![Action::Drop]);
+        assert_eq!(*t.entries()[0].actions, [Action::Drop]);
         assert_eq!(t.modify_strict(8, &FlowMatch::to_ip(5), &[Action::Drop]), 0);
         assert_eq!(t.modify_strict(7, &FlowMatch::to_ip(6), &[Action::Drop]), 0);
     }

@@ -14,9 +14,10 @@
 //! `EpochStore::commit` derives everything else from that one list, hashing
 //! only its entries:
 //!
-//! * the **digest set** of the epoch ([`DigestSet`]: a flat copy of the
-//!   predecessor's, plus and minus the net delta, with its content digest
-//!   carried forward the same way) and the **digest-level delta** —
+//! * the **digest set** of the epoch ([`DigestSet`]: the predecessor's runs
+//!   of digests, sharing every run the net delta does not land in and
+//!   rebuilding the rest, with its content digest carried forward by the
+//!   delta alone) and the **digest-level delta** —
 //!   added/removed [`FlowDigest`]s, retained in a bounded history and
 //!   aggregated over a window by [`EpochStore::delta_between`]; it is what
 //!   the RTR-style sync protocol ships to clients;
@@ -95,14 +96,29 @@ pub fn digest_snapshot(snapshot: &NetworkSnapshot) -> BTreeSet<FlowDigest> {
         .collect()
 }
 
-/// The digest set of one epoch: ascending and distinct — the wire form a sync
-/// `Reset` ships — so a successor starts from a flat copy of it, and its
-/// [content digest](DigestSet::content_digest) is kept beside it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The digest set of one epoch: ascending and distinct — the order a sync
+/// `Reset` ships — held as consecutive runs of at most [`RUN_MAX`] digests,
+/// each behind an [`Arc`]. A successor shares every run its delta does not
+/// land in and rebuilds only the rest, so a publish copies `O(delta · RUN_MAX)`
+/// digests, not the set; the [content digest](DigestSet::content_digest) is
+/// kept beside the runs and carried the same way.
+///
+/// Runs are never empty, and when there are two or more each holds at least
+/// [`RUN_MIN`] digests, so their count stays `O(len / RUN_MIN)`. Two sets
+/// are equal when they hold the same digests, however they are cut.
+#[derive(Debug, Clone, Default)]
 pub struct DigestSet {
-    digests: Vec<FlowDigest>,
+    runs: Vec<Arc<[FlowDigest]>>,
+    len: usize,
     content: u64,
 }
+
+/// The most digests one run of a [`DigestSet`] holds.
+const RUN_MAX: usize = 256;
+
+/// The fewest digests a run holds when it is not the set's only run: a
+/// rebuilt run that would fall below merges with a neighbour.
+const RUN_MIN: usize = 64;
 
 /// The content digest of a digest set, from scratch: the wrapping sum of a
 /// per-digest mix. Commutative, so it depends on the set alone (not on the
@@ -134,15 +150,56 @@ impl DigestSet {
         self.content
     }
 
-    /// The digests of `self` that `other` lacks, ascending.
-    pub fn difference<'a>(&'a self, other: &'a DigestSet) -> impl Iterator<Item = &'a FlowDigest> {
-        self.iter().filter(move |d| other.binary_search(d).is_err())
+    /// Number of digests in the set.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
     }
 
-    /// `self` minus `removed` plus `added`. The runs between change points
-    /// are copied as slices, so the cost is a flat copy plus
-    /// `O(delta · log n)`; the content digest moves only by the digests that
-    /// actually left or arrived, so it stays [`content_digest_of`] the set.
+    /// True when the set holds no digest.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The digests, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = &FlowDigest> {
+        self.runs.iter().flat_map(|run| run.iter())
+    }
+
+    /// The digests, ascending, in one vector: the body of a sync `Reset`.
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<FlowDigest> {
+        let mut digests = Vec::with_capacity(self.len);
+        for run in &self.runs {
+            digests.extend_from_slice(run);
+        }
+        digests
+    }
+
+    /// True when `digest` is in the set.
+    #[must_use]
+    pub fn contains(&self, digest: &FlowDigest) -> bool {
+        let run = self
+            .runs
+            .partition_point(|run| run[run.len() - 1] < *digest);
+        self.runs
+            .get(run)
+            .is_some_and(|run| run.binary_search(digest).is_ok())
+    }
+
+    /// The digests of `self` that `other` lacks, ascending.
+    pub fn difference<'a>(&'a self, other: &'a DigestSet) -> impl Iterator<Item = &'a FlowDigest> {
+        self.iter().filter(move |d| !other.contains(d))
+    }
+
+    /// `self` minus `removed` plus `added`. A change lands in the run whose
+    /// range covers it (past the last run: the last run); every run no change
+    /// lands in is shared, the others are rebuilt — merged with the next run,
+    /// or at the end the previous one, while they hold fewer than
+    /// [`RUN_MIN`] digests — and cut back into runs of at most [`RUN_MAX`].
+    /// The content digest moves only by the digests that actually left or
+    /// arrived, so it stays [`content_digest_of`] the set.
     fn patched(&self, removed: &BTreeSet<FlowDigest>, added: &BTreeSet<FlowDigest>) -> DigestSet {
         let mut points: Vec<(FlowDigest, bool)> = removed
             .iter()
@@ -150,39 +207,83 @@ impl DigestSet {
             .chain(added.iter().map(|d| (*d, true)))
             .collect();
         points.sort_unstable();
-        let mut digests = Vec::with_capacity(self.len() + added.len());
         let mut content = self.content;
-        let mut rest: &[FlowDigest] = self;
-        for (digest, arrives) in points {
-            let (kept, tail) = rest.split_at(rest.partition_point(|held| *held < digest));
-            digests.extend_from_slice(kept);
-            let held = tail.first() == Some(&digest);
-            rest = &tail[usize::from(held)..];
-            if arrives {
-                digests.push(digest);
+        let mut runs: Vec<Arc<[FlowDigest]>> = Vec::with_capacity(self.runs.len() + 1);
+        // Rebuilt digests not yet cut into runs.
+        let mut pending: Vec<FlowDigest> = Vec::new();
+        let mut points = points.as_slice();
+        for (index, run) in self.runs.iter().enumerate() {
+            let landing = if index + 1 == self.runs.len() {
+                points.len()
+            } else {
+                points.partition_point(|(d, _)| *d <= run[run.len() - 1])
+            };
+            let (here, later) = points.split_at(landing);
+            points = later;
+            if here.is_empty() && (pending.is_empty() || pending.len() >= RUN_MIN) {
+                cut_runs(&mut runs, &mut pending);
+                runs.push(Arc::clone(run));
+                continue;
             }
-            match (held, arrives) {
-                (true, false) => content = content.wrapping_sub(mix(digest)),
-                (false, true) => content = content.wrapping_add(mix(digest)),
-                _ => {}
+            let mut rest: &[FlowDigest] = run;
+            for &(digest, arrives) in here {
+                let (kept, tail) = rest.split_at(rest.partition_point(|held| *held < digest));
+                pending.extend_from_slice(kept);
+                let held = tail.first() == Some(&digest);
+                rest = &tail[usize::from(held)..];
+                if arrives {
+                    pending.push(digest);
+                }
+                match (held, arrives) {
+                    (true, false) => content = content.wrapping_sub(mix(digest)),
+                    (false, true) => content = content.wrapping_add(mix(digest)),
+                    _ => {}
+                }
+            }
+            pending.extend_from_slice(rest);
+        }
+        // Only an empty set has points left over: they are all new.
+        for &(digest, arrives) in points {
+            if arrives {
+                pending.push(digest);
+                content = content.wrapping_add(mix(digest));
             }
         }
-        digests.extend_from_slice(rest);
-        DigestSet { digests, content }
+        if !pending.is_empty() && pending.len() < RUN_MIN {
+            if let Some(previous) = runs.pop() {
+                pending.splice(0..0, previous.iter().copied());
+            }
+        }
+        cut_runs(&mut runs, &mut pending);
+        let len = runs.iter().map(|run| run.len()).sum();
+        DigestSet { runs, len, content }
     }
 }
 
-impl std::ops::Deref for DigestSet {
-    type Target = [FlowDigest];
+/// Moves `pending` onto `runs` as runs of at most [`RUN_MAX`] digests, as
+/// even as they come: `RUN_MAX / 2` or more each when there are several.
+fn cut_runs(runs: &mut Vec<Arc<[FlowDigest]>>, pending: &mut Vec<FlowDigest>) {
+    let count = pending.len().div_ceil(RUN_MAX);
+    let mut rest = pending.as_slice();
+    for left in (1..=count).rev() {
+        let (run, tail) = rest.split_at(rest.len().div_ceil(left));
+        runs.push(run.into());
+        rest = tail;
+    }
+    pending.clear();
+}
 
-    fn deref(&self) -> &[FlowDigest] {
-        &self.digests
+impl PartialEq for DigestSet {
+    fn eq(&self, other: &DigestSet) -> bool {
+        self.len == other.len && self.content == other.content && self.iter().eq(other.iter())
     }
 }
+
+impl Eq for DigestSet {}
 
 impl PartialEq<BTreeSet<FlowDigest>> for DigestSet {
     fn eq(&self, other: &BTreeSet<FlowDigest>) -> bool {
-        self.iter().eq(other)
+        self.len == other.len() && self.iter().eq(other)
     }
 }
 
@@ -841,6 +942,127 @@ mod tests {
         // Back again: the content digest is a function of the set alone.
         let back = next.patched(&set(&[5, 35, 50]), &set(&[10, 40]));
         assert_eq!(back, base);
+    }
+
+    /// Asserts the run invariants [`DigestSet`] documents.
+    fn assert_runs_well_formed(set: &DigestSet, step: usize) {
+        let runs = &set.runs;
+        assert!(
+            runs.iter()
+                .all(|run| !run.is_empty() && run.len() <= RUN_MAX),
+            "step {step}: run sizes {:?}",
+            runs.iter().map(|run| run.len()).collect::<Vec<_>>()
+        );
+        assert!(
+            runs.len() < 2 || runs.iter().all(|run| run.len() >= RUN_MIN),
+            "step {step}: a short run beside others"
+        );
+        assert!(runs.len() <= set.len().div_ceil(RUN_MIN), "step {step}");
+        assert_eq!(runs.iter().map(|run| run.len()).sum::<usize>(), set.len());
+        assert!(
+            set.to_vec().windows(2).all(|pair| pair[0] < pair[1]),
+            "step {step}: not ascending across runs"
+        );
+    }
+
+    #[test]
+    fn patched_digest_sets_equal_a_set_oracle_across_runs() {
+        // Grow to a few thousand digests, churn a handful at a time, drain to
+        // empty and refill, over a domain small enough that removals hit held
+        // digests, arrivals hit held ones and changes straddle run bounds.
+        let mut state = 0x5eed_u64;
+        let mut draw = |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            mix(FlowDigest(state)) % bound
+        };
+        let mut set = DigestSet::default();
+        let mut oracle: BTreeSet<FlowDigest> = BTreeSet::new();
+        for step in 0..300 {
+            let held: Vec<FlowDigest> = oracle.iter().copied().collect();
+            let mut removed = BTreeSet::new();
+            let mut added = BTreeSet::new();
+            match step % 100 {
+                0..=19 => (0..draw(400)).for_each(|_| {
+                    added.insert(FlowDigest(draw(6000)));
+                }),
+                20..=69 => {
+                    for _ in 0..draw(9) {
+                        if !held.is_empty() {
+                            removed.insert(held[draw(held.len() as u64) as usize]);
+                        }
+                        removed.insert(FlowDigest(draw(6000)));
+                        added.insert(FlowDigest(draw(6000)));
+                    }
+                }
+                70..=97 => {
+                    let start = draw(held.len() as u64 + 1) as usize;
+                    let end = held.len().min(start + draw(500) as usize);
+                    removed.extend(&held[start..end]);
+                }
+                _ => removed.extend(&held),
+            }
+            added.retain(|d| !removed.contains(d));
+            let next = set.patched(&removed, &added);
+            for d in &removed {
+                oracle.remove(d);
+            }
+            oracle.extend(&added);
+            assert_eq!(next, oracle, "step {step}");
+            assert_eq!(next.to_vec(), oracle.iter().copied().collect::<Vec<_>>());
+            assert_eq!(
+                next.content_digest(),
+                content_digest_of(oracle.iter().copied())
+            );
+            assert_runs_well_formed(&next, step);
+            for probe in (0..64).map(|_| FlowDigest(draw(6000))) {
+                assert_eq!(
+                    next.contains(&probe),
+                    oracle.contains(&probe),
+                    "step {step}"
+                );
+            }
+            let gone: Vec<_> = set.difference(&next).copied().collect();
+            assert_eq!(
+                gone,
+                removed
+                    .iter()
+                    .filter(|d| set.contains(d))
+                    .copied()
+                    .collect::<Vec<_>>()
+            );
+            if step % 100 == 98 {
+                assert!(next.is_empty(), "step {step}: drained");
+            }
+            set = next;
+        }
+    }
+
+    #[test]
+    fn a_one_rule_publish_shares_every_untouched_digest_run() {
+        let store = EpochStore::new(8);
+        let bulk: Vec<RuleChange> = (0..2000)
+            .map(|dst| RuleChange::installed(SwitchId(dst % 16), entry(dst)))
+            .collect();
+        store
+            .try_publish_changes(&bulk, SimTime::from_millis(1))
+            .unwrap();
+        let before = store.current();
+        store
+            .try_publish_changes(
+                &[RuleChange::installed(SwitchId(3), entry(5000))],
+                SimTime::from_millis(2),
+            )
+            .unwrap();
+        let after = store.current();
+        let runs = |epoch: &SnapshotEpoch| epoch.rules.runs.clone();
+        let (old, new) = (runs(&before), runs(&after));
+        assert!(old.len() > 4, "{} runs", old.len());
+        let shared = new
+            .iter()
+            .filter(|run| old.iter().any(|held| Arc::ptr_eq(held, run)))
+            .count();
+        assert_eq!((new.len(), shared), (old.len(), old.len() - 1));
+        assert_eq!(after.rules, digest_snapshot(&after.snapshot));
     }
 
     #[test]

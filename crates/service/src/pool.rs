@@ -598,7 +598,7 @@ mod tests {
         }
         // In-place rewrites through the delta path: every benign forwarding
         // rule turned into a drop, one epoch each.
-        let drop = vec![rvaas_openflow::Action::Drop];
+        let drop: std::sync::Arc<[_]> = [rvaas_openflow::Action::Drop].into();
         let forwarding = benign_rules(&topology)
             .into_iter()
             .filter(|(_, entry)| entry.actions != drop);

@@ -183,7 +183,7 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
     let at = SimTime::from_millis(30);
     let (rewritten_switch, original) = seed.last().expect("benign rules");
     let mut rewritten = original.clone();
-    rewritten.actions = vec![Action::Drop];
+    rewritten.actions = [Action::Drop].into();
     notify(&mut monitor, *rewritten_switch, &rewritten, at);
     publish_window(&mut monitor, 1, at, "rewrite");
     let rewrite = store.provenance(store.current().serial).expect("recent");
