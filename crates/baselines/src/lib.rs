@@ -4,7 +4,7 @@
 //! against a compromised control plane (Section I): traceroute-style probing,
 //! trajectory sampling, and plain end-to-end acknowledgements. They are
 //! implemented over the same simulator so the isolation-detection experiment
-//! (Table T1 in `EXPERIMENTS.md`) can compare their detection rates against
+//! (`t1`, README's "Experiments, benches, examples") can compare their detection rates against
 //! RVaaS on identical attack scenarios.
 //!
 //! What each baseline can observe:

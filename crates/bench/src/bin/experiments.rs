@@ -3,8 +3,8 @@
 //! Usage:
 //!
 //! ```text
-//! experiments            # run every experiment (F1, T1..T9, A1, A2)
-//! experiments t1 t3      # run a subset by id
+//! experiments            # run every experiment (F1, T1..T9, A1, A2, S1..S4)
+//! experiments t1 s2      # run a subset by id
 //! ```
 
 use rvaas_bench::{run_experiment, EXPERIMENT_IDS};

@@ -1,26 +1,27 @@
 //! # rvaas-bench
 //!
-//! The experiment harness regenerating every table and figure documented in
-//! `EXPERIMENTS.md`. Each experiment is a pure function returning printable
-//! rows; the `experiments` binary runs one (or all) of them and prints the
-//! table.
+//! The experiment harness: the paper-reproduction experiments (`f1`,
+//! `t1..t9`, `a1`, `a2`) and the service-plane experiments `s1..s4`, listed
+//! in README's "Experiments, benches, examples". Each experiment is a
+//! function returning printable rows; the `experiments` binary runs one (or
+//! all) of them and prints the table. `s1..s4` keep only what the
+//! stand-alone `benchmark/` package's socket-level runs and per-layer ladder
+//! cannot measure, and write their `BENCH_*.json` through one report
+//! writer (`report.rs`).
 //!
-//! The RVaaS paper (DSN 2016) contains no quantitative evaluation of its own
-//! — the experiment set here operationalises its qualitative claims; see
-//! `DESIGN.md` §4 for the mapping from experiment id to paper anchor.
+//! The RVaaS paper (DSN 2016, abstract in `PAPER.md`) contains no
+//! quantitative evaluation of its own — the experiment set here
+//! operationalises its qualitative claims; an experiment's heading names the
+//! paper section or figure it exercises where there is one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod incremental_churn;
-pub mod query_scale;
-pub mod service_throughput;
+mod incremental_churn;
+mod query_scale;
+mod report;
+mod service_throughput;
 mod startup_scale;
 
 pub use experiments::{run_experiment, EXPERIMENT_IDS};
-pub use incremental_churn::{
-    exp_s2_incremental_churn, measure_incremental_churn, smoke_mode, IncrementalChurnExperiment,
-};
-pub use query_scale::{exp_s3_query_scale, measure_query_scale, soak_mode, QueryScaleExperiment};
-pub use service_throughput::{exp_s1_service_throughput, measure, ServiceThroughputReport};

@@ -1,9 +1,9 @@
 //! Experiment S4 — daemon start versus trusted-topology size.
 //!
-//! The first row of the complexity sweep ROADMAP item 5 asks for: what
+//! The first row of the complexity sweep (ROADMAP item 8): what
 //! `Daemon::start` does before it can answer anything, on `fat_tree(k, 4k)`
-//! for k = 8, 12, 16 (smoke mode: 8, 12). Three phases, each the median of
-//! five runs:
+//! for k = 8, 12, 16 (smoke mode: 8, 12). Three phases, each the median
+//! (and MAD) of five runs:
 //!
 //! * **compile** — `benign_rules`, the benign routing policy;
 //! * **snapshot** — recording every compiled rule into a `NetworkSnapshot`;
@@ -16,16 +16,16 @@
 //! k = 8 to 12.
 //!
 //! A fourth row is what the daemon does after it has started: the **delta
-//! publish**, the median of 300 steady tenant-churn `try_publish_changes`
-//! (one tenant's four rules out, the next tenant's four in), fitted against
-//! the mean rules per table (rules ÷ switches) — the size a delta publish
-//! copies and scans in every table it touches.
+//! publish**, the median (and MAD) of 300 steady tenant-churn
+//! `try_publish_changes` (one tenant's four rules out, the next tenant's
+//! four in), fitted against the mean rules per table (rules ÷ switches) —
+//! the size a delta publish copies and scans in every table it touches.
 //!
 //! Writes the machine-readable curve to `BENCH_startup.json`; the CI
-//! bench-smoke gate fails when `compile_exponent` exceeds 1.4 or
+//! experiments-smoke gate fails when `compile_exponent` exceeds 1.4 or
 //! `delta_publish_exponent` exceeds 1.3.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rvaas::{LocationMap, NetworkSnapshot, VerifierConfig};
 use rvaas_controlplane::benign_rules;
@@ -34,40 +34,33 @@ use rvaas_topology::{generators, Topology};
 use rvaas_types::SimTime;
 use rvaas_workloads::{benign_snapshot, tenant_churn_round};
 
-use crate::incremental_churn::smoke_mode;
+use crate::report::{smoke_mode, MedianMad, Report};
 
-/// Runs per phase and point; the median is reported.
+/// Runs per phase and point.
 const RUNS: usize = 5;
 
-/// Timed delta publishes per point; the median is reported.
+/// Timed delta publishes per point.
 const DELTA_ROUNDS: u64 = 300;
 
 /// Untimed churn rounds before them: the first only installs.
 const DELTA_WARMUP: u64 = 10;
 
-/// One fat-tree size's medians.
+/// One fat-tree size's measurements: the phases in ms, the delta publish
+/// in µs.
 struct StartupPoint {
     k: usize,
     switches: usize,
     hosts: usize,
     rules: usize,
-    compile: Duration,
-    snapshot: Duration,
-    publish: Duration,
-    delta_publish: Duration,
+    compile: MedianMad,
+    snapshot: MedianMad,
+    publish: MedianMad,
+    delta_publish: MedianMad,
 }
 
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort();
-    samples[samples.len() / 2]
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-fn us(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e6
+/// Milliseconds since `started`.
+fn ms_since(started: Instant) -> f64 {
+    started.elapsed().as_secs_f64() * 1e3
 }
 
 fn fresh_service(topology: &Topology) -> VerificationService {
@@ -80,11 +73,11 @@ fn fresh_service(topology: &Topology) -> VerificationService {
     )
 }
 
-/// The median of [`DELTA_ROUNDS`] steady delta publishes on a service that
-/// has published the benign routing: each round's net changes, as the
-/// monitor would hand them over, take one tenant's four churn rules out and
-/// put the next tenant's four in.
-fn measure_delta_publish(topology: &Topology) -> Duration {
+/// [`DELTA_ROUNDS`] steady delta publishes, in µs, on a service that has
+/// published the benign routing: each round's net changes, as the monitor
+/// would hand them over, take one tenant's four churn rules out and put the
+/// next tenant's four in.
+fn measure_delta_publish(topology: &Topology) -> MedianMad {
     let mut snapshot = benign_snapshot(topology);
     let service = fresh_service(topology);
     service
@@ -101,11 +94,11 @@ fn measure_delta_publish(topology: &Topology) -> Duration {
             .try_publish_changes(&changes, at)
             .expect("delta publishes");
         if round >= DELTA_WARMUP {
-            samples.push(started.elapsed());
+            samples.push(started.elapsed().as_secs_f64() * 1e6);
         }
         snapshot = next;
     }
-    median(samples)
+    MedianMad::of(&samples)
 }
 
 fn measure_point(k: usize) -> StartupPoint {
@@ -116,7 +109,7 @@ fn measure_point(k: usize) -> StartupPoint {
     for _ in 0..RUNS {
         let started = Instant::now();
         let compiled = benign_rules(&topology);
-        compile.push(started.elapsed());
+        compile.push(ms_since(started));
         rules = compiled.len();
 
         let started = Instant::now();
@@ -124,23 +117,23 @@ fn measure_point(k: usize) -> StartupPoint {
         for (switch, entry) in compiled {
             epoch_one.record_installed(switch, entry, at);
         }
-        snapshot.push(started.elapsed());
+        snapshot.push(ms_since(started));
 
         let service = fresh_service(&topology);
         let started = Instant::now();
         service
             .try_publish(&epoch_one, at)
             .expect("epoch 1 publishes");
-        publish.push(started.elapsed());
+        publish.push(ms_since(started));
     }
     StartupPoint {
         k,
         switches: topology.switch_count(),
         hosts: topology.host_count(),
         rules,
-        compile: median(compile),
-        snapshot: median(snapshot),
-        publish: median(publish),
+        compile: MedianMad::of(&compile),
+        snapshot: MedianMad::of(&snapshot),
+        publish: MedianMad::of(&publish),
         delta_publish: measure_delta_publish(&topology),
     }
 }
@@ -155,22 +148,19 @@ fn rules_per_table(p: &StartupPoint) -> f64 {
     p.rules as f64 / p.switches as f64
 }
 
-/// Least-squares slope of `ln(phase)` on `ln(size)` (0 for fewer than two
-/// points).
+/// Least-squares slope of `ln(phase median)` on `ln(size)` (0 for fewer
+/// than two points).
 fn exponent(
     points: &[StartupPoint],
     size: fn(&StartupPoint) -> f64,
-    phase: fn(&StartupPoint) -> Duration,
+    phase: fn(&StartupPoint) -> MedianMad,
 ) -> f64 {
     if points.len() < 2 {
         return 0.0;
     }
     let xy: Vec<(f64, f64)> = points
         .iter()
-        .map(|p| {
-            let secs = phase(p).as_secs_f64().max(1e-9);
-            (size(p).ln(), secs.ln())
-        })
+        .map(|p| (size(p).ln(), phase(p).median.max(1e-12).ln()))
         .collect();
     let n = xy.len() as f64;
     let mean_x = xy.iter().map(|(x, _)| x).sum::<f64>() / n;
@@ -180,150 +170,49 @@ fn exponent(
     covariance / variance
 }
 
-/// Everything experiment S4 measured.
-struct StartupExperiment {
-    points: Vec<StartupPoint>,
-    smoke: bool,
-    host_cores: usize,
-}
-
-impl StartupExperiment {
-    fn measure(arities: &[usize]) -> Self {
-        StartupExperiment {
-            points: arities.iter().map(|&k| measure_point(k)).collect(),
-            smoke: smoke_mode(),
-            host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        }
+fn report(points: &[StartupPoint]) -> Report {
+    let mut report = Report::new(
+        "startup_scale",
+        "S4 — daemon start vs trusted-topology size; gates: compile_exponent <= 1.4, delta_publish_exponent <= 1.3",
+    );
+    report
+        .field("topology", "fat_tree(k, 4k)")
+        .field("runs", RUNS)
+        .field("delta_rounds", DELTA_ROUNDS);
+    for p in points {
+        report.point(vec![
+            ("k", p.k.into()),
+            ("switches", p.switches.into()),
+            ("hosts", p.hosts.into()),
+            ("rules", p.rules.into()),
+            ("compile_ms", p.compile.into()),
+            ("snapshot_ms", p.snapshot.into()),
+            ("publish_ms", p.publish.into()),
+            ("delta_publish_us", p.delta_publish.into()),
+        ]);
     }
-
-    fn compile_exponent(&self) -> f64 {
-        exponent(&self.points, rules, |p| p.compile)
-    }
-
-    fn delta_publish_exponent(&self) -> f64 {
-        exponent(&self.points, rules_per_table, |p| p.delta_publish)
-    }
-
-    /// The compile exponent between each pair of neighbouring points.
-    fn compile_segment_exponents(&self) -> Vec<f64> {
-        self.points
-            .windows(2)
-            .map(|pair| exponent(pair, rules, |p| p.compile))
-            .collect()
-    }
-
-    fn rows(&self) -> Vec<String> {
-        let mut rows = vec![
-            "# S4 — daemon start vs trusted-topology size: fat_tree(k, 4k), median of 5"
-                .to_string(),
-            format!(
-                "host_cores={}{}",
-                self.host_cores,
-                if self.smoke { " | SMOKE" } else { "" }
-            ),
-            "k | switches | hosts | rules | compile_ms | snapshot_ms | publish_ms | delta_publish_us"
-                .to_string(),
-        ];
-        for p in &self.points {
-            rows.push(format!(
-                "{} | {} | {} | {} | {:.2} | {:.2} | {:.2} | {:.1}",
-                p.k,
-                p.switches,
-                p.hosts,
-                p.rules,
-                ms(p.compile),
-                ms(p.snapshot),
-                ms(p.publish),
-                us(p.delta_publish),
-            ));
-        }
-        rows.push(format!(
-            "growth exponent vs rules: compile {:.2} (gate: <= 1.4; per step {}) | snapshot {:.2} | publish {:.2}",
-            self.compile_exponent(),
-            self.compile_segment_exponents()
-                .iter()
-                .map(|e| format!("{e:.2}"))
-                .collect::<Vec<_>>()
-                .join(" / "),
-            exponent(&self.points, rules, |p| p.snapshot),
-            exponent(&self.points, rules, |p| p.publish),
-        ));
-        rows.push(format!(
-            "delta publish exponent vs rules per table: {:.2} (gate: <= 1.3)",
-            self.delta_publish_exponent(),
-        ));
-        rows
-    }
-
-    fn to_json(&self) -> String {
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    concat!(
-                        "{{\"k\":{},\"switches\":{},\"hosts\":{},\"rules\":{},",
-                        "\"compile_ms\":{:.3},\"snapshot_ms\":{:.3},\"publish_ms\":{:.3},",
-                        "\"delta_publish_us\":{:.1}}}",
-                    ),
-                    p.k,
-                    p.switches,
-                    p.hosts,
-                    p.rules,
-                    ms(p.compile),
-                    ms(p.snapshot),
-                    ms(p.publish),
-                    us(p.delta_publish),
-                )
-            })
-            .collect();
-        let segments: Vec<String> = self
-            .compile_segment_exponents()
-            .iter()
-            .map(|e| format!("{e:.3}"))
-            .collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"experiment\": \"startup_scale\",\n",
-                "  \"topology\": \"fat_tree(k, 4k)\",\n",
-                "  \"runs\": {},\n",
-                "  \"delta_rounds\": {},\n",
-                "  \"smoke\": {},\n",
-                "  \"host_cores\": {},\n",
-                "  \"points\": [{}],\n",
-                "  \"compile_exponent\": {:.3},\n",
-                "  \"compile_segment_exponents\": [{}],\n",
-                "  \"snapshot_exponent\": {:.3},\n",
-                "  \"publish_exponent\": {:.3},\n",
-                "  \"delta_publish_exponent\": {:.3}\n",
-                "}}\n",
-            ),
-            RUNS,
-            DELTA_ROUNDS,
-            self.smoke,
-            self.host_cores,
-            points.join(","),
-            self.compile_exponent(),
-            segments.join(","),
-            exponent(&self.points, rules, |p| p.snapshot),
-            exponent(&self.points, rules, |p| p.publish),
-            self.delta_publish_exponent(),
-        )
-    }
+    let segments: Vec<f64> = points
+        .windows(2)
+        .map(|pair| exponent(pair, rules, |p| p.compile))
+        .collect();
+    report
+        .summary("compile_exponent", exponent(points, rules, |p| p.compile))
+        .summary("compile_segment_exponents", segments)
+        .summary("snapshot_exponent", exponent(points, rules, |p| p.snapshot))
+        .summary("publish_exponent", exponent(points, rules, |p| p.publish))
+        .summary(
+            "delta_publish_exponent",
+            exponent(points, rules_per_table, |p| p.delta_publish),
+        );
+    report
 }
 
 /// Runs experiment S4 and writes `BENCH_startup.json` next to the working
 /// directory.
 pub fn exp_s4_startup_scale() -> Vec<String> {
     let arities: &[usize] = if smoke_mode() { &[8, 12] } else { &[8, 12, 16] };
-    let report = StartupExperiment::measure(arities);
-    let path = "BENCH_startup.json";
-    match std::fs::write(path, report.to_json()) {
-        Ok(()) => println!("(wrote {path})"),
-        Err(err) => eprintln!("(could not write {path}: {err})"),
-    }
-    report.rows()
+    let points: Vec<StartupPoint> = arities.iter().map(|&k| measure_point(k)).collect();
+    report(&points).write("BENCH_startup.json")
 }
 
 #[cfg(test)]
@@ -332,35 +221,40 @@ mod tests {
 
     #[test]
     fn small_sweep_produces_consistent_report() {
-        let report = StartupExperiment::measure(&[2, 4]);
-        assert_eq!(report.points.len(), 2);
-        assert!(report.points[0].rules < report.points[1].rules);
-        assert_eq!(report.compile_segment_exponents().len(), 1);
-        assert!(report.compile_exponent().is_finite());
-        let json = report.to_json();
+        let points: Vec<StartupPoint> = [2, 4].iter().map(|&k| measure_point(k)).collect();
+        assert!(points[0].rules < points[1].rules);
+        assert!(exponent(&points, rules, |p| p.compile).is_finite());
+        assert!(points.iter().all(|p| p.delta_publish.median > 0.0));
+        let report = report(&points);
+        let json = report.json();
         assert!(json.contains("\"experiment\": \"startup_scale\""));
         assert!(json.contains("\"compile_exponent\""));
+        assert!(json.contains("\"compile_segment_exponents\": ["));
         assert!(json.contains("\"delta_publish_exponent\""));
         assert!(report
-            .points
+            .rows()
             .iter()
-            .all(|p| p.delta_publish > Duration::ZERO));
-        assert!(report.rows().iter().any(|r| r.contains("growth exponent")));
+            .any(|r| r.starts_with("compile_exponent = ")));
     }
 
     #[test]
     fn exponent_of_a_power_law_is_its_power() {
-        let point = |rules: usize, micros: u64| StartupPoint {
+        let at = |median: f64| MedianMad { median, mad: 0.0 };
+        let point = |rules: usize, micros: f64| StartupPoint {
             k: 0,
             switches: 0,
             hosts: 0,
             rules,
-            compile: Duration::from_micros(micros),
-            snapshot: Duration::from_micros(micros * micros),
-            publish: Duration::from_micros(1),
-            delta_publish: Duration::from_micros(micros),
+            compile: at(micros),
+            snapshot: at(micros * micros),
+            publish: at(1.0),
+            delta_publish: at(micros),
         };
-        let points = [point(10, 100), point(100, 1_000), point(1_000, 10_000)];
+        let points = [
+            point(10, 100.0),
+            point(100, 1_000.0),
+            point(1_000, 10_000.0),
+        ];
         assert!((exponent(&points, rules, |p| p.compile) - 1.0).abs() < 1e-9);
         assert!((exponent(&points, rules, |p| p.snapshot) - 2.0).abs() < 1e-9);
         assert!(exponent(&points, rules, |p| p.publish).abs() < 1e-9);

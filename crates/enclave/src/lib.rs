@@ -12,8 +12,8 @@
 //! responds to its queries. Moreover, the provider makes sure that the
 //! correct RVaaS application is operating on the server").
 //!
-//! Real SGX is hardware-gated; this simulation (documented as a substitution
-//! in `DESIGN.md`) reproduces the *interface and failure modes* the protocol
+//! Real SGX is hardware-gated; this simulation (a substitution for the
+//! hardware the paper, abstract in `PAPER.md`, assumes) reproduces the *interface and failure modes* the protocol
 //! logic depends on:
 //!
 //! * an enclave has a **measurement** (hash of its code identity),

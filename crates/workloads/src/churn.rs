@@ -12,24 +12,27 @@
 //! service re-verifies a small affected subset where a from-scratch verifier
 //! re-verifies everyone.
 //!
-//! [`run_incremental_churn`] drives a [`VerificationService`] plus
-//! [`SyncServer`] through rounds of tenant churn with every client holding
-//! the full standing-query mix, measuring the **epoch-advance cost**:
-//! snapshot publish (model update) plus standing-query reverification
-//! through the sync protocol. [`run_full_rebuild_churn`] puts the reference
-//! implementation — [`LogicalVerifier`] from scratch, no service — through
-//! the same rounds; the ratio of the two is the speedup the `s2` experiment
-//! reports.
+//! [`run_incremental_churn`] is the one churn driver: it puts a
+//! [`VerificationService`] plus [`SyncServer`] through rounds of tenant
+//! churn with every client holding the full standing-query mix (and,
+//! optionally, a synthetic population on top), measuring the
+//! **epoch-advance cost**: snapshot publish (model update) plus
+//! standing-query reverification through the sync protocol.
+//! [`run_full_rebuild_churn`] puts the reference implementation —
+//! [`LogicalVerifier`] from scratch, no service — through the same rounds.
+//! Experiment `s2` reports the ratio of the two across churn rates; `s3`
+//! runs the driver across synthetic populations.
 
 use std::time::{Duration, Instant};
 
 use rvaas::{LocationMap, LogicalVerifier, NetworkSnapshot, VerifierConfig};
-use rvaas_client::SyncSession;
+use rvaas_client::{QuerySpec, SyncSession};
 use rvaas_openflow::{Action, FlowEntry, FlowMatch};
 use rvaas_service::{ServiceSettings, SyncServer, VerificationService};
 use rvaas_topology::Topology;
 use rvaas_types::{ClientId, Field, SimTime, SwitchId};
 
+use crate::query_scale::synthetic_queries;
 use crate::service_load::{benign_snapshot, clients_of, query_mix};
 
 /// Priority of the tenant churn rules: above the benign admission rules so
@@ -158,30 +161,32 @@ fn verifier_config(topology: &Topology) -> VerifierConfig {
 /// Shape of one churn run (service or full-rebuild baseline).
 #[derive(Debug, Clone)]
 pub struct IncrementalChurnConfig {
-    /// Churn/publish/sync rounds measured.
+    /// Churn/publish/sync rounds measured (plus one untimed warm-up).
     pub rounds: usize,
     /// Clients reconfigured per round (the churn rate, in clients).
     pub churn_clients_per_round: usize,
     /// Rules installed (and the previous round's removed) per churned client
     /// per round.
     pub rules_per_client: usize,
+    /// Synthetic standing queries ([`synthetic_queries`]) registered on top
+    /// of the per-client mix; 0 for none.
+    pub synthetic_queries: usize,
 }
 
 /// What one incremental-churn run measured.
 #[derive(Debug, Clone)]
 pub struct IncrementalChurnReport {
-    /// Rounds executed.
+    /// Rounds measured.
     pub rounds: usize,
-    /// Standing queries registered (clients × query mix).
+    /// Standing queries registered (clients × query mix + synthetic).
     pub standing_queries: usize,
-    /// Rule changes applied across all rounds.
+    /// Rule changes applied across the measured rounds.
     pub rule_changes: usize,
-    /// Total wall-clock epoch-advance cost: churn + publish (model update +
-    /// cache invalidation) + standing-query reverification via sync.
-    pub epoch_advance_total: Duration,
-    /// Mean epoch-advance cost per round.
+    /// Mean wall-clock epoch-advance cost of a measured round: churn +
+    /// publish (model update, index advance, cache carry) + every client's
+    /// sync round trip (delta serve + affected-query reverification).
     pub epoch_advance_avg: Duration,
-    /// Standing queries re-verified inside deltas.
+    /// Standing queries re-verified inside deltas (warm-up included).
     pub reverified: u64,
     /// Standing queries skipped as provably unaffected.
     pub skipped: u64,
@@ -191,50 +196,26 @@ pub struct IncrementalChurnReport {
     pub model_rebuilds: u64,
     /// Epoch serial after the final round.
     pub final_serial: u64,
-    /// Median per-query latency in microseconds (from the service's
-    /// `rvaas_query_latency_us` histogram; includes reverification queries).
-    pub latency_p50_us: u64,
-    /// 95th-percentile per-query latency in microseconds.
-    pub latency_p95_us: u64,
-    /// 99th-percentile per-query latency in microseconds.
-    pub latency_p99_us: u64,
-    /// The publish call's own share of a measured round, full-snapshot path
-    /// (`try_publish`, what the rounds above drive): median over the rounds.
-    pub publish_full: MedianMad,
-    /// The same epochs published as rule deltas (`try_publish_changes`) to a
-    /// twin service outside the timed round.
-    pub publish_delta: MedianMad,
 }
 
-/// A median and the median absolute deviation around it, in microseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MedianMad {
-    /// The median sample.
-    pub median_us: f64,
-    /// The median distance of a sample from it.
-    pub mad_us: f64,
+/// Every standing query a churn run registers: each client's full
+/// [`query_mix`], then `synthetic` [`synthetic_queries`] round-robin over
+/// the clients.
+#[must_use]
+pub fn standing_queries(topology: &Topology, synthetic: usize) -> Vec<(ClientId, QuerySpec)> {
+    let clients = clients_of(topology);
+    let mix = query_mix(topology);
+    let mut standing: Vec<(ClientId, QuerySpec)> = clients
+        .iter()
+        .flat_map(|client| mix.iter().map(|spec| (*client, spec.clone())))
+        .collect();
+    standing.extend(synthetic_queries(&clients, synthetic));
+    standing
 }
 
-impl MedianMad {
-    fn of(samples: &[Duration]) -> Self {
-        fn median(mut values: Vec<f64>) -> f64 {
-            values.sort_by(f64::total_cmp);
-            match values.len() {
-                0 => 0.0,
-                n if n % 2 == 1 => values[n / 2],
-                n => (values[n / 2 - 1] + values[n / 2]) / 2.0,
-            }
-        }
-        let micros: Vec<f64> = samples.iter().map(|d| d.as_secs_f64() * 1e6).collect();
-        let median_us = median(micros.clone());
-        let mad_us = median(micros.iter().map(|v| (v - median_us).abs()).collect());
-        MedianMad { median_us, mad_us }
-    }
-}
-
-/// One sync exchange per session, each answer applied: how the churn drivers
-/// bring every client's mirror (and standing verdicts) to the current epoch.
-pub(crate) fn sync_sessions(
+/// One sync exchange per session, each answer applied: how the driver
+/// brings every client's mirror (and standing verdicts) to the current epoch.
+fn sync_sessions(
     server: &SyncServer,
     service: &VerificationService,
     sessions: &mut [(ClientId, SyncSession)],
@@ -248,55 +229,41 @@ pub(crate) fn sync_sessions(
 }
 
 /// Runs `config.rounds` rounds of tenant churn against a fresh service with
-/// every client subscribed to the full query mix, and measures the
+/// every [`standing_queries`] entry subscribed, and measures the
 /// epoch-advance cost.
 #[must_use]
 pub fn run_incremental_churn(
     topology: &Topology,
     config: &IncrementalChurnConfig,
 ) -> IncrementalChurnReport {
-    let new_service = || {
-        VerificationService::new(
-            topology.clone(),
-            ServiceSettings::default().into_config(verifier_config(topology)),
-        )
-    };
-    // The twin takes every epoch as a rule delta, outside the timed round,
-    // so `publish_delta` is measured over the epochs `publish_full` is.
-    let (service, delta_twin) = (new_service(), new_service());
+    let service = VerificationService::new(
+        topology.clone(),
+        ServiceSettings::default().into_config(verifier_config(topology)),
+    );
     let mut snapshot = benign_snapshot(topology);
-    for service in [&service, &delta_twin] {
-        service
-            .try_publish(&snapshot, SimTime::from_millis(1))
-            .expect("epoch publish rejected");
-    }
+    service
+        .try_publish(&snapshot, SimTime::from_millis(1))
+        .expect("epoch publish rejected");
     let server = SyncServer::new(service.store(), 9, &service.registry());
-
-    let clients = clients_of(topology);
-    let mix = query_mix(topology);
-    for client in &clients {
-        for spec in &mix {
-            server.subscribe(*client, spec.clone());
-            delta_twin.store().register_interest(*client, spec);
-        }
+    let standing = standing_queries(topology, config.synthetic_queries);
+    for (client, spec) in &standing {
+        server.subscribe(*client, spec.clone());
     }
-    let mut sessions: Vec<(ClientId, SyncSession)> = clients
-        .iter()
-        .map(|client| (*client, SyncSession::new()))
+    let mut sessions: Vec<(ClientId, SyncSession)> = clients_of(topology)
+        .into_iter()
+        .map(|client| (client, SyncSession::new()))
         .collect();
     sync_sessions(&server, &service, &mut sessions);
 
     let mut rule_changes = 0usize;
     let mut epoch_advance_total = Duration::ZERO;
-    let (mut publish_full, mut publish_delta) = (Vec::new(), Vec::new());
     // Round 1 is an untimed warmup: it pays the one-off cold costs (first
     // footprint refinement of every standing query, evaluator warm paths)
     // that belong to service start-up, not to steady-state epoch advancing.
     for round in 1..=(config.rounds + 1) as u64 {
         let at = SimTime::from_millis(10 + round);
-        let previous = snapshot.clone();
         let started = Instant::now();
-        rule_changes += tenant_churn_round(
+        let changes = tenant_churn_round(
             topology,
             &mut snapshot,
             round,
@@ -304,23 +271,13 @@ pub fn run_incremental_churn(
             config.rules_per_client,
             at,
         );
-        let publishing = Instant::now();
         service
             .try_publish(&snapshot, at)
             .expect("epoch publish rejected");
-        let published = publishing.elapsed();
         sync_sessions(&server, &service, &mut sessions);
         if round > 1 {
+            rule_changes += changes;
             epoch_advance_total += started.elapsed();
-            publish_full.push(published);
-        }
-        let changes = previous.changes_to(&snapshot);
-        let publishing = Instant::now();
-        delta_twin
-            .try_publish_changes(&changes, at)
-            .expect("epoch publish rejected");
-        if round > 1 {
-            publish_delta.push(publishing.elapsed());
         }
     }
 
@@ -328,30 +285,22 @@ pub fn run_incremental_churn(
     let reverify = server.reverify_stats();
     IncrementalChurnReport {
         rounds: config.rounds,
-        standing_queries: clients.len() * mix.len(),
+        standing_queries: standing.len(),
         rule_changes,
-        epoch_advance_total,
         epoch_advance_avg: epoch_advance_total / config.rounds.max(1) as u32,
         reverified: reverify.reverified,
         skipped: reverify.skipped,
         incremental_applies: stats.incremental_applies,
         model_rebuilds: stats.model_rebuilds,
         final_serial: service.current_serial(),
-        latency_p50_us: stats.latency_p50_us,
-        latency_p95_us: stats.latency_p95_us,
-        latency_p99_us: stats.latency_p99_us,
-        publish_full: MedianMad::of(&publish_full),
-        publish_delta: MedianMad::of(&publish_delta),
     }
 }
 
 /// What the full-rebuild baseline measured.
 #[derive(Debug, Clone)]
 pub struct FullRebuildChurnReport {
-    /// Total wall-clock epoch-advance cost over the measured rounds: churn +
-    /// one function rebuild per client + every standing query answered.
-    pub epoch_advance_total: Duration,
-    /// Mean epoch-advance cost per round.
+    /// Mean wall-clock epoch-advance cost of a measured round: churn + one
+    /// function rebuild per client + every standing query answered.
     pub epoch_advance_avg: Duration,
     /// Standing queries re-verified — all of them, every round (warm-up
     /// included, as [`IncrementalChurnReport::reverified`] counts it).
@@ -363,8 +312,8 @@ pub struct FullRebuildChurnReport {
 /// the reference implementation. Per round and per client, one
 /// [`LogicalVerifier::evaluator`] — the network function rebuilt from the
 /// snapshot — answers that client's standing queries: one rebuild per client
-/// batch, the granularity client sharding and per-session sync give the
-/// service. No service, no threads, no cache, nothing skipped.
+/// batch, the granularity per-session sync gives the service. No service, no
+/// cache, nothing skipped.
 #[must_use]
 pub fn run_full_rebuild_churn(
     topology: &Topology,
@@ -372,10 +321,9 @@ pub fn run_full_rebuild_churn(
 ) -> FullRebuildChurnReport {
     let verifier = LogicalVerifier::new(topology.clone(), verifier_config(topology));
     let mut snapshot = benign_snapshot(topology);
+    let standing = standing_queries(topology, config.synthetic_queries);
     let clients = clients_of(topology);
-    let mix = query_mix(topology);
     let mut epoch_advance_total = Duration::ZERO;
-    let mut reverified = 0u64;
     for round in 1..=(config.rounds + 1) as u64 {
         let started = Instant::now();
         tenant_churn_round(
@@ -388,19 +336,17 @@ pub fn run_full_rebuild_churn(
         );
         for client in &clients {
             let mut evaluator = verifier.evaluator(&snapshot);
-            for spec in &mix {
+            for (_, spec) in standing.iter().filter(|(owner, _)| owner == client) {
                 std::hint::black_box(evaluator.answer(*client, spec));
             }
-            reverified += mix.len() as u64;
         }
         if round > 1 {
             epoch_advance_total += started.elapsed();
         }
     }
     FullRebuildChurnReport {
-        epoch_advance_total,
         epoch_advance_avg: epoch_advance_total / config.rounds.max(1) as u32,
-        reverified,
+        reverified: (standing.len() * (config.rounds + 1)) as u64,
     }
 }
 
@@ -430,16 +376,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn incremental_run_skips_unaffected_standing_queries() {
-        // 4 clients (one per hosts-per-leaf slot), so churning one client
-        // per round leaves three quarters of the standing queries untouched.
-        let topology = generators::leaf_spine(2, 4, 4, 1);
-        let config = IncrementalChurnConfig {
+    /// 4 clients (one per hosts-per-leaf slot), so churning one client per
+    /// round leaves three quarters of the standing queries untouched.
+    fn one_client_churn(synthetic_queries: usize) -> IncrementalChurnConfig {
+        IncrementalChurnConfig {
             rounds: 3,
             churn_clients_per_round: 1,
             rules_per_client: 2,
-        };
+            synthetic_queries,
+        }
+    }
+
+    #[test]
+    fn incremental_run_skips_unaffected_standing_queries() {
+        let topology = generators::leaf_spine(2, 4, 4, 1);
+        let config = one_client_churn(0);
         let report = run_incremental_churn(&topology, &config);
         assert_eq!(report.rounds, 3);
         assert!(report.rule_changes > 0);
@@ -456,6 +407,31 @@ mod tests {
         // The full-rebuild baseline re-verifies everything, every round.
         let full = run_full_rebuild_churn(&topology, &config);
         assert_eq!(full.reverified, report.reverified + report.skipped);
-        assert!(full.epoch_advance_total > Duration::ZERO);
+        assert!(full.epoch_advance_avg > Duration::ZERO);
+    }
+
+    #[test]
+    fn one_driver_reproduces_both_former_drivers_splits() {
+        // The reverified/skipped split the separate `s2` and `s3` drivers
+        // measured on this workload (leaf_spine(2,4,4), three rounds of one
+        // client's two rules) before they became this one driver: the
+        // synthetic population only ever adds to the skipped side.
+        let topology = generators::leaf_spine(2, 4, 4, 1);
+        for (synthetic, reverified, skipped) in [(0, 25, 71), (200, 25, 871)] {
+            let config = one_client_churn(synthetic);
+            let report = run_incremental_churn(&topology, &config);
+            assert_eq!(
+                (report.reverified, report.skipped),
+                (reverified, skipped),
+                "synthetic population {synthetic}"
+            );
+            assert_eq!(report.standing_queries, 4 * 6 + synthetic);
+            assert_eq!(
+                report.rule_changes, 12,
+                "three measured rounds of 2 out, 2 in"
+            );
+            let full = run_full_rebuild_churn(&topology, &config);
+            assert_eq!(full.reverified, reverified + skipped);
+        }
     }
 }

@@ -13,13 +13,15 @@
 //! The [`locations`] module builds degraded switch-location maps
 //! (crowd-sourced / inferred) for the geo-location accuracy experiment.
 //!
-//! The [`service_load`] module drives the `rvaas-service` query path with
-//! a many-client query workload under epoch churn — the service-plane
-//! counterpart of the in-band scenario — and the [`churn`] module adds the
-//! tenant-pinned churn workload plus the two epoch-advance measurement
-//! drivers (service, from-scratch baseline) behind experiment `s2`. The [`query_scale`]
-//! module scales the standing-query population under fixed churn to show
-//! epoch advance is `O(affected)`, not `O(standing queries)`.
+//! The [`service_load`] module holds the service-plane workload's building
+//! blocks (clients, query mix, benign snapshot, a generic churn round). The
+//! [`churn`] module adds the tenant-pinned churn workload and the one
+//! epoch-advance driver behind experiments `s2` and `s3`, plus the
+//! from-scratch baseline `s2` compares it with; [`query_scale`] adds the
+//! synthetic standing-query population and the affected-query selection
+//! micro-benchmark `s3` runs on top of it. The other service-plane numbers
+//! (query latency, cache, sync bytes, recorder overhead) come from the
+//! stand-alone `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,13 +33,10 @@ pub mod scenario;
 pub mod service_load;
 
 pub use churn::{
-    run_full_rebuild_churn, run_incremental_churn, tenant_churn_round, FullRebuildChurnReport,
-    IncrementalChurnConfig, IncrementalChurnReport, MedianMad,
+    run_full_rebuild_churn, run_incremental_churn, standing_queries, tenant_churn_round,
+    FullRebuildChurnReport, IncrementalChurnConfig, IncrementalChurnReport,
 };
 pub use locations::{crowd_sourced_map, inferred_map};
-pub use query_scale::{run_query_scale, synthetic_queries, QueryScaleConfig, QueryScaleReport};
+pub use query_scale::{selection_latency, synthetic_queries};
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioOutcome};
-pub use service_load::{
-    benign_snapshot, churn_round, clients_of, query_mix, round_robin_workload, run_service_load,
-    ServiceLoadConfig, ServiceLoadReport,
-};
+pub use service_load::{benign_snapshot, churn_round, clients_of, query_mix, round_robin_workload};
