@@ -16,7 +16,6 @@
 
 use std::time::Instant;
 
-use rvaas::{LocationMap, VerifierConfig};
 use rvaas_client::QuerySpec;
 use rvaas_service::{ServiceSettings, VerificationService};
 use rvaas_topology::{generators, Topology};
@@ -37,11 +36,7 @@ fn caller_qps(topology: &Topology, callers: usize, rounds: usize, queries: usize
         ServiceSettings {
             cache: false,
             ..ServiceSettings::default()
-        }
-        .into_config(VerifierConfig {
-            use_history: false,
-            locations: LocationMap::disclosed(topology),
-        }),
+        },
     );
     service
         .try_publish(&benign_snapshot(topology), SimTime::from_millis(1))

@@ -27,7 +27,7 @@
 
 use std::time::Instant;
 
-use rvaas::{LocationMap, NetworkSnapshot, VerifierConfig};
+use rvaas::NetworkSnapshot;
 use rvaas_controlplane::benign_rules;
 use rvaas_service::{ServiceSettings, VerificationService};
 use rvaas_topology::{generators, Topology};
@@ -64,13 +64,7 @@ fn ms_since(started: Instant) -> f64 {
 }
 
 fn fresh_service(topology: &Topology) -> VerificationService {
-    VerificationService::new(
-        topology.clone(),
-        ServiceSettings::default().into_config(VerifierConfig {
-            use_history: false,
-            locations: LocationMap::disclosed(topology),
-        }),
-    )
+    VerificationService::new(topology.clone(), ServiceSettings::default())
 }
 
 /// [`DELTA_ROUNDS`] steady delta publishes, in µs, on a service that has

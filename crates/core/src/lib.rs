@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod attest;
-pub mod backend;
 pub mod federation;
 pub mod incremental;
 pub mod interest;
@@ -55,7 +54,6 @@ pub mod snapshot;
 pub mod verify;
 
 pub use attest::{AttestedIdentity, RVAAS_IMAGE};
-pub use backend::{AnalysisBackend, InlineBackend};
 pub use incremental::{query_affected, ChangedRegion, IncrementalModel, RuleChange};
 pub use interest::{Advance, AffectedQueries, InterestIndex, QueryFootprint, QueryKey, Refinement};
 pub use monitor::{ConfigMonitor, MonitorConfig, MonitorStats, PollStrategy};

@@ -21,7 +21,6 @@ use rvaas_openflow::{Action, ControllerRole, FlowEntry, FlowMatch, FlowModComman
 use rvaas_topology::Topology;
 use rvaas_types::{ClientId, Field, Header, PortId, QueryId, SimTime, SwitchId, SwitchPort};
 
-use crate::backend::{AnalysisBackend, InlineBackend};
 use crate::monitor::{ConfigMonitor, MonitorConfig};
 use crate::verify::{LocationMap, LogicalVerifier, VerifierConfig};
 
@@ -103,7 +102,7 @@ struct PendingQuery {
 pub struct RvaasController {
     config: RvaasConfig,
     monitor: ConfigMonitor,
-    backend: Box<dyn AnalysisBackend>,
+    verifier: LogicalVerifier,
     keypair: Keypair,
     client_keys: BTreeMap<ClientId, PublicKey>,
     pending: Vec<PendingQuery>,
@@ -113,28 +112,16 @@ pub struct RvaasController {
 
 impl RvaasController {
     /// Creates a controller with the given configuration and signing key,
-    /// answering queries inline from the live snapshot (the original
-    /// single-threaded behaviour).
+    /// answering each query from scratch on the live snapshot with a
+    /// [`LogicalVerifier`] built from `config.verifier`.
     #[must_use]
     pub fn new(config: RvaasConfig, keypair: Keypair) -> Self {
-        let verifier = LogicalVerifier::new(config.topology.clone(), config.verifier.clone());
-        Self::with_backend(config, keypair, Box::new(InlineBackend::new(verifier)))
-    }
-
-    /// Creates a controller that delegates logical analysis to an explicit
-    /// [`AnalysisBackend`] — e.g. the `rvaas-service` service plane. The backend receives every snapshot change via
-    /// [`AnalysisBackend::publish`] and answers queries on demand.
-    #[must_use]
-    pub fn with_backend(
-        config: RvaasConfig,
-        keypair: Keypair,
-        backend: Box<dyn AnalysisBackend>,
-    ) -> Self {
         let monitor = ConfigMonitor::new(config.monitor);
+        let verifier = LogicalVerifier::new(config.topology.clone(), config.verifier.clone());
         RvaasController {
             config,
             monitor,
-            backend,
+            verifier,
             keypair,
             client_keys: BTreeMap::new(),
             pending: Vec::new(),
@@ -270,7 +257,7 @@ impl RvaasController {
         }
 
         let result = self
-            .backend
+            .verifier
             .answer(self.monitor.snapshot(), request.client, &request.spec);
 
         // Endpoint-bearing results go through the in-band authentication
@@ -450,9 +437,7 @@ impl ControllerApp for RvaasController {
                 self.handle_packet_in(switch, *in_port, &payload, ctx);
             }
             other => {
-                if self.monitor.on_switch_message(switch, other, ctx.now()) {
-                    self.backend.publish(self.monitor.snapshot(), ctx.now());
-                }
+                self.monitor.on_switch_message(switch, other, ctx.now());
             }
         }
     }

@@ -126,8 +126,7 @@ impl LogicalVerifier {
     /// in a memo private to the session, so a batch of queries sharing
     /// source hosts costs one traversal per host instead of one per query.
     /// This is the from-scratch reference every service-plane test and
-    /// benchmark compares against; the service plane itself uses it only under
-    /// history-mode verification.
+    /// benchmark compares against; the service plane itself never uses it.
     #[must_use]
     pub fn evaluator<'a>(&'a self, snapshot: &'a NetworkSnapshot) -> QueryEvaluator<'a> {
         let nf = Cow::Owned(self.function_for(snapshot));
@@ -1039,7 +1038,7 @@ mod tests {
     }
 
     #[test]
-    fn history_mode_detects_recently_removed_rules() {
+    fn use_history_detects_recently_removed_rules() {
         let topo = generators::line(4, 2);
         let attack = Attack::Join {
             attacker_host: HostId(2),

@@ -28,7 +28,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use rvaas::{LocationMap, NetworkSnapshot, VerifierConfig};
+use rvaas::NetworkSnapshot;
 use rvaas_client::{read_frame, write_frame, SyncReject};
 use rvaas_controlplane::benign_rules;
 use rvaas_service::{ServiceError, SyncServer, VerificationService};
@@ -72,10 +72,7 @@ impl Daemon {
         let topology = config.build_topology()?;
         let service = Arc::new(VerificationService::new(
             topology.clone(),
-            config.service.clone().into_config(VerifierConfig {
-                use_history: false,
-                locations: LocationMap::disclosed(&topology),
-            }),
+            config.service.clone(),
         ));
         let registry = service.registry();
         registry

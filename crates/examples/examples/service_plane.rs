@@ -1,64 +1,31 @@
-//! End-to-end tour of the `rvaas-service` verification service plane:
+//! End-to-end tour of the `rvaas-service` verification service plane — the
+//! one the `rvaas` daemon serves:
 //!
-//! 1. a full simulated scenario whose RVaaS controller delegates analysis
-//!    to the service-plane backend (`ScenarioBuilder::service_backend`),
-//! 2. the service used directly — epoch publishing under churn, batched
+//! 1. the service driven directly — epoch publishing under churn, batched
 //!    queries, the result cache, and RTR-style delta sync, and
-//! 3. the telemetry registry behind it all, rendered in Prometheus text
+//! 2. the telemetry registry behind it all, rendered in Prometheus text
 //!    exposition format (what a `/metrics` endpoint would serve).
 //!
 //! ```sh
 //! cargo run --release -p rvaas-examples --example service_plane
 //! ```
 
-use rvaas::{LocationMap, VerifierConfig};
 use rvaas_client::{QuerySpec, SyncPayload, SyncSession};
 use rvaas_service::{ServiceError, ServiceSettings, SyncServer, VerificationService};
 use rvaas_topology::generators;
-use rvaas_types::{ClientId, HostId, SimTime};
-use rvaas_workloads::{benign_snapshot, churn_round, ScenarioBuilder};
+use rvaas_types::{ClientId, SimTime};
+use rvaas_workloads::{benign_snapshot, churn_round};
 
 fn main() -> Result<(), ServiceError> {
-    // --- 1. A simulated scenario riding the service plane -----------------
+    // --- 1. The service plane driven directly ----------------------------
     let topo = generators::leaf_spine(2, 4, 2, 1);
-    println!(
-        "scenario: leaf-spine fabric, {} switches / {} hosts, RVaaS backed by the service plane",
-        topo.switch_count(),
-        topo.host_count()
-    );
-    let mut scenario = ScenarioBuilder::new(topo.clone())
-        .service_backend()
-        .query(HostId(1), SimTime::from_millis(5), QuerySpec::Isolation)
-        .query(
-            HostId(2),
-            SimTime::from_millis(6),
-            QuerySpec::ReachableDestinations,
-        )
-        .build();
-    scenario.run_until(SimTime::from_millis(120));
-    for host in [HostId(1), HostId(2)] {
-        for reply in scenario.replies_for(host) {
-            println!("  {host} <- {:?}", reply.result);
-        }
-    }
-    let stats = scenario.rvaas_stats();
-    println!(
-        "  controller: {} queries received, {} answered, {} auth round-trips",
-        stats.queries_received, stats.queries_answered, stats.auth_replies_received
-    );
-
-    // --- 2. The service plane driven directly ----------------------------
-    let service = VerificationService::new(
-        topo.clone(),
-        ServiceSettings::default().into_config(VerifierConfig {
-            use_history: false,
-            locations: LocationMap::disclosed(&topo),
-        }),
-    );
+    let service = VerificationService::new(topo.clone(), ServiceSettings::default());
     let mut snapshot = benign_snapshot(&topo);
     let serial = service.try_publish(&snapshot, SimTime::from_millis(1))?;
     println!(
-        "\nservice plane: published epoch {serial} ({} rules)",
+        "service plane: leaf-spine fabric, {} switches / {} hosts; published epoch {serial} ({} rules)",
+        topo.switch_count(),
+        topo.host_count(),
         snapshot.rule_count()
     );
 
@@ -110,7 +77,7 @@ fn main() -> Result<(), ServiceError> {
         session.serial()
     );
 
-    // --- 3. The metrics registry, scraped -------------------------------
+    // --- 2. The metrics registry, scraped -------------------------------
     // Everything above — queries, cache traffic, epoch publishes, query
     // batches — was recorded into the service's shared registry as it
     // happened; render it exactly as a `/metrics` endpoint would.

@@ -106,8 +106,7 @@ fn verifier_config(topology: &Topology) -> VerifierConfig {
 }
 
 fn service(topology: &Topology) -> VerificationService {
-    let config = ServiceSettings::default().into_config(verifier_config(topology));
-    VerificationService::new(topology.clone(), config)
+    VerificationService::new(topology.clone(), ServiceSettings::default())
 }
 
 /// The full-rebuild oracle: the reference verifier, answering from scratch.

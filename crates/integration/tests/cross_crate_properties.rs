@@ -636,8 +636,7 @@ proptest! {
             locations: rvaas::LocationMap::disclosed(&topo),
         };
         let settings = ServiceSettings { cache: false, ..ServiceSettings::default() };
-        let service =
-            VerificationService::new(topo.clone(), settings.into_config(verifier_config.clone()));
+        let service = VerificationService::new(topo.clone(), settings);
         let oracle = rvaas::LogicalVerifier::new(topo.clone(), verifier_config);
         let mix: Vec<(ClientId, QuerySpec)> = clients
             .iter()

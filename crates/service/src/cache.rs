@@ -148,8 +148,7 @@ impl ResultCache {
     /// predecessor* epoch (`to_serial - 1`) for which `affected` returns
     /// `false` stay valid and are re-stamped to the new serial; everything
     /// else is dropped. A predicate that is always `true` is the
-    /// generation-wide invalidation (history-mode verification, or an
-    /// unbounded changed region).
+    /// generation-wide invalidation (an unbounded changed region).
     ///
     /// Requiring the direct predecessor (rather than whatever the cache was
     /// last advanced to) keeps concurrent publishers sound: `affected` is

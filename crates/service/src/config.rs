@@ -1,22 +1,17 @@
 //! Declarative service-plane configuration.
 //!
-//! The config is split in two:
-//!
-//! * [`ServiceSettings`] — the plain-data knobs (connection threads, cache,
-//!   delta history, listener addresses, flight-recorder shape); none of
-//!   them selects how a verdict is computed. [`Default`]-constructible —
-//!   in-process callers write
-//!   `ServiceSettings { cache: false, ..Default::default() }` — and settable by
-//!   string key/value pairs ([`ServiceSettings::set`]), so the daemon's
-//!   config-file parser and its CLI flag overrides share one validation
-//!   path and every knob has one name and one default.
-//! * [`ServiceConfig`] — settings plus the [`VerifierConfig`], which cannot
-//!   come from a file (it embeds the topology-derived location map);
-//!   [`ServiceSettings::into_config`] joins the two.
+//! [`ServiceSettings`] holds the plain-data knobs (connection threads,
+//! cache, delta history, listener addresses, flight-recorder shape); none of
+//! them selects how a verdict is computed — the service verifies with the
+//! oracle's configuration over the topology it is started on (see
+//! [`crate::VerificationService::new`]). [`Default`]-constructible —
+//! in-process callers write
+//! `ServiceSettings { cache: false, ..Default::default() }` — and settable by
+//! string key/value pairs ([`ServiceSettings::set`]), so the daemon's
+//! config-file parser and its CLI flag overrides share one validation path
+//! and every knob has one name and one default.
 
 use serde::{Deserialize, Serialize};
-
-use rvaas::VerifierConfig;
 
 use crate::error::ServiceError;
 
@@ -119,35 +114,6 @@ impl ServiceSettings {
             }
         }
         Ok(())
-    }
-
-    /// Combines these settings with the verifier configuration the service
-    /// actually needs to run.
-    #[must_use]
-    pub fn into_config(self, verifier: VerifierConfig) -> ServiceConfig {
-        ServiceConfig {
-            settings: self,
-            verifier,
-        }
-    }
-}
-
-/// Configuration of the verification service: declarative settings plus the
-/// verifier configuration (which embeds the topology-derived location map
-/// and therefore cannot come from a config file).
-#[derive(Debug, Clone)]
-pub struct ServiceConfig {
-    /// The declarative knobs.
-    pub settings: ServiceSettings,
-    /// Verifier configuration every evaluator session is opened with.
-    pub verifier: VerifierConfig,
-}
-
-impl ServiceConfig {
-    /// Default settings around `verifier` (see [`ServiceSettings::default`]).
-    #[must_use]
-    pub fn new(verifier: VerifierConfig) -> Self {
-        ServiceSettings::default().into_config(verifier)
     }
 }
 

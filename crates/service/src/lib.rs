@@ -1,8 +1,11 @@
 //! # rvaas-service — the standalone verification service plane
 //!
-//! The seed answered every client query inline from the simulated
-//! controller's event handler, one at a time, rebuilding the HSA model from
-//! scratch per query. This crate turns verification into a *service*:
+//! The simulated in-band controller answers each client query from scratch
+//! with the paper's [`rvaas::LogicalVerifier`]. This crate turns
+//! verification into a *service* — the one the `rvaas` daemon fronts —
+//! started by [`VerificationService::new`] from the trusted topology and
+//! its [`ServiceSettings`]; every verdict equals the from-scratch
+//! verifier's under the same configuration:
 //!
 //! * [`epoch`] — the monitor's [`rvaas::NetworkSnapshot`] is frozen into
 //!   immutable, serially numbered [`epoch::SnapshotEpoch`]s and swapped
@@ -24,8 +27,6 @@
 //!   serial, plus re-verified standing queries — only those whose interest
 //!   space intersects the delta's affected header region — falling back to
 //!   a full reset when the delta history has been evicted.
-//! * [`backend`] — [`backend::ServiceBackend`] plugs the service plane into
-//!   the existing `RvaasController` via [`rvaas::AnalysisBackend`].
 //! * [`config`] — the declarative [`config::ServiceSettings`] surface: one
 //!   struct with a [`Default`], one `set(key, value)` validation path shared
 //!   by in-process callers, the `rvaas` daemon's config file and its CLI
@@ -35,19 +36,14 @@
 //!   state with `expect` why the failure cannot happen to them.
 //!
 //! ```
-//! use rvaas::{LocationMap, NetworkSnapshot, VerifierConfig};
+//! use rvaas::NetworkSnapshot;
 //! use rvaas_client::QuerySpec;
 //! use rvaas_service::{ServiceError, ServiceSettings, VerificationService};
 //! use rvaas_topology::generators;
 //! use rvaas_types::{ClientId, SimTime};
 //!
 //! # fn main() -> Result<(), ServiceError> {
-//! let topology = generators::line(4, 2);
-//! let config = ServiceSettings::default().into_config(VerifierConfig {
-//!     use_history: false,
-//!     locations: LocationMap::disclosed(&topology),
-//! });
-//! let service = VerificationService::new(topology, config);
+//! let service = VerificationService::new(generators::line(4, 2), ServiceSettings::default());
 //! let serial = service.try_publish(&NetworkSnapshot::default(), SimTime::ZERO)?;
 //! let response = service.try_query(ClientId(1), QuerySpec::Isolation)?;
 //! assert_eq!(response.epoch_serial, serial);
@@ -58,7 +54,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod cache;
 pub mod config;
 pub mod epoch;
@@ -66,9 +61,8 @@ pub mod error;
 pub mod pool;
 pub mod sync;
 
-pub use backend::ServiceBackend;
 pub use cache::{CacheStats, ResultCache};
-pub use config::{ServiceConfig, ServiceSettings, SETTING_KEYS};
+pub use config::{ServiceSettings, SETTING_KEYS};
 pub use epoch::{
     content_digest_of, digest_entry, digest_snapshot, DigestSet, EpochDelta, EpochProvenance,
     EpochStore, Published, SnapshotEpoch,

@@ -17,15 +17,7 @@
 //! epoch — shared by every batch, thread and client answering on it — and
 //! an epoch advance costs a caller nothing but a cold memo. There is one
 //! evaluation path — register the query's interest, answer with its
-//! footprint, refine the interest, cache the verdict — and one exception to
-//! what it runs on: under history-mode verification
-//! ([`rvaas::VerifierConfig::use_history`]) a verdict also depends on rules
-//! *removed* inside the snapshot's history window, which leave it by the
-//! passing of time, not by a rule change. The frozen function, its memo and
-//! the per-query cache carry are unsound for that, so a history-mode batch
-//! rebuilds the function from the snapshot and walks every traversal
-//! afresh, every epoch advance invalidates the whole cache and sync
-//! re-verifies every subscription.
+//! footprint, refine the interest, cache the verdict.
 //!
 //! A batch always answers against the epoch that was current when it
 //! started; the monitor can keep publishing new epochs concurrently without
@@ -34,14 +26,14 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rvaas::{LogicalVerifier, NetworkSnapshot, RuleChange};
+use rvaas::{LocationMap, LogicalVerifier, NetworkSnapshot, RuleChange, VerifierConfig};
 use rvaas_client::{QueryResult, QuerySpec};
 use rvaas_telemetry::{Counter, Gauge, Histogram, Registry, TraceContext, TraceId, TraceStage};
 use rvaas_topology::Topology;
 use rvaas_types::{ClientId, SimTime};
 
 use crate::cache::ResultCache;
-use crate::config::ServiceConfig;
+use crate::config::ServiceSettings;
 use crate::epoch::{EpochStore, Published};
 use crate::error::ServiceError;
 
@@ -172,11 +164,6 @@ pub struct VerificationService {
     topology: Topology,
     /// The trusted verifier every evaluator session is opened from.
     verifier: LogicalVerifier,
-    /// [`rvaas::VerifierConfig::use_history`]: verdicts also depend on rules
-    /// removed inside the snapshot's history window (see the module docs).
-    /// Read in three places — which function and memo a batch's evaluator
-    /// gets, the cache advance, and [`crate::sync`]'s reverification set.
-    pub(crate) history_mode: bool,
     /// The `workers` setting, as `rvaas_workers` and `/v1/status` report it.
     /// It starts no thread here: the daemon sizes its connection threads
     /// from it.
@@ -196,29 +183,35 @@ impl std::fmt::Debug for VerificationService {
 }
 
 impl VerificationService {
-    /// Starts the service over the trusted `topology`. Every layer records
-    /// into the service's own metric registry; whoever serves `/metrics` or
-    /// adds metrics of their own takes it from [`Self::registry`].
+    /// Starts the service over the trusted `topology`, verifying with the
+    /// oracle's configuration: installed rules only (the function each epoch
+    /// freezes models exactly those) and switch locations as the topology
+    /// discloses them. Every layer records into the service's own metric
+    /// registry; whoever serves `/metrics` or adds metrics of their own
+    /// takes it from [`Self::registry`].
     #[must_use]
-    pub fn new(topology: Topology, config: ServiceConfig) -> Self {
+    pub fn new(topology: Topology, settings: ServiceSettings) -> Self {
         let registry = Registry::shared();
         // Shape the process-global flight recorder before the first event;
         // the slow-query threshold additionally applies live.
         rvaas_telemetry::trace::configure(
-            config.settings.trace_ring_capacity,
-            config.settings.slow_query_threshold_us,
+            settings.trace_ring_capacity,
+            settings.slow_query_threshold_us,
         );
-        let mut store = EpochStore::new(config.settings.max_delta_history.max(1));
+        let mut store = EpochStore::new(settings.max_delta_history.max(1));
         store.attach_interest_topology(topology.clone());
         store.attach_telemetry(&registry);
-        let cache = ResultCache::with_registry(config.settings.cache, &registry);
+        let cache = ResultCache::with_registry(settings.cache, &registry);
         let metrics = ServiceMetrics::new(&registry);
-        let workers = config.settings.workers.max(1);
+        let workers = settings.workers.max(1);
         metrics.workers.set(workers as i64);
+        let oracle = VerifierConfig {
+            use_history: false,
+            locations: LocationMap::disclosed(&topology),
+        };
         VerificationService {
-            verifier: LogicalVerifier::new(topology.clone(), config.verifier.clone()),
+            verifier: LogicalVerifier::new(topology.clone(), oracle),
             topology,
-            history_mode: config.verifier.use_history,
             workers,
             store: Arc::new(store),
             cache,
@@ -332,9 +325,9 @@ impl VerificationService {
         // cached, so the index's selection covers every cached entry — an
         // O(affected) test instead of the linear query_affected scan per
         // entry.
-        let (history_mode, affected) = (self.history_mode, &published.affected);
+        let affected = &published.affected;
         let (carried, invalidated) = self.cache.advance(published.serial, |client, spec| {
-            history_mode || affected.is_affected(client, spec)
+            affected.is_affected(client, spec)
         });
         TraceContext::from_id(published.trace.0).event(
             TraceStage::CacheCarry,
@@ -400,12 +393,9 @@ impl VerificationService {
             return Vec::new();
         };
         let epoch = self.store.current();
-        let mut evaluator = if self.history_mode {
-            self.verifier.evaluator(&epoch.snapshot)
-        } else {
+        let mut evaluator =
             self.verifier
-                .evaluator_sharing(&epoch.snapshot, &epoch.function, &epoch.traversals)
-        };
+                .evaluator_sharing(&epoch.snapshot, &epoch.function, &epoch.traversals);
         self.metrics.batches.inc();
         let _eval_span = self.metrics.stage_eval.span_traced(lead);
         batch
@@ -481,26 +471,16 @@ impl VerificationService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ServiceSettings;
-    use rvaas::{LocationMap, VerifierConfig};
     use rvaas_controlplane::benign_rules;
     use rvaas_topology::generators;
 
-    fn verifier_config(topology: &Topology, use_history: bool) -> VerifierConfig {
-        VerifierConfig {
-            use_history,
-            locations: LocationMap::disclosed(topology),
-        }
-    }
-
     /// The reference implementation every service verdict is compared with.
     fn verifier(topology: &Topology) -> LogicalVerifier {
-        LogicalVerifier::new(topology.clone(), verifier_config(topology, false))
-    }
-
-    fn service_with(topology: &Topology, settings: ServiceSettings) -> VerificationService {
-        let config = settings.into_config(verifier_config(topology, false));
-        VerificationService::new(topology.clone(), config)
+        let config = VerifierConfig {
+            use_history: false,
+            locations: LocationMap::disclosed(topology),
+        };
+        LogicalVerifier::new(topology.clone(), config)
     }
 
     fn service_over(topology: &Topology, cache: bool) -> (VerificationService, NetworkSnapshot) {
@@ -508,8 +488,8 @@ mod tests {
         for (switch, entry) in benign_rules(topology) {
             snapshot.record_installed(switch, entry, SimTime::from_millis(1));
         }
-        let service = service_with(
-            topology,
+        let service = VerificationService::new(
+            topology.clone(),
             ServiceSettings {
                 cache,
                 ..ServiceSettings::default()
@@ -620,102 +600,6 @@ mod tests {
             "got {stats:?}"
         );
         assert!(stats.incremental_applies >= 6, "got {stats:?}");
-    }
-
-    /// History mode is the one case that rebuilds per batch: a verdict then
-    /// also depends on rules removed inside the snapshot's window, which
-    /// expire by time. Fails if `history_mode` is dropped from any of its
-    /// three reads.
-    #[test]
-    fn history_mode_rebuilds_invalidates_and_reverifies_everything() {
-        use rvaas_client::{SyncPayload, SyncSession};
-        use rvaas_openflow::{Action, FlowEntry, FlowMatch};
-        use rvaas_types::{Field, SwitchId};
-
-        let topology = generators::line(4, 2);
-        let history = verifier_config(&topology, true);
-        let service = VerificationService::new(
-            topology.clone(),
-            ServiceSettings::default().into_config(history.clone()),
-        );
-        let verifier = LogicalVerifier::new(topology.clone(), history);
-        let (client, specs) = (ClientId(1), all_specs(&topology));
-        let server = crate::sync::SyncServer::new(service.store(), 7, &service.registry());
-        for spec in &specs {
-            server.subscribe(client, spec.clone());
-        }
-        let mut session = SyncSession::new();
-        // One epoch: publish, one sync exchange, then every query again (so
-        // each verdict is cached for the next advance to be tempted by).
-        // Verdicts must be the same-config verifier's on the same snapshot.
-        let mut step = |snapshot: &NetworkSnapshot, millis: u64, context: &str| {
-            service
-                .try_publish(snapshot, SimTime::from_millis(millis))
-                .unwrap();
-            let response = server
-                .try_handle(&service, &session.request(client))
-                .unwrap();
-            session.apply(&response).unwrap();
-            let mut served: Vec<(QuerySpec, QueryResult)> = match response.payload {
-                SyncPayload::Delta { reverified, .. } => {
-                    assert_eq!(reverified.len(), specs.len(), "{context}: all re-verify");
-                    reverified.into_iter().map(|q| (q.spec, q.result)).collect()
-                }
-                other => {
-                    assert!(millis == 1, "{context}: deltas after the reset: {other:?}");
-                    Vec::new()
-                }
-            };
-            for spec in &specs {
-                let response = service.try_query(client, spec.clone()).unwrap();
-                served.push((response.spec, response.result));
-            }
-            for (spec, result) in served {
-                let expected = verifier.answer(snapshot, client, &spec);
-                assert_eq!(result, expected, "{context}: {spec:?}");
-            }
-        };
-
-        // A one-second history window; the clean network.
-        let mut snapshot = NetworkSnapshot::new(SimTime::from_secs(1));
-        for (switch, entry) in benign_rules(&topology) {
-            snapshot.record_installed(switch, entry, SimTime::from_millis(1));
-        }
-        step(&snapshot, 1, "clean");
-        // A blackhole for one of client 1's own hosts flaps on a transit
-        // switch: installed, removed 1 ms later. The installed rules are
-        // clean again; only the window still shows it.
-        let ips = |c| -> Vec<u32> { topology.hosts_of_client(c).iter().map(|h| h.ip).collect() };
-        let flap = FlowEntry::new(400, FlowMatch::to_ip(ips(client)[1]), vec![Action::Drop]);
-        snapshot.record_installed(SwitchId(2), flap.clone(), SimTime::from_millis(2));
-        step(&snapshot, 2, "installed");
-        snapshot.record_removed(SwitchId(2), &flap, SimTime::from_millis(3));
-        step(&snapshot, 3, "removed inside the window");
-        let probe = QuerySpec::ReachableDestinations;
-        let flapped = verifier.answer(&snapshot, client, &probe);
-        let now = LogicalVerifier::new(topology.clone(), VerifierConfig::default());
-        assert_ne!(flapped, now.answer(&snapshot, client, &probe));
-
-        // Two seconds on, an epoch that cannot touch client 1's queries (a
-        // rule pinned to client 2's own address pair) — but the flapped rule
-        // has left the window, so client 1's verdict moves anyway.
-        let c2 = ips(ClientId(2));
-        let pinned = FlowMatch::from_ip(c2[0]).field(Field::IpDst, u64::from(c2[1]));
-        snapshot.record_installed(
-            SwitchId(2),
-            FlowEntry::new(400, pinned, vec![Action::Drop]),
-            SimTime::from_millis(2_000),
-        );
-        let before = service.current_serial();
-        step(&snapshot, 2_000, "unrelated epoch past the window");
-        assert_ne!(flapped, verifier.answer(&snapshot, client, &probe));
-        let delta = service.store().delta_since(before).expect("in history");
-        assert!(
-            !delta.affected.is_affected(client, &probe),
-            "the interest index alone would have skipped (and carried) it"
-        );
-        assert_eq!(service.stats().cache_carried, 0);
-        assert_eq!(server.reverify_stats().skipped, 0);
     }
 
     #[test]

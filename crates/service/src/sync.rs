@@ -15,9 +15,7 @@
 //! window intersected with the client's subscriptions. Using the frozen
 //! per-epoch selections (instead of re-querying the index at serve time)
 //! keeps lagging clients sound: a footprint refined after one of the
-//! window's epochs can never hide a query that epoch had affected. Only
-//! under history-mode verification, where a verdict can change without a
-//! rule change (see [`crate::pool`]), is every subscription re-verified.
+//! window's epochs can never hide a query that epoch had affected.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -232,7 +230,7 @@ impl SyncServer {
                 return Ok(Vec::new());
             };
             let subs = &session.subscriptions;
-            let workload = if service.history_mode || affected.is_everything() {
+            let workload = if affected.is_everything() {
                 subs.iter().map(|spec| (client, spec.clone())).collect()
             } else {
                 affected
@@ -263,7 +261,7 @@ impl SyncServer {
 mod tests {
     use super::*;
     use crate::config::ServiceSettings;
-    use rvaas::{LocationMap, NetworkSnapshot, VerifierConfig};
+    use rvaas::NetworkSnapshot;
     use rvaas_client::{QueryResult, SyncSession};
     use rvaas_controlplane::benign_rules;
     use rvaas_openflow::{Action, FlowEntry, FlowMatch};
@@ -276,15 +274,11 @@ mod tests {
         for (switch, entry) in benign_rules(&topology) {
             snapshot.record_installed(switch, entry, SimTime::from_millis(1));
         }
-        let config = ServiceSettings {
+        let settings = ServiceSettings {
             max_delta_history: max_deltas,
             ..ServiceSettings::default()
-        }
-        .into_config(VerifierConfig {
-            use_history: false,
-            locations: LocationMap::disclosed(&topology),
-        });
-        let service = VerificationService::new(topology, config);
+        };
+        let service = VerificationService::new(topology, settings);
         publish(&service, &snapshot, 1);
         let server = SyncServer::new(service.store(), 42, &service.registry());
         (service, server, snapshot)

@@ -26,8 +26,7 @@ fn verifier_config(topology: &Topology) -> VerifierConfig {
 /// rule set: more than 64 changes, so that publish bulk-rebuilds.
 fn service() -> (Topology, VerificationService, NetworkSnapshot) {
     let topology = generators::fat_tree(4, 4);
-    let config = ServiceSettings::default().into_config(verifier_config(&topology));
-    let service = VerificationService::new(topology.clone(), config);
+    let service = VerificationService::new(topology.clone(), ServiceSettings::default());
     let mut snapshot = NetworkSnapshot::new(SimTime::from_secs(1));
     for (switch, entry) in benign_rules(&topology) {
         snapshot.record_installed(switch, entry, SimTime::from_millis(1));

@@ -8,7 +8,7 @@
 //!
 //! [`drain_changes`]: rvaas::ConfigMonitor::drain_changes
 
-use rvaas::{ConfigMonitor, LocationMap, MonitorConfig, NetworkFunction, VerifierConfig};
+use rvaas::{ConfigMonitor, MonitorConfig, NetworkFunction};
 use rvaas_client::QuerySpec;
 use rvaas_controlplane::benign_rules;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch, Message};
@@ -17,11 +17,7 @@ use rvaas_topology::{generators, Topology};
 use rvaas_types::{ClientId, SimTime, SwitchId};
 
 fn service_over(topology: &Topology) -> VerificationService {
-    let config = ServiceSettings::default().into_config(VerifierConfig {
-        use_history: false,
-        locations: LocationMap::disclosed(topology),
-    });
-    VerificationService::new(topology.clone(), config)
+    VerificationService::new(topology.clone(), ServiceSettings::default())
 }
 
 /// Both services must expose the same epoch — serial, digest set, rule

@@ -150,14 +150,6 @@ fn churn_window(
     changes
 }
 
-/// The verifier configuration both churn drivers run under.
-fn verifier_config(topology: &Topology) -> VerifierConfig {
-    VerifierConfig {
-        use_history: false,
-        locations: LocationMap::disclosed(topology),
-    }
-}
-
 /// Shape of one churn run (service or full-rebuild baseline).
 #[derive(Debug, Clone)]
 pub struct IncrementalChurnConfig {
@@ -236,10 +228,7 @@ pub fn run_incremental_churn(
     topology: &Topology,
     config: &IncrementalChurnConfig,
 ) -> IncrementalChurnReport {
-    let service = VerificationService::new(
-        topology.clone(),
-        ServiceSettings::default().into_config(verifier_config(topology)),
-    );
+    let service = VerificationService::new(topology.clone(), ServiceSettings::default());
     let mut snapshot = benign_snapshot(topology);
     service
         .try_publish(&snapshot, SimTime::from_millis(1))
@@ -319,7 +308,14 @@ pub fn run_full_rebuild_churn(
     topology: &Topology,
     config: &IncrementalChurnConfig,
 ) -> FullRebuildChurnReport {
-    let verifier = LogicalVerifier::new(topology.clone(), verifier_config(topology));
+    // The configuration the service verifies with.
+    let verifier = LogicalVerifier::new(
+        topology.clone(),
+        VerifierConfig {
+            use_history: false,
+            locations: LocationMap::disclosed(topology),
+        },
+    );
     let mut snapshot = benign_snapshot(topology);
     let standing = standing_queries(topology, config.synthetic_queries);
     let clients = clients_of(topology);

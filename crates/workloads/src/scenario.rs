@@ -7,7 +7,6 @@ use rvaas_client::{
 use rvaas_controlplane::{ProviderController, ScheduledAttack};
 use rvaas_crypto::{Keypair, SignatureScheme};
 use rvaas_netsim::{Network, NetworkConfig};
-use rvaas_service::{ServiceBackend, ServiceSettings};
 use rvaas_topology::Topology;
 use rvaas_types::{ClientId, HostId, SimTime};
 
@@ -23,7 +22,6 @@ pub struct ScenarioBuilder {
     unresponsive_hosts: Vec<HostId>,
     auth_timeout: SimTime,
     seed: u64,
-    service_backend: bool,
 }
 
 impl ScenarioBuilder {
@@ -40,7 +38,6 @@ impl ScenarioBuilder {
             unresponsive_hosts: Vec::new(),
             auth_timeout: SimTime::from_millis(5),
             seed: 0,
-            service_backend: false,
         }
     }
 
@@ -100,15 +97,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Routes the RVaaS controller's logical analysis through the
-    /// `rvaas-service` service plane (epoch store, traversal memo, result
-    /// cache) instead of a from-scratch evaluation per query.
-    #[must_use]
-    pub fn service_backend(mut self) -> Self {
-        self.service_backend = true;
-        self
-    }
-
     /// Wires everything together.
     #[must_use]
     pub fn build(self) -> Scenario {
@@ -122,15 +110,7 @@ impl ScenarioBuilder {
         rvaas_config.auth_timeout = self.auth_timeout;
 
         let keypair = Keypair::generate(SignatureScheme::HmacOracle, 0x5000 + self.seed);
-        let mut rvaas = if self.service_backend {
-            let backend = ServiceBackend::new(
-                self.topology.clone(),
-                ServiceSettings::default().into_config(rvaas_config.verifier.clone()),
-            );
-            RvaasController::with_backend(rvaas_config, keypair, Box::new(backend))
-        } else {
-            RvaasController::new(rvaas_config, keypair)
-        };
+        let mut rvaas = RvaasController::new(rvaas_config, keypair);
         let rvaas_pk = rvaas.public_key();
 
         let mut agent_boxes = Vec::new();
@@ -297,15 +277,24 @@ impl std::fmt::Debug for Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rvaas::LocationMap;
     use rvaas_client::QueryResult;
     use rvaas_controlplane::Attack;
     use rvaas_topology::generators;
 
+    /// The controller answers with the caller's verifier configuration: with
+    /// no location knowledge, every region a tenant's traffic crosses is
+    /// unknown.
     #[test]
     fn scenario_builds_and_answers_queries() {
         let topo = generators::line(4, 2);
         let mut scenario = ScenarioBuilder::new(topo)
             .query(HostId(1), SimTime::from_millis(5), QuerySpec::Isolation)
+            .query(HostId(2), SimTime::from_millis(6), QuerySpec::GeoLocation)
+            .verifier(VerifierConfig {
+                use_history: false,
+                locations: LocationMap::new(),
+            })
             .seed(3)
             .build();
         scenario.run_until(SimTime::from_millis(60));
@@ -315,41 +304,21 @@ mod tests {
             replies[0].result,
             QueryResult::IsolationStatus { isolated: true, .. }
         ));
+        let replies = scenario.replies_for(HostId(2));
+        assert_eq!(replies.len(), 1);
+        assert_eq!(
+            replies[0].result,
+            QueryResult::Regions {
+                regions: vec!["UNKNOWN".to_string()]
+            }
+        );
         let outcome = scenario.outcome();
         assert!(outcome.packet_ins >= 1);
         assert!(outcome.total_control_messages > 0);
         assert_eq!(scenario.rvaas_controller_index(), 1);
         let stats = scenario.rvaas_stats();
-        assert_eq!(stats.queries_received, 1);
-        assert_eq!(stats.queries_answered, 1);
-    }
-
-    #[test]
-    fn scenario_with_service_backend_matches_inline_answers() {
-        let topo = generators::line(4, 2);
-        let run = |service_backend: bool| {
-            let mut builder = ScenarioBuilder::new(topo.clone())
-                .query(HostId(1), SimTime::from_millis(5), QuerySpec::Isolation)
-                .query(HostId(2), SimTime::from_millis(6), QuerySpec::GeoLocation)
-                .seed(4);
-            if service_backend {
-                builder = builder.service_backend();
-            }
-            let mut scenario = builder.build();
-            scenario.run_until(SimTime::from_millis(80));
-            (
-                scenario.replies_for(HostId(1)),
-                scenario.replies_for(HostId(2)),
-                scenario.rvaas_stats(),
-            )
-        };
-        let (inline_h1, inline_h2, inline_stats) = run(false);
-        let (svc_h1, svc_h2, svc_stats) = run(true);
-        assert_eq!(inline_h1.len(), 1);
-        assert_eq!(svc_h1.len(), 1);
-        assert_eq!(svc_h1[0].result, inline_h1[0].result);
-        assert_eq!(svc_h2[0].result, inline_h2[0].result);
-        assert_eq!(svc_stats.queries_answered, inline_stats.queries_answered);
+        assert_eq!(stats.queries_received, 2);
+        assert_eq!(stats.queries_answered, 2);
     }
 
     #[test]
