@@ -511,7 +511,7 @@ pub fn exp_t4_hsa_scaling() -> Vec<String> {
             },
         );
         let start = Instant::now();
-        let (_isolated, _foreign) = verifier.isolation_check(&snapshot, ClientId(1));
+        let _verdict = verifier.answer(&snapshot, ClientId(1), &QuerySpec::Isolation);
         let elapsed = start.elapsed();
         rows.push(format!(
             "{label} | {} | {rule_count} | {:.2}",

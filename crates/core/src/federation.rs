@@ -8,7 +8,7 @@
 //! client's traffic, and combines the answers; the trust set grows by one
 //! RVaaS server per domain.
 
-use rvaas_client::EndpointReport;
+use rvaas_client::{EndpointReport, QueryResult, QuerySpec};
 use rvaas_types::{ClientId, ProviderId};
 
 use crate::snapshot::NetworkSnapshot;
@@ -37,27 +37,30 @@ pub struct FederatedAnswer {
 }
 
 /// Runs a federated geo-location + reachability query for `client` across the
-/// provider `chain`, in order.
+/// provider `chain`, in order. Each domain answers both questions on one
+/// evaluator, so they share its emission traversals.
 #[must_use]
 pub fn federated_query(chain: &[ProviderDomain], client: ClientId) -> FederatedAnswer {
     let mut answer = FederatedAnswer::default();
     for domain in chain {
         answer.trust_set.push(domain.provider);
-        for region in domain.verifier.geo_regions(&domain.snapshot, client) {
-            if !answer.regions.contains(&region) {
-                answer.regions.push(region);
-            }
-        }
-        for endpoint in domain
-            .verifier
-            .reachable_destinations(&domain.snapshot, client)
+        let mut evaluator = domain.verifier.evaluator(&domain.snapshot);
+        if let QueryResult::Regions { regions } = evaluator.answer(client, &QuerySpec::GeoLocation)
         {
-            if !answer.endpoints.iter().any(|e| e.ip == endpoint.ip) {
-                answer.endpoints.push(endpoint);
+            answer.regions.extend(regions);
+        }
+        if let QueryResult::Endpoints { endpoints } =
+            evaluator.answer(client, &QuerySpec::ReachableDestinations)
+        {
+            for endpoint in endpoints {
+                if !answer.endpoints.iter().any(|e| e.ip == endpoint.ip) {
+                    answer.endpoints.push(endpoint);
+                }
             }
         }
     }
     answer.regions.sort();
+    answer.regions.dedup();
     answer.endpoints.sort_by_key(|e| e.ip);
     answer
 }
@@ -106,6 +109,33 @@ mod tests {
             assert!(answer.regions.contains(region));
         }
         assert!(!answer.endpoints.is_empty());
+
+        // Exactly: the sorted, de-duplicated union of each domain's regions,
+        // and the union by ip of each domain's reachable destinations.
+        let mut regions: Vec<String> = Vec::new();
+        let mut endpoints: Vec<EndpointReport> = Vec::new();
+        for domain in &chain {
+            let ask = |spec| domain.verifier.answer(&domain.snapshot, ClientId(1), &spec);
+            let QueryResult::Regions { regions: own } = ask(QuerySpec::GeoLocation) else {
+                unreachable!("keyed by kind");
+            };
+            regions.extend(own);
+            let QueryResult::Endpoints { endpoints: own } = ask(QuerySpec::ReachableDestinations)
+            else {
+                unreachable!("keyed by kind");
+            };
+            for endpoint in own {
+                if !endpoints.iter().any(|e| e.ip == endpoint.ip) {
+                    endpoints.push(endpoint);
+                }
+            }
+        }
+        regions.sort();
+        regions.dedup();
+        endpoints.sort_by_key(|e| e.ip);
+        assert_eq!(answer.regions, regions);
+        assert_eq!(answer.endpoints, endpoints);
+        assert_eq!((answer.regions.len(), answer.endpoints.len()), (4, 5));
     }
 
     #[test]

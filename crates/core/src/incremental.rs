@@ -6,11 +6,10 @@
 //! literature identifies as the scalability wall of data-plane checking.
 //! This module replaces both with delta-sized work:
 //!
-//! * [`IncrementalModel`] owns a long-lived, *mutable* network function plus
-//!   a per-switch rule index and applies [`RuleChange`]s (rule add / remove /
-//!   modify, where a modify arrives as remove-old + add-new) in place via the
-//!   HSA incremental-update APIs
-//!   ([`NetworkFunction::insert_rule`] / [`NetworkFunction::remove_rule`]),
+//! * [`IncrementalModel`] owns a long-lived, *mutable* network function and
+//!   applies [`RuleChange`]s (rule add / remove / modify, where a modify
+//!   arrives as remove-old + add-new) in place via the HSA incremental-update
+//!   APIs ([`NetworkFunction::insert_rule`] / [`NetworkFunction::remove_rule`]),
 //!   turning the per-epoch model cost from `O(network)` to `O(delta)`.
 //! * Every application reports the [`ChangedRegion`]: the union of the
 //!   changed rules' *exposed* header regions (match cube minus shadowing
@@ -39,13 +38,13 @@
 //! The reverse direction is deliberately not exact: a query flagged affected
 //! may still produce an identical verdict and merely costs one re-check.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use rvaas_client::QuerySpec;
 use rvaas_hsa::{Cube, HeaderSpace, NetworkFunction, RuleAction, RuleTransfer};
 use rvaas_openflow::FlowEntry;
 use rvaas_topology::Topology;
-use rvaas_types::{ClientId, Field, PortId, SwitchId};
+use rvaas_types::{ClientId, Field, SwitchId};
 
 use crate::snapshot::NetworkSnapshot;
 
@@ -149,24 +148,6 @@ impl ChangedRegion {
     pub fn is_empty(&self) -> bool {
         !self.conservative && self.space.is_empty() && self.switches.is_empty()
     }
-
-    /// Folds another region into this one (used when aggregating the changes
-    /// of several consecutive epochs).
-    pub fn merge(&mut self, other: &ChangedRegion) {
-        self.space = self.space.union(&other.space);
-        self.switches.extend(other.switches.iter().copied());
-        self.rules_added += other.rules_added;
-        self.rules_removed += other.rules_removed;
-        self.conservative |= other.conservative;
-    }
-}
-
-/// Per-switch rule index key: everything that identifies a rule to the
-/// verification layer except its action (cookies are excluded throughout).
-type RuleKey = (u16, Option<PortId>, Cube);
-
-fn rule_key(rule: &RuleTransfer) -> RuleKey {
-    (rule.priority, rule.in_port, rule.match_cube)
 }
 
 fn has_rewrite(action: &RuleAction) -> bool {
@@ -185,10 +166,6 @@ fn has_rewrite(action: &RuleAction) -> bool {
 pub struct IncrementalModel {
     topology: Topology,
     nf: NetworkFunction,
-    /// Per-switch multiplicity index of installed rule keys: lets the model
-    /// detect a removal it cannot honour (mirror desync) in `O(log n)`
-    /// without scanning the rule list.
-    index: BTreeMap<SwitchId, BTreeMap<RuleKey, usize>>,
     /// Rewrite rules currently installed. While any is present, traffic can
     /// leave the src/dst-pinned interest spaces mid-path, so every changed
     /// region must stay conservative — not just the delta that installed
@@ -207,7 +184,6 @@ impl IncrementalModel {
         let mut model = IncrementalModel {
             topology,
             nf: NetworkFunction::new(),
-            index: BTreeMap::new(),
             rewrite_rules: 0,
             desynced: false,
         };
@@ -232,7 +208,6 @@ impl IncrementalModel {
             nf.connect(link.a, link.b);
         }
         self.nf = nf;
-        self.index.clear();
         self.rewrite_rules = 0;
         self.desynced = false;
     }
@@ -245,14 +220,12 @@ impl IncrementalModel {
     pub fn rebuild_from(&mut self, snapshot: &NetworkSnapshot) {
         self.reset();
         for (switch, entries) in snapshot.tables() {
-            let switch_index = self.index.entry(switch).or_default();
             let mut rewrites = 0usize;
             let rules: Vec<RuleTransfer> = entries
                 .iter()
                 .map(|entry| {
                     let rule = entry.to_rule_transfer();
                     rewrites += usize::from(has_rewrite(&rule.action));
-                    *switch_index.entry(rule_key(&rule)).or_insert(0) += 1;
                     rule
                 })
                 .collect();
@@ -304,16 +277,10 @@ impl IncrementalModel {
         let mut region = ChangedRegion::default();
         for (i, change) in changes.iter().enumerate().filter(|(_, c)| !c.installed) {
             let rule = change.entry.to_rule_transfer();
-            let held = self
-                .index
-                .get_mut(&change.switch)
-                .and_then(|switch_index| switch_index.get_mut(&rule_key(&rule)))
-                .filter(|count| **count > 0);
-            let successor = changes.get(i + 1).filter(|next| change.displaced_by(next));
-            let space = match (held, successor) {
-                (None, _) => None,
-                // Same key out and in: the index entry stands.
-                (Some(_), Some(install)) => {
+            // The network function looks the rule up and changes nothing on
+            // a miss, which is the desync signal handled below.
+            let space = match changes.get(i + 1).filter(|next| change.displaced_by(next)) {
+                Some(install) => {
                     let new = install.entry.to_rule_transfer();
                     let rewrites = usize::from(has_rewrite(&new.action));
                     let space = self.nf.replace_rule(change.switch, &rule, new);
@@ -323,10 +290,7 @@ impl IncrementalModel {
                     }
                     space
                 }
-                (Some(count), None) => {
-                    *count -= 1;
-                    self.nf.remove_rule(change.switch, &rule)
-                }
+                None => self.nf.remove_rule(change.switch, &rule),
             };
             match space {
                 Some(space) => {
@@ -352,12 +316,6 @@ impl IncrementalModel {
             }
             let rule = change.entry.to_rule_transfer();
             self.rewrite_rules += usize::from(has_rewrite(&rule.action));
-            *self
-                .index
-                .entry(change.switch)
-                .or_default()
-                .entry(rule_key(&rule))
-                .or_insert(0) += 1;
             let space = self.nf.insert_rule(change.switch, rule);
             region.space = region.space.union(&space);
             region.switches.insert(change.switch);
@@ -449,7 +407,7 @@ mod tests {
     use rvaas_hsa::{reachability_equivalent, SwitchTransfer};
     use rvaas_openflow::{Action, FlowMatch};
     use rvaas_topology::generators;
-    use rvaas_types::SimTime;
+    use rvaas_types::{PortId, SimTime};
 
     fn tenant_rule(src: u32, dst: u32, out: u32) -> FlowEntry {
         // Priority above the benign admission/transit rules so the rule is

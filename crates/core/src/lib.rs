@@ -14,7 +14,10 @@
 //!    defeat short-term reconfiguration attacks.
 //! 2. **Logical verification** ([`verify`]): Header Space Analysis
 //!    reachability over the snapshot, answering isolation, reachability,
-//!    geo-location, path-length and neutrality questions.
+//!    geo-location, path-length and neutrality questions. A question is a
+//!    [`QuerySpec`](rvaas_client::QuerySpec), and
+//!    [`QueryEvaluator::answer_with_footprint`] is the one dispatch that
+//!    answers it (`answer` is its verdict alone).
 //! 3. **In-band testing & client interaction** ([`service`]): interception of
 //!    magic-header client queries via Packet-In, active authentication of
 //!    candidate endpoints via Packet-Out + signed replies, and signed query

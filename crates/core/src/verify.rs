@@ -6,6 +6,11 @@
 //! paper's case studies: reachable destinations, reaching sources, isolation
 //! checks, geo-location checks, path lengths and network-neutrality checks.
 //!
+//! There is one way to ask for a verdict: a [`QuerySpec`] handed to
+//! [`QueryEvaluator::answer_with_footprint`], the only dispatch.
+//! [`QueryEvaluator::answer`] is its verdict alone (its `.0`), and
+//! [`LogicalVerifier::answer`] the same over a fresh evaluator.
+//!
 //! Confidentiality: the verifier only ever reports *endpoints*, *regions* and
 //! *hop counts* to clients — never switch identities or paths — preserving
 //! the provider's topology confidentiality as required by the paper.
@@ -101,12 +106,6 @@ impl LogicalVerifier {
         &self.topology
     }
 
-    /// Mutable access to the verifier configuration (experiments switch the
-    /// location map or history mode between queries).
-    pub fn config_mut(&mut self) -> &mut VerifierConfig {
-        &mut self.config
-    }
-
     fn function_for(&self, snapshot: &NetworkSnapshot) -> NetworkFunction {
         if self.config.use_history {
             snapshot.to_network_function_with_history(&self.topology)
@@ -190,71 +189,9 @@ impl LogicalVerifier {
         }
     }
 
-    /// Destinations reachable from any of `client`'s access points.
-    #[must_use]
-    pub fn reachable_destinations(
-        &self,
-        snapshot: &NetworkSnapshot,
-        client: ClientId,
-    ) -> Vec<EndpointReport> {
-        self.evaluator(snapshot).reachable_destinations(client)
-    }
-
-    /// Sources whose traffic can currently reach any of `client`'s access
-    /// points.
-    #[must_use]
-    pub fn reaching_sources(
-        &self,
-        snapshot: &NetworkSnapshot,
-        client: ClientId,
-    ) -> Vec<EndpointReport> {
-        self.evaluator(snapshot).reaching_sources(client)
-    }
-
-    /// The isolation check of paper Section IV-B1: the client's sub-network
-    /// is isolated iff no foreign endpoint can reach it and it can reach no
-    /// foreign endpoint.
-    #[must_use]
-    pub fn isolation_check(
-        &self,
-        snapshot: &NetworkSnapshot,
-        client: ClientId,
-    ) -> (bool, Vec<EndpointReport>) {
-        self.evaluator(snapshot).isolation_check(client)
-    }
-
-    /// The geo-location check of paper Section IV-B2: the set of regions the
-    /// client's traffic can traverse.
-    #[must_use]
-    pub fn geo_regions(&self, snapshot: &NetworkSnapshot, client: ClientId) -> Vec<String> {
-        self.evaluator(snapshot).geo_regions(client)
-    }
-
-    /// Path-length bounds from `client`'s access points to the host owning
-    /// `to_ip`. Returns `(min, max, reachable)`.
-    #[must_use]
-    pub fn path_length(
-        &self,
-        snapshot: &NetworkSnapshot,
-        client: ClientId,
-        to_ip: u32,
-    ) -> (u32, u32, bool) {
-        self.evaluator(snapshot).path_length(client, to_ip)
-    }
-
-    /// Network-neutrality check: reports clients whose delivery rules carry a
-    /// meter while at least one other client's delivery is unmetered.
-    #[must_use]
-    pub fn neutrality_check(
-        &self,
-        snapshot: &NetworkSnapshot,
-        client: ClientId,
-    ) -> (bool, Vec<NeutralityViolation>) {
-        self.evaluator(snapshot).neutrality_check(client)
-    }
-
-    /// Dispatches a query spec to the appropriate check, producing the result
-    /// payload (endpoints are not yet authenticated at this stage).
+    /// The verdict of `(client, spec)` over a fresh
+    /// [`evaluator`](Self::evaluator): [`QueryEvaluator::answer`] for a
+    /// one-off question (endpoints are not yet authenticated at this stage).
     #[must_use]
     pub fn answer(
         &self,
@@ -384,17 +321,22 @@ fn footprint_over<'t>(traversals: impl IntoIterator<Item = &'t Arc<Traversal>>) 
 
 /// A single-snapshot evaluation session.
 ///
-/// Holds the HSA network function of one snapshot and memoises the expensive
-/// traversals in a [`TraversalMemo`]: the emission-space reachability of each
-/// source host (shared by destination, isolation and geo queries), the
-/// per-source "can this host reach that client" verdicts (shared by isolation
-/// and reaching-source queries) and per-destination path probes. A session
-/// from [`LogicalVerifier::evaluator`] or [`LogicalVerifier::evaluator_with`]
-/// owns a fresh memo — answering `n` queries that share hosts through it
-/// performs each traversal once, and nothing is shared with any other
-/// session; one from [`LogicalVerifier::evaluator_sharing`] goes through the
-/// caller's memo, where a traversal may have been left by another session
-/// over the same function. It is the same code either way.
+/// A verdict is asked for one way only:
+/// [`answer_with_footprint`](Self::answer_with_footprint) dispatches a
+/// [`QuerySpec`], and [`answer`](Self::answer) is its `.0`.
+///
+/// The session holds the HSA network function of one snapshot and memoises
+/// the expensive traversals in a [`TraversalMemo`]: the emission-space
+/// reachability of each source host (shared by destination, isolation and
+/// geo queries), the per-source "can this host reach that client" verdicts
+/// (shared by isolation and reaching-source queries) and per-destination
+/// path probes. A session from [`LogicalVerifier::evaluator`] or
+/// [`LogicalVerifier::evaluator_with`] owns a fresh memo — answering `n`
+/// queries that share hosts through it performs each traversal once, and
+/// nothing is shared with any other session; one from
+/// [`LogicalVerifier::evaluator_sharing`] goes through the caller's memo,
+/// where a traversal may have been left by another session over the same
+/// function. It is the same code either way.
 ///
 /// Every entry keeps the traversal's [`visited`] switch set, so
 /// [`answer_with_footprint`](Self::answer_with_footprint) can report which
@@ -513,13 +455,6 @@ impl QueryEvaluator<'_> {
         out
     }
 
-    /// Destinations reachable from any of `client`'s access points.
-    #[must_use]
-    pub fn reachable_destinations(&mut self, client: ClientId) -> Vec<EndpointReport> {
-        let emissions = self.emissions(client);
-        self.destinations(&emissions)
-    }
-
     /// The memoised probes of whether each foreign host can currently deliver
     /// traffic to any of `client`'s access points, as `(source, probe)` in
     /// host order.
@@ -579,14 +514,6 @@ impl QueryEvaluator<'_> {
         out
     }
 
-    /// Sources whose traffic can currently reach any of `client`'s access
-    /// points.
-    #[must_use]
-    pub fn reaching_sources(&mut self, client: ClientId) -> Vec<EndpointReport> {
-        let probes = self.inbound_probes(client);
-        self.sources(&probes)
-    }
-
     /// The foreign endpoints among what `client` reaches and what reaches it.
     fn foreign_endpoints(
         client: ClientId,
@@ -606,14 +533,6 @@ impl QueryEvaluator<'_> {
         (foreign.is_empty(), foreign)
     }
 
-    /// The isolation check of paper Section IV-B1.
-    #[must_use]
-    pub fn isolation_check(&mut self, client: ClientId) -> (bool, Vec<EndpointReport>) {
-        let destinations = self.reachable_destinations(client);
-        let sources = self.reaching_sources(client);
-        Self::foreign_endpoints(client, destinations, sources)
-    }
-
     /// The regions of the switches the hosts behind `emissions` can traverse.
     fn regions(&self, emissions: &[(u32, Arc<Traversal>)]) -> Vec<String> {
         let mut regions: Vec<String> = Vec::new();
@@ -631,13 +550,6 @@ impl QueryEvaluator<'_> {
         }
         regions.sort();
         regions
-    }
-
-    /// The geo-location check of paper Section IV-B2.
-    #[must_use]
-    pub fn geo_regions(&mut self, client: ClientId) -> Vec<String> {
-        let emissions = self.emissions(client);
-        self.regions(&emissions)
     }
 
     /// The memoised path probe of `(client, to_ip)`.
@@ -701,13 +613,6 @@ impl QueryEvaluator<'_> {
         }
     }
 
-    /// Path-length bounds from `client`'s access points to the host owning
-    /// `to_ip`. Returns `(min, max, reachable)`.
-    #[must_use]
-    pub fn path_length(&mut self, client: ClientId, to_ip: u32) -> (u32, u32, bool) {
-        Self::path_bounds(&self.path_probe(client, to_ip))
-    }
-
     fn path_bounds(probe: &Traversal) -> (u32, u32, bool) {
         let Outcome::Path {
             min,
@@ -720,9 +625,10 @@ impl QueryEvaluator<'_> {
         (min, max, reachable)
     }
 
-    /// Network-neutrality check over the evaluator's snapshot.
-    #[must_use]
-    pub fn neutrality_check(&mut self, client: ClientId) -> (bool, Vec<NeutralityViolation>) {
+    /// Network-neutrality check over the evaluator's snapshot: reports
+    /// clients whose delivery rules carry a meter while at least one other
+    /// client's delivery is unmetered.
+    fn neutrality_check(&self, client: ClientId) -> (bool, Vec<NeutralityViolation>) {
         // For every client, determine whether any delivery rule toward one of
         // its hosts applies a meter.
         let mut metered: BTreeMap<ClientId, bool> = BTreeMap::new();
@@ -756,29 +662,25 @@ impl QueryEvaluator<'_> {
         (violations.is_empty(), violations)
     }
 
-    /// Dispatches a query spec to the appropriate check, producing the result
-    /// payload (endpoints are not yet authenticated at this stage).
+    /// The verdict of [`answer_with_footprint`](Self::answer_with_footprint)
+    /// without its footprint (endpoints are not yet authenticated at this
+    /// stage).
     #[must_use]
     pub fn answer(&mut self, client: ClientId, spec: &QuerySpec) -> QueryResult {
         self.answer_with_footprint(client, spec).0
     }
 
-    /// The switch-level traversal footprint of `(client, spec)`: the set of
-    /// switches whose rules the verdict depends on, or unbounded when a
-    /// traversal hit the engine's bounds (the verdict may then depend on
-    /// anything). Sound for the interest-space index: a rule change on a
-    /// switch outside a bounded footprint cannot change the verdict, because
-    /// absent rewrites the injected traffic never arrives there (and rewrites
-    /// force conservative regions upstream).
-    #[must_use]
-    pub fn footprint_of(&mut self, client: ClientId, spec: &QuerySpec) -> QueryFootprint {
-        self.answer_with_footprint(client, spec).1
-    }
-
-    /// The verdict of `(client, spec)` plus the traversal footprint behind
-    /// it (see [`footprint_of`](Self::footprint_of)), both read from one
-    /// lookup of each traversal — the service plane's entry point feeding the
-    /// interest-space index.
+    /// The one verdict dispatch: the verdict of `(client, spec)` plus the
+    /// traversal footprint behind it, both read from one lookup of each
+    /// traversal — the service plane's entry point feeding the interest-space
+    /// index.
+    ///
+    /// The footprint is the set of switches whose rules the verdict depends
+    /// on, or unbounded when a traversal hit the engine's bounds (the verdict
+    /// may then depend on anything). It is sound for the interest-space
+    /// index: a rule change on a switch outside a bounded footprint cannot
+    /// change the verdict, because absent rewrites the injected traffic never
+    /// arrives there (and rewrites force conservative regions upstream).
     #[must_use]
     pub fn answer_with_footprint(
         &mut self,
@@ -883,6 +785,54 @@ mod tests {
         )
     }
 
+    fn destinations(
+        v: &LogicalVerifier,
+        snap: &NetworkSnapshot,
+        client: u32,
+    ) -> Vec<EndpointReport> {
+        let spec = QuerySpec::ReachableDestinations;
+        let QueryResult::Endpoints { endpoints } = v.answer(snap, ClientId(client), &spec) else {
+            unreachable!("keyed by kind");
+        };
+        endpoints
+    }
+
+    fn isolation(
+        v: &LogicalVerifier,
+        snap: &NetworkSnapshot,
+        client: u32,
+    ) -> (bool, Vec<EndpointReport>) {
+        let QueryResult::IsolationStatus {
+            isolated,
+            foreign_endpoints,
+        } = v.answer(snap, ClientId(client), &QuerySpec::Isolation)
+        else {
+            unreachable!("keyed by kind");
+        };
+        (isolated, foreign_endpoints)
+    }
+
+    fn regions(v: &LogicalVerifier, snap: &NetworkSnapshot, client: u32) -> Vec<String> {
+        let spec = QuerySpec::GeoLocation;
+        let QueryResult::Regions { regions } = v.answer(snap, ClientId(client), &spec) else {
+            unreachable!("keyed by kind");
+        };
+        regions
+    }
+
+    fn neutrality(
+        v: &LogicalVerifier,
+        snap: &NetworkSnapshot,
+        client: u32,
+    ) -> (bool, Vec<NeutralityViolation>) {
+        let spec = QuerySpec::Neutrality;
+        let QueryResult::Neutrality { fair, violations } = v.answer(snap, ClientId(client), &spec)
+        else {
+            unreachable!("keyed by kind");
+        };
+        (fair, violations)
+    }
+
     #[test]
     fn benign_network_is_isolated_and_reaches_only_own_hosts() {
         let topo = generators::line(4, 2);
@@ -890,14 +840,18 @@ mod tests {
         let v = verifier(&topo);
         // Client 1 owns hosts 1 and 3; each host reaches the other, so both
         // appear in the union over the client's access points.
-        let dests = v.reachable_destinations(&snap, ClientId(1));
+        let dests = destinations(&v, &snap, 1);
         assert_eq!(dests.len(), 2);
         assert!(dests.iter().all(|e| e.client == ClientId(1)));
-        let (isolated, foreign) = v.isolation_check(&snap, ClientId(1));
+        let (isolated, foreign) = isolation(&v, &snap, 1);
         assert!(isolated);
         assert!(foreign.is_empty());
-        let sources = v.reaching_sources(&snap, ClientId(1));
-        assert!(sources.is_empty(), "no foreign host may reach client 1");
+        let sources = v.answer(&snap, ClientId(1), &QuerySpec::ReachingSources);
+        assert_eq!(
+            sources,
+            QueryResult::Sources { sources: vec![] },
+            "no foreign host may reach client 1"
+        );
     }
 
     #[test]
@@ -909,14 +863,14 @@ mod tests {
         };
         let snap = snapshot_with(&topo, &[attack]);
         let v = verifier(&topo);
-        let (isolated, foreign) = v.isolation_check(&snap, ClientId(1));
+        let (isolated, foreign) = isolation(&v, &snap, 1);
         assert!(!isolated);
         let h2_ip = topo.host(HostId(2)).unwrap().ip;
         assert!(foreign
             .iter()
             .any(|e| e.ip == h2_ip && e.client == ClientId(2)));
         // The attacker also sees the victim among its reachable destinations.
-        let dests = v.reachable_destinations(&snap, ClientId(2));
+        let dests = destinations(&v, &snap, 2);
         let h1_ip = topo.host(HostId(1)).unwrap().ip;
         assert!(dests.iter().any(|e| e.ip == h1_ip));
     }
@@ -934,7 +888,7 @@ mod tests {
         // mirrored to host 4 (client 2): the reaching-sources / isolation
         // view of client 2's collector is the detection signal here — the
         // collector becomes reachable from client 1's emission space.
-        let dests = v.reachable_destinations(&snap, ClientId(1));
+        let dests = destinations(&v, &snap, 1);
         let collector_ip = topo.host(HostId(4)).unwrap().ip;
         assert!(
             dests.iter().any(|e| e.ip == collector_ip),
@@ -947,14 +901,14 @@ mod tests {
         let topo = generators::line(6, 1);
         let v = verifier(&topo);
         let benign_snap = snapshot_with(&topo, &[]);
-        let benign_regions = v.geo_regions(&benign_snap, ClientId(1));
+        let benign_regions = regions(&v, &benign_snap, 1);
         let attack = Attack::GeoDivert {
             from_host: HostId(1),
             to_host: HostId(2),
             via_region: Region::new("LATAM"),
         };
         let attacked_snap = snapshot_with(&topo, &[attack]);
-        let attacked_regions = v.geo_regions(&attacked_snap, ClientId(1));
+        let attacked_regions = regions(&v, &attacked_snap, 1);
         assert!(attacked_regions.contains(&"LATAM".to_string()));
         assert!(attacked_regions.len() >= benign_regions.len());
     }
@@ -963,11 +917,15 @@ mod tests {
     fn geo_regions_with_unknown_locations() {
         let topo = generators::line(3, 1);
         let snap = snapshot_with(&topo, &[]);
-        let mut v = verifier(&topo);
-        v.config_mut().locations = LocationMap::new();
-        let regions = v.geo_regions(&snap, ClientId(1));
-        assert_eq!(regions, vec!["UNKNOWN".to_string()]);
-        assert_eq!(v.config_mut().locations.known_count(), 0);
+        let v = LogicalVerifier::new(
+            topo.clone(),
+            VerifierConfig {
+                use_history: false,
+                locations: LocationMap::new(),
+            },
+        );
+        assert_eq!(regions(&v, &snap, 1), vec!["UNKNOWN".to_string()]);
+        assert_eq!(v.config.locations.known_count(), 0);
     }
 
     #[test]
@@ -980,14 +938,27 @@ mod tests {
         // 5 hops (s1..s5), the nearest is 1 hop (h5 itself is client 1 too,
         // but we exclude self-traffic by source, so the minimum comes from
         // host 4 -> host 5 = 2 hops).
-        let (min, max, reachable) = v.path_length(&snap, ClientId(1), h5_ip);
+        let spec = QuerySpec::PathLength { to_ip: h5_ip };
+        let QueryResult::PathLength {
+            min_hops: min,
+            max_hops: max,
+            reachable,
+        } = v.answer(&snap, ClientId(1), &spec)
+        else {
+            unreachable!("keyed by kind");
+        };
         assert!(reachable);
         assert!((1..=2).contains(&min), "min = {min}");
         assert_eq!(max, 5);
         // Unknown destination.
+        let spec = QuerySpec::PathLength { to_ip: 0xdead_beef };
         assert_eq!(
-            v.path_length(&snap, ClientId(1), 0xdead_beef),
-            (0, 0, false)
+            v.answer(&snap, ClientId(1), &spec),
+            QueryResult::PathLength {
+                min_hops: 0,
+                max_hops: 0,
+                reachable: false
+            }
         );
     }
 
@@ -997,8 +968,7 @@ mod tests {
         let v = verifier(&topo);
         let h3_ip = topo.host(HostId(3)).unwrap().ip;
         let benign_snap = snapshot_with(&topo, &[]);
-        assert!(v
-            .reachable_destinations(&benign_snap, ClientId(1))
+        assert!(destinations(&v, &benign_snap, 1)
             .iter()
             .any(|e| e.ip == h3_ip));
         let snap = snapshot_with(
@@ -1007,10 +977,7 @@ mod tests {
                 victim_host: HostId(3),
             }],
         );
-        assert!(!v
-            .reachable_destinations(&snap, ClientId(1))
-            .iter()
-            .any(|e| e.ip == h3_ip));
+        assert!(!destinations(&v, &snap, 1).iter().any(|e| e.ip == h3_ip));
     }
 
     #[test]
@@ -1018,7 +985,7 @@ mod tests {
         let topo = generators::line(4, 2);
         let v = verifier(&topo);
         let benign_snap = snapshot_with(&topo, &[]);
-        let (fair, violations) = v.neutrality_check(&benign_snap, ClientId(1));
+        let (fair, violations) = neutrality(&v, &benign_snap, 1);
         assert!(fair);
         assert!(violations.is_empty());
 
@@ -1029,11 +996,11 @@ mod tests {
                 rate_kbps: 64,
             }],
         );
-        let (fair, violations) = v.neutrality_check(&snap, ClientId(1));
+        let (fair, violations) = neutrality(&v, &snap, 1);
         assert!(!fair);
         assert!(violations.iter().any(|viol| viol.favoured == ClientId(2)));
         // The favoured client sees no violation against itself.
-        let (fair2, _) = v.neutrality_check(&snap, ClientId(2));
+        let (fair2, _) = neutrality(&v, &snap, 2);
         assert!(fair2);
     }
 
@@ -1055,11 +1022,16 @@ mod tests {
                 snap.record_removed(switch, &entry, SimTime::from_millis(3));
             }
         }
-        let mut v = verifier(&topo);
-        let (isolated_now, _) = v.isolation_check(&snap, ClientId(1));
+        let (isolated_now, _) = isolation(&verifier(&topo), &snap, 1);
         assert!(isolated_now, "current view looks clean");
-        v.config_mut().use_history = true;
-        let (isolated_hist, foreign) = v.isolation_check(&snap, ClientId(1));
+        let historic = LogicalVerifier::new(
+            topo.clone(),
+            VerifierConfig {
+                use_history: true,
+                locations: LocationMap::disclosed(&topo),
+            },
+        );
+        let (isolated_hist, foreign) = isolation(&historic, &snap, 1);
         assert!(!isolated_hist, "history view reveals the flapped rule");
         assert!(!foreign.is_empty());
     }
@@ -1120,7 +1092,7 @@ mod tests {
         // An isolation verdict in a 4-switch line with hosts on every switch
         // depends on every switch; a path probe toward host 3 from client 1's
         // hosts (switches 1 and 3) never visits beyond the line between them.
-        let isolation = eval.footprint_of(ClientId(1), &QuerySpec::Isolation);
+        let (_, isolation) = eval.answer_with_footprint(ClientId(1), &QuerySpec::Isolation);
         assert_eq!(isolation.switches.unwrap().len(), 4);
     }
 
@@ -1183,8 +1155,9 @@ mod tests {
         // A fresh session per call, as the service plane starts one per batch.
         let destinations = |client: u32| {
             let mut session = epoch.session(&v);
-            let served = session.reachable_destinations(ClientId(client));
-            let fresh = v.reachable_destinations(&epoch.snapshot, ClientId(client));
+            let spec = QuerySpec::ReachableDestinations;
+            let served = session.answer(ClientId(client), &spec);
+            let fresh = v.answer(&epoch.snapshot, ClientId(client), &spec);
             assert_eq!(served, fresh, "client {client}");
             session.traversal_counts()
         };
@@ -1197,8 +1170,9 @@ mod tests {
         // adds its two source probes; asking again adds nothing.
         for counts in [(2, 2), (4, 0)] {
             let mut session = epoch.session(&v);
-            let served = session.isolation_check(ClientId(1));
-            assert_eq!(served, v.isolation_check(&epoch.snapshot, ClientId(1)));
+            let served = session.answer(ClientId(1), &QuerySpec::Isolation);
+            let fresh = v.answer(&epoch.snapshot, ClientId(1), &QuerySpec::Isolation);
+            assert_eq!(served, fresh);
             assert_eq!(session.traversal_counts(), counts);
         }
         assert_eq!(epoch.memo.len(), 6);
@@ -1285,10 +1259,10 @@ mod tests {
             let mut rebuilt = v.evaluator(&snap);
             let mut borrowed = v.evaluator_with(&snap, &function);
             for session in [&mut rebuilt, &mut borrowed] {
-                let _ = session.isolation_check(ClientId(1));
+                let _ = session.answer(ClientId(1), &QuerySpec::Isolation);
                 // 2 emission + 2 source walks, whoever asked before.
                 assert_eq!(session.traversal_counts(), (0, 4));
-                let _ = session.reaching_sources(ClientId(1));
+                let _ = session.answer(ClientId(1), &QuerySpec::ReachingSources);
                 assert_eq!(session.traversal_counts(), (2, 4), "shared within");
             }
         }

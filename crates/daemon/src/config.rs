@@ -113,8 +113,9 @@ fn unquote(value: &str) -> &str {
 ///
 /// # Errors
 ///
-/// Returns [`ServiceError::Config`] for an unknown constructor or a wrong
-/// argument count.
+/// Returns [`ServiceError::Config`] for an unknown constructor, a wrong
+/// argument count, or arguments that break the generator's precondition (a
+/// ring of fewer than 3 switches, an odd or zero fat-tree arity).
 pub fn build_topology(spec: &str) -> Result<Topology, ServiceError> {
     let bad = |why: &str| ServiceError::Config(format!("topology spec {spec:?}: {why}"));
     let spec = spec.trim();
@@ -146,10 +147,16 @@ pub fn build_topology(spec: &str) -> Result<Topology, ServiceError> {
         }
         "ring" => {
             arity(2)?;
+            if args[0] < 3 {
+                return Err(bad("a ring needs at least 3 switches"));
+            }
             Ok(generators::ring(args[0] as usize, args[1] as usize))
         }
         "fat_tree" => {
             arity(2)?;
+            if args[0] < 2 || !args[0].is_multiple_of(2) {
+                return Err(bad("fat-tree arity must be even and >= 2"));
+            }
             Ok(generators::fat_tree(args[0] as usize, args[1] as usize))
         }
         "leaf_spine" => {
@@ -220,6 +227,16 @@ http_listen = 127.0.0.1:0
             DaemonConfig::parse("workres = 4"),
             Err(ServiceError::Config(_))
         ));
+        // Well-formed specs that break a generator's precondition.
+        for spec in ["ring(2,1)", "fat_tree(3,2)", "fat_tree(0,2)"] {
+            assert!(
+                matches!(
+                    DaemonConfig::parse(&format!("topology = {spec}")),
+                    Err(ServiceError::Config(_))
+                ),
+                "{spec}"
+            );
+        }
     }
 
     #[test]

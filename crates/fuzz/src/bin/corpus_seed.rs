@@ -315,6 +315,13 @@ http_listen = 127.0.0.1:8080
         "regress-retired-incremental-key.bin",
         b"topology = line(4,2)\nworkers = 2\nincremental = on\n",
     );
+    // A well-formed spec that breaks a generator's precondition (fat-tree
+    // arity must be even) is a config error, not a panic in the generator.
+    write_seed(
+        "config",
+        "regress-topology-precondition.bin",
+        b"topology = fat_tree(3,2)\nworkers = 2\n",
+    );
 }
 
 fn main() {

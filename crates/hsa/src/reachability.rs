@@ -141,19 +141,6 @@ impl ReachabilityResult {
         switches
     }
 
-    /// Length of the shortest and longest path to any endpoint, if reachable.
-    #[must_use]
-    pub fn path_length_bounds(&self) -> Option<(usize, usize)> {
-        let lengths: Vec<usize> = self
-            .endpoints
-            .iter()
-            .map(ReachedEndpoint::hop_count)
-            .collect();
-        let min = lengths.iter().copied().min()?;
-        let max = lengths.iter().copied().max()?;
-        Some((min, max))
-    }
-
     /// The combined header space that can reach a given egress port.
     #[must_use]
     pub fn space_reaching(&self, port: SwitchPort) -> HeaderSpace {
@@ -279,29 +266,6 @@ impl<'a> ReachabilityEngine<'a> {
     #[must_use]
     pub fn reachable_edge_ports(&self, ingress: SwitchPort, space: HeaderSpace) -> Vec<SwitchPort> {
         self.reachable_from(ingress, space).reached_ports()
-    }
-
-    /// Computes which ingress edge ports can deliver traffic *to* the given
-    /// egress port (the "which sources can reach me" query), by running the
-    /// forward analysis from every other edge port.
-    #[must_use]
-    pub fn sources_reaching(&self, egress: SwitchPort, space: &HeaderSpace) -> Vec<SwitchPort> {
-        let mut sources = Vec::new();
-        for ingress in self.network.all_edge_ports() {
-            if ingress == egress {
-                continue;
-            }
-            let result = self.reachable_from(ingress, space.clone());
-            if result
-                .endpoints
-                .iter()
-                .any(|e| e.egress == egress && !e.space.is_empty())
-            {
-                sources.push(ingress);
-            }
-        }
-        sources.sort();
-        sources
     }
 }
 
@@ -481,19 +445,12 @@ mod tests {
             vec![SwitchId(1), SwitchId(2), SwitchId(3)]
         );
         assert_eq!(result.visited, result.traversed_switches());
-        assert_eq!(result.path_length_bounds(), Some((3, 3)));
-    }
-
-    #[test]
-    fn sources_reaching_inverse_query() {
-        let nf = line_network();
-        let engine = ReachabilityEngine::new(&nf);
-        // Who can reach h2's access point (s3:p2) with dst=2 traffic?
-        let sources = engine.sources_reaching(sp(3, 2), &HeaderSpace::from(dst_match(2)));
-        assert_eq!(sources, vec![sp(1, 1)]);
-        // Nobody reaches it with dst=3 traffic.
-        let none = engine.sources_reaching(sp(3, 2), &HeaderSpace::from(dst_match(3)));
-        assert!(none.is_empty());
+        let hops: Vec<usize> = result
+            .endpoints
+            .iter()
+            .map(ReachedEndpoint::hop_count)
+            .collect();
+        assert_eq!(hops, [3], "shortest and longest path are 3 hops");
     }
 
     #[test]

@@ -481,10 +481,13 @@ fn phantom_removals_degrade_to_conservative_reverification() {
     let verification = service(&topology);
     publish(&verification, &snapshot, SimTime::from_millis(1));
     let store = verification.store();
+    for (client, spec) in all_queries(&topology) {
+        store.register_interest(client, &spec);
+    }
     let at = SimTime::from_millis(10);
     let phantom = store.try_publish_changes(&changes, at).unwrap();
     assert_eq!(phantom.delta_rules, 0);
-    assert!(phantom.changed.is_empty(), "{:?}", phantom.changed);
+    assert!(phantom.affected.is_empty(), "{:?}", phantom.affected);
     assert_model_matches_rebuild(&verification, &snapshot, "phantom removals");
 
     // A removal that does get through unresolved — the model applies a
@@ -498,10 +501,10 @@ fn phantom_removals_degrade_to_conservative_reverification() {
         changes[0].clone(),
     ];
     let desynced = store.try_publish_changes(&flap, at).unwrap();
-    assert!(desynced.changed.conservative && desynced.affected.is_everything());
+    assert!(desynced.affected.is_everything());
     assert_model_matches_rebuild(&verification, &snapshot, "flap epoch");
     let healed = store.try_publish_changes(&flap[..1], at).unwrap();
-    assert!(!healed.changed.conservative, "{:?}", healed.changed);
+    assert!(!healed.affected.is_everything(), "{:?}", healed.affected);
     let mut attacked = snapshot.clone();
     attacked.record_installed(switch, flapper, at);
     assert_model_matches_rebuild(&verification, &attacked, "after the heal");
@@ -601,8 +604,8 @@ fn churn_flood_trips_the_bulk_rebuild_heuristic() {
         flooded.delta_rules
     );
     assert!(
-        flooded.changed.conservative || !flooded.changed.space.is_empty(),
-        "a bulk rebuild reports an unbounded or non-trivial region"
+        flooded.affected.is_everything(),
+        "a bulk rebuild affects every query"
     );
 
     // Removing the flood is the same storm in reverse.

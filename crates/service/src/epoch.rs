@@ -376,8 +376,6 @@ pub struct EpochDelta {
     pub added: Vec<FlowDigest>,
     /// Digests present in `from` but not `to`, ascending.
     pub removed: Vec<FlowDigest>,
-    /// Affected header region of the change (union over the covered epochs).
-    pub changed: ChangedRegion,
     /// The standing queries the interest-space index selected for this
     /// change, frozen at publish time (union over the covered epochs). Using
     /// the *stored* per-epoch selections — instead of re-querying the index
@@ -396,18 +394,16 @@ impl EpochDelta {
 }
 
 /// What one [`EpochStore::publish`] produced: the new serial plus the
-/// affected header region of the change, for targeted invalidation.
+/// standing queries the change affects, for targeted invalidation.
 #[derive(Debug, Clone)]
 pub struct Published {
     /// The serial of the freshly published epoch.
     pub serial: u64,
-    /// The affected header region relative to the previous epoch.
-    pub changed: ChangedRegion,
     /// Size of the delta (added + removed entries).
     pub delta_rules: usize,
     /// Whether the model was rebuilt from the snapshot instead of advanced
     /// in place (delta too large for per-rule region tracking to pay off),
-    /// reporting an unbounded changed region.
+    /// which affects every query.
     pub bulk_rebuild: bool,
     /// The standing queries the interest-space index selected for this epoch
     /// (computed under the publish lock, before the swap). The cache and the
@@ -714,7 +710,8 @@ impl EpochStore {
             // A change undoing an earlier one of this list (a flap) is a
             // digest-level no-op, like cancellation across epochs. The model
             // still gets both: the changed region must cover the flap,
-            // exactly as `delta_between` keeps flapped regions across epochs.
+            // exactly as `delta_between` keeps the selections of flapped
+            // epochs.
             if !undone.remove(&d) {
                 done.insert(d);
             }
@@ -781,7 +778,6 @@ impl EpochStore {
                 to_serial: serial,
                 added: added.into_iter().collect(),
                 removed: removed.into_iter().collect(),
-                changed: changed.clone(),
                 affected: affected.clone(),
             });
             while deltas.len() > self.max_deltas {
@@ -822,7 +818,6 @@ impl EpochStore {
         }
         Ok(Published {
             serial,
-            changed,
             delta_rules,
             bulk_rebuild,
             affected,
@@ -851,7 +846,6 @@ impl EpochStore {
         let deltas = locked(&self.deltas);
         let mut added: BTreeSet<FlowDigest> = BTreeSet::new();
         let mut removed: BTreeSet<FlowDigest> = BTreeSet::new();
-        let mut changed = ChangedRegion::default();
         let mut affected = AffectedQueries::default();
         // The retained window must cover every epoch in (from, to].
         let mut next_expected = from_serial;
@@ -863,13 +857,10 @@ impl EpochStore {
                 return None;
             }
             next_expected = delta.to_serial;
-            // The changed region accumulates even across cancelling rule
-            // changes: an add-then-remove pair still perturbed the region in
-            // between, and over-approximating is the safe direction.
-            changed.merge(&delta.changed);
             // A query affected anywhere in the window may hold a moved
-            // verdict: the per-epoch selections union, they are never
-            // re-derived from the (since-refined) index.
+            // verdict — even where rule changes cancel: an add-then-remove
+            // pair still perturbed it in between. The per-epoch selections
+            // union, they are never re-derived from the (since-refined) index.
             affected.merge(&delta.affected);
             // An add that cancels an earlier remove (or vice versa) is a
             // no-op overall.
@@ -892,7 +883,6 @@ impl EpochStore {
             to_serial,
             added: added.into_iter().collect(),
             removed: removed.into_iter().collect(),
-            changed,
             affected,
         })
     }
@@ -1068,12 +1058,14 @@ mod tests {
     #[test]
     fn publish_advances_serial_and_records_delta() {
         let store = EpochStore::new(8);
+        // Without a topology a standing query is affected by any change.
+        store.register_interest(ClientId(1), &QuerySpec::Isolation);
         assert_eq!(store.current().serial, 0);
         let p1 = store
             .try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
             .unwrap();
         assert_eq!(p1.serial, 1);
-        assert!(!p1.changed.is_empty());
+        assert!(!p1.affected.is_empty());
         let p2 = store
             .try_publish(snapshot_with(&[2, 3]), SimTime::from_millis(2))
             .unwrap();
@@ -1093,18 +1085,20 @@ mod tests {
             frozen.rules(),
             [entry(2).to_rule_transfer(), entry(3).to_rule_transfer()]
         );
-        // The affected region covers both changed destinations.
-        assert!(!delta.changed.is_empty());
-        assert!(delta.changed.switches.contains(&SwitchId(1)));
+        // The change affects the standing query.
+        assert!(delta
+            .affected
+            .is_affected(ClientId(1), &QuerySpec::Isolation));
 
         let empty = store.delta_since(2).expect("current serial");
         assert!(empty.is_empty());
-        assert!(empty.changed.is_empty());
+        assert!(empty.affected.is_empty());
     }
 
     #[test]
     fn cancelling_changes_collapse_across_epochs() {
         let store = EpochStore::new(8);
+        store.register_interest(ClientId(1), &QuerySpec::Isolation);
         store
             .try_publish(snapshot_with(&[1]), SimTime::from_millis(1))
             .unwrap();
@@ -1118,8 +1112,8 @@ mod tests {
         let delta = store.delta_since(1).expect("retained");
         assert!(delta.added.is_empty());
         assert!(delta.removed.is_empty());
-        // ...but the affected region still records that the rule flapped.
-        assert!(!delta.changed.is_empty());
+        // ...but the selection still records that the rule flapped.
+        assert!(!delta.affected.is_empty());
     }
 
     #[test]
@@ -1205,6 +1199,9 @@ mod tests {
         // epochs, digests and deltas must agree.
         let full = EpochStore::new(8);
         let delta = EpochStore::new(8);
+        for store in [&full, &delta] {
+            store.register_interest(ClientId(1), &QuerySpec::Isolation);
+        }
         full.try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
             .unwrap();
         delta
@@ -1239,12 +1236,13 @@ mod tests {
         let d_delta = delta.delta_since(1).expect("retained");
         assert_eq!(d_delta.added, d_full.added);
         assert_eq!(d_delta.removed, d_full.removed);
-        assert_eq!(d_delta.changed.switches, d_full.changed.switches);
+        assert_eq!(d_delta.affected, d_full.affected);
     }
 
     #[test]
     fn publish_changes_skips_noop_and_collapses_flaps() {
         let store = EpochStore::new(8);
+        store.register_interest(ClientId(1), &QuerySpec::Isolation);
         store
             .try_publish_changes(
                 &[RuleChange::installed(SwitchId(1), entry(1))],
@@ -1266,9 +1264,9 @@ mod tests {
         let d = store.delta_since(1).expect("retained");
         assert!(d.added.is_empty() && d.removed.is_empty());
         assert!(
-            !d.changed.is_empty(),
-            "the flap still perturbed the region: {:?}",
-            d.changed
+            !d.affected.is_empty(),
+            "the flap still affects the standing query: {:?}",
+            d.affected
         );
         assert_eq!(store.current().serial, 2);
         assert_eq!(store.current().snapshot.rule_count(), 1);
