@@ -16,7 +16,7 @@
 use std::io::{self, Read, Write};
 
 /// Upper bound on a single frame's payload. A full reset for a million-rule
-//  network is ~8 MB of digests; 16 MiB leaves headroom without letting one
+/// network is ~8 MB of digests; 16 MiB leaves headroom without letting one
 /// connection hold the heap hostage.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 

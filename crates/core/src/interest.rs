@@ -554,24 +554,6 @@ impl InterestIndex {
             rejected,
         }
     }
-
-    /// The linear fallback test for a single (possibly unregistered) query:
-    /// registered queries use their (refined) interest, unregistered ones the
-    /// linear-scan semantics of
-    /// [`query_affected`](crate::incremental::query_affected).
-    #[must_use]
-    pub fn is_affected(&self, client: ClientId, spec: &QuerySpec, region: &ChangedRegion) -> bool {
-        if region.conservative {
-            return true;
-        }
-        if region.is_empty() {
-            return false;
-        }
-        match self.interests.get(&(client, spec.clone())) {
-            Some(interest) => Self::interest_affected(interest, region),
-            None => crate::incremental::query_affected(&self.topology, client, spec, region),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -851,14 +833,7 @@ mod tests {
                         "divergence for {:?} {:?} on region {:?}",
                         client, spec, region
                     );
-                    prop_assert_eq!(index.is_affected(*client, spec, &region), linear);
                 }
-                // Unregistered queries fall back to the linear test.
-                let stranger = (ClientId(77), QuerySpec::Isolation);
-                prop_assert_eq!(
-                    index.is_affected(stranger.0, &stranger.1, &region),
-                    query_affected(&topology, stranger.0, &stranger.1, &region)
-                );
             }
         }
     }

@@ -296,23 +296,6 @@ impl NetworkSnapshot {
         removals
     }
 
-    /// The entries `self` installs and `other` does not — key absent, or
-    /// held with other actions — per switch in arrival order.
-    fn absent_from<'a>(
-        &'a self,
-        other: &'a NetworkSnapshot,
-    ) -> impl Iterator<Item = (SwitchId, &'a FlowEntry)> {
-        self.tables.iter().flat_map(move |(switch, table)| {
-            let theirs = other.tables.get(switch);
-            let mine = table.entries.iter().filter(move |mine| {
-                theirs
-                    .and_then(|t| t.get(mine.priority, &mine.flow_match))
-                    .is_none_or(|held| held.actions != mine.actions)
-            });
-            mine.map(move |entry| (*switch, entry))
-        })
-    }
-
     /// Replaces the entire table of `switch` (the result of an active poll).
     /// Entries that disappear relative to the previous belief are moved to
     /// history.
@@ -396,29 +379,6 @@ impl NetworkSnapshot {
             nf.set_transfer(sw.id, rvaas_hsa::SwitchTransfer::from_rules(rules));
         }
         nf
-    }
-
-    /// Counts how many entries of the snapshot differ from a reference table
-    /// set (used by experiments to measure snapshot divergence from ground
-    /// truth). Returns `(missing, stale)`: rules present in the reference but
-    /// not the snapshot, and vice versa.
-    #[must_use]
-    pub fn divergence_from(
-        &self,
-        reference: &BTreeMap<SwitchId, Vec<FlowEntry>>,
-    ) -> (usize, usize) {
-        let tables = reference.iter().map(|(switch, entries)| {
-            let table = SwitchTable::from_entries(entries.clone());
-            (*switch, Arc::new(table))
-        });
-        let truth = NetworkSnapshot {
-            tables: tables.collect(),
-            ..NetworkSnapshot::default()
-        };
-        (
-            truth.absent_from(self).count(),
-            self.absent_from(&truth).count(),
-        )
     }
 }
 
@@ -644,23 +604,5 @@ mod tests {
                 .any(|old| Arc::ptr_eq(&old.actions, &held.actions));
             assert_eq!(shares, !touched, "{:?}", held.flow_match);
         }
-    }
-
-    #[test]
-    fn divergence_counts_missing_and_stale() {
-        let mut snap = NetworkSnapshot::new(SimTime::from_secs(1));
-        snap.record_installed(SwitchId(1), entry(5, 1), SimTime::from_millis(1));
-        snap.record_installed(SwitchId(2), entry(7, 1), SimTime::from_millis(1));
-        let mut reference = BTreeMap::new();
-        reference.insert(SwitchId(1), vec![entry(5, 1), entry(6, 1)]);
-        // Reference: s1 has {5,6}; snapshot has s1 {5}, s2 {7}.
-        let (missing, stale) = snap.divergence_from(&reference);
-        assert_eq!(missing, 1, "rule for dst 6 is missing from the snapshot");
-        assert_eq!(stale, 1, "rule on s2 is not in the reference");
-        // Identical tables diverge by zero.
-        let mut reference2 = BTreeMap::new();
-        reference2.insert(SwitchId(1), vec![entry(5, 1)]);
-        reference2.insert(SwitchId(2), vec![entry(7, 1)]);
-        assert_eq!(snap.divergence_from(&reference2), (0, 0));
     }
 }

@@ -245,7 +245,8 @@ struct Traversal {
     /// Every switch the traversal arrived at, ascending: the switches whose
     /// transfer functions it consulted.
     visited: Vec<SwitchId>,
-    /// The engine's bounds cut a branch: the outcome may depend on anything.
+    /// The engine's cube budget cut a branch: the outcome may depend on
+    /// anything.
     truncated: bool,
     outcome: Outcome,
 }
@@ -676,8 +677,8 @@ impl QueryEvaluator<'_> {
     /// index.
     ///
     /// The footprint is the set of switches whose rules the verdict depends
-    /// on, or unbounded when a traversal hit the engine's bounds (the verdict
-    /// may then depend on anything). It is sound for the interest-space
+    /// on, or unbounded when a traversal hit the engine's cube budget (the
+    /// verdict may then depend on anything). It is sound for the interest-space
     /// index: a rule change on a switch outside a bounded footprint cannot
     /// change the verdict, because absent rewrites the injected traffic never
     /// arrives there (and rewrites force conservative regions upstream).
@@ -754,7 +755,7 @@ mod tests {
     use rvaas_controlplane::{benign_rules, Attack};
     use rvaas_openflow::{FlowModCommand, Message};
     use rvaas_topology::generators;
-    use rvaas_types::{HostId, SimTime};
+    use rvaas_types::{GeoPoint, HostId, PortId, SimTime};
 
     /// Builds a snapshot containing the benign policy plus optional attacks.
     fn snapshot_with(topology: &Topology, attacks: &[Attack]) -> NetworkSnapshot {
@@ -1133,7 +1134,10 @@ mod tests {
 
     impl Epoch {
         fn new(topology: &Topology, attacks: &[Attack]) -> Self {
-            let snapshot = snapshot_with(topology, attacks);
+            Epoch::of(topology, snapshot_with(topology, attacks))
+        }
+
+        fn of(topology: &Topology, snapshot: NetworkSnapshot) -> Self {
             let function = snapshot.to_network_function(topology);
             Epoch {
                 snapshot,
@@ -1204,23 +1208,53 @@ mod tests {
 
     #[test]
     fn a_truncated_traversal_is_reused_and_keeps_its_unbounded_footprint() {
-        // 66 switches in a line, one client: the walk from host 1 toward
-        // host 66 runs into the engine's 64-hop bound, the walks toward host
-        // 33 do not.
-        let topo = generators::line(66, 1);
+        // One switch carrying 4 097 hosts of client 1 and one of client 2, no
+        // rules installed. Client 1's sources probe the client-2 host with
+        // one cube per client-1 address, one over the engine's cube budget,
+        // so that walk is cut at injection; client 2's one-cube emission
+        // walk is not.
+        let mut topo = Topology::new();
+        let here = GeoPoint::new(0.0, 0.0, Region::new("here"));
+        topo.add_switch(SwitchId(1), 4098, here.clone());
+        for n in 1..=4098u32 {
+            let owner = ClientId(if n == 4098 { 2 } else { 1 });
+            let port = SwitchPort::new(SwitchId(1), PortId(n));
+            topo.add_host(HostId(n), 0x0a00_0000 + n, port, owner, here.clone())
+                .unwrap();
+        }
         let v = verifier(&topo);
-        let epoch = Epoch::new(&topo, &[]);
-        let probe = |host| {
+        let epoch = Epoch::of(&topo, NetworkSnapshot::new(SimTime::from_secs(1)));
+        let ask = |client, spec: &QuerySpec| {
             let mut session = epoch.session(&v);
-            let to_ip = topo.host(host).unwrap().ip;
-            let spec = QuerySpec::PathLength { to_ip };
-            let (served, footprint) = session.answer_with_footprint(ClientId(1), &spec);
-            assert_eq!(served, v.answer(&epoch.snapshot, ClientId(1), &spec));
+            let (_, footprint) = session.answer_with_footprint(ClientId(client), spec);
             (footprint.switches.is_some(), session.traversal_counts())
         };
-        assert_eq!(probe(HostId(66)), (false, (0, 1)), "truncated: unbounded");
-        assert_eq!(probe(HostId(33)), (true, (0, 1)));
-        assert_eq!(probe(HostId(66)), (false, (1, 0)), "reused as it is");
+        let (sources, destinations) =
+            (QuerySpec::ReachingSources, QuerySpec::ReachableDestinations);
+        assert_eq!(ask(1, &sources), (false, (0, 1)), "truncated: unbounded");
+        assert_eq!(ask(2, &destinations), (true, (0, 1)));
+        assert_eq!(ask(1, &sources), (false, (1, 0)), "reused as it is");
+    }
+
+    #[test]
+    fn a_path_longer_than_64_switches_is_in_the_verdict() {
+        // `line(128, 64)`: client 1 owns host 1 on switch 1 and host 65 on
+        // switch 65, 65 switches apart.
+        let topo = generators::line(128, 64);
+        let snap = snapshot_with(&topo, &[]);
+        let v = verifier(&topo);
+        let (near, far) = (topo.host(HostId(1)).unwrap().ip, 167_772_225);
+        assert_eq!(topo.host(HostId(65)).unwrap().ip, far);
+        let ips: Vec<u32> = destinations(&v, &snap, 1).iter().map(|e| e.ip).collect();
+        assert_eq!(ips, [near, far]);
+        assert_eq!(
+            v.answer(&snap, ClientId(1), &QuerySpec::PathLength { to_ip: far }),
+            QueryResult::PathLength {
+                min_hops: 65,
+                max_hops: 65,
+                reachable: true
+            }
+        );
     }
 
     #[test]

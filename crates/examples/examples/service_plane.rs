@@ -14,7 +14,7 @@ use rvaas_client::{QuerySpec, SyncPayload, SyncSession};
 use rvaas_service::{ServiceError, ServiceSettings, SyncServer, VerificationService};
 use rvaas_topology::generators;
 use rvaas_types::{ClientId, SimTime};
-use rvaas_workloads::{benign_snapshot, churn_round};
+use rvaas_workloads::{benign_snapshot, tenant_churn_round};
 
 fn main() -> Result<(), ServiceError> {
     // --- 1. The service plane driven directly ----------------------------
@@ -57,7 +57,8 @@ fn main() -> Result<(), ServiceError> {
         session.digests().len(),
         reset.encoded_len()
     );
-    churn_round(&mut snapshot, 1, 4, SimTime::from_millis(2));
+    // Two tenants each get two fresh rules on the spines.
+    tenant_churn_round(&topo, &mut snapshot, 1, 2, 2, SimTime::from_millis(2));
     service.try_publish(&snapshot, SimTime::from_millis(2))?;
     let response = server.try_handle(&service, &session.request(ClientId(1)))?;
     let SyncPayload::Delta { added, removed, .. } = &response.payload else {

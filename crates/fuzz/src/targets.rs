@@ -216,14 +216,6 @@ fn render_config(config: &DaemonConfig) -> String {
         "max_delta_history = {}\n",
         service.max_delta_history
     ));
-    out.push_str(&format!(
-        "trace_ring_capacity = {}\n",
-        service.trace_ring_capacity
-    ));
-    out.push_str(&format!(
-        "slow_query_threshold_us = {}\n",
-        service.slow_query_threshold_us
-    ));
     if let Some(addr) = &service.sync_listen {
         out.push_str(&format!("sync_listen = {}\n", render_config_value(addr)));
     }

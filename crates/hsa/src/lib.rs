@@ -44,8 +44,7 @@ pub mod transfer;
 
 pub use cube::Cube;
 pub use reachability::{
-    reachability_equivalent, LoopReport, ReachabilityEngine, ReachabilityOptions,
-    ReachabilityResult, ReachedEndpoint,
+    reachability_equivalent, LoopReport, ReachabilityEngine, ReachabilityResult, ReachedEndpoint,
 };
 pub use space::HeaderSpace;
 pub use transfer::{NetworkFunction, PortSpace, RuleAction, RuleTransfer, SwitchTransfer};

@@ -11,6 +11,12 @@
 //! * **loop reports** for traffic that revisits a switch it has already
 //!   traversed with an overlapping header space.
 //!
+//! Loop detection ends every branch that revisits a switch, so no path is
+//! longer than the network has switches and every loop-free path, however
+//! long, is followed to its end. The one work bound is a cube budget: a
+//! branch whose header space holds more than 4 096 cubes is cut and counted
+//! in [`ReachabilityResult::truncated_branches`].
+//!
 //! Only traffic that **leaves** a switch is ever propagated or built:
 //! [`SwitchTransfer::apply`](crate::SwitchTransfer::apply) reports the
 //! spaces forwarded and punted and nothing for what a switch drops, so a
@@ -30,26 +36,10 @@ use rvaas_types::{PortId, SwitchId, SwitchPort};
 use crate::space::HeaderSpace;
 use crate::transfer::NetworkFunction;
 
-/// Tunables bounding the reachability computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReachabilityOptions {
-    /// Maximum number of switch traversals along a single path before the
-    /// branch is cut (guards against state explosion in pathological rule
-    /// sets; loops are reported separately).
-    pub max_hops: usize,
-    /// Maximum number of cubes a propagated header space may hold before the
-    /// branch is cut and counted in [`ReachabilityResult::truncated_branches`].
-    pub max_cubes: usize,
-}
-
-impl Default for ReachabilityOptions {
-    fn default() -> Self {
-        ReachabilityOptions {
-            max_hops: 64,
-            max_cubes: 4096,
-        }
-    }
-}
+/// The most cubes a propagated header space may hold before its branch is
+/// cut and counted in [`ReachabilityResult::truncated_branches`] (guards
+/// against state explosion in pathological rule sets).
+const MAX_CUBES: usize = 4096;
 
 /// Traffic that can leave the network at an edge port.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,7 +91,8 @@ pub struct ReachabilityResult {
     pub to_controller: Vec<ControllerDelivery>,
     /// Detected forwarding loops.
     pub loops: Vec<LoopReport>,
-    /// Number of branches cut due to `max_hops` / `max_cubes` limits.
+    /// Number of branches cut because their header space held more than
+    /// 4 096 cubes.
     pub truncated_branches: usize,
     /// Every switch the traversal touched, sorted and de-duplicated. Unlike
     /// [`traversed_switches`](Self::traversed_switches) this includes switches
@@ -155,7 +146,6 @@ impl ReachabilityResult {
 #[derive(Debug, Clone)]
 pub struct ReachabilityEngine<'a> {
     network: &'a NetworkFunction,
-    options: ReachabilityOptions,
 }
 
 struct WorkItem {
@@ -166,19 +156,10 @@ struct WorkItem {
 }
 
 impl<'a> ReachabilityEngine<'a> {
-    /// Creates an engine over `network` with default options.
+    /// Creates an engine over `network`.
     #[must_use]
     pub fn new(network: &'a NetworkFunction) -> Self {
-        ReachabilityEngine {
-            network,
-            options: ReachabilityOptions::default(),
-        }
-    }
-
-    /// Creates an engine with explicit options.
-    #[must_use]
-    pub fn with_options(network: &'a NetworkFunction, options: ReachabilityOptions) -> Self {
-        ReachabilityEngine { network, options }
+        ReachabilityEngine { network }
     }
 
     /// Computes everything reachable from traffic injected at edge port
@@ -201,9 +182,7 @@ impl<'a> ReachabilityEngine<'a> {
             // of the result's dependency set, even when it drops or truncates
             // everything.
             result.visited.push(item.switch);
-            if item.path.len() >= self.options.max_hops
-                || item.space.cube_count() > self.options.max_cubes
-            {
+            if item.space.cube_count() > MAX_CUBES {
                 result.truncated_branches += 1;
                 continue;
             }
@@ -454,18 +433,39 @@ mod tests {
     }
 
     #[test]
-    fn max_hops_truncates_long_paths() {
+    fn a_path_longer_than_64_switches_reaches_its_far_edge() {
+        // s1 -- s2 -- ... -- s70, every switch forwarding everything east.
+        let mut nf = NetworkFunction::new();
+        for s in 1..=70u32 {
+            nf.declare_switch(SwitchId(s), [PortId(1), PortId(2)]);
+            nf.set_transfer(
+                SwitchId(s),
+                SwitchTransfer::from_rules([RuleTransfer::new(
+                    10,
+                    Cube::wildcard(),
+                    RuleAction::forward(PortId(2)),
+                )]),
+            );
+        }
+        for s in 1..70u32 {
+            nf.connect(sp(s, 2), sp(s + 1, 1));
+        }
+        let result = ReachabilityEngine::new(&nf).reachable_from(sp(1, 1), HeaderSpace::all());
+        assert_eq!(result.reached_ports(), vec![sp(70, 2)]);
+        let path: Vec<SwitchId> = (1..=70).map(SwitchId).collect();
+        assert_eq!(result.endpoints[0].path, path);
+        assert_eq!(result.truncated_branches, 0);
+    }
+
+    #[test]
+    fn a_space_over_the_cube_budget_is_cut_at_injection() {
         let nf = line_network();
-        let engine = ReachabilityEngine::with_options(
-            &nf,
-            ReachabilityOptions {
-                max_hops: 1,
-                max_cubes: 4096,
-            },
-        );
-        let result = engine.reachable_from(sp(1, 1), HeaderSpace::from(dst_match(2)));
+        let space = HeaderSpace::from_cubes((0..=MAX_CUBES as u32).map(dst_match));
+        assert_eq!(space.cube_count(), MAX_CUBES + 1);
+        let result = ReachabilityEngine::new(&nf).reachable_from(sp(1, 1), space);
+        assert_eq!(result.truncated_branches, 1);
         assert!(result.endpoints.is_empty());
-        assert!(result.truncated_branches > 0);
+        assert_eq!(result.visited, vec![SwitchId(1)]);
     }
 
     #[test]

@@ -244,13 +244,6 @@ impl SwitchTransfer {
         region
     }
 
-    /// Removes all rules with the given cookie; returns how many were removed.
-    pub fn remove_by_cookie(&mut self, cookie: FlowCookie) -> usize {
-        let before = self.rules.len();
-        self.rules.retain(|r| r.cookie != cookie);
-        before - self.rules.len()
-    }
-
     /// The rules, highest priority first.
     #[must_use]
     pub fn rules(&self) -> &[RuleTransfer] {
@@ -851,19 +844,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn remove_by_cookie() {
-        let mut t = SwitchTransfer::from_rules([
-            RuleTransfer::new(10, dst_match(1), RuleAction::forward(PortId(1)))
-                .with_cookie(FlowCookie(7)),
-            RuleTransfer::new(10, dst_match(2), RuleAction::forward(PortId(2)))
-                .with_cookie(FlowCookie(8)),
-        ]);
-        assert_eq!(t.remove_by_cookie(FlowCookie(7)), 1);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.remove_by_cookie(FlowCookie(7)), 0);
     }
 
     #[test]

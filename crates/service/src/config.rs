@@ -1,9 +1,9 @@
 //! Declarative service-plane configuration.
 //!
 //! [`ServiceSettings`] holds the plain-data knobs (connection threads,
-//! cache, delta history, listener addresses, flight-recorder shape); none of
-//! them selects how a verdict is computed — the service verifies with the
-//! oracle's configuration over the topology it is started on (see
+//! cache, delta history, listener addresses); none of them selects how a
+//! verdict is computed — the service verifies with the oracle's
+//! configuration over the topology it is started on (see
 //! [`crate::VerificationService::new`]). [`Default`]-constructible —
 //! in-process callers write
 //! `ServiceSettings { cache: false, ..Default::default() }` — and settable by
@@ -31,19 +31,11 @@ pub struct ServiceSettings {
     /// `host:port` the daemon's HTTP endpoint (`/v1/query`, `/v1/epoch`,
     /// `/metrics`) binds, if any.
     pub http_listen: Option<String>,
-    /// Total flight-recorder ring slots (see `rvaas_telemetry::trace`).
-    /// Applied to the process-global recorder at service construction, so
-    /// it only takes effect if set before the first recorded event.
-    pub trace_ring_capacity: usize,
-    /// End-to-end query latency (µs) beyond which a trace is promoted out
-    /// of the ring into the retained slow-query set. Adjustable live.
-    pub slow_query_threshold_us: u64,
 }
 
 impl Default for ServiceSettings {
     /// Sensible defaults: 4 connection threads per listener, caching on, 64
-    /// retained deltas, no listeners (in-process use), a 4096-slot
-    /// flight-recorder ring and a 10 ms slow-query threshold.
+    /// retained deltas and no listeners (in-process use).
     fn default() -> Self {
         ServiceSettings {
             workers: 4,
@@ -51,21 +43,17 @@ impl Default for ServiceSettings {
             max_delta_history: 64,
             sync_listen: None,
             http_listen: None,
-            trace_ring_capacity: rvaas_telemetry::trace::DEFAULT_RING_CAPACITY,
-            slow_query_threshold_us: rvaas_telemetry::trace::DEFAULT_SLOW_THRESHOLD_US,
         }
     }
 }
 
 /// Every key [`ServiceSettings::set`] understands, in documentation order.
-pub const SETTING_KEYS: [&str; 7] = [
+pub const SETTING_KEYS: [&str; 5] = [
     "workers",
     "cache",
     "max_delta_history",
     "sync_listen",
     "http_listen",
-    "trace_ring_capacity",
-    "slow_query_threshold_us",
 ];
 
 fn parse_bool(key: &str, value: &str) -> Result<bool, ServiceError> {
@@ -102,10 +90,6 @@ impl ServiceSettings {
             "max_delta_history" => self.max_delta_history = parse_count(key, value)?.max(1),
             "sync_listen" => self.sync_listen = Some(value.to_string()),
             "http_listen" => self.http_listen = Some(value.to_string()),
-            "trace_ring_capacity" => self.trace_ring_capacity = parse_count(key, value)?.max(1),
-            "slow_query_threshold_us" => {
-                self.slow_query_threshold_us = parse_count(key, value)? as u64;
-            }
             _ => {
                 return Err(ServiceError::Config(format!(
                     "unknown setting {key:?} (known: {})",
@@ -129,14 +113,6 @@ mod tests {
         assert_eq!(s.max_delta_history, 64);
         assert!(s.sync_listen.is_none());
         assert!(s.http_listen.is_none());
-        assert_eq!(
-            s.trace_ring_capacity,
-            rvaas_telemetry::trace::DEFAULT_RING_CAPACITY
-        );
-        assert_eq!(
-            s.slow_query_threshold_us,
-            rvaas_telemetry::trace::DEFAULT_SLOW_THRESHOLD_US
-        );
     }
 
     #[test]
@@ -148,8 +124,6 @@ mod tests {
             ("max_delta_history", "16"),
             ("sync_listen", "127.0.0.1:3323"),
             ("http_listen", "127.0.0.1:8323"),
-            ("trace_ring_capacity", "1024"),
-            ("slow_query_threshold_us", "2500"),
         ] {
             assert!(SETTING_KEYS.contains(&key));
             s.set(key, value).unwrap();
@@ -159,8 +133,6 @@ mod tests {
         assert_eq!(s.max_delta_history, 16);
         assert_eq!(s.sync_listen.as_deref(), Some("127.0.0.1:3323"));
         assert_eq!(s.http_listen.as_deref(), Some("127.0.0.1:8323"));
-        assert_eq!(s.trace_ring_capacity, 1024);
-        assert_eq!(s.slow_query_threshold_us, 2500);
     }
 
     #[test]

@@ -192,12 +192,6 @@ impl VerificationService {
     #[must_use]
     pub fn new(topology: Topology, settings: ServiceSettings) -> Self {
         let registry = Registry::shared();
-        // Shape the process-global flight recorder before the first event;
-        // the slow-query threshold additionally applies live.
-        rvaas_telemetry::trace::configure(
-            settings.trace_ring_capacity,
-            settings.slow_query_threshold_us,
-        );
         let mut store = EpochStore::new(settings.max_delta_history.max(1));
         store.attach_interest_topology(topology.clone());
         store.attach_telemetry(&registry);
@@ -511,6 +505,29 @@ mod tests {
             QuerySpec::PathLength { to_ip: some_ip },
             QuerySpec::Neutrality,
         ]
+    }
+
+    #[test]
+    fn a_path_longer_than_64_switches_is_in_the_served_verdict() {
+        // `line(128, 64)`: client 1 owns host 1 on switch 1 and host 65 on
+        // switch 65, 65 switches apart.
+        let topology = generators::line(128, 64);
+        let (service, _) = service_over(&topology, false);
+        let (near, far) = (topology.hosts().next().expect("hosts").ip, 167_772_225);
+        let ask = |spec| service.try_query(ClientId(1), spec).unwrap().result;
+        let QueryResult::Endpoints { endpoints } = ask(QuerySpec::ReachableDestinations) else {
+            panic!("keyed by kind");
+        };
+        let ips: Vec<u32> = endpoints.iter().map(|e| e.ip).collect();
+        assert_eq!(ips, [near, far]);
+        assert_eq!(
+            ask(QuerySpec::PathLength { to_ip: far }),
+            QueryResult::PathLength {
+                min_hops: 65,
+                max_hops: 65,
+                reachable: true
+            }
+        );
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Tenant-pinned churn: the workload where most standing queries provably
 //! keep their verdict across an epoch.
 //!
-//! The generic [`churn_round`](crate::service_load::churn_round) installs
-//! destination-only drop rules, which intersect *every* client's emission
+//! Destination-only drop rules would intersect *every* client's emission
 //! space — realistic for blanket filtering, but the worst case for
-//! affected-query computation. This module models the other common kind of
+//! affected-query computation. This module models the common kind of
 //! provider churn: **per-tenant reconfiguration**, where each changed rule is
 //! pinned to one tenant's `(source, destination)` address pair (an
 //! intra-tenant route update) and placed on transit switches. Under this

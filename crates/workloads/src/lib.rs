@@ -14,8 +14,8 @@
 //! (crowd-sourced / inferred) for the geo-location accuracy experiment.
 //!
 //! The [`service_load`] module holds the service-plane workload's building
-//! blocks (clients, query mix, benign snapshot, a generic churn round). The
-//! [`churn`] module adds the tenant-pinned churn workload and the one
+//! blocks (clients, query mix, benign snapshot). The [`churn`] module adds
+//! the tenant-pinned churn workload (the one churn generator) and the one
 //! epoch-advance driver behind experiments `s2` and `s3`, plus the
 //! from-scratch baseline `s2` compares it with; [`query_scale`] adds the
 //! synthetic standing-query population and the affected-query selection
@@ -39,4 +39,4 @@ pub use churn::{
 pub use locations::{crowd_sourced_map, inferred_map};
 pub use query_scale::{selection_latency, synthetic_queries};
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioOutcome};
-pub use service_load::{benign_snapshot, churn_round, clients_of, query_mix, round_robin_workload};
+pub use service_load::{benign_snapshot, clients_of, query_mix, round_robin_workload};

@@ -20,7 +20,6 @@ pub struct ScenarioBuilder {
     verifier: Option<VerifierConfig>,
     network: NetworkConfig,
     unresponsive_hosts: Vec<HostId>,
-    auth_timeout: SimTime,
     seed: u64,
 }
 
@@ -36,7 +35,6 @@ impl ScenarioBuilder {
             verifier: None,
             network: NetworkConfig::default(),
             unresponsive_hosts: Vec::new(),
-            auth_timeout: SimTime::from_millis(5),
             seed: 0,
         }
     }
@@ -83,13 +81,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the RVaaS authentication-round timeout.
-    #[must_use]
-    pub fn auth_timeout(mut self, timeout: SimTime) -> Self {
-        self.auth_timeout = timeout;
-        self
-    }
-
     /// Sets the key/simulation seed (reproducibility knob).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -107,7 +98,6 @@ impl ScenarioBuilder {
         if let Some(v) = self.verifier {
             rvaas_config.verifier = v;
         }
-        rvaas_config.auth_timeout = self.auth_timeout;
 
         let keypair = Keypair::generate(SignatureScheme::HmacOracle, 0x5000 + self.seed);
         let mut rvaas = RvaasController::new(rvaas_config, keypair);

@@ -1,13 +1,12 @@
 //! The service-plane workload's building blocks: the clients of a
 //! topology, the standing query mix each of them holds, the benign snapshot
-//! every service run publishes first, and a generic churn round. The
-//! service-level analogue of the in-band scenario harness.
+//! every service run publishes first. The service-level analogue of the in-band scenario harness.
 
 use rvaas::NetworkSnapshot;
 use rvaas_client::QuerySpec;
 use rvaas_controlplane::benign_rules;
 use rvaas_topology::Topology;
-use rvaas_types::{ClientId, SimTime, SwitchId};
+use rvaas_types::{ClientId, SimTime};
 
 /// The standing query mix every client cycles through.
 #[must_use]
@@ -57,32 +56,4 @@ pub fn benign_snapshot(topology: &Topology) -> NetworkSnapshot {
         snapshot.record_installed(switch, entry, SimTime::from_millis(1));
     }
     snapshot
-}
-
-/// Applies one round of churn to `snapshot`: installs `count` fresh
-/// low-priority rules tagged with `round` and removes the previous round's,
-/// so every epoch differs from its predecessor by `2 * count` digests.
-pub fn churn_round(snapshot: &mut NetworkSnapshot, round: u64, count: usize, at: SimTime) {
-    use rvaas_openflow::{Action, FlowEntry, FlowMatch};
-    for i in 0..count as u32 {
-        let tag = |r: u64| 0x00c0_0000 + (r as u32 % 2) * 0x1000 + i;
-        snapshot.record_installed(
-            SwitchId(1),
-            FlowEntry::new(1, FlowMatch::to_ip(tag(round)), vec![Action::Drop]),
-            at,
-        );
-        if round > 0 {
-            let old = FlowEntry::new(1, FlowMatch::to_ip(tag(round - 1)), vec![Action::Drop]);
-            // Only record removals of rules a previous round actually
-            // installed; a phantom removal would pollute the snapshot's
-            // removed-rule history (visible to history-based verification).
-            let installed = snapshot
-                .table_of(SwitchId(1))
-                .iter()
-                .any(|e| e.priority == old.priority && e.flow_match == old.flow_match);
-            if installed {
-                snapshot.record_removed(SwitchId(1), &old, at);
-            }
-        }
-    }
 }
