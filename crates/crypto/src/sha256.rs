@@ -50,13 +50,6 @@ impl Digest {
         }
         Digest(out)
     }
-
-    /// Truncates the digest to a `u64` (big-endian prefix); convenient for
-    /// deriving deterministic simulation values from hashes.
-    #[must_use]
-    pub fn prefix_u64(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("8-byte prefix"))
-    }
 }
 
 impl fmt::Debug for Digest {
@@ -347,7 +340,6 @@ mod tests {
         let zero = Digest::default();
         assert_eq!(d.xor(&zero), d);
         assert_eq!(d.xor(&d), zero);
-        assert_eq!(zero.prefix_u64(), 0);
     }
 
     proptest! {

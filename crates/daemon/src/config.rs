@@ -189,7 +189,6 @@ rules_file = "/etc/rvaas/rules.txt"
 [service]
 workers = 2
 cache = off          # trailing comment
-max_delta_history = 8
 sync_listen = "127.0.0.1:0"
 http_listen = 127.0.0.1:0
 "#,
@@ -199,7 +198,6 @@ http_listen = 127.0.0.1:0
         assert_eq!(config.rules_file.as_deref(), Some("/etc/rvaas/rules.txt"));
         assert_eq!(config.service.workers, 2);
         assert!(!config.service.cache);
-        assert_eq!(config.service.max_delta_history, 8);
         assert_eq!(config.service.sync_listen.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(config.service.http_listen.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(config.build_topology().unwrap().switch_count(), 6);
@@ -247,6 +245,14 @@ http_listen = 127.0.0.1:0
         assert!(matches!(err, ServiceError::Config(_)));
         assert!(
             err.to_string().contains("unknown setting \"incremental\""),
+            "{err}"
+        );
+        // So is the delta history's length, now the constant `MAX_DELTA_HISTORY`.
+        let err = DaemonConfig::parse("max_delta_history = 8").unwrap_err();
+        assert!(matches!(err, ServiceError::Config(_)));
+        assert!(
+            err.to_string()
+                .contains("unknown setting \"max_delta_history\""),
             "{err}"
         );
     }

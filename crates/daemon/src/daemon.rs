@@ -11,20 +11,21 @@
 //!   Prometheus exposition (see [`crate::http`]) over persistent
 //!   keep-alive connections.
 //!
-//! There is **one thread tier**: each listener hands accepted sockets over a
-//! channel to `workers` connection threads, and a connection thread answers
-//! its own requests — parses, verifies (the service runs a query on the
-//! calling thread) and writes the response. A misbehaving client burns at
-//! most one of them; a connection beyond the `workers` being served waits
-//! on the channel until one closes. Shutdown is cooperative: a shared flag
-//! flips, [`Daemon::shutdown`] wakes each blocking accept loop with a
-//! connection of its own, the loops exit (dropping the channel sender), the
-//! connection threads drain and exit on the closed channel, and `shutdown`
-//! joins everything before returning.
+//! There is **one thread tier** and no queue: each listener's `workers`
+//! connection threads share its socket, and each loops `accept → serve`:
+//! it parses, verifies (the service runs a query on the calling thread) and
+//! writes the response. A misbehaving client burns at most one of them. A
+//! connection beyond the `workers` being served waits in the kernel's listen
+//! backlog, not in the daemon, and is counted (`*_total`) only when a thread
+//! accepts it. Shutdown is cooperative: [`Daemon::shutdown`] flips a shared
+//! flag and opens one wake-up connection per thread on each listener; a
+//! thread reads the flag before and after each `accept`, so an idle one
+//! exits on the next connection and a busy one once its connection ends. A
+//! connection no thread has taken by then is closed unanswered.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -55,8 +56,7 @@ pub struct Daemon {
     shutdown: Arc<AtomicBool>,
     http_addr: Option<SocketAddr>,
     sync_addr: Option<SocketAddr>,
-    listeners: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
     started: Instant,
 }
 
@@ -112,8 +112,7 @@ impl Daemon {
             shutdown,
             http_addr: None,
             sync_addr: None,
-            listeners: Vec::new(),
-            workers: Vec::new(),
+            threads: Vec::new(),
             started: Instant::now(),
         };
         if let Some(addr) = &config.service.sync_listen {
@@ -163,27 +162,24 @@ impl Daemon {
         self.sync_addr
     }
 
-    /// Flips the shutdown flag and joins every listener and connection
-    /// thread: on return no daemon thread is running.
+    /// Flips the shutdown flag and joins every connection thread: on
+    /// return no daemon thread is running and both listeners are closed.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Each accept loop blocks in `accept` and reads the flag when it
-        // returns: one connection to its own address wakes it.
+        // A thread blocked in `accept` reads the flag when it returns: one
+        // connection per thread on each listener wakes them all.
         for addr in [self.sync_addr, self.http_addr].into_iter().flatten() {
-            let _ = TcpStream::connect(addr);
+            for _ in 0..self.service.worker_count() {
+                let _ = TcpStream::connect(addr);
+            }
         }
-        // Listeners first: each exit drops a channel sender, which releases
-        // that listener's connection threads once the queue drains.
-        for handle in self.listeners.drain(..) {
-            let _ = handle.join();
-        }
-        for handle in self.workers.drain(..) {
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
     }
 
-    /// Spawns one accept loop plus its `workers` connection threads: the one
-    /// place that setting starts any, and the only threads answering queries.
+    /// Spawns a listener's `workers` connection threads: the one place that
+    /// setting starts any, and the only threads answering queries.
     fn spawn_listener(
         &mut self,
         listener: TcpListener,
@@ -215,43 +211,30 @@ impl Daemon {
             ),
             started: self.started,
         };
-        let (sender, receiver) = mpsc::channel::<TcpStream>();
-        let receiver = Arc::new(Mutex::new(receiver));
+        let listener = Arc::new(listener);
         for _ in 0..self.service.worker_count() {
             let context = context.clone();
-            let receiver = Arc::clone(&receiver);
-            self.workers.push(thread::spawn(move || loop {
-                // Take the next socket, then drop the lock before serving
-                // so the other connection threads keep draining the queue.
-                let stream = receiver
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .recv();
-                match stream {
-                    Ok(stream) => serve(&context, stream),
-                    Err(_) => return, // accept loop gone: shutdown
+            let listener = Arc::clone(&listener);
+            self.threads.push(thread::spawn(move || {
+                while !context.shutdown.load(Ordering::SeqCst) {
+                    let accepted = listener.accept();
+                    // Read again after every return: the connection that
+                    // ended the wait may be `Daemon::shutdown`'s wake-up.
+                    if context.shutdown.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    match accepted {
+                        Ok((stream, _peer)) => {
+                            context.accepted.inc();
+                            serve(&context, stream);
+                        }
+                        // Accept errors (e.g. a reset mid-handshake) are
+                        // transient and must not kill the thread.
+                        Err(_) => thread::sleep(ACCEPT_BACKOFF),
+                    }
                 }
             }));
         }
-        self.listeners.push(thread::spawn(move || loop {
-            let accepted = listener.accept();
-            // Read after every return: the connection that ended the wait
-            // may be `Daemon::shutdown`'s wake-up.
-            if context.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            match accepted {
-                Ok((stream, _peer)) => {
-                    context.accepted.inc();
-                    if sender.send(stream).is_err() {
-                        return; // no connection threads left
-                    }
-                }
-                // Accept errors (e.g. a reset mid-handshake) are transient
-                // and must not kill the listener.
-                Err(_) => thread::sleep(ACCEPT_BACKOFF),
-            }
-        }));
     }
 }
 
@@ -280,8 +263,7 @@ fn local_addr(listener: &TcpListener) -> Result<SocketAddr, ServiceError> {
 }
 
 /// One sync session: frames in, frames out, until EOF, error or shutdown.
-fn serve_sync_connection(context: &ConnectionContext, stream: TcpStream) {
-    let mut stream = stream;
+fn serve_sync_connection(context: &ConnectionContext, mut stream: TcpStream) {
     // A response is one frame in one write (`write_frame`): send it at once
     // rather than wait for the peer to acknowledge the previous one.
     if stream.set_read_timeout(Some(SYNC_READ_TIMEOUT)).is_err()
@@ -321,8 +303,7 @@ fn serve_sync_connection(context: &ConnectionContext, stream: TcpStream) {
 
 /// One HTTP connection: requests served in a keep-alive loop until the
 /// client asks to close, goes idle, sends garbage or the daemon shuts down.
-fn serve_http_connection(context: &ConnectionContext, stream: TcpStream) {
-    let mut stream = stream;
+fn serve_http_connection(context: &ConnectionContext, mut stream: TcpStream) {
     if stream.set_read_timeout(Some(HTTP_READ_TIMEOUT)).is_err() {
         return;
     }

@@ -9,8 +9,9 @@
 //!   [`rvaas_service::ServiceSettings`].
 //! * [`daemon`] — [`daemon::Daemon`]: binds the TCP delta-sync endpoint
 //!   and the HTTP endpoint over one shared
-//!   [`rvaas_service::VerificationService`], with cooperative shutdown
-//!   that drains every listener and connection thread.
+//!   [`rvaas_service::VerificationService`]; each listener's connection
+//!   threads accept and answer their own connections, and cooperative
+//!   shutdown joins every one of them.
 //! * [`http`] — the minimal hand-rolled HTTP/1.1 layer (`POST /v1/query`,
 //!   `GET /v1/epoch`, `GET /metrics`).
 //! * [`json`] — hand-rolled JSON parsing/rendering for the query API (the

@@ -548,13 +548,16 @@ fn a_connection_beyond_the_workers_waits_until_one_closes() {
     assert_eq!(gauge(&daemon, "rvaas_http_connections_active"), 2);
     assert_unanswered(&mut third);
     assert_eq!(gauge(&daemon, "rvaas_http_connections_active"), 2);
-    assert_eq!(gauge(&daemon, "rvaas_http_connections_total"), 3);
+    // A waiting connection is in the kernel's backlog, not the daemon's
+    // count: it is counted when a connection thread accepts it.
+    assert_eq!(gauge(&daemon, "rvaas_http_connections_total"), 2);
     drop(served.pop());
     assert_eq!(
         read_response(&mut third).0,
         200,
         "served by the freed thread"
     );
+    assert_eq!(gauge(&daemon, "rvaas_http_connections_total"), 3);
     drop((served, third));
 
     // The same for sync sessions, which never idle out.
@@ -579,6 +582,58 @@ fn a_connection_beyond_the_workers_waits_until_one_closes() {
     assert_eq!(session.serial(), daemon.service().current_serial());
     drop((sessions, third));
     daemon.shutdown();
+}
+
+/// Shutdown does not wait for connections no thread has taken: with every
+/// connection thread busy, a waiting connection is closed unanswered, the
+/// busy ones end, and `shutdown` returns with both listeners closed.
+#[test]
+fn shutdown_closes_a_waiting_connection_unanswered() {
+    let daemon = started_daemon(); // workers = 2
+    let get = "GET /v1/epoch HTTP/1.1\r\nHost: rvaas\r\n\r\n";
+    let http_addr = daemon.http_addr().unwrap();
+    let sync_addr = daemon.sync_addr().unwrap();
+    let mut served: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(http_addr).unwrap())
+        .collect();
+    for stream in &mut served {
+        write!(stream, "{get}").unwrap();
+        assert_eq!(read_response(stream).0, 200);
+    }
+    let mut sessions: Vec<(TcpStream, SyncSession)> = (0..2)
+        .map(|_| (sync_connect(sync_addr), SyncSession::new()))
+        .collect();
+    for (stream, session) in &mut sessions {
+        sync_roundtrip(stream, session, ClientId(1));
+    }
+    let mut waiting = TcpStream::connect(http_addr).expect("not refused");
+    write!(waiting, "{get}").unwrap();
+    assert_unanswered(&mut waiting);
+
+    let begun = Instant::now();
+    daemon.shutdown();
+    assert!(
+        begun.elapsed() < Duration::from_secs(5),
+        "shutdown took {:?}",
+        begun.elapsed()
+    );
+    let mut raw = Vec::new();
+    match waiting.read_to_end(&mut raw) {
+        Ok(_) => assert!(
+            raw.is_empty(),
+            "answered: {:?}",
+            String::from_utf8_lossy(&raw)
+        ),
+        Err(e) => assert!(
+            !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "still open after shutdown: {e}"
+        ),
+    }
+    assert!(
+        TcpStream::connect(http_addr).is_err(),
+        "http listener must be closed after shutdown"
+    );
+    drop((served, sessions));
 }
 
 #[test]

@@ -266,7 +266,6 @@ rules_file = "/etc/rvaas/rules.txt"
 [service]
 workers = 3
 cache = off          # trailing comment
-max_delta_history = 16
 sync_listen = "127.0.0.1:8282"
 http_listen = 127.0.0.1:8080
 "#,

@@ -212,10 +212,6 @@ fn render_config(config: &DaemonConfig) -> String {
         "cache = {}\n",
         if service.cache { "on" } else { "off" }
     ));
-    out.push_str(&format!(
-        "max_delta_history = {}\n",
-        service.max_delta_history
-    ));
     if let Some(addr) = &service.sync_listen {
         out.push_str(&format!("sync_listen = {}\n", render_config_value(addr)));
     }

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rvaas_hsa::NetworkFunction;
-use rvaas_openflow::{ControllerRole, Message, SwitchAgent, SwitchConfig};
+use rvaas_openflow::{Message, SwitchAgent, SwitchConfig};
 use rvaas_topology::Topology;
 use rvaas_types::{Error, HostId, Packet, Result, SimTime, SwitchId, SwitchPort};
 
@@ -193,25 +193,6 @@ impl Network {
         Ok(())
     }
 
-    /// Sends a control message from a registered controller to a switch
-    /// (external driver API; normally controllers send from their callbacks).
-    pub fn send_control(&mut self, from: ControllerHandle, switch: SwitchId, message: Message) {
-        let role = self
-            .controllers
-            .get(from.0)
-            .map_or(ControllerRole::Provider, |c| c.role());
-        self.stats.count_control(message.kind());
-        self.queue.schedule(
-            self.now + self.config.control_latency,
-            Event::ControlToSwitch {
-                switch,
-                controller: from.0,
-                role,
-                message,
-            },
-        );
-    }
-
     /// Calls `on_start` on every controller and host exactly once.
     pub fn start(&mut self) {
         if self.started {
@@ -347,7 +328,7 @@ impl Network {
     }
 
     fn handle_packet_at_host(&mut self, host: HostId, packet: Packet) {
-        self.stats.count_delivery(packet.kind, packet.hop_count());
+        self.stats.count_delivery(packet.kind);
         self.deliveries.push(DeliveryRecord {
             host,
             packet: packet.clone(),
@@ -466,7 +447,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvaas_openflow::{Action, FlowEntry, FlowMatch, FlowModCommand};
+    use rvaas_openflow::{Action, ControllerRole, FlowEntry, FlowMatch, FlowModCommand};
     use rvaas_types::{Header, PortId};
 
     /// A controller that installs destination-based forwarding for every host

@@ -43,8 +43,6 @@ pub struct NetStats {
     pub control_by_kind: BTreeMap<String, u64>,
     /// Control messages from switches dropped by the lossy control channel.
     pub control_lost: u64,
-    /// Total hops taken by delivered packets (for mean path length).
-    pub delivered_hops: u64,
     /// Deliveries by packet kind.
     pub delivered_by_kind: BTreeMap<String, u64>,
 }
@@ -56,9 +54,8 @@ impl NetStats {
     }
 
     /// Records a delivery of a packet of the given kind.
-    pub fn count_delivery(&mut self, kind: PacketKind, hops: usize) {
+    pub fn count_delivery(&mut self, kind: PacketKind) {
         self.packets_delivered += 1;
-        self.delivered_hops += hops as u64;
         *self
             .delivered_by_kind
             .entry(format!("{kind:?}"))
@@ -69,16 +66,6 @@ impl NetStats {
     #[must_use]
     pub fn control_total(&self) -> u64 {
         self.control_by_kind.values().sum()
-    }
-
-    /// Mean number of switch hops over all delivered packets.
-    #[must_use]
-    pub fn mean_path_length(&self) -> f64 {
-        if self.packets_delivered == 0 {
-            0.0
-        } else {
-            self.delivered_hops as f64 / self.packets_delivered as f64
-        }
     }
 
     /// Count of control messages of one kind.
@@ -105,12 +92,11 @@ mod tests {
     }
 
     #[test]
-    fn mean_path_length() {
+    fn deliveries_are_counted_by_kind() {
         let mut s = NetStats::default();
-        assert_eq!(s.mean_path_length(), 0.0);
-        s.count_delivery(PacketKind::Data, 3);
-        s.count_delivery(PacketKind::Query, 5);
-        assert!((s.mean_path_length() - 4.0).abs() < 1e-9);
+        s.count_delivery(PacketKind::Data);
+        s.count_delivery(PacketKind::Query);
+        assert_eq!(s.packets_delivered, 2);
         assert_eq!(s.delivered_by_kind.get("Data"), Some(&1));
     }
 }

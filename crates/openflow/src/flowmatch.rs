@@ -31,15 +31,6 @@ impl FlowMatch {
         FlowMatch::default()
     }
 
-    /// Starts from a header cube.
-    #[must_use]
-    pub fn from_cube(cube: Cube) -> Self {
-        FlowMatch {
-            in_port: None,
-            cube,
-        }
-    }
-
     /// Constrains the ingress port (builder style).
     #[must_use]
     pub fn on_port(mut self, port: PortId) -> Self {

@@ -1,7 +1,7 @@
 //! Declarative service-plane configuration.
 //!
 //! [`ServiceSettings`] holds the plain-data knobs (connection threads,
-//! cache, delta history, listener addresses); none of them selects how a
+//! cache, listener addresses); none of them selects how a
 //! verdict is computed — the service verifies with the oracle's
 //! configuration over the topology it is started on (see
 //! [`crate::VerificationService::new`]). [`Default`]-constructible —
@@ -24,8 +24,6 @@ pub struct ServiceSettings {
     pub workers: usize,
     /// Whether the `(serial, client, spec)` result cache is consulted.
     pub cache: bool,
-    /// How many per-epoch deltas the store retains for delta sync.
-    pub max_delta_history: usize,
     /// `host:port` the daemon's RTR-style TCP sync endpoint binds, if any.
     pub sync_listen: Option<String>,
     /// `host:port` the daemon's HTTP endpoint (`/v1/query`, `/v1/epoch`,
@@ -34,13 +32,12 @@ pub struct ServiceSettings {
 }
 
 impl Default for ServiceSettings {
-    /// Sensible defaults: 4 connection threads per listener, caching on, 64
-    /// retained deltas and no listeners (in-process use).
+    /// Sensible defaults: 4 connection threads per listener, caching on and
+    /// no listeners (in-process use).
     fn default() -> Self {
         ServiceSettings {
             workers: 4,
             cache: true,
-            max_delta_history: 64,
             sync_listen: None,
             http_listen: None,
         }
@@ -48,10 +45,11 @@ impl Default for ServiceSettings {
 }
 
 /// Every key [`ServiceSettings::set`] understands, in documentation order.
-pub const SETTING_KEYS: [&str; 5] = [
+// One key per line: CI's size report counts the lines.
+#[rustfmt::skip]
+pub const SETTING_KEYS: [&str; 4] = [
     "workers",
     "cache",
-    "max_delta_history",
     "sync_listen",
     "http_listen",
 ];
@@ -87,7 +85,6 @@ impl ServiceSettings {
         match key {
             "workers" => self.workers = parse_count(key, value)?.max(1),
             "cache" => self.cache = parse_bool(key, value)?,
-            "max_delta_history" => self.max_delta_history = parse_count(key, value)?.max(1),
             "sync_listen" => self.sync_listen = Some(value.to_string()),
             "http_listen" => self.http_listen = Some(value.to_string()),
             _ => {
@@ -110,7 +107,6 @@ mod tests {
         let s = ServiceSettings::default();
         assert_eq!(s.workers, 4);
         assert!(s.cache);
-        assert_eq!(s.max_delta_history, 64);
         assert!(s.sync_listen.is_none());
         assert!(s.http_listen.is_none());
     }
@@ -121,7 +117,6 @@ mod tests {
         for (key, value) in [
             ("workers", "8"),
             ("cache", "off"),
-            ("max_delta_history", "16"),
             ("sync_listen", "127.0.0.1:3323"),
             ("http_listen", "127.0.0.1:8323"),
         ] {
@@ -130,7 +125,6 @@ mod tests {
         }
         assert_eq!(s.workers, 8);
         assert!(!s.cache);
-        assert_eq!(s.max_delta_history, 16);
         assert_eq!(s.sync_listen.as_deref(), Some("127.0.0.1:3323"));
         assert_eq!(s.http_listen.as_deref(), Some("127.0.0.1:8323"));
     }
@@ -140,8 +134,6 @@ mod tests {
         let mut s = ServiceSettings::default();
         s.set("workers", "0").unwrap();
         assert_eq!(s.workers, 1, "worker count clamps to 1");
-        s.set("max_delta_history", "0").unwrap();
-        assert_eq!(s.max_delta_history, 1);
         assert!(matches!(
             s.set("workers", "many"),
             Err(ServiceError::Config(_))

@@ -509,6 +509,9 @@ pub struct EpochStore {
     max_deltas: usize,
 }
 
+/// Per-epoch deltas the service retains for sync; a session further behind gets a reset.
+pub const MAX_DELTA_HISTORY: usize = 64;
+
 impl EpochStore {
     /// Creates a store holding an empty epoch 0 and retaining up to
     /// `max_deltas` per-epoch deltas for sync.

@@ -65,7 +65,7 @@ pub use cache::{CacheStats, ResultCache};
 pub use config::{ServiceSettings, SETTING_KEYS};
 pub use epoch::{
     content_digest_of, digest_entry, digest_snapshot, DigestSet, EpochDelta, EpochProvenance,
-    EpochStore, Published, SnapshotEpoch,
+    EpochStore, Published, SnapshotEpoch, MAX_DELTA_HISTORY,
 };
 pub use error::ServiceError;
 pub use pool::{QueryResponse, ServiceStats, VerificationService};

@@ -34,7 +34,7 @@ use rvaas_types::{ClientId, SimTime};
 
 use crate::cache::ResultCache;
 use crate::config::ServiceSettings;
-use crate::epoch::{EpochStore, Published};
+use crate::epoch::{EpochStore, Published, MAX_DELTA_HISTORY};
 use crate::error::ServiceError;
 
 /// A completed query, as delivered back to the caller.
@@ -192,7 +192,7 @@ impl VerificationService {
     #[must_use]
     pub fn new(topology: Topology, settings: ServiceSettings) -> Self {
         let registry = Registry::shared();
-        let mut store = EpochStore::new(settings.max_delta_history.max(1));
+        let mut store = EpochStore::new(MAX_DELTA_HISTORY);
         store.attach_interest_topology(topology.clone());
         store.attach_telemetry(&registry);
         let cache = ResultCache::with_registry(settings.cache, &registry);

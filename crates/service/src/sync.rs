@@ -261,6 +261,7 @@ impl SyncServer {
 mod tests {
     use super::*;
     use crate::config::ServiceSettings;
+    use crate::epoch::MAX_DELTA_HISTORY;
     use rvaas::NetworkSnapshot;
     use rvaas_client::{QueryResult, SyncSession};
     use rvaas_controlplane::benign_rules;
@@ -268,17 +269,13 @@ mod tests {
     use rvaas_topology::generators;
     use rvaas_types::{SimTime, SwitchId};
 
-    fn setup(max_deltas: usize) -> (VerificationService, SyncServer, NetworkSnapshot) {
+    fn setup() -> (VerificationService, SyncServer, NetworkSnapshot) {
         let topology = generators::line(4, 2);
         let mut snapshot = NetworkSnapshot::new(SimTime::from_secs(1));
         for (switch, entry) in benign_rules(&topology) {
             snapshot.record_installed(switch, entry, SimTime::from_millis(1));
         }
-        let settings = ServiceSettings {
-            max_delta_history: max_deltas,
-            ..ServiceSettings::default()
-        };
-        let service = VerificationService::new(topology, settings);
+        let service = VerificationService::new(topology, ServiceSettings::default());
         publish(&service, &snapshot, 1);
         let server = SyncServer::new(service.store(), 42, &service.registry());
         (service, server, snapshot)
@@ -317,7 +314,7 @@ mod tests {
 
     #[test]
     fn fresh_client_resets_then_rides_deltas() {
-        let (service, server, mut snapshot) = setup(16);
+        let (service, server, mut snapshot) = setup();
         let mut session = SyncSession::new();
         let client = ClientId(1);
 
@@ -344,7 +341,7 @@ mod tests {
 
     #[test]
     fn evicted_history_falls_back_to_reset() {
-        let (service, server, mut snapshot) = setup(2);
+        let (service, server, mut snapshot) = setup();
         let mut session = SyncSession::new();
         let client = ClientId(1);
         session
@@ -352,8 +349,8 @@ mod tests {
             .unwrap();
         let old_serial = session.serial();
 
-        // Churn far past the retained delta window.
-        for round in 0..6 {
+        // Churn past the retained delta window.
+        for round in 0..=MAX_DELTA_HISTORY as u32 {
             churn(&mut snapshot, round);
             publish(&service, &snapshot, u64::from(20 + round));
         }
@@ -369,7 +366,7 @@ mod tests {
 
     #[test]
     fn session_mismatch_forces_reset() {
-        let (service, server, _snapshot) = setup(16);
+        let (service, server, _snapshot) = setup();
         let mut session = SyncSession::new();
         session
             .apply(&serve(&server, &service, &session, ClientId(1)))
@@ -383,7 +380,7 @@ mod tests {
 
     #[test]
     fn deltas_reverify_subscribed_queries() {
-        let (service, server, mut snapshot) = setup(16);
+        let (service, server, mut snapshot) = setup();
         let client = ClientId(1);
         server.subscribe(client, QuerySpec::Isolation);
         let mut session = SyncSession::new();
@@ -428,7 +425,7 @@ mod tests {
 
     #[test]
     fn unaffected_standing_queries_are_skipped() {
-        let (service, server, mut snapshot) = setup(16);
+        let (service, server, mut snapshot) = setup();
         // line(4,2): client 1 owns hosts 1 and 3, client 2 owns 2 and 4.
         let c1_ips: Vec<u32> = service
             .topology()
@@ -482,7 +479,7 @@ mod tests {
 
     #[test]
     fn delta_transfers_fewer_bytes_than_reset_under_small_churn() {
-        let (service, server, mut snapshot) = setup(16);
+        let (service, server, mut snapshot) = setup();
         let client = ClientId(1);
         let mut session = SyncSession::new();
         session
@@ -519,7 +516,7 @@ mod tests {
 
     #[test]
     fn undecodable_frames_are_typed_codec_errors() {
-        let (service, server, _snapshot) = setup(8);
+        let (service, server, _snapshot) = setup();
         assert!(matches!(
             server.handle_frame(&service, b"\xffnot a sync frame"),
             Err(ServiceError::Codec(_))
@@ -543,7 +540,7 @@ mod tests {
 
     #[test]
     fn unsupported_sync_version_is_a_structured_mismatch() {
-        let (service, server, _snapshot) = setup(8);
+        let (service, server, _snapshot) = setup();
         let mut frame = SyncSession::new()
             .request(rvaas_types::ClientId(1))
             .encode();

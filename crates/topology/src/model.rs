@@ -435,12 +435,6 @@ impl Topology {
             })
             .collect()
     }
-
-    /// Returns all hosts *not* owned by `client` (potential "other tenants").
-    #[must_use]
-    pub fn foreign_hosts(&self, client: ClientId) -> Vec<&Host> {
-        self.hosts.values().filter(|h| h.owner != client).collect()
-    }
 }
 
 #[cfg(test)]
@@ -511,7 +505,6 @@ mod tests {
         assert_eq!(t.clients(), vec![ClientId(1), ClientId(2)]);
         assert_eq!(t.access_points_of(ClientId(1)), vec![sp(1, 1)]);
         assert_eq!(t.hosts_of_client(ClientId(2)).len(), 1);
-        assert_eq!(t.foreign_hosts(ClientId(1)).len(), 1);
     }
 
     #[test]

@@ -232,12 +232,6 @@ impl Header {
         }
         header
     }
-
-    /// True if the header describes an IPv4/UDP packet.
-    #[must_use]
-    pub fn is_udp(&self) -> bool {
-        self.eth_type == Self::ETH_IPV4 && self.ip_proto == Self::PROTO_UDP
-    }
 }
 
 impl fmt::Display for Header {

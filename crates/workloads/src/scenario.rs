@@ -176,11 +176,6 @@ impl Scenario {
         &self.topology
     }
 
-    /// Mutable access to the underlying simulator (for advanced experiments).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
     /// Read access to the underlying simulator.
     #[must_use]
     pub fn network(&self) -> &Network {
