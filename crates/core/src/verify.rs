@@ -16,7 +16,7 @@
 //! the provider's topology confidentiality as required by the paper.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use rvaas_client::{EndpointReport, NeutralityViolation, QueryResult, QuerySpec};
@@ -25,6 +25,7 @@ use rvaas_openflow::Action;
 use rvaas_topology::Topology;
 use rvaas_types::{ClientId, Field, HostId, Region, SwitchId, SwitchPort};
 
+use crate::incremental::ChangedRegion;
 use crate::interest::QueryFootprint;
 use crate::snapshot::NetworkSnapshot;
 
@@ -120,6 +121,13 @@ impl LogicalVerifier {
         HeaderSpace::from(Cube::wildcard().with_field(Field::IpSrc, u64::from(host_ip)))
     }
 
+    /// Traffic from `src` to `dst`: one cube of a source or path probe.
+    fn probe_cube(src: u32, dst: u32) -> Cube {
+        Cube::wildcard()
+            .with_field(Field::IpSrc, u64::from(src))
+            .with_field(Field::IpDst, u64::from(dst))
+    }
+
     /// Starts a reusable evaluation session over one snapshot: the HSA
     /// network function is built once and per-host traversals are memoised
     /// in a memo private to the session, so a batch of queries sharing
@@ -158,11 +166,14 @@ impl LogicalVerifier {
     /// the function the epoch store's one
     /// [`crate::incremental::IncrementalModel`] froze into the epoch and the
     /// memo that epoch carries, so a traversal is walked once per epoch, not
-    /// once per batch.
+    /// once per batch, and not at all on an epoch whose change it missed
+    /// (see [`TraversalMemo::carry`]).
     ///
     /// Beyond the contract of `evaluator_with`, the caller is responsible
     /// for every session sharing `memo` running over this very `nf` and this
-    /// verifier's topology: the memo holds no notion of validity.
+    /// verifier's topology: an entry is not checked against the function it
+    /// is read on. Only `carry` moves entries to another function, and only
+    /// those its changed region shows to be unaltered.
     #[must_use]
     pub fn evaluator_sharing<'a>(
         &'a self,
@@ -217,6 +228,29 @@ enum TraversalKey {
     Path(ClientId, u32),
 }
 
+impl TraversalKey {
+    /// The header space the traversal of this key injects. Every cube of it
+    /// pins `IpSrc` to a host of `topology`.
+    fn injected_space(self, topology: &Topology) -> HeaderSpace {
+        let ips_of = |client| topology.hosts_of_client(client).into_iter().map(|h| h.ip);
+        match self {
+            TraversalKey::Emission(host) => topology
+                .host(host)
+                .map(|h| LogicalVerifier::emission_space(h.ip))
+                .unwrap_or_default(),
+            TraversalKey::Source(host, client) => match topology.host(host) {
+                Some(source) => ips_of(client)
+                    .map(|dst| LogicalVerifier::probe_cube(source.ip, dst))
+                    .collect(),
+                None => HeaderSpace::empty(),
+            },
+            TraversalKey::Path(client, to_ip) => ips_of(client)
+                .map(|src| LogicalVerifier::probe_cube(src, to_ip))
+                .collect(),
+        }
+    }
+}
+
 /// What queries read from a traversal — not the [`ReachabilityResult`] with
 /// its per-endpoint header spaces and paths.
 ///
@@ -255,10 +289,11 @@ struct Traversal {
 /// evaluation session that is handed the same memo.
 ///
 /// An entry is a pure function of that network function and the static,
-/// trusted topology, so the memo has no notion of validity and nothing in
-/// it is ever invalidated: a different function gets a different memo (the
-/// service plane keeps one inside each published epoch, where it lives and
-/// dies with the function it describes).
+/// trusted topology, so nothing in a memo is ever invalidated in place. A
+/// different function gets a different memo: the service plane keeps one
+/// inside each published epoch, and [`carry`](Self::carry) moves into the
+/// successor's the entries the change between the two functions cannot
+/// have altered.
 ///
 /// There is one entry per key, and keys name hosts and clients of the
 /// trusted topology only (a query about an unknown client or address walks
@@ -266,10 +301,19 @@ struct Traversal {
 /// entries, whatever the number of distinct queries.
 #[derive(Debug, Default)]
 pub struct TraversalMemo {
-    entries: RwLock<BTreeMap<TraversalKey, Arc<Traversal>>>,
+    entries: RwLock<Entries>,
 }
 
-#[allow(clippy::len_without_is_empty)] // `len` exists for tests of the bound.
+/// What a [`TraversalMemo`] holds behind its lock.
+#[derive(Debug, Default)]
+struct Entries {
+    traversals: BTreeMap<TraversalKey, Arc<Traversal>>,
+    /// Some traversal was cut by the engine's cube budget: its footprint is
+    /// unbounded, so any change may have altered it.
+    truncated: bool,
+}
+
+#[allow(clippy::len_without_is_empty)] // `len` exists for tests and the carry count.
 impl TraversalMemo {
     /// An empty memo.
     #[must_use]
@@ -283,19 +327,108 @@ impl TraversalMemo {
         // Poisoning is recovered from, here and below: an insert is one map
         // operation, so an interrupted writer leaves the memo valid.
         let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
-        entries.len()
+        entries.traversals.len()
     }
 
     fn get(&self, key: TraversalKey) -> Option<Arc<Traversal>> {
         let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
-        entries.get(&key).cloned()
+        entries.traversals.get(&key).cloned()
     }
 
     /// Two sessions that raced on a key walked the same function: whichever
     /// insert lands last replaces an equal entry.
     fn put(&self, key: TraversalKey, traversal: Arc<Traversal>) {
         let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
-        entries.insert(key, traversal);
+        entries.truncated |= traversal.truncated;
+        entries.traversals.insert(key, traversal);
+    }
+
+    /// The memo of the function that `region` made of this memo's function:
+    /// this memo's traversals minus every one the change may have altered,
+    /// and how many of them the successor does not get.
+    ///
+    /// A traversal is dropped when `region` is conservative, when any entry
+    /// here was truncated, or when `region`'s space overlaps the space the
+    /// traversal injected **and** `region`'s switches meet the ones it
+    /// visited. That is the interest index's per-query test, made per
+    /// traversal, and it is sound for the same reason: without rewrites
+    /// (any installed rewrite makes every region conservative) traffic never
+    /// leaves the space it was injected in, so a change outside that space,
+    /// or on switches the walk never arrived at, leaves the walk as it was.
+    ///
+    /// Candidates are looked up by key, `O(region cubes)`, never by a scan
+    /// of the memo. Every injected space pins `IpSrc` to a host of
+    /// `topology`, so a region cube with an exact source names the keys it
+    /// can reach: `Emission` of each host with that address, and its
+    /// `Source` and its owner's `Path` probes towards the cube's exact
+    /// destination (towards every destination when the cube has none). A
+    /// cube without an exact source could reach any key, and a topology
+    /// without hosts names none, so either carries nothing; so does a
+    /// truncated entry, whose footprint no key lookup bounds.
+    ///
+    /// When nothing is carried this memo is left as it is. Otherwise its
+    /// entries are moved out, not copied: a session still answering on this
+    /// memo's function finds it empty and walks afresh.
+    pub fn carry(&self, region: &ChangedRegion, topology: &Topology) -> (TraversalMemo, usize) {
+        let exact = |cube: &Cube, field| u32::try_from(cube.field_exact(field)?).ok();
+        let sources: Option<Vec<(u32, Option<u32>)>> = region
+            .space
+            .cubes()
+            .iter()
+            .map(|cube| Some((exact(cube, Field::IpSrc)?, exact(cube, Field::IpDst))))
+            .collect();
+        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
+        let held = entries.traversals.len();
+        let carries = !region.conservative && !entries.truncated && topology.host_count() > 0;
+        let Some(sources) = sources.filter(|_| carries) else {
+            return (TraversalMemo::new(), held);
+        };
+        let mut carried = std::mem::take(&mut *entries);
+        drop(entries);
+        let held_keys = |from: TraversalKey, to: TraversalKey| {
+            carried.traversals.range(from..=to).map(|(key, _)| *key)
+        };
+        let mut candidates = BTreeSet::new();
+        for (src, dst) in sources {
+            for host in topology.hosts_with_ip(src) {
+                candidates.insert(TraversalKey::Emission(host.id));
+                match dst {
+                    Some(dst) => {
+                        let owners = topology.hosts_with_ip(dst).map(|d| d.owner);
+                        candidates.extend(owners.map(|c| TraversalKey::Source(host.id, c)));
+                        candidates.insert(TraversalKey::Path(host.owner, dst));
+                    }
+                    None => {
+                        candidates.extend(held_keys(
+                            TraversalKey::Source(host.id, ClientId(0)),
+                            TraversalKey::Source(host.id, ClientId(u32::MAX)),
+                        ));
+                        candidates.extend(held_keys(
+                            TraversalKey::Path(host.owner, 0),
+                            TraversalKey::Path(host.owner, u32::MAX),
+                        ));
+                    }
+                }
+            }
+        }
+        let mut dropped = 0;
+        for key in candidates {
+            let altered = carried.traversals.get(&key).is_some_and(|traversal| {
+                traversal
+                    .visited
+                    .iter()
+                    .any(|s| region.switches.contains(s))
+                    && region.space.overlaps(&key.injected_space(topology))
+            });
+            if altered {
+                carried.traversals.remove(&key);
+                dropped += 1;
+            }
+        }
+        let memo = TraversalMemo {
+            entries: RwLock::new(carried),
+        };
+        (memo, dropped)
     }
 }
 
@@ -310,7 +443,7 @@ enum Memo<'a> {
 /// Union of the switches `traversals` visited — the switches a verdict read
 /// from them depends on; unbounded as soon as one was truncated.
 fn footprint_over<'t>(traversals: impl IntoIterator<Item = &'t Arc<Traversal>>) -> QueryFootprint {
-    let mut switches = std::collections::BTreeSet::new();
+    let mut switches = BTreeSet::new();
     for traversal in traversals {
         if traversal.truncated {
             return QueryFootprint::unbounded();
@@ -475,11 +608,11 @@ impl QueryEvaluator<'_> {
             .collect();
         let walk = |session: &Self, source_ip: u32, attachment: SwitchPort| {
             // Traffic the source can emit towards any of the client's hosts.
-            let space = HeaderSpace::from_cubes(target_ips.iter().map(|ip| {
-                Cube::wildcard()
-                    .with_field(Field::IpSrc, u64::from(source_ip))
-                    .with_field(Field::IpDst, u64::from(*ip))
-            }));
+            let space = HeaderSpace::from_cubes(
+                target_ips
+                    .iter()
+                    .map(|ip| LogicalVerifier::probe_cube(source_ip, *ip)),
+            );
             let engine = ReachabilityEngine::new(&session.nf);
             let result = engine.reachable_from(attachment, space);
             let reaches = result.reached_ports().iter().any(|p| ports.contains(p));
@@ -581,11 +714,7 @@ impl QueryEvaluator<'_> {
         let mut visited: Vec<SwitchId> = Vec::new();
         let mut truncated = false;
         for host in self.topology().hosts_of_client(client) {
-            let space = HeaderSpace::from(
-                Cube::wildcard()
-                    .with_field(Field::IpSrc, u64::from(host.ip))
-                    .with_field(Field::IpDst, u64::from(to_ip)),
-            );
+            let space = HeaderSpace::from(LogicalVerifier::probe_cube(host.ip, to_ip));
             let result = engine.reachable_from(host.attachment, space);
             for endpoint in &result.endpoints {
                 if endpoint.egress == destination.attachment {
@@ -1281,6 +1410,263 @@ mod tests {
         }
         assert_eq!(session.traversal_counts(), (0, 0), "nothing to walk");
         assert_eq!(epoch.memo.len(), 0, "keys stay within the topology");
+    }
+
+    // --- Carrying a memo into the next epoch -------------------------------
+
+    /// Epochs the way the epoch store publishes them: one model advanced by
+    /// each change list and frozen into the epoch, whose memo is carried
+    /// from its predecessor's.
+    struct Chain {
+        topology: Topology,
+        model: crate::incremental::IncrementalModel,
+        epoch: Epoch,
+    }
+
+    impl Chain {
+        fn new(topology: &Topology, snapshot: NetworkSnapshot) -> Self {
+            let model =
+                crate::incremental::IncrementalModel::from_snapshot(topology.clone(), &snapshot);
+            let epoch = Epoch {
+                function: model.network_function().clone(),
+                snapshot,
+                memo: TraversalMemo::new(),
+            };
+            Chain {
+                topology: topology.clone(),
+                model,
+                epoch,
+            }
+        }
+
+        /// Publishes `changes`; returns the superseded epoch and how many of
+        /// its traversals the carry dropped.
+        fn advance(&mut self, changes: &[crate::RuleChange]) -> (Epoch, usize) {
+            let mut snapshot = self.epoch.snapshot.clone();
+            let changes = snapshot.apply_changes(changes, SimTime::from_millis(3));
+            let region = self.model.apply(&changes);
+            let (memo, dropped) = self.epoch.memo.carry(&region, &self.topology);
+            let next = Epoch {
+                snapshot,
+                function: self.model.network_function().clone(),
+                memo,
+            };
+            (std::mem::replace(&mut self.epoch, next), dropped)
+        }
+
+        /// Asks every query of `clients` on the current epoch, checking each
+        /// verdict against a fresh evaluator; returns the walks it took.
+        fn ask(&self, v: &LogicalVerifier, clients: &[u32], specs: &[QuerySpec]) -> u64 {
+            let mut session = self.epoch.session(v);
+            let mut fresh = v.evaluator(&self.epoch.snapshot);
+            for client in clients {
+                for spec in specs {
+                    let served = session.answer(ClientId(*client), spec);
+                    assert_eq!(served, fresh.answer(ClientId(*client), spec), "{spec:?}");
+                }
+            }
+            session.traversal_counts().1
+        }
+    }
+
+    fn keys(memo: &TraversalMemo) -> Vec<TraversalKey> {
+        let entries = memo.entries.read().unwrap();
+        entries.traversals.keys().copied().collect()
+    }
+
+    /// `src` to `dst`, dropped at priority 400 on `switch`.
+    fn pinned_drop(switch: u32, src: u32, dst: u32) -> crate::RuleChange {
+        use rvaas_openflow::{FlowEntry, FlowMatch};
+        let rule = FlowMatch::from_ip(src).field(Field::IpDst, u64::from(dst));
+        let entry = FlowEntry::new(400, rule, vec![Action::Drop]);
+        crate::RuleChange::installed(SwitchId(switch), entry)
+    }
+
+    #[test]
+    fn tenant_churn_on_a_transit_switch_drops_only_the_churned_sources_emissions() {
+        let topo = generators::line(4, 2);
+        let v = verifier(&topo);
+        let ip = |h: u32| topo.host(HostId(h)).unwrap().ip;
+        let mut chain = Chain::new(&topo, snapshot_with(&topo, &[]));
+        // 4 emissions and 4 source probes: every host, both directions.
+        assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 8);
+        let before = keys(&chain.epoch.memo);
+
+        // Client 1's churn on switch 2, which its traffic crosses between
+        // hosts 1 and 3 (and which client 2's traversals visit too).
+        let churn = [pinned_drop(2, ip(1), ip(3)), pinned_drop(2, ip(3), ip(1))];
+        let (superseded, dropped) = chain.advance(&churn);
+        let churned = [
+            TraversalKey::Emission(HostId(1)),
+            TraversalKey::Emission(HostId(3)),
+        ];
+        let kept: Vec<TraversalKey> = before
+            .iter()
+            .copied()
+            .filter(|key| !churned.contains(key))
+            .collect();
+        assert_eq!(keys(&chain.epoch.memo), kept, "client 2's and every probe");
+        assert_eq!(dropped, 2);
+        assert_eq!(superseded.memo.len(), 0, "moved, not copied");
+        // The churn flips client 1's verdicts; the carried memo serves the
+        // rest and the next pass walks exactly the two dropped emissions.
+        let specs = [QuerySpec::Isolation, QuerySpec::ReachableDestinations];
+        assert_eq!(chain.ask(&v, &[1, 2], &specs), 2);
+        assert_ne!(
+            destinations(&v, &superseded.snapshot, 1),
+            destinations(&v, &chain.epoch.snapshot, 1)
+        );
+    }
+
+    #[test]
+    fn a_join_rule_drops_the_foreign_sources_probe_and_the_verdict_flips() {
+        let topo = generators::line(4, 2);
+        let v = verifier(&topo);
+        let mut chain = Chain::new(&topo, snapshot_with(&topo, &[]));
+        assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 8);
+        assert_eq!(isolation(&v, &chain.epoch.snapshot, 1), (true, Vec::new()));
+
+        // The join's first rule alone: host 2 (client 2) to host 1 (client
+        // 1), admitted at host 2's edge switch, which its probes start on.
+        let join = Attack::Join {
+            attacker_host: HostId(2),
+            victim_client: ClientId(1),
+        };
+        let (
+            switch,
+            Message::FlowMod {
+                command: FlowModCommand::Add(rule),
+            },
+        ) = join.compile(&topo).swap_remove(0)
+        else {
+            unreachable!("a join compiles to rule adds");
+        };
+        assert_eq!(switch, SwitchId(2));
+        let (_, dropped) = chain.advance(&[crate::RuleChange::installed(switch, rule)]);
+        // What host 2 emits, and its probe towards client 1.
+        let held = keys(&chain.epoch.memo);
+        assert!(!held.contains(&TraversalKey::Emission(HostId(2))));
+        assert!(!held.contains(&TraversalKey::Source(HostId(2), ClientId(1))));
+        assert_eq!((held.len(), dropped), (6, 2));
+        // The re-walked probe reaches client 1: isolation flips.
+        assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 2);
+        let (isolated, foreign) = isolation(&v, &chain.epoch.snapshot, 1);
+        assert!(!isolated);
+        assert_eq!(foreign.len(), 1);
+    }
+
+    #[test]
+    fn a_rule_on_everything_a_host_sends_drops_its_probes_towards_every_client() {
+        let topo = generators::line(4, 2);
+        let v = verifier(&topo);
+        let ip = |h: u32| topo.host(HostId(h)).unwrap().ip;
+        let mut chain = Chain::new(&topo, snapshot_with(&topo, &[]));
+        let specs = [QuerySpec::Isolation, QuerySpec::PathLength { to_ip: ip(1) }];
+        assert_eq!(chain.ask(&v, &[1, 2], &specs), 10);
+        let before = keys(&chain.epoch.memo);
+
+        // Everything host 3 (client 1) sends, dropped on its edge switch:
+        // no exact destination, so every probe from it and every path probe
+        // of its owner is a candidate.
+        let silenced = rvaas_openflow::FlowEntry::new(
+            400,
+            rvaas_openflow::FlowMatch::from_ip(ip(3)),
+            vec![Action::Drop],
+        );
+        let (_, dropped) = chain.advance(&[crate::RuleChange::installed(SwitchId(3), silenced)]);
+        let altered = [
+            TraversalKey::Emission(HostId(3)),
+            TraversalKey::Source(HostId(3), ClientId(2)),
+            TraversalKey::Path(ClientId(1), ip(1)),
+        ];
+        let kept: Vec<TraversalKey> = before
+            .iter()
+            .copied()
+            .filter(|key| !altered.contains(key))
+            .collect();
+        assert_eq!(keys(&chain.epoch.memo), kept, "client 2's path probe too");
+        assert_eq!(dropped, 3);
+        assert_eq!(chain.ask(&v, &[1, 2], &specs), 3);
+    }
+
+    #[test]
+    fn a_drop_without_an_exact_source_carries_nothing() {
+        let topo = generators::line(4, 2);
+        let v = verifier(&topo);
+        let mut chain = Chain::new(&topo, snapshot_with(&topo, &[]));
+        assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 8);
+        let to_host_3 = rvaas_openflow::FlowEntry::new(
+            400,
+            rvaas_openflow::FlowMatch::to_ip(topo.host(HostId(3)).unwrap().ip),
+            vec![Action::Drop],
+        );
+        let (superseded, dropped) =
+            chain.advance(&[crate::RuleChange::installed(SwitchId(2), to_host_3)]);
+        assert_eq!((chain.epoch.memo.len(), dropped), (0, 8));
+        assert_eq!(superseded.memo.len(), 8, "left as it was");
+        assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 8);
+    }
+
+    #[test]
+    fn an_installed_rewrite_carries_nothing_until_it_is_gone() {
+        let topo = generators::line(4, 2);
+        let v = verifier(&topo);
+        let ip = |h: u32| topo.host(HostId(h)).unwrap().ip;
+        let mut chain = Chain::new(&topo, snapshot_with(&topo, &[]));
+        let rewrite = rvaas_openflow::FlowEntry::new(
+            400,
+            rvaas_openflow::FlowMatch::to_ip(0xdead_beef),
+            vec![Action::SetField(Field::Vlan, 7), Action::Output(PortId(1))],
+        );
+        let install = crate::RuleChange::installed(SwitchId(4), rewrite.clone());
+        let remove = crate::RuleChange::removed(SwitchId(4), rewrite);
+        // The rewrite's own epoch, then a churn epoch while it is installed,
+        // then the epoch that removes it: none carries a traversal. Once it
+        // is gone, the same churn carries again.
+        for change in [install, pinned_drop(2, ip(1), ip(3)), remove] {
+            assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 8);
+            let (_, dropped) = chain.advance(&[change]);
+            assert_eq!((chain.epoch.memo.len(), dropped), (0, 8));
+        }
+        assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 8);
+        let (_, dropped) = chain.advance(&[pinned_drop(2, ip(3), ip(1))]);
+        assert_eq!((chain.epoch.memo.len(), dropped), (7, 1));
+        // The flag is what counts, whatever space a conservative region names.
+        let conservative = ChangedRegion {
+            space: LogicalVerifier::probe_cube(ip(1), ip(3)).into(),
+            switches: [SwitchId(2)].into(),
+            conservative: true,
+            ..ChangedRegion::default()
+        };
+        let (carried, dropped) = chain.epoch.memo.carry(&conservative, &topo);
+        assert_eq!((carried.len(), dropped), (0, 7));
+    }
+
+    #[test]
+    fn a_memo_holding_a_truncated_traversal_carries_nothing() {
+        // The fabric of the truncation test above: client 1's source probe
+        // towards client 2 is cut at injection, client 2's emission is not.
+        let mut topo = Topology::new();
+        let here = GeoPoint::new(0.0, 0.0, Region::new("here"));
+        topo.add_switch(SwitchId(1), 4098, here.clone());
+        for n in 1..=4098u32 {
+            let owner = ClientId(if n == 4098 { 2 } else { 1 });
+            let port = SwitchPort::new(SwitchId(1), PortId(n));
+            topo.add_host(HostId(n), 0x0a00_0000 + n, port, owner, here.clone())
+                .unwrap();
+        }
+        let v = verifier(&topo);
+        let mut chain = Chain::new(&topo, NetworkSnapshot::new(SimTime::from_secs(1)));
+        // A change no traversal can see: its source is nobody's address.
+        let unseen = || pinned_drop(1, 0xdead_beef, 0x0a00_0001);
+        assert_eq!(chain.ask(&v, &[2], &[QuerySpec::ReachableDestinations]), 1);
+        let (_, dropped) = chain.advance(&[unseen()]);
+        assert_eq!((chain.epoch.memo.len(), dropped), (1, 0), "carried");
+        assert_eq!(chain.ask(&v, &[1], &[QuerySpec::ReachingSources]), 1);
+        assert_eq!(chain.epoch.memo.len(), 2);
+        let (_, dropped) =
+            chain.advance(&[crate::RuleChange::removed(SwitchId(1), unseen().entry)]);
+        assert_eq!((chain.epoch.memo.len(), dropped), (0, 2), "truncated: none");
     }
 
     #[test]

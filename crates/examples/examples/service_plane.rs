@@ -57,9 +57,14 @@ fn main() -> Result<(), ServiceError> {
         session.digests().len(),
         reset.encoded_len()
     );
-    // Two tenants each get two fresh rules on the spines.
+    // Two tenants each get two fresh rules on the spines. The new epoch's
+    // memo starts with every traversal the churn cannot have altered.
     tenant_churn_round(&topo, &mut snapshot, 1, 2, 2, SimTime::from_millis(2));
-    service.try_publish(&snapshot, SimTime::from_millis(2))?;
+    let serial = service.try_publish(&snapshot, SimTime::from_millis(2))?;
+    println!(
+        "  epoch {serial}: {} traversals carried over from the epoch before",
+        service.store().current().traversals.len()
+    );
     let response = server.try_handle(&service, &session.request(ClientId(1)))?;
     let SyncPayload::Delta { added, removed, .. } = &response.payload else {
         panic!("expected a delta after churn");
@@ -98,6 +103,7 @@ fn main() -> Result<(), ServiceError> {
         "rvaas_queries_total",
         "rvaas_cache_hits_total",
         "rvaas_epoch_publishes_total",
+        "rvaas_traversal_memo_carried_total",
     ] {
         assert!(
             total(counter) > 0.0,
@@ -113,6 +119,7 @@ fn main() -> Result<(), ServiceError> {
         l.starts_with("rvaas_queries_total")
             || l.starts_with("rvaas_cache_hits_total")
             || l.starts_with("rvaas_epoch_publishes_total")
+            || l.starts_with("rvaas_traversal_memo_carried_total")
             || l.starts_with("rvaas_query_latency_us_count")
             || l.starts_with("rvaas_query_latency_us_sum")
     }) {

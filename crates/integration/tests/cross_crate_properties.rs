@@ -595,7 +595,8 @@ proptest! {
 
     /// The service answers every non-history query through the traversal
     /// memo of the epoch it answers on: whatever an earlier batch walked on
-    /// that epoch is served, and nothing walked on another epoch ever is.
+    /// that epoch is served, and so is whatever the publish carried over
+    /// from the epoch before, because the change could not alter it.
     /// Over a random sequence of epochs that *do* flip verdicts — compiled
     /// attacks installed and later removed, tenant churn on transit switches,
     /// a benign rule rewritten in place, a flap inside one change list (the
@@ -710,7 +711,7 @@ proptest! {
         service.try_publish(&snapshot, SimTime::from_millis(1)).unwrap();
         let mut installed: Vec<Attack> = Vec::new();
         let mut churn_round = 0u64;
-        let (mut walked, mut fresh_walks) = (0.0, 0.0);
+        let mut carried_any = false;
         let mut step = 0usize;
         // The random ops, then whatever is still installed comes out again.
         while step < ops.len() || !installed.is_empty() {
@@ -786,6 +787,15 @@ proptest! {
             if kind == 9 {
                 prop_assert_eq!(service.stats().model_rebuilds, rebuilds + 1, "bulk list at step {}", step);
             }
+            // What the publish moved into the new epoch's memo, read before
+            // any query adds to it.
+            let carried = service.store().current().traversals.len() as f64;
+            if kind == 8 || kind == 9 {
+                // A conservative region (the flap's desync, the bulk list)
+                // carries nothing.
+                prop_assert_eq!(carried, 0.0, "kind {} at step {}", kind, step);
+            }
+            carried_any |= carried > 0.0;
 
             // The mix in one call, then again one query — one batch — at a
             // time: the second pass is assembled from what the first left.
@@ -809,11 +819,14 @@ proptest! {
             // Not vacuous: the second pass walked nothing and was served.
             prop_assert_eq!(second_pass.1, first_pass.1, "step {}", step);
             prop_assert!(second_pass.0 > first_pass.0, "step {}", step);
-            walked += first_pass.1 - before.1;
-            fresh_walks += fresh.traversal_counts().1 as f64;
+            // Every epoch walked exactly what one fresh evaluator walks, less
+            // what its publish carried: nothing was walked twice, and every
+            // carried traversal was one the mix reads.
+            let (walked, fresh_walks) = (first_pass.1 - before.1, fresh.traversal_counts().1 as f64);
+            prop_assert_eq!(walked + carried, fresh_walks, "step {} (kind {})", step, kind);
         }
-        // Every epoch walked exactly what one fresh evaluator walks: nothing
-        // came from an earlier epoch, nothing was walked twice.
-        prop_assert!(walked > 0.0 && walked == fresh_walks, "walked {} of {}", walked, fresh_walks);
+        // Not vacuous: some epoch of the run was served traversals walked on
+        // an earlier one.
+        prop_assert!(carried_any, "nothing carried in {:?}", ops);
     }
 }

@@ -36,11 +36,16 @@
 //! for rule a rebuild's. It rebuilds outright when a list is too large or
 //! does not resolve.
 //!
-//! Beside them an epoch carries an empty [`TraversalMemo`] for its frozen
+//! Beside them an epoch carries a [`TraversalMemo`] for its frozen
 //! function: the HSA traversals queries walk on the epoch are shared
-//! through it by every later batch on the same epoch and dropped with it. A
-//! publish creates it and does nothing else for it: nothing is carried
-//! forward, so there is nothing to copy or invalidate.
+//! through it by every later batch on the same epoch. A publish moves the
+//! predecessor's memo into the new epoch minus every traversal the
+//! [`ChangedRegion`] may have altered ([`TraversalMemo::carry`]), so a
+//! tenant's churn re-walks that tenant's traversals, not the fabric's.
+//! Nothing is stamped or copied: the carry looks its candidates up by key,
+//! `O(region cubes)`, and moves the rest. A conservative region, a
+//! truncated entry or a region cube without an exact source carries
+//! nothing.
 //!
 //! The model and the interest index are plain data — `rvaas` core records
 //! nothing. `commit`, which drives both and holds the publish trace, emits
@@ -312,9 +317,10 @@ pub struct SnapshotEpoch {
     /// When the epoch was published (simulation time of the last update).
     pub published_at: SimTime,
     /// The HSA traversals queries have walked over `function`, shared by
-    /// every batch, thread and client answering on this epoch. Empty at
-    /// publish and dropped with the epoch: nothing is carried into the next
-    /// one, so a publish neither copies nor invalidates anything.
+    /// every batch, thread and client answering on this epoch. A publish
+    /// fills it with what the predecessor's held and the change cannot have
+    /// altered ([`TraversalMemo::carry`]), and the successor's publish moves
+    /// them on in turn.
     pub traversals: TraversalMemo,
 }
 
@@ -432,6 +438,8 @@ struct StoreTelemetry {
     stale_refinements: Arc<Counter>,
     registered: Arc<Gauge>,
     footprint_switches: Arc<Histogram>,
+    memo_carried: Arc<Counter>,
+    memo_dropped: Arc<Counter>,
 }
 
 impl StoreTelemetry {
@@ -476,6 +484,14 @@ impl StoreTelemetry {
             footprint_switches: registry.histogram(
                 "rvaas_interest_footprint_switches",
                 "Switch count of accepted per-query traversal footprints.",
+            ),
+            memo_carried: registry.counter(
+                "rvaas_traversal_memo_carried_total",
+                "Traversals a publish moved into the new epoch's memo (the change cannot have altered them).",
+            ),
+            memo_dropped: registry.counter(
+                "rvaas_traversal_memo_dropped_total",
+                "Traversals of the superseded epoch's memo a publish did not carry.",
             ),
         }
     }
@@ -539,8 +555,10 @@ impl EpochStore {
     /// Supplies the trusted deployment knowledge: the wiring the model's
     /// network function is built over and the interest-space index derives
     /// default interests from. Without it every registration is conservative
-    /// (affected by any change) and the frozen functions are unwired. Call
-    /// before registering or publishing.
+    /// (affected by any change), the frozen functions are unwired and no
+    /// publish carries a traversal (a carry finds its candidates through the
+    /// hosts). Call before registering or publishing: epoch 0 has no rules,
+    /// so what was walked on its function is what the wired model walks.
     // Not a `new` argument only because `benchmark/` calls both; merge at the next re-baseline.
     pub fn attach_interest_topology(&self, topology: Topology) {
         *locked(&self.model) =
@@ -763,13 +781,16 @@ impl EpochStore {
         t.hits.add(affected.len() as u64);
         t.misses.add(advance.rejected as u64);
         t.widened.add(advance.widened as u64);
+        let (traversals, dropped) = current.traversals.carry(&changed, model.topology());
+        t.memo_carried.add(traversals.len() as u64);
+        t.memo_dropped.add(dropped as u64);
         let epoch = Arc::new(SnapshotEpoch {
             serial,
             snapshot,
             function: model.network_function().clone(),
             rules,
             published_at: at,
-            traversals: TraversalMemo::new(),
+            traversals,
         });
         let digest = epoch.content_digest();
         {
@@ -1323,6 +1344,52 @@ mod tests {
         assert!(delta.added.is_empty());
         assert_eq!(last.rules, digest_snapshot(&last.snapshot));
         assert_eq!(entries(&after, 1), [entry(1)], "the predecessor is intact");
+    }
+
+    #[test]
+    fn only_a_store_with_a_topology_carries_traversals() {
+        use rvaas::{LocationMap, LogicalVerifier, VerifierConfig};
+        use rvaas_topology::generators;
+        use rvaas_types::{ClientId, Field};
+
+        let topology = generators::line(4, 2);
+        let config = VerifierConfig {
+            use_history: false,
+            locations: LocationMap::disclosed(&topology),
+        };
+        let verifier = LogicalVerifier::new(topology.clone(), config);
+        let mut benign = NetworkSnapshot::new(SimTime::from_secs(1));
+        for (switch, entry) in rvaas_controlplane::benign_rules(&topology) {
+            benign.record_installed(switch, entry, SimTime::from_millis(1));
+        }
+        let ip = |client| topology.hosts_of_client(ClientId(client))[0].ip;
+        let churn = FlowEntry::new(
+            400,
+            FlowMatch::from_ip(ip(1)).field(Field::IpDst, u64::from(ip(2))),
+            vec![Action::Drop],
+        );
+        // Client 2's two emissions walked on the benign epoch, then client
+        // 1's churn published: what the two epochs' memos hold after it.
+        let memos_after_churn = |store: EpochStore| {
+            store
+                .try_publish(benign.clone(), SimTime::from_millis(1))
+                .unwrap();
+            let epoch = store.current();
+            let mut session =
+                verifier.evaluator_sharing(&epoch.snapshot, &epoch.function, &epoch.traversals);
+            let _ = session.answer(ClientId(2), &QuerySpec::ReachableDestinations);
+            let churn = RuleChange::installed(SwitchId(1), churn.clone());
+            store
+                .try_publish_changes(&[churn], SimTime::from_millis(2))
+                .unwrap();
+            (epoch.traversals.len(), store.current().traversals.len())
+        };
+        let attached = EpochStore::new(8);
+        attached.attach_interest_topology(topology.clone());
+        assert_eq!(memos_after_churn(attached), (0, 2), "moved on");
+        // No hosts to look candidates up by: a carry would find nothing to
+        // drop and keep every traversal, so it keeps none.
+        assert_eq!(memos_after_churn(EpochStore::new(8)), (2, 0));
     }
 
     #[test]

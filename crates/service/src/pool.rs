@@ -15,7 +15,8 @@
 //! [`rvaas::TraversalMemo`] the epoch carries (see
 //! [`crate::epoch::SnapshotEpoch`]), so a traversal is walked once per
 //! epoch — shared by every batch, thread and client answering on it — and
-//! an epoch advance costs a caller nothing but a cold memo. There is one
+//! an epoch advance costs a caller only the traversals its change may have
+//! altered: the publish carries the rest into the new epoch's memo. There is one
 //! evaluation path — register the query's interest, answer with its
 //! footprint, refine the interest, cache the verdict.
 //!
@@ -723,8 +724,9 @@ mod tests {
         assert_eq!(service.stats().queries, 20);
     }
 
-    /// A memo lives and dies with its epoch: every publish starts an empty
-    /// one, the full mix fills it to one entry per key, a second pass on the
+    /// A publish whose change has no exact source carries nothing (here a
+    /// destination-pinned flapper): every such epoch starts an empty memo,
+    /// the full mix fills it to one entry per key, a second pass on the
     /// same epoch — other batches, cache off — walks nothing, and whoever
     /// still holds a superseded epoch keeps that epoch's traversals.
     #[test]
@@ -790,10 +792,10 @@ mod tests {
         assert!(counts().0 > 200 * keys, "the second passes were served");
     }
 
-    /// Nothing is shared between epochs, so whatever a query races with, its
-    /// verdict is the from-scratch one for the epoch it names — on a fabric
-    /// where the flipping rule sits on a switch half the traversals never
-    /// visit (the entries a memo kept across epochs would serve stale).
+    /// Whatever a query races with, its verdict is the from-scratch one for
+    /// the epoch it names — on a fabric where the flipping rule sits on a
+    /// switch half the traversals never visit (the flip pins no source, so
+    /// no publish carries a traversal past it).
     #[test]
     fn racing_queries_answer_for_the_epoch_they_name_while_a_verdict_flips() {
         use std::sync::atomic::{AtomicUsize, Ordering};

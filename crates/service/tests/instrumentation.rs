@@ -1,8 +1,9 @@
 //! Readers for what the epoch store records about its model and interest
 //! index: the chain a publish leaves in the flight recorder, event for
 //! event, and the exact value of every `rvaas_interest_*` /
-//! `rvaas_incremental_*` series — and of the two traversal-memo counters the
-//! query path records — after a scripted scenario.
+//! `rvaas_incremental_*` series — and of the four traversal-memo counters,
+//! two the store records at publish and two the query path records — after
+//! a scripted scenario.
 
 use rvaas::{
     LocationMap, LogicalVerifier, NetworkSnapshot, QueryFootprint, RuleChange, VerifierConfig,
@@ -236,6 +237,13 @@ fn every_store_side_series_reads_its_scripted_value() {
             ("rvaas_interest_widened_total", 7.0),
             // ...and of the bulk first epoch.
             ("rvaas_model_rebuilds_total", 1.0),
+            // The delta publish carries 18 of the 20 traversals walked at
+            // epoch 1: it drops the emission of client 1's first host and
+            // that host's probe towards client 2, both starting on the
+            // changed switch inside the region. The conservative flap
+            // carries none of the 18, and the rewrite epoch had none.
+            ("rvaas_traversal_memo_carried_total", 18.0),
+            ("rvaas_traversal_memo_dropped_total", 20.0),
             // The three queries, all at epoch 1 on its cold memo, share no
             // traversal: each walked its own (4 emissions of client 1's
             // hosts, 12 foreign source probes toward client 2, 4 emissions

@@ -218,11 +218,14 @@ impl Topology {
     /// `HostId` when several share it).
     #[must_use]
     pub fn host_by_ip(&self, ip: u32) -> Option<&Host> {
-        let (_, id) = self
-            .host_ips
+        self.hosts_with_ip(ip).next()
+    }
+
+    /// Every host with the given IP address, ascending by `HostId`.
+    pub fn hosts_with_ip(&self, ip: u32) -> impl Iterator<Item = &Host> {
+        self.host_ips
             .range((ip, HostId(0))..=(ip, HostId(u32::MAX)))
-            .next()?;
-        self.hosts.get(id)
+            .filter_map(|(_, id)| self.hosts.get(id))
     }
 
     /// Returns the link with the given id.
