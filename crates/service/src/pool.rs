@@ -16,8 +16,8 @@
 //! [`crate::epoch::SnapshotEpoch`]), so a traversal is walked once per
 //! epoch — shared by every batch, thread and client answering on it — and
 //! an epoch advance costs a caller only the traversals its change may have
-//! altered: the publish carries the rest into the new epoch's memo. There is one
-//! evaluation path — register the query's interest, answer with its
+//! altered: the publish carries the rest into the new epoch's memo. There
+//! is one evaluation path — register the query's interest, answer with its
 //! footprint, refine the interest, cache the verdict.
 //!
 //! A batch always answers against the epoch that was current when it
