@@ -45,8 +45,9 @@ struct ChurnPoint {
 impl ChurnPoint {
     /// Epoch-advance speedup of the service over the from-scratch baseline.
     fn speedup(&self) -> f64 {
-        self.full.epoch_advance_avg.as_secs_f64()
-            / self.incremental.epoch_advance_avg.as_secs_f64().max(1e-9)
+        let (full, incremental) = (&self.full, &self.incremental);
+        full.epoch_advance_median.as_secs_f64()
+            / incremental.epoch_advance_median.as_secs_f64().max(1e-9)
     }
 }
 
@@ -107,8 +108,8 @@ fn report(label: &str, clients: usize, rounds: usize, points: &[ChurnPoint]) -> 
             ("churn_clients", p.churn_clients.into()),
             ("churn_fraction", p.churn_fraction.into()),
             ("rule_changes", p.incremental.rule_changes.into()),
-            ("full_advance_us", p.full.epoch_advance_avg.into()),
-            ("incr_advance_us", p.incremental.epoch_advance_avg.into()),
+            ("full_advance_us", p.full.epoch_advance_median.into()),
+            ("incr_advance_us", p.incremental.epoch_advance_median.into()),
             ("speedup", p.speedup().into()),
             ("full_reverified", p.full.reverified.into()),
             ("incr_reverified", p.incremental.reverified.into()),

@@ -104,7 +104,6 @@ impl RuleChange {
     /// `next`, the change after it, is the install that took the slot over.
     fn displaced_by(&self, next: &RuleChange) -> bool {
         self.displaced
-            && !self.installed
             && next.installed
             && self.switch == next.switch
             && self.entry.priority == next.entry.priority
@@ -255,19 +254,20 @@ impl IncrementalModel {
 
     /// True once a removal could not be resolved against the mirror: the
     /// model no longer matches the publisher and must be rebuilt (callers
-    /// should fall back to [`IncrementalModel::rebuild_from`]).
+    /// should fall back to [`IncrementalModel::rebuild_from`]). Only a broken
+    /// invariant gets here: every list [`NetworkSnapshot`] derives resolves.
     #[must_use]
     pub fn is_desynced(&self) -> bool {
         self.desynced
     }
 
-    /// Applies a batch of rule-level changes in place and returns the
-    /// changed header region. Removals go first, then the installs in list
-    /// order, each behind its equal-priority peers — where a rebuild's stable
-    /// sort of the arrival-ordered tables puts them too. An entry displaced
-    /// in its slot ([`RuleChange::displaced`]) is the exception: its removal
-    /// and the install after it are one replacement that keeps the slot, as
-    /// the switch, the snapshot and a rebuild do.
+    /// Applies a list of rule-level changes in place, in list order, and
+    /// returns the changed header region: an install goes in behind its
+    /// equal-priority peers, a removal takes its rule out, and the removal of
+    /// an entry displaced in its slot ([`RuleChange::displaced`]) takes the
+    /// install after it along as one in-slot replacement. Every list
+    /// [`NetworkSnapshot`] derives is in that order, so it resolves and
+    /// leaves each rule where a rebuild puts it.
     ///
     /// The region is conservative ("everything") while *any* rewrite rule is
     /// installed in the model, not just when the batch touches one: a
@@ -275,31 +275,40 @@ impl IncrementalModel {
     /// interest space mid-path, so no later delta can be bounded either.
     pub fn apply(&mut self, changes: &[RuleChange]) -> ChangedRegion {
         let mut region = ChangedRegion::default();
-        for (i, change) in changes.iter().enumerate().filter(|(_, c)| !c.installed) {
+        let mut changes = changes.iter().peekable();
+        while let Some(change) = changes.next() {
             let rule = change.entry.to_rule_transfer();
-            // The network function looks the rule up and changes nothing on
-            // a miss, which is the desync signal handled below.
-            let space = match changes.get(i + 1).filter(|next| change.displaced_by(next)) {
-                Some(install) => {
-                    let new = install.entry.to_rule_transfer();
-                    let rewrites = usize::from(has_rewrite(&new.action));
-                    let space = self.nf.replace_rule(change.switch, &rule, new);
-                    if space.is_some() {
-                        self.rewrite_rules += rewrites;
-                        region.rules_added += 1;
+            let rewrites = usize::from(has_rewrite(&rule.action));
+            let space = if change.installed {
+                self.rewrite_rules += rewrites;
+                region.rules_added += 1;
+                Some(self.nf.insert_rule(change.switch, rule))
+            } else {
+                // The network function looks the rule up and changes nothing
+                // on a miss, which is the desync signal handled below.
+                let space = match changes.next_if(|next| change.displaced_by(next)) {
+                    Some(install) => {
+                        let new = install.entry.to_rule_transfer();
+                        let added = usize::from(has_rewrite(&new.action));
+                        let space = self.nf.replace_rule(change.switch, &rule, new);
+                        if space.is_some() {
+                            self.rewrite_rules += added;
+                            region.rules_added += 1;
+                        }
+                        space
                     }
-                    space
+                    None => self.nf.remove_rule(change.switch, &rule),
+                };
+                if space.is_some() {
+                    self.rewrite_rules = self.rewrite_rules.saturating_sub(rewrites);
+                    region.rules_removed += 1;
                 }
-                None => self.nf.remove_rule(change.switch, &rule),
+                space
             };
             match space {
                 Some(space) => {
-                    self.rewrite_rules = self
-                        .rewrite_rules
-                        .saturating_sub(usize::from(has_rewrite(&rule.action)));
                     region.space = region.space.union(&space);
                     region.switches.insert(change.switch);
-                    region.rules_removed += 1;
                 }
                 None => {
                     // Asked to remove a rule the mirror does not hold: the
@@ -309,17 +318,6 @@ impl IncrementalModel {
                     region.conservative = true;
                 }
             }
-        }
-        for (i, change) in changes.iter().enumerate().filter(|(_, c)| c.installed) {
-            if i > 0 && changes[i - 1].displaced_by(change) {
-                continue; // took its predecessor's slot above
-            }
-            let rule = change.entry.to_rule_transfer();
-            self.rewrite_rules += usize::from(has_rewrite(&rule.action));
-            let space = self.nf.insert_rule(change.switch, rule);
-            region.space = region.space.union(&space);
-            region.switches.insert(change.switch);
-            region.rules_added += 1;
         }
         if self.rewrite_rules > 0 || self.desynced {
             region.conservative = true;
@@ -622,8 +620,8 @@ mod tests {
         /// among overlapping equal-priority peers on one switch — fresh
         /// installs, removals, displacements in place (twice in one list
         /// too), removals re-installed later in the list, flaps — the model
-        /// holds every switch's rules in the order a rebuild of the next
-        /// snapshot puts them.
+        /// resolves every list, never desyncs, and holds every switch's rules
+        /// in the order a rebuild of the next snapshot puts them.
         #[test]
         fn prop_applied_lists_leave_every_table_in_rebuild_order(
             ops in proptest::collection::vec((0usize..5, 0u32..4, any::<bool>(), 1usize..5), 1..40)
@@ -668,11 +666,9 @@ mod tests {
                 let effective = next.apply_changes(&raw, SimTime::from_millis(10 + step));
                 let rebuilt = IncrementalModel::from_snapshot(topology.clone(), &next);
 
+                // Applied in list order, a flap inside one list resolves too.
                 by_delta.apply(&effective);
-                if by_delta.is_desynced() {
-                    // A flap inside one list; the store rebuilds here too.
-                    by_delta.rebuild_from(&next);
-                }
+                prop_assert!(!by_delta.is_desynced(), "delta path, list {} = {:?}", step, effective);
                 prop_assert_eq!(
                     by_delta.network_function().transfer(switch).map(SwitchTransfer::rules),
                     rebuilt.network_function().transfer(switch).map(SwitchTransfer::rules),

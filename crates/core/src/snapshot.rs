@@ -234,7 +234,7 @@ impl NetworkSnapshot {
     /// that did not keep one, in `next`'s per-switch arrival order. An entry
     /// **kept its slot** when it stands, among `next`'s entries of its
     /// priority, before any that arrived and behind the ones `self` held
-    /// before it — whatever applies the list removes, then appends behind
+    /// before it — applied in order, the list removes, then appends behind
     /// equal-priority peers, so it can leave exactly those where they are.
     /// One that kept its slot with other actions is reported as
     /// [`NetworkSnapshot::apply_changes`] reports a displacement: its

@@ -191,19 +191,6 @@ impl SwitchTransfer {
         Some(self.rules.remove(pos))
     }
 
-    /// Replaces the first rule equivalent to `old` (see
-    /// [`SwitchTransfer::position_of`]) with `new` **in its slot**: what a
-    /// switch does when an add arrives for a `(priority, ingress, match)` it
-    /// already holds — the actions change, the entry's place among its
-    /// equal-priority peers does not. Returns the slot, or `None` (and
-    /// changes nothing) when `old` is not installed or `new` differs from it
-    /// in more than action and cookie.
-    pub fn replace_rule(&mut self, old: &RuleTransfer, new: RuleTransfer) -> Option<usize> {
-        let pos = self.position_of(old).filter(|_| old.same_slot(&new))?;
-        self.rules[pos] = new;
-        Some(pos)
-    }
-
     /// The *exposed* header region of the rule at `index`: its match cube
     /// minus everything shadowed by rules earlier in the match order. This is
     /// exactly the region whose forwarding behaviour changes when the rule is
@@ -452,11 +439,14 @@ impl NetworkFunction {
         Some(region)
     }
 
-    /// Incrementally replaces the rule equivalent to `old` on `switch` with
-    /// `new` in its slot (see [`SwitchTransfer::replace_rule`]) and returns
-    /// the affected header region: the slot's exposed region, which the old
-    /// rule was serving and the new one serves now. Returns `None`, changing
-    /// nothing, when the replacement does not apply.
+    /// Incrementally replaces the first rule equivalent to `old` on `switch`
+    /// (see [`SwitchTransfer::position_of`]) with `new` **in its slot**: what
+    /// a switch does when an add arrives for a `(priority, ingress, match)`
+    /// it already holds — the actions change, the entry's place among its
+    /// equal-priority peers does not. Returns the affected header region:
+    /// the slot's exposed region, which the old rule was serving and the new
+    /// one serves now. Returns `None`, changing nothing, when `old` is not
+    /// installed or `new` differs from it in more than action and cookie.
     pub fn replace_rule(
         &mut self,
         switch: SwitchId,
@@ -895,18 +885,26 @@ mod tests {
     fn replace_rule_keeps_the_slot_among_equal_priority_peers() {
         let peer =
             |dst, port| RuleTransfer::new(10, dst_match(dst), RuleAction::forward(PortId(port)));
-        let mut t = SwitchTransfer::from_rules([peer(1, 1), peer(2, 2), peer(3, 3)]);
-        assert_eq!(t.replace_rule(&peer(2, 2), peer(2, 9)), Some(1));
-        assert_eq!(t.rules(), [peer(1, 1), peer(2, 9), peer(3, 3)]);
+        let mut nf = NetworkFunction::new();
+        for (dst, port) in [(1, 1), (2, 2), (3, 3)] {
+            nf.insert_rule(SwitchId(2), peer(dst, port));
+        }
+        let rules = |nf: &NetworkFunction| nf.transfer(SwitchId(2)).unwrap().rules().to_vec();
+        let region = nf.replace_rule(SwitchId(2), &peer(2, 2), peer(2, 9));
+        assert_eq!(region, Some(HeaderSpace::from(dst_match(2))));
+        assert_eq!(rules(&nf), [peer(1, 1), peer(2, 9), peer(3, 3)]);
         // Not installed (any more), or not the same slot: nothing changes.
-        assert_eq!(t.replace_rule(&peer(2, 2), peer(2, 7)), None);
-        assert_eq!(t.replace_rule(&peer(2, 9), peer(4, 9)), None);
+        assert_eq!(nf.replace_rule(SwitchId(2), &peer(2, 2), peer(2, 7)), None);
+        assert_eq!(nf.replace_rule(SwitchId(2), &peer(2, 9), peer(4, 9)), None);
         let other_priority = RuleTransfer::new(20, dst_match(2), RuleAction::Drop);
-        assert_eq!(t.replace_rule(&peer(2, 9), other_priority), None);
-        assert_eq!(t.rules(), [peer(1, 1), peer(2, 9), peer(3, 3)]);
+        assert_eq!(
+            nf.replace_rule(SwitchId(2), &peer(2, 9), other_priority),
+            None
+        );
+        assert_eq!(rules(&nf), [peer(1, 1), peer(2, 9), peer(3, 3)]);
 
-        // Through the network function: the region is the slot's exposed
-        // one, and a clone taken before never sees the edit.
+        // The region is the slot's exposed one, and a clone taken before
+        // never sees the edit.
         let mut nf = NetworkFunction::new();
         nf.insert_rule(
             SwitchId(1),

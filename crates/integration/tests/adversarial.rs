@@ -26,7 +26,7 @@ use rvaas_hsa::reachability_equivalent;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch, FlowModCommand, Message};
 use rvaas_service::{EpochStore, ServiceSettings, SyncServer, VerificationService};
 use rvaas_topology::{generators, Topology};
-use rvaas_types::{ClientId, HostId, SimTime, SwitchId};
+use rvaas_types::{ClientId, Field, HostId, PortId, SimTime, SwitchId};
 
 /// Applies compiled attack messages to the provider's snapshot, the way the
 /// simulated switches would, and returns the rule changes the switches'
@@ -490,24 +490,133 @@ fn phantom_removals_degrade_to_conservative_reverification() {
     assert!(phantom.affected.is_empty(), "{:?}", phantom.affected);
     assert_model_matches_rebuild(&verification, &snapshot, "phantom removals");
 
-    // A removal that does get through unresolved — the model applies a
-    // batch's removals first, so a rule installed and removed within one
-    // batch is one — goes the same way inside the store: desync, a
-    // conservative region for that epoch, and a model rebuilt before it is
-    // frozen, so the next epoch is bounded again.
+    // Nor does a phantom that first gets installed within the same batch:
+    // the model applies the list in its order, so the removal finds the
+    // rule the install just put in. The flap epoch is bounded and leaves
+    // the model a rebuild of the unchanged snapshot, and so is the epoch
+    // that installs the phantom for real.
     let (switch, flapper) = (changes[0].switch, changes[0].entry.clone());
     let flap = [
         RuleChange::installed(switch, flapper.clone()),
         changes[0].clone(),
     ];
-    let desynced = store.try_publish_changes(&flap, at).unwrap();
-    assert!(desynced.affected.is_everything());
+    let flapped = store.try_publish_changes(&flap, at).unwrap();
+    assert!(!flapped.affected.is_everything(), "{:?}", flapped.affected);
     assert_model_matches_rebuild(&verification, &snapshot, "flap epoch");
-    let healed = store.try_publish_changes(&flap[..1], at).unwrap();
-    assert!(!healed.affected.is_everything(), "{:?}", healed.affected);
+    let installed = store.try_publish_changes(&flap[..1], at).unwrap();
+    assert!(
+        !installed.affected.is_everything(),
+        "{:?}",
+        installed.affected
+    );
     let mut attacked = snapshot.clone();
     attacked.record_installed(switch, flapper, at);
-    assert_model_matches_rebuild(&verification, &attacked, "after the heal");
+    assert_model_matches_rebuild(&verification, &attacked, "after the install");
+}
+
+/// A rule flapped inside one batch buys the adversary nothing. It holds the
+/// control plane, so it decides what one batch of monitoring carries: here
+/// every batch of tenant churn also carries a rule installed and removed
+/// again, and one carries a rule installed twice with different actions,
+/// the drop displacing the forward in its slot and staying until the next
+/// batch removes it. Applied in list order, every such list resolves: no
+/// publish desyncs the model or re-verifies every standing query, each one
+/// carries traversals over from the epoch before, and every verdict the
+/// service serves or a sync session re-verifies is the from-scratch
+/// oracle's.
+#[test]
+fn a_rule_flapped_inside_one_batch_is_a_bounded_epoch() {
+    let topology = generators::fat_tree(4, 4);
+    let clients = topology.clients();
+    let queries = queries_of(clients.iter().copied());
+    let verification = service(&topology);
+    let oracle = oracle(&topology);
+    let store = verification.store();
+    let sync_server = SyncServer::new(store.clone(), 11, &verification.registry());
+    for (client, spec) in &queries {
+        sync_server.subscribe(*client, spec.clone());
+    }
+    let desyncs = || -> f64 {
+        let scrape = verification.registry().render_text();
+        let name = "rvaas_incremental_desyncs_total ";
+        let sample = scrape.lines().find_map(|line| line.strip_prefix(name));
+        sample.expect(name).parse().expect(name)
+    };
+
+    let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
+    publish(&verification, &snapshot, SimTime::from_millis(1));
+    let mut sessions: Vec<(ClientId, SyncSession)> =
+        clients.iter().map(|c| (*c, SyncSession::new())).collect();
+    for (client, session) in &mut sessions {
+        let reset = serve(&sync_server, &verification, session, *client);
+        session.apply(&reset).expect("initial reset");
+    }
+    assert_verdicts_match(&verification, &oracle, &snapshot, &queries, "epoch 1");
+
+    // The flapped rule: one tenant's own (src, dst) pair on the source's
+    // access switch, dropping or sent out of port 1.
+    let tenant = topology.hosts_of_client(clients[0]);
+    let (switch, pair) = (
+        tenant[0].attachment.switch,
+        FlowMatch::from_ip(tenant[0].ip).field(Field::IpDst, u64::from(tenant[1].ip)),
+    );
+    let rule = |action| FlowEntry::new(PRIO_ATTACK, pair.clone(), vec![action]);
+    let (forward, drop) = (rule(Action::Output(PortId(1))), rule(Action::Drop));
+    let on = |entry: &FlowEntry| RuleChange::installed(switch, entry.clone());
+    let off = |entry: &FlowEntry| RuleChange::removed(switch, entry.clone());
+
+    let mut reverified = 0;
+    for round in 1..=4u64 {
+        let at = SimTime::from_millis(10 * round);
+        let flap = match round {
+            2 => vec![on(&forward), on(&drop)],
+            3 => vec![off(&drop), on(&forward), off(&forward)],
+            _ => vec![on(&drop), off(&drop)],
+        };
+        let mut next = snapshot.clone();
+        rvaas_workloads::tenant_churn_round(&topology, &mut next, round, 1, 2, at);
+        let mut batch = snapshot.changes_to(&next);
+        let middle = batch.len() / 2;
+        batch.splice(middle..middle, flap);
+        // The test's own snapshot, edited the way a monitor would.
+        for change in &batch {
+            if change.installed {
+                snapshot.record_installed(change.switch, change.entry.clone(), at);
+            } else {
+                snapshot.record_removed(change.switch, &change.entry, at);
+            }
+        }
+
+        let serial = verification.try_publish_changes(&batch, at).unwrap();
+        let context = format!("round {round}: {batch:?}");
+        assert_eq!(desyncs(), 0.0, "{context}");
+        let record = store.provenance(serial).expect("retained");
+        assert!(!record.affected_everything, "{context}");
+        assert!(store.current().traversals.len() > 0, "{context}");
+        assert_model_matches_rebuild(&verification, &snapshot, &context);
+
+        for (client, session) in &mut sessions {
+            let response = serve(&sync_server, &verification, session, *client);
+            if let SyncPayload::Delta {
+                reverified: answers,
+                ..
+            } = &response.payload
+            {
+                for answer in answers {
+                    assert_eq!(
+                        answer.result,
+                        oracle.answer(&snapshot, *client, &answer.spec),
+                        "{context}: {client:?} {:?} re-verified",
+                        answer.spec
+                    );
+                    reverified += 1;
+                }
+            }
+            session.apply(&response).expect("delta applies");
+        }
+        assert_verdicts_match(&verification, &oracle, &snapshot, &queries, &context);
+    }
+    assert!(reverified > 0, "sync re-verified nothing");
 }
 
 /// Cache poisoning: a rule toggled on and off across epochs flips the

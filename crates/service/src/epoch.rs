@@ -29,12 +29,13 @@
 //!   evaluated against it directly and no second model exists.
 //!   Freezing copies only the tables of the switches the list touched.
 //!
-//! The model applies removals, then installs in arrival order — where a
-//! rebuild's stable sort of the arrival-ordered tables puts them too; an
-//! entry displaced in its slot (same priority and match, new actions) is
-//! replaced there, on either publish path — so the frozen function is rule
-//! for rule a rebuild's. It rebuilds outright when a list is too large or
-//! does not resolve.
+//! The model applies the list in its order — an install behind its
+//! equal-priority peers, where a rebuild's stable sort of the
+//! arrival-ordered tables puts it too; an entry displaced in its slot (same
+//! priority and match, new actions) replaced there — so on either publish
+//! path the frozen function is rule for rule a rebuild's, a rule flapped
+//! inside one list included. It rebuilds outright when a list is too large
+//! or does not resolve (a broken invariant: no list the store derives does).
 //!
 //! Beside them an epoch carries a [`TraversalMemo`] for its frozen
 //! function: the HSA traversals queries walk on the epoch are shared
@@ -1448,9 +1449,11 @@ mod tests {
             .is_affected(ClientId(2), &QuerySpec::ReachableDestinations));
         assert_eq!(store.provenance(2).expect("retained").affected_queries, 1);
 
-        // A rule installed and removed within one list does not resolve in
-        // the model: everything is affected, and the audit record counts the
-        // interests the index held when it selected — not whoever has
+        // A rule installed and removed within one list resolves in the
+        // model, applied in order: its region is the flapped rule's match,
+        // dst-pinned and src-wild on an empty table, so both emission
+        // interests are selected, not everything. The audit record counts
+        // the interests the index held when it selected — not whoever has
         // registered since.
         let flap = [
             RuleChange::installed(SwitchId(3), entry(7)),
@@ -1461,7 +1464,8 @@ mod tests {
             .unwrap();
         store.register_interest(ClientId(1), &QuerySpec::Isolation);
         let record = store.provenance(3).expect("retained");
-        assert!(p3.affected.is_everything() && record.affected_everything);
+        assert!(!p3.affected.is_everything() && !record.affected_everything);
+        assert_eq!(p3.affected.len(), 2);
         assert_eq!(record.affected_queries, 2);
     }
 

@@ -173,10 +173,10 @@ pub struct IncrementalChurnReport {
     pub standing_queries: usize,
     /// Rule changes applied across the measured rounds.
     pub rule_changes: usize,
-    /// Mean wall-clock epoch-advance cost of a measured round: churn +
+    /// Median wall-clock epoch-advance cost of a measured round: churn +
     /// publish (model update, index advance, cache carry) + every client's
     /// sync round trip (delta serve + affected-query reverification).
-    pub epoch_advance_avg: Duration,
+    pub epoch_advance_median: Duration,
     /// Standing queries re-verified inside deltas (warm-up included).
     pub reverified: u64,
     /// Standing queries skipped as provably unaffected.
@@ -202,6 +202,18 @@ pub fn standing_queries(topology: &Topology, synthetic: usize) -> Vec<(ClientId,
         .collect();
     standing.extend(synthetic_queries(&clients, synthetic));
     standing
+}
+
+/// The median of the measured rounds (the mean of the middle two for an
+/// even count; zero for none): one slow round moves a mean, not this.
+fn median(mut rounds: Vec<Duration>) -> Duration {
+    rounds.sort_unstable();
+    let mid = rounds.len() / 2;
+    match rounds.len() {
+        0 => Duration::ZERO,
+        n if n % 2 == 0 => (rounds[mid - 1] + rounds[mid]) / 2,
+        _ => rounds[mid],
+    }
 }
 
 /// One sync exchange per session, each answer applied: how the driver
@@ -244,7 +256,7 @@ pub fn run_incremental_churn(
     sync_sessions(&server, &service, &mut sessions);
 
     let mut rule_changes = 0usize;
-    let mut epoch_advance_total = Duration::ZERO;
+    let mut epoch_advances = Vec::with_capacity(config.rounds);
     // Round 1 is an untimed warmup: it pays the one-off cold costs (first
     // footprint refinement of every standing query, evaluator warm paths)
     // that belong to service start-up, not to steady-state epoch advancing.
@@ -265,7 +277,7 @@ pub fn run_incremental_churn(
         sync_sessions(&server, &service, &mut sessions);
         if round > 1 {
             rule_changes += changes;
-            epoch_advance_total += started.elapsed();
+            epoch_advances.push(started.elapsed());
         }
     }
 
@@ -275,7 +287,7 @@ pub fn run_incremental_churn(
         rounds: config.rounds,
         standing_queries: standing.len(),
         rule_changes,
-        epoch_advance_avg: epoch_advance_total / config.rounds.max(1) as u32,
+        epoch_advance_median: median(epoch_advances),
         reverified: reverify.reverified,
         skipped: reverify.skipped,
         incremental_applies: stats.incremental_applies,
@@ -287,9 +299,9 @@ pub fn run_incremental_churn(
 /// What the full-rebuild baseline measured.
 #[derive(Debug, Clone)]
 pub struct FullRebuildChurnReport {
-    /// Mean wall-clock epoch-advance cost of a measured round: churn + one
+    /// Median wall-clock epoch-advance cost of a measured round: churn + one
     /// function rebuild per client + every standing query answered.
-    pub epoch_advance_avg: Duration,
+    pub epoch_advance_median: Duration,
     /// Standing queries re-verified — all of them, every round (warm-up
     /// included, as [`IncrementalChurnReport::reverified`] counts it).
     pub reverified: u64,
@@ -318,7 +330,7 @@ pub fn run_full_rebuild_churn(
     let mut snapshot = benign_snapshot(topology);
     let standing = standing_queries(topology, config.synthetic_queries);
     let clients = clients_of(topology);
-    let mut epoch_advance_total = Duration::ZERO;
+    let mut epoch_advances = Vec::with_capacity(config.rounds);
     for round in 1..=(config.rounds + 1) as u64 {
         let started = Instant::now();
         tenant_churn_round(
@@ -336,11 +348,11 @@ pub fn run_full_rebuild_churn(
             }
         }
         if round > 1 {
-            epoch_advance_total += started.elapsed();
+            epoch_advances.push(started.elapsed());
         }
     }
     FullRebuildChurnReport {
-        epoch_advance_avg: epoch_advance_total / config.rounds.max(1) as u32,
+        epoch_advance_median: median(epoch_advances),
         reverified: (standing.len() * (config.rounds + 1)) as u64,
     }
 }
@@ -402,7 +414,7 @@ mod tests {
         // The full-rebuild baseline re-verifies everything, every round.
         let full = run_full_rebuild_churn(&topology, &config);
         assert_eq!(full.reverified, report.reverified + report.skipped);
-        assert!(full.epoch_advance_avg > Duration::ZERO);
+        assert!(full.epoch_advance_median > Duration::ZERO);
     }
 
     #[test]
