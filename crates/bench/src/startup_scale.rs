@@ -21,41 +21,75 @@
 //! four in), fitted against the mean rules per table (rules ÷ switches) —
 //! the size a delta publish copies and scans in every table it touches.
 //!
+//! A fifth is what the first verdicts cost: the **memo fill**, every
+//! client's `query_mix` answered once through one `try_query_all` on the
+//! epoch-1 service, as the benchmark's set-up does — in ms, with the
+//! traversals it walked (`fill_walks`, the rise of
+//! `rvaas_traversal_memo_misses_total`). A fresh epoch's memo fills in one
+//! walk per host for its emissions and one per host for its inbound probes
+//! of every client, plus one path probe per client: `2 × hosts + clients`
+//! (CI fails above it). Its exponent is informational.
+//!
+//! Every exponent is fitted once per repeat — the repeat's sample at every
+//! point; for the delta publish, the median of the repeat's share of the
+//! rounds — and reported as the median of those fits, each fit kept in the
+//! JSON next to it (`*_exponents`).
+//!
 //! Writes the machine-readable curve to `BENCH_startup.json`; the CI
-//! experiments-smoke gate fails when `compile_exponent` exceeds 1.4 or
-//! `delta_publish_exponent` exceeds 1.3.
+//! experiments-smoke gate fails when `compile_exponent` exceeds 1.4,
+//! `delta_publish_exponent` exceeds 1.3 or a point's `fill_walks` exceeds
+//! `2 × hosts + clients`.
 
 use std::time::Instant;
 
 use rvaas::NetworkSnapshot;
+use rvaas_client::QuerySpec;
 use rvaas_controlplane::benign_rules;
 use rvaas_service::{ServiceSettings, VerificationService};
 use rvaas_topology::{generators, Topology};
-use rvaas_types::SimTime;
-use rvaas_workloads::{benign_snapshot, tenant_churn_round};
+use rvaas_types::{ClientId, SimTime};
+use rvaas_workloads::{benign_snapshot, clients_of, query_mix, tenant_churn_round};
 
 use crate::report::{smoke_mode, MedianMad, Report};
 
-/// Runs per phase and point.
+/// Runs per phase and point: the repeats each exponent is fitted over.
 const RUNS: usize = 5;
 
-/// Timed delta publishes per point.
+/// Timed delta publishes per point, [`RUNS`] consecutive shares of
+/// `DELTA_ROUNDS / RUNS` each.
 const DELTA_ROUNDS: u64 = 300;
 
 /// Untimed churn rounds before them: the first only installs.
 const DELTA_WARMUP: u64 = 10;
 
-/// One fat-tree size's measurements: the phases in ms, the delta publish
-/// in µs.
+/// One fat-tree size's measurements: per repeat, the phases and the memo
+/// fill in ms, the delta publish in µs (each repeat's median).
 struct StartupPoint {
     k: usize,
     switches: usize,
     hosts: usize,
+    clients: usize,
     rules: usize,
-    compile: MedianMad,
-    snapshot: MedianMad,
-    publish: MedianMad,
-    delta_publish: MedianMad,
+    compile: Vec<f64>,
+    snapshot: Vec<f64>,
+    publish: Vec<f64>,
+    fill: Vec<f64>,
+    /// Traversals the first memo fill walked (the same every repeat).
+    fill_walks: u64,
+    /// Every timed delta publish, in round order.
+    delta_publish: Vec<f64>,
+}
+
+impl StartupPoint {
+    /// Each repeat's delta-publish figure: the median of its consecutive
+    /// share of the rounds.
+    fn delta_repeats(&self) -> Vec<f64> {
+        let share = self.delta_publish.len().div_ceil(RUNS).max(1);
+        self.delta_publish
+            .chunks(share)
+            .map(|rounds| MedianMad::of(rounds).median)
+            .collect()
+    }
 }
 
 /// Milliseconds since `started`.
@@ -71,7 +105,7 @@ fn fresh_service(topology: &Topology) -> VerificationService {
 /// published the benign routing: each round's net changes, as the monitor
 /// would hand them over, take one tenant's four churn rules out and put the
 /// next tenant's four in.
-fn measure_delta_publish(topology: &Topology) -> MedianMad {
+fn measure_delta_publish(topology: &Topology) -> Vec<f64> {
     let mut snapshot = benign_snapshot(topology);
     let service = fresh_service(topology);
     service
@@ -92,13 +126,39 @@ fn measure_delta_publish(topology: &Topology) -> MedianMad {
         }
         snapshot = next;
     }
-    MedianMad::of(&samples)
+    samples
+}
+
+/// The traversals `service` has walked so far
+/// (`rvaas_traversal_memo_misses_total`).
+fn memo_misses(service: &VerificationService) -> u64 {
+    let name = "rvaas_traversal_memo_misses_total ";
+    let scrape = service.registry().render_text();
+    let value = scrape.lines().find_map(|line| line.strip_prefix(name));
+    value.and_then(|v| v.trim().parse().ok()).unwrap_or(0)
+}
+
+/// The memo fill on `service`'s first epoch: every key once, in one call.
+/// Returns its time in ms and the traversals it walked.
+fn measure_fill(service: &VerificationService, keys: &[(ClientId, QuerySpec)]) -> (f64, u64) {
+    let before = memo_misses(service);
+    let started = Instant::now();
+    service.try_query_all(keys).expect("every key answers");
+    let elapsed = ms_since(started);
+    (elapsed, memo_misses(service) - before)
 }
 
 fn measure_point(k: usize) -> StartupPoint {
     let topology = generators::fat_tree(k, 4 * k);
+    let clients = clients_of(&topology);
+    let mix = query_mix(&topology);
+    let keys: Vec<(ClientId, QuerySpec)> = clients
+        .iter()
+        .flat_map(|client| mix.iter().map(move |spec| (*client, spec.clone())))
+        .collect();
     let at = SimTime::from_millis(1);
     let (mut compile, mut snapshot, mut publish) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut fill, mut fill_walks) = (Vec::new(), 0);
     let mut rules = 0;
     for _ in 0..RUNS {
         let started = Instant::now();
@@ -119,15 +179,22 @@ fn measure_point(k: usize) -> StartupPoint {
             .try_publish(&epoch_one, at)
             .expect("epoch 1 publishes");
         publish.push(ms_since(started));
+
+        let (ms, walks) = measure_fill(&service, &keys);
+        fill.push(ms);
+        fill_walks = walks;
     }
     StartupPoint {
         k,
         switches: topology.switch_count(),
         hosts: topology.host_count(),
+        clients: clients.len(),
         rules,
-        compile: MedianMad::of(&compile),
-        snapshot: MedianMad::of(&snapshot),
-        publish: MedianMad::of(&publish),
+        compile,
+        snapshot,
+        publish,
+        fill,
+        fill_walks,
         delta_publish: measure_delta_publish(&topology),
     }
 }
@@ -142,19 +209,15 @@ fn rules_per_table(p: &StartupPoint) -> f64 {
     p.rules as f64 / p.switches as f64
 }
 
-/// Least-squares slope of `ln(phase median)` on `ln(size)` (0 for fewer
-/// than two points).
-fn exponent(
-    points: &[StartupPoint],
-    size: fn(&StartupPoint) -> f64,
-    phase: fn(&StartupPoint) -> MedianMad,
-) -> f64 {
-    if points.len() < 2 {
+/// Least-squares slope of `ln(y)` on `ln(x)` over `(x, y)` pairs (0 for
+/// fewer than two).
+fn slope(xy: &[(f64, f64)]) -> f64 {
+    if xy.len() < 2 {
         return 0.0;
     }
-    let xy: Vec<(f64, f64)> = points
+    let xy: Vec<(f64, f64)> = xy
         .iter()
-        .map(|p| (size(p).ln(), phase(p).median.max(1e-12).ln()))
+        .map(|(x, y)| (x.ln(), y.max(1e-12).ln()))
         .collect();
     let n = xy.len() as f64;
     let mean_x = xy.iter().map(|(x, _)| x).sum::<f64>() / n;
@@ -164,40 +227,88 @@ fn exponent(
     covariance / variance
 }
 
+/// The exponent of `phase` against `size`, fitted once per repeat (the
+/// repeat's figure at every point): the median fit, and every fit in
+/// repeat order.
+fn exponent(
+    points: &[StartupPoint],
+    size: fn(&StartupPoint) -> f64,
+    phase: fn(&StartupPoint) -> Vec<f64>,
+) -> (f64, Vec<f64>) {
+    let repeats: Vec<Vec<f64>> = points.iter().map(phase).collect();
+    let runs = repeats.iter().map(Vec::len).min().unwrap_or(0);
+    let fits: Vec<f64> = (0..runs)
+        .map(|run| {
+            let xy: Vec<(f64, f64)> = points
+                .iter()
+                .zip(&repeats)
+                .map(|(p, figures)| (size(p), figures[run]))
+                .collect();
+            slope(&xy)
+        })
+        .collect();
+    (MedianMad::of(&fits).median, fits)
+}
+
 fn report(points: &[StartupPoint]) -> Report {
     let mut report = Report::new(
         "startup_scale",
-        "S4 — daemon start vs trusted-topology size; gates: compile_exponent <= 1.4, delta_publish_exponent <= 1.3",
+        "S4 — daemon start vs trusted-topology size; gates: compile_exponent <= 1.4, delta_publish_exponent <= 1.3, fill_walks <= 2 x hosts + clients",
     );
     report
         .field("topology", "fat_tree(k, 4k)")
         .field("runs", RUNS)
-        .field("delta_rounds", DELTA_ROUNDS);
+        .field("delta_rounds", DELTA_ROUNDS)
+        .field("exponent", "median of per-repeat fits");
     for p in points {
         report.point(vec![
             ("k", p.k.into()),
             ("switches", p.switches.into()),
             ("hosts", p.hosts.into()),
+            ("clients", p.clients.into()),
             ("rules", p.rules.into()),
-            ("compile_ms", p.compile.into()),
-            ("snapshot_ms", p.snapshot.into()),
-            ("publish_ms", p.publish.into()),
-            ("delta_publish_us", p.delta_publish.into()),
+            ("compile_ms", MedianMad::of(&p.compile).into()),
+            ("snapshot_ms", MedianMad::of(&p.snapshot).into()),
+            ("publish_ms", MedianMad::of(&p.publish).into()),
+            ("delta_publish_us", MedianMad::of(&p.delta_publish).into()),
+            ("fill_ms", MedianMad::of(&p.fill).into()),
+            ("fill_walks", p.fill_walks.into()),
         ]);
     }
+    let compile = |p: &StartupPoint| p.compile.clone();
     let segments: Vec<f64> = points
         .windows(2)
-        .map(|pair| exponent(pair, rules, |p| p.compile))
+        .map(|pair| exponent(pair, rules, compile).0)
         .collect();
-    report
-        .summary("compile_exponent", exponent(points, rules, |p| p.compile))
-        .summary("compile_segment_exponents", segments)
-        .summary("snapshot_exponent", exponent(points, rules, |p| p.snapshot))
-        .summary("publish_exponent", exponent(points, rules, |p| p.publish))
-        .summary(
-            "delta_publish_exponent",
-            exponent(points, rules_per_table, |p| p.delta_publish),
-        );
+    let mut summary = |name: &'static str, fit: (f64, Vec<f64>), fits: &'static str| {
+        report.summary(name, fit.0).summary(fits, fit.1);
+    };
+    summary(
+        "compile_exponent",
+        exponent(points, rules, compile),
+        "compile_exponents",
+    );
+    summary(
+        "snapshot_exponent",
+        exponent(points, rules, |p| p.snapshot.clone()),
+        "snapshot_exponents",
+    );
+    summary(
+        "publish_exponent",
+        exponent(points, rules, |p| p.publish.clone()),
+        "publish_exponents",
+    );
+    summary(
+        "delta_publish_exponent",
+        exponent(points, rules_per_table, StartupPoint::delta_repeats),
+        "delta_publish_exponents",
+    );
+    summary(
+        "fill_exponent",
+        exponent(points, rules, |p| p.fill.clone()),
+        "fill_exponents",
+    );
+    report.summary("compile_segment_exponents", segments);
     report
 }
 
@@ -217,14 +328,32 @@ mod tests {
     fn small_sweep_produces_consistent_report() {
         let points: Vec<StartupPoint> = [2, 4].iter().map(|&k| measure_point(k)).collect();
         assert!(points[0].rules < points[1].rules);
-        assert!(exponent(&points, rules, |p| p.compile).is_finite());
-        assert!(points.iter().all(|p| p.delta_publish.median > 0.0));
+        assert!(exponent(&points, rules, |p| p.compile.clone())
+            .0
+            .is_finite());
+        assert!(points
+            .iter()
+            .all(|p| p.delta_publish.iter().all(|us| *us > 0.0)));
+        assert!(points.iter().all(|p| p.delta_repeats().len() == RUNS));
+        // One emission and one inbound walk per host, one path probe per
+        // client (the mix asks one destination).
+        for p in &points {
+            assert_eq!(
+                p.fill_walks,
+                (2 * p.hosts + p.clients) as u64,
+                "k = {}",
+                p.k
+            );
+        }
         let report = report(&points);
         let json = report.json();
         assert!(json.contains("\"experiment\": \"startup_scale\""));
         assert!(json.contains("\"compile_exponent\""));
+        assert!(json.contains("\"compile_exponents\": ["));
         assert!(json.contains("\"compile_segment_exponents\": ["));
         assert!(json.contains("\"delta_publish_exponent\""));
+        assert!(json.contains("\"fill_walks\":"));
+        assert!(json.contains("\"fill_exponent\""));
         assert!(report
             .rows()
             .iter()
@@ -233,28 +362,41 @@ mod tests {
 
     #[test]
     fn exponent_of_a_power_law_is_its_power() {
-        let at = |median: f64| MedianMad { median, mad: 0.0 };
+        // Repeat r scales every figure by (r + 1), which moves no fit; the
+        // snapshot's third repeat is an outlier at the largest point only.
         let point = |rules: usize, micros: f64| StartupPoint {
             k: 0,
-            switches: 0,
+            switches: 10,
             hosts: 0,
+            clients: 0,
             rules,
-            compile: at(micros),
-            snapshot: at(micros * micros),
-            publish: at(1.0),
-            delta_publish: at(micros),
+            compile: (1..=3).map(|r| micros * f64::from(r)).collect(),
+            snapshot: vec![micros * micros; 3],
+            publish: vec![1.0; 3],
+            fill: vec![micros; 3],
+            fill_walks: 0,
+            delta_publish: (0..RUNS).map(|r| micros * (r + 1) as f64).collect(),
         };
-        let points = [
+        let mut points = [
             point(10, 100.0),
             point(100, 1_000.0),
             point(1_000, 10_000.0),
         ];
-        assert!((exponent(&points, rules, |p| p.compile) - 1.0).abs() < 1e-9);
-        assert!((exponent(&points, rules, |p| p.snapshot) - 2.0).abs() < 1e-9);
-        assert!(exponent(&points, rules, |p| p.publish).abs() < 1e-9);
-        assert_eq!(exponent(&points[..1], rules, |p| p.compile), 0.0);
+        points[2].snapshot[2] = 1e12;
+        let (compile, fits) = exponent(&points, rules, |p| p.compile.clone());
+        assert!((compile - 1.0).abs() < 1e-9);
+        assert_eq!(fits.len(), 3);
+        let (snapshot, fits) = exponent(&points, rules, |p| p.snapshot.clone());
+        assert!(
+            (snapshot - 2.0).abs() < 1e-9,
+            "the outlier's fit is not the median"
+        );
+        assert!(fits[2] > 2.5);
+        assert!(exponent(&points, rules, |p| p.publish.clone()).0.abs() < 1e-9);
+        assert_eq!(exponent(&points[..1], rules, |p| p.compile.clone()).0, 0.0);
         // Ten switches each: rules per table grow as rules do.
-        let per_table = |p: &StartupPoint| p.rules as f64 / 10.0;
-        assert!((exponent(&points, per_table, |p| p.delta_publish) - 1.0).abs() < 1e-9);
+        let (delta, fits) = exponent(&points, rules_per_table, StartupPoint::delta_repeats);
+        assert!((delta - 1.0).abs() < 1e-9);
+        assert_eq!(fits.len(), RUNS);
     }
 }

@@ -16,14 +16,15 @@
 //! the provider's topology confidentiality as required by the paper.
 
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use rvaas_client::{EndpointReport, NeutralityViolation, QueryResult, QuerySpec};
 use rvaas_hsa::{Cube, HeaderSpace, NetworkFunction, ReachabilityEngine};
 use rvaas_openflow::Action;
-use rvaas_topology::Topology;
-use rvaas_types::{ClientId, Field, HostId, Region, SwitchId, SwitchPort};
+use rvaas_topology::{Host, Topology};
+use rvaas_types::{ClientId, Field, HostId, PortId, Region, SwitchId, SwitchPort};
 
 use crate::incremental::ChangedRegion;
 use crate::interest::QueryFootprint;
@@ -195,6 +196,7 @@ impl LogicalVerifier {
             snapshot,
             nf,
             memo,
+            metered: None,
             hits: 0,
             misses: 0,
         }
@@ -221,32 +223,38 @@ enum TraversalKey {
     /// `reachable_from(host, emission_space(host))`: shared by destination,
     /// isolation and geo queries of the host's owner.
     Emission(HostId),
-    /// "This source host can reach some access point of that client": shared
-    /// by isolation and reaching-source queries.
-    Source(HostId, ClientId),
+    /// "This source host can reach some access point of that client", for
+    /// every client but the host's owner, from one labelled walk: shared by
+    /// isolation and reaching-source queries of every other client.
+    Inbound(HostId),
     /// Path-length bounds from a client's hosts to a destination ip.
     Path(ClientId, u32),
 }
 
 impl TraversalKey {
-    /// The header space the traversal of this key injects. Every cube of it
-    /// pins `IpSrc` to a host of `topology`.
-    fn injected_space(self, topology: &Topology) -> HeaderSpace {
-        let ips_of = |client| topology.hosts_of_client(client).into_iter().map(|h| h.ip);
+    /// The header space the traversal of this key injects, for the carry's
+    /// overlap test. Every cube of it pins `IpSrc` to a host of `topology`.
+    ///
+    /// `None` for an `Inbound` key: its walk injects one probe per host of
+    /// every other client, and the carry decides whether a region cube
+    /// overlaps those from the cube's exact destination instead of building
+    /// them (see [`TraversalMemo::carry`]).
+    fn injected_space(self, topology: &Topology) -> Option<HeaderSpace> {
         match self {
-            TraversalKey::Emission(host) => topology
-                .host(host)
-                .map(|h| LogicalVerifier::emission_space(h.ip))
-                .unwrap_or_default(),
-            TraversalKey::Source(host, client) => match topology.host(host) {
-                Some(source) => ips_of(client)
-                    .map(|dst| LogicalVerifier::probe_cube(source.ip, dst))
+            TraversalKey::Emission(host) => Some(
+                topology
+                    .host(host)
+                    .map(|h| LogicalVerifier::emission_space(h.ip))
+                    .unwrap_or_default(),
+            ),
+            TraversalKey::Inbound(_) => None,
+            TraversalKey::Path(client, to_ip) => Some(
+                topology
+                    .hosts_of_client(client)
+                    .into_iter()
+                    .map(|src| LogicalVerifier::probe_cube(src.ip, to_ip))
                     .collect(),
-                None => HeaderSpace::empty(),
-            },
-            TraversalKey::Path(client, to_ip) => ips_of(client)
-                .map(|src| LogicalVerifier::probe_cube(src, to_ip))
-                .collect(),
+            ),
         }
     }
 }
@@ -263,9 +271,14 @@ enum Outcome {
         /// Switches on any path, ascending (what geo queries map to regions).
         traversed: Vec<SwitchId>,
     },
+    /// One client's share of an `Inbound` walk.
     Source {
         reaches: bool,
     },
+    /// The probe of every client but the source host's owner, by client:
+    /// each with its own `visited` switches and truncation, exactly what a
+    /// walk of that client's probe alone finds.
+    Inbound(BTreeMap<ClientId, Arc<Traversal>>),
     Path {
         min: u32,
         max: u32,
@@ -277,10 +290,11 @@ enum Outcome {
 #[derive(Debug)]
 struct Traversal {
     /// Every switch the traversal arrived at, ascending: the switches whose
-    /// transfer functions it consulted.
+    /// transfer functions it consulted (for an `Inbound` walk, the union
+    /// over its clients' probes).
     visited: Vec<SwitchId>,
     /// The engine's cube budget cut a branch: the outcome may depend on
-    /// anything.
+    /// anything (for an `Inbound` walk, some client's probe was cut).
     truncated: bool,
     outcome: Outcome,
 }
@@ -297,8 +311,9 @@ struct Traversal {
 ///
 /// There is one entry per key, and keys name hosts and clients of the
 /// trusted topology only (a query about an unknown client or address walks
-/// nothing and leaves nothing) — at most hosts + 2 × hosts × clients
-/// entries, whatever the number of distinct queries.
+/// nothing and leaves nothing) — at most 2 × hosts entries plus one path
+/// probe per (client, destination) asked, whatever the number of distinct
+/// queries.
 #[derive(Debug, Default)]
 pub struct TraversalMemo {
     entries: RwLock<Entries>,
@@ -359,12 +374,17 @@ impl TraversalMemo {
     /// Candidates are looked up by key, `O(region cubes)`, never by a scan
     /// of the memo. Every injected space pins `IpSrc` to a host of
     /// `topology`, so a region cube with an exact source names the keys it
-    /// can reach: `Emission` of each host with that address, and its
-    /// `Source` and its owner's `Path` probes towards the cube's exact
-    /// destination (towards every destination when the cube has none). A
-    /// cube without an exact source could reach any key, and a topology
-    /// without hosts names none, so either carries nothing; so does a
-    /// truncated entry, whose footprint no key lookup bounds.
+    /// can reach: `Emission` of each host with that address, its owner's
+    /// `Path` probe towards the cube's exact destination (every one of them
+    /// when the cube has none), and its `Inbound` probes when the cube's
+    /// exact destination is a host of another client (or the cube has
+    /// none). An `Inbound` walk probes exactly the hosts of the other
+    /// clients, so that lookup *is* its overlap test: a cube whose
+    /// destination is a host of the source's own tenant carries it, and a
+    /// cube without an exact destination counts as overlapping it. A cube
+    /// without an exact source could reach any key, and a topology without
+    /// hosts names none, so either carries nothing; so does a truncated
+    /// entry, whose footprint no key lookup bounds.
     ///
     /// When nothing is carried this memo is left as it is. Otherwise its
     /// entries are moved out, not copied: a session still answering on this
@@ -394,15 +414,13 @@ impl TraversalMemo {
                 candidates.insert(TraversalKey::Emission(host.id));
                 match dst {
                     Some(dst) => {
-                        let owners = topology.hosts_with_ip(dst).map(|d| d.owner);
-                        candidates.extend(owners.map(|c| TraversalKey::Source(host.id, c)));
+                        if topology.hosts_with_ip(dst).any(|d| d.owner != host.owner) {
+                            candidates.insert(TraversalKey::Inbound(host.id));
+                        }
                         candidates.insert(TraversalKey::Path(host.owner, dst));
                     }
                     None => {
-                        candidates.extend(held_keys(
-                            TraversalKey::Source(host.id, ClientId(0)),
-                            TraversalKey::Source(host.id, ClientId(u32::MAX)),
-                        ));
+                        candidates.insert(TraversalKey::Inbound(host.id));
                         candidates.extend(held_keys(
                             TraversalKey::Path(host.owner, 0),
                             TraversalKey::Path(host.owner, u32::MAX),
@@ -418,7 +436,9 @@ impl TraversalMemo {
                     .visited
                     .iter()
                     .any(|s| region.switches.contains(s))
-                    && region.space.overlaps(&key.injected_space(topology))
+                    && key
+                        .injected_space(topology)
+                        .is_none_or(|injected| region.space.overlaps(&injected))
             });
             if altered {
                 carried.traversals.remove(&key);
@@ -430,6 +450,20 @@ impl TraversalMemo {
         };
         (memo, dropped)
     }
+}
+
+/// Every client's host addresses and access points, by client: what an
+/// `Inbound` walk probes.
+type Targets = BTreeMap<ClientId, (Vec<u32>, Vec<SwitchPort>)>;
+
+fn targets_of(topology: &Topology) -> Targets {
+    let mut targets = Targets::new();
+    for host in topology.hosts() {
+        let (ips, ports) = targets.entry(host.owner).or_default();
+        ips.push(host.ip);
+        ports.push(host.attachment);
+    }
+    targets
 }
 
 /// The memo a session reads and writes its traversals through.
@@ -462,9 +496,12 @@ fn footprint_over<'t>(traversals: impl IntoIterator<Item = &'t Arc<Traversal>>) 
 /// The session holds the HSA network function of one snapshot and memoises
 /// the expensive traversals in a [`TraversalMemo`]: the emission-space
 /// reachability of each source host (shared by destination, isolation and
-/// geo queries), the per-source "can this host reach that client" verdicts
-/// (shared by isolation and reaching-source queries) and per-destination
-/// path probes. A session from [`LogicalVerifier::evaluator`] or
+/// geo queries), each source host's "can it reach that client" verdicts for
+/// every other client, from one labelled walk (shared by isolation and
+/// reaching-source queries of all of them), and per-destination path
+/// probes. Which clients' delivery rules carry a meter, what neutrality
+/// verdicts read, is worked out once per session. A session from
+/// [`LogicalVerifier::evaluator`] or
 /// [`LogicalVerifier::evaluator_with`] owns a fresh memo — answering `n`
 /// queries that share hosts through it performs each traversal once, and
 /// nothing is shared with any other session; one from
@@ -484,6 +521,9 @@ pub struct QueryEvaluator<'a> {
     snapshot: &'a NetworkSnapshot,
     nf: Cow<'a, NetworkFunction>,
     memo: Memo<'a>,
+    /// Whether any delivery rule towards each client's hosts applies a
+    /// meter, by client: built by the session's first neutrality query.
+    metered: Option<BTreeMap<ClientId, bool>>,
     /// Traversal lookups the memo served.
     hits: u64,
     /// Traversals walked and left in the memo.
@@ -591,45 +631,73 @@ impl QueryEvaluator<'_> {
 
     /// The memoised probes of whether each foreign host can currently deliver
     /// traffic to any of `client`'s access points, as `(source, probe)` in
-    /// host order.
+    /// host order: each read from the source's `Inbound` walk. A client
+    /// without hosts is reached by nobody, and nothing is walked for it.
     fn inbound_probes(&mut self, client: ClientId) -> Vec<(HostId, Arc<Traversal>)> {
-        let ports: Vec<SwitchPort> = self.topology().access_points_of(client);
-        let target_ips: Vec<u32> = self
-            .topology()
-            .hosts_of_client(client)
-            .iter()
-            .map(|h| h.ip)
-            .collect();
-        let sources: Vec<(HostId, u32, SwitchPort)> = self
-            .topology()
+        let topology = &self.verifier.topology;
+        if !topology.hosts().any(|h| h.owner == client) {
+            return Vec::new();
+        }
+        // Grouped once, by the first walk this query needs.
+        let targets = OnceCell::new();
+        topology
             .hosts()
             .filter(|h| h.owner != client)
-            .map(|h| (h.id, h.ip, h.attachment))
-            .collect();
-        let walk = |session: &Self, source_ip: u32, attachment: SwitchPort| {
-            // Traffic the source can emit towards any of the client's hosts.
-            let space = HeaderSpace::from_cubes(
-                target_ips
-                    .iter()
-                    .map(|ip| LogicalVerifier::probe_cube(source_ip, *ip)),
-            );
-            let engine = ReachabilityEngine::new(&session.nf);
-            let result = engine.reachable_from(attachment, space);
-            let reaches = result.reached_ports().iter().any(|p| ports.contains(p));
-            Traversal {
-                outcome: Outcome::Source { reaches },
-                truncated: result.truncated_branches > 0,
-                visited: result.visited,
-            }
-        };
-        sources
-            .into_iter()
-            .map(|(source, ip, attachment)| {
-                let key = TraversalKey::Source(source, client);
-                let probe = self.traversal(key, |session| walk(session, ip, attachment));
-                (source, probe)
+            .map(|source| {
+                let key = TraversalKey::Inbound(source.id);
+                let inbound = self.traversal(key, |session| {
+                    session.walk_inbound(source, targets.get_or_init(|| targets_of(topology)))
+                });
+                let Outcome::Inbound(probes) = &inbound.outcome else {
+                    unreachable!("keyed by kind");
+                };
+                let probe = probes.get(&client).expect("a label per other client");
+                (source.id, Arc::clone(probe))
             })
             .collect()
+    }
+
+    /// One walk from `source` carrying, as one label per client of
+    /// `targets` other than its owner, the traffic it can emit towards any
+    /// of that client's hosts; each label's outcome is whether it leaves at
+    /// one of that client's access points.
+    fn walk_inbound(&self, source: &Host, targets: &Targets) -> Traversal {
+        let others: Vec<_> = targets
+            .iter()
+            .filter(|(client, _)| **client != source.owner)
+            .collect();
+        let spaces = others.iter().map(|(_, (ips, _))| {
+            HeaderSpace::from_cubes(
+                ips.iter()
+                    .map(|ip| LogicalVerifier::probe_cube(source.ip, *ip)),
+            )
+        });
+        let engine = ReachabilityEngine::new(&self.nf);
+        let results = engine.reachable_from_each(source.attachment, spaces);
+        let mut visited = Vec::new();
+        let mut truncated = false;
+        let probes = others
+            .into_iter()
+            .zip(results)
+            .map(|((client, (_, ports)), result)| {
+                let reaches = result.reached_ports().iter().any(|p| ports.contains(p));
+                visited.extend_from_slice(&result.visited);
+                truncated |= result.truncated_branches > 0;
+                let probe = Traversal {
+                    outcome: Outcome::Source { reaches },
+                    truncated: result.truncated_branches > 0,
+                    visited: result.visited,
+                };
+                (*client, Arc::new(probe))
+            })
+            .collect();
+        visited.sort();
+        visited.dedup();
+        Traversal {
+            outcome: Outcome::Inbound(probes),
+            visited,
+            truncated,
+        }
     }
 
     /// The sources among `probes` whose traffic reaches the probed client.
@@ -755,30 +823,49 @@ impl QueryEvaluator<'_> {
         (min, max, reachable)
     }
 
+    /// Whether any delivery rule towards each client's hosts applies a
+    /// meter, by client (every owner of a host is a key): one pass over
+    /// each access switch's table, looking for metered entries that output
+    /// on a host's attachment port.
+    fn metering(topology: &Topology, snapshot: &NetworkSnapshot) -> BTreeMap<ClientId, bool> {
+        let mut metered = BTreeMap::new();
+        let mut attached: BTreeMap<SwitchId, Vec<(PortId, ClientId)>> = BTreeMap::new();
+        for host in topology.hosts() {
+            metered.insert(host.owner, false);
+            let at = attached.entry(host.attachment.switch).or_default();
+            at.push((host.attachment.port, host.owner));
+        }
+        for (switch, hosts) in attached {
+            for entry in snapshot.table_of(switch) {
+                if !entry.actions.iter().any(|a| matches!(a, Action::Meter(_))) {
+                    continue;
+                }
+                for (port, owner) in &hosts {
+                    let delivers = entry
+                        .actions
+                        .iter()
+                        .any(|a| matches!(a, Action::Output(p) if p == port));
+                    if delivers {
+                        metered.insert(*owner, true);
+                    }
+                }
+            }
+        }
+        metered
+    }
+
     /// Network-neutrality check over the evaluator's snapshot: reports
     /// clients whose delivery rules carry a meter while at least one other
     /// client's delivery is unmetered.
-    fn neutrality_check(&self, client: ClientId) -> (bool, Vec<NeutralityViolation>) {
-        // For every client, determine whether any delivery rule toward one of
-        // its hosts applies a meter.
-        let mut metered: BTreeMap<ClientId, bool> = BTreeMap::new();
-        for host in self.topology().hosts() {
-            let table = self.snapshot.table_of(host.attachment.switch);
-            let delivers_metered = table.iter().any(|entry| {
-                let delivers = entry
-                    .actions
-                    .iter()
-                    .any(|a| matches!(a, Action::Output(p) if *p == host.attachment.port));
-                let meters = entry.actions.iter().any(|a| matches!(a, Action::Meter(_)));
-                delivers && meters
-            });
-            let flag = metered.entry(host.owner).or_insert(false);
-            *flag = *flag || delivers_metered;
-        }
+    fn neutrality_check(&mut self, client: ClientId) -> (bool, Vec<NeutralityViolation>) {
+        let (topology, snapshot) = (&self.verifier.topology, self.snapshot);
+        let metered = self
+            .metered
+            .get_or_insert_with(|| Self::metering(topology, snapshot));
         let victim_metered = metered.get(&client).copied().unwrap_or(false);
         let mut violations = Vec::new();
         if victim_metered {
-            for (other, is_metered) in &metered {
+            for (other, is_metered) in metered.iter() {
                 if *other != client && !is_metered {
                     violations.push(NeutralityViolation {
                         victim: client,
@@ -1300,7 +1387,8 @@ mod tests {
         assert_eq!(epoch.memo.len(), 4);
 
         // Another query kind of the same client reads the same emissions and
-        // adds its two source probes; asking again adds nothing.
+        // adds the inbound walks of the two foreign hosts; asking again adds
+        // nothing.
         for counts in [(2, 2), (4, 0)] {
             let mut session = epoch.session(&v);
             let served = session.answer(ClientId(1), &QuerySpec::Isolation);
@@ -1338,10 +1426,11 @@ mod tests {
     #[test]
     fn a_truncated_traversal_is_reused_and_keeps_its_unbounded_footprint() {
         // One switch carrying 4 097 hosts of client 1 and one of client 2, no
-        // rules installed. Client 1's sources probe the client-2 host with
-        // one cube per client-1 address, one over the engine's cube budget,
-        // so that walk is cut at injection; client 2's one-cube emission
-        // walk is not.
+        // rules installed. Client 1's sources are read off the client-2
+        // host's inbound walk, whose one label (client 1's) holds one cube
+        // per client-1 address, one over the engine's cube budget, so that
+        // walk is cut at injection; client 2's one-cube emission walk is
+        // not.
         let mut topo = Topology::new();
         let here = GeoPoint::new(0.0, 0.0, Region::new("here"));
         topo.add_switch(SwitchId(1), 4098, here.clone());
@@ -1488,7 +1577,7 @@ mod tests {
         let v = verifier(&topo);
         let ip = |h: u32| topo.host(HostId(h)).unwrap().ip;
         let mut chain = Chain::new(&topo, snapshot_with(&topo, &[]));
-        // 4 emissions and 4 source probes: every host, both directions.
+        // 4 emissions and 4 inbound walks: every host, both directions.
         assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 8);
         let before = keys(&chain.epoch.memo);
 
@@ -1543,10 +1632,10 @@ mod tests {
         };
         assert_eq!(switch, SwitchId(2));
         let (_, dropped) = chain.advance(&[crate::RuleChange::installed(switch, rule)]);
-        // What host 2 emits, and its probe towards client 1.
+        // What host 2 emits, and its inbound walk (probing client 1).
         let held = keys(&chain.epoch.memo);
         assert!(!held.contains(&TraversalKey::Emission(HostId(2))));
-        assert!(!held.contains(&TraversalKey::Source(HostId(2), ClientId(1))));
+        assert!(!held.contains(&TraversalKey::Inbound(HostId(2))));
         assert_eq!((held.len(), dropped), (6, 2));
         // The re-walked probe reaches client 1: isolation flips.
         assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 2);
@@ -1566,8 +1655,8 @@ mod tests {
         let before = keys(&chain.epoch.memo);
 
         // Everything host 3 (client 1) sends, dropped on its edge switch:
-        // no exact destination, so every probe from it and every path probe
-        // of its owner is a candidate.
+        // no exact destination, so its inbound walk (every client it
+        // probes) and every path probe of its owner is a candidate.
         let silenced = rvaas_openflow::FlowEntry::new(
             400,
             rvaas_openflow::FlowMatch::from_ip(ip(3)),
@@ -1576,7 +1665,7 @@ mod tests {
         let (_, dropped) = chain.advance(&[crate::RuleChange::installed(SwitchId(3), silenced)]);
         let altered = [
             TraversalKey::Emission(HostId(3)),
-            TraversalKey::Source(HostId(3), ClientId(2)),
+            TraversalKey::Inbound(HostId(3)),
             TraversalKey::Path(ClientId(1), ip(1)),
         ];
         let kept: Vec<TraversalKey> = before
@@ -1644,8 +1733,9 @@ mod tests {
 
     #[test]
     fn a_memo_holding_a_truncated_traversal_carries_nothing() {
-        // The fabric of the truncation test above: client 1's source probe
-        // towards client 2 is cut at injection, client 2's emission is not.
+        // The fabric of the truncation test above: the inbound walk of
+        // client 2's host is cut at injection (client 1's label), client 2's
+        // emission is not.
         let mut topo = Topology::new();
         let here = GeoPoint::new(0.0, 0.0, Region::new("here"));
         topo.add_switch(SwitchId(1), 4098, here.clone());
@@ -1684,6 +1774,278 @@ mod tests {
                 assert_eq!(session.traversal_counts(), (0, 4));
                 let _ = session.answer(ClientId(1), &QuerySpec::ReachingSources);
                 assert_eq!(session.traversal_counts(), (2, 4), "shared within");
+            }
+        }
+    }
+
+    // --- One inbound walk per host ------------------------------------------
+
+    /// Every query of every client of `topology` once, in client order.
+    fn full_mix(topology: &Topology) -> Vec<(ClientId, QuerySpec)> {
+        let to_ip = topology.hosts().next().map_or(0, |h| h.ip);
+        let specs = [
+            QuerySpec::ReachableDestinations,
+            QuerySpec::ReachingSources,
+            QuerySpec::Isolation,
+            QuerySpec::GeoLocation,
+            QuerySpec::PathLength { to_ip },
+            QuerySpec::Neutrality,
+        ];
+        let clients = topology.clients();
+        let each = |client: ClientId| specs.clone().map(|spec| (client, spec));
+        clients.into_iter().flat_map(each).collect()
+    }
+
+    #[test]
+    fn a_fresh_memo_fills_in_one_walk_per_host_and_direction() {
+        // `fat_tree(4, 8)`: 16 hosts, two per client. The full mix walks each
+        // host's emission, each host's inbound probes of the seven other
+        // clients in one labelled walk, and one path probe per client.
+        let topo = generators::fat_tree(4, 8);
+        let (hosts, clients) = (topo.host_count(), topo.clients().len());
+        let v = verifier(&topo);
+        let epoch = Epoch::new(&topo, &[]);
+        let mut fresh = v.evaluator(&epoch.snapshot);
+        let mut answer_all = || {
+            let mut session = epoch.session(&v);
+            for (client, spec) in full_mix(&topo) {
+                let served = session.answer_with_footprint(client, &spec);
+                assert_eq!(
+                    served,
+                    fresh.answer_with_footprint(client, &spec),
+                    "{spec:?}"
+                );
+            }
+            session.traversal_counts()
+        };
+        let (_, walked) = answer_all();
+        assert_eq!(walked as usize, 2 * hosts + clients);
+        assert_eq!(epoch.memo.len(), 2 * hosts + clients, "one entry per walk");
+        let (read, walked) = answer_all();
+        assert_eq!(walked, 0, "a second session walks nothing");
+        assert!(read > 0);
+    }
+
+    #[test]
+    fn a_lone_inbound_query_walks_every_foreign_host_once_for_every_client() {
+        // `line(6, 3)`: client c owns hosts c and c + 3. A first
+        // ReachingSources walks the four foreign hosts, each carrying a
+        // label per client other than its owner; every other client's
+        // inbound query then walks only the hosts of the client that asked
+        // first, which its walks never carried.
+        let topo = generators::line(6, 3);
+        let v = verifier(&topo);
+        let epoch = Epoch::new(&topo, &[]);
+        let ask = |client: u32| {
+            let mut session = epoch.session(&v);
+            let spec = QuerySpec::ReachingSources;
+            let served = session.answer_with_footprint(ClientId(client), &spec);
+            let fresh = v
+                .evaluator(&epoch.snapshot)
+                .answer_with_footprint(ClientId(client), &spec);
+            assert_eq!(served, fresh, "client {client}");
+            session.traversal_counts()
+        };
+        assert_eq!(ask(1), (0, 4));
+        assert_eq!(ask(2), (2, 2), "hosts 3 and 6 held, hosts 1 and 4 walked");
+        assert_eq!(ask(3), (4, 0));
+        let inbound = keys(&epoch.memo);
+        assert_eq!(
+            inbound,
+            (1..=6)
+                .map(|h| TraversalKey::Inbound(HostId(h)))
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_label_cut_by_the_cube_budget_leaves_the_other_labels_of_its_walk_bounded() {
+        // One switch carrying 4 097 hosts of client 1 and one host each of
+        // clients 2 and 3, no rules installed. Client 2's host's inbound
+        // walk carries client 1's label, one cube per client-1 address and
+        // so over the budget, and client 3's, one cube: client 1's sources
+        // are unbounded, client 3's are not.
+        let mut topo = Topology::new();
+        let here = GeoPoint::new(0.0, 0.0, Region::new("here"));
+        topo.add_switch(SwitchId(1), 4099, here.clone());
+        for n in 1..=4099u32 {
+            let owner = ClientId(n.saturating_sub(4096).max(1));
+            let port = SwitchPort::new(SwitchId(1), PortId(n));
+            topo.add_host(HostId(n), 0x0a00_0000 + n, port, owner, here.clone())
+                .unwrap();
+        }
+        assert_eq!(topo.hosts_of_client(ClientId(1)).len(), 4097);
+        let v = verifier(&topo);
+        let epoch = Epoch::of(&topo, NetworkSnapshot::new(SimTime::from_secs(1)));
+        let mut session = epoch.session(&v);
+        let mut bounded = |client| {
+            let spec = QuerySpec::ReachingSources;
+            let (_, footprint) = session.answer_with_footprint(ClientId(client), &spec);
+            footprint.switches.is_some()
+        };
+        assert!(bounded(3), "its label of host 4098's walk was not cut");
+        assert!(!bounded(1), "its labels were cut at injection");
+        assert!(bounded(2));
+    }
+
+    #[test]
+    fn neutrality_verdicts_of_one_session_equal_fresh_evaluators() {
+        // Metered deliveries towards clients 2 and 3 of `fat_tree(4, 8)`,
+        // asked for every client and one unknown to the topology, in one
+        // session and each through a fresh evaluator.
+        let topo = generators::fat_tree(4, 8);
+        let v = verifier(&topo);
+        let throttles = [2, 3].map(|c| Attack::Throttle {
+            victim_client: ClientId(c),
+            rate_kbps: 64,
+        });
+        let snap = snapshot_with(&topo, &throttles);
+        let mut session = v.evaluator(&snap);
+        let mut unfair = 0;
+        for client in topo.clients().into_iter().chain([ClientId(99)]) {
+            let (served, footprint) = session.answer_with_footprint(client, &QuerySpec::Neutrality);
+            let fresh = v
+                .evaluator(&snap)
+                .answer_with_footprint(client, &QuerySpec::Neutrality);
+            assert_eq!(
+                (&served, &footprint),
+                (&fresh.0, &fresh.1),
+                "client {client:?}"
+            );
+            unfair += usize::from(matches!(
+                served,
+                QueryResult::Neutrality { fair: false, .. }
+            ));
+        }
+        assert_eq!(unfair, 2, "the two throttled clients");
+        assert!(session.metered.is_some(), "built once, by the first query");
+    }
+
+    #[test]
+    fn tenant_pinned_churn_carries_the_inbound_walks_and_a_foreign_destination_drops_one() {
+        // `line(6, 3)`: client 1 owns hosts 1 and 4. A drop from host 1 to
+        // host 4, inside its tenant, on host 1's edge switch: no other
+        // client's host is its destination, so host 1's inbound walk is
+        // carried and only its emission is dropped. The same drop towards
+        // host 2 (client 2) is a destination host 1's inbound walk probes:
+        // that walk is dropped too.
+        let topo = generators::line(6, 3);
+        let v = verifier(&topo);
+        let ip = |h: u32| topo.host(HostId(h)).unwrap().ip;
+        let mut chain = Chain::new(&topo, snapshot_with(&topo, &[]));
+        let specs = [QuerySpec::Isolation];
+        assert_eq!(chain.ask(&v, &[1, 2, 3], &specs), 12);
+        let (_, dropped) = chain.advance(&[pinned_drop(1, ip(1), ip(4))]);
+        assert_eq!(dropped, 1);
+        let held = keys(&chain.epoch.memo);
+        assert!(held.contains(&TraversalKey::Inbound(HostId(1))), "carried");
+        assert!(!held.contains(&TraversalKey::Emission(HostId(1))));
+        assert_eq!(chain.ask(&v, &[1, 2, 3], &specs), 1);
+
+        let (_, dropped) = chain.advance(&[pinned_drop(1, ip(1), ip(2))]);
+        assert_eq!(dropped, 2);
+        let held = keys(&chain.epoch.memo);
+        assert!(!held.contains(&TraversalKey::Inbound(HostId(1))));
+        assert!(!held.contains(&TraversalKey::Emission(HostId(1))));
+        assert_eq!(chain.ask(&v, &[1, 2, 3], &specs), 2);
+    }
+
+    /// A rule on a switch of `topology` that rewrites the destination of
+    /// what `from` sends to `to`'s address and forwards it out of one of
+    /// that switch's ports.
+    fn destination_rewrite(
+        topology: &Topology,
+        (at, from, to, port): (usize, usize, usize, usize),
+    ) -> (SwitchId, rvaas_openflow::FlowEntry) {
+        let switches: Vec<_> = topology.switches().collect();
+        let hosts: Vec<_> = topology.hosts().collect();
+        let switch = switches[at % switches.len()];
+        let (from, to) = (hosts[from % hosts.len()], hosts[to % hosts.len()]);
+        let out = switch.ports[port % switch.ports.len()];
+        let entry = rvaas_openflow::FlowEntry::new(
+            500,
+            rvaas_openflow::FlowMatch::from_ip(from.ip),
+            vec![
+                Action::SetField(Field::IpDst, u64::from(to.ip)),
+                Action::Output(out),
+            ],
+        );
+        (switch.id, entry)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Every client's share of every host's inbound walk — verdict,
+        /// visited switches and truncation — is what one walk of that
+        /// client's probe alone finds, on snapshots with joins,
+        /// exfiltration, blackholes, throttles and rules that rewrite
+        /// `IpDst` before forwarding.
+        #[test]
+        fn every_client_of_an_inbound_walk_is_its_lone_probe(
+            shape in 0u8..3,
+            attacks in proptest::collection::vec((0u8..4, 0usize..64, 0usize..64), 0..4),
+            rewrites in proptest::collection::vec((0usize..64, 0usize..64, 0usize..64, 0usize..8), 0..4),
+        ) {
+            let topo = match shape {
+                0 => generators::line(5, 3),
+                1 => generators::ring(6, 3),
+                _ => generators::fat_tree(4, 8),
+            };
+            let hosts: Vec<_> = topo.hosts().collect();
+            let clients = topo.clients();
+            let attacks: Vec<Attack> = attacks
+                .iter()
+                .map(|(kind, a, b)| {
+                    let host = hosts[a % hosts.len()];
+                    let other = |i: usize| {
+                        let others: Vec<_> = hosts.iter().filter(|h| h.owner != host.owner).collect();
+                        others[i % others.len()]
+                    };
+                    match kind {
+                        0 => Attack::Join { attacker_host: host.id, victim_client: other(*b).owner },
+                        1 => Attack::Exfiltrate { victim_host: host.id, collector_host: other(*b).id },
+                        2 => Attack::Blackhole { victim_host: host.id },
+                        _ => Attack::Throttle { victim_client: clients[b % clients.len()], rate_kbps: 64 },
+                    }
+                })
+                .collect();
+            let mut snap = snapshot_with(&topo, &attacks);
+            for draw in &rewrites {
+                let (switch, entry) = destination_rewrite(&topo, *draw);
+                snap.record_installed(switch, entry, SimTime::from_millis(2));
+            }
+            let v = verifier(&topo);
+            let epoch = Epoch::of(&topo, snap);
+            let mut session = epoch.session(&v);
+            for client in &clients {
+                let _ = session.answer(*client, &QuerySpec::ReachingSources);
+            }
+            let engine = ReachabilityEngine::new(&epoch.function);
+            let entries = epoch.memo.entries.read().unwrap();
+            for host in &hosts {
+                let inbound = &entries.traversals[&TraversalKey::Inbound(host.id)];
+                let Outcome::Inbound(probes) = &inbound.outcome else {
+                    unreachable!("keyed by kind");
+                };
+                let foreign: Vec<ClientId> = clients.iter().copied().filter(|c| *c != host.owner).collect();
+                proptest::prop_assert_eq!(probes.keys().copied().collect::<Vec<_>>(), foreign);
+                for (client, probe) in probes {
+                    let targets = topo.hosts_of_client(*client);
+                    let space = HeaderSpace::from_cubes(
+                        targets.iter().map(|d| LogicalVerifier::probe_cube(host.ip, d.ip)),
+                    );
+                    let lone = engine.reachable_from(host.attachment, space);
+                    let ports = topo.access_points_of(*client);
+                    let reaches = lone.reached_ports().iter().any(|p| ports.contains(p));
+                    let Outcome::Source { reaches: read } = probe.outcome else {
+                        unreachable!("one client's share");
+                    };
+                    let what = format!("{:?} -> {client:?} under {attacks:?} and {rewrites:?}", host.id);
+                    proptest::prop_assert_eq!(read, reaches, "{}", what);
+                    proptest::prop_assert_eq!(&probe.visited, &lone.visited, "{}", what);
+                    proptest::prop_assert_eq!(probe.truncated, lone.truncated_branches > 0, "{}", what);
+                }
             }
         }
     }

@@ -19,6 +19,24 @@ use rvaas_types::{Field, Header, HEADER_BITS};
 /// Number of 64-bit words needed to hold one bit per header bit.
 pub(crate) const WORDS: usize = HEADER_BITS.div_ceil(64);
 
+/// The words `field` occupies, low bits first, as `(word, shift, mask,
+/// below)`: the field's bits in that word are `mask`, starting at bit
+/// `shift`, and `below` of the field's bits lie in earlier words.
+fn field_spans(field: Field) -> impl Iterator<Item = (usize, usize, u64, usize)> {
+    let spec = field.spec();
+    let mut below = 0;
+    std::iter::from_fn(move || {
+        if below >= spec.width {
+            return None;
+        }
+        let (w, shift) = ((spec.offset + below) / 64, (spec.offset + below) % 64);
+        let n = (64 - shift).min(spec.width - below);
+        let span = (w, shift, (u64::MAX >> (64 - n)) << shift, below);
+        below += n;
+        Some(span)
+    })
+}
+
 /// Mask of valid bits in the last word.
 fn last_word_mask() -> u64 {
     let rem = HEADER_BITS % 64;
@@ -126,11 +144,13 @@ impl Cube {
         self
     }
 
-    /// Constrains `field` to exactly `value` in place.
+    /// Constrains `field` to exactly `value` in place (bits of `value`
+    /// above the field's width are ignored). One mask operation per word
+    /// the field touches, not one per bit.
     pub fn constrain_field(&mut self, field: Field, value: u64) {
-        let spec = field.spec();
-        for i in 0..spec.width {
-            self.set_bit(spec.offset + i, (value >> i) & 1 == 1);
+        for (w, shift, mask, below) in field_spans(field) {
+            self.care[w] |= mask;
+            self.value[w] = (self.value[w] & !mask) | ((value >> below) << shift & mask);
         }
     }
 
@@ -138,14 +158,12 @@ impl Cube {
     /// `None` if any of its bits is a wildcard.
     #[must_use]
     pub fn field_exact(&self, field: Field) -> Option<u64> {
-        let spec = field.spec();
         let mut out = 0u64;
-        for i in 0..spec.width {
-            match self.bit(spec.offset + i) {
-                Some(true) => out |= 1 << i,
-                Some(false) => {}
-                None => return None,
+        for (w, shift, mask, below) in field_spans(field) {
+            if self.care[w] & mask != mask {
+                return None;
             }
+            out |= ((self.value[w] & mask) >> shift) << below;
         }
         Some(out)
     }
@@ -527,6 +545,42 @@ mod tests {
     }
 
     proptest! {
+        /// The word-wise `constrain_field` sets exactly the bits a
+        /// bit-by-bit `set_bit` loop sets, on a cube already constrained
+        /// elsewhere and in the same field, whatever `value` holds above
+        /// the field's width; the word-wise `field_exact` reads what a
+        /// bit-by-bit loop reads.
+        #[test]
+        fn prop_constrain_field_equals_setting_each_bit(
+            field in 0usize..7,
+            value in any::<u64>(),
+            h in arb_header(),
+            earlier in 0usize..7,
+            len in 0usize..33,
+        ) {
+            let (field, earlier) = (Field::ALL[field], Field::ALL[earlier]);
+            let start = Cube::wildcard().with_field_prefix(earlier, u64::from(h.ip_dst), len);
+            let mut bitwise = start;
+            let spec = field.spec();
+            for i in 0..spec.width {
+                bitwise.set_bit(spec.offset + i, (value >> i) & 1 == 1);
+            }
+            prop_assert_eq!(start.with_field(field, value), bitwise);
+            // And `field_exact` reads it back bit by bit: the value, or
+            // nothing while one of the field's bits is a wildcard.
+            let exact = |cube: &Cube, field: Field| -> Option<u64> {
+                let spec = field.spec();
+                (0..spec.width).try_fold(0u64, |out, i| {
+                    cube.bit(spec.offset + i).map(|b| out | u64::from(b) << i)
+                })
+            };
+            for cube in [bitwise, start] {
+                for field in [field, earlier] {
+                    prop_assert_eq!(cube.field_exact(field), exact(&cube, field));
+                }
+            }
+        }
+
         #[test]
         fn prop_exact_cube_contains_its_header(h in arb_header()) {
             prop_assert!(Cube::exact(&h).contains(&h));

@@ -47,4 +47,6 @@ pub use reachability::{
     reachability_equivalent, LoopReport, ReachabilityEngine, ReachabilityResult, ReachedEndpoint,
 };
 pub use space::HeaderSpace;
-pub use transfer::{NetworkFunction, PortSpace, RuleAction, RuleTransfer, SwitchTransfer};
+pub use transfer::{
+    LabelledPortSpace, NetworkFunction, PortSpace, RuleAction, RuleTransfer, SwitchTransfer,
+};

@@ -11,6 +11,11 @@
 //! * **loop reports** for traffic that revisits a switch it has already
 //!   traversed with an overlapping header space.
 //!
+//! Several spaces injected at one port can share a walk as its labels
+//! ([`ReachabilityEngine::reachable_from_each`]): each switch's rules are
+//! scanned once for all of them, while each label's cubes, budget and
+//! result stay its own — a single space is the one-label case.
+//!
 //! Loop detection ends every branch that revisits a switch, so no path is
 //! longer than the network has switches and every loop-free path, however
 //! long, is followed to its end. The one work bound is a cube budget: a
@@ -148,10 +153,13 @@ pub struct ReachabilityEngine<'a> {
     network: &'a NetworkFunction,
 }
 
+/// A branch of a traversal: the labelled spaces arriving together at one
+/// switch port along one path.
 struct WorkItem {
     switch: SwitchId,
     in_port: PortId,
-    space: HeaderSpace,
+    /// `(input index, header space)`, never empty.
+    spaces: Vec<(usize, HeaderSpace)>,
     path: Vec<SwitchId>,
 }
 
@@ -163,60 +171,103 @@ impl<'a> ReachabilityEngine<'a> {
     }
 
     /// Computes everything reachable from traffic injected at edge port
-    /// `ingress` with headers in `space`.
+    /// `ingress` with headers in `space`: the one-input case of
+    /// [`reachable_from_each`](Self::reachable_from_each).
     #[must_use]
     pub fn reachable_from(&self, ingress: SwitchPort, space: HeaderSpace) -> ReachabilityResult {
-        let mut result = ReachabilityResult::default();
-        if space.is_empty() {
-            return result;
-        }
-        let mut queue = vec![WorkItem {
-            switch: ingress.switch,
-            in_port: ingress.port,
-            space,
-            path: Vec::new(),
-        }];
+        let mut results = self.reachable_from_each(ingress, [space]);
+        results.pop().unwrap_or_default()
+    }
 
-        while let Some(item) = queue.pop() {
+    /// Computes, in one traversal, everything reachable from traffic
+    /// injected at edge port `ingress` with headers in each of `spaces`:
+    /// result *i* is exactly what [`reachable_from`](Self::reachable_from)
+    /// returns for `spaces[i]` alone — its endpoints, controller deliveries,
+    /// loops, `visited` switches and `truncated_branches`.
+    ///
+    /// The inputs travel as labels of one walk: a branch carries the share
+    /// of every input that took it, a switch's rules are scanned once for
+    /// all of them ([`SwitchTransfer::apply_each`]), and each input's cubes
+    /// stay apart, simplified on their own and held to the 4 096-cube
+    /// budget on their own. What inputs share is the walking, never a
+    /// header: a rule's output for one input and for another leave as one
+    /// branch, and a branch cut, looped or ended for one input is so for
+    /// that input alone.
+    ///
+    /// [`SwitchTransfer::apply_each`]: crate::SwitchTransfer::apply_each
+    #[must_use]
+    pub fn reachable_from_each(
+        &self,
+        ingress: SwitchPort,
+        spaces: impl IntoIterator<Item = HeaderSpace>,
+    ) -> Vec<ReachabilityResult> {
+        let mut results = Vec::new();
+        let mut injected = Vec::new();
+        for (label, space) in spaces.into_iter().enumerate() {
+            results.push(ReachabilityResult::default());
+            if !space.is_empty() {
+                injected.push((label, space));
+            }
+        }
+        let mut queue = Vec::new();
+        if !injected.is_empty() {
+            queue.push(WorkItem {
+                switch: ingress.switch,
+                in_port: ingress.port,
+                spaces: injected,
+                path: Vec::new(),
+            });
+        }
+
+        while let Some(mut item) = queue.pop() {
             // Footprint bookkeeping: every switch traffic arrives at is part
             // of the result's dependency set, even when it drops or truncates
             // everything.
-            result.visited.push(item.switch);
-            if item.space.cube_count() > MAX_CUBES {
-                result.truncated_branches += 1;
+            item.spaces.retain(|(label, space)| {
+                let result = &mut results[*label];
+                result.visited.push(item.switch);
+                let within = space.cube_count() <= MAX_CUBES;
+                if !within {
+                    result.truncated_branches += 1;
+                }
+                within
+            });
+            if item.spaces.is_empty() {
                 continue;
             }
             // Loop detection: a switch revisited along the same path.
             if item.path.contains(&item.switch) {
-                result.loops.push(LoopReport {
-                    switch: item.switch,
-                    path: item.path.clone(),
-                    space: item.space.clone(),
-                });
+                for (label, space) in item.spaces {
+                    results[label].loops.push(LoopReport {
+                        switch: item.switch,
+                        path: item.path.clone(),
+                        space,
+                    });
+                }
                 continue;
             }
             let Some(transfer) = self.network.transfer(item.switch) else {
                 // Unknown switch: treat as dropping everything.
                 continue;
             };
-            let mut path = item.path.clone();
+            let mut path = item.path;
             path.push(item.switch);
 
-            for out in transfer.apply(item.in_port, &item.space) {
-                if out.space.is_empty() {
-                    continue;
-                }
+            let inputs = item.spaces.iter().map(|(label, space)| (*label, space));
+            for out in transfer.apply_each(item.in_port, inputs) {
                 if out.to_controller {
-                    result.to_controller.push(ControllerDelivery {
-                        switch: item.switch,
-                        space: out.space,
-                        path: path.clone(),
-                    });
+                    for (label, space) in out.spaces {
+                        results[label].to_controller.push(ControllerDelivery {
+                            switch: item.switch,
+                            space,
+                            path: path.clone(),
+                        });
+                    }
                     continue;
                 }
                 let Some(out_port) = out.out_port else {
-                    // Neither a port nor the controller: `apply` reports no
-                    // such output (dropped traffic is not materialised).
+                    // Neither a port nor the controller: `apply_each` reports
+                    // no such output (dropped traffic is not materialised).
                     continue;
                 };
                 let egress = SwitchPort::new(item.switch, out_port);
@@ -224,20 +275,26 @@ impl<'a> ReachabilityEngine<'a> {
                     Some(peer) => queue.push(WorkItem {
                         switch: peer.switch,
                         in_port: peer.port,
-                        space: out.space,
+                        spaces: out.spaces,
                         path: path.clone(),
                     }),
-                    None => result.endpoints.push(ReachedEndpoint {
-                        egress,
-                        space: out.space,
-                        path: path.clone(),
-                    }),
+                    None => {
+                        for (label, space) in out.spaces {
+                            results[label].endpoints.push(ReachedEndpoint {
+                                egress,
+                                space,
+                                path: path.clone(),
+                            });
+                        }
+                    }
                 }
             }
         }
-        result.visited.sort();
-        result.visited.dedup();
-        result
+        for result in &mut results {
+            result.visited.sort();
+            result.visited.dedup();
+        }
+        results
     }
 
     /// Convenience: the set of edge ports reachable from `ingress` for any
@@ -290,7 +347,10 @@ mod tests {
     use super::*;
     use crate::cube::Cube;
     use crate::transfer::{RuleAction, RuleTransfer, SwitchTransfer};
-    use rvaas_types::{Field, Header};
+    use proptest::prelude::*;
+    use rvaas_types::{Field, FlowCookie, Header};
+    use std::collections::BTreeMap;
+    use std::sync::OnceLock;
 
     fn dst_match(dst: u32) -> Cube {
         Cube::wildcard().with_field(Field::IpDst, u64::from(dst))
@@ -512,5 +572,176 @@ mod tests {
         let result = engine.reachable_from(sp(1, 1), HeaderSpace::from(dst_match(9)));
         let ports = result.reached_ports();
         assert_eq!(ports, vec![sp(1, 2), sp(1, 3)]);
+    }
+
+    // --- One labelled walk against a lone walk per label -------------------
+
+    /// A 1–3-bit *prefix* match on `IpDst`, `IpSrc` or `L4Dst`: containment,
+    /// partial overlap and disjointness at a handful of cubes.
+    fn prefix_cube(field: u8, bits: u64, len: usize) -> Cube {
+        let field = [Field::IpDst, Field::IpSrc, Field::L4Dst][usize::from(field % 3)];
+        let top = bits << (field.spec().width - 3);
+        Cube::wildcard().with_field_prefix(field, top, len)
+    }
+
+    /// One drawn rule: `(switch, (priority class, field, prefix bits, prefix
+    /// length, action kind, two ports, ingress pin))`.
+    type RuleDraw = (u32, (u8, u8, u64, usize, u8, u32, u32, u8));
+
+    /// Three switches with ports 1–4, wired in a ring (s1:2–s2:1,
+    /// s2:2–s3:1, s3:2–s1:1), so ports 3 and 4 of each are edge ports and
+    /// rules that send traffic round the ring make loops. Rules drop, punt,
+    /// forward, multicast and rewrite `IpDst` before forwarding, pinned to
+    /// an ingress port or not.
+    fn drawn_network(rules: &[RuleDraw]) -> NetworkFunction {
+        let mut nf = NetworkFunction::new();
+        for s in 1..=3 {
+            nf.declare_switch(SwitchId(s), (1..=4).map(PortId));
+        }
+        nf.connect(sp(1, 2), sp(2, 1));
+        nf.connect(sp(2, 2), sp(3, 1));
+        nf.connect(sp(3, 2), sp(1, 1));
+        for (index, draw) in rules.iter().enumerate() {
+            let (switch, (class, field, bits, len, kind, p, q, pin)) = *draw;
+            let rewrite = Cube::wildcard().with_field_prefix(Field::IpDst, u64::from(q) << 30, 2);
+            let action = match kind {
+                0 => RuleAction::Drop,
+                1 => RuleAction::ToController,
+                2 | 3 => RuleAction::forward(PortId(p)),
+                4 => RuleAction::Forward {
+                    ports: [PortId(p), PortId(q)].into(),
+                    rewrite: None,
+                },
+                _ => RuleAction::Forward {
+                    ports: [PortId(p)].into(),
+                    rewrite: Some(rewrite),
+                },
+            };
+            let rule = RuleTransfer::new(
+                u16::from(class) * 100,
+                prefix_cube(field, bits, len),
+                action,
+            )
+            .with_cookie(FlowCookie(index as u64 + 1));
+            let rule = match pin {
+                0 => rule.on_port(PortId(p)),
+                _ => rule,
+            };
+            nf.insert_rule(SwitchId(switch), rule);
+        }
+        nf
+    }
+
+    /// A space over the engine's cube budget: cut where it is injected.
+    fn over_budget() -> HeaderSpace {
+        static SPACE: OnceLock<HeaderSpace> = OnceLock::new();
+        SPACE
+            .get_or_init(|| HeaderSpace::from_cubes((0..=MAX_CUBES as u32).map(dst_match)))
+            .clone()
+    }
+
+    /// The spaces under each `(switch, path)` key, united.
+    fn by_path<'r>(
+        found: impl Iterator<Item = (SwitchId, &'r [SwitchId], &'r HeaderSpace)>,
+    ) -> BTreeMap<(SwitchId, Vec<SwitchId>), HeaderSpace> {
+        let mut keyed: BTreeMap<(SwitchId, Vec<SwitchId>), HeaderSpace> = BTreeMap::new();
+        for (switch, path, space) in found {
+            let held = keyed.entry((switch, path.to_vec())).or_default();
+            *held = held.union(space);
+        }
+        keyed
+    }
+
+    fn same_space(a: &HeaderSpace, b: &HeaderSpace) -> bool {
+        a.subtract(b).is_empty() && b.subtract(a).is_empty()
+    }
+
+    /// `each` says what `lone` says: the ports reached and, semantically,
+    /// the space reaching each; the visited and traversed switches; the
+    /// loops and controller deliveries per `(switch, path)`, with their
+    /// spaces; and the branches cut.
+    fn assert_same(each: &ReachabilityResult, lone: &ReachabilityResult, what: &str) {
+        assert_eq!(each.reached_ports(), lone.reached_ports(), "{what}");
+        for port in lone.reached_ports() {
+            let (a, b) = (each.space_reaching(port), lone.space_reaching(port));
+            assert!(same_space(&a, &b), "{what}: {port:?} gets {a}, alone {b}");
+        }
+        assert_eq!(each.visited, lone.visited, "{what}");
+        assert_eq!(
+            each.traversed_switches(),
+            lone.traversed_switches(),
+            "{what}"
+        );
+        let loops = |r: &'_ ReachabilityResult| {
+            by_path(
+                r.loops
+                    .iter()
+                    .map(|l| (l.switch, l.path.as_slice(), &l.space)),
+            )
+        };
+        let punted = |r: &'_ ReachabilityResult| {
+            by_path(
+                r.to_controller
+                    .iter()
+                    .map(|c| (c.switch, c.path.as_slice(), &c.space)),
+            )
+        };
+        for (keyed_each, keyed_lone, kind) in [
+            (loops(each), loops(lone), "loops"),
+            (punted(each), punted(lone), "controller deliveries"),
+        ] {
+            let keys = |m: &BTreeMap<_, HeaderSpace>| m.keys().cloned().collect::<Vec<_>>();
+            assert_eq!(keys(&keyed_each), keys(&keyed_lone), "{what}: {kind}");
+            for (key, space) in &keyed_lone {
+                assert!(
+                    same_space(&keyed_each[key], space),
+                    "{what}: {kind} at {key:?}"
+                );
+            }
+        }
+        assert_eq!(each.truncated_branches, lone.truncated_branches, "{what}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every label of one `reachable_from_each` is what a lone
+        /// `reachable_from` of its space finds, on random rings with
+        /// rewrites, punts and loops: 1–8 labels, some empty, overlapping
+        /// one another partially, wholly or not at all, and now and then one
+        /// over the cube budget among labels within it.
+        #[test]
+        fn each_label_of_one_walk_is_its_lone_walk(
+            rules in collection::vec(
+                (1u32..4, (0u8..4, 0u8..3, 0u64..8, 1usize..4, 0u8..6, 1u32..5, 1u32..5, 0u8..3)),
+                1..16,
+            ),
+            labels in collection::vec(
+                collection::vec((0u8..3, 0u64..8, 0usize..3), 0..4),
+                1..9,
+            ),
+            over in 0usize..12,
+        ) {
+            let nf = drawn_network(&rules);
+            let mut spaces: Vec<HeaderSpace> = labels
+                .iter()
+                .map(|cubes| {
+                    HeaderSpace::from_cubes(
+                        cubes.iter().map(|(field, bits, len)| prefix_cube(*field, *bits, *len)),
+                    )
+                })
+                .collect();
+            if over < spaces.len() {
+                spaces.insert(over, over_budget());
+            }
+            let engine = ReachabilityEngine::new(&nf);
+            let ingress = sp(1, 3);
+            let each = engine.reachable_from_each(ingress, spaces.clone());
+            prop_assert_eq!(each.len(), spaces.len());
+            for (label, (space, result)) in spaces.into_iter().zip(&each).enumerate() {
+                let lone = engine.reachable_from(ingress, space);
+                assert_same(result, &lone, &format!("label {label} of {rules:?}"));
+            }
+        }
     }
 }

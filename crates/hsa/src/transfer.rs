@@ -8,7 +8,8 @@
 //!   header space yields the spaces that leave the switch, per output port
 //!   and towards the controller, honouring OpenFlow priority semantics
 //!   (higher priority wins, unmatched traffic is dropped — the OpenFlow
-//!   table-miss default). Dropped traffic is decided, not described:
+//!   table-miss default), for one input or, in one scan of the table, for
+//!   several labelled ones. Dropped traffic is decided, not described:
 //!   [`SwitchTransfer::apply`] subtracts lazily, per rule, and never builds
 //!   the space a drop rule or the table miss takes — a space no caller reads
 //!   and whose size the party installing rules controls.
@@ -123,6 +124,22 @@ pub struct PortSpace {
     /// The headers taking this output, *after* any rewrite.
     pub space: HeaderSpace,
     /// Cookie of the rule responsible (helps explainability/debugging).
+    pub cookie: FlowCookie,
+}
+
+/// Output of [`SwitchTransfer::apply_each`]: what one rule sends through one
+/// port, or to the controller, of each labelled input it serves. As with a
+/// [`PortSpace`], exactly one of `out_port` and `to_controller` is set.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct LabelledPortSpace {
+    /// Where the traffic goes (`None` for controller-bound traffic).
+    pub out_port: Option<PortId>,
+    /// True if the traffic is delivered to the controller instead of a port.
+    pub to_controller: bool,
+    /// `(label, headers)` per input the rule serves, in input order, the
+    /// headers *after* any rewrite; never empty, and no space in it is.
+    pub spaces: Vec<(usize, HeaderSpace)>,
+    /// Cookie of the rule responsible.
     pub cookie: FlowCookie,
 }
 
@@ -266,22 +283,61 @@ impl SwitchTransfer {
     /// what no rule matches (the table-miss drop), is reported nowhere and
     /// never built.
     ///
-    /// Subtraction is lazy, per rule: a rule's share is its match cut out of
-    /// the input, minus the matches of the earlier applicable rules that
-    /// overlapped the input — so the work a rule costs is bounded by what
-    /// overlaps *its* share, not by how finely the rules before it shattered
-    /// the rest of the input. A drop rule still joins that shadow list (it
-    /// takes its headers away from every later rule; it just emits nothing),
-    /// a rule pinned to another port never does (it sees none of this
-    /// traffic), and the walk ends as soon as every input cube lies whole
-    /// inside some rule's match.
+    /// This is the one-input case of [`SwitchTransfer::apply_each`], where
+    /// the subtraction is described.
     #[must_use]
     pub fn apply(&self, in_port: PortId, input: &HeaderSpace) -> Vec<PortSpace> {
+        self.apply_each(in_port, [(0, input)])
+            .into_iter()
+            .filter_map(|out| {
+                let (_, space) = out.spaces.into_iter().next()?;
+                Some(PortSpace {
+                    out_port: out.out_port,
+                    to_controller: out.to_controller,
+                    space,
+                    cookie: out.cookie,
+                })
+            })
+            .collect()
+    }
+
+    /// [`SwitchTransfer::apply`] for several labelled inputs in one scan of
+    /// the table: one [`LabelledPortSpace`] per output port of every
+    /// forwarding rule that serves part of some input, one per punting rule,
+    /// in table order, each holding the share of every input the rule
+    /// serves under that input's label. An input's shares are exactly what
+    /// `apply` reports for it alone: inputs never mix, and each is cut and
+    /// simplified on its own. A label names one input: adjacent inputs under
+    /// one label are one input.
+    ///
+    /// Subtraction is lazy, per rule: an input's share of a rule is the
+    /// rule's match cut out of the input, minus the matches of the earlier
+    /// applicable rules that overlapped the inputs — so the work a rule
+    /// costs is bounded by what overlaps *its* share, not by how finely the
+    /// rules before it shattered the rest of the input. An earlier match
+    /// that overlapped only other inputs is no cut at all: it missed every
+    /// cube this input still had then, and a share only narrows those. A
+    /// drop rule still joins the shadow list (it takes its headers away from
+    /// every later rule; it just emits nothing), a rule pinned to another
+    /// port never does (it sees none of this traffic), and the walk ends as
+    /// soon as every input cube lies whole inside some rule's match. A rule
+    /// overlapping no input costs one pass over the inputs' cubes, however
+    /// many inputs they come from.
+    #[must_use]
+    pub fn apply_each<'s>(
+        &self,
+        in_port: PortId,
+        inputs: impl IntoIterator<Item = (usize, &'s HeaderSpace)>,
+    ) -> Vec<LabelledPortSpace> {
         let mut outputs = Vec::new();
-        // Input cubes no rule so far contains whole: only these can still
-        // give a later rule a share.
-        let mut live: Vec<Cube> = input.cubes().to_vec();
-        // Matches of the applicable rules so far that overlapped the input.
+        // Input cubes no rule so far contains whole, under their input's
+        // label and in input order: only these can still give a later rule
+        // a share.
+        let mut live: Vec<(usize, Cube)> = inputs
+            .into_iter()
+            .flat_map(|(label, input)| input.cubes().iter().map(move |cube| (label, *cube)))
+            .collect();
+        // Matches of the applicable rules so far that overlapped the inputs.
         let mut shadows: Vec<Cube> = Vec::new();
 
         for rule in &self.rules {
@@ -289,51 +345,59 @@ impl SwitchTransfer {
                 break;
             }
             if !rule.applies_to_port(in_port)
-                || !live.iter().any(|cube| cube.overlaps(&rule.match_cube))
+                || !live.iter().any(|(_, cube)| cube.overlaps(&rule.match_cube))
             {
                 continue;
             }
-            // The rule's share of the input, rewritten; empty when earlier
-            // rules took all of it.
-            let share = |rewrite: Option<&Cube>| {
-                let mut cubes: Vec<Cube> = live
-                    .iter()
-                    .filter_map(|cube| cube.intersect(&rule.match_cube))
-                    .collect();
-                for earlier in &shadows {
-                    if cubes.iter().any(|cube| cube.overlaps(earlier)) {
-                        cubes = cubes.iter().flat_map(|c| c.subtract(earlier)).collect();
+            let rewrite = match &rule.action {
+                RuleAction::Drop => None,
+                RuleAction::ToController => Some(None),
+                RuleAction::Forward { rewrite, .. } => Some(rewrite.as_ref()),
+            };
+            if let Some(rewrite) = rewrite {
+                // Each input's share, rewritten; none for an input earlier
+                // rules took all of.
+                let mut shares = Vec::new();
+                for run in live.chunk_by(|a, b| a.0 == b.0) {
+                    let mut cubes: Vec<Cube> = run
+                        .iter()
+                        .filter_map(|(_, cube)| cube.intersect(&rule.match_cube))
+                        .collect();
+                    for earlier in &shadows {
+                        if cubes.iter().any(|cube| cube.overlaps(earlier)) {
+                            cubes = cubes.iter().flat_map(|c| c.subtract(earlier)).collect();
+                        }
+                    }
+                    let share = HeaderSpace::from_cubes(
+                        cubes
+                            .into_iter()
+                            .map(|cube| rewrite.map_or(cube, |rw| cube.rewrite(rw))),
+                    );
+                    if !share.is_empty() {
+                        shares.push((run[0].0, share));
                     }
                 }
-                HeaderSpace::from_cubes(
-                    cubes
-                        .into_iter()
-                        .map(|cube| rewrite.map_or(cube, |rw| cube.rewrite(rw))),
-                )
-            };
-            let leaving = |out_port, space: &HeaderSpace| PortSpace {
-                out_port,
-                to_controller: out_port.is_none(),
-                space: space.clone(),
-                cookie: rule.cookie,
-            };
-            match &rule.action {
-                RuleAction::Drop => {}
-                RuleAction::ToController => {
-                    let space = share(None);
-                    if !space.is_empty() {
-                        outputs.push(leaving(None, &space));
+                let leaving = |out_port: Option<PortId>, spaces| LabelledPortSpace {
+                    out_port,
+                    to_controller: out_port.is_none(),
+                    spaces,
+                    cookie: rule.cookie,
+                };
+                match &rule.action {
+                    _ if shares.is_empty() => {}
+                    RuleAction::Forward { ports, .. } => {
+                        if let Some((last, rest)) = ports.split_last() {
+                            let copies =
+                                rest.iter().map(|port| leaving(Some(*port), shares.clone()));
+                            outputs.extend(copies);
+                            outputs.push(leaving(Some(*last), shares));
+                        }
                     }
-                }
-                RuleAction::Forward { ports, rewrite } => {
-                    let space = share(rewrite.as_ref());
-                    if !space.is_empty() {
-                        outputs.extend(ports.iter().map(|port| leaving(Some(*port), &space)));
-                    }
+                    _ => outputs.push(leaving(None, shares)),
                 }
             }
             shadows.push(rule.match_cube);
-            live.retain(|cube| !cube.is_subset_of(&rule.match_cube));
+            live.retain(|(_, cube)| !cube.is_subset_of(&rule.match_cube));
         }
         outputs
     }
@@ -832,6 +896,54 @@ mod tests {
                     "{:?}: lazy {} vs eager {} for table {:?} on {}",
                     key, space, reference, table.rules(), input
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// One scan for several labelled inputs gives each input exactly
+        /// the outputs — same rules, ports, order and cubes — that `apply`
+        /// gives it alone: an earlier match that overlapped only other
+        /// inputs cuts nothing from this one. Inputs are zero to three
+        /// cubes, so some are empty, and overlap one another and the rules
+        /// partially, wholly and not at all.
+        #[test]
+        fn each_labelled_input_gets_what_apply_gives_it_alone(
+            rules in collection::vec(
+                (0u8..4, 0u8..3, 0u64..8, 1usize..4, 0u8..7, 0u32..4, 0u32..4, 0u8..6),
+                1..13,
+            ),
+            inputs in collection::vec(collection::vec((0u8..3, 0u64..8, 0usize..3), 0..4), 1..6),
+        ) {
+            let table = SwitchTransfer::from_rules(
+                rules.iter().enumerate().map(|(index, draw)| drawn_rule(index, *draw)),
+            );
+            let inputs: Vec<HeaderSpace> = inputs
+                .iter()
+                .map(|cubes| {
+                    HeaderSpace::from_cubes(
+                        cubes.iter().map(|(field, bits, len)| prefix_cube(*field, *bits, *len)),
+                    )
+                })
+                .collect();
+            let each = table.apply_each(PortId(0), inputs.iter().enumerate());
+            prop_assert!(each.iter().all(|out| !out.spaces.is_empty()));
+            for (label, input) in inputs.iter().enumerate() {
+                let shares: Vec<PortSpace> = each
+                    .iter()
+                    .filter_map(|out| {
+                        let (_, space) = out.spaces.iter().find(|(l, _)| *l == label)?;
+                        Some(PortSpace {
+                            out_port: out.out_port,
+                            to_controller: out.to_controller,
+                            space: space.clone(),
+                            cookie: out.cookie,
+                        })
+                    })
+                    .collect();
+                prop_assert_eq!(shares, table.apply(PortId(0), input), "input {}", label);
             }
         }
     }

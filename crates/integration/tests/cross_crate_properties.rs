@@ -826,6 +826,11 @@ proptest! {
             // carried traversal was one the mix reads.
             let (walked, fresh_walks) = (first_pass.1 - before.1, fresh.traversal_counts().1 as f64);
             prop_assert_eq!(walked + carried, fresh_walks, "step {} (kind {})", step, kind);
+            // And what one fresh evaluator walks for the mix is one emission
+            // and one inbound walk per host (the latter probing every other
+            // client at once) plus each client's one path probe.
+            let expected_walks = (2 * hosts.len() + clients.len()) as f64;
+            prop_assert_eq!(fresh_walks, expected_walks, "step {} (kind {})", step, kind);
         }
         // Not vacuous: some epoch of the run was served traversals walked on
         // an earlier one.

@@ -105,7 +105,7 @@ impl ServiceMetrics {
             ),
             memo_misses: registry.counter(
                 "rvaas_traversal_memo_misses_total",
-                "HSA traversals walked because the epoch's memo did not hold them yet.",
+                "HSA traversals walked because the epoch's memo did not hold them yet; one walk may fill a host's inbound probes for every client.",
             ),
             workers: registry.gauge(
                 "rvaas_workers",
@@ -731,21 +731,19 @@ mod tests {
     /// still holds a superseded epoch keeps that epoch's traversals.
     #[test]
     fn each_epoch_starts_an_empty_memo_and_fills_it_to_one_entry_per_key() {
-        let topology = generators::line(4, 2);
+        let topology = generators::line(6, 3);
         let (service, mut snapshot) = service_over(&topology, false);
-        let clients = [ClientId(1), ClientId(2)];
+        let clients = topology.clients();
         let workload: Vec<(ClientId, QuerySpec)> = clients
             .iter()
             .flat_map(|c| all_specs(&topology).into_iter().map(move |s| (*c, s)))
             .collect();
-        // One emission traversal per host, one source probe per (foreign
-        // host, client), one path probe per (client, destination) asked.
+        // One emission traversal per host, one inbound walk per host
+        // (probing both clients it does not belong to), one path probe per
+        // (client, destination) asked: 6 + 6 + 3.
         let hosts = topology.hosts().count();
-        let foreign: usize = clients
-            .iter()
-            .map(|c| hosts - topology.hosts_of_client(*c).len())
-            .sum();
-        let keys = hosts + foreign + clients.len();
+        let keys = 2 * hosts + clients.len();
+        assert_eq!(keys, 15);
         let counts = || {
             let scrape = service.registry().render_text();
             let samples = rvaas_telemetry::parse_text(&scrape).expect("well-formed");

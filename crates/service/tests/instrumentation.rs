@@ -245,18 +245,19 @@ fn every_store_side_series_reads_its_scripted_value() {
             ("rvaas_model_rebuilds_total", 1.0),
             // The delta publish carries 18 of the 20 traversals walked at
             // epoch 1: it drops the emission of client 1's first host and
-            // that host's probe towards client 2, both starting on the
-            // changed switch inside the region. The flap's region meets
-            // none of the 18, so it carries all of them, and the
+            // that host's inbound walk (one walk, probing clients 2, 3 and
+            // 4, and client 2 owns the region's destination), both starting
+            // on the changed switch inside the region. The flap's region
+            // meets none of the 18, so it carries all of them, and the
             // conservative rewrite epoch drops them: 18 + 18 carried,
             // 2 + 18 dropped.
             ("rvaas_traversal_memo_carried_total", 36.0),
             ("rvaas_traversal_memo_dropped_total", 20.0),
             // The three queries, all at epoch 1 on its cold memo, share no
             // traversal: each walked its own (4 emissions of client 1's
-            // hosts, 12 foreign source probes toward client 2, 4 emissions
-            // of client 3's) and read verdict and footprint off that one
-            // lookup.
+            // hosts, one inbound walk from each of the 12 hosts foreign to
+            // client 2, 4 emissions of client 3's) and read verdict and
+            // footprint off that one lookup.
             ("rvaas_traversal_memo_hits_total", 0.0),
             ("rvaas_traversal_memo_misses_total", 20.0),
         ]
