@@ -6,7 +6,8 @@
 //! (and MAD) of five runs:
 //!
 //! * **compile** — `benign_rules`, the benign routing policy;
-//! * **snapshot** — recording every compiled rule into a `NetworkSnapshot`;
+//! * **snapshot** — building the `NetworkSnapshot` of every compiled rule
+//!   (`NetworkSnapshot::with_rules`, one sort per table, as the daemon does);
 //! * **publish** — the epoch-1 `try_publish` on a fresh service (the
 //!   store's bulk model rebuild).
 //!
@@ -18,8 +19,19 @@
 //! A fourth row is what the daemon does after it has started: the **delta
 //! publish**, the median (and MAD) of 300 steady tenant-churn
 //! `try_publish_changes` (one tenant's four rules out, the next tenant's
-//! four in), fitted against the mean rules per table (rules ÷ switches) —
-//! the size a delta publish copies and scans in every table it touches.
+//! four in), fitted against the mean rules per table (rules ÷ switches).
+//! A publish copies the chunks its changes land in and the chunk-pointer
+//! lists of the tables they touch, and scans one priority's rules to find a
+//! removal: rules per table is the size the pointer lists and those scans
+//! grow with, not the size it copies.
+//!
+//! The **one-table row** isolates that: on `fat_tree(8, 32)` one transit
+//! switch's table is flooded with 1 024, 4 096 and 16 384 inert drops (for
+//! destinations nobody has, below every tenant rule's priority), and one
+//! tenant rule is put in and taken out of that table by one-rule
+//! `try_publish_changes`, 100 per size. Its exponent is fitted against the
+//! rules in that table; a publish that copied the table would read about
+//! 1.0 (CI fails above 0.5).
 //!
 //! A fifth is what the first verdicts cost: the **memo fill**, every
 //! client's `query_mix` answered once through one `try_query_all` on the
@@ -37,17 +49,18 @@
 //!
 //! Writes the machine-readable curve to `BENCH_startup.json`; the CI
 //! experiments-smoke gate fails when `compile_exponent` exceeds 1.4,
-//! `delta_publish_exponent` exceeds 1.3 or a point's `fill_walks` exceeds
-//! `2 × hosts + clients`.
+//! `delta_publish_exponent` exceeds 1.3, `one_table_exponent` exceeds 0.5
+//! or a point's `fill_walks` exceeds `2 × hosts + clients`.
 
 use std::time::Instant;
 
-use rvaas::NetworkSnapshot;
+use rvaas::{NetworkSnapshot, RuleChange};
 use rvaas_client::QuerySpec;
 use rvaas_controlplane::benign_rules;
+use rvaas_openflow::{Action, FlowEntry, FlowMatch};
 use rvaas_service::{ServiceSettings, VerificationService};
 use rvaas_topology::{generators, Topology};
-use rvaas_types::{ClientId, SimTime};
+use rvaas_types::{ClientId, Field, SimTime};
 use rvaas_workloads::{benign_snapshot, clients_of, query_mix, tenant_churn_round};
 
 use crate::report::{smoke_mode, MedianMad, Report};
@@ -61,6 +74,12 @@ const DELTA_ROUNDS: u64 = 300;
 
 /// Untimed churn rounds before them: the first only installs.
 const DELTA_WARMUP: u64 = 10;
+
+/// Inert drops the one-table row floods its switch with: four octaves.
+const ONE_TABLE_FLOODS: [usize; 3] = [1_024, 4_096, 16_384];
+
+/// Timed one-rule publishes per flood size, [`RUNS`] consecutive shares.
+const ONE_TABLE_ROUNDS: usize = 100;
 
 /// One fat-tree size's measurements: per repeat, the phases and the memo
 /// fill in ms, the delta publish in µs (each repeat's median).
@@ -84,12 +103,80 @@ impl StartupPoint {
     /// Each repeat's delta-publish figure: the median of its consecutive
     /// share of the rounds.
     fn delta_repeats(&self) -> Vec<f64> {
-        let share = self.delta_publish.len().div_ceil(RUNS).max(1);
-        self.delta_publish
-            .chunks(share)
-            .map(|rounds| MedianMad::of(rounds).median)
-            .collect()
+        repeats_of(&self.delta_publish)
     }
+}
+
+/// Each repeat's figure of a series of rounds: the median of its
+/// consecutive share of them.
+fn repeats_of(rounds: &[f64]) -> Vec<f64> {
+    let share = rounds.len().div_ceil(RUNS).max(1);
+    rounds
+        .chunks(share)
+        .map(|share| MedianMad::of(share).median)
+        .collect()
+}
+
+/// One flood size of the one-table row.
+struct OneTablePoint {
+    /// Rules in the flooded table.
+    rules: usize,
+    /// Every timed one-rule publish, in µs, in round order.
+    publish: Vec<f64>,
+}
+
+/// The one-table row: per flood size, a service publishing the benign
+/// routing plus the flood on one transit switch, then [`ONE_TABLE_ROUNDS`]
+/// one-rule publishes that put a tenant rule in that table and take it out.
+fn measure_one_table() -> Vec<OneTablePoint> {
+    let topology = generators::fat_tree(8, 32);
+    let transit = topology
+        .switches()
+        .map(|s| s.id)
+        .find(|s| topology.edge_ports(*s).is_empty())
+        .expect("a fat tree has core switches");
+    let mut hosts = topology.hosts();
+    let (src, dst) = (hosts.next().expect("hosts"), hosts.last().expect("hosts"));
+    let port = topology.next_hops_to(dst.attachment.switch)[&transit];
+    let tenant = FlowEntry::new(
+        400,
+        FlowMatch::from_ip(src.ip).field(Field::IpDst, u64::from(dst.ip)),
+        vec![Action::Output(port)],
+    );
+    let at = SimTime::from_millis(1);
+    ONE_TABLE_FLOODS
+        .iter()
+        .map(|&flood| {
+            let inert = (0..flood as u32).map(|i| {
+                let drop = FlowMatch::to_ip(0xc0a8_0000 + i);
+                (transit, FlowEntry::new(50, drop, vec![Action::Drop]))
+            });
+            let rules = benign_rules(&topology).into_iter().chain(inert);
+            let snapshot = NetworkSnapshot::with_rules(at, rules, at);
+            let service = fresh_service(&topology);
+            service
+                .try_publish(&snapshot, at)
+                .expect("epoch 1 publishes");
+            let publish = (0..ONE_TABLE_ROUNDS as u64)
+                .map(|round| {
+                    let change = if round % 2 == 0 {
+                        RuleChange::installed(transit, tenant.clone())
+                    } else {
+                        RuleChange::removed(transit, tenant.clone())
+                    };
+                    let started = Instant::now();
+                    service
+                        .try_publish_changes(&[change], SimTime::from_millis(2 + round))
+                        .expect("delta publishes");
+                    started.elapsed().as_secs_f64() * 1e6
+                })
+                .collect();
+            OneTablePoint {
+                rules: snapshot.table_of(transit).len(),
+                publish,
+            }
+        })
+        .collect()
 }
 
 /// Milliseconds since `started`.
@@ -167,10 +254,7 @@ fn measure_point(k: usize) -> StartupPoint {
         rules = compiled.len();
 
         let started = Instant::now();
-        let mut epoch_one = NetworkSnapshot::new(at);
-        for (switch, entry) in compiled {
-            epoch_one.record_installed(switch, entry, at);
-        }
+        let epoch_one = NetworkSnapshot::with_rules(at, compiled, at);
         snapshot.push(ms_since(started));
 
         let service = fresh_service(&topology);
@@ -230,11 +314,7 @@ fn slope(xy: &[(f64, f64)]) -> f64 {
 /// The exponent of `phase` against `size`, fitted once per repeat (the
 /// repeat's figure at every point): the median fit, and every fit in
 /// repeat order.
-fn exponent(
-    points: &[StartupPoint],
-    size: fn(&StartupPoint) -> f64,
-    phase: fn(&StartupPoint) -> Vec<f64>,
-) -> (f64, Vec<f64>) {
+fn exponent<P>(points: &[P], size: fn(&P) -> f64, phase: fn(&P) -> Vec<f64>) -> (f64, Vec<f64>) {
     let repeats: Vec<Vec<f64>> = points.iter().map(phase).collect();
     let runs = repeats.iter().map(Vec::len).min().unwrap_or(0);
     let fits: Vec<f64> = (0..runs)
@@ -250,10 +330,10 @@ fn exponent(
     (MedianMad::of(&fits).median, fits)
 }
 
-fn report(points: &[StartupPoint]) -> Report {
+fn report(points: &[StartupPoint], one_table: &[OneTablePoint]) -> Report {
     let mut report = Report::new(
         "startup_scale",
-        "S4 — daemon start vs trusted-topology size; gates: compile_exponent <= 1.4, delta_publish_exponent <= 1.3, fill_walks <= 2 x hosts + clients",
+        "S4 — daemon start vs trusted-topology size; gates: compile_exponent <= 1.4, delta_publish_exponent <= 1.3, one_table_exponent <= 0.5, fill_walks <= 2 x hosts + clients",
     );
     report
         .field("topology", "fat_tree(k, 4k)")
@@ -309,6 +389,15 @@ fn report(points: &[StartupPoint]) -> Report {
         "fill_exponents",
     );
     report.summary("compile_segment_exponents", segments);
+    let sizes: Vec<f64> = one_table.iter().map(|p| p.rules as f64).collect();
+    let medians = one_table.iter().map(|p| MedianMad::of(&p.publish).median);
+    report
+        .summary("one_table_rules", sizes)
+        .summary("one_table_publish_us", medians.collect::<Vec<f64>>());
+    let (fit, fits) = exponent(one_table, |p| p.rules as f64, |p| repeats_of(&p.publish));
+    report
+        .summary("one_table_exponent", fit)
+        .summary("one_table_exponents", fits);
     report
 }
 
@@ -317,7 +406,7 @@ fn report(points: &[StartupPoint]) -> Report {
 pub fn exp_s4_startup_scale() -> Vec<String> {
     let arities: &[usize] = if smoke_mode() { &[8, 12] } else { &[8, 12, 16] };
     let points: Vec<StartupPoint> = arities.iter().map(|&k| measure_point(k)).collect();
-    report(&points).write("BENCH_startup.json")
+    report(&points, &measure_one_table()).write("BENCH_startup.json")
 }
 
 #[cfg(test)]
@@ -345,7 +434,12 @@ mod tests {
                 p.k
             );
         }
-        let report = report(&points);
+        // The one-table row, two sizes apart by a factor of four.
+        let one_table = [(100, 10.0), (400, 20.0)].map(|(rules, us)| OneTablePoint {
+            rules,
+            publish: vec![us; RUNS],
+        });
+        let report = report(&points, &one_table);
         let json = report.json();
         assert!(json.contains("\"experiment\": \"startup_scale\""));
         assert!(json.contains("\"compile_exponent\""));
@@ -354,6 +448,11 @@ mod tests {
         assert!(json.contains("\"delta_publish_exponent\""));
         assert!(json.contains("\"fill_walks\":"));
         assert!(json.contains("\"fill_exponent\""));
+        assert!(json.contains("\"one_table_exponent\": 0.500"), "{json}");
+        assert!(
+            json.contains("\"one_table_rules\": [100.000,400.000]"),
+            "{json}"
+        );
         assert!(report
             .rows()
             .iter()

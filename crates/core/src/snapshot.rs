@@ -19,28 +19,31 @@
 //! compared); nothing else decides whether an install is a no-op, a fresh
 //! install or a displacement.
 //!
-//! Tables are **shared copy-on-write**: a clone copies no [`FlowEntry`], an
-//! edit copies the one table it changes, and dropping a snapshot frees only
-//! the tables nothing else holds. Copying a table copies its entries and its
-//! index but not the entries' action lists, which are shared [`Arc`]s: no
-//! entry costs an allocation of its own, and freeing the copy frees no
-//! action list a predecessor still uses. Two pointer-equal tables are therefore
-//! equal, which is the one thing the diff behind `changes_to` uses the
-//! sharing for — it skips them. Edits look before they write: a removal of
-//! an absent key and an install of an entry `==` to the held one copy
-//! nothing. An install of the same *rule* under another cookie or with
-//! other counters is not such a no-op: the held entry is replaced (so its
-//! table is copied if shared) because `table_of` hands the cookie and the
-//! counters out, while the change list — which is about rules — stays empty.
+//! Tables are **shared copy-on-write, a chunk at a time**: a table's
+//! entries and its index are [`Chunked`] sequences behind one [`Arc`] per
+//! switch, so a clone copies no [`FlowEntry`], an edit copies the table's
+//! two chunk-pointer lists and the chunks (at most [`TABLE_CHUNK`] entries
+//! or keys each) it lands in, and dropping a snapshot frees only the chunks
+//! nothing else holds. Copying a chunk does not copy its entries' action
+//! lists, which are shared [`Arc`]s: no entry costs an allocation of its
+//! own, and freeing the copy frees no action list a predecessor still uses.
+//! Two pointer-equal tables, or chunks, are therefore equal, which is the
+//! one thing the diff behind `changes_to` uses the sharing for — it skips
+//! them. Edits look before they write: a removal of an absent key and an
+//! install of an entry `==` to the held one copy nothing. An install of the
+//! same *rule* under another cookie or with other counters is not such a
+//! no-op: the held entry is replaced (so its chunk is copied if shared)
+//! because `table_of` hands the cookie and the counters out, while the
+//! change list — which is about rules — stays empty.
 
-use std::collections::btree_map::Entry as BTreeEntry;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 use rvaas_hsa::NetworkFunction;
 use rvaas_openflow::{FlowEntry, FlowMatch};
 use rvaas_topology::Topology;
-use rvaas_types::{SimTime, SwitchId};
+use rvaas_types::{chunked, Chunked, SimTime, SwitchId};
 
 use crate::incremental::RuleChange;
 
@@ -55,71 +58,222 @@ pub struct RemovedEntry {
     pub removed_at: SimTime,
 }
 
+/// The most entries (and index keys) one chunk of a switch table holds: an
+/// edit of a shared table copies at most two chunks' worth of each.
+pub const TABLE_CHUNK: usize = 32;
+
 /// One switch's believed flow table: the entries in arrival order (equal
 /// priorities must keep insertion order, matching the data plane's stable
-/// sort) plus a `(priority, match)` index so the install/modify path is
-/// `O(log n)` instead of a linear scan per monitor event.
+/// sort), each under the arrival number it was installed with, plus a
+/// `(priority, match)` index to those numbers, so the install/modify path is
+/// `O(log n)` instead of a linear scan per monitor event and a removal
+/// shifts nothing. Both are [`Chunked`]: an edit of a shared table copies the
+/// chunks it lands in, not the table.
 #[derive(Debug, Clone, Default)]
 struct SwitchTable {
-    entries: Vec<FlowEntry>,
-    index: BTreeMap<(u16, FlowMatch), usize>,
+    /// `(arrival, entry)`, ascending by arrival.
+    entries: Chunked<(u64, FlowEntry), TABLE_CHUNK>,
+    /// `(priority, match, arrival)`, ascending by `(priority, match)`.
+    index: Chunked<(u16, FlowMatch, u64), TABLE_CHUNK>,
+    /// The arrival number the next fresh install gets.
+    next: u64,
 }
 
 impl SwitchTable {
     /// Adds `entry`, or replaces the entry with the same `(priority, match)`
     /// in its slot. Returns the displaced entry.
     fn upsert(&mut self, entry: FlowEntry) -> Option<FlowEntry> {
-        match self.index.entry((entry.priority, entry.flow_match.clone())) {
-            BTreeEntry::Occupied(slot) => {
-                Some(std::mem::replace(&mut self.entries[*slot.get()], entry))
-            }
-            BTreeEntry::Vacant(slot) => {
-                slot.insert(self.entries.len());
-                self.entries.push(entry);
-                None
-            }
+        if let Some((_, arrival)) = self.slot_of(entry.priority, &entry.flow_match) {
+            let at = self.at(arrival);
+            return Some(self.entries.replace(at, (arrival, entry)).1);
         }
+        let arrival = self.next;
+        self.next += 1;
+        let key = (entry.priority, entry.flow_match.clone(), arrival);
+        self.index.insert(self.key_at(key.0, &key.1), key);
+        self.entries.insert(self.entries.len(), (arrival, entry));
+        None
     }
 
     /// Removes and returns the entry with the given `(priority, match)`,
     /// preserving the arrival order of the survivors.
     fn remove(&mut self, priority: u16, flow_match: &FlowMatch) -> Option<FlowEntry> {
-        let pos = self.index.remove(&(priority, flow_match.clone()))?;
-        for slot in self.index.values_mut() {
-            if *slot > pos {
-                *slot -= 1;
-            }
-        }
-        Some(self.entries.remove(pos))
+        let (key, arrival) = self.slot_of(priority, flow_match)?;
+        self.index.remove(key);
+        Some(self.entries.remove(self.at(arrival)).1)
     }
 
-    /// Where in `entries` the entry with the given `(priority, match)` is.
-    fn slot_of(&self, priority: u16, flow_match: &FlowMatch) -> Option<usize> {
-        self.index.get(&(priority, flow_match.clone())).copied()
+    /// Where in `index` the key `(priority, match)` is or would go.
+    fn key_at(&self, priority: u16, flow_match: &FlowMatch) -> usize {
+        self.index
+            .partition_point(|(p, m, _)| (*p, m) < (priority, flow_match))
+    }
+
+    /// Where in `entries` the entry that arrived as `arrival` is.
+    fn at(&self, arrival: u64) -> usize {
+        self.entries.partition_point(|(held, _)| *held < arrival)
+    }
+
+    /// Where in `index` the key `(priority, match)` is, and the arrival
+    /// number of its entry (ascending in `entries`' order).
+    fn slot_of(&self, priority: u16, flow_match: &FlowMatch) -> Option<(usize, u64)> {
+        let key = self.key_at(priority, flow_match);
+        let (p, m, arrival) = self.index.get(key)?;
+        ((*p, m) == (priority, flow_match)).then_some((key, *arrival))
+    }
+
+    /// The entry with the given `(priority, match)` and its arrival number.
+    fn find(&self, priority: u16, flow_match: &FlowMatch) -> Option<(u64, &FlowEntry)> {
+        let (_, arrival) = self.slot_of(priority, flow_match)?;
+        let (_, entry) = self.entries.get(self.at(arrival))?;
+        Some((arrival, entry))
     }
 
     fn get(&self, priority: u16, flow_match: &FlowMatch) -> Option<&FlowEntry> {
-        self.slot_of(priority, flow_match)
-            .map(|slot| &self.entries[slot])
+        self.find(priority, flow_match).map(|(_, entry)| entry)
     }
 
+    /// The entries in arrival order.
+    fn iter(&self) -> TableIter<'_> {
+        TableIter(self.entries.iter())
+    }
+
+    /// The table `upsert`ing `entries` in order into an empty one builds, in
+    /// one sort: an entry whose key an earlier one holds displaces it in
+    /// that slot.
     fn from_entries(entries: Vec<FlowEntry>) -> Self {
-        let mut table = SwitchTable {
-            entries: Vec::with_capacity(entries.len()),
-            index: BTreeMap::new(),
-        };
-        for entry in entries {
-            table.upsert(entry);
+        let mut keyed: Vec<(u16, &FlowMatch, usize)> = entries
+            .iter()
+            .enumerate()
+            .map(|(at, entry)| (entry.priority, &entry.flow_match, at))
+            .collect();
+        keyed.sort_unstable();
+        // Per position: the position of the entry that ends up in its slot,
+        // for the first position of every key.
+        let mut holder: Vec<Option<usize>> = vec![None; entries.len()];
+        let index = keyed
+            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+            .map(|same| {
+                let (first, last) = (same[0].2, same[same.len() - 1].2);
+                holder[first] = Some(last);
+                (same[0].0, same[0].1.clone(), first as u64)
+            })
+            .collect();
+        let mut entries: Vec<Option<FlowEntry>> = entries.into_iter().map(Some).collect();
+        let arrivals: Vec<(u64, FlowEntry)> = (0..entries.len())
+            .filter_map(|at| Some((at as u64, entries[holder[at]?].take()?)))
+            .collect();
+        SwitchTable {
+            next: entries.len() as u64,
+            entries: arrivals.into_iter().collect(),
+            index,
         }
-        table
     }
 }
 
-/// RVaaS's view of the network configuration.
+/// The table of a switch the snapshot holds nothing for.
+static EMPTY_TABLE: SwitchTable = SwitchTable {
+    entries: Chunked::new(),
+    index: Chunked::new(),
+    next: 0,
+};
+
+/// The entries RVaaS believes are installed on one switch, in arrival order
+/// (what [`NetworkSnapshot::table_of`] and [`NetworkSnapshot::tables`] hand
+/// out). A view: it borrows the snapshot's table and copies nothing.
+#[derive(Clone, Copy)]
+pub struct TableEntries<'a> {
+    table: &'a SwitchTable,
+}
+
+impl<'a> TableEntries<'a> {
+    /// The entries in arrival order.
+    #[must_use]
+    pub fn iter(&self) -> TableIter<'a> {
+        self.table.iter()
+    }
+
+    /// Number of entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.table.entries.len()
+    }
+
+    /// True when the switch holds no entry.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.table.entries.is_empty()
+    }
+
+    /// True when the table holds an entry `==` to `entry`.
+    #[must_use]
+    pub fn contains(&self, entry: &FlowEntry) -> bool {
+        self.table.get(entry.priority, &entry.flow_match) == Some(entry)
+    }
+
+    /// The entries in arrival order, in one vector.
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<FlowEntry> {
+        self.iter().cloned().collect()
+    }
+
+    /// How many entries and index keys this table holds in chunks `older`'s
+    /// does not share: what the edits that turned `older` into it copied.
+    #[must_use]
+    pub fn unshared_with(&self, older: TableEntries<'_>) -> usize {
+        let (mine, theirs) = (self.table, older.table);
+        mine.entries.unshared_with(&theirs.entries) + mine.index.unshared_with(&theirs.index)
+    }
+}
+
+impl<'a> IntoIterator for TableEntries<'a> {
+    type Item = &'a FlowEntry;
+    type IntoIter = TableIter<'a>;
+
+    fn into_iter(self) -> TableIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for TableEntries<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Two views are equal when they hold equal entries in the same order.
+impl PartialEq for TableEntries<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl<const N: usize> PartialEq<[FlowEntry; N]> for TableEntries<'_> {
+    fn eq(&self, other: &[FlowEntry; N]) -> bool {
+        self.len() == N && self.iter().eq(other.iter())
+    }
+}
+
+/// Iterator over a [`TableEntries`] view, in arrival order.
+#[derive(Debug, Clone)]
+pub struct TableIter<'a>(chunked::Iter<'a, (u64, FlowEntry)>);
+
+impl<'a> Iterator for TableIter<'a> {
+    type Item = &'a FlowEntry;
+
+    fn next(&mut self) -> Option<&'a FlowEntry> {
+        self.0.next().map(|(_, entry)| entry)
+    }
+}
+
+/// RVaaS's view of the network configuration: one table per switch, each
+/// shared with every clone and, inside, shared chunk by chunk with the
+/// snapshot it was edited from (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct NetworkSnapshot {
     /// Shared copy-on-write with every clone: an edit goes through
-    /// [`Arc::make_mut`] on the one table it changes.
+    /// [`Arc::make_mut`] on the one table it changes, which copies that
+    /// table's chunk-pointer lists, and then copies the chunks it edits.
     tables: BTreeMap<SwitchId, Arc<SwitchTable>>,
     removed: Vec<RemovedEntry>,
     /// Time of the last update applied to the snapshot.
@@ -136,6 +290,30 @@ impl NetworkSnapshot {
             history_window,
             ..NetworkSnapshot::default()
         }
+    }
+
+    /// A snapshot holding `rules`, exactly as recording each of them
+    /// installed at `at`, in order, into [`NetworkSnapshot::new`] would
+    /// leave it (an entry whose `(priority, match)` an earlier one holds
+    /// displaces that one in its slot), built in one pass: the rules are
+    /// grouped by switch and each table is built with one sort.
+    #[must_use]
+    pub fn with_rules(
+        history_window: SimTime,
+        rules: impl IntoIterator<Item = (SwitchId, FlowEntry)>,
+        at: SimTime,
+    ) -> Self {
+        let mut by_switch: BTreeMap<SwitchId, Vec<FlowEntry>> = BTreeMap::new();
+        for (switch, entry) in rules {
+            by_switch.entry(switch).or_default().push(entry);
+        }
+        let mut snapshot = NetworkSnapshot::new(history_window);
+        snapshot.tables = by_switch
+            .into_iter()
+            .map(|(switch, entries)| (switch, Arc::new(SwitchTable::from_entries(entries))))
+            .collect();
+        snapshot.touch(at);
+        snapshot
     }
 
     /// Time of the most recent update.
@@ -242,7 +420,8 @@ impl NetworkSnapshot {
     /// One that holds its key in both snapshots but not its slot (removed
     /// and installed again in between) is a removal and an install, even
     /// with the same actions. A table the two snapshots share is skipped: it
-    /// cannot contribute.
+    /// cannot contribute; so is every entry of a chunk of a table they both
+    /// hold, which is neither gone nor moved (only its slot is read).
     #[must_use]
     pub fn changes_to(&self, next: &NetworkSnapshot) -> Vec<RuleChange> {
         let shared = |a: Option<&Arc<SwitchTable>>, b: &Arc<SwitchTable>| {
@@ -251,43 +430,52 @@ impl NetworkSnapshot {
         let mut removals = Vec::new();
         let mut installs = Vec::new();
         for (switch, table) in &self.tables {
-            let theirs = next.tables.get(switch);
-            if shared(theirs, table) {
+            let theirs = next.table(*switch);
+            if shared(next.tables.get(switch), table) {
                 continue;
             }
-            let gone = table.entries.iter().filter(|mine| {
-                theirs.is_none_or(|t| t.get(mine.priority, &mine.flow_match).is_none())
-            });
-            removals.extend(gone.map(|mine| RuleChange::removed(*switch, mine.clone())));
+            // A chunk `next` holds too holds nothing `next` lacks.
+            let unshared = table.entries.chunks_shared_with(&theirs.entries);
+            let gone = unshared
+                .filter(|(_, shared)| !shared)
+                .flat_map(|(chunk, _)| chunk)
+                .filter(|(_, mine)| theirs.get(mine.priority, &mine.flow_match).is_none());
+            removals.extend(gone.map(|(_, mine)| RuleChange::removed(*switch, mine.clone())));
         }
         for (switch, table) in &next.tables {
-            let mine = self.tables.get(switch);
-            if shared(mine, table) {
+            let mine = self.table(*switch);
+            if shared(self.tables.get(switch), table) {
                 continue;
             }
-            // Per priority: the first slot of `self` a kept entry may still
-            // come from, `None` once an entry of that priority has arrived.
-            let mut open: BTreeMap<u16, Option<usize>> = BTreeMap::new();
-            for entry in &table.entries {
-                let slot = mine.and_then(|t| {
-                    let slot = t.slot_of(entry.priority, &entry.flow_match)?;
-                    Some((slot, &t.entries[slot]))
-                });
-                let from = open.entry(entry.priority).or_insert(Some(0));
-                match slot {
-                    Some((slot, held)) if from.is_some_and(|from| slot >= from) => {
-                        *from = Some(slot + 1);
-                        if held.actions != entry.actions {
-                            installs.push(RuleChange::displaced(*switch, held.clone()));
+            // Per priority: the first slot (arrival number) of `self` a kept
+            // entry may still come from, `None` once an entry of that
+            // priority has arrived.
+            let mut open: BTreeMap<u16, Option<u64>> = BTreeMap::new();
+            let chunks = table.entries.chunks_shared_with(&mine.entries);
+            for (chunk, shared) in chunks {
+                for (arrival, entry) in chunk {
+                    // An entry of a chunk `self` holds too is held there as here.
+                    let slot = if shared {
+                        Some((*arrival, entry))
+                    } else {
+                        mine.find(entry.priority, &entry.flow_match)
+                    };
+                    let from = open.entry(entry.priority).or_insert(Some(0));
+                    match slot {
+                        Some((slot, held)) if from.is_some_and(|from| slot >= from) => {
+                            *from = Some(slot + 1);
+                            if held.actions != entry.actions {
+                                installs.push(RuleChange::displaced(*switch, held.clone()));
+                                installs.push(RuleChange::installed(*switch, entry.clone()));
+                            }
+                        }
+                        _ => {
+                            *from = None;
+                            if let Some((_, held)) = slot {
+                                removals.push(RuleChange::removed(*switch, held.clone()));
+                            }
                             installs.push(RuleChange::installed(*switch, entry.clone()));
                         }
-                    }
-                    _ => {
-                        *from = None;
-                        if let Some((_, held)) = slot {
-                            removals.push(RuleChange::removed(*switch, held.clone()));
-                        }
-                        installs.push(RuleChange::installed(*switch, entry.clone()));
                     }
                 }
             }
@@ -302,7 +490,7 @@ impl NetworkSnapshot {
     pub fn record_full_table(&mut self, switch: SwitchId, entries: Vec<FlowEntry>, at: SimTime) {
         let new_table = SwitchTable::from_entries(entries);
         if let Some(old) = self.tables.get(&switch) {
-            for old_entry in &old.entries {
+            for old_entry in old.iter() {
                 if new_table
                     .get(old_entry.priority, &old_entry.flow_match)
                     .is_none()
@@ -327,16 +515,23 @@ impl NetworkSnapshot {
 
     /// The entries RVaaS believes are installed on `switch`.
     #[must_use]
-    pub fn table_of(&self, switch: SwitchId) -> &[FlowEntry] {
-        self.tables
-            .get(&switch)
-            .map_or(&[], |t| t.entries.as_slice())
+    pub fn table_of(&self, switch: SwitchId) -> TableEntries<'_> {
+        TableEntries {
+            table: self.table(switch),
+        }
+    }
+
+    /// The table of `switch`, empty when the snapshot holds none.
+    fn table(&self, switch: SwitchId) -> &SwitchTable {
+        self.tables.get(&switch).map_or(&EMPTY_TABLE, Arc::as_ref)
     }
 
     /// Iterates every believed table as `(switch, entries)` (used by the
     /// service plane to digest the whole configuration).
-    pub fn tables(&self) -> impl Iterator<Item = (SwitchId, &[FlowEntry])> {
-        self.tables.iter().map(|(s, t)| (*s, t.entries.as_slice()))
+    pub fn tables(&self) -> impl Iterator<Item = (SwitchId, TableEntries<'_>)> {
+        self.tables
+            .iter()
+            .map(|(s, t)| (*s, TableEntries { table: t }))
     }
 
     /// Builds the HSA network function for the *current* belief, wiring taken
@@ -405,10 +600,7 @@ mod tests {
         // Same match/priority replaces.
         snap.record_installed(SwitchId(1), entry(5, 2), SimTime::from_millis(2));
         assert_eq!(snap.rule_count(), 1);
-        assert_eq!(
-            *snap.table_of(SwitchId(1))[0].actions,
-            [Action::Output(PortId(2))]
-        );
+        assert_eq!(snap.table_of(SwitchId(1)), [entry(5, 2)]);
         // Removal moves the entry to history.
         let removed = entry(5, 2);
         snap.record_removed(SwitchId(1), &removed, SimTime::from_millis(3));
@@ -541,10 +733,14 @@ mod tests {
                 source.record_installed(SwitchId(switch), entry(dst, 1), SimTime::from_millis(1));
             }
         }
-        // A shared table is one allocation: its entries sit at one address.
+        // A shared table: `b` holds every entry in one of `a`'s chunks.
         let shared = |a: &NetworkSnapshot, b: &NetworkSnapshot| -> Vec<bool> {
             (1..=3)
-                .map(|s| a.table_of(SwitchId(s)).as_ptr() == b.table_of(SwitchId(s)).as_ptr())
+                .map(|s| {
+                    b.table_of(SwitchId(s))
+                        .unshared_with(a.table_of(SwitchId(s)))
+                        == 0
+                })
                 .collect()
         };
         let frozen: Vec<_> = source.tables().map(|(s, t)| (s, t.to_vec())).collect();
@@ -576,7 +772,7 @@ mod tests {
         recoloured.cookie = rvaas_types::FlowCookie(7);
         let install = [RuleChange::installed(SwitchId(1), recoloured.clone())];
         assert_eq!(clone.apply_changes(&install, at), []);
-        assert_eq!(clone.table_of(SwitchId(1))[0], recoloured);
+        assert_eq!(clone.table_of(SwitchId(1)).iter().next(), Some(&recoloured));
         assert_eq!(shared(&source, &clone), [false, false, true]);
         assert_eq!(source.changes_to(&clone), one);
     }
@@ -595,7 +791,11 @@ mod tests {
         ];
         next.apply_changes(&changes, SimTime::from_millis(2));
         let (before, after) = (source.table_of(SwitchId(1)), next.table_of(SwitchId(1)));
-        assert_ne!(before.as_ptr(), after.as_ptr(), "the table was copied");
+        assert_eq!(
+            after.unshared_with(before),
+            8 + 8,
+            "its entries and index were copied"
+        );
         assert_eq!(after.len(), 8);
         for held in after {
             let touched = [5, 8].map(FlowMatch::to_ip).contains(&held.flow_match);
@@ -604,5 +804,71 @@ mod tests {
                 .any(|old| Arc::ptr_eq(&old.actions, &held.actions));
             assert_eq!(shares, !touched, "{:?}", held.flow_match);
         }
+    }
+
+    #[test]
+    fn a_bulk_build_equals_recording_every_rule_in_order() {
+        let at = SimTime::from_millis(3);
+        // Three switches, interleaved, with a displacement, a re-install of
+        // the same entry and two priorities sharing one match.
+        let mut rules: Vec<(SwitchId, FlowEntry)> = (0..120u32)
+            .map(|i| (SwitchId(i % 3), entry(i % 50, i % 7)))
+            .collect();
+        rules.push((
+            SwitchId(1),
+            FlowEntry::new(20, FlowMatch::to_ip(4), vec![Action::Drop]),
+        ));
+        rules.push((SwitchId(1), entry(4, 1)));
+        let mut recorded = NetworkSnapshot::new(SimTime::from_secs(1));
+        for (switch, entry) in rules.clone() {
+            recorded.record_installed(switch, entry, at);
+        }
+        let bulk = NetworkSnapshot::with_rules(SimTime::from_secs(1), rules, at);
+        assert_eq!(bulk.last_update(), recorded.last_update());
+        assert_eq!(bulk.rule_count(), recorded.rule_count());
+        for switch in 0..3 {
+            assert_eq!(
+                bulk.table_of(SwitchId(switch)),
+                recorded.table_of(SwitchId(switch))
+            );
+        }
+        assert_eq!(recorded.changes_to(&bulk), []);
+        assert_eq!(bulk.changes_to(&recorded), []);
+        // The bulk tables edit like recorded ones.
+        let mut edited = bulk.clone();
+        edited.record_removed(SwitchId(2), &entry(17, 1), at);
+        edited.record_installed(SwitchId(2), entry(17, 5), at);
+        assert_eq!(
+            bulk.changes_to(&edited),
+            [
+                RuleChange::removed(SwitchId(2), entry(17, 3)),
+                RuleChange::installed(SwitchId(2), entry(17, 5))
+            ]
+        );
+    }
+
+    #[test]
+    fn an_edit_of_a_large_table_copies_chunks_not_the_table() {
+        let at = SimTime::from_millis(2);
+        let rules = (0..16 * TABLE_CHUNK as u32).map(|dst| (SwitchId(1), entry(dst, 1)));
+        let source = NetworkSnapshot::with_rules(SimTime::from_secs(1), rules, at);
+        let mut next = source.clone();
+        let changes = [
+            RuleChange::removed(SwitchId(1), entry(100, 1)),
+            RuleChange::installed(SwitchId(1), entry(100_000, 1)),
+            RuleChange::installed(SwitchId(1), entry(300, 2)),
+        ];
+        assert_eq!(
+            next.apply_changes(&changes, at).len(),
+            4,
+            "a displacement is two"
+        );
+        let copied = next
+            .table_of(SwitchId(1))
+            .unshared_with(source.table_of(SwitchId(1)));
+        // Entries and index: each change copies at most two chunks of each.
+        assert!(copied > 0 && copied <= 3 * 2 * 2 * TABLE_CHUNK, "{copied}");
+        assert_eq!(source.table_of(SwitchId(1)).len(), 16 * TABLE_CHUNK);
+        assert_eq!(source.changes_to(&next).len(), 4);
     }
 }

@@ -94,11 +94,9 @@ impl Daemon {
             }
             None => benign_rules(&topology),
         };
-        let mut snapshot = NetworkSnapshot::new(SimTime::from_millis(1));
-        for (switch, entry) in rules {
-            snapshot.record_installed(switch, entry, SimTime::from_millis(1));
-        }
-        service.try_publish(&snapshot, SimTime::from_millis(1))?;
+        let at = SimTime::from_millis(1);
+        let snapshot = NetworkSnapshot::with_rules(at, rules, at);
+        service.try_publish(&snapshot, at)?;
 
         // Distinct per process start, so reconnecting clients detect a
         // restart and fall back to a reset (session 0 means "none").

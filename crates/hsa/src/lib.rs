@@ -49,4 +49,5 @@ pub use reachability::{
 pub use space::HeaderSpace;
 pub use transfer::{
     LabelledPortSpace, NetworkFunction, PortSpace, RuleAction, RuleTransfer, SwitchTransfer,
+    RULE_CHUNK,
 };

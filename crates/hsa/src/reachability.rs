@@ -435,7 +435,7 @@ mod tests {
         let mut nf = line_network();
         // s2 punts dst=2 traffic with l4_dst 9999 to the controller.
         let mut t = nf.transfer(SwitchId(2)).unwrap().clone();
-        t.add_rule(RuleTransfer::new(
+        t.insert_rule(RuleTransfer::new(
             100,
             Cube::wildcard().with_field(Field::L4Dst, 9999),
             RuleAction::ToController,

@@ -4,10 +4,11 @@
 //!   (plus optional ingress-port constraint), a priority and an action that
 //!   either forwards (possibly after rewriting header bits), drops, or sends
 //!   the packet to the controller.
-//! * A [`SwitchTransfer`] is a prioritised rule list; applying it to an input
-//!   header space yields the spaces that leave the switch, per output port
-//!   and towards the controller, honouring OpenFlow priority semantics
-//!   (higher priority wins, unmatched traffic is dropped — the OpenFlow
+//! * A [`SwitchTransfer`] is a prioritised rule list, held in shared chunks
+//!   so that an edit of a copy copies one chunk, not the list; applying it
+//!   to an input header space yields the spaces that leave the switch, per
+//!   output port and towards the controller, honouring OpenFlow priority
+//!   semantics (higher priority wins, unmatched traffic is dropped — the OpenFlow
 //!   table-miss default), for one input or, in one scan of the table, for
 //!   several labelled ones. Dropped traffic is decided, not described:
 //!   [`SwitchTransfer::apply`] subtracts lazily, per rule, and never builds
@@ -22,7 +23,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use rvaas_types::{FlowCookie, PortId, SwitchId, SwitchPort};
+use rvaas_types::{Chunked, FlowCookie, PortId, SwitchId, SwitchPort};
 
 use crate::cube::Cube;
 use crate::space::HeaderSpace;
@@ -143,10 +144,21 @@ pub struct LabelledPortSpace {
     pub cookie: FlowCookie,
 }
 
+/// The most rules one chunk of a [`SwitchTransfer`]'s list holds: an edit of
+/// a shared table copies at most two chunks' worth. Twice the snapshot's
+/// chunk because the reachability walk scans these lists, and every chunk
+/// boundary it crosses costs it a fresh memory stream.
+pub const RULE_CHUNK: usize = 64;
+
 /// The transfer function of one switch: its prioritised rule list.
+///
+/// The list is a [`Chunked`] sequence: a clone shares every chunk, and an
+/// insert, removal or in-slot replacement on a clone copies the chunk it
+/// lands in (and the chunk-pointer list), never the table. Rule `i` is the
+/// list's flat index `i`, whatever chunk it sits in.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SwitchTransfer {
-    rules: Vec<RuleTransfer>,
+    rules: Chunked<RuleTransfer, RULE_CHUNK>,
 }
 
 impl SwitchTransfer {
@@ -160,26 +172,23 @@ impl SwitchTransfer {
     /// are respected).
     #[must_use]
     pub fn from_rules(rules: impl IntoIterator<Item = RuleTransfer>) -> Self {
-        let mut t = SwitchTransfer {
+        let mut rules: Vec<RuleTransfer> = rules.into_iter().collect();
+        // Stable sort: equal priorities keep insertion order, mirroring the
+        // behaviour of a real switch where overlapping equal-priority rules
+        // are matched in an implementation-defined but stable order.
+        rules.sort_by_key(|rule| std::cmp::Reverse(rule.priority));
+        SwitchTransfer {
             rules: rules.into_iter().collect(),
-        };
-        t.sort();
-        t
-    }
-
-    /// Adds a rule.
-    pub fn add_rule(&mut self, rule: RuleTransfer) {
-        self.rules.push(rule);
-        self.sort();
+        }
     }
 
     /// Inserts `rule` in place, preserving the priority-sorted invariant
     /// without re-sorting: the rule lands *after* every existing rule of
     /// greater-or-equal priority, so equal-priority rules keep arrival order
-    /// exactly as [`SwitchTransfer::add_rule`]'s stable sort (and a real
-    /// switch's table) would. This is the `O(log n + n)` update path the
-    /// incremental verification model uses instead of rebuilding the table.
-    /// Returns the index the rule occupies after insertion.
+    /// exactly as [`SwitchTransfer::from_rules`]'s stable sort (and a real
+    /// switch's table) would. This is the `O(log n + RULE_CHUNK)` update path
+    /// the incremental verification model uses instead of rebuilding the
+    /// table. Returns the index the rule occupies after insertion.
     pub fn insert_rule(&mut self, rule: RuleTransfer) -> usize {
         let pos = self.rules.partition_point(|r| r.priority >= rule.priority);
         self.rules.insert(pos, rule);
@@ -190,14 +199,21 @@ impl SwitchTransfer {
     /// constraint, match cube and action. Cookies are deliberately ignored —
     /// two rules that match and act identically are the same rule as far as
     /// verification is concerned (mirroring the service plane's digests).
+    /// Binary-searches to the rule's priority and scans only the rules of
+    /// that priority.
     #[must_use]
     pub fn position_of(&self, rule: &RuleTransfer) -> Option<usize> {
-        self.rules.iter().position(|r| {
-            r.priority == rule.priority
-                && r.in_port == rule.in_port
-                && r.match_cube == rule.match_cube
-                && r.action == rule.action
-        })
+        let start = self.rules.partition_point(|r| r.priority > rule.priority);
+        let offset = self
+            .rules
+            .iter_from(start)
+            .take_while(|r| r.priority == rule.priority)
+            .position(|r| {
+                r.in_port == rule.in_port
+                    && r.match_cube == rule.match_cube
+                    && r.action == rule.action
+            })?;
+        Some(start + offset)
     }
 
     /// Removes the first rule equivalent to `rule` (see
@@ -228,7 +244,7 @@ impl SwitchTransfer {
         const CUBE_BUDGET: usize = 64;
         let rule = &self.rules[index];
         let mut region = HeaderSpace::from(rule.match_cube);
-        for earlier in &self.rules[..index] {
+        for earlier in self.rules.iter().take(index) {
             let covers_port = match (earlier.in_port, rule.in_port) {
                 (None, _) => true,
                 (Some(a), Some(b)) => a == b,
@@ -250,7 +266,7 @@ impl SwitchTransfer {
 
     /// The rules, highest priority first.
     #[must_use]
-    pub fn rules(&self) -> &[RuleTransfer] {
+    pub fn rules(&self) -> &Chunked<RuleTransfer, RULE_CHUNK> {
         &self.rules
     }
 
@@ -264,14 +280,6 @@ impl SwitchTransfer {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    fn sort(&mut self) {
-        // Stable sort: equal priorities keep insertion order, mirroring the
-        // behaviour of a real switch where overlapping equal-priority rules
-        // are matched in an implementation-defined but stable order.
-        self.rules
-            .sort_by_key(|rule| std::cmp::Reverse(rule.priority));
     }
 
     /// Applies the transfer function to traffic entering through `in_port`
@@ -340,64 +348,67 @@ impl SwitchTransfer {
         // Matches of the applicable rules so far that overlapped the inputs.
         let mut shadows: Vec<Cube> = Vec::new();
 
-        for rule in &self.rules {
-            if live.is_empty() {
-                break;
-            }
-            if !rule.applies_to_port(in_port)
-                || !live.iter().any(|(_, cube)| cube.overlaps(&rule.match_cube))
-            {
-                continue;
-            }
-            let rewrite = match &rule.action {
-                RuleAction::Drop => None,
-                RuleAction::ToController => Some(None),
-                RuleAction::Forward { rewrite, .. } => Some(rewrite.as_ref()),
-            };
-            if let Some(rewrite) = rewrite {
-                // Each input's share, rewritten; none for an input earlier
-                // rules took all of.
-                let mut shares = Vec::new();
-                for run in live.chunk_by(|a, b| a.0 == b.0) {
-                    let mut cubes: Vec<Cube> = run
-                        .iter()
-                        .filter_map(|(_, cube)| cube.intersect(&rule.match_cube))
-                        .collect();
-                    for earlier in &shadows {
-                        if cubes.iter().any(|cube| cube.overlaps(earlier)) {
-                            cubes = cubes.iter().flat_map(|c| c.subtract(earlier)).collect();
-                        }
-                    }
-                    let share = HeaderSpace::from_cubes(
-                        cubes
-                            .into_iter()
-                            .map(|cube| rewrite.map_or(cube, |rw| cube.rewrite(rw))),
-                    );
-                    if !share.is_empty() {
-                        shares.push((run[0].0, share));
-                    }
+        // Chunk by chunk: two flat loops over the shared rule list.
+        'table: for chunk in self.rules.chunks() {
+            for rule in chunk {
+                if live.is_empty() {
+                    break 'table;
                 }
-                let leaving = |out_port: Option<PortId>, spaces| LabelledPortSpace {
-                    out_port,
-                    to_controller: out_port.is_none(),
-                    spaces,
-                    cookie: rule.cookie,
+                if !rule.applies_to_port(in_port)
+                    || !live.iter().any(|(_, cube)| cube.overlaps(&rule.match_cube))
+                {
+                    continue;
+                }
+                let rewrite = match &rule.action {
+                    RuleAction::Drop => None,
+                    RuleAction::ToController => Some(None),
+                    RuleAction::Forward { rewrite, .. } => Some(rewrite.as_ref()),
                 };
-                match &rule.action {
-                    _ if shares.is_empty() => {}
-                    RuleAction::Forward { ports, .. } => {
-                        if let Some((last, rest)) = ports.split_last() {
-                            let copies =
-                                rest.iter().map(|port| leaving(Some(*port), shares.clone()));
-                            outputs.extend(copies);
-                            outputs.push(leaving(Some(*last), shares));
+                if let Some(rewrite) = rewrite {
+                    // Each input's share, rewritten; none for an input earlier
+                    // rules took all of.
+                    let mut shares = Vec::new();
+                    for run in live.chunk_by(|a, b| a.0 == b.0) {
+                        let mut cubes: Vec<Cube> = run
+                            .iter()
+                            .filter_map(|(_, cube)| cube.intersect(&rule.match_cube))
+                            .collect();
+                        for earlier in &shadows {
+                            if cubes.iter().any(|cube| cube.overlaps(earlier)) {
+                                cubes = cubes.iter().flat_map(|c| c.subtract(earlier)).collect();
+                            }
+                        }
+                        let share = HeaderSpace::from_cubes(
+                            cubes
+                                .into_iter()
+                                .map(|cube| rewrite.map_or(cube, |rw| cube.rewrite(rw))),
+                        );
+                        if !share.is_empty() {
+                            shares.push((run[0].0, share));
                         }
                     }
-                    _ => outputs.push(leaving(None, shares)),
+                    let leaving = |out_port: Option<PortId>, spaces| LabelledPortSpace {
+                        out_port,
+                        to_controller: out_port.is_none(),
+                        spaces,
+                        cookie: rule.cookie,
+                    };
+                    match &rule.action {
+                        _ if shares.is_empty() => {}
+                        RuleAction::Forward { ports, .. } => {
+                            if let Some((last, rest)) = ports.split_last() {
+                                let copies =
+                                    rest.iter().map(|port| leaving(Some(*port), shares.clone()));
+                                outputs.extend(copies);
+                                outputs.push(leaving(Some(*last), shares));
+                            }
+                        }
+                        _ => outputs.push(leaving(None, shares)),
+                    }
                 }
+                shadows.push(rule.match_cube);
+                live.retain(|(_, cube)| !cube.is_subset_of(&rule.match_cube));
             }
-            shadows.push(rule.match_cube);
-            live.retain(|(_, cube)| !cube.is_subset_of(&rule.match_cube));
         }
         outputs
     }
@@ -423,10 +434,11 @@ struct Wiring {
 /// The whole-network transfer function: per-switch rules plus internal wiring.
 ///
 /// Clones share structure: every switch's table and the wiring sit behind an
-/// [`Arc`], so cloning copies no rule, and editing a clone copies only the
-/// table of the switch being edited (copy-on-write). That is what lets an
+/// [`Arc`], and a table's rules sit in shared chunks, so cloning copies no
+/// rule, and editing a clone copies the edited switch's chunk-pointer list
+/// and the chunks the edit lands in (copy-on-write). That is what lets an
 /// immutable copy of a long-lived, incrementally updated function be frozen
-/// per epoch at `O(switches touched)` cost.
+/// per epoch at `O(switches touched + changes × RULE_CHUNK)` cost.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetworkFunction {
     switches: BTreeMap<SwitchId, Arc<SwitchTransfer>>,
@@ -520,7 +532,7 @@ impl NetworkFunction {
         let shared = self.switches.get_mut(&switch)?;
         // Look before copying: a miss must not unshare the table.
         let index = shared.position_of(old).filter(|_| old.same_slot(&new))?;
-        Arc::make_mut(shared).rules[index] = new;
+        Arc::make_mut(shared).rules.replace(index, new);
         Some(shared.exposed_region(index))
     }
 
@@ -1124,11 +1136,14 @@ mod tests {
         );
         assert!(Arc::ptr_eq(&original.wiring, &frozen.wiring));
         original.set_transfer(SwitchId(3), SwitchTransfer::new());
-        original.transfer_mut(SwitchId(4)).add_rule(rule(4));
+        original.transfer_mut(SwitchId(4)).insert_rule(rule(4));
         assert_eq!(frozen.rule_count(), 3);
         assert_eq!(frozen.switch_count(), 3);
         for s in 1..=3 {
-            assert_eq!(frozen.transfer(SwitchId(s)).unwrap().rules(), [rule(1)]);
+            assert_eq!(
+                frozen.transfer(SwitchId(s)).unwrap().rules().to_vec(),
+                [rule(1)]
+            );
         }
         assert_eq!(original.rule_count(), 3);
         assert_eq!(
@@ -1157,14 +1172,75 @@ mod tests {
             .is_some());
         let before = frozen.transfer(SwitchId(1)).unwrap().rules();
         let after = original.transfer(SwitchId(1)).unwrap().rules();
-        assert!(!std::ptr::eq(before.as_ptr(), after.as_ptr()), "copied");
-        assert_eq!(after.len(), 6);
+        assert_eq!(after.unshared_with(before), 6, "the one chunk was copied");
         for rule in after {
             let dst = rule.match_cube.field_exact(Field::IpDst).unwrap();
             let shares = before
                 .iter()
                 .any(|old| Arc::ptr_eq(&ports(old), &ports(rule)));
             assert_eq!(shares, ![4, 9].contains(&dst), "rule to {dst}");
+        }
+    }
+
+    #[test]
+    fn an_edit_of_a_large_shared_table_copies_at_most_two_chunks() {
+        let rule = |dst: u32| RuleTransfer::new(10, dst_match(dst), RuleAction::Drop);
+        let n = 16 * RULE_CHUNK as u32;
+        let mut original = NetworkFunction::new();
+        original.set_transfer(SwitchId(1), (0..n).map(rule).collect());
+        let table = |nf: &NetworkFunction| nf.transfer(SwitchId(1)).unwrap().rules().clone();
+        let frozen = original.clone();
+        let mut copied = 0;
+        for (step, dst) in [3, 200, 511, 64].into_iter().enumerate() {
+            let before = table(&original);
+            let removed = original.remove_rule(SwitchId(1), &rule(dst));
+            assert!(removed.is_some(), "{dst} held");
+            original.insert_rule(SwitchId(1), rule(n + dst));
+            // A removal and an insert: each copies its chunk, or two when it
+            // splits or merges.
+            let now = table(&original).unshared_with(&before);
+            assert!((1..=4 * RULE_CHUNK).contains(&now), "step {step}: {now}");
+            copied += now;
+        }
+        assert!(table(&original).unshared_with(&table(&frozen)) <= copied);
+        assert_eq!(
+            table(&frozen).to_vec(),
+            (0..n).map(rule).collect::<Vec<_>>()
+        );
+        let dsts = |nf: &NetworkFunction| -> Vec<u64> {
+            let rules = nf.transfer(SwitchId(1)).unwrap().rules();
+            rules
+                .iter()
+                .filter_map(|r| r.match_cube.field_exact(Field::IpDst))
+                .collect()
+        };
+        let mut expected: Vec<u64> = (0..u64::from(n))
+            .filter(|d| ![3, 200, 511, 64].contains(d))
+            .collect();
+        expected.extend([3, 200, 511, 64].map(|dst| u64::from(n + dst)));
+        assert_eq!(dsts(&original), expected);
+    }
+
+    #[test]
+    fn position_of_finds_a_rule_among_its_priority_peers_only() {
+        let table = SwitchTransfer::from_rules((0..100u32).map(|dst| {
+            RuleTransfer::new(
+                dst as u16 % 5,
+                dst_match(dst),
+                RuleAction::forward(PortId(dst)),
+            )
+        }));
+        for (index, rule) in table.rules().iter().enumerate() {
+            assert_eq!(table.position_of(rule), Some(index));
+            let other = RuleTransfer {
+                priority: rule.priority + 1,
+                ..rule.clone()
+            };
+            assert_eq!(
+                table.position_of(&other),
+                None,
+                "priority is part of the rule"
+            );
         }
     }
 

@@ -3,10 +3,12 @@
 //! queries never block the publisher (and vice versa).
 //!
 //! An epoch is its predecessor plus a **net rule-change list**, and shares
-//! with its predecessor everything the list did not touch: publish time and
-//! the extra memory an epoch holds are `O(touched tables + delta)`, not
-//! `O(network)`. Rule identity lives in [`NetworkSnapshot`]: a publish
-//! obtains the next snapshot and the ordered, effective [`RuleChange`]s
+//! with its predecessor everything the list did not touch, down to the
+//! chunks of a touched table: publish time and the extra memory an epoch
+//! holds are `O(delta × chunk + pointer lists of the touched tables)`, not
+//! `O(touched tables)` or `O(network)`. Rule identity lives in
+//! [`NetworkSnapshot`]: a publish obtains the next snapshot and the ordered,
+//! effective [`RuleChange`]s
 //! against the current one — a full snapshot is diffed
 //! ([`NetworkSnapshot::changes_to`], which skips the tables the caller's
 //! snapshot still shares with the current epoch's), a rule delta is applied
@@ -14,9 +16,9 @@
 //! `EpochStore::commit` derives everything else from that one list, hashing
 //! only its entries:
 //!
-//! * the **digest set** of the epoch ([`DigestSet`]: the predecessor's runs
-//!   of digests, sharing every run the net delta does not land in and
-//!   rebuilding the rest, with its content digest carried forward by the
+//! * the **digest set** of the epoch ([`DigestSet`]: the predecessor's
+//!   chunks of digests, sharing every chunk the net delta does not land in
+//!   and copying the rest, with its content digest carried forward by the
 //!   delta alone) and the **digest-level delta** —
 //!   added/removed [`FlowDigest`]s, retained in a bounded history and
 //!   aggregated over a window by [`EpochStore::delta_between`]; it is what
@@ -27,7 +29,8 @@
 //! * the **model itself** — a structure-sharing copy of its
 //!   [`NetworkFunction`] rides in the [`SnapshotEpoch`], so every query is
 //!   evaluated against it directly and no second model exists.
-//!   Freezing copies only the tables of the switches the list touched.
+//!   Freezing copies only the chunks the list landed in, and the
+//!   chunk-pointer lists of the switches it touched.
 //!
 //! The model applies the list in its order — an install behind its
 //! equal-priority peers, where a rebuild's stable sort of the
@@ -68,7 +71,7 @@ use rvaas_client::{FlowDigest, QuerySpec};
 use rvaas_openflow::FlowEntry;
 use rvaas_telemetry::{Counter, Gauge, Histogram, Registry, TraceContext, TraceId, TraceStage};
 use rvaas_topology::Topology;
-use rvaas_types::{ClientId, SimTime, SwitchId};
+use rvaas_types::{Chunked, ClientId, SimTime, SwitchId};
 
 use crate::error::ServiceError;
 
@@ -103,28 +106,24 @@ pub fn digest_snapshot(snapshot: &NetworkSnapshot) -> BTreeSet<FlowDigest> {
 }
 
 /// The digest set of one epoch: ascending and distinct — the order a sync
-/// `Reset` ships — held as consecutive runs of at most [`RUN_MAX`] digests,
-/// each behind an [`Arc`]. A successor shares every run its delta does not
-/// land in and rebuilds only the rest, so a publish copies `O(delta · RUN_MAX)`
-/// digests, not the set; the [content digest](DigestSet::content_digest) is
-/// kept beside the runs and carried the same way.
-///
-/// Runs are never empty, and when there are two or more each holds at least
-/// [`RUN_MIN`] digests, so their count stays `O(len / RUN_MIN)`. Two sets
-/// are equal when they hold the same digests, however they are cut.
+/// `Reset` ships — held as a [`Chunked`] sequence of at most
+/// [`DIGEST_CHUNK`] digests per chunk. A successor shares every chunk its
+/// delta does not land in and copies only the rest, so a publish copies
+/// `O(delta · DIGEST_CHUNK)` digests plus the chunk-pointer list, not the
+/// set; the [content digest](DigestSet::content_digest) is kept beside the
+/// chunks and carried the same way. Two sets are equal when they hold the
+/// same digests, however they are chunked.
 #[derive(Debug, Clone, Default)]
 pub struct DigestSet {
-    runs: Vec<Arc<[FlowDigest]>>,
-    len: usize,
+    digests: Chunked<FlowDigest, DIGEST_CHUNK>,
     content: u64,
 }
 
-/// The most digests one run of a [`DigestSet`] holds.
-const RUN_MAX: usize = 256;
-
-/// The fewest digests a run holds when it is not the set's only run: a
-/// rebuilt run that would fall below merges with a neighbour.
-const RUN_MIN: usize = 64;
+/// The most digests one chunk of a [`DigestSet`] holds. A digest is eight
+/// bytes and owns nothing, so a chunk copies as one `memcpy`; what a publish
+/// pays per chunk is the pointer list every successor copies, so the chunks
+/// are large: a `fat_tree(16,64)` set of 344 064 digests is a few hundred.
+pub const DIGEST_CHUNK: usize = 1024;
 
 /// The content digest of a digest set, from scratch: the wrapping sum of a
 /// per-digest mix. Commutative, so it depends on the set alone (not on the
@@ -159,39 +158,31 @@ impl DigestSet {
     /// Number of digests in the set.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.digests.len()
     }
 
     /// True when the set holds no digest.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.digests.is_empty()
     }
 
     /// The digests, ascending.
     pub fn iter(&self) -> impl Iterator<Item = &FlowDigest> {
-        self.runs.iter().flat_map(|run| run.iter())
+        self.digests.iter()
     }
 
     /// The digests, ascending, in one vector: the body of a sync `Reset`.
     #[must_use]
     pub fn to_vec(&self) -> Vec<FlowDigest> {
-        let mut digests = Vec::with_capacity(self.len);
-        for run in &self.runs {
-            digests.extend_from_slice(run);
-        }
-        digests
+        self.digests.to_vec()
     }
 
     /// True when `digest` is in the set.
     #[must_use]
     pub fn contains(&self, digest: &FlowDigest) -> bool {
-        let run = self
-            .runs
-            .partition_point(|run| run[run.len() - 1] < *digest);
-        self.runs
-            .get(run)
-            .is_some_and(|run| run.binary_search(digest).is_ok())
+        let at = self.digests.partition_point(|held| held < digest);
+        self.digests.get(at) == Some(digest)
     }
 
     /// The digests of `self` that `other` lacks, ascending.
@@ -199,89 +190,57 @@ impl DigestSet {
         self.iter().filter(move |d| !other.contains(d))
     }
 
-    /// `self` minus `removed` plus `added`. A change lands in the run whose
-    /// range covers it (past the last run: the last run); every run no change
-    /// lands in is shared, the others are rebuilt — merged with the next run,
-    /// or at the end the previous one, while they hold fewer than
-    /// [`RUN_MIN`] digests — and cut back into runs of at most [`RUN_MAX`].
-    /// The content digest moves only by the digests that actually left or
-    /// arrived, so it stays [`content_digest_of`] the set.
-    fn patched(&self, removed: &BTreeSet<FlowDigest>, added: &BTreeSet<FlowDigest>) -> DigestSet {
-        let mut points: Vec<(FlowDigest, bool)> = removed
-            .iter()
-            .map(|d| (*d, false))
-            .chain(added.iter().map(|d| (*d, true)))
-            .collect();
-        points.sort_unstable();
-        let mut content = self.content;
-        let mut runs: Vec<Arc<[FlowDigest]>> = Vec::with_capacity(self.runs.len() + 1);
-        // Rebuilt digests not yet cut into runs.
-        let mut pending: Vec<FlowDigest> = Vec::new();
-        let mut points = points.as_slice();
-        for (index, run) in self.runs.iter().enumerate() {
-            let landing = if index + 1 == self.runs.len() {
-                points.len()
-            } else {
-                points.partition_point(|(d, _)| *d <= run[run.len() - 1])
-            };
-            let (here, later) = points.split_at(landing);
-            points = later;
-            if here.is_empty() && (pending.is_empty() || pending.len() >= RUN_MIN) {
-                cut_runs(&mut runs, &mut pending);
-                runs.push(Arc::clone(run));
-                continue;
-            }
-            let mut rest: &[FlowDigest] = run;
-            for &(digest, arrives) in here {
-                let (kept, tail) = rest.split_at(rest.partition_point(|held| *held < digest));
-                pending.extend_from_slice(kept);
-                let held = tail.first() == Some(&digest);
-                rest = &tail[usize::from(held)..];
-                if arrives {
-                    pending.push(digest);
+    /// Takes `removed` out and puts `added` in, both ascending and disjoint.
+    /// A removal of a digest the set lacks and an arrival of one it holds
+    /// change nothing, so the content digest moves only by what actually
+    /// left or arrived and stays [`content_digest_of`] the set. Each change
+    /// copies the chunk it lands in; when there are more changes than
+    /// chunks, which would copy every chunk anyway (the first publish), the
+    /// set is rebuilt in one merge instead.
+    fn apply(&mut self, removed: &[FlowDigest], added: &[FlowDigest]) {
+        if removed.len() + added.len() > self.len() / DIGEST_CHUNK {
+            let mut merged = Vec::with_capacity(self.len() + added.len());
+            let (mut gone, mut new) = (removed.iter().peekable(), added.iter().peekable());
+            for held in self.digests.iter() {
+                while gone.next_if(|d| *d < held).is_some() {}
+                while let Some(d) = new.next_if(|d| *d < held) {
+                    merged.push(*d);
+                    self.content = self.content.wrapping_add(mix(*d));
                 }
-                match (held, arrives) {
-                    (true, false) => content = content.wrapping_sub(mix(digest)),
-                    (false, true) => content = content.wrapping_add(mix(digest)),
-                    _ => {}
+                new.next_if_eq(&held);
+                if gone.next_if_eq(&held).is_some() {
+                    self.content = self.content.wrapping_sub(mix(*held));
+                } else {
+                    merged.push(*held);
                 }
             }
-            pending.extend_from_slice(rest);
+            for d in new {
+                merged.push(*d);
+                self.content = self.content.wrapping_add(mix(*d));
+            }
+            self.digests = merged.into_iter().collect();
+            return;
         }
-        // Only an empty set has points left over: they are all new.
-        for &(digest, arrives) in points {
-            if arrives {
-                pending.push(digest);
-                content = content.wrapping_add(mix(digest));
+        for digest in removed {
+            let at = self.digests.partition_point(|held| held < digest);
+            if self.digests.get(at) == Some(digest) {
+                self.digests.remove(at);
+                self.content = self.content.wrapping_sub(mix(*digest));
             }
         }
-        if !pending.is_empty() && pending.len() < RUN_MIN {
-            if let Some(previous) = runs.pop() {
-                pending.splice(0..0, previous.iter().copied());
+        for digest in added {
+            let at = self.digests.partition_point(|held| held < digest);
+            if self.digests.get(at) != Some(digest) {
+                self.digests.insert(at, *digest);
+                self.content = self.content.wrapping_add(mix(*digest));
             }
         }
-        cut_runs(&mut runs, &mut pending);
-        let len = runs.iter().map(|run| run.len()).sum();
-        DigestSet { runs, len, content }
     }
-}
-
-/// Moves `pending` onto `runs` as runs of at most [`RUN_MAX`] digests, as
-/// even as they come: `RUN_MAX / 2` or more each when there are several.
-fn cut_runs(runs: &mut Vec<Arc<[FlowDigest]>>, pending: &mut Vec<FlowDigest>) {
-    let count = pending.len().div_ceil(RUN_MAX);
-    let mut rest = pending.as_slice();
-    for left in (1..=count).rev() {
-        let (run, tail) = rest.split_at(rest.len().div_ceil(left));
-        runs.push(run.into());
-        rest = tail;
-    }
-    pending.clear();
 }
 
 impl PartialEq for DigestSet {
     fn eq(&self, other: &DigestSet) -> bool {
-        self.len == other.len && self.content == other.content && self.iter().eq(other.iter())
+        self.content == other.content && self.digests == other.digests
     }
 }
 
@@ -289,7 +248,7 @@ impl Eq for DigestSet {}
 
 impl PartialEq<BTreeSet<FlowDigest>> for DigestSet {
     fn eq(&self, other: &BTreeSet<FlowDigest>) -> bool {
-        self.len == other.len() && self.iter().eq(other)
+        self.len() == other.len() && self.iter().eq(other)
     }
 }
 
@@ -306,14 +265,15 @@ pub struct SnapshotEpoch {
     /// serial 0 means "no state", as in the sync protocol).
     pub serial: u64,
     /// The frozen snapshot queries are answered against; tables of switches
-    /// an epoch did not touch are shared with its predecessor.
+    /// an epoch did not touch are shared with its predecessor, and so is
+    /// every chunk of a touched table that no change landed in.
     pub snapshot: NetworkSnapshot,
     /// The HSA model of `snapshot` over the trusted wiring, frozen from the
-    /// store's model; tables of switches an epoch did not touch are shared
-    /// with its predecessor.
+    /// store's model; shared with its predecessor as `snapshot` is, switch
+    /// by switch and, inside a touched switch, chunk by chunk.
     pub function: NetworkFunction,
     /// The digest of every rule in `snapshot`: what sync ships and deltas
-    /// are computed over.
+    /// are computed over. Shares every chunk no change landed in.
     pub rules: DigestSet,
     /// When the epoch was published (simulation time of the last update).
     pub published_at: SimTime,
@@ -419,6 +379,41 @@ pub struct Published {
     /// Flight-recorder trace id of the publish event chain; downstream
     /// consumers (cache carry-forward, re-verification) append to it.
     pub trace: TraceId,
+}
+
+/// The net digest-level delta of a change list: the digests it added and
+/// the digests it removed, each ascending. One sort of `(digest, list
+/// position)` pairs puts each digest's changes together in list order; a
+/// change undoing an earlier one of the list (a flap) cancels it, like
+/// cancellation across epochs, and a repeat of one is a no-op. The model
+/// still gets both changes of a flap: the changed region must cover it,
+/// exactly as `delta_between` keeps the selections of flapped epochs.
+fn net_digests(changes: &[RuleChange]) -> (Vec<FlowDigest>, Vec<FlowDigest>) {
+    let mut points: Vec<(FlowDigest, usize)> = changes
+        .iter()
+        .enumerate()
+        .map(|(at, change)| (digest_entry(change.switch, &change.entry), at))
+        .collect();
+    points.sort_unstable();
+    let (mut added, mut removed) = (Vec::new(), Vec::new());
+    for same in points.chunk_by(|a, b| a.0 == b.0) {
+        // `Some(true)`: net added, `Some(false)`: net removed.
+        let mut net = None;
+        for (_, at) in same {
+            let installed = changes[*at].installed;
+            net = match net {
+                Some(was) if was != installed => None,
+                None => Some(installed),
+                same => same,
+            };
+        }
+        match net {
+            Some(true) => added.push(same[0].0),
+            Some(false) => removed.push(same[0].0),
+            None => {}
+        }
+    }
+    (added, removed)
 }
 
 fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -678,8 +673,8 @@ impl EpochStore {
     /// Advances the epoch by a rule-level delta instead of a full snapshot:
     /// the monitor hands [`ConfigMonitor::drain_changes`] output straight
     /// here, and the next snapshot is its predecessor with the delta applied,
-    /// sharing every table the delta does not touch (so the publish and the
-    /// memory the new epoch adds are `O(touched tables + delta)`).
+    /// sharing every table the delta does not touch and every chunk of a
+    /// touched one it does not land in.
     ///
     /// Installs already present and removals of absent rules are skipped, so
     /// the recorded delta always matches the digest diff of the two epochs.
@@ -720,25 +715,9 @@ impl EpochStore {
             ServiceError::PublishRejected(format!("epoch serial space exhausted at {from_serial}"))
         })?;
         let (snapshot, changes) = derive(&current.snapshot);
-        let mut added: BTreeSet<FlowDigest> = BTreeSet::new();
-        let mut removed: BTreeSet<FlowDigest> = BTreeSet::new();
-        for change in &changes {
-            let d = digest_entry(change.switch, &change.entry);
-            let (done, undone) = if change.installed {
-                (&mut added, &mut removed)
-            } else {
-                (&mut removed, &mut added)
-            };
-            // A change undoing an earlier one of this list (a flap) is a
-            // digest-level no-op, like cancellation across epochs. The model
-            // still gets both: the changed region must cover the flap,
-            // exactly as `delta_between` keeps the selections of flapped
-            // epochs.
-            if !undone.remove(&d) {
-                done.insert(d);
-            }
-        }
-        let rules = current.rules.patched(&removed, &added);
+        let (added, removed) = net_digests(&changes);
+        let mut rules = current.rules.clone();
+        rules.apply(&removed, &added);
         let (n_added, n_removed) = (added.len(), removed.len());
         let delta_rules = n_added + n_removed;
         let trace = TraceContext::mint();
@@ -801,8 +780,8 @@ impl EpochStore {
             deltas.push_back(EpochDelta {
                 from_serial,
                 to_serial: serial,
-                added: added.into_iter().collect(),
-                removed: removed.into_iter().collect(),
+                added,
+                removed,
                 affected: affected.clone(),
             });
             while deltas.len() > self.max_deltas {
@@ -916,6 +895,7 @@ impl EpochStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rvaas::{TableEntries, RULE_CHUNK, TABLE_CHUNK};
     use rvaas_openflow::{Action, FlowMatch};
     use rvaas_types::PortId;
 
@@ -943,36 +923,51 @@ mod tests {
         assert_ne!(digest_entry(SwitchId(2), &a), digest_entry(SwitchId(1), &a));
     }
 
+    /// `set` minus `removed` plus `added`, through [`DigestSet::apply`].
+    fn patched(
+        set: &DigestSet,
+        removed: &BTreeSet<FlowDigest>,
+        added: &BTreeSet<FlowDigest>,
+    ) -> DigestSet {
+        let ascending = |ds: &BTreeSet<FlowDigest>| ds.iter().copied().collect::<Vec<_>>();
+        let mut next = set.clone();
+        next.apply(&ascending(removed), &ascending(added));
+        next
+    }
+
     #[test]
     fn patched_digest_set_is_the_set_and_carries_its_content_digest() {
         let set = |ds: &[u64]| ds.iter().map(|d| FlowDigest(*d)).collect::<BTreeSet<_>>();
-        let base = DigestSet::default().patched(&set(&[]), &set(&[10, 20, 30, 40]));
+        let base = patched(&DigestSet::default(), &set(&[]), &set(&[10, 20, 30, 40]));
         assert_eq!(base, set(&[10, 20, 30, 40]));
         // Both ends, a run in the middle, a removal of what is not held and
         // an arrival of what already is.
-        let next = base.patched(&set(&[10, 25, 40]), &set(&[5, 20, 35, 50]));
+        let next = patched(&base, &set(&[10, 25, 40]), &set(&[5, 20, 35, 50]));
         assert_eq!(next, set(&[5, 20, 30, 35, 50]));
         assert_eq!(next.content_digest(), content_digest_of(next.to_vec()));
         assert_ne!(next.content_digest(), base.content_digest());
         // Back again: the content digest is a function of the set alone.
-        let back = next.patched(&set(&[5, 35, 50]), &set(&[10, 40]));
+        let back = patched(&next, &set(&[5, 35, 50]), &set(&[10, 40]));
         assert_eq!(back, base);
     }
 
-    /// Asserts the run invariants [`DigestSet`] documents.
+    /// Asserts the chunk invariants [`Chunked`] documents.
     fn assert_runs_well_formed(set: &DigestSet, step: usize) {
-        let runs = &set.runs;
+        let runs: Vec<&[FlowDigest]> = set.digests.chunks().collect();
         assert!(
             runs.iter()
-                .all(|run| !run.is_empty() && run.len() <= RUN_MAX),
-            "step {step}: run sizes {:?}",
+                .all(|run| !run.is_empty() && run.len() <= DIGEST_CHUNK),
+            "step {step}: chunk sizes {:?}",
             runs.iter().map(|run| run.len()).collect::<Vec<_>>()
         );
         assert!(
-            runs.len() < 2 || runs.iter().all(|run| run.len() >= RUN_MIN),
-            "step {step}: a short run beside others"
+            runs.len() < 2 || runs.iter().all(|run| run.len() >= DIGEST_CHUNK / 4),
+            "step {step}: a short chunk beside others"
         );
-        assert!(runs.len() <= set.len().div_ceil(RUN_MIN), "step {step}");
+        assert!(
+            runs.len() <= set.len().div_ceil(DIGEST_CHUNK / 4),
+            "step {step}"
+        );
         assert_eq!(runs.iter().map(|run| run.len()).sum::<usize>(), set.len());
         assert!(
             set.to_vec().windows(2).all(|pair| pair[0] < pair[1]),
@@ -982,9 +977,10 @@ mod tests {
 
     #[test]
     fn patched_digest_sets_equal_a_set_oracle_across_runs() {
-        // Grow to a few thousand digests, churn a handful at a time, drain to
-        // empty and refill, over a domain small enough that removals hit held
-        // digests, arrivals hit held ones and changes straddle run bounds.
+        // Grow to a few dozen chunks, churn a handful at a time (one chunk
+        // copy per change), drop ranges and drain to empty (one merge), and
+        // refill, over a domain small enough that removals hit held
+        // digests, arrivals hit held ones and changes straddle chunk bounds.
         let mut state = 0x5eed_u64;
         let mut draw = |bound: u64| {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -997,16 +993,16 @@ mod tests {
             let mut removed = BTreeSet::new();
             let mut added = BTreeSet::new();
             match step % 100 {
-                0..=19 => (0..draw(400)).for_each(|_| {
-                    added.insert(FlowDigest(draw(6000)));
+                0..=19 => (0..draw(1500)).for_each(|_| {
+                    added.insert(FlowDigest(draw(20_000)));
                 }),
                 20..=69 => {
                     for _ in 0..draw(9) {
                         if !held.is_empty() {
                             removed.insert(held[draw(held.len() as u64) as usize]);
                         }
-                        removed.insert(FlowDigest(draw(6000)));
-                        added.insert(FlowDigest(draw(6000)));
+                        removed.insert(FlowDigest(draw(20_000)));
+                        added.insert(FlowDigest(draw(20_000)));
                     }
                 }
                 70..=97 => {
@@ -1017,7 +1013,7 @@ mod tests {
                 _ => removed.extend(&held),
             }
             added.retain(|d| !removed.contains(d));
-            let next = set.patched(&removed, &added);
+            let next = patched(&set, &removed, &added);
             for d in &removed {
                 oracle.remove(d);
             }
@@ -1029,7 +1025,7 @@ mod tests {
                 content_digest_of(oracle.iter().copied())
             );
             assert_runs_well_formed(&next, step);
-            for probe in (0..64).map(|_| FlowDigest(draw(6000))) {
+            for probe in (0..64).map(|_| FlowDigest(draw(20_000))) {
                 assert_eq!(
                     next.contains(&probe),
                     oracle.contains(&probe),
@@ -1055,7 +1051,7 @@ mod tests {
     #[test]
     fn a_one_rule_publish_shares_every_untouched_digest_run() {
         let store = EpochStore::new(8);
-        let bulk: Vec<RuleChange> = (0..2000)
+        let bulk: Vec<RuleChange> = (0..6 * DIGEST_CHUNK as u32)
             .map(|dst| RuleChange::installed(SwitchId(dst % 16), entry(dst)))
             .collect();
         store
@@ -1064,19 +1060,27 @@ mod tests {
         let before = store.current();
         store
             .try_publish_changes(
-                &[RuleChange::installed(SwitchId(3), entry(5000))],
+                &[RuleChange::installed(SwitchId(3), entry(100_000))],
                 SimTime::from_millis(2),
             )
             .unwrap();
         let after = store.current();
-        let runs = |epoch: &SnapshotEpoch| epoch.rules.runs.clone();
+        let runs = |epoch: &SnapshotEpoch| -> Vec<*const FlowDigest> {
+            epoch
+                .rules
+                .digests
+                .chunks()
+                .map(<[FlowDigest]>::as_ptr)
+                .collect()
+        };
         let (old, new) = (runs(&before), runs(&after));
-        assert!(old.len() > 4, "{} runs", old.len());
-        let shared = new
-            .iter()
-            .filter(|run| old.iter().any(|held| Arc::ptr_eq(held, run)))
-            .count();
-        assert_eq!((new.len(), shared), (old.len(), old.len() - 1));
+        assert!(old.len() > 4, "{} chunks", old.len());
+        let shared = new.iter().filter(|run| old.contains(run)).count();
+        // The digest lands in one chunk, which is copied (in two halves when
+        // it was full); every other chunk is the predecessor's.
+        assert_eq!(shared, old.len() - 1);
+        let copied = after.rules.digests.unshared_with(&before.rules.digests);
+        assert!((1..=2 * DIGEST_CHUNK).contains(&copied), "{copied}");
         assert_eq!(after.rules, digest_snapshot(&after.snapshot));
     }
 
@@ -1107,7 +1111,7 @@ mod tests {
         let current = store.current();
         let frozen = current.function.transfer(SwitchId(1)).expect("modelled");
         assert_eq!(
-            frozen.rules(),
+            frozen.rules().to_vec(),
             [entry(2).to_rule_transfer(), entry(3).to_rule_transfer()]
         );
         // The change affects the standing query.
@@ -1314,11 +1318,13 @@ mod tests {
         };
         assert_eq!(table(&before, 1), table(&after, 1), "untouched: shared");
         assert_ne!(table(&before, 2), table(&after, 2), "touched: copied");
-        fn entries(epoch: &SnapshotEpoch, switch: u32) -> &[FlowEntry] {
+        fn entries(epoch: &SnapshotEpoch, switch: u32) -> TableEntries<'_> {
             epoch.snapshot.table_of(SwitchId(switch))
         }
+        // Shared: the two tables hold the same chunks.
         let shared = |a: &SnapshotEpoch, b: &SnapshotEpoch, switch| {
-            entries(a, switch).as_ptr() == entries(b, switch).as_ptr()
+            let (a, b) = (entries(a, switch), entries(b, switch));
+            a.unshared_with(b) == 0 && b.unshared_with(a) == 0
         };
         assert!(shared(&before, &after, 1), "untouched: shared");
         assert!(!shared(&before, &after, 2), "touched: copied");
@@ -1345,6 +1351,71 @@ mod tests {
         assert!(delta.added.is_empty());
         assert_eq!(last.rules, digest_snapshot(&last.snapshot));
         assert_eq!(entries(&after, 1), [entry(1)], "the predecessor is intact");
+
+        // Inside a touched table the unit of copy is a chunk. On tables of
+        // dozens of chunks, one churn delta — two routes out of the middle
+        // of two tables, two higher-priority tenant rules in at their front
+        // — copies at most two chunks per change in each structure: the
+        // snapshot's entries and their index, the frozen HSA transfers and
+        // the digest set. Every other chunk is the predecessor's.
+        const RULES: u32 = 16 * DIGEST_CHUNK as u32 / 16;
+        let routes = (0..16u32).flat_map(|switch| {
+            (0..RULES).map(move |dst| (SwitchId(switch), entry(switch * RULES + dst)))
+        });
+        let at = SimTime::from_millis(4);
+        let store = EpochStore::new(8);
+        store
+            .try_publish(NetworkSnapshot::with_rules(at, routes, at), at)
+            .unwrap();
+        let tenant = |dst| FlowEntry::new(20, FlowMatch::to_ip(dst), vec![Action::Drop]);
+        let churn = [
+            RuleChange::removed(SwitchId(3), entry(3 * RULES + 100)),
+            RuleChange::removed(SwitchId(9), entry(9 * RULES + 700)),
+            RuleChange::installed(SwitchId(3), tenant(1)),
+            RuleChange::installed(SwitchId(9), tenant(2)),
+        ];
+        let before = store.current();
+        let p = store.try_publish_changes(&churn, at).unwrap();
+        assert_eq!((p.delta_rules, p.bulk_rebuild), (4, false));
+        let after = store.current();
+        let bound = |chunk: usize| churn.len() * 2 * chunk;
+        let (mut tables, mut transfers) = (0, 0);
+        for switch in 0..16 {
+            let copied = entries(&after, switch).unshared_with(entries(&before, switch));
+            let rules = |epoch: &SnapshotEpoch| {
+                let transfer = epoch.function.transfer(SwitchId(switch)).expect("modelled");
+                transfer.rules().clone()
+            };
+            let modelled = rules(&after).unshared_with(&rules(&before));
+            if ![3, 9].contains(&switch) {
+                assert_eq!((copied, modelled), (0, 0), "untouched switch {switch}");
+            }
+            tables += copied;
+            transfers += modelled;
+        }
+        assert!(
+            tables > 0 && tables <= 2 * bound(TABLE_CHUNK),
+            "entries + index: {tables}"
+        );
+        assert!(
+            transfers > 0 && transfers <= bound(RULE_CHUNK),
+            "transfers: {transfers}"
+        );
+        let digests = after.rules.digests.unshared_with(&before.rules.digests);
+        assert!(
+            digests > 0 && digests <= bound(DIGEST_CHUNK),
+            "digests: {digests}"
+        );
+        assert!(
+            2 * bound(TABLE_CHUNK) < RULES as usize,
+            "a whole-table copy fails"
+        );
+        assert!(
+            bound(DIGEST_CHUNK) < after.rules.len(),
+            "a whole-set copy fails"
+        );
+        assert_eq!(after.rules, digest_snapshot(&after.snapshot));
+        assert_eq!(before.snapshot.rule_count(), 16 * RULES as usize);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! system speaks — identifiers for network elements, the canonical packet
 //! header layout used both by the simulated data plane and by Header Space
 //! Analysis, geographic regions used for geo-location queries, simulated
-//! time, and the common error type.
+//! time, and the common error type. The one exception is [`Chunked`], the
+//! copy-on-write container the snapshot's tables, the HSA transfers and the
+//! service's digest set share.
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chunked;
 pub mod error;
 pub mod geo;
 pub mod header;
@@ -40,6 +43,7 @@ pub mod ids;
 pub mod packet;
 pub mod time;
 
+pub use chunked::Chunked;
 pub use error::{Error, Result};
 pub use geo::{GeoPoint, Region};
 pub use header::{Field, FieldSpec, Header, HeaderBuilder, HEADER_BITS, HEADER_BYTES};

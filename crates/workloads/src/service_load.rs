@@ -51,9 +51,9 @@ pub fn round_robin_workload(topology: &Topology, queries: usize) -> Vec<(ClientI
 /// Builds the benign snapshot for `topology`.
 #[must_use]
 pub fn benign_snapshot(topology: &Topology) -> NetworkSnapshot {
-    let mut snapshot = NetworkSnapshot::new(SimTime::from_secs(1));
-    for (switch, entry) in benign_rules(topology) {
-        snapshot.record_installed(switch, entry, SimTime::from_millis(1));
-    }
-    snapshot
+    NetworkSnapshot::with_rules(
+        SimTime::from_secs(1),
+        benign_rules(topology),
+        SimTime::from_millis(1),
+    )
 }
