@@ -61,10 +61,9 @@ pub use incremental::{query_affected, ChangedRegion, IncrementalModel, RuleChang
 pub use interest::{Advance, AffectedQueries, InterestIndex, QueryFootprint, QueryKey, Refinement};
 pub use monitor::{ConfigMonitor, MonitorConfig, MonitorStats, PollStrategy};
 pub use service::{RvaasConfig, RvaasController, RvaasStats};
-pub use snapshot::{NetworkSnapshot, TableEntries, TableIter, TABLE_CHUNK};
+pub use snapshot::{NetworkSnapshot, TableEntries, TableIter};
 pub use verify::{LocationMap, LogicalVerifier, QueryEvaluator, TraversalMemo, VerifierConfig};
 
-// The model type `LogicalVerifier::evaluator_with` and `IncrementalModel` trade in, and
-// the chunk size of its rule lists, for crates that hold one without depending on
-// `rvaas-hsa` themselves.
-pub use rvaas_hsa::{NetworkFunction, RULE_CHUNK};
+// The model type `LogicalVerifier::evaluator_with` and `IncrementalModel` trade in, for
+// crates that hold one without depending on `rvaas-hsa` themselves.
+pub use rvaas_hsa::NetworkFunction;

@@ -22,7 +22,7 @@
 //! Tables are **shared copy-on-write, a chunk at a time**: a table's
 //! entries and its index are [`Chunked`] sequences behind one [`Arc`] per
 //! switch, so a clone copies no [`FlowEntry`], an edit copies the table's
-//! two chunk-pointer lists and the chunks (at most [`TABLE_CHUNK`] entries
+//! two chunk-pointer lists and the chunks (at most [`RULE_CHUNK`] entries
 //! or keys each) it lands in, and dropping a snapshot frees only the chunks
 //! nothing else holds. Copying a chunk does not copy its entries' action
 //! lists, which are shared [`Arc`]s: no entry costs an allocation of its
@@ -43,7 +43,7 @@ use std::sync::Arc;
 use rvaas_hsa::NetworkFunction;
 use rvaas_openflow::{FlowEntry, FlowMatch};
 use rvaas_topology::Topology;
-use rvaas_types::{chunked, Chunked, SimTime, SwitchId};
+use rvaas_types::{chunked, Chunked, SimTime, SwitchId, RULE_CHUNK};
 
 use crate::incremental::RuleChange;
 
@@ -58,10 +58,6 @@ pub struct RemovedEntry {
     pub removed_at: SimTime,
 }
 
-/// The most entries (and index keys) one chunk of a switch table holds: an
-/// edit of a shared table copies at most two chunks' worth of each.
-pub const TABLE_CHUNK: usize = 32;
-
 /// One switch's believed flow table: the entries in arrival order (equal
 /// priorities must keep insertion order, matching the data plane's stable
 /// sort), each under the arrival number it was installed with, plus a
@@ -72,9 +68,9 @@ pub const TABLE_CHUNK: usize = 32;
 #[derive(Debug, Clone, Default)]
 struct SwitchTable {
     /// `(arrival, entry)`, ascending by arrival.
-    entries: Chunked<(u64, FlowEntry), TABLE_CHUNK>,
+    entries: Chunked<(u64, FlowEntry), RULE_CHUNK>,
     /// `(priority, match, arrival)`, ascending by `(priority, match)`.
-    index: Chunked<(u16, FlowMatch, u64), TABLE_CHUNK>,
+    index: Chunked<(u16, FlowMatch, u64), RULE_CHUNK>,
     /// The arrival number the next fresh install gets.
     next: u64,
 }
@@ -217,6 +213,13 @@ impl<'a> TableEntries<'a> {
         self.iter().cloned().collect()
     }
 
+    /// True when both views borrow the very same table (by pointer): one
+    /// snapshot shares it with the other, and no edit in between copied it.
+    #[must_use]
+    pub fn same_table(&self, other: TableEntries<'_>) -> bool {
+        std::ptr::eq(self.table, other.table)
+    }
+
     /// How many entries and index keys this table holds in chunks `older`'s
     /// does not share: what the edits that turned `older` into it copied.
     #[must_use]
@@ -264,7 +267,13 @@ impl<'a> Iterator for TableIter<'a> {
     fn next(&mut self) -> Option<&'a FlowEntry> {
         self.0.next().map(|(_, entry)| entry)
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
 }
+
+impl ExactSizeIterator for TableIter<'_> {}
 
 /// RVaaS's view of the network configuration: one table per switch, each
 /// shared with every clone and, inside, shared chunk by chunk with the
@@ -733,14 +742,9 @@ mod tests {
                 source.record_installed(SwitchId(switch), entry(dst, 1), SimTime::from_millis(1));
             }
         }
-        // A shared table: `b` holds every entry in one of `a`'s chunks.
         let shared = |a: &NetworkSnapshot, b: &NetworkSnapshot| -> Vec<bool> {
             (1..=3)
-                .map(|s| {
-                    b.table_of(SwitchId(s))
-                        .unshared_with(a.table_of(SwitchId(s)))
-                        == 0
-                })
+                .map(|s| Arc::ptr_eq(&a.tables[&SwitchId(s)], &b.tables[&SwitchId(s)]))
                 .collect()
         };
         let frozen: Vec<_> = source.tables().map(|(s, t)| (s, t.to_vec())).collect();
@@ -850,7 +854,7 @@ mod tests {
     #[test]
     fn an_edit_of_a_large_table_copies_chunks_not_the_table() {
         let at = SimTime::from_millis(2);
-        let rules = (0..16 * TABLE_CHUNK as u32).map(|dst| (SwitchId(1), entry(dst, 1)));
+        let rules = (0..16 * RULE_CHUNK as u32).map(|dst| (SwitchId(1), entry(dst, 1)));
         let source = NetworkSnapshot::with_rules(SimTime::from_secs(1), rules, at);
         let mut next = source.clone();
         let changes = [
@@ -867,8 +871,8 @@ mod tests {
             .table_of(SwitchId(1))
             .unshared_with(source.table_of(SwitchId(1)));
         // Entries and index: each change copies at most two chunks of each.
-        assert!(copied > 0 && copied <= 3 * 2 * 2 * TABLE_CHUNK, "{copied}");
-        assert_eq!(source.table_of(SwitchId(1)).len(), 16 * TABLE_CHUNK);
+        assert!(copied > 0 && copied <= 3 * 2 * 2 * RULE_CHUNK, "{copied}");
+        assert_eq!(source.table_of(SwitchId(1)).len(), 16 * RULE_CHUNK);
         assert_eq!(source.changes_to(&next).len(), 4);
     }
 }

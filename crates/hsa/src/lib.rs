@@ -49,5 +49,4 @@ pub use reachability::{
 pub use space::HeaderSpace;
 pub use transfer::{
     LabelledPortSpace, NetworkFunction, PortSpace, RuleAction, RuleTransfer, SwitchTransfer,
-    RULE_CHUNK,
 };

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use rvaas_types::{Chunked, FlowCookie, PortId, SwitchId, SwitchPort};
+use rvaas_types::{Chunked, FlowCookie, PortId, SwitchId, SwitchPort, RULE_CHUNK};
 
 use crate::cube::Cube;
 use crate::space::HeaderSpace;
@@ -143,12 +143,6 @@ pub struct LabelledPortSpace {
     /// Cookie of the rule responsible.
     pub cookie: FlowCookie,
 }
-
-/// The most rules one chunk of a [`SwitchTransfer`]'s list holds: an edit of
-/// a shared table copies at most two chunks' worth. Twice the snapshot's
-/// chunk because the reachability walk scans these lists, and every chunk
-/// boundary it crosses costs it a fresh memory stream.
-pub const RULE_CHUNK: usize = 64;
 
 /// The transfer function of one switch: its prioritised rule list.
 ///

@@ -6,10 +6,9 @@
 //! in (two when the chunk splits or merges with a neighbour), and every other
 //! chunk stays pointer-equal with the original's. A long-lived, frequently
 //! edited table can therefore be frozen once per version at `O(len / K + K)`
-//! per edit instead of `O(len)`. A chunk is one allocation, its items right
-//! behind the reference counts, so a scan reaches a chunk's items in one
-//! step from the pointer list; the price is that an edit builds a new chunk
-//! even when nothing else holds the old one.
+//! per edit instead of `O(len)`. A chunk nothing else holds is edited in
+//! place, so a sequence edited many times between two clones copies each
+//! chunk at most once.
 //!
 //! The items keep whatever order the caller gives them: a sorted container
 //! finds its place with [`Chunked::partition_point`] and edits there.
@@ -21,14 +20,18 @@
 //! stays `O(len / K)`.
 
 use std::fmt;
-use std::iter;
 use std::ops::{Index, Range};
 use std::sync::Arc;
+
+/// The most rules one chunk of a switch's rule list holds, in the
+/// snapshot's flow tables and the HSA transfer functions alike: an edit of a
+/// shared list copies at most two chunks' worth of rules.
+pub const RULE_CHUNK: usize = 64;
 
 /// An ordered sequence stored as shared chunks of at most `K` items.
 #[derive(Clone)]
 pub struct Chunked<T, const K: usize> {
-    chunks: Vec<Arc<[T]>>,
+    chunks: Vec<Arc<Vec<T>>>,
     /// `ends[c]` is the number of items in chunks `..=c`: the flat index
     /// one past chunk `c`'s last item.
     ends: Vec<usize>,
@@ -83,7 +86,7 @@ impl<T, const K: usize> Chunked<T, K> {
 
     /// The chunks in order, each a non-empty slice.
     pub fn chunks(&self) -> impl Iterator<Item = &[T]> + '_ {
-        self.chunks.iter().map(|chunk| &chunk[..])
+        self.chunks.iter().map(|chunk| chunk.as_slice())
     }
 
     /// The item at flat index `index`.
@@ -113,11 +116,11 @@ impl<T, const K: usize> Chunked<T, K> {
         &'a self,
         other: &Chunked<T, K>,
     ) -> impl Iterator<Item = (&'a [T], bool)> + 'a {
-        let mut held: Vec<*const T> = other.chunks.iter().map(|c| c.as_ptr()).collect();
+        let mut held: Vec<*const Vec<T>> = other.chunks.iter().map(Arc::as_ptr).collect();
         held.sort_unstable();
         self.chunks.iter().map(move |chunk| {
-            let shared = held.binary_search(&chunk.as_ptr()).is_ok();
-            (&chunk[..], shared)
+            let shared = held.binary_search(&Arc::as_ptr(chunk)).is_ok();
+            (chunk.as_slice(), shared)
         })
     }
 
@@ -162,13 +165,13 @@ impl<T, const K: usize> Chunked<T, K> {
             ends.push(end);
         }
         // Cut from the back, so each chunk moves its items once.
-        let mut chunks: Vec<Arc<[T]>> = ends
+        let mut chunks: Vec<Arc<Vec<T>>> = ends
             .iter()
             .rev()
             .skip(1)
             .chain([&start])
             .take(count)
-            .map(|from| items.drain(from - start..).collect())
+            .map(|from| Arc::new(items.drain(from - start..).collect()))
             .collect();
         chunks.reverse();
         let after = range.start + count;
@@ -182,8 +185,8 @@ impl<T, const K: usize> Chunked<T, K> {
 
 impl<T: Clone, const K: usize> Chunked<T, K> {
     /// Inserts `item` at flat index `index`, shifting the items after it.
-    /// Copies the chunk it lands in; a chunk that grows past `K` is cut in
-    /// two.
+    /// Copies the chunk it lands in if something else holds it; a chunk that
+    /// grows past `K` is cut in two.
     ///
     /// # Panics
     ///
@@ -200,24 +203,21 @@ impl<T: Clone, const K: usize> Chunked<T, K> {
         } else {
             self.locate(index)
         };
-        let held = &self.chunks[chunk];
-        let items = held[..offset]
-            .iter()
-            .cloned()
-            .chain(iter::once(item))
-            .chain(held[offset..].iter().cloned());
-        if held.len() < K {
-            self.chunks[chunk] = items.collect();
+        let items = self.chunk_mut(chunk);
+        items.insert(offset, item);
+        if items.len() > K {
+            let items = std::mem::take(items);
+            self.splice(chunk..chunk + 1, items);
+        } else {
             for end in &mut self.ends[chunk..] {
                 *end += 1;
             }
-        } else {
-            self.splice(chunk..chunk + 1, items.collect());
         }
     }
 
-    /// Removes and returns the item at flat index `index`. Copies the chunk it
-    /// sat in; a chunk that falls below `K / 4` merges with a neighbour.
+    /// Removes and returns the item at flat index `index`. Copies the chunk
+    /// it sat in if something else holds it; a chunk that falls below `K / 4`
+    /// merges with a neighbour.
     ///
     /// # Panics
     ///
@@ -225,15 +225,14 @@ impl<T: Clone, const K: usize> Chunked<T, K> {
     pub fn remove(&mut self, index: usize) -> T {
         assert!(index < self.len(), "remove index {index} out of bounds");
         let (chunk, offset) = self.locate(index);
-        let held = &self.chunks[chunk];
-        let removed = held[offset].clone();
-        let rest = held[..offset].iter().chain(&held[offset + 1..]).cloned();
-        if held.len() > Self::MIN.max(1) || self.chunks.len() == 1 {
-            if held.len() == 1 {
+        let alone = self.chunks.len() == 1;
+        let items = self.chunk_mut(chunk);
+        let removed = items.remove(offset);
+        if items.len() >= Self::MIN.max(1) || alone {
+            if items.is_empty() {
                 self.chunks.clear();
                 self.ends.clear();
             } else {
-                self.chunks[chunk] = rest.collect();
                 for end in &mut self.ends[chunk..] {
                     *end -= 1;
                 }
@@ -242,19 +241,22 @@ impl<T: Clone, const K: usize> Chunked<T, K> {
         }
         // Too small beside others: merge with the next chunk (the previous
         // one for the last), cutting the pair in two again if it overflows.
+        let rest = std::mem::take(items);
         let (range, merged) = if chunk + 1 < self.chunks.len() {
-            let next = self.chunks[chunk + 1].iter().cloned();
-            (chunk..chunk + 2, rest.chain(next).collect())
+            let mut merged = rest;
+            merged.extend_from_slice(&self.chunks[chunk + 1]);
+            (chunk..chunk + 2, merged)
         } else {
-            let previous = self.chunks[chunk - 1].iter().cloned();
-            (chunk - 1..chunk + 1, previous.chain(rest).collect())
+            let mut merged = self.chunks[chunk - 1].to_vec();
+            merged.extend(rest);
+            (chunk - 1..chunk + 1, merged)
         };
         self.splice(range, merged);
         removed
     }
 
     /// Replaces the item at flat index `index` and returns the old one.
-    /// Copies its chunk unless nothing else holds it.
+    /// Copies its chunk if something else holds it.
     ///
     /// # Panics
     ///
@@ -262,18 +264,19 @@ impl<T: Clone, const K: usize> Chunked<T, K> {
     pub fn replace(&mut self, index: usize, item: T) -> T {
         assert!(index < self.len(), "replace index {index} out of bounds");
         let (chunk, offset) = self.locate(index);
-        if let Some(items) = Arc::get_mut(&mut self.chunks[chunk]) {
-            return std::mem::replace(&mut items[offset], item);
+        std::mem::replace(&mut self.chunk_mut(chunk)[offset], item)
+    }
+
+    /// Chunk `chunk`'s items, to edit: in place when nothing else holds the
+    /// chunk, else in a copy (with room for one more) that replaces it here.
+    fn chunk_mut(&mut self, chunk: usize) -> &mut Vec<T> {
+        let held = &mut self.chunks[chunk];
+        if Arc::get_mut(held).is_none() {
+            let mut items = Vec::with_capacity(held.len() + 1);
+            items.extend_from_slice(held);
+            *held = Arc::new(items);
         }
-        let held = &self.chunks[chunk];
-        let old = held[offset].clone();
-        self.chunks[chunk] = held[..offset]
-            .iter()
-            .cloned()
-            .chain(iter::once(item))
-            .chain(held[offset + 1..].iter().cloned())
-            .collect();
-        old
+        Arc::get_mut(held).expect("a chunk nothing else holds")
     }
 
     /// The items in order, in one vector.
@@ -288,10 +291,31 @@ impl<T: Clone, const K: usize> Chunked<T, K> {
 }
 
 impl<T, const K: usize> FromIterator<T> for Chunked<T, K> {
-    /// Moves the items into chunks in one pass, cut as evenly as they come.
+    /// Moves each item once, into full chunks as it comes; a short last
+    /// chunk then evens out with the one before it.
     fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        let mut items = items.into_iter();
+        let mut chunks: Vec<Vec<T>> = Vec::new();
+        loop {
+            let room = items.size_hint().1.map_or(K, |left| left.min(K));
+            let mut chunk = Vec::with_capacity(room);
+            chunk.extend(items.by_ref().take(K));
+            if chunk.is_empty() {
+                break;
+            }
+            chunks.push(chunk);
+        }
+        if let [.., full, short] = &mut chunks[..] {
+            if short.len() < K / 2 {
+                let tail = full.split_off((full.len() + short.len()).div_ceil(2));
+                short.splice(0..0, tail);
+            }
+        }
         let mut chunked = Chunked::new();
-        chunked.splice(0..0, items.into_iter().collect());
+        for chunk in chunks {
+            chunked.ends.push(chunked.len() + chunk.len());
+            chunked.chunks.push(Arc::new(chunk));
+        }
         chunked
     }
 }
@@ -338,7 +362,7 @@ impl<'a, T, const K: usize> IntoIterator for &'a Chunked<T, K> {
 /// Iterator over a [`Chunked`]'s items, in order.
 #[derive(Debug, Clone)]
 pub struct Iter<'a, T> {
-    chunks: std::slice::Iter<'a, Arc<[T]>>,
+    chunks: std::slice::Iter<'a, Arc<Vec<T>>>,
     items: std::slice::Iter<'a, T>,
 }
 
@@ -354,7 +378,15 @@ impl<'a, T> Iterator for Iter<'a, T> {
             self.items = self.chunks.next()?.iter();
         }
     }
+
+    /// Exact, so a collect allocates once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.items.len() + self.chunks.clone().map(|chunk| chunk.len()).sum::<usize>();
+        (left, Some(left))
+    }
 }
+
+impl<T> ExactSizeIterator for Iter<'_, T> {}
 
 #[cfg(test)]
 mod tests {
@@ -409,6 +441,18 @@ mod tests {
         assert_eq!(edited.unshared_with(&original), 9 + 8 + 7);
         assert_eq!(original.to_vec(), (0..64).collect::<Vec<_>>());
         assert_well_formed(&edited);
+    }
+
+    #[test]
+    fn a_chunk_held_alone_is_edited_in_place() {
+        let mut seq: Small = (0..40).collect();
+        let first = seq.chunks().next().map(<[u32]>::as_ptr);
+        seq.remove(3);
+        seq.insert(0, 99);
+        seq.replace(1, 98);
+        assert_eq!(seq.chunks().next().map(<[u32]>::as_ptr), first);
+        assert_eq!(seq.to_vec()[..4], [99, 98, 1, 2]);
+        assert_well_formed(&seq);
     }
 
     #[test]

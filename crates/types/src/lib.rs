@@ -43,7 +43,7 @@ pub mod ids;
 pub mod packet;
 pub mod time;
 
-pub use chunked::Chunked;
+pub use chunked::{Chunked, RULE_CHUNK};
 pub use error::{Error, Result};
 pub use geo::{GeoPoint, Region};
 pub use header::{Field, FieldSpec, Header, HeaderBuilder, HEADER_BITS, HEADER_BYTES};
