@@ -13,8 +13,9 @@
 //! * **incremental** (`rvaas_workloads::run_incremental_churn`, the
 //!   service as deployed): the publish advances the epoch store's one model
 //!   by the epoch's rule delta and freezes its function into the epoch, the
-//!   interest index selects the standing queries whose interest space meets
-//!   the changed header region, sync re-verifies only those — on the frozen
+//!   traversal memo's carry names the verdict keys the changed header region
+//!   may have altered, sync re-verifies only the standing queries reading
+//!   one — on the frozen
 //!   function, on the thread that serves the session — and the result cache
 //!   carries the rest.
 //!

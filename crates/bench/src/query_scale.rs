@@ -1,8 +1,9 @@
 //! Experiment S3 — epoch-advance cost versus standing-query population.
 //!
-//! The interest-space index promises an `O(affected)` epoch advance: with the
-//! churn rate held fixed, registering more standing queries must not make
-//! publishing an epoch (model update + index advance + per-client delta
+//! A publish names the verdicts it may have changed by key (the traversal
+//! memo's carry), which promises an `O(affected)` epoch advance: with the
+//! churn rate held fixed, subscribing more standing queries must not make
+//! publishing an epoch (model update + memo carry + per-client delta
 //! serving) slower. This experiment sweeps the synthetic standing-query
 //! population (10k/30k/100k in full mode, 200/1k in smoke mode, plus a 1M
 //! point under `RVAAS_BENCH_SOAK=1`) through the one churn driver,
@@ -14,11 +15,11 @@
 //! * reverified/skipped standing-query counts (reverification must track the
 //!   churn, not the population);
 //! * the isolated affected-query selection latency through the linear scan
-//!   versus the interest index ([`selection_latency`]; the index must never
-//!   lose).
+//!   versus the memo carry's keys, read back per client as a sync session
+//!   does ([`selection_latency`]; the keyed selection must never lose).
 //!
 //! Writes the machine-readable trajectory to `BENCH_queryscale.json`. The CI
-//! experiments-smoke gate fails when the indexed selection is slower than the
+//! experiments-smoke gate fails when the keyed selection is slower than the
 //! linear scan or when epoch-advance latency grows super-linearly with the
 //! population; the nightly full run additionally checks the within-2x
 //! flatness bar (`advance_flatness`) across the sweep.
@@ -43,7 +44,7 @@ const RULES_PER_CLIENT: usize = 2;
 struct ScalePoint {
     population: usize,
     churn: IncrementalChurnReport,
-    indexed_selection: Duration,
+    keyed_selection: Duration,
     linear_selection: Duration,
 }
 
@@ -52,9 +53,9 @@ impl ScalePoint {
         self.churn.epoch_advance_median.as_secs_f64()
     }
 
-    /// Speedup of the indexed affected-query selection over the linear scan.
+    /// Speedup of the keyed affected-query selection over the linear scan.
     fn selection_speedup(&self) -> f64 {
-        self.linear_selection.as_secs_f64() / self.indexed_selection.as_secs_f64().max(1e-9)
+        self.linear_selection.as_secs_f64() / self.keyed_selection.as_secs_f64().max(1e-9)
     }
 }
 
@@ -77,7 +78,7 @@ fn measure(
                     synthetic_queries: population,
                 },
             );
-            let (indexed_selection, linear_selection) = selection_latency(
+            let (keyed_selection, linear_selection) = selection_latency(
                 topology,
                 &standing_queries(topology, population),
                 selection_probes,
@@ -85,7 +86,7 @@ fn measure(
             ScalePoint {
                 population,
                 churn,
-                indexed_selection,
+                keyed_selection,
                 linear_selection,
             }
         })
@@ -116,7 +117,7 @@ fn advance_flatness(points: &[ScalePoint]) -> f64 {
 fn report(label: &str, clients: usize, rounds: usize, points: &[ScalePoint]) -> Report {
     let mut report = Report::new(
         "query_scale",
-        "S3 — epoch-advance cost vs standing-query population (interest-space index); gates: selection_speedup_min >= 1.0, advance_growth < population_growth, nightly advance_flatness <= 2.0",
+        "S3 — epoch-advance cost vs standing-query population (memo-carry key selection); gates: selection_speedup_min >= 1.0, advance_growth < population_growth, nightly advance_flatness <= 2.0",
     );
     report
         .field("topology", label)
@@ -133,7 +134,7 @@ fn report(label: &str, clients: usize, rounds: usize, points: &[ScalePoint]) -> 
             ("epoch_advance_avg_us", p.churn.epoch_advance_median.into()),
             ("reverified", p.churn.reverified.into()),
             ("skipped", p.churn.skipped.into()),
-            ("indexed_selection_us", p.indexed_selection.into()),
+            ("keyed_selection_us", p.keyed_selection.into()),
             ("linear_selection_us", p.linear_selection.into()),
             ("selection_speedup", p.selection_speedup().into()),
         ]);
@@ -159,9 +160,9 @@ fn report(label: &str, clients: usize, rounds: usize, points: &[ScalePoint]) -> 
 /// `BENCH_queryscale.json` next to the working directory.
 pub fn exp_s3_query_scale() -> Vec<String> {
     // 8 clients over 32 hosts: enough spread for a real per-client mix while
-    // the per-query interest (one cube per owned host) stays small enough to
-    // hold a 100k+ population. One churned client per round = fixed 12.5%
-    // churn at every population point.
+    // the linear reference (one cube per owned host per query) stays small
+    // enough to scan a 100k+ population. One churned client per round =
+    // fixed 12.5% churn at every population point.
     let (topology, label, rounds, mut populations, probes) = if smoke_mode() {
         (
             generators::leaf_spine(2, 4, 4, 1),

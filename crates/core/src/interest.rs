@@ -1,14 +1,20 @@
-//! The interest-space index: O(affected) selection of standing queries.
+//! The retired interest-space index, kept only because the stand-alone
+//! `benchmark/` package's ladder measures it (`core.interest_*` rows); it is
+//! deleted once a re-baseline of `benchmark/` drops those rows. Nothing in
+//! the service plane registers, refines or advances it: which verdicts a
+//! publish may have changed is read off the traversal memo's carry
+//! ([`TraversalMemo::carry`](crate::TraversalMemo::carry) and
+//! [`AffectedQueries`](crate::AffectedQueries)), because the keys a verdict
+//! reads are a static function of `(client, spec, topology)`. Like this
+//! index, the carry never selects beyond
+//! [`query_affected`](crate::incremental::query_affected), the linear
+//! reference both are held to, on a bounded region no walk was cut on
+//! (`crates/integration/tests/cross_crate_properties.rs` checks it).
 //!
-//! [`query_affected`](crate::incremental::query_affected) decides whether one
-//! `(client, query)` pair can be affected by a [`ChangedRegion`] — but the
-//! service plane used to evaluate it once per standing query per epoch
-//! advance, an `O(standing queries)` scan that dominates the publish path at
-//! production query populations. This module inverts the test: an
-//! [`InterestIndex`] holds one [`QueryInterest`] per registered standing
-//! query and an inverted index over the *cube structure* of the interest
-//! spaces, so a changed region maps to its affected queries in
-//! `O(region cubes · bucket probes + candidates)` instead.
+//! What it did: an [`InterestIndex`] holds one [`QueryInterest`] per
+//! registered standing query and an inverted index over the cube structure
+//! of the interest spaces, so a changed region maps to its affected queries
+//! in `O(region cubes · bucket probes + candidates)`.
 //!
 //! # How the index is keyed
 //!
@@ -18,40 +24,22 @@
 //! so each cube is bucketed under `(src, dst)` where each component is
 //! `Some(value)` when the cube fixes every bit of that field and `None`
 //! otherwise. A changed-region cube probes the compatible buckets: when the
-//! region pins both fields (the common case — tenant churn is `(src, dst)`
-//! pinned) that is four `BTreeMap` probes; a region cube that leaves a field
-//! unpinned degrades to a contiguous range scan of the buckets on the other
-//! field. Candidates then confirm with the exact test (space overlap and
-//! footprint-switch intersection), so bucketing only ever *over*-selects.
+//! region pins both fields that is four `BTreeMap` probes; a region cube
+//! that leaves a field unpinned degrades to a contiguous range scan of the
+//! buckets on the other field. Candidates then confirm with the exact test
+//! (space overlap and footprint-switch intersection), so bucketing only
+//! ever *over*-selects.
 //!
-//! # Footprints make affected sets exact
+//! # Footprints and the widen-then-refine race protocol
 //!
-//! On registration a query carries its class-default interest (the same
-//! spaces `query_affected` uses), with an *unbounded* switch footprint. After
-//! the service evaluates the query it can
-//! [`refine`](InterestIndex::refine) the interest with the traversal
-//! footprint the evaluator actually recorded (the [`visited`] switch set of
-//! its reachability runs): a rule change whose exposed region overlaps the
-//! interest space but sits on a switch the traversal never touched cannot
-//! alter the verdict, because absent rewrites the injected traffic never
-//! reaches that switch (and rewrites force conservative regions upstream).
+//! A registered query carries its class-default interest with an
+//! *unbounded* switch footprint, which [`refine`](InterestIndex::refine)
+//! narrows to the switches an evaluation visited.
+//! [`advance`](InterestIndex::advance) widens every affected query back to
+//! unbounded and stamps it with the new serial; a refinement carrying an
+//! older serial is ignored.
 //!
-//! # The widen-then-refine race protocol
-//!
-//! Footprints are captured against one epoch but refined asynchronously by
-//! the threads answering queries, so a stale footprint must never narrow an
-//! interest past a change it did not see. Two rules close the race:
-//!
-//! * [`advance`](InterestIndex::advance) (called under the publish lock,
-//!   before the new epoch becomes visible) *widens* every affected query back
-//!   to an unbounded footprint and stamps it with the new serial;
-//! * [`refine`](InterestIndex::refine) carries the serial of the epoch the
-//!   evaluation ran against and is ignored when that serial is below the
-//!   interest's stamp. A footprint captured at serial `s` is valid at every
-//!   later epoch the query was not affected by — if any intervening epoch
-//!   *had* affected it, the widen would have bumped the stamp past `s`.
-//!
-//! [`visited`]: rvaas_hsa::ReachabilityResult::visited
+//! [`Cube`]: rvaas_hsa::Cube
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -173,16 +161,16 @@ pub fn default_interest(topology: &Topology, client: ClientId, spec: &QuerySpec)
 /// registered query keys, or "everything" (conservative region — unregistered
 /// queries included).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AffectedQueries {
+pub struct IndexSelection {
     all: bool,
     keys: BTreeSet<QueryKey>,
 }
 
-impl AffectedQueries {
+impl IndexSelection {
     /// Every query — registered or not — must be treated as affected.
     #[must_use]
     pub fn everything() -> Self {
-        AffectedQueries {
+        IndexSelection {
             all: true,
             keys: BTreeSet::new(),
         }
@@ -222,7 +210,7 @@ impl AffectedQueries {
     /// aggregates several epochs' deltas: the union of per-epoch selections
     /// is exactly the set of queries whose verdict may have moved anywhere in
     /// the window).
-    pub fn merge(&mut self, other: &AffectedQueries) {
+    pub fn merge(&mut self, other: &IndexSelection) {
         self.all |= other.all;
         if self.all {
             self.keys.clear();
@@ -232,9 +220,9 @@ impl AffectedQueries {
     }
 }
 
-impl FromIterator<QueryKey> for AffectedQueries {
+impl FromIterator<QueryKey> for IndexSelection {
     fn from_iter<I: IntoIterator<Item = QueryKey>>(iter: I) -> Self {
-        AffectedQueries {
+        IndexSelection {
             all: false,
             keys: iter.into_iter().collect(),
         }
@@ -260,7 +248,7 @@ pub enum Refinement {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Advance {
     /// The affected queries (all of them confirmed by the exact test).
-    pub affected: AffectedQueries,
+    pub affected: IndexSelection,
     /// Interests widened back to an unbounded footprint: the selected ones,
     /// or every registered one under a conservative region.
     pub widened: usize,
@@ -475,18 +463,18 @@ impl InterestIndex {
     /// Selects the registered queries `region` can affect, without mutating
     /// the index. Conservative regions select everything.
     #[must_use]
-    pub fn affected(&self, region: &ChangedRegion) -> AffectedQueries {
+    pub fn affected(&self, region: &ChangedRegion) -> IndexSelection {
         self.select(region).0
     }
 
     /// The selection of [`affected`](Self::affected), plus how many bucket
     /// candidates the exact test rejected.
-    fn select(&self, region: &ChangedRegion) -> (AffectedQueries, usize) {
+    fn select(&self, region: &ChangedRegion) -> (IndexSelection, usize) {
         if region.conservative {
-            return (AffectedQueries::everything(), 0);
+            return (IndexSelection::everything(), 0);
         }
         if region.is_empty() {
-            return (AffectedQueries::default(), 0);
+            return (IndexSelection::default(), 0);
         }
         let mut candidates: BTreeSet<QueryKey> = BTreeSet::new();
         // The wildcard bucket hosts the space-insensitive interests
@@ -510,7 +498,7 @@ impl InterestIndex {
             }
             self.collect_candidates(src, dst, &mut candidates);
         }
-        let mut affected = AffectedQueries::default();
+        let mut affected = IndexSelection::default();
         let mut rejected = 0;
         for key in candidates {
             let interest = &self.interests[&key];
@@ -783,12 +771,12 @@ mod tests {
 
     #[test]
     fn affected_queries_merge_unions_and_saturates() {
-        let mut a: AffectedQueries = [(ClientId(1), QuerySpec::Isolation)].into_iter().collect();
-        let b: AffectedQueries = [(ClientId(2), QuerySpec::Neutrality)].into_iter().collect();
+        let mut a: IndexSelection = [(ClientId(1), QuerySpec::Isolation)].into_iter().collect();
+        let b: IndexSelection = [(ClientId(2), QuerySpec::Neutrality)].into_iter().collect();
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert!(a.is_affected(ClientId(2), &QuerySpec::Neutrality));
-        a.merge(&AffectedQueries::everything());
+        a.merge(&IndexSelection::everything());
         assert!(a.is_everything());
         assert!(a.is_affected(ClientId(3), &QuerySpec::GeoLocation));
         assert_eq!(a.len(), 0, "everything drops the materialised keys");

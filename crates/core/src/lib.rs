@@ -16,8 +16,7 @@
 //!    reachability over the snapshot, answering isolation, reachability,
 //!    geo-location, path-length and neutrality questions. A question is a
 //!    [`QuerySpec`](rvaas_client::QuerySpec), and
-//!    [`QueryEvaluator::answer_with_footprint`] is the one dispatch that
-//!    answers it (`answer` is its verdict alone).
+//!    [`QueryEvaluator::answer`] is the one dispatch that answers it.
 //! 3. **In-band testing & client interaction** ([`service`]): interception of
 //!    magic-header client queries via Packet-In, active authentication of
 //!    candidate endpoints via Packet-Out + signed replies, and signed query
@@ -28,8 +27,9 @@
 //! [`attest`] on top of the simulated enclave, and [`federation`] extends
 //! queries across multiple providers. The [`incremental`] module keeps a
 //! long-lived HSA model in sync with configuration churn by applying
-//! rule-level deltas in place and reports the changed header region, so the
-//! service plane re-verifies only the standing queries a delta can affect.
+//! rule-level deltas in place and reports the changed header region, from
+//! which the traversal memo's carry names the verdicts a delta can affect
+//! ([`AffectedQueries`]), so the service plane re-verifies only those.
 //!
 //! # Example
 //!
@@ -58,11 +58,14 @@ pub mod verify;
 
 pub use attest::{AttestedIdentity, RVAAS_IMAGE};
 pub use incremental::{query_affected, ChangedRegion, IncrementalModel, RuleChange};
-pub use interest::{Advance, AffectedQueries, InterestIndex, QueryFootprint, QueryKey, Refinement};
+pub use interest::{InterestIndex, QueryFootprint};
 pub use monitor::{ConfigMonitor, MonitorConfig, MonitorStats, PollStrategy};
 pub use service::{RvaasConfig, RvaasController, RvaasStats};
 pub use snapshot::{NetworkSnapshot, TableEntries, TableIter};
-pub use verify::{LocationMap, LogicalVerifier, QueryEvaluator, TraversalMemo, VerifierConfig};
+pub use verify::{
+    AffectedQueries, Carried, LocationMap, LogicalVerifier, QueryEvaluator, TraversalMemo,
+    VerdictKey, VerifierConfig,
+};
 
 // The model type `LogicalVerifier::evaluator_with` and `IncrementalModel` trade in, for
 // crates that hold one without depending on `rvaas-hsa` themselves.

@@ -7,9 +7,15 @@
 //! checks, geo-location checks, path lengths and network-neutrality checks.
 //!
 //! There is one way to ask for a verdict: a [`QuerySpec`] handed to
-//! [`QueryEvaluator::answer_with_footprint`], the only dispatch.
-//! [`QueryEvaluator::answer`] is its verdict alone (its `.0`), and
+//! [`QueryEvaluator::answer`], the only dispatch, and
 //! [`LogicalVerifier::answer`] the same over a fresh evaluator.
+//! ([`QueryEvaluator::answer_with_footprint`] adds the switches the verdict
+//! depends on, for the `benchmark/` ladder only.)
+//!
+//! Which verdicts a rule change may have moved is a question about keys: a
+//! verdict reads a static set of [`VerdictKey`]s, and the traversal memo's
+//! [carry](TraversalMemo::carry) into the next epoch names the keys the
+//! change may have altered ([`AffectedQueries`]).
 //!
 //! Confidentiality: the verifier only ever reports *endpoints*, *regions* and
 //! *hop counts* to clients — never switch identities or paths — preserving
@@ -199,6 +205,8 @@ impl LogicalVerifier {
             metered: None,
             hits: 0,
             misses: 0,
+            #[cfg(test)]
+            read: BTreeSet::new(),
         }
     }
 
@@ -231,30 +239,15 @@ enum TraversalKey {
     Path(ClientId, u32),
 }
 
-impl TraversalKey {
-    /// The header space the traversal of this key injects, for the carry's
-    /// overlap test. Every cube of it pins `IpSrc` to a host of `topology`.
-    ///
-    /// `None` for an `Inbound` key: its walk injects one probe per host of
-    /// every other client, and the carry decides whether a region cube
-    /// overlaps those from the cube's exact destination instead of building
-    /// them (see [`TraversalMemo::carry`]).
-    fn injected_space(self, topology: &Topology) -> Option<HeaderSpace> {
+impl VerdictKey {
+    /// The memoised walk this key is read from, and whose share of it (an
+    /// inbound walk's client) — `None` for `Tables`, which is no walk.
+    fn walk(self) -> Option<(TraversalKey, Option<ClientId>)> {
         match self {
-            TraversalKey::Emission(host) => Some(
-                topology
-                    .host(host)
-                    .map(|h| LogicalVerifier::emission_space(h.ip))
-                    .unwrap_or_default(),
-            ),
-            TraversalKey::Inbound(_) => None,
-            TraversalKey::Path(client, to_ip) => Some(
-                topology
-                    .hosts_of_client(client)
-                    .into_iter()
-                    .map(|src| LogicalVerifier::probe_cube(src.ip, to_ip))
-                    .collect(),
-            ),
+            VerdictKey::Emission(_, host) => Some((TraversalKey::Emission(host), None)),
+            VerdictKey::Inbound(client, host) => Some((TraversalKey::Inbound(host), Some(client))),
+            VerdictKey::Path(client, ip) => Some((TraversalKey::Path(client, ip), None)),
+            VerdictKey::Tables => None,
         }
     }
 }
@@ -299,6 +292,198 @@ struct Traversal {
     outcome: Outcome,
 }
 
+impl Traversal {
+    /// The part of this walk `share`'s verdicts read: that client's probe
+    /// of an inbound walk, or the whole walk.
+    fn share(&self, share: Option<ClientId>) -> &Traversal {
+        match (&self.outcome, share) {
+            (Outcome::Inbound(probes), Some(client)) => probes.get(&client).map_or(self, |p| p),
+            _ => self,
+        }
+    }
+
+    /// The verdict keys of this walk, held under `walk`, that the cube
+    /// budget cut: an inbound walk's cut shares, or the walk itself.
+    fn truncated_keys(&self, walk: TraversalKey, topology: &Topology) -> Vec<VerdictKey> {
+        match (walk, &self.outcome) {
+            (TraversalKey::Inbound(host), Outcome::Inbound(probes)) => probes
+                .iter()
+                .filter(|(_, probe)| probe.truncated)
+                .map(|(client, _)| VerdictKey::Inbound(*client, host))
+                .collect(),
+            (TraversalKey::Emission(host), _) => topology
+                .host(host)
+                .map(|h| VerdictKey::Emission(h.owner, host))
+                .into_iter()
+                .collect(),
+            (TraversalKey::Path(client, ip), _) => vec![VerdictKey::Path(client, ip)],
+            (TraversalKey::Inbound(_), _) => unreachable!("keyed by kind"),
+        }
+    }
+}
+
+/// One thing a verdict reads that a rule change can alter: a memoised
+/// traversal (for an inbound walk, one client's share of it), or the access
+/// switches' tables.
+///
+/// The keys a `(client, spec)` verdict reads are a static function of the
+/// pair and the trusted topology, never of the rules:
+///
+/// * `ReachableDestinations` and `GeoLocation` read `Emission(client, h)` for
+///   every host `h` of `client`;
+/// * `ReachingSources` reads `Inbound(client, h)` for every host `h` of every
+///   other client;
+/// * `Isolation` reads both;
+/// * `PathLength { to_ip }` reads `Path(client, to_ip)`;
+/// * `Neutrality` reads `Tables`.
+///
+/// So a publish need not know who asked what: [`TraversalMemo::carry`] names
+/// the keys the change may have altered, and
+/// [`AffectedQueries::is_affected`] tests a verdict's keys against them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum VerdictKey {
+    /// The emission walk of a host (`.1`) of the client (`.0`).
+    Emission(ClientId, HostId),
+    /// The client's (`.0`) share of the inbound walk from a host (`.1`) of
+    /// another client: whether that host reaches it.
+    Inbound(ClientId, HostId),
+    /// The client's (`.0`) path probe towards an address (`.1`).
+    Path(ClientId, u32),
+    /// The delivery rules of every access switch, which neutrality verdicts
+    /// read.
+    Tables,
+}
+
+/// The verdicts one publish may have changed: the [`VerdictKey`]s the
+/// memo's [carry](TraversalMemo::carry) found altered, or everything under a
+/// region it cannot bound. The cache carries, and a sync session skips,
+/// every verdict none of whose keys is here.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct AffectedQueries {
+    everything: bool,
+    keys: BTreeSet<VerdictKey>,
+}
+
+impl AffectedQueries {
+    /// Every verdict must be treated as affected.
+    #[must_use]
+    pub fn everything() -> Self {
+        AffectedQueries {
+            everything: true,
+            keys: BTreeSet::new(),
+        }
+    }
+
+    /// True when every verdict must be treated as affected.
+    #[must_use]
+    pub fn is_everything(&self) -> bool {
+        self.everything
+    }
+
+    /// True when no verdict is affected.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        !self.everything && self.keys.is_empty()
+    }
+
+    /// Number of affected keys (0 under [`is_everything`](Self::is_everything)).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The affected keys (empty under `is_everything`).
+    #[must_use]
+    pub fn keys(&self) -> &BTreeSet<VerdictKey> {
+        &self.keys
+    }
+
+    /// Whether the verdict of `(client, spec)` may have changed: whether any
+    /// key it reads (see [`VerdictKey`]) is affected.
+    ///
+    /// A verdict reading every `Emission` (or `Inbound`) key of `client`
+    /// tests the range of them, with no topology at hand: the set holds
+    /// `Emission(c, h)` only for a host `h` of `c`, and `Inbound(c, h)` only
+    /// for a host of another client, so the range holds exactly the keys of
+    /// that kind the verdict reads.
+    #[must_use]
+    pub fn is_affected(&self, client: ClientId, spec: &QuerySpec) -> bool {
+        if self.everything {
+            return true;
+        }
+        let any_of = |kind: fn(ClientId, HostId) -> VerdictKey| {
+            let (first, last) = (kind(client, HostId(0)), kind(client, HostId(u32::MAX)));
+            self.keys.range(first..=last).next().is_some()
+        };
+        match spec {
+            QuerySpec::ReachableDestinations | QuerySpec::GeoLocation => {
+                any_of(VerdictKey::Emission)
+            }
+            QuerySpec::ReachingSources => any_of(VerdictKey::Inbound),
+            QuerySpec::Isolation => any_of(VerdictKey::Emission) || any_of(VerdictKey::Inbound),
+            QuerySpec::PathLength { to_ip } => {
+                self.keys.contains(&VerdictKey::Path(client, *to_ip))
+            }
+            QuerySpec::Neutrality => self.keys.contains(&VerdictKey::Tables),
+        }
+    }
+
+    /// Every spec whose verdict for `client` [`is_affected`](Self::is_affected),
+    /// ascending, read off the affected keys — `O(log keys)` plus one spec
+    /// per affected path probe, whatever the number of standing queries.
+    /// Empty under [`is_everything`](Self::is_everything), where every spec
+    /// is (a set with no end: path probes are named by their destination).
+    #[must_use]
+    pub fn specs_of(&self, client: ClientId) -> Vec<QuerySpec> {
+        if self.everything {
+            return Vec::new();
+        }
+        let mut specs = BTreeSet::new();
+        if self.is_affected(client, &QuerySpec::ReachableDestinations) {
+            specs.extend([
+                QuerySpec::ReachableDestinations,
+                QuerySpec::GeoLocation,
+                QuerySpec::Isolation,
+            ]);
+        }
+        if self.is_affected(client, &QuerySpec::ReachingSources) {
+            specs.extend([QuerySpec::ReachingSources, QuerySpec::Isolation]);
+        }
+        let paths = VerdictKey::Path(client, 0)..=VerdictKey::Path(client, u32::MAX);
+        specs.extend(self.keys.range(paths).filter_map(|key| match key {
+            VerdictKey::Path(_, to_ip) => Some(QuerySpec::PathLength { to_ip: *to_ip }),
+            _ => None,
+        }));
+        if self.keys.contains(&VerdictKey::Tables) {
+            specs.insert(QuerySpec::Neutrality);
+        }
+        specs.into_iter().collect()
+    }
+
+    /// Folds another selection into this one: a session lagging several
+    /// epochs re-verifies what any of them may have changed.
+    pub fn merge(&mut self, other: &AffectedQueries) {
+        self.everything |= other.everything;
+        if self.everything {
+            self.keys.clear();
+        } else {
+            self.keys.extend(other.keys.iter().copied());
+        }
+    }
+}
+
+/// What [`TraversalMemo::carry`] hands the successor epoch.
+#[derive(Debug)]
+pub struct Carried {
+    /// The successor's memo: every held traversal the change cannot have
+    /// altered.
+    pub memo: TraversalMemo,
+    /// The verdict keys the change may have altered.
+    pub affected: AffectedQueries,
+    /// How many held traversals the successor does not get.
+    pub dropped: usize,
+}
+
 /// The HSA traversals walked over **one** network function, shared by every
 /// evaluation session that is handed the same memo.
 ///
@@ -323,9 +508,9 @@ pub struct TraversalMemo {
 #[derive(Debug, Default)]
 struct Entries {
     traversals: BTreeMap<TraversalKey, Arc<Traversal>>,
-    /// Some traversal was cut by the engine's cube budget: its footprint is
-    /// unbounded, so any change may have altered it.
-    truncated: bool,
+    /// The held traversals the engine's cube budget cut: their footprints
+    /// are unbounded, so any change may have altered them.
+    truncated: BTreeSet<TraversalKey>,
 }
 
 #[allow(clippy::len_without_is_empty)] // `len` exists for tests and the carry count.
@@ -354,101 +539,152 @@ impl TraversalMemo {
     /// insert lands last replaces an equal entry.
     fn put(&self, key: TraversalKey, traversal: Arc<Traversal>) {
         let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
-        entries.truncated |= traversal.truncated;
+        if traversal.truncated {
+            entries.truncated.insert(key);
+        }
         entries.traversals.insert(key, traversal);
     }
 
-    /// The memo of the function that `region` made of this memo's function:
-    /// this memo's traversals minus every one the change may have altered,
-    /// and how many of them the successor does not get.
+    /// The memo of the function that `region` made of this memo's function,
+    /// and the verdict keys the change may have altered: the one test of
+    /// which verdicts a publish moved.
     ///
-    /// A traversal is dropped when `region` is conservative, when any entry
-    /// here was truncated, or when `region`'s space overlaps the space the
-    /// traversal injected **and** `region`'s switches meet the ones it
-    /// visited. That is the interest index's per-query test, made per
-    /// traversal, and it is sound for the same reason: without rewrites
-    /// (any installed rewrite makes every region conservative) traffic never
-    /// leaves the space it was injected in, so a change outside that space,
-    /// or on switches the walk never arrived at, leaves the walk as it was.
+    /// The candidates are the keys whose injected space `region`'s space
+    /// overlaps, found through the hosts each region cube admits as source
+    /// and destination, never by a scan of the memo. A candidate is altered
+    /// when
     ///
-    /// Candidates are looked up by key, `O(region cubes)`, never by a scan
-    /// of the memo. Every injected space pins `IpSrc` to a host of
-    /// `topology`, so a region cube with an exact source names the keys it
-    /// can reach: `Emission` of each host with that address, its owner's
-    /// `Path` probe towards the cube's exact destination (every one of them
-    /// when the cube has none), and its `Inbound` probes when the cube's
-    /// exact destination is a host of another client (or the cube has
-    /// none). An `Inbound` walk probes exactly the hosts of the other
-    /// clients, so that lookup *is* its overlap test: a cube whose
-    /// destination is a host of the source's own tenant carries it, and a
-    /// cube without an exact destination counts as overlapping it. A cube
-    /// without an exact source could reach any key, and a topology without
-    /// hosts names none, so either carries nothing; so does a truncated
-    /// entry, whose footprint no key lookup bounds.
+    /// * it is held and the part of it the verdict reads (for an inbound
+    ///   walk, the client's share) visited a switch of `region` or was cut
+    ///   by the cube budget — without rewrites (any installed rewrite makes
+    ///   every region conservative) traffic never leaves the space it was
+    ///   injected in, so a change outside that space, or on switches the
+    ///   walk never arrived at, leaves the walk as it was; or
+    /// * it is not held: a session still answering on this memo's function
+    ///   may walk it after this carry, and its verdict must not be carried
+    ///   past a change it overlaps.
     ///
-    /// When nothing is carried this memo is left as it is. Otherwise its
-    /// entries are moved out, not copied: a session still answering on this
-    /// memo's function finds it empty and walks afresh.
-    pub fn carry(&self, region: &ChangedRegion, topology: &Topology) -> (TraversalMemo, usize) {
-        let exact = |cube: &Cube, field| u32::try_from(cube.field_exact(field)?).ok();
-        let sources: Option<Vec<(u32, Option<u32>)>> = region
-            .space
-            .cubes()
-            .iter()
-            .map(|cube| Some((exact(cube, Field::IpSrc)?, exact(cube, Field::IpDst))))
-            .collect();
+    /// Every held entry the budget cut is altered too, whatever it
+    /// injected, and `Tables` is when `region` touches an access switch.
+    /// An entry whose key (or, for an inbound walk, any client's share) is
+    /// altered is dropped; the rest move to the successor.
+    ///
+    /// A conservative region alters everything, and so does any change on
+    /// a topology without hosts, which names no key: the successor starts
+    /// empty and this memo is left as it is. An empty region alters
+    /// nothing. Otherwise the entries are moved out, not copied: a session
+    /// still answering on this memo's function finds it empty and walks
+    /// afresh.
+    pub fn carry(&self, region: &ChangedRegion, topology: &Topology) -> Carried {
         let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
         let held = entries.traversals.len();
-        let carries = !region.conservative && !entries.truncated && topology.host_count() > 0;
-        let Some(sources) = sources.filter(|_| carries) else {
-            return (TraversalMemo::new(), held);
-        };
+        if region.conservative || (topology.host_count() == 0 && !region.is_empty()) {
+            return Carried {
+                memo: TraversalMemo::new(),
+                affected: AffectedQueries::everything(),
+                dropped: held,
+            };
+        }
         let mut carried = std::mem::take(&mut *entries);
         drop(entries);
-        let held_keys = |from: TraversalKey, to: TraversalKey| {
-            carried.traversals.range(from..=to).map(|(key, _)| *key)
-        };
-        let mut candidates = BTreeSet::new();
-        for (src, dst) in sources {
-            for host in topology.hosts_with_ip(src) {
-                candidates.insert(TraversalKey::Emission(host.id));
-                match dst {
-                    Some(dst) => {
-                        if topology.hosts_with_ip(dst).any(|d| d.owner != host.owner) {
-                            candidates.insert(TraversalKey::Inbound(host.id));
-                        }
-                        candidates.insert(TraversalKey::Path(host.owner, dst));
-                    }
-                    None => {
-                        candidates.insert(TraversalKey::Inbound(host.id));
-                        candidates.extend(held_keys(
-                            TraversalKey::Path(host.owner, 0),
-                            TraversalKey::Path(host.owner, u32::MAX),
-                        ));
+        let mut affected = AffectedQueries::default();
+        let mut dropped = BTreeSet::new();
+        if !region.is_empty() {
+            if region.switches.iter().any(|s| topology.has_hosts_at(*s)) {
+                affected.keys.insert(VerdictKey::Tables);
+            }
+            let altered = |read: &Traversal| {
+                read.truncated
+                    || region
+                        .switches
+                        .iter()
+                        .any(|s| read.visited.binary_search(s).is_ok())
+            };
+            for key in overlapped_keys(&region.space, topology) {
+                let Some((walk, share)) = key.walk() else {
+                    continue;
+                };
+                let held = carried.traversals.get(&walk);
+                if held.is_none_or(|traversal| altered(traversal.share(share))) {
+                    affected.keys.insert(key);
+                    if held.is_some() {
+                        dropped.insert(walk);
                     }
                 }
             }
-        }
-        let mut dropped = 0;
-        for key in candidates {
-            let altered = carried.traversals.get(&key).is_some_and(|traversal| {
-                traversal
-                    .visited
-                    .iter()
-                    .any(|s| region.switches.contains(s))
-                    && key
-                        .injected_space(topology)
-                        .is_none_or(|injected| region.space.overlaps(&injected))
-            });
-            if altered {
-                carried.traversals.remove(&key);
-                dropped += 1;
+            for walk in std::mem::take(&mut carried.truncated) {
+                let cut = &carried.traversals[&walk];
+                affected.keys.extend(cut.truncated_keys(walk, topology));
+                dropped.insert(walk);
+            }
+            for walk in &dropped {
+                carried.traversals.remove(walk);
+                carried.truncated.remove(walk);
             }
         }
-        let memo = TraversalMemo {
-            entries: RwLock::new(carried),
-        };
-        (memo, dropped)
+        Carried {
+            memo: TraversalMemo {
+                entries: RwLock::new(carried),
+            },
+            affected,
+            dropped: dropped.len(),
+        }
+    }
+}
+
+/// Every [`VerdictKey`] but `Tables` whose injected space `space` overlaps.
+///
+/// Every injected cube pins `IpSrc` to a host's address, and `IpDst`, where
+/// it pins it, to a host's too (a path probe towards an address no host has
+/// walks nothing: its verdict is a constant of the topology). A cube
+/// constrains each header bit on its own, so one that admits a host's
+/// address as source meets that host's emission space, and one that also
+/// admits another host's address as destination meets every probe between
+/// the two: that host's inbound walk as far as the destination's owner
+/// reads it, and the path probe of the source's owner towards it. A cube
+/// pinning both addresses, as tenant churn does, costs two address
+/// lookups; one leaving an address free admits every host it matches.
+fn overlapped_keys(space: &HeaderSpace, topology: &Topology) -> Vec<VerdictKey> {
+    let mut keys = Vec::new();
+    for cube in space.cubes() {
+        let sources = admitted(topology, cube, Field::IpSrc);
+        if sources.is_empty() {
+            continue;
+        }
+        let destinations = admitted(topology, cube, Field::IpDst);
+        let owners = distinct(destinations.iter().map(|d| d.owner));
+        for source in &sources {
+            keys.push(VerdictKey::Emission(source.owner, source.id));
+            let others = owners.iter().filter(|owner| **owner != source.owner);
+            keys.extend(others.map(|owner| VerdictKey::Inbound(*owner, source.id)));
+        }
+        let addresses = distinct(destinations.iter().map(|d| d.ip));
+        for sender in distinct(sources.iter().map(|s| s.owner)) {
+            keys.extend(addresses.iter().map(|ip| VerdictKey::Path(sender, *ip)));
+        }
+    }
+    distinct(keys)
+}
+
+/// `items` ascending, each once.
+fn distinct<T: Ord>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut items: Vec<T> = items.into_iter().collect();
+    items.sort_unstable();
+    items.dedup();
+    items
+}
+
+/// The hosts whose address `cube` admits in the address field `field`.
+fn admitted<'t>(topology: &'t Topology, cube: &Cube, field: Field) -> Vec<&'t Host> {
+    match cube
+        .field_exact(field)
+        .and_then(|ip| u32::try_from(ip).ok())
+    {
+        Some(ip) => topology.hosts_with_ip(ip).collect(),
+        None => topology
+            .hosts()
+            .filter(|h| cube.overlaps(&Cube::wildcard().with_field(field, u64::from(h.ip))))
+            .collect(),
     }
 }
 
@@ -474,6 +710,11 @@ enum Memo<'a> {
     Shared(&'a TraversalMemo),
 }
 
+/// The traversals of `read`, without what they were read for.
+fn walks<K>(read: Vec<(K, Arc<Traversal>)>) -> impl Iterator<Item = Arc<Traversal>> {
+    read.into_iter().map(|(_, traversal)| traversal)
+}
+
 /// Union of the switches `traversals` visited — the switches a verdict read
 /// from them depends on; unbounded as soon as one was truncated.
 fn footprint_over<'t>(traversals: impl IntoIterator<Item = &'t Arc<Traversal>>) -> QueryFootprint {
@@ -489,9 +730,8 @@ fn footprint_over<'t>(traversals: impl IntoIterator<Item = &'t Arc<Traversal>>) 
 
 /// A single-snapshot evaluation session.
 ///
-/// A verdict is asked for one way only:
-/// [`answer_with_footprint`](Self::answer_with_footprint) dispatches a
-/// [`QuerySpec`], and [`answer`](Self::answer) is its `.0`.
+/// A verdict is asked for one way only: [`answer`](Self::answer)
+/// dispatches a [`QuerySpec`].
 ///
 /// The session holds the HSA network function of one snapshot and memoises
 /// the expensive traversals in a [`TraversalMemo`]: the emission-space
@@ -509,10 +749,8 @@ fn footprint_over<'t>(traversals: impl IntoIterator<Item = &'t Arc<Traversal>>) 
 /// where a traversal may have been left by another session over the same
 /// function. It is the same code either way.
 ///
-/// Every entry keeps the traversal's [`visited`] switch set, so
-/// [`answer_with_footprint`](Self::answer_with_footprint) can report which
-/// switches a verdict depends on — the interest-space index uses this to
-/// skip the query on changes elsewhere.
+/// Every entry keeps the traversal's [`visited`] switch set, which the
+/// memo's [carry](TraversalMemo::carry) tests a change's switches against.
 ///
 /// [`visited`]: rvaas_hsa::ReachabilityResult::visited
 #[derive(Debug)]
@@ -528,6 +766,10 @@ pub struct QueryEvaluator<'a> {
     hits: u64,
     /// Traversals walked and left in the memo.
     misses: u64,
+    /// Every key a verdict of this session read, for the tests that hold
+    /// [`AffectedQueries::is_affected`] to what verdicts read.
+    #[cfg(test)]
+    read: BTreeSet<VerdictKey>,
 }
 
 impl QueryEvaluator<'_> {
@@ -601,6 +843,8 @@ impl QueryEvaluator<'_> {
         hosts
             .into_iter()
             .map(|(id, attachment, ip)| {
+                #[cfg(test)]
+                self.read.insert(VerdictKey::Emission(client, id));
                 let key = TraversalKey::Emission(id);
                 (
                     ip,
@@ -644,6 +888,8 @@ impl QueryEvaluator<'_> {
             .hosts()
             .filter(|h| h.owner != client)
             .map(|source| {
+                #[cfg(test)]
+                self.read.insert(VerdictKey::Inbound(client, source.id));
                 let key = TraversalKey::Inbound(source.id);
                 let inbound = self.traversal(key, |session| {
                     session.walk_inbound(source, targets.get_or_init(|| targets_of(topology)))
@@ -756,6 +1002,8 @@ impl QueryEvaluator<'_> {
 
     /// The memoised path probe of `(client, to_ip)`.
     fn path_probe(&mut self, client: ClientId, to_ip: u32) -> Arc<Traversal> {
+        #[cfg(test)]
+        self.read.insert(VerdictKey::Path(client, to_ip));
         self.traversal(TraversalKey::Path(client, to_ip), |session| {
             session.walk_path(client, to_ip)
         })
@@ -858,6 +1106,8 @@ impl QueryEvaluator<'_> {
     /// clients whose delivery rules carry a meter while at least one other
     /// client's delivery is unmetered.
     fn neutrality_check(&mut self, client: ClientId) -> (bool, Vec<NeutralityViolation>) {
+        #[cfg(test)]
+        self.read.insert(VerdictKey::Tables);
         let (topology, snapshot) = (&self.verifier.topology, self.snapshot);
         let metered = self
             .metered
@@ -879,43 +1129,60 @@ impl QueryEvaluator<'_> {
         (violations.is_empty(), violations)
     }
 
-    /// The verdict of [`answer_with_footprint`](Self::answer_with_footprint)
-    /// without its footprint (endpoints are not yet authenticated at this
-    /// stage).
+    /// The verdict of `(client, spec)` (endpoints are not yet authenticated
+    /// at this stage): the one verdict dispatch.
     #[must_use]
     pub fn answer(&mut self, client: ClientId, spec: &QuerySpec) -> QueryResult {
-        self.answer_with_footprint(client, spec).0
+        self.dispatch(client, spec).0
     }
 
-    /// The one verdict dispatch: the verdict of `(client, spec)` plus the
-    /// traversal footprint behind it, both read from one lookup of each
-    /// traversal — the service plane's entry point feeding the interest-space
-    /// index.
+    /// The verdict of [`answer`](Self::answer) plus the switches it depends
+    /// on: the union of what the traversals behind it visited, unbounded
+    /// when one was cut by the engine's cube budget, and the access
+    /// switches for neutrality, which reads their tables. Absent rewrites
+    /// the injected traffic never arrives outside it, so a rule change there
+    /// cannot change the verdict.
     ///
-    /// The footprint is the set of switches whose rules the verdict depends
-    /// on, or unbounded when a traversal hit the engine's cube budget (the
-    /// verdict may then depend on anything). It is sound for the interest-space
-    /// index: a rule change on a switch outside a bounded footprint cannot
-    /// change the verdict, because absent rewrites the injected traffic never
-    /// arrives there (and rewrites force conservative regions upstream).
+    /// Nothing in the workspace reads a footprint any more (a publish reads
+    /// the verdicts it changed off the memo carry's keys, see
+    /// [`AffectedQueries`]); this survives only because the stand-alone
+    /// `benchmark/` ladder times it, and goes with its next re-baseline.
     #[must_use]
     pub fn answer_with_footprint(
         &mut self,
         client: ClientId,
         spec: &QuerySpec,
     ) -> (QueryResult, QueryFootprint) {
+        let (result, read) = self.dispatch(client, spec);
+        let footprint = match spec {
+            QuerySpec::Neutrality => QueryFootprint::bounded(
+                self.topology()
+                    .hosts()
+                    .map(|h| h.attachment.switch)
+                    .collect(),
+            ),
+            _ => footprint_over(&read),
+        };
+        (result, footprint)
+    }
+
+    /// The verdict of `(client, spec)` and the traversals it was read from.
+    fn dispatch(
+        &mut self,
+        client: ClientId,
+        spec: &QuerySpec,
+    ) -> (QueryResult, Vec<Arc<Traversal>>) {
         match spec {
             QuerySpec::ReachableDestinations => {
                 let emissions = self.emissions(client);
                 let endpoints = self.destinations(&emissions);
-                let footprint = footprint_over(emissions.iter().map(|(_, t)| t));
-                (QueryResult::Endpoints { endpoints }, footprint)
+                let read = walks(emissions).collect();
+                (QueryResult::Endpoints { endpoints }, read)
             }
             QuerySpec::ReachingSources => {
                 let probes = self.inbound_probes(client);
                 let sources = self.sources(&probes);
-                let footprint = footprint_over(probes.iter().map(|(_, t)| t));
-                (QueryResult::Sources { sources }, footprint)
+                (QueryResult::Sources { sources }, walks(probes).collect())
             }
             QuerySpec::Isolation => {
                 let emissions = self.emissions(client);
@@ -925,19 +1192,16 @@ impl QueryEvaluator<'_> {
                     self.destinations(&emissions),
                     self.sources(&probes),
                 );
-                let read = emissions.iter().map(|(_, t)| t);
-                let footprint = footprint_over(read.chain(probes.iter().map(|(_, t)| t)));
                 let result = QueryResult::IsolationStatus {
                     isolated,
                     foreign_endpoints,
                 };
-                (result, footprint)
+                (result, walks(emissions).chain(walks(probes)).collect())
             }
             QuerySpec::GeoLocation => {
                 let emissions = self.emissions(client);
                 let regions = self.regions(&emissions);
-                let footprint = footprint_over(emissions.iter().map(|(_, t)| t));
-                (QueryResult::Regions { regions }, footprint)
+                (QueryResult::Regions { regions }, walks(emissions).collect())
             }
             QuerySpec::PathLength { to_ip } => {
                 let probe = self.path_probe(client, *to_ip);
@@ -947,19 +1211,11 @@ impl QueryEvaluator<'_> {
                     max_hops,
                     reachable,
                 };
-                (result, footprint_over([&probe]))
+                (result, vec![probe])
             }
             QuerySpec::Neutrality => {
                 let (fair, violations) = self.neutrality_check(client);
-                // Neutrality reads delivery rules on every access switch,
-                // not header traversals.
-                let footprint = QueryFootprint::bounded(
-                    self.topology()
-                        .hosts()
-                        .map(|h| h.attachment.switch)
-                        .collect(),
-                );
-                (QueryResult::Neutrality { fair, violations }, footprint)
+                (QueryResult::Neutrality { fair, violations }, Vec::new())
             }
         }
     }
@@ -968,6 +1224,16 @@ impl QueryEvaluator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A selection of exactly `keys`, as a carry would name them.
+    impl FromIterator<VerdictKey> for AffectedQueries {
+        fn from_iter<I: IntoIterator<Item = VerdictKey>>(iter: I) -> Self {
+            AffectedQueries {
+                everything: false,
+                keys: iter.into_iter().collect(),
+            }
+        }
+    }
     use rvaas_controlplane::{benign_rules, Attack};
     use rvaas_openflow::{FlowModCommand, Message};
     use rvaas_topology::generators;
@@ -1510,6 +1776,8 @@ mod tests {
         topology: Topology,
         model: crate::incremental::IncrementalModel,
         epoch: Epoch,
+        /// The verdict keys the last advance's carry found altered.
+        affected: AffectedQueries,
     }
 
     impl Chain {
@@ -1525,22 +1793,25 @@ mod tests {
                 topology: topology.clone(),
                 model,
                 epoch,
+                affected: AffectedQueries::default(),
             }
         }
 
         /// Publishes `changes`; returns the superseded epoch and how many of
-        /// its traversals the carry dropped.
+        /// its traversals the carry dropped, and keeps the keys it found
+        /// altered in `affected`.
         fn advance(&mut self, changes: &[crate::RuleChange]) -> (Epoch, usize) {
             let mut snapshot = self.epoch.snapshot.clone();
             let changes = snapshot.apply_changes(changes, SimTime::from_millis(3));
             let region = self.model.apply(&changes);
-            let (memo, dropped) = self.epoch.memo.carry(&region, &self.topology);
+            let carried = self.epoch.memo.carry(&region, &self.topology);
+            self.affected = carried.affected;
             let next = Epoch {
                 snapshot,
                 function: self.model.network_function().clone(),
-                memo,
+                memo: carried.memo,
             };
-            (std::mem::replace(&mut self.epoch, next), dropped)
+            (std::mem::replace(&mut self.epoch, next), carried.dropped)
         }
 
         /// Asks every query of `clients` on the current epoch, checking each
@@ -1679,21 +1950,46 @@ mod tests {
     }
 
     #[test]
-    fn a_drop_without_an_exact_source_carries_nothing() {
+    fn a_drop_without_an_exact_source_drops_only_the_walks_it_meets() {
+        // Everything addressed to host 3 (client 1), dropped on switch 2: a
+        // cube with no exact source admits every host as one. Every
+        // emission walk arrives at switch 2 and is dropped. Of the inbound
+        // walks, only those of client 2's hosts probe host 3, and only host
+        // 2's, which starts on switch 2, arrives there: host 4's probe of
+        // client 1 ends at its own edge, and hosts 1 and 3 probe no host of
+        // their own tenant.
         let topo = generators::line(4, 2);
         let v = verifier(&topo);
+        let ip = |h: u32| topo.host(HostId(h)).unwrap().ip;
         let mut chain = Chain::new(&topo, snapshot_with(&topo, &[]));
         assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 8);
         let to_host_3 = rvaas_openflow::FlowEntry::new(
             400,
-            rvaas_openflow::FlowMatch::to_ip(topo.host(HostId(3)).unwrap().ip),
+            rvaas_openflow::FlowMatch::to_ip(ip(3)),
             vec![Action::Drop],
         );
         let (superseded, dropped) =
             chain.advance(&[crate::RuleChange::installed(SwitchId(2), to_host_3)]);
-        assert_eq!((chain.epoch.memo.len(), dropped), (0, 8));
-        assert_eq!(superseded.memo.len(), 8, "left as it was");
-        assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 8);
+        let carried = [1, 3, 4].map(|h| TraversalKey::Inbound(HostId(h)));
+        assert_eq!(keys(&chain.epoch.memo), carried);
+        assert_eq!(dropped, 5);
+        assert_eq!(superseded.memo.len(), 0, "moved, not copied");
+        let (c1, c2) = (ClientId(1), ClientId(2));
+        let expected: BTreeSet<VerdictKey> = [
+            VerdictKey::Emission(c1, HostId(1)),
+            VerdictKey::Emission(c1, HostId(3)),
+            VerdictKey::Emission(c2, HostId(2)),
+            VerdictKey::Emission(c2, HostId(4)),
+            VerdictKey::Inbound(c1, HostId(2)),
+            VerdictKey::Path(c1, ip(3)),
+            VerdictKey::Path(c2, ip(3)),
+            VerdictKey::Tables,
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(chain.affected.keys(), &expected);
+        assert!(!chain.affected.is_affected(c2, &QuerySpec::ReachingSources));
+        assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 5);
     }
 
     #[test]
@@ -1709,15 +2005,26 @@ mod tests {
         );
         let install = crate::RuleChange::installed(SwitchId(4), rewrite.clone());
         let remove = crate::RuleChange::removed(SwitchId(4), rewrite);
-        // The rewrite's own epoch, then a churn epoch while it is installed,
-        // then the epoch that removes it: none carries a traversal. Once it
-        // is gone, the same churn carries again.
-        for change in [install, pinned_drop(2, ip(1), ip(3)), remove] {
+        // The rewrite's own epoch, then a churn epoch while it is installed:
+        // neither carries a traversal, and every verdict is affected.
+        for change in [install, pinned_drop(2, ip(1), ip(3))] {
             assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 8);
             let (_, dropped) = chain.advance(&[change]);
             assert_eq!((chain.epoch.memo.len(), dropped), (0, 8));
+            assert!(chain.affected.is_everything());
         }
+        // The epoch that removes it is bounded again: its region, towards an
+        // address no host has, reaches every emission walk and no inbound
+        // walk, and of the emissions only client 2's arrive at switch 4
+        // (hosts 2 and 4 reach each other through it). Once it is gone, the
+        // same churn carries all but the churned source's emission.
         assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 8);
+        let (_, dropped) = chain.advance(&[remove]);
+        assert_eq!((chain.epoch.memo.len(), dropped), (6, 2));
+        assert!(!chain
+            .affected
+            .is_affected(ClientId(1), &QuerySpec::Isolation));
+        assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 2);
         let (_, dropped) = chain.advance(&[pinned_drop(2, ip(3), ip(1))]);
         assert_eq!((chain.epoch.memo.len(), dropped), (7, 1));
         // The flag is what counts, whatever space a conservative region names.
@@ -1727,12 +2034,13 @@ mod tests {
             conservative: true,
             ..ChangedRegion::default()
         };
-        let (carried, dropped) = chain.epoch.memo.carry(&conservative, &topo);
-        assert_eq!((carried.len(), dropped), (0, 7));
+        let carried = chain.epoch.memo.carry(&conservative, &topo);
+        assert_eq!((carried.memo.len(), carried.dropped), (0, 7));
+        assert!(carried.affected.is_everything());
     }
 
     #[test]
-    fn a_memo_holding_a_truncated_traversal_carries_nothing() {
+    fn a_truncated_traversal_is_affected_without_emptying_the_carry() {
         // The fabric of the truncation test above: the inbound walk of
         // client 2's host is cut at injection (client 1's label), client 2's
         // emission is not.
@@ -1754,9 +2062,127 @@ mod tests {
         assert_eq!((chain.epoch.memo.len(), dropped), (1, 0), "carried");
         assert_eq!(chain.ask(&v, &[1], &[QuerySpec::ReachingSources]), 1);
         assert_eq!(chain.epoch.memo.len(), 2);
+        // The next change reaches no key, yet the cut walk's footprint is
+        // unbounded: it alone is dropped, and client 1's share of it is
+        // affected. The emission walk rides on.
         let (_, dropped) =
             chain.advance(&[crate::RuleChange::removed(SwitchId(1), unseen().entry)]);
-        assert_eq!((chain.epoch.memo.len(), dropped), (0, 2), "truncated: none");
+        assert_eq!((chain.epoch.memo.len(), dropped), (1, 1));
+        assert_eq!(
+            keys(&chain.epoch.memo),
+            [TraversalKey::Emission(HostId(4098))]
+        );
+        let cut = VerdictKey::Inbound(ClientId(1), HostId(4098));
+        let expected: BTreeSet<VerdictKey> = [cut, VerdictKey::Tables].into_iter().collect();
+        assert_eq!(chain.affected.keys(), &expected);
+        assert!(chain
+            .affected
+            .is_affected(ClientId(1), &QuerySpec::ReachingSources));
+        let destinations = QuerySpec::ReachableDestinations;
+        assert!(!chain.affected.is_affected(ClientId(2), &destinations));
+    }
+
+    #[test]
+    fn a_walk_the_carry_did_not_hold_is_affected_when_the_region_meets_it() {
+        // Client 2's emissions are held; client 1's are not, as if a session
+        // on the superseded epoch were still walking them. A churn of client
+        // 1's traffic on switch 2 affects client 1's unheld emissions
+        // (their injected space is all the carry has to go on), while the
+        // held walks it cannot reach are carried and unaffected.
+        let topo = generators::line(4, 2);
+        let v = verifier(&topo);
+        let ip = |h: u32| topo.host(HostId(h)).unwrap().ip;
+        let mut chain = Chain::new(&topo, snapshot_with(&topo, &[]));
+        assert_eq!(chain.ask(&v, &[2], &[QuerySpec::ReachableDestinations]), 2);
+        let churn = [pinned_drop(2, ip(1), ip(3)), pinned_drop(2, ip(3), ip(1))];
+        let (superseded, dropped) = chain.advance(&churn);
+        assert_eq!((chain.epoch.memo.len(), dropped), (2, 0));
+        let destinations = QuerySpec::ReachableDestinations;
+        assert!(chain.affected.is_affected(ClientId(1), &destinations));
+        assert!(!chain.affected.is_affected(ClientId(2), &destinations));
+        // The walk lands in the superseded epoch's memo after the carry: its
+        // verdict is that epoch's, which the churn moved.
+        let mut late = superseded.session(&v);
+        let stale = late.answer(ClientId(1), &destinations);
+        assert_eq!(late.traversal_counts(), (0, 2));
+        assert_eq!(
+            stale,
+            v.answer(&superseded.snapshot, ClientId(1), &destinations)
+        );
+        assert_ne!(
+            stale,
+            v.answer(&chain.epoch.snapshot, ClientId(1), &destinations)
+        );
+        assert_eq!(
+            keys(&chain.epoch.memo).len(),
+            2,
+            "the successor's is untouched"
+        );
+    }
+
+    /// Every key a verdict over `topology` can read: each host's emission,
+    /// each client's share of every other client's hosts' inbound walks,
+    /// the tables, and a path probe of each of `clients` towards each host
+    /// and towards `nowhere`.
+    fn every_key(topology: &Topology, clients: &[ClientId], nowhere: u32) -> BTreeSet<VerdictKey> {
+        let mut keys = BTreeSet::from([VerdictKey::Tables]);
+        for host in topology.hosts() {
+            keys.insert(VerdictKey::Emission(host.owner, host.id));
+            for client in topology.clients() {
+                if client != host.owner {
+                    keys.insert(VerdictKey::Inbound(client, host.id));
+                }
+            }
+        }
+        let addresses = topology.hosts().map(|h| h.ip).chain([nowhere]);
+        for ip in addresses {
+            keys.extend(clients.iter().map(|c| VerdictKey::Path(*c, ip)));
+        }
+        keys
+    }
+
+    #[test]
+    fn every_spec_is_affected_through_exactly_the_keys_its_verdict_reads() {
+        // For every client (and one the topology does not know) and each of
+        // the six specs, the keys whose being affected affects the verdict
+        // are the keys the evaluator looked up to answer it.
+        let nowhere = 0xdead_beef;
+        for topo in [generators::line(4, 2), generators::leaf_spine(2, 3, 3, 7)] {
+            let v = verifier(&topo);
+            let snap = snapshot_with(&topo, &[]);
+            let mut clients = topo.clients();
+            clients.push(ClientId(99));
+            let universe = every_key(&topo, &clients, nowhere);
+            let to_ip = topo.hosts().last().unwrap().ip;
+            for client in &clients {
+                let specs = [
+                    QuerySpec::ReachableDestinations,
+                    QuerySpec::ReachingSources,
+                    QuerySpec::Isolation,
+                    QuerySpec::GeoLocation,
+                    QuerySpec::PathLength { to_ip },
+                    QuerySpec::PathLength { to_ip: nowhere },
+                    QuerySpec::Neutrality,
+                ];
+                for spec in specs {
+                    let mut session = v.evaluator(&snap);
+                    let _ = session.answer(*client, &spec);
+                    let affected_through: BTreeSet<VerdictKey> = universe
+                        .iter()
+                        .copied()
+                        .filter(|key| {
+                            let one: AffectedQueries = [*key].into_iter().collect();
+                            one.is_affected(*client, &spec)
+                        })
+                        .collect();
+                    assert_eq!(affected_through, session.read, "{client:?} {spec:?}");
+                    // A sync session reads the same selection as specs.
+                    let read: AffectedQueries = session.read.iter().copied().collect();
+                    let named = read.specs_of(*client).contains(&spec);
+                    assert_eq!(named, !read.is_empty(), "{client:?} {spec:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -334,7 +334,7 @@ fn status_body(
     let rec = recorder();
     format!(
         "{{\"version\":{},\"session\":{},\"epoch_serial\":{},\"uptime_secs\":{uptime_secs},\
-         \"workers\":{},\"cache_entries\":{},\"interests\":{},\
+         \"workers\":{},\"cache_entries\":{},\
          \"trace\":{{\"enabled\":{},\"ring_capacity\":{},\"occupancy\":{},\"retained\":{},\
          \"slow_threshold_us\":{}}}}}",
         json::quote(env!("CARGO_PKG_VERSION")),
@@ -342,7 +342,6 @@ fn status_body(
         epoch.serial,
         service.worker_count(),
         service.cache_entries(),
-        service.store().registered_interests(),
         rec.is_enabled(),
         rec.capacity(),
         rec.occupancy(),

@@ -481,9 +481,6 @@ fn phantom_removals_degrade_to_conservative_reverification() {
     let verification = service(&topology);
     publish(&verification, &snapshot, SimTime::from_millis(1));
     let store = verification.store();
-    for (client, spec) in all_queries(&topology) {
-        store.register_interest(client, &spec);
-    }
     let at = SimTime::from_millis(10);
     let phantom = store.try_publish_changes(&changes, at).unwrap();
     assert_eq!(phantom.delta_rules, 0);

@@ -837,3 +837,170 @@ proptest! {
         prop_assert!(carried_any, "nothing carried in {:?}", ops);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The memo carry selects the verdicts a publish moves.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A publish names the verdicts it may have changed by the keys its memo
+    /// carry found altered. Over random tenant churn, flaps inside one
+    /// change list and the attack catalogue installed and removed, with a
+    /// random part of the query mix answered on each epoch's memo before the
+    /// next publish (so some keys are held and some are not): every
+    /// standing query whose from-scratch verdict differs across the publish
+    /// is selected, and nothing is selected that the linear reference
+    /// (`query_affected`, what the retired interest index was held to)
+    /// leaves out — checked on every bounded region, the exact-source ones
+    /// included (no walk here is cut by the cube budget, the one thing that
+    /// lets the carry select beyond what a region overlaps).
+    #[test]
+    fn the_carry_selects_every_verdict_a_publish_moves(
+        shape in 0u8..3,
+        ops in proptest::collection::vec((0u8..8, 0usize..64, 0usize..64), 6..12),
+        asked in proptest::collection::vec(any::<bool>(), 18..19),
+    ) {
+        use rvaas::RuleChange;
+        use rvaas_client::QuerySpec;
+        use rvaas_controlplane::Attack;
+        use rvaas_service::EpochStore;
+        use rvaas_types::{ClientId, SwitchId};
+
+        let topo = match shape {
+            0 => generators::line(5, 3),
+            1 => generators::leaf_spine(2, 3, 3, 7),
+            _ => generators::fat_tree(4, 3),
+        };
+        let hosts: Vec<_> = topo.hosts().cloned().collect();
+        let switches: Vec<SwitchId> = topo.switches().map(|s| s.id).collect();
+        let clients = topo.clients();
+        let mix: Vec<(ClientId, QuerySpec)> = clients
+            .iter()
+            .flat_map(|c| {
+                let to_ip = hosts[c.0 as usize % hosts.len()].ip;
+                [
+                    QuerySpec::ReachableDestinations,
+                    QuerySpec::ReachingSources,
+                    QuerySpec::Isolation,
+                    QuerySpec::GeoLocation,
+                    QuerySpec::PathLength { to_ip },
+                    QuerySpec::Neutrality,
+                ]
+                .map(|spec| (*c, spec))
+            })
+            .collect();
+        let oracle = rvaas::LogicalVerifier::new(
+            topo.clone(),
+            rvaas::VerifierConfig {
+                use_history: false,
+                locations: rvaas::LocationMap::disclosed(&topo),
+            },
+        );
+        let attack_of = |kind: u8, a: usize, b: usize| -> Attack {
+            let host = &hosts[a % hosts.len()];
+            let others: Vec<_> = hosts.iter().filter(|h| h.owner != host.owner).collect();
+            match kind {
+                0 => Attack::Join { attacker_host: host.id, victim_client: others[b % others.len()].owner },
+                1 => Attack::Exfiltrate { victim_host: host.id, collector_host: others[b % others.len()].id },
+                2 => Attack::Blackhole { victim_host: host.id },
+                3 => {
+                    let peers: Vec<_> = hosts
+                        .iter()
+                        .filter(|h| h.owner == host.owner && h.id != host.id)
+                        .collect();
+                    let via = topo.switches().nth(b % switches.len()).expect("in range");
+                    match peers.get(b % peers.len().max(1)) {
+                        Some(peer) => Attack::GeoDivert {
+                            from_host: host.id,
+                            to_host: peer.id,
+                            via_region: via.location.region.clone(),
+                        },
+                        None => Attack::Blackhole { victim_host: host.id },
+                    }
+                }
+                _ => Attack::Throttle { victim_client: clients[b % clients.len()], rate_kbps: 64 },
+            }
+        };
+
+        let mut snapshot = benign_snapshot_of(&topo);
+        let store = EpochStore::new(64);
+        store.attach_interest_topology(topo.clone());
+        store.try_publish(snapshot.clone(), SimTime::from_millis(1)).unwrap();
+        let mut model = rvaas::IncrementalModel::from_snapshot(topo.clone(), &snapshot);
+        let mut installed: Vec<Attack> = Vec::new();
+        let (mut churn_round, mut moved, mut exact_source) = (0u64, 0usize, 0usize);
+        for (step, (kind, a, b)) in ops.iter().copied().enumerate() {
+            let at = SimTime::from_millis(10 + step as u64);
+            let mut toggle = |attack: Attack| {
+                let held = installed.iter().position(|held| *held == attack);
+                let changes = attack_changes(&topo, &attack, held.is_none());
+                match held {
+                    Some(index) => { installed.remove(index); }
+                    None => installed.push(attack),
+                }
+                changes
+            };
+            let changes: Vec<RuleChange> = match kind {
+                0..=4 => toggle(attack_of(kind, a, b)),
+                5 | 6 => {
+                    let mut next = snapshot.clone();
+                    rvaas_workloads::tenant_churn_round(&topo, &mut next, churn_round, 1, 2, at);
+                    churn_round += 1;
+                    snapshot.changes_to(&next)
+                }
+                // A tenant-pinned rule flapped inside one list.
+                _ => {
+                    let (src, dst) = (&hosts[a % hosts.len()], &hosts[b % hosts.len()]);
+                    let flapper = tenant_entry(src.ip, dst.ip);
+                    let switch = switches[b % switches.len()];
+                    vec![
+                        RuleChange::installed(switch, flapper.clone()),
+                        RuleChange::removed(switch, flapper),
+                    ]
+                }
+            };
+
+            // A random part of the mix walks its keys into this epoch's memo.
+            let epoch = store.current();
+            let mut session = oracle.evaluator_sharing(&epoch.snapshot, &epoch.function, &epoch.traversals);
+            for ((client, spec), ask) in mix.iter().zip(&asked) {
+                if *ask ^ (step % 2 == 1) {
+                    let _ = session.answer(*client, spec);
+                }
+            }
+
+            let mut next = snapshot.clone();
+            let effective = next.apply_changes(&changes, at);
+            let region = model.apply(&effective);
+            let published = store.try_publish_changes(&changes, at).unwrap();
+            let (mut before, mut after) = (oracle.evaluator(&snapshot), oracle.evaluator(&next));
+            let bounded = !region.conservative;
+            let pinned = region.space.cubes().iter().all(|c| c.field_exact(rvaas_types::Field::IpSrc).is_some());
+            exact_source += usize::from(bounded && pinned && !region.is_empty());
+            for (client, spec) in &mix {
+                let selected = published.affected.is_affected(*client, spec);
+                if before.answer(*client, spec) != after.answer(*client, spec) {
+                    moved += 1;
+                    prop_assert!(
+                        selected,
+                        "{:?}/{:?} moved but was not selected at step {} (kind {}, {:?})",
+                        client, spec, step, kind, published.affected
+                    );
+                }
+                if bounded {
+                    prop_assert!(
+                        !selected || rvaas::query_affected(&topo, *client, spec, &region),
+                        "{:?}/{:?} selected beyond the linear reference at step {} (kind {})",
+                        client, spec, step, kind
+                    );
+                }
+            }
+            snapshot = next;
+        }
+        // Not vacuous across the cases: verdicts do move, and tenant churn
+        // and flaps pin their sources.
+        prop_assert!(moved + exact_source > 0, "{:?}", ops);
+    }
+}

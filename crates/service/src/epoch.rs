@@ -24,8 +24,8 @@
 //!   aggregated over a window by [`EpochStore::delta_between`]; it is what
 //!   the RTR-style sync protocol ships to clients;
 //! * the [`ChangedRegion`] — the affected header space the store's one HSA
-//!   model reported for the list, from which the interest index selects the
-//!   standing queries the cache and the sync server re-verify;
+//!   model reported for the list, against which the traversal memo's carry
+//!   names the verdicts the cache and the sync server re-verify;
 //! * the **model itself** — a structure-sharing copy of its
 //!   [`NetworkFunction`] rides in the [`SnapshotEpoch`], so every query is
 //!   evaluated against it directly and no second model exists.
@@ -46,14 +46,16 @@
 //! predecessor's memo into the new epoch minus every traversal the
 //! [`ChangedRegion`] may have altered ([`TraversalMemo::carry`]), so a
 //! tenant's churn re-walks that tenant's traversals, not the fabric's.
-//! Nothing is stamped or copied: the carry looks its candidates up by key,
-//! `O(region cubes)`, and moves the rest. A conservative region, a
-//! truncated entry or a region cube without an exact source carries
-//! nothing.
+//! Nothing is stamped or copied: the carry finds its candidates through the
+//! hosts each region cube admits and moves the rest. The same carry is the
+//! publish's one test of which verdicts moved: the [`AffectedQueries`] it
+//! returns name the verdict keys the change may have altered, held or not,
+//! and a standing query's keys are static, so no query is registered
+//! anywhere. A conservative region carries nothing and affects everything.
 //!
-//! The model and the interest index are plain data — `rvaas` core records
-//! nothing. `commit`, which drives both and holds the publish trace, emits
-//! the `model.*` events and counts what the two report (`StoreTelemetry`).
+//! The model and the memo are plain data — `rvaas` core records nothing.
+//! `commit`, which drives both and holds the publish trace, emits the
+//! `model.*` events and counts what the two report (`StoreTelemetry`).
 //!
 //! When a requested serial has been evicted from the delta history the
 //! store reports `None` and sync falls back to a full reset, mirroring RTR
@@ -64,12 +66,12 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use rvaas::{
-    AffectedQueries, ChangedRegion, IncrementalModel, InterestIndex, NetworkFunction,
-    NetworkSnapshot, QueryFootprint, Refinement, RuleChange, TraversalMemo,
+    AffectedQueries, ChangedRegion, IncrementalModel, NetworkFunction, NetworkSnapshot, RuleChange,
+    TraversalMemo,
 };
 use rvaas_client::{FlowDigest, QuerySpec};
 use rvaas_openflow::FlowEntry;
-use rvaas_telemetry::{Counter, Gauge, Histogram, Registry, TraceContext, TraceId, TraceStage};
+use rvaas_telemetry::{Counter, Registry, TraceContext, TraceId, TraceStage};
 use rvaas_topology::Topology;
 use rvaas_types::{Chunked, ClientId, SimTime, SwitchId};
 
@@ -305,7 +307,7 @@ impl SnapshotEpoch {
 }
 
 /// One entry of the epoch provenance log: who published an epoch, what it
-/// changed, which standing queries the interest index selected, and how much
+/// changed, how many verdict keys the change may have altered, and how much
 /// re-verification it actually triggered. The flight-recorder trace id links
 /// the record to the publish's event chain while it is still in the ring.
 #[derive(Debug, Clone)]
@@ -320,11 +322,13 @@ pub struct EpochProvenance {
     pub removed: usize,
     /// Size of the delta (added + removed entries).
     pub delta_rules: usize,
-    /// Standing queries the interest-space index selected, when bounded.
+    /// Verdict keys the change may have altered ([`AffectedQueries::len`]):
+    /// one per host whose emission or per client whose share of a host's
+    /// inbound walk it reached, one per path probe, one for the access
+    /// switches' tables. Every standing query reading one re-verifies.
     pub affected_queries: usize,
-    /// True when the change conservatively affects every standing query
-    /// (bulk rebuild / unbounded region); `affected_queries` is then the
-    /// number of interests the index held when the publish selected.
+    /// True when the change conservatively affects every verdict (bulk
+    /// rebuild / unbounded region); `affected_queries` is then 0.
     pub affected_everything: bool,
     /// Whether the model took the bulk-rebuild path.
     pub bulk_rebuild: bool,
@@ -351,12 +355,8 @@ pub struct EpochDelta {
     pub added: Vec<FlowDigest>,
     /// Digests present in `from` but not `to`, ascending.
     pub removed: Vec<FlowDigest>,
-    /// The standing queries the interest-space index selected for this
-    /// change, frozen at publish time (union over the covered epochs). Using
-    /// the *stored* per-epoch selections — instead of re-querying the index
-    /// later — keeps lagging syncs sound: the selection reflects each
-    /// query's footprint as it was at that epoch, unaffected by refinements
-    /// that happened since.
+    /// The verdict keys each covered epoch's carry found altered, unioned
+    /// over the window: a query reading any of them may hold a moved verdict.
     pub affected: AffectedQueries,
 }
 
@@ -380,9 +380,9 @@ pub struct Published {
     /// in place (delta too large for per-rule region tracking to pay off),
     /// which affects every query.
     pub bulk_rebuild: bool,
-    /// The standing queries the interest-space index selected for this epoch
-    /// (computed under the publish lock, before the swap). The cache and the
-    /// sync server invalidate/re-verify exactly these.
+    /// The verdict keys the memo's carry found the change may have altered
+    /// (under the publish lock, before the swap). The cache and the sync
+    /// server invalidate/re-verify exactly the queries reading one.
     pub affected: AffectedQueries,
     /// Flight-recorder trace id of the publish event chain; downstream
     /// consumers (cache carry-forward, re-verification) append to it.
@@ -428,20 +428,13 @@ fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Registry handles for what the store's model and interest index report.
+/// Registry handles for what the store's model and traversal memos report.
 /// Both are plain data; the store, which drives them, does the recording.
 #[derive(Debug)]
 struct StoreTelemetry {
     rule_changes: Arc<Counter>,
     conservative_regions: Arc<Counter>,
     desyncs: Arc<Counter>,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    widened: Arc<Counter>,
-    refinements: Arc<Counter>,
-    stale_refinements: Arc<Counter>,
-    registered: Arc<Gauge>,
-    footprint_switches: Arc<Histogram>,
     memo_carried: Arc<Counter>,
     memo_dropped: Arc<Counter>,
 }
@@ -460,34 +453,6 @@ impl StoreTelemetry {
             desyncs: registry.counter(
                 "rvaas_incremental_desyncs_total",
                 "Removals the incremental mirror could not resolve (model fell back to a rebuild).",
-            ),
-            hits: registry.counter(
-                "rvaas_interest_hits_total",
-                "Index candidates confirmed affected (space overlap + footprint intersection).",
-            ),
-            misses: registry.counter(
-                "rvaas_interest_misses_total",
-                "Index candidates rejected by the exact affected test.",
-            ),
-            widened: registry.counter(
-                "rvaas_interest_widened_total",
-                "Interests widened back to an unbounded footprint at epoch advance.",
-            ),
-            refinements: registry.counter(
-                "rvaas_interest_refinements_total",
-                "Footprint refinements accepted by the index.",
-            ),
-            stale_refinements: registry.counter(
-                "rvaas_interest_stale_refinements_total",
-                "Footprint refinements dropped because their epoch serial was stale.",
-            ),
-            registered: registry.gauge(
-                "rvaas_interest_registered_queries",
-                "Standing queries currently registered in the interest-space index.",
-            ),
-            footprint_switches: registry.histogram(
-                "rvaas_interest_footprint_switches",
-                "Switch count of accepted per-query traversal footprints.",
             ),
             memo_carried: registry.counter(
                 "rvaas_traversal_memo_carried_total",
@@ -517,11 +482,6 @@ pub struct EpochStore {
     /// *is* the publish lock: held across the read–diff–swap, it gives each
     /// epoch a unique serial and a delta chained to its true predecessor.
     model: Mutex<IncrementalModel>,
-    /// The interest-space index over the registered standing queries.
-    /// Advanced under the publish lock (widening affected interests before
-    /// the new epoch becomes visible); registered/refined concurrently by
-    /// the query path and the sync server.
-    interest: Mutex<InterestIndex>,
     /// Bounded provenance log, newest at the back; queryable by serial for
     /// as long as the record has not aged out.
     provenance: Mutex<VecDeque<EpochProvenance>>,
@@ -549,7 +509,6 @@ impl EpochStore {
             })),
             deltas: Mutex::new(VecDeque::new()),
             model: Mutex::new(IncrementalModel::new(Topology::new())),
-            interest: Mutex::new(InterestIndex::new(Topology::new())),
             provenance: Mutex::new(VecDeque::new()),
             telemetry: StoreTelemetry::new(&Registry::new()),
             max_deltas,
@@ -557,65 +516,29 @@ impl EpochStore {
     }
 
     /// Supplies the trusted deployment knowledge: the wiring the model's
-    /// network function is built over and the interest-space index derives
-    /// default interests from. Without it every registration is conservative
-    /// (affected by any change), the frozen functions are unwired and no
-    /// publish carries a traversal (a carry finds its candidates through the
-    /// hosts). Call before registering or publishing: epoch 0 has no rules,
-    /// so what was walked on its function is what the wired model walks.
+    /// network function is built over and the memo's carry finds its keys
+    /// through. Without it the frozen functions are unwired and every
+    /// change affects every verdict (a topology without hosts names no
+    /// key). Call before publishing: epoch 0 has no rules, so what was
+    /// walked on its function is what the wired model walks.
     // Not a `new` argument only because `benchmark/` calls both; merge at the next re-baseline.
     pub fn attach_interest_topology(&self, topology: Topology) {
-        *locked(&self.model) =
-            IncrementalModel::from_snapshot(topology.clone(), &self.current().snapshot);
-        locked(&self.interest).set_topology(topology);
+        *locked(&self.model) = IncrementalModel::from_snapshot(topology, &self.current().snapshot);
     }
 
-    /// Records what the model and the interest-space index report — under
-    /// `rvaas_incremental_*_total` and `rvaas_interest_*` — into `registry`
-    /// instead of the private one a fresh store counts into.
+    /// Records what the model and the traversal memos report — under
+    /// `rvaas_incremental_*_total` and `rvaas_traversal_memo_*` — into
+    /// `registry` instead of the private one a fresh store counts into.
     // Not a `new` argument only because `benchmark/` calls `new`; merge at the next re-baseline.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.telemetry = StoreTelemetry::new(registry);
-        self.telemetry
-            .registered
-            .set(self.registered_interests() as i64);
     }
 
-    /// Registers a standing query in the interest-space index (idempotent).
-    pub fn register_interest(&self, client: ClientId, spec: &QuerySpec) -> bool {
-        let fresh = locked(&self.interest).register(client, spec);
-        self.telemetry.registered.add(i64::from(fresh));
-        fresh
-    }
-
-    /// Narrows a standing query's interest to the traversal footprint an
-    /// evaluation against epoch `serial` recorded (ignored when stale).
-    pub fn refine_interest(
-        &self,
-        client: ClientId,
-        spec: &QuerySpec,
-        serial: u64,
-        footprint: &QueryFootprint,
-    ) {
-        let refinement = locked(&self.interest).refine(client, spec, serial, footprint);
-        let t = &self.telemetry;
-        match refinement {
-            Refinement::Accepted => {
-                t.refinements.inc();
-                if let Some(switches) = &footprint.switches {
-                    t.footprint_switches.record(switches.len() as u64);
-                }
-            }
-            Refinement::Stale => t.stale_refinements.inc(),
-            Refinement::Unregistered => {}
-        }
-    }
-
-    /// Number of standing queries registered in the interest-space index.
-    #[must_use]
-    pub fn registered_interests(&self) -> usize {
-        locked(&self.interest).len()
-    }
+    /// Does nothing: a standing query's verdict keys are a static function
+    /// of `(client, spec, topology)`, so there is no interest to register.
+    /// Survives only because `benchmark/` calls it; drop at the next
+    /// re-baseline.
+    pub fn register_interest(&self, _client: ClientId, _spec: &QuerySpec) {}
 
     /// The provenance record of epoch `serial`, if it has not aged out of
     /// the bounded log.
@@ -709,8 +632,9 @@ impl EpochStore {
     /// the current snapshot into the next one plus the effective changes
     /// between the two, and derives the rest from that list — the net digest
     /// delta and the epoch's digest set, the model's advance and the region
-    /// it reports, the interest index's selection — then allocates the
-    /// serial, retains the delta, swaps the epoch in and records provenance.
+    /// it reports, the memo's carry and the verdict keys it found altered —
+    /// then allocates the serial, retains the delta, swaps the epoch in and
+    /// records provenance.
     fn commit(
         &self,
         at: SimTime,
@@ -761,17 +685,14 @@ impl EpochStore {
                 snapshot.tables().count() as u64,
             );
         }
-        // Select (and widen) the affected standing queries before the new
-        // epoch becomes visible: a footprint refined against this serial can
-        // then never be invalidated by this publish.
-        let advance = locked(&self.interest).advance(serial, &changed);
-        let affected = advance.affected;
-        t.hits.add(affected.len() as u64);
-        t.misses.add(advance.rejected as u64);
-        t.widened.add(advance.widened as u64);
-        let (traversals, dropped) = current.traversals.carry(&changed, model.topology());
+        // The one test of what the change may have altered: the carry moves
+        // what it cannot have altered into the new epoch's memo and names
+        // the verdict keys it may have (held, or still to be walked on the
+        // superseded epoch).
+        let carried = current.traversals.carry(&changed, model.topology());
+        let (traversals, affected) = (carried.memo, carried.affected);
         t.memo_carried.add(traversals.len() as u64);
-        t.memo_dropped.add(dropped as u64);
+        t.memo_dropped.add(carried.dropped as u64);
         let epoch = Arc::new(SnapshotEpoch {
             serial,
             snapshot,
@@ -797,10 +718,8 @@ impl EpochStore {
             }
         }
         *self.current.write().unwrap_or_else(PoisonError::into_inner) = epoch;
-        // Every selected interest was widened: under "everything", all the
-        // index held when it selected, however many have registered since.
         let affected_everything = affected.is_everything();
-        let affected_queries = advance.widened;
+        let affected_queries = affected.len();
         trace.event(
             TraceStage::EpochDigest,
             digest,
@@ -872,7 +791,7 @@ impl EpochStore {
             // A query affected anywhere in the window may hold a moved
             // verdict — even where rule changes cancel: an add-then-remove
             // pair still perturbed it in between. The per-epoch selections
-            // union, they are never re-derived from the (since-refined) index.
+            // union.
             affected.merge(&delta.affected);
             // An add that cancels an earlier remove (or vice versa) is a
             // no-op overall.
@@ -1095,8 +1014,7 @@ mod tests {
     #[test]
     fn publish_advances_serial_and_records_delta() {
         let store = EpochStore::new(8);
-        // Without a topology a standing query is affected by any change.
-        store.register_interest(ClientId(1), &QuerySpec::Isolation);
+        // Without a topology every change affects every verdict.
         assert_eq!(store.current().serial, 0);
         let p1 = store
             .try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
@@ -1135,7 +1053,6 @@ mod tests {
     #[test]
     fn cancelling_changes_collapse_across_epochs() {
         let store = EpochStore::new(8);
-        store.register_interest(ClientId(1), &QuerySpec::Isolation);
         store
             .try_publish(snapshot_with(&[1]), SimTime::from_millis(1))
             .unwrap();
@@ -1236,9 +1153,6 @@ mod tests {
         // epochs, digests and deltas must agree.
         let full = EpochStore::new(8);
         let delta = EpochStore::new(8);
-        for store in [&full, &delta] {
-            store.register_interest(ClientId(1), &QuerySpec::Isolation);
-        }
         full.try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
             .unwrap();
         delta
@@ -1279,7 +1193,6 @@ mod tests {
     #[test]
     fn publish_changes_skips_noop_and_collapses_flaps() {
         let store = EpochStore::new(8);
-        store.register_interest(ClientId(1), &QuerySpec::Isolation);
         store
             .try_publish_changes(
                 &[RuleChange::installed(SwitchId(1), entry(1))],
@@ -1465,39 +1378,46 @@ mod tests {
         let attached = EpochStore::new(8);
         attached.attach_interest_topology(topology.clone());
         assert_eq!(memos_after_churn(attached), (0, 2), "moved on");
-        // No hosts to look candidates up by: a carry would find nothing to
-        // drop and keep every traversal, so it keeps none.
+        // No hosts, so no keys to name what a change altered: every change
+        // affects every verdict, and the carry keeps no traversal.
         assert_eq!(memos_after_churn(EpochStore::new(8)), (2, 0));
     }
 
     #[test]
-    fn published_affected_tracks_registered_interests() {
+    fn published_affected_names_the_verdict_keys_a_change_reaches() {
+        use rvaas::VerdictKey;
         use rvaas_topology::generators;
-        use rvaas_types::ClientId;
+        use rvaas_types::{ClientId, HostId};
 
+        // `line(4, 2)`: client 1 owns hosts 1 and 3, client 2 hosts 2 and 4,
+        // one host per switch. Nothing is asked on any epoch, so no key is
+        // held and every key a region overlaps is affected.
         let topology = generators::line(4, 2);
         let store = EpochStore::new(8);
         store.attach_interest_topology(topology.clone());
-        store.register_interest(ClientId(1), &QuerySpec::ReachableDestinations);
-        store.register_interest(ClientId(2), &QuerySpec::ReachableDestinations);
-        assert_eq!(store.registered_interests(), 2);
+        let ip = |h: u32| topology.host(HostId(h)).unwrap().ip;
 
-        // The first publish installs a dst-pinned, src-wild rule: it overlaps
-        // both clients' emission interests, so both are selected (exactly —
-        // one rule is far below the bulk-rebuild threshold).
+        // The first publish installs a dst-pinned, src-wild rule towards an
+        // address no host has, on an access switch: every host's emission
+        // and the tables (exactly — one rule is far below the bulk-rebuild
+        // threshold).
         let p1 = store
             .try_publish(snapshot_with(&[1]), SimTime::from_millis(1))
             .unwrap();
         assert!(!p1.affected.is_everything());
-        assert_eq!(p1.affected.len(), 2);
+        let emissions = [(1, 1), (1, 3), (2, 2), (2, 4)]
+            .map(|(c, h)| VerdictKey::Emission(ClientId(c), HostId(h)));
+        let mut expected: BTreeSet<VerdictKey> = emissions.into_iter().collect();
+        expected.insert(VerdictKey::Tables);
+        assert_eq!(p1.affected.keys(), &expected);
 
-        // A tenant-pinned rule change on client 1's source only selects
-        // client 1's query.
-        let c1_ip = topology.hosts_of_client(ClientId(1))[0].ip;
-        let c2_ip = topology.hosts_of_client(ClientId(2))[0].ip;
+        // A tenant-pinned rule from host 1 (client 1) to host 2 (client 2)
+        // on host 2's switch: host 1's emission, client 2's share of host
+        // 1's inbound walk, client 1's path probe towards host 2, and the
+        // tables.
         let tenant = FlowEntry::new(
             400,
-            FlowMatch::from_ip(c1_ip).field(rvaas_types::Field::IpDst, u64::from(c2_ip)),
+            FlowMatch::from_ip(ip(1)).field(rvaas_types::Field::IpDst, u64::from(ip(2))),
             vec![Action::Output(PortId(1))],
         );
         let p2 = store
@@ -1506,32 +1426,39 @@ mod tests {
                 SimTime::from_millis(2),
             )
             .unwrap();
-        assert!(!p2.affected.is_everything());
-        assert!(p2
-            .affected
-            .is_affected(ClientId(1), &QuerySpec::ReachableDestinations));
-        assert!(!p2
-            .affected
-            .is_affected(ClientId(2), &QuerySpec::ReachableDestinations));
-        // The per-epoch selection is frozen into the delta history.
+        let expected: BTreeSet<VerdictKey> = [
+            VerdictKey::Emission(ClientId(1), HostId(1)),
+            VerdictKey::Inbound(ClientId(2), HostId(1)),
+            VerdictKey::Path(ClientId(1), ip(2)),
+            VerdictKey::Tables,
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(p2.affected.keys(), &expected);
+        let affected =
+            |spec: &QuerySpec, client: u32| p2.affected.is_affected(ClientId(client), spec);
+        assert!(affected(&QuerySpec::ReachableDestinations, 1));
+        assert!(!affected(&QuerySpec::ReachableDestinations, 2));
+        assert!(affected(&QuerySpec::ReachingSources, 2));
+        assert!(!affected(&QuerySpec::ReachingSources, 1));
+        assert!(affected(&QuerySpec::PathLength { to_ip: ip(2) }, 1));
+        assert!(!affected(&QuerySpec::PathLength { to_ip: ip(4) }, 1));
+        assert!(affected(&QuerySpec::Neutrality, 2));
+        assert_eq!(store.provenance(2).expect("retained").affected_queries, 4);
+        // The per-epoch selection is frozen into the delta history...
         let window = store.delta_between(1, 2).expect("retained");
-        assert!(window
-            .affected
-            .is_affected(ClientId(1), &QuerySpec::ReachableDestinations));
+        assert_eq!(window.affected, p2.affected);
         // ...and a wider window unions the per-epoch selections, picking the
-        // epoch-1 selection of client 2 back up.
+        // epoch-1 selection of client 2's emissions back up.
         let wide = store.delta_between(0, 2).expect("retained");
         assert!(wide
             .affected
             .is_affected(ClientId(2), &QuerySpec::ReachableDestinations));
-        assert_eq!(store.provenance(2).expect("retained").affected_queries, 1);
 
         // A rule installed and removed within one list resolves in the
         // model, applied in order: its region is the flapped rule's match,
-        // dst-pinned and src-wild on an empty table, so both emission
-        // interests are selected, not everything. The audit record counts
-        // the interests the index held when it selected — not whoever has
-        // registered since.
+        // dst-pinned and src-wild, so every emission and the tables are
+        // affected, not everything.
         let flap = [
             RuleChange::installed(SwitchId(3), entry(7)),
             RuleChange::removed(SwitchId(3), entry(7)),
@@ -1539,11 +1466,9 @@ mod tests {
         let p3 = store
             .try_publish_changes(&flap, SimTime::from_millis(3))
             .unwrap();
-        store.register_interest(ClientId(1), &QuerySpec::Isolation);
         let record = store.provenance(3).expect("retained");
         assert!(!p3.affected.is_everything() && !record.affected_everything);
-        assert_eq!(p3.affected.len(), 2);
-        assert_eq!(record.affected_queries, 2);
+        assert_eq!((p3.affected.len(), record.affected_queries), (5, 5));
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   entries a delta provably cannot affect across epoch advances.
 //! * [`sync`] — an RTR-style session/serial delta protocol: clients mirror
 //!   the published digest set and receive only what changed since their
-//!   serial, plus re-verified standing queries — only those whose interest
-//!   space intersects the delta's affected header region — falling back to
-//!   a full reset when the delta history has been evicted.
+//!   serial, plus re-verified standing queries — only those reading a
+//!   verdict key the delta's memo carry found altered — falling back to a
+//!   full reset when the delta history has been evicted.
 //! * [`config`] — the declarative [`config::ServiceSettings`] surface: one
 //!   struct with a [`Default`], one `set(key, value)` validation path shared
 //!   by in-process callers, the `rvaas` daemon's config file and its CLI

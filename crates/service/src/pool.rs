@@ -17,8 +17,10 @@
 //! epoch — shared by every batch, thread and client answering on it — and
 //! an epoch advance costs a caller only the traversals its change may have
 //! altered: the publish carries the rest into the new epoch's memo. There
-//! is one evaluation path — register the query's interest, answer with its
-//! footprint, refine the interest, cache the verdict.
+//! is one evaluation path — answer on the epoch's memo, cache the verdict.
+//! Nothing about the query is registered: the verdict keys it reads are a
+//! static function of `(client, spec, topology)`, and each publish names
+//! the keys its change may have altered (see [`rvaas::AffectedQueries`]).
 //!
 //! A batch always answers against the epoch that was current when it
 //! started; the monitor can keep publishing new epochs concurrently without
@@ -290,8 +292,8 @@ impl VerificationService {
 
     /// Runs one store publish under the `epoch.publish` stage span and, once
     /// the store has accepted it, does the bookkeeping both publish paths
-    /// share: metrics plus the cache advance driven by the interest-space
-    /// index's selection.
+    /// share: metrics plus the cache advance driven by the verdict keys the
+    /// publish found altered.
     fn publish_with(
         &self,
         publish: impl FnOnce(&EpochStore) -> Result<Published, ServiceError>,
@@ -316,10 +318,8 @@ impl VerificationService {
             .metrics
             .stage_cache_advance
             .span_traced(published.trace);
-        // Every query is registered in the interest index before it is
-        // cached, so the index's selection covers every cached entry — an
-        // O(affected) test instead of the linear query_affected scan per
-        // entry.
+        // A cached verdict is carried unless a key it reads is affected:
+        // a few ordered-set lookups per entry, no header-space test.
         let affected = &published.affected;
         let (carried, invalidated) = self.cache.advance(published.serial, |client, spec| {
             affected.is_affected(client, spec)
@@ -403,18 +403,12 @@ impl VerificationService {
                     None => {
                         trace.event(TraceStage::CacheMiss, epoch.serial, u64::from(client.0));
                         trace.event(TraceStage::Eval, u64::from(client.0), epoch.serial);
-                        // Register BEFORE caching: a publish that lands in
-                        // between then already widens this query, so the
-                        // cache-advance selection covers the entry.
-                        self.store.register_interest(client, &spec);
                         let (hits, misses) = evaluator.traversal_counts();
-                        let (result, footprint) = evaluator.answer_with_footprint(client, &spec);
+                        let result = evaluator.answer(client, &spec);
                         // Counted before the reply: a miss is why this one was slow.
                         let (hits_now, misses_now) = evaluator.traversal_counts();
                         self.metrics.memo_hits.add(hits_now - hits);
                         self.metrics.memo_misses.add(misses_now - misses);
-                        self.store
-                            .refine_interest(client, &spec, epoch.serial, &footprint);
                         self.cache
                             .put(epoch.serial, client, spec.clone(), result.clone());
                         result
@@ -724,8 +718,9 @@ mod tests {
         assert_eq!(service.stats().queries, 20);
     }
 
-    /// A publish whose change has no exact source carries nothing (here a
-    /// destination-pinned flapper): every such epoch starts an empty memo,
+    /// A publish while a rewrite rule is installed carries nothing (here a
+    /// flapping drop beside a rewrite installed throughout): every such
+    /// epoch starts an empty memo,
     /// the full mix fills it to one entry per key, a second pass on the
     /// same epoch — other batches, cache off — walks nothing, and whoever
     /// still holds a superseded epoch keeps that epoch's traversals.
@@ -761,6 +756,15 @@ mod tests {
             rvaas_openflow::FlowMatch::to_ip(0x3000),
             vec![rvaas_openflow::Action::Drop],
         );
+        let rewrite = rvaas_openflow::FlowEntry::new(
+            400,
+            rvaas_openflow::FlowMatch::to_ip(0x4000),
+            vec![
+                rvaas_openflow::Action::SetField(rvaas_types::Field::Vlan, 7),
+                rvaas_openflow::Action::Output(rvaas_types::PortId(1)),
+            ],
+        );
+        snapshot.record_installed(rvaas_types::SwitchId(1), rewrite, SimTime::from_millis(9));
         let mut superseded = service.store().current();
         for round in 0..200usize {
             let at = SimTime::from_millis(10 + round as u64);
@@ -792,8 +796,8 @@ mod tests {
 
     /// Whatever a query races with, its verdict is the from-scratch one for
     /// the epoch it names — on a fabric where the flipping rule sits on a
-    /// switch half the traversals never visit (the flip pins no source, so
-    /// no publish carries a traversal past it).
+    /// switch half the traversals never visit, so every publish carries
+    /// those past it while queries walk the rest.
     #[test]
     fn racing_queries_answer_for_the_epoch_they_name_while_a_verdict_flips() {
         use std::sync::atomic::{AtomicUsize, Ordering};

@@ -8,14 +8,12 @@
 //! query path and its cache — and ships the refreshed results inside the
 //! delta, so clients do not need a follow-up query round.
 //!
-//! "Affected" comes from the interest-space index
-//! ([`rvaas::InterestIndex`]): every subscription is registered in the
-//! index, each published epoch stores the index's selection in its delta,
-//! and a served delta re-verifies the *stored* selections unioned over the
-//! window intersected with the client's subscriptions. Using the frozen
-//! per-epoch selections (instead of re-querying the index at serve time)
-//! keeps lagging clients sound: a footprint refined after one of the
-//! window's epochs can never hide a query that epoch had affected.
+//! "Affected" comes from the traversal memo's carry: each published epoch
+//! stores, in its delta, the verdict keys its change may have altered
+//! ([`rvaas::AffectedQueries`]), and a served delta re-verifies the client's
+//! subscriptions that read a key of the window's union. A subscription's
+//! keys are a static function of `(client, spec, topology)`, so subscribing
+//! registers nothing outside the session.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -100,11 +98,8 @@ impl SyncServer {
     }
 
     /// Registers a standing query for `client`, to be re-verified inside
-    /// every delta that invalidates published state. Also registers it in
-    /// the epoch store's interest-space index, so future epochs select it
-    /// exactly.
+    /// every delta that may have changed its verdict.
     pub fn subscribe(&self, client: ClientId, spec: QuerySpec) {
-        self.store.register_interest(client, &spec);
         self.sessions
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -215,12 +210,12 @@ impl SyncServer {
     ) -> Result<Vec<ReverifiedQuery>, ServiceError> {
         let _span = self.reverify_latency.span_traced(trace.id);
         // The affected-set test: the window's stored per-epoch selections,
-        // unioned by `delta_between`, intersected with this client's
-        // subscriptions. Unselected standing queries provably kept their
-        // verdict and are skipped entirely (not even a cache lookup). With an
-        // exact selection the intersection walks the (small) selection, not
-        // the subscription set, so serving a delta is O(affected) even at
-        // large standing-query populations.
+        // unioned by `delta_between`, read as the specs of this client they
+        // name and intersected with its subscriptions. Unselected standing
+        // queries provably kept their verdict and are skipped entirely (not
+        // even a cache lookup), and serving a delta walks the (small)
+        // selection, not the subscription set: O(affected) even at large
+        // standing-query populations.
         let (total, workload): (u64, Vec<(ClientId, QuerySpec)>) = {
             let sessions = self
                 .sessions
@@ -234,10 +229,10 @@ impl SyncServer {
                 subs.iter().map(|spec| (client, spec.clone())).collect()
             } else {
                 affected
-                    .keys()
-                    .iter()
-                    .filter(|(owner, spec)| *owner == client && subs.contains(spec))
-                    .cloned()
+                    .specs_of(client)
+                    .into_iter()
+                    .filter(|spec| subs.contains(spec))
+                    .map(|spec| (client, spec))
                     .collect()
             };
             (subs.len() as u64, workload)

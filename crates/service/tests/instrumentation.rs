@@ -1,13 +1,11 @@
-//! Readers for what the epoch store records about its model and interest
-//! index: the chain a publish leaves in the flight recorder, event for
-//! event, and the exact value of every `rvaas_interest_*` /
-//! `rvaas_incremental_*` series — and of the four traversal-memo counters,
-//! two the store records at publish and two the query path records — after
-//! a scripted scenario.
+//! Readers for what the epoch store records about its model and traversal
+//! memos: the chain a publish leaves in the flight recorder, event for
+//! event, the verdict keys each publish's provenance counts, and the exact
+//! value of every `rvaas_incremental_*` series — and of the four
+//! traversal-memo counters, two the store records at publish and two the
+//! query path records — after a scripted scenario.
 
-use rvaas::{
-    LocationMap, LogicalVerifier, NetworkSnapshot, QueryFootprint, RuleChange, VerifierConfig,
-};
+use rvaas::{NetworkSnapshot, RuleChange};
 use rvaas_client::QuerySpec;
 use rvaas_controlplane::benign_rules;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch};
@@ -15,13 +13,6 @@ use rvaas_service::{ServiceSettings, VerificationService};
 use rvaas_telemetry::{parse_text, trace::recorder, TraceStage, TraceStage::*};
 use rvaas_topology::{generators, Host, Topology};
 use rvaas_types::{ClientId, Field, PortId, SimTime, SwitchId};
-
-fn verifier_config(topology: &Topology) -> VerifierConfig {
-    VerifierConfig {
-        use_history: false,
-        locations: LocationMap::disclosed(topology),
-    }
-}
 
 /// A service over a four-tenant fat tree whose first epoch is the benign
 /// rule set: more than 64 changes, so that publish bulk-rebuilds.
@@ -100,8 +91,12 @@ fn a_publish_leaves_exactly_its_documented_chain() {
     );
 
     // A delta publish applies its list in place. The rule sits on client
-    // 1's access switch, pinned to its source: it selects the one standing
-    // query, whose cached verdict is invalidated, not carried.
+    // 1's access switch, pinned to its source and to a host of client 2:
+    // four verdict keys — the held emission of that source host, which
+    // starts on the changed switch, client 2's share of the host's inbound
+    // walk and client 1's path probe towards the destination (neither
+    // walked yet), and the access switches' tables. The one cached verdict
+    // reads the emission and is invalidated, not carried.
     let switch = host_of(&topology, 1).attachment.switch;
     let install = RuleChange::installed(switch, tenant_rule(&topology, 1, 2));
     let serial = service
@@ -112,15 +107,16 @@ fn a_publish_leaves_exactly_its_documented_chain() {
         [
             (EpochPublish, serial, 1),
             (IncrementalApply, 1, rules + 1),
-            (EpochDigest, digest(), 1),
+            (EpochDigest, digest(), 4),
             (CacheCarry, 0, 1),
         ]
     );
 
     // A flap is applied in place like any other list, and leaves the model
-    // as it found it. Its region, pinned to tenants 3 and 4, misses client
-    // 1's emission: nothing is selected, and the cache, emptied by the
-    // publish above, has nothing to carry or invalidate.
+    // as it found it. Its region, pinned to tenants 3 and 4 on the same
+    // access switch, reaches the same four kinds of key, none held, for
+    // tenant 3's source host; the cache, emptied by the publish above, has
+    // nothing to carry or invalidate.
     let serial = service
         .try_publish_changes(&flap(&topology, switch), SimTime::from_millis(3))
         .unwrap();
@@ -129,7 +125,7 @@ fn a_publish_leaves_exactly_its_documented_chain() {
         [
             (EpochPublish, serial, 0),
             (IncrementalApply, 2, rules + 1),
-            (EpochDigest, digest(), 0),
+            (EpochDigest, digest(), 4),
             (CacheCarry, 0, 0),
         ]
     );
@@ -137,59 +133,48 @@ fn a_publish_leaves_exactly_its_documented_chain() {
 
 #[test]
 fn every_store_side_series_reads_its_scripted_value() {
-    let (topology, service, snapshot) = service();
+    let (topology, service, _) = service();
     let store = service.store();
 
-    // Three standing queries, each evaluated at epoch 1 — so registered,
-    // then refined with the footprint the evaluation recorded.
+    // Three standing queries, each evaluated at epoch 1 on its cold memo.
     let queries = [
         (ClientId(1), QuerySpec::ReachableDestinations),
         (ClientId(2), QuerySpec::ReachingSources),
         (ClientId(3), QuerySpec::ReachableDestinations),
     ];
-    let verifier = LogicalVerifier::new(topology.clone(), verifier_config(&topology));
-    let mut evaluator = verifier.evaluator(&snapshot);
-    let mut footprint_switches = 0;
     for (client, spec) in &queries {
         service.try_query(*client, spec.clone()).unwrap();
-        let (_, footprint) = evaluator.answer_with_footprint(*client, spec);
-        footprint_switches += footprint.switches.expect("bounded").len();
     }
 
-    // One refinement the index accepts — it narrows client 2's query to a
-    // switch the coming change is not on — and one it drops as stale
-    // (captured at serial 0; the query was registered at serial 1).
+    // A delta publish whose region (src = client 1, dst = client 2) sits on
+    // client 1's first host's access switch. It drops two held walks, both
+    // starting there: that host's emission and its inbound walk, whose
+    // client-2 share the region reaches. With client 1's path probe towards
+    // the destination, never walked, and the tables: four keys.
     let changed = host_of(&topology, 1).attachment.switch;
     let elsewhere = host_of(&topology, 4).attachment.switch;
-    let narrowed = QueryFootprint::bounded([elsewhere].into_iter().collect());
-    store.refine_interest(queries[1].0, &queries[1].1, 1, &narrowed);
-    store.refine_interest(queries[2].0, &queries[2].1, 0, &narrowed);
-    footprint_switches += 1;
-
-    // A delta publish whose region (src = client 1, dst = client 2) makes
-    // the first two queries candidates: the exact test confirms the first
-    // (its traversal starts on the changed switch) and rejects the second
-    // (narrowed away above). One hit, one miss, one interest widened.
     let install = RuleChange::installed(changed, tenant_rule(&topology, 1, 2));
     service
         .try_publish_changes(&[install], SimTime::from_millis(2))
         .unwrap();
+    assert_eq!(store.provenance(2).expect("retained").affected_queries, 4);
 
     // A flap, straight into the store (the pool's publish counters do not
     // see it), led by the removal of a rule the epoch never held — which
     // never reaches the model. Two rule changes, both resolved in list
     // order. Their region (src = client 3, dst = client 4, on client 1's
-    // access switch) makes the third query a candidate, which the exact
-    // test rejects: none of its traversals reaches that switch. One miss,
-    // nothing widened.
+    // access switch) reaches client 3's first host's emission and inbound
+    // walk, held but neither arriving at that switch, so both are carried:
+    // the keys are client 3's path probe, never walked, and the tables.
     let mut changes = vec![RuleChange::removed(changed, tenant_rule(&topology, 4, 3))];
     changes.extend(flap(&topology, changed));
     store
         .try_publish_changes(&changes, SimTime::from_millis(3))
         .unwrap();
+    assert_eq!(store.provenance(3).expect("retained").affected_queries, 2);
 
     // A rewrite rule: every region is conservative while one is installed.
-    // One rule change, one conservative region, three interests widened.
+    // One rule change, one conservative region, every verdict affected.
     let rewrite = FlowEntry::new(
         400,
         FlowMatch::to_ip(0xdead_beef),
@@ -201,14 +186,14 @@ fn every_store_side_series_reads_its_scripted_value() {
             SimTime::from_millis(4),
         )
         .unwrap();
+    assert!(store.provenance(4).expect("retained").affected_everything);
 
-    // Everything the scrape says about the model and the index, in render
+    // Everything the scrape says about the model and the memos, in render
     // order — so a series beyond these (the lookup count that restated
     // `rvaas_epoch_publishes_total`) fails this too.
     let samples = parse_text(&service.registry().render_text()).expect("well-formed");
     let about_the_store = |name: &str| {
         [
-            "rvaas_interest_",
             "rvaas_incremental_",
             "rvaas_model_",
             "rvaas_traversal_memo_",
@@ -230,17 +215,6 @@ fn every_store_side_series_reads_its_scripted_value() {
             ("rvaas_incremental_conservative_regions_total", 1.0),
             ("rvaas_incremental_desyncs_total", 0.0),
             ("rvaas_incremental_rule_changes_total", 4.0),
-            (
-                "rvaas_interest_footprint_switches_sum",
-                footprint_switches as f64
-            ),
-            ("rvaas_interest_footprint_switches_count", 4.0),
-            ("rvaas_interest_hits_total", 1.0),
-            ("rvaas_interest_misses_total", 2.0),
-            ("rvaas_interest_refinements_total", 4.0),
-            ("rvaas_interest_registered_queries", 3.0),
-            ("rvaas_interest_stale_refinements_total", 1.0),
-            ("rvaas_interest_widened_total", 4.0),
             // ...and of the bulk first epoch.
             ("rvaas_model_rebuilds_total", 1.0),
             // The delta publish carries 18 of the 20 traversals walked at
@@ -256,8 +230,8 @@ fn every_store_side_series_reads_its_scripted_value() {
             // The three queries, all at epoch 1 on its cold memo, share no
             // traversal: each walked its own (4 emissions of client 1's
             // hosts, one inbound walk from each of the 12 hosts foreign to
-            // client 2, 4 emissions of client 3's) and read verdict and
-            // footprint off that one lookup.
+            // client 2, 4 emissions of client 3's) and read its verdict off
+            // that one lookup.
             ("rvaas_traversal_memo_hits_total", 0.0),
             ("rvaas_traversal_memo_misses_total", 20.0),
         ]

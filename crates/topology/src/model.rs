@@ -214,6 +214,16 @@ impl Topology {
         self.hosts.get(id)
     }
 
+    /// Whether any host is attached to `switch` (an access switch).
+    #[must_use]
+    pub fn has_hosts_at(&self, switch: SwitchId) -> bool {
+        let first = (SwitchPort::new(switch, PortId(0)), HostId(0));
+        self.host_ports
+            .range(first..)
+            .next()
+            .is_some_and(|(port, _)| port.switch == switch)
+    }
+
     /// Returns the host with the given IP address, if any (the lowest
     /// `HostId` when several share it).
     #[must_use]

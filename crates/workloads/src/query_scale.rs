@@ -1,36 +1,44 @@
 //! Standing-query population scaling: the synthetic population and the
 //! selection micro-benchmark behind the `s3` (`query_scale`) experiment.
 //!
-//! The interest-space index exists so the epoch-advance cost is governed by
-//! the *churn* (how many standing queries a rule change can actually affect),
-//! not by the *population* (how many standing queries are registered). `s3`
-//! registers a large synthetic population on top of the standard per-client
-//! mix and drives a fixed tenant-churn rate through
+//! A publish's selection of the verdicts it may have changed must be
+//! governed by the *churn* (how many standing queries a rule change can
+//! actually affect), not by the *population* (how many standing queries are
+//! subscribed). `s3` subscribes a large synthetic population on top of the
+//! standard per-client mix and drives a fixed tenant-churn rate through
 //! [`run_incremental_churn`](crate::run_incremental_churn); flat advance
 //! latency across populations means advancing an epoch is `O(affected)`.
 //!
 //! The synthetic population is made of [`QuerySpec::PathLength`] probes to
 //! distinct unroutable destinations: every spec is unique (so the population
-//! is real, not deduplicated), its interest cubes pin `(src, dst)` pairs the
-//! tenant churn never touches (so a *sound* index must skip it), and its
-//! verdict is trivially constant (so the rare conservative epoch stays
+//! is real, not deduplicated), its path probes pin `(src, dst)` pairs the
+//! tenant churn never touches (so a *sound* selection must skip it), and
+//! its verdict is trivially constant (so the rare conservative epoch stays
 //! cheap).
 //!
 //! [`selection_latency`] micro-benchmarks the affected-query selection in
 //! isolation: the same changed region is evaluated once through the linear
-//! scan ([`query_affected`] per registered query — the pre-index publish
-//! path) and once through [`InterestIndex::affected`], giving the
-//! linear-versus-indexed selection latencies the CI gate compares.
+//! scan ([`query_affected`] per standing query — the publish path before any
+//! index) and once the way the service selects — the traversal memo's
+//! [carry](rvaas::TraversalMemo::carry) naming the verdict keys the change
+//! may have altered, read back per client as the specs a sync session
+//! re-verifies — giving the linear-versus-keyed selection latencies the CI
+//! gate compares.
 
 use std::time::{Duration, Instant};
 
-use rvaas::{query_affected, IncrementalModel, InterestIndex, RuleChange};
+use std::collections::{BTreeMap, BTreeSet};
+
+use rvaas::{
+    query_affected, IncrementalModel, LocationMap, LogicalVerifier, RuleChange, TraversalMemo,
+    VerifierConfig,
+};
 use rvaas_client::QuerySpec;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch};
 use rvaas_topology::Topology;
 use rvaas_types::{ClientId, Field, SwitchId};
 
-use crate::service_load::clients_of;
+use crate::service_load::{benign_snapshot, clients_of};
 
 /// Base of the unroutable destination block the synthetic standing queries
 /// probe (class-A space no generator assigns hosts from).
@@ -74,8 +82,14 @@ fn probe_changes(topology: &Topology) -> Vec<RuleChange> {
 }
 
 /// Mean latency of one affected-query selection over `population` for a
-/// representative tenant-churn region, `probes` times each way:
-/// `(indexed, linear)`.
+/// representative tenant-churn region on the benign routing, `probes` times
+/// each way: `(keyed, linear)`.
+///
+/// The keyed selection is what a publish and its sync sessions run: the
+/// carry of a memo holding every traversal the population's verdicts read
+/// (walked afresh, untimed, before each probe, since a carry moves them
+/// out), then each client's affected specs intersected with its
+/// subscriptions. The linear one is [`query_affected`] per standing query.
 ///
 /// # Panics
 ///
@@ -86,24 +100,47 @@ pub fn selection_latency(
     population: &[(ClientId, QuerySpec)],
     probes: usize,
 ) -> (Duration, Duration) {
-    let region = IncrementalModel::new(topology.clone()).apply(&probe_changes(topology));
-    let mut index = InterestIndex::new(topology.clone());
+    let snapshot = benign_snapshot(topology);
+    let mut model = IncrementalModel::from_snapshot(topology.clone(), &snapshot);
+    let function = model.network_function().clone();
+    let region = model.apply(&probe_changes(topology));
+    let verifier = LogicalVerifier::new(
+        topology.clone(),
+        VerifierConfig {
+            use_history: false,
+            locations: LocationMap::disclosed(topology),
+        },
+    );
+    let mut subscriptions: BTreeMap<ClientId, BTreeSet<QuerySpec>> = BTreeMap::new();
     for (client, spec) in population {
-        index.register(*client, spec);
+        subscriptions
+            .entry(*client)
+            .or_default()
+            .insert(spec.clone());
     }
     let probes = probes.max(1);
-    let started = Instant::now();
+    let mut keyed = Duration::ZERO;
     for _ in 0..probes {
-        std::hint::black_box(index.affected(&region));
+        let memo = TraversalMemo::new();
+        let mut session = verifier.evaluator_sharing(&snapshot, &function, &memo);
+        for (client, spec) in population {
+            std::hint::black_box(session.answer(*client, spec));
+        }
+        let started = Instant::now();
+        let carried = memo.carry(&region, topology);
+        for (client, subscribed) in &subscriptions {
+            let specs = carried.affected.specs_of(*client);
+            std::hint::black_box(specs.iter().filter(|s| subscribed.contains(s)).count());
+        }
+        keyed += started.elapsed();
     }
-    let indexed = started.elapsed() / probes as u32;
     let started = Instant::now();
     for _ in 0..probes {
         for (client, spec) in population {
             std::hint::black_box(query_affected(topology, *client, spec, &region));
         }
     }
-    (indexed, started.elapsed() / probes as u32)
+    (keyed / probes as u32, started.elapsed() / probes as u32)
 }
 
 #[cfg(test)]
@@ -135,7 +172,7 @@ mod tests {
         assert_eq!(report.standing_queries, 4 * 6 + 200);
         assert!(report.rule_changes > 0);
         assert_eq!(report.final_serial, 5, "initial + warmup + measured rounds");
-        // The synthetic population never re-verifies: its interests are
+        // The synthetic population never re-verifies: its path probes are
         // pinned to destinations the tenant churn cannot touch. Only the
         // churned clients' standard mix shows up in the deltas.
         assert!(
@@ -146,8 +183,8 @@ mod tests {
             report.skipped > report.reverified * 10,
             "the synthetic population must be skipped wholesale: {report:?}"
         );
-        let (indexed, linear) = selection_latency(&topology, &standing_queries(&topology, 200), 1);
-        assert!(indexed > Duration::ZERO);
+        let (keyed, linear) = selection_latency(&topology, &standing_queries(&topology, 200), 1);
+        assert!(keyed > Duration::ZERO);
         assert!(linear > Duration::ZERO);
     }
 }
