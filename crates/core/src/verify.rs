@@ -13,9 +13,11 @@
 //! depends on, for the `benchmark/` ladder only.)
 //!
 //! Which verdicts a rule change may have moved is a question about keys: a
-//! verdict reads a static set of [`VerdictKey`]s, and the traversal memo's
-//! [carry](TraversalMemo::carry) into the next epoch names the keys the
-//! change may have altered ([`AffectedQueries`]).
+//! verdict reads a static set of [`VerdictKey`]s, the [`TraversalMemo`]
+//! holds its traversals under those very keys (a walk that serves several
+//! clients, a host's inbound walk, fills one key per client), and the
+//! memo's [carry](TraversalMemo::carry) into the next epoch looks up, tests
+//! and drops the keys the change may have altered ([`AffectedQueries`]).
 //!
 //! Confidentiality: the verifier only ever reports *endpoints*, *regions* and
 //! *hop counts* to clients — never switch identities or paths — preserving
@@ -224,34 +226,6 @@ impl LogicalVerifier {
     }
 }
 
-/// What a memoised traversal is keyed by. All three kinds are pure functions
-/// of the network function and the (static, trusted) topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum TraversalKey {
-    /// `reachable_from(host, emission_space(host))`: shared by destination,
-    /// isolation and geo queries of the host's owner.
-    Emission(HostId),
-    /// "This source host can reach some access point of that client", for
-    /// every client but the host's owner, from one labelled walk: shared by
-    /// isolation and reaching-source queries of every other client.
-    Inbound(HostId),
-    /// Path-length bounds from a client's hosts to a destination ip.
-    Path(ClientId, u32),
-}
-
-impl VerdictKey {
-    /// The memoised walk this key is read from, and whose share of it (an
-    /// inbound walk's client) — `None` for `Tables`, which is no walk.
-    fn walk(self) -> Option<(TraversalKey, Option<ClientId>)> {
-        match self {
-            VerdictKey::Emission(_, host) => Some((TraversalKey::Emission(host), None)),
-            VerdictKey::Inbound(client, host) => Some((TraversalKey::Inbound(host), Some(client))),
-            VerdictKey::Path(client, ip) => Some((TraversalKey::Path(client, ip), None)),
-            VerdictKey::Tables => None,
-        }
-    }
-}
-
 /// What queries read from a traversal — not the [`ReachabilityResult`] with
 /// its per-endpoint header spaces and paths.
 ///
@@ -264,14 +238,10 @@ enum Outcome {
         /// Switches on any path, ascending (what geo queries map to regions).
         traversed: Vec<SwitchId>,
     },
-    /// One client's share of an `Inbound` walk.
+    /// One client's share of a source host's inbound walk.
     Source {
         reaches: bool,
     },
-    /// The probe of every client but the source host's owner, by client:
-    /// each with its own `visited` switches and truncation, exactly what a
-    /// walk of that client's probe alone finds.
-    Inbound(BTreeMap<ClientId, Arc<Traversal>>),
     Path {
         min: u32,
         max: u32,
@@ -279,47 +249,17 @@ enum Outcome {
     },
 }
 
-/// One memoised traversal: its outcome and the footprint behind it.
+/// One memoised traversal — for an inbound walk, one client's share of it —
+/// and the footprint behind it.
 #[derive(Debug)]
 struct Traversal {
     /// Every switch the traversal arrived at, ascending: the switches whose
-    /// transfer functions it consulted (for an `Inbound` walk, the union
-    /// over its clients' probes).
+    /// transfer functions it consulted.
     visited: Vec<SwitchId>,
     /// The engine's cube budget cut a branch: the outcome may depend on
-    /// anything (for an `Inbound` walk, some client's probe was cut).
+    /// anything.
     truncated: bool,
     outcome: Outcome,
-}
-
-impl Traversal {
-    /// The part of this walk `share`'s verdicts read: that client's probe
-    /// of an inbound walk, or the whole walk.
-    fn share(&self, share: Option<ClientId>) -> &Traversal {
-        match (&self.outcome, share) {
-            (Outcome::Inbound(probes), Some(client)) => probes.get(&client).map_or(self, |p| p),
-            _ => self,
-        }
-    }
-
-    /// The verdict keys of this walk, held under `walk`, that the cube
-    /// budget cut: an inbound walk's cut shares, or the walk itself.
-    fn truncated_keys(&self, walk: TraversalKey, topology: &Topology) -> Vec<VerdictKey> {
-        match (walk, &self.outcome) {
-            (TraversalKey::Inbound(host), Outcome::Inbound(probes)) => probes
-                .iter()
-                .filter(|(_, probe)| probe.truncated)
-                .map(|(client, _)| VerdictKey::Inbound(*client, host))
-                .collect(),
-            (TraversalKey::Emission(host), _) => topology
-                .host(host)
-                .map(|h| VerdictKey::Emission(h.owner, host))
-                .into_iter()
-                .collect(),
-            (TraversalKey::Path(client, ip), _) => vec![VerdictKey::Path(client, ip)],
-            (TraversalKey::Inbound(_), _) => unreachable!("keyed by kind"),
-        }
-    }
 }
 
 /// One thing a verdict reads that a rule change can alter: a memoised
@@ -337,9 +277,10 @@ impl Traversal {
 /// * `PathLength { to_ip }` reads `Path(client, to_ip)`;
 /// * `Neutrality` reads `Tables`.
 ///
-/// So a publish need not know who asked what: [`TraversalMemo::carry`] names
-/// the keys the change may have altered, and
-/// [`AffectedQueries::is_affected`] tests a verdict's keys against them.
+/// The [`TraversalMemo`] holds its entries under these keys, so a publish
+/// need not know who asked what: [`TraversalMemo::carry`] names the keys
+/// the change may have altered, and [`AffectedQueries::is_affected`] tests
+/// a verdict's keys against them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum VerdictKey {
     /// The emission walk of a host (`.1`) of the client (`.0`).
@@ -475,17 +416,18 @@ impl AffectedQueries {
 /// What [`TraversalMemo::carry`] hands the successor epoch.
 #[derive(Debug)]
 pub struct Carried {
-    /// The successor's memo: every held traversal the change cannot have
+    /// The successor's memo: every held entry the change cannot have
     /// altered.
     pub memo: TraversalMemo,
     /// The verdict keys the change may have altered.
     pub affected: AffectedQueries,
-    /// How many held traversals the successor does not get.
+    /// How many held entries the successor does not get.
     pub dropped: usize,
 }
 
 /// The HSA traversals walked over **one** network function, shared by every
-/// evaluation session that is handed the same memo.
+/// evaluation session that is handed the same memo, each under the
+/// [`VerdictKey`] whose verdicts read it.
 ///
 /// An entry is a pure function of that network function and the static,
 /// trusted topology, so nothing in a memo is ever invalidated in place. A
@@ -494,11 +436,13 @@ pub struct Carried {
 /// successor's the entries the change between the two functions cannot
 /// have altered.
 ///
-/// There is one entry per key, and keys name hosts and clients of the
-/// trusted topology only (a query about an unknown client or address walks
-/// nothing and leaves nothing) — at most 2 × hosts entries plus one path
-/// probe per (client, destination) asked, whatever the number of distinct
-/// queries.
+/// One walk may fill several keys: a host's inbound walk carries one label
+/// per client it probes and leaves one `Inbound(client, host)` entry per
+/// label. Keys name hosts and clients of the trusted topology only (a query
+/// about an unknown client or address walks nothing and leaves nothing) —
+/// at most hosts × clients entries (one emission per host, one share per
+/// host and client it does not belong to) plus one path probe per
+/// (client, destination) asked, whatever the number of distinct queries.
 #[derive(Debug, Default)]
 pub struct TraversalMemo {
     entries: RwLock<Entries>,
@@ -507,10 +451,10 @@ pub struct TraversalMemo {
 /// What a [`TraversalMemo`] holds behind its lock.
 #[derive(Debug, Default)]
 struct Entries {
-    traversals: BTreeMap<TraversalKey, Arc<Traversal>>,
-    /// The held traversals the engine's cube budget cut: their footprints
-    /// are unbounded, so any change may have altered them.
-    truncated: BTreeSet<TraversalKey>,
+    traversals: BTreeMap<VerdictKey, Arc<Traversal>>,
+    /// The held entries the engine's cube budget cut: their footprints are
+    /// unbounded, so any change may have altered them.
+    truncated: BTreeSet<VerdictKey>,
 }
 
 #[allow(clippy::len_without_is_empty)] // `len` exists for tests and the carry count.
@@ -521,28 +465,41 @@ impl TraversalMemo {
         TraversalMemo::default()
     }
 
-    /// Number of traversals held (one per key).
+    /// Number of entries held (one per key).
     #[must_use]
     pub fn len(&self) -> usize {
-        // Poisoning is recovered from, here and below: an insert is one map
-        // operation, so an interrupted writer leaves the memo valid.
-        let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
-        entries.traversals.len()
+        self.read().traversals.len()
     }
 
-    fn get(&self, key: TraversalKey) -> Option<Arc<Traversal>> {
-        let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
-        entries.traversals.get(&key).cloned()
+    /// The keys held, ascending.
+    #[must_use]
+    pub fn keys(&self) -> Vec<VerdictKey> {
+        self.read().traversals.keys().copied().collect()
+    }
+
+    // Poisoning is recovered from, here and below: every entry stands on
+    // its own, so an interrupted writer leaves the memo valid.
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, Entries> {
+        self.entries.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, key: VerdictKey) -> Option<Arc<Traversal>> {
+        self.read().traversals.get(&key).cloned()
     }
 
     /// Two sessions that raced on a key walked the same function: whichever
     /// insert lands last replaces an equal entry.
-    fn put(&self, key: TraversalKey, traversal: Arc<Traversal>) {
+    fn put(&self, walked: Vec<(VerdictKey, Arc<Traversal>)>) {
         let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
-        if traversal.truncated {
-            entries.truncated.insert(key);
+        for (key, traversal) in walked {
+            // The cut mark goes in first: an interrupted writer can leave a
+            // mark without its entry, which the carry treats as altered,
+            // never a cut entry without its mark.
+            if traversal.truncated {
+                entries.truncated.insert(key);
+            }
+            entries.traversals.insert(key, traversal);
         }
-        entries.traversals.insert(key, traversal);
     }
 
     /// The memo of the function that `region` made of this memo's function,
@@ -554,20 +511,20 @@ impl TraversalMemo {
     /// and destination, never by a scan of the memo. A candidate is altered
     /// when
     ///
-    /// * it is held and the part of it the verdict reads (for an inbound
-    ///   walk, the client's share) visited a switch of `region` or was cut
-    ///   by the cube budget — without rewrites (any installed rewrite makes
-    ///   every region conservative) traffic never leaves the space it was
-    ///   injected in, so a change outside that space, or on switches the
-    ///   walk never arrived at, leaves the walk as it was; or
+    /// * it is held and its traversal visited a switch of `region` — without
+    ///   rewrites (any installed rewrite makes every region conservative)
+    ///   traffic never leaves the space it was injected in, so a change
+    ///   outside that space, or on switches the walk never arrived at,
+    ///   leaves the walk as it was; or
     /// * it is not held: a session still answering on this memo's function
     ///   may walk it after this carry, and its verdict must not be carried
     ///   past a change it overlaps.
     ///
     /// Every held entry the budget cut is altered too, whatever it
     /// injected, and `Tables` is when `region` touches an access switch.
-    /// An entry whose key (or, for an inbound walk, any client's share) is
-    /// altered is dropped; the rest move to the successor.
+    /// Every altered entry is dropped, and only it: the other clients'
+    /// shares of an altered inbound walk move on. The rest move to the
+    /// successor.
     ///
     /// A conservative region alters everything, and so does any change on
     /// a topology without hosts, which names no key: the successor starts
@@ -588,7 +545,7 @@ impl TraversalMemo {
         let mut carried = std::mem::take(&mut *entries);
         drop(entries);
         let mut affected = AffectedQueries::default();
-        let mut dropped = BTreeSet::new();
+        let mut dropped = 0;
         if !region.is_empty() {
             if region.switches.iter().any(|s| topology.has_hosts_at(*s)) {
                 affected.keys.insert(VerdictKey::Tables);
@@ -600,26 +557,13 @@ impl TraversalMemo {
                         .iter()
                         .any(|s| read.visited.binary_search(s).is_ok())
             };
-            for key in overlapped_keys(&region.space, topology) {
-                let Some((walk, share)) = key.walk() else {
-                    continue;
-                };
-                let held = carried.traversals.get(&walk);
-                if held.is_none_or(|traversal| altered(traversal.share(share))) {
+            let candidates = overlapped_keys(&region.space, topology);
+            let cut = std::mem::take(&mut carried.truncated);
+            for key in candidates.into_iter().chain(cut) {
+                if carried.traversals.get(&key).is_none_or(|t| altered(t)) {
                     affected.keys.insert(key);
-                    if held.is_some() {
-                        dropped.insert(walk);
-                    }
+                    dropped += usize::from(carried.traversals.remove(&key).is_some());
                 }
-            }
-            for walk in std::mem::take(&mut carried.truncated) {
-                let cut = &carried.traversals[&walk];
-                affected.keys.extend(cut.truncated_keys(walk, topology));
-                dropped.insert(walk);
-            }
-            for walk in &dropped {
-                carried.traversals.remove(walk);
-                carried.truncated.remove(walk);
             }
         }
         Carried {
@@ -627,7 +571,7 @@ impl TraversalMemo {
                 entries: RwLock::new(carried),
             },
             affected,
-            dropped: dropped.len(),
+            dropped,
         }
     }
 }
@@ -736,12 +680,12 @@ fn footprint_over<'t>(traversals: impl IntoIterator<Item = &'t Arc<Traversal>>) 
 /// The session holds the HSA network function of one snapshot and memoises
 /// the expensive traversals in a [`TraversalMemo`]: the emission-space
 /// reachability of each source host (shared by destination, isolation and
-/// geo queries), each source host's "can it reach that client" verdicts for
-/// every other client, from one labelled walk (shared by isolation and
-/// reaching-source queries of all of them), and per-destination path
-/// probes. Which clients' delivery rules carry a meter, what neutrality
-/// verdicts read, is worked out once per session. A session from
-/// [`LogicalVerifier::evaluator`] or
+/// geo queries), each source host's "can it reach that client" verdict,
+/// one entry per client but its owner, all filled by one labelled walk
+/// (each shared by isolation and reaching-source queries of its client),
+/// and per-destination path probes. Which clients' delivery rules carry a
+/// meter, what neutrality verdicts read, is worked out once per session. A
+/// session from [`LogicalVerifier::evaluator`] or
 /// [`LogicalVerifier::evaluator_with`] owns a fresh memo — answering `n`
 /// queries that share hosts through it performs each traversal once, and
 /// nothing is shared with any other session; one from
@@ -764,7 +708,7 @@ pub struct QueryEvaluator<'a> {
     metered: Option<BTreeMap<ClientId, bool>>,
     /// Traversal lookups the memo served.
     hits: u64,
-    /// Traversals walked and left in the memo.
+    /// Walks taken and left in the memo (one walk may fill several keys).
     misses: u64,
     /// Every key a verdict of this session read, for the tests that hold
     /// [`AffectedQueries::is_affected`] to what verdicts read.
@@ -792,31 +736,48 @@ impl QueryEvaluator<'_> {
         (self.hits, self.misses)
     }
 
+    /// The session's memo.
+    fn memo(&self) -> &TraversalMemo {
+        match &self.memo {
+            Memo::Private(memo) => memo,
+            Memo::Shared(memo) => memo,
+        }
+    }
+
     /// The traversal of `key`: from the memo when it holds one, else walked
-    /// now — under no lock — and left there.
+    /// now — under no lock — and left there with every other key the same
+    /// walk filled, all under one lock. `walk` returns `key`'s traversal
+    /// among the ones it filled.
     fn traversal(
         &mut self,
-        key: TraversalKey,
-        walk: impl FnOnce(&Self) -> Traversal,
+        key: VerdictKey,
+        walk: impl FnOnce(&Self) -> Vec<(VerdictKey, Traversal)>,
     ) -> Arc<Traversal> {
-        let memo = match &self.memo {
-            Memo::Private(memo) => memo,
-            Memo::Shared(memo) => *memo,
-        };
-        if let Some(held) = memo.get(key) {
+        #[cfg(test)]
+        self.read.insert(key);
+        if let Some(held) = self.memo().get(key) {
             self.hits += 1;
             return held;
         }
-        let walked = Arc::new(walk(self));
-        // A walk that arrived at no switch injected nothing (an unknown
+        let walked: Vec<_> = walk(self)
+            .into_iter()
+            .map(|(filled, traversal)| (filled, Arc::new(traversal)))
+            .collect();
+        let asked = walked.iter().find(|(filled, _)| *filled == key);
+        let asked = Arc::clone(&asked.expect("a walk fills the key it is asked for").1);
+        // A traversal that arrived at no switch injected nothing (an unknown
         // client, host or address): a constant of the trusted topology, free
         // to redo. Not keeping it keeps the memo's keys within the topology
         // whatever ids and addresses clients ask about.
-        if !walked.visited.is_empty() {
+        let kept: Vec<_> = walked
+            .into_iter()
+            .filter(|(_, traversal)| !traversal.visited.is_empty())
+            .collect();
+        if !kept.is_empty() {
             self.misses += 1;
-            memo.put(key, Arc::clone(&walked));
+            self.memo().put(kept);
         }
-        walked
+        asked
     }
 
     /// The memoised emission-space traversal of each of `client`'s hosts, as
@@ -826,7 +787,7 @@ impl QueryEvaluator<'_> {
             .topology()
             .hosts_of_client(client)
             .iter()
-            .map(|h| (h.id, h.attachment, h.ip))
+            .map(|h| (VerdictKey::Emission(client, h.id), h.attachment, h.ip))
             .collect();
         let walk = |session: &Self, attachment: SwitchPort, ip: u32| {
             let engine = ReachabilityEngine::new(&session.nf);
@@ -842,14 +803,10 @@ impl QueryEvaluator<'_> {
         };
         hosts
             .into_iter()
-            .map(|(id, attachment, ip)| {
-                #[cfg(test)]
-                self.read.insert(VerdictKey::Emission(client, id));
-                let key = TraversalKey::Emission(id);
-                (
-                    ip,
-                    self.traversal(key, |session| walk(session, attachment, ip)),
-                )
+            .map(|(key, attachment, ip)| {
+                let emission =
+                    self.traversal(key, |session| vec![(key, walk(session, attachment, ip))]);
+                (ip, emission)
             })
             .collect()
     }
@@ -875,8 +832,9 @@ impl QueryEvaluator<'_> {
 
     /// The memoised probes of whether each foreign host can currently deliver
     /// traffic to any of `client`'s access points, as `(source, probe)` in
-    /// host order: each read from the source's `Inbound` walk. A client
-    /// without hosts is reached by nobody, and nothing is walked for it.
+    /// host order: each `client`'s share of the source's inbound walk. A
+    /// client without hosts is reached by nobody, and nothing is walked for
+    /// it.
     fn inbound_probes(&mut self, client: ClientId) -> Vec<(HostId, Arc<Traversal>)> {
         let topology = &self.verifier.topology;
         if !topology.hosts().any(|h| h.owner == client) {
@@ -888,31 +846,38 @@ impl QueryEvaluator<'_> {
             .hosts()
             .filter(|h| h.owner != client)
             .map(|source| {
-                #[cfg(test)]
-                self.read.insert(VerdictKey::Inbound(client, source.id));
-                let key = TraversalKey::Inbound(source.id);
-                let inbound = self.traversal(key, |session| {
-                    session.walk_inbound(source, targets.get_or_init(|| targets_of(topology)))
+                let key = VerdictKey::Inbound(client, source.id);
+                let probe = self.traversal(key, |session| {
+                    let targets = targets.get_or_init(|| targets_of(topology));
+                    session.walk_inbound(source, key, targets)
                 });
-                let Outcome::Inbound(probes) = &inbound.outcome else {
-                    unreachable!("keyed by kind");
-                };
-                let probe = probes.get(&client).expect("a label per other client");
-                (source.id, Arc::clone(probe))
+                (source.id, probe)
             })
             .collect()
     }
 
     /// One walk from `source` carrying, as one label per client of
-    /// `targets` other than its owner, the traffic it can emit towards any
-    /// of that client's hosts; each label's outcome is whether it leaves at
-    /// one of that client's access points.
-    fn walk_inbound(&self, source: &Host, targets: &Targets) -> Traversal {
-        let others: Vec<_> = targets
+    /// `targets` other than its owner — the one whose share is `asked`, and
+    /// each other whose share the memo does not hold — the traffic it can
+    /// emit towards any of that client's hosts; each label's share is
+    /// whether it leaves at one of that client's access points. (`asked`
+    /// goes in even if another session filled it since the miss: the walk
+    /// must return it.)
+    fn walk_inbound(
+        &self,
+        source: &Host,
+        asked: VerdictKey,
+        targets: &Targets,
+    ) -> Vec<(VerdictKey, Traversal)> {
+        let held = self.memo().read();
+        let labels: Vec<_> = targets
             .iter()
             .filter(|(client, _)| **client != source.owner)
+            .map(|(client, target)| (VerdictKey::Inbound(*client, source.id), target))
+            .filter(|(key, _)| *key == asked || !held.traversals.contains_key(key))
             .collect();
-        let spaces = others.iter().map(|(_, (ips, _))| {
+        drop(held);
+        let spaces = labels.iter().map(|(_, (ips, _))| {
             HeaderSpace::from_cubes(
                 ips.iter()
                     .map(|ip| LogicalVerifier::probe_cube(source.ip, *ip)),
@@ -920,30 +885,19 @@ impl QueryEvaluator<'_> {
         });
         let engine = ReachabilityEngine::new(&self.nf);
         let results = engine.reachable_from_each(source.attachment, spaces);
-        let mut visited = Vec::new();
-        let mut truncated = false;
-        let probes = others
+        labels
             .into_iter()
             .zip(results)
-            .map(|((client, (_, ports)), result)| {
+            .map(|((key, (_, ports)), result)| {
                 let reaches = result.reached_ports().iter().any(|p| ports.contains(p));
-                visited.extend_from_slice(&result.visited);
-                truncated |= result.truncated_branches > 0;
-                let probe = Traversal {
+                let share = Traversal {
                     outcome: Outcome::Source { reaches },
                     truncated: result.truncated_branches > 0,
                     visited: result.visited,
                 };
-                (*client, Arc::new(probe))
+                (key, share)
             })
-            .collect();
-        visited.sort();
-        visited.dedup();
-        Traversal {
-            outcome: Outcome::Inbound(probes),
-            visited,
-            truncated,
-        }
+            .collect()
     }
 
     /// The sources among `probes` whose traffic reaches the probed client.
@@ -1002,11 +956,8 @@ impl QueryEvaluator<'_> {
 
     /// The memoised path probe of `(client, to_ip)`.
     fn path_probe(&mut self, client: ClientId, to_ip: u32) -> Arc<Traversal> {
-        #[cfg(test)]
-        self.read.insert(VerdictKey::Path(client, to_ip));
-        self.traversal(TraversalKey::Path(client, to_ip), |session| {
-            session.walk_path(client, to_ip)
-        })
+        let key = VerdictKey::Path(client, to_ip);
+        self.traversal(key, |session| vec![(key, session.walk_path(client, to_ip))])
     }
 
     fn walk_path(&self, client: ClientId, to_ip: u32) -> Traversal {
@@ -1604,7 +1555,8 @@ mod tests {
     // --- The traversal memo ------------------------------------------------
     //
     // `line(4, 2)`: client 1 owns hosts 1 and 3, client 2 hosts 2 and 4, one
-    // host per switch.
+    // host per switch. With two clients every inbound walk probes one
+    // client and fills one key, so on it keys and walks count alike.
 
     /// One epoch as the service plane holds it: the snapshot, the function
     /// frozen from it, and the memo of that function's traversals.
@@ -1650,11 +1602,13 @@ mod tests {
         assert_eq!(destinations(1), (0, 2), "one walk per host of client 1");
         assert_eq!(destinations(2), (0, 2), "hosts are not shared by clients");
         assert_eq!(destinations(1), (2, 0), "the next session walks nothing");
+        // One emission key per host: 4.
         assert_eq!(epoch.memo.len(), 4);
 
         // Another query kind of the same client reads the same emissions and
         // adds the inbound walks of the two foreign hosts; asking again adds
-        // nothing.
+        // nothing. Each of those walks probes the one client its host does
+        // not belong to, so fills one key: 4 + 2.
         for counts in [(2, 2), (4, 0)] {
             let mut session = epoch.session(&v);
             let served = session.answer(ClientId(1), &QuerySpec::Isolation);
@@ -1829,9 +1783,14 @@ mod tests {
         }
     }
 
-    fn keys(memo: &TraversalMemo) -> Vec<TraversalKey> {
-        let entries = memo.entries.read().unwrap();
-        entries.traversals.keys().copied().collect()
+    /// `client`'s share of `host`'s inbound walk.
+    fn inbound(client: u32, host: u32) -> VerdictKey {
+        VerdictKey::Inbound(ClientId(client), HostId(host))
+    }
+
+    /// The emission walk of `host`, owned by `client`.
+    fn emission(client: u32, host: u32) -> VerdictKey {
+        VerdictKey::Emission(ClientId(client), HostId(host))
     }
 
     /// `src` to `dst`, dropped at priority 400 on `switch`.
@@ -1848,24 +1807,23 @@ mod tests {
         let v = verifier(&topo);
         let ip = |h: u32| topo.host(HostId(h)).unwrap().ip;
         let mut chain = Chain::new(&topo, snapshot_with(&topo, &[]));
-        // 4 emissions and 4 inbound walks: every host, both directions.
+        // 4 emissions and 4 inbound walks: every host, both directions. Each
+        // inbound walk probes the one other client: 8 keys.
         assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 8);
-        let before = keys(&chain.epoch.memo);
+        assert_eq!(chain.epoch.memo.len(), 8);
+        let before = chain.epoch.memo.keys();
 
         // Client 1's churn on switch 2, which its traffic crosses between
         // hosts 1 and 3 (and which client 2's traversals visit too).
         let churn = [pinned_drop(2, ip(1), ip(3)), pinned_drop(2, ip(3), ip(1))];
         let (superseded, dropped) = chain.advance(&churn);
-        let churned = [
-            TraversalKey::Emission(HostId(1)),
-            TraversalKey::Emission(HostId(3)),
-        ];
-        let kept: Vec<TraversalKey> = before
+        let churned = [emission(1, 1), emission(1, 3)];
+        let kept: Vec<VerdictKey> = before
             .iter()
             .copied()
             .filter(|key| !churned.contains(key))
             .collect();
-        assert_eq!(keys(&chain.epoch.memo), kept, "client 2's and every probe");
+        assert_eq!(chain.epoch.memo.keys(), kept, "client 2's and every probe");
         assert_eq!(dropped, 2);
         assert_eq!(superseded.memo.len(), 0, "moved, not copied");
         // The churn flips client 1's verdicts; the carried memo serves the
@@ -1904,9 +1862,10 @@ mod tests {
         assert_eq!(switch, SwitchId(2));
         let (_, dropped) = chain.advance(&[crate::RuleChange::installed(switch, rule)]);
         // What host 2 emits, and its inbound walk (probing client 1).
-        let held = keys(&chain.epoch.memo);
-        assert!(!held.contains(&TraversalKey::Emission(HostId(2))));
-        assert!(!held.contains(&TraversalKey::Inbound(HostId(2))));
+        let held = chain.epoch.memo.keys();
+        assert!(!held.contains(&emission(2, 2)));
+        assert!(!held.contains(&inbound(1, 2)));
+        // 8 keys held, one per walk (two clients), less the 2 dropped.
         assert_eq!((held.len(), dropped), (6, 2));
         // The re-walked probe reaches client 1: isolation flips.
         assert_eq!(chain.ask(&v, &[1, 2], &[QuerySpec::Isolation]), 2);
@@ -1923,7 +1882,7 @@ mod tests {
         let mut chain = Chain::new(&topo, snapshot_with(&topo, &[]));
         let specs = [QuerySpec::Isolation, QuerySpec::PathLength { to_ip: ip(1) }];
         assert_eq!(chain.ask(&v, &[1, 2], &specs), 10);
-        let before = keys(&chain.epoch.memo);
+        let before = chain.epoch.memo.keys();
 
         // Everything host 3 (client 1) sends, dropped on its edge switch:
         // no exact destination, so its inbound walk (every client it
@@ -1935,16 +1894,16 @@ mod tests {
         );
         let (_, dropped) = chain.advance(&[crate::RuleChange::installed(SwitchId(3), silenced)]);
         let altered = [
-            TraversalKey::Emission(HostId(3)),
-            TraversalKey::Inbound(HostId(3)),
-            TraversalKey::Path(ClientId(1), ip(1)),
+            emission(1, 3),
+            inbound(2, 3),
+            VerdictKey::Path(ClientId(1), ip(1)),
         ];
-        let kept: Vec<TraversalKey> = before
+        let kept: Vec<VerdictKey> = before
             .iter()
             .copied()
             .filter(|key| !altered.contains(key))
             .collect();
-        assert_eq!(keys(&chain.epoch.memo), kept, "client 2's path probe too");
+        assert_eq!(chain.epoch.memo.keys(), kept, "client 2's path probe too");
         assert_eq!(dropped, 3);
         assert_eq!(chain.ask(&v, &[1, 2], &specs), 3);
     }
@@ -1970,8 +1929,10 @@ mod tests {
         );
         let (superseded, dropped) =
             chain.advance(&[crate::RuleChange::installed(SwitchId(2), to_host_3)]);
-        let carried = [1, 3, 4].map(|h| TraversalKey::Inbound(HostId(h)));
-        assert_eq!(keys(&chain.epoch.memo), carried);
+        // Of the 8 keys (one per walk: two clients), the shares of hosts 1,
+        // 3 and 4 ride on and the other 5 are dropped.
+        let carried = [inbound(1, 4), inbound(2, 1), inbound(2, 3)];
+        assert_eq!(chain.epoch.memo.keys(), carried);
         assert_eq!(dropped, 5);
         assert_eq!(superseded.memo.len(), 0, "moved, not copied");
         let (c1, c2) = (ClientId(1), ClientId(2));
@@ -2068,10 +2029,7 @@ mod tests {
         let (_, dropped) =
             chain.advance(&[crate::RuleChange::removed(SwitchId(1), unseen().entry)]);
         assert_eq!((chain.epoch.memo.len(), dropped), (1, 1));
-        assert_eq!(
-            keys(&chain.epoch.memo),
-            [TraversalKey::Emission(HostId(4098))]
-        );
+        assert_eq!(chain.epoch.memo.keys(), [emission(2, 4098)]);
         let cut = VerdictKey::Inbound(ClientId(1), HostId(4098));
         let expected: BTreeSet<VerdictKey> = [cut, VerdictKey::Tables].into_iter().collect();
         assert_eq!(chain.affected.keys(), &expected);
@@ -2114,7 +2072,7 @@ mod tests {
             v.answer(&chain.epoch.snapshot, ClientId(1), &destinations)
         );
         assert_eq!(
-            keys(&chain.epoch.memo).len(),
+            chain.epoch.memo.keys().len(),
             2,
             "the successor's is untouched"
         );
@@ -2246,7 +2204,10 @@ mod tests {
         };
         let (_, walked) = answer_all();
         assert_eq!(walked as usize, 2 * hosts + clients);
-        assert_eq!(epoch.memo.len(), 2 * hosts + clients, "one entry per walk");
+        // One key per host's emission (16), per host and client it does not
+        // belong to (16 × 7 = 112) and per client's path probe (8): 136.
+        assert_eq!(epoch.memo.len(), hosts * clients + clients);
+        assert_eq!(epoch.memo.len(), 136);
         let (read, walked) = answer_all();
         assert_eq!(walked, 0, "a second session walks nothing");
         assert!(read > 0);
@@ -2275,13 +2236,16 @@ mod tests {
         assert_eq!(ask(1), (0, 4));
         assert_eq!(ask(2), (2, 2), "hosts 3 and 6 held, hosts 1 and 4 walked");
         assert_eq!(ask(3), (4, 0));
-        let inbound = keys(&epoch.memo);
-        assert_eq!(
-            inbound,
-            (1..=6)
-                .map(|h| TraversalKey::Inbound(HostId(h)))
-                .collect::<Vec<_>>()
-        );
+        // Each host's share for each of the two clients it does not belong
+        // to: 6 × 2 = 12 keys.
+        let shares: Vec<VerdictKey> = (1..=3)
+            .flat_map(|c| {
+                (1..=6)
+                    .filter(move |h| h % 3 != c % 3)
+                    .map(move |h| inbound(c, h))
+            })
+            .collect();
+        assert_eq!(epoch.memo.keys(), shares);
     }
 
     #[test]
@@ -2351,29 +2315,94 @@ mod tests {
     fn tenant_pinned_churn_carries_the_inbound_walks_and_a_foreign_destination_drops_one() {
         // `line(6, 3)`: client 1 owns hosts 1 and 4. A drop from host 1 to
         // host 4, inside its tenant, on host 1's edge switch: no other
-        // client's host is its destination, so host 1's inbound walk is
+        // client's host is its destination, so host 1's inbound shares are
         // carried and only its emission is dropped. The same drop towards
-        // host 2 (client 2) is a destination host 1's inbound walk probes:
-        // that walk is dropped too.
+        // host 2 (client 2) is a destination client 2's share of host 1's
+        // inbound walk probes: that share is dropped too, and client 3's
+        // rides on.
         let topo = generators::line(6, 3);
         let v = verifier(&topo);
         let ip = |h: u32| topo.host(HostId(h)).unwrap().ip;
         let mut chain = Chain::new(&topo, snapshot_with(&topo, &[]));
         let specs = [QuerySpec::Isolation];
+        // 6 emission and 6 inbound walks; the latter fill 6 × 2 shares: 18
+        // keys.
         assert_eq!(chain.ask(&v, &[1, 2, 3], &specs), 12);
+        assert_eq!(chain.epoch.memo.len(), 18);
         let (_, dropped) = chain.advance(&[pinned_drop(1, ip(1), ip(4))]);
         assert_eq!(dropped, 1);
-        let held = keys(&chain.epoch.memo);
-        assert!(held.contains(&TraversalKey::Inbound(HostId(1))), "carried");
-        assert!(!held.contains(&TraversalKey::Emission(HostId(1))));
+        let held = chain.epoch.memo.keys();
+        assert!(held.contains(&inbound(2, 1)) && held.contains(&inbound(3, 1)));
+        assert!(!held.contains(&emission(1, 1)));
         assert_eq!(chain.ask(&v, &[1, 2, 3], &specs), 1);
 
         let (_, dropped) = chain.advance(&[pinned_drop(1, ip(1), ip(2))]);
         assert_eq!(dropped, 2);
-        let held = keys(&chain.epoch.memo);
-        assert!(!held.contains(&TraversalKey::Inbound(HostId(1))));
-        assert!(!held.contains(&TraversalKey::Emission(HostId(1))));
+        let held = chain.epoch.memo.keys();
+        assert!(!held.contains(&inbound(2, 1)));
+        assert!(held.contains(&inbound(3, 1)), "the other share rides on");
+        assert!(!held.contains(&emission(1, 1)));
+        // Host 1's emission, and its inbound walk for client 2's label only.
         assert_eq!(chain.ask(&v, &[1, 2, 3], &specs), 2);
+        assert_eq!(chain.epoch.memo.len(), 18);
+    }
+
+    #[test]
+    fn an_altered_share_of_an_inbound_walk_leaves_the_other_clients_shares_held() {
+        // `line(6, 3)`: client c owns hosts c and c + 3. A drop from host 1
+        // (client 1) to host 2 (client 2) on host 1's edge switch alters
+        // client 2's share of host 1's inbound walk and no other client's:
+        // client 3's share rides on, so client 3's inbound verdicts walk
+        // nothing, and client 2's next query walks host 1 once, for its own
+        // label only.
+        let topo = generators::line(6, 3);
+        let v = verifier(&topo);
+        let ip = |h: u32| topo.host(HostId(h)).unwrap().ip;
+        let mut chain = Chain::new(&topo, snapshot_with(&topo, &[]));
+        let (sources, isolation) = (QuerySpec::ReachingSources, QuerySpec::Isolation);
+        assert_eq!(
+            chain.ask(&v, &[1, 2, 3], std::slice::from_ref(&isolation)),
+            12
+        );
+        let (_, dropped) = chain.advance(&[pinned_drop(1, ip(1), ip(2))]);
+        assert_eq!(dropped, 2, "host 1's emission and client 2's share");
+        let ask = |client: u32, spec: &QuerySpec| {
+            let mut session = chain.epoch.session(&v);
+            let served = session.answer(ClientId(client), spec);
+            let fresh = v.answer(&chain.epoch.snapshot, ClientId(client), spec);
+            assert_eq!(served, fresh, "client {client} {spec:?}");
+            session.traversal_counts()
+        };
+        // The shares of hosts 1, 2, 4 and 5, then client 3's two emissions.
+        assert_eq!(ask(3, &sources), (4, 0));
+        assert_eq!(ask(3, &isolation), (6, 0));
+        let other = chain.epoch.memo.get(inbound(3, 1)).expect("carried");
+        assert_eq!(ask(2, &sources), (3, 1), "host 1, walked again");
+        // 18 keys less the 2 dropped, plus client 2's share walked again.
+        assert_eq!(chain.epoch.memo.len(), 17);
+        let still = chain.epoch.memo.get(inbound(3, 1)).expect("held");
+        assert!(
+            Arc::ptr_eq(&other, &still),
+            "client 3's share is not walked"
+        );
+    }
+
+    #[test]
+    fn an_inbound_walk_carries_the_asked_label_even_when_its_share_is_held() {
+        // A session that missed `Inbound(2, 1)` may find it filled by
+        // another session by the time it walks host 1 (`line(6, 3)`, host 1
+        // belongs to client 1): the walk still returns the asked label, and
+        // skips the other held one.
+        let topo = generators::line(6, 3);
+        let v = verifier(&topo);
+        let epoch = Epoch::new(&topo, &[]);
+        let mut session = epoch.session(&v);
+        let _ = session.answer(ClientId(2), &QuerySpec::ReachingSources);
+        assert!(epoch.memo.keys().contains(&inbound(3, 1)));
+        let source = topo.host(HostId(1)).unwrap();
+        let walked = session.walk_inbound(source, inbound(2, 1), &targets_of(&topo));
+        let filled: Vec<VerdictKey> = walked.iter().map(|(key, _)| *key).collect();
+        assert_eq!(filled, [inbound(2, 1)]);
     }
 
     /// A rule on a switch of `topology` that rewrites the destination of
@@ -2448,15 +2477,19 @@ mod tests {
                 let _ = session.answer(*client, &QuerySpec::ReachingSources);
             }
             let engine = ReachabilityEngine::new(&epoch.function);
-            let entries = epoch.memo.entries.read().unwrap();
+            let held = epoch.memo.keys();
             for host in &hosts {
-                let inbound = &entries.traversals[&TraversalKey::Inbound(host.id)];
-                let Outcome::Inbound(probes) = &inbound.outcome else {
-                    unreachable!("keyed by kind");
-                };
+                let shares: Vec<ClientId> = held
+                    .iter()
+                    .filter_map(|key| match key {
+                        VerdictKey::Inbound(client, source) if *source == host.id => Some(*client),
+                        _ => None,
+                    })
+                    .collect();
                 let foreign: Vec<ClientId> = clients.iter().copied().filter(|c| *c != host.owner).collect();
-                proptest::prop_assert_eq!(probes.keys().copied().collect::<Vec<_>>(), foreign);
-                for (client, probe) in probes {
+                proptest::prop_assert_eq!(&shares, &foreign);
+                for client in &foreign {
+                    let probe = epoch.memo.get(VerdictKey::Inbound(*client, host.id)).expect("held");
                     let targets = topo.hosts_of_client(*client);
                     let space = HeaderSpace::from_cubes(
                         targets.iter().map(|d| LogicalVerifier::probe_cube(host.ip, d.ip)),

@@ -58,11 +58,12 @@ fn main() -> Result<(), ServiceError> {
         reset.encoded_len()
     );
     // Two tenants each get two fresh rules on the spines. The new epoch's
-    // memo starts with every traversal the churn cannot have altered.
+    // memo starts with every entry (one per verdict key) the churn cannot
+    // have altered.
     tenant_churn_round(&topo, &mut snapshot, 1, 2, 2, SimTime::from_millis(2));
     let serial = service.try_publish(&snapshot, SimTime::from_millis(2))?;
     println!(
-        "  epoch {serial}: {} traversals carried over from the epoch before",
+        "  epoch {serial}: {} memo entries carried over from the epoch before",
         service.store().current().traversals.len()
     );
     let response = server.try_handle(&service, &session.request(ClientId(1)))?;

@@ -792,12 +792,12 @@ proptest! {
             prop_assert_eq!(counter("rvaas_incremental_desyncs_total"), 0.0, "kind {} at step {}", kind, step);
             // What the publish moved into the new epoch's memo, read before
             // any query adds to it.
-            let carried = service.store().current().traversals.len() as f64;
+            let held = service.store().current().traversals.keys();
             if kind == 9 {
                 // A conservative region (the bulk list's) carries nothing.
-                prop_assert_eq!(carried, 0.0, "kind {} at step {}", kind, step);
+                prop_assert!(held.is_empty(), "kind {} at step {}", kind, step);
             }
-            carried_any |= carried > 0.0;
+            carried_any |= !held.is_empty();
 
             // The mix in one call, then again one query — one batch — at a
             // time: the second pass is assembled from what the first left.
@@ -821,11 +821,27 @@ proptest! {
             // Not vacuous: the second pass walked nothing and was served.
             prop_assert_eq!(second_pass.1, first_pass.1, "step {}", step);
             prop_assert!(second_pass.0 > first_pass.0, "step {}", step);
-            // Every epoch walked exactly what one fresh evaluator walks, less
-            // what its publish carried: nothing was walked twice, and every
-            // carried traversal was one the mix reads.
+            // No key was walked twice on the epoch: it walked each key its
+            // publish did not carry once, one walk per host's emission, per
+            // host with a share missing (that walk fills every missing share
+            // at once) and per client's path probe — and after the mix it
+            // holds each key once: hosts + hosts × (clients − 1) shares +
+            // clients path probes.
+            use rvaas::VerdictKey;
+            let missing = |key: VerdictKey| !held.contains(&key);
+            let emissions = hosts.iter().filter(|h| missing(VerdictKey::Emission(h.owner, h.id))).count();
+            let inbound = hosts
+                .iter()
+                .filter(|h| clients.iter().any(|c| *c != h.owner && missing(VerdictKey::Inbound(*c, h.id))))
+                .count();
+            let paths = clients
+                .iter()
+                .filter(|c| missing(VerdictKey::Path(**c, hosts[c.0 as usize % hosts.len()].ip)))
+                .count();
             let (walked, fresh_walks) = (first_pass.1 - before.1, fresh.traversal_counts().1 as f64);
-            prop_assert_eq!(walked + carried, fresh_walks, "step {} (kind {})", step, kind);
+            prop_assert_eq!(walked, (emissions + inbound + paths) as f64, "step {} (kind {})", step, kind);
+            let keys = hosts.len() * clients.len() + clients.len();
+            prop_assert_eq!(service.store().current().traversals.len(), keys, "step {}", step);
             // And what one fresh evaluator walks for the mix is one emission
             // and one inbound walk per host (the latter probing every other
             // client at once) plus each client's one path probe.
@@ -847,7 +863,9 @@ proptest! {
 
     /// A publish names the verdicts it may have changed by the keys its memo
     /// carry found altered. Over random tenant churn, flaps inside one
-    /// change list and the attack catalogue installed and removed, with a
+    /// change list, the attack catalogue installed and removed, and one-way
+    /// joins (a join's attacker-sourced rules alone, so the victim's
+    /// verdicts move through inbound walks only), with a
     /// random part of the query mix answered on each epoch's memo before the
     /// next publish (so some keys are held and some are not): every
     /// standing query whose from-scratch verdict differs across the publish
@@ -859,7 +877,7 @@ proptest! {
     #[test]
     fn the_carry_selects_every_verdict_a_publish_moves(
         shape in 0u8..3,
-        ops in proptest::collection::vec((0u8..8, 0usize..64, 0usize..64), 6..12),
+        ops in proptest::collection::vec((0u8..9, 0usize..64, 0usize..64), 6..12),
         asked in proptest::collection::vec(any::<bool>(), 18..19),
     ) {
         use rvaas::RuleChange;
@@ -929,11 +947,11 @@ proptest! {
         store.attach_interest_topology(topo.clone());
         store.try_publish(snapshot.clone(), SimTime::from_millis(1)).unwrap();
         let mut model = rvaas::IncrementalModel::from_snapshot(topo.clone(), &snapshot);
-        let mut installed: Vec<Attack> = Vec::new();
+        let (mut installed, mut one_way): (Vec<Attack>, Vec<Attack>) = (Vec::new(), Vec::new());
         let (mut churn_round, mut moved, mut exact_source) = (0u64, 0usize, 0usize);
         for (step, (kind, a, b)) in ops.iter().copied().enumerate() {
             let at = SimTime::from_millis(10 + step as u64);
-            let mut toggle = |attack: Attack| {
+            let toggle = |installed: &mut Vec<Attack>, attack: Attack| {
                 let held = installed.iter().position(|held| *held == attack);
                 let changes = attack_changes(&topo, &attack, held.is_none());
                 match held {
@@ -943,7 +961,7 @@ proptest! {
                 changes
             };
             let changes: Vec<RuleChange> = match kind {
-                0..=4 => toggle(attack_of(kind, a, b)),
+                0..=4 => toggle(&mut installed, attack_of(kind, a, b)),
                 5 | 6 => {
                     let mut next = snapshot.clone();
                     rvaas_workloads::tenant_churn_round(&topo, &mut next, churn_round, 1, 2, at);
@@ -951,7 +969,7 @@ proptest! {
                     snapshot.changes_to(&next)
                 }
                 // A tenant-pinned rule flapped inside one list.
-                _ => {
+                7 => {
                     let (src, dst) = (&hosts[a % hosts.len()], &hosts[b % hosts.len()]);
                     let flapper = tenant_entry(src.ip, dst.ip);
                     let switch = switches[b % switches.len()];
@@ -959,6 +977,18 @@ proptest! {
                         RuleChange::installed(switch, flapper.clone()),
                         RuleChange::removed(switch, flapper),
                     ]
+                }
+                // A one-way join, installed or removed: the attacker's host
+                // reaches the victim tenant, whose own traffic is untouched.
+                _ => {
+                    let attacker = hosts[a % hosts.len()].ip;
+                    let from_attacker = |change: &RuleChange| {
+                        change.entry.flow_match.cube.field_exact(rvaas_types::Field::IpSrc)
+                            == Some(u64::from(attacker))
+                    };
+                    let mut changes = toggle(&mut one_way, attack_of(0, a, b));
+                    changes.retain(from_attacker);
+                    changes
                 }
             };
 

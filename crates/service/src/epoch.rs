@@ -42,14 +42,17 @@
 //!
 //! Beside them an epoch carries a [`TraversalMemo`] for its frozen
 //! function: the HSA traversals queries walk on the epoch are shared
-//! through it by every later batch on the same epoch. A publish moves the
-//! predecessor's memo into the new epoch minus every traversal the
-//! [`ChangedRegion`] may have altered ([`TraversalMemo::carry`]), so a
-//! tenant's churn re-walks that tenant's traversals, not the fabric's.
-//! Nothing is stamped or copied: the carry finds its candidates through the
-//! hosts each region cube admits and moves the rest. The same carry is the
+//! through it by every later batch on the same epoch, each held under the
+//! verdict key that reads it (a host's inbound walk leaves one entry per
+//! client it probes). A publish moves the predecessor's memo into the new
+//! epoch minus every entry the [`ChangedRegion`] may have altered
+//! ([`TraversalMemo::carry`]), so a tenant's churn re-walks that tenant's
+//! traversals, not the fabric's, and a change that alters one client's
+//! share of a walk leaves the other clients' shares held. Nothing is
+//! stamped or copied: the carry finds its candidate keys through the hosts
+//! each region cube admits and moves the rest. The same carry is the
 //! publish's one test of which verdicts moved: the [`AffectedQueries`] it
-//! returns name the verdict keys the change may have altered, held or not,
+//! returns are the very keys it looked up and found altered, held or not,
 //! and a standing query's keys are static, so no query is registered
 //! anywhere. A conservative region carries nothing and affects everything.
 //!
@@ -456,11 +459,11 @@ impl StoreTelemetry {
             ),
             memo_carried: registry.counter(
                 "rvaas_traversal_memo_carried_total",
-                "Traversals a publish moved into the new epoch's memo (the change cannot have altered them).",
+                "Traversal memo entries (one per verdict key) a publish moved into the new epoch's memo (the change cannot have altered them).",
             ),
             memo_dropped: registry.counter(
                 "rvaas_traversal_memo_dropped_total",
-                "Traversals of the superseded epoch's memo a publish did not carry.",
+                "Traversal memo entries (one per verdict key) of the superseded epoch's memo a publish did not carry.",
             ),
         }
     }

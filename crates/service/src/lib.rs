@@ -15,7 +15,9 @@
 //!   epoch (`O(delta)` instead of an `O(network)` rebuild) and freezes its
 //!   network function into the epoch; every delta is retained at digest and
 //!   *changed-header-region* granularity. Each epoch also carries the
-//!   [`rvaas::TraversalMemo`] of its frozen function, empty at publish.
+//!   [`rvaas::TraversalMemo`] of its frozen function, keyed by verdict
+//!   key and holding at publish what the predecessor's held and the change
+//!   cannot have altered.
 //! * [`pool`] — a [`pool::VerificationService`] answers a query on the
 //!   thread that carries it: the caller's batch goes through one
 //!   [`rvaas::QueryEvaluator`] over the epoch's frozen network function and

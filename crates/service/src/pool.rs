@@ -735,10 +735,12 @@ mod tests {
             .collect();
         // One emission traversal per host, one inbound walk per host
         // (probing both clients it does not belong to), one path probe per
-        // (client, destination) asked: 6 + 6 + 3.
+        // (client, destination) asked: 6 + 6 + 3 walks. Each inbound walk
+        // fills one key per client it probes: 6 + 6 × 2 + 3 keys.
         let hosts = topology.hosts().count();
-        let keys = 2 * hosts + clients.len();
-        assert_eq!(keys, 15);
+        let walks = 2 * hosts + clients.len();
+        let keys = hosts * clients.len() + clients.len();
+        assert_eq!((walks, keys), (15, 21));
         let counts = || {
             let scrape = service.registry().render_text();
             let samples = rvaas_telemetry::parse_text(&scrape).expect("well-formed");
@@ -779,7 +781,7 @@ mod tests {
             service.try_query_all(&workload).unwrap();
             assert_eq!(epoch.traversals.len(), keys, "round {round}");
             let (_, walked) = counts();
-            assert_eq!(walked, (round + 1) * keys, "every epoch walks its own");
+            assert_eq!(walked, (round + 1) * walks, "every epoch walks its own");
             for (client, spec) in &workload {
                 service.try_query(*client, spec.clone()).unwrap();
             }
@@ -791,7 +793,7 @@ mod tests {
             );
             superseded = epoch;
         }
-        assert!(counts().0 > 200 * keys, "the second passes were served");
+        assert!(counts().0 > 200 * walks, "the second passes were served");
     }
 
     /// Whatever a query races with, its verdict is the from-scratch one for

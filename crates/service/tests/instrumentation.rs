@@ -147,10 +147,10 @@ fn every_store_side_series_reads_its_scripted_value() {
     }
 
     // A delta publish whose region (src = client 1, dst = client 2) sits on
-    // client 1's first host's access switch. It drops two held walks, both
-    // starting there: that host's emission and its inbound walk, whose
-    // client-2 share the region reaches. With client 1's path probe towards
-    // the destination, never walked, and the tables: four keys.
+    // client 1's first host's access switch. It drops two held keys, both
+    // walked from there: that host's emission and client 2's share of its
+    // inbound walk, which the region reaches. With client 1's path probe
+    // towards the destination, never walked, and the tables: four keys.
     let changed = host_of(&topology, 1).attachment.switch;
     let elsewhere = host_of(&topology, 4).attachment.switch;
     let install = RuleChange::installed(changed, tenant_rule(&topology, 1, 2));
@@ -217,16 +217,17 @@ fn every_store_side_series_reads_its_scripted_value() {
             ("rvaas_incremental_rule_changes_total", 4.0),
             // ...and of the bulk first epoch.
             ("rvaas_model_rebuilds_total", 1.0),
-            // The delta publish carries 18 of the 20 traversals walked at
-            // epoch 1: it drops the emission of client 1's first host and
-            // that host's inbound walk (one walk, probing clients 2, 3 and
-            // 4, and client 2 owns the region's destination), both starting
-            // on the changed switch inside the region. The flap's region
-            // meets none of the 18, so it carries all of them, and the
-            // conservative rewrite epoch drops them: 18 + 18 carried,
-            // 2 + 18 dropped.
-            ("rvaas_traversal_memo_carried_total", 36.0),
-            ("rvaas_traversal_memo_dropped_total", 20.0),
+            // The 20 walks of epoch 1 left 44 keys: 4 + 4 emissions, and
+            // 12 inbound walks of 3 shares each. The delta publish carries
+            // 42 of them: it drops the emission of client 1's first host
+            // and client 2's share of that host's inbound walk (client 2
+            // owns the region's destination), both starting on the changed
+            // switch inside the region; the walk's shares for clients 3 and
+            // 4 ride on. The flap's region meets none of the 42, so it
+            // carries all of them, and the conservative rewrite epoch drops
+            // them: 42 + 42 carried, 2 + 42 dropped.
+            ("rvaas_traversal_memo_carried_total", 84.0),
+            ("rvaas_traversal_memo_dropped_total", 44.0),
             // The three queries, all at epoch 1 on its cold memo, share no
             // traversal: each walked its own (4 emissions of client 1's
             // hosts, one inbound walk from each of the 12 hosts foreign to

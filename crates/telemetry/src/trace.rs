@@ -101,8 +101,9 @@ pub enum TraceStage {
     QueryError = 11,
     /// Epoch published. `a` = serial, `b` = delta rule count.
     EpochPublish = 12,
-    /// Epoch content digest + interest-index selection. `a` = digest,
-    /// `b` = affected standing queries (`u64::MAX` = conservatively all).
+    /// Epoch content digest + the publish's selection. `a` = digest,
+    /// `b` = verdict keys the memo carry found altered (`u64::MAX` =
+    /// conservatively all).
     EpochDigest = 13,
     /// Sync session re-verified standing queries. `a` = serial, `b` = count.
     Reverify = 14,

@@ -174,7 +174,7 @@ pub struct IncrementalChurnReport {
     /// Rule changes applied across the measured rounds.
     pub rule_changes: usize,
     /// Median wall-clock epoch-advance cost of a measured round: churn +
-    /// publish (model update, index advance, cache carry) + every client's
+    /// publish (model update, memo carry, cache carry) + every client's
     /// sync round trip (delta serve + affected-query reverification).
     pub epoch_advance_median: Duration,
     /// Standing queries re-verified inside deltas (warm-up included).
@@ -257,9 +257,10 @@ pub fn run_incremental_churn(
 
     let mut rule_changes = 0usize;
     let mut epoch_advances = Vec::with_capacity(config.rounds);
-    // Round 1 is an untimed warmup: it pays the one-off cold costs (first
-    // footprint refinement of every standing query, evaluator warm paths)
-    // that belong to service start-up, not to steady-state epoch advancing.
+    // Round 1 is an untimed warmup: it pays the one-off cold costs (the
+    // first walk of every standing query's traversals into the memo,
+    // evaluator warm paths) that belong to service start-up, not to
+    // steady-state epoch advancing.
     for round in 1..=(config.rounds + 1) as u64 {
         let at = SimTime::from_millis(10 + round);
         let started = Instant::now();
