@@ -128,7 +128,7 @@ impl Value {
             Value::Count(n) => n.to_string(),
             Value::Number(x) => number(*x),
             Value::Flag(b) => b.to_string(),
-            Value::Text(s) => format!("{s:?}"),
+            Value::Text(s) => rvaas_types::json::quote(s),
             Value::Spread(m) => format!(
                 "{{\"median\":{},\"mad\":{}}}",
                 number(m.median),
@@ -309,6 +309,12 @@ mod tests {
     #[test]
     fn median_mad_of_nothing_is_zero() {
         assert_eq!(MedianMad::of(&[]), MedianMad::default());
+    }
+
+    #[test]
+    fn text_renders_as_a_json_string_literal() {
+        // Rust's Debug escaping would write `\u{1}`, which no JSON parser reads.
+        assert_eq!(Value::from("a\u{1}b\"\\").json(), "\"a\\u0001b\\\"\\\\\"");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use rvaas_client::QuerySpec;
-use rvaas_service::{ServiceSettings, VerificationService};
+use rvaas_service::VerificationService;
 use rvaas_topology::{generators, Topology};
 use rvaas_types::{ClientId, SimTime};
 use rvaas_workloads::{benign_snapshot, clients_of, round_robin_workload};
@@ -31,13 +31,7 @@ const CALLERS: [usize; 3] = [1, 2, 4];
 /// `queries` on a fresh service, each caller its clients' share of a burst
 /// as one `try_query_all`.
 fn caller_qps(topology: &Topology, callers: usize, rounds: usize, queries: usize) -> f64 {
-    let service = VerificationService::new(
-        topology.clone(),
-        ServiceSettings {
-            cache: false,
-            ..ServiceSettings::default()
-        },
-    );
+    let service = VerificationService::new(topology.clone(), false);
     service
         .try_publish(&benign_snapshot(topology), SimTime::from_millis(1))
         .expect("epoch publish rejected");

@@ -58,7 +58,7 @@ use rvaas::{NetworkSnapshot, RuleChange};
 use rvaas_client::QuerySpec;
 use rvaas_controlplane::benign_rules;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch};
-use rvaas_service::{ServiceSettings, VerificationService};
+use rvaas_service::VerificationService;
 use rvaas_topology::{generators, Topology};
 use rvaas_types::{ClientId, Field, SimTime};
 use rvaas_workloads::{benign_snapshot, clients_of, query_mix, tenant_churn_round};
@@ -185,7 +185,7 @@ fn ms_since(started: Instant) -> f64 {
 }
 
 fn fresh_service(topology: &Topology) -> VerificationService {
-    VerificationService::new(topology.clone(), ServiceSettings::default())
+    VerificationService::new(topology.clone(), true)
 }
 
 /// [`DELTA_ROUNDS`] steady delta publishes, in µs, on a service that has

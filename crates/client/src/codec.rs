@@ -1,9 +1,8 @@
 //! A minimal deterministic byte codec for the RVaaS wire protocol.
 //!
-//! The workspace deliberately avoids serialization dependencies beyond
-//! `serde` derives (used for in-memory data), so the packets that actually
-//! travel through the simulated data plane are encoded with this small
-//! length-prefixed writer/reader pair. Every protocol message implements its
+//! The workspace has no serialization framework (the build vendors none),
+//! so the packets that travel through the simulated data plane are encoded
+//! with this small length-prefixed writer/reader pair. Every protocol message implements its
 //! own `encode`/`decode` on top of these primitives.
 
 use rvaas_types::{Error, Result};

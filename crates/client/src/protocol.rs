@@ -9,8 +9,6 @@
 //! OpenFlow interface and indirectly; no special protocols and servers are
 //! needed" (paper Section IV-A3).
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_crypto::{merkle::MerkleSignature, sha256::Digest, Signature, WotsSignature};
 use rvaas_types::{ClientId, Error, Header, Packet, PacketKind, QueryId, Result};
 
@@ -27,7 +25,7 @@ pub const QUERY_PORT: u16 = 47_999;
 pub const AUTH_PORT: u16 = 48_000;
 
 /// What a client asks RVaaS about its traffic.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum QuerySpec {
     /// Which destinations (other clients/hosts) can traffic from my access
     /// point reach?
@@ -134,7 +132,7 @@ fn decode_signature(r: &mut ByteReader<'_>) -> Result<Signature> {
 }
 
 /// A client query travelling to RVaaS inside a magic-header packet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
     /// The querying client.
     pub client: ClientId,
@@ -182,7 +180,7 @@ impl QueryRequest {
 }
 
 /// An authentication request RVaaS sends to candidate endpoints.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuthRequest {
     /// The query this authentication round belongs to.
     pub query: QueryId,
@@ -214,7 +212,7 @@ impl AuthRequest {
 }
 
 /// A signed authentication reply from an endpoint's client agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuthReply {
     /// The query being answered.
     pub query: QueryId,
@@ -266,7 +264,7 @@ impl AuthReply {
 }
 
 /// One endpoint reported in a query result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EndpointReport {
     /// IP address of the endpoint host.
     pub ip: u32,
@@ -277,7 +275,7 @@ pub struct EndpointReport {
 }
 
 /// One detected network-neutrality violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NeutralityViolation {
     /// The disadvantaged client.
     pub victim: ClientId,
@@ -290,7 +288,7 @@ pub struct NeutralityViolation {
 }
 
 /// The result payload of a query reply.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryResult {
     /// Destinations reachable from the querying client's access points.
     Endpoints {
@@ -465,7 +463,7 @@ fn decode_endpoints(r: &mut ByteReader<'_>) -> Result<Vec<EndpointReport>> {
 }
 
 /// The signed reply RVaaS sends back to the querying client.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryReply {
     /// Identifier RVaaS assigned to the query.
     pub query: QueryId,

@@ -6,8 +6,6 @@
 //! attack into concrete messages is a pure function of the (known) topology,
 //! so experiments can also use it to compute ground truth.
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_openflow::{
     Action, FlowEntry, FlowMatch, FlowModCommand, Message, MeterBand, MeterEntry,
 };
@@ -21,7 +19,7 @@ use crate::routing::{next_hop_port, ATTACK_COOKIE};
 pub const PRIO_ATTACK: u16 = 400;
 
 /// An attack the compromised control plane can mount.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Attack {
     /// Join attack (paper Section IV-B1): secretly give `attacker_host`
     /// connectivity into `victim_client`'s sub-network, so the attacker can
@@ -111,7 +109,7 @@ pub enum Attack {
 /// service-plane attack. [`Attack::service_plane_expectation`] maps each
 /// attack to its predicate; the integration suite asserts every one of
 /// them against a full-rebuild oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServicePlaneExpectation {
     /// Replayed stale sync responses must not roll a client back: session
     /// and serial checks reject the replay and the client converges to the
@@ -517,7 +515,7 @@ fn compile_churn_flood(
 }
 
 /// An attack bound to a point in time, with optional flapping behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledAttack {
     /// The attack to mount.
     pub attack: Attack,
@@ -532,7 +530,7 @@ pub struct ScheduledAttack {
 }
 
 /// Flapping (short-term reconfiguration) parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flapping {
     /// How long the malicious rules stay installed in each period.
     pub active: SimTime,

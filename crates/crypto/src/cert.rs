@@ -8,13 +8,11 @@
 //! key is distributed out of band (e.g. installed in switches at deployment
 //! time and in client agents at enrolment time).
 
-use serde::{Deserialize, Serialize};
-
 use crate::signature::{Keypair, PublicKey, Signature, SignatureScheme};
 
 /// Role of the certified subject; verifiers check the role to prevent, e.g.,
 /// a client certificate being replayed as a switch certificate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SubjectRole {
     /// A data-plane switch.
     Switch,
@@ -27,7 +25,7 @@ pub enum SubjectRole {
 }
 
 /// A certificate binding `subject` (with a role) to a verification key.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Certificate {
     /// Human-readable subject name, e.g. `"switch-s3"`.
     pub subject: String,

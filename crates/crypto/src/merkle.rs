@@ -7,8 +7,6 @@
 //! The signer is *stateful*: it must never reuse a leaf, and refuses to sign
 //! once all leaves are spent.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sha256::{digest_parts, Digest};
 use crate::wots::{self, WotsKeypair, WotsSignature};
 
@@ -18,7 +16,7 @@ fn node_hash(left: &Digest, right: &Digest) -> Digest {
 }
 
 /// A signature produced by a [`MerkleKeypair`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleSignature {
     /// Index of the one-time key used.
     pub leaf_index: u32,
@@ -37,7 +35,7 @@ impl MerkleSignature {
 }
 
 /// A stateful hash-based signing key aggregating `2^height` one-time keys.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MerkleKeypair {
     seed: Vec<u8>,
     height: u32,

@@ -21,8 +21,6 @@ use std::fmt;
 
 use std::sync::RwLock;
 
-use serde::{Deserialize, Serialize};
-
 use crate::hmac::hmac_sha256;
 use crate::merkle::{self, MerkleKeypair, MerkleSignature};
 use crate::sha256::{digest, digest_parts, Digest};
@@ -52,7 +50,7 @@ fn oracle_lookup(fingerprint: &Digest) -> Option<Vec<u8>> {
 }
 
 /// Selects which signature construction a [`Keypair`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SignatureScheme {
     /// Stateful hash-based signatures (WOTS + Merkle tree) of the given tree
     /// height; supports `2^height` signatures and is publicly verifiable.
@@ -67,7 +65,7 @@ pub enum SignatureScheme {
 }
 
 /// A signature under either scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Signature {
     /// Hash-based signature.
     Merkle(MerkleSignature),
@@ -87,7 +85,7 @@ impl Signature {
 }
 
 /// A verification key. Cheap to copy around and embed in certificates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PublicKey {
     scheme_tag: u8,
     fingerprint: Digest,

@@ -11,8 +11,6 @@
 //! Parameters: Winternitz parameter `w = 16` (4 bits per digit), so a 256-bit
 //! digest needs 64 message chains plus 3 checksum chains = 67 chains.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sha256::{digest_parts, Digest};
 
 /// Number of bits encoded per Winternitz digit.
@@ -27,14 +25,14 @@ const CSUM_CHAINS: usize = 3;
 pub const CHAINS: usize = MSG_CHAINS + CSUM_CHAINS; // 67
 
 /// A WOTS private/public keypair for signing exactly one message.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WotsKeypair {
     secret: Vec<Digest>,
     public: Vec<Digest>,
 }
 
 /// A WOTS signature: one partially-advanced chain value per digit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WotsSignature {
     chains: Vec<Digest>,
 }

@@ -1,15 +1,16 @@
-//! The daemon's declarative configuration: a TOML-subset config file plus
-//! CLI overrides, both funnelled through [`DaemonConfig::set`] so there is
-//! exactly one validation path.
+//! The daemon's one settings surface: [`DaemonConfig`] holds every key the
+//! `rvaas` daemon reads, from a TOML-subset config file and from CLI
+//! overrides, both funnelled through [`DaemonConfig::set`] so there is
+//! exactly one validation path and every key has one name and one default.
+//! The verification service reads one of them (`cache`); the rest pick the
+//! trusted state and size and bind the daemon's listeners.
 //!
 //! The file format is deliberately tiny (the build environment vendors no
 //! TOML parser): `key = value` lines, `#` comments, optional `[section]`
 //! headers that are tolerated and ignored, and optional double quotes
-//! around values. Every service-plane key is delegated to
-//! [`ServiceSettings::set`], so the daemon config understands exactly the
-//! keys the service does, plus `topology`.
+//! around values.
 
-use rvaas_service::{ServiceError, ServiceSettings};
+use rvaas_service::ServiceError;
 use rvaas_topology::{generators, Topology};
 
 /// Everything the `rvaas` daemon needs to start serving.
@@ -21,21 +22,46 @@ pub struct DaemonConfig {
     /// [`crate::rules::parse_rules`] for the format); `None` seeds the
     /// built-in benign shortest-path routing.
     pub rules_file: Option<String>,
-    /// The service-plane knobs (workers, cache, listeners, ...).
-    pub service: ServiceSettings,
+    /// Connection threads per listener, each accepting and answering its
+    /// own connections (minimum 1).
+    pub workers: usize,
+    /// Whether the service consults its `(serial, client, spec)` result
+    /// cache.
+    pub cache: bool,
+    /// `host:port` the RTR-style TCP sync endpoint binds, if any.
+    pub sync_listen: Option<String>,
+    /// `host:port` the HTTP endpoint (`/v1/query`, `/v1/epoch`, `/metrics`)
+    /// binds, if any.
+    pub http_listen: Option<String>,
 }
 
 impl Default for DaemonConfig {
     /// A small line topology with two clients — enough to answer every
-    /// query shape — and default service settings.
+    /// query shape — 4 connection threads per listener, caching on and no
+    /// listeners.
     fn default() -> Self {
         DaemonConfig {
             topology: "line(4,2)".to_string(),
             rules_file: None,
-            service: ServiceSettings::default(),
+            workers: 4,
+            cache: true,
+            sync_listen: None,
+            http_listen: None,
         }
     }
 }
+
+/// Every key [`DaemonConfig::set`] understands, in documentation order.
+// One key per line: CI's size report counts the lines.
+#[rustfmt::skip]
+pub const SETTING_KEYS: [&str; 6] = [
+    "topology",
+    "rules_file",
+    "workers",
+    "cache",
+    "sync_listen",
+    "http_listen",
+];
 
 impl DaemonConfig {
     /// Parses a config file body on top of the defaults.
@@ -67,26 +93,45 @@ impl DaemonConfig {
     }
 
     /// Applies one `key = value` pair — from the config file or a CLI
-    /// override. `topology` is handled here; everything else is delegated
-    /// to [`ServiceSettings::set`].
+    /// override. This is the single validation path for both: the file
+    /// parser and the flag parser own syntax, this method owns semantics.
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::Config`] for unknown keys or bad values.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), ServiceError> {
-        if key == "topology" {
-            // Validate eagerly so a typo fails at config time, not at start.
-            build_topology(value)?;
-            self.topology = value.to_string();
-            Ok(())
-        } else if key == "rules_file" {
-            // The file itself is read (and its syntax checked) at start —
-            // a config can legitimately be written before its rules file.
-            self.rules_file = Some(value.to_string());
-            Ok(())
-        } else {
-            self.service.set(key, value)
+        let expects =
+            |what: &str| ServiceError::Config(format!("{key} expects {what}, got {value:?}"));
+        match key {
+            "topology" => {
+                // Validate eagerly so a typo fails at config time, not at start.
+                build_topology(value)?;
+                self.topology = value.to_string();
+            }
+            // The file itself is read (and its syntax checked) at start — a
+            // config can legitimately be written before its rules file.
+            "rules_file" => self.rules_file = Some(value.to_string()),
+            "workers" => {
+                let count = value.parse::<usize>();
+                self.workers = count.map_err(|_| expects("a non-negative integer"))?.max(1);
+            }
+            "cache" => {
+                self.cache = match value {
+                    "true" | "on" | "yes" | "1" => true,
+                    "false" | "off" | "no" | "0" => false,
+                    _ => return Err(expects("a boolean")),
+                }
+            }
+            "sync_listen" => self.sync_listen = Some(value.to_string()),
+            "http_listen" => self.http_listen = Some(value.to_string()),
+            _ => {
+                return Err(ServiceError::Config(format!(
+                    "unknown setting {key:?} (known: {})",
+                    SETTING_KEYS.join(", ")
+                )))
+            }
         }
+        Ok(())
     }
 
     /// Instantiates the configured topology.
@@ -179,6 +224,85 @@ mod tests {
     use super::*;
 
     #[test]
+    fn defaults_match_the_documented_values() {
+        let c = DaemonConfig::default();
+        assert_eq!(c.topology, "line(4,2)");
+        assert!(c.rules_file.is_none());
+        assert_eq!(c.workers, 4);
+        assert!(c.cache);
+        assert!(c.sync_listen.is_none());
+        assert!(c.http_listen.is_none());
+    }
+
+    #[test]
+    fn every_documented_key_is_settable() {
+        let mut c = DaemonConfig::default();
+        let pairs = [
+            ("topology", "ring(5,2)"),
+            ("rules_file", "/etc/rvaas/rules.txt"),
+            ("workers", "8"),
+            ("cache", "off"),
+            ("sync_listen", "127.0.0.1:3323"),
+            ("http_listen", "127.0.0.1:8323"),
+        ];
+        assert_eq!(pairs.map(|(key, _)| key), SETTING_KEYS);
+        for (key, value) in pairs {
+            c.set(key, value).unwrap();
+        }
+        assert_eq!(c.topology, "ring(5,2)");
+        assert_eq!(c.rules_file.as_deref(), Some("/etc/rvaas/rules.txt"));
+        assert_eq!(c.workers, 8);
+        assert!(!c.cache);
+        assert_eq!(c.sync_listen.as_deref(), Some("127.0.0.1:3323"));
+        assert_eq!(c.http_listen.as_deref(), Some("127.0.0.1:8323"));
+    }
+
+    #[test]
+    fn every_boolean_spelling_sets_the_cache() {
+        let mut c = DaemonConfig::default();
+        for (value, on) in [
+            ("true", true),
+            ("on", true),
+            ("yes", true),
+            ("1", true),
+            ("false", false),
+            ("off", false),
+            ("no", false),
+            ("0", false),
+        ] {
+            c.cache = !on;
+            c.set("cache", value).unwrap();
+            assert_eq!(c.cache, on, "cache = {value}");
+        }
+    }
+
+    #[test]
+    fn minimums_are_clamped_and_bad_values_are_typed_errors() {
+        let mut c = DaemonConfig::default();
+        c.set("workers", "0").unwrap();
+        assert_eq!(c.workers, 1, "worker count clamps to 1");
+        let err = c.set("workers", "many").unwrap_err();
+        assert!(matches!(err, ServiceError::Config(_)));
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: workers expects a non-negative integer, got \"many\""
+        );
+        let err = c.set("cache", "perhaps").unwrap_err();
+        assert!(matches!(err, ServiceError::Config(_)));
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: cache expects a boolean, got \"perhaps\""
+        );
+        let err = c.set("worker_threads", "4").unwrap_err();
+        for key in SETTING_KEYS {
+            assert!(
+                err.to_string().contains(key),
+                "unknown-key error must list every known key: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn a_full_config_file_parses() {
         let config = DaemonConfig::parse(
             r#"
@@ -196,10 +320,10 @@ http_listen = 127.0.0.1:0
         .unwrap();
         assert_eq!(config.topology, "ring(6, 3)");
         assert_eq!(config.rules_file.as_deref(), Some("/etc/rvaas/rules.txt"));
-        assert_eq!(config.service.workers, 2);
-        assert!(!config.service.cache);
-        assert_eq!(config.service.sync_listen.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(config.service.http_listen.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(config.workers, 2);
+        assert!(!config.cache);
+        assert_eq!(config.sync_listen.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(config.http_listen.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(config.build_topology().unwrap().switch_count(), 6);
     }
 

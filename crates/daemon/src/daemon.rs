@@ -33,7 +33,7 @@ use rvaas::NetworkSnapshot;
 use rvaas_client::{read_frame, write_frame, SyncReject};
 use rvaas_controlplane::benign_rules;
 use rvaas_service::{ServiceError, SyncServer, VerificationService};
-use rvaas_telemetry::{Counter, Gauge};
+use rvaas_telemetry::{Counter, Gauge, Registry};
 use rvaas_types::SimTime;
 
 use crate::config::DaemonConfig;
@@ -57,6 +57,8 @@ pub struct Daemon {
     http_addr: Option<SocketAddr>,
     sync_addr: Option<SocketAddr>,
     threads: Vec<JoinHandle<()>>,
+    /// Connection threads per listener, as `workers` configures them.
+    workers: usize,
     started: Instant,
 }
 
@@ -70,11 +72,10 @@ impl Daemon {
     /// unbindable listen address, and propagates publish failures.
     pub fn start(config: &DaemonConfig) -> Result<Self, ServiceError> {
         let topology = config.build_topology()?;
-        let service = Arc::new(VerificationService::new(
-            topology.clone(),
-            config.service.clone(),
-        ));
+        let service = Arc::new(VerificationService::new(topology.clone(), config.cache));
         let registry = service.registry();
+        let workers = config.workers.max(1);
+        workers_gauge(&registry).set(workers as i64);
         registry
             .gauge_with(
                 "rvaas_build_info",
@@ -111,9 +112,10 @@ impl Daemon {
             http_addr: None,
             sync_addr: None,
             threads: Vec::new(),
+            workers,
             started: Instant::now(),
         };
-        if let Some(addr) = &config.service.sync_listen {
+        if let Some(addr) = &config.sync_listen {
             let listener = bind(addr)?;
             daemon.sync_addr = Some(local_addr(&listener)?);
             daemon.spawn_listener(
@@ -123,7 +125,7 @@ impl Daemon {
                 serve_sync_connection,
             );
         }
-        if let Some(addr) = &config.service.http_listen {
+        if let Some(addr) = &config.http_listen {
             let listener = bind(addr)?;
             daemon.http_addr = Some(local_addr(&listener)?);
             daemon.spawn_listener(
@@ -167,7 +169,7 @@ impl Daemon {
         // A thread blocked in `accept` reads the flag when it returns: one
         // connection per thread on each listener wakes them all.
         for addr in [self.sync_addr, self.http_addr].into_iter().flatten() {
-            for _ in 0..self.service.worker_count() {
+            for _ in 0..self.workers {
                 let _ = TcpStream::connect(addr);
             }
         }
@@ -210,7 +212,7 @@ impl Daemon {
             started: self.started,
         };
         let listener = Arc::new(listener);
-        for _ in 0..self.service.worker_count() {
+        for _ in 0..self.workers {
             let context = context.clone();
             let listener = Arc::clone(&listener);
             self.threads.push(thread::spawn(move || {
@@ -248,6 +250,15 @@ struct ConnectionContext {
     active: Arc<Gauge>,
     sync_active: Arc<Gauge>,
     started: Instant,
+}
+
+/// The `rvaas_workers` gauge: the daemon sets it at start, `/v1/status`
+/// reads it back.
+pub(crate) fn workers_gauge(registry: &Registry) -> Arc<Gauge> {
+    registry.gauge(
+        "rvaas_workers",
+        "Configured connection threads per listener, each answering its own requests.",
+    )
 }
 
 fn bind(addr: &str) -> Result<TcpListener, ServiceError> {

@@ -340,7 +340,7 @@ fn status_body(
         json::quote(env!("CARGO_PKG_VERSION")),
         sync_server.session_id(),
         epoch.serial,
-        service.worker_count(),
+        crate::daemon::workers_gauge(&service.registry()).get(),
         service.cache_entries(),
         rec.is_enabled(),
         rec.capacity(),

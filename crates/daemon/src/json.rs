@@ -1,18 +1,19 @@
 //! Hand-rolled JSON for the HTTP API.
 //!
-//! The build environment vendors no JSON crate (the workspace's `serde` is
-//! a no-op derive shim), so the daemon carries its own minimal JSON: a
-//! recursive-descent parser for request bodies and direct string rendering
-//! for verdicts. The parser accepts standard JSON objects/arrays/strings/
-//! unsigned integers/booleans/null — everything the query API needs — and
-//! rejects the rest with a position-tagged message.
-
-use std::fmt::Write as _;
+//! The build environment vendors no JSON crate, so the daemon carries its
+//! own minimal JSON: a recursive-descent parser for request bodies and
+//! direct string rendering for verdicts, whose string literals [`quote`]
+//! escapes (the one escaper, [`rvaas_types::json::quote`], which the
+//! experiment reports share). The parser accepts standard JSON
+//! objects/arrays/strings/unsigned integers/booleans/null — everything the
+//! query API needs — and rejects the rest with a position-tagged message.
 
 use rvaas_client::QuerySpec;
 use rvaas_service::{EpochProvenance, QueryResponse, ServiceError};
 use rvaas_telemetry::{CaptureReason, RetainedTrace, TraceEvent};
 use rvaas_types::ClientId;
+
+pub use rvaas_types::json::quote;
 
 /// A parsed JSON value (no floats: the API's numbers are all unsigned
 /// integers, and rejecting floats keeps round-trips exact).
@@ -302,28 +303,6 @@ pub fn parse(text: &str) -> Result<Json, String> {
         return Err(parser.error("trailing data after JSON document"));
     }
     Ok(value)
-}
-
-/// Escapes `text` as a JSON string literal (including the quotes).
-#[must_use]
-pub fn quote(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Resolves a query name (as used by the HTTP API and the `verify`

@@ -4,9 +4,9 @@
 //! library so integration tests can drive a real daemon in-process over
 //! real sockets:
 //!
-//! * [`config`] — [`config::DaemonConfig`]: the TOML-subset config file
-//!   and CLI overrides, funnelled through one validation path shared with
-//!   [`rvaas_service::ServiceSettings`].
+//! * [`config`] — [`config::DaemonConfig`]: the daemon's one settings
+//!   struct, read from the TOML-subset config file and CLI overrides
+//!   through one validation path, [`config::DaemonConfig::set`].
 //! * [`daemon`] — [`daemon::Daemon`]: binds the TCP delta-sync endpoint
 //!   and the HTTP endpoint over one shared
 //!   [`rvaas_service::VerificationService`]; each listener's connection

@@ -148,7 +148,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         ));
     }
     let config = options.config;
-    if config.service.sync_listen.is_none() && config.service.http_listen.is_none() {
+    if config.sync_listen.is_none() && config.http_listen.is_none() {
         // A daemon with nothing to listen on is a misconfiguration, not a
         // silent no-op.
         return Err(CliError::Usage(
@@ -216,8 +216,8 @@ fn one_shot(args: &[String], render: impl Fn(&QueryResponse) -> String) -> Resul
     }
     let mut config = options.config;
     // One-shot mode never listens.
-    config.service.sync_listen = None;
-    config.service.http_listen = None;
+    config.sync_listen = None;
+    config.http_listen = None;
     let daemon = Daemon::start(&config)?;
     let specs = match &options.query {
         Some(name) => vec![json::query_by_name(name, options.to_ip)?],

@@ -11,7 +11,7 @@ use rvaas_client::{
     decode_inband, read_frame, write_frame, InbandMessage, SyncPayload, SyncSession,
     SYNC_PROTOCOL_VERSION,
 };
-use rvaas_daemon::{json, Daemon, DaemonConfig};
+use rvaas_daemon::{json, Daemon, DaemonConfig, HttpRequest};
 use rvaas_openflow::{Action, FlowEntry, FlowMatch};
 use rvaas_types::{ClientId, SimTime, SwitchId};
 
@@ -494,6 +494,35 @@ fn back_to_back_sync_exchanges_are_not_held_back_by_delayed_acks() {
         "50 sync exchanges took {elapsed:?}"
     );
     assert_eq!(session.serial(), daemon.service().current_serial());
+    daemon.shutdown();
+}
+
+/// `workers` is a daemon setting: the daemon reports it through the
+/// service's registry, and `/v1/status` reads it back from there.
+#[test]
+fn the_workers_setting_is_reported_in_metrics_and_status() {
+    let mut config = DaemonConfig::default();
+    config.set("workers", "3").unwrap();
+    let daemon = Daemon::start(&config).unwrap();
+    let get = |target: &str| {
+        let request = HttpRequest {
+            method: "GET".to_string(),
+            target: target.to_string(),
+            body: String::new(),
+            close: false,
+        };
+        rvaas_daemon::http::route(daemon.service(), daemon.sync_server(), &request, 0)
+    };
+    let metrics = get("/metrics");
+    assert_eq!(metrics.status, 200);
+    assert!(
+        metrics.body.lines().any(|line| line == "rvaas_workers 3"),
+        "{}",
+        metrics.body
+    );
+    let status = get("/v1/status");
+    assert_eq!(status.status, 200);
+    assert!(status.body.contains("\"workers\":3,"), "{}", status.body);
     daemon.shutdown();
 }
 

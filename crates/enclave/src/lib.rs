@@ -28,15 +28,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_crypto::{
     hmac::derive_key, hmac_sha256, sha256, Digest, Keypair, PublicKey, Signature, SignatureScheme,
 };
 use rvaas_types::{Error, Result};
 
 /// The measurement (code identity) of an enclave, analogous to MRENCLAVE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Measurement(pub Digest);
 
 impl Measurement {
@@ -49,7 +47,7 @@ impl Measurement {
 
 /// A sealed blob: data encrypted-and-authenticated under a key derived from
 /// the platform secret and the sealing enclave's measurement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SealedBlob {
     ciphertext: Vec<u8>,
     tag: Digest,
@@ -58,7 +56,7 @@ pub struct SealedBlob {
 
 /// An attestation quote: a report payload bound to an enclave measurement and
 /// signed by the platform's quoting key.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quote {
     /// Measurement of the quoted enclave.
     pub measurement: Measurement,

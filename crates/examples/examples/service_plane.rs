@@ -11,7 +11,7 @@
 //! ```
 
 use rvaas_client::{QuerySpec, SyncPayload, SyncSession};
-use rvaas_service::{ServiceError, ServiceSettings, SyncServer, VerificationService};
+use rvaas_service::{ServiceError, SyncServer, VerificationService};
 use rvaas_topology::generators;
 use rvaas_types::{ClientId, SimTime};
 use rvaas_workloads::{benign_snapshot, tenant_churn_round};
@@ -19,7 +19,7 @@ use rvaas_workloads::{benign_snapshot, tenant_churn_round};
 fn main() -> Result<(), ServiceError> {
     // --- 1. The service plane driven directly ----------------------------
     let topo = generators::leaf_spine(2, 4, 2, 1);
-    let service = VerificationService::new(topo.clone(), ServiceSettings::default());
+    let service = VerificationService::new(topo.clone(), true);
     let mut snapshot = benign_snapshot(&topo);
     let serial = service.try_publish(&snapshot, SimTime::from_millis(1))?;
     println!(

@@ -254,7 +254,7 @@ fn cube_seeds() {
 }
 
 fn config_seeds() {
-    // A full daemon config exercising every `ServiceSettings::set` path,
+    // A full daemon config exercising every `DaemonConfig::set` path,
     // comment stripping, section headers and value unquoting.
     write_seed(
         "config",

@@ -206,22 +206,21 @@ fn render_config(config: &DaemonConfig) -> String {
     if let Some(path) = &config.rules_file {
         out.push_str(&format!("rules_file = {}\n", render_config_value(path)));
     }
-    let service = &config.service;
-    out.push_str(&format!("workers = {}\n", service.workers));
+    out.push_str(&format!("workers = {}\n", config.workers));
     out.push_str(&format!(
         "cache = {}\n",
-        if service.cache { "on" } else { "off" }
+        if config.cache { "on" } else { "off" }
     ));
-    if let Some(addr) = &service.sync_listen {
+    if let Some(addr) = &config.sync_listen {
         out.push_str(&format!("sync_listen = {}\n", render_config_value(addr)));
     }
-    if let Some(addr) = &service.http_listen {
+    if let Some(addr) = &config.http_listen {
         out.push_str(&format!("http_listen = {}\n", render_config_value(addr)));
     }
     out
 }
 
-/// Daemon TOML-subset config parser (every `ServiceSettings::set` path)
+/// Daemon TOML-subset config parser (every `DaemonConfig::set` path)
 /// plus the rules-file parser behind the `rules_file` key: arbitrary bytes
 /// as file text.
 ///

@@ -12,8 +12,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_types::{Field, Header, HEADER_BITS};
 
 /// Number of 64-bit words needed to hold one bit per header bit.
@@ -52,7 +50,7 @@ fn last_word_mask() -> u64 {
 /// The `Ord` implementation is the structural order of the `(care, value)`
 /// masks — meaningless semantically, but it lets cubes key ordered maps
 /// (the snapshot's flow-table index relies on this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cube {
     care: [u64; WORDS],
     value: [u64; WORDS],

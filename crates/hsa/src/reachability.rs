@@ -34,8 +34,6 @@
 //! switches on the paths, and avoidance queries check that a given space
 //! reaches *no* endpoint outside an allowed set.
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_types::{PortId, SwitchId, SwitchPort};
 
 use crate::space::HeaderSpace;
@@ -47,7 +45,7 @@ use crate::transfer::NetworkFunction;
 const MAX_CUBES: usize = 4096;
 
 /// Traffic that can leave the network at an edge port.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReachedEndpoint {
     /// The edge port the traffic exits through.
     pub egress: SwitchPort,
@@ -66,7 +64,7 @@ impl ReachedEndpoint {
 }
 
 /// Traffic delivered to the controller (Packet-In) during propagation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControllerDelivery {
     /// Switch that punts the traffic.
     pub switch: SwitchId,
@@ -77,7 +75,7 @@ pub struct ControllerDelivery {
 }
 
 /// A forwarding loop detected during propagation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopReport {
     /// Switch that is visited twice.
     pub switch: SwitchId,
@@ -88,7 +86,7 @@ pub struct LoopReport {
 }
 
 /// The full result of a reachability computation.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReachabilityResult {
     /// Edge ports reached (one entry per distinct path).
     pub endpoints: Vec<ReachedEndpoint>,

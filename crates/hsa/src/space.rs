@@ -8,14 +8,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_types::Header;
 
 use crate::cube::Cube;
 
 /// A set of headers, represented as a union of wildcard cubes.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HeaderSpace {
     cubes: Vec<Cube>,
 }

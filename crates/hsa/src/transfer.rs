@@ -21,15 +21,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_types::{Chunked, FlowCookie, PortId, SwitchId, SwitchPort, RULE_CHUNK};
 
 use crate::cube::Cube;
 use crate::space::HeaderSpace;
 
 /// What a rule does with matching traffic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuleAction {
     /// Forward to the listed output ports (multicast if more than one),
     /// optionally rewriting header bits first.
@@ -58,7 +56,7 @@ impl RuleAction {
 }
 
 /// The HSA model of a single flow rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuleTransfer {
     /// Rule priority: higher values match first.
     pub priority: u16,
@@ -116,7 +114,7 @@ impl RuleTransfer {
 /// through one port or being punted to the controller. Traffic the switch
 /// drops has no `PortSpace`: [`SwitchTransfer::apply`] reports what leaves,
 /// so exactly one of `out_port` and `to_controller` is set on what it returns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PortSpace {
     /// Where the traffic goes (`None` for controller-bound traffic).
     pub out_port: Option<PortId>,
@@ -131,7 +129,7 @@ pub struct PortSpace {
 /// Output of [`SwitchTransfer::apply_each`]: what one rule sends through one
 /// port, or to the controller, of each labelled input it serves. As with a
 /// [`PortSpace`], exactly one of `out_port` and `to_controller` is set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabelledPortSpace {
     /// Where the traffic goes (`None` for controller-bound traffic).
     pub out_port: Option<PortId>,
@@ -150,7 +148,7 @@ pub struct LabelledPortSpace {
 /// insert, removal or in-slot replacement on a clone copies the chunk it
 /// lands in (and the chunk-pointer list), never the table. Rule `i` is the
 /// list's flat index `i`, whatever chunk it sits in.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SwitchTransfer {
     rules: Chunked<RuleTransfer, RULE_CHUNK>,
 }
@@ -416,7 +414,7 @@ impl FromIterator<RuleTransfer> for SwitchTransfer {
 
 /// Declared ports and internal links: the part of a [`NetworkFunction`] rule
 /// changes never touch.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Wiring {
     /// Declared ports per switch (both internal and edge).
     ports: BTreeMap<SwitchId, Vec<PortId>>,
@@ -433,7 +431,7 @@ struct Wiring {
 /// and the chunks the edit lands in (copy-on-write). That is what lets an
 /// immutable copy of a long-lived, incrementally updated function be frozen
 /// per epoch at `O(switches touched + changes × RULE_CHUNK)` cost.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetworkFunction {
     switches: BTreeMap<SwitchId, Arc<SwitchTransfer>>,
     wiring: Arc<Wiring>,

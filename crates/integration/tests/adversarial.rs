@@ -24,7 +24,7 @@ use rvaas_controlplane::attack::PRIO_ATTACK;
 use rvaas_controlplane::{benign_rules, Attack, ServicePlaneExpectation};
 use rvaas_hsa::reachability_equivalent;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch, FlowModCommand, Message};
-use rvaas_service::{EpochStore, ServiceSettings, SyncServer, VerificationService};
+use rvaas_service::{EpochStore, SyncServer, VerificationService};
 use rvaas_topology::{generators, Topology};
 use rvaas_types::{ClientId, Field, HostId, PortId, SimTime, SwitchId};
 
@@ -106,7 +106,7 @@ fn verifier_config(topology: &Topology) -> VerifierConfig {
 }
 
 fn service(topology: &Topology) -> VerificationService {
-    VerificationService::new(topology.clone(), ServiceSettings::default())
+    VerificationService::new(topology.clone(), true)
 }
 
 /// The full-rebuild oracle: the reference verifier, answering from scratch.

@@ -620,7 +620,7 @@ proptest! {
         use rvaas_client::QuerySpec;
         use rvaas_controlplane::Attack;
         use rvaas_openflow::Action;
-        use rvaas_service::{ServiceSettings, VerificationService};
+        use rvaas_service::VerificationService;
         use rvaas_types::{ClientId, SwitchId};
 
         // Three tenants either way: 9 hosts on 5 switches, or 16 on 20.
@@ -636,8 +636,7 @@ proptest! {
             use_history: false,
             locations: rvaas::LocationMap::disclosed(&topo),
         };
-        let settings = ServiceSettings { cache: false, ..ServiceSettings::default() };
-        let service = VerificationService::new(topo.clone(), settings);
+        let service = VerificationService::new(topo.clone(), false);
         let oracle = rvaas::LogicalVerifier::new(topo.clone(), verifier_config);
         let mix: Vec<(ClientId, QuerySpec)> = clients
             .iter()

@@ -2,13 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_types::{HostId, Packet, PacketKind, SimTime, SwitchId};
 
 /// Ground truth about one packet delivered to a host. Available to
 //  experiments/tests only; never exposed to protocol participants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeliveryRecord {
     /// The receiving host.
     pub host: HostId,
@@ -27,7 +25,7 @@ impl DeliveryRecord {
 }
 
 /// Aggregate counters collected by the simulator.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NetStats {
     /// Packets injected by hosts or external drivers.
     pub packets_injected: u64,

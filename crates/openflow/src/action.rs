@@ -6,13 +6,11 @@
 //! conversion to an HSA [`RuleAction`](rvaas_hsa::RuleAction) keeps the
 //! symbolic model aligned with the concrete one.
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_hsa::{Cube, RuleAction};
 use rvaas_types::{Field, Header, PortId};
 
 /// A single OpenFlow action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Emit the packet on the given port.
     Output(PortId),

@@ -14,8 +14,6 @@
 //!   endpoints hold the session key — the simulator never lets other
 //!   components read sealed payloads.
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_crypto::{cert::SubjectRole, hmac_sha256, sha256::Digest, Certificate, PublicKey};
 use rvaas_types::SwitchId;
 
@@ -23,7 +21,7 @@ use crate::message::Message;
 
 /// Which controller this channel belongs to. The RVaaS controller and the
 /// provider's own controller maintain independent channels to every switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ControllerRole {
     /// The provider's network management controller (untrusted in the threat
     /// model).
@@ -33,7 +31,7 @@ pub enum ControllerRole {
 }
 
 /// Errors raised by channel operations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChannelError {
     /// The switch certificate did not verify against the CA key.
     BadCertificate,
@@ -69,7 +67,7 @@ impl std::fmt::Display for ChannelError {
 impl std::error::Error for ChannelError {}
 
 /// A message sealed for transmission on the channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SealedMessage {
     /// The (conceptually encrypted) message body.
     pub message: Message,

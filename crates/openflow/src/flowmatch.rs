@@ -6,8 +6,6 @@
 //! symbolic verifier (`rvaas-hsa`) interpret matches with *identical*
 //! semantics — a property several of the property-based tests rely on.
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_hsa::Cube;
 use rvaas_types::{Field, Header, PortId};
 
@@ -16,7 +14,7 @@ use rvaas_types::{Field, Header, PortId};
 /// `Ord` is structural (port constraint, then cube masks); it exists so
 /// `(priority, FlowMatch)` can key ordered maps such as the snapshot's
 /// flow-table index.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FlowMatch {
     /// Ingress-port constraint; `None` matches any port.
     pub in_port: Option<PortId>,

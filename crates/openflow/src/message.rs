@@ -6,8 +6,6 @@
 //! monitoring, multipart flow-stats for active polling, meter modifications
 //! for the fairness experiments, and echo for channel liveness.
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_types::{FlowCookie, Packet, PortId, SimTime, SwitchId};
 
 use crate::action::Action;
@@ -15,7 +13,7 @@ use crate::flowmatch::FlowMatch;
 use crate::table::{FlowEntry, FlowStats, MeterEntry};
 
 /// Why a Packet-In was generated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketInReason {
     /// An explicit `OutputController` action matched.
     Action,
@@ -24,7 +22,7 @@ pub enum PacketInReason {
 }
 
 /// The Flow-Mod sub-command.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FlowModCommand {
     /// Install a new entry (replacing an identical match/priority entry).
     Add(FlowEntry),
@@ -50,7 +48,7 @@ pub enum FlowModCommand {
 }
 
 /// A protocol message exchanged between a controller and a switch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Session start.
     Hello {

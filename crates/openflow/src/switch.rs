@@ -8,8 +8,6 @@
 //! assumes switches themselves are trusted and behave exactly like this
 //! model.
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_hsa::SwitchTransfer;
 use rvaas_types::{Packet, PortId, SimTime, SwitchId};
 
@@ -18,7 +16,7 @@ use crate::message::{FlowModCommand, Message, PacketInReason};
 use crate::table::{FlowEntry, FlowStats, FlowTable, MeterTable};
 
 /// Static configuration of a switch agent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SwitchConfig {
     /// Maximum number of flow entries (`None` = unbounded).
     pub table_capacity: Option<usize>,

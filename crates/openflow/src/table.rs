@@ -10,8 +10,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_hsa::{RuleTransfer, SwitchTransfer};
 use rvaas_types::{FlowCookie, Header, PortId};
 
@@ -19,7 +17,7 @@ use crate::action::{self, Action};
 use crate::flowmatch::FlowMatch;
 
 /// Per-entry traffic counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlowStats {
     /// Packets matched by the entry.
     pub packets: u64,
@@ -28,7 +26,7 @@ pub struct FlowStats {
 }
 
 /// A single flow-table entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowEntry {
     /// Priority: higher matches first.
     pub priority: u16,
@@ -81,7 +79,7 @@ impl FlowEntry {
 }
 
 /// A switch flow table.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FlowTable {
     entries: Vec<FlowEntry>,
     capacity: Option<usize>,
@@ -218,14 +216,14 @@ impl FlowTable {
 
 /// One meter band: traffic above `rate_kbps` is dropped (the only band type
 /// the experiments need).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeterBand {
     /// Drop threshold in kilobits per second.
     pub rate_kbps: u64,
 }
 
 /// A meter-table entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeterEntry {
     /// Meter identifier referenced by [`Action::Meter`].
     pub id: u32,
@@ -242,7 +240,7 @@ impl MeterEntry {
 }
 
 /// The switch meter table.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MeterTable {
     meters: Vec<MeterEntry>,
 }

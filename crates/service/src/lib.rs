@@ -4,8 +4,8 @@
 //! with the paper's [`rvaas::LogicalVerifier`]. This crate turns
 //! verification into a *service* — the one the `rvaas` daemon fronts —
 //! started by [`VerificationService::new`] from the trusted topology and
-//! its [`ServiceSettings`]; every verdict equals the from-scratch
-//! verifier's under the same configuration:
+//! the one setting it reads, whether the result cache is on; every verdict
+//! equals the from-scratch verifier's under the same configuration:
 //!
 //! * [`epoch`] — the monitor's [`rvaas::NetworkSnapshot`] is frozen into
 //!   immutable, serially numbered [`epoch::SnapshotEpoch`]s and swapped
@@ -29,10 +29,6 @@
 //!   serial, plus re-verified standing queries — only those reading a
 //!   verdict key the delta's memo carry found altered — falling back to a
 //!   full reset when the delta history has been evicted.
-//! * [`config`] — the declarative [`config::ServiceSettings`] surface: one
-//!   struct with a [`Default`], one `set(key, value)` validation path shared
-//!   by in-process callers, the `rvaas` daemon's config file and its CLI
-//!   overrides.
 //! * [`error`] — the unified [`error::ServiceError`]. Every operation has
 //!   exactly one form and it is fallible: callers propagate with `?` or
 //!   state with `expect` why the failure cannot happen to them.
@@ -40,12 +36,12 @@
 //! ```
 //! use rvaas::NetworkSnapshot;
 //! use rvaas_client::QuerySpec;
-//! use rvaas_service::{ServiceError, ServiceSettings, VerificationService};
+//! use rvaas_service::{ServiceError, VerificationService};
 //! use rvaas_topology::generators;
 //! use rvaas_types::{ClientId, SimTime};
 //!
 //! # fn main() -> Result<(), ServiceError> {
-//! let service = VerificationService::new(generators::line(4, 2), ServiceSettings::default());
+//! let service = VerificationService::new(generators::line(4, 2), true);
 //! let serial = service.try_publish(&NetworkSnapshot::default(), SimTime::ZERO)?;
 //! let response = service.try_query(ClientId(1), QuerySpec::Isolation)?;
 //! assert_eq!(response.epoch_serial, serial);
@@ -57,14 +53,12 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod config;
 pub mod epoch;
 pub mod error;
 pub mod pool;
 pub mod sync;
 
 pub use cache::{CacheStats, ResultCache};
-pub use config::{ServiceSettings, SETTING_KEYS};
 pub use epoch::{
     content_digest_of, digest_entry, digest_snapshot, DigestSet, EpochDelta, EpochProvenance,
     EpochStore, Published, SnapshotEpoch, MAX_DELTA_HISTORY,

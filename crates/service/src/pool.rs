@@ -36,7 +36,6 @@ use rvaas_topology::Topology;
 use rvaas_types::{ClientId, SimTime};
 
 use crate::cache::ResultCache;
-use crate::config::ServiceSettings;
 use crate::epoch::{EpochStore, Published, MAX_DELTA_HISTORY};
 use crate::error::ServiceError;
 
@@ -69,7 +68,6 @@ struct ServiceMetrics {
     model_rebuilds: Arc<Counter>,
     memo_hits: Arc<Counter>,
     memo_misses: Arc<Counter>,
-    workers: Arc<Gauge>,
     epoch_serial: Arc<Gauge>,
     query_latency: Arc<Histogram>,
     epoch_delta_rules: Arc<Histogram>,
@@ -108,10 +106,6 @@ impl ServiceMetrics {
             memo_misses: registry.counter(
                 "rvaas_traversal_memo_misses_total",
                 "HSA traversals walked because the epoch's memo did not hold them yet; one walk may fill a host's inbound probes for every client.",
-            ),
-            workers: registry.gauge(
-                "rvaas_workers",
-                "Configured connection threads per listener, each answering its own requests.",
             ),
             epoch_serial: registry.gauge("rvaas_epoch_serial", "Serial of the current epoch."),
             query_latency: registry.histogram(
@@ -164,13 +158,8 @@ pub struct ServiceStats {
 
 /// The standalone verification service: epoch store + query path + cache.
 pub struct VerificationService {
-    topology: Topology,
     /// The trusted verifier every evaluator session is opened from.
     verifier: LogicalVerifier,
-    /// The `workers` setting, as `rvaas_workers` and `/v1/status` report it.
-    /// It starts no thread here: the daemon sizes its connection threads
-    /// from it.
-    workers: usize,
     store: Arc<EpochStore>,
     cache: ResultCache,
     registry: Arc<Registry>,
@@ -191,25 +180,22 @@ impl VerificationService {
     /// freezes models exactly those) and switch locations as the topology
     /// discloses them. Every layer records into the service's own metric
     /// registry; whoever serves `/metrics` or adds metrics of their own
-    /// takes it from [`Self::registry`].
+    /// takes it from [`Self::registry`]. `cache` switches the
+    /// `(serial, client, spec)` result cache on.
     #[must_use]
-    pub fn new(topology: Topology, settings: ServiceSettings) -> Self {
+    pub fn new(topology: Topology, cache: bool) -> Self {
         let registry = Registry::shared();
         let mut store = EpochStore::new(MAX_DELTA_HISTORY);
         store.attach_interest_topology(topology.clone());
         store.attach_telemetry(&registry);
-        let cache = ResultCache::with_registry(settings.cache, &registry);
+        let cache = ResultCache::with_registry(cache, &registry);
         let metrics = ServiceMetrics::new(&registry);
-        let workers = settings.workers.max(1);
-        metrics.workers.set(workers as i64);
         let oracle = VerifierConfig {
             use_history: false,
             locations: LocationMap::disclosed(&topology),
         };
         VerificationService {
-            verifier: LogicalVerifier::new(topology.clone(), oracle),
-            topology,
-            workers,
+            verifier: LogicalVerifier::new(topology, oracle),
             store: Arc::new(store),
             cache,
             registry,
@@ -233,7 +219,7 @@ impl VerificationService {
     /// The trusted topology the service verifies against.
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        self.verifier.topology()
     }
 
     /// The current epoch serial.
@@ -247,13 +233,6 @@ impl VerificationService {
     #[must_use]
     pub fn cache_entries(&self) -> usize {
         self.cache.len()
-    }
-
-    /// The `workers` setting: the connection threads a daemon runs per
-    /// listener over this service. The service itself starts none.
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.workers
     }
 
     /// Publishes `snapshot` as the next epoch; in-flight queries keep
@@ -477,13 +456,7 @@ mod tests {
         for (switch, entry) in benign_rules(topology) {
             snapshot.record_installed(switch, entry, SimTime::from_millis(1));
         }
-        let service = VerificationService::new(
-            topology.clone(),
-            ServiceSettings {
-                cache,
-                ..ServiceSettings::default()
-            },
-        );
+        let service = VerificationService::new(topology.clone(), cache);
         service
             .try_publish(&snapshot, SimTime::from_millis(1))
             .unwrap();

@@ -255,7 +255,6 @@ impl SyncServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ServiceSettings;
     use crate::epoch::MAX_DELTA_HISTORY;
     use rvaas::NetworkSnapshot;
     use rvaas_client::{QueryResult, SyncSession};
@@ -270,7 +269,7 @@ mod tests {
         for (switch, entry) in benign_rules(&topology) {
             snapshot.record_installed(switch, entry, SimTime::from_millis(1));
         }
-        let service = VerificationService::new(topology, ServiceSettings::default());
+        let service = VerificationService::new(topology, true);
         publish(&service, &snapshot, 1);
         let server = SyncServer::new(service.store(), 42, &service.registry());
         (service, server, snapshot)

@@ -9,7 +9,7 @@ use rvaas::{NetworkSnapshot, RuleChange};
 use rvaas_client::QuerySpec;
 use rvaas_controlplane::benign_rules;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch};
-use rvaas_service::{ServiceSettings, VerificationService};
+use rvaas_service::VerificationService;
 use rvaas_telemetry::{parse_text, trace::recorder, TraceStage, TraceStage::*};
 use rvaas_topology::{generators, Host, Topology};
 use rvaas_types::{ClientId, Field, PortId, SimTime, SwitchId};
@@ -18,7 +18,7 @@ use rvaas_types::{ClientId, Field, PortId, SimTime, SwitchId};
 /// rule set: more than 64 changes, so that publish bulk-rebuilds.
 fn service() -> (Topology, VerificationService, NetworkSnapshot) {
     let topology = generators::fat_tree(4, 4);
-    let service = VerificationService::new(topology.clone(), ServiceSettings::default());
+    let service = VerificationService::new(topology.clone(), true);
     let mut snapshot = NetworkSnapshot::new(SimTime::from_secs(1));
     for (switch, entry) in benign_rules(&topology) {
         snapshot.record_installed(switch, entry, SimTime::from_millis(1));

@@ -12,12 +12,12 @@ use rvaas::{ConfigMonitor, MonitorConfig, NetworkFunction};
 use rvaas_client::QuerySpec;
 use rvaas_controlplane::benign_rules;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch, Message};
-use rvaas_service::{ServiceSettings, VerificationService};
+use rvaas_service::VerificationService;
 use rvaas_topology::{generators, Topology};
 use rvaas_types::{ClientId, SimTime, SwitchId};
 
 fn service_over(topology: &Topology) -> VerificationService {
-    VerificationService::new(topology.clone(), ServiceSettings::default())
+    VerificationService::new(topology.clone(), true)
 }
 
 /// Both services must expose the same epoch — serial, digest set, rule

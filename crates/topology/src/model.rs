@@ -2,14 +2,12 @@
 
 use std::collections::{btree_map::Entry, BTreeMap, BTreeSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use rvaas_types::{
     ClientId, Error, GeoPoint, HostId, LinkId, PortId, Result, SimTime, SwitchId, SwitchPort,
 };
 
 /// A data-plane switch with its ports and physical location.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Switch {
     /// The switch identifier (datapath id).
     pub id: SwitchId,
@@ -20,7 +18,7 @@ pub struct Switch {
 }
 
 /// An end host attached to an access-point port and owned by a client.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Host {
     /// The host identifier.
     pub id: HostId,
@@ -35,7 +33,7 @@ pub struct Host {
 }
 
 /// A bidirectional internal link between two switch ports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// The link identifier.
     pub id: LinkId,
@@ -67,7 +65,7 @@ impl Link {
 /// two topologies with equal switches, hosts and links compare equal): the
 /// port- and switch-level adjacency of `links`, and `hosts` by attachment
 /// and by address.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Topology {
     switches: BTreeMap<SwitchId, Switch>,
     hosts: BTreeMap<HostId, Host>,

@@ -7,13 +7,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Convenience alias used throughout the workspace.
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Errors produced by RVaaS components.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// A referenced switch does not exist in the topology or simulator.
     UnknownSwitch(u32),

@@ -9,10 +9,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A jurisdiction / geographic region label.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Region(String);
 
 impl Region {
@@ -60,7 +58,7 @@ impl Default for Region {
 }
 
 /// A point location on a plane, tagged with the region containing it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GeoPoint {
     /// X coordinate (arbitrary units, e.g. kilometres).
     pub x: f64,

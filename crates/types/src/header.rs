@@ -15,8 +15,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Total number of bits in the canonical header.
 pub const HEADER_BITS: usize = 132;
 
@@ -24,7 +22,7 @@ pub const HEADER_BITS: usize = 132;
 pub const HEADER_BYTES: usize = HEADER_BITS.div_ceil(8);
 
 /// A header field of the canonical layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Field {
     /// EtherType (16 bits), e.g. 0x0800 for IPv4.
     EthType,
@@ -89,7 +87,7 @@ impl fmt::Display for Field {
 }
 
 /// Offset/width description of a header field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FieldSpec {
     /// Human-readable field name.
     pub name: &'static str,
@@ -123,9 +121,7 @@ impl FieldSpec {
 ///
 /// All fields are stored in host integers; [`Header::to_bits`] produces the
 /// packed little-endian-by-bit representation used by Header Space Analysis.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Header {
     /// EtherType.
     pub eth_type: u16,

@@ -6,15 +6,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! id_newtype {
     ($(#[$meta:meta])* $name:ident, $prefix:expr) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -82,9 +77,7 @@ id_newtype!(
 );
 
 /// Cookie attached to an installed flow rule, used to correlate rule events.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FlowCookie(pub u64);
 
 impl fmt::Display for FlowCookie {
@@ -98,9 +91,7 @@ impl fmt::Display for FlowCookie {
 /// Ports are the attachment points of both links (internal ports) and hosts
 /// (access points). RVaaS reasons about access points in terms of
 /// `SwitchPort`s, never raw ports.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SwitchPort {
     /// The switch owning the port.
     pub switch: SwitchId,

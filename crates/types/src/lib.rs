@@ -9,7 +9,8 @@
 //! Analysis, geographic regions used for geo-location queries, simulated
 //! time, and the common error type. The one exception is [`Chunked`], the
 //! copy-on-write container the snapshot's tables, the HSA transfers and the
-//! service's digest set share.
+//! service's digest set share; [`json::quote`] is the workspace's one JSON
+//! string escaper.
 //!
 //! # Example
 //!
@@ -40,6 +41,7 @@ pub mod error;
 pub mod geo;
 pub mod header;
 pub mod ids;
+pub mod json;
 pub mod packet;
 pub mod time;
 

@@ -7,8 +7,6 @@
 //! the purpose of verification) but it lets tests and experiments check
 //! detection results against what actually happened.
 
-use serde::{Deserialize, Serialize};
-
 use crate::header::Header;
 use crate::ids::{HostId, PortId, SwitchId};
 use crate::time::SimTime;
@@ -16,7 +14,7 @@ use crate::time::SimTime;
 /// The role a packet plays in the RVaaS protocol, recorded for tracing and
 /// statistics. The data plane itself never branches on this: forwarding is
 /// decided purely by flow-table matching on the header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PacketKind {
     /// Ordinary client data traffic.
     #[default]
@@ -36,7 +34,7 @@ pub enum PacketKind {
 }
 
 /// One hop in a packet's ground-truth trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceEntry {
     /// Switch the packet was processed by.
     pub switch: SwitchId,
@@ -49,7 +47,7 @@ pub struct TraceEntry {
 }
 
 /// A packet travelling through the simulated network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Packet {
     /// Canonical header used for matching.
     pub header: Header,

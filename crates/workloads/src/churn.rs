@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use rvaas::{LocationMap, LogicalVerifier, NetworkSnapshot, VerifierConfig};
 use rvaas_client::{QuerySpec, SyncSession};
 use rvaas_openflow::{Action, FlowEntry, FlowMatch};
-use rvaas_service::{ServiceSettings, SyncServer, VerificationService};
+use rvaas_service::{SyncServer, VerificationService};
 use rvaas_topology::Topology;
 use rvaas_types::{ClientId, Field, SimTime, SwitchId};
 
@@ -239,7 +239,7 @@ pub fn run_incremental_churn(
     topology: &Topology,
     config: &IncrementalChurnConfig,
 ) -> IncrementalChurnReport {
-    let service = VerificationService::new(topology.clone(), ServiceSettings::default());
+    let service = VerificationService::new(topology.clone(), true);
     let mut snapshot = benign_snapshot(topology);
     service
         .try_publish(&snapshot, SimTime::from_millis(1))
