@@ -102,7 +102,7 @@ impl Daemon {
         // Distinct per process start, so reconnecting clients detect a
         // restart and fall back to a reset (session 0 means "none").
         let session_id = (std::process::id() % u32::from(u16::MAX - 1) + 1) as u16;
-        let sync_server = Arc::new(SyncServer::new(service.store(), session_id, &registry));
+        let sync_server = Arc::new(SyncServer::new(session_id, &registry));
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut daemon = Daemon {

@@ -22,7 +22,8 @@
 //!
 //! The binary itself adds the routinator-style subcommands: `serve` (the
 //! daemon), `verify` (one-shot: evaluate queries, print JSON verdicts,
-//! exit) and `man` (the embedded manual page).
+//! exit), `trace` (`verify`, printing each query's flight-recorder event
+//! chain instead) and `man` (the embedded manual page).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,9 +11,9 @@ const USAGE: &str = "usage: rvaas <serve|verify|trace|man> [options]
   rvaas serve  [-c FILE] [--topology SPEC] [--rules-file FILE] [--workers N]
                [--sync-listen ADDR] [--http-listen ADDR] [--no-cache]
                [--run-secs N]
-  rvaas verify [-c FILE] [--topology SPEC] [--rules-file FILE] [--workers N]
+  rvaas verify [-c FILE] [--topology SPEC] [--rules-file FILE]
                [--client N] [--query NAME] [--to-ip N]
-  rvaas trace  [-c FILE] [--topology SPEC] [--rules-file FILE] [--workers N]
+  rvaas trace  [-c FILE] [--topology SPEC] [--rules-file FILE]
                [--client N] [--query NAME] [--to-ip N]
   rvaas man
 See `rvaas man` for details.";
@@ -76,6 +76,9 @@ impl From<ServiceError> for CliError {
 /// Options common to `serve` and `verify`, plus each one's extras.
 struct Options {
     config: DaemonConfig,
+    /// The last of `--workers`, `--sync-listen` and `--http-listen` given:
+    /// flags only `serve` reads.
+    listener_flag: Option<String>,
     run_secs: Option<u64>,
     client: ClientId,
     query: Option<String>,
@@ -85,6 +88,7 @@ struct Options {
 fn parse_options(args: &[String]) -> Result<Options, CliError> {
     let mut options = Options {
         config: DaemonConfig::default(),
+        listener_flag: None,
         run_secs: None,
         client: ClientId(1),
         query: None,
@@ -109,9 +113,10 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
             }
             "--topology" => overrides.push(("topology".to_string(), value_for(flag)?)),
             "--rules-file" => overrides.push(("rules_file".to_string(), value_for(flag)?)),
-            "--workers" => overrides.push(("workers".to_string(), value_for(flag)?)),
-            "--sync-listen" => overrides.push(("sync_listen".to_string(), value_for(flag)?)),
-            "--http-listen" => overrides.push(("http_listen".to_string(), value_for(flag)?)),
+            "--workers" | "--sync-listen" | "--http-listen" => {
+                overrides.push((flag[2..].replace('-', "_"), value_for(flag)?));
+                options.listener_flag = Some(flag.clone());
+            }
             "--no-cache" => overrides.push(("cache".to_string(), "off".to_string())),
             "--run-secs" => {
                 options.run_secs = Some(parse_u64(flag, &value_for(flag)?)?);
@@ -209,13 +214,15 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
 /// and shuts down.
 fn one_shot(args: &[String], render: impl Fn(&QueryResponse) -> String) -> Result<(), CliError> {
     let options = parse_options(args)?;
-    if options.run_secs.is_some() {
-        return Err(CliError::Usage(
-            "--run-secs only applies to `rvaas serve`".to_string(),
-        ));
+    let serve_flag = options.run_secs.map(|_| "--run-secs".to_string());
+    if let Some(flag) = serve_flag.or(options.listener_flag) {
+        return Err(CliError::Usage(format!(
+            "{flag} only applies to `rvaas serve`"
+        )));
     }
     let mut config = options.config;
-    // One-shot mode never listens.
+    // One-shot mode never listens. A `-c` file may still name listeners and
+    // workers: the same file serves `serve`.
     config.sync_listen = None;
     config.http_listen = None;
     let daemon = Daemon::start(&config)?;

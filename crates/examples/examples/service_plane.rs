@@ -47,7 +47,7 @@ fn main() -> Result<(), ServiceError> {
     );
 
     // Delta sync: a client mirrors the state, then churn arrives.
-    let server = SyncServer::new(service.store(), 7, &service.registry());
+    let server = SyncServer::new(7, &service.registry());
     let mut session = SyncSession::new();
     let reset = server.try_handle(&service, &session.request(ClientId(1)))?;
     session.apply(&reset).expect("reset applies");

@@ -353,7 +353,7 @@ fn stale_epoch_replay_cannot_roll_back_a_sync_client() {
     );
 
     let verification = service(&topology);
-    let sync_server = SyncServer::new(verification.store(), 7, &verification.registry());
+    let sync_server = SyncServer::new(7, &verification.registry());
     let client = ClientId(1);
 
     let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
@@ -483,7 +483,8 @@ fn phantom_removals_degrade_to_conservative_reverification() {
     let store = verification.store();
     let at = SimTime::from_millis(10);
     let phantom = store.try_publish_changes(&changes, at).unwrap();
-    assert_eq!(phantom.delta_rules, 0);
+    let record = store.provenance(phantom.serial).expect("retained");
+    assert_eq!(record.delta_rules, 0);
     assert!(phantom.affected.is_empty(), "{:?}", phantom.affected);
     assert_model_matches_rebuild(&verification, &snapshot, "phantom removals");
 
@@ -529,7 +530,7 @@ fn a_rule_flapped_inside_one_batch_is_a_bounded_epoch() {
     let verification = service(&topology);
     let oracle = oracle(&topology);
     let store = verification.store();
-    let sync_server = SyncServer::new(store.clone(), 11, &verification.registry());
+    let sync_server = SyncServer::new(11, &verification.registry());
     for (client, spec) in &queries {
         sync_server.subscribe(*client, spec.clone());
     }
@@ -703,11 +704,13 @@ fn churn_flood_trips_the_bulk_rebuild_heuristic() {
     let flooded = store
         .try_publish(snapshot.clone(), SimTime::from_millis(10))
         .expect("flood epoch");
-    assert!(flooded.delta_rules >= min_changes as usize);
+    let record = |serial| store.provenance(serial).expect("retained");
+    let flood = record(flooded.serial);
+    assert!(flood.delta_rules >= min_changes as usize);
     assert!(
-        flooded.bulk_rebuild,
+        flood.bulk_rebuild,
         "{} rule changes must take the bulk-rebuild path",
-        flooded.delta_rules
+        flood.delta_rules
     );
     assert!(
         flooded.affected.is_everything(),
@@ -723,7 +726,7 @@ fn churn_flood_trips_the_bulk_rebuild_heuristic() {
     let drained = store
         .try_publish(snapshot.clone(), SimTime::from_millis(20))
         .expect("drain epoch");
-    assert!(drained.bulk_rebuild);
+    assert!(record(drained.serial).bulk_rebuild);
 
     // Control: one ordinary change stays on the per-rule delta path.
     apply_messages(
@@ -738,10 +741,10 @@ fn churn_flood_trips_the_bulk_rebuild_heuristic() {
         .try_publish(snapshot.clone(), SimTime::from_millis(30))
         .expect("small epoch");
     assert!(
-        !small.bulk_rebuild,
+        !record(small.serial).bulk_rebuild,
         "a one-rule delta must not trigger a bulk rebuild"
     );
-    assert_eq!(small.delta_rules, 1);
+    assert_eq!(record(small.serial).delta_rules, 1);
 }
 
 /// An inert flood buys neither a verdict nor verifier CPU. 2000
@@ -810,7 +813,7 @@ proptest! {
     fn sync_session_converges_after_any_interleaving(ops in proptest::collection::vec(0u8..6u8, 1..24)) {
         let topology = generators::line(3, 1);
         let verification = service(&topology);
-        let sync_server = SyncServer::new(verification.store(), 11, &verification.registry());
+        let sync_server = SyncServer::new(11, &verification.registry());
         let client = ClientId(1);
         let attack = Attack::StaleEpochReplay { victim_host: HostId(2) };
 

@@ -6,10 +6,11 @@
 //! delta could not possibly have changed most answers. The cache now keys
 //! entries by `(client, query)` with a per-entry validity serial: on epoch
 //! advance ([`ResultCache::advance`]) the publisher passes the
-//! affected-query predicate derived from the delta's changed header region,
-//! unaffected entries are *carried forward* to the new serial (their answer
-//! is provably unchanged — see `rvaas::incremental`), and only the affected
-//! ones are invalidated.
+//! affected-query predicate of the verdict keys the publish's memo carry
+//! found altered ([`rvaas::AffectedQueries::is_affected`]), unaffected
+//! entries are *carried forward* to the new serial (they read no altered
+//! key, so their answer is provably unchanged), and only the affected ones
+//! are invalidated.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -56,9 +56,18 @@
 //! and a standing query's keys are static, so no query is registered
 //! anywhere. A conservative region carries nothing and affects everything.
 //!
+//! The store has two locks: the model's mutex, which is the publish lock,
+//! and one `RwLock` over everything a publish makes visible — the current
+//! epoch, the delta history and the provenance log. `commit` updates all
+//! three in one write section, so a serial [`EpochStore::current`] shows
+//! always has its delta and its provenance record. Readers hold the read
+//! guard only to clone what they need.
+//!
 //! The model and the memo are plain data — `rvaas` core records nothing.
 //! `commit`, which drives both and holds the publish trace, emits the
-//! `model.*` events and counts what the two report (`StoreTelemetry`).
+//! `model.*` events and is the one place a publish is counted
+//! (`StoreTelemetry`): the `rvaas_epoch_*` series, applies and rebuilds,
+//! and what the model and the memo report.
 //!
 //! When a requested serial has been evicted from the delta history the
 //! store reports `None` and sync falls back to a full reset, mirroring RTR
@@ -66,7 +75,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use rvaas::{
     AffectedQueries, ChangedRegion, IncrementalModel, NetworkFunction, NetworkSnapshot, RuleChange,
@@ -74,7 +83,7 @@ use rvaas::{
 };
 use rvaas_client::{FlowDigest, QuerySpec};
 use rvaas_openflow::FlowEntry;
-use rvaas_telemetry::{Counter, Registry, TraceContext, TraceId, TraceStage};
+use rvaas_telemetry::{Counter, Gauge, Histogram, Registry, TraceContext, TraceId, TraceStage};
 use rvaas_topology::Topology;
 use rvaas_types::{Chunked, ClientId, SimTime, SwitchId};
 
@@ -142,9 +151,8 @@ const MERGE_EVERY: usize = 64;
 /// per-digest mix. Commutative, so it depends on the set alone (not on the
 /// publish path or order), and invertible, so [`EpochStore`] carries it from
 /// epoch to epoch by subtracting what left and adding what arrived instead of
-/// folding the whole set per publish. (Until PR 15 it was an FNV-1a fold in
-/// ascending order; the numeric values differ, and nothing pins them — they
-/// are only ever compared with each other.)
+/// folding the whole set per publish. Nothing pins its values: they are
+/// only ever compared with each other.
 #[must_use]
 pub fn content_digest_of(digests: impl IntoIterator<Item = FlowDigest>) -> u64 {
     digests
@@ -371,18 +379,14 @@ impl EpochDelta {
     }
 }
 
-/// What one [`EpochStore::publish`] produced: the new serial plus the
-/// standing queries the change affects, for targeted invalidation.
+/// What one [`EpochStore::try_publish`] produced: the new serial plus the
+/// standing queries the change affects, for targeted invalidation. The
+/// rest of what the publish did is its [provenance](EpochStore::provenance)
+/// record.
 #[derive(Debug, Clone)]
 pub struct Published {
     /// The serial of the freshly published epoch.
     pub serial: u64,
-    /// Size of the delta (added + removed entries).
-    pub delta_rules: usize,
-    /// Whether the model was rebuilt from the snapshot instead of advanced
-    /// in place (delta too large for per-rule region tracking to pay off),
-    /// which affects every query.
-    pub bulk_rebuild: bool,
     /// The verdict keys the memo's carry found the change may have altered
     /// (under the publish lock, before the swap). The cache and the sync
     /// server invalidate/re-verify exactly the queries reading one.
@@ -427,14 +431,16 @@ fn net_digests(changes: &[RuleChange]) -> (Vec<FlowDigest>, Vec<FlowDigest>) {
     (added, removed)
 }
 
-fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Registry handles for what the store's model and traversal memos report.
-/// Both are plain data; the store, which drives them, does the recording.
+/// Registry handles for each publish and for what the store's model and
+/// traversal memos report. Both are plain data; the store, which drives
+/// them, does the recording.
 #[derive(Debug)]
 struct StoreTelemetry {
+    publishes: Arc<Counter>,
+    incremental_applies: Arc<Counter>,
+    model_rebuilds: Arc<Counter>,
+    serial: Arc<Gauge>,
+    delta_rules: Arc<Histogram>,
     rule_changes: Arc<Counter>,
     conservative_regions: Arc<Counter>,
     desyncs: Arc<Counter>,
@@ -445,6 +451,23 @@ struct StoreTelemetry {
 impl StoreTelemetry {
     fn new(registry: &Registry) -> Self {
         StoreTelemetry {
+            publishes: registry.counter(
+                "rvaas_epoch_publishes_total",
+                "Epochs the epoch store published.",
+            ),
+            incremental_applies: registry.counter(
+                "rvaas_incremental_applies_total",
+                "Epochs whose delta the model applied in place.",
+            ),
+            model_rebuilds: registry.counter(
+                "rvaas_model_rebuilds_total",
+                "Epochs that bulk-rebuilt the model instead (unbounded changed region).",
+            ),
+            serial: registry.gauge("rvaas_epoch_serial", "Serial of the current epoch."),
+            delta_rules: registry.histogram(
+                "rvaas_epoch_delta_rules",
+                "Rule-level size (added + removed) of each published epoch delta.",
+            ),
             rule_changes: registry.counter(
                 "rvaas_incremental_rule_changes_total",
                 "Rule-level changes applied in place by incremental models.",
@@ -469,25 +492,36 @@ impl StoreTelemetry {
     }
 }
 
-/// The atomically swapped epoch store.
-///
-/// Readers grab the current `Arc<SnapshotEpoch>` under a briefly held read
-/// lock and then work lock-free on the frozen epoch; publishers serialise on
-/// the model's mutex, build the next epoch off to the side and take the
-/// write lock for the pointer swap alone. In-flight queries keep their old
-/// epoch alive through the `Arc` for as long as they need it.
+/// Everything one publish makes visible, replaced in one write section.
+#[derive(Debug)]
+struct Visible {
+    current: Arc<SnapshotEpoch>,
+    /// The last `max_deltas` per-epoch deltas, oldest first, each behind an
+    /// `Arc` so a window is merged after the read guard is released.
+    deltas: VecDeque<Arc<EpochDelta>>,
+    /// The last [`PROVENANCE_CAPACITY`] records, newest at the back.
+    provenance: VecDeque<EpochProvenance>,
+}
+
+/// Appends `item`, dropping the oldest entries past `capacity`.
+fn push_bounded<T>(log: &mut VecDeque<T>, item: T, capacity: usize) {
+    log.push_back(item);
+    while log.len() > capacity {
+        log.pop_front();
+    }
+}
+
+/// The atomically swapped epoch store (see the module docs for its two
+/// locks). In-flight queries keep their old epoch alive through the `Arc`
+/// for as long as they need it.
 #[derive(Debug)]
 pub struct EpochStore {
-    current: RwLock<Arc<SnapshotEpoch>>,
-    deltas: Mutex<VecDeque<EpochDelta>>,
     /// The HSA model of the published state, advanced by each epoch's changes
     /// and frozen into the epoch. Only a publish touches it, so its mutex
     /// *is* the publish lock: held across the read–diff–swap, it gives each
     /// epoch a unique serial and a delta chained to its true predecessor.
     model: Mutex<IncrementalModel>,
-    /// Bounded provenance log, newest at the back; queryable by serial for
-    /// as long as the record has not aged out.
-    provenance: Mutex<VecDeque<EpochProvenance>>,
+    visible: RwLock<Visible>,
     telemetry: StoreTelemetry,
     max_deltas: usize,
 }
@@ -502,20 +536,30 @@ impl EpochStore {
     #[must_use]
     pub fn new(max_deltas: usize) -> Self {
         EpochStore {
-            current: RwLock::new(Arc::new(SnapshotEpoch {
-                serial: 0,
-                snapshot: NetworkSnapshot::default(),
-                function: NetworkFunction::new(),
-                rules: DigestSet::default(),
-                published_at: SimTime::ZERO,
-                traversals: TraversalMemo::new(),
-            })),
-            deltas: Mutex::new(VecDeque::new()),
             model: Mutex::new(IncrementalModel::new(Topology::new())),
-            provenance: Mutex::new(VecDeque::new()),
+            visible: RwLock::new(Visible {
+                current: Arc::new(SnapshotEpoch {
+                    serial: 0,
+                    snapshot: NetworkSnapshot::default(),
+                    function: NetworkFunction::new(),
+                    rules: DigestSet::default(),
+                    published_at: SimTime::ZERO,
+                    traversals: TraversalMemo::new(),
+                }),
+                deltas: VecDeque::new(),
+                provenance: VecDeque::new(),
+            }),
             telemetry: StoreTelemetry::new(&Registry::new()),
             max_deltas,
         }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Visible> {
+        self.visible.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Visible> {
+        self.visible.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Supplies the trusted deployment knowledge: the wiring the model's
@@ -526,12 +570,14 @@ impl EpochStore {
     /// walked on its function is what the wired model walks.
     // Not a `new` argument only because `benchmark/` calls both; merge at the next re-baseline.
     pub fn attach_interest_topology(&self, topology: Topology) {
-        *locked(&self.model) = IncrementalModel::from_snapshot(topology, &self.current().snapshot);
+        let model = IncrementalModel::from_snapshot(topology, &self.current().snapshot);
+        *self.model.lock().unwrap_or_else(PoisonError::into_inner) = model;
     }
 
-    /// Records what the model and the traversal memos report — under
-    /// `rvaas_incremental_*_total` and `rvaas_traversal_memo_*` — into
-    /// `registry` instead of the private one a fresh store counts into.
+    /// Records each publish — under `rvaas_epoch_*`,
+    /// `rvaas_incremental_*_total` and `rvaas_model_rebuilds_total` — and
+    /// what the traversal memos report — under `rvaas_traversal_memo_*` —
+    /// into `registry` instead of the private one a fresh store counts into.
     // Not a `new` argument only because `benchmark/` calls `new`; merge at the next re-baseline.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.telemetry = StoreTelemetry::new(registry);
@@ -547,11 +593,9 @@ impl EpochStore {
     /// the bounded log.
     #[must_use]
     pub fn provenance(&self, serial: u64) -> Option<EpochProvenance> {
-        locked(&self.provenance)
-            .iter()
-            .rev()
-            .find(|p| p.serial == serial)
-            .cloned()
+        let visible = self.read();
+        let mut log = visible.provenance.iter().rev();
+        log.find(|p| p.serial == serial).cloned()
     }
 
     /// Accumulates re-verification fan-out into epoch `serial`'s provenance
@@ -559,18 +603,25 @@ impl EpochStore {
     /// while serving this epoch reports the exact count here. No-op when the
     /// record has aged out.
     pub fn record_reverify(&self, serial: u64, queries: u64) {
-        let mut log = locked(&self.provenance);
-        if let Some(record) = log.iter_mut().rev().find(|p| p.serial == serial) {
+        let mut visible = self.write();
+        let mut log = visible.provenance.iter_mut().rev();
+        if let Some(record) = log.find(|p| p.serial == serial) {
             record.reverified += queries;
             record.reverify_sessions += 1;
         }
     }
 
-    /// The current epoch. Blocks only for a publisher's pointer swap.
+    /// How many epochs the store published, and how many of those its model
+    /// applied in place and how many it rebuilt.
+    pub(crate) fn publish_counts(&self) -> [u64; 3] {
+        let t = &self.telemetry;
+        [&t.publishes, &t.incremental_applies, &t.model_rebuilds].map(|c| c.get())
+    }
+
+    /// The current epoch. Blocks only while a publisher puts the next one in.
     #[must_use]
     pub fn current(&self) -> Arc<SnapshotEpoch> {
-        let current = self.current.read().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(&current)
+        Arc::clone(&self.read().current)
     }
 
     /// [`EpochStore::try_publish`] for callers that treat a rejected publish
@@ -636,14 +687,14 @@ impl EpochStore {
     /// between the two, and derives the rest from that list — the net digest
     /// delta and the epoch's digest set, the model's advance and the region
     /// it reports, the memo's carry and the verdict keys it found altered —
-    /// then allocates the serial, retains the delta, swaps the epoch in and
-    /// records provenance.
+    /// then puts the epoch, its delta and its provenance record in under one
+    /// write guard and counts the publish.
     fn commit(
         &self,
         at: SimTime,
         derive: impl FnOnce(&NetworkSnapshot) -> (NetworkSnapshot, Vec<RuleChange>),
     ) -> Result<Published, ServiceError> {
-        let mut model = locked(&self.model);
+        let mut model = self.model.lock().unwrap_or_else(PoisonError::into_inner);
         let current = self.current();
         let from_serial = current.serial;
         let serial = from_serial.checked_add(1).ok_or_else(|| {
@@ -705,35 +756,19 @@ impl EpochStore {
             traversals,
         });
         let digest = epoch.content_digest();
-        {
-            // Delta before swap: a reader never sees a serial whose delta
-            // `delta_between` cannot find yet.
-            let mut deltas = locked(&self.deltas);
-            deltas.push_back(EpochDelta {
-                from_serial,
-                to_serial: serial,
-                added,
-                removed,
-                affected: affected.clone(),
-            });
-            while deltas.len() > self.max_deltas {
-                deltas.pop_front();
-            }
-        }
-        *self.current.write().unwrap_or_else(PoisonError::into_inner) = epoch;
-        let affected_everything = affected.is_everything();
-        let affected_queries = affected.len();
-        trace.event(
-            TraceStage::EpochDigest,
-            digest,
-            if affected_everything {
-                u64::MAX
-            } else {
-                affected_queries as u64
-            },
-        );
-        let mut log = locked(&self.provenance);
-        log.push_back(EpochProvenance {
+        let (affected_everything, affected_queries) = (affected.is_everything(), affected.len());
+        // `u64::MAX` on the `epoch.digest` event marks an everything-affected publish.
+        let keys = affected_queries as u64;
+        let keys = if affected_everything { u64::MAX } else { keys };
+        trace.event(TraceStage::EpochDigest, digest, keys);
+        let delta = Arc::new(EpochDelta {
+            from_serial,
+            to_serial: serial,
+            added,
+            removed,
+            affected: affected.clone(),
+        });
+        let record = EpochProvenance {
             serial,
             digest,
             added: n_added,
@@ -746,47 +781,53 @@ impl EpochStore {
             trace: trace.id,
             reverified: 0,
             reverify_sessions: 0,
-        });
-        while log.len() > PROVENANCE_CAPACITY {
-            log.pop_front();
+        };
+        {
+            let mut visible = self.write();
+            visible.current = epoch;
+            push_bounded(&mut visible.deltas, delta, self.max_deltas);
+            push_bounded(&mut visible.provenance, record, PROVENANCE_CAPACITY);
+        }
+        t.publishes.inc();
+        t.serial.set(i64::try_from(serial).unwrap_or(i64::MAX));
+        t.delta_rules.record(delta_rules as u64);
+        if bulk_rebuild {
+            t.model_rebuilds.inc();
+        } else {
+            t.incremental_applies.inc();
         }
         Ok(Published {
             serial,
-            delta_rules,
-            bulk_rebuild,
             affected,
             trace: trace.id,
         })
     }
 
-    /// The combined delta from `since_serial` to the current serial, or
-    /// `None` when any intermediate delta has been evicted (the caller must
-    /// fall back to a full reset). A request for the current serial returns
-    /// an empty delta.
-    #[must_use]
-    pub fn delta_since(&self, since_serial: u64) -> Option<EpochDelta> {
-        self.delta_between(since_serial, self.current().serial)
-    }
-
     /// The combined delta covering the window `(from_serial, to_serial]`, or
     /// `None` when the retained history does not cover it (including
     /// `from_serial > to_serial` and serials from the future). An equal pair
-    /// returns an empty delta.
+    /// returns an empty delta. The window is merged after the read guard is
+    /// released, so a lagging session's merge never holds up a publish, nor
+    /// the queries queued behind one.
     #[must_use]
     pub fn delta_between(&self, from_serial: u64, to_serial: u64) -> Option<EpochDelta> {
-        if from_serial > to_serial || to_serial > self.current().serial {
-            return None;
-        }
-        let deltas = locked(&self.deltas);
+        let window: Vec<Arc<EpochDelta>> = {
+            let visible = self.read();
+            if from_serial > to_serial || to_serial > visible.current.serial {
+                return None;
+            }
+            let deltas = visible.deltas.iter();
+            deltas
+                .filter(|d| d.from_serial >= from_serial && d.to_serial <= to_serial)
+                .cloned()
+                .collect()
+        };
         let mut added: BTreeSet<FlowDigest> = BTreeSet::new();
         let mut removed: BTreeSet<FlowDigest> = BTreeSet::new();
         let mut affected = AffectedQueries::default();
         // The retained window must cover every epoch in (from, to].
         let mut next_expected = from_serial;
-        for delta in deltas
-            .iter()
-            .filter(|d| d.from_serial >= from_serial && d.to_serial <= to_serial)
-        {
+        for delta in &window {
             if delta.from_serial != next_expected {
                 return None;
             }
@@ -831,6 +872,11 @@ mod tests {
 
     fn entry(dst: u32) -> FlowEntry {
         FlowEntry::new(10, FlowMatch::to_ip(dst), vec![Action::Output(PortId(1))])
+    }
+
+    /// The combined delta from `since` to the current serial.
+    fn delta_since(store: &EpochStore, since: u64) -> Option<EpochDelta> {
+        store.delta_between(since, store.current().serial)
     }
 
     fn snapshot_with(dsts: &[u32]) -> NetworkSnapshot {
@@ -1030,7 +1076,7 @@ mod tests {
         assert_eq!(p2.serial, 2);
         assert_eq!(store.current().serial, 2);
 
-        let delta = store.delta_since(1).expect("retained");
+        let delta = delta_since(&store, 1).expect("retained");
         assert_eq!(delta.to_serial, 2);
         assert_eq!(delta.added.len(), 1, "rule for dst 3 added");
         assert_eq!(delta.removed.len(), 1, "rule for dst 1 removed");
@@ -1048,7 +1094,7 @@ mod tests {
             .affected
             .is_affected(ClientId(1), &QuerySpec::Isolation));
 
-        let empty = store.delta_since(2).expect("current serial");
+        let empty = delta_since(&store, 2).expect("current serial");
         assert!(empty.is_empty());
         assert!(empty.affected.is_empty());
     }
@@ -1066,7 +1112,7 @@ mod tests {
             .try_publish(snapshot_with(&[1]), SimTime::from_millis(3))
             .unwrap();
         // dst 2 was added then removed: net delta from serial 1 is empty.
-        let delta = store.delta_since(1).expect("retained");
+        let delta = delta_since(&store, 1).expect("retained");
         assert!(delta.added.is_empty());
         assert!(delta.removed.is_empty());
         // ...but the selection still records that the rule flapped.
@@ -1101,10 +1147,10 @@ mod tests {
                 .unwrap();
         }
         // Only the last two deltas are retained: serial 1 is unanswerable.
-        assert!(store.delta_since(1).is_none());
-        assert!(store.delta_since(3).is_some());
+        assert!(delta_since(&store, 1).is_none());
+        assert!(delta_since(&store, 3).is_some());
         // A serial from the future is also unanswerable.
-        assert!(store.delta_since(99).is_none());
+        assert!(delta_since(&store, 99).is_none());
     }
 
     #[test]
@@ -1123,10 +1169,16 @@ mod tests {
                 loop {
                     let epoch = store.current();
                     // Serials must be monotone from any single reader's
-                    // point of view, and the frozen snapshot must always be
-                    // internally consistent with its digest set.
+                    // point of view, the frozen snapshot must always be
+                    // internally consistent with its digest set, and a
+                    // visible serial has its provenance record (the 200
+                    // publishes fit in the log).
                     assert!(epoch.serial >= last_serial, "serial went backwards");
                     assert_eq!(digest_snapshot(&epoch.snapshot), epoch.rules);
+                    if epoch.serial >= 1 {
+                        let record = store.provenance(epoch.serial);
+                        assert!(record.is_some(), "serial {} unrecorded", epoch.serial);
+                    }
                     last_serial = epoch.serial;
                     observed += 1;
                     if stop.load(Ordering::Relaxed) {
@@ -1180,14 +1232,15 @@ mod tests {
             )
             .unwrap();
         assert_eq!(p_delta.serial, p_full.serial);
-        assert_eq!(p_delta.delta_rules, p_full.delta_rules);
+        let delta_rules = |store: &EpochStore| store.provenance(2).expect("retained").delta_rules;
+        assert_eq!(delta_rules(&delta), delta_rules(&full));
         assert_eq!(delta.current().rules, full.current().rules);
         assert_eq!(
             digest_snapshot(&delta.current().snapshot),
             delta.current().rules
         );
-        let d_full = full.delta_since(1).expect("retained");
-        let d_delta = delta.delta_since(1).expect("retained");
+        let d_full = delta_since(&full, 1).expect("retained");
+        let d_delta = delta_since(&delta, 1).expect("retained");
         assert_eq!(d_delta.added, d_full.added);
         assert_eq!(d_delta.removed, d_full.removed);
         assert_eq!(d_delta.affected, d_full.affected);
@@ -1213,8 +1266,9 @@ mod tests {
                 SimTime::from_millis(2),
             )
             .unwrap();
-        assert_eq!(p.delta_rules, 0, "digest-level no-op");
-        let d = store.delta_since(1).expect("retained");
+        let record = store.provenance(p.serial).expect("retained");
+        assert_eq!(record.delta_rules, 0, "digest-level no-op");
+        let d = delta_since(&store, 1).expect("retained");
         assert!(d.added.is_empty() && d.removed.is_empty());
         assert!(
             !d.affected.is_empty(),
@@ -1267,8 +1321,8 @@ mod tests {
         assert!(!shared(&after, &last, 1), "touched: copied");
         assert!(shared(&after, &last, 2), "untouched: shared");
         assert_eq!(table(&after, 2), table(&last, 2), "untouched: shared");
-        assert_eq!(p.delta_rules, 1);
-        let delta = store.delta_since(2).expect("retained");
+        assert_eq!(store.provenance(p.serial).expect("retained").delta_rules, 1);
+        let delta = delta_since(&store, 2).expect("retained");
         assert_eq!(delta.removed, [digest_entry(SwitchId(1), &entry(1))]);
         assert!(delta.added.is_empty());
         assert_eq!(last.rules, digest_snapshot(&last.snapshot));
@@ -1298,7 +1352,8 @@ mod tests {
         ];
         let before = store.current();
         let p = store.try_publish_changes(&churn, at).unwrap();
-        assert_eq!((p.delta_rules, p.bulk_rebuild), (4, false));
+        let record = store.provenance(p.serial).expect("retained");
+        assert_eq!((record.delta_rules, record.bulk_rebuild), (4, false));
         let after = store.current();
         let bound = |chunk: usize| churn.len() * 2 * chunk;
         let (mut tables, mut transfers) = (0, 0);
@@ -1540,8 +1595,9 @@ mod tests {
         /// Rewinds the clock to the end of time: the next publish would
         /// need serial `u64::MAX + 1`.
         pub(crate) fn exhaust_serials(&self) {
-            let mut current = self.current.write().unwrap();
-            *current = Arc::new(SnapshotEpoch {
+            let mut visible = self.write();
+            let current = &visible.current;
+            visible.current = Arc::new(SnapshotEpoch {
                 serial: u64::MAX,
                 snapshot: current.snapshot.clone(),
                 function: current.function.clone(),

@@ -24,14 +24,15 @@
 //!
 //! A batch always answers against the epoch that was current when it
 //! started; the monitor can keep publishing new epochs concurrently without
-//! blocking it.
+//! blocking it. A publish is the store's, which records and counts it; the
+//! service times it (`epoch.publish`) and advances its cache (`cache.advance`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rvaas::{LocationMap, LogicalVerifier, NetworkSnapshot, RuleChange, VerifierConfig};
 use rvaas_client::{QueryResult, QuerySpec};
-use rvaas_telemetry::{Counter, Gauge, Histogram, Registry, TraceContext, TraceId, TraceStage};
+use rvaas_telemetry::{Counter, Histogram, Registry, TraceContext, TraceId, TraceStage};
 use rvaas_topology::Topology;
 use rvaas_types::{ClientId, SimTime};
 
@@ -63,14 +64,9 @@ pub struct QueryResponse {
 struct ServiceMetrics {
     queries: Arc<Counter>,
     batches: Arc<Counter>,
-    epochs_published: Arc<Counter>,
-    incremental_applies: Arc<Counter>,
-    model_rebuilds: Arc<Counter>,
     memo_hits: Arc<Counter>,
     memo_misses: Arc<Counter>,
-    epoch_serial: Arc<Gauge>,
     query_latency: Arc<Histogram>,
-    epoch_delta_rules: Arc<Histogram>,
     stage_eval: Arc<Histogram>,
     stage_publish: Arc<Histogram>,
     stage_cache_advance: Arc<Histogram>,
@@ -87,18 +83,6 @@ impl ServiceMetrics {
                 "rvaas_batches_total",
                 "Query calls answered: each opens one evaluator session on one epoch.",
             ),
-            epochs_published: registry.counter(
-                "rvaas_epoch_publishes_total",
-                "Epochs published through the service.",
-            ),
-            incremental_applies: registry.counter(
-                "rvaas_incremental_applies_total",
-                "Epochs whose delta the model applied in place.",
-            ),
-            model_rebuilds: registry.counter(
-                "rvaas_model_rebuilds_total",
-                "Epochs that bulk-rebuilt the model instead (unbounded changed region).",
-            ),
             memo_hits: registry.counter(
                 "rvaas_traversal_memo_hits_total",
                 "Traversal lookups the epoch's traversal memo served.",
@@ -107,14 +91,9 @@ impl ServiceMetrics {
                 "rvaas_traversal_memo_misses_total",
                 "HSA traversals walked because the epoch's memo did not hold them yet; one walk may fill a host's inbound probes for every client.",
             ),
-            epoch_serial: registry.gauge("rvaas_epoch_serial", "Serial of the current epoch."),
             query_latency: registry.histogram(
                 "rvaas_query_latency_us",
                 "Wall-clock query latency from submission to completion, in microseconds.",
-            ),
-            epoch_delta_rules: registry.histogram(
-                "rvaas_epoch_delta_rules",
-                "Rule-level size (added + removed) of each published epoch delta.",
             ),
             stage_eval: registry.stage_histogram("pool.eval"),
             stage_publish: registry.stage_histogram("epoch.publish"),
@@ -269,46 +248,29 @@ impl VerificationService {
         self.publish_with(|store| store.try_publish_changes(changes, at))
     }
 
-    /// Runs one store publish under the `epoch.publish` stage span and, once
-    /// the store has accepted it, does the bookkeeping both publish paths
-    /// share: metrics plus the cache advance driven by the verdict keys the
-    /// publish found altered.
+    /// Runs one store publish under the `epoch.publish` stage span (the store
+    /// counts it) and, once the store has accepted it, advances the cache by
+    /// the verdict keys the publish found altered.
     fn publish_with(
         &self,
         publish: impl FnOnce(&EpochStore) -> Result<Published, ServiceError>,
     ) -> Result<u64, ServiceError> {
-        let published = {
+        let Published {
+            serial,
+            affected,
+            trace,
+        } = {
             let _span = self.metrics.stage_publish.span();
             publish(&self.store)?
         };
-        self.metrics.epochs_published.inc();
-        self.metrics
-            .epoch_serial
-            .set(i64::try_from(published.serial).unwrap_or(i64::MAX));
-        self.metrics
-            .epoch_delta_rules
-            .record(published.delta_rules as u64);
-        if published.bulk_rebuild {
-            self.metrics.model_rebuilds.inc();
-        } else {
-            self.metrics.incremental_applies.inc();
-        }
-        let _span = self
-            .metrics
-            .stage_cache_advance
-            .span_traced(published.trace);
+        let _span = self.metrics.stage_cache_advance.span_traced(trace);
         // A cached verdict is carried unless a key it reads is affected:
         // a few ordered-set lookups per entry, no header-space test.
-        let affected = &published.affected;
-        let (carried, invalidated) = self.cache.advance(published.serial, |client, spec| {
-            affected.is_affected(client, spec)
-        });
-        TraceContext::from_id(published.trace.0).event(
-            TraceStage::CacheCarry,
-            carried,
-            invalidated,
-        );
-        Ok(published.serial)
+        let (carried, invalidated) = self
+            .cache
+            .advance(serial, |client, spec| affected.is_affected(client, spec));
+        TraceContext::from_id(trace.0).event(TraceStage::CacheCarry, carried, invalidated);
+        Ok(serial)
     }
 
     /// Answers one query on the calling thread under a freshly minted trace.
@@ -418,12 +380,13 @@ impl VerificationService {
     pub fn stats(&self) -> ServiceStats {
         let cache = self.cache.stats();
         let latency = self.metrics.query_latency.snapshot();
+        let [epochs_published, incremental_applies, model_rebuilds] = self.store.publish_counts();
         ServiceStats {
             queries: self.metrics.queries.get(),
             batches: self.metrics.batches.get(),
-            epochs_published: self.metrics.epochs_published.get(),
-            incremental_applies: self.metrics.incremental_applies.get(),
-            model_rebuilds: self.metrics.model_rebuilds.get(),
+            epochs_published,
+            incremental_applies,
+            model_rebuilds,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             cache_carried: cache.carried,
@@ -888,7 +851,9 @@ mod tests {
             assert!(matches!(rejected, Err(ServiceError::PublishRejected(_))));
         }
         assert_eq!(service.stats().epochs_published, 1);
-        assert_eq!(service.metrics.epoch_serial.get(), 1);
+        let scrape = rvaas_telemetry::parse_text(&service.registry().render_text()).unwrap();
+        let serial = scrape.iter().find(|s| s.name == "rvaas_epoch_serial");
+        assert_eq!(serial.expect("exported").value, 1.0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The server side of the RTR-style delta-sync protocol.
 //!
-//! Each [`SyncServer`] speaks for one epoch store under a random-ish session
+//! Each [`SyncServer`] speaks for the epoch store of the
+//! [`VerificationService`] every call is handed, under a random-ish session
 //! id (clients detect a restarted server by the id changing and fall back to
 //! a reset). Clients register *standing queries*; when a delta invalidates
 //! the published state, the server re-verifies the affected ones at the new
@@ -14,6 +15,10 @@
 //! subscriptions that read a key of the window's union. A subscription's
 //! keys are a static function of `(client, spec, topology)`, so subscribing
 //! registers nothing outside the session.
+//!
+//! The server's one lock is its session table's. A serial the store shows
+//! always has its delta and its provenance record, so the fan-out a served
+//! delta records there is exact.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -26,7 +31,6 @@ use rvaas_client::{
 use rvaas_telemetry::{Counter, Histogram, Registry, TraceContext, TraceStage};
 use rvaas_types::ClientId;
 
-use crate::epoch::EpochStore;
 use crate::error::ServiceError;
 use crate::pool::VerificationService;
 
@@ -51,7 +55,6 @@ pub struct ReverifyStats {
 /// Answers [`SyncRequest`]s from the epoch store.
 #[derive(Debug)]
 pub struct SyncServer {
-    store: Arc<EpochStore>,
     session_id: u16,
     sessions: Mutex<BTreeMap<ClientId, ClientSession>>,
     reverified: Arc<Counter>,
@@ -60,14 +63,13 @@ pub struct SyncServer {
 }
 
 impl SyncServer {
-    /// Creates a server over `store` with the given session id (must be
-    /// non-zero: clients use session 0 to mean "no session yet"), counting
-    /// into `registry` (typically the owning service's, so one scrape covers
-    /// both).
+    /// Creates a server with the given session id (must be non-zero:
+    /// clients use session 0 to mean "no session yet"), counting into
+    /// `registry` (typically the owning service's, so one scrape covers
+    /// both). It serves the store of the service each call is handed.
     #[must_use]
-    pub fn new(store: Arc<EpochStore>, session_id: u16, registry: &Registry) -> Self {
+    pub fn new(session_id: u16, registry: &Registry) -> Self {
         SyncServer {
-            store,
             session_id: session_id.max(1),
             sessions: Mutex::new(BTreeMap::new()),
             reverified: registry.counter(
@@ -152,52 +154,40 @@ impl SyncServer {
             u64::from(request.client.0),
             request.have_serial,
         );
-        let current = self.store.current();
+        let store = service.store();
+        let current = store.current();
         // A client with no state, from another session, or whose serial the
         // history no longer covers gets the full digest set.
         let needs_reset = request.session != self.session_id || request.have_serial == 0;
         let delta = if needs_reset {
             None
         } else {
-            self.store.delta_since(request.have_serial)
+            store.delta_between(request.have_serial, current.serial)
         };
-        Ok(match delta {
-            None => SyncResponse {
-                session: self.session_id,
-                serial: current.serial,
-                payload: SyncPayload::Reset {
-                    full: current.rules.to_vec(),
-                },
-                trace: trace.id.0,
+        let payload = match delta {
+            None => SyncPayload::Reset {
+                full: current.rules.to_vec(),
             },
-            Some(delta) if delta.is_empty() => SyncResponse {
-                session: self.session_id,
-                serial: current.serial,
-                payload: SyncPayload::Unchanged,
-                trace: trace.id.0,
-            },
+            Some(delta) if delta.is_empty() => SyncPayload::Unchanged,
             Some(delta) => {
                 let reverified = self.reverify(service, request.client, &delta.affected, trace)?;
                 // The exact fan-out this session observed, folded into the
                 // served epoch's provenance record.
-                trace.event(
-                    TraceStage::Reverify,
-                    delta.to_serial,
-                    reverified.len() as u64,
-                );
-                self.store
-                    .record_reverify(delta.to_serial, reverified.len() as u64);
-                SyncResponse {
-                    session: self.session_id,
-                    serial: delta.to_serial,
-                    payload: SyncPayload::Delta {
-                        added: delta.added,
-                        removed: delta.removed,
-                        reverified,
-                    },
-                    trace: trace.id.0,
+                let fan_out = reverified.len() as u64;
+                trace.event(TraceStage::Reverify, current.serial, fan_out);
+                store.record_reverify(current.serial, fan_out);
+                SyncPayload::Delta {
+                    added: delta.added,
+                    removed: delta.removed,
+                    reverified,
                 }
             }
+        };
+        Ok(SyncResponse {
+            session: self.session_id,
+            serial: current.serial,
+            payload,
+            trace: trace.id.0,
         })
     }
 
@@ -271,7 +261,7 @@ mod tests {
         }
         let service = VerificationService::new(topology, true);
         publish(&service, &snapshot, 1);
-        let server = SyncServer::new(service.store(), 42, &service.registry());
+        let server = SyncServer::new(42, &service.registry());
         (service, server, snapshot)
     }
 
@@ -348,7 +338,10 @@ mod tests {
             churn(&mut snapshot, round);
             publish(&service, &snapshot, u64::from(20 + round));
         }
-        assert!(service.store().delta_since(old_serial).is_none());
+        assert!(service
+            .store()
+            .delta_between(old_serial, service.current_serial())
+            .is_none());
         let response = serve(&server, &service, &session, client);
         assert!(
             matches!(response.payload, SyncPayload::Reset { .. }),
@@ -366,7 +359,7 @@ mod tests {
             .apply(&serve(&server, &service, &session, ClientId(1)))
             .unwrap();
         // A server restart shows up as a new session id.
-        let restarted = SyncServer::new(service.store(), 43, &service.registry());
+        let restarted = SyncServer::new(43, &service.registry());
         let response = serve(&restarted, &service, &session, ClientId(1));
         assert!(matches!(response.payload, SyncPayload::Reset { .. }));
         assert_eq!(response.session, 43);

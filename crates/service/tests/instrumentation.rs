@@ -1,9 +1,10 @@
-//! Readers for what the epoch store records about its model and traversal
-//! memos: the chain a publish leaves in the flight recorder, event for
-//! event, the verdict keys each publish's provenance counts, and the exact
-//! value of every `rvaas_incremental_*` series — and of the four
-//! traversal-memo counters, two the store records at publish and two the
-//! query path records — after a scripted scenario.
+//! Readers for what the epoch store records about its publishes, its model
+//! and its traversal memos: the chain a publish leaves in the flight
+//! recorder, event for event, the verdict keys each publish's provenance
+//! counts, and the exact value of every `rvaas_epoch_*` and
+//! `rvaas_incremental_*` series — and of the four traversal-memo counters,
+//! two the store records at publish and two the query path records — after
+//! a scripted scenario.
 
 use rvaas::{NetworkSnapshot, RuleChange};
 use rvaas_client::QuerySpec;
@@ -133,7 +134,7 @@ fn a_publish_leaves_exactly_its_documented_chain() {
 
 #[test]
 fn every_store_side_series_reads_its_scripted_value() {
-    let (topology, service, _) = service();
+    let (topology, service, benign) = service();
     let store = service.store();
 
     // Three standing queries, each evaluated at epoch 1 on its cold memo.
@@ -159,8 +160,8 @@ fn every_store_side_series_reads_its_scripted_value() {
         .unwrap();
     assert_eq!(store.provenance(2).expect("retained").affected_queries, 4);
 
-    // A flap, straight into the store (the pool's publish counters do not
-    // see it), led by the removal of a rule the epoch never held — which
+    // A flap, straight into the store (counted like any other publish: the
+    // store counts every publish it makes), led by the removal of a rule the epoch never held — which
     // never reaches the model. Two rule changes, both resolved in list
     // order. Their region (src = client 3, dst = client 4, on client 1's
     // access switch) reaches client 3's first host's emission and inbound
@@ -194,6 +195,7 @@ fn every_store_side_series_reads_its_scripted_value() {
     let samples = parse_text(&service.registry().render_text()).expect("well-formed");
     let about_the_store = |name: &str| {
         [
+            "rvaas_epoch_",
             "rvaas_incremental_",
             "rvaas_model_",
             "rvaas_traversal_memo_",
@@ -210,8 +212,17 @@ fn every_store_side_series_reads_its_scripted_value() {
     assert_eq!(
         exported,
         [
-            // The pool's count of the two deltas that went through it...
-            ("rvaas_incremental_applies_total", 2.0),
+            // Four publishes: the bulk first epoch's benign rules, then one
+            // rule in, a flap that nets to nothing, one rule in.
+            (
+                "rvaas_epoch_delta_rules_sum",
+                benign.rule_count() as f64 + 2.0
+            ),
+            ("rvaas_epoch_delta_rules_count", 4.0),
+            ("rvaas_epoch_publishes_total", 4.0),
+            ("rvaas_epoch_serial", 4.0),
+            // The store's count of the three deltas, the flap among them...
+            ("rvaas_incremental_applies_total", 3.0),
             ("rvaas_incremental_conservative_regions_total", 1.0),
             ("rvaas_incremental_desyncs_total", 0.0),
             ("rvaas_incremental_rule_changes_total", 4.0),

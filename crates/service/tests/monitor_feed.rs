@@ -21,9 +21,9 @@ fn service_over(topology: &Topology) -> VerificationService {
 }
 
 /// Both services must expose the same epoch — serial, digest set, rule
-/// count, provenance (content digest and the delta sizes `Published`
-/// reported) and a representative verdict — reached by the same digest-level
-/// delta from the previous epoch, and each store's frozen model must hold,
+/// count, provenance (content digest and delta sizes) and a representative
+/// verdict — reached by the same digest-level delta from the previous
+/// epoch, and each store's frozen model must hold,
 /// switch by switch and in order, the rule lists a from-scratch rebuild of
 /// its snapshot holds (equal-priority rules in arrival order).
 fn assert_epochs_agree(
@@ -48,8 +48,12 @@ fn assert_epochs_agree(
         (fp.digest, fp.added, fp.removed, fp.delta_rules),
         "{round}: provenance diverged"
     );
-    let dd = d_store.delta_since(d.serial - 1).expect("retained");
-    let fd = f_store.delta_since(f.serial - 1).expect("retained");
+    let dd = d_store
+        .delta_between(d.serial - 1, d.serial)
+        .expect("retained");
+    let fd = f_store
+        .delta_between(f.serial - 1, f.serial)
+        .expect("retained");
     assert_eq!(
         (dd.added, dd.removed),
         (fd.added, fd.removed),

@@ -244,7 +244,7 @@ pub fn run_incremental_churn(
     service
         .try_publish(&snapshot, SimTime::from_millis(1))
         .expect("epoch publish rejected");
-    let server = SyncServer::new(service.store(), 9, &service.registry());
+    let server = SyncServer::new(9, &service.registry());
     let standing = standing_queries(topology, config.synthetic_queries);
     for (client, spec) in &standing {
         server.subscribe(*client, spec.clone());
