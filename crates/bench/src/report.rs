@@ -318,6 +318,45 @@ mod tests {
     }
 
     #[test]
+    fn json_keeps_its_bytes() {
+        // Built field by field, so the header does not depend on the host.
+        let report = Report {
+            experiment: "demo",
+            title: "demo report",
+            fields: vec![
+                ("smoke", false.into()),
+                ("host_cores", 2usize.into()),
+                ("label", "a \"b\" \\ \u{1}".into()),
+            ],
+            points: vec![
+                vec![("k", 8usize.into()), ("ratio", 0.5.into())],
+                vec![("k", 12usize.into()), ("ratio", f64::NAN.into())],
+            ],
+            summary: vec![
+                (
+                    "spread",
+                    MedianMad {
+                        median: 2.0,
+                        mad: 0.25,
+                    }
+                    .into(),
+                ),
+                ("steps", vec![1.0, f64::NEG_INFINITY, 2.5].into()),
+                ("empty", Vec::new().into()),
+                ("ok", true.into()),
+            ],
+        };
+        assert_eq!(
+            report.json(),
+            "{\n  \"experiment\": \"demo\",\n  \"smoke\": false,\n  \"host_cores\": 2,\n  \
+             \"label\": \"a \\\"b\\\" \\\\ \\u0001\",\n  \
+             \"points\": [{\"k\":8,\"ratio\":0.500},{\"k\":12,\"ratio\":null}],\n  \
+             \"spread\": {\"median\":2.000,\"mad\":0.250},\n  \
+             \"steps\": [1.000,null,2.500],\n  \"empty\": [],\n  \"ok\": true\n}\n"
+        );
+    }
+
+    #[test]
     fn table_and_json_render_the_same_declared_fields() {
         let mut report = Report::new("demo", "demo report");
         report

@@ -445,6 +445,67 @@ mod tests {
     }
 
     #[test]
+    fn error_and_epoch_bodies_keep_their_bytes() {
+        assert_eq!(
+            HttpResponse::error(404, "no \"route\" for \\x\n\u{2}").body,
+            "{\"error\":\"no \\\"route\\\" for \\\\x\\n\\u0002\"}"
+        );
+        let topology = rvaas_topology::generators::line(4, 2);
+        let service = VerificationService::new(topology.clone(), true);
+        let sync_server = SyncServer::new(7, &service.registry());
+        assert_eq!(
+            epoch_body(&service, &sync_server),
+            "{\"serial\":0,\"session\":7,\"rules\":0,\"digest\":\"0000000000000000\"}"
+        );
+        let at = rvaas_types::SimTime::from_millis(1);
+        let rules = rvaas_controlplane::benign_rules(&topology);
+        let snapshot = rvaas::NetworkSnapshot::with_rules(at, rules, at);
+        service.try_publish(&snapshot, at).unwrap();
+        assert_eq!(
+            epoch_body(&service, &sync_server),
+            "{\"serial\":1,\"session\":7,\"rules\":24,\"digest\":\"b2e47ab437030f1f\"}"
+        );
+    }
+
+    #[test]
+    fn status_body_keeps_its_key_order() {
+        let service = VerificationService::new(rvaas_topology::generators::line(4, 2), true);
+        let sync_server = SyncServer::new(7, &service.registry());
+        let doc = json::parse(&status_body(&service, &sync_server, 9)).unwrap();
+        let keys = |doc: &json::Json| match doc {
+            json::Json::Object(pairs) => pairs.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("expected an object, got {other:?}"),
+        };
+        assert_eq!(
+            keys(&doc),
+            [
+                "version",
+                "session",
+                "epoch_serial",
+                "uptime_secs",
+                "workers",
+                "cache_entries",
+                "trace"
+            ]
+        );
+        assert_eq!(
+            keys(doc.get("trace").unwrap()),
+            [
+                "enabled",
+                "ring_capacity",
+                "occupancy",
+                "retained",
+                "slow_threshold_us"
+            ]
+        );
+        assert_eq!(
+            doc.get("version").unwrap().as_str(),
+            Some(env!("CARGO_PKG_VERSION"))
+        );
+        assert_eq!(doc.get("uptime_secs").unwrap().as_int(), Some(9));
+    }
+
+    #[test]
     fn service_errors_map_onto_meaningful_statuses() {
         assert_eq!(
             status_for(&ServiceError::InvalidQuery("x".to_string())),

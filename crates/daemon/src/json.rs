@@ -677,7 +677,35 @@ mod tests {
                 b: u64::MAX,
             }],
         };
-        let rendered = render_retained(&[retained], 10_000);
+        let error = RetainedTrace {
+            trace: TraceId(10),
+            reason: CaptureReason::Error,
+            captured_at_us: 120,
+            events: vec![TraceEvent {
+                trace: TraceId(10),
+                seq: 5,
+                at_us: 110,
+                stage: TraceStage::QueryError,
+                a: 2,
+                b: 400,
+            }],
+        };
+        let rendered = render_retained(&[retained, error], 10_000);
+        assert_eq!(
+            rendered,
+            "{\"slow_threshold_us\":10000,\"retained\":[\
+             {\"trace\":9,\"reason\":\"slow\",\"latency_us\":12000,\"captured_at_us\":99,\
+             \"events\":[{\"seq\":4,\"at_us\":20,\"stage\":\"epoch.digest\",\
+             \"digest\":18446744073709551615,\"affected_queries\":18446744073709551615}]},\
+             {\"trace\":10,\"reason\":\"error\",\"captured_at_us\":120,\
+             \"events\":[{\"seq\":5,\"at_us\":110,\"stage\":\"error\",\"client\":2,\
+             \"status\":400}]}]}"
+        );
+        assert_eq!(
+            render_retained(&[], 10_000),
+            "{\"slow_threshold_us\":10000,\"retained\":[]}"
+        );
+        assert_eq!(render_trace(8, &[]), "{\"trace\":8,\"events\":[]}");
         let doc = parse(&rendered).unwrap();
         assert_eq!(doc.get("slow_threshold_us").unwrap().as_int(), Some(10_000));
         let Json::Array(items) = doc.get("retained").unwrap() else {
@@ -712,6 +740,13 @@ mod tests {
             reverified: 4,
             reverify_sessions: 2,
         });
+        assert_eq!(
+            rendered,
+            "{\"serial\":3,\"digest\":\"00abcdef01234567\",\"added\":2,\"removed\":1,\
+             \"delta_rules\":3,\"affected_queries\":5,\"affected_everything\":false,\
+             \"bulk_rebuild\":false,\"published_at_ms\":17,\"trace\":11,\"reverified\":4,\
+             \"reverify_sessions\":2}"
+        );
         let doc = parse(&rendered).unwrap();
         assert_eq!(doc.get("serial").unwrap().as_int(), Some(3));
         assert_eq!(
@@ -726,7 +761,87 @@ mod tests {
 
     #[test]
     fn rendered_results_reparse_as_json() {
-        use rvaas_client::{EndpointReport, QueryResult};
+        use rvaas_client::{EndpointReport, NeutralityViolation, QueryResult};
+        let endpoint = |ip, client, authenticated| EndpointReport {
+            ip,
+            client: ClientId(client),
+            authenticated,
+        };
+        // Every variant's exact bytes: the CI smoke greps, the benchmark's
+        // load generator and the tenants all read this layout.
+        let awkward = "EU \"north\" \\ \u{1}".to_string();
+        for (result, expected) in [
+            (
+                QueryResult::Endpoints {
+                    endpoints: vec![endpoint(7, 2, true), endpoint(9, 3, false)],
+                },
+                "{\"endpoints\":[{\"ip\":7,\"client\":2,\"authenticated\":true},\
+                 {\"ip\":9,\"client\":3,\"authenticated\":false}]}",
+            ),
+            (QueryResult::Sources { sources: vec![] }, "{\"sources\":[]}"),
+            (
+                QueryResult::IsolationStatus {
+                    isolated: false,
+                    foreign_endpoints: vec![endpoint(7, 2, true)],
+                },
+                "{\"isolated\":false,\"foreign_endpoints\":\
+                 [{\"ip\":7,\"client\":2,\"authenticated\":true}]}",
+            ),
+            (
+                QueryResult::Regions {
+                    regions: vec!["DE".to_string(), awkward.clone()],
+                },
+                "{\"regions\":[\"DE\",\"EU \\\"north\\\" \\\\ \\u0001\"]}",
+            ),
+            (
+                QueryResult::PathLength {
+                    min_hops: 2,
+                    max_hops: 65,
+                    reachable: true,
+                },
+                "{\"min_hops\":2,\"max_hops\":65,\"reachable\":true}",
+            ),
+            (
+                QueryResult::Neutrality {
+                    fair: false,
+                    violations: vec![NeutralityViolation {
+                        victim: ClientId(1),
+                        favoured: ClientId(4),
+                        victim_rate_kbps: 500,
+                        favoured_rate_kbps: u64::MAX,
+                    }],
+                },
+                "{\"fair\":false,\"violations\":[{\"victim\":1,\"favoured\":4,\
+                 \"victim_rate_kbps\":500,\"favoured_rate_kbps\":18446744073709551615}]}",
+            ),
+            (
+                QueryResult::Rejected { reason: awkward },
+                "{\"rejected\":\"EU \\\"north\\\" \\\\ \\u0001\"}",
+            ),
+        ] {
+            let rendered = render_result(&result);
+            assert_eq!(rendered, expected);
+            assert!(parse(&rendered).is_ok(), "{rendered}");
+        }
+
+        let response = QueryResponse {
+            client: ClientId(3),
+            spec: QuerySpec::PathLength { to_ip: 42 },
+            result: QueryResult::PathLength {
+                min_hops: 1,
+                max_hops: 2,
+                reachable: true,
+            },
+            epoch_serial: 5,
+            latency: std::time::Duration::from_micros(1_234),
+            trace: rvaas_telemetry::TraceId(77),
+        };
+        assert_eq!(
+            render_response(&response),
+            "{\"client\":3,\"query\":\"path_length\",\"epoch_serial\":5,\"latency_us\":1234,\
+             \"trace\":77,\"result\":{\"min_hops\":1,\"max_hops\":2,\"reachable\":true}}"
+        );
+
         let rendered = render_result(&QueryResult::IsolationStatus {
             isolated: false,
             foreign_endpoints: vec![EndpointReport {
