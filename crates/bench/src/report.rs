@@ -6,7 +6,10 @@
 //! trajectory from that one list. The writer owns what every trajectory
 //! shares: the `experiment` / `smoke` / `host_cores` header, the two
 //! environment switches that size a run, and the one robust statistic,
-//! [`MedianMad`].
+//! [`MedianMad`]. Every value is rendered by the workspace's one JSON
+//! writer, [`rvaas_types::json`].
+
+use rvaas_types::json;
 
 /// True when the experiments run in reduced "smoke" mode
 /// (`RVAAS_BENCH_SMOKE`, per-push CI).
@@ -113,43 +116,28 @@ impl From<Vec<f64>> for Value {
     }
 }
 
-/// Three decimals; JSON has no infinities, so a degenerate ratio is `null`.
-fn number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl Value {
     fn json(&self) -> String {
         match self {
-            Value::Count(n) => n.to_string(),
-            Value::Number(x) => number(*x),
-            Value::Flag(b) => b.to_string(),
-            Value::Text(s) => rvaas_types::json::quote(s),
-            Value::Spread(m) => format!(
-                "{{\"median\":{},\"mad\":{}}}",
-                number(m.median),
-                number(m.mad)
-            ),
-            Value::Numbers(xs) => {
-                format!(
-                    "[{}]",
-                    xs.iter().map(|x| number(*x)).collect::<Vec<_>>().join(",")
-                )
-            }
+            Value::Count(n) => json::uint(*n),
+            Value::Number(x) => json::number(*x),
+            Value::Flag(b) => json::boolean(*b),
+            Value::Text(s) => json::quote(s),
+            Value::Spread(m) => json::object([
+                ("median", json::number(m.median)),
+                ("mad", json::number(m.mad)),
+            ]),
+            Value::Numbers(xs) => json::array(xs.iter().map(|x| json::number(*x))),
         }
     }
 
     fn text(&self) -> String {
         match self {
             Value::Text(s) => s.clone(),
-            Value::Spread(m) => format!("{} ± {}", number(m.median), number(m.mad)),
+            Value::Spread(m) => format!("{} ± {}", json::number(m.median), json::number(m.mad)),
             Value::Numbers(xs) => xs
                 .iter()
-                .map(|x| number(*x))
+                .map(|x| json::number(*x))
                 .collect::<Vec<_>>()
                 .join(" / "),
             other => other.json(),
@@ -204,23 +192,21 @@ impl Report {
         self
     }
 
-    /// The machine-readable trajectory.
+    /// The machine-readable trajectory: one top-level member per line, each
+    /// value compact.
     pub fn json(&self) -> String {
-        let object = |fields: &Fields, separator: &str| {
-            fields
-                .iter()
-                .map(|(name, value)| format!("\"{name}\":{separator}{}", value.json()))
-                .collect::<Vec<_>>()
-        };
-        let points: Vec<String> = self
+        let member = |(name, value): &(&'static str, Value)| (*name, value.json());
+        let points = self
             .points
             .iter()
-            .map(|point| format!("{{{}}}", object(point, "").join(",")))
+            .map(|p| json::object(p.iter().map(member)));
+        let lines: Vec<String> = [("experiment", json::quote(self.experiment))]
+            .into_iter()
+            .chain(self.fields.iter().map(member))
+            .chain([("points", json::array(points))])
+            .chain(self.summary.iter().map(member))
+            .map(|(name, value)| format!("{}: {value}", json::quote(name)))
             .collect();
-        let mut lines = vec![format!("\"experiment\": \"{}\"", self.experiment)];
-        lines.extend(object(&self.fields, " "));
-        lines.push(format!("\"points\": [{}]", points.join(",")));
-        lines.extend(object(&self.summary, " "));
         format!("{{\n  {}\n}}\n", lines.join(",\n  "))
     }
 

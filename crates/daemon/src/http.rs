@@ -21,6 +21,8 @@ use std::io::{self, ErrorKind, Read, Write};
 use rvaas_service::{ServiceError, SyncServer, VerificationService};
 use rvaas_telemetry::{trace::recorder, CaptureReason, TraceContext, TraceStage};
 
+use rvaas_types::json::{boolean, object, uint};
+
 use crate::json;
 
 /// Upper bound on request head + body; a query body is tens of bytes.
@@ -75,7 +77,7 @@ impl HttpResponse {
     /// A JSON error envelope: `{"error": "..."}`.
     #[must_use]
     pub fn error(status: u16, message: &str) -> Self {
-        HttpResponse::json(status, format!("{{\"error\":{}}}", json::quote(message)))
+        HttpResponse::json(status, object([("error", json::quote(message))]))
     }
 
     fn reason(&self) -> &'static str {
@@ -316,13 +318,15 @@ fn epoch_body(service: &VerificationService, sync_server: &SyncServer) -> String
     let epoch = service.store().current();
     // A stable content digest over the published digest set, so two scrapes
     // can tell "same serial" from "same rules".
-    format!(
-        "{{\"serial\":{},\"session\":{},\"rules\":{},\"digest\":\"{:016x}\"}}",
-        epoch.serial,
-        sync_server.session_id(),
-        epoch.rules.len(),
-        epoch.content_digest()
-    )
+    object([
+        ("serial", uint(epoch.serial)),
+        ("session", uint(sync_server.session_id())),
+        ("rules", uint(epoch.rules.len() as u64)),
+        (
+            "digest",
+            json::quote(&format!("{:016x}", epoch.content_digest())),
+        ),
+    ])
 }
 
 fn status_body(
@@ -331,23 +335,25 @@ fn status_body(
     uptime_secs: u64,
 ) -> String {
     let epoch = service.store().current();
+    // Set from the `workers` count at start, so never negative.
+    let workers = crate::daemon::workers_gauge(&service.registry()).get();
     let rec = recorder();
-    format!(
-        "{{\"version\":{},\"session\":{},\"epoch_serial\":{},\"uptime_secs\":{uptime_secs},\
-         \"workers\":{},\"cache_entries\":{},\
-         \"trace\":{{\"enabled\":{},\"ring_capacity\":{},\"occupancy\":{},\"retained\":{},\
-         \"slow_threshold_us\":{}}}}}",
-        json::quote(env!("CARGO_PKG_VERSION")),
-        sync_server.session_id(),
-        epoch.serial,
-        crate::daemon::workers_gauge(&service.registry()).get(),
-        service.cache_entries(),
-        rec.is_enabled(),
-        rec.capacity(),
-        rec.occupancy(),
-        rec.retained().len(),
-        rec.slow_threshold_us()
-    )
+    let trace = object([
+        ("enabled", boolean(rec.is_enabled())),
+        ("ring_capacity", uint(rec.capacity() as u64)),
+        ("occupancy", uint(rec.occupancy() as u64)),
+        ("retained", uint(rec.retained().len() as u64)),
+        ("slow_threshold_us", uint(rec.slow_threshold_us())),
+    ]);
+    object([
+        ("version", json::quote(env!("CARGO_PKG_VERSION"))),
+        ("session", uint(sync_server.session_id())),
+        ("epoch_serial", uint(epoch.serial)),
+        ("uptime_secs", uint(uptime_secs)),
+        ("workers", uint(u64::try_from(workers).unwrap_or_default())),
+        ("cache_entries", uint(service.cache_entries() as u64)),
+        ("trace", trace),
+    ])
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! Hand-rolled JSON for the HTTP API.
 //!
 //! The build environment vendors no JSON crate, so the daemon carries its
-//! own minimal JSON: a recursive-descent parser for request bodies and
-//! direct string rendering for verdicts, whose string literals [`quote`]
-//! escapes (the one escaper, [`rvaas_types::json::quote`], which the
-//! experiment reports share). The parser accepts standard JSON
+//! own minimal JSON: a recursive-descent parser for request bodies, and
+//! renderers for verdicts, traces and provenance that build every document
+//! through the workspace's one JSON writer, [`rvaas_types::json`] (which
+//! the experiment reports share). The parser accepts standard JSON
 //! objects/arrays/strings/unsigned integers/booleans/null — everything the
 //! query API needs — and rejects the rest with a position-tagged message.
 
@@ -14,6 +14,7 @@ use rvaas_telemetry::{CaptureReason, RetainedTrace, TraceEvent};
 use rvaas_types::ClientId;
 
 pub use rvaas_types::json::quote;
+use rvaas_types::json::{array, boolean, object, uint};
 
 /// A parsed JSON value (no floats: the API's numbers are all unsigned
 /// integers, and rejecting floats keeps round-trips exact).
@@ -305,6 +306,17 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(value)
 }
 
+/// Every query the API answers, by name, in the order the "unknown query"
+/// error lists them. `path_length`'s `to_ip` is filled in from the request.
+pub const QUERIES: [(&str, QuerySpec); 6] = [
+    ("reachable_destinations", QuerySpec::ReachableDestinations),
+    ("reaching_sources", QuerySpec::ReachingSources),
+    ("isolation", QuerySpec::Isolation),
+    ("geo_location", QuerySpec::GeoLocation),
+    ("path_length", QuerySpec::PathLength { to_ip: 0 }),
+    ("neutrality", QuerySpec::Neutrality),
+];
+
 /// Resolves a query name (as used by the HTTP API and the `verify`
 /// subcommand) to a [`QuerySpec`]. `path_length` requires `to_ip`.
 ///
@@ -313,25 +325,21 @@ pub fn parse(text: &str) -> Result<Json, String> {
 /// Returns [`ServiceError::InvalidQuery`] for unknown names or a missing
 /// `to_ip`.
 pub fn query_by_name(name: &str, to_ip: Option<u64>) -> Result<QuerySpec, ServiceError> {
-    match name {
-        "reachable_destinations" => Ok(QuerySpec::ReachableDestinations),
-        "reaching_sources" => Ok(QuerySpec::ReachingSources),
-        "isolation" => Ok(QuerySpec::Isolation),
-        "geo_location" => Ok(QuerySpec::GeoLocation),
-        "neutrality" => Ok(QuerySpec::Neutrality),
-        "path_length" => {
-            let to_ip = to_ip.ok_or_else(|| {
-                ServiceError::InvalidQuery("path_length requires \"to_ip\"".to_string())
-            })?;
-            let to_ip = u32::try_from(to_ip)
-                .map_err(|_| ServiceError::InvalidQuery("to_ip out of range".to_string()))?;
-            Ok(QuerySpec::PathLength { to_ip })
-        }
-        other => Err(ServiceError::InvalidQuery(format!(
-            "unknown query {other:?} (known: reachable_destinations, reaching_sources, \
-             isolation, geo_location, path_length, neutrality)"
-        ))),
+    let Some((_, spec)) = QUERIES.iter().find(|(known, _)| *known == name) else {
+        let known = QUERIES.map(|(known, _)| known).join(", ");
+        return Err(ServiceError::InvalidQuery(format!(
+            "unknown query {name:?} (known: {known})"
+        )));
+    };
+    if let QuerySpec::PathLength { .. } = spec {
+        let to_ip = to_ip.ok_or_else(|| {
+            ServiceError::InvalidQuery("path_length requires \"to_ip\"".to_string())
+        })?;
+        let to_ip = u32::try_from(to_ip)
+            .map_err(|_| ServiceError::InvalidQuery("to_ip out of range".to_string()))?;
+        return Ok(QuerySpec::PathLength { to_ip });
     }
+    Ok(spec.clone())
 }
 
 /// Parses a `POST /v1/query` body: `{"client": N, "query": "name"}` plus
@@ -360,27 +368,22 @@ pub fn parse_query_request(body: &str) -> Result<(ClientId, QuerySpec), ServiceE
 /// The canonical name of a query spec, inverse of [`query_by_name`].
 #[must_use]
 pub fn query_name(spec: &QuerySpec) -> &'static str {
-    match spec {
-        QuerySpec::ReachableDestinations => "reachable_destinations",
-        QuerySpec::ReachingSources => "reaching_sources",
-        QuerySpec::Isolation => "isolation",
-        QuerySpec::GeoLocation => "geo_location",
-        QuerySpec::PathLength { .. } => "path_length",
-        QuerySpec::Neutrality => "neutrality",
-    }
+    let kind = std::mem::discriminant(spec);
+    QUERIES
+        .iter()
+        .find(|(_, known)| std::mem::discriminant(known) == kind)
+        .map(|(name, _)| *name)
+        .expect("QUERIES names every QuerySpec variant")
 }
 
 fn render_endpoints(reports: &[rvaas_client::EndpointReport]) -> String {
-    let items: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"ip\":{},\"client\":{},\"authenticated\":{}}}",
-                r.ip, r.client.0, r.authenticated
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
+    array(reports.iter().map(|r| {
+        object([
+            ("ip", uint(r.ip)),
+            ("client", uint(r.client.0)),
+            ("authenticated", boolean(r.authenticated)),
+        ])
+    }))
 }
 
 /// Renders a query result as a JSON object string.
@@ -389,45 +392,43 @@ pub fn render_result(result: &rvaas_client::QueryResult) -> String {
     use rvaas_client::QueryResult;
     match result {
         QueryResult::Endpoints { endpoints } => {
-            format!("{{\"endpoints\":{}}}", render_endpoints(endpoints))
+            object([("endpoints", render_endpoints(endpoints))])
         }
-        QueryResult::Sources { sources } => {
-            format!("{{\"sources\":{}}}", render_endpoints(sources))
-        }
+        QueryResult::Sources { sources } => object([("sources", render_endpoints(sources))]),
         QueryResult::IsolationStatus {
             isolated,
             foreign_endpoints,
-        } => format!(
-            "{{\"isolated\":{isolated},\"foreign_endpoints\":{}}}",
-            render_endpoints(foreign_endpoints)
-        ),
+        } => object([
+            ("isolated", boolean(*isolated)),
+            ("foreign_endpoints", render_endpoints(foreign_endpoints)),
+        ]),
         QueryResult::Regions { regions } => {
-            let items: Vec<String> = regions.iter().map(|r| quote(r)).collect();
-            format!("{{\"regions\":[{}]}}", items.join(","))
+            object([("regions", array(regions.iter().map(|r| quote(r))))])
         }
         QueryResult::PathLength {
             min_hops,
             max_hops,
             reachable,
-        } => {
-            format!("{{\"min_hops\":{min_hops},\"max_hops\":{max_hops},\"reachable\":{reachable}}}")
-        }
-        QueryResult::Neutrality { fair, violations } => {
-            let items: Vec<String> = violations
-                .iter()
-                .map(|v| {
-                    format!(
-                        "{{\"victim\":{},\"favoured\":{},\"victim_rate_kbps\":{},\
-                         \"favoured_rate_kbps\":{}}}",
-                        v.victim.0, v.favoured.0, v.victim_rate_kbps, v.favoured_rate_kbps
-                    )
-                })
-                .collect();
-            format!("{{\"fair\":{fair},\"violations\":[{}]}}", items.join(","))
-        }
-        QueryResult::Rejected { reason } => {
-            format!("{{\"rejected\":{}}}", quote(reason))
-        }
+        } => object([
+            ("min_hops", uint(*min_hops)),
+            ("max_hops", uint(*max_hops)),
+            ("reachable", boolean(*reachable)),
+        ]),
+        QueryResult::Neutrality { fair, violations } => object([
+            ("fair", boolean(*fair)),
+            (
+                "violations",
+                array(violations.iter().map(|v| {
+                    object([
+                        ("victim", uint(v.victim.0)),
+                        ("favoured", uint(v.favoured.0)),
+                        ("victim_rate_kbps", uint(v.victim_rate_kbps)),
+                        ("favoured_rate_kbps", uint(v.favoured_rate_kbps)),
+                    ])
+                })),
+            ),
+        ]),
+        QueryResult::Rejected { reason } => object([("rejected", quote(reason))]),
     }
 }
 
@@ -436,86 +437,76 @@ pub fn render_result(result: &rvaas_client::QueryResult) -> String {
 /// the event chain at `GET /v1/trace/<id>` while it is still in the ring).
 #[must_use]
 pub fn render_response(response: &QueryResponse) -> String {
-    format!(
-        "{{\"client\":{},\"query\":{},\"epoch_serial\":{},\"latency_us\":{},\"trace\":{},\
-         \"result\":{}}}",
-        response.client.0,
-        quote(query_name(&response.spec)),
-        response.epoch_serial,
-        response.latency.as_micros(),
-        response.trace.0,
-        render_result(&response.result)
-    )
+    let latency_us = u64::try_from(response.latency.as_micros()).unwrap_or(u64::MAX);
+    object([
+        ("client", uint(response.client.0)),
+        ("query", quote(query_name(&response.spec))),
+        ("epoch_serial", uint(response.epoch_serial)),
+        ("latency_us", uint(latency_us)),
+        ("trace", uint(response.trace.0)),
+        ("result", render_result(&response.result)),
+    ])
 }
 
-fn render_trace_event(event: &TraceEvent) -> String {
-    let (a_name, b_name) = event.stage.arg_names();
-    format!(
-        "{{\"seq\":{},\"at_us\":{},\"stage\":{},\"{a_name}\":{},\"{b_name}\":{}}}",
-        event.seq,
-        event.at_us,
-        quote(event.stage.as_str()),
-        event.a,
-        event.b
-    )
+fn render_events(events: &[TraceEvent]) -> String {
+    array(events.iter().map(|event| {
+        let (a_name, b_name) = event.stage.arg_names();
+        object([
+            ("seq", uint(event.seq)),
+            ("at_us", uint(event.at_us)),
+            ("stage", quote(event.stage.as_str())),
+            (a_name, uint(event.a)),
+            (b_name, uint(event.b)),
+        ])
+    }))
 }
 
 /// Renders one reconstructed event chain, as served by `GET /v1/trace/<id>`
 /// and printed by `rvaas trace`.
 #[must_use]
 pub fn render_trace(trace: u64, events: &[TraceEvent]) -> String {
-    let items: Vec<String> = events.iter().map(render_trace_event).collect();
-    format!("{{\"trace\":{trace},\"events\":[{}]}}", items.join(","))
-}
-
-fn render_retained_trace(retained: &RetainedTrace) -> String {
-    let reason = match retained.reason {
-        CaptureReason::Slow { latency_us } => {
-            format!("\"reason\":\"slow\",\"latency_us\":{latency_us}")
-        }
-        CaptureReason::Error => "\"reason\":\"error\"".to_string(),
-    };
-    let items: Vec<String> = retained.events.iter().map(render_trace_event).collect();
-    format!(
-        "{{\"trace\":{},{reason},\"captured_at_us\":{},\"events\":[{}]}}",
-        retained.trace.0,
-        retained.captured_at_us,
-        items.join(",")
-    )
+    object([("trace", uint(trace)), ("events", render_events(events))])
 }
 
 /// Renders the retained slow/error trace set, as served by
 /// `GET /v1/trace/slow`.
 #[must_use]
 pub fn render_retained(retained: &[RetainedTrace], slow_threshold_us: u64) -> String {
-    let items: Vec<String> = retained.iter().map(render_retained_trace).collect();
-    format!(
-        "{{\"slow_threshold_us\":{slow_threshold_us},\"retained\":[{}]}}",
-        items.join(",")
-    )
+    let captures = retained.iter().map(|capture| {
+        let (reason, latency_us) = match capture.reason {
+            CaptureReason::Slow { latency_us } => ("slow", Some(("latency_us", uint(latency_us)))),
+            CaptureReason::Error => ("error", None),
+        };
+        let head = [("trace", uint(capture.trace.0)), ("reason", quote(reason))];
+        object(head.into_iter().chain(latency_us).chain([
+            ("captured_at_us", uint(capture.captured_at_us)),
+            ("events", render_events(&capture.events)),
+        ]))
+    });
+    object([
+        ("slow_threshold_us", uint(slow_threshold_us)),
+        ("retained", array(captures)),
+    ])
 }
 
 /// Renders one epoch provenance record, as served by
 /// `GET /v1/epoch/<serial>/provenance`.
 #[must_use]
 pub fn render_provenance(p: &EpochProvenance) -> String {
-    format!(
-        "{{\"serial\":{},\"digest\":\"{:016x}\",\"added\":{},\"removed\":{},\"delta_rules\":{},\
-         \"affected_queries\":{},\"affected_everything\":{},\"bulk_rebuild\":{},\
-         \"published_at_ms\":{},\"trace\":{},\"reverified\":{},\"reverify_sessions\":{}}}",
-        p.serial,
-        p.digest,
-        p.added,
-        p.removed,
-        p.delta_rules,
-        p.affected_queries,
-        p.affected_everything,
-        p.bulk_rebuild,
-        p.published_at.as_millis(),
-        p.trace.0,
-        p.reverified,
-        p.reverify_sessions
-    )
+    object([
+        ("serial", uint(p.serial)),
+        ("digest", quote(&format!("{:016x}", p.digest))),
+        ("added", uint(p.added as u64)),
+        ("removed", uint(p.removed as u64)),
+        ("delta_rules", uint(p.delta_rules as u64)),
+        ("affected_queries", uint(p.affected_queries as u64)),
+        ("affected_everything", boolean(p.affected_everything)),
+        ("bulk_rebuild", boolean(p.bulk_rebuild)),
+        ("published_at_ms", uint(p.published_at.as_millis())),
+        ("trace", uint(p.trace.0)),
+        ("reverified", uint(p.reverified)),
+        ("reverify_sessions", uint(p.reverify_sessions)),
+    ])
 }
 
 #[cfg(test)]
@@ -531,6 +522,29 @@ mod tests {
         let (_, spec) =
             parse_query_request(r#"{"client":2,"query":"path_length","to_ip":4242}"#).unwrap();
         assert_eq!(spec, QuerySpec::PathLength { to_ip: 4242 });
+    }
+
+    #[test]
+    fn query_names_come_from_one_table() {
+        for (name, _) in QUERIES {
+            assert_eq!(query_name(&query_by_name(name, Some(1)).unwrap()), name);
+        }
+        let Err(ServiceError::InvalidQuery(message)) = query_by_name("tarot_reading", None) else {
+            panic!("an unknown name must be rejected");
+        };
+        let listed = message
+            .split_once("(known: ")
+            .and_then(|(_, rest)| rest.strip_suffix(')'))
+            .expect("the error lists the known names");
+        assert_eq!(
+            listed.split(", ").collect::<Vec<_>>(),
+            QUERIES.map(|(name, _)| name)
+        );
+        assert_eq!(
+            message,
+            "unknown query \"tarot_reading\" (known: reachable_destinations, reaching_sources, \
+             isolation, geo_location, path_length, neutrality)"
+        );
     }
 
     #[test]

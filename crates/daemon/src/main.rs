@@ -228,13 +228,11 @@ fn one_shot(args: &[String], render: impl Fn(&QueryResponse) -> String) -> Resul
     let daemon = Daemon::start(&config)?;
     let specs = match &options.query {
         Some(name) => vec![json::query_by_name(name, options.to_ip)?],
-        None => vec![
-            rvaas_client::QuerySpec::ReachableDestinations,
-            rvaas_client::QuerySpec::ReachingSources,
-            rvaas_client::QuerySpec::Isolation,
-            rvaas_client::QuerySpec::GeoLocation,
-            rvaas_client::QuerySpec::Neutrality,
-        ],
+        // Every query that needs no argument (all but `path_length`).
+        None => json::QUERIES
+            .iter()
+            .filter_map(|(name, _)| json::query_by_name(name, None).ok())
+            .collect(),
     };
     for spec in specs {
         let response = daemon.service().try_query(options.client, spec)?;

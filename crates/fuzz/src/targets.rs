@@ -149,23 +149,17 @@ pub fn http_target(data: &[u8]) {
     }
 }
 
-/// Renders a parsed JSON value back to source text.
+/// Renders a parsed JSON value back to source text through the one writer.
 fn render_json(value: &json::Json) -> String {
+    use rvaas_types::json::{array, boolean, object, quote, uint};
     match value {
         json::Json::Null => "null".to_string(),
-        json::Json::Bool(b) => b.to_string(),
-        json::Json::Int(n) => n.to_string(),
-        json::Json::Str(s) => json::quote(s),
-        json::Json::Array(items) => {
-            let inner: Vec<String> = items.iter().map(render_json).collect();
-            format!("[{}]", inner.join(","))
-        }
+        json::Json::Bool(b) => boolean(*b),
+        json::Json::Int(n) => uint(*n),
+        json::Json::Str(s) => quote(s),
+        json::Json::Array(items) => array(items.iter().map(render_json)),
         json::Json::Object(pairs) => {
-            let inner: Vec<String> = pairs
-                .iter()
-                .map(|(k, v)| format!("{}:{}", json::quote(k), render_json(v)))
-                .collect();
-            format!("{{{}}}", inner.join(","))
+            object(pairs.iter().map(|(k, v)| (k.as_str(), render_json(v))))
         }
     }
 }
@@ -173,7 +167,7 @@ fn render_json(value: &json::Json) -> String {
 /// Daemon JSON codec: arbitrary bytes as request-body text.
 ///
 /// Properties: parse never panics and never recurses past the depth cap;
-/// a parsed value rendered back through `quote` re-parses to an equal
+/// a parsed value rendered back through the writer re-parses to an equal
 /// value (escape handling is symmetric).
 pub fn json_target(data: &[u8]) {
     let Ok(text) = std::str::from_utf8(data) else {

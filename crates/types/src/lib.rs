@@ -9,8 +9,7 @@
 //! Analysis, geographic regions used for geo-location queries, simulated
 //! time, and the common error type. The one exception is [`Chunked`], the
 //! copy-on-write container the snapshot's tables, the HSA transfers and the
-//! service's digest set share; [`json::quote`] is the workspace's one JSON
-//! string escaper.
+//! service's digest set share; [`json`] is the workspace's one JSON writer.
 //!
 //! # Example
 //!
