@@ -19,7 +19,6 @@ use rand::{Rng, SeedableRng};
 use rvaas_openflow::Message;
 use rvaas_types::{SimTime, SwitchId};
 
-use crate::incremental::RuleChange;
 use crate::snapshot::NetworkSnapshot;
 
 /// When and how the monitor actively polls switch state.
@@ -90,15 +89,6 @@ pub struct ConfigMonitor {
     snapshot: NetworkSnapshot,
     stats: MonitorStats,
     rng: StdRng,
-    /// Rule-level deltas applied since the last [`drain_changes`] call,
-    /// in arrival order — the feed for the service plane's delta-publish
-    /// path.
-    ///
-    /// [`drain_changes`]: Self::drain_changes
-    pending_changes: Vec<RuleChange>,
-    /// Set when a full-table poll reply replaced per-rule knowledge; the
-    /// next drain reports "resynced" instead of a delta.
-    resynced: bool,
 }
 
 impl ConfigMonitor {
@@ -110,8 +100,6 @@ impl ConfigMonitor {
             stats: MonitorStats::default(),
             rng: StdRng::seed_from_u64(config.seed),
             config,
-            pending_changes: Vec::new(),
-            resynced: false,
         }
     }
 
@@ -137,57 +125,30 @@ impl ConfigMonitor {
     /// snapshot changed.
     pub fn on_switch_message(&mut self, switch: SwitchId, message: &Message, now: SimTime) -> bool {
         match message {
+            Message::FlowMonitorNotify { .. } | Message::FlowRemoved { .. }
+                if !self.config.passive_enabled =>
+            {
+                self.stats.passive_ignored += 1;
+                false
+            }
             Message::FlowMonitorNotify { entry, .. } => {
-                if !self.config.passive_enabled {
-                    self.stats.passive_ignored += 1;
-                    return false;
-                }
                 self.stats.passive_events += 1;
                 self.snapshot.record_installed(switch, entry.clone(), now);
-                self.pending_changes
-                    .push(RuleChange::installed(switch, entry.clone()));
                 true
             }
             Message::FlowRemoved { entry, .. } => {
-                if !self.config.passive_enabled {
-                    self.stats.passive_ignored += 1;
-                    return false;
-                }
                 self.stats.passive_events += 1;
                 self.snapshot.record_removed(switch, entry, now);
-                self.pending_changes
-                    .push(RuleChange::removed(switch, entry.clone()));
                 true
             }
             Message::FlowStatsReply { entries, .. } => {
                 self.stats.poll_replies += 1;
                 self.snapshot
                     .record_full_table(switch, entries.clone(), now);
-                // A poll reply replaces a whole table; the per-rule diff is
-                // not known, so the accumulated delta is void.
-                self.pending_changes.clear();
-                self.resynced = true;
                 true
             }
             _ => false,
         }
-    }
-
-    /// Takes the rule-level deltas applied since the last drain, in arrival
-    /// order — the hand-off to the service plane's `try_publish_changes` path,
-    /// which advances the epoch store without comparing whole snapshots.
-    ///
-    /// Returns `None` when a full-table poll reply landed in the window: the
-    /// per-rule diff of a resync is unknown, so the caller must fall back to
-    /// publishing the full [`snapshot`](Self::snapshot). An empty `Some`
-    /// means "nothing changed".
-    pub fn drain_changes(&mut self) -> Option<Vec<RuleChange>> {
-        if self.resynced {
-            self.resynced = false;
-            self.pending_changes.clear();
-            return None;
-        }
-        Some(std::mem::take(&mut self.pending_changes))
     }
 
     /// Returns the delay until the next active poll, or `None` if polling is
@@ -313,41 +274,6 @@ mod tests {
             .map(|_| randomized.next_poll_delay().unwrap().as_nanos())
             .collect();
         assert!(delays.len() > 1);
-    }
-
-    #[test]
-    fn drained_changes_mirror_passive_events_and_void_on_resync() {
-        let mut m = ConfigMonitor::new(MonitorConfig::default());
-        assert_eq!(m.drain_changes(), Some(Vec::new()), "nothing yet");
-        m.on_switch_message(SwitchId(1), &notify(5), SimTime::from_millis(1));
-        m.on_switch_message(
-            SwitchId(1),
-            &Message::FlowRemoved {
-                switch: SwitchId(1),
-                entry: entry(5),
-                at: SimTime::from_millis(2),
-            },
-            SimTime::from_millis(2),
-        );
-        let changes = m.drain_changes().expect("no resync in the window");
-        assert_eq!(changes.len(), 2);
-        assert!(changes[0].installed && !changes[1].installed);
-        assert_eq!(m.drain_changes(), Some(Vec::new()), "drain empties");
-
-        // A full-table reply voids the delta: the next drain demands a full
-        // publish, the one after resumes delta mode.
-        m.on_switch_message(SwitchId(1), &notify(6), SimTime::from_millis(3));
-        m.on_switch_message(
-            SwitchId(1),
-            &Message::FlowStatsReply {
-                switch: SwitchId(1),
-                entries: vec![entry(6)],
-            },
-            SimTime::from_millis(4),
-        );
-        assert_eq!(m.drain_changes(), None);
-        m.on_switch_message(SwitchId(1), &notify(7), SimTime::from_millis(5));
-        assert_eq!(m.drain_changes().map(|c| c.len()), Some(1));
     }
 
     #[test]

@@ -656,10 +656,10 @@ impl EpochStore {
     }
 
     /// Advances the epoch by a rule-level delta instead of a full snapshot:
-    /// the monitor hands [`ConfigMonitor::drain_changes`] output straight
-    /// here, and the next snapshot is its predecessor with the delta applied,
-    /// sharing every table the delta does not touch and every chunk of a
-    /// touched one it does not land in.
+    /// the rule changes a monitor's notify and removed events carry, in
+    /// arrival order, come straight here, and the next snapshot is its
+    /// predecessor with the delta applied, sharing every table the delta
+    /// does not touch and every chunk of a touched one it does not land in.
     ///
     /// Installs already present and removals of absent rules are skipped, so
     /// the recorded delta always matches the digest diff of the two epochs.
@@ -668,8 +668,6 @@ impl EpochStore {
     ///
     /// Returns [`ServiceError::PublishRejected`] if the serial space is
     /// exhausted.
-    ///
-    /// [`ConfigMonitor::drain_changes`]: rvaas::ConfigMonitor::drain_changes
     pub fn try_publish_changes(
         &self,
         changes: &[RuleChange],

@@ -230,16 +230,15 @@ impl VerificationService {
         self.publish_with(|store| store.try_publish(snapshot.clone(), at))
     }
 
-    /// Publishes a rule-level delta as the next epoch — the monitor's
-    /// [`drain_changes`] output goes straight here, skipping the full-snapshot
-    /// comparison of [`VerificationService::try_publish`].
+    /// Publishes a rule-level delta as the next epoch — the rule changes a
+    /// monitor's notify and removed events carry, in arrival order, go
+    /// straight here, skipping the full-snapshot comparison of
+    /// [`VerificationService::try_publish`].
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::PublishRejected`] when the epoch store cannot
     /// accept another epoch.
-    ///
-    /// [`drain_changes`]: rvaas::ConfigMonitor::drain_changes
     pub fn try_publish_changes(
         &self,
         changes: &[RuleChange],

@@ -1,14 +1,12 @@
 //! Closes the monitor → epoch-store loop end to end: a [`ConfigMonitor`]
-//! consumes raw switch messages, its [`drain_changes`] output is handed
-//! straight to [`VerificationService::try_publish_changes`], and the
-//! resulting epochs must be indistinguishable — digest for digest — from a
-//! twin service that is handed the monitor's full snapshot on every
-//! publish. The `None` drain after a full-table poll reply must fall back
-//! to the full-snapshot path.
-//!
-//! [`drain_changes`]: rvaas::ConfigMonitor::drain_changes
+//! consumes raw switch messages, the rule changes those messages carry are
+//! handed, in arrival order, straight to
+//! [`VerificationService::try_publish_changes`], and the resulting epochs
+//! must be indistinguishable — digest for digest — from a twin service that
+//! is handed the monitor's full snapshot on every publish. A full-table poll
+//! reply, whose per-rule diff is unknown, is published as a full snapshot.
 
-use rvaas::{ConfigMonitor, MonitorConfig, NetworkFunction};
+use rvaas::{ConfigMonitor, MonitorConfig, NetworkFunction, RuleChange};
 use rvaas_client::QuerySpec;
 use rvaas_controlplane::benign_rules;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch, Message};
@@ -76,29 +74,42 @@ fn assert_epochs_agree(
     assert_eq!(dv.result, fv.result, "{round}: verdicts diverged");
 }
 
-fn notify(monitor: &mut ConfigMonitor, switch: SwitchId, entry: &FlowEntry, at: SimTime) {
-    monitor.on_switch_message(
-        switch,
-        &Message::FlowMonitorNotify {
-            switch,
-            entry: entry.clone(),
-            added: true,
-            at,
-        },
-        at,
-    );
+/// The monitor under test and the rule changes fed to it since the last
+/// publish, in arrival order.
+struct Feed {
+    monitor: ConfigMonitor,
+    changes: Vec<RuleChange>,
 }
 
-fn removed(monitor: &mut ConfigMonitor, switch: SwitchId, entry: &FlowEntry, at: SimTime) {
-    monitor.on_switch_message(
-        switch,
-        &Message::FlowRemoved {
+impl Feed {
+    fn notify(&mut self, switch: SwitchId, entry: &FlowEntry, at: SimTime) {
+        self.monitor.on_switch_message(
             switch,
-            entry: entry.clone(),
+            &Message::FlowMonitorNotify {
+                switch,
+                entry: entry.clone(),
+                added: true,
+                at,
+            },
             at,
-        },
-        at,
-    );
+        );
+        self.changes
+            .push(RuleChange::installed(switch, entry.clone()));
+    }
+
+    fn removed(&mut self, switch: SwitchId, entry: &FlowEntry, at: SimTime) {
+        self.monitor.on_switch_message(
+            switch,
+            &Message::FlowRemoved {
+                switch,
+                entry: entry.clone(),
+                at,
+            },
+            at,
+        );
+        self.changes
+            .push(RuleChange::removed(switch, entry.clone()));
+    }
 }
 
 #[test]
@@ -106,15 +117,20 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
     let topology = generators::line(4, 2);
     let delta_service = service_over(&topology);
     let full_service = service_over(&topology);
-    let mut monitor = ConfigMonitor::new(MonitorConfig::default());
-    // Drains one monitor window into both services: the rule delta into one,
-    // the full snapshot into the other.
-    let publish_window = |monitor: &mut ConfigMonitor, expected: usize, at, round: &str| {
-        let changes = monitor.drain_changes().expect("no resync in this window");
+    let mut feed = Feed {
+        monitor: ConfigMonitor::new(MonitorConfig::default()),
+        changes: Vec::new(),
+    };
+    // Publishes one monitor window into both services: the rule changes fed
+    // into one, the monitor's full snapshot into the other.
+    let publish_window = |feed: &mut Feed, expected: usize, at, round: &str| {
+        let changes = std::mem::take(&mut feed.changes);
         assert_eq!(changes.len(), expected, "{round}");
         let before = [&delta_service, &full_service].map(|s| s.store().current());
         delta_service.try_publish_changes(&changes, at).unwrap();
-        full_service.try_publish(monitor.snapshot(), at).unwrap();
+        full_service
+            .try_publish(feed.monitor.snapshot(), at)
+            .unwrap();
         assert_epochs_agree(&delta_service, &full_service, &topology, round);
         // On both paths the new epoch shares with its predecessor the table
         // of every switch the window did not name.
@@ -135,12 +151,9 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
     // --- initial table build arrives as passive notifications -----------
     let seed = benign_rules(&topology);
     for (switch, entry) in &seed {
-        notify(&mut monitor, *switch, entry, SimTime::from_millis(1));
+        feed.notify(*switch, entry, SimTime::from_millis(1));
     }
-    publish_window(&mut monitor, seed.len(), SimTime::from_millis(1), "seed");
-
-    // --- a quiet window drains empty: nothing to publish -----------------
-    assert_eq!(monitor.drain_changes(), Some(Vec::new()));
+    publish_window(&mut feed, seed.len(), SimTime::from_millis(1), "seed");
 
     // --- install + remove churn, one publish per window -------------------
     for round in 0..3u64 {
@@ -150,10 +163,10 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
             FlowMatch::to_ip(0x0a00_0001 + round as u32),
             vec![Action::Drop],
         );
-        notify(&mut monitor, SwitchId(2), &filter, at);
+        feed.notify(SwitchId(2), &filter, at);
         let (victim_switch, victim_entry) = &seed[round as usize];
-        removed(&mut monitor, *victim_switch, victim_entry, at);
-        publish_window(&mut monitor, 2, at, &format!("churn {round}"));
+        feed.removed(*victim_switch, victim_entry, at);
+        publish_window(&mut feed, 2, at, &format!("churn {round}"));
     }
 
     // --- a rule that flaps within one window, then a window of changes that
@@ -161,14 +174,14 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
     // both paths must record an empty delta ---------------------------------
     let flapper = FlowEntry::new(350, FlowMatch::to_ip(0x0a00_0009), vec![Action::Drop]);
     let at = SimTime::from_millis(20);
-    notify(&mut monitor, SwitchId(3), &flapper, at);
-    removed(&mut monitor, SwitchId(3), &flapper, at);
-    publish_window(&mut monitor, 2, at, "flap");
+    feed.notify(SwitchId(3), &flapper, at);
+    feed.removed(SwitchId(3), &flapper, at);
+    publish_window(&mut feed, 2, at, "flap");
     let at = SimTime::from_millis(21);
     let (present_switch, present_entry) = &seed[3];
-    notify(&mut monitor, *present_switch, present_entry, at);
-    removed(&mut monitor, SwitchId(3), &flapper, at);
-    publish_window(&mut monitor, 2, at, "no-op");
+    feed.notify(*present_switch, present_entry, at);
+    feed.removed(SwitchId(3), &flapper, at);
+    publish_window(&mut feed, 2, at, "no-op");
     let store = delta_service.store();
     for serial in [store.current().serial - 1, store.current().serial] {
         assert_eq!(store.provenance(serial).expect("recent").delta_rules, 0);
@@ -176,7 +189,7 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
 
     // --- an in-place rewrite: a switch reports a `ModifyStrict` (or an `Add`
     // over a present priority + match) as a notification carrying the new
-    // actions, the monitor upserts and queues one install; both paths must
+    // actions, the monitor upserts and the feed holds one install; both paths must
     // record one rule gone and one arrived. (The last benign rule is the last
     // of its priority on its switch, so the re-installed entry's slot is the
     // rebuild's.) ----------------------------------------------------------
@@ -184,18 +197,18 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
     let (rewritten_switch, original) = seed.last().expect("benign rules");
     let mut rewritten = original.clone();
     rewritten.actions = [Action::Drop].into();
-    notify(&mut monitor, *rewritten_switch, &rewritten, at);
-    publish_window(&mut monitor, 1, at, "rewrite");
+    feed.notify(*rewritten_switch, &rewritten, at);
+    publish_window(&mut feed, 1, at, "rewrite");
     let rewrite = store.provenance(store.current().serial).expect("recent");
     assert_eq!(
         (rewrite.added, rewrite.removed, rewrite.delta_rules),
         (1, 1, 2)
     );
 
-    // --- a full-table poll reply voids the delta: fall back to the
-    // full-snapshot publish on both services ------------------------------
+    // --- a full-table poll reply carries no per-rule diff: both services
+    // take the full-snapshot publish ----------------------------------------
     let at = SimTime::from_millis(50);
-    monitor.on_switch_message(
+    feed.monitor.on_switch_message(
         SwitchId(1),
         &Message::FlowStatsReply {
             switch: SwitchId(1),
@@ -207,17 +220,20 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
         },
         at,
     );
-    assert_eq!(monitor.drain_changes(), None, "resync voids the delta");
-    delta_service.try_publish(monitor.snapshot(), at).unwrap();
-    full_service.try_publish(monitor.snapshot(), at).unwrap();
+    delta_service
+        .try_publish(feed.monitor.snapshot(), at)
+        .unwrap();
+    full_service
+        .try_publish(feed.monitor.snapshot(), at)
+        .unwrap();
     assert_epochs_agree(&delta_service, &full_service, &topology, "resync");
 
     // The next window is delta-driven again.
     let at = SimTime::from_millis(60);
     let catch_all = FlowEntry::new(8, FlowMatch::any(), vec![Action::Drop]);
-    notify(&mut monitor, SwitchId(3), &catch_all, at);
+    feed.notify(SwitchId(3), &catch_all, at);
     let before = full_service.store().current();
-    publish_window(&mut monitor, 1, at, "post-resync");
+    publish_window(&mut feed, 1, at, "post-resync");
     // ...and the one switch it touched is the one table it copied.
     let after = full_service.store().current();
     let copied: Vec<SwitchId> = (topology.switches().map(|s| s.id))
