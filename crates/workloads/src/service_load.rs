@@ -22,13 +22,11 @@ pub fn query_mix(topology: &Topology) -> Vec<QuerySpec> {
     ]
 }
 
-/// Every distinct client owning a host in `topology`.
+/// Every distinct client owning a host in `topology`, ascending
+/// ([`Topology::clients`]).
 #[must_use]
 pub fn clients_of(topology: &Topology) -> Vec<ClientId> {
-    let mut clients: Vec<ClientId> = topology.hosts().map(|h| h.owner).collect();
-    clients.sort();
-    clients.dedup();
-    clients
+    topology.clients()
 }
 
 /// The canonical `queries`-long workload over `topology`: clients round-robin
