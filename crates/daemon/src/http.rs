@@ -21,7 +21,7 @@ use std::io::{self, ErrorKind, Read, Write};
 use rvaas_service::{ServiceError, SyncServer, VerificationService};
 use rvaas_telemetry::{trace::recorder, CaptureReason, TraceContext, TraceStage};
 
-use rvaas_types::json::{boolean, object, uint};
+use rvaas_types::json::{boolean, object, quote, uint};
 
 use crate::json;
 
@@ -77,7 +77,7 @@ impl HttpResponse {
     /// A JSON error envelope: `{"error": "..."}`.
     #[must_use]
     pub fn error(status: u16, message: &str) -> Self {
-        HttpResponse::json(status, object([("error", json::quote(message))]))
+        HttpResponse::json(status, object([("error", quote(message))]))
     }
 
     fn reason(&self) -> &'static str {
@@ -322,10 +322,7 @@ fn epoch_body(service: &VerificationService, sync_server: &SyncServer) -> String
         ("serial", uint(epoch.serial)),
         ("session", uint(sync_server.session_id())),
         ("rules", uint(epoch.rules.len() as u64)),
-        (
-            "digest",
-            json::quote(&format!("{:016x}", epoch.content_digest())),
-        ),
+        ("digest", quote(&format!("{:016x}", epoch.content_digest()))),
     ])
 }
 
@@ -346,7 +343,7 @@ fn status_body(
         ("slow_threshold_us", uint(rec.slow_threshold_us())),
     ]);
     object([
-        ("version", json::quote(env!("CARGO_PKG_VERSION"))),
+        ("version", quote(env!("CARGO_PKG_VERSION"))),
         ("session", uint(sync_server.session_id())),
         ("epoch_serial", uint(epoch.serial)),
         ("uptime_secs", uint(uptime_secs)),
