@@ -342,8 +342,6 @@ impl std::fmt::Display for SyncError {
 /// A point-in-time copy of a [`SyncSession`]'s protocol counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SyncClientStats {
-    /// Payload bytes received (deltas + resets + unchanged).
-    pub bytes_received: u64,
     /// Delta payloads successfully applied.
     pub deltas_applied: u64,
     /// Reset payloads applied (full state transfers).
@@ -401,12 +399,6 @@ impl SyncSession {
         &self.digests
     }
 
-    /// Total payload bytes received so far.
-    #[must_use]
-    pub fn bytes_received(&self) -> u64 {
-        self.stats.bytes_received
-    }
-
     /// A point-in-time copy of the session's protocol counters.
     #[must_use]
     pub fn stats(&self) -> SyncClientStats {
@@ -429,7 +421,6 @@ impl SyncSession {
     /// mismatch, removal of an unknown digest, delta before any reset); the
     /// caller should drop its state and re-request from serial 0.
     pub fn apply(&mut self, response: &SyncResponse) -> std::result::Result<(), SyncError> {
-        self.stats.bytes_received += response.encoded_len() as u64;
         if response.trace != 0 {
             self.last_trace = response.trace;
         }
@@ -716,7 +707,7 @@ mod tests {
         ));
         session.desynchronise();
         assert!(!session.is_synchronised());
-        assert!(session.bytes_received() > 0);
+        assert_eq!(session.stats().resets_applied, 1, "counters survive");
     }
 
     #[test]

@@ -141,7 +141,7 @@ mod tests {
 
     /// Installs the benign rules into an HSA network function for analysis.
     fn as_network_function(topology: &Topology) -> NetworkFunction {
-        let mut nf = NetworkFunction::new();
+        let mut nf = NetworkFunction::default();
         for sw in topology.switches() {
             nf.declare_switch(sw.id, sw.ports.clone());
         }
@@ -179,7 +179,9 @@ mod tests {
         let h1 = topo.host(rvaas_types::HostId(1)).unwrap();
         let h3 = topo.host(rvaas_types::HostId(3)).unwrap();
         assert_eq!(h1.owner, h3.owner);
-        let reached = engine.reachable_edge_ports(h1.attachment, space_from_to(h1.ip, h3.ip));
+        let reached = engine
+            .reachable_from(h1.attachment, space_from_to(h1.ip, h3.ip))
+            .reached_ports();
         assert!(reached.contains(&h3.attachment), "reached: {reached:?}");
     }
 
@@ -191,7 +193,9 @@ mod tests {
         let h1 = topo.host(rvaas_types::HostId(1)).unwrap(); // client 1
         let h2 = topo.host(rvaas_types::HostId(2)).unwrap(); // client 2
         assert_ne!(h1.owner, h2.owner);
-        let reached = engine.reachable_edge_ports(h1.attachment, space_from_to(h1.ip, h2.ip));
+        let reached = engine
+            .reachable_from(h1.attachment, space_from_to(h1.ip, h2.ip))
+            .reached_ports();
         assert!(
             !reached.contains(&h2.attachment),
             "cross-client traffic must not be admitted: {reached:?}"
@@ -209,7 +213,9 @@ mod tests {
         // still only reach same-client destinations... and in fact the
         // admission rule requires src == h1.ip, so spoofed traffic is dropped.
         let spoofed = space_from_to(h3.ip, h1.ip);
-        let reached = engine.reachable_edge_ports(h1.attachment, spoofed);
+        let reached = engine
+            .reachable_from(h1.attachment, spoofed)
+            .reached_ports();
         assert!(
             reached.is_empty(),
             "spoofed traffic must be dropped: {reached:?}"
@@ -228,7 +234,9 @@ mod tests {
                 if a.id == b.id {
                     continue;
                 }
-                let reached = engine.reachable_edge_ports(a.attachment, space_from_to(a.ip, b.ip));
+                let reached = engine
+                    .reachable_from(a.attachment, space_from_to(a.ip, b.ip))
+                    .reached_ports();
                 assert!(
                     reached.contains(&b.attachment),
                     "{} -> {} not reachable",

@@ -41,7 +41,7 @@
 use std::collections::BTreeSet;
 
 use rvaas_client::QuerySpec;
-use rvaas_hsa::{Cube, HeaderSpace, NetworkFunction, RuleAction, RuleTransfer};
+use rvaas_hsa::{Cube, HeaderSpace, NetworkFunction, RuleAction};
 use rvaas_openflow::FlowEntry;
 use rvaas_topology::Topology;
 use rvaas_types::{ClientId, Field, SwitchId};
@@ -176,62 +176,34 @@ pub struct IncrementalModel {
 }
 
 impl IncrementalModel {
-    /// An empty model over the trusted wiring: switches and links declared,
-    /// no rules installed.
+    /// A model of `snapshot` over the trusted wiring of `topology` (an
+    /// empty snapshot gives the wiring with no rules installed).
     #[must_use]
-    pub fn new(topology: Topology) -> Self {
+    pub fn from_snapshot(topology: Topology, snapshot: &NetworkSnapshot) -> Self {
         let mut model = IncrementalModel {
             topology,
-            nf: NetworkFunction::new(),
+            nf: NetworkFunction::default(),
             rewrite_rules: 0,
             desynced: false,
         };
-        model.reset();
-        model
-    }
-
-    /// A model seeded from an existing snapshot.
-    #[must_use]
-    pub fn from_snapshot(topology: Topology, snapshot: &NetworkSnapshot) -> Self {
-        let mut model = IncrementalModel::new(topology);
         model.rebuild_from(snapshot);
         model
-    }
-
-    fn reset(&mut self) {
-        let mut nf = NetworkFunction::new();
-        for sw in self.topology.switches() {
-            nf.declare_switch(sw.id, sw.ports.clone());
-        }
-        for link in self.topology.links() {
-            nf.connect(link.a, link.b);
-        }
-        self.nf = nf;
-        self.rewrite_rules = 0;
-        self.desynced = false;
     }
 
     /// Discards the model state and rebuilds it from `snapshot` (the
     /// fallback when the delta chain to the current epoch is unavailable, or
     /// when the delta is so large that per-rule incremental insertion —
     /// which computes an exposed region per rule — would cost more than a
-    /// bulk rebuild).
+    /// bulk rebuild), through the snapshot's one builder.
     pub fn rebuild_from(&mut self, snapshot: &NetworkSnapshot) {
-        self.reset();
-        for (switch, entries) in snapshot.tables() {
-            let mut rewrites = 0usize;
-            let rules: Vec<RuleTransfer> = entries
-                .iter()
-                .map(|entry| {
-                    let rule = entry.to_rule_transfer();
-                    rewrites += usize::from(has_rewrite(&rule.action));
-                    rule
-                })
-                .collect();
-            self.rewrite_rules += rewrites;
-            self.nf
-                .set_transfer(switch, rvaas_hsa::SwitchTransfer::from_rules(rules));
-        }
+        self.nf = snapshot.to_network_function(&self.topology);
+        let nf = &self.nf;
+        let tables = nf.switches().filter_map(|switch| nf.transfer(switch));
+        self.rewrite_rules = tables
+            .flat_map(|table| table.rules().iter())
+            .filter(|rule| has_rewrite(&rule.action))
+            .count();
+        self.desynced = false;
     }
 
     /// The trusted topology the model reasons over.
@@ -466,7 +438,7 @@ mod tests {
     #[test]
     fn unknown_removal_goes_conservative() {
         let topology = generators::line(3, 1);
-        let mut model = IncrementalModel::new(topology);
+        let mut model = IncrementalModel::from_snapshot(topology, &NetworkSnapshot::default());
         let region = model.apply(&[RuleChange::removed(SwitchId(1), tenant_rule(1, 2, 1))]);
         assert!(region.conservative);
         assert_eq!(region.space, HeaderSpace::all());
@@ -481,7 +453,7 @@ mod tests {
     #[test]
     fn rewrite_changes_go_conservative() {
         let topology = generators::line(3, 1);
-        let mut model = IncrementalModel::new(topology);
+        let mut model = IncrementalModel::from_snapshot(topology, &NetworkSnapshot::default());
         let entry = FlowEntry::new(
             9,
             FlowMatch::to_ip(5),
@@ -511,7 +483,8 @@ mod tests {
         let client1 = ClientId(1);
         let client2 = ClientId(2);
         let c1_ip = topology.hosts_of_client(client1)[0].ip;
-        let mut model = IncrementalModel::new(topology.clone());
+        let mut model =
+            IncrementalModel::from_snapshot(topology.clone(), &NetworkSnapshot::default());
         // A rule pinned to client 1's source address on a core switch.
         let region = model.apply(&[RuleChange::installed(
             SwitchId(2),

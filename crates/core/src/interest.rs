@@ -351,6 +351,7 @@ impl InterestIndex {
 mod tests {
     use super::*;
     use crate::incremental::{query_affected, IncrementalModel, RuleChange};
+    use crate::snapshot::NetworkSnapshot;
     use proptest::prelude::*;
     use rvaas_openflow::{Action, FlowEntry, FlowMatch};
     use rvaas_topology::generators;
@@ -417,7 +418,8 @@ mod tests {
         let keys = register_all(&mut index, &topology);
 
         let c1_ip = topology.hosts_of_client(ClientId(1))[0].ip;
-        let mut model = IncrementalModel::new(topology.clone());
+        let mut model =
+            IncrementalModel::from_snapshot(topology.clone(), &NetworkSnapshot::default());
         let region = model.apply(&[RuleChange::installed(
             SwitchId(2),
             tenant_rule(c1_ip, c1_ip ^ 1, 2),
@@ -456,7 +458,7 @@ mod tests {
         index.register(client, &spec);
         let topology = generators::line(3, 1);
         let c1_ip = topology.hosts_of_client(client)[0].ip;
-        let mut model = IncrementalModel::new(topology);
+        let mut model = IncrementalModel::from_snapshot(topology, &NetworkSnapshot::default());
         let region = model.apply(&[RuleChange::installed(
             SwitchId(2),
             tenant_rule(c1_ip ^ 7, c1_ip ^ 9, 2),
@@ -480,7 +482,8 @@ mod tests {
             let ips: Vec<u32> = topology.hosts().map(|h| h.ip).collect();
             let mut index = InterestIndex::new(topology.clone());
             let keys = register_all(&mut index, &topology);
-            let mut model = IncrementalModel::new(topology.clone());
+            let empty = NetworkSnapshot::default();
+            let mut model = IncrementalModel::from_snapshot(topology.clone(), &empty);
             for (src, dst, sw, install) in ops {
                 let entry = tenant_rule(
                     ips[src as usize % ips.len()],

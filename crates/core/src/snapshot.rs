@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use rvaas_hsa::NetworkFunction;
+use rvaas_hsa::{NetworkFunction, RuleTransfer, SwitchTransfer};
 use rvaas_openflow::{FlowEntry, FlowMatch};
 use rvaas_topology::Topology;
 use rvaas_types::{chunked, Chunked, SimTime, SwitchId, RULE_CHUNK};
@@ -558,29 +558,36 @@ impl NetworkSnapshot {
         self.build_function(topology, true)
     }
 
-    fn build_function(&self, topology: &Topology, include_history: bool) -> NetworkFunction {
-        let mut nf = NetworkFunction::new();
+    /// The one builder of a snapshot's network function: every switch and
+    /// link of `topology` declared, then one transfer per table the snapshot
+    /// holds, plus the removed entries of the history window when
+    /// `with_history` is set. A table on a switch the topology lacks
+    /// declares that switch with no ports, as an incremental install on it
+    /// does, so the function a model advanced rule by rule reaches and the
+    /// one built here are equal.
+    fn build_function(&self, topology: &Topology, with_history: bool) -> NetworkFunction {
+        let mut nf = NetworkFunction::default();
         for sw in topology.switches() {
             nf.declare_switch(sw.id, sw.ports.clone());
         }
         for link in topology.links() {
             nf.connect(link.a, link.b);
         }
-        for sw in topology.switches() {
-            let mut rules: Vec<rvaas_hsa::RuleTransfer> = self
-                .table_of(sw.id)
-                .iter()
-                .map(FlowEntry::to_rule_transfer)
-                .collect();
-            if include_history {
-                rules.extend(
-                    self.removed
-                        .iter()
-                        .filter(|r| r.switch == sw.id)
-                        .map(|r| r.entry.to_rule_transfer()),
-                );
+        let mut history: BTreeMap<SwitchId, Vec<RuleTransfer>> = BTreeMap::new();
+        if with_history {
+            for removed in &self.removed {
+                let rule = removed.entry.to_rule_transfer();
+                history.entry(removed.switch).or_default().push(rule);
             }
-            nf.set_transfer(sw.id, rvaas_hsa::SwitchTransfer::from_rules(rules));
+        }
+        for (switch, entries) in self.tables() {
+            let mut rules: Vec<RuleTransfer> =
+                entries.iter().map(FlowEntry::to_rule_transfer).collect();
+            rules.extend(history.remove(&switch).unwrap_or_default());
+            nf.set_transfer(switch, SwitchTransfer::from_rules(rules));
+        }
+        for (switch, past) in history {
+            nf.set_transfer(switch, SwitchTransfer::from_rules(past));
         }
         nf
     }

@@ -878,10 +878,9 @@ impl QueryEvaluator<'_> {
             .collect();
         drop(held);
         let spaces = labels.iter().map(|(_, (ips, _))| {
-            HeaderSpace::from_cubes(
-                ips.iter()
-                    .map(|ip| LogicalVerifier::probe_cube(source.ip, *ip)),
-            )
+            ips.iter()
+                .map(|ip| LogicalVerifier::probe_cube(source.ip, *ip))
+                .collect::<HeaderSpace>()
         });
         let engine = ReachabilityEngine::new(&self.nf);
         let results = engine.reachable_from_each(source.attachment, spaces);
@@ -2491,9 +2490,8 @@ mod tests {
                 for client in &foreign {
                     let probe = epoch.memo.get(VerdictKey::Inbound(*client, host.id)).expect("held");
                     let targets = topo.hosts_of_client(*client);
-                    let space = HeaderSpace::from_cubes(
-                        targets.iter().map(|d| LogicalVerifier::probe_cube(host.ip, d.ip)),
-                    );
+                    let space: HeaderSpace =
+                        targets.iter().map(|d| LogicalVerifier::probe_cube(host.ip, d.ip)).collect();
                     let lone = engine.reachable_from(host.attachment, space);
                     let ports = topo.access_points_of(*client);
                     let reaches = lone.reached_ports().iter().any(|p| ports.contains(p));

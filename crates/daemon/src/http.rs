@@ -471,6 +471,52 @@ mod tests {
     }
 
     #[test]
+    fn a_verdict_trace_read_as_a_double_still_fetches_its_chain() {
+        let topology = rvaas_topology::generators::line(4, 2);
+        let service = VerificationService::new(topology.clone(), true);
+        let sync_server = SyncServer::new(7, &service.registry());
+        let at = rvaas_types::SimTime::from_millis(1);
+        let rules = rvaas_controlplane::benign_rules(&topology);
+        let snapshot = rvaas::NetworkSnapshot::with_rules(at, rules, at);
+        service.try_publish(&snapshot, at).unwrap();
+        let request = |method: &str, target: String, body: &str| HttpRequest {
+            method: method.to_string(),
+            target,
+            body: body.to_string(),
+            close: false,
+        };
+        let query = r#"{"client":1,"query":"isolation"}"#;
+        let verdict = route(
+            &service,
+            &sync_server,
+            &request("POST", "/v1/query".to_string(), query),
+            0,
+        );
+        assert_eq!(verdict.status, 200, "{}", verdict.body);
+        let trace = json::parse(&verdict.body)
+            .unwrap()
+            .get("trace")
+            .unwrap()
+            .as_int()
+            .unwrap();
+        // What a reader that parses every JSON number as a double reads.
+        let read: f64 = trace.to_string().parse().unwrap();
+        let target = format!("/v1/trace/{}", read as u64);
+        let chain = route(&service, &sync_server, &request("GET", target, ""), 0);
+        assert_eq!(
+            chain.status, 200,
+            "trace {trace} read as {read}: {}",
+            chain.body
+        );
+        let served = json::parse(&chain.body)
+            .unwrap()
+            .get("trace")
+            .unwrap()
+            .as_int();
+        assert_eq!(served, Some(trace));
+    }
+
+    #[test]
     fn status_body_keeps_its_key_order() {
         let service = VerificationService::new(rvaas_topology::generators::line(4, 2), true);
         let sync_server = SyncServer::new(7, &service.registry());

@@ -413,8 +413,8 @@ impl<'a> Dna<'a> {
     }
 }
 
-/// [`SwitchTransfer::apply`] against the concrete first-match semantics for
-/// one header `h` of `input`: the first rule in table order that applies to
+/// [`SwitchTransfer::apply_each`] of `input` as its one label against the
+/// concrete first-match semantics for one header `h` of `input`: the first rule in table order that applies to
 /// `port` and contains `h` serves it, so `h` (after that rule's rewrite)
 /// sits in that rule's outputs — exactly its ports, or the controller — and
 /// in the output of no other rule; in none at all when that rule drops or no
@@ -426,11 +426,12 @@ fn assert_first_match_serves(
     input: &HeaderSpace,
     h: &Header,
 ) {
-    let outputs = table.apply(port, input);
+    let outputs = table.apply_each(port, [(0, input)]);
     for out in &outputs {
         assert!(
-            out.out_port.is_some() != out.to_controller && !out.space.is_empty(),
-            "apply reported traffic that does not leave: {out:?}"
+            out.out_port.is_some() != out.to_controller
+                && matches!(out.spaces.as_slice(), [(0, space)] if !space.is_empty()),
+            "apply_each reported traffic that does not leave, or not as label 0: {out:?}"
         );
     }
     let first = table
@@ -454,14 +455,14 @@ fn assert_first_match_serves(
         };
         let mut holding: Vec<(Option<PortId>, bool)> = outputs
             .iter()
-            .filter(|o| o.cookie == rule.cookie && o.space.contains(&rewritten))
+            .filter(|o| o.cookie == rule.cookie && o.spaces[0].1.contains(&rewritten))
             .map(|o| (o.out_port, o.to_controller))
             .collect();
         expected.sort();
         holding.sort();
         assert_eq!(
             holding, expected,
-            "apply({port}, {input}) and the first match disagree on {h:?} under rule {rule:?} \
+            "apply_each({port}, {input}) and the first match disagree on {h:?} under rule {rule:?} \
              (first match: {first:?})"
         );
     }
@@ -480,21 +481,22 @@ fn assert_first_match_serves(
 /// * **removal consistency** — `remove_rule` of a present rule succeeds,
 ///   shrinks the table by one, and keeps it equal to a rebuild of the
 ///   surviving rules;
-/// * **cube algebra vs. membership** — `intersect` / `overlap_region` /
-///   `overlaps` agree with each other and with sampled-header membership,
-///   and `subtract` / `complement` results exclude what they must;
+/// * **cube algebra vs. membership** — `intersect` and `overlaps` agree
+///   with each other and with sampled-header membership, and `subtract` /
+///   `complement` results exclude what they must;
 /// * **apply vs. concrete first match** — for probe headers pulled into
-///   decoded rules' matches, on every port, [`SwitchTransfer::apply`] of the
-///   probe alone and of a decoded multi-cube space around it puts the probe
-///   on exactly the outputs of the first rule in table order that applies
-///   to the port and contains it (rewritten; flagged `to_controller` iff
-///   that rule punts), and nowhere when that rule drops or none matches.
+///   decoded rules' matches, on every port, [`SwitchTransfer::apply_each`]
+///   of the probe alone and of a decoded multi-cube space around it, each
+///   as the one label, puts the probe on exactly the outputs of the first
+///   rule in table order that applies to the port and contains it
+///   (rewritten; flagged `to_controller` iff that rule punts), and nowhere
+///   when that rule drops or none matches.
 pub fn cube_target(data: &[u8]) {
     let mut dna = Dna::new(data);
 
     // --- incremental insert vs. full rebuild -------------------------------
     let rules = dna.table();
-    let mut incremental = SwitchTransfer::new();
+    let mut incremental = SwitchTransfer::default();
     for rule in &rules {
         let index = incremental.insert_rule(rule.clone());
         assert!(index < incremental.len(), "insert index out of bounds");
@@ -538,11 +540,6 @@ pub fn cube_target(data: &[u8]) {
     let b = dna.cube();
     let intersection = a.intersect(&b);
     assert_eq!(a.overlaps(&b), intersection.is_some());
-    assert_eq!(
-        a.overlap_region(&b).is_some(),
-        intersection.is_some(),
-        "overlap_region and intersect disagree on emptiness"
-    );
     if let Some(both) = &intersection {
         let witness = both.sample();
         assert!(a.contains(&witness) && b.contains(&witness));
@@ -576,7 +573,7 @@ pub fn cube_target(data: &[u8]) {
         let anchor = &rebuilt.rules()[usize::from(dna.byte()) % rebuilt.len()];
         let h = Cube::exact(probe).rewrite(&anchor.match_cube).sample();
         let cubes = 1 + dna.byte() % 3;
-        let wide = HeaderSpace::from_cubes((0..cubes).map(|_| dna.widen(&h)));
+        let wide: HeaderSpace = (0..cubes).map(|_| dna.widen(&h)).collect();
         for port in (0..4).map(PortId) {
             assert_first_match_serves(&rebuilt, port, &HeaderSpace::singleton(&h), &h);
             assert_first_match_serves(&rebuilt, port, &wide, &h);

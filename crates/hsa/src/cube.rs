@@ -193,16 +193,6 @@ impl Cube {
         Some(out)
     }
 
-    /// The overlap test used by incremental model updates: returns the
-    /// header region covered by *both* cubes — the region whose forwarding
-    /// behaviour is affected when a rule matching `other` is inserted above
-    /// or removed from under a rule matching `self` — or `None` when the
-    /// cubes are disjoint (the change cannot affect this rule's traffic).
-    #[must_use]
-    pub fn overlap_region(&self, other: &Cube) -> Option<Cube> {
-        self.intersect(other)
-    }
-
     /// True if the two cubes share at least one concrete header.
     #[must_use]
     pub fn overlaps(&self, other: &Cube) -> bool {
@@ -306,12 +296,6 @@ impl Cube {
     }
 }
 
-impl From<&Header> for Cube {
-    fn from(h: &Header) -> Self {
-        Cube::exact(h)
-    }
-}
-
 impl fmt::Display for Cube {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Field-wise display; wildcard fields are omitted.
@@ -406,18 +390,6 @@ mod tests {
         let b = Cube::wildcard().with_field(Field::IpDst, 2);
         assert_eq!(a.intersect(&b), None);
         assert!(!a.overlaps(&b));
-    }
-
-    #[test]
-    fn overlap_region_reports_affected_headers() {
-        let rule = Cube::wildcard().with_field(Field::IpDst, 7);
-        let change = Cube::wildcard().with_field(Field::IpSrc, 3);
-        let region = rule.overlap_region(&change).expect("overlapping");
-        assert_eq!(region.field_exact(Field::IpDst), Some(7));
-        assert_eq!(region.field_exact(Field::IpSrc), Some(3));
-        // Disjoint cubes affect nothing.
-        let other = Cube::wildcard().with_field(Field::IpDst, 8);
-        assert_eq!(rule.overlap_region(&other), None);
     }
 
     #[test]

@@ -20,6 +20,27 @@
 //! * [`reachability`] — reachability / trajectory computation with loop
 //!   detection.
 //!
+//! Each type has one way in:
+//!
+//! * a [`Cube`] is [`Cube::wildcard`] narrowed field by field
+//!   ([`Cube::with_field`], [`Cube::with_field_prefix`]), or
+//!   [`Cube::exact`] for one concrete header;
+//! * a [`HeaderSpace`] is [`HeaderSpace::empty`], [`HeaderSpace::all`],
+//!   [`HeaderSpace::singleton`], one cube (`From<Cube>`), or a union of
+//!   cubes collected from an iterator;
+//! * a [`SwitchTransfer`] is [`SwitchTransfer::from_rules`] (the empty
+//!   table is its `Default`), edited rule by rule;
+//! * a [`NetworkFunction`] starts as its `Default`, is declared switch by
+//!   switch and wired link by link, and is edited in place with
+//!   [`NetworkFunction::insert_rule`], [`NetworkFunction::remove_rule`]
+//!   and [`NetworkFunction::replace_rule`].
+//!
+//! A switch's table is applied to traffic by
+//! [`SwitchTransfer::apply_each`], which takes labelled inputs (one input is
+//! one label), and the network is walked by
+//! [`ReachabilityEngine::reachable_from_each`] (one space:
+//! [`ReachabilityEngine::reachable_from`]).
+//!
 //! # Example
 //!
 //! ```
@@ -47,6 +68,4 @@ pub use reachability::{
     reachability_equivalent, LoopReport, ReachabilityEngine, ReachabilityResult, ReachedEndpoint,
 };
 pub use space::HeaderSpace;
-pub use transfer::{
-    LabelledPortSpace, NetworkFunction, PortSpace, RuleAction, RuleTransfer, SwitchTransfer,
-};
+pub use transfer::{LabelledPortSpace, NetworkFunction, RuleAction, RuleTransfer, SwitchTransfer};

@@ -23,8 +23,8 @@
 //! in [`ReachabilityResult::truncated_branches`].
 //!
 //! Only traffic that **leaves** a switch is ever propagated or built:
-//! [`SwitchTransfer::apply`](crate::SwitchTransfer::apply) reports the
-//! spaces forwarded and punted and nothing for what a switch drops, so a
+//! [`SwitchTransfer::apply_each`](crate::SwitchTransfer::apply_each) reports
+//! the spaces forwarded and punted and nothing for what a switch drops, so a
 //! traversal's cost follows the rules that serve the injected space, not the
 //! rules that merely overlap it — a block of inert drop rules on a visited
 //! switch costs an overlap test each, not a re-partition of the space.
@@ -294,13 +294,6 @@ impl<'a> ReachabilityEngine<'a> {
         }
         results
     }
-
-    /// Convenience: the set of edge ports reachable from `ingress` for any
-    /// header in `space`.
-    #[must_use]
-    pub fn reachable_edge_ports(&self, ingress: SwitchPort, space: HeaderSpace) -> Vec<SwitchPort> {
-        self.reachable_from(ingress, space).reached_ports()
-    }
 }
 
 /// True when two network functions are *reachability-equivalent*: injecting
@@ -362,7 +355,7 @@ mod tests {
     /// Port 1 of s1 and port 2 of s3 are edge ports.
     /// All switches forward dst=2 towards s3 and dst=1 towards s1.
     fn line_network() -> NetworkFunction {
-        let mut nf = NetworkFunction::new();
+        let mut nf = NetworkFunction::default();
         for s in 1..=3u32 {
             nf.declare_switch(SwitchId(s), [PortId(1), PortId(2)]);
         }
@@ -451,7 +444,7 @@ mod tests {
     #[test]
     fn forwarding_loop_is_detected() {
         // Two switches forwarding dst=5 to each other forever.
-        let mut nf = NetworkFunction::new();
+        let mut nf = NetworkFunction::default();
         nf.declare_switch(SwitchId(1), [PortId(1), PortId(2)]);
         nf.declare_switch(SwitchId(2), [PortId(1), PortId(2)]);
         nf.connect(sp(1, 2), sp(2, 1));
@@ -493,7 +486,7 @@ mod tests {
     #[test]
     fn a_path_longer_than_64_switches_reaches_its_far_edge() {
         // s1 -- s2 -- ... -- s70, every switch forwarding everything east.
-        let mut nf = NetworkFunction::new();
+        let mut nf = NetworkFunction::default();
         for s in 1..=70u32 {
             nf.declare_switch(SwitchId(s), [PortId(1), PortId(2)]);
             nf.set_transfer(
@@ -518,7 +511,7 @@ mod tests {
     #[test]
     fn a_space_over_the_cube_budget_is_cut_at_injection() {
         let nf = line_network();
-        let space = HeaderSpace::from_cubes((0..=MAX_CUBES as u32).map(dst_match));
+        let space: HeaderSpace = (0..=MAX_CUBES as u32).map(dst_match).collect();
         assert_eq!(space.cube_count(), MAX_CUBES + 1);
         let result = ReachabilityEngine::new(&nf).reachable_from(sp(1, 1), space);
         assert_eq!(result.truncated_branches, 1);
@@ -553,7 +546,7 @@ mod tests {
     #[test]
     fn multicast_reaches_multiple_endpoints() {
         // One switch with two edge ports; a rule multicasts to both.
-        let mut nf = NetworkFunction::new();
+        let mut nf = NetworkFunction::default();
         nf.declare_switch(SwitchId(1), [PortId(1), PortId(2), PortId(3)]);
         nf.set_transfer(
             SwitchId(1),
@@ -592,7 +585,7 @@ mod tests {
     /// forward, multicast and rewrite `IpDst` before forwarding, pinned to
     /// an ingress port or not.
     fn drawn_network(rules: &[RuleDraw]) -> NetworkFunction {
-        let mut nf = NetworkFunction::new();
+        let mut nf = NetworkFunction::default();
         for s in 1..=3 {
             nf.declare_switch(SwitchId(s), (1..=4).map(PortId));
         }
@@ -634,7 +627,7 @@ mod tests {
     fn over_budget() -> HeaderSpace {
         static SPACE: OnceLock<HeaderSpace> = OnceLock::new();
         SPACE
-            .get_or_init(|| HeaderSpace::from_cubes((0..=MAX_CUBES as u32).map(dst_match)))
+            .get_or_init(|| (0..=MAX_CUBES as u32).map(dst_match).collect())
             .clone()
     }
 
@@ -724,9 +717,10 @@ mod tests {
             let mut spaces: Vec<HeaderSpace> = labels
                 .iter()
                 .map(|cubes| {
-                    HeaderSpace::from_cubes(
-                        cubes.iter().map(|(field, bits, len)| prefix_cube(*field, *bits, *len)),
-                    )
+                    cubes
+                        .iter()
+                        .map(|(field, bits, len)| prefix_cube(*field, *bits, *len))
+                        .collect()
                 })
                 .collect();
             if over < spaces.len() {

@@ -41,16 +41,6 @@ impl HeaderSpace {
         }
     }
 
-    /// Builds a space from an iterator of cubes.
-    #[must_use]
-    pub fn from_cubes(cubes: impl IntoIterator<Item = Cube>) -> Self {
-        let mut hs = HeaderSpace {
-            cubes: cubes.into_iter().collect(),
-        };
-        hs.simplify();
-        hs
-    }
-
     /// The cubes making up this space.
     #[must_use]
     pub fn cubes(&self) -> &[Cube] {
@@ -102,19 +92,6 @@ impl HeaderSpace {
                 }
             }
         }
-        let mut out = HeaderSpace { cubes };
-        out.simplify();
-        out
-    }
-
-    /// Intersection with a single cube.
-    #[must_use]
-    pub fn intersect_cube(&self, cube: &Cube) -> HeaderSpace {
-        let cubes = self
-            .cubes
-            .iter()
-            .filter_map(|c| c.intersect(cube))
-            .collect();
         let mut out = HeaderSpace { cubes };
         out.simplify();
         out
@@ -212,15 +189,14 @@ impl From<Cube> for HeaderSpace {
     }
 }
 
-impl From<&Header> for HeaderSpace {
-    fn from(h: &Header) -> Self {
-        HeaderSpace::singleton(h)
-    }
-}
-
+/// Collecting cubes builds their union, simplified.
 impl FromIterator<Cube> for HeaderSpace {
     fn from_iter<I: IntoIterator<Item = Cube>>(iter: I) -> Self {
-        HeaderSpace::from_cubes(iter)
+        let mut hs = HeaderSpace {
+            cubes: iter.into_iter().collect(),
+        };
+        hs.simplify();
+        hs
     }
 }
 
@@ -390,7 +366,7 @@ mod tests {
         fn prop_simplify_preserves_membership(dsts in proptest::collection::vec(0u32..6, 0..6), probe in 0u32..6) {
             let cubes: Vec<Cube> = dsts.iter().map(|d| dst_cube(*d)).collect();
             let raw_contains = cubes.iter().any(|c| c.contains(&h(probe, 1)));
-            let hs = HeaderSpace::from_cubes(cubes);
+            let hs: HeaderSpace = cubes.into_iter().collect();
             prop_assert_eq!(hs.contains(&h(probe, 1)), raw_contains);
         }
 

@@ -6,14 +6,15 @@
 //!   the packet to the controller.
 //! * A [`SwitchTransfer`] is a prioritised rule list, held in shared chunks
 //!   so that an edit of a copy copies one chunk, not the list; applying it
-//!   to an input header space yields the spaces that leave the switch, per
-//!   output port and towards the controller, honouring OpenFlow priority
-//!   semantics (higher priority wins, unmatched traffic is dropped — the OpenFlow
-//!   table-miss default), for one input or, in one scan of the table, for
-//!   several labelled ones. Dropped traffic is decided, not described:
-//!   [`SwitchTransfer::apply`] subtracts lazily, per rule, and never builds
-//!   the space a drop rule or the table miss takes — a space no caller reads
-//!   and whose size the party installing rules controls.
+//!   to labelled input header spaces, in one scan of the table, yields the
+//!   spaces that leave the switch, per output port and towards the
+//!   controller, honouring OpenFlow priority semantics (higher priority
+//!   wins, unmatched traffic is dropped — the OpenFlow table-miss default).
+//!   A single input is the one-label case. Dropped traffic is decided, not
+//!   described: [`SwitchTransfer::apply_each`] subtracts lazily, per rule,
+//!   and never builds the space a drop rule or the table miss takes — a
+//!   space no caller reads and whose size the party installing rules
+//!   controls.
 //! * A [`NetworkFunction`] is the set of switch transfer functions plus the
 //!   internal wiring (which switch port connects to which); it is the object
 //!   the reachability engine walks.
@@ -110,25 +111,10 @@ impl RuleTransfer {
     }
 }
 
-/// Output of applying a switch transfer function: a header space leaving
-/// through one port or being punted to the controller. Traffic the switch
-/// drops has no `PortSpace`: [`SwitchTransfer::apply`] reports what leaves,
-/// so exactly one of `out_port` and `to_controller` is set on what it returns.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PortSpace {
-    /// Where the traffic goes (`None` for controller-bound traffic).
-    pub out_port: Option<PortId>,
-    /// True if the traffic is delivered to the controller instead of a port.
-    pub to_controller: bool,
-    /// The headers taking this output, *after* any rewrite.
-    pub space: HeaderSpace,
-    /// Cookie of the rule responsible (helps explainability/debugging).
-    pub cookie: FlowCookie,
-}
-
 /// Output of [`SwitchTransfer::apply_each`]: what one rule sends through one
-/// port, or to the controller, of each labelled input it serves. As with a
-/// [`PortSpace`], exactly one of `out_port` and `to_controller` is set.
+/// port, or to the controller, of each labelled input it serves. Traffic the
+/// switch drops has no output, so exactly one of `out_port` and
+/// `to_controller` is set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelledPortSpace {
     /// Where the traffic goes (`None` for controller-bound traffic).
@@ -154,12 +140,6 @@ pub struct SwitchTransfer {
 }
 
 impl SwitchTransfer {
-    /// Creates an empty transfer function (drops everything).
-    #[must_use]
-    pub fn new() -> Self {
-        SwitchTransfer::default()
-    }
-
     /// Builds a transfer function from rules (order irrelevant; priorities
     /// are respected).
     #[must_use]
@@ -275,40 +255,18 @@ impl SwitchTransfer {
     }
 
     /// Applies the transfer function to traffic entering through `in_port`
-    /// with headers in `input` and reports the traffic that **leaves** the
-    /// switch: one [`PortSpace`] per output port of every forwarding rule
-    /// that serves part of the input, one per punting rule, in table order.
-    /// Each header of the input is served by the first rule in table order
-    /// that applies to `in_port` and matches it; what that rule drops, and
-    /// what no rule matches (the table-miss drop), is reported nowhere and
-    /// never built.
-    ///
-    /// This is the one-input case of [`SwitchTransfer::apply_each`], where
-    /// the subtraction is described.
-    #[must_use]
-    pub fn apply(&self, in_port: PortId, input: &HeaderSpace) -> Vec<PortSpace> {
-        self.apply_each(in_port, [(0, input)])
-            .into_iter()
-            .filter_map(|out| {
-                let (_, space) = out.spaces.into_iter().next()?;
-                Some(PortSpace {
-                    out_port: out.out_port,
-                    to_controller: out.to_controller,
-                    space,
-                    cookie: out.cookie,
-                })
-            })
-            .collect()
-    }
-
-    /// [`SwitchTransfer::apply`] for several labelled inputs in one scan of
-    /// the table: one [`LabelledPortSpace`] per output port of every
-    /// forwarding rule that serves part of some input, one per punting rule,
-    /// in table order, each holding the share of every input the rule
-    /// serves under that input's label. An input's shares are exactly what
-    /// `apply` reports for it alone: inputs never mix, and each is cut and
-    /// simplified on its own. A label names one input: adjacent inputs under
-    /// one label are one input.
+    /// with headers in each of several labelled inputs, in one scan of the
+    /// table, and reports the traffic that **leaves** the switch: one
+    /// [`LabelledPortSpace`] per output port of every forwarding rule that
+    /// serves part of some input, one per punting rule, in table order, each
+    /// holding the share of every input the rule serves under that input's
+    /// label. Each header of an input is served by the first rule in table
+    /// order that applies to `in_port` and matches it; what that rule drops,
+    /// and what no rule matches (the table-miss drop), is reported nowhere
+    /// and never built. An input's shares are exactly what it gets when
+    /// applied alone, as the one input of its label: inputs never mix, and
+    /// each is cut and simplified on its own. A label names one input:
+    /// adjacent inputs under one label are one input.
     ///
     /// Subtraction is lazy, per rule: an input's share of a rule is the
     /// rule's match cut out of the input, minus the matches of the earlier
@@ -370,11 +328,10 @@ impl SwitchTransfer {
                                 cubes = cubes.iter().flat_map(|c| c.subtract(earlier)).collect();
                             }
                         }
-                        let share = HeaderSpace::from_cubes(
-                            cubes
-                                .into_iter()
-                                .map(|cube| rewrite.map_or(cube, |rw| cube.rewrite(rw))),
-                        );
+                        let share: HeaderSpace = cubes
+                            .into_iter()
+                            .map(|cube| rewrite.map_or(cube, |rw| cube.rewrite(rw)))
+                            .collect();
                         if !share.is_empty() {
                             shares.push((run[0].0, share));
                         }
@@ -406,12 +363,6 @@ impl SwitchTransfer {
     }
 }
 
-impl FromIterator<RuleTransfer> for SwitchTransfer {
-    fn from_iter<I: IntoIterator<Item = RuleTransfer>>(iter: I) -> Self {
-        SwitchTransfer::from_rules(iter)
-    }
-}
-
 /// Declared ports and internal links: the part of a [`NetworkFunction`] rule
 /// changes never touch.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -438,12 +389,6 @@ pub struct NetworkFunction {
 }
 
 impl NetworkFunction {
-    /// Creates an empty network function.
-    #[must_use]
-    pub fn new() -> Self {
-        NetworkFunction::default()
-    }
-
     /// Declares a switch with its set of ports (replacing any previous
     /// declaration).
     pub fn declare_switch(&mut self, switch: SwitchId, ports: impl IntoIterator<Item = PortId>) {
@@ -478,7 +423,7 @@ impl NetworkFunction {
     /// Mutable access to the transfer function of `switch`, declaring the
     /// switch (with no ports) if it was unknown. Copies the switch's table
     /// first when a clone of this function still shares it.
-    pub fn transfer_mut(&mut self, switch: SwitchId) -> &mut SwitchTransfer {
+    fn transfer_mut(&mut self, switch: SwitchId) -> &mut SwitchTransfer {
         self.ensure_declared(switch);
         Arc::make_mut(self.switches.entry(switch).or_default())
     }
@@ -602,20 +547,49 @@ mod tests {
         Header::builder().ip_dst(dst).build()
     }
 
+    /// What one rule sends through one port, or to the controller, of a
+    /// single input: an output of [`SwitchTransfer::apply_each`] with one
+    /// label.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Output {
+        out_port: Option<PortId>,
+        to_controller: bool,
+        space: HeaderSpace,
+        cookie: FlowCookie,
+    }
+
+    /// `table` applied to the one input `input` (label 0).
+    fn apply(table: &SwitchTransfer, in_port: PortId, input: &HeaderSpace) -> Vec<Output> {
+        let outputs = table.apply_each(in_port, [(0, input)]);
+        outputs
+            .into_iter()
+            .map(|mut out| {
+                assert_eq!(out.spaces.len(), 1, "one input, one share");
+                let (_, space) = out.spaces.pop().expect("one share");
+                Output {
+                    out_port: out.out_port,
+                    to_controller: out.to_controller,
+                    space,
+                    cookie: out.cookie,
+                }
+            })
+            .collect()
+    }
+
     /// The outputs holding `header`, as `(out_port, to_controller)`.
-    fn holders(out: &[PortSpace], header: &Header) -> Vec<(Option<PortId>, bool)> {
+    fn holders(out: &[Output], header: &Header) -> Vec<(Option<PortId>, bool)> {
         out.iter()
             .filter(|o| o.space.contains(header))
             .map(|o| (o.out_port, o.to_controller))
             .collect()
     }
 
-    /// The eager transfer function [`SwitchTransfer::apply`] replaced, kept
+    /// The eager transfer function [`SwitchTransfer::apply_each`] replaced, kept
     /// as the reference the differential property compares against: it
     /// carries the not-yet-matched space through the whole table, subtracts
     /// every matched rule from it, and also reports what is dropped (by a
     /// rule, or by the table miss under cookie `u64::MAX`).
-    fn apply_eager(table: &SwitchTransfer, in_port: PortId, input: &HeaderSpace) -> Vec<PortSpace> {
+    fn apply_eager(table: &SwitchTransfer, in_port: PortId, input: &HeaderSpace) -> Vec<Output> {
         let mut outputs = Vec::new();
         let mut remaining = input.clone();
 
@@ -626,7 +600,7 @@ mod tests {
             if !rule.applies_to_port(in_port) {
                 continue;
             }
-            let matched = remaining.intersect_cube(&rule.match_cube);
+            let matched = remaining.intersect(&HeaderSpace::from(rule.match_cube));
             if matched.is_empty() {
                 continue;
             }
@@ -638,7 +612,7 @@ mod tests {
                         None => matched.clone(),
                     };
                     for port in ports.iter() {
-                        outputs.push(PortSpace {
+                        outputs.push(Output {
                             out_port: Some(*port),
                             to_controller: false,
                             space: out_space.clone(),
@@ -646,13 +620,13 @@ mod tests {
                         });
                     }
                 }
-                RuleAction::Drop => outputs.push(PortSpace {
+                RuleAction::Drop => outputs.push(Output {
                     out_port: None,
                     to_controller: false,
                     space: matched,
                     cookie: rule.cookie,
                 }),
-                RuleAction::ToController => outputs.push(PortSpace {
+                RuleAction::ToController => outputs.push(Output {
                     out_port: None,
                     to_controller: true,
                     space: matched,
@@ -663,7 +637,7 @@ mod tests {
 
         if !remaining.is_empty() {
             // Table miss: dropped (OpenFlow default when no miss rule exists).
-            outputs.push(PortSpace {
+            outputs.push(Output {
                 out_port: None,
                 to_controller: false,
                 space: remaining,
@@ -675,10 +649,10 @@ mod tests {
 
     #[test]
     fn empty_switch_drops_everything() {
-        let t = SwitchTransfer::new();
+        let t = SwitchTransfer::default();
         assert!(t.is_empty());
         // Nothing matches, so nothing leaves — and the miss is not reported.
-        assert!(t.apply(PortId(1), &HeaderSpace::all()).is_empty());
+        assert!(apply(&t, PortId(1), &HeaderSpace::all()).is_empty());
     }
 
     #[test]
@@ -688,7 +662,7 @@ mod tests {
             dst_match(1),
             RuleAction::forward(PortId(2)),
         )]);
-        let out = t.apply(PortId(1), &HeaderSpace::all());
+        let out = apply(&t, PortId(1), &HeaderSpace::all());
         assert_eq!(out.len(), 1);
         assert_eq!(
             holders(&out, &header_to(1)),
@@ -705,7 +679,7 @@ mod tests {
             RuleTransfer::new(100, dst_match(1), RuleAction::Drop),
             RuleTransfer::new(1, Cube::wildcard(), RuleAction::forward(PortId(9))),
         ]);
-        let out = t.apply(PortId(1), &HeaderSpace::all());
+        let out = apply(&t, PortId(1), &HeaderSpace::all());
         assert_eq!(out.len(), 1);
         // The drop produces nothing and still takes dst 1 from the rule below.
         assert!(holders(&out, &header_to(1)).is_empty());
@@ -720,9 +694,9 @@ mod tests {
             RuleAction::forward(PortId(2)),
         )
         .on_port(PortId(1))]);
-        let from_p1 = t.apply(PortId(1), &HeaderSpace::all());
+        let from_p1 = apply(&t, PortId(1), &HeaderSpace::all());
         assert!(from_p1.iter().any(|o| o.out_port == Some(PortId(2))));
-        assert!(t.apply(PortId(3), &HeaderSpace::all()).is_empty());
+        assert!(apply(&t, PortId(3), &HeaderSpace::all()).is_empty());
     }
 
     #[test]
@@ -736,7 +710,7 @@ mod tests {
                 rewrite: Some(rewrite),
             },
         )]);
-        let out = t.apply(PortId(1), &HeaderSpace::from(dst_match(3)));
+        let out = apply(&t, PortId(1), &HeaderSpace::from(dst_match(3)));
         let fwd = out.iter().find(|o| o.out_port == Some(PortId(4))).unwrap();
         for cube in fwd.space.cubes() {
             assert_eq!(cube.field_exact(Field::Vlan), Some(77));
@@ -751,7 +725,7 @@ mod tests {
             RuleAction::ToController,
         )]);
         let probe = Header::builder().ip_dst(1).l4_dst(9999).build();
-        let out = t.apply(PortId(1), &HeaderSpace::singleton(&probe));
+        let out = apply(&t, PortId(1), &HeaderSpace::singleton(&probe));
         assert_eq!(out.len(), 1);
         assert!(out[0].to_controller);
     }
@@ -766,7 +740,7 @@ mod tests {
                 rewrite: None,
             },
         )]);
-        let out = t.apply(PortId(9), &HeaderSpace::all());
+        let out = apply(&t, PortId(9), &HeaderSpace::all());
         let fwd_ports: Vec<_> = out.iter().filter_map(|o| o.out_port).collect();
         assert_eq!(fwd_ports, vec![PortId(1), PortId(2), PortId(3)]);
     }
@@ -781,7 +755,7 @@ mod tests {
             RuleTransfer::new(5, Cube::wildcard(), RuleAction::Drop),
             RuleTransfer::new(1, Cube::wildcard(), RuleAction::forward(PortId(3))),
         ]);
-        let out = t.apply(PortId(7), &HeaderSpace::all());
+        let out = apply(&t, PortId(7), &HeaderSpace::all());
         assert_eq!(out.len(), 2);
         for dst in [1u32, 2] {
             let served = [(Some(PortId(dst)), false)];
@@ -843,7 +817,7 @@ mod tests {
     }
 
     /// What leaves the switch per `(out_port | controller, cookie)`.
-    fn leaving(outputs: &[PortSpace]) -> BTreeMap<(Option<PortId>, bool, FlowCookie), HeaderSpace> {
+    fn leaving(outputs: &[Output]) -> BTreeMap<(Option<PortId>, bool, FlowCookie), HeaderSpace> {
         let mut by_key = BTreeMap::new();
         for out in outputs {
             if out.out_port.is_none() && !out.to_controller {
@@ -879,10 +853,11 @@ mod tests {
             let table = SwitchTransfer::from_rules(
                 rules.iter().enumerate().map(|(index, draw)| drawn_rule(index, *draw)),
             );
-            let input = HeaderSpace::from_cubes(
-                input.iter().map(|(field, bits, len)| prefix_cube(*field, *bits, *len)),
-            );
-            let lazy = table.apply(PortId(0), &input);
+            let input: HeaderSpace = input
+                .iter()
+                .map(|(field, bits, len)| prefix_cube(*field, *bits, *len))
+                .collect();
+            let lazy = apply(&table, PortId(0), &input);
             prop_assert!(
                 lazy.iter().all(|o| o.out_port.is_some() != o.to_controller && !o.space.is_empty()),
                 "only traffic that leaves is reported: {:?}", lazy
@@ -927,19 +902,20 @@ mod tests {
             let inputs: Vec<HeaderSpace> = inputs
                 .iter()
                 .map(|cubes| {
-                    HeaderSpace::from_cubes(
-                        cubes.iter().map(|(field, bits, len)| prefix_cube(*field, *bits, *len)),
-                    )
+                    cubes
+                        .iter()
+                        .map(|(field, bits, len)| prefix_cube(*field, *bits, *len))
+                        .collect()
                 })
                 .collect();
             let each = table.apply_each(PortId(0), inputs.iter().enumerate());
             prop_assert!(each.iter().all(|out| !out.spaces.is_empty()));
             for (label, input) in inputs.iter().enumerate() {
-                let shares: Vec<PortSpace> = each
+                let shares: Vec<Output> = each
                     .iter()
                     .filter_map(|out| {
                         let (_, space) = out.spaces.iter().find(|(l, _)| *l == label)?;
-                        Some(PortSpace {
+                        Some(Output {
                             out_port: out.out_port,
                             to_controller: out.to_controller,
                             space: space.clone(),
@@ -947,7 +923,7 @@ mod tests {
                         })
                     })
                     .collect();
-                prop_assert_eq!(shares, table.apply(PortId(0), input), "input {}", label);
+                prop_assert_eq!(shares, apply(&table, PortId(0), input), "input {}", label);
             }
         }
     }
@@ -964,7 +940,7 @@ mod tests {
             RuleTransfer::new(30, dst_match(5), RuleAction::forward(PortId(5))),
         ];
         let rebuilt = SwitchTransfer::from_rules(rules.clone());
-        let mut incremental = SwitchTransfer::new();
+        let mut incremental = SwitchTransfer::default();
         for rule in rules {
             incremental.insert_rule(rule);
         }
@@ -1001,7 +977,7 @@ mod tests {
     fn replace_rule_keeps_the_slot_among_equal_priority_peers() {
         let peer =
             |dst, port| RuleTransfer::new(10, dst_match(dst), RuleAction::forward(PortId(port)));
-        let mut nf = NetworkFunction::new();
+        let mut nf = NetworkFunction::default();
         for (dst, port) in [(1, 1), (2, 2), (3, 3)] {
             nf.insert_rule(SwitchId(2), peer(dst, port));
         }
@@ -1021,7 +997,7 @@ mod tests {
 
         // The region is the slot's exposed one, and a clone taken before
         // never sees the edit.
-        let mut nf = NetworkFunction::new();
+        let mut nf = NetworkFunction::default();
         nf.insert_rule(
             SwitchId(1),
             RuleTransfer::new(20, dst_match(2), RuleAction::Drop),
@@ -1071,7 +1047,7 @@ mod tests {
 
     #[test]
     fn network_function_incremental_insert_remove_roundtrip() {
-        let mut nf = NetworkFunction::new();
+        let mut nf = NetworkFunction::default();
         nf.declare_switch(SwitchId(1), [PortId(1), PortId(2)]);
         let rule = RuleTransfer::new(10, dst_match(1), RuleAction::forward(PortId(2)));
         let inserted_region = nf.insert_rule(SwitchId(1), rule.clone());
@@ -1099,7 +1075,7 @@ mod tests {
     #[test]
     fn clones_share_untouched_switches_and_never_see_later_edits() {
         let rule = |dst| RuleTransfer::new(10, dst_match(dst), RuleAction::forward(PortId(2)));
-        let mut original = NetworkFunction::new();
+        let mut original = NetworkFunction::default();
         for switch in [SwitchId(1), SwitchId(2), SwitchId(3)] {
             original.declare_switch(switch, [PortId(1), PortId(2)]);
             original.insert_rule(switch, rule(1));
@@ -1127,7 +1103,7 @@ mod tests {
             "a removal that misses must not copy the table"
         );
         assert!(Arc::ptr_eq(&original.wiring, &frozen.wiring));
-        original.set_transfer(SwitchId(3), SwitchTransfer::new());
+        original.set_transfer(SwitchId(3), SwitchTransfer::default());
         original.transfer_mut(SwitchId(4)).insert_rule(rule(4));
         assert_eq!(frozen.rule_count(), 3);
         assert_eq!(frozen.switch_count(), 3);
@@ -1152,7 +1128,7 @@ mod tests {
             RuleAction::Forward { ports, .. } => Arc::clone(ports),
             other => panic!("not a forward: {other:?}"),
         };
-        let mut original = NetworkFunction::new();
+        let mut original = NetworkFunction::default();
         for dst in 0..6 {
             original.insert_rule(SwitchId(1), forward(dst, dst + 1));
         }
@@ -1178,8 +1154,8 @@ mod tests {
     fn an_edit_of_a_large_shared_table_copies_at_most_two_chunks() {
         let rule = |dst: u32| RuleTransfer::new(10, dst_match(dst), RuleAction::Drop);
         let n = 16 * RULE_CHUNK as u32;
-        let mut original = NetworkFunction::new();
-        original.set_transfer(SwitchId(1), (0..n).map(rule).collect());
+        let mut original = NetworkFunction::default();
+        original.set_transfer(SwitchId(1), SwitchTransfer::from_rules((0..n).map(rule)));
         let table = |nf: &NetworkFunction| nf.transfer(SwitchId(1)).unwrap().rules().clone();
         let frozen = original.clone();
         let mut copied = 0;
@@ -1238,7 +1214,7 @@ mod tests {
 
     #[test]
     fn network_function_wiring_and_edge_ports() {
-        let mut nf = NetworkFunction::new();
+        let mut nf = NetworkFunction::default();
         nf.declare_switch(SwitchId(1), [PortId(1), PortId(2)]);
         nf.declare_switch(SwitchId(2), [PortId(1), PortId(2)]);
         nf.connect(

@@ -212,6 +212,42 @@ fn assert_model_matches_rebuild(
     );
 }
 
+/// What `service`'s registry reads for `rvaas_incremental_desyncs_total`.
+fn desyncs(service: &VerificationService) -> f64 {
+    let scrape = service.registry().render_text();
+    let name = "rvaas_incremental_desyncs_total ";
+    let sample = scrape.lines().find_map(|line| line.strip_prefix(name));
+    sample.expect(name).parse().expect(name)
+}
+
+/// A table on a switch the trusted topology lacks (a rules file may name
+/// any switch id) is modelled alike by the bulk build of epoch 1 and by an
+/// incremental removal after it: the switch is declared with no ports and
+/// holds the table, the frozen function is the snapshot's rebuild at both
+/// epochs, and the removal resolves against the model.
+#[test]
+fn a_table_on_a_switch_the_topology_lacks_is_built_as_it_is_applied() {
+    let topology = generators::line(4, 2);
+    let stray = SwitchId(99);
+    assert!(topology.switches().all(|sw| sw.id != stray));
+    let verification = service(&topology);
+    let entry = FlowEntry::new(10, FlowMatch::to_ip(7), vec![Action::Output(PortId(1))]);
+    let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
+    snapshot.record_installed(stray, entry.clone(), SimTime::from_millis(1));
+    publish(&verification, &snapshot, SimTime::from_millis(1));
+    assert_model_matches_rebuild(&verification, &snapshot, "epoch 1");
+    let function = &verification.store().current().function;
+    assert_eq!(function.transfer(stray).map(|t| t.len()), Some(1));
+    assert!(function.ports_of(stray).is_empty());
+
+    let at = SimTime::from_millis(2);
+    snapshot.record_removed(stray, &entry, at);
+    let removal = [RuleChange::removed(stray, entry)];
+    verification.try_publish_changes(&removal, at).unwrap();
+    assert_model_matches_rebuild(&verification, &snapshot, "epoch 2");
+    assert_eq!(desyncs(&verification), 0.0);
+}
+
 /// The central soundness gate: under every service-plane attack — install,
 /// attacked steady state, removal — the service's verdicts are byte-for-byte
 /// the full-rebuild oracle's, and the model it answers from is a rebuild of
@@ -534,12 +570,6 @@ fn a_rule_flapped_inside_one_batch_is_a_bounded_epoch() {
     for (client, spec) in &queries {
         sync_server.subscribe(*client, spec.clone());
     }
-    let desyncs = || -> f64 {
-        let scrape = verification.registry().render_text();
-        let name = "rvaas_incremental_desyncs_total ";
-        let sample = scrape.lines().find_map(|line| line.strip_prefix(name));
-        sample.expect(name).parse().expect(name)
-    };
 
     let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
     publish(&verification, &snapshot, SimTime::from_millis(1));
@@ -587,7 +617,7 @@ fn a_rule_flapped_inside_one_batch_is_a_bounded_epoch() {
 
         let serial = verification.try_publish_changes(&batch, at).unwrap();
         let context = format!("round {round}: {batch:?}");
-        assert_eq!(desyncs(), 0.0, "{context}");
+        assert_eq!(desyncs(&verification), 0.0, "{context}");
         let record = store.provenance(serial).expect("retained");
         assert!(!record.affected_everything, "{context}");
         assert!(store.current().traversals.len() > 0, "{context}");

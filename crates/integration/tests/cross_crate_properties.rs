@@ -44,7 +44,8 @@ proptest! {
                 .with_field(Field::IpDst, u64::from(dst.ip)),
         );
         let symbolically_reachable = engine
-            .reachable_edge_ports(src.attachment, space)
+            .reachable_from(src.attachment, space)
+            .reached_ports()
             .contains(&dst.attachment);
 
         // Concrete verdict from the simulator.
@@ -483,7 +484,7 @@ proptest! {
 
     /// Every other oracle in the repo — `LogicalVerifier::answer` from
     /// scratch, the benchmark's rebuild — runs the same
-    /// `SwitchTransfer::apply`, so a consistently wrong transfer function
+    /// `SwitchTransfer::apply_each`, so a consistently wrong transfer function
     /// passes all of them. This one shares nothing with it: with a random
     /// subset of the data-plane attack catalogue installed (admissions,
     /// mirrors, drops, detours above the benign layers — overlapping,

@@ -160,7 +160,7 @@ impl Network {
     /// against in experiments.
     #[must_use]
     pub fn ground_truth_function(&self) -> NetworkFunction {
-        let mut nf = NetworkFunction::new();
+        let mut nf = NetworkFunction::default();
         for sw in self.topology.switches() {
             nf.declare_switch(sw.id, sw.ports.clone());
         }
@@ -601,12 +601,15 @@ mod tests {
         // Reachability over the ground truth agrees with actual delivery.
         let engine = rvaas_hsa::ReachabilityEngine::new(&nf);
         let h2_ip = net.topology().host(HostId(2)).unwrap().ip;
-        let reached = engine.reachable_edge_ports(
-            SwitchPort::new(SwitchId(1), PortId(1)),
-            rvaas_hsa::HeaderSpace::from(
-                rvaas_hsa::Cube::wildcard().with_field(rvaas_types::Field::IpDst, u64::from(h2_ip)),
-            ),
-        );
+        let reached = engine
+            .reachable_from(
+                SwitchPort::new(SwitchId(1), PortId(1)),
+                rvaas_hsa::HeaderSpace::from(
+                    rvaas_hsa::Cube::wildcard()
+                        .with_field(rvaas_types::Field::IpDst, u64::from(h2_ip)),
+                ),
+            )
+            .reached_ports();
         assert_eq!(reached, vec![SwitchPort::new(SwitchId(2), PortId(1))]);
     }
 

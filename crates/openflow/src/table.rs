@@ -419,22 +419,24 @@ mod tests {
                     _ => None,
                 })
             });
-            let outs = transfer.apply(PortId(1), &HeaderSpace::singleton(&h));
+            let outs = transfer.apply_each(PortId(1), [(0, &HeaderSpace::singleton(&h))]);
             let symbolic_port = outs
                 .iter()
-                .find(|o| o.space.contains(&h) && o.out_port.is_some())
+                .find(|o| o.spaces.iter().any(|(_, s)| s.contains(&h)) && o.out_port.is_some())
                 .and_then(|o| o.out_port);
             assert_eq!(concrete_port, symbolic_port, "probe {dst}:{dport}");
         }
         // And it plugs into the reachability engine.
-        let mut nf = rvaas_hsa::NetworkFunction::new();
+        let mut nf = rvaas_hsa::NetworkFunction::default();
         nf.declare_switch(rvaas_types::SwitchId(1), [PortId(1), PortId(2), PortId(3)]);
         nf.set_transfer(rvaas_types::SwitchId(1), transfer);
         let engine = ReachabilityEngine::new(&nf);
-        let reached = engine.reachable_edge_ports(
-            rvaas_types::SwitchPort::new(rvaas_types::SwitchId(1), PortId(1)),
-            HeaderSpace::singleton(&hdr(6, 1)),
-        );
+        let reached = engine
+            .reachable_from(
+                rvaas_types::SwitchPort::new(rvaas_types::SwitchId(1), PortId(1)),
+                HeaderSpace::singleton(&hdr(6, 1)),
+            )
+            .reached_ports();
         assert_eq!(
             reached,
             vec![rvaas_types::SwitchPort::new(

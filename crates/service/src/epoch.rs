@@ -536,12 +536,15 @@ impl EpochStore {
     #[must_use]
     pub fn new(max_deltas: usize) -> Self {
         EpochStore {
-            model: Mutex::new(IncrementalModel::new(Topology::new())),
+            model: Mutex::new(IncrementalModel::from_snapshot(
+                Topology::new(),
+                &NetworkSnapshot::default(),
+            )),
             visible: RwLock::new(Visible {
                 current: Arc::new(SnapshotEpoch {
                     serial: 0,
                     snapshot: NetworkSnapshot::default(),
-                    function: NetworkFunction::new(),
+                    function: NetworkFunction::default(),
                     rules: DigestSet::default(),
                     published_at: SimTime::ZERO,
                     traversals: TraversalMemo::new(),

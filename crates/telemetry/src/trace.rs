@@ -47,6 +47,12 @@ pub const SLOW_THRESHOLD_US: u64 = 10_000;
 /// Retained slow/errored traces (oldest evicted beyond this).
 pub const RETAINED_TRACES: usize = 32;
 
+/// Every minted trace id is below `2^53`: the daemon renders ids as bare
+/// JSON numbers, and a reader that parses numbers as IEEE doubles reads
+/// any integer up to `2^53` exactly, so the id it quotes back at
+/// `GET /v1/trace/<id>` is the one that was served.
+const TRACE_ID_MASK: u64 = (1 << 53) - 1;
+
 /// A per-ingress trace identifier; `0` means "not traced".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub u64);
@@ -292,7 +298,8 @@ impl FlightRecorder {
         let per_shard = capacity.div_ceil(SHARDS).max(1);
         // Derive a per-process base so trace IDs from different processes
         // (or restarts) are distinguishable in logs; uniqueness within the
-        // process comes from the counter alone.
+        // process comes from the counter alone. 21 seed bits above the
+        // counter's 32 keep the id below 2^53.
         let seed = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
@@ -309,7 +316,7 @@ impl FlightRecorder {
             enabled: AtomicBool::new(true),
             slow_threshold_us,
             next_trace: AtomicU64::new(0),
-            trace_base: (seed & 0xffff_ffff) << 32,
+            trace_base: (seed << 32) & TRACE_ID_MASK,
             retained: Mutex::new(VecDeque::new()),
         }
     }
@@ -361,7 +368,7 @@ impl FlightRecorder {
             .next_trace
             .fetch_add(1, Ordering::Relaxed)
             .wrapping_add(1);
-        let id = self.trace_base.wrapping_add(n);
+        let id = self.trace_base.wrapping_add(n) & TRACE_ID_MASK;
         TraceId(if id == 0 { 1 } else { id })
     }
 
@@ -531,6 +538,19 @@ mod tests {
             let id = rec.mint();
             assert!(!id.is_none());
             assert!(seen.insert(id), "duplicate trace id {id}");
+        }
+    }
+
+    #[test]
+    fn minted_ids_stay_exact_as_doubles() {
+        let rec = FlightRecorder::with_capacity(64, 1000);
+        let exact = |id: TraceId| id.0 < 1 << 53 && id.0 as f64 as u64 == id.0;
+        assert!((0..1_000).map(|_| rec.mint()).all(exact));
+        // A counter past 32 bits runs into the seed's bits, never above them.
+        rec.next_trace.store(u64::MAX - 2, Ordering::Relaxed);
+        for _ in 0..4 {
+            let id = rec.mint();
+            assert!(exact(id) && !id.is_none(), "{id}");
         }
     }
 
