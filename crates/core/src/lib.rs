@@ -51,6 +51,7 @@ pub mod attest;
 pub mod federation;
 pub mod incremental;
 pub mod interest;
+pub mod memo;
 pub mod monitor;
 pub mod service;
 pub mod snapshot;
@@ -59,13 +60,11 @@ pub mod verify;
 pub use attest::{AttestedIdentity, RVAAS_IMAGE};
 pub use incremental::{query_affected, ChangedRegion, IncrementalModel, RuleChange};
 pub use interest::{InterestIndex, QueryFootprint};
+pub use memo::{AffectedQueries, Carried, TraversalMemo, VerdictKey};
 pub use monitor::{ConfigMonitor, MonitorConfig, MonitorStats, PollStrategy};
 pub use service::{RvaasConfig, RvaasController, RvaasStats};
 pub use snapshot::{NetworkSnapshot, TableEntries, TableIter};
-pub use verify::{
-    AffectedQueries, Carried, LocationMap, LogicalVerifier, QueryEvaluator, TraversalMemo,
-    VerdictKey, VerifierConfig,
-};
+pub use verify::{LocationMap, LogicalVerifier, QueryEvaluator, VerifierConfig};
 
 // The model type `LogicalVerifier::evaluator_with` and `IncrementalModel` trade in, for
 // crates that hold one without depending on `rvaas-hsa` themselves.

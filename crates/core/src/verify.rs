@@ -12,12 +12,8 @@
 //! ([`QueryEvaluator::answer_with_footprint`] adds the switches the verdict
 //! depends on, for the `benchmark/` ladder only.)
 //!
-//! Which verdicts a rule change may have moved is a question about keys: a
-//! verdict reads a static set of [`VerdictKey`]s, the [`TraversalMemo`]
-//! holds its traversals under those very keys (a walk that serves several
-//! clients, a host's inbound walk, fills one key per client), and the
-//! memo's [carry](TraversalMemo::carry) into the next epoch looks up, tests
-//! and drops the keys the change may have altered ([`AffectedQueries`]).
+//! Which verdicts a rule change may have moved is [`crate::memo`]'s
+//! question, asked of the memo an evaluator walks through.
 //!
 //! Confidentiality: the verifier only ever reports *endpoints*, *regions* and
 //! *hop counts* to clients — never switch identities or paths — preserving
@@ -26,7 +22,7 @@
 use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 use rvaas_client::{EndpointReport, NeutralityViolation, QueryResult, QuerySpec};
 use rvaas_hsa::{Cube, HeaderSpace, NetworkFunction, ReachabilityEngine};
@@ -34,8 +30,8 @@ use rvaas_openflow::Action;
 use rvaas_topology::{Host, Topology};
 use rvaas_types::{ClientId, Field, HostId, PortId, Region, SwitchId, SwitchPort};
 
-use crate::incremental::ChangedRegion;
 use crate::interest::QueryFootprint;
+use crate::memo::{Outcome, Traversal, TraversalMemo, VerdictKey};
 use crate::snapshot::NetworkSnapshot;
 
 /// The switch-location knowledge used for geo queries. Depending on how
@@ -171,12 +167,8 @@ impl LogicalVerifier {
 
     /// Like [`LogicalVerifier::evaluator_with`], but reads and writes its
     /// traversals through a [`TraversalMemo`] that outlives the session —
-    /// the service plane's query path answers every batch this way, over
-    /// the function the epoch store's one
-    /// [`crate::incremental::IncrementalModel`] froze into the epoch and the
-    /// memo that epoch carries, so a traversal is walked once per epoch, not
-    /// once per batch, and not at all on an epoch whose change it missed
-    /// (see [`TraversalMemo::carry`]).
+    /// the service plane answers every batch this way, on the function and
+    /// the memo of one epoch, so a traversal is walked once per epoch.
     ///
     /// Beyond the contract of `evaluator_with`, the caller is responsible
     /// for every session sharing `memo` running over this very `nf` and this
@@ -226,412 +218,6 @@ impl LogicalVerifier {
     }
 }
 
-/// What queries read from a traversal — not the [`ReachabilityResult`] with
-/// its per-endpoint header spaces and paths.
-///
-/// [`ReachabilityResult`]: rvaas_hsa::ReachabilityResult
-#[derive(Debug)]
-enum Outcome {
-    Emission {
-        /// Distinct egress ports reached, ascending.
-        ports: Vec<SwitchPort>,
-        /// Switches on any path, ascending (what geo queries map to regions).
-        traversed: Vec<SwitchId>,
-    },
-    /// One client's share of a source host's inbound walk.
-    Source {
-        reaches: bool,
-    },
-    Path {
-        min: u32,
-        max: u32,
-        reachable: bool,
-    },
-}
-
-/// One memoised traversal — for an inbound walk, one client's share of it —
-/// and the footprint behind it.
-#[derive(Debug)]
-struct Traversal {
-    /// Every switch the traversal arrived at, ascending: the switches whose
-    /// transfer functions it consulted.
-    visited: Vec<SwitchId>,
-    /// The engine's cube budget cut a branch: the outcome may depend on
-    /// anything.
-    truncated: bool,
-    outcome: Outcome,
-}
-
-/// One thing a verdict reads that a rule change can alter: a memoised
-/// traversal (for an inbound walk, one client's share of it), or the access
-/// switches' tables.
-///
-/// The keys a `(client, spec)` verdict reads are a static function of the
-/// pair and the trusted topology, never of the rules:
-///
-/// * `ReachableDestinations` and `GeoLocation` read `Emission(client, h)` for
-///   every host `h` of `client`;
-/// * `ReachingSources` reads `Inbound(client, h)` for every host `h` of every
-///   other client;
-/// * `Isolation` reads both;
-/// * `PathLength { to_ip }` reads `Path(client, to_ip)`;
-/// * `Neutrality` reads `Tables`.
-///
-/// The [`TraversalMemo`] holds its entries under these keys, so a publish
-/// need not know who asked what: [`TraversalMemo::carry`] names the keys
-/// the change may have altered, and [`AffectedQueries::is_affected`] tests
-/// a verdict's keys against them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum VerdictKey {
-    /// The emission walk of a host (`.1`) of the client (`.0`).
-    Emission(ClientId, HostId),
-    /// The client's (`.0`) share of the inbound walk from a host (`.1`) of
-    /// another client: whether that host reaches it.
-    Inbound(ClientId, HostId),
-    /// The client's (`.0`) path probe towards an address (`.1`).
-    Path(ClientId, u32),
-    /// The delivery rules of every access switch, which neutrality verdicts
-    /// read.
-    Tables,
-}
-
-/// The verdicts one publish may have changed: the [`VerdictKey`]s the
-/// memo's [carry](TraversalMemo::carry) found altered, or everything under a
-/// region it cannot bound. The cache carries, and a sync session skips,
-/// every verdict none of whose keys is here.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AffectedQueries {
-    everything: bool,
-    keys: BTreeSet<VerdictKey>,
-}
-
-impl AffectedQueries {
-    /// Every verdict must be treated as affected.
-    #[must_use]
-    pub fn everything() -> Self {
-        AffectedQueries {
-            everything: true,
-            keys: BTreeSet::new(),
-        }
-    }
-
-    /// True when every verdict must be treated as affected.
-    #[must_use]
-    pub fn is_everything(&self) -> bool {
-        self.everything
-    }
-
-    /// True when no verdict is affected.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        !self.everything && self.keys.is_empty()
-    }
-
-    /// Number of affected keys (0 under [`is_everything`](Self::is_everything)).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// The affected keys (empty under `is_everything`).
-    #[must_use]
-    pub fn keys(&self) -> &BTreeSet<VerdictKey> {
-        &self.keys
-    }
-
-    /// Whether the verdict of `(client, spec)` may have changed: whether any
-    /// key it reads (see [`VerdictKey`]) is affected.
-    ///
-    /// A verdict reading every `Emission` (or `Inbound`) key of `client`
-    /// tests the range of them, with no topology at hand: the set holds
-    /// `Emission(c, h)` only for a host `h` of `c`, and `Inbound(c, h)` only
-    /// for a host of another client, so the range holds exactly the keys of
-    /// that kind the verdict reads.
-    #[must_use]
-    pub fn is_affected(&self, client: ClientId, spec: &QuerySpec) -> bool {
-        if self.everything {
-            return true;
-        }
-        let any_of = |kind: fn(ClientId, HostId) -> VerdictKey| {
-            let (first, last) = (kind(client, HostId(0)), kind(client, HostId(u32::MAX)));
-            self.keys.range(first..=last).next().is_some()
-        };
-        match spec {
-            QuerySpec::ReachableDestinations | QuerySpec::GeoLocation => {
-                any_of(VerdictKey::Emission)
-            }
-            QuerySpec::ReachingSources => any_of(VerdictKey::Inbound),
-            QuerySpec::Isolation => any_of(VerdictKey::Emission) || any_of(VerdictKey::Inbound),
-            QuerySpec::PathLength { to_ip } => {
-                self.keys.contains(&VerdictKey::Path(client, *to_ip))
-            }
-            QuerySpec::Neutrality => self.keys.contains(&VerdictKey::Tables),
-        }
-    }
-
-    /// Every spec whose verdict for `client` [`is_affected`](Self::is_affected),
-    /// ascending, read off the affected keys — `O(log keys)` plus one spec
-    /// per affected path probe, whatever the number of standing queries.
-    /// Empty under [`is_everything`](Self::is_everything), where every spec
-    /// is (a set with no end: path probes are named by their destination).
-    #[must_use]
-    pub fn specs_of(&self, client: ClientId) -> Vec<QuerySpec> {
-        if self.everything {
-            return Vec::new();
-        }
-        let mut specs = BTreeSet::new();
-        if self.is_affected(client, &QuerySpec::ReachableDestinations) {
-            specs.extend([
-                QuerySpec::ReachableDestinations,
-                QuerySpec::GeoLocation,
-                QuerySpec::Isolation,
-            ]);
-        }
-        if self.is_affected(client, &QuerySpec::ReachingSources) {
-            specs.extend([QuerySpec::ReachingSources, QuerySpec::Isolation]);
-        }
-        let paths = VerdictKey::Path(client, 0)..=VerdictKey::Path(client, u32::MAX);
-        specs.extend(self.keys.range(paths).filter_map(|key| match key {
-            VerdictKey::Path(_, to_ip) => Some(QuerySpec::PathLength { to_ip: *to_ip }),
-            _ => None,
-        }));
-        if self.keys.contains(&VerdictKey::Tables) {
-            specs.insert(QuerySpec::Neutrality);
-        }
-        specs.into_iter().collect()
-    }
-
-    /// Folds another selection into this one: a session lagging several
-    /// epochs re-verifies what any of them may have changed.
-    pub fn merge(&mut self, other: &AffectedQueries) {
-        self.everything |= other.everything;
-        if self.everything {
-            self.keys.clear();
-        } else {
-            self.keys.extend(other.keys.iter().copied());
-        }
-    }
-}
-
-/// What [`TraversalMemo::carry`] hands the successor epoch.
-#[derive(Debug)]
-pub struct Carried {
-    /// The successor's memo: every held entry the change cannot have
-    /// altered.
-    pub memo: TraversalMemo,
-    /// The verdict keys the change may have altered.
-    pub affected: AffectedQueries,
-    /// How many held entries the successor does not get.
-    pub dropped: usize,
-}
-
-/// The HSA traversals walked over **one** network function, shared by every
-/// evaluation session that is handed the same memo, each under the
-/// [`VerdictKey`] whose verdicts read it.
-///
-/// An entry is a pure function of that network function and the static,
-/// trusted topology, so nothing in a memo is ever invalidated in place. A
-/// different function gets a different memo: the service plane keeps one
-/// inside each published epoch, and [`carry`](Self::carry) moves into the
-/// successor's the entries the change between the two functions cannot
-/// have altered.
-///
-/// One walk may fill several keys: a host's inbound walk carries one label
-/// per client it probes and leaves one `Inbound(client, host)` entry per
-/// label. Keys name hosts and clients of the trusted topology only (a query
-/// about an unknown client or address walks nothing and leaves nothing) —
-/// at most hosts × clients entries (one emission per host, one share per
-/// host and client it does not belong to) plus one path probe per
-/// (client, destination) asked, whatever the number of distinct queries.
-#[derive(Debug, Default)]
-pub struct TraversalMemo {
-    entries: RwLock<Entries>,
-}
-
-/// What a [`TraversalMemo`] holds behind its lock.
-#[derive(Debug, Default)]
-struct Entries {
-    traversals: BTreeMap<VerdictKey, Arc<Traversal>>,
-    /// The held entries the engine's cube budget cut: their footprints are
-    /// unbounded, so any change may have altered them.
-    truncated: BTreeSet<VerdictKey>,
-}
-
-#[allow(clippy::len_without_is_empty)] // `len` exists for tests and the carry count.
-impl TraversalMemo {
-    /// An empty memo.
-    #[must_use]
-    pub fn new() -> Self {
-        TraversalMemo::default()
-    }
-
-    /// Number of entries held (one per key).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.read().traversals.len()
-    }
-
-    /// The keys held, ascending.
-    #[must_use]
-    pub fn keys(&self) -> Vec<VerdictKey> {
-        self.read().traversals.keys().copied().collect()
-    }
-
-    // Poisoning is recovered from, here and below: every entry stands on
-    // its own, so an interrupted writer leaves the memo valid.
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, Entries> {
-        self.entries.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn get(&self, key: VerdictKey) -> Option<Arc<Traversal>> {
-        self.read().traversals.get(&key).cloned()
-    }
-
-    /// Two sessions that raced on a key walked the same function: whichever
-    /// insert lands last replaces an equal entry.
-    fn put(&self, walked: Vec<(VerdictKey, Arc<Traversal>)>) {
-        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
-        for (key, traversal) in walked {
-            // The cut mark goes in first: an interrupted writer can leave a
-            // mark without its entry, which the carry treats as altered,
-            // never a cut entry without its mark.
-            if traversal.truncated {
-                entries.truncated.insert(key);
-            }
-            entries.traversals.insert(key, traversal);
-        }
-    }
-
-    /// The memo of the function that `region` made of this memo's function,
-    /// and the verdict keys the change may have altered: the one test of
-    /// which verdicts a publish moved.
-    ///
-    /// The candidates are the keys whose injected space `region`'s space
-    /// overlaps, found through the hosts each region cube admits as source
-    /// and destination, never by a scan of the memo. A candidate is altered
-    /// when
-    ///
-    /// * it is held and its traversal visited a switch of `region` — without
-    ///   rewrites (any installed rewrite makes every region conservative)
-    ///   traffic never leaves the space it was injected in, so a change
-    ///   outside that space, or on switches the walk never arrived at,
-    ///   leaves the walk as it was; or
-    /// * it is not held: a session still answering on this memo's function
-    ///   may walk it after this carry, and its verdict must not be carried
-    ///   past a change it overlaps.
-    ///
-    /// Every held entry the budget cut is altered too, whatever it
-    /// injected, and `Tables` is when `region` touches an access switch.
-    /// Every altered entry is dropped, and only it: the other clients'
-    /// shares of an altered inbound walk move on. The rest move to the
-    /// successor.
-    ///
-    /// A conservative region alters everything, and so does any change on
-    /// a topology without hosts, which names no key: the successor starts
-    /// empty and this memo is left as it is. An empty region alters
-    /// nothing. Otherwise the entries are moved out, not copied: a session
-    /// still answering on this memo's function finds it empty and walks
-    /// afresh.
-    pub fn carry(&self, region: &ChangedRegion, topology: &Topology) -> Carried {
-        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
-        let held = entries.traversals.len();
-        if region.conservative || (topology.host_count() == 0 && !region.is_empty()) {
-            return Carried {
-                memo: TraversalMemo::new(),
-                affected: AffectedQueries::everything(),
-                dropped: held,
-            };
-        }
-        let mut carried = std::mem::take(&mut *entries);
-        drop(entries);
-        let mut affected = AffectedQueries::default();
-        let mut dropped = 0;
-        if !region.is_empty() {
-            if region.switches.iter().any(|s| topology.has_hosts_at(*s)) {
-                affected.keys.insert(VerdictKey::Tables);
-            }
-            let altered = |read: &Traversal| {
-                read.truncated
-                    || region
-                        .switches
-                        .iter()
-                        .any(|s| read.visited.binary_search(s).is_ok())
-            };
-            let candidates = overlapped_keys(&region.space, topology);
-            let cut = std::mem::take(&mut carried.truncated);
-            for key in candidates.into_iter().chain(cut) {
-                if carried.traversals.get(&key).is_none_or(|t| altered(t)) {
-                    affected.keys.insert(key);
-                    dropped += usize::from(carried.traversals.remove(&key).is_some());
-                }
-            }
-        }
-        Carried {
-            memo: TraversalMemo {
-                entries: RwLock::new(carried),
-            },
-            affected,
-            dropped,
-        }
-    }
-}
-
-/// Every [`VerdictKey`] but `Tables` whose injected space `space` overlaps.
-///
-/// Every injected cube pins `IpSrc` to a host's address, and `IpDst`, where
-/// it pins it, to a host's too (a path probe towards an address no host has
-/// walks nothing: its verdict is a constant of the topology). A cube
-/// constrains each header bit on its own, so one that admits a host's
-/// address as source meets that host's emission space, and one that also
-/// admits another host's address as destination meets every probe between
-/// the two: that host's inbound walk as far as the destination's owner
-/// reads it, and the path probe of the source's owner towards it. A cube
-/// pinning both addresses, as tenant churn does, costs two address
-/// lookups; one leaving an address free admits every host it matches.
-fn overlapped_keys(space: &HeaderSpace, topology: &Topology) -> Vec<VerdictKey> {
-    let mut keys = Vec::new();
-    for cube in space.cubes() {
-        let sources = admitted(topology, cube, Field::IpSrc);
-        if sources.is_empty() {
-            continue;
-        }
-        let destinations = admitted(topology, cube, Field::IpDst);
-        let owners = distinct(destinations.iter().map(|d| d.owner));
-        for source in &sources {
-            keys.push(VerdictKey::Emission(source.owner, source.id));
-            let others = owners.iter().filter(|owner| **owner != source.owner);
-            keys.extend(others.map(|owner| VerdictKey::Inbound(*owner, source.id)));
-        }
-        let addresses = distinct(destinations.iter().map(|d| d.ip));
-        for sender in distinct(sources.iter().map(|s| s.owner)) {
-            keys.extend(addresses.iter().map(|ip| VerdictKey::Path(sender, *ip)));
-        }
-    }
-    distinct(keys)
-}
-
-/// `items` ascending, each once.
-fn distinct<T: Ord>(items: impl IntoIterator<Item = T>) -> Vec<T> {
-    let mut items: Vec<T> = items.into_iter().collect();
-    items.sort_unstable();
-    items.dedup();
-    items
-}
-
-/// The hosts whose address `cube` admits in the address field `field`.
-fn admitted<'t>(topology: &'t Topology, cube: &Cube, field: Field) -> Vec<&'t Host> {
-    match cube
-        .field_exact(field)
-        .and_then(|ip| u32::try_from(ip).ok())
-    {
-        Some(ip) => topology.hosts_with_ip(ip).collect(),
-        None => topology
-            .hosts()
-            .filter(|h| cube.overlaps(&Cube::wildcard().with_field(field, u64::from(h.ip))))
-            .collect(),
-    }
-}
-
 /// Every client's host addresses and access points, by client: what an
 /// `Inbound` walk probes.
 type Targets = BTreeMap<ClientId, (Vec<u32>, Vec<SwitchPort>)>;
@@ -678,13 +264,10 @@ fn footprint_over<'t>(traversals: impl IntoIterator<Item = &'t Arc<Traversal>>) 
 /// dispatches a [`QuerySpec`].
 ///
 /// The session holds the HSA network function of one snapshot and memoises
-/// the expensive traversals in a [`TraversalMemo`]: the emission-space
-/// reachability of each source host (shared by destination, isolation and
-/// geo queries), each source host's "can it reach that client" verdict,
-/// one entry per client but its owner, all filled by one labelled walk
-/// (each shared by isolation and reaching-source queries of its client),
-/// and per-destination path probes. Which clients' delivery rules carry a
-/// meter, what neutrality verdicts read, is worked out once per session. A
+/// the expensive traversals in a [`TraversalMemo`], one entry per
+/// [`VerdictKey`] its verdicts read (a host's inbound walk fills one per
+/// client but its owner). Which clients' delivery rules carry a meter,
+/// what neutrality verdicts read, is worked out once per session. A
 /// session from [`LogicalVerifier::evaluator`] or
 /// [`LogicalVerifier::evaluator_with`] owns a fresh memo — answering `n`
 /// queries that share hosts through it performs each traversal once, and
@@ -692,11 +275,6 @@ fn footprint_over<'t>(traversals: impl IntoIterator<Item = &'t Arc<Traversal>>) 
 /// [`LogicalVerifier::evaluator_sharing`] goes through the caller's memo,
 /// where a traversal may have been left by another session over the same
 /// function. It is the same code either way.
-///
-/// Every entry keeps the traversal's [`visited`] switch set, which the
-/// memo's [carry](TraversalMemo::carry) tests a change's switches against.
-///
-/// [`visited`]: rvaas_hsa::ReachabilityResult::visited
 #[derive(Debug)]
 pub struct QueryEvaluator<'a> {
     verifier: &'a LogicalVerifier,
@@ -711,7 +289,8 @@ pub struct QueryEvaluator<'a> {
     /// Walks taken and left in the memo (one walk may fill several keys).
     misses: u64,
     /// Every key a verdict of this session read, for the tests that hold
-    /// [`AffectedQueries::is_affected`] to what verdicts read.
+    /// [`AffectedQueries::is_affected`](crate::AffectedQueries::is_affected)
+    /// to what verdicts read.
     #[cfg(test)]
     read: BTreeSet<VerdictKey>,
 }
@@ -736,7 +315,6 @@ impl QueryEvaluator<'_> {
         (self.hits, self.misses)
     }
 
-    /// The session's memo.
     fn memo(&self) -> &TraversalMemo {
         match &self.memo {
             Memo::Private(memo) => memo,
@@ -856,27 +434,24 @@ impl QueryEvaluator<'_> {
             .collect()
     }
 
-    /// One walk from `source` carrying, as one label per client of
-    /// `targets` other than its owner — the one whose share is `asked`, and
-    /// each other whose share the memo does not hold — the traffic it can
-    /// emit towards any of that client's hosts; each label's share is
-    /// whether it leaves at one of that client's access points. (`asked`
-    /// goes in even if another session filled it since the miss: the walk
-    /// must return it.)
+    /// One walk from `source` with one label per client of `targets` but
+    /// its owner whose share the memo does not hold, or which is `asked`
+    /// (held or not: the walk must return it): the traffic `source` can emit
+    /// towards that client's hosts. Each label's share is whether it leaves
+    /// at one of that client's access points.
     fn walk_inbound(
         &self,
         source: &Host,
         asked: VerdictKey,
         targets: &Targets,
     ) -> Vec<(VerdictKey, Traversal)> {
-        let held = self.memo().read();
-        let labels: Vec<_> = targets
-            .iter()
-            .filter(|(client, _)| **client != source.owner)
-            .map(|(client, target)| (VerdictKey::Inbound(*client, source.id), target))
-            .filter(|(key, _)| *key == asked || !held.traversals.contains_key(key))
-            .collect();
-        drop(held);
+        let labels = self.memo().to_walk(
+            asked,
+            targets
+                .iter()
+                .filter(|(client, _)| **client != source.owner)
+                .map(|(client, target)| (VerdictKey::Inbound(*client, source.id), target)),
+        );
         let spaces = labels.iter().map(|(_, (ips, _))| {
             ips.iter()
                 .map(|ip| LogicalVerifier::probe_cube(source.ip, *ip))
@@ -1095,7 +670,7 @@ impl QueryEvaluator<'_> {
     ///
     /// Nothing in the workspace reads a footprint any more (a publish reads
     /// the verdicts it changed off the memo carry's keys, see
-    /// [`AffectedQueries`]); this survives only because the stand-alone
+    /// [`crate::AffectedQueries`]); this survives only because the stand-alone
     /// `benchmark/` ladder times it, and goes with its next re-baseline.
     #[must_use]
     pub fn answer_with_footprint(
@@ -1174,16 +749,8 @@ impl QueryEvaluator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A selection of exactly `keys`, as a carry would name them.
-    impl FromIterator<VerdictKey> for AffectedQueries {
-        fn from_iter<I: IntoIterator<Item = VerdictKey>>(iter: I) -> Self {
-            AffectedQueries {
-                everything: false,
-                keys: iter.into_iter().collect(),
-            }
-        }
-    }
+    use crate::incremental::ChangedRegion;
+    use crate::memo::AffectedQueries;
     use rvaas_controlplane::{benign_rules, Attack};
     use rvaas_openflow::{FlowModCommand, Message};
     use rvaas_topology::generators;

@@ -14,7 +14,7 @@
 //! * [`wots`] + [`merkle`] — a stateful hash-based signature scheme
 //!   (Winternitz one-time signatures aggregated under a Merkle tree), i.e. a
 //!   simplified XMSS. It is *publicly verifiable* with nothing but hashing.
-//! * [`signature`] — the [`Signer`]/[`Verifier`] abstraction with two
+//! * [`signature`] — the [`Keypair`]/[`PublicKey`] abstraction with two
 //!   implementations: the Merkle/WOTS scheme above (real, slower) and a
 //!   registry-backed HMAC oracle (fast, used by large-scale experiments;
 //!   models an idealised signature).

@@ -3,7 +3,7 @@
 //! An action list is applied in order to a matching packet: set-field actions
 //! rewrite the header, output actions emit (a copy of) the packet, and the
 //! list may end with an explicit drop (equivalent to an empty list). The
-//! conversion to an HSA [`RuleAction`](rvaas_hsa::RuleAction) keeps the
+//! conversion to an HSA [`RuleAction`] keeps the
 //! symbolic model aligned with the concrete one.
 
 use rvaas_hsa::{Cube, RuleAction};

@@ -3,7 +3,7 @@
 //! The [`FlowTable`] holds prioritised [`FlowEntry`]s with per-entry
 //! counters, supports the Flow-Mod operations (add / modify / delete, strict
 //! and non-strict), and converts itself into an HSA
-//! [`SwitchTransfer`](rvaas_hsa::SwitchTransfer) so that whoever holds a copy
+//! [`SwitchTransfer`] so that whoever holds a copy
 //! of the table (the RVaaS configuration monitor) can analyse it symbolically.
 //! The [`MeterTable`] models simple rate limiters, enough for the fairness /
 //! network-neutrality queries.

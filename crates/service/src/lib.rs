@@ -13,11 +13,10 @@
 //!   publishing while queries run against the previous epoch. The store
 //!   owns the one [`rvaas::IncrementalModel`], advances it in place per
 //!   epoch (`O(delta)` instead of an `O(network)` rebuild) and freezes its
-//!   network function into the epoch; every delta is retained at digest and
-//!   *changed-header-region* granularity. Each epoch also carries the
-//!   [`rvaas::TraversalMemo`] of its frozen function, keyed by verdict
-//!   key and holding at publish what the predecessor's held and the change
-//!   cannot have altered.
+//!   network function into the epoch, beside the [`rvaas::TraversalMemo`]
+//!   a publish carries on from the predecessor's.
+//! * [`digest`] — rule identity as sync ships it: each epoch's
+//!   [`DigestSet`] and the net digests of its change list.
 //! * [`pool`] — a [`pool::VerificationService`] answers a query on the
 //!   thread that carries it: the caller's batch goes through one
 //!   [`rvaas::QueryEvaluator`] over the epoch's frozen network function and
@@ -53,15 +52,16 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod digest;
 pub mod epoch;
 pub mod error;
 pub mod pool;
 pub mod sync;
 
 pub use cache::{CacheStats, ResultCache};
+pub use digest::{content_digest_of, digest_entry, digest_snapshot, DigestSet};
 pub use epoch::{
-    content_digest_of, digest_entry, digest_snapshot, DigestSet, EpochDelta, EpochProvenance,
-    EpochStore, Published, SnapshotEpoch, MAX_DELTA_HISTORY,
+    EpochDelta, EpochProvenance, EpochStore, Published, SnapshotEpoch, MAX_DELTA_HISTORY,
 };
 pub use error::ServiceError;
 pub use pool::{QueryResponse, ServiceStats, VerificationService};

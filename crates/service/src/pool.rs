@@ -11,21 +11,16 @@
 //!
 //! The service owns no model and no traversal either: the evaluator
 //! borrows the HSA network function the publisher froze into the epoch and
-//! reads and writes its per-host traversals through the
-//! [`rvaas::TraversalMemo`] the epoch carries (see
-//! [`crate::epoch::SnapshotEpoch`]), so a traversal is walked once per
-//! epoch — shared by every batch, thread and client answering on it — and
-//! an epoch advance costs a caller only the traversals its change may have
-//! altered: the publish carries the rest into the new epoch's memo. There
-//! is one evaluation path — answer on the epoch's memo, cache the verdict.
-//! Nothing about the query is registered: the verdict keys it reads are a
-//! static function of `(client, spec, topology)`, and each publish names
-//! the keys its change may have altered (see [`rvaas::AffectedQueries`]).
+//! walks through the [`rvaas::TraversalMemo`] the epoch carries, so a
+//! traversal is walked once per epoch, and a publish carries into the next
+//! epoch's memo what its change cannot have altered. There is one
+//! evaluation path — answer on the epoch's memo, cache the verdict.
 //!
-//! A batch always answers against the epoch that was current when it
-//! started; the monitor can keep publishing new epochs concurrently without
-//! blocking it. A publish is the store's, which records and counts it; the
-//! service times it (`epoch.publish`) and advances its cache (`cache.advance`).
+//! A batch answers on one epoch — the current one at entry, or, for a sync
+//! session's re-verification, the one its response names — however many
+//! the monitor publishes meanwhile. A publish is the store's, which records
+//! and counts it; the service times it (`epoch.publish`) and advances its
+//! cache (`cache.advance`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,7 +32,7 @@ use rvaas_topology::Topology;
 use rvaas_types::{ClientId, SimTime};
 
 use crate::cache::ResultCache;
-use crate::epoch::{EpochStore, Published, MAX_DELTA_HISTORY};
+use crate::epoch::{EpochStore, Published, SnapshotEpoch, MAX_DELTA_HISTORY};
 use crate::error::ServiceError;
 
 /// A completed query, as delivered back to the caller.
@@ -95,8 +90,8 @@ impl ServiceMetrics {
                 "rvaas_query_latency_us",
                 "Wall-clock query latency from submission to completion, in microseconds.",
             ),
-            stage_eval: registry.stage_histogram("pool.eval"),
-            stage_publish: registry.stage_histogram("epoch.publish"),
+            stage_eval: registry.stage_histogram(TraceStage::Eval.as_str()),
+            stage_publish: registry.stage_histogram(TraceStage::EpochPublish.as_str()),
             stage_cache_advance: registry.stage_histogram("cache.advance"),
         }
     }
@@ -296,7 +291,7 @@ impl VerificationService {
         spec: QuerySpec,
         trace: TraceContext,
     ) -> Result<QueryResponse, ServiceError> {
-        let mut responses = self.answer([(client, spec, trace)]);
+        let mut responses = self.answer(&self.store.current(), [(client, spec, trace)]);
         Ok(responses.pop().expect("one query in, one response out"))
     }
 
@@ -307,6 +302,7 @@ impl VerificationService {
         queries: &[(ClientId, QuerySpec)],
     ) -> Result<Vec<QueryResponse>, ServiceError> {
         Ok(self.answer(
+            &self.store.current(),
             queries
                 .iter()
                 .map(|(client, spec)| (*client, spec.clone(), TraceContext::mint())),
@@ -314,11 +310,12 @@ impl VerificationService {
     }
 
     /// The one evaluation path, run on the calling thread: the whole batch
-    /// is answered on the epoch current at entry through one evaluator
-    /// session. Latency runs from entry, so a batch keeps "submission →
-    /// completion" for each of its queries.
-    fn answer(
+    /// is answered on `epoch` (the current one, or the one a sync response
+    /// names) through one evaluator session. Latency runs from entry, so a
+    /// batch keeps "submission → completion" for each of its queries.
+    pub(crate) fn answer(
         &self,
+        epoch: &SnapshotEpoch,
         batch: impl IntoIterator<Item = (ClientId, QuerySpec, TraceContext)>,
     ) -> Vec<QueryResponse> {
         let submitted = Instant::now();
@@ -327,7 +324,6 @@ impl VerificationService {
         let Some(lead) = batch.peek().map(|(_, _, trace)| trace.id) else {
             return Vec::new();
         };
-        let epoch = self.store.current();
         let mut evaluator =
             self.verifier
                 .evaluator_sharing(&epoch.snapshot, &epoch.function, &epoch.traversals);

@@ -4,17 +4,15 @@
 //! [`VerificationService`] every call is handed, under a random-ish session
 //! id (clients detect a restarted server by the id changing and fall back to
 //! a reset). Clients register *standing queries*; when a delta invalidates
-//! the published state, the server re-verifies the affected ones at the new
-//! epoch — on the session's own thread, as one batch through the service's
-//! query path and its cache — and ships the refreshed results inside the
-//! delta, so clients do not need a follow-up query round.
+//! the published state, the server re-verifies the affected ones on the
+//! epoch the response names — on the session's own thread, as one batch
+//! through the service's query path and its cache — and ships the refreshed
+//! results inside the delta, so clients do not need a follow-up query round.
 //!
-//! "Affected" comes from the traversal memo's carry: each published epoch
-//! stores, in its delta, the verdict keys its change may have altered
-//! ([`rvaas::AffectedQueries`]), and a served delta re-verifies the client's
-//! subscriptions that read a key of the window's union. A subscription's
-//! keys are a static function of `(client, spec, topology)`, so subscribing
-//! registers nothing outside the session.
+//! "Affected" is the union, over the delta's window, of the verdict keys
+//! each publish's memo carry found altered ([`rvaas::AffectedQueries`]):
+//! a subscription's keys are static, so subscribing registers nothing
+//! outside the session.
 //!
 //! The server's one lock is its session table's. A serial the store shows
 //! always has its delta and its provenance record, so the fan-out a served
@@ -31,6 +29,7 @@ use rvaas_client::{
 use rvaas_telemetry::{Counter, Histogram, Registry, TraceContext, TraceStage};
 use rvaas_types::ClientId;
 
+use crate::epoch::SnapshotEpoch;
 use crate::error::ServiceError;
 use crate::pool::VerificationService;
 
@@ -80,7 +79,7 @@ impl SyncServer {
                 "rvaas_reverify_skipped_total",
                 "Standing queries skipped because the delta could not affect them.",
             ),
-            reverify_latency: registry.stage_histogram("sync.reverify"),
+            reverify_latency: registry.stage_histogram(TraceStage::Reverify.as_str()),
         }
     }
 
@@ -139,8 +138,8 @@ impl SyncServer {
     ///
     /// # Errors
     ///
-    /// Propagates whatever re-verifying the client's standing queries
-    /// reports (nothing today, see [`VerificationService::try_query`]).
+    /// None: re-verifying the client's standing queries cannot fail (see
+    /// [`VerificationService::try_query`]).
     pub fn try_handle(
         &self,
         service: &VerificationService,
@@ -170,7 +169,8 @@ impl SyncServer {
             },
             Some(delta) if delta.is_empty() => SyncPayload::Unchanged,
             Some(delta) => {
-                let reverified = self.reverify(service, request.client, &delta.affected, trace)?;
+                let reverified =
+                    self.reverify(service, &current, request.client, &delta.affected, trace);
                 // The exact fan-out this session observed, folded into the
                 // served epoch's provenance record.
                 let fan_out = reverified.len() as u64;
@@ -191,13 +191,17 @@ impl SyncServer {
         })
     }
 
+    /// The client's standing queries `affected` names, answered on `epoch`:
+    /// the one the served delta leads to, whose serial the response
+    /// carries, even if another has been published since.
     fn reverify(
         &self,
         service: &VerificationService,
+        epoch: &SnapshotEpoch,
         client: ClientId,
         affected: &AffectedQueries,
         trace: TraceContext,
-    ) -> Result<Vec<ReverifiedQuery>, ServiceError> {
+    ) -> Vec<ReverifiedQuery> {
         let _span = self.reverify_latency.span_traced(trace.id);
         // The affected-set test: the window's stored per-epoch selections,
         // unioned by `delta_between`, read as the specs of this client they
@@ -212,7 +216,7 @@ impl SyncServer {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             let Some(session) = sessions.get(&client) else {
-                return Ok(Vec::new());
+                return Vec::new();
             };
             let subs = &session.subscriptions;
             let workload = if affected.is_everything() {
@@ -231,14 +235,17 @@ impl SyncServer {
         self.skipped.add(total - workload.len() as u64);
         // One batch: the whole reverify set shares one epoch and one
         // evaluator session, on this thread.
-        Ok(service
-            .try_query_all(&workload)?
+        let batch = workload
+            .into_iter()
+            .map(|(client, spec)| (client, spec, TraceContext::mint()));
+        service
+            .answer(epoch, batch)
             .into_iter()
             .map(|response| ReverifiedQuery {
                 spec: response.spec,
                 result: response.result,
             })
-            .collect())
+            .collect()
     }
 }
 

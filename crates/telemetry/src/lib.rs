@@ -1,9 +1,9 @@
 //! # rvaas-telemetry — the unified observability substrate
 //!
-//! Every layer of the RVaaS service plane used to keep its own ad-hoc stats
-//! struct (`ServiceStats`, `CacheStats`, `ReverifyStats`); this crate
-//! replaces those with one shared, zero-dependency [`Registry`] of named
-//! metrics, built entirely on `std` atomics:
+//! Every layer of the RVaaS service plane records into one shared,
+//! zero-dependency [`Registry`] of named metrics, built on `std` atomics;
+//! `ServiceStats`, `CacheStats` and `ReverifyStats` are point-in-time views
+//! over it (`benchmark/` reads the first and the last):
 //!
 //! * [`Counter`] — a monotonic `u64`; `inc`/`add` are single relaxed
 //!   atomic RMWs, safe on any hot path.
@@ -14,7 +14,8 @@
 //! * [`Span`] — an RAII timer tracing one stage of the query lifecycle
 //!   (`registry.stage_histogram("pool.eval").span()` records elapsed
 //!   microseconds into the `rvaas_stage_latency_us{stage="pool.eval"}`
-//!   histogram on drop).
+//!   histogram on drop; a stage that has a [`TraceStage`] is named by its
+//!   [`TraceStage::as_str`]).
 //! * [`Registry::render_text`] — Prometheus text exposition (`# HELP` /
 //!   `# TYPE` / sample lines) ready to be served verbatim from a `/metrics`
 //!   endpoint; [`text::parse_text`] is the matching line-level parser the

@@ -1,6 +1,6 @@
 //! The workspace's one JSON writer: the daemon's bodies and the experiment
 //! reports are built from these functions, inside out ([`object`] and
-//! [`array`] take members the others rendered), compact and escaped once.
+//! [`array()`] take members the others rendered), compact and escaped once.
 
 use std::fmt::Write as _;
 

@@ -1,7 +1,7 @@
 //! Concrete packets and their in-network traces.
 //!
 //! A [`Packet`] is what the simulated data plane forwards: the canonical
-//! [`Header`](crate::Header) plus an opaque payload and a trace of the
+//! [`Header`] plus an opaque payload and a trace of the
 //! switch/port hops it has visited so far. The trace is *simulator ground
 //! truth*: it is never visible to RVaaS or the clients (doing so would defeat
 //! the purpose of verification) but it lets tests and experiments check
