@@ -304,7 +304,7 @@ impl IncrementalModel {
 /// Union of `src = host ip` cubes over the client's hosts: the traffic the
 /// client can emit (what reachable-destination, isolation and geo queries
 /// inject).
-pub(crate) fn emission_space_of(topology: &Topology, client: ClientId) -> HeaderSpace {
+fn emission_space_of(topology: &Topology, client: ClientId) -> HeaderSpace {
     topology
         .hosts_of_client(client)
         .iter()
@@ -314,7 +314,7 @@ pub(crate) fn emission_space_of(topology: &Topology, client: ClientId) -> Header
 
 /// Union of `dst = host ip` cubes over the client's hosts: the traffic that
 /// can be addressed to the client (what reaching-source queries depend on).
-pub(crate) fn inbound_space_of(topology: &Topology, client: ClientId) -> HeaderSpace {
+fn inbound_space_of(topology: &Topology, client: ClientId) -> HeaderSpace {
     topology
         .hosts_of_client(client)
         .iter()

@@ -1,136 +1,31 @@
-//! The retired interest-space index, kept only because the stand-alone
+//! The retired interest index, kept only because the stand-alone
 //! `benchmark/` package's ladder measures it (`core.interest_*` rows) with
 //! four calls — [`InterestIndex::new`], [`register`](InterestIndex::register),
 //! [`deregister`](InterestIndex::deregister) and
 //! [`affected`](InterestIndex::affected) — and deleted once a re-baseline of
-//! `benchmark/` drops those rows. Nothing in the service plane registers
-//! anything in it: which verdicts a publish may have changed is read off
-//! the traversal memo's carry
+//! `benchmark/` drops those rows. It is a set of registered standing
+//! queries over one topology, and [`affected`](InterestIndex::affected)
+//! filters that set through [`query_affected`], the linear reference, so
+//! the rows time the reference.
+//!
+//! Nothing in the service plane registers anything in it: which verdicts a
+//! publish may have changed is read off the traversal memo's carry
 //! ([`TraversalMemo::carry`](crate::TraversalMemo::carry) and
 //! [`AffectedQueries`](crate::AffectedQueries)), because the keys a verdict
-//! reads are a static function of `(client, spec, topology)`. Like this
-//! index, the carry never selects beyond
-//! [`query_affected`](crate::incremental::query_affected), the linear
-//! reference both are held to, on a bounded region no walk was cut on
-//! (`crates/integration/tests/cross_crate_properties.rs` checks it).
-//!
-//! What it does: an [`InterestIndex`] holds one class-default interest per
-//! registered standing query and an inverted index over the cube structure
-//! of the interest spaces, so a changed region maps to its affected queries
-//! in `O(region cubes · bucket probes + candidates)`.
-//!
-//! # How the index is keyed
-//!
-//! Every interest space is a union of [`Cube`]s. The verifier pins the fields
-//! that identify a tenant — the source address for emission spaces, the
-//! destination address for inbound spaces, both for path-length interests —
-//! so each cube is bucketed under `(src, dst)` where each component is
-//! `Some(value)` when the cube fixes every bit of that field and `None`
-//! otherwise. A changed-region cube probes the compatible buckets: when the
-//! region pins both fields that is four `BTreeMap` probes; a region cube
-//! that leaves a field unpinned degrades to a contiguous range scan of the
-//! buckets on the other field. Candidates then confirm with the exact test
-//! (space overlap, and for neutrality the access switches), so bucketing
-//! only ever *over*-selects.
-//!
-//! [`Cube`]: rvaas_hsa::Cube
+//! reads are a static function of `(client, spec, topology)`. The carry
+//! never selects beyond `query_affected` on a bounded region no walk was
+//! cut on (`crates/integration/tests/cross_crate_properties.rs` checks it).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use rvaas_client::QuerySpec;
-use rvaas_hsa::HeaderSpace;
 use rvaas_topology::Topology;
-use rvaas_types::{ClientId, Field, SwitchId};
+use rvaas_types::ClientId;
 
-use crate::incremental::{emission_space_of, inbound_space_of, ChangedRegion};
+use crate::incremental::{query_affected, ChangedRegion};
 
 /// The identity of one standing query in the index.
 type QueryKey = (ClientId, QuerySpec);
-
-/// The switch-level traversal footprint of one evaluated query: the switches
-/// whose rules the verdict depends on.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct QueryFootprint {
-    /// `Some(switches)` when every traversal behind the verdict completed
-    /// within the engine's bounds; `None` when a traversal was truncated (the
-    /// verdict may depend on anything) or no footprint was captured.
-    pub switches: Option<BTreeSet<SwitchId>>,
-}
-
-impl QueryFootprint {
-    /// A footprint bounded to `switches`.
-    #[must_use]
-    pub fn bounded(switches: BTreeSet<SwitchId>) -> Self {
-        QueryFootprint {
-            switches: Some(switches),
-        }
-    }
-
-    /// The unbounded footprint (depends on everything).
-    #[must_use]
-    pub fn unbounded() -> Self {
-        QueryFootprint { switches: None }
-    }
-}
-
-/// The registered interest of one standing query.
-#[derive(Debug, Clone, PartialEq)]
-struct QueryInterest {
-    /// Header-space interest (the class-default injected space). `None` for
-    /// space-insensitive queries (neutrality) and for conservative interests
-    /// registered without topology knowledge: any non-empty region matches.
-    space: Option<HeaderSpace>,
-    /// Switch footprint; `None` = unbounded (affected by a change on any
-    /// switch the space test admits).
-    switches: Option<BTreeSet<SwitchId>>,
-}
-
-/// The class-default interest of `(client, spec)` over `topology`: precisely
-/// the spaces [`query_affected`](crate::incremental::query_affected) tests,
-/// with an unbounded switch footprint — so the index selects exactly the
-/// linear scan's affected set.
-///
-/// A topology without hosts yields a conservative interest (`space = None`,
-/// every change matches): without deployment knowledge no query can be
-/// soundly skipped.
-fn default_interest(topology: &Topology, client: ClientId, spec: &QuerySpec) -> QueryInterest {
-    if topology.host_count() == 0 {
-        return QueryInterest {
-            space: None,
-            switches: None,
-        };
-    }
-    let (space, switches) = match spec {
-        QuerySpec::ReachableDestinations | QuerySpec::GeoLocation => {
-            (Some(emission_space_of(topology, client)), None)
-        }
-        QuerySpec::ReachingSources => (Some(inbound_space_of(topology, client)), None),
-        QuerySpec::Isolation => (
-            Some(emission_space_of(topology, client).union(&inbound_space_of(topology, client))),
-            None,
-        ),
-        QuerySpec::PathLength { to_ip } => {
-            let interest: HeaderSpace = topology
-                .hosts_of_client(client)
-                .iter()
-                .map(|h| {
-                    rvaas_hsa::Cube::wildcard()
-                        .with_field(Field::IpSrc, u64::from(h.ip))
-                        .with_field(Field::IpDst, u64::from(*to_ip))
-                })
-                .collect();
-            (Some(interest), None)
-        }
-        // Neutrality inspects delivery rules on access switches, not header
-        // traversals: space-insensitive, pinned to the access switches.
-        QuerySpec::Neutrality => {
-            let access: BTreeSet<SwitchId> =
-                topology.hosts().map(|h| h.attachment.switch).collect();
-            (None, Some(access))
-        }
-    };
-    QueryInterest { space, switches }
-}
 
 /// The affected-query selection of one changed region: either an exact set of
 /// registered query keys, or "everything" (conservative region — unregistered
@@ -161,18 +56,12 @@ impl IndexSelection {
     }
 }
 
-/// Bucket key of one interest cube: each component is `Some(v)` when the
-/// cube fixes every bit of the field to `v`, `None` otherwise.
-type BucketKey = (Option<u64>, Option<u64>);
-
-/// The interest-space index mapping header-space regions to the standing
-/// queries they can affect. Not internally synchronised.
+/// The standing queries registered over one topology. Not internally
+/// synchronised.
 #[derive(Debug)]
 pub struct InterestIndex {
     topology: Topology,
-    interests: BTreeMap<QueryKey, QueryInterest>,
-    /// Inverted index: interest-cube bucket -> queries holding such a cube.
-    buckets: BTreeMap<BucketKey, BTreeSet<QueryKey>>,
+    interests: BTreeSet<QueryKey>,
 }
 
 impl InterestIndex {
@@ -181,131 +70,27 @@ impl InterestIndex {
     pub fn new(topology: Topology) -> Self {
         InterestIndex {
             topology,
-            interests: BTreeMap::new(),
-            buckets: BTreeMap::new(),
+            interests: BTreeSet::new(),
         }
     }
 
-    /// Bucket keys of one interest: one per interest cube, or the wildcard
-    /// bucket for space-insensitive / conservative interests.
-    fn bucket_keys(interest: &QueryInterest) -> BTreeSet<BucketKey> {
-        match &interest.space {
-            None => [(None, None)].into_iter().collect(),
-            Some(space) => space
-                .cubes()
-                .iter()
-                .map(|cube| {
-                    (
-                        cube.field_exact(Field::IpSrc),
-                        cube.field_exact(Field::IpDst),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// Registers `(client, spec)` with its class-default interest. Idempotent.
-    /// Returns `true` when the query was newly registered.
+    /// Registers `(client, spec)`. Idempotent. Returns `true` when the query
+    /// was newly registered.
     pub fn register(&mut self, client: ClientId, spec: &QuerySpec) -> bool {
-        let key: QueryKey = (client, spec.clone());
-        if self.interests.contains_key(&key) {
-            return false;
-        }
-        let interest = default_interest(&self.topology, client, spec);
-        for bucket in Self::bucket_keys(&interest) {
-            self.buckets.entry(bucket).or_default().insert(key.clone());
-        }
-        self.interests.insert(key, interest);
-        true
+        self.interests.insert((client, spec.clone()))
     }
 
     /// Removes `(client, spec)` from the index. Returns `true` when it was
     /// registered.
     pub fn deregister(&mut self, client: ClientId, spec: &QuerySpec) -> bool {
-        let key: QueryKey = (client, spec.clone());
-        let Some(interest) = self.interests.remove(&key) else {
-            return false;
-        };
-        for bucket in Self::bucket_keys(&interest) {
-            if let Some(set) = self.buckets.get_mut(&bucket) {
-                set.remove(&key);
-                if set.is_empty() {
-                    self.buckets.remove(&bucket);
-                }
-            }
-        }
-        true
-    }
-
-    /// The exact affected test of one interest against a (non-conservative,
-    /// non-empty) region.
-    fn interest_affected(interest: &QueryInterest, region: &ChangedRegion) -> bool {
-        let space_hit = match &interest.space {
-            None => true,
-            Some(space) => region.space.overlaps(space),
-        };
-        if !space_hit {
-            return false;
-        }
-        match &interest.switches {
-            None => true,
-            Some(footprint) => region.switches.iter().any(|s| footprint.contains(s)),
-        }
-    }
-
-    /// All bucketed candidates a region cube with the given exact fields can
-    /// affect. A bucket is compatible when each of its components is a
-    /// wildcard, the region's is, or the values agree.
-    fn collect_candidates(&self, src: Option<u64>, dst: Option<u64>, out: &mut BTreeSet<QueryKey>) {
-        if let (Some(s), Some(d)) = (src, dst) {
-            // Both fields pinned — the tenant-churn common case. Exactly four
-            // buckets are compatible, each a point probe, so the lookup cost
-            // is independent of the registered-query population.
-            for key in [
-                (None, None),
-                (None, Some(d)),
-                (Some(s), None),
-                (Some(s), Some(d)),
-            ] {
-                if let Some(set) = self.buckets.get(&key) {
-                    out.extend(set.iter().cloned());
-                }
-            }
-            return;
-        }
-        let dst_compatible = |bucket_dst: &Option<u64>| match (bucket_dst, dst) {
-            (None, _) | (_, None) => true,
-            (Some(b), Some(r)) => *b == r,
-        };
-        match src {
-            Some(v) => {
-                // Two contiguous key ranges: src-wildcard buckets and
-                // src == v buckets ((None, _) sorts before every (Some, _)).
-                let ranges = [
-                    self.buckets.range((None, None)..(Some(0), None)),
-                    self.buckets
-                        .range((Some(v), None)..=(Some(v), Some(u64::MAX))),
-                ];
-                for range in ranges {
-                    for (key, set) in range {
-                        if dst_compatible(&key.1) {
-                            out.extend(set.iter().cloned());
-                        }
-                    }
-                }
-            }
-            None => {
-                for (key, set) in &self.buckets {
-                    if dst_compatible(&key.1) {
-                        out.extend(set.iter().cloned());
-                    }
-                }
-            }
-        }
+        self.interests.remove(&(client, spec.clone()))
     }
 
     /// Selects the registered queries `region` can affect, without mutating
-    /// the index. Conservative regions select everything.
+    /// the index: those [`query_affected`] names. Conservative regions
+    /// select everything. On a topology without hosts every registered
+    /// query matches any non-empty region: without deployment knowledge no
+    /// query can be soundly skipped.
     #[must_use]
     pub fn affected(&self, region: &ChangedRegion) -> IndexSelection {
         if region.conservative {
@@ -317,31 +102,14 @@ impl InterestIndex {
         if region.is_empty() {
             return IndexSelection::default();
         }
-        let mut candidates: BTreeSet<QueryKey> = BTreeSet::new();
-        // The wildcard bucket hosts the space-insensitive interests
-        // (neutrality, conservative registrations); a region whose space is
-        // empty but whose switch set is not (a fully shadowed rule change)
-        // must still reach them.
-        if let Some(set) = self.buckets.get(&(None, None)) {
-            candidates.extend(set.iter().cloned());
-        }
-        let mut swept_all = false;
-        for cube in region.space.cubes() {
-            let src = cube.field_exact(Field::IpSrc);
-            let dst = cube.field_exact(Field::IpDst);
-            if src.is_none() && dst.is_none() {
-                // A fully-wild region cube is compatible with every bucket;
-                // one full sweep covers all such cubes.
-                if swept_all {
-                    continue;
-                }
-                swept_all = true;
-            }
-            self.collect_candidates(src, dst, &mut candidates);
-        }
-        let keys = candidates
-            .into_iter()
-            .filter(|key| Self::interest_affected(&self.interests[key], region))
+        let hostless = self.topology.host_count() == 0;
+        let keys = self
+            .interests
+            .iter()
+            .filter(|(client, spec)| {
+                hostless || query_affected(&self.topology, *client, spec, region)
+            })
+            .cloned()
             .collect();
         IndexSelection { all: false, keys }
     }
@@ -355,7 +123,7 @@ mod tests {
     use proptest::prelude::*;
     use rvaas_openflow::{Action, FlowEntry, FlowMatch};
     use rvaas_topology::generators;
-    use rvaas_types::{PortId, SwitchId};
+    use rvaas_types::{Field, PortId, SwitchId};
 
     fn tenant_rule(src: u32, dst: u32, out: u32) -> FlowEntry {
         FlowEntry::new(
@@ -408,7 +176,6 @@ mod tests {
         assert!(index.deregister(client, &spec));
         assert!(!index.deregister(client, &spec));
         assert!(index.interests.is_empty());
-        assert!(index.buckets.is_empty(), "buckets fully cleaned");
     }
 
     #[test]

@@ -59,12 +59,12 @@ pub mod verify;
 
 pub use attest::{AttestedIdentity, RVAAS_IMAGE};
 pub use incremental::{query_affected, ChangedRegion, IncrementalModel, RuleChange};
-pub use interest::{InterestIndex, QueryFootprint};
+pub use interest::InterestIndex;
 pub use memo::{AffectedQueries, Carried, TraversalMemo, VerdictKey};
 pub use monitor::{ConfigMonitor, MonitorConfig, MonitorStats, PollStrategy};
 pub use service::{RvaasConfig, RvaasController, RvaasStats};
 pub use snapshot::{NetworkSnapshot, TableEntries, TableIter};
-pub use verify::{LocationMap, LogicalVerifier, QueryEvaluator, VerifierConfig};
+pub use verify::{LocationMap, LogicalVerifier, QueryEvaluator, QueryFootprint, VerifierConfig};
 
 // The model type `LogicalVerifier::evaluator_with` and `IncrementalModel` trade in, for
 // crates that hold one without depending on `rvaas-hsa` themselves.

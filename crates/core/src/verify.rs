@@ -30,7 +30,6 @@ use rvaas_openflow::Action;
 use rvaas_topology::{Host, Topology};
 use rvaas_types::{ClientId, Field, HostId, PortId, Region, SwitchId, SwitchPort};
 
-use crate::interest::QueryFootprint;
 use crate::memo::{Outcome, Traversal, TraversalMemo, VerdictKey};
 use crate::snapshot::NetworkSnapshot;
 
@@ -238,6 +237,32 @@ enum Memo<'a> {
     /// The session's own: nothing is shared, nothing outlives it.
     Private(TraversalMemo),
     Shared(&'a TraversalMemo),
+}
+
+/// The switch-level traversal footprint of one evaluated query: the switches
+/// whose rules the verdict depends on.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct QueryFootprint {
+    /// `Some(switches)` when every traversal behind the verdict completed
+    /// within the engine's bounds; `None` when a traversal was truncated (the
+    /// verdict may depend on anything) or no footprint was captured.
+    pub switches: Option<BTreeSet<SwitchId>>,
+}
+
+impl QueryFootprint {
+    /// A footprint bounded to `switches`.
+    #[must_use]
+    pub fn bounded(switches: BTreeSet<SwitchId>) -> Self {
+        QueryFootprint {
+            switches: Some(switches),
+        }
+    }
+
+    /// The unbounded footprint (depends on everything).
+    #[must_use]
+    pub fn unbounded() -> Self {
+        QueryFootprint { switches: None }
+    }
 }
 
 /// The traversals of `read`, without what they were read for.

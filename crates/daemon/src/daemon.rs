@@ -23,6 +23,7 @@
 //! exits on the next connection and a busy one once its connection ends. A
 //! connection no thread has taken by then is closed unanswered.
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -312,13 +313,17 @@ fn serve_sync_connection(context: &ConnectionContext, mut stream: TcpStream) {
 
 /// One HTTP connection: requests served in a keep-alive loop until the
 /// client asks to close, goes idle, sends garbage or the daemon shuts down.
-fn serve_http_connection(context: &ConnectionContext, mut stream: TcpStream) {
+/// One buffered reader per connection keeps the bytes read past a request,
+/// so pipelined requests are answered in order.
+fn serve_http_connection(context: &ConnectionContext, stream: TcpStream) {
     if stream.set_read_timeout(Some(HTTP_READ_TIMEOUT)).is_err() {
         return;
     }
     context.active.inc();
+    let mut reader = BufReader::new(&stream);
+    let mut stream = &stream;
     loop {
-        match http::read_request(&mut stream) {
+        match http::read_request(&mut reader) {
             Ok(None) => break, // idle or clean close between requests
             Ok(Some(request)) => {
                 // Counted at parse time, before dispatch: a scrape of

@@ -3,7 +3,8 @@
 //! The build environment vendors no HTTP crate, so this module implements
 //! just enough of RFC 9112 to serve the daemon's API: request-line +
 //! headers + `Content-Length` body, persistent connections with
-//! HTTP/1.0-vs-1.1 `Connection` header semantics, and a segment router.
+//! HTTP/1.0-vs-1.1 `Connection` header semantics (pipelined requests are
+//! answered in order), and a segment router.
 //! No chunked encoding, no TLS. Routes:
 //!
 //! * `POST /v1/query` — run one verification query (trace minted at
@@ -16,7 +17,7 @@
 //! * `GET /v1/trace/slow` — the retained slow/error captures.
 //! * `GET /metrics` — Prometheus text exposition.
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, BufRead, ErrorKind, Write};
 
 use rvaas_service::{ServiceError, SyncServer, VerificationService};
 use rvaas_telemetry::{trace::recorder, CaptureReason, TraceContext, TraceStage};
@@ -114,7 +115,8 @@ impl HttpResponse {
     }
 }
 
-/// Reads and parses one HTTP request off `r`.
+/// Reads and parses one HTTP request off `r`, consuming exactly its bytes:
+/// whatever follows it (a pipelined request) stays in `r` for the next call.
 ///
 /// Returns `Ok(None)` when the connection went idle-quiet: a clean EOF or
 /// a read timeout before any request byte arrived — the keep-alive loop
@@ -124,29 +126,35 @@ impl HttpResponse {
 ///
 /// Returns a human-readable message for malformed, oversized or truncated
 /// requests (the caller answers 400 and closes).
-pub fn read_request<R: Read>(r: &mut R) -> Result<Option<HttpRequest>, String> {
-    // Read until the blank line terminating the header block.
+pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<HttpRequest>, String> {
+    // Take buffered bytes up to the blank line terminating the header block,
+    // and no further.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
     let head_end = loop {
-        if let Some(at) = find_head_end(&buf) {
-            break at;
-        }
-        if buf.len() > MAX_REQUEST_LEN {
-            return Err("request head too large".to_string());
-        }
-        let n = match r.read(&mut chunk) {
-            Ok(n) => n,
+        let available = match r.fill_buf() {
+            Ok(bytes) => bytes,
             Err(e) if idle_timeout(&e) && buf.is_empty() => return Ok(None),
             Err(e) => return Err(format!("read failed: {e}")),
         };
-        if n == 0 {
+        if available.is_empty() {
             if buf.is_empty() {
                 return Ok(None);
             }
             return Err("connection closed mid-request".to_string());
         }
-        buf.extend_from_slice(&chunk[..n]);
+        let seen = buf.len();
+        buf.extend_from_slice(available);
+        // The terminator may straddle the previous read.
+        let from = seen.saturating_sub(3);
+        let end = find_head_end(&buf[from..]).map(|at| from + at + 4);
+        let taken = end.unwrap_or(buf.len());
+        if taken > MAX_REQUEST_LEN {
+            return Err("request head too large".to_string());
+        }
+        r.consume(taken - seen);
+        if let Some(end) = end {
+            break end - 4;
+        }
     };
     let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| "non-UTF-8 head".to_string())?;
     let mut lines = head.split("\r\n");
@@ -182,17 +190,11 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Option<HttpRequest>, String> {
     if content_length > MAX_REQUEST_LEN {
         return Err("request body too large".to_string());
     }
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = r
-            .read(&mut chunk)
-            .map_err(|e| format!("read failed: {e}"))?;
-        if n == 0 {
-            return Err("connection closed mid-body".to_string());
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
+    let mut body = vec![0u8; content_length];
+    r.read_exact(&mut body).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => "connection closed mid-body".to_string(),
+        _ => format!("read failed: {e}"),
+    })?;
     Ok(Some(HttpRequest {
         method: method.to_string(),
         target: target.to_string(),
@@ -394,6 +396,27 @@ mod tests {
     }
 
     #[test]
+    fn pipelined_requests_parse_one_per_call() {
+        let raw = b"POST /v1/query HTTP/1.1\r\nContent-Length: 4\r\n\r\nbody\
+                    GET /v1/status HTTP/1.1\r\n\r\n";
+        // Small read buffers split the head terminator across reads.
+        for capacity in [raw.len(), 1, 2, 3, 5] {
+            let mut r = std::io::BufReader::with_capacity(capacity, &raw[..]);
+            let first = read_request(&mut r).unwrap().unwrap();
+            assert_eq!(
+                (first.method.as_str(), first.body.as_str()),
+                ("POST", "body")
+            );
+            let second = read_request(&mut r).unwrap().unwrap();
+            assert_eq!(
+                (second.method.as_str(), second.target.as_str()),
+                ("GET", "/v1/status")
+            );
+            assert_eq!(read_request(&mut r).unwrap(), None);
+        }
+    }
+
+    #[test]
     fn idle_connections_read_as_none() {
         // Clean EOF before any byte: idle keep-alive close, not an error.
         let raw: &[u8] = b"";
@@ -402,11 +425,16 @@ mod tests {
 
     #[test]
     fn malformed_requests_are_rejected() {
+        let oversized = format!(
+            "GET /x HTTP/1.1\r\nX: {}\r\n\r\n",
+            "a".repeat(MAX_REQUEST_LEN)
+        );
         for raw in [
             &b"GARBAGE\r\n\r\n"[..],
             &b"GET /x SPDY/3\r\n\r\n"[..],
             &b"POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n"[..],
             &b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort"[..],
+            oversized.as_bytes(),
         ] {
             assert!(
                 read_request(&mut Cursor::new(raw.to_vec())).is_err(),

@@ -386,6 +386,33 @@ fn http_connections_persist_across_requests() {
 }
 
 #[test]
+fn pipelined_requests_are_answered_in_order() {
+    let daemon = started_daemon();
+    let addr = daemon.http_addr().unwrap();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // Two queries in one write: the second arrives with the first's bytes.
+    let mut both = String::new();
+    for client in [1, 3] {
+        let body = format!(r#"{{"client": {client}, "query": "isolation"}}"#);
+        both.push_str(&format!(
+            "POST /v1/query HTTP/1.1\r\nHost: rvaas\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ));
+    }
+    stream.write_all(both.as_bytes()).unwrap();
+    for client in [1, 3] {
+        let (status, body) = read_response(&mut stream);
+        assert_eq!(status, 200, "{body}");
+        let verdict = json::parse(&body).unwrap();
+        assert_eq!(verdict.get("client").unwrap().as_int(), Some(client));
+    }
+    daemon.shutdown();
+}
+
+#[test]
 fn rules_file_seeds_the_initial_epoch() {
     let path = std::env::temp_dir().join(format!("rvaas-rules-{}.txt", std::process::id()));
     std::fs::write(

@@ -49,7 +49,7 @@ fn main() -> Result<(), ServiceError> {
     // Delta sync: a client mirrors the state, then churn arrives.
     let server = SyncServer::new(7, &service.registry());
     let mut session = SyncSession::new();
-    let reset = server.try_handle(&service, &session.request(ClientId(1)))?;
+    let reset = server.handle(&service, &session.request(ClientId(1)));
     session.apply(&reset).expect("reset applies");
     println!(
         "  sync: client reset to serial {} ({} digests, {} B)",
@@ -66,7 +66,7 @@ fn main() -> Result<(), ServiceError> {
         "  epoch {serial}: {} memo entries carried over from the epoch before",
         service.store().current().traversals.len()
     );
-    let response = server.try_handle(&service, &session.request(ClientId(1)))?;
+    let response = server.handle(&service, &session.request(ClientId(1)));
     let SyncPayload::Delta { added, removed, .. } = &response.payload else {
         panic!("expected a delta after churn");
     };

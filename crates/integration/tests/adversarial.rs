@@ -125,9 +125,7 @@ fn serve(
     session: &SyncSession,
     client: ClientId,
 ) -> SyncResponse {
-    server
-        .try_handle(service, &session.request(client))
-        .unwrap()
+    server.handle(service, &session.request(client))
 }
 
 fn service_plane_attacks(topology: &Topology) -> Vec<Attack> {

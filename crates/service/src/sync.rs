@@ -118,15 +118,14 @@ impl SyncServer {
     /// Returns [`ServiceError::VersionMismatch`] when the peer speaks an
     /// unsupported sync-protocol major version (the daemon answers with a
     /// `SyncReject`), [`ServiceError::Codec`] for undecodable bytes or a
-    /// message that is not a [`SyncRequest`], and propagates
-    /// [`SyncServer::try_handle`] failures.
+    /// message that is not a [`SyncRequest`].
     pub fn handle_frame(
         &self,
         service: &VerificationService,
         frame: &[u8],
     ) -> Result<Vec<u8>, ServiceError> {
         match decode_inband(frame)? {
-            InbandMessage::SyncRequest(request) => Ok(self.try_handle(service, &request)?.encode()),
+            InbandMessage::SyncRequest(request) => Ok(self.handle(service, &request).encode()),
             other => Err(ServiceError::Codec(rvaas_types::Error::codec(format!(
                 "sync endpoint expects a SyncRequest, got {other:?}"
             )))),
@@ -134,17 +133,10 @@ impl SyncServer {
     }
 
     /// Answers one sync request. `service` is consulted to re-verify the
-    /// client's standing queries when a delta is served.
-    ///
-    /// # Errors
-    ///
-    /// None: re-verifying the client's standing queries cannot fail (see
-    /// [`VerificationService::try_query`]).
-    pub fn try_handle(
-        &self,
-        service: &VerificationService,
-        request: &SyncRequest,
-    ) -> Result<SyncResponse, ServiceError> {
+    /// client's standing queries when a delta is served; that cannot fail
+    /// (see [`VerificationService::try_query`]).
+    #[must_use]
+    pub fn handle(&self, service: &VerificationService, request: &SyncRequest) -> SyncResponse {
         // The sync endpoint is this request's ingress: mint the trace here
         // (default-on) and echo it in the response's trailing field.
         let trace = TraceContext::mint();
@@ -183,12 +175,12 @@ impl SyncServer {
                 }
             }
         };
-        Ok(SyncResponse {
+        SyncResponse {
             session: self.session_id,
             serial: current.serial,
             payload,
             trace: trace.id.0,
-        })
+        }
     }
 
     /// The client's standing queries `affected` names, answered on `epoch`:
@@ -293,9 +285,7 @@ mod tests {
         session: &SyncSession,
         client: ClientId,
     ) -> SyncResponse {
-        server
-            .try_handle(service, &session.request(client))
-            .unwrap()
+        server.handle(service, &session.request(client))
     }
 
     fn assert_mirrors(session: &SyncSession, service: &VerificationService) {

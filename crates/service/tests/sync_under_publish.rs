@@ -81,9 +81,7 @@ fn reverified_verdicts_are_those_of_the_served_serial() {
         let mut session = SyncSession::new();
         let mut checked = 0u64;
         while Instant::now() < deadline {
-            let response = server
-                .try_handle(&service, &session.request(victim))
-                .unwrap();
+            let response = server.handle(&service, &session.request(victim));
             if let SyncPayload::Delta { reverified, .. } = &response.payload {
                 for query in reverified {
                     assert_eq!(

@@ -224,9 +224,7 @@ fn sync_sessions(
     sessions: &mut [(ClientId, SyncSession)],
 ) {
     for (client, session) in sessions {
-        let response = server
-            .try_handle(service, &session.request(*client))
-            .expect("sync request served");
+        let response = server.handle(service, &session.request(*client));
         session.apply(&response).expect("sync response applies");
     }
 }
