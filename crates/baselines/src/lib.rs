@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rvaas_controlplane::Attack;
 use rvaas_netsim::Network;
 use rvaas_types::{ClientId, Header, HostId, Packet, PacketKind, Region, SimTime, SwitchId};
 
@@ -208,14 +207,6 @@ impl TrajectorySamplingBaseline {
     }
 }
 
-/// Whether a baseline *can in principle* detect an attack class, used to
-/// explain experiment outcomes. RVaaS detects all of these (evaluated
-/// empirically in the benchmark harness).
-#[must_use]
-pub fn attack_observable_by_endpoint_probing(attack: &Attack) -> bool {
-    matches!(attack, Attack::Blackhole { .. })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,7 +255,6 @@ mod tests {
             attacker_host: HostId(2),
             victim_client: ClientId(1),
         };
-        assert!(!attack_observable_by_endpoint_probing(&attack));
         let mut benign = network_with(vec![]);
         let reference = probe_connectivity(&mut benign, ClientId(1), SimTime::from_millis(10));
         let calibrated = TracerouteBaseline::calibrate(&reference);

@@ -156,15 +156,6 @@ impl SyncReject {
             got: r.get_u8()?,
         })
     }
-
-    /// The typed error this rejection reports.
-    #[must_use]
-    pub fn as_error(&self) -> Error {
-        Error::UnsupportedVersion {
-            supported: self.supported,
-            got: self.got,
-        }
-    }
 }
 
 const PAYLOAD_UNCHANGED: u8 = 1;
@@ -778,13 +769,6 @@ mod tests {
         match decode_inband(&reject.encode()).unwrap() {
             InbandMessage::SyncReject(decoded) => {
                 assert_eq!(decoded, reject);
-                assert_eq!(
-                    decoded.as_error(),
-                    rvaas_types::Error::UnsupportedVersion {
-                        supported: SYNC_PROTOCOL_VERSION,
-                        got: 0x20,
-                    }
-                );
             }
             other => panic!("unexpected {other:?}"),
         }

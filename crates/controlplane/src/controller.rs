@@ -25,7 +25,6 @@ pub struct ProviderController {
     attacks: Vec<ScheduledAttack>,
     /// Remaining flapping repetitions per attack index.
     remaining_reps: Vec<u32>,
-    install_benign: bool,
     flow_mods_sent: u64,
 }
 
@@ -47,17 +46,8 @@ impl ProviderController {
             topology,
             attacks,
             remaining_reps,
-            install_benign: true,
             flow_mods_sent: 0,
         }
-    }
-
-    /// Disables the installation of the benign policy (used by experiments
-    /// that pre-install rules out of band).
-    #[must_use]
-    pub fn without_benign_policy(mut self) -> Self {
-        self.install_benign = false;
-        self
     }
 
     /// Number of Flow-Mod / Meter-Mod commands this controller has issued.
@@ -80,21 +70,19 @@ impl ControllerApp for ProviderController {
     }
 
     fn on_start(&mut self, ctx: &mut ControllerContext) {
-        if self.install_benign {
-            let rules = benign_rules(&self.topology);
-            let msgs: Vec<(SwitchId, Message)> = rules
-                .into_iter()
-                .map(|(switch, entry)| {
-                    (
-                        switch,
-                        Message::FlowMod {
-                            command: rvaas_openflow::FlowModCommand::Add(entry),
-                        },
-                    )
-                })
-                .collect();
-            self.send_all(msgs, ctx);
-        }
+        let rules = benign_rules(&self.topology);
+        let msgs: Vec<(SwitchId, Message)> = rules
+            .into_iter()
+            .map(|(switch, entry)| {
+                (
+                    switch,
+                    Message::FlowMod {
+                        command: rvaas_openflow::FlowModCommand::Add(entry),
+                    },
+                )
+            })
+            .collect();
+        self.send_all(msgs, ctx);
         for (idx, attack) in self.attacks.iter().enumerate() {
             ctx.schedule(attack.at, PHASE_INSTALL | idx as u64);
         }
@@ -270,16 +258,5 @@ mod tests {
             })
             .sum();
         assert_eq!(after_removal, 0);
-    }
-
-    #[test]
-    fn without_benign_policy_installs_nothing_at_start() {
-        let topo = generators::line(3, 1);
-        let mut net = Network::new(topo.clone(), NetworkConfig::default());
-        net.add_controller(Box::new(
-            ProviderController::honest(topo.clone()).without_benign_policy(),
-        ));
-        net.run_until(SimTime::from_millis(2));
-        assert_eq!(net.stats().control_of_kind("flow_mod"), 0);
     }
 }

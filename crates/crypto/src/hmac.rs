@@ -1,8 +1,6 @@
 //! HMAC-SHA-256 (RFC 2104).
 //!
-//! Used for control-channel message authentication, for the fast "oracle"
-//! signature scheme, and as the pseudo-random function when deriving enclave
-//! sealing keys.
+//! Used for the fast "oracle" signature scheme.
 
 use crate::sha256::{Digest, Sha256};
 
@@ -63,16 +61,6 @@ pub fn hmac_verify(key: &[u8], message: &[u8], tag: &Digest) -> bool {
     diff == 0
 }
 
-/// Derives a sub-key from a master key and a context label (a simple
-/// HKDF-like expand step: `HMAC(master, label || counter)`).
-#[must_use]
-pub fn derive_key(master: &[u8], label: &str) -> Digest {
-    let mut message = Vec::with_capacity(label.len() + 1);
-    message.extend_from_slice(label.as_bytes());
-    message.push(0x01);
-    hmac_sha256(master, &message)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,15 +107,6 @@ mod tests {
         assert!(hmac_verify(b"k", b"message", &tag));
         assert!(!hmac_verify(b"k", b"message2", &tag));
         assert!(!hmac_verify(b"k2", b"message", &tag));
-    }
-
-    #[test]
-    fn derive_key_is_deterministic_and_label_sensitive() {
-        let a = derive_key(b"master", "seal");
-        let b = derive_key(b"master", "seal");
-        let c = derive_key(b"master", "report");
-        assert_eq!(a, b);
-        assert_ne!(a, c);
     }
 
     proptest! {

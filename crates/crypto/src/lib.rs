@@ -2,11 +2,10 @@
 //!
 //! A self-contained cryptographic substrate for the RVaaS reproduction.
 //!
-//! The paper assumes authenticated OpenFlow sessions, client authentication
-//! replies that the querying client can verify, and an attestable RVaaS
-//! server. All of these need hashing, MACs, signatures and certificates. To
-//! keep the workspace free of external cryptography dependencies the
-//! primitives are implemented here from scratch:
+//! The paper assumes client authentication replies that the querying client
+//! can verify and an attestable RVaaS server. Both need hashing, MACs and
+//! signatures. To keep the workspace free of external cryptography
+//! dependencies the primitives are implemented here from scratch:
 //!
 //! * [`sha256`] — a complete FIPS 180-4 SHA-256 implementation, validated
 //!   against the official test vectors.
@@ -18,9 +17,6 @@
 //!   implementations: the Merkle/WOTS scheme above (real, slower) and a
 //!   registry-backed HMAC oracle (fast, used by large-scale experiments;
 //!   models an idealised signature).
-//! * [`cert`] — minimal certificates binding names to verification keys,
-//!   issued by a certification authority, as used for switch channel
-//!   authentication and RVaaS server identity.
 //!
 //! None of this code is intended for production use; it exists so that the
 //! protocol logic in the rest of the workspace runs against honest
@@ -43,14 +39,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cert;
 pub mod hmac;
 pub mod merkle;
 pub mod sha256;
 pub mod signature;
 pub mod wots;
 
-pub use cert::{Certificate, CertificateAuthority};
 pub use hmac::hmac_sha256;
 pub use merkle::MerkleKeypair;
 pub use sha256::{digest, Digest, Sha256};

@@ -24,30 +24,6 @@ impl Digest {
     pub fn to_hex(&self) -> String {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
     }
-
-    /// Parses a digest from a 64-character hex string.
-    #[must_use]
-    pub fn from_hex(hex: &str) -> Option<Digest> {
-        if hex.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for (i, chunk) in hex.as_bytes().chunks(2).enumerate() {
-            let s = std::str::from_utf8(chunk).ok()?;
-            out[i] = u8::from_str_radix(s, 16).ok()?;
-        }
-        Some(Digest(out))
-    }
-
-    /// XOR-combines two digests (used to mix independent measurements).
-    #[must_use]
-    pub fn xor(&self, other: &Digest) -> Digest {
-        let mut out = [0u8; 32];
-        for (i, byte) in out.iter_mut().enumerate() {
-            *byte = self.0[i] ^ other.0[i];
-        }
-        Digest(out)
-    }
 }
 
 impl fmt::Debug for Digest {
@@ -327,17 +303,6 @@ mod tests {
         let d1 = digest_parts(&[b"hello ", b"world"]);
         let d2 = digest(b"hello world");
         assert_eq!(d1, d2);
-    }
-
-    #[test]
-    fn hex_roundtrip_and_helpers() {
-        let d = digest(b"roundtrip");
-        assert_eq!(Digest::from_hex(&d.to_hex()), Some(d));
-        assert_eq!(Digest::from_hex("zz"), None);
-        assert_eq!(Digest::from_hex(&"0".repeat(63)), None);
-        let zero = Digest::default();
-        assert_eq!(d.xor(&zero), d);
-        assert_eq!(d.xor(&d), zero);
     }
 
     proptest! {

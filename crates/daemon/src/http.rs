@@ -169,14 +169,25 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<HttpRequest>, String
     }
     // HTTP/1.0 closes by default; HTTP/1.1 keeps alive by default.
     let mut close = version == "HTTP/1.0";
-    let mut content_length = 0usize;
+    // The body is framed by one all-digit Content-Length or not at all: a
+    // Transfer-Encoding or a second length could make the bytes after this
+    // request parse differently than a front end read them (RFC 9112 §6.3).
+    let mut content_length: Option<usize> = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
+            if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err("Transfer-Encoding is not supported".to_string());
+            } else if name.eq_ignore_ascii_case("content-length") {
+                let value = value.trim();
+                if content_length.is_some() {
+                    return Err("repeated Content-Length".to_string());
+                }
+                let digits = value
                     .parse()
-                    .map_err(|_| format!("bad Content-Length {value:?}"))?;
+                    .ok()
+                    .filter(|_| value.bytes().all(|b| b.is_ascii_digit()));
+                content_length =
+                    Some(digits.ok_or_else(|| format!("bad Content-Length {value:?}"))?);
             } else if name.eq_ignore_ascii_case("connection") {
                 let value = value.trim();
                 if value.eq_ignore_ascii_case("close") {
@@ -187,6 +198,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<HttpRequest>, String
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_REQUEST_LEN {
         return Err("request body too large".to_string());
     }
@@ -434,6 +446,9 @@ mod tests {
             &b"GET /x SPDY/3\r\n\r\n"[..],
             &b"POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n"[..],
             &b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort"[..],
+            &b"POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n1a\r\n{\"client\":1,\"query\":\"geo\"}\r\n0\r\n\r\n"[..],
+            &b"POST /x HTTP/1.1\r\nContent-Length: 26\r\nContent-Length: 0\r\n\r\nGET /v1/epoch HTTP/1.1\r\n\r\n"[..],
+            &b"POST /x HTTP/1.1\r\nContent-Length: +2\r\n\r\nab"[..],
             oversized.as_bytes(),
         ] {
             assert!(

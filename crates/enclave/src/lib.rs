@@ -17,8 +17,6 @@
 //! logic depends on:
 //!
 //! * an enclave has a **measurement** (hash of its code identity),
-//! * data can be **sealed** to the measurement (only the same enclave can
-//!   unseal it),
 //! * a **quote** binds a user-supplied report payload (e.g. the RVaaS public
 //!   key) to the measurement, signed by a simulated quoting enclave whose
 //!   verification key plays the role of the Intel attestation service,
@@ -28,9 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rvaas_crypto::{
-    hmac::derive_key, hmac_sha256, sha256, Digest, Keypair, PublicKey, Signature, SignatureScheme,
-};
+use rvaas_crypto::{sha256, Digest, Keypair, PublicKey, Signature, SignatureScheme};
 use rvaas_types::{Error, Result};
 
 /// The measurement (code identity) of an enclave, analogous to MRENCLAVE.
@@ -45,15 +41,6 @@ impl Measurement {
     }
 }
 
-/// A sealed blob: data encrypted-and-authenticated under a key derived from
-/// the platform secret and the sealing enclave's measurement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SealedBlob {
-    ciphertext: Vec<u8>,
-    tag: Digest,
-    measurement: Measurement,
-}
-
 /// An attestation quote: a report payload bound to an enclave measurement and
 /// signed by the platform's quoting key.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,20 +53,19 @@ pub struct Quote {
     pub signature: Signature,
 }
 
-/// The simulated platform: holds the platform sealing secret and the quoting
-/// key. One `Platform` instance corresponds to one physical machine.
+/// The simulated platform: holds the quoting key. One `Platform` instance
+/// corresponds to one physical machine.
 #[derive(Debug)]
 pub struct Platform {
-    sealing_secret: Digest,
     quoting_key: Keypair,
 }
 
 impl Platform {
-    /// Creates a platform with secrets derived deterministically from `seed`.
+    /// Creates a platform whose quoting key is derived deterministically
+    /// from `seed`.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         Platform {
-            sealing_secret: sha256::digest_parts(&[b"rvaas-platform-secret", &seed.to_be_bytes()]),
             quoting_key: Keypair::generate(SignatureScheme::HmacOracle, seed ^ 0x51_6e_c1_a0),
         }
     }
@@ -98,11 +84,6 @@ impl Platform {
             platform: self,
             measurement: Measurement::of_image(image),
         }
-    }
-
-    fn sealing_key_for(&self, measurement: Measurement) -> Digest {
-        let label = format!("seal:{}", measurement.0.to_hex());
-        derive_key(self.sealing_secret.as_bytes(), &label)
     }
 
     /// Produces a quote for an enclave running on this platform. Only callable
@@ -136,44 +117,6 @@ impl Enclave<'_> {
     #[must_use]
     pub fn measurement(&self) -> Measurement {
         self.measurement
-    }
-
-    /// Seals `data` so that only an enclave with the same measurement on the
-    /// same platform can recover it.
-    #[must_use]
-    pub fn seal(&self, data: &[u8]) -> SealedBlob {
-        let key = self.platform.sealing_key_for(self.measurement);
-        // "Encryption" by XOR with a keystream derived from the key; the
-        // point of the simulation is the access-control semantics, not IND-CPA.
-        let ciphertext = xor_keystream(key.as_bytes(), data);
-        let tag = hmac_sha256(key.as_bytes(), &ciphertext);
-        SealedBlob {
-            ciphertext,
-            tag,
-            measurement: self.measurement,
-        }
-    }
-
-    /// Unseals a blob sealed by an enclave with the same measurement.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::AuthenticationFailed`] if the blob was sealed by a
-    /// different enclave identity or has been tampered with.
-    pub fn unseal(&self, blob: &SealedBlob) -> Result<Vec<u8>> {
-        if blob.measurement != self.measurement {
-            return Err(Error::AuthenticationFailed(
-                "sealed blob belongs to a different enclave measurement".to_string(),
-            ));
-        }
-        let key = self.platform.sealing_key_for(self.measurement);
-        let expected_tag = hmac_sha256(key.as_bytes(), &blob.ciphertext);
-        if expected_tag != blob.tag {
-            return Err(Error::AuthenticationFailed(
-                "sealed blob failed integrity check".to_string(),
-            ));
-        }
-        Ok(xor_keystream(key.as_bytes(), &blob.ciphertext))
     }
 
     /// Produces an attestation quote binding `report_data` to this enclave's
@@ -213,21 +156,6 @@ pub fn verify_quote(
     Ok(())
 }
 
-fn xor_keystream(key: &[u8], data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len());
-    let mut counter = 0u64;
-    let mut block = hmac_sha256(key, &counter.to_be_bytes());
-    for (i, byte) in data.iter().enumerate() {
-        let offset = i % 32;
-        if i > 0 && offset == 0 {
-            counter += 1;
-            block = hmac_sha256(key, &counter.to_be_bytes());
-        }
-        out.push(byte ^ block.as_bytes()[offset]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,41 +173,6 @@ mod tests {
             Measurement::of_image(RVAAS_IMAGE),
             Measurement::of_image(TAMPERED_IMAGE)
         );
-    }
-
-    #[test]
-    fn seal_unseal_roundtrip() {
-        let platform = Platform::new(1);
-        let enclave = platform.load_enclave(RVAAS_IMAGE);
-        let blob = enclave.seal(b"rvaas signing key material");
-        assert_eq!(
-            enclave.unseal(&blob).unwrap(),
-            b"rvaas signing key material"
-        );
-        // Long payloads cross the 32-byte keystream block boundary.
-        let long = vec![0xabu8; 100];
-        assert_eq!(enclave.unseal(&enclave.seal(&long)).unwrap(), long);
-    }
-
-    #[test]
-    fn unseal_fails_for_different_measurement() {
-        let platform = Platform::new(1);
-        let enclave = platform.load_enclave(RVAAS_IMAGE);
-        let imposter = platform.load_enclave(TAMPERED_IMAGE);
-        let blob = enclave.seal(b"secret");
-        assert!(matches!(
-            imposter.unseal(&blob),
-            Err(Error::AuthenticationFailed(_))
-        ));
-    }
-
-    #[test]
-    fn unseal_fails_on_tampered_ciphertext() {
-        let platform = Platform::new(1);
-        let enclave = platform.load_enclave(RVAAS_IMAGE);
-        let mut blob = enclave.seal(b"secret");
-        blob.ciphertext[0] ^= 0xff;
-        assert!(enclave.unseal(&blob).is_err());
     }
 
     #[test]
@@ -316,15 +209,5 @@ mod tests {
         // Quote "signed" by a different platform's quoting key.
         let quote = enclave.quote(b"original");
         assert!(verify_quote(&quote, &other_platform.quoting_public_key(), golden).is_err());
-    }
-
-    #[test]
-    fn sealing_is_platform_specific() {
-        let platform_a = Platform::new(1);
-        let platform_b = Platform::new(2);
-        let blob = platform_a.load_enclave(RVAAS_IMAGE).seal(b"secret");
-        // Same code, different platform: cannot unseal (integrity check fails
-        // because the derived key differs).
-        assert!(platform_b.load_enclave(RVAAS_IMAGE).unseal(&blob).is_err());
     }
 }

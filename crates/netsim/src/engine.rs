@@ -238,16 +238,6 @@ impl Network {
         self.now = self.now.max(deadline);
     }
 
-    /// Runs until no events remain (or `max_events` have been processed, as a
-    /// safety net against livelock).
-    pub fn run_to_quiescence(&mut self, max_events: usize) {
-        self.start();
-        let mut processed = 0;
-        while processed < max_events && self.step() {
-            processed += 1;
-        }
-    }
-
     fn dispatch(&mut self, event: Event) {
         match event {
             Event::PacketAtSwitch { at, packet } => self.handle_packet_at_switch(at, packet),
@@ -651,13 +641,5 @@ mod tests {
         assert_eq!(net.stats().packet_ins, 1);
         assert!(net.stats().control_lost >= 1);
         assert_eq!(net.stats().control_of_kind("packet_in"), 0);
-    }
-
-    #[test]
-    fn run_to_quiescence_terminates() {
-        let (mut net, _) = two_switch_setup();
-        net.run_to_quiescence(10_000);
-        assert!(net.stats().control_of_kind("flow_mod") == 4);
-        assert!(!net.step(), "queue should be empty after quiescence");
     }
 }

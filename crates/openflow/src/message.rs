@@ -12,6 +12,17 @@ use crate::action::Action;
 use crate::flowmatch::FlowMatch;
 use crate::table::{FlowEntry, FlowStats, MeterEntry};
 
+/// Which controller a channel belongs to. The RVaaS controller and the
+/// provider's own controller maintain independent channels to every switch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ControllerRole {
+    /// The provider's network management controller (untrusted in the threat
+    /// model).
+    Provider,
+    /// The stand-alone RVaaS verification controller (trusted).
+    Rvaas,
+}
+
 /// Why a Packet-In was generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketInReason {
@@ -145,16 +156,6 @@ pub enum Message {
 }
 
 impl Message {
-    /// A canonical byte encoding of the message used for MAC computation on
-    /// the secure channel. The encoding only needs to be deterministic and
-    /// injective within one process, so the Debug representation (which
-    /// includes every field of every variant) is sufficient for the
-    /// simulation.
-    #[must_use]
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        format!("{self:?}").into_bytes()
-    }
-
     /// Short label for statistics (message type, ignoring payload).
     #[must_use]
     pub fn kind(&self) -> &'static str {
@@ -181,19 +182,6 @@ impl Message {
 mod tests {
     use super::*;
     use rvaas_types::Header;
-
-    #[test]
-    fn canonical_bytes_distinguish_messages() {
-        let a = Message::EchoRequest { token: 1 };
-        let b = Message::EchoRequest { token: 2 };
-        let c = Message::EchoReply { token: 1 };
-        assert_ne!(a.canonical_bytes(), b.canonical_bytes());
-        assert_ne!(a.canonical_bytes(), c.canonical_bytes());
-        assert_eq!(
-            a.canonical_bytes(),
-            Message::EchoRequest { token: 1 }.canonical_bytes()
-        );
-    }
 
     #[test]
     fn kinds_are_stable_labels() {

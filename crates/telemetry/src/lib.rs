@@ -60,7 +60,7 @@ pub mod trace;
 pub use histogram::{Histogram, HistogramSnapshot, Span, BUCKETS};
 pub use metric::{Counter, Gauge};
 pub use registry::{MetricKind, Registry};
-pub use text::{parse_text, render_value, Sample, TextParseError};
+pub use text::{parse_text, Sample, TextParseError};
 pub use trace::{
     CaptureReason, FlightRecorder, RetainedTrace, TraceContext, TraceEvent, TraceId, TraceStage,
 };

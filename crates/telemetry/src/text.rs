@@ -1,4 +1,4 @@
-//! Prometheus text exposition: escaping and value formatting used by
+//! Prometheus text exposition: escaping and sample-line writing used by
 //! [`Registry::render_text`](crate::Registry::render_text), and a
 //! line-oriented parser ([`parse_text`]) used by the golden/property tests
 //! and the CI format gate.
@@ -17,22 +17,6 @@ pub fn escape_label_value(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
-}
-
-/// Formats a sample value the way the exposition format expects: integral
-/// values without a decimal point, everything else in Rust's shortest
-/// round-trippable float form.
-#[must_use]
-pub fn render_value(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v.is_infinite() {
-        if v > 0.0 { "+Inf" } else { "-Inf" }.to_string()
-    } else if v == v.trunc() && v.abs() < 9.0e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
 }
 
 /// True when `name` is a valid metric name: `[a-zA-Z_:][a-zA-Z0-9_:]*`.
@@ -254,17 +238,6 @@ fn parse_quoted(lineno: usize, s: &str) -> Result<(String, &str), TextParseError
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn renders_values_like_prometheus() {
-        assert_eq!(render_value(0.0), "0");
-        assert_eq!(render_value(42.0), "42");
-        assert_eq!(render_value(-3.0), "-3");
-        assert_eq!(render_value(0.5), "0.5");
-        assert_eq!(render_value(f64::INFINITY), "+Inf");
-        assert_eq!(render_value(f64::NEG_INFINITY), "-Inf");
-        assert_eq!(render_value(f64::NAN), "NaN");
-    }
 
     #[test]
     fn parses_plain_and_labelled_samples() {

@@ -2,7 +2,7 @@
 //! tests that `render_text` output survives a line-by-line parse round-trip.
 
 use proptest::prelude::*;
-use rvaas_telemetry::{parse_text, render_value, Registry, Sample};
+use rvaas_telemetry::{parse_text, Registry, Sample};
 
 /// The exact exposition document for a small, fully deterministic registry.
 /// Any change to the renderer's format shows up here as a diff.
@@ -154,12 +154,5 @@ proptest! {
             })
             .unwrap();
         prop_assert_eq!(inf.value as usize, hist_vals.len());
-    }
-
-    #[test]
-    fn render_value_parses_back(v in any::<u32>()) {
-        let line = format!("pt_metric {}\n", render_value(f64::from(v)));
-        let samples = parse_text(&line).unwrap();
-        prop_assert_eq!(samples[0].value as u32, v);
     }
 }

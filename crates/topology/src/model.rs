@@ -45,20 +45,6 @@ pub struct Link {
     pub latency: SimTime,
 }
 
-impl Link {
-    /// Returns the opposite endpoint if `port` is one of the link's ends.
-    #[must_use]
-    pub fn peer_of(&self, port: SwitchPort) -> Option<SwitchPort> {
-        if self.a == port {
-            Some(self.b)
-        } else if self.b == port {
-            Some(self.a)
-        } else {
-            None
-        }
-    }
-}
-
 /// The trusted physical topology: the "wiring plan" of the provider network.
 ///
 /// Besides switches, hosts and links it keeps indexes derived from them (so
@@ -498,9 +484,6 @@ mod tests {
         assert_eq!(t.port_towards(SwitchId(1), SwitchId(2)), Some(PortId(3)));
         assert_eq!(t.port_towards(SwitchId(2), SwitchId(1)), Some(PortId(3)));
         assert_eq!(t.port_towards(SwitchId(1), SwitchId(9)), None);
-        let link = t.links().next().unwrap();
-        assert_eq!(link.peer_of(sp(1, 3)), Some(sp(2, 3)));
-        assert_eq!(link.peer_of(sp(9, 9)), None);
     }
 
     #[test]

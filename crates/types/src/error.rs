@@ -28,11 +28,6 @@ pub enum Error {
     UnknownClient(u32),
     /// A referenced link does not exist.
     UnknownLink(u32),
-    /// A control-channel operation was attempted on a channel that is not
-    /// established or failed authentication.
-    ChannelNotEstablished(u32),
-    /// Authentication of a message, certificate or attestation quote failed.
-    AuthenticationFailed(String),
     /// Attestation of the RVaaS enclave failed (wrong measurement, stale quote…).
     AttestationFailed(String),
     /// A message could not be decoded.
@@ -66,10 +61,6 @@ impl fmt::Display for Error {
             Error::UnknownHost(id) => write!(f, "unknown host h{id}"),
             Error::UnknownClient(id) => write!(f, "unknown client c{id}"),
             Error::UnknownLink(id) => write!(f, "unknown link l{id}"),
-            Error::ChannelNotEstablished(id) => {
-                write!(f, "control channel to switch s{id} is not established")
-            }
-            Error::AuthenticationFailed(why) => write!(f, "authentication failed: {why}"),
             Error::AttestationFailed(why) => write!(f, "attestation failed: {why}"),
             Error::Codec(why) => write!(f, "codec error: {why}"),
             Error::UnsupportedVersion { supported, got } => write!(
@@ -97,12 +88,6 @@ impl Error {
         Error::Codec(msg.into())
     }
 
-    /// Convenience constructor for invalid-query errors.
-    #[must_use]
-    pub fn invalid_query(msg: impl Into<String>) -> Self {
-        Error::InvalidQuery(msg.into())
-    }
-
     /// Convenience constructor for internal errors.
     #[must_use]
     pub fn internal(msg: impl Into<String>) -> Self {
@@ -125,10 +110,6 @@ mod tests {
             (Error::UnknownHost(9), "unknown host h9"),
             (Error::UnknownClient(4), "unknown client c4"),
             (Error::UnknownLink(5), "unknown link l5"),
-            (
-                Error::ChannelNotEstablished(7),
-                "control channel to switch s7 is not established",
-            ),
         ];
         for (err, expected) in cases {
             assert_eq!(err.to_string(), expected);
@@ -144,10 +125,6 @@ mod tests {
     #[test]
     fn convenience_constructors() {
         assert_eq!(Error::codec("bad tag").to_string(), "codec error: bad tag");
-        assert_eq!(
-            Error::invalid_query("empty").to_string(),
-            "invalid query: empty"
-        );
         assert_eq!(Error::internal("oops").to_string(), "internal error: oops");
     }
 }

@@ -144,8 +144,6 @@ impl Header {
     pub const ETH_IPV4: u16 = 0x0800;
     /// IP protocol number for UDP.
     pub const PROTO_UDP: u8 = 17;
-    /// IP protocol number for TCP.
-    pub const PROTO_TCP: u8 = 6;
 
     /// Returns a builder for constructing headers field by field.
     #[must_use]
