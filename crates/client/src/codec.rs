@@ -40,6 +40,22 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
+    /// Appends an unsigned LEB128 varint: seven bits per byte, the low
+    /// group first, the top bit set on every byte but the last.
+    pub(crate) fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// The bytes written so far, for a coder that appends its own bit
+    /// stream.
+    pub(crate) fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
@@ -109,6 +125,35 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_be_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
+    }
+
+    /// Reads an unsigned LEB128 varint (see [`ByteWriter::put_varint`]);
+    /// one that does not fit a `u64` is an error.
+    pub(crate) fn get_varint(&mut self) -> Result<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.get_u8()?;
+            let group = u64::from(byte & 0x7f);
+            if group >> (64 - shift).min(7) != 0 {
+                return Err(Error::codec("varint overflows u64"));
+            }
+            v |= group << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(Error::codec("varint overflows u64"))
+    }
+
+    /// The unread bytes, for a coder that reads its own bit stream and then
+    /// [`skip`](Self::skip)s what it used.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// Steps over `n` bytes.
+    pub(crate) fn skip(&mut self, n: usize) -> Result<()> {
+        self.take(n).map(|_| ())
     }
 
     /// Reads a length-prefixed byte string.
@@ -203,6 +248,45 @@ mod tests {
         let zero = 0u32.to_be_bytes();
         let mut r = ByteReader::new(&zero);
         assert_eq!(r.get_count(0).unwrap(), 0);
+    }
+
+    #[test]
+    fn varints_roundtrip_and_reject_overflow() {
+        for v in [
+            0,
+            1,
+            0x7f,
+            0x80,
+            300,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let mut w = ByteWriter::new();
+            w.put_varint(v);
+            let bytes = w.into_bytes();
+            assert_eq!(
+                bytes.len(),
+                (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
+            );
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(r.get_varint().unwrap(), v);
+            assert_eq!(r.remaining(), 0);
+        }
+        // Bits past the 64th, in the tenth byte or in an eleventh, and a
+        // run that stops before its last byte.
+        for hostile in [
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02][..],
+            &[
+                0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00,
+            ][..],
+            &[0x80][..],
+        ] {
+            assert!(
+                ByteReader::new(hostile).get_varint().is_err(),
+                "{hostile:?}"
+            );
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 use std::io::{self, Read, Write};
 
 /// Upper bound on a single frame's payload. A full reset for a million-rule
-/// network is ~8 MB of digests; 16 MiB leaves headroom without letting one
-/// connection hold the heap hostage.
+/// network is about 5.7 MB of Rice-coded digests; 16 MiB leaves headroom
+/// without letting one connection hold the heap hostage.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// Why a frame could not be read or written.

@@ -14,6 +14,15 @@
 //!   serial predates the server's retained delta history (cache reset in RTR
 //!   terms) or the session id does not match.
 //!
+//! Every digest list on the wire — a Reset's full set, a Delta's added and
+//! removed — is one sorted-gap Golomb-Rice code: the gaps between
+//! ascending digests, each a `k`-bit remainder and a unary quotient, with
+//! `k` picked from the list's mean gap. A set of `n` uniform 64-bit digests
+//! carries about `64 - log2(n) + 1.44` bits a member; the code spends
+//! about `64 - log2(n) + 1.5`, so a `fat_tree(8,32)` Reset of 10 752
+//! digests is 52 bits a digest instead of 64, and the saving grows with
+//! the network. The decoder yields digests ascending.
+//!
 //! The client-side state machine is [`SyncSession`]; the server side lives
 //! in the `rvaas-service` crate.
 
@@ -57,7 +66,8 @@ pub enum SyncPayload {
     /// The client's serial is current; nothing to transfer.
     Unchanged,
     /// The digests added/removed between the client's serial and the
-    /// response serial, plus re-verified standing queries.
+    /// response serial, plus re-verified standing queries. Both digest
+    /// lists are strictly ascending, as the wire codes them.
     Delta {
         /// Digests of entries installed since the client's serial.
         added: Vec<FlowDigest>,
@@ -67,7 +77,8 @@ pub enum SyncPayload {
         /// new epoch.
         reverified: Vec<ReverifiedQuery>,
     },
-    /// Full state: the complete digest set at the response serial.
+    /// Full state: the complete digest set at the response serial,
+    /// strictly ascending.
     Reset {
         /// Every digest at the response serial.
         full: Vec<FlowDigest>,
@@ -86,8 +97,7 @@ pub struct SyncResponse {
     /// The trace id the server minted for this exchange (0 = untraced),
     /// echoed so a client can quote it back to the operator when asking
     /// "why did this sync reverify/reset me?". Wire-wise this is an
-    /// optional trailing field introduced by the 0x11 minor version: old
-    /// decoders ignore it, and this decoder reads it only when present.
+    /// optional trailing field, omitted when 0 and read only when present.
     pub trace: u64,
 }
 
@@ -101,8 +111,10 @@ pub(crate) const WIRE_TAG_SYNC_REJECT: u8 = 0x57;
 /// must reject the message (minor bumps are compatible extensions).
 ///
 /// History: 0x10 — initial framing; 0x11 — responses may carry a trailing
-/// server-minted trace id ([`SyncResponse::trace`]).
-pub const SYNC_PROTOCOL_VERSION: u8 = 0x11;
+/// server-minted trace id ([`SyncResponse::trace`]); 0x20 — every digest
+/// list is Golomb-Rice coded instead of raw 8-byte digests behind a `u32`
+/// count, so a 0x1x peer is answered with a [`SyncReject`].
+pub const SYNC_PROTOCOL_VERSION: u8 = 0x20;
 
 /// The major half of a sync protocol version byte.
 #[must_use]
@@ -162,21 +174,218 @@ const PAYLOAD_UNCHANGED: u8 = 1;
 const PAYLOAD_DELTA: u8 = 2;
 const PAYLOAD_RESET: u8 = 3;
 
-fn encode_digests(digests: &[FlowDigest], w: &mut ByteWriter) {
-    w.put_u32(digests.len() as u32);
-    for d in digests {
-        w.put_u64(d.0);
+/// The smallest Rice parameter a digest list may carry. Each digest then
+/// costs at least `MIN_RICE_K + 1` = 32 bits on the wire, so a list decodes
+/// to at most twice the bytes that carried it (a digest is 8 bytes in
+/// memory), whatever count it claims. Real lists never come near the
+/// floor: the mean gap of `n` uniform 64-bit digests is `2^64 / n`, below
+/// `2^31` only past `2^33` digests.
+const MIN_RICE_K: u32 = 31;
+
+/// The Rice parameter for a strictly ascending list of `n` digests ending
+/// at `last`: `floor(log2)` of the mean coded gap, within
+/// [`MIN_RICE_K`]`..=63`. The coded gaps sum to `last - (n - 1)`, so the
+/// list's own gaps set it without a pass over them; every quotient then
+/// averages under 2, and the list costs under `k + 3` bits a digest.
+fn rice_parameter(n: usize, last: Option<FlowDigest>) -> u32 {
+    let Some(last) = last else {
+        return MIN_RICE_K;
+    };
+    let mean = last.0.saturating_sub(n as u64 - 1) / n as u64;
+    (mean.max(1).ilog2()).clamp(MIN_RICE_K, 63)
+}
+
+/// Appends the low bits of values to a byte vector, least significant bit
+/// first, a 64-bit word at a time.
+struct BitWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// Bits not yet written, in the low `fill` bits; the rest are 0.
+    acc: u64,
+    fill: u32,
+}
+
+impl BitWriter<'_> {
+    /// Appends the low `width` bits of `value`; `width` is 1..=64 and no
+    /// bit of `value` above it is set.
+    #[inline]
+    fn put(&mut self, value: u64, width: u32) {
+        self.acc |= value << self.fill;
+        let end = self.fill + width;
+        if end >= 64 {
+            self.out.extend_from_slice(&self.acc.to_le_bytes());
+            self.acc = if self.fill == 0 {
+                0
+            } else {
+                value >> (64 - self.fill)
+            };
+            self.fill = end - 64;
+        } else {
+            self.fill = end;
+        }
+    }
+
+    /// Appends `count` 0 bits.
+    fn zeros(&mut self, count: u64) {
+        let mut end = u64::from(self.fill) + count;
+        while end >= 64 {
+            self.out.extend_from_slice(&self.acc.to_le_bytes());
+            self.acc = 0;
+            end -= 64;
+        }
+        self.fill = end as u32;
+    }
+
+    /// Writes out the last partial word, padded with 0 bits to a byte.
+    fn finish(self) {
+        let bytes = self.fill.div_ceil(8) as usize;
+        self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
     }
 }
 
-fn decode_digests(r: &mut ByteReader<'_>) -> Result<Vec<FlowDigest>> {
-    // get_count bounds the claimed digest count by the bytes actually present
-    // (8 per digest), so a hostile 4-byte prefix cannot demand gigabytes.
-    let n = r.get_count(8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(FlowDigest(r.get_u64()?));
+/// The bits of `bytes` from bit `bit` on, least significant first: at
+/// least 57 of them, 0 past the end.
+#[inline]
+fn bits_from(bytes: &[u8], bit: usize) -> u64 {
+    let at = bit / 8;
+    let word = match bytes.get(at..at + 8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
+        None => {
+            let mut tail = [0; 8];
+            let rest = bytes.get(at..).unwrap_or_default();
+            tail[..rest.len()].copy_from_slice(rest);
+            u64::from_le_bytes(tail)
+        }
+    };
+    word >> (bit % 8)
+}
+
+/// The low `width` (below 64) bits set.
+#[inline]
+fn low_bits(width: u32) -> u64 {
+    (1 << width) - 1
+}
+
+/// Appends one digest list: the concatenation of `runs`, which must be
+/// strictly ascending. The list is a sorted-gap Golomb-Rice code: a varint
+/// count `n`, one byte for the Rice parameter `k` ([`rice_parameter`]),
+/// then the bit stream, least significant bit first. Each digest's gap —
+/// the digest itself for the first, its distance from the one before less
+/// one after that — is coded as its low `k` bits and the quotient
+/// `gap >> k` in unary (that many 0 bits, then a 1). The stream holds the
+/// `n` remainders first and the `n` quotients after them, so that a
+/// decoder reads each remainder at a fixed offset instead of after the
+/// quotient before it, and is padded with 0 bits to a byte.
+///
+/// # Panics
+///
+/// When `runs` are not strictly ascending.
+fn put_digests(w: &mut ByteWriter, runs: &[&[FlowDigest]]) {
+    let n: usize = runs.iter().map(|run| run.len()).sum();
+    let k = rice_parameter(n, runs.iter().rev().find_map(|run| run.last().copied()));
+    w.put_varint(n as u64);
+    w.put_u8(k as u8);
+    let out = w.bytes_mut();
+    // Every quotient averages under 2 (see `rice_parameter`).
+    out.reserve(n * (k as usize + 3) / 8 + 8);
+    let mut bits = BitWriter {
+        out,
+        acc: 0,
+        fill: 0,
+    };
+    let mask = low_bits(k);
+    // The least value the next digest may take.
+    let mut next = 0u64;
+    for run in runs {
+        for digest in *run {
+            let gap = digest.0.checked_sub(next);
+            next = digest.0.wrapping_add(1);
+            bits.put(gap.expect("digest lists are strictly ascending") & mask, k);
+        }
     }
+    next = 0;
+    for run in runs {
+        for digest in *run {
+            let q = (digest.0 - next) >> k;
+            next = digest.0.wrapping_add(1);
+            if q < 64 {
+                bits.put(1 << q, q as u32 + 1);
+            } else {
+                bits.zeros(q);
+                bits.put(1, 1);
+            }
+        }
+    }
+    bits.finish();
+}
+
+/// Reads one [`put_digests`] list, ascending. A count the bytes present
+/// could not hold at `k + 1` bits a digest is refused before anything is
+/// allocated, and so are a Rice parameter outside [`MIN_RICE_K`]`..=63`, a
+/// list that ends inside a unary quotient and gaps that overflow `u64`.
+fn get_digests(r: &mut ByteReader<'_>) -> Result<Vec<FlowDigest>> {
+    let n = r.get_varint()?;
+    let k = u32::from(r.get_u8()?);
+    if !(MIN_RICE_K..=63).contains(&k) {
+        return Err(Error::codec(format!(
+            "Rice parameter {k} outside {MIN_RICE_K}..=63"
+        )));
+    }
+    let bytes = r.rest();
+    let fits = bytes.len() as u64 * 8 / u64::from(k + 1);
+    if n > fits {
+        return Err(Error::codec(format!(
+            "implausible digest count {n}: {} bytes hold at most {fits}",
+            bytes.len()
+        )));
+    }
+    let n = n as usize;
+    let (width, mask) = (k as usize, low_bits(k));
+    // The remainders first, each at a fixed offset.
+    let mut out: Vec<FlowDigest> = Vec::with_capacity(n);
+    if k <= 56 {
+        out.extend((0..n).map(|i| FlowDigest(bits_from(bytes, i * width) & mask)));
+    } else {
+        out.extend((0..n).map(|i| {
+            let bit = i * width;
+            let high = bits_from(bytes, bit + 32) & mask >> 32;
+            FlowDigest(bits_from(bytes, bit) & low_bits(32) | high << 32)
+        }));
+    }
+    // Then the quotients' unary codes, each gap added to the digest before
+    // it. `unread` is the first bit of the next code, and `window` holds
+    // the terminating 1s not yet used among the 56 bits from `base` on.
+    let mut unread = n * width;
+    let mut base = unread;
+    let mut window = bits_from(bytes, base) & low_bits(56);
+    // The least value the next digest may take. A quotient of `2^(64 - k)`
+    // or more is a gap past `u64` on its own, which the OR of them all
+    // shows. Any other overflow, a sum past `u64` or a digest after
+    // `u64::MAX`, leaves the list not strictly ascending. Both are checked
+    // after the loop, so that no step branches on them, and the order only
+    // when a step `wrapped` (a last digest of `u64::MAX` is fine).
+    let (mut next, mut quotients, mut wrapped) = (0u64, 0u64, false);
+    for digest in &mut out {
+        while window == 0 {
+            base += 56;
+            if base >= bytes.len() * 8 {
+                return Err(Error::codec("digest list ends inside a unary quotient"));
+            }
+            window = bits_from(bytes, base) & low_bits(56);
+        }
+        let end = base + window.trailing_zeros() as usize;
+        window &= window - 1;
+        let q = (end - unread) as u64;
+        unread = end + 1;
+        quotients |= q;
+        let (value, carry) = next.overflowing_add(q << k | digest.0);
+        next = value.wrapping_add(1);
+        wrapped |= carry | (next == 0);
+        digest.0 = value;
+    }
+    if quotients >> (64 - k) != 0 || wrapped && !out.windows(2).all(|pair| pair[0] < pair[1]) {
+        return Err(Error::codec("digest gaps sum past u64::MAX"));
+    }
+    r.skip(unread.div_ceil(8))?;
     Ok(out)
 }
 
@@ -203,15 +412,34 @@ impl SyncRequest {
     }
 }
 
+/// A response's wire tag, version, session and serial.
+fn response_head(session: u16, serial: u64) -> ByteWriter {
+    let mut w = ByteWriter::new();
+    w.put_u8(WIRE_TAG_SYNC_RESPONSE);
+    w.put_u8(SYNC_PROTOCOL_VERSION);
+    w.put_u16(session);
+    w.put_u64(serial);
+    w
+}
+
+/// Ends a response with its optional trailing trace id, omitted when
+/// untraced (0).
+fn response_tail(mut w: ByteWriter, trace: u64) -> Vec<u8> {
+    if trace != 0 {
+        w.put_u64(trace);
+    }
+    w.into_bytes()
+}
+
 impl SyncResponse {
     /// Encodes the response for embedding into a packet payload.
+    ///
+    /// # Panics
+    ///
+    /// When a digest list is not strictly ascending.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u8(WIRE_TAG_SYNC_RESPONSE);
-        w.put_u8(SYNC_PROTOCOL_VERSION);
-        w.put_u16(self.session);
-        w.put_u64(self.serial);
+        let mut w = response_head(self.session, self.serial);
         match &self.payload {
             SyncPayload::Unchanged => w.put_u8(PAYLOAD_UNCHANGED),
             SyncPayload::Delta {
@@ -220,8 +448,8 @@ impl SyncResponse {
                 reverified,
             } => {
                 w.put_u8(PAYLOAD_DELTA);
-                encode_digests(added, &mut w);
-                encode_digests(removed, &mut w);
+                put_digests(&mut w, &[added]);
+                put_digests(&mut w, &[removed]);
                 w.put_u32(reverified.len() as u32);
                 for rq in reverified {
                     rq.spec.encode(&mut w);
@@ -230,16 +458,27 @@ impl SyncResponse {
             }
             SyncPayload::Reset { full } => {
                 w.put_u8(PAYLOAD_RESET);
-                encode_digests(full, &mut w);
+                put_digests(&mut w, &[full]);
             }
         }
-        // Optional trailing trace id (0x11 extension): omitted when
-        // untraced so the wire image of an untraced response is identical
-        // to what a 0x10 encoder produced.
-        if self.trace != 0 {
-            w.put_u64(self.trace);
-        }
-        w.into_bytes()
+        response_tail(w, self.trace)
+    }
+
+    /// Encodes a Reset response whose digests are the concatenation of
+    /// `runs` — strictly ascending, as an epoch's digest set holds them —
+    /// without first gathering them into one vector: the bytes of
+    /// `SyncResponse { session, serial, payload: SyncPayload::Reset { full
+    /// }, trace }.encode()` with `full` the runs concatenated.
+    ///
+    /// # Panics
+    ///
+    /// When `runs` are not strictly ascending.
+    #[must_use]
+    pub fn encode_reset(session: u16, serial: u64, runs: &[&[FlowDigest]], trace: u64) -> Vec<u8> {
+        let mut w = response_head(session, serial);
+        w.put_u8(PAYLOAD_RESET);
+        put_digests(&mut w, runs);
+        response_tail(w, trace)
     }
 
     /// Size of the encoded response in bytes (what the sync protocol's
@@ -256,8 +495,8 @@ impl SyncResponse {
         let payload = match r.get_u8()? {
             PAYLOAD_UNCHANGED => SyncPayload::Unchanged,
             PAYLOAD_DELTA => {
-                let added = decode_digests(r)?;
-                let removed = decode_digests(r)?;
+                let added = get_digests(r)?;
+                let removed = get_digests(r)?;
                 // A reverified entry is at least a spec tag + a result tag.
                 let n = r.get_count(2)?;
                 let mut reverified = Vec::with_capacity(n);
@@ -274,13 +513,12 @@ impl SyncResponse {
                 }
             }
             PAYLOAD_RESET => SyncPayload::Reset {
-                full: decode_digests(r)?,
+                full: get_digests(r)?,
             },
             tag => return Err(Error::codec(format!("unknown sync payload tag {tag}"))),
         };
-        // The 0x11 trailing trace id, absent from 0x10-era encoders (and
-        // from untraced 0x11 responses). Fewer than 8 trailing bytes is
-        // garbage every version has always ignored.
+        // The trailing trace id, absent from untraced responses. Fewer
+        // than 8 trailing bytes is garbage every version has ignored.
         let trace = if r.remaining() >= 8 { r.get_u64()? } else { 0 };
         Ok(SyncResponse {
             session,
@@ -464,6 +702,8 @@ impl SyncSession {
             SyncPayload::Reset { full } => {
                 self.session = response.session;
                 self.serial = response.serial;
+                // Decoded lists are ascending, so the collect's sort is
+                // one pass and the tree is built bottom-up.
                 self.digests = full.iter().copied().collect();
                 self.synchronised = true;
                 self.stats.resets_applied += 1;
@@ -746,6 +986,7 @@ mod tests {
                 got: SYNC_PROTOCOL_VERSION.wrapping_add(0x10),
             }
         );
+        // A 0x1x response, whose digest lists were raw, is refused too.
         let mut resp = SyncResponse {
             session: 5,
             serial: 7,
@@ -753,10 +994,10 @@ mod tests {
             trace: 0,
         }
         .encode();
-        resp[1] = 0x20;
+        resp[1] = 0x11;
         assert!(matches!(
             decode_inband(&resp),
-            Err(rvaas_types::Error::UnsupportedVersion { got: 0x20, .. })
+            Err(rvaas_types::Error::UnsupportedVersion { got: 0x11, .. })
         ));
     }
 
@@ -764,7 +1005,7 @@ mod tests {
     fn sync_reject_roundtrips_and_reports_the_typed_error() {
         let reject = SyncReject {
             supported: SYNC_PROTOCOL_VERSION,
-            got: 0x20,
+            got: 0x11,
         };
         match decode_inband(&reject.encode()).unwrap() {
             InbandMessage::SyncReject(decoded) => {
@@ -794,5 +1035,169 @@ mod tests {
             trace: 0,
         };
         assert!(delta.encoded_len() < reset.encoded_len());
+    }
+
+    /// A Reset's encoding, then its digest list alone: what follows the
+    /// 13-byte head (tag, version, session, serial, payload tag).
+    fn reset_list(full: &[u64]) -> Vec<u8> {
+        SyncResponse {
+            session: 1,
+            serial: 2,
+            payload: SyncPayload::Reset {
+                full: digests(full),
+            },
+            trace: 0,
+        }
+        .encode()[13..]
+            .to_vec()
+    }
+
+    /// A Reset response around a hand-made digest list.
+    fn reset_with_list(list: &[u8]) -> Vec<u8> {
+        let mut bytes = SyncResponse {
+            session: 1,
+            serial: 2,
+            payload: SyncPayload::Reset { full: vec![] },
+            trace: 0,
+        }
+        .encode()[..13]
+            .to_vec();
+        bytes.extend_from_slice(list);
+        bytes
+    }
+
+    fn decoded_reset(bytes: &[u8]) -> rvaas_types::Result<Vec<FlowDigest>> {
+        match decode_inband(bytes)? {
+            InbandMessage::SyncResponse(SyncResponse {
+                payload: SyncPayload::Reset { full },
+                ..
+            }) => Ok(full),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn digest_lists_are_rice_coded_gaps() {
+        // Empty: a zero count and the floor parameter, no bits.
+        assert_eq!(reset_list(&[]), [0, MIN_RICE_K as u8]);
+        // [0, 1]: two zero gaps at k = 31, two 31-bit remainders of 0 and
+        // then two quotients of 0, a 1 bit each.
+        assert_eq!(
+            reset_list(&[0, 1]),
+            [2, 31, 0, 0, 0, 0, 0, 0, 0, 0b1100_0000],
+            "count, k, 62 remainder bits, 2 quotient bits"
+        );
+        // One digest: its value is its gap, coded at k = floor(log2): 63
+        // remainder 1s, then the quotient 1 as a 0 and a 1.
+        assert_eq!(
+            reset_list(&[u64::MAX]),
+            [1, 63, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0b01]
+        );
+        // A uniform set costs about 64 - log2(n) + 1.5 bits a digest.
+        let mut state = 7u64;
+        let mut set: Vec<u64> = (0..4096)
+            .map(|_| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            })
+            .collect();
+        set.sort_unstable();
+        set.dedup();
+        let bits = reset_list(&set).len() as f64 * 8.0 / set.len() as f64;
+        assert!((53.0..54.0).contains(&bits), "{bits} bits a digest");
+        assert_eq!(
+            decoded_reset(&reset_with_list(&reset_list(&set))).unwrap(),
+            digests(&set)
+        );
+    }
+
+    #[test]
+    fn digest_list_edges_roundtrip() {
+        for full in [
+            vec![],
+            vec![0],
+            vec![u64::MAX],
+            vec![0, u64::MAX],
+            vec![u64::MAX - 1, u64::MAX],
+            (0..1000).collect(),
+            (0..64).map(|b| 1u64 << b).collect(),
+            (0..64).map(|b| u64::MAX >> b).rev().collect(),
+            // One huge gap among tiny ones: a quotient far past a word.
+            (0..100).chain([u64::MAX / 2]).collect(),
+        ] {
+            let bytes = reset_with_list(&reset_list(&full));
+            assert_eq!(decoded_reset(&bytes).unwrap(), digests(&full), "{full:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn unsorted_lists_are_refused_by_the_encoder() {
+        let _ = reset_list(&[5, 3]);
+    }
+
+    #[test]
+    fn hostile_digest_lists_are_typed_errors() {
+        let hostile: [(&str, Vec<u8>); 9] = [
+            ("outside 31..=63", vec![1, 64, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
+            ("outside 31..=63", vec![1, 30, 1, 0, 0, 0]),
+            // 2^32 digests claimed in 16 bytes: at 32 bits each, 4 fit.
+            ("implausible digest count 4294967296", {
+                let mut list = vec![0x80, 0x80, 0x80, 0x80, 0x10, 31];
+                list.extend([0xff; 16]);
+                list
+            }),
+            ("implausible digest count 2", vec![2, 31, 1, 0, 0, 0]),
+            // Eight bytes of 0 bits: the unary run never ends.
+            (
+                "inside a unary quotient",
+                vec![1, 31, 0, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            // Two 31-bit remainders, then a first quotient of 1 (a 0 and a
+            // 1) that leaves no bit for the second.
+            (
+                "inside a unary quotient",
+                vec![2, 31, 0, 0, 0, 0, 0, 0, 0, 0b1000_0000],
+            ),
+            // A quotient whose gap overflows u64 on its own: 2 at k = 63.
+            (
+                "sum past u64::MAX",
+                vec![1, 63, 0, 0, 0, 0, 0, 0, 0, 0, 0b10],
+            ),
+            // Two gaps of 2^63 (remainders 0, quotients 1 at k = 63): the
+            // second digest's sum carries past u64.
+            ("sum past u64::MAX", {
+                let mut list = vec![2, 63];
+                list.extend([0; 15]);
+                list.extend([0b1000_0000, 0b10]);
+                list
+            }),
+            // u64::MAX (63 remainder 1s, quotient 1), then a gap of 0
+            // (remainder 0, quotient 0) past it.
+            ("sum past u64::MAX", {
+                let mut list = vec![2, 63, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
+                list.extend([0, 0, 0, 0, 0, 0, 0, 0b1000_0000, 0b1]);
+                list
+            }),
+        ];
+        for (reason, list) in hostile {
+            match decoded_reset(&reset_with_list(&list)) {
+                Err(rvaas_types::Error::Codec(message)) if message.contains(reason) => {}
+                other => panic!("{reason}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn decoded_lists_take_at_most_twice_their_wire_bytes() {
+        // The densest list the floor allows: gaps of 0 at k = 31, 4 bytes
+        // a digest on the wire, 8 in memory.
+        let full: Vec<u64> = (0..10_000).collect();
+        let list = reset_list(&full);
+        assert_eq!(list[2], MIN_RICE_K as u8, "after a 2-byte count");
+        assert!(full.len() * 8 <= 2 * list.len(), "{} bytes", list.len());
     }
 }

@@ -172,10 +172,15 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<HttpRequest>, String
     // The body is framed by one all-digit Content-Length or not at all: a
     // Transfer-Encoding or a second length could make the bytes after this
     // request parse differently than a front end read them (RFC 9112 §6.3).
+    // A field name followed by whitespace (`Content-Length : 26`) is refused
+    // for the same reason, as RFC 9112 §5.1 requires: read as an unknown
+    // field, its length would go unseen.
     let mut content_length: Option<usize> = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("transfer-encoding") {
+            if name.ends_with([' ', '\t']) {
+                return Err(format!("whitespace before the colon of {name:?}"));
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
                 return Err("Transfer-Encoding is not supported".to_string());
             } else if name.eq_ignore_ascii_case("content-length") {
                 let value = value.trim();
@@ -449,6 +454,8 @@ mod tests {
             &b"POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n1a\r\n{\"client\":1,\"query\":\"geo\"}\r\n0\r\n\r\n"[..],
             &b"POST /x HTTP/1.1\r\nContent-Length: 26\r\nContent-Length: 0\r\n\r\nGET /v1/epoch HTTP/1.1\r\n\r\n"[..],
             &b"POST /x HTTP/1.1\r\nContent-Length: +2\r\n\r\nab"[..],
+            &b"POST /x HTTP/1.1\r\nContent-Length : 26\r\n\r\nGET /v1/epoch HTTP/1.1\r\n\r\n"[..],
+            &b"GET /x HTTP/1.1\r\nConnection\t: close\r\n\r\n"[..],
             oversized.as_bytes(),
         ] {
             assert!(

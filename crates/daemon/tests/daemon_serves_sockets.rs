@@ -450,16 +450,16 @@ fn unsupported_sync_version_is_answered_with_a_reject_frame() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
 
-    // A valid request with the version byte bumped to a future major.
+    // A valid request from a 0x1x peer, whose digest lists were raw.
     let mut payload = SyncSession::new().request(ClientId(1)).encode();
-    payload[1] = 0x20;
+    payload[1] = 0x11;
     write_frame(&mut stream, &payload).unwrap();
     let frame = read_frame(&mut stream).unwrap().expect("no reject frame");
     let InbandMessage::SyncReject(reject) = decode_inband(&frame).unwrap() else {
         panic!("expected a SyncReject");
     };
     assert_eq!(reject.supported, SYNC_PROTOCOL_VERSION);
-    assert_eq!(reject.got, 0x20);
+    assert_eq!(reject.got, 0x11);
     // The server hangs up after rejecting.
     assert!(read_frame(&mut stream).unwrap().is_none());
     daemon.shutdown();

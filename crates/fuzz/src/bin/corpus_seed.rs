@@ -71,7 +71,7 @@ fn sync_seeds() {
             session: 3,
             serial: 42,
             payload: SyncPayload::Delta {
-                added: vec![FlowDigest(0xdead_beef), FlowDigest(1)],
+                added: vec![FlowDigest(1), FlowDigest(0xdead_beef)],
                 removed: vec![FlowDigest(2)],
                 reverified: vec![ReverifiedQuery {
                     spec: QuerySpec::Isolation,
@@ -103,7 +103,7 @@ fn sync_seeds() {
         "seed-sync-reject.bin",
         &SyncReject {
             supported: SYNC_PROTOCOL_VERSION,
-            got: 0x20,
+            got: 0x11,
         }
         .encode(),
     );
@@ -161,19 +161,75 @@ fn sync_seeds() {
     );
 
     // The fixed allocate-before-validate defects, byte for byte. Layout:
-    // tag, version, session u16, serial u64, payload tag, then counts.
-    let mut huge_reset = vec![0x56, SYNC_PROTOCOL_VERSION, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 3];
-    huge_reset.extend_from_slice(&u32::MAX.to_be_bytes());
-    write_seed("sync", "regress-huge-digest-count.bin", &huge_reset);
+    // tag, version, session u16, serial u64, payload tag, then the lists.
+    // A digest list is a varint count n, the Rice parameter k, n k-bit
+    // remainders and then n unary quotients (0s ended by a 1), least
+    // significant bit first.
+    let head = |payload: u8| {
+        vec![
+            0x56,
+            SYNC_PROTOCOL_VERSION,
+            0,
+            1,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            2,
+            payload,
+        ]
+    };
+    let reset_list = |list: &[u8]| [head(3).as_slice(), list].concat();
+    // u64::MAX digests claimed, in 8 bytes that hold 2 at k = 31.
+    write_seed(
+        "sync",
+        "regress-huge-digest-count.bin",
+        &reset_list(&[
+            0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 31, 0, 0, 0, 0, 0, 0, 0,
+            0xc0,
+        ]),
+    );
 
-    let mut huge_reverified = vec![0x56, SYNC_PROTOCOL_VERSION, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 2];
-    huge_reverified.extend_from_slice(&0u32.to_be_bytes()); // added
-    huge_reverified.extend_from_slice(&0u32.to_be_bytes()); // removed
+    let mut huge_reverified = head(2);
+    huge_reverified.extend_from_slice(&[0, 31]); // added: none
+    huge_reverified.extend_from_slice(&[0, 31]); // removed: none
     huge_reverified.extend_from_slice(&u32::MAX.to_be_bytes()); // reverified
     write_seed(
         "sync",
         "regress-huge-reverified-count.bin",
         &huge_reverified,
+    );
+
+    // The digest-list coder's hostile inputs. A Rice parameter past 63:
+    write_seed(
+        "sync",
+        "regress-rice-parameter-above-63.bin",
+        &reset_list(&[1, 64, 0, 0, 0, 0, 0, 0, 0, 0, 1]),
+    );
+    // One below the floor that bounds a list to 2x its wire bytes:
+    write_seed(
+        "sync",
+        "regress-rice-parameter-below-31.bin",
+        &reset_list(&[1, 30, 0, 0, 0, 0x80]),
+    );
+    // A 31-bit remainder, then a unary quotient of 0 bits that the bytes
+    // end inside:
+    write_seed(
+        "sync",
+        "regress-unterminated-unary-run.bin",
+        &reset_list(&[1, 31, 0, 0, 0, 0, 0, 0, 0, 0]),
+    );
+    // u64::MAX (63 remainder 1s, quotient 1), then one more digest, which
+    // no gap can place past it:
+    write_seed(
+        "sync",
+        "regress-gap-sum-overflow.bin",
+        &reset_list(&[
+            2, 63, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x01,
+        ]),
     );
 
     // QueryReply claiming u32::MAX endpoint reports after a 4-byte result

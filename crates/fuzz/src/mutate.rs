@@ -30,11 +30,13 @@ const BOUNDARY_WORDS: [u32; 8] = [
 ];
 
 /// Single bytes that double as codec tags, payload tags or version bytes.
-const INTERESTING_BYTES: [u8; 12] = [
+const INTERESTING_BYTES: [u8; 14] = [
     0x00,
     0x01,
     0x02,
     0x03,
+    0x1f, // the least Rice parameter a digest list may carry
+    0x40, // one past the greatest
     0x55, // sync request tag
     0x56, // sync response tag
     0x57, // sync reject tag

@@ -24,7 +24,8 @@ use std::sync::{Arc, Mutex};
 use rvaas::AffectedQueries;
 use rvaas_client::QuerySpec;
 use rvaas_client::{
-    decode_inband, InbandMessage, ReverifiedQuery, SyncPayload, SyncRequest, SyncResponse,
+    decode_inband, FlowDigest, InbandMessage, ReverifiedQuery, SyncPayload, SyncRequest,
+    SyncResponse,
 };
 use rvaas_telemetry::{Counter, Histogram, Registry, TraceContext, TraceStage};
 use rvaas_types::ClientId;
@@ -49,6 +50,16 @@ pub struct ReverifyStats {
     pub reverified: u64,
     /// Standing queries skipped because the delta could not affect them.
     pub skipped: u64,
+}
+
+/// What a sync request is answered with: a Reset names the epoch whose
+/// digest set it ships, the rest are whole responses.
+enum Answer {
+    Reset {
+        epoch: Arc<SnapshotEpoch>,
+        trace: u64,
+    },
+    Response(SyncResponse),
 }
 
 /// Answers [`SyncRequest`]s from the epoch store.
@@ -125,7 +136,15 @@ impl SyncServer {
         frame: &[u8],
     ) -> Result<Vec<u8>, ServiceError> {
         match decode_inband(frame)? {
-            InbandMessage::SyncRequest(request) => Ok(self.handle(service, &request).encode()),
+            InbandMessage::SyncRequest(request) => Ok(match self.answer(service, &request) {
+                // The Reset is coded straight from the epoch's ascending
+                // digest runs, never gathered into one vector.
+                Answer::Reset { epoch, trace } => {
+                    let runs: Vec<&[FlowDigest]> = epoch.rules.digests.chunks().collect();
+                    SyncResponse::encode_reset(self.session_id, epoch.serial, &runs, trace)
+                }
+                Answer::Response(response) => response.encode(),
+            }),
             other => Err(ServiceError::Codec(rvaas_types::Error::codec(format!(
                 "sync endpoint expects a SyncRequest, got {other:?}"
             )))),
@@ -137,6 +156,22 @@ impl SyncServer {
     /// (see [`VerificationService::try_query`]).
     #[must_use]
     pub fn handle(&self, service: &VerificationService, request: &SyncRequest) -> SyncResponse {
+        match self.answer(service, request) {
+            Answer::Reset { epoch, trace } => SyncResponse {
+                session: self.session_id,
+                serial: epoch.serial,
+                payload: SyncPayload::Reset {
+                    full: epoch.rules.to_vec(),
+                },
+                trace,
+            },
+            Answer::Response(response) => response,
+        }
+    }
+
+    /// [`handle`](Self::handle)'s answer, a Reset's digests left in the
+    /// epoch they come from.
+    fn answer(&self, service: &VerificationService, request: &SyncRequest) -> Answer {
         // The sync endpoint is this request's ingress: mint the trace here
         // (default-on) and echo it in the response's trailing field.
         let trace = TraceContext::mint();
@@ -156,9 +191,12 @@ impl SyncServer {
             store.delta_between(request.have_serial, current.serial)
         };
         let payload = match delta {
-            None => SyncPayload::Reset {
-                full: current.rules.to_vec(),
-            },
+            None => {
+                return Answer::Reset {
+                    epoch: current,
+                    trace: trace.id.0,
+                }
+            }
             Some(delta) if delta.is_empty() => SyncPayload::Unchanged,
             Some(delta) => {
                 let reverified =
@@ -175,12 +213,12 @@ impl SyncServer {
                 }
             }
         };
-        SyncResponse {
+        Answer::Response(SyncResponse {
             session: self.session_id,
             serial: current.serial,
             payload,
             trace: trace.id.0,
-        }
+        })
     }
 
     /// The client's standing queries `affected` names, answered on `epoch`:
@@ -496,6 +534,27 @@ mod tests {
         );
         session.apply(&delta_response).unwrap();
         assert_mirrors(&session, &service);
+    }
+
+    #[test]
+    fn reset_frames_are_the_epoch_digest_set_coded_from_its_runs() {
+        let (service, server, _snapshot) = setup();
+        let request = SyncSession::new().request(ClientId(1)).encode();
+        let frame = server.handle_frame(&service, &request).unwrap();
+        let rvaas_client::InbandMessage::SyncResponse(response) =
+            rvaas_client::decode_inband(&frame).unwrap()
+        else {
+            panic!("expected a SyncResponse");
+        };
+        let epoch = service.store().current();
+        assert_eq!(
+            response.payload,
+            SyncPayload::Reset {
+                full: epoch.rules.to_vec()
+            }
+        );
+        // The same bytes `handle` would have encoded, trace id included.
+        assert_eq!(frame, response.encode());
     }
 
     #[test]
