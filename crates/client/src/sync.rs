@@ -265,23 +265,23 @@ fn low_bits(width: u32) -> u64 {
     (1 << width) - 1
 }
 
-/// Appends one digest list: the concatenation of `runs`, which must be
-/// strictly ascending. The list is a sorted-gap Golomb-Rice code: a varint
-/// count `n`, one byte for the Rice parameter `k` ([`rice_parameter`]),
-/// then the bit stream, least significant bit first. Each digest's gap —
-/// the digest itself for the first, its distance from the one before less
-/// one after that — is coded as its low `k` bits and the quotient
-/// `gap >> k` in unary (that many 0 bits, then a 1). The stream holds the
-/// `n` remainders first and the `n` quotients after them, so that a
-/// decoder reads each remainder at a fixed offset instead of after the
-/// quotient before it, and is padded with 0 bits to a byte.
+/// Appends one digest list, which must be strictly ascending. The list is
+/// a sorted-gap Golomb-Rice code: a varint count `n`, one byte for the
+/// Rice parameter `k` ([`rice_parameter`]), then the bit stream, least
+/// significant bit first. Each digest's gap — the digest itself for the
+/// first, its distance from the one before less one after that — is coded
+/// as its low `k` bits and the quotient `gap >> k` in unary (that many 0
+/// bits, then a 1). The stream holds the `n` remainders first and the `n`
+/// quotients after them, so that a decoder reads each remainder at a fixed
+/// offset instead of after the quotient before it, and is padded with 0
+/// bits to a byte.
 ///
 /// # Panics
 ///
-/// When `runs` are not strictly ascending.
-fn put_digests(w: &mut ByteWriter, runs: &[&[FlowDigest]]) {
-    let n: usize = runs.iter().map(|run| run.len()).sum();
-    let k = rice_parameter(n, runs.iter().rev().find_map(|run| run.last().copied()));
+/// When `list` is not strictly ascending.
+fn put_digests(w: &mut ByteWriter, list: &[FlowDigest]) {
+    let n = list.len();
+    let k = rice_parameter(n, list.last().copied());
     w.put_varint(n as u64);
     w.put_u8(k as u8);
     let out = w.bytes_mut();
@@ -293,26 +293,23 @@ fn put_digests(w: &mut ByteWriter, runs: &[&[FlowDigest]]) {
         fill: 0,
     };
     let mask = low_bits(k);
-    // The least value the next digest may take.
-    let mut next = 0u64;
-    for run in runs {
-        for digest in *run {
-            let gap = digest.0.checked_sub(next);
-            next = digest.0.wrapping_add(1);
-            bits.put(gap.expect("digest lists are strictly ascending") & mask, k);
-        }
+    // The least value the next digest may take; none after `u64::MAX`.
+    let mut next = Some(0u64);
+    for digest in list {
+        let gap = next.and_then(|least| digest.0.checked_sub(least));
+        next = digest.0.checked_add(1);
+        bits.put(gap.expect("digest lists are strictly ascending") & mask, k);
     }
-    next = 0;
-    for run in runs {
-        for digest in *run {
-            let q = (digest.0 - next) >> k;
-            next = digest.0.wrapping_add(1);
-            if q < 64 {
-                bits.put(1 << q, q as u32 + 1);
-            } else {
-                bits.zeros(q);
-                bits.put(1, 1);
-            }
+    // The order is checked, so no digest follows `u64::MAX` here.
+    let mut next = 0u64;
+    for digest in list {
+        let q = (digest.0 - next) >> k;
+        next = digest.0.wrapping_add(1);
+        if q < 64 {
+            bits.put(1 << q, q as u32 + 1);
+        } else {
+            bits.zeros(q);
+            bits.put(1, 1);
         }
     }
     bits.finish();
@@ -412,25 +409,6 @@ impl SyncRequest {
     }
 }
 
-/// A response's wire tag, version, session and serial.
-fn response_head(session: u16, serial: u64) -> ByteWriter {
-    let mut w = ByteWriter::new();
-    w.put_u8(WIRE_TAG_SYNC_RESPONSE);
-    w.put_u8(SYNC_PROTOCOL_VERSION);
-    w.put_u16(session);
-    w.put_u64(serial);
-    w
-}
-
-/// Ends a response with its optional trailing trace id, omitted when
-/// untraced (0).
-fn response_tail(mut w: ByteWriter, trace: u64) -> Vec<u8> {
-    if trace != 0 {
-        w.put_u64(trace);
-    }
-    w.into_bytes()
-}
-
 impl SyncResponse {
     /// Encodes the response for embedding into a packet payload.
     ///
@@ -439,7 +417,11 @@ impl SyncResponse {
     /// When a digest list is not strictly ascending.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = response_head(self.session, self.serial);
+        let mut w = ByteWriter::new();
+        w.put_u8(WIRE_TAG_SYNC_RESPONSE);
+        w.put_u8(SYNC_PROTOCOL_VERSION);
+        w.put_u16(self.session);
+        w.put_u64(self.serial);
         match &self.payload {
             SyncPayload::Unchanged => w.put_u8(PAYLOAD_UNCHANGED),
             SyncPayload::Delta {
@@ -448,8 +430,8 @@ impl SyncResponse {
                 reverified,
             } => {
                 w.put_u8(PAYLOAD_DELTA);
-                put_digests(&mut w, &[added]);
-                put_digests(&mut w, &[removed]);
+                put_digests(&mut w, added);
+                put_digests(&mut w, removed);
                 w.put_u32(reverified.len() as u32);
                 for rq in reverified {
                     rq.spec.encode(&mut w);
@@ -458,27 +440,14 @@ impl SyncResponse {
             }
             SyncPayload::Reset { full } => {
                 w.put_u8(PAYLOAD_RESET);
-                put_digests(&mut w, &[full]);
+                put_digests(&mut w, full);
             }
         }
-        response_tail(w, self.trace)
-    }
-
-    /// Encodes a Reset response whose digests are the concatenation of
-    /// `runs` — strictly ascending, as an epoch's digest set holds them —
-    /// without first gathering them into one vector: the bytes of
-    /// `SyncResponse { session, serial, payload: SyncPayload::Reset { full
-    /// }, trace }.encode()` with `full` the runs concatenated.
-    ///
-    /// # Panics
-    ///
-    /// When `runs` are not strictly ascending.
-    #[must_use]
-    pub fn encode_reset(session: u16, serial: u64, runs: &[&[FlowDigest]], trace: u64) -> Vec<u8> {
-        let mut w = response_head(session, serial);
-        w.put_u8(PAYLOAD_RESET);
-        put_digests(&mut w, runs);
-        response_tail(w, trace)
+        // The optional trailing trace id, omitted when untraced (0).
+        if self.trace != 0 {
+            w.put_u64(self.trace);
+        }
+        w.into_bytes()
     }
 
     /// Size of the encoded response in bytes (what the sync protocol's
@@ -1134,9 +1103,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly ascending")]
     fn unsorted_lists_are_refused_by_the_encoder() {
-        let _ = reset_list(&[5, 3]);
+        // `[u64::MAX, 5]`: no digest may follow `u64::MAX`, though 5 is
+        // past the wrapped-around least value 0.
+        for list in [vec![5, 3], vec![5, 5], vec![u64::MAX, 5], vec![u64::MAX, 0]] {
+            let panic = std::panic::catch_unwind(|| reset_list(&list)).unwrap_err();
+            let message = panic
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+                .unwrap_or_default();
+            assert!(
+                message.contains("strictly ascending"),
+                "{list:?}: {message}"
+            );
+        }
     }
 
     #[test]

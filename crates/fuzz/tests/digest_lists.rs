@@ -1,7 +1,6 @@
-//! The sync wire's digest-list code as properties of the public encoders:
+//! The sync wire's digest-list code as a property of the public encoder:
 //! every strictly ascending digest set comes back from a Reset and from a
-//! Delta unchanged, and a Reset coded from the set's runs is the same bytes
-//! however the set is split.
+//! Delta unchanged.
 
 use proptest::prelude::*;
 use rvaas_client::{decode_inband, FlowDigest, InbandMessage, SyncPayload, SyncResponse};
@@ -41,7 +40,6 @@ proptest! {
         shape in 0u8..4,
         base in any::<u64>(),
         raw in collection::vec(any::<u64>(), 0..50_000),
-        cuts in collection::vec(any::<u64>(), 0..4),
     ) {
         let full = digest_set(shape, base, &raw);
         let reset = SyncResponse {
@@ -50,21 +48,7 @@ proptest! {
             payload: SyncPayload::Reset { full: full.clone() },
             trace: base,
         };
-        prop_assert_eq!(roundtrip(&reset), reset.clone());
-
-        // The same set as a few runs, as an epoch's digest set holds it.
-        let mut at: Vec<usize> = cuts.iter().map(|c| *c as usize % (full.len() + 1)).collect();
-        at.sort_unstable();
-        let runs: Vec<&[FlowDigest]> = [0]
-            .into_iter()
-            .chain(at.iter().copied())
-            .zip(at.iter().copied().chain([full.len()]))
-            .map(|(from, to)| &full[from..to])
-            .collect();
-        prop_assert_eq!(
-            SyncResponse::encode_reset(3, 9, &runs, base),
-            reset.encode()
-        );
+        prop_assert_eq!(roundtrip(&reset), reset);
 
         // A Delta's two lists: the set's halves, interleaved.
         let (added, removed): (Vec<_>, Vec<_>) =

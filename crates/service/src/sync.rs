@@ -24,8 +24,7 @@ use std::sync::{Arc, Mutex};
 use rvaas::AffectedQueries;
 use rvaas_client::QuerySpec;
 use rvaas_client::{
-    decode_inband, FlowDigest, InbandMessage, ReverifiedQuery, SyncPayload, SyncRequest,
-    SyncResponse,
+    decode_inband, InbandMessage, ReverifiedQuery, SyncPayload, SyncRequest, SyncResponse,
 };
 use rvaas_telemetry::{Counter, Histogram, Registry, TraceContext, TraceStage};
 use rvaas_types::ClientId;
@@ -50,16 +49,6 @@ pub struct ReverifyStats {
     pub reverified: u64,
     /// Standing queries skipped because the delta could not affect them.
     pub skipped: u64,
-}
-
-/// What a sync request is answered with: a Reset names the epoch whose
-/// digest set it ships, the rest are whole responses.
-enum Answer {
-    Reset {
-        epoch: Arc<SnapshotEpoch>,
-        trace: u64,
-    },
-    Response(SyncResponse),
 }
 
 /// Answers [`SyncRequest`]s from the epoch store.
@@ -136,15 +125,7 @@ impl SyncServer {
         frame: &[u8],
     ) -> Result<Vec<u8>, ServiceError> {
         match decode_inband(frame)? {
-            InbandMessage::SyncRequest(request) => Ok(match self.answer(service, &request) {
-                // The Reset is coded straight from the epoch's ascending
-                // digest runs, never gathered into one vector.
-                Answer::Reset { epoch, trace } => {
-                    let runs: Vec<&[FlowDigest]> = epoch.rules.digests.chunks().collect();
-                    SyncResponse::encode_reset(self.session_id, epoch.serial, &runs, trace)
-                }
-                Answer::Response(response) => response.encode(),
-            }),
+            InbandMessage::SyncRequest(request) => Ok(self.handle(service, &request).encode()),
             other => Err(ServiceError::Codec(rvaas_types::Error::codec(format!(
                 "sync endpoint expects a SyncRequest, got {other:?}"
             )))),
@@ -156,22 +137,6 @@ impl SyncServer {
     /// (see [`VerificationService::try_query`]).
     #[must_use]
     pub fn handle(&self, service: &VerificationService, request: &SyncRequest) -> SyncResponse {
-        match self.answer(service, request) {
-            Answer::Reset { epoch, trace } => SyncResponse {
-                session: self.session_id,
-                serial: epoch.serial,
-                payload: SyncPayload::Reset {
-                    full: epoch.rules.to_vec(),
-                },
-                trace,
-            },
-            Answer::Response(response) => response,
-        }
-    }
-
-    /// [`handle`](Self::handle)'s answer, a Reset's digests left in the
-    /// epoch they come from.
-    fn answer(&self, service: &VerificationService, request: &SyncRequest) -> Answer {
         // The sync endpoint is this request's ingress: mint the trace here
         // (default-on) and echo it in the response's trailing field.
         let trace = TraceContext::mint();
@@ -191,12 +156,9 @@ impl SyncServer {
             store.delta_between(request.have_serial, current.serial)
         };
         let payload = match delta {
-            None => {
-                return Answer::Reset {
-                    epoch: current,
-                    trace: trace.id.0,
-                }
-            }
+            None => SyncPayload::Reset {
+                full: current.rules.to_vec(),
+            },
             Some(delta) if delta.is_empty() => SyncPayload::Unchanged,
             Some(delta) => {
                 let reverified =
@@ -213,12 +175,12 @@ impl SyncServer {
                 }
             }
         };
-        Answer::Response(SyncResponse {
+        SyncResponse {
             session: self.session_id,
             serial: current.serial,
             payload,
             trace: trace.id.0,
-        })
+        }
     }
 
     /// The client's standing queries `affected` names, answered on `epoch`:
@@ -537,7 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_frames_are_the_epoch_digest_set_coded_from_its_runs() {
+    fn reset_frames_carry_the_epoch_digest_set() {
         let (service, server, _snapshot) = setup();
         let request = SyncSession::new().request(ClientId(1)).encode();
         let frame = server.handle_frame(&service, &request).unwrap();
@@ -553,7 +515,7 @@ mod tests {
                 full: epoch.rules.to_vec()
             }
         );
-        // The same bytes `handle` would have encoded, trace id included.
+        // Decoding loses nothing, the trace id included.
         assert_eq!(frame, response.encode());
     }
 
